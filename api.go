@@ -20,7 +20,7 @@
 // priorities, each optionally combined with random delays). Substrates —
 // synthetic unstructured tetrahedral meshes, S_N-style direction sets, DAG
 // induction with cycle breaking, a multilevel graph partitioner, and a
-// goroutine-based message-passing executor — live in internal packages and
+// barrier-step message-passing executor — live in internal packages and
 // are reached through this API.
 package sweepsched
 
@@ -629,12 +629,19 @@ func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportRe
 	return transport.Solve(res.Schedule, cfg)
 }
 
-// SolveTransportParallel runs the same solve with one goroutine per
-// processor of the schedule, exchanging angular fluxes through the
-// batched interconnect (deadline-driven per-destination envelopes; set
-// TransportConfig.NoBatch for one transmission per message). Its result
-// is bitwise-identical to SolveTransport either way, and its
-// TransportResult.Comm reports the observed traffic.
+// SolveTransportParallel runs the same solve on the machine the schedule
+// was made for: its m processors are modelled — each owns its cells'
+// fluxes and sees another processor's only through the interconnect —
+// and stepped barrier-synchronously by one shared driver, a loop on the
+// caller's goroutine that runs a step's processors in ascending order
+// (no goroutine per processor; what is modelled is the machine's data
+// flow and traffic, not its speed). Fluxes cross through the batched
+// interconnect (deadline-driven per-destination envelopes; set
+// TransportConfig.NoBatch for one delivery per message), handed over at
+// the barrier between steps, where every per-processor count is also
+// folded in processor order — so the result is bitwise-identical to
+// SolveTransport, and TransportResult.Comm (the observed traffic) is the
+// same on either interconnect but for the transmissions.
 func (p *Problem) SolveTransportParallel(res *Result, cfg TransportConfig) (*TransportResult, error) {
 	return transport.SolveParallel(res.Schedule, cfg)
 }
@@ -656,9 +663,12 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 	return transport.SolveMultigroup(res.Schedule, cfg)
 }
 
-// Simulate executes a result's schedule on the goroutine-based
-// message-passing machine simulator and returns its independent accounting
-// (steps, total messages = C1, communication rounds = C2).
+// Simulate executes a result's schedule on the message-passing machine
+// simulator — the same barrier-step driver as SolveTransportParallel,
+// with one delivery per message and no arithmetic: a task runs only if
+// every upwind flux was completed locally or delivered — and returns its
+// independent accounting (steps, total messages = C1, communication
+// rounds = C2).
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
 	return simulate.Run(res.Schedule)
 }

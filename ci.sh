@@ -27,8 +27,8 @@ echo "== verify: full suite with runtime schedule auditing forced on =="
 SWEEPSCHED_VERIFY=1 go test -count=1 ./...
 
 echo "== resilience: executors under -race with a hard timeout =="
-# The fault-injection / recovery / cancellation suite must never hang: a
-# deadlocked coordinator or leaked worker turns into a test failure here.
+# The fault-injection / recovery / cancellation suite must never hang: an
+# epoch that never ends turns into a test failure here.
 go test -race -timeout 120s ./internal/faults ./internal/simulate ./internal/transport
 
 echo "== procfault: kill -9 a real worker process, recover bitwise =="

@@ -1,5 +1,5 @@
 // Command sweepsim runs one scheduler on one instance, prints the metrics,
-// and optionally replays the schedule on the goroutine-based
+// and optionally replays the schedule on the barrier-step
 // message-passing simulator as an independent feasibility check.
 //
 // With -faults it re-executes the schedule under a deterministic

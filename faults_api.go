@@ -138,8 +138,7 @@ func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleO
 }
 
 // SimulateCtx is Simulate with cooperative cancellation: the executor
-// returns ctx.Err() within one barrier step, with every worker goroutine
-// joined.
+// returns ctx.Err() within one barrier step.
 func (p *Problem) SimulateCtx(ctx context.Context, res *Result) (*SimulationResult, error) {
 	return simulate.RunCtx(ctx, res.Schedule)
 }
@@ -159,17 +158,20 @@ func (p *Problem) SolveTransportCtx(ctx context.Context, res *Result, cfg Transp
 }
 
 // SolveTransportParallelCtx is SolveTransportParallel with cooperative
-// cancellation: the coordinator observes ctx at every barrier and joins
-// every worker before returning ctx.Err().
+// cancellation: the step driver observes ctx before every step and
+// returns ctx.Err().
 func (p *Problem) SolveTransportParallelCtx(ctx context.Context, res *Result, cfg TransportConfig) (*TransportResult, error) {
 	return transport.SolveParallelCtx(ctx, res.Schedule, cfg)
 }
 
 // SolveTransportFaultTolerant runs the transport source iteration on the
-// fault-injected recovery executor. Under any plan that leaves at least
-// one processor alive, the converged flux is bitwise-identical to the
-// serial SolveTransport; the RecoveryReport is byte-for-byte reproducible
-// for a fixed plan.
+// fault-injected recovery executor: the live modelled processors on the
+// same step driver as SolveTransportParallel, with planned crashes, the
+// injector's drops, delays and duplicates, checkpoints and stall
+// detection all decided in the barrier hook. Under any plan that leaves
+// at least one processor alive, the converged flux is bitwise-identical
+// to the serial SolveTransport; the RecoveryReport is byte-for-byte
+// reproducible for a fixed plan.
 func (p *Problem) SolveTransportFaultTolerant(ctx context.Context, res *Result, cfg TransportConfig, plan *FaultPlan) (*TransportResult, *RecoveryReport, error) {
 	return transport.SolveFaultTolerant(ctx, res.Schedule, cfg, plan)
 }

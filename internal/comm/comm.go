@@ -1,5 +1,5 @@
 // Package comm is the batched flux-communication layer shared by every
-// executor: the in-process channel solver (transport.SolveParallel), the
+// executor: the in-process parallel solver (transport.SolveParallel), the
 // fault-injected engine (faults.Engine), and the multi-process runner
 // (internal/procrun). It owns the batch envelope, the pooled buffers that
 // keep the warm path at zero allocations, and the explicit per-message vs
@@ -81,8 +81,12 @@ func PutBatch(b *Batch) {
 // Outbox holds one open envelope per destination. Add is safe for
 // concurrent senders (per-destination locking); FlushDue and DiscardAll
 // must be called from a single flusher with all senders quiescent — in
-// the barrier executors that flusher is the coordinator, between
-// collecting a step's acks and broadcasting the next step.
+// the barrier executors that flusher is the barrier hook. Every executor
+// in this repository now calls Add from its one step loop too (the
+// in-process ones in CloseStep, procrun's orchestrator while it folds
+// acks), so the lock is uncontended; removing it was tried and made no
+// measurable difference to a solve, so it stays for callers that send
+// from several goroutines.
 type Outbox struct {
 	slots []*Batch
 	mus   []sync.Mutex

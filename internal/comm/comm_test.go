@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"testing"
 
 	"sweepsched/internal/obs"
@@ -105,6 +106,66 @@ func TestOutboxWarmCycleZeroAllocs(t *testing.T) {
 		t.Fatalf("counters did not record envelopes")
 	}
 	_ = sink
+}
+
+// batchedRing is the smallest executor on the step driver with the
+// batched interconnect: every processor sends one flux to its right-hand
+// neighbour each step, due two steps on; CloseStep moves the step's sends
+// into the outbox, OpenStep flushes the due envelopes and recycles them.
+type batchedRing struct {
+	m     int32
+	sent  []sched.Send
+	out   *Outbox
+	ctr   Counters
+	flush func(*Batch)
+	got   float64
+}
+
+func (r *batchedRing) OpenStep(st int32) error { r.out.FlushDue(st, r.flush); return nil }
+
+func (r *batchedRing) RunProc(p, st int32) {
+	r.sent = append(r.sent, sched.Send{Task: sched.TaskID(p), To: (p + 1) % r.m, Due: st + 2, Psi: 1})
+}
+
+func (r *batchedRing) CloseStep(int32) error {
+	for _, x := range r.sent {
+		r.out.Add(x.To, x.Task, x.Psi, x.Due)
+	}
+	r.sent = r.sent[:0]
+	return nil
+}
+
+// TestStepDriverWarmStepZeroAllocs extends the warm-cycle contract to the
+// whole step: driver, send list, outbox and envelope pool together
+// allocate nothing once warm.
+func TestStepDriverWarmStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the warm-pool contract is measured without -race")
+	}
+	const m = 8
+	r := &batchedRing{m: m, out: NewOutbox(m), ctr: NewCounters(obs.New())}
+	r.flush = func(b *Batch) {
+		r.ctr.Envelope(len(b.Items))
+		for _, it := range b.Items {
+			r.got += it.Psi
+		}
+		PutBatch(b)
+	}
+	procs := sched.AllProcs(m)
+	ctx := context.Background()
+	run := func() {
+		if err := sched.RunSteps(ctx, procs, 16, r); err != nil {
+			t.Fatal(err)
+		}
+		r.out.DiscardAll()
+	}
+	run() // warm the pool, the send list and the envelopes' item arrays
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Fatalf("warm 16-step run allocates %v, want 0", n)
+	}
+	if r.got == 0 {
+		t.Fatal("no flux was delivered")
+	}
 }
 
 func TestCountersCostModel(t *testing.T) {

@@ -3,7 +3,7 @@ package faults
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/lb"
@@ -23,7 +23,7 @@ type Compute func(t sched.TaskID, inflow float64) float64
 // RecoveryReport accounts for one fault-injected execution. With a fixed
 // plan it is identical byte-for-byte (via String) across runs and
 // GOMAXPROCS settings: every field is accumulated in barrier order or
-// per-processor, never in goroutine-arrival order.
+// per-processor, on one goroutine.
 type RecoveryReport struct {
 	Seed uint64
 	// Faults actually applied (planned events whose step or message never
@@ -55,21 +55,22 @@ func (r *RecoveryReport) String() string {
 }
 
 // Engine executes sweeps of a schedule on the simulated distributed
-// machine (one goroutine per live processor, channel interconnect,
-// barrier-synchronous steps) under an injected fault plan. It is stateful
-// across sweeps — crashed processors stay dead, and the recovered
-// assignment and schedule persist — so the transport solver can run its
-// source iteration through one engine.
+// machine — the live modelled processors stepped by the shared driver
+// (sched.RunSteps), barrier-synchronous steps, fluxes delivered by the
+// barrier hook — under an injected fault plan. It is stateful across
+// sweeps — crashed processors stay dead, and the recovered assignment and
+// schedule persist — so the transport solver can run its source
+// iteration through one engine.
 //
 // Execution proceeds in epochs. An epoch runs the current (residual)
-// schedule until it finishes, a planned crash fires, or a worker stalls on
-// a flux the injector withheld. Ending an epoch durably checkpoints every
-// completed task except those the crashed processor finished since the
-// last periodic checkpoint (those are lost and replayed); recovery is
-// delegated to the shared Recovery core — orphan-cell reassignment onto
-// the least-loaded survivors and residual list scheduling
-// (sched.ListScheduleResidual) — the same core internal/procrun drives
-// for real kill -9'd worker processes.
+// schedule until it finishes, a planned crash fires, or a processor
+// stalls on a flux the injector withheld. Ending an epoch durably
+// checkpoints every completed task except those the crashed processor
+// finished since the last periodic checkpoint (those are lost and
+// replayed); recovery is delegated to the shared Recovery core — orphan-cell
+// reassignment onto the least-loaded survivors and residual list
+// scheduling (sched.ListScheduleResidual) — the same core
+// internal/procrun drives for real kill -9'd worker processes.
 type Engine struct {
 	inst *sched.Instance
 	orig *sched.Schedule
@@ -84,18 +85,37 @@ type Engine struct {
 	needRebuild bool
 	report      RecoveryReport
 
-	// noBatch selects the frozen per-message interconnect (one channel
-	// delivery per logical cross message) instead of the deadline-driven
-	// envelope path. Both converge bitwise-identically with identical
-	// RecoveryReports; NoBatch is the differential oracle.
+	// noBatch selects the per-message interconnect (one delivery per
+	// logical cross message, at the barrier closing the step that released
+	// it) instead of the deadline-driven envelope path. Both converge
+	// bitwise-identically with identical RecoveryReports; NoBatch is the
+	// differential oracle.
 	noBatch bool
 	// commBatches/commBytes accumulate physical transmissions on the
 	// batched path (the unbatched equivalents are derived from
 	// MessagesSent); see CommTraffic.
 	commBatches, commBytes int64
 
+	// Tables and scratch built once and reused across epochs and sweeps: a
+	// fault-free source iteration regroups nothing and allocates nothing.
+	fullSteps  sched.StepTable // cur, whole; stale while !fullOK
+	fullOK     bool
+	residSteps sched.StepTable // the running sweep's residual schedule
+	recv       sched.RecvTable // slots for the assignment; stale while !recvOK
+	recvOK     bool
+	sent       []sched.Send // the running step's messages, injected by CloseStep
+	outbox     *comm.Outbox
+	flush      func(*comm.Batch) // e.deliver, bound once
+	done       []bool
+	doneStart  []bool // done as of the running epoch's start: durable in psi
+	acks       []procAck
+	live       []int32    // the running epoch's processors, ascending
+	released   []Delivery // inject's scratch
+	ep         epoch
+
 	// col receives execution counters (nil = off).
 	col *obs.Collector
+	ctr comm.Counters
 }
 
 // SetNoBatch selects the per-message oracle interconnect (true) or the
@@ -121,6 +141,7 @@ func (e *Engine) CommTraffic() (messages, batches, bytes, rounds int64) {
 // collector detaches.
 func (e *Engine) Observe(col *obs.Collector) {
 	e.col = col
+	e.ctr = comm.NewCounters(col)
 	e.rec.Observe(col)
 }
 
@@ -159,7 +180,12 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 		rec:       rec,
 		sinceCkpt: make([][]sched.TaskID, s.Inst.M),
 		ckptEvery: Spec{}.withDefaults().CheckpointEvery,
+		outbox:    comm.NewOutbox(s.Inst.M),
+		done:      make([]bool, s.Inst.NTasks()),
+		doneStart: make([]bool, s.Inst.NTasks()),
+		acks:      make([]procAck, s.Inst.M),
 	}
+	e.flush = e.deliver
 	if plan != nil {
 		e.report.Seed = plan.Seed
 		e.ckptEvery = plan.Spec.withDefaults().CheckpointEvery
@@ -198,19 +224,26 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 		}
 		e.cur = full
 		e.needRebuild = false
+		e.fullOK = false
+	}
+	if !e.fullOK {
+		if err := e.fullSteps.Build(e.cur, e.rec.Assign(), nil); err != nil {
+			return fmt.Errorf("faults: internal: %w", err)
+		}
+		e.fullOK = true
 	}
 	e.report.StepsFaultFree += e.orig.Makespan
 
-	done := make([]bool, nt)
+	clear(e.done)
 	remaining := nt
-	cur := e.cur
+	cur, steps := e.cur, &e.fullSteps
 	for remaining > 0 {
 		if e.rec.NLive() == 0 {
 			return &UnrecoverableError{DeadProcs: e.Report().DeadProcs, Remaining: remaining}
 		}
 		var reason epochEnd
 		var err error
-		remaining, reason, err = e.runEpoch(ctx, cur, done, compute, psi, remaining)
+		remaining, reason, err = e.runEpoch(ctx, cur, steps, compute, psi, remaining)
 		if err != nil {
 			return err
 		}
@@ -227,11 +260,14 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 			e.report.Recoveries++
 			e.col.Counter("faults.recoveries").Inc()
 			e.report.LastResidualBound = lb.ResidualLoad(remaining, e.rec.NLive())
-			resid, err := e.rec.Reschedule(done)
+			resid, err := e.rec.Reschedule(e.done)
 			if err != nil {
 				return err
 			}
-			cur = resid
+			if err := e.residSteps.Build(resid, e.rec.Assign(), e.done); err != nil {
+				return fmt.Errorf("faults: internal: %w", err)
+			}
+			cur, steps = resid, &e.residSteps
 		}
 	}
 	return nil
@@ -245,11 +281,10 @@ const (
 	endStall
 )
 
-type stepMsg struct{ local, global int32 }
-
-type workerAck struct {
-	proc      int32
-	completed []sched.TaskID
+// procAck is one live processor's account of the running step, written
+// by the processor and folded by the barrier hook.
+type procAck struct {
+	completed int32
 	sent      int32
 	stalled   bool
 	stallTask sched.TaskID // the task that could not run
@@ -257,526 +292,258 @@ type workerAck struct {
 	err       error
 }
 
-// runEpoch executes the schedule's not-done tasks barrier-synchronously
-// until completion, a crash, or a stall. It owns the worker goroutines for
-// the epoch and always tears them down before returning (no leaks on any
-// path, including cancellation). The default interconnect is the batched
-// envelope path; SetNoBatch(true) selects the per-message oracle.
-func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool,
+// epoch is one epoch on the step driver: the schedule's not-done tasks
+// run barrier-synchronously until completion, a crash, or a stall.
+type epoch struct {
+	e         *Engine
+	cur       *sched.Schedule
+	steps     *sched.StepTable
+	assign    sched.Assignment
+	compute   Compute
+	psi       []float64
+	remaining int
+	end       epochEnd
+	nextCrash int32   // earliest planned crash step among the live processors
+	dying     []int32 // processors whose crash fired at the barrier that ended the epoch
+}
+
+// runEpoch runs one epoch of cur (grouped in steps) and tears its
+// interconnect state down on every path, cancellation included.
+func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched.StepTable,
 	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
+
+	e.report.Epochs++
+	e.col.Counter("faults.epochs").Inc()
+	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
+	if !e.recvOK {
+		e.recv.Build(e.inst, e.rec.Assign())
+		e.recvOK = true
+	}
+	e.recv.Reset()
+	e.sent = e.sent[:0]
+	copy(e.doneStart, e.done)
+	ep := &e.ep
+	*ep = epoch{e: e, cur: cur, steps: steps, assign: e.rec.Assign(), compute: compute, psi: psi,
+		remaining: remaining, nextCrash: math.MaxInt32, dying: ep.dying[:0]}
+	e.live = e.live[:0]
+	for p := int32(0); p < int32(e.inst.M); p++ {
+		if !e.rec.Live(p) {
+			continue
+		}
+		e.live = append(e.live, p)
+		if cs := e.inj.CrashStep(p); cs >= 0 {
+			ep.nextCrash = min(ep.nextCrash, cs)
+		}
+	}
+	err := sched.RunSteps(ctx, e.live, steps.Steps(), ep)
+	// Whatever is still held or in an open envelope is moot — the next
+	// epoch reads completed producers' fluxes from the durable psi.
+	e.inj.DiscardDelayed()
+	e.outbox.DiscardAll()
+	if err != nil {
+		return ep.remaining, endCompleted, err
+	}
+	if ep.end == endCrash {
+		ep.remaining = e.applyCrashes(ep.dying, ep.remaining)
+	}
+	return ep.remaining, ep.end, nil
+}
+
+// OpenStep is the barrier before local step ls. Planned crashes due now
+// fire before the step runs (a processor completes steps strictly before
+// its crash step); then the periodic checkpoint, and the interconnect:
+// held (delayed) messages that matured are delivered so they arrive at
+// their maturity step — maturing past the consumer's step stalls the
+// epoch in either mode — and, batched, exactly the envelopes whose
+// earliest consumer runs at ls are flushed.
+func (ep *epoch) OpenStep(ls int32) error {
+	e := ep.e
+	g := e.globalStep
+	if g >= ep.nextCrash {
+		for _, p := range e.live {
+			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
+				ep.dying = append(ep.dying, p)
+			}
+		}
+		ep.end = endCrash
+		return sched.ErrStopSteps
+	}
+	// Periodic durable checkpoint: completions up to here can no longer
+	// be lost to a crash.
+	if g-e.lastCkpt >= e.ckptEvery {
+		for p := range e.sinceCkpt {
+			e.sinceCkpt[p] = e.sinceCkpt[p][:0]
+		}
+		e.lastCkpt = g
+	}
+	for _, dl := range e.inj.Matured(g) {
+		switch {
+		case !e.rec.Live(dl.To):
+		case e.noBatch:
+			e.recv.Deliver(dl.Task, dl.To, dl.Psi)
+		default:
+			// Joins the destination's envelope with an immediate deadline.
+			e.outbox.Add(dl.To, dl.Task, dl.Psi, ls)
+		}
+	}
+	if !e.noBatch {
+		e.outbox.FlushDue(ls, e.flush)
+	}
+	return nil
+}
+
+// deliver accounts for one envelope and hands its fluxes to the
+// destination's receive slots.
+func (e *Engine) deliver(b *comm.Batch) {
+	e.commBatches++
+	e.commBytes += comm.BatchWireBytes(len(b.Items))
+	e.ctr.Envelope(len(b.Items))
+	for _, it := range b.Items {
+		e.recv.Deliver(it.Task, b.To, it.Psi)
+	}
+	comm.PutBatch(b)
+}
+
+// RunProc is live processor p's step: it runs the tasks scheduled now,
+// reading checkpointed upwind fluxes straight from psi and in-epoch cross
+// fluxes only from what the interconnect delivered, and records every
+// cross-processor send for the barrier that closes the step.
+func (ep *epoch) RunProc(p, ls int32) {
+	e := ep.e
+	inst, assign, psi := e.inst, ep.assign, ep.psi
+	n := int32(inst.N())
+	g := e.globalStep
+	a := &e.acks[p]
+	*a = procAck{}
+	for _, t := range ep.steps.Tasks(p, ls) {
+		v, i := inst.Split(t)
+		d := inst.DAGs[i]
+		base := sched.TaskID(int32(i) * n)
+		inflow := 0.0
+		preds := d.In(v)
+		slots := e.recv.In(t)
+		for j, u := range preds {
+			ut := base + sched.TaskID(u)
+			switch {
+			case e.doneStart[ut]:
+				inflow += psi[ut] // durable checkpoint, written in an earlier epoch
+			case slots[j] < 0:
+				if !e.done[ut] {
+					a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, g, ut)
+					return
+				}
+				inflow += psi[ut]
+			default:
+				val, have := e.recv.Load(slots[j])
+				if !have {
+					a.stalled, a.stallTask, a.stallMiss = true, t, ut
+					return
+				}
+				inflow += val
+			}
+		}
+		if len(preds) > 0 {
+			inflow /= float64(len(preds))
+		}
+		val := ep.compute(t, inflow)
+		psi[t] = val
+		// done[t] and sinceCkpt[p] are this processor's alone during a step.
+		e.done[t] = true
+		e.sinceCkpt[p] = append(e.sinceCkpt[p], t)
+		a.completed++
+		for _, w := range d.Out(v) {
+			q := assign[w]
+			if q == p {
+				continue
+			}
+			a.sent++
+			// The receive slot is keyed by (producing task, destination),
+			// so a delivery released for this edge can satisfy every
+			// consumer of (t -> q): its deadline is the earliest such
+			// consumer's step — NoDue when all were durably done at epoch
+			// start. (With a Drop on a sibling edge the oracle's surviving
+			// per-message delivery serves both consumers; the envelope must
+			// arrive just as early.)
+			due := int32(comm.NoDue)
+			for _, w2 := range d.Out(v) {
+				if wt := base + sched.TaskID(w2); assign[w2] == q && !e.doneStart[wt] {
+					due = min(due, ep.cur.Start[wt])
+				}
+			}
+			e.sent = append(e.sent, sched.Send{Task: t, To: q, Due: due, Psi: val})
+		}
+	}
+}
+
+// inject routes one logical message through the injector — which decides
+// per (task, destination), so a planned Drop/Delay/Duplicate hits the same
+// message on either interconnect — and hands what it releases now to the
+// interconnect: delivered per message (NoBatch), or appended to the
+// destination's envelope.
+func (e *Engine) inject(x sched.Send) {
+	e.released = e.inj.AppendOnSend(e.released[:0], x.Task, x.To, x.Psi, e.globalStep)
+	for _, dl := range e.released {
+		if e.noBatch {
+			e.recv.Deliver(dl.Task, dl.To, dl.Psi)
+		} else {
+			e.outbox.Add(dl.To, dl.Task, dl.Psi, x.Due)
+		}
+	}
+}
+
+// CloseStep is the barrier after local step ls: the step's sends pass the
+// injector in the order they were produced (processor, then task), and
+// the acks are folded in processor order.
+func (ep *epoch) CloseStep(int32) error {
+	e := ep.e
+	g := e.globalStep
+	for _, x := range e.sent {
+		e.inject(x)
+	}
+	e.sent = e.sent[:0]
+	var sent, stepMax int32
+	var feasErr error
+	stalled, unexplained := false, false
+	stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
+	for _, p := range e.live {
+		a := &e.acks[p]
+		ep.remaining -= int(a.completed)
+		sent += a.sent
+		stepMax = max(stepMax, a.sent)
+		if a.err != nil && feasErr == nil {
+			feasErr = a.err
+		}
+		if a.stalled {
+			stalled = true
+			if stallTask < 0 || a.stallTask < stallTask {
+				stallTask, stallMiss = a.stallTask, a.stallMiss
+			}
+			if !e.inj.Explains(a.stallMiss, p) {
+				unexplained = true
+			}
+		}
+	}
+	e.report.MessagesSent += int64(sent)
+	e.ctr.Logical(int(sent))
 	if e.noBatch {
-		return e.runEpochUnbatched(ctx, cur, done, compute, psi, remaining)
+		e.ctr.PerMessage(int(sent))
 	}
-	return e.runEpochBatched(ctx, cur, done, compute, psi, remaining)
-}
-
-// runEpochUnbatched is the per-message interconnect: every cross-processor
-// flux is one channel delivery the moment the injector releases it. Kept
-// verbatim as the differential oracle for the batched path.
-func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, done []bool,
-	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
-
-	e.report.Epochs++
-	e.col.Counter("faults.epochs").Inc()
-	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
-	inst := e.inst
-	m := inst.M
-	assign := e.rec.Assign()
-
-	// Group the epoch's tasks per (processor, local step) and size inboxes:
-	// exact cross-message counts (shared barrier-executor helpers) plus
-	// slack for duplicated and re-delivered (delayed) messages, so channel
-	// sends never block.
-	byStep, err := sched.GroupSteps(cur, assign, done)
-	if err != nil {
-		return remaining, endCompleted, fmt.Errorf("faults: internal: %w", err)
+	e.report.CommRounds += int64(stepMax)
+	e.globalStep++
+	e.report.StepsExecuted++
+	if feasErr != nil {
+		return feasErr
 	}
-	crossIn := sched.CrossIncoming(inst, assign, done)
-	slack := 2
-	if e.inj.plan != nil {
-		slack += 2 * len(e.inj.plan.Events)
+	if unexplained {
+		return fmt.Errorf(
+			"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
+			stallTask, stallMiss, g)
 	}
-	inbox := make([]chan Delivery, m)
-	for p := range inbox {
-		inbox[p] = make(chan Delivery, crossIn[p]+slack)
+	if stalled {
+		ep.end = endStall
+		return sched.ErrStopSteps
 	}
-	doneStart := append([]bool(nil), done...)
-	ctr := comm.NewCounters(e.col)
-
-	var spawned []int32
-	stepCh := make([]chan stepMsg, m)
-	reports := make(chan workerAck, m)
-	var wg sync.WaitGroup
-	for p := int32(0); p < int32(m); p++ {
-		if !e.rec.Live(p) {
-			continue
-		}
-		stepCh[p] = make(chan stepMsg)
-		spawned = append(spawned, p)
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			e.worker(p, byStep[p], doneStart, inbox, stepCh[p], reports, compute, psi)
-		}(p)
-	}
-	teardown := func() {
-		for _, p := range spawned {
-			close(stepCh[p])
-		}
-		wg.Wait()
-		e.inj.DiscardDelayed()
-	}
-
-	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
-		g := e.globalStep
-		// Planned crashes due at this barrier fire before the step runs:
-		// the processor completes steps strictly before its crash step.
-		var dying []int32
-		for _, p := range spawned {
-			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
-				dying = append(dying, p)
-			}
-		}
-		if len(dying) > 0 {
-			teardown()
-			remaining = e.applyCrashes(dying, done, remaining)
-			return remaining, endCrash, nil
-		}
-		// Periodic durable checkpoint: completions up to here can no longer
-		// be lost to a crash.
-		if g-e.lastCkpt >= e.ckptEvery {
-			for p := range e.sinceCkpt {
-				e.sinceCkpt[p] = e.sinceCkpt[p][:0]
-			}
-			e.lastCkpt = g
-		}
-		// Held (delayed) messages that matured are delivered before the
-		// barrier opens.
-		for _, dl := range e.inj.Matured(g) {
-			if e.rec.Live(dl.To) {
-				inbox[dl.To] <- dl
-			}
-		}
-		for _, p := range spawned {
-			select {
-			case stepCh[p] <- stepMsg{local: ls, global: g}:
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		var stepMax int32
-		var feasErr error
-		feasProc := int32(-1)
-		stalled := false
-		unexplained := false
-		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for range spawned {
-			select {
-			case a := <-reports:
-				for _, t := range a.completed {
-					done[t] = true
-					remaining--
-					e.sinceCkpt[a.proc] = append(e.sinceCkpt[a.proc], t)
-				}
-				e.report.MessagesSent += int64(a.sent)
-				ctr.Logical(int(a.sent))
-				ctr.PerMessage(int(a.sent))
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (feasProc < 0 || a.proc < feasProc) {
-					feasErr, feasProc = a.err, a.proc
-				}
-				if a.stalled {
-					stalled = true
-					if stallTask < 0 || a.stallTask < stallTask {
-						stallTask, stallMiss = a.stallTask, a.stallMiss
-					}
-					if !e.inj.Explains(a.stallMiss, a.proc) {
-						unexplained = true
-					}
-				}
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		e.report.CommRounds += int64(stepMax)
-		e.globalStep++
-		e.report.StepsExecuted++
-		if feasErr != nil {
-			teardown()
-			return remaining, endCompleted, feasErr
-		}
-		if stalled {
-			teardown()
-			if unexplained {
-				return remaining, endCompleted, fmt.Errorf(
-					"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
-					stallTask, stallMiss, g)
-			}
-			return remaining, endStall, nil
-		}
-	}
-	teardown()
-	return remaining, endCompleted, nil
-}
-
-// worker is one live processor for one epoch. Per step it drains its
-// inbox, runs the tasks scheduled at that step (reading checkpointed
-// upwind fluxes straight from psi and in-epoch cross fluxes from received
-// messages), and routes every cross-processor send through the injector.
-func (e *Engine) worker(p int32, byStep map[int32][]sched.TaskID, doneStart []bool,
-	inbox []chan Delivery, stepCh <-chan stepMsg, reports chan<- workerAck,
-	compute Compute, psi []float64) {
-
-	inst := e.inst
-	assign := e.rec.Assign()
-	n := int32(inst.N())
-	recv := map[sched.TaskID]float64{}
-	localDone := map[sched.TaskID]bool{}
-	for sm := range stepCh {
-		for {
-			select {
-			case d := <-inbox[p]:
-				recv[d.Task] = d.Psi
-				continue
-			default:
-			}
-			break
-		}
-		a := workerAck{proc: p}
-		for _, t := range byStep[sm.local] {
-			v, i := inst.Split(t)
-			d := inst.DAGs[i]
-			base := sched.TaskID(int32(i) * n)
-			inflow := 0.0
-			preds := d.In(v)
-			ok := true
-			for _, u := range preds {
-				ut := base + sched.TaskID(u)
-				switch {
-				case doneStart[ut]:
-					inflow += psi[ut] // durable checkpoint, written in an earlier epoch
-				case assign[u] == p:
-					if !localDone[ut] {
-						a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, sm.global, ut)
-						ok = false
-					} else {
-						inflow += psi[ut]
-					}
-				default:
-					val, have := recv[ut]
-					if !have {
-						a.stalled, a.stallTask, a.stallMiss = true, t, ut
-						ok = false
-					} else {
-						inflow += val
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			if len(preds) > 0 {
-				inflow /= float64(len(preds))
-			}
-			val := compute(t, inflow)
-			psi[t] = val
-			localDone[t] = true
-			a.completed = append(a.completed, t)
-			for _, w := range d.Out(v) {
-				q := assign[w]
-				if q == p {
-					continue
-				}
-				a.sent++
-				for _, dl := range e.inj.OnSend(t, q, val, sm.global) {
-					inbox[dl.To] <- dl
-				}
-			}
-		}
-		reports <- a
-	}
-}
-
-// runEpochBatched is the deadline-driven envelope interconnect
-// (internal/comm). The injector still operates on logical messages at
-// produce time — a planned Drop/Delay/Duplicate hits exactly the message
-// it hits on the oracle path — but released deliveries accumulate in a
-// shared per-destination outbox tagged with their consumer's scheduled
-// step, and the coordinator flushes exactly the due envelopes at each
-// barrier. Delayed messages that mature are enqueued with an immediate
-// deadline, so they still arrive at their maturity step (maturing past
-// the consumer's step stalls the epoch exactly as unbatched). Logical
-// accounting (MessagesSent, CommRounds, every RecoveryReport field) is
-// bitwise-identical to the oracle; only commBatches/commBytes differ.
-func (e *Engine) runEpochBatched(ctx context.Context, cur *sched.Schedule, done []bool,
-	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
-
-	e.report.Epochs++
-	e.col.Counter("faults.epochs").Inc()
-	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
-	inst := e.inst
-	m := inst.M
-	assign := e.rec.Assign()
-
-	byStep, err := sched.GroupSteps(cur, assign, done)
-	if err != nil {
-		return remaining, endCompleted, fmt.Errorf("faults: internal: %w", err)
-	}
-	outbox := comm.NewOutbox(m)
-	// At most one envelope per destination is in flight per barrier (the
-	// outbox keeps a single open envelope per destination, and matured
-	// delayed messages ride it), so capacity 2 leaves margin.
-	inbox := make([]chan *comm.Batch, m)
-	for p := range inbox {
-		inbox[p] = make(chan *comm.Batch, 2)
-	}
-	doneStart := append([]bool(nil), done...)
-	ctr := comm.NewCounters(e.col)
-
-	var spawned []int32
-	stepCh := make([]chan stepMsg, m)
-	reports := make(chan workerAck, m)
-	var wg sync.WaitGroup
-	for p := int32(0); p < int32(m); p++ {
-		if !e.rec.Live(p) {
-			continue
-		}
-		stepCh[p] = make(chan stepMsg)
-		spawned = append(spawned, p)
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			e.workerBatched(p, byStep[p], cur, doneStart, outbox, inbox, stepCh[p], reports, compute, psi)
-		}(p)
-	}
-	teardown := func() {
-		for _, p := range spawned {
-			close(stepCh[p])
-		}
-		wg.Wait()
-		e.inj.DiscardDelayed()
-		// Undelivered envelopes are moot — the next epoch reads completed
-		// producers' fluxes from the durable psi — so recycle them.
-		outbox.DiscardAll()
-		for p := range inbox {
-			for {
-				select {
-				case b := <-inbox[p]:
-					comm.PutBatch(b)
-					continue
-				default:
-				}
-				break
-			}
-		}
-	}
-	flush := func(b *comm.Batch) {
-		e.commBatches++
-		e.commBytes += comm.BatchWireBytes(len(b.Items))
-		ctr.Envelope(len(b.Items))
-		inbox[b.To] <- b
-	}
-
-	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
-		g := e.globalStep
-		var dying []int32
-		for _, p := range spawned {
-			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
-				dying = append(dying, p)
-			}
-		}
-		if len(dying) > 0 {
-			teardown()
-			remaining = e.applyCrashes(dying, done, remaining)
-			return remaining, endCrash, nil
-		}
-		if g-e.lastCkpt >= e.ckptEvery {
-			for p := range e.sinceCkpt {
-				e.sinceCkpt[p] = e.sinceCkpt[p][:0]
-			}
-			e.lastCkpt = g
-		}
-		// Matured delayed messages join their destination's envelope with
-		// an immediate deadline; the flush below ships every envelope whose
-		// earliest consumer (or matured item) is due at this step.
-		for _, dl := range e.inj.Matured(g) {
-			if e.rec.Live(dl.To) {
-				outbox.Add(dl.To, dl.Task, dl.Psi, ls)
-			}
-		}
-		outbox.FlushDue(ls, flush)
-		for _, p := range spawned {
-			select {
-			case stepCh[p] <- stepMsg{local: ls, global: g}:
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		var stepMax int32
-		var feasErr error
-		feasProc := int32(-1)
-		stalled := false
-		unexplained := false
-		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for range spawned {
-			select {
-			case a := <-reports:
-				for _, t := range a.completed {
-					done[t] = true
-					remaining--
-					e.sinceCkpt[a.proc] = append(e.sinceCkpt[a.proc], t)
-				}
-				e.report.MessagesSent += int64(a.sent)
-				ctr.Logical(int(a.sent))
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (feasProc < 0 || a.proc < feasProc) {
-					feasErr, feasProc = a.err, a.proc
-				}
-				if a.stalled {
-					stalled = true
-					if stallTask < 0 || a.stallTask < stallTask {
-						stallTask, stallMiss = a.stallTask, a.stallMiss
-					}
-					if !e.inj.Explains(a.stallMiss, a.proc) {
-						unexplained = true
-					}
-				}
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		e.report.CommRounds += int64(stepMax)
-		e.globalStep++
-		e.report.StepsExecuted++
-		if feasErr != nil {
-			teardown()
-			return remaining, endCompleted, feasErr
-		}
-		if stalled {
-			teardown()
-			if unexplained {
-				return remaining, endCompleted, fmt.Errorf(
-					"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
-					stallTask, stallMiss, g)
-			}
-			return remaining, endStall, nil
-		}
-	}
-	teardown()
-	return remaining, endCompleted, nil
-}
-
-// workerBatched is one live processor for one epoch on the envelope
-// interconnect: it drains whole envelopes instead of single deliveries,
-// and routes every cross-processor send through the injector at produce
-// time, appending released deliveries to the shared outbox tagged with
-// the consuming task's scheduled (local) step — NoDue when the consumer
-// was already durably done at epoch start.
-func (e *Engine) workerBatched(p int32, byStep map[int32][]sched.TaskID, cur *sched.Schedule,
-	doneStart []bool, outbox *comm.Outbox, inbox []chan *comm.Batch, stepCh <-chan stepMsg,
-	reports chan<- workerAck, compute Compute, psi []float64) {
-
-	inst := e.inst
-	assign := e.rec.Assign()
-	n := int32(inst.N())
-	recv := map[sched.TaskID]float64{}
-	localDone := map[sched.TaskID]bool{}
-	for sm := range stepCh {
-		for {
-			select {
-			case b := <-inbox[p]:
-				for _, it := range b.Items {
-					recv[it.Task] = it.Psi
-				}
-				comm.PutBatch(b)
-				continue
-			default:
-			}
-			break
-		}
-		a := workerAck{proc: p}
-		for _, t := range byStep[sm.local] {
-			v, i := inst.Split(t)
-			d := inst.DAGs[i]
-			base := sched.TaskID(int32(i) * n)
-			inflow := 0.0
-			preds := d.In(v)
-			ok := true
-			for _, u := range preds {
-				ut := base + sched.TaskID(u)
-				switch {
-				case doneStart[ut]:
-					inflow += psi[ut] // durable checkpoint, written in an earlier epoch
-				case assign[u] == p:
-					if !localDone[ut] {
-						a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, sm.global, ut)
-						ok = false
-					} else {
-						inflow += psi[ut]
-					}
-				default:
-					val, have := recv[ut]
-					if !have {
-						a.stalled, a.stallTask, a.stallMiss = true, t, ut
-						ok = false
-					} else {
-						inflow += val
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			if len(preds) > 0 {
-				inflow /= float64(len(preds))
-			}
-			val := compute(t, inflow)
-			psi[t] = val
-			localDone[t] = true
-			a.completed = append(a.completed, t)
-			for _, w := range d.Out(v) {
-				q := assign[w]
-				if q == p {
-					continue
-				}
-				a.sent++
-				// The receiver keys received fluxes by producing task, so a
-				// delivery released for this edge can satisfy every consumer
-				// of (t -> q): its deadline is the earliest such consumer's
-				// step. (With a Drop on a sibling edge the oracle's surviving
-				// per-message delivery serves both consumers; the envelope
-				// must arrive just as early.)
-				due := int32(comm.NoDue)
-				for _, w2 := range d.Out(v) {
-					if assign[w2] != q {
-						continue
-					}
-					wt := base + sched.TaskID(w2)
-					if !doneStart[wt] && cur.Start[wt] < due {
-						due = cur.Start[wt]
-					}
-				}
-				for _, dl := range e.inj.OnSend(t, q, val, sm.global) {
-					outbox.Add(dl.To, dl.Task, dl.Psi, due)
-				}
-			}
-		}
-		reports <- a
-	}
+	return nil
 }
 
 // applyCrashes kills the given processors: their completions since the
@@ -784,7 +551,8 @@ func (e *Engine) workerBatched(p int32, byStep map[int32][]sched.TaskID, cur *sc
 // with outstanding work move to the least-loaded survivors (via the
 // shared Recovery core), and the recovery itself acts as a checkpoint for
 // everyone else.
-func (e *Engine) applyCrashes(dying []int32, done []bool, remaining int) int {
+func (e *Engine) applyCrashes(dying []int32, remaining int) int {
+	done := e.done
 	for _, p := range dying {
 		e.inj.NoteCrash()
 		for _, t := range e.sinceCkpt[p] {
@@ -803,6 +571,7 @@ func (e *Engine) applyCrashes(dying []int32, done []bool, remaining int) int {
 	}
 	e.lastCkpt = e.globalStep
 	e.rec.Kill(dying, done)
+	e.recvOK = false // the assignment changed
 	if e.rec.NLive() > 0 {
 		e.needRebuild = true
 	}

@@ -6,10 +6,15 @@
 // A Plan is a deterministic fault scenario derived from a master seed via
 // rng.Source.Substream: the same (schedule, spec, seed) triple always
 // yields the same events, so every failure run is exactly reproducible. An
-// Injector applies a plan to the channel interconnect of the
-// message-passing executors (internal/simulate, internal/transport), and
-// the Engine drives a barrier-synchronous execution with recovery: on a
-// detected crash or a missing-flux stall, the coordinator checkpoints the
+// Injector applies a plan to the interconnect of a message-passing
+// executor, one logical message at a time, and the Engine drives a
+// barrier-synchronous execution with recovery on the shared step driver
+// (sched.RunSteps): the live processors are modelled — their step bodies
+// run one after another on the caller's goroutine — and everything that
+// decides the outcome — the injector's verdicts, deliveries, crash and
+// stall detection, the report's counters — happens in the barrier hook,
+// in processor order. On a detected crash or a missing-flux stall, the
+// hook ends the epoch: the engine checkpoints the
 // completed-task state, reassigns the dead processor's remaining cells
 // onto the survivors, rebuilds a feasible residual schedule by list
 // scheduling over the not-yet-done tasks (sched.ListScheduleResidual), and

@@ -166,6 +166,38 @@ func TestEngineRecoversFromMixedFaults(t *testing.T) {
 	})
 }
 
+// TestEngineFaultFreeSweepAllocatesNothing pins the engine's reuse across
+// source iterations: the full-schedule step table, the receive slots, the
+// done masks and the outbox are built once per Engine, so a warm
+// fault-free Sweep — what every transport iteration after the first is —
+// allocates nothing.
+func TestEngineFaultFreeSweepAllocatesNothing(t *testing.T) {
+	s := testSchedule(t, 4, 9)
+	for _, noBatch := range []bool{false, true} {
+		eng, err := NewEngine(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetNoBatch(noBatch)
+		psi := make([]float64, s.Inst.NTasks())
+		sweep := func() {
+			if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep()
+		sweep() // warm: tables built, send list and envelopes grown
+		// Under the race detector sync.Pool drops envelopes, so only the
+		// per-message interconnect is held to zero there.
+		if n := testing.AllocsPerRun(10, sweep); n != 0 && (noBatch || !raceEnabled) {
+			t.Fatalf("noBatch=%v: warm fault-free sweep allocates %v, want 0", noBatch, n)
+		}
+		if rep := eng.Report(); rep.Epochs != 13 || rep.Recoveries != 0 {
+			t.Fatalf("noBatch=%v: %s, want 13 epochs and no recovery", noBatch, rep)
+		}
+	}
+}
+
 // TestReportReproducible asserts the byte-for-byte report guarantee across
 // repeated runs and across GOMAXPROCS settings.
 func TestReportReproducible(t *testing.T) {

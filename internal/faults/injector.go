@@ -20,13 +20,14 @@ type msgKey struct {
 	to   int32
 }
 
-// Injector applies a Plan to the channel interconnect of an executor. The
+// Injector applies a Plan to the interconnect of an executor. The
 // executor routes every cross-processor send through OnSend (which may
 // suppress, hold or duplicate the delivery) and asks Matured at each
-// barrier for held messages that are now due. Worker goroutines call
-// OnSend concurrently; the decision for a message depends only on the plan
-// (keyed by task and destination), never on call order, so executions are
-// reproducible.
+// barrier for held messages that are now due. The decision for a message
+// depends only on the plan (keyed by task and destination), never on call
+// order, so executions are reproducible. OnSend is safe for concurrent
+// callers, though the engine and procrun's orchestrator both call it from
+// their one step loop.
 type Injector struct {
 	mu        sync.Mutex
 	crashStep map[int32]int32
@@ -112,37 +113,47 @@ func (inj *Injector) NoteSever() {
 // once — on later sends of the same message (transport re-sweeps the
 // schedule every source iteration) delivery is normal.
 func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	normal := []Delivery{{To: to, Task: task, Psi: psi}}
+	return inj.AppendOnSend(nil, task, to, psi, step)
+}
+
+// AppendOnSend is OnSend appending the deliveries to dst: with a buffer
+// of capacity two reused across sends it allocates nothing.
+func (inj *Injector) AppendOnSend(dst []Delivery, task sched.TaskID, to int32, psi float64, step int32) []Delivery {
+	normal := Delivery{To: to, Task: task, Psi: psi}
 	if inj.plan == nil {
-		return normal
+		return append(dst, normal)
 	}
 	key := msgKey{task, to}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	e, ok := inj.msg[key]
 	if !ok {
-		return normal
+		return append(dst, normal)
 	}
 	delete(inj.msg, key)
 	inj.consumed[key] = e.Kind
 	inj.applied[e.Kind]++
 	switch e.Kind {
 	case Drop:
-		return nil
+		return dst
 	case Delay:
 		due := step + e.HoldSteps
-		inj.delayed[due] = append(inj.delayed[due], normal[0])
-		return nil
+		inj.delayed[due] = append(inj.delayed[due], normal)
+		return dst
 	case Duplicate:
-		return []Delivery{normal[0], normal[0]}
+		return append(dst, normal, normal)
 	}
-	return normal
+	return append(dst, normal)
 }
 
 // Matured removes and returns every held delivery due at or before the
 // given global step, in deterministic (task, to) order.
 func (inj *Injector) Matured(step int32) []Delivery {
 	inj.mu.Lock()
+	if len(inj.delayed) == 0 { // every barrier asks; almost none has any
+		inj.mu.Unlock()
+		return nil
+	}
 	var due []Delivery
 	for st, ds := range inj.delayed {
 		if st <= step {
@@ -165,7 +176,7 @@ func (inj *Injector) Matured(step int32) []Delivery {
 // are read from the durable checkpoint instead.
 func (inj *Injector) DiscardDelayed() {
 	inj.mu.Lock()
-	inj.delayed = map[int32][]Delivery{}
+	clear(inj.delayed)
 	inj.mu.Unlock()
 }
 

@@ -12,7 +12,7 @@ import (
 // Recovery is the executor-independent crash-recovery core: it tracks
 // which processors are alive, owns the (mutating) cell assignment, and
 // rebuilds feasible schedules over the outstanding tasks by residual list
-// scheduling. Both the in-process Engine (goroutine machine) and the
+// scheduling. Both the in-process Engine (modelled processors) and the
 // multi-process orchestrator (internal/procrun) drive their recoveries
 // through one Recovery, so a kill -9'd OS process and a simulated crash
 // take the exact same reassignment and rescheduling decisions.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"testing"
 
 	"sweepsched/internal/comm"
@@ -280,4 +281,46 @@ func BenchmarkProcRunCommBatched(b *testing.B) {
 
 func BenchmarkProcRunCommUnbatched(b *testing.B) {
 	benchProcRunComm(b, true)
+}
+
+// TestWorkerRejectsMalformedEpochFrames: an epoch frame states its
+// makespan as a bare number, and the worker sizes its step table by it, so
+// a corrupt one must be refused before anything is allocated — as must a
+// start step the stated makespan does not cover. The well-formed frame is
+// accepted.
+func TestWorkerRejectsMalformedEpochFrames(t *testing.T) {
+	s, _ := testSetup(t, testSpec())
+	inst := s.Inst
+	frame := func(makespan uint32, start []int32) []byte {
+		var e enc
+		e.i32(1)
+		e.u32(makespan)
+		e.i32s(s.Assign)
+		e.i32s(start)
+		e.bools(make([]bool, inst.NTasks()))
+		e.f64s(make([]float64, inst.NTasks()))
+		return e.b
+	}
+	late := append([]int32(nil), s.Start...)
+	late[0] = int32(s.Makespan)
+	for _, tc := range []struct {
+		name     string
+		makespan uint32
+		start    []int32
+		wantErr  string
+	}{
+		{"well-formed", uint32(s.Makespan), s.Start, ""},
+		{"makespan 2^32-1", ^uint32(0), s.Start, "claims a makespan"},
+		{"makespan just over the frame cap", uint32(maxFrame/4/inst.M + 1), s.Start, "claims a makespan"},
+		{"start at the makespan", uint32(s.Makespan), late, "makespan is"},
+	} {
+		w := &worker{inst: inst}
+		_, err := w.onEpoch(frame(tc.makespan, tc.start))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Fatalf("%s: got %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
 }

@@ -589,7 +589,7 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 	// Workers derive their own per-step groups from the epoch frame; the
 	// orchestrator runs the same grouping once for validation (it rejects
 	// unscheduled tasks before any frame goes out).
-	if _, err := sched.GroupSteps(cur, assign, done); err != nil {
+	if err := new(sched.StepTable).Build(cur, assign, done); err != nil {
 		return remaining, endCompleted, fmt.Errorf("procrun: internal: %w", err)
 	}
 	// Envelope deadlines are computed against the epoch-start schedule and

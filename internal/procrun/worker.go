@@ -91,7 +91,7 @@ type worker struct {
 	// epoch state (reset by fEpoch)
 	epoch     int32
 	assign    sched.Assignment
-	byStep    map[int32][]sched.TaskID
+	steps     sched.StepTable // this epoch's schedule; the worker runs row w.rank
 	doneStart []bool
 	psi       []float64
 	recv      map[sched.TaskID]float64
@@ -331,13 +331,17 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 		len(done) != w.inst.NTasks() || len(psi) != w.inst.NTasks() {
 		return nil, fmt.Errorf("procrun: epoch frame shapes do not match the instance")
 	}
+	// The step table is sized by m·makespan, a number the frame states but
+	// does not carry: hold it to what a frame could carry, so a corrupt
+	// frame cannot make the worker allocate more than maxFrame allows.
+	if makespan > maxFrame/4/w.inst.M {
+		return nil, fmt.Errorf("procrun: epoch frame claims a makespan of %d steps for %d processors", makespan, w.inst.M)
+	}
 	w.assign = sched.Assignment(assign)
 	s := &sched.Schedule{Inst: w.inst, Assign: w.assign, Start: start, Makespan: makespan}
-	groups, err := sched.GroupSteps(s, w.assign, done)
-	if err != nil {
+	if err := w.steps.Build(s, w.assign, done); err != nil {
 		return nil, err
 	}
-	w.byStep = groups[w.rank]
 	w.doneStart = done
 	w.psi = psi
 	w.recv = map[sched.TaskID]float64{}
@@ -384,7 +388,7 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	if delivs != nil {
 		w.fluxBuf = delivs
 	}
-	if w.byStep == nil {
+	if w.doneStart == nil {
 		return nil, fmt.Errorf("procrun: step before epoch")
 	}
 	if ckpt {
@@ -411,7 +415,7 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	errMsg := ""
 	inst := w.inst
 	n := int32(inst.N())
-	for _, t := range w.byStep[local] {
+	for _, t := range w.steps.Tasks(w.rank, local) {
 		v, i := inst.Split(t)
 		dag := inst.DAGs[i]
 		base := sched.TaskID(int32(i) * n)

@@ -1,26 +1,25 @@
 // Package simulate executes a sweep schedule on a simulated distributed
-// machine: one goroutine per processor, buffered channels as the
-// interconnect, and a barrier-synchronous step loop. It is the executable
-// counterpart of the paper's simulation methodology — every precedence is
-// enforced by an actual message arriving (or local completion), so a
-// schedule that validates here would run correctly on a real cluster with
-// the same task placement.
+// machine: the schedule's m processors modelled on the shared step driver
+// (sched.RunSteps, one barrier-synchronous step loop) and a per-message
+// interconnect delivered at the barrier. It is the executable counterpart
+// of the paper's simulation methodology — every precedence is enforced by
+// an actual message arriving (or local completion), so a schedule that
+// validates here would run correctly on a real cluster with the same task
+// placement.
 //
 // The simulator doubles as a cross-check of the analytic objective
 // functions: it recounts total messages (= C1) and per-step maximum
 // send-degrees (summing to C2) from the messages that actually flow.
 //
 // Run rejects infeasible schedules with a descriptive error; RunCtx adds
-// cooperative cancellation (the coordinator observes ctx between barrier
-// steps and tears every worker down before returning), and RunFaulty
-// executes under an injected fault plan with checkpointed recovery
-// rescheduling (see internal/faults).
+// cooperative cancellation (the driver observes ctx before every step),
+// and RunFaulty executes under an injected fault plan with checkpointed
+// recovery rescheduling (see internal/faults).
 package simulate
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sweepsched/internal/faults"
 	"sweepsched/internal/sched"
@@ -33,15 +32,11 @@ type Result struct {
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
 }
 
-type message struct {
-	task sched.TaskID
-}
-
-type stepReport struct {
-	proc     int32
-	sent     int32 // cross-processor messages sent at this step
-	maxPeers int32
-	err      error // infeasibility detected at this step, nil if ok
+// procReport is one modelled processor's account of the running step,
+// written by the processor and folded by the barrier hook.
+type procReport struct {
+	sent int32 // cross-processor messages sent at this step
+	err  error // infeasibility detected at this step, nil if ok
 }
 
 // Run executes the schedule. It returns an error if any task would run
@@ -52,150 +47,99 @@ func Run(s *sched.Schedule) (*Result, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: it returns ctx.Err() within
-// one barrier step of cancellation, after joining every worker goroutine
-// (no leaks, no blocked channel sends).
+// one barrier step of cancellation.
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-
-	// Group tasks by (processor, step) and size inboxes with the exact
-	// per-processor incoming message counts, so that sends never block
-	// (avoiding coordinator/worker deadlock). Both partitions are the
-	// shared barrier-executor helpers (sched.GroupSteps/CrossIncoming).
-	steps := s.Makespan
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
+	m := s.Inst.M
+	r := &run{
+		s:       s,
+		ran:     make([]bool, s.Inst.NTasks()),
+		reports: make([]procReport, m),
+		res:     Result{Steps: s.Makespan},
+	}
+	if err := r.steps.Build(s, nil, nil); err != nil {
 		return nil, err
 	}
-	incoming := sched.CrossIncoming(inst, s.Assign, nil)
-	inbox := make([]chan message, m)
-	for p := range inbox {
-		inbox[p] = make(chan message, incoming[p]+1)
+	r.recv.Build(s.Inst, s.Assign)
+	if err := sched.RunSteps(ctx, sched.AllProcs(m), r.steps.Steps(), r); err != nil {
+		return nil, err
 	}
-
-	stepCh := make([]chan int32, m)
-	for p := range stepCh {
-		stepCh[p] = make(chan int32)
-	}
-	reports := make(chan stepReport, m)
-
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			worker(inst, s, int32(p), perProcStep[p], inbox, stepCh[p], reports)
-		}(p)
-	}
-	teardown := func() {
-		for p := 0; p < m; p++ {
-			close(stepCh[p])
-		}
-		wg.Wait()
-	}
-
-	res := &Result{Steps: steps}
-	for st := int32(0); st < int32(steps); st++ {
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				teardown()
-				return nil, ctx.Err()
-			}
-		}
-		// Collect every worker's report for the step before moving on —
-		// even after an error — so no worker is abandoned mid-send and the
-		// reported error is deterministic (lowest processor id wins).
-		var stepMax int32
-		var stepErr error
-		errProc := int32(-1)
-		for p := 0; p < m; p++ {
-			select {
-			case rep := <-reports:
-				res.TotalMessages += int64(rep.sent)
-				if rep.maxPeers > stepMax {
-					stepMax = rep.maxPeers
-				}
-				if rep.err != nil && (errProc < 0 || rep.proc < errProc) {
-					stepErr, errProc = rep.err, rep.proc
-				}
-			case <-ctx.Done():
-				teardown()
-				return nil, ctx.Err()
-			}
-		}
-		if stepErr != nil {
-			teardown()
-			return nil, stepErr
-		}
-		res.CommRounds += int64(stepMax)
-	}
-	teardown()
-	return res, nil
+	return &r.res, nil
 }
 
-// worker is one simulated processor. Per step it drains its inbox, checks
-// every input of every task scheduled now, "executes" them, and sends
-// fluxes to downstream off-processor tasks. It reports exactly once per
-// step — a detected infeasibility travels in the report, so the
-// coordinator always knows when a step's workers are fully drained.
-func worker(inst *sched.Instance, s *sched.Schedule, p int32,
-	byStep map[int32][]sched.TaskID, inbox []chan message,
-	stepCh <-chan int32, reports chan<- stepReport) {
+// run is one execution on the shared step driver (sched.RunSteps): the
+// per-message interconnect, one delivery per message at the barrier
+// closing the step it was sent in.
+type run struct {
+	s       *sched.Schedule
+	steps   sched.StepTable
+	recv    sched.RecvTable
+	sent    []sched.Send // the running step's messages, delivered by CloseStep
+	ran     []bool       // per task; written and read only by the task's processor
+	reports []procReport
+	res     Result
+}
 
+func (r *run) OpenStep(int32) error { return nil }
+
+// RunProc is one simulated processor's step: it checks every input of
+// every task scheduled now against what has completed locally or been
+// delivered, "executes" the task, and sends its flux to downstream
+// off-processor tasks. A detected infeasibility travels in the report.
+func (r *run) RunProc(p, st int32) {
+	s, inst := r.s, r.s.Inst
 	n := int32(inst.N())
-	doneLocal := make(map[sched.TaskID]bool)
-	received := make(map[sched.TaskID]bool)
-
-	for st := range stepCh {
-		// Drain everything that arrived up to the last barrier.
-		for {
-			select {
-			case msg := <-inbox[p]:
-				received[msg.task] = true
-				continue
-			default:
+	rep := &r.reports[p]
+	*rep = procReport{}
+	for _, t := range r.steps.Tasks(p, st) {
+		v, i := inst.Split(t)
+		d := inst.DAGs[i]
+		base := sched.TaskID(i * n)
+		slots := r.recv.In(t)
+		for j, u := range d.In(v) {
+			ut := base + sched.TaskID(u)
+			if slots[j] < 0 {
+				if !r.ran[ut] {
+					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, ut)
+					return
+				}
+			} else if _, ok := r.recv.Load(slots[j]); !ok {
+				rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, ut)
+				return
 			}
-			break
 		}
-		rep := stepReport{proc: p}
-		for _, t := range byStep[st] {
-			v, i := inst.Split(t)
-			d := inst.DAGs[i]
-			base := sched.TaskID(i * n)
-			ok := true
-			for _, u := range d.In(v) {
-				ut := base + sched.TaskID(u)
-				if s.Assign[u] == p {
-					if !doneLocal[ut] {
-						rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, ut)
-						ok = false
-					}
-				} else if !received[ut] {
-					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, ut)
-					ok = false
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			doneLocal[t] = true
-			for _, w := range d.Out(v) {
-				q := s.Assign[w]
-				if q == p {
-					continue
-				}
-				inbox[q] <- message{task: t}
+		r.ran[t] = true
+		for _, w := range d.Out(v) {
+			if q := s.Assign[w]; q != p {
+				r.sent = append(r.sent, sched.Send{Task: t, To: q})
 				rep.sent++
 			}
 		}
-		rep.maxPeers = rep.sent
-		reports <- rep
 	}
+}
+
+// CloseStep delivers the step's messages and folds the reports in
+// processor order, so the reported error is deterministic (lowest
+// processor id wins).
+func (r *run) CloseStep(int32) error {
+	for _, x := range r.sent {
+		r.recv.Deliver(x.Task, x.To, 0)
+	}
+	r.sent = r.sent[:0]
+	var stepMax int32
+	var stepErr error
+	for p := range r.reports {
+		rep := &r.reports[p]
+		r.res.TotalMessages += int64(rep.sent)
+		stepMax = max(stepMax, rep.sent)
+		if rep.err != nil && stepErr == nil {
+			stepErr = rep.err
+		}
+	}
+	if stepErr != nil {
+		return stepErr
+	}
+	r.res.CommRounds += int64(stepMax)
+	return nil
 }
 
 // RunFaulty executes the schedule under an injected fault plan with

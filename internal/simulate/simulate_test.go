@@ -134,10 +134,12 @@ func TestRunManyProcessors(t *testing.T) {
 
 func BenchmarkRun(b *testing.B) {
 	s := testSchedule(b, 8, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(s); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Makespan), "ns/step")
 }

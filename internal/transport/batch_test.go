@@ -167,6 +167,7 @@ func benchSolveParallelComm(b *testing.B, noBatch bool, build func(*sched.Instan
 	cfg.NoBatch = noBatch
 	cfg.MaxIters = 2
 	cfg.Tol = 1e-300 // run exactly MaxIters sweeps
+	b.ReportAllocs()
 	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
@@ -179,6 +180,7 @@ func benchSolveParallelComm(b *testing.B, noBatch bool, build func(*sched.Instan
 	b.ReportMetric(float64(last.Comm.Messages), "messages/op")
 	b.ReportMetric(float64(last.Comm.Batches), "batches/op")
 	b.ReportMetric(float64(last.Comm.Bytes), "bytes/op")
+	reportStepTime(b, last.Iterations*s.Makespan)
 }
 
 func BenchmarkSolveParallelCommBatched(b *testing.B) {

@@ -10,9 +10,9 @@ import (
 )
 
 // SolveFaultTolerant runs the source iteration on the fault-injected
-// distributed executor (internal/faults): one goroutine per live
-// processor, the channel interconnect wrapped by the plan's injector, and
-// checkpointed recovery rescheduling on crashes and lost fluxes. Message
+// distributed executor (internal/faults): the live modelled processors on
+// the shared step driver, the interconnect wrapped by the plan's injector,
+// and checkpointed recovery rescheduling on crashes and lost fluxes. Message
 // fault events fire on the first sweep that sends the affected flux;
 // crashes are permanent, so later iterations keep running on the recovered
 // schedule.

@@ -14,17 +14,20 @@
 // Two executors are provided, and they produce bitwise-identical fluxes:
 //
 //   - Solve: serial, walking tasks in schedule start order.
-//   - SolveParallel: one goroutine per processor of the schedule's
-//     assignment, exchanging cross-processor angular fluxes through
-//     channels in barrier-synchronous steps — a faithful miniature of the
-//     distributed sweep the schedule would drive on a real cluster.
+//   - SolveParallel: the m processors of the schedule's assignment as
+//     modelled processors on the shared step driver (sched.RunSteps),
+//     exchanging cross-processor angular fluxes only through the
+//     interconnect, in barrier-synchronous steps — a faithful miniature
+//     of the distributed sweep the schedule would drive on a real
+//     cluster. The driver runs a step's processors one after another on
+//     the caller's goroutine; what is modelled is the machine's data
+//     flow and traffic, not its speed.
 package transport
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
@@ -141,7 +144,7 @@ type Result struct {
 }
 
 // CellBalance returns the per-task cell-balance closure every executor
-// shares — serial, goroutine-parallel, fault-injected, and the worker
+// shares — serial, parallel (step driver), fault-injected, and the worker
 // processes of internal/procrun:
 //
 //	psi = (q + inflow) / (1 + SigmaT),  q = source(v) + SigmaS·φ[v]
@@ -291,33 +294,30 @@ func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, erro
 	return res, nil
 }
 
-// fluxMsg carries one task's angular flux to a downstream processor.
-type fluxMsg struct {
-	task sched.TaskID
-	psi  float64
-}
-
-// SolveParallel runs the same source iteration with one goroutine per
-// processor, following the schedule step by step. Cross-processor angular
-// fluxes travel through buffered channels; a coordinator barrier separates
-// steps (messages sent during step t are drained before step t+1, so every
-// upwind flux is present when needed — the schedule guarantees the
-// ordering). The result is bitwise-identical to Solve.
+// SolveParallel runs the same source iteration on the machine the
+// schedule was made for: m modelled processors following the schedule
+// step by step on the shared step driver (sched.RunSteps). A
+// cross-processor angular flux reaches its consumer only through the
+// interconnect, delivered by the barrier hook between steps (a flux
+// sent during step t is visible from step t+1, so every upwind flux is
+// present when needed — the schedule guarantees the ordering). The
+// result is bitwise-identical to Solve.
 func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveParallelCtx(context.Background(), s, cfg)
 }
 
 // SolveParallelCtx is SolveParallel with cooperative cancellation: the
-// coordinator observes ctx at every barrier interaction, so cancellation
-// returns ctx.Err() within one barrier step, with every worker goroutine
-// joined and no blocked channel sends left behind.
+// driver observes ctx before every step, so cancellation returns
+// ctx.Err() within one barrier step.
 //
 // By default cross-processor fluxes ride deadline-driven per-destination
 // envelopes (internal/comm): a sender's flux is held in the destination's
 // open envelope until the barrier before its earliest consumer's step,
 // so one transmission carries many messages. Config.NoBatch selects the
-// frozen per-message interconnect instead — the differential oracle the
-// batched path is tested against. Both are bitwise-identical to Solve.
+// per-message interconnect instead — one delivery per logical message at
+// the barrier closing the step it was sent in — the differential oracle
+// the batched path is tested against. Both are bitwise-identical to
+// Solve; only Comm.Batches and Comm.Bytes differ.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -332,405 +332,185 @@ func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Resu
 			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
 		}
 	}
+	ps, err := newParallelSolve(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if ps.outbox != nil {
+		// Every cross edge's consumer starts before Makespan, so a
+		// completed sweep leaves the outbox empty; an error or cancellation
+		// may not.
+		defer ps.outbox.DiscardAll()
+	}
+	res := &ps.res
+	for iter := 1; iter <= cfg.MaxIters; iter++ {
+		if err := ps.sweep(ctx); err != nil {
+			return nil, err
+		}
+		res.Residual = UpdatePhi(inst, ps.psi, ps.phi, cfg)
+		res.Iterations = iter
+		if res.Residual < cfg.Tol {
+			res.Converged = true
+			break
+		}
+	}
+	ps.ctr.Logical(int(res.Comm.Messages))
 	if cfg.NoBatch {
-		return solveParallelUnbatched(ctx, s, cfg)
+		// Per-message cost model: one transmission per logical message.
+		res.Comm.Batches = res.Comm.Messages
+		res.Comm.Bytes = comm.PerMessageWireBytes(int(res.Comm.Messages))
+		ps.ctr.PerMessage(int(res.Comm.Messages))
 	}
-	return solveParallelBatched(ctx, s, cfg)
-}
-
-// solveParallelUnbatched is the per-message interconnect: one channel
-// send per logical cross-processor flux, delivered the step it is
-// produced. Kept verbatim (plus traffic accounting) as the oracle for
-// the batched path — never deleted.
-func solveParallelUnbatched(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-	n := int32(inst.N())
-	nt := inst.NTasks()
-
-	// Group tasks per processor per step (TaskID order preserved) and size
-	// inboxes with the exact incoming cross-edge counts, via the shared
-	// barrier-executor helpers.
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	incoming := sched.CrossIncoming(inst, s.Assign, nil)
-	inbox := make([]chan fluxMsg, m)
-	stepCh := make([]chan int32, m)
-	for p := 0; p < m; p++ {
-		inbox[p] = make(chan fluxMsg, incoming[p]+1)
-		stepCh[p] = make(chan int32)
-	}
-	type procAck struct {
-		proc int32
-		sent int32 // cross-processor messages sent this step
-		err  error
-	}
-	acks := make(chan procAck, m)
-
-	phi := make([]float64, inst.N())
-	psi := make([]float64, nt) // shared: disjoint per-task writes, barrier-separated reads
-
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			compute := CellBalance(inst, cfg, phi)
-			recvPsi := map[sched.TaskID]float64{}
-			for st := range stepCh[p] {
-				if st < 0 {
-					// New iteration: reset received fluxes.
-					for k := range recvPsi {
-						delete(recvPsi, k)
-					}
-					acks <- procAck{proc: p}
-					continue
-				}
-				for {
-					select {
-					case msg := <-inbox[p]:
-						recvPsi[msg.task] = msg.psi
-						continue
-					default:
-					}
-					break
-				}
-				var stepErr error
-				var sent int32
-				for _, t := range perProcStep[p][st] {
-					v, i := inst.Split(t)
-					d := inst.DAGs[i]
-					base := int32(i) * n
-					inflow := 0.0
-					preds := d.In(v)
-					ok := true
-					for _, u := range preds {
-						ut := sched.TaskID(base + u)
-						var up float64
-						if s.Assign[u] == p {
-							up = psi[ut] // written by this goroutine earlier
-						} else {
-							val, have := recvPsi[ut]
-							if !have {
-								stepErr = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ut, st)
-								ok = false
-								break
-							}
-							up = val
-						}
-						inflow += up
-					}
-					if !ok {
-						break
-					}
-					if len(preds) > 0 {
-						inflow /= float64(len(preds))
-					}
-					val := compute(t, inflow)
-					psi[base+v] = val
-					for _, w := range d.Out(v) {
-						if qp := s.Assign[w]; qp != p {
-							inbox[qp] <- fluxMsg{task: sched.TaskID(base + v), psi: val}
-							sent++
-						}
-					}
-				}
-				acks <- procAck{proc: p, sent: sent, err: stepErr}
-			}
-		}(int32(p))
-	}
-
-	res := &Result{}
-	// barrier sends one control value to every worker and collects every
-	// ack — even after an error, so no worker is abandoned mid-step — and
-	// reports the lowest-processor error for determinism. Cancellation is
-	// observed at every channel interaction. Acks also carry each worker's
-	// cross-message count, folded into Result.Comm (Rounds adds the step's
-	// per-processor maximum, the observed analogue of C2).
-	barrier := func(st int32) error {
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		var firstErr error
-		errProc := int32(-1)
-		var stepMax int32
-		for p := 0; p < m; p++ {
-			select {
-			case a := <-acks:
-				res.Comm.Messages += int64(a.sent)
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (errProc < 0 || a.proc < errProc) {
-					firstErr, errProc = a.err, a.proc
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		res.Comm.Rounds += int64(stepMax)
-		return firstErr
-	}
-	runIteration := func() error {
-		if err := barrier(-1); err != nil { // reset received fluxes
-			return err
-		}
-		for st := int32(0); st < int32(s.Makespan); st++ {
-			if err := barrier(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var solveErr error
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := runIteration(); err != nil {
-			solveErr = err
-			break
-		}
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	for p := 0; p < m; p++ {
-		close(stepCh[p])
-	}
-	wg.Wait()
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	// Per-message cost model: one transmission per logical message.
-	res.Comm.Batches = res.Comm.Messages
-	res.Comm.Bytes = comm.PerMessageWireBytes(int(res.Comm.Messages))
-	ctr := comm.NewCounters(cfg.Collector)
-	ctr.Logical(int(res.Comm.Messages))
-	ctr.PerMessage(int(res.Comm.Messages))
-	res.Phi = phi
+	res.Phi = ps.phi
 	return res, nil
 }
 
-// solveParallelBatched is the deadline-driven envelope interconnect. The
-// workers share one comm.Outbox: a completed task's flux is appended to
-// the destination processor's open envelope tagged with the consumer's
-// scheduled start step, and the barrier coordinator — the only moment all
-// senders are quiescent — flushes exactly the envelopes whose earliest
-// deadline is the step about to open. One transmission thus carries every
-// flux the destination needs next step, accumulated across all senders
-// and all prior steps. The flux values, their production order per
-// processor, and Result.Comm.{Messages,Rounds} are bitwise-identical to
-// the unbatched oracle; only Batches/Bytes (the transmission count and
-// wire cost) differ.
-func solveParallelBatched(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-	n := int32(inst.N())
-	nt := inst.NTasks()
+// procAck is one modelled processor's account of the running step,
+// written by the processor and folded by the barrier hook.
+type procAck struct {
+	sent int32 // logical cross-processor messages produced this step
+	err  error
+}
 
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
+// parallelSolve is SolveParallel's state on the step driver. A completed
+// task's cross-processor fluxes are queued, and the interconnect — the
+// only fork — takes them over at the barrier closing the step. Per
+// message (Config.NoBatch), CloseStep delivers each one to its
+// destination's receive slot. Batched, CloseStep appends each to the
+// destination's open envelope tagged with the consumer's scheduled start
+// step, and OpenStep delivers exactly the envelopes whose earliest
+// deadline is the step about to open, so one transmission carries every
+// flux the destination needs next, accumulated across all senders and all
+// prior steps. The flux values, their production order per processor and
+// Comm.{Messages,Rounds} are the same either way.
+type parallelSolve struct {
+	s       *sched.Schedule
+	procs   []int32 // every modelled processor is live
+	steps   sched.StepTable
+	recv    sched.RecvTable
+	sent    []sched.Send // the running step's messages, handed over by CloseStep
+	outbox  *comm.Outbox // nil: per-message interconnect
+	flush   func(*comm.Batch)
+	compute func(sched.TaskID, float64) float64
+	phi     []float64
+	psi     []float64 // a processor reads only fluxes its own tasks wrote
+	acks    []procAck
+	ctr     comm.Counters
+	res     Result
+}
+
+func newParallelSolve(s *sched.Schedule, cfg Config) (*parallelSolve, error) {
+	inst := s.Inst
+	ps := &parallelSolve{
+		s:     s,
+		procs: sched.AllProcs(inst.M),
+		phi:   make([]float64, inst.N()),
+		psi:   make([]float64, inst.NTasks()),
+		acks:  make([]procAck, inst.M),
+		ctr:   comm.NewCounters(cfg.Collector),
+	}
+	if err := ps.steps.Build(s, nil, nil); err != nil {
 		return nil, err
 	}
-	outbox := comm.NewOutbox(m)
-	// At most one envelope is in flight per destination per barrier (the
-	// outbox holds a single open envelope per destination), so capacity 2
-	// keeps the coordinator's flush nonblocking with margin.
-	inbox := make([]chan *comm.Batch, m)
-	stepCh := make([]chan int32, m)
-	for p := 0; p < m; p++ {
-		inbox[p] = make(chan *comm.Batch, 2)
-		stepCh[p] = make(chan int32)
+	ps.recv.Build(inst, s.Assign)
+	ps.compute = CellBalance(inst, cfg, ps.phi)
+	if !cfg.NoBatch {
+		ps.outbox = comm.NewOutbox(inst.M)
+		ps.flush = ps.deliverBatch // bound once: a method value per step would allocate
 	}
-	type procAck struct {
-		proc int32
-		sent int32 // logical cross-processor messages produced this step
-		err  error
-	}
-	acks := make(chan procAck, m)
+	return ps, nil
+}
 
-	phi := make([]float64, inst.N())
-	psi := make([]float64, nt) // shared: disjoint per-task writes, barrier-separated reads
+// sweep runs one sweep of every direction into psi: the receive store is
+// forgotten, then every step of the schedule runs on the step driver.
+func (ps *parallelSolve) sweep(ctx context.Context) error {
+	ps.recv.Reset()
+	return sched.RunSteps(ctx, ps.procs, ps.steps.Steps(), ps)
+}
 
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			compute := CellBalance(inst, cfg, phi)
-			recvPsi := map[sched.TaskID]float64{}
-			drain := func() {
-				for {
-					select {
-					case b := <-inbox[p]:
-						for _, it := range b.Items {
-							recvPsi[it.Task] = it.Psi
-						}
-						comm.PutBatch(b)
-						continue
-					default:
-					}
-					break
-				}
-			}
-			for st := range stepCh[p] {
-				if st < 0 {
-					// New iteration: reset received fluxes (and, defensively,
-					// recycle any envelope still in the channel).
-					drain()
-					for k := range recvPsi {
-						delete(recvPsi, k)
-					}
-					acks <- procAck{proc: p}
-					continue
-				}
-				// The coordinator flushed every due envelope before opening
-				// this step, so a nonblocking drain sees them all.
-				drain()
-				var stepErr error
-				var sent int32
-				for _, t := range perProcStep[p][st] {
-					v, i := inst.Split(t)
-					d := inst.DAGs[i]
-					base := int32(i) * n
-					inflow := 0.0
-					preds := d.In(v)
-					ok := true
-					for _, u := range preds {
-						ut := sched.TaskID(base + u)
-						var up float64
-						if s.Assign[u] == p {
-							up = psi[ut] // written by this goroutine earlier
-						} else {
-							val, have := recvPsi[ut]
-							if !have {
-								stepErr = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ut, st)
-								ok = false
-								break
-							}
-							up = val
-						}
-						inflow += up
-					}
-					if !ok {
-						break
-					}
-					if len(preds) > 0 {
-						inflow /= float64(len(preds))
-					}
-					val := compute(t, inflow)
-					psi[base+v] = val
-					for _, w := range d.Out(v) {
-						if qp := s.Assign[w]; qp != p {
-							// One logical message per cross edge, due at the
-							// consumer's scheduled start step.
-							outbox.Add(qp, sched.TaskID(base+v), val, s.Start[base+w])
-							sent++
-						}
-					}
-				}
-				acks <- procAck{proc: p, sent: sent, err: stepErr}
-			}
-		}(int32(p))
+func (ps *parallelSolve) OpenStep(st int32) error {
+	if ps.outbox != nil {
+		ps.outbox.FlushDue(st, ps.flush)
 	}
+	return nil
+}
 
-	res := &Result{}
-	ctr := comm.NewCounters(cfg.Collector)
-	flush := func(b *comm.Batch) {
-		res.Comm.Batches++
-		res.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
-		ctr.Envelope(len(b.Items))
-		inbox[b.To] <- b
+// deliverBatch accounts for one envelope and hands its fluxes to the
+// destination's receive slots.
+func (ps *parallelSolve) deliverBatch(b *comm.Batch) {
+	ps.res.Comm.Batches++
+	ps.res.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
+	ps.ctr.Envelope(len(b.Items))
+	for _, it := range b.Items {
+		ps.recv.Deliver(it.Task, b.To, it.Psi)
 	}
-	barrier := func(st int32) error {
-		if st >= 0 {
-			// All workers are quiescent between barriers: ship exactly the
-			// envelopes whose earliest consumer runs at the opening step.
-			outbox.FlushDue(st, flush)
-		}
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		var firstErr error
-		errProc := int32(-1)
-		var stepMax int32
-		for p := 0; p < m; p++ {
-			select {
-			case a := <-acks:
-				res.Comm.Messages += int64(a.sent)
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (errProc < 0 || a.proc < errProc) {
-					firstErr, errProc = a.err, a.proc
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		res.Comm.Rounds += int64(stepMax)
-		return firstErr
-	}
-	runIteration := func() error {
-		if err := barrier(-1); err != nil { // reset received fluxes
-			return err
-		}
-		for st := int32(0); st < int32(s.Makespan); st++ {
-			if err := barrier(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	comm.PutBatch(b)
+}
 
-	var solveErr error
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := runIteration(); err != nil {
-			solveErr = err
-			break
-		}
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	for p := 0; p < m; p++ {
-		close(stepCh[p])
-	}
-	wg.Wait()
-	// Every cross edge's consumer starts before Makespan, so a completed
-	// iteration leaves the outbox empty; on an error or cancellation path,
-	// recycle whatever is still open or in flight.
-	outbox.DiscardAll()
-	for p := 0; p < m; p++ {
-		for {
-			select {
-			case b := <-inbox[p]:
-				comm.PutBatch(b)
+func (ps *parallelSolve) RunProc(p, st int32) {
+	s, inst := ps.s, ps.s.Inst
+	n := int32(inst.N())
+	ack := &ps.acks[p]
+	*ack = procAck{}
+	for _, t := range ps.steps.Tasks(p, st) {
+		v, i := inst.Split(t)
+		d := inst.DAGs[i]
+		base := int32(i) * n
+		inflow := 0.0
+		preds := d.In(v)
+		slots := ps.recv.In(t)
+		for j, u := range preds {
+			if slots[j] < 0 {
+				inflow += ps.psi[base+u] // written by this processor earlier
 				continue
-			default:
 			}
-			break
+			up, have := ps.recv.Load(slots[j])
+			if !have {
+				ack.err = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, base+u, st)
+				return
+			}
+			inflow += up
+		}
+		if len(preds) > 0 {
+			inflow /= float64(len(preds))
+		}
+		val := ps.compute(t, inflow)
+		ps.psi[t] = val
+		for _, w := range d.Out(v) {
+			qp := s.Assign[w]
+			if qp == p {
+				continue
+			}
+			// One logical message per cross edge, due at the consumer's
+			// scheduled start step.
+			ps.sent = append(ps.sent, sched.Send{Task: t, To: qp, Due: s.Start[base+w], Psi: val})
+			ack.sent++
 		}
 	}
-	if solveErr != nil {
-		return nil, solveErr
+}
+
+// CloseStep hands the step's sends to the interconnect and folds the acks
+// in processor order: the lowest processor's error wins, and Comm.Rounds
+// adds the step's per-processor maximum, the observed analogue of C2.
+func (ps *parallelSolve) CloseStep(int32) error {
+	for _, x := range ps.sent {
+		if ps.outbox != nil {
+			ps.outbox.Add(x.To, x.Task, x.Psi, x.Due)
+		} else {
+			ps.recv.Deliver(x.Task, x.To, x.Psi)
+		}
 	}
-	ctr.Logical(int(res.Comm.Messages))
-	res.Phi = phi
-	return res, nil
+	ps.sent = ps.sent[:0]
+	var firstErr error
+	var stepMax int32
+	for p := range ps.acks {
+		a := &ps.acks[p]
+		ps.res.Comm.Messages += int64(a.sent)
+		stepMax = max(stepMax, a.sent)
+		if a.err != nil && firstErr == nil {
+			firstErr = a.err
+		}
+	}
+	ps.res.Comm.Rounds += int64(stepMax)
+	return firstErr
 }

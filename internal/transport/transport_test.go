@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -264,12 +265,41 @@ func BenchmarkSolveSerial(b *testing.B) {
 	}
 }
 
+// reportStepTime adds the executor benchmarks' shared headline: wall time
+// per barrier step, the unit the step driver's overhead is paid in.
+func reportStepTime(b *testing.B, stepsPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stepsPerOp), "ns/step")
+}
+
 func BenchmarkSolveParallel(b *testing.B) {
 	s := testSchedule(b, 4, 8, 4, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
+	var last *Result
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveParallel(s, testCfg); err != nil {
+		res, err := SolveParallel(s, testCfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		last = res
 	}
+	reportStepTime(b, last.Iterations*s.Makespan)
+}
+
+// BenchmarkSolveFaultTolerant is the fault engine's fault-free path: the
+// same solve as BenchmarkSolveParallel through faults.Engine, one epoch
+// per source iteration.
+func BenchmarkSolveFaultTolerant(b *testing.B) {
+	s := testSchedule(b, 4, 8, 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		_, rep, err := SolveFaultTolerant(context.Background(), s, testCfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = rep.StepsExecuted
+	}
+	reportStepTime(b, steps)
 }
