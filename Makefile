@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check ci race resilience procfault fuzz bench bench-dag bench-angleset bench-weighted bench-comm bench-record benchstat bench-smoke verify service loadtest loadtest-smoke
+.PHONY: check ci race resilience procfault fuzz bench bench-smoke verify service loadtest loadtest-smoke
 
 check:
 	$(GO) build ./... && $(GO) test ./...
@@ -66,62 +66,15 @@ loadtest-smoke:
 	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 5 -scale 0.02 -k 8 -m 16 \
 	    -verify-every 4 -out /dev/null
 
-# The workers-sweep benchmarks of the parallel per-direction pipeline plus
-# the old-vs-new scheduling-kernel comparison (ref = container/heap + map
-# calendar, workspace = typed 4-ary heap + calendar ring).
+# The one benchmark of the whole pipeline (bench/, BENCHMARK.json): all
+# workloads end to end; `bash bench/run.sh -trace 1` for the per-layer
+# rows, `-workload <name>` for one workload (see bench/README.md). The Go
+# micro-benchmarks behind the BENCH_PR*.json records still run by name
+# with `go test -run '^$$' -bench <regexp> -benchmem <package>`.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll/' ./internal/dag
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule/' .
-	$(GO) test -run '^$$' -bench 'Benchmark(ScheduleKernel|CommKernel)/' -benchmem ./internal/sched
-
-# The DAG-family construction benchmarks (PR 5): frozen pre-skeleton
-# reference vs cold (fresh DAGs) vs warm (recycled skeleton + builder +
-# destination arrays) on the largest paper mesh family, with allocation
-# counts. Recorded numbers live in BENCH_PR5.json.
-bench-dag:
-	$(GO) test -run '^$$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem ./internal/dag
-
-# The angleset-aggregation benchmarks (PR 8): the full warm schedule
-# build per direction vs per octant angleset (the headline, recorded in
-# BENCH_PR8.json), plus the kernel-stage comparison on expanded vs
-# compact inputs with its 0 allocs/op contract.
-bench-angleset:
-	$(GO) test -run '^$$' -bench 'BenchmarkAngleset' -benchmem -benchtime 2s -count 5 ./internal/sched ./internal/heuristics
-
-# The weighted-engine benchmarks (PR 9): the warm event-driven weighted
-# kernel on the uniform machine vs heterogeneous speeds + hierarchical
-# delays, with its 0 allocs/op contract. Recorded numbers live in
-# BENCH_PR9.json.
-bench-weighted:
-	$(GO) test -run '^$$' -bench 'BenchmarkWeightedKernel' -benchmem -benchtime 2s -count 5 ./internal/sched
-
-# The batched flux-communication benchmarks (PR 10): the in-process
-# transport executor batched vs the per-message oracle (messages/op,
-# batches/op, bytes/op on the k=24/m=32 box, random-delay and RDP
-# schedules), then the multi-process runner at full scale (the
-# SWEEPSCHED_BENCH_COMM_FULL gate lifts the small CI default). Recorded
-# numbers live in BENCH_PR10.json.
-bench-comm:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolveParallelComm' -benchmem -count 5 ./internal/transport
-	SWEEPSCHED_BENCH_COMM_FULL=1 $(GO) test -run '^$$' -bench 'BenchmarkProcRunComm' -benchmem -timeout 3600s ./internal/procrun
-
-# Reproduce the numbers recorded in BENCH_PR1.json, BENCH_PR3.json and
-# BENCH_PR5.json.
-bench-record:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll/' -count 5 ./internal/dag
-	$(GO) test -run '^$$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -count 5 ./internal/dag
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule/' -count 5 .
-	$(GO) test -run '^$$' -bench 'Benchmark(ScheduleKernel|CommKernel)/' -benchmem -count 5 ./internal/sched
-	$(GO) test -run '^$$' -bench 'BenchmarkSolveParallelComm' -benchmem -count 5 ./internal/transport
+	bash bench/run.sh
 
 # One iteration of every benchmark in the repo — a compile-and-run smoke
 # pass (also part of ci.sh), not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Compare two bench-record outputs with benchstat, if it is installed
-# (this repo does not install tools; see BENCH_PR3.json for recorded
-# numbers). Usage: make benchstat OLD=old.txt NEW=new.txt
-benchstat:
-	@command -v benchstat >/dev/null 2>&1 || { echo "benchstat not installed; compare $(OLD) and $(NEW) by hand or see BENCH_PR3.json"; exit 1; }
-	benchstat $(OLD) $(NEW)

@@ -32,7 +32,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
 	"sweepsched/internal/heuristics"
@@ -60,9 +59,6 @@ type StatsCollector = obs.Collector
 
 // NewStatsCollector returns an empty collector, safe for concurrent use.
 func NewStatsCollector() *StatsCollector { return obs.New() }
-
-// coreDelays draws the Algorithm 1/2 per-direction delays.
-func coreDelays(k int, r *rng.Source) []int32 { return core.Delays(k, r) }
 
 // Scheduler names a scheduling algorithm. The zero value is invalid; use
 // the exported constants.
@@ -338,151 +334,175 @@ func (p *Problem) Schedule(alg Scheduler, opts ScheduleOptions) (*Result, error)
 	return p.ScheduleCtx(context.Background(), alg, opts)
 }
 
+// ScheduleCtx is Schedule with cooperative cancellation: the context is
+// observed between the pipeline's stages (assignment, scheduling,
+// validation, metrics), so a cancelled run returns ctx.Err() without
+// finishing the remaining stages.
+func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleOptions) (*Result, error) {
+	pl, err := p.plan(ctx, alg, opts, planModel{})
+	if err != nil {
+		return nil, err
+	}
+	return pl.result(p), nil
+}
+
 // ScheduleComm runs the named scheduler under the uniform
 // communication-delay model of §3: an edge whose endpoints sit on
 // different processors delays the successor by commDelay extra steps.
 // Only the list-scheduling algorithms support this model; the layered
 // Algorithm 1 does not (its analysis assumes c = 0), so RandomDelays is
-// rejected here.
+// rejected here. The *_delays schedulers contribute their priorities
+// only: under this model no release delay is applied, so LevelDelays
+// schedules exactly as Level does (and likewise for the other two).
 func (p *Problem) ScheduleComm(alg Scheduler, opts ScheduleOptions, commDelay int) (*Result, error) {
 	if alg == RandomDelays {
 		return nil, fmt.Errorf("sweepsched: %s is layer-synchronous and does not support comm delays; use %s",
 			RandomDelays, RandomDelaysPriority)
 	}
+	pl, err := p.plan(context.Background(), alg, opts, planModel{comm: true, commDelay: commDelay})
+	if err != nil {
+		return nil, err
+	}
+	return pl.result(p), nil
+}
+
+// planModel selects the machine a plan is made for: the paper's
+// unit-time model (the zero value), its uniform communication-delay
+// variant, or — with weights — the weighted event engine on machine.
+type planModel struct {
+	comm      bool
+	commDelay int
+	weights   CellWeights
+	machine   *MachineModel
+}
+
+// planned is what the plan path produces: a unit-time schedule with its
+// metrics, or a weighted schedule with its bounds.
+type planned struct {
+	schedule *sched.Schedule
+	metrics  sched.Metrics
+	weighted *sched.WeightedSchedule
+	bounds   lb.WeightedBounds
+}
+
+func (pl *planned) result(p *Problem) *Result {
+	return &Result{Schedule: pl.schedule, Metrics: pl.metrics, Ratio: lb.Ratio(pl.schedule.Makespan, p.inst)}
+}
+
+// plan is the one pipeline behind every scheduling entry point: assign
+// cells to processors, derive the scheduler's priorities, run the
+// model's kernel, validate, measure and (when sampled) audit. ctx is
+// observed between the stages, and each stage reports an api.* span to
+// opts.Collector.
+func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions, mdl planModel) (*planned, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	groups, err := p.anglesets(opts)
 	if err != nil {
 		return nil, err
 	}
+	inst, col := p.inst, opts.Collector
 	r := rng.New(opts.Seed)
+	span := col.Span("api.assign.time")
 	var assign sched.Assignment
 	if opts.BlockSize <= 1 {
-		assign = sched.RandomAssignment(p.inst.N(), p.inst.M, r)
+		assign = sched.RandomAssignment(inst.N(), inst.M, r)
 	} else {
-		g, err := partitionGraph(p.inst)
+		if inst.Mesh == nil {
+			return nil, fmt.Errorf("sweepsched: block partitioning requires a mesh; this problem is non-geometric (use BlockSize <= 1)")
+		}
+		g := partition.FromMesh(inst.Mesh)
+		if mdl.weights != nil {
+			copy(g.VWeight, mdl.weights) // weight-aware blocks: balance work, not cell counts
+		}
+		part, nBlocks, err := partition.Blocks(g, opts.BlockSize, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		part, nBlocks, err := blocksOf(g, opts.BlockSize, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		assign = sched.BlockAssignment(part, nBlocks, p.inst.M, r)
+		assign = sched.BlockAssignment(part, nBlocks, inst.M, r)
 	}
-	// The kernel's transient state comes from the shape-keyed pool; only
-	// the returned schedule (which escapes into the Result) is allocated.
-	ws := sched.GetWorkspace(p.inst)
-	ws.SetObserver(opts.Collector)
+	span.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// The kernel's transient state comes from the shape-keyed pool; the
+	// collector rides on the workspace so the sched.* kernel series lands
+	// in the same snapshot as the api.* stage timings.
+	ws := sched.GetWorkspace(inst)
+	ws.SetObserver(col)
 	defer ws.Release()
-	s := &sched.Schedule{}
-	if groups != nil {
-		aggPrio, err := aggPriorityFor(alg, p.inst, assign, groups, r, opts.Workers)
-		if err != nil {
-			return nil, err
+	pl := &planned{}
+	span = col.Span("api.schedule.time")
+	err = func() error {
+		if mdl.weights == nil {
+			pl.schedule = &sched.Schedule{}
 		}
-		if err := sched.CommScheduleAnglesetInto(ws, s, p.inst, assign, groups, aggPrio, commDelay); err != nil {
-			return nil, err
+		if mdl.weights == nil && !mdl.comm {
+			if groups != nil {
+				return heuristics.RunAnglesetInto(ws, pl.schedule, alg, inst, assign, groups, r, opts.Workers)
+			}
+			return heuristics.RunInto(ws, pl.schedule, alg, inst, assign, r, opts.Workers)
 		}
+		// Neither model applies the release delays of the *_delays schedulers.
+		prio, _, err := heuristics.Inputs(ws, alg, inst, assign, groups, r, opts.Workers)
+		switch {
+		case err != nil:
+			return err
+		case mdl.weights != nil:
+			pl.weighted = &sched.WeightedSchedule{}
+			return sched.ListScheduleWeightedInto(ws, pl.weighted, inst, assign, prio, mdl.weights, mdl.machine)
+		case groups != nil:
+			return sched.CommScheduleAnglesetInto(ws, pl.schedule, inst, assign, groups, prio, mdl.commDelay)
+		}
+		return sched.CommScheduleInto(ws, pl.schedule, inst, assign, prio, mdl.commDelay)
+	}()
+	if err != nil {
+		return nil, err
+	}
+	span.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	if pl.weighted != nil {
+		err = pl.weighted.Validate()
+	} else if err = pl.schedule.Validate(); err == nil && mdl.comm {
+		err = sched.ValidateComm(pl.schedule, mdl.commDelay)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sweepsched: scheduler %s produced an invalid schedule: %w", alg, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	span = col.Span("api.metrics.time")
+	if pl.weighted != nil {
+		pl.bounds = lb.ComputeWeighted(inst, mdl.weights, mdl.machine)
 	} else {
-		prio, err := priorityFor(alg, p.inst, assign, r, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := sched.CommScheduleInto(ws, s, p.inst, assign, prio, commDelay); err != nil {
-			return nil, err
-		}
+		pl.metrics = sched.Measure(pl.schedule, opts.Workers)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sweepsched: invalid comm schedule: %w", err)
-	}
-	if err := sched.ValidateComm(s, commDelay); err != nil {
-		return nil, fmt.Errorf("sweepsched: comm-delay constraint violated: %w", err)
-	}
-	met := sched.Measure(s, opts.Workers)
-	if p.shouldVerify(opts) {
-		if err := verify.Schedule(p.inst, s, verify.Opts{CommDelay: commDelay, Metrics: &met, Anglesets: groups}); err != nil {
-			return nil, fmt.Errorf("sweepsched: comm schedule failed the audit: %w", err)
-		}
-		opts.Collector.Counter("api.verified").Inc()
-	} else if opts.verifyOn() {
-		opts.Collector.Counter("api.verify_skipped").Inc()
-	}
-	return &Result{
-		Schedule: s,
-		Metrics:  met,
-		Ratio:    lb.Ratio(s.Makespan, p.inst),
-	}, nil
-}
+	span.End()
 
-// aggPriorityFor derives per-angleset aggregate priorities for the
-// comm-delay path: each angleset's segment is filled from its
-// representative DAG (the same amortization RunAnglesetInto performs for
-// the main path). ImprovedDelays is refused — its priorities come from a
-// global greedy schedule over all k directions, which has no
-// representative-DAG form.
-func aggPriorityFor(alg Scheduler, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (sched.Priorities, error) {
-	prio := make(sched.Priorities, inst.N()*len(groups))
-	switch alg {
-	case RandomDelaysPriority:
-		delays := coreDelays(len(groups), r)
-		n := int32(inst.N())
-		for a, g := range groups {
-			d := inst.DAGs[g[0]]
-			base := int32(a) * n
-			for v := int32(0); v < n; v++ {
-				prio[base+v] = int64(d.Level[v] + delays[a])
-			}
+	if !p.shouldVerify(opts) {
+		if opts.verifyOn() {
+			col.Counter("api.verify_skipped").Inc()
 		}
-	case Level, LevelDelays:
-		heuristics.LevelAnglesetPrioritiesInto(prio, inst, groups, workers)
-	case Descendant, DescendantDelays:
-		heuristics.DescendantAnglesetPrioritiesInto(prio, inst, groups, workers)
-	case DFDS, DFDSDelays:
-		heuristics.DFDSAnglesetPrioritiesInto(prio, inst, assign, groups, workers)
-	default:
-		return nil, fmt.Errorf("sweepsched: %s does not support angleset aggregation under comm delays", alg)
+		return pl, nil
 	}
-	return prio, nil
-}
-
-// priorityFor derives the task priorities a scheduler would use, for the
-// comm-delay scheduling path.
-func priorityFor(alg Scheduler, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (sched.Priorities, error) {
-	switch alg {
-	case RandomDelaysPriority:
-		// Γ(v,i) = level + X_i, as in Algorithm 2.
-		delays := coreDelays(inst.K(), r)
-		prio := make(sched.Priorities, inst.NTasks())
-		n := int32(inst.N())
-		for i, d := range inst.DAGs {
-			base := int32(i) * n
-			for v := int32(0); v < n; v++ {
-				prio[base+v] = int64(d.Level[v] + delays[i])
-			}
-		}
-		return prio, nil
-	case Level, LevelDelays:
-		return heuristics.LevelPriorities(inst, workers), nil
-	case Descendant, DescendantDelays:
-		return heuristics.DescendantPriorities(inst, workers), nil
-	case DFDS, DFDSDelays:
-		return heuristics.DFDSPriorities(inst, assign, workers), nil
-	case ImprovedDelays:
-		level, _, err := sched.GreedySchedule(inst, nil)
-		if err != nil {
-			return nil, err
-		}
-		delays := coreDelays(inst.K(), r)
-		prio := make(sched.Priorities, inst.NTasks())
-		n := int32(inst.N())
-		for i := range inst.DAGs {
-			base := int32(i) * n
-			for v := int32(0); v < n; v++ {
-				prio[base+v] = int64(level[base+v] + delays[i])
-			}
-		}
-		return prio, nil
+	span = col.Span("api.verify.time")
+	if pl.weighted != nil {
+		err = verify.Weighted(inst, pl.weighted)
+	} else {
+		err = verify.Schedule(inst, pl.schedule, verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups})
 	}
-	return nil, fmt.Errorf("sweepsched: unknown scheduler %s", alg)
+	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("sweepsched: scheduler %s failed the schedule audit: %w", alg, err)
+	}
+	col.Counter("api.verified").Inc()
+	return pl, nil
 }
 
 // RenderGantt writes a text Gantt chart of the result's schedule.
@@ -543,51 +563,17 @@ func (p *Problem) ScheduleWeightedMachine(alg Scheduler, opts ScheduleOptions, w
 	if err := model.Validate(p.inst.M); err != nil {
 		return nil, err
 	}
-	r := rng.New(opts.Seed)
-	var assign sched.Assignment
-	if opts.BlockSize <= 1 {
-		assign = sched.RandomAssignment(p.inst.N(), p.inst.M, r)
-	} else {
-		g, err := partitionGraph(p.inst)
-		if err != nil {
-			return nil, err
-		}
-		// Weight-aware blocks: balance work, not cell counts.
-		for v := 0; v < p.inst.N(); v++ {
-			g.VWeight[v] = weights[v]
-		}
-		part, nBlocks, err := blocksOf(g, opts.BlockSize, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		assign = sched.BlockAssignment(part, nBlocks, p.inst.M, r)
-	}
-	prio, err := priorityFor(alg, p.inst, assign, r, opts.Workers)
+	pl, err := p.plan(context.Background(), alg, opts, planModel{weights: weights, machine: model})
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.ListScheduleMachine(p.inst, assign, prio, weights, model)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sweepsched: invalid weighted schedule: %w", err)
-	}
-	if p.shouldVerify(opts) {
-		if err := verify.Weighted(p.inst, s); err != nil {
-			return nil, fmt.Errorf("sweepsched: weighted schedule failed the audit: %w", err)
-		}
-		opts.Collector.Counter("api.verified").Inc()
-	} else if opts.verifyOn() {
-		opts.Collector.Counter("api.verify_skipped").Inc()
-	}
-	bounds := lb.ComputeWeighted(p.inst, weights, model)
+	s := pl.weighted
 	return &WeightedResult{
 		Schedule:    s,
 		Makespan:    s.Makespan,
-		Ratio:       float64(s.Makespan) / bounds.Load,
-		Bounds:      bounds,
-		StrongRatio: lb.WeightedRatio(s.Makespan, bounds),
+		Ratio:       float64(s.Makespan) / pl.bounds.Load,
+		Bounds:      pl.bounds,
+		StrongRatio: lb.WeightedRatio(s.Makespan, pl.bounds),
 	}, nil
 }
 
@@ -767,18 +753,3 @@ func (p *Problem) Downwind(cell, dir int) []int32 {
 
 // Processor returns the processor a result assigned to the given cell.
 func (r *Result) Processor(cell int) int { return int(r.Schedule.Assign[cell]) }
-
-// partitionGraph builds the cell-adjacency graph of the problem's mesh for
-// block partitioning. Mesh-free (non-geometric) problems cannot be block
-// partitioned.
-func partitionGraph(inst *sched.Instance) (*partition.Graph, error) {
-	if inst.Mesh == nil {
-		return nil, fmt.Errorf("sweepsched: block partitioning requires a mesh; this problem is non-geometric (use BlockSize <= 1)")
-	}
-	return partition.FromMesh(inst.Mesh), nil
-}
-
-// blocksOf wraps the multilevel partitioner's block decomposition.
-func blocksOf(g *partition.Graph, blockSize int, seed uint64) ([]int32, int, error) {
-	return partition.Blocks(g, blockSize, seed)
-}

@@ -45,7 +45,12 @@ echo "== benchmark smoke (1 iteration each) =="
 # without turning CI into a measurement job.
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== dag builder bench smoke (allocation-counted; see make bench-dag) =="
+echo "== bench module: vet + smoke (its own module, so ./... above does not compile it) =="
+# bench/ imports the kernels and the public API by name; a changed
+# signature would otherwise surface only in the benchmark pipeline.
+(cd bench && go vet . && go test .)
+
+echo "== dag builder bench smoke (allocation-counted) =="
 go test -run '^$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -benchtime 1x ./internal/dag
 
 echo "== service: sweepschedd daemon suite under -race + loadtest smoke =="

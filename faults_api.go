@@ -2,16 +2,10 @@ package sweepsched
 
 import (
 	"context"
-	"fmt"
 
 	"sweepsched/internal/faults"
-	"sweepsched/internal/heuristics"
-	"sweepsched/internal/lb"
-	"sweepsched/internal/rng"
-	"sweepsched/internal/sched"
 	"sweepsched/internal/simulate"
 	"sweepsched/internal/transport"
-	"sweepsched/internal/verify"
 )
 
 // FaultKind classifies an injected fault event.
@@ -55,86 +49,6 @@ type UnrecoverableError = faults.UnrecoverableError
 // comparable across specs.
 func NewFaultPlan(res *Result, spec FaultSpec, seed uint64) *FaultPlan {
 	return faults.NewPlan(res.Schedule, spec, seed)
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the context is
-// observed between the pipeline's stages (assignment, scheduling,
-// validation, metrics), so a cancelled run returns ctx.Err() without
-// finishing the remaining stages.
-func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleOptions) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	groups, err := p.anglesets(opts)
-	if err != nil {
-		return nil, err
-	}
-	col := opts.Collector
-	r := rng.New(opts.Seed)
-	aspan := col.Span("api.assign.time")
-	var assign sched.Assignment
-	if opts.BlockSize <= 1 {
-		assign = sched.RandomAssignment(p.inst.N(), p.inst.M, r)
-	} else {
-		g, err := partitionGraph(p.inst)
-		if err != nil {
-			return nil, err
-		}
-		part, nBlocks, err := blocksOf(g, opts.BlockSize, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		assign = sched.BlockAssignment(part, nBlocks, p.inst.M, r)
-	}
-	aspan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The kernel's transient state comes from the shape-keyed pool; the
-	// collector rides on the workspace so the sched.* kernel series lands
-	// in the same snapshot as the api.* stage timings.
-	ws := sched.GetWorkspace(p.inst)
-	ws.SetObserver(col)
-	defer ws.Release()
-	s := &sched.Schedule{}
-	sspan := col.Span("api.schedule.time")
-	if groups != nil {
-		err = heuristics.RunAnglesetInto(ws, s, alg, p.inst, assign, groups, r, opts.Workers)
-	} else {
-		err = heuristics.RunInto(ws, s, alg, p.inst, assign, r, opts.Workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sspan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sweepsched: scheduler %s produced an invalid schedule: %w", alg, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mspan := col.Span("api.metrics.time")
-	met := sched.Measure(s, opts.Workers)
-	mspan.End()
-	if p.shouldVerify(opts) {
-		vspan := col.Span("api.verify.time")
-		err := verify.Schedule(p.inst, s, verify.Opts{Metrics: &met, Anglesets: groups})
-		vspan.End()
-		if err != nil {
-			return nil, fmt.Errorf("sweepsched: scheduler %s failed the schedule audit: %w", alg, err)
-		}
-		col.Counter("api.verified").Inc()
-	} else if opts.verifyOn() {
-		col.Counter("api.verify_skipped").Inc()
-	}
-	return &Result{
-		Schedule: s,
-		Metrics:  met,
-		Ratio:    lb.Ratio(s.Makespan, p.inst),
-	}, nil
 }
 
 // SimulateCtx is Simulate with cooperative cancellation: the executor

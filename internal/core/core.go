@@ -32,19 +32,40 @@ import (
 // them. The parent advances by one draw so successive calls differ.
 func Delays(k int, r *rng.Source) []int32 {
 	x := make([]int32, k)
-	delaysWith(k, r, func(i int, xi int32) { x[i] = xi })
+	for i := range x {
+		x[i] = int32(r.Substream(uint64(i)).Intn(k))
+	}
+	r.Uint64()
 	return x
 }
 
-// delaysWith streams the Delays draws to fn(i, X_i) without materializing
-// the slice — the zero-allocation form the Into trial loops use. The draw
-// sequence is identical to Delays (per-direction substreams, one parent
-// advance at the end).
-func delaysWith(k int, r *rng.Source, fn func(i int, x int32)) {
-	for i := 0; i < k; i++ {
-		fn(i, int32(r.Substream(uint64(i)).Intn(k)))
+// DelayPrioritiesInto folds per-segment delays into priorities laid out
+// in n-entry segments (one per direction, or per angleset): prio[s·n+v]
+// += X_s — the step that turns levels into Algorithm 2's Γ(v,i) =
+// level_i(v) + X_i.
+func DelayPrioritiesInto(prio sched.Priorities, n int, delays []int32) {
+	for s, x := range delays {
+		seg := prio[s*n : (s+1)*n]
+		for v := range seg {
+			seg[v] += int64(x)
+		}
 	}
-	r.Uint64()
+}
+
+// GreedyLevelPrioritiesInto fills prio (len = NTasks) with Algorithm 3's
+// preprocessing levels L': every task's completion step in a Graham
+// list schedule of the union DAG H on m machines, which bounds every
+// layer's width by m. The levels pass through the workspace's int32
+// scratch.
+func GreedyLevelPrioritiesInto(ws *sched.Workspace, prio sched.Priorities, inst *sched.Instance) error {
+	level := ws.Int32Buf(inst.NTasks())
+	if _, err := sched.GreedyScheduleInto(ws, level, inst, nil); err != nil {
+		return err
+	}
+	for t, l := range level {
+		prio[t] = int64(l)
+	}
+	return nil
 }
 
 // combinedLayers returns the Algorithm 1 layer function on tasks:
@@ -97,18 +118,17 @@ func RandomDelayPrioritiesWithAssignment(inst *sched.Instance, assign sched.Assi
 
 // RandomDelayPrioritiesInto is the trial-loop form of Algorithm 2: the
 // priorities Γ(v,i) = level_i(v) + X_i are built in the workspace's
-// priority scratch and the schedule lands in dst. On a warm workspace it
-// allocates nothing.
+// priority scratch and the schedule lands in dst. On a warm workspace
+// only the k delays are allocated.
 func RandomDelayPrioritiesInto(ws *sched.Workspace, dst *sched.Schedule, inst *sched.Instance, assign sched.Assignment, r *rng.Source) error {
-	n := int32(inst.N())
+	n := inst.N()
 	prio := ws.PrioBuf(inst.NTasks())
-	delaysWith(inst.K(), r, func(i int, x int32) {
-		d := inst.DAGs[i]
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = int64(d.Level[v] + x)
+	for i, d := range inst.DAGs {
+		for v, l := range d.Level {
+			prio[i*n+v] = int64(l)
 		}
-	})
+	}
+	DelayPrioritiesInto(prio, n, Delays(inst.K(), r))
 	return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
 }
 
@@ -165,22 +185,15 @@ func ImprovedRandomDelayPrioritiesWithAssignment(inst *sched.Instance, assign sc
 }
 
 // ImprovedRandomDelayPrioritiesInto is the trial-loop form of the
-// priority-compacted Algorithm 3: the Graham preprocessing levels go into
-// the workspace's int32 scratch, the delayed priorities into its priority
-// scratch, and the schedule into dst. On a warm workspace it allocates
-// nothing.
+// priority-compacted Algorithm 3: the Graham preprocessing levels and
+// the delayed priorities are built in the workspace's scratch and the
+// schedule lands in dst. On a warm workspace only the k delays are
+// allocated.
 func ImprovedRandomDelayPrioritiesInto(ws *sched.Workspace, dst *sched.Schedule, inst *sched.Instance, assign sched.Assignment, r *rng.Source) error {
-	level := ws.Int32Buf(inst.NTasks())
-	if _, err := sched.GreedyScheduleInto(ws, level, inst, nil); err != nil {
+	prio := ws.PrioBuf(inst.NTasks())
+	if err := GreedyLevelPrioritiesInto(ws, prio, inst); err != nil {
 		return err
 	}
-	n := int32(inst.N())
-	prio := ws.PrioBuf(inst.NTasks())
-	delaysWith(inst.K(), r, func(i int, x int32) {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = int64(level[base+v] + x)
-		}
-	})
+	DelayPrioritiesInto(prio, inst.N(), Delays(inst.K(), r))
 	return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
 }

@@ -12,10 +12,6 @@
 package heuristics
 
 import (
-	"fmt"
-
-	"sweepsched/internal/core"
-	"sweepsched/internal/par"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 )
@@ -24,15 +20,7 @@ import (
 // n·len(groups)): angleset a's segment holds its representative DAG's
 // levels. The per-angleset fills run on up to workers goroutines.
 func LevelAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, groups [][]int32, workers int) {
-	n := int32(inst.N())
-	_ = par.ForEach(len(groups), workers, func(a int) error {
-		d := inst.DAGs[groups[a][0]]
-		base := int32(a) * n
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = int64(d.Level[v])
-		}
-		return nil
-	})
+	fillSegments(prio, inst, nil, groups, workers, levelFill)
 }
 
 // DescendantAnglesetPrioritiesInto fills aggregate descendant
@@ -40,22 +28,13 @@ func LevelAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, gr
 // counts of its representative DAG — the expensive per-direction
 // computation of the lineup, now paid once per angleset.
 func DescendantAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, groups [][]int32, workers int) {
-	n := int32(inst.N())
-	exact := inst.N() <= ExactDescendantThreshold
-	_ = par.ForEach(len(groups), workers, func(a int) error {
-		descendantFill(prio, int32(a)*n, inst.DAGs[groups[a][0]], n, exact)
-		return nil
-	})
+	fillSegments(prio, inst, nil, groups, workers, descendantFill)
 }
 
 // DFDSAnglesetPrioritiesInto fills aggregate DFDS priorities computed
 // on each angleset's representative DAG.
 func DFDSAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, workers int) {
-	n := int32(inst.N())
-	_ = par.ForEach(len(groups), workers, func(a int) error {
-		dfdsFill(prio, int32(a)*n, inst.DAGs[groups[a][0]], assign, n)
-		return nil
-	})
+	fillSegments(prio, inst, assign, groups, workers, dfdsFill)
 }
 
 // RunAngleset executes the named scheduler angleset-aggregated, drawing
@@ -75,9 +54,8 @@ func RunAngleset(name Name, inst *sched.Instance, assign sched.Assignment, group
 // representative DAGs and the schedule is built by the aggregated
 // kernel. Delay variants draw one release delay per angleset (uniform
 // in {0..len(groups)-1}, per-angleset substreams) instead of one per
-// direction. The layer-synchronous algorithms (RandomDelays,
-// ImprovedDelays) construct explicit per-task layers and cannot run
-// aggregated; they return an error.
+// direction. RandomDelays and ImprovedDelays rank tasks across all k
+// directions at once and cannot run aggregated; they return an error.
 func RunAnglesetInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) error {
 	col := ws.Observer()
 	defer col.Span("heuristics.runangleset.time").End()
@@ -85,47 +63,9 @@ func RunAnglesetInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *
 	if err := sched.ValidateAnglesets(groups, inst.K()); err != nil {
 		return err
 	}
-	na := inst.N() * len(groups)
-	switch name {
-	case RandomDelays, ImprovedDelays:
-		return fmt.Errorf("heuristics: %s is layer-synchronous and cannot run angleset-aggregated", name)
-	case RandomDelaysPriority:
-		prio := ws.PrioBuf(na)
-		n := int32(inst.N())
-		delays := core.Delays(len(groups), r)
-		for a, g := range groups {
-			d := inst.DAGs[g[0]]
-			base := int32(a) * n
-			x := delays[a]
-			for v := int32(0); v < n; v++ {
-				prio[base+v] = int64(d.Level[v] + x)
-			}
-		}
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, nil)
-	case Level:
-		prio := ws.PrioBuf(na)
-		LevelAnglesetPrioritiesInto(prio, inst, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, nil)
-	case LevelDelays:
-		prio := ws.PrioBuf(na)
-		LevelAnglesetPrioritiesInto(prio, inst, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, core.Delays(len(groups), r))
-	case Descendant:
-		prio := ws.PrioBuf(na)
-		DescendantAnglesetPrioritiesInto(prio, inst, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, nil)
-	case DescendantDelays:
-		prio := ws.PrioBuf(na)
-		DescendantAnglesetPrioritiesInto(prio, inst, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, core.Delays(len(groups), r))
-	case DFDS:
-		prio := ws.PrioBuf(na)
-		DFDSAnglesetPrioritiesInto(prio, inst, assign, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, nil)
-	case DFDSDelays:
-		prio := ws.PrioBuf(na)
-		DFDSAnglesetPrioritiesInto(prio, inst, assign, groups, workers)
-		return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, core.Delays(len(groups), r))
+	prio, release, err := Inputs(ws, name, inst, assign, groups, r, workers)
+	if err != nil {
+		return err
 	}
-	return errUnknown(name)
+	return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, release)
 }

@@ -19,6 +19,8 @@
 package heuristics
 
 import (
+	"fmt"
+
 	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/par"
@@ -26,10 +28,32 @@ import (
 	"sweepsched/internal/sched"
 )
 
+// segmentFill writes one DAG's priorities (smaller runs first) into the
+// n-entry priority segment seg.
+type segmentFill func(seg sched.Priorities, d *dag.DAG, assign sched.Assignment)
+
+// fillSegments fills every n-entry segment of prio on up to workers
+// goroutines (<= 0 selects GOMAXPROCS; the result is identical for every
+// worker count): segment i from direction i's DAG or, with an angleset
+// partition, segment a from angleset a's representative DAG (its first
+// member direction's).
+func fillSegments(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, workers int, fill segmentFill) {
+	n, segs := inst.N(), inst.K()
+	if groups != nil {
+		segs = len(groups)
+	}
+	_ = par.ForEach(segs, workers, func(s int) error {
+		rep := s
+		if groups != nil {
+			rep = int(groups[s][0])
+		}
+		fill(prio[s*n:(s+1)*n], inst.DAGs[rep], assign)
+		return nil
+	})
+}
+
 // LevelPriorities returns Γ(v,i) = level_i(v); list scheduling prefers
 // smaller values, matching the paper's "smaller priorities preferred".
-// Directions are processed on up to workers goroutines (<= 0 selects
-// GOMAXPROCS); the result is identical for every worker count.
 func LevelPriorities(inst *sched.Instance, workers int) sched.Priorities {
 	prio := make(sched.Priorities, inst.NTasks())
 	LevelPrioritiesInto(prio, inst, workers)
@@ -40,15 +64,13 @@ func LevelPriorities(inst *sched.Instance, workers int) sched.Priorities {
 // NTasks) instead of allocating one; trial loops pass the workspace's
 // PrioBuf.
 func LevelPrioritiesInto(prio sched.Priorities, inst *sched.Instance, workers int) {
-	n := int32(inst.N())
-	_ = par.ForEach(inst.K(), workers, func(i int) error {
-		d := inst.DAGs[i]
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = int64(d.Level[v])
-		}
-		return nil
-	})
+	fillSegments(prio, inst, nil, nil, workers, levelFill)
+}
+
+func levelFill(seg sched.Priorities, d *dag.DAG, _ sched.Assignment) {
+	for v, l := range d.Level {
+		seg[v] = int64(l)
+	}
 }
 
 // ExactDescendantThreshold is the cell count up to which descendant
@@ -59,9 +81,8 @@ const ExactDescendantThreshold = 20000
 
 // DescendantPriorities returns the Plimpton-style priorities: the number of
 // descendants of (v,i) in G_i, negated so that the smallest-first list
-// scheduler runs high-descendant tasks first. The per-direction descendant
-// counts — the most expensive priority computation in the lineup — run on
-// up to workers goroutines (<= 0 selects GOMAXPROCS).
+// scheduler runs high-descendant tasks first — the most expensive
+// priority computation in the lineup.
 func DescendantPriorities(inst *sched.Instance, workers int) sched.Priorities {
 	prio := make(sched.Priorities, inst.NTasks())
 	DescendantPrioritiesInto(prio, inst, workers)
@@ -72,26 +93,17 @@ func DescendantPriorities(inst *sched.Instance, workers int) sched.Priorities {
 // NTasks) instead of allocating one. Per-direction descendant scratch is
 // still allocated inside the parallel region (it is per-goroutine).
 func DescendantPrioritiesInto(prio sched.Priorities, inst *sched.Instance, workers int) {
-	n := int32(inst.N())
-	exact := inst.N() <= ExactDescendantThreshold
-	_ = par.ForEach(inst.K(), workers, func(i int) error {
-		descendantFill(prio, int32(i)*n, inst.DAGs[i], n, exact)
-		return nil
-	})
+	fillSegments(prio, inst, nil, nil, workers, descendantFill)
 }
 
-// descendantFill writes one DAG's (negated) descendant counts into the
-// priority segment starting at base.
-func descendantFill(prio sched.Priorities, base int32, d *dag.DAG, n int32, exact bool) {
-	if exact {
-		desc := d.DescendantsExact()
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = -int64(desc[v])
+func descendantFill(seg sched.Priorities, d *dag.DAG, _ sched.Assignment) {
+	if d.N <= ExactDescendantThreshold {
+		for v, c := range d.DescendantsExact() {
+			seg[v] = -int64(c)
 		}
 	} else {
-		desc := d.DescendantsApprox()
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = -desc[v]
+		for v, c := range d.DescendantsApprox() {
+			seg[v] = -c
 		}
 	}
 }
@@ -107,8 +119,7 @@ func descendantFill(prio sched.Priorities, base int32, d *dag.DAG, n int32, exac
 //   - a task with no off-processor descendants gets 0.
 //
 // Higher priority is better, so values are negated for the
-// smallest-first list scheduler. Directions are independent (each works on
-// its own scratch and slice segment) and run on up to workers goroutines.
+// smallest-first list scheduler.
 func DFDSPriorities(inst *sched.Instance, assign sched.Assignment, workers int) sched.Priorities {
 	prio := make(sched.Priorities, inst.NTasks())
 	DFDSPrioritiesInto(prio, inst, assign, workers)
@@ -119,19 +130,13 @@ func DFDSPriorities(inst *sched.Instance, assign sched.Assignment, workers int) 
 // NTasks) instead of allocating one. Per-direction b-level and raw
 // scratch is still allocated inside the parallel region (per-goroutine).
 func DFDSPrioritiesInto(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, workers int) {
-	n := int32(inst.N())
-	_ = par.ForEach(inst.K(), workers, func(i int) error {
-		dfdsFill(prio, int32(i)*n, inst.DAGs[i], assign, n)
-		return nil
-	})
+	fillSegments(prio, inst, assign, nil, workers, dfdsFill)
 }
 
-// dfdsFill writes one DAG's (negated) DFDS priorities into the priority
-// segment starting at base.
-func dfdsFill(prio sched.Priorities, base int32, d *dag.DAG, assign sched.Assignment, n int32) {
+func dfdsFill(seg sched.Priorities, d *dag.DAG, assign sched.Assignment) {
 	b := d.BLevels()
 	delta := int64(d.NumLevels) + 1
-	raw := make([]int64, n)
+	raw := make([]int64, d.N)
 	order := d.TopoOrder()
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		v := order[idx]
@@ -165,32 +170,9 @@ func dfdsFill(prio sched.Priorities, base int32, d *dag.DAG, assign sched.Assign
 			raw[v] = 0
 		}
 	}
-	for v := int32(0); v < n; v++ {
-		prio[base+v] = -raw[v]
+	for v, p := range raw {
+		seg[v] = -p
 	}
-}
-
-// delayReleases converts per-direction random delays into task release
-// times. The delays are drawn (from per-direction substreams of r) before
-// the fan-out; the fill is a pure per-direction copy.
-func delayReleases(inst *sched.Instance, r *rng.Source, workers int) []int32 {
-	rel := make([]int32, inst.NTasks())
-	delayReleasesInto(rel, inst, r, workers)
-	return rel
-}
-
-// delayReleasesInto fills a caller-provided release slice (len = NTasks);
-// only the k-length delay vector itself is allocated per call.
-func delayReleasesInto(rel []int32, inst *sched.Instance, r *rng.Source, workers int) {
-	delays := core.Delays(inst.K(), r)
-	n := int32(inst.N())
-	_ = par.ForEach(inst.K(), workers, func(i int) error {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			rel[base+v] = delays[i]
-		}
-		return nil
-	})
 }
 
 // Name identifies a heuristic scheduler in experiment tables.
@@ -220,6 +202,72 @@ func AllNames() []Name {
 	}
 }
 
+// delayUse says what a scheduler does with its random delays X_s, one
+// per direction (per angleset when aggregated).
+type delayUse int
+
+const (
+	noDelays      delayUse = iota
+	delayPriority          // folded into the priority: Γ = base + X_s (§4)
+	delayRelease           // tasks of segment s are released at step X_s (§5.2)
+)
+
+// recipes is the scheduler lineup as data: every list-scheduling
+// algorithm is a base priority per task plus a use for the delays. A nil
+// fill stands for Algorithm 3's Graham preprocessing levels, which are
+// global to all k directions and so have no per-angleset form.
+// RandomDelays, the layer-synchronous Algorithm 1, is no list scheduler
+// and has no recipe.
+var recipes = map[Name]struct {
+	fill   segmentFill
+	delays delayUse
+}{
+	RandomDelaysPriority: {levelFill, delayPriority},
+	ImprovedDelays:       {nil, delayPriority},
+	Level:                {levelFill, noDelays},
+	LevelDelays:          {levelFill, delayRelease},
+	Descendant:           {descendantFill, noDelays},
+	DescendantDelays:     {descendantFill, delayRelease},
+	DFDS:                 {dfdsFill, noDelays},
+	DFDSDelays:           {dfdsFill, delayRelease},
+}
+
+// Inputs computes what the named scheduler feeds a list kernel, in the
+// workspace's scratch buffers: one priority per task — or, with an
+// angleset partition, one per (angleset, cell), computed on each
+// angleset's representative DAG — and, for the *_delays schedulers, the
+// release delay of every direction (angleset); release is nil for the
+// rest. The delays are the only draw from r, one core.Delays call over
+// the segments, made after the priorities are filled.
+func Inputs(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (prio sched.Priorities, release []int32, err error) {
+	rec, ok := recipes[name]
+	switch {
+	case name == RandomDelays:
+		return nil, nil, fmt.Errorf("heuristics: %s is layer-synchronous, not a list scheduler", name)
+	case !ok:
+		return nil, nil, errUnknown(name)
+	case rec.fill == nil && groups != nil:
+		return nil, nil, fmt.Errorf("heuristics: %s ranks tasks by one schedule of all directions and cannot run angleset-aggregated", name)
+	}
+	n, segs := inst.N(), inst.K()
+	if groups != nil {
+		segs = len(groups)
+	}
+	prio = ws.PrioBuf(n * segs)
+	if rec.fill != nil {
+		fillSegments(prio, inst, assign, groups, workers, rec.fill)
+	} else if err := core.GreedyLevelPrioritiesInto(ws, prio, inst); err != nil {
+		return nil, nil, err
+	}
+	switch rec.delays {
+	case delayPriority:
+		core.DelayPrioritiesInto(prio, n, core.Delays(segs, r))
+	case delayRelease:
+		release = core.Delays(segs, r)
+	}
+	return prio, release, nil
+}
+
 // Run executes the named scheduler on the instance with the given
 // assignment and randomness source, computing priorities on up to workers
 // goroutines (<= 0 selects GOMAXPROCS; the schedule is identical for every
@@ -239,60 +287,37 @@ func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source
 // RunInto is the trial-loop form of Run: priorities and release times are
 // built in the workspace's scratch buffers and the schedule lands in dst,
 // so repeated runs on one instance shape allocate only per-goroutine
-// heuristic scratch (descendant sets, b-levels) and nothing in the
-// scheduling kernel. The layer-synchronous algorithms (RandomDelays,
-// ImprovedDelays) still build their schedule afresh and copy the header
-// into dst.
+// heuristic scratch (descendant sets, b-levels, the k delays) and
+// nothing in the scheduling kernel. The layer-synchronous RandomDelays
+// still builds its schedule afresh and copies the header into dst.
 func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) error {
 	// Spans/counters no-op when no collector is attached (ws.SetObserver).
 	col := ws.Observer()
 	defer col.Span("heuristics.run.time").End()
 	col.Counter("heuristics.runs").Inc()
-	nt := inst.NTasks()
-	switch name {
-	case RandomDelays:
+	if name == RandomDelays {
 		s, err := core.RandomDelayWithAssignment(inst, assign, r)
 		if err != nil {
 			return err
 		}
 		*dst = *s
 		return nil
-	case RandomDelaysPriority:
-		return core.RandomDelayPrioritiesInto(ws, dst, inst, assign, r)
-	case ImprovedDelays:
-		return core.ImprovedRandomDelayPrioritiesInto(ws, dst, inst, assign, r)
-	case Level:
-		prio := ws.PrioBuf(nt)
-		LevelPrioritiesInto(prio, inst, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
-	case LevelDelays:
-		prio := ws.PrioBuf(nt)
-		LevelPrioritiesInto(prio, inst, workers)
-		rel := ws.Int32Buf(nt)
-		delayReleasesInto(rel, inst, r, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, rel)
-	case Descendant:
-		prio := ws.PrioBuf(nt)
-		DescendantPrioritiesInto(prio, inst, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
-	case DescendantDelays:
-		prio := ws.PrioBuf(nt)
-		DescendantPrioritiesInto(prio, inst, workers)
-		rel := ws.Int32Buf(nt)
-		delayReleasesInto(rel, inst, r, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, rel)
-	case DFDS:
-		prio := ws.PrioBuf(nt)
-		DFDSPrioritiesInto(prio, inst, assign, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
-	case DFDSDelays:
-		prio := ws.PrioBuf(nt)
-		DFDSPrioritiesInto(prio, inst, assign, workers)
-		rel := ws.Int32Buf(nt)
-		delayReleasesInto(rel, inst, r, workers)
-		return sched.ListScheduleInto(ws, dst, inst, assign, prio, rel)
 	}
-	return errUnknown(name)
+	prio, delays, err := Inputs(ws, name, inst, assign, nil, r, workers)
+	if err != nil {
+		return err
+	}
+	var release []int32
+	if delays != nil {
+		release = ws.Int32Buf(inst.NTasks())
+		for i, x := range delays {
+			seg := release[i*inst.N() : (i+1)*inst.N()]
+			for v := range seg {
+				seg[v] = x
+			}
+		}
+	}
+	return sched.ListScheduleInto(ws, dst, inst, assign, prio, release)
 }
 
 type errUnknown Name

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-	"slices"
-)
+import "fmt"
 
 // Angleset-aggregated list scheduling. An angleset partition groups the
 // k directions into A disjoint sets (in practice the ≤8 sign octants,
@@ -29,49 +24,16 @@ import (
 // members are part of the contract — the aggregated kernels expand a
 // group's tasks in member order and rely on it matching TaskID order.
 func ValidateAnglesets(groups [][]int32, k int) error {
-	if len(groups) == 0 {
-		return fmt.Errorf("sched: empty angleset partition")
-	}
-	seen := make([]bool, k)
-	total := 0
-	for a, g := range groups {
-		if len(g) == 0 {
-			return fmt.Errorf("sched: angleset %d is empty", a)
-		}
-		prev := int32(-1)
-		for _, i := range g {
-			if i < 0 || int(i) >= k {
-				return fmt.Errorf("sched: angleset %d contains direction %d (k=%d)", a, i, k)
-			}
-			if i <= prev {
-				return fmt.Errorf("sched: angleset %d members not strictly ascending at direction %d", a, i)
-			}
-			if seen[i] {
-				return fmt.Errorf("sched: direction %d in more than one angleset", i)
-			}
-			seen[i] = true
-			prev = i
-			total++
-		}
-	}
-	if total != k {
-		return fmt.Errorf("sched: anglesets cover %d of %d directions", total, k)
-	}
-	return nil
+	return fillDirGroup(make([]int32, k), groups)
 }
 
-// fillDirGroup validates groups as an angleset partition of k
-// directions and fills ws.dirGroup (direction -> angleset) without
-// allocating on a warm workspace.
-func (ws *Workspace) fillDirGroup(groups [][]int32, k int) error {
+// fillDirGroup validates groups as an angleset partition of the len(dg)
+// directions and fills dg (direction -> angleset).
+func fillDirGroup(dg []int32, groups [][]int32) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("sched: empty angleset partition")
 	}
-	if cap(ws.dirGroup) < k {
-		ws.dirGroup = make([]int32, k)
-	}
-	ws.dirGroup = ws.dirGroup[:k]
-	dg := ws.dirGroup
+	k := len(dg)
 	for i := range dg {
 		dg[i] = -1
 	}
@@ -102,11 +64,9 @@ func (ws *Workspace) fillDirGroup(groups [][]int32, k int) error {
 	return nil
 }
 
-// ExpandAnglesetPrio writes the per-direction expansion of an
-// aggregated priority vector into dst (len nt = n·k): every member
-// direction of angleset a receives a copy of aggPrio[a·n : (a+1)·n].
-// This is the priority vector the aggregated kernels emulate.
-func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n int) error {
+// checkExpansion validates groups as a partition of the directions it
+// names and the expansion destination's length against it.
+func checkExpansion(groups [][]int32, n, dstLen int) error {
 	k := 0
 	for _, g := range groups {
 		k += len(g)
@@ -114,11 +74,22 @@ func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n 
 	if err := ValidateAnglesets(groups, k); err != nil {
 		return err
 	}
+	if dstLen != n*k {
+		return fmt.Errorf("sched: expansion destination covers %d of %d tasks", dstLen, n*k)
+	}
+	return nil
+}
+
+// ExpandAnglesetPrio writes the per-direction expansion of an
+// aggregated priority vector into dst (len nt = n·k): every member
+// direction of angleset a receives a copy of aggPrio[a·n : (a+1)·n].
+// This is the priority vector the aggregated kernels emulate.
+func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n int) error {
+	if err := checkExpansion(groups, n, len(dst)); err != nil {
+		return err
+	}
 	if len(aggPrio) != n*len(groups) {
 		return fmt.Errorf("sched: %d aggregate priorities for %d anglesets × %d cells", len(aggPrio), len(groups), n)
-	}
-	if len(dst) != n*k {
-		return fmt.Errorf("sched: expansion destination covers %d of %d tasks", len(dst), n*k)
 	}
 	for a, g := range groups {
 		src := aggPrio[a*n : (a+1)*n]
@@ -133,18 +104,11 @@ func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n 
 // release delays into dst (len nt): every task of a member direction of
 // angleset a is released at aggRel[a].
 func ExpandAnglesetRelease(dst []int32, aggRel []int32, groups [][]int32, n int) error {
-	k := 0
-	for _, g := range groups {
-		k += len(g)
-	}
-	if err := ValidateAnglesets(groups, k); err != nil {
+	if err := checkExpansion(groups, n, len(dst)); err != nil {
 		return err
 	}
 	if len(aggRel) != len(groups) {
 		return fmt.Errorf("sched: %d release delays for %d anglesets", len(aggRel), len(groups))
-	}
-	if len(dst) != n*k {
-		return fmt.Errorf("sched: expansion destination covers %d of %d tasks", len(dst), n*k)
 	}
 	for a, g := range groups {
 		for _, i := range g {
@@ -168,32 +132,10 @@ func ExpandAnglesetRelease(dst []int32, aggRel []int32, groups [][]int32, n int)
 // runs (the common case: priorities rarely collide across anglesets)
 // expand by iterating the one group's members; multi-segment runs do a
 // k-scan over directions with a stamped group→segment lookup.
-//
-// Scratch is grown to the full expanded size nt so a later plain build
-// on the same workspace finds every buffer at the capacity it expects.
 func (q *rankq) buildAngleset(aggPrio Priorities, n int32, m int, assign Assignment, groups [][]int32, dirGroup []int32) {
 	A := len(groups)
-	k := len(dirGroup)
+	k := int32(len(dirGroup))
 	na := int(n) * A
-	nt := int(n) * k
-	if cap(q.order) < nt {
-		q.order = make([]TaskID, nt)
-		q.rank = make([]int32, nt)
-		q.keys = make([]uint64, nt)
-		q.keys2 = make([]uint64, nt)
-	}
-	q.order = q.order[:nt]
-	q.rank = q.rank[:nt]
-	q.keys = q.keys[:na]
-	q.keys2 = q.keys2[:na]
-	if cap(q.taskOff) < m+1 {
-		q.taskOff = make([]int32, m+1)
-		q.wordsOff = make([]int32, m+1)
-		q.next = make([]int32, m)
-	}
-	q.taskOff = q.taskOff[:m+1]
-	q.wordsOff = q.wordsOff[:m+1]
-	q.next = q.next[:m]
 	if cap(q.segA) < A+1 {
 		q.segA = make([]int32, A+1)
 		q.segLo = make([]int32, A+1)
@@ -206,72 +148,20 @@ func (q *rankq) buildAngleset(aggPrio Priorities, n int32, m int, assign Assignm
 	q.segStamp = q.segStamp[:A]
 	clear(q.segStamp)
 
-	keys := q.keys
-
-	// Sort aggregate ids into keys by (aggPrio, id) ascending — the same
-	// radix/comparison split as build, over na keys instead of nt.
-	minP, maxP := aggPrio[0], aggPrio[0]
-	for _, p := range aggPrio[1:] {
-		if p < minP {
-			minP = p
-		} else if p > maxP {
-			maxP = p
-		}
-	}
-	spread := uint64(maxP) - uint64(minP)
-	idBits := bits.Len64(uint64(na - 1))
-	if spread > math.MaxUint64>>(idBits+1) {
-		for t := 0; t < na; t++ {
-			keys[t] = uint64(t)
-		}
-		slices.SortFunc(keys, func(x, y uint64) int {
-			if aggPrio[x] != aggPrio[y] {
-				if aggPrio[x] < aggPrio[y] {
-					return -1
-				}
-				return 1
-			}
-			if x < y {
-				return -1
-			}
-			return 1
-		})
-	} else {
-		for t := 0; t < na; t++ {
-			keys[t] = (uint64(aggPrio[t])-uint64(minP))<<idBits | uint64(uint32(t))
-		}
-		q.sortKeys(spread<<idBits | uint64(na-1))
-		keys = q.keys // sortKeys may have swapped the buffers
-		if idBits < 64 {
-			idMask := uint64(1)<<idBits - 1
-			for r, key := range keys {
-				keys[r] = key & idMask
-			}
-		}
-	}
-
-	// Per-processor partition offsets: every cell contributes exactly k
-	// tasks (one per direction), all on its assigned processor, so the
-	// offsets are identical to plain build's for the full instance.
-	next := q.next
-	clear(next)
-	k32 := int32(k)
-	for v := int32(0); v < n; v++ {
-		next[assign[v]] += k32
-	}
-	var to, wo int32
-	for p := 0; p < m; p++ {
-		q.taskOff[p], q.wordsOff[p] = to, wo
-		tc := next[p]
-		to += tc
-		wo += (tc + 63) >> 6
-	}
-	q.taskOff[m], q.wordsOff[m] = to, wo
-	clear(next)
+	// Every cell contributes exactly k tasks, all on its processor, so
+	// the partition offsets are plain build's for the full instance.
+	keys := q.sortAndPartition(aggPrio, na, int(n)*int(k), m, assign, n)
 
 	// Expand the sorted aggregate order run by run. Emission order is
 	// exactly the expanded global (prio, TaskID) order, so rank/order
 	// match plain build on the expanded priorities bit for bit.
+	// emit places cells keys[lo:hi] of angleset a as tasks of direction i.
+	emit := func(i, a, lo, hi int32) {
+		for _, key := range keys[lo:hi] {
+			v := int32(key) - a*n
+			q.place(assign[v], TaskID(i*n+v))
+		}
+	}
 	runID := int32(0)
 	for s := 0; s < na; {
 		p0 := aggPrio[keys[s]]
@@ -300,41 +190,18 @@ func (q *rankq) buildAngleset(aggPrio Priorities, n int32, m int, assign Assignm
 		q.segLo[nSeg] = int32(e)
 
 		if nSeg == 1 {
-			a := q.segA[0]
-			base := a * n
 			for _, i := range groups[a] {
-				tbase := TaskID(i) * TaskID(n)
-				for j := s; j < e; j++ {
-					v := int32(keys[j]) - base
-					t := tbase + TaskID(v)
-					p := assign[v]
-					lr := next[p]
-					next[p] = lr + 1
-					q.rank[t] = lr
-					q.order[q.taskOff[p]+lr] = t
-				}
+				emit(i, a, int32(s), int32(e))
 			}
 		} else {
 			for sg := 0; sg < nSeg; sg++ {
 				q.segStamp[q.segA[sg]] = runID
 				q.segOf[q.segA[sg]] = int32(sg)
 			}
-			for i := int32(0); i < k32; i++ {
-				a := dirGroup[i]
-				if q.segStamp[a] != runID {
-					continue
-				}
-				sg := q.segOf[a]
-				base := a * n
-				tbase := TaskID(i) * TaskID(n)
-				for j := q.segLo[sg]; j < q.segLo[sg+1]; j++ {
-					v := int32(keys[j]) - base
-					t := tbase + TaskID(v)
-					p := assign[v]
-					lr := next[p]
-					next[p] = lr + 1
-					q.rank[t] = lr
-					q.order[q.taskOff[p]+lr] = t
+			for i := int32(0); i < k; i++ {
+				if a := dirGroup[i]; q.segStamp[a] == runID {
+					sg := q.segOf[a]
+					emit(i, a, q.segLo[sg], q.segLo[sg+1])
 				}
 			}
 		}
@@ -349,7 +216,11 @@ func (ws *Workspace) checkAnglesetArgs(inst *Instance, assign Assignment, groups
 	if err := assign.Validate(inst.N(), inst.M); err != nil {
 		return nil, err
 	}
-	if err := ws.fillDirGroup(groups, inst.K()); err != nil {
+	if cap(ws.dirGroup) < inst.K() {
+		ws.dirGroup = make([]int32, inst.K())
+	}
+	ws.dirGroup = ws.dirGroup[:inst.K()]
+	if err := fillDirGroup(ws.dirGroup, groups); err != nil {
 		return nil, err
 	}
 	ws.ensure(inst)
@@ -375,112 +246,7 @@ func (ws *Workspace) checkAnglesetArgs(inst *Instance, assign Assignment, groups
 // (ValidateAnglesets); a nil aggRel means no release delays, a nil
 // aggPrio all-equal priorities.
 func ListScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, aggRel []int32) error {
-	if aggRel != nil && len(aggRel) != len(groups) {
-		return fmt.Errorf("sched: %d release delays for %d anglesets", len(aggRel), len(groups))
-	}
-	aggPrio, err := ws.checkAnglesetArgs(inst, assign, groups, aggPrio)
-	if err != nil {
-		return err
-	}
-	span := ws.col.Span("sched.anglist.time")
-	nt := inst.NTasks()
-	n := int32(inst.N())
-	k := int32(inst.K())
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	dirGroup := ws.dirGroup
-	m := inst.M
-	rq := &ws.rq
-	rq.buildAngleset(aggPrio, n, m, assign, groups, dirGroup)
-	rq.reset()
-	cal := &ws.cal
-	var maxRel int32
-	if aggRel != nil {
-		for _, r := range aggRel {
-			if r > maxRel {
-				maxRel = r
-			}
-		}
-	}
-	cal.prepare(maxRel)
-
-	// Initial ready set, direction-major so calendar buckets fill in the
-	// same TaskID order as the per-direction kernel's ascending scan.
-	base := TaskID(0)
-	for i := int32(0); i < k; i++ {
-		rel := int32(0)
-		if aggRel != nil {
-			rel = aggRel[dirGroup[i]]
-		}
-		for v := int32(0); v < n; v++ {
-			t := base + TaskID(v)
-			if indeg[t] != 0 {
-				continue
-			}
-			if rel > 0 {
-				cal.push(t, rel)
-			} else {
-				rq.push(assign[v], t)
-			}
-		}
-		base += TaskID(n)
-	}
-
-	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
-	remaining := nt
-	completed := ws.completed[:0]
-
-	for step := int32(0); remaining > 0; step++ {
-		if cal.pending > 0 {
-			for _, t := range cal.due(step) {
-				rq.push(assign[int32(t)%n], t)
-			}
-			cal.clearDue(step)
-		}
-		completed = completed[:0]
-		for p := int32(0); p < int32(m); p++ {
-			if rq.count[p] == 0 {
-				continue
-			}
-			t := rq.pop(p)
-			start[t] = step
-			remaining--
-			completed = append(completed, t)
-		}
-		if len(completed) == 0 && cal.pending == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: deadlock at step %d with %d tasks remaining", step, remaining)
-		}
-		for _, t := range completed {
-			v, i := inst.Split(t)
-			tbase := TaskID(i * n)
-			rel := int32(0)
-			if aggRel != nil {
-				rel = aggRel[dirGroup[i]] // successors stay in direction i
-			}
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := tbase + TaskID(w)
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					if rel > step+1 {
-						cal.push(wt, rel)
-					} else {
-						rq.push(assign[w], wt)
-					}
-				}
-			}
-		}
-	}
-	ws.completed = completed[:0]
-	dst.Inst, dst.Assign = inst, assign
-	dst.computeMakespan()
-	span.End()
-	ws.col.Counter("sched.anglist.runs").Inc()
-	ws.col.Counter("sched.anglist.steps").Add(int64(dst.Makespan))
-	return nil
+	return ws.schedule(dst, inst, assign, stepRule{series: anglistSeries, prio: aggPrio, aggregated: true, groups: groups, groupFloor: aggRel})
 }
 
 // CommScheduleAnglesetInto is the angleset-aggregated form of
@@ -489,91 +255,5 @@ func ListScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assi
 // CommScheduleInto on the expanded priorities. Zero heap allocations on
 // a warm workspace and recycled dst.
 func CommScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, commDelay int) error {
-	if commDelay < 0 {
-		return fmt.Errorf("sched: negative communication delay %d", commDelay)
-	}
-	aggPrio, err := ws.checkAnglesetArgs(inst, assign, groups, aggPrio)
-	if err != nil {
-		return err
-	}
-	span := ws.col.Span("sched.angcomm.time")
-	nt := inst.NTasks()
-	n := int32(inst.N())
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	readyAt := ws.readyAt
-	clear(readyAt)
-	m := inst.M
-	rq := &ws.rq
-	rq.buildAngleset(aggPrio, n, m, assign, groups, ws.dirGroup)
-	rq.reset()
-	cd := int32(commDelay)
-	cal := &ws.cal
-	cal.prepare(cd + 1)
-
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if indeg[t] == 0 {
-			rq.push(assign[int32(t)%n], t)
-		}
-	}
-
-	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
-	remaining := nt
-	completed := ws.completed[:0]
-
-	for step := int32(0); remaining > 0; step++ {
-		if cal.pending > 0 {
-			for _, t := range cal.due(step) {
-				rq.push(assign[int32(t)%n], t)
-			}
-			cal.clearDue(step)
-		}
-		completed = completed[:0]
-		for p := int32(0); p < int32(m); p++ {
-			if rq.count[p] == 0 {
-				continue
-			}
-			t := rq.pop(p)
-			start[t] = step
-			remaining--
-			completed = append(completed, t)
-		}
-		if len(completed) == 0 && cal.pending == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: comm-delay deadlock at step %d with %d remaining", step, remaining)
-		}
-		for _, t := range completed {
-			v, i := inst.Split(t)
-			p := assign[v]
-			tbase := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := tbase + TaskID(w)
-				avail := step + 1
-				if assign[w] != p {
-					avail += cd
-				}
-				if avail > readyAt[wt] {
-					readyAt[wt] = avail
-				}
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					if readyAt[wt] > step+1 {
-						cal.push(wt, readyAt[wt])
-					} else {
-						rq.push(assign[w], wt)
-					}
-				}
-			}
-		}
-	}
-	ws.completed = completed[:0]
-	dst.Inst, dst.Assign = inst, assign
-	dst.computeMakespan()
-	span.End()
-	ws.col.Counter("sched.angcomm.runs").Inc()
-	ws.col.Counter("sched.angcomm.steps").Add(int64(dst.Makespan))
-	return nil
+	return ws.schedule(dst, inst, assign, stepRule{series: angcommSeries, prio: aggPrio, aggregated: true, groups: groups, commDelay: commDelay})
 }

@@ -11,10 +11,8 @@ import (
 // §5.1 sketches trading processing time against communication through block
 // partitioning; ListScheduleComm makes that trade-off measurable.
 //
-// The stepping engine lives in CommScheduleInto (workspace.go); the
-// release bookkeeping it shares with the plain list scheduler is the
-// calendar queue in queue.go, which replaced the map-based "future"
-// calendars the two files used to duplicate.
+// The stepping engine is the shared step core (stepcore.go) with the
+// rule's commDelay set; CommScheduleInto is its allocation-free entry.
 
 // ListScheduleComm runs priority list scheduling under the uniform
 // communication-delay model: an edge ((u,i),(v,i)) whose endpoints are on
@@ -37,9 +35,14 @@ func ListScheduleComm(inst *Instance, assign Assignment, prio Priorities, commDe
 // ValidateComm checks the communication-delay feasibility of a schedule:
 // every cross-processor edge leaves at least commDelay idle steps between
 // predecessor completion and successor start (on top of the base
-// constraints, which the caller checks with Validate).
+// constraints, which the caller checks with Validate). A commDelay the
+// kernels refuse (StepRangeError) is refused here too, so a delay
+// truncated to int32 can never pass for the one asked for.
 func ValidateComm(s *Schedule, commDelay int) error {
 	inst := s.Inst
+	if err := checkStepRange(inst.NTasks(), commDelay, 0); err != nil {
+		return err
+	}
 	n := int32(inst.N())
 	cd := int32(commDelay)
 	for i, d := range inst.DAGs {

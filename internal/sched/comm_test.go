@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -91,6 +93,37 @@ func TestValidateCommCatchesViolation(t *testing.T) {
 	}
 	if err := ValidateComm(s, 1); err == nil {
 		t.Fatal("c=1 accepted a gapless cross-processor edge")
+	}
+}
+
+// TestStepRangeRejected: delays that could carry a start time past the
+// int32 step counter are refused by every kernel and by ValidateComm
+// with a StepRangeError — a truncated commDelay used to schedule, and
+// validate, as a smaller one.
+func TestStepRangeRejected(t *testing.T) {
+	inst := chainInstance(t, 3, 2)
+	assign := Assignment{0, 1, 0}
+	ws, dst := NewWorkspace(), &Schedule{}
+	fits := math.MaxInt32/inst.NTasks() - 1
+	for name, err := range map[string]error{
+		"comm 1<<32":      CommScheduleInto(ws, dst, inst, assign, nil, 1<<32),
+		"comm MaxInt32":   CommScheduleInto(ws, dst, inst, assign, nil, math.MaxInt32),
+		"comm fits+1":     CommScheduleInto(ws, dst, inst, assign, nil, fits+1),
+		"angcomm 1<<32":   CommScheduleAnglesetInto(ws, dst, inst, assign, [][]int32{{0}}, nil, 1<<32),
+		"release":         ListScheduleInto(ws, dst, inst, assign, nil, []int32{0, 0, math.MaxInt32 - 2}),
+		"angleset floor":  ListScheduleAnglesetInto(ws, dst, inst, assign, [][]int32{{0}}, nil, []int32{math.MaxInt32}),
+		"validate 1<<32":  ValidateComm(&Schedule{Inst: inst, Assign: assign, Start: []int32{0, 1, 2}}, 1<<32),
+		"validate fits+1": ValidateComm(&Schedule{Inst: inst, Assign: assign, Start: []int32{0, 1, 2}}, fits+1),
+	} {
+		var rangeErr *StepRangeError
+		if !errors.As(err, &rangeErr) {
+			t.Errorf("%s: got %v, want a StepRangeError", name, err)
+		}
+	}
+	// Just inside the bound ValidateComm checks the gaps again.
+	wide := &Schedule{Inst: inst, Assign: assign, Start: []int32{0, int32(fits) + 1, 2*int32(fits) + 2}}
+	if err := ValidateComm(wide, fits); err != nil {
+		t.Fatalf("commDelay %d with gaps to match: %v", fits, err)
 	}
 }
 

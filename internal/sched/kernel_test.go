@@ -130,29 +130,6 @@ func TestHeap4PopOrderIsTotalOrder(t *testing.T) {
 	}
 }
 
-// TestHeap4InitMatchesIncrementalPush checks the residual kernel's
-// bulk-load path: heapify over arbitrary contents drains in the same
-// order as incremental pushes.
-func TestHeap4InitMatchesIncrementalPush(t *testing.T) {
-	r := rng.New(13)
-	nt := 150
-	prio := randomPrio(nt, r)
-	var bulk, inc heap4
-	bulk.reset(prio)
-	inc.reset(prio)
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		bulk.appendUnordered(t)
-		inc.push(t)
-	}
-	bulk.initHeap()
-	for i := 0; i < nt; i++ {
-		a, b := bulk.pop(), inc.pop()
-		if a != b {
-			t.Fatalf("pop %d: bulk %d incremental %d", i, a, b)
-		}
-	}
-}
-
 // TestCalendarMatchesMapReference replays a random (push, drain) release
 // stream through the calendar ring and through the old map[int32][]TaskID
 // structure, comparing drained task sequences per step.

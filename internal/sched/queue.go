@@ -1,15 +1,17 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 )
 
-// Typed ready-queue primitives for the scheduling kernel. All replace
+// Typed ready-queue primitives for the scheduling kernels. All replace
 // container/heap structures from the original implementation: heap4 is a
-// slice-backed 4-ary min-heap with no interface{} boxing, rankq is a
-// rank-bitmap ready set for the static-priority list kernels, and
+// slice-backed 4-ary min-heap with no interface{} boxing (greedy and
+// weighted engines), rankq is the rank-bitmap ready set of the unit-step
+// core, and
 // calendar is a monotone bucket queue for release times. Every operation
 // preserves the (priority, TaskID) total order the old heaps used, so
 // schedules produced through these structures are bitwise-identical to
@@ -71,13 +73,6 @@ func (h *heap4) push(t TaskID) {
 	es[i] = e
 }
 
-// appendUnordered adds a task without restoring the heap invariant; the
-// caller must initHeap before popping. Used for bulk-loading the residual
-// kernel's initial ready set.
-func (h *heap4) appendUnordered(t TaskID) {
-	h.es = append(h.es, heapEntry{h.prio[t], t})
-}
-
 // pop removes and returns the (priority, id)-smallest task.
 func (h *heap4) pop() TaskID {
 	es := h.es
@@ -120,18 +115,8 @@ func (h *heap4) siftDown(i int) {
 	es[i] = e
 }
 
-// initHeap establishes the heap invariant over arbitrary contents in
-// O(n) — used by the residual kernel, which bulk-loads its initial ready
-// set before scheduling.
-func (h *heap4) initHeap() {
-	for i := (len(h.es) - 2) >> 2; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// rankq is the ready-set structure of the static-priority list kernels
-// (ListScheduleInto, CommScheduleInto). Those kernels never change a
-// task's priority or its processor after the run starts, so the
+// rankq is the ready-set structure of the unit-step core (stepcore.go).
+// A run never changes a task's priority or its processor, so the
 // (priority, TaskID) total order can be materialized once per run:
 // build sorts all tasks into rank order and partitions them by
 // processor, giving each processor a dense local rank space over only
@@ -169,14 +154,38 @@ type rankq struct {
 
 // build sorts the nt tasks by (prio, TaskID) and partitions the sorted
 // order into per-processor local ranks (processor of task t is
-// assign[t mod n]). Priorities whose spread fits alongside a task id in
-// 64 bits — every practical case; level and delay priorities are small
-// ints — pack into uint64 keys sorted by an LSD radix sort over only
-// the bits the key range actually uses (typically ~20: priority spread
-// in the hundreds times ids in the tens of thousands, i.e. two scatter
-// passes). Wider spreads fall back to an in-place comparison sort.
-// Neither path allocates once the scratch has grown to (nt, m).
+// assign[t mod n]): processor p's tasks, in global (prio, id) order,
+// occupy order[taskOff[p]:taskOff[p+1]] and get local ranks 0..count-1.
+// It does not allocate once the scratch has grown to (nt, m).
 func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
+	for _, key := range q.sortAndPartition(prio, nt, nt, m, assign, n) {
+		t := TaskID(key)
+		q.place(assign[int32(t)%n], t)
+	}
+}
+
+// place gives task t the next local rank on its processor p. Tasks
+// must be placed in global (prio, TaskID) order.
+func (q *rankq) place(p int32, t TaskID) {
+	lr := q.next[p]
+	q.next[p] = lr + 1
+	q.rank[t] = lr
+	q.order[q.taskOff[p]+lr] = t
+}
+
+// sortAndPartition is the prelude build and buildAngleset share. It
+// grows the scratch for nt tasks on m processors, lays out the
+// per-processor partition (task slots and bitmap words) with the local
+// rank cursors q.next at zero, and returns the ids 0..nkeys-1 sorted by
+// (prio, id) ascending — nkeys is nt for build, n·A for buildAngleset.
+//
+// Priorities whose spread fits alongside an id in 64 bits — every
+// practical case; level and delay priorities are small ints — pack into
+// uint64 keys sorted by an LSD radix sort over only the bits the key
+// range actually uses (typically ~20: priority spread in the hundreds
+// times ids in the tens of thousands, i.e. two scatter passes). Wider
+// spreads fall back to an in-place comparison sort.
+func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assignment, n int32) []uint64 {
 	if cap(q.order) < nt {
 		q.order = make([]TaskID, nt)
 		q.rank = make([]int32, nt)
@@ -185,8 +194,8 @@ func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
 	}
 	q.order = q.order[:nt]
 	q.rank = q.rank[:nt]
-	q.keys = q.keys[:nt]
-	q.keys2 = q.keys2[:nt]
+	q.keys = q.keys[:nkeys]
+	q.keys2 = q.keys2[:nkeys]
 	if cap(q.taskOff) < m+1 {
 		q.taskOff = make([]int32, m+1)
 		q.wordsOff = make([]int32, m+1)
@@ -195,65 +204,12 @@ func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
 	q.taskOff = q.taskOff[:m+1]
 	q.wordsOff = q.wordsOff[:m+1]
 	q.next = q.next[:m]
-	if nt == 0 {
-		for p := 0; p <= m; p++ {
-			q.taskOff[p], q.wordsOff[p] = 0, 0
-		}
-		return
-	}
-	keys := q.keys
 
-	// Sort task ids into keys by (prio, TaskID) ascending.
-	minP, maxP := prio[0], prio[0]
-	for _, p := range prio[1:] {
-		if p < minP {
-			minP = p
-		} else if p > maxP {
-			maxP = p
-		}
-	}
-	spread := uint64(maxP) - uint64(minP)
-	idBits := bits.Len64(uint64(nt - 1))
-	if spread > math.MaxUint64>>(idBits+1) {
-		order := q.order
-		for t := range order {
-			order[t] = TaskID(t)
-		}
-		slices.SortFunc(order, func(a, b TaskID) int {
-			if prio[a] != prio[b] {
-				if prio[a] < prio[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(a - b)
-		})
-		for r, t := range order {
-			keys[r] = uint64(uint32(t))
-		}
-	} else {
-		for t := 0; t < nt; t++ {
-			keys[t] = (uint64(prio[t])-uint64(minP))<<idBits | uint64(uint32(t))
-		}
-		q.sortKeys(spread<<idBits | uint64(nt-1))
-		keys = q.keys // sortKeys may have swapped the buffers
-		if idBits < 64 {
-			idMask := uint64(1)<<idBits - 1
-			for r, k := range keys {
-				keys[r] = k & idMask
-			}
-		}
-	}
-
-	// Partition the sorted order by processor: processor p's tasks, in
-	// global (prio, id) order, occupy order[taskOff[p]:taskOff[p+1]]
-	// and get local ranks 0..count-1; its bitmap occupies
-	// words[wordsOff[p]:wordsOff[p+1]]. Per-processor task counts come
-	// from the actual task→cell mapping: the Instance layout (nt = n·k,
-	// every direction one copy of each cell) admits the cells-times-k
-	// shortcut, but a ragged nt (not a multiple of n) must be counted
-	// task by task or the trailing partial direction mis-sizes every
-	// offset after the first affected processor.
+	// Per-processor task counts come from the task→cell mapping: the
+	// Instance layout (nt = n·k, every direction one copy of each cell)
+	// admits the cells-times-k shortcut, but a ragged nt (not a multiple
+	// of n) must be counted task by task or the trailing partial
+	// direction mis-sizes every offset after the first affected processor.
 	next := q.next
 	clear(next)
 	if k := int32(nt) / n; k*n == int32(nt) {
@@ -268,20 +224,48 @@ func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
 	var to, wo int32
 	for p := 0; p < m; p++ {
 		q.taskOff[p], q.wordsOff[p] = to, wo
-		tc := next[p]
-		to += tc
-		wo += (tc + 63) >> 6
+		to += next[p]
+		wo += (next[p] + 63) >> 6
 	}
 	q.taskOff[m], q.wordsOff[m] = to, wo
 	clear(next)
-	for _, key := range keys {
-		t := TaskID(key)
-		p := assign[int32(t)%n]
-		lr := next[p]
-		next[p] = lr + 1
-		q.rank[t] = lr
-		q.order[q.taskOff[p]+lr] = t
+	if nkeys == 0 {
+		return nil
 	}
+
+	keys := q.keys
+	minP, maxP := prio[0], prio[0]
+	for _, p := range prio[1:] {
+		if p < minP {
+			minP = p
+		} else if p > maxP {
+			maxP = p
+		}
+	}
+	spread := uint64(maxP) - uint64(minP)
+	idBits := bits.Len64(uint64(nkeys - 1))
+	if spread > math.MaxUint64>>(idBits+1) {
+		for t := range keys {
+			keys[t] = uint64(t)
+		}
+		slices.SortFunc(keys, func(x, y uint64) int {
+			if c := cmp.Compare(prio[x], prio[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+		return keys
+	}
+	for t := range keys {
+		keys[t] = (uint64(prio[t])-uint64(minP))<<idBits | uint64(t)
+	}
+	q.sortKeys(spread<<idBits | uint64(nkeys-1))
+	keys = q.keys // sortKeys may have swapped the buffers
+	idMask := uint64(1)<<idBits - 1
+	for r, key := range keys {
+		keys[r] = key & idMask
+	}
+	return keys
 }
 
 // sortKeys is a stable LSD radix sort of q.keys ascending, 12-bit

@@ -360,7 +360,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	n := int32(inst.N())
 	nt := inst.NTasks()
 	m := inst.M
-	ws.fillIndeg(inst)
+	ws.fillIndeg(inst, nil)
 	indeg := ws.indeg
 	ready := ws.heaps[:m]
 	for p := range ready {

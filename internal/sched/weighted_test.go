@@ -9,6 +9,20 @@ import (
 	"sweepsched/internal/rng"
 )
 
+// levelPrio builds the Algorithm 2-style priorities used in practice.
+func levelPrio(inst *Instance, r *rng.Source) Priorities {
+	n := int32(inst.N())
+	prio := make(Priorities, inst.NTasks())
+	for i, d := range inst.DAGs {
+		delay := int64(r.Intn(inst.K()))
+		base := int32(i) * n
+		for v := int32(0); v < n; v++ {
+			prio[base+v] = int64(d.Level[v]) + delay
+		}
+	}
+	return prio
+}
+
 func randomWeights(n int, r *rng.Source, max int) CellWeights {
 	w := make(CellWeights, n)
 	for i := range w {

@@ -7,17 +7,16 @@ import (
 	"sweepsched/internal/obs"
 )
 
-// Workspace is the reusable scratch arena of the scheduling kernel:
-// indegree counters, the rank-bitmap ready set of the static-priority
-// kernels, per-processor typed ready heaps (greedy and residual paths),
-// the release calendar, the per-step completion buffer, and
+// Workspace is the reusable scratch arena of the scheduling kernels:
+// indegree counters, the rank-bitmap ready set of the unit-step core
+// (stepcore.go), per-processor typed ready heaps (greedy and weighted
+// engines), the release calendar, the per-step completion buffer, and
 // caller-visible priority/release scratch. One warm workspace makes
-// ListScheduleInto,
-// CommScheduleInto and ListScheduleResidualInto allocate nothing — the
-// paper's experiments run the list scheduler thousands of times per
-// instance shape (once per heuristic × delay draw × seed), and the
-// per-call make/map/boxing traffic of the original kernel was the
-// dominant cost of those trial loops.
+// every Into entry point allocate nothing — the paper's experiments run
+// the list scheduler thousands of times per instance shape (once per
+// heuristic × delay draw × seed), and the per-call make/map/boxing
+// traffic of the original kernel was the dominant cost of those trial
+// loops.
 //
 // A Workspace is not safe for concurrent use; parallel trial loops draw
 // one each from the shape-keyed pool (GetWorkspace/Release).
@@ -36,7 +35,7 @@ type Workspace struct {
 	prioBuf  Priorities
 	int32Buf []int32
 	// dirGroup maps direction -> angleset for the aggregated kernels
-	// (filled and validated by fillDirGroup per run).
+	// (validated and filled by fillDirGroup per run).
 	dirGroup []int32
 	// Weighted-engine scratch (weighted.go): the completion/release event
 	// heap, per-processor busy and touched flags, and per-task int64
@@ -56,8 +55,9 @@ type Workspace struct {
 }
 
 // SetObserver attaches an obs collector: every kernel run through this
-// workspace records a stage span (sched.list.time, sched.comm.time,
-// sched.greedy.time, sched.residual.time) and run/step counters. A nil
+// workspace records a stage span and run/step counters under its own
+// series (sched.{list,comm,residual,anglist,angcomm,greedy,weighted}.
+// {time,runs,steps}). A nil
 // collector detaches. Release detaches automatically so pooled
 // workspaces never leak a collector to an unrelated caller.
 func (ws *Workspace) SetObserver(col *obs.Collector) { ws.col = col }
@@ -188,15 +188,13 @@ func (ws *Workspace) checkListArgs(inst *Instance, assign Assignment, prio Prior
 	if err := assign.Validate(inst.N(), inst.M); err != nil {
 		return nil, err
 	}
-	nt := inst.NTasks()
+	ws.ensure(inst)
 	if prio == nil {
-		ws.ensure(inst)
 		return ws.zeroPrio, nil
 	}
-	if len(prio) != nt {
-		return nil, fmt.Errorf("sched: %d priorities for %d tasks", len(prio), nt)
+	if len(prio) != inst.NTasks() {
+		return nil, fmt.Errorf("sched: %d priorities for %d tasks", len(prio), inst.NTasks())
 	}
-	ws.ensure(inst)
 	return prio, nil
 }
 
@@ -208,316 +206,4 @@ func ensureStart(dst *Schedule, nt int) []int32 {
 	}
 	dst.Start = dst.Start[:nt]
 	return dst.Start
-}
-
-// fillIndeg loads every task's DAG indegree into the workspace.
-func (ws *Workspace) fillIndeg(inst *Instance) {
-	n := int32(inst.N())
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			ws.indeg[base+v] = int32(d.InDegree(v))
-		}
-	}
-}
-
-// ListScheduleInto is the allocation-free core of priority list
-// scheduling with optional per-task release times (§3 "List Scheduling";
-// release times implement the §5.2 random-delay combinations). It writes
-// the schedule into dst, reusing dst.Start's backing array, and uses ws
-// for every piece of transient state. On a warm workspace (same or
-// larger instance shape seen before) and a recycled dst it performs zero
-// heap allocations. The produced schedule is bitwise-identical to
-// ListScheduleWithRelease's for the same inputs.
-//
-// dst must not alias a schedule still in use: its contents are
-// overwritten. A nil release means all zeros; a nil prio means all equal
-// with TaskID tie-breaks.
-func ListScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, release []int32) error {
-	nt := inst.NTasks()
-	if release != nil && len(release) != nt {
-		return fmt.Errorf("sched: %d release times for %d tasks", len(release), nt)
-	}
-	prio, err := ws.checkListArgs(inst, assign, prio)
-	if err != nil {
-		return err
-	}
-	span := ws.col.Span("sched.list.time")
-	n := int32(inst.N())
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	m := inst.M
-	rq := &ws.rq
-	rq.build(prio, nt, m, assign, n)
-	rq.reset()
-	cal := &ws.cal
-	var maxRel int32
-	if release != nil {
-		for _, r := range release {
-			if r > maxRel {
-				maxRel = r
-			}
-		}
-	}
-	cal.prepare(maxRel)
-
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if indeg[t] != 0 {
-			continue
-		}
-		if release != nil && release[t] > 0 {
-			cal.push(t, release[t])
-		} else {
-			rq.push(assign[int32(t)%n], t)
-		}
-	}
-
-	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
-	remaining := nt
-	completed := ws.completed[:0]
-
-	for step := int32(0); remaining > 0; step++ {
-		if cal.pending > 0 {
-			for _, t := range cal.due(step) {
-				rq.push(assign[int32(t)%n], t)
-			}
-			cal.clearDue(step)
-		}
-		completed = completed[:0]
-		for p := int32(0); p < int32(m); p++ {
-			if rq.count[p] == 0 {
-				continue
-			}
-			t := rq.pop(p)
-			start[t] = step
-			remaining--
-			completed = append(completed, t)
-		}
-		if len(completed) == 0 && cal.pending == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: deadlock at step %d with %d tasks remaining", step, remaining)
-		}
-		for _, t := range completed {
-			v, i := inst.Split(t)
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					if release != nil && release[wt] > step+1 {
-						cal.push(wt, release[wt])
-					} else {
-						rq.push(assign[w], wt)
-					}
-				}
-			}
-		}
-	}
-	ws.completed = completed[:0]
-	dst.Inst, dst.Assign = inst, assign
-	dst.computeMakespan()
-	span.End()
-	ws.col.Counter("sched.list.runs").Inc()
-	ws.col.Counter("sched.list.steps").Add(int64(dst.Makespan))
-	return nil
-}
-
-// CommScheduleInto is the allocation-free core of list scheduling under
-// the uniform communication-delay model (§3): a cross-processor edge
-// delays its successor by commDelay extra steps. Semantics and output
-// match ListScheduleComm bit for bit; allocation behaviour matches
-// ListScheduleInto (zero on a warm workspace and recycled dst).
-func CommScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, commDelay int) error {
-	if commDelay < 0 {
-		return fmt.Errorf("sched: negative communication delay %d", commDelay)
-	}
-	prio, err := ws.checkListArgs(inst, assign, prio)
-	if err != nil {
-		return err
-	}
-	span := ws.col.Span("sched.comm.time")
-	nt := inst.NTasks()
-	n := int32(inst.N())
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	readyAt := ws.readyAt
-	clear(readyAt)
-	m := inst.M
-	rq := &ws.rq
-	rq.build(prio, nt, m, assign, n)
-	rq.reset()
-	cd := int32(commDelay)
-	cal := &ws.cal
-	// A successor made available at step s has readyAt at most s+cd, so
-	// in-flight due steps span at most cd+1 steps ahead of the drain.
-	cal.prepare(cd + 1)
-
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if indeg[t] == 0 {
-			rq.push(assign[int32(t)%n], t)
-		}
-	}
-
-	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
-	remaining := nt
-	completed := ws.completed[:0]
-
-	for step := int32(0); remaining > 0; step++ {
-		if cal.pending > 0 {
-			for _, t := range cal.due(step) {
-				rq.push(assign[int32(t)%n], t)
-			}
-			cal.clearDue(step)
-		}
-		completed = completed[:0]
-		for p := int32(0); p < int32(m); p++ {
-			if rq.count[p] == 0 {
-				continue
-			}
-			t := rq.pop(p)
-			start[t] = step
-			remaining--
-			completed = append(completed, t)
-		}
-		if len(completed) == 0 && cal.pending == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: comm-delay deadlock at step %d with %d remaining", step, remaining)
-		}
-		for _, t := range completed {
-			v, i := inst.Split(t)
-			p := assign[v]
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				avail := step + 1
-				if assign[w] != p {
-					avail += cd
-				}
-				if avail > readyAt[wt] {
-					readyAt[wt] = avail
-				}
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					if readyAt[wt] > step+1 {
-						cal.push(wt, readyAt[wt])
-					} else {
-						rq.push(assign[w], wt)
-					}
-				}
-			}
-		}
-	}
-	ws.completed = completed[:0]
-	dst.Inst, dst.Assign = inst, assign
-	dst.computeMakespan()
-	span.End()
-	ws.col.Counter("sched.comm.runs").Inc()
-	ws.col.Counter("sched.comm.steps").Add(int64(dst.Makespan))
-	return nil
-}
-
-// ListScheduleResidualInto is the allocation-free core of recovery
-// rescheduling (internal/faults): list scheduling restricted to the
-// tasks with !done[t], done tasks treated as finished before step 0.
-// Output matches ListScheduleResidual bit for bit; done tasks keep
-// Start = -1 and Makespan covers only residual steps (the result is an
-// execution plan, not a Validate-able full schedule). Zero allocations
-// on a warm workspace and recycled dst.
-func ListScheduleResidualInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, done []bool) error {
-	nt := inst.NTasks()
-	if done != nil && len(done) != nt {
-		return fmt.Errorf("sched: done set covers %d of %d tasks", len(done), nt)
-	}
-	prio, err := ws.checkListArgs(inst, assign, prio)
-	if err != nil {
-		return err
-	}
-	span := ws.col.Span("sched.residual.time")
-	isDone := func(t TaskID) bool { return done != nil && done[t] }
-
-	// Indegree over the residual sub-DAG: only edges between not-done
-	// tasks constrain the residual order.
-	n := int32(inst.N())
-	indeg := ws.indeg
-	clear(indeg)
-	remaining := 0
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			t := TaskID(base + v)
-			if isDone(t) {
-				continue
-			}
-			remaining++
-			for _, u := range d.In(v) {
-				if !isDone(TaskID(base + u)) {
-					indeg[t]++
-				}
-			}
-		}
-	}
-
-	heaps := ws.heaps[:inst.M]
-	for p := range heaps {
-		heaps[p].reset(prio)
-	}
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if !isDone(t) && indeg[t] == 0 {
-			heaps[assign[int32(t)%n]].appendUnordered(t)
-		}
-	}
-	for p := range heaps {
-		heaps[p].initHeap()
-	}
-
-	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
-	completed := ws.completed[:0]
-	makespan := int32(0)
-	for step := int32(0); remaining > 0; step++ {
-		completed = completed[:0]
-		for p := range heaps {
-			if heaps[p].len() == 0 {
-				continue
-			}
-			t := heaps[p].pop()
-			start[t] = step
-			remaining--
-			completed = append(completed, t)
-		}
-		if len(completed) == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: residual deadlock at step %d with %d tasks remaining (done set not precedence-consistent?)", step, remaining)
-		}
-		for _, t := range completed {
-			v, i := inst.Split(t)
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				if isDone(wt) {
-					continue
-				}
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					heaps[assign[w]].push(wt)
-				}
-			}
-		}
-		makespan = step + 1
-	}
-	ws.completed = completed[:0]
-	dst.Inst, dst.Assign = inst, assign
-	dst.Makespan = int(makespan)
-	span.End()
-	ws.col.Counter("sched.residual.runs").Inc()
-	ws.col.Counter("sched.residual.steps").Add(int64(dst.Makespan))
-	return nil
 }
