@@ -53,6 +53,11 @@ echo "== bench module: vet + smoke (its own module, so ./... above does not comp
 echo "== dag builder bench smoke (allocation-counted) =="
 go test -run '^$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -benchtime 1x ./internal/dag
 
+echo "== feasibility tail bench smoke (allocation-counted) =="
+# Validate, ValidateComm and the verify audit run after every plan; their
+# bytes/op is the garbage one plan's check leaves behind.
+go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -benchmem -benchtime 1x ./internal/sched ./internal/verify
+
 echo "== service: sweepschedd daemon suite under -race + loadtest smoke =="
 # The HTTP service's integration tests (cache tiers, coalescing,
 # admission 429s, cancellation, drain) run race-enabled, then a short

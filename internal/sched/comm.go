@@ -43,24 +43,9 @@ func ValidateComm(s *Schedule, commDelay int) error {
 	if err := checkStepRange(inst.NTasks(), commDelay, 0); err != nil {
 		return err
 	}
-	n := int32(inst.N())
-	cd := int32(commDelay)
-	for i, d := range inst.DAGs {
-		base := TaskID(int32(i) * n)
-		for u := int32(0); u < n; u++ {
-			su := s.Start[base+TaskID(u)]
-			pu := s.Assign[u]
-			for _, w := range d.Out(u) {
-				gap := int32(1)
-				if s.Assign[w] != pu {
-					gap += cd
-				}
-				if s.Start[base+TaskID(w)] < su+gap {
-					return fmt.Errorf("sched: comm gap violated on edge (%d,%d)->(%d,%d): %d -> %d (need +%d)",
-						u, i, w, i, su, s.Start[base+TaskID(w)], gap)
-				}
-			}
-		}
+	if i, u, w, gap, tight := s.tightEdge(int32(commDelay)); tight {
+		return fmt.Errorf("sched: comm gap violated on edge (%d,%d)->(%d,%d): %d -> %d (need +%d)",
+			u, i, w, i, s.Start[inst.Task(u, i)], s.Start[inst.Task(w, i)], gap)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
@@ -144,7 +145,8 @@ func (s *Schedule) computeMakespan() {
 // Validate checks the three feasibility constraints of §3: precedence
 // within every direction DAG, one task per processor per step, and (by
 // construction of Assignment) all copies of a cell on one processor. It
-// also checks every task was scheduled.
+// also checks every task was scheduled and that Makespan is the last
+// start step plus one.
 func (s *Schedule) Validate() error {
 	inst := s.Inst
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
@@ -153,38 +155,136 @@ func (s *Schedule) Validate() error {
 	if len(s.Start) != inst.NTasks() {
 		return fmt.Errorf("sched: schedule covers %d of %d tasks", len(s.Start), inst.NTasks())
 	}
+	maxStart := int32(-1)
 	for t, st := range s.Start {
 		if st < 0 {
 			return fmt.Errorf("sched: task %d unscheduled (start %d)", t, st)
 		}
+		maxStart = max(maxStart, st)
 	}
 	// Precedence.
+	if i, u, w, _, tight := s.tightEdge(0); tight {
+		return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
+			i, u, s.Start[inst.Task(u, i)], w, s.Start[inst.Task(w, i)])
+	}
+	// Processor exclusivity: no processor runs two tasks in one step.
+	if p, a, b, found := overlap(inst, s.Assign, s.Start, maxStart, func(t TaskID) int64 { return int64(s.Start[t]) + 1 }); found {
+		return fmt.Errorf("sched: processor %d runs tasks %d and %d at step %d", p, a, b, s.Start[a])
+	}
+	// A stale Makespan would mis-size everything downstream that trusts it.
+	if s.Makespan != int(maxStart)+1 {
+		return fmt.Errorf("sched: makespan %d inconsistent with max start %d", s.Makespan, maxStart)
+	}
+	return nil
+}
+
+// tightEdge is the edge walk Validate and ValidateComm share. It returns
+// the first edge (u,i)->(w,i), in direction then cell then successor
+// order, whose successor starts fewer than gap steps after its
+// predecessor: gap is 1, plus commDelay when the two cells sit on
+// different processors. tight is false when every edge has its gap.
+func (s *Schedule) tightEdge(commDelay int32) (i, u, w, gap int32, tight bool) {
+	inst := s.Inst
 	n := int32(inst.N())
 	for i, d := range inst.DAGs {
-		base := TaskID(int32(i) * n)
+		starts := s.Start[i*int(n):]
 		for u := int32(0); u < n; u++ {
-			su := s.Start[base+TaskID(u)]
+			su, pu := int64(starts[u]), s.Assign[u]
 			for _, w := range d.Out(u) {
-				if s.Start[base+TaskID(w)] <= su {
-					return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
-						i, u, su, w, s.Start[base+TaskID(w)])
+				gap := int32(1)
+				if commDelay > 0 && s.Assign[w] != pu {
+					gap += commDelay
+				}
+				if int64(starts[w]) < su+int64(gap) {
+					return int32(i), u, w, gap, true
 				}
 			}
 		}
 	}
-	// Processor exclusivity: no processor runs two tasks in one step.
-	type slot struct {
-		p int32
-		t int32
+	return 0, 0, 0, 0, false
+}
+
+// sortByStart returns the task ids 0..len(start)-1 in (start, id) order,
+// plus a second id array of the same length for the caller to scatter
+// into. Starts must lie in [0, bound]. The sort is a stable LSD radix
+// sort over the bits of bound, in the fewest passes whose digits stay
+// within 16 bits: a schedule of up to 65,536 steps — every practical one
+// — takes a single counting pass over a table no larger than twice its
+// step count, and one whose steps are spread far beyond its task count
+// takes at most four, over the two id arrays and a 65,536-entry table
+// whatever the start values are.
+func sortByStart[T int32 | int64](start []T, bound T) (ids, spare []TaskID) {
+	ids, spare = make([]TaskID, len(start)), make([]TaskID, len(start))
+	for t := range ids {
+		ids[t] = TaskID(t)
 	}
-	seen := make(map[slot]TaskID, len(s.Start))
-	for tid, st := range s.Start {
-		v, _ := inst.Split(TaskID(tid))
-		key := slot{s.Assign[v], st}
-		if prev, ok := seen[key]; ok {
-			return fmt.Errorf("sched: processor %d runs tasks %d and %d at step %d", key.p, prev, tid, st)
+	width := bits.Len64(uint64(max(bound, 0)))
+	passes := (width + 15) / 16
+	if passes == 0 {
+		return ids, spare
+	}
+	dbits := (width + passes - 1) / passes
+	mask := uint64(1)<<dbits - 1
+	counts := make([]int32, 1<<dbits)
+	for shift := 0; shift < width; shift += dbits {
+		clear(counts)
+		for _, st := range start {
+			counts[(uint64(st)>>shift)&mask]++
 		}
-		seen[key] = TaskID(tid)
+		var sum int32
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for _, t := range ids {
+			d := (uint64(start[t]) >> shift) & mask
+			spare[counts[d]] = t
+			counts[d]++
+		}
+		ids, spare = spare, ids
 	}
-	return nil
+	return ids, spare
+}
+
+// overlap is the one exclusivity check behind both schedule kinds: task t
+// occupies processor assign[t mod n] over [start[t], end(t)) — end is
+// start+1 for unit schedules, the finish time for weighted ones — and no
+// two intervals on a processor may intersect. start must cover
+// inst.NTasks() tasks with values in [0, bound], and assign be valid.
+//
+// The ids come from sortByStart in (start, id) order; one more stable
+// counting pass groups them by processor (m+1 offsets), and neighbours
+// within a processor's run are compared: O(nt + m) memory whatever the
+// start values are.
+//
+// When several pairs overlap, the one reported is the first neighbouring
+// pair in (start, id) order on the lowest-numbered processor that has
+// one: a deterministic function of the schedule.
+func overlap[T int32 | int64](inst *Instance, assign Assignment, start []T, bound T, end func(TaskID) int64) (p int32, a, b TaskID, found bool) {
+	byStart, ids := sortByStart(start, bound)
+	n := int32(inst.N())
+	off := make([]int32, inst.M+1)
+	for _, q := range assign {
+		off[q+1] += int32(inst.K())
+	}
+	for q := 0; q < inst.M; q++ {
+		off[q+1] += off[q]
+	}
+	for _, t := range byStart {
+		q := assign[int32(t)%n]
+		ids[off[q]] = t
+		off[q]++
+	}
+	// The scatter advanced off[q] to the end of q's run, the start of q+1's.
+	lo := int32(0)
+	for q := 0; q < inst.M; q++ {
+		run := ids[lo:off[q]]
+		lo = off[q]
+		for i := 1; i < len(run); i++ {
+			if int64(start[run[i]]) < end(run[i-1]) {
+				return int32(q), run[i-1], run[i], true
+			}
+		}
+	}
+	return 0, 0, 0, false
 }

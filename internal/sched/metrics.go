@@ -12,7 +12,11 @@ package sched
 // sums reduced in a fixed order make the totals identical for every worker
 // count.
 
-import "sweepsched/internal/par"
+import (
+	"slices"
+
+	"sweepsched/internal/par"
+)
 
 // C1 counts the edges ((u,i),(v,i)) over all direction DAGs whose endpoint
 // cells are assigned to different processors. It depends only on the
@@ -46,60 +50,48 @@ func C1(inst *Instance, assign Assignment, workers int) int64 {
 // model: after each timestep t, communication takes max over processors of
 // the number of edges from tasks finishing at t to tasks on other
 // processors. The sum over steps is the schedule's total communication
-// time.
+// time. Every task must be scheduled (Start >= 0); the steps are read
+// from Start alone, so a stale Makespan changes nothing.
 //
 // Steps are independent (the per-processor message counters reset between
-// steps), so contiguous step ranges are charged on up to workers
+// steps), so the tasks, ordered by start step, are cut at step boundaries
+// into ranges of about equal task count that are charged on up to workers
 // goroutines, each with private scratch, and the per-range partial totals
 // are summed in range order.
 func C2(s *Schedule, workers int) int64 {
 	inst := s.Inst
-	steps := s.Makespan
-	if steps == 0 {
+	nt := len(s.Start)
+	if nt == 0 {
 		return 0
 	}
-	// Group tasks by start step (serial prep; O(tasks)).
-	counts := make([]int32, steps+1)
-	for _, st := range s.Start {
-		counts[st+1]++
-	}
-	for i := 1; i <= steps; i++ {
-		counts[i] += counts[i-1]
-	}
-	order := make([]TaskID, len(s.Start))
-	cursor := make([]int32, steps)
-	for t, st := range s.Start {
-		order[counts[st]+cursor[st]] = TaskID(t)
-		cursor[st]++
-	}
+	order, _ := sortByStart(s.Start, slices.Max(s.Start))
 
-	// Charge step ranges in parallel. A few chunks per worker smooths out
-	// ranges whose steps carry uneven task counts.
-	w := par.Workers(workers)
-	chunks := w * 4
-	if chunks > steps {
-		chunks = steps
+	// A few chunks per worker smooths out ranges whose tasks carry uneven
+	// edge counts. cut[c] is where chunk c begins: its even share of the
+	// order, moved forward to the next step boundary.
+	chunks := min(par.Workers(workers)*4, nt)
+	cut := make([]int, chunks+1)
+	for c := 1; c < chunks; c++ {
+		i := max(c*nt/chunks, cut[c-1])
+		for i > 0 && i < nt && s.Start[order[i]] == s.Start[order[i-1]] {
+			i++
+		}
+		cut[c] = i
 	}
-	per := (steps + chunks - 1) / chunks
+	cut[chunks] = nt
 	partial := make([]int64, chunks)
 	_ = par.ForEach(chunks, workers, func(c int) error {
-		loStep := c * per
-		hiStep := loStep + per
-		if hiStep > steps {
-			hiStep = steps
-		}
 		// perStep[p] counts messages processor p sends after the current step.
 		perStep := make([]int32, inst.M)
 		var total int64
 		var touched []int32
-		for st := loStep; st < hiStep; st++ {
-			lo, hi := counts[st], counts[st+1]
-			if lo == hi {
-				continue
-			}
+		tasks := order[cut[c]:cut[c+1]]
+		for len(tasks) > 0 {
+			st := s.Start[tasks[0]]
 			maxMsgs := int32(0)
-			for _, t := range order[lo:hi] {
-				v, i := inst.Split(t)
+			for len(tasks) > 0 && s.Start[tasks[0]] == st {
+				v, i := inst.Split(tasks[0])
+				tasks = tasks[1:]
 				p := s.Assign[v]
 				d := inst.DAGs[i]
 				for _, w := range d.Out(v) {

@@ -160,8 +160,8 @@ type WeightedSchedule struct {
 
 // Validate checks weighted feasibility: durations under the model's
 // speeds, precedence with finish-to-start semantics plus the model's
-// hierarchical communication delays, and no overlapping intervals on a
-// processor.
+// hierarchical communication delays, no overlapping intervals on a
+// processor, and Makespan equal to the last finish time.
 func (s *WeightedSchedule) Validate() error {
 	inst := s.Inst
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
@@ -179,6 +179,7 @@ func (s *WeightedSchedule) Validate() error {
 			len(s.Start), nt, len(s.Finish), nt)
 	}
 	n := int32(inst.N())
+	var maxFinish int64
 	for t := 0; t < nt; t++ {
 		v, _ := inst.Split(TaskID(t))
 		if s.Start[t] < 0 {
@@ -189,6 +190,7 @@ func (s *WeightedSchedule) Validate() error {
 			return fmt.Errorf("sched: task %d duration wrong: [%d,%d) want %d",
 				t, s.Start[t], s.Finish[t], d)
 		}
+		maxFinish = max(maxFinish, s.Finish[t])
 	}
 	for i, d := range inst.DAGs {
 		base := TaskID(int32(i) * n)
@@ -203,26 +205,12 @@ func (s *WeightedSchedule) Validate() error {
 			}
 		}
 	}
-	// Per-processor intervals must not overlap: check via sorting by start.
-	perProc := make([][]TaskID, inst.M)
-	for t := 0; t < nt; t++ {
-		v, _ := inst.Split(TaskID(t))
-		p := s.Assign[v]
-		perProc[p] = append(perProc[p], TaskID(t))
+	// Per-processor intervals must not overlap (every start is below maxFinish).
+	if p, a, b, found := overlap(inst, s.Assign, s.Start, maxFinish, func(t TaskID) int64 { return s.Finish[t] }); found {
+		return fmt.Errorf("sched: processor %d overlap between tasks %d and %d", p, a, b)
 	}
-	for p, tasks := range perProc {
-		// Insertion sort by start (lists are built unsorted).
-		for i := 1; i < len(tasks); i++ {
-			for j := i; j > 0 && s.Start[tasks[j]] < s.Start[tasks[j-1]]; j-- {
-				tasks[j], tasks[j-1] = tasks[j-1], tasks[j]
-			}
-		}
-		for i := 1; i < len(tasks); i++ {
-			if s.Start[tasks[i]] < s.Finish[tasks[i-1]] {
-				return fmt.Errorf("sched: processor %d overlap between tasks %d and %d",
-					p, tasks[i-1], tasks[i])
-			}
-		}
+	if s.Makespan != maxFinish {
+		return fmt.Errorf("sched: weighted makespan %d inconsistent with max finish %d", s.Makespan, maxFinish)
 	}
 	return nil
 }

@@ -76,18 +76,14 @@ func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 			}
 		}
 	}
-	// Processor exclusivity among surviving tasks.
-	type slot struct{ p, step int32 }
-	seen := make(map[slot]int, nt)
-	for t := 0; t < nt; t++ {
-		if isDone(t) {
-			continue
-		}
-		key := slot{s.Assign[int32(t)%n], s.Start[t]}
-		if prev, ok := seen[key]; ok {
-			return fmt.Errorf("verify: processor %d runs tasks %d and %d at residual step %d", key.p, prev, t, key.step)
-		}
-		seen[key] = t
+	// Processor exclusivity among surviving tasks (done tasks carry
+	// start -1, which doubleBooked skips).
+	proc := make([]int32, nt)
+	for t := range proc {
+		proc[t] = s.Assign[int32(t)%n]
+	}
+	if p, a, b, step, found := doubleBooked(inst.M, proc, s.Start); found {
+		return fmt.Errorf("verify: processor %d runs tasks %d and %d at residual step %d", p, a, b, step)
 	}
 	return nil
 }

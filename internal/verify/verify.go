@@ -6,16 +6,19 @@
 // oracle in oracle.go, to pin the optimized kernels bitwise to the
 // pre-optimization reference implementations in internal/sched/refimpl.
 //
-// The auditor deliberately shares no queue, sort, calendar or counting
-// code with the hot path: checks are written in the most direct serial
-// form (maps, nested loops) so a bug in the optimized kernels cannot
-// hide in shared helpers. Verification is O(tasks + edges) per schedule
-// and allocates freely — it runs only when asked for.
+// The auditor deliberately shares no code with internal/sched: no queue,
+// sort, calendar, grouping or counting helper of the hot path is called
+// here, and every check is written out in direct serial form over slices
+// local to this package, so a bug in the optimized kernels or in the
+// production validators cannot hide in a shared helper. Verification is
+// O(tasks·log + edges) in time and O(tasks + m) in memory per schedule,
+// whatever the start values are.
 package verify
 
 import (
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 
 	dagrefimpl "sweepsched/internal/dag/refimpl"
@@ -177,14 +180,8 @@ func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
 		}
 	}
 	// Processor exclusivity: <= 1 task per processor per step.
-	type slot struct{ p, step int32 }
-	seen := make(map[slot]int, nt)
-	for t := 0; t < nt; t++ {
-		key := slot{proc[t], start[t]}
-		if prev, ok := seen[key]; ok {
-			return fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", key.p, prev, t, key.step)
-		}
-		seen[key] = t
+	if p, a, b, step, found := doubleBooked(inst.M, proc, start); found {
+		return fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", p, a, b, step)
 	}
 	if opts.AnglesetRelease != nil && opts.Anglesets == nil {
 		return fmt.Errorf("verify: AnglesetRelease given without Anglesets")
@@ -195,6 +192,50 @@ func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
 		}
 	}
 	return nil
+}
+
+// doubleBooked looks for a processor that runs two tasks in one step,
+// ignoring tasks with a negative start (the done tasks of a residual
+// schedule). Each processor's start steps are collected and sorted, and
+// a step that then appears twice in a row is a conflict: one int per
+// task, however far apart the steps are. When there are several
+// conflicts the one reported is the lowest doubly-used step of the
+// lowest-numbered processor, with the two lowest-numbered tasks in that
+// slot.
+func doubleBooked(m int, proc, start []int32) (p, a, b int, step int32, found bool) {
+	load := make([]int, m) // tasks per processor, to size its slice exactly
+	for _, q := range proc {
+		load[q]++
+	}
+	steps := make([][]int, m)
+	for t, q := range proc {
+		if start[t] < 0 {
+			continue
+		}
+		if steps[q] == nil {
+			steps[q] = make([]int, 0, load[q])
+		}
+		steps[q] = append(steps[q], int(start[t]))
+	}
+	for q, mine := range steps {
+		sort.Ints(mine)
+		for i := 1; i < len(mine); i++ {
+			if mine[i] != mine[i-1] {
+				continue
+			}
+			a = -1
+			for t := range proc {
+				if int(proc[t]) != q || int(start[t]) != mine[i] {
+					continue
+				}
+				if a >= 0 {
+					return q, a, t, start[t], true
+				}
+				a = t
+			}
+		}
+	}
+	return 0, 0, 0, 0, false
 }
 
 // anglesetAudit is the aggregated-schedule audit: an independent
@@ -300,34 +341,48 @@ func C1Ref(inst *sched.Instance, assign sched.Assignment) int64 {
 // (documented in DESIGN.md §5 and matched by internal/simulate): after
 // every step, each processor sends one message per cross-processor edge
 // out of its tasks finishing that step, and the step is charged the
-// maximum over processors. Written with maps and per-step scans,
+// maximum over processors. Steps at or beyond s.Makespan, and tasks with
+// a negative start, are not charged. Written as one sort of (step, task)
+// pairs and a per-step scan with one counter per processor,
 // sharing nothing with the chunked parallel production counter
 // (sched.C2).
 func C2Ref(s *sched.Schedule) int64 {
 	inst := s.Inst
-	byStep := make(map[int32][]sched.TaskID)
+	type stepTask struct{ step, task int32 }
+	byStep := make([]stepTask, 0, len(s.Start))
 	for t, st := range s.Start {
-		byStep[st] = append(byStep[st], sched.TaskID(t))
+		if st >= 0 && int(st) < s.Makespan {
+			byStep = append(byStep, stepTask{st, int32(t)})
+		}
 	}
+	sort.Slice(byStep, func(a, b int) bool { return byStep[a].step < byStep[b].step })
+	sends := make([]int64, inst.M) // messages each processor sends after the current step
+	var senders []int32            // the processors with sends[p] > 0, to reset them
 	var total int64
-	for st := int32(0); st < int32(s.Makespan); st++ {
-		sends := make(map[int32]int64)
-		for _, t := range byStep[st] {
-			v, i := inst.Split(t)
+	for lo := 0; lo < len(byStep); {
+		step := byStep[lo].step
+		var max int64
+		for ; lo < len(byStep) && byStep[lo].step == step; lo++ {
+			v, i := inst.Split(sched.TaskID(byStep[lo].task))
 			p := s.Assign[v]
 			for _, w := range inst.DAGs[i].Out(v) {
-				if s.Assign[w] != p {
-					sends[p]++
+				if s.Assign[w] == p {
+					continue
+				}
+				if sends[p] == 0 {
+					senders = append(senders, p)
+				}
+				sends[p]++
+				if sends[p] > max {
+					max = sends[p]
 				}
 			}
 		}
-		var max int64
-		for _, c := range sends {
-			if c > max {
-				max = c
-			}
-		}
 		total += max
+		for _, p := range senders {
+			sends[p] = 0
+		}
+		senders = senders[:0]
 	}
 	return total
 }

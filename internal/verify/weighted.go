@@ -15,7 +15,7 @@ import (
 // interval exclusivity, and a recomputed makespan. Like Schedule, it
 // deliberately shares no heap, event queue or interval code with the
 // engine — durations, delays and overlaps are recomputed here from first
-// principles, with maps, sort.Slice and free allocation.
+// principles, over slices local to this function.
 func Weighted(inst *sched.Instance, s *sched.WeightedSchedule) error {
 	n, m, nt := inst.N(), inst.M, inst.NTasks()
 	if len(s.Assign) != n {
@@ -117,15 +117,30 @@ func Weighted(inst *sched.Instance, s *sched.WeightedSchedule) error {
 		}
 	}
 
-	// Exclusivity: per-processor intervals must not overlap.
-	perProc := make(map[int32][]int)
+	// Exclusivity: per-processor intervals must not overlap. Each
+	// processor's tasks are sorted by (start, id) and neighbouring
+	// intervals compared; with several overlaps the first one on the
+	// lowest-numbered processor is reported.
+	cells := make([]int, m) // cells per processor, to size its task slice exactly
+	for _, p := range s.Assign {
+		cells[p]++
+	}
+	perProc := make([][]int, m)
 	for t := 0; t < nt; t++ {
-		v, _ := inst.Split(sched.TaskID(t))
-		p := s.Assign[v]
+		p := s.Assign[t%n]
+		if perProc[p] == nil {
+			perProc[p] = make([]int, 0, cells[p]*inst.K())
+		}
 		perProc[p] = append(perProc[p], t)
 	}
 	for p, tasks := range perProc {
-		sort.Slice(tasks, func(a, b int) bool { return s.Start[tasks[a]] < s.Start[tasks[b]] })
+		sort.Slice(tasks, func(a, b int) bool {
+			ta, tb := tasks[a], tasks[b]
+			if s.Start[ta] != s.Start[tb] {
+				return s.Start[ta] < s.Start[tb]
+			}
+			return ta < tb
+		})
 		for i := 1; i < len(tasks); i++ {
 			if s.Start[tasks[i]] < s.Finish[tasks[i-1]] {
 				return fmt.Errorf("verify: processor %d runs weighted tasks %d and %d concurrently ([%d,%d) vs [%d,%d))",
