@@ -5,11 +5,15 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
 
+	"sweepsched/internal/mesh"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/verify"
 )
 
 // TestPlanPathStagesAndCancellation: the three scheduling entry points
@@ -110,5 +114,90 @@ func TestScheduleCommDelayRange(t *testing.T) {
 	}
 	if res.Metrics.Makespan != p1.Tasks() {
 		t.Fatalf("single-processor makespan %d, want %d", res.Metrics.Makespan, p1.Tasks())
+	}
+}
+
+// kuhnProblem is the shape the kernel and validator benchmarks use:
+// KuhnBox 8³, k=24, m=32 (73,728 tasks).
+func kuhnProblem(t testing.TB) *Problem {
+	t.Helper()
+	p, err := NewProblemFromMesh(mesh.KuhnBox(mesh.BoxSpec{NX: 8, NY: 8, NZ: 8, Jitter: 0.15, Seed: 1}), 24, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// warmPlans are the plans a trial loop repeats on one family: each reads
+// DAG facts, kernel scratch and sort scratch that the plan before it left
+// behind.
+var warmPlans = []struct {
+	name string
+	plan func(p *Problem, seed uint64) (*Result, error)
+}{
+	{"descendant_delays", func(p *Problem, seed uint64) (*Result, error) {
+		return p.Schedule(DescendantDelays, ScheduleOptions{Seed: seed})
+	}},
+	{"dfds_comm", func(p *Problem, seed uint64) (*Result, error) {
+		return p.ScheduleComm(DFDSDelays, ScheduleOptions{Seed: seed}, 4)
+	}},
+	{"rdp", func(p *Problem, seed uint64) (*Result, error) {
+		return p.Schedule(RandomDelaysPriority, ScheduleOptions{Seed: seed})
+	}},
+}
+
+// TestWarmPlanAllocatesItsResult: after one priming plan, a plan
+// allocates what its Result returns — the start steps and the assignment
+// — and no other per-task array: not the descendant bitsets or b-levels
+// (facts of the DAGs since the priming plan), not Validate's and C2's
+// sort scratch (pooled).
+func TestWarmPlanAllocatesItsResult(t *testing.T) {
+	if raceEnabled || verify.ForcedByEnv() {
+		t.Skip("the race detector empties sync.Pools at random and a forced audit allocates its own arrays")
+	}
+	// A collection between the priming plan and the measured one would
+	// empty the pools the bound relies on, and a pool keeps what one P put
+	// back where another P cannot take it (as testing.AllocsPerRun, which
+	// counts on one P for the same reason).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := kuhnProblem(t)
+	for _, tc := range warmPlans {
+		if _, err := tc.plan(p, 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := tc.plan(p, 2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		budget := uint64(4*len(res.Schedule.Start) + 4*len(res.Schedule.Assign) + 64<<10)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%s: a warm plan allocated %d bytes, budget %d (its result plus 64 KiB)", tc.name, got, budget)
+		}
+	}
+}
+
+// BenchmarkPlanWarm times those plans end to end — assignment, priorities,
+// kernel, Validate, metrics — on the primed Problem. Run with -benchmem:
+// bytes/op is what a whole warm plan allocates, the Result's 307,200 bytes
+// at this size plus the small change.
+func BenchmarkPlanWarm(b *testing.B) {
+	p := kuhnProblem(b)
+	for _, tc := range warmPlans {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, err := tc.plan(p, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.plan(p, uint64(i+2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

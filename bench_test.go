@@ -161,8 +161,10 @@ func BenchmarkTransportSolve(b *testing.B) {
 }
 
 // BenchmarkSchedule sweeps the Workers knob over a k=24-direction instance
-// for the scheduler whose priority stage dominates (descendant counting);
-// workers=1 is the serial baseline the parallel rows are compared against.
+// for the descendant scheduler (its counts are built by the first plan and
+// copied by the rest, so the fan-out that is left is the per-direction copy
+// and the metrics); workers=1 is the serial baseline the parallel rows are
+// compared against.
 // The schedule is bit-identical across rows (see TestTraceDeterminism);
 // only wall-clock changes.
 func BenchmarkSchedule(b *testing.B) {

@@ -57,6 +57,9 @@ echo "== feasibility tail bench smoke (allocation-counted) =="
 # Validate, ValidateComm and the verify audit run after every plan; their
 # bytes/op is the garbage one plan's check leaves behind.
 go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -benchmem -benchtime 1x ./internal/sched ./internal/verify
+# The priority fillers on a family's first plan and on every later one,
+# and whole warm plans: bytes/op there is the Result and little else.
+go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
 
 echo "== service: sweepschedd daemon suite under -race + loadtest smoke =="
 # The HTTP service's integration tests (cache tiers, coalescing,

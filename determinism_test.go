@@ -11,29 +11,37 @@ package sweepsched_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"sweepsched"
 )
 
-// detProblems builds the instances the determinism suite runs on: two mesh
-// families plus one non-geometric instance, as small as they can be while
-// still exercising block partitioning and every scheduler.
-func detProblems(t *testing.T) map[string]*sweepsched.Problem {
-	t.Helper()
-	probs := map[string]*sweepsched.Problem{}
+// detProblems returns builders for the instances the determinism suite
+// runs on: two mesh families plus one non-geometric instance, as small as
+// they can be while still exercising block partitioning and every
+// scheduler. A builder makes a fresh Problem each call — one whose DAGs
+// have not been planned on yet.
+func detProblems() map[string]func(t *testing.T) *sweepsched.Problem {
+	probs := map[string]func(t *testing.T) *sweepsched.Problem{}
 	for _, fam := range []string{"tetonly", "long"} {
-		p, err := sweepsched.NewProblemFromFamily(fam, 0.01, 8, 8, 42)
-		if err != nil {
-			t.Fatalf("%s: %v", fam, err)
+		probs[fam] = func(t *testing.T) *sweepsched.Problem {
+			t.Helper()
+			p, err := sweepsched.NewProblemFromFamily(fam, 0.01, 8, 8, 42)
+			if err != nil {
+				t.Fatalf("%s: %v", fam, err)
+			}
+			return p
 		}
-		probs[fam] = p
 	}
-	ng, err := sweepsched.NewProblemNonGeometric(sweepsched.LayeredRandom, 200, 8, 8, 42)
-	if err != nil {
-		t.Fatal(err)
+	probs["layered_random"] = func(t *testing.T) *sweepsched.Problem {
+		t.Helper()
+		ng, err := sweepsched.NewProblemNonGeometric(sweepsched.LayeredRandom, 200, 8, 8, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ng
 	}
-	probs["layered_random"] = ng
 	return probs
 }
 
@@ -54,9 +62,12 @@ func traceBytes(t *testing.T, p *sweepsched.Problem, alg sweepsched.Scheduler, o
 // TestTraceDeterminismAcrossWorkers is the determinism regression test: for
 // every scheduler, same seed at Workers=1 and Workers=8 must produce
 // byte-identical traces, on two mesh families and one non-geometric
-// instance, under per-cell and (for meshes) block assignment.
+// instance, under per-cell and (for meshes) block assignment. The two
+// plans run back to back on a fresh Problem, so the first is also the one
+// that builds whatever DAG facts the scheduler reads and the second the
+// one that finds them there: first-use and warm output are pinned equal.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
-	for name, p := range detProblems(t) {
+	for name, build := range detProblems() {
 		blockSizes := []int{1}
 		if name != "layered_random" {
 			blockSizes = append(blockSizes, 16)
@@ -64,6 +75,7 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 		for _, bs := range blockSizes {
 			for _, alg := range sweepsched.Schedulers() {
 				t.Run(fmt.Sprintf("%s/block=%d/%s", name, bs, alg), func(t *testing.T) {
+					p := build(t)
 					serial := traceBytes(t, p, alg, sweepsched.ScheduleOptions{BlockSize: bs, Seed: 7, Workers: 1})
 					parallel := traceBytes(t, p, alg, sweepsched.ScheduleOptions{BlockSize: bs, Seed: 7, Workers: 8})
 					if !bytes.Equal(serial, parallel) {
@@ -103,4 +115,55 @@ func TestMetricsDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: metrics %+v differ from serial %+v", workers, res.Metrics, ref.Metrics)
 		}
 	}
+}
+
+// TestSharedProblemPlansConcurrently: the DAG facts behind the descendant
+// and DFDS priorities are built by whichever plan reads them first. Eight
+// goroutines start planning on one Problem nobody has planned on yet —
+// descendant_delays, dfds and the angleset-aggregated form, so every fact
+// is raced for — and each plan must encode the schedule a serial run on a
+// Problem of its own does. Run under -race.
+func TestSharedProblemPlansConcurrently(t *testing.T) {
+	build := detProblems()["tetonly"]
+	plans := []struct {
+		alg  sweepsched.Scheduler
+		opts sweepsched.ScheduleOptions
+	}{
+		{sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 7, BlockSize: 16}},
+		{sweepsched.DFDS, sweepsched.ScheduleOptions{Seed: 7, BlockSize: 16}},
+		{sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 7, BlockSize: 16, Anglesets: 4}},
+	}
+	serial := build(t)
+	want := make([][]byte, len(plans))
+	for i, pl := range plans {
+		want[i] = traceBytes(t, serial, pl.alg, pl.opts)
+	}
+
+	shared := build(t)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range plans {
+				i := (g + j) % len(plans) // spread the first uses over the plans
+				res, err := shared.Schedule(plans[i].alg, plans[i].opts)
+				if err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, plans[i].alg, err)
+					return
+				}
+				var buf bytes.Buffer
+				if err := sweepsched.EncodeTrace(&buf, res); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Errorf("goroutine %d, %s (anglesets %d): schedule differs from the serial run's",
+						g, plans[i].alg, plans[i].opts.Anglesets)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -148,6 +148,7 @@ func (b *Builder) BuildInto(dst *DAG, skel *Skeleton, dir geom.Vec3) {
 	dst.N = n
 	dst.RemovedEdges = 0
 	dst.NumLevels = 0
+	dst.memo = facts{} // whatever was derived from the previous graph
 	b.buildCSR(dst, n)
 	b.buildInCSR(dst, n)
 

@@ -12,6 +12,7 @@ package dag
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"sweepsched/internal/geom"
 	"sweepsched/internal/mesh"
@@ -35,6 +36,33 @@ type DAG struct {
 
 	// RemovedEdges counts edges dropped to break cycles.
 	RemovedEdges int
+
+	memo facts
+}
+
+// facts are the quantities every priority computation starts from that
+// depend on the graph alone — not on the seed, the assignment or the
+// machine: the level-order permutation, the b-levels and the descendant
+// counts. Each is built on first use (concurrent first readers share one
+// build), read-only from then on, and dropped when Builder.BuildInto
+// recycles the DAG, so a family that is planned many times pays for them
+// once.
+type facts struct {
+	order   lazy[[]int32]
+	blevels lazy[[]int32]
+	exact   lazy[[]int32]
+	approx  lazy[[]int64]
+}
+
+// lazy is one build-once value.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (l *lazy[T]) get(build func() T) T {
+	l.once.Do(func() { l.v = build() })
+	return l.v
 }
 
 // Out returns v's successors. The slice aliases internal storage.
@@ -225,7 +253,10 @@ func (d *DAG) computeLevels() {
 }
 
 // TopoOrder returns the cells in a topological order (by level, then id).
-func (d *DAG) TopoOrder() []int32 {
+// The slice is shared by every caller and must not be modified.
+func (d *DAG) TopoOrder() []int32 { return d.memo.order.get(d.levelOrder) }
+
+func (d *DAG) levelOrder() []int32 {
 	order := make([]int32, d.N)
 	// Counting sort by level.
 	counts := make([]int32, d.NumLevels+2)
@@ -256,8 +287,11 @@ func (d *DAG) LevelSets() [][]int32 {
 
 // BLevels returns, for every cell, the number of nodes on the longest path
 // from it to a sink (so sinks have b-level 1). This is the bottom-up level
-// numbering used by Pautz's DFDS priorities.
-func (d *DAG) BLevels() []int32 {
+// numbering used by Pautz's DFDS priorities. The slice is shared by every
+// caller and must not be modified.
+func (d *DAG) BLevels() []int32 { return d.memo.blevels.get(d.bottomLevels) }
+
+func (d *DAG) bottomLevels() []int32 {
 	b := make([]int32, d.N)
 	order := d.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
@@ -273,31 +307,66 @@ func (d *DAG) BLevels() []int32 {
 	return b
 }
 
+// reachScratch is the transient state of one exact descendant count: the
+// inverse of the level order and the reachability bitsets. It is pooled
+// because a family's directions are counted in parallel, one matrix each.
+type reachScratch struct {
+	pos   []int32
+	reach []uint64
+}
+
+var reachPool = sync.Pool{New: func() any { return new(reachScratch) }}
+
 // DescendantsExact returns, for every cell, the exact number of distinct
 // descendants (reachability-set size, excluding the cell itself), computed
-// with packed bitsets in reverse topological order. Memory is O(N²/64)
-// words; intended for small/medium meshes and for validating the proxy.
-func (d *DAG) DescendantsExact() []int32 {
+// with packed bitsets in reverse topological order. The bitsets are indexed
+// by level-order position: a descendant always sits later in the order, so
+// the row of the cell at position i starts at word i/64 and the matrix is
+// a triangle of about N²/128 words. Intended for small/medium meshes and
+// for validating the proxy. The slice is shared by every caller and must
+// not be modified.
+func (d *DAG) DescendantsExact() []int32 { return d.memo.exact.get(d.countDescendants) }
+
+func (d *DAG) countDescendants() []int32 {
 	n := d.N
-	words := (n + 63) / 64
-	bits := make([]uint64, n*words)
-	counts := make([]int32, n)
 	order := d.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
+	words := (n + 63) / 64
+	// rowStart(i) = Σ_{j<i} (words − j/64): 64 rows of each length.
+	rowStart := func(i int) int {
+		q, r := i>>6, i&63
+		return 64*(q*words-q*(q-1)/2) + r*(words-q)
+	}
+	sc := reachPool.Get().(*reachScratch)
+	defer reachPool.Put(sc)
+	sc.pos = growInt32(sc.pos, n)
+	if total := rowStart(n); cap(sc.reach) < total {
+		sc.reach = make([]uint64, total)
+	} else {
+		sc.reach = sc.reach[:total]
+		clear(sc.reach)
+	}
+	pos, reach := sc.pos, sc.reach
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	counts := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		row := bits[int(v)*words : (int(v)+1)*words]
+		q := i >> 6
+		row := reach[rowStart(i):][:words-q]
 		for _, w := range d.Out(v) {
-			row[int(w)/64] |= 1 << (uint(w) % 64)
-			wrow := bits[int(w)*words : (int(w)+1)*words]
-			for k := range row {
-				row[k] |= wrow[k]
+			j := int(pos[w])
+			tail := row[j>>6-q:]
+			tail[0] |= 1 << (j & 63)
+			for k, x := range reach[rowStart(j):][:len(tail)] {
+				tail[k] |= x
 			}
 		}
-		c := int32(0)
-		for _, word := range row {
-			c += int32(popcount(word))
+		c := 0
+		for _, x := range row {
+			c += bits.OnesCount64(x)
 		}
-		counts[v] = c
+		counts[v] = int32(c)
 	}
 	return counts
 }
@@ -306,8 +375,11 @@ func (d *DAG) DescendantsExact() []int32 {
 // desc(v) = Σ_{w ∈ out(v)} (1 + desc(w)), which counts descendants with
 // path multiplicity. It overestimates on shared substructure but preserves
 // the ordering used by descendant-priority scheduling on mesh DAGs, and
-// runs in O(N + E). Values are saturated at MaxApproxDescendants.
-func (d *DAG) DescendantsApprox() []int64 {
+// runs in O(N + E). Values are saturated at MaxApproxDescendants. The
+// slice is shared by every caller and must not be modified.
+func (d *DAG) DescendantsApprox() []int64 { return d.memo.approx.get(d.countPaths) }
+
+func (d *DAG) countPaths() []int64 {
 	counts := make([]int64, d.N)
 	order := d.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
@@ -492,5 +564,3 @@ func MaxLevels(dags []*DAG) int {
 	}
 	return d
 }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }

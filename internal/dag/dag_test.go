@@ -2,12 +2,15 @@ package dag
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sweepsched/internal/geom"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
+	"sweepsched/internal/rng"
 )
 
 func hex3() *mesh.Mesh { return mesh.RegularHex(3, 3, 3) }
@@ -229,6 +232,137 @@ func TestDescendantsExactSinksAndSources(t *testing.T) {
 	}
 	if desc[26] != 0 {
 		t.Fatalf("sink descendants = %d, want 0", desc[26])
+	}
+}
+
+// descendantsExactRef is DescendantsExact as it stood when every row was a
+// full N-bit set indexed by cell id: the reference the position-indexed
+// triangle is compared with.
+func descendantsExactRef(d *DAG) []int32 {
+	n := d.N
+	words := (n + 63) / 64
+	bits := make([]uint64, n*words)
+	counts := make([]int32, n)
+	order := d.TopoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		row := bits[int(v)*words : (int(v)+1)*words]
+		for _, w := range d.Out(v) {
+			row[int(w)/64] |= 1 << (uint(w) % 64)
+			wrow := bits[int(w)*words : (int(w)+1)*words]
+			for k := range row {
+				row[k] |= wrow[k]
+			}
+		}
+		c := int32(0)
+		for _, word := range row {
+			c += int32(popcount(word))
+		}
+		counts[v] = c
+	}
+	return counts
+}
+
+func popcount(x uint64) int { return bits.OnesCount64(x) }
+
+// randomDAG draws n cells and about density·n random edges; FromEdges
+// breaks whatever cycles they close.
+func randomDAG(t testing.TB, seed uint64) *DAG {
+	t.Helper()
+	r := rng.New(seed)
+	n := 1 + r.Intn(300)
+	edges := make([][2]int32, 0, 4*n)
+	for e := r.Intn(4*n + 1); e > 0; e-- {
+		if a, b := int32(r.Intn(n)), int32(r.Intn(n)); a != b {
+			edges = append(edges, [2]int32{a, b})
+		}
+	}
+	d, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDescendantsExactMatchesReference: 200 seeded random DAGs (cell
+// counts on both sides of every 64-bit word boundary up to 300) and every
+// direction of the four mesh families at scale 0.02.
+func TestDescendantsExactMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		d := randomDAG(t, seed)
+		if got, want := d.DescendantsExact(), descendantsExactRef(d); !slices.Equal(got, want) {
+			t.Fatalf("seed %d (n=%d): counts %v, reference %v", seed, d.N, got, want)
+		}
+	}
+	dirs, err := quadrature.Octant(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range mesh.FamilyNames() {
+		m, err := mesh.Family(fam, 0.02, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range BuildAll(m, dirs) {
+			if got, want := d.DescendantsExact(), descendantsExactRef(d); !slices.Equal(got, want) {
+				t.Fatalf("%s direction %d: exact descendant counts differ from the reference", fam, i)
+			}
+		}
+	}
+}
+
+// sameFacts requires every memoized fact of got to equal a freshly built
+// DAG's.
+func sameFacts(t *testing.T, tag string, got, fresh *DAG) {
+	t.Helper()
+	if !slices.Equal(got.TopoOrder(), fresh.TopoOrder()) {
+		t.Fatalf("%s: stale level order", tag)
+	}
+	if !slices.Equal(got.BLevels(), fresh.BLevels()) {
+		t.Fatalf("%s: stale b-levels", tag)
+	}
+	if !slices.Equal(got.DescendantsExact(), fresh.DescendantsExact()) {
+		t.Fatalf("%s: stale exact descendant counts", tag)
+	}
+	if !slices.Equal(got.DescendantsApprox(), fresh.DescendantsApprox()) {
+		t.Fatalf("%s: stale approximate descendant counts", tag)
+	}
+}
+
+// TestRecycledDAGForgetsItsFacts: the facts read from a DAG belong to the
+// graph it held then. Rebuilding the same *DAG for another direction — one
+// DAG through BuildInto, a whole family through BuildAllInto — must leave
+// every fact equal to a fresh build's.
+func TestRecycledDAGForgetsItsFacts(t *testing.T) {
+	m := mesh.KuhnBox(mesh.BoxSpec{NX: 4, NY: 3, NZ: 3, Jitter: 0.15, Seed: 8})
+	skel := NewSkeleton(m)
+	dirA := geom.Vec3{X: 1, Y: 0.2, Z: 0.1}.Normalize()
+	dirB := geom.Vec3{X: -0.3, Y: -1, Z: 0.4}.Normalize()
+
+	b := NewBuilder()
+	d := &DAG{}
+	b.BuildInto(d, skel, dirA)
+	sameFacts(t, "first build", d, Build(m, dirA))
+	b.BuildInto(d, skel, dirB)
+	sameFacts(t, "rebuilt for another direction", d, Build(m, dirB))
+
+	dirs, err := quadrature.Octant(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := make([]geom.Vec3, len(dirs))
+	for i, v := range dirs {
+		flipped[i] = geom.Vec3{X: -v.Y, Y: v.Z, Z: -v.X}
+	}
+	fam := NewFamily(m)
+	for _, g := range fam.BuildAll(dirs, 2) {
+		g.TopoOrder()
+		g.BLevels()
+		g.DescendantsExact()
+		g.DescendantsApprox()
+	}
+	for i, g := range fam.BuildAll(flipped, 2) {
+		sameFacts(t, fmt.Sprintf("recycled family direction %d", i), g, Build(m, flipped[i]))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sweepsched/internal/core"
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/lb"
 	"sweepsched/internal/partition"
@@ -101,6 +102,7 @@ func Weighted(cfg Config) error {
 				return sched.Assignment(part), nil
 			}},
 		}
+		ws := sched.NewWorkspace() // one per m: the shape changes with it
 		for _, ac := range cases {
 			rr := rng.New(cfg.Seed ^ 0x123 ^ uint64(m))
 			assign, err := ac.gen(rr)
@@ -109,13 +111,29 @@ func Weighted(cfg Config) error {
 			}
 			row := []interface{}{m, ac.name}
 			strong := make([]interface{}, 0, 3)
-			for _, name := range []heuristics.Name{heuristics.Level, heuristics.RandomDelaysPriority, heuristics.DFDS} {
-				prio, err := weightedPriorityFor(name, inst, assign, rng.New(cfg.Seed^0x321), cfg.Workers)
+			// The level, rdp and dfds columns: base priorities as the API
+			// derives them, rdp's delays folded in as in Algorithm 2.
+			for _, col := range []struct {
+				base   heuristics.Name
+				delays bool
+			}{{heuristics.Level, false}, {heuristics.Level, true}, {heuristics.DFDS, false}} {
+				prio, _, err := heuristics.Inputs(ws, col.base, inst, assign, nil, nil, cfg.Workers)
 				if err != nil {
 					return err
 				}
-				s, err := sched.ListScheduleMachine(inst, assign, prio, weights, model)
-				if err != nil {
+				if col.delays {
+					// Drawn in sequence from one stream, as this table always
+					// has (results_scale0.1.txt), not from core.Delays'
+					// per-direction substreams.
+					r := rng.New(cfg.Seed ^ 0x321)
+					delays := make([]int32, inst.K())
+					for i := range delays {
+						delays[i] = int32(r.Intn(inst.K()))
+					}
+					core.DelayPrioritiesInto(prio, inst.N(), delays)
+				}
+				s := &sched.WeightedSchedule{}
+				if err := sched.ListScheduleWeightedInto(ws, s, inst, assign, prio, weights, model); err != nil {
 					return err
 				}
 				if cfg.auditTrial(trial) {
@@ -136,28 +154,4 @@ func Weighted(cfg Config) error {
 		}
 	}
 	return cfg.render(tbl)
-}
-
-// weightedPriorityFor maps scheduler names onto priority vectors for the
-// weighted engine (the random-delay variants fold delays into priorities,
-// as in Algorithm 2).
-func weightedPriorityFor(name heuristics.Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (sched.Priorities, error) {
-	switch name {
-	case heuristics.Level:
-		return heuristics.LevelPriorities(inst, workers), nil
-	case heuristics.RandomDelaysPriority:
-		prio := heuristics.LevelPriorities(inst, workers)
-		n := int32(inst.N())
-		for i := 0; i < inst.K(); i++ {
-			delay := int64(r.Intn(inst.K()))
-			base := int32(i) * n
-			for v := int32(0); v < n; v++ {
-				prio[base+v] += delay
-			}
-		}
-		return prio, nil
-	case heuristics.DFDS:
-		return heuristics.DFDSPriorities(inst, assign, workers), nil
-	}
-	return nil, fmt.Errorf("experiments: no weighted priority mapping for %s", name)
 }

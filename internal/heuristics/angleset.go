@@ -25,8 +25,7 @@ func LevelAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, gr
 
 // DescendantAnglesetPrioritiesInto fills aggregate descendant
 // priorities: angleset a's segment holds the (negated) descendant
-// counts of its representative DAG — the expensive per-direction
-// computation of the lineup, now paid once per angleset.
+// counts of its representative DAG.
 func DescendantAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, groups [][]int32, workers int) {
 	fillSegments(prio, inst, nil, groups, workers, descendantFill)
 }

@@ -16,6 +16,12 @@
 // [i·n, (i+1)·n), so the result is byte-identical for every worker count.
 // All randomness is drawn before the fan-out, from per-direction substreams
 // (see core.Delays), never inside a parallel region.
+//
+// What a priority starts from that depends on the DAG alone — the level
+// order, b-levels and descendant counts — is a fact of the dag.DAG, built
+// on its first use and shared by every later plan of the family: a fill
+// here reads those and writes its n-entry segment, with no scratch of its
+// own.
 package heuristics
 
 import (
@@ -81,8 +87,9 @@ const ExactDescendantThreshold = 20000
 
 // DescendantPriorities returns the Plimpton-style priorities: the number of
 // descendants of (v,i) in G_i, negated so that the smallest-first list
-// scheduler runs high-descendant tasks first — the most expensive
-// priority computation in the lineup.
+// scheduler runs high-descendant tasks first. The counts are the most
+// expensive numbers in the lineup to compute, once per DAG; every later
+// call copies them.
 func DescendantPriorities(inst *sched.Instance, workers int) sched.Priorities {
 	prio := make(sched.Priorities, inst.NTasks())
 	DescendantPrioritiesInto(prio, inst, workers)
@@ -90,8 +97,7 @@ func DescendantPriorities(inst *sched.Instance, workers int) sched.Priorities {
 }
 
 // DescendantPrioritiesInto fills a caller-provided priority slice (len =
-// NTasks) instead of allocating one. Per-direction descendant scratch is
-// still allocated inside the parallel region (it is per-goroutine).
+// NTasks) instead of allocating one.
 func DescendantPrioritiesInto(prio sched.Priorities, inst *sched.Instance, workers int) {
 	fillSegments(prio, inst, nil, nil, workers, descendantFill)
 }
@@ -127,8 +133,7 @@ func DFDSPriorities(inst *sched.Instance, assign sched.Assignment, workers int) 
 }
 
 // DFDSPrioritiesInto fills a caller-provided priority slice (len =
-// NTasks) instead of allocating one. Per-direction b-level and raw
-// scratch is still allocated inside the parallel region (per-goroutine).
+// NTasks) instead of allocating one.
 func DFDSPrioritiesInto(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, workers int) {
 	fillSegments(prio, inst, assign, nil, workers, dfdsFill)
 }
@@ -136,42 +141,30 @@ func DFDSPrioritiesInto(prio sched.Priorities, inst *sched.Instance, assign sche
 func dfdsFill(seg sched.Priorities, d *dag.DAG, assign sched.Assignment) {
 	b := d.BLevels()
 	delta := int64(d.NumLevels) + 1
-	raw := make([]int64, d.N)
 	order := d.TopoOrder()
+	// Children come later in the order, so walking it backwards finds every
+	// child's (negated) priority already in seg.
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		v := order[idx]
 		var maxChildB int64 = -1
-		var maxChildPrio int64 = -1
+		var maxChildPrio int64 // > 0 exactly when v has an off-processor descendant
 		offChild := false
-		offDesc := false
 		for _, w := range d.Out(v) {
 			if assign[w] != assign[v] {
 				offChild = true
-				if int64(b[w]) > maxChildB {
-					maxChildB = int64(b[w])
-				}
+				maxChildB = max(maxChildB, int64(b[w]))
 			}
-			if raw[w] > 0 {
-				offDesc = true
-			}
-			if raw[w] > maxChildPrio {
-				maxChildPrio = raw[w]
-			}
+			maxChildPrio = max(maxChildPrio, -seg[w])
 		}
 		switch {
 		case offChild:
-			raw[v] = maxChildB + delta
-		case offDesc:
-			raw[v] = maxChildPrio - 1
-			if raw[v] < 1 {
-				raw[v] = 1 // keep "has off-processor descendant" visible
-			}
+			seg[v] = -(maxChildB + delta)
+		case maxChildPrio > 0:
+			// At least 1: keep "has off-processor descendant" visible.
+			seg[v] = -max(maxChildPrio-1, 1)
 		default:
-			raw[v] = 0
+			seg[v] = 0
 		}
-	}
-	for v, p := range raw {
-		seg[v] = -p
 	}
 }
 
@@ -286,10 +279,10 @@ func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source
 
 // RunInto is the trial-loop form of Run: priorities and release times are
 // built in the workspace's scratch buffers and the schedule lands in dst,
-// so repeated runs on one instance shape allocate only per-goroutine
-// heuristic scratch (descendant sets, b-levels, the k delays) and
-// nothing in the scheduling kernel. The layer-synchronous RandomDelays
-// still builds its schedule afresh and copies the header into dst.
+// so repeated runs on one instance shape allocate the k delays and the
+// priority fan-out's goroutines, nothing per task. The layer-synchronous
+// RandomDelays still builds its schedule afresh and copies the header
+// into dst.
 func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) error {
 	// Spans/counters no-op when no collector is attached (ws.SetObserver).
 	col := ws.Observer()

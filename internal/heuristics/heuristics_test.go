@@ -199,13 +199,56 @@ func TestQuickHeuristicsValid(t *testing.T) {
 	}
 }
 
-func BenchmarkDFDSPriorities(b *testing.B) {
-	inst := testInstance(b, 5, 24, 16, 1)
-	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DFDSPriorities(inst, assign, 0)
+// benchPriorities times one priority filler on the plan-ladder shape
+// (well_logging at scale 0.1, k=24: 103,224 tasks). first is the cost of a
+// family's first plan — the DAGs are rebuilt into recycled storage before
+// every iteration, off the clock, which drops their facts — and warm that
+// of every later one. Run with -benchmem.
+func benchPriorities(b *testing.B, fill func(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment)) {
+	msh, err := mesh.Family("well_logging", 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	dirs, err := quadrature.Octant(24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fam := dag.NewFamily(msh)
+	inst, err := sched.FromDAGs(fam.BuildAll(dirs, 0), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(1))
+	prio := make(sched.Priorities, inst.NTasks())
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fam.BuildAll(dirs, 0)
+			b.StartTimer()
+			fill(prio, inst, assign)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		fill(prio, inst, assign)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fill(prio, inst, assign)
+		}
+	})
+}
+
+func BenchmarkDescendantPriorities(b *testing.B) {
+	benchPriorities(b, func(prio sched.Priorities, inst *sched.Instance, _ sched.Assignment) {
+		DescendantPrioritiesInto(prio, inst, 0)
+	})
+}
+
+func BenchmarkDFDSPriorities(b *testing.B) {
+	benchPriorities(b, func(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment) {
+		DFDSPrioritiesInto(prio, inst, assign, 0)
+	})
 }
 
 func BenchmarkRunDFDS(b *testing.B) {

@@ -12,6 +12,7 @@ package sched
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
@@ -204,17 +205,32 @@ func (s *Schedule) tightEdge(commDelay int32) (i, u, w, gap int32, tight bool) {
 	return 0, 0, 0, 0, false
 }
 
+// startOrder is the scratch of one sortByStart: the two task-long id
+// arrays and the digit table. Validate and C2 run after every plan and
+// neither has a Workspace to draw from, so the scratch is pooled on its
+// own; a warm plan's feasibility tail then allocates nothing per task.
+type startOrder struct {
+	ids, spare []TaskID
+	counts     []int32
+}
+
+var startOrderPool = sync.Pool{New: func() any { return new(startOrder) }}
+
 // sortByStart returns the task ids 0..len(start)-1 in (start, id) order,
 // plus a second id array of the same length for the caller to scatter
-// into. Starts must lie in [0, bound]. The sort is a stable LSD radix
-// sort over the bits of bound, in the fewest passes whose digits stay
+// into; both live in sc and are valid until it goes back to the pool.
+// Starts must lie in [0, bound]. The sort is a stable LSD radix sort
+// over the bits of bound, in the fewest passes whose digits stay
 // within 16 bits: a schedule of up to 65,536 steps — every practical one
 // — takes a single counting pass over a table no larger than twice its
 // step count, and one whose steps are spread far beyond its task count
 // takes at most four, over the two id arrays and a 65,536-entry table
 // whatever the start values are.
-func sortByStart[T int32 | int64](start []T, bound T) (ids, spare []TaskID) {
-	ids, spare = make([]TaskID, len(start)), make([]TaskID, len(start))
+func sortByStart[T int32 | int64](sc *startOrder, start []T, bound T) (ids, spare []TaskID) {
+	if cap(sc.ids) < len(start) {
+		sc.ids, sc.spare = make([]TaskID, len(start)), make([]TaskID, len(start))
+	}
+	ids, spare = sc.ids[:len(start)], sc.spare[:len(start)]
 	for t := range ids {
 		ids[t] = TaskID(t)
 	}
@@ -225,7 +241,10 @@ func sortByStart[T int32 | int64](start []T, bound T) (ids, spare []TaskID) {
 	}
 	dbits := (width + passes - 1) / passes
 	mask := uint64(1)<<dbits - 1
-	counts := make([]int32, 1<<dbits)
+	if cap(sc.counts) < 1<<dbits {
+		sc.counts = make([]int32, 1<<dbits)
+	}
+	counts := sc.counts[:1<<dbits]
 	for shift := 0; shift < width; shift += dbits {
 		clear(counts)
 		for _, st := range start {
@@ -261,7 +280,9 @@ func sortByStart[T int32 | int64](start []T, bound T) (ids, spare []TaskID) {
 // pair in (start, id) order on the lowest-numbered processor that has
 // one: a deterministic function of the schedule.
 func overlap[T int32 | int64](inst *Instance, assign Assignment, start []T, bound T, end func(TaskID) int64) (p int32, a, b TaskID, found bool) {
-	byStart, ids := sortByStart(start, bound)
+	sc := startOrderPool.Get().(*startOrder)
+	defer startOrderPool.Put(sc)
+	byStart, ids := sortByStart(sc, start, bound)
 	n := int32(inst.N())
 	off := make([]int32, inst.M+1)
 	for _, q := range assign {

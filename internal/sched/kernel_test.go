@@ -13,6 +13,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -138,7 +139,13 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		horizon := int32(1 + r.Intn(40))
 		var cal calendar
-		cal.prepare(horizon)
+		// Odd rounds cap the ring below the horizon: entries a lap apart
+		// then share buckets and only the due check tells them apart.
+		tasks := 1 << 20
+		if round%2 == 1 {
+			tasks = 1 + r.Intn(int(horizon))
+		}
+		cal.prepare(horizon, tasks)
 		ref := map[int32][]TaskID{}
 		refPending := 0
 		next := TaskID(0)
@@ -146,8 +153,7 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 		for now := int32(0); now < steps; now++ {
 			var got []TaskID
 			if cal.pending > 0 {
-				got = append(got, cal.due(now)...)
-				cal.clearDue(now)
+				got = append(got, cal.drain(now)...)
 			}
 			want := ref[now]
 			refPending -= len(want)
@@ -595,18 +601,17 @@ func TestRankqRadixFallbackBoundary(t *testing.T) {
 func TestCalendarPushAtHorizonLimit(t *testing.T) {
 	for _, horizon := range []int32{1, 7, 8, 63} {
 		var cal calendar
-		cal.prepare(horizon)
+		cal.prepare(horizon, 1<<20)
 		next := TaskID(0)
 		seen := map[TaskID]int32{}
 		steps := 4 * horizon
 		for now := int32(0); now <= steps; now++ {
-			for _, tt := range cal.due(now) {
+			for _, tt := range cal.drain(now) {
 				if want, ok := seen[tt]; !ok || want != now {
 					t.Fatalf("horizon %d: task %d drained at %d, due %d", horizon, tt, now, want)
 				}
 				delete(seen, tt)
 			}
-			cal.clearDue(now)
 			if now < steps-horizon {
 				// Push exactly at the limit: due = now + horizon, while the
 				// bucket for `now` was just recycled.
@@ -618,5 +623,62 @@ func TestCalendarPushAtHorizonLimit(t *testing.T) {
 		if len(seen) != 0 || cal.pending != 0 {
 			t.Fatalf("horizon %d: %d tasks undrained, pending %d", horizon, len(seen), cal.pending)
 		}
+	}
+}
+
+// TestCalendarRingBoundedByTasks: the release calendar holds at most one
+// entry per task, so its ring is sized by the task count however far ahead
+// an accepted release or communication delay reaches — at a bucket per
+// step of horizon the first run below asks for 24 GB and the second leaves
+// a 2²¹-bucket ring in its workspace — and the step loop jumps over the
+// steps in which nothing can run.
+func TestCalendarRingBoundedByTasks(t *testing.T) {
+	const budget = 1 << 20
+	allocated := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	pair := chainInstance(t, 2, 1)
+	var s *Schedule
+	var err error
+	got := allocated(func() {
+		s, err = ListScheduleWithRelease(pair, Assignment{0, 0}, nil, []int32{1 << 30, 0})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Start[0] != 1<<30 || s.Start[1] != 1<<30+1 || s.Makespan != 1<<30+2 {
+		t.Fatalf("start %v, makespan %d", s.Start, s.Makespan)
+	}
+	if got > budget {
+		t.Fatalf("two tasks released at 2³⁰ allocated %d bytes (budget %d)", got, budget)
+	}
+
+	const commDelay = 1 << 20
+	chain := chainInstance(t, 30, 2)
+	assign := make(Assignment, 30)
+	for v := range assign {
+		assign[v] = int32(v % 2) // every edge crosses
+	}
+	ws := NewWorkspace()
+	got = allocated(func() { err = CommScheduleInto(ws, s, chain, assign, nil, commDelay) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateComm(s, commDelay); err != nil {
+		t.Fatal(err)
+	}
+	if want := 29*(commDelay+1) + 1; s.Makespan != want {
+		t.Fatalf("makespan %d, want %d", s.Makespan, want)
+	}
+	if got > budget {
+		t.Fatalf("a 30-task run under comm delay 2²⁰ left a workspace of %d bytes (budget %d)", got, budget)
 	}
 }

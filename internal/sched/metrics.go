@@ -64,7 +64,9 @@ func C2(s *Schedule, workers int) int64 {
 	if nt == 0 {
 		return 0
 	}
-	order, _ := sortByStart(s.Start, slices.Max(s.Start))
+	sc := startOrderPool.Get().(*startOrder)
+	defer startOrderPool.Put(sc)
+	order, _ := sortByStart(sc, s.Start, slices.Max(s.Start))
 
 	// A few chunks per worker smooths out ranges whose tasks carry uneven
 	// edge counts. cut[c] is where chunk c begins: its even share of the

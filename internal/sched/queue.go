@@ -348,36 +348,44 @@ func (q *rankq) pop(p int32) TaskID {
 
 // calendar is a monotone bucket queue for task release times keyed on the
 // schedule step: bucket (due & mask) holds the tasks that become
-// available exactly at step due. It replaces the map[int32][]TaskID
+// available at step due. It replaces the map[int32][]TaskID
 // "future" calendars that list.go and comm.go each used to duplicate.
 //
 // The queue exploits the monotone structure of the scheduling loop: the
 // current step only increases, and every pushed due step lies within a
 // bounded horizon of the current step (releases are bounded by the
 // maximum delay; comm-model availability by commDelay+1). A ring of
-// size > horizon therefore maps each in-flight due step to a distinct
-// bucket, making push and drain O(1) with no hashing and no per-step
-// map traffic. Bucket slices are reused across runs.
+// size > horizon maps each in-flight due step to a distinct bucket,
+// making push and drain O(1) with no hashing and no per-step map
+// traffic. The ring is never larger than the task count calls for,
+// though: an accepted horizon can be 2³⁰ steps on a handful of tasks.
+// Past that cap due steps a whole lap apart share a bucket, so every
+// entry carries its due step and drain takes only the ones due now.
+// Bucket slices are reused across runs.
 type calendar struct {
-	buckets [][]TaskID
+	buckets [][]calEntry
 	mask    int32
 	pending int
+	out     []TaskID // drain's result, reused
 }
 
-// prepare sizes the ring for due-now spans of at most horizon steps and
-// clears any stale contents. The ring only ever grows, so steady-state
-// reuse with a stable horizon performs no allocation.
-func (c *calendar) prepare(horizon int32) {
-	need := int(horizon) + 1
-	size := len(c.buckets)
-	if size == 0 {
-		size = 8
-	}
+type calEntry struct {
+	t   TaskID
+	due int32
+}
+
+// prepare sizes the ring for tasks entries due at most horizon steps
+// ahead — the next power of two above min(horizon, tasks) — and clears
+// any stale contents. The ring only ever grows, so steady-state reuse
+// with a stable shape performs no allocation.
+func (c *calendar) prepare(horizon int32, tasks int) {
+	need := min(int(horizon), tasks) + 1
+	size := max(len(c.buckets), 1)
 	for size < need {
 		size <<= 1
 	}
 	if size != len(c.buckets) {
-		nb := make([][]TaskID, size)
+		nb := make([][]calEntry, size)
 		copy(nb, c.buckets)
 		c.buckets = nb
 	}
@@ -388,25 +396,43 @@ func (c *calendar) prepare(horizon int32) {
 	c.pending = 0
 }
 
-// push files a task under its due step. The caller guarantees
-// due - currentStep <= horizon (the kernel's release and comm bounds do).
+// push files a task under its due step, which must lie after the step
+// last drained.
 func (c *calendar) push(t TaskID, due int32) {
 	i := due & c.mask
-	c.buckets[i] = append(c.buckets[i], t)
+	c.buckets[i] = append(c.buckets[i], calEntry{t, due})
 	c.pending++
 }
 
-// due returns the tasks released exactly at step now. The caller must
-// finish iterating the returned slice before pushing tasks due at
-// now+ringSize or later — impossible under the horizon invariant — and
-// must call clearDue(now) afterwards to recycle the bucket.
-func (c *calendar) due(now int32) []TaskID {
-	return c.buckets[now&c.mask]
+// drain removes and returns the tasks due exactly at step now, in push
+// order; entries of a later lap of the ring stay in their bucket. The
+// result is valid until the next drain.
+func (c *calendar) drain(now int32) []TaskID {
+	b := c.buckets[now&c.mask]
+	if len(b) == 0 {
+		return nil
+	}
+	out, keep := c.out[:0], b[:0]
+	for _, e := range b {
+		if e.due == now {
+			out = append(out, e.t)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	c.buckets[now&c.mask], c.out = keep, out
+	c.pending -= len(out)
+	return out
 }
 
-// clearDue recycles step now's bucket after its tasks were consumed.
-func (c *calendar) clearDue(now int32) {
-	i := now & c.mask
-	c.pending -= len(c.buckets[i])
-	c.buckets[i] = c.buckets[i][:0]
+// earliest returns the smallest due step on file; the calendar must not
+// be empty.
+func (c *calendar) earliest() int32 {
+	first := int32(math.MaxInt32)
+	for _, b := range c.buckets {
+		for _, e := range b {
+			first = min(first, e.due)
+		}
+	}
+	return first
 }

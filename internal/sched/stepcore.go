@@ -145,7 +145,7 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	}
 	// A task released at step s waits until at most max(floor, s+1+cd).
 	cal := &ws.cal
-	cal.prepare(max(maxFloor, cd+1))
+	cal.prepare(max(maxFloor, cd+1), nt)
 
 	for t := TaskID(0); t < TaskID(nt); t++ {
 		if indeg[t] != 0 || rule.done != nil && rule.done[t] {
@@ -166,10 +166,9 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	step := int32(0)
 	for ; remaining > 0; step++ {
 		if cal.pending > 0 {
-			for _, t := range cal.due(step) {
+			for _, t := range cal.drain(step) {
 				rq.push(assign[int32(t)%n], t)
 			}
-			cal.clearDue(step)
 		}
 		completed = completed[:0]
 		for p := int32(0); p < int32(m); p++ {
@@ -181,9 +180,14 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 			remaining--
 			completed = append(completed, t)
 		}
-		if len(completed) == 0 && cal.pending == 0 {
-			ws.completed = completed
-			return fmt.Errorf("sched: %s kernel deadlocked at step %d with %d tasks remaining", rule.series.kernel, step, remaining)
+		if len(completed) == 0 {
+			if cal.pending == 0 {
+				ws.completed = completed
+				return fmt.Errorf("sched: %s kernel deadlocked at step %d with %d tasks remaining", rule.series.kernel, step, remaining)
+			}
+			// No processor had a ready task, so nothing happens before the
+			// calendar's next entry: a release of 2³⁰ is not 2³⁰ idle turns.
+			step = cal.earliest() - 1
 		}
 		for _, t := range completed {
 			v, i := inst.Split(t)

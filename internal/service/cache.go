@@ -267,11 +267,14 @@ func skeletonBytes(e *skeletonEntry) int64 {
 // familyBytes estimates a family entry: per direction, the DAG's CSR
 // offsets and level array (3·(n+1) int32) plus out- and in-edge arrays
 // (≈ 2 int32 per edge, with edges ≈ 2n on tetrahedral meshes: ≤ 4
-// faces per cell, about half oriented downwind).
+// faces per cell, about half oriented downwind), plus the facts the
+// DAG grows once a descendant or DFDS request has been planned on it
+// (level order, b-levels and descendant counts: up to 16 bytes per
+// task).
 func familyBytes(e *familyEntry) int64 {
 	n := int64(e.prob.N())
 	k := int64(e.prob.K())
-	return 128 + k*(3*4*(n+1)+2*4*2*n)
+	return 128 + k*(3*4*(n+1)+2*4*2*n+16*n)
 }
 
 // scheduleBytes estimates a schedule entry: start steps + assignment

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sweepsched"
 )
 
 func TestLRUBasics(t *testing.T) {
@@ -80,6 +82,22 @@ func TestLRUEvictionCascade(t *testing.T) {
 	}
 	if _, ok := l.get("big"); !ok {
 		t.Fatal("big entry missing after cascade")
+	}
+}
+
+// TestFamilyBytesCountsDAGFacts: a cached family grows after it was sized
+// — the first descendant or DFDS plan leaves a level order, b-levels and
+// descendant counts on every DAG — so the estimate charges them up front:
+// 16 bytes per task on top of the CSR and level arrays.
+func TestFamilyBytesCountsDAGFacts(t *testing.T) {
+	p, err := sweepsched.NewProblemFromFamily("tetonly", 0.02, 8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k := int64(p.N()), int64(p.K())
+	csr := k * (3*4*(n+1) + 2*4*2*n)
+	if got, want := familyBytes(&familyEntry{prob: p}), 128+csr+16*n*k; got != want {
+		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task)", got, n, k, want, csr)
 	}
 }
 

@@ -77,12 +77,12 @@ func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 		}
 	}
 	// Processor exclusivity among surviving tasks (done tasks carry
-	// start -1, which doubleBooked skips).
+	// start -1, which stepOrder leaves out).
 	proc := make([]int32, nt)
 	for t := range proc {
 		proc[t] = s.Assign[int32(t)%n]
 	}
-	if p, a, b, step, found := doubleBooked(inst.M, proc, s.Start); found {
+	if p, a, b, step, found := doubleBooked(inst.M, proc, s.Start, stepOrder(s.Start)); found {
 		return fmt.Errorf("verify: processor %d runs tasks %d and %d at residual step %d", p, a, b, step)
 	}
 	return nil

@@ -11,14 +11,16 @@
 // here, and every check is written out in direct serial form over slices
 // local to this package, so a bug in the optimized kernels or in the
 // production validators cannot hide in a shared helper. Verification is
-// O(tasks·log + edges) in time and O(tasks + m) in memory per schedule,
-// whatever the start values are.
+// O(tasks + edges) in time and O(tasks + m) in memory per schedule,
+// whatever the start values are: the tasks are put in step order once
+// (stepOrder), and processor exclusivity and the C2 recomputation both
+// walk that one order.
 package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
-	"sort"
 	"sync"
 
 	dagrefimpl "sweepsched/internal/dag/refimpl"
@@ -89,15 +91,14 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 	for t := 0; t < nt; t++ {
 		proc[t] = s.Assign[int32(t)%n]
 	}
-	if err := Tasks(inst, proc, s.Start, opts); err != nil {
+	order := stepOrder(s.Start)
+	if err := audit(inst, proc, s.Start, order, opts); err != nil {
 		return err
 	}
 	// Makespan consistency: the schedule's claim against the start times.
 	maxStart := int32(-1)
-	for _, st := range s.Start {
-		if st > maxStart {
-			maxStart = st
-		}
+	if len(order) > 0 {
+		maxStart = s.Start[order[len(order)-1]]
 	}
 	if s.Makespan != int(maxStart)+1 {
 		return fmt.Errorf("verify: makespan %d inconsistent with max start %d", s.Makespan, maxStart)
@@ -109,7 +110,7 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 		if want := C1Ref(inst, s.Assign); m.C1 != want {
 			return fmt.Errorf("verify: reported C1 %d, reference recomputation %d", m.C1, want)
 		}
-		if want := C2Ref(s); m.C2 != want {
+		if want := c2Over(s, order); m.C2 != want {
 			return fmt.Errorf("verify: reported C2 %d, reference recomputation %d", m.C2, want)
 		}
 	}
@@ -125,6 +126,12 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 // per-direction DAG precedence with the comm-delay gap on cross-
 // processor edges, and <= 1 task per processor per step.
 func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
+	return audit(inst, proc, start, stepOrder(start), opts)
+}
+
+// audit is Tasks given the step order of start, which Schedule goes on to
+// recompute C2 over.
+func audit(inst *sched.Instance, proc, start, order []int32, opts Opts) error {
 	nt := inst.NTasks()
 	n := int32(inst.N())
 	if len(proc) != nt {
@@ -180,7 +187,7 @@ func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
 		}
 	}
 	// Processor exclusivity: <= 1 task per processor per step.
-	if p, a, b, step, found := doubleBooked(inst.M, proc, start); found {
+	if p, a, b, step, found := doubleBooked(inst.M, proc, start, order); found {
 		return fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", p, a, b, step)
 	}
 	if opts.AnglesetRelease != nil && opts.Anglesets == nil {
@@ -194,46 +201,70 @@ func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
 	return nil
 }
 
+// stepOrder returns the tasks with a start >= 0 (a residual schedule's
+// done tasks have none) in (start, task) order. It is a stable
+// least-significant-digit radix sort on the start step, over as many
+// equal digits of at most 16 bits as the largest start has bits: every
+// practical schedule — up to 65,536 steps — is ordered by one counting
+// pass, and one whose steps reach the top of the int32 range by two, with
+// two task-long id arrays and a table of at most 65,536 counters however
+// far apart the steps are.
+func stepOrder(start []int32) []int32 {
+	order := make([]int32, 0, len(start))
+	var top int32
+	for t, st := range start {
+		if st >= 0 {
+			order = append(order, int32(t))
+			top = max(top, st)
+		}
+	}
+	width := bits.Len32(uint32(top))
+	if width == 0 {
+		return order
+	}
+	passes := (width + 15) / 16
+	digit := (width + passes - 1) / passes
+	mask := int32(1)<<digit - 1
+	count := make([]int32, 1<<digit)
+	next := make([]int32, len(order))
+	for shift := 0; shift < width; shift += digit {
+		clear(count)
+		for _, t := range order {
+			count[start[t]>>shift&mask]++
+		}
+		at := int32(0)
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for _, t := range order {
+			d := start[t] >> shift & mask
+			next[count[d]] = t
+			count[d]++
+		}
+		order, next = next, order
+	}
+	return order
+}
+
 // doubleBooked looks for a processor that runs two tasks in one step,
-// ignoring tasks with a negative start (the done tasks of a residual
-// schedule). Each processor's start steps are collected and sorted, and
-// a step that then appears twice in a row is a conflict: one int per
-// task, however far apart the steps are. When there are several
-// conflicts the one reported is the lowest doubly-used step of the
-// lowest-numbered processor, with the two lowest-numbered tasks in that
-// slot.
-func doubleBooked(m int, proc, start []int32) (p, a, b int, step int32, found bool) {
-	load := make([]int, m) // tasks per processor, to size its slice exactly
-	for _, q := range proc {
-		load[q]++
+// walking the tasks in step order with, per processor, the last step it
+// ran a task in and which task that was: a task whose processor is
+// already stamped with its step is a conflict. When there are several
+// conflicts the one reported is in the lowest doubly-used step — the
+// first found in (step, task) order — with the two lowest-numbered tasks
+// of that slot.
+func doubleBooked(m int, proc, start, order []int32) (p, a, b int, step int32, found bool) {
+	lastStep := make([]int32, m)
+	lastTask := make([]int32, m)
+	for q := range lastStep {
+		lastStep[q] = -1
 	}
-	steps := make([][]int, m)
-	for t, q := range proc {
-		if start[t] < 0 {
-			continue
+	for _, t := range order {
+		q := proc[t]
+		if lastStep[q] == start[t] {
+			return int(q), int(lastTask[q]), int(t), start[t], true
 		}
-		if steps[q] == nil {
-			steps[q] = make([]int, 0, load[q])
-		}
-		steps[q] = append(steps[q], int(start[t]))
-	}
-	for q, mine := range steps {
-		sort.Ints(mine)
-		for i := 1; i < len(mine); i++ {
-			if mine[i] != mine[i-1] {
-				continue
-			}
-			a = -1
-			for t := range proc {
-				if int(proc[t]) != q || int(start[t]) != mine[i] {
-					continue
-				}
-				if a >= 0 {
-					return q, a, t, start[t], true
-				}
-				a = t
-			}
-		}
+		lastStep[q], lastTask[q] = start[t], t
 	}
 	return 0, 0, 0, 0, false
 }
@@ -342,28 +373,27 @@ func C1Ref(inst *sched.Instance, assign sched.Assignment) int64 {
 // every step, each processor sends one message per cross-processor edge
 // out of its tasks finishing that step, and the step is charged the
 // maximum over processors. Steps at or beyond s.Makespan, and tasks with
-// a negative start, are not charged. Written as one sort of (step, task)
-// pairs and a per-step scan with one counter per processor,
-// sharing nothing with the chunked parallel production counter
-// (sched.C2).
+// a negative start, are not charged. Written as a per-step scan of the
+// tasks in step order with one counter per processor, sharing nothing
+// with the chunked parallel production counter (sched.C2).
 func C2Ref(s *sched.Schedule) int64 {
+	return c2Over(s, stepOrder(s.Start))
+}
+
+// c2Over is C2Ref over the schedule's tasks already in step order.
+func c2Over(s *sched.Schedule, order []int32) int64 {
 	inst := s.Inst
-	type stepTask struct{ step, task int32 }
-	byStep := make([]stepTask, 0, len(s.Start))
-	for t, st := range s.Start {
-		if st >= 0 && int(st) < s.Makespan {
-			byStep = append(byStep, stepTask{st, int32(t)})
-		}
-	}
-	sort.Slice(byStep, func(a, b int) bool { return byStep[a].step < byStep[b].step })
 	sends := make([]int64, inst.M) // messages each processor sends after the current step
 	var senders []int32            // the processors with sends[p] > 0, to reset them
 	var total int64
-	for lo := 0; lo < len(byStep); {
-		step := byStep[lo].step
+	for lo := 0; lo < len(order); {
+		step := s.Start[order[lo]]
+		if int(step) >= s.Makespan {
+			break
+		}
 		var max int64
-		for ; lo < len(byStep) && byStep[lo].step == step; lo++ {
-			v, i := inst.Split(sched.TaskID(byStep[lo].task))
+		for ; lo < len(order) && s.Start[order[lo]] == step; lo++ {
+			v, i := inst.Split(sched.TaskID(order[lo]))
 			p := s.Assign[v]
 			for _, w := range inst.DAGs[i].Out(v) {
 				if s.Assign[w] == p {
