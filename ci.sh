@@ -60,6 +60,10 @@ go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -be
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
+# The in-process executors on the small box and at the benchmark's
+# sweep-goroutine shape (ns/step, ns/message), and the route table every
+# solve builds once and every recovery once more.
+go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
 
 echo "== service: sweepschedd daemon suite under -race + loadtest smoke =="
 # The HTTP service's integration tests (cache tiers, coalescing,

@@ -1,7 +1,7 @@
 // Package comm is the batched flux-communication layer shared by every
 // executor: the in-process parallel solver (transport.SolveParallel), the
 // fault-injected engine (faults.Engine), and the multi-process runner
-// (internal/procrun). It owns the batch envelope, the pooled buffers that
+// (internal/procrun). It owns the batch envelope, the recycled buffers that
 // keep the warm path at zero allocations, and the explicit per-message vs
 // per-batch cost model the obs counters report.
 //
@@ -29,18 +29,19 @@ package comm
 
 import (
 	"math"
-	"sync"
 
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 )
 
 // Item is one logical flux message inside an envelope: the producing
-// task and its angular flux. Floats are carried as float64 end to end
-// (and as IEEE-754 bits on the wire), preserving the bitwise-identical
-// guarantee.
+// task, its angular flux and, for the in-process executors, the receive
+// slot the destination keeps it in (sched.RecvTable; the wire carries task
+// and flux only). Floats are carried as float64 end to end (and as
+// IEEE-754 bits on the wire), preserving the bitwise-identical guarantee.
 type Item struct {
 	Task sched.TaskID
+	Slot int32
 	Psi  float64
 }
 
@@ -58,85 +59,71 @@ type Batch struct {
 	Items  []Item
 }
 
-var batchPool = sync.Pool{New: func() any { return &Batch{} }}
-
-// GetBatch takes a reset envelope from the pool (capacity is retained
-// across uses, so a warm executor allocates nothing per envelope).
-func GetBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.To = -1
-	b.MinDue = NoDue
-	b.Items = b.Items[:0]
-	return b
-}
-
-// PutBatch returns an envelope to the pool. The receiver calls it after
-// draining; the items' backing array is kept for reuse.
-func PutBatch(b *Batch) {
-	if b != nil {
-		batchPool.Put(b)
-	}
-}
-
-// Outbox holds one open envelope per destination. Add is safe for
-// concurrent senders (per-destination locking); FlushDue and DiscardAll
-// must be called from a single flusher with all senders quiescent — in
-// the barrier executors that flusher is the barrier hook. Every executor
-// in this repository now calls Add from its one step loop too (the
-// in-process ones in CloseStep, procrun's orchestrator while it folds
-// acks), so the lock is uncontended; removing it was tried and made no
-// measurable difference to a solve, so it stays for callers that send
-// from several goroutines.
+// Outbox holds one open envelope per destination and recycles drained
+// ones itself, so a warm executor allocates nothing per envelope. A
+// destination's envelope comes back to that destination: its item array
+// has then already grown to what that destination's traffic needs, and a
+// sweep that repeats an earlier one grows nothing. An Outbox belongs to
+// one step loop — every executor adds, flushes and recycles from its
+// barrier hook (procrun's orchestrator while it folds acks) — and is not
+// safe for concurrent use.
 type Outbox struct {
-	slots []*Batch
-	mus   []sync.Mutex
+	open  []*Batch // per destination: the envelope being filled
+	spare []*Batch // per destination: a drained envelope awaiting reuse
 }
 
 // NewOutbox returns an outbox for m destinations.
 func NewOutbox(m int) *Outbox {
-	return &Outbox{slots: make([]*Batch, m), mus: make([]sync.Mutex, m)}
+	return &Outbox{open: make([]*Batch, m), spare: make([]*Batch, m)}
 }
 
 // Add appends one logical message for destination to, consumed no later
 // than step due (NoDue if it has no scheduled consumer this epoch).
-func (o *Outbox) Add(to int32, task sched.TaskID, psi float64, due int32) {
-	o.mus[to].Lock()
-	b := o.slots[to]
+func (o *Outbox) Add(to int32, it Item, due int32) {
+	b := o.open[to]
 	if b == nil {
-		b = GetBatch()
-		b.To = to
-		o.slots[to] = b
+		if b = o.spare[to]; b == nil {
+			b = &Batch{To: to}
+		}
+		o.spare[to] = nil
+		b.MinDue, b.Items = NoDue, b.Items[:0]
+		o.open[to] = b
 	}
 	if due < b.MinDue {
 		b.MinDue = due
 	}
-	b.Items = append(b.Items, Item{Task: task, Psi: psi})
-	o.mus[to].Unlock()
+	b.Items = append(b.Items, it)
 }
 
 // FlushDue hands every envelope whose deadline has arrived (MinDue ≤ now)
-// to send, transferring ownership — the consumer returns it with PutBatch
-// after draining. Destinations are visited in ascending order so the
-// flush sequence is deterministic for a fixed schedule.
+// to send, transferring ownership — the consumer returns it with Recycle
+// once drained, which may be after FlushDue returns. Destinations are
+// visited in ascending order so the flush sequence is deterministic for a
+// fixed schedule.
 func (o *Outbox) FlushDue(now int32, send func(b *Batch)) {
-	for to := range o.slots {
-		b := o.slots[to]
+	for to, b := range o.open {
 		if b == nil || b.MinDue > now {
 			continue
 		}
-		o.slots[to] = nil
+		o.open[to] = nil
 		send(b)
 	}
 }
 
-// DiscardAll returns every open envelope to the pool without sending
-// (epoch teardown: completed producers' fluxes are re-read from the
-// durable state after recovery, so undelivered envelopes are moot).
+// Recycle takes back an envelope FlushDue handed out; its items' backing
+// array is kept for the destination's next envelope. (One spare per
+// destination is all the executors need — at most one envelope per
+// destination is out while the next fills; a second is left to the GC.)
+func (o *Outbox) Recycle(b *Batch) { o.spare[b.To] = b }
+
+// DiscardAll recycles every open envelope without sending (epoch
+// teardown: completed producers' fluxes are re-read from the durable state
+// after recovery, so undelivered envelopes are moot).
 func (o *Outbox) DiscardAll() {
-	for to := range o.slots {
-		if b := o.slots[to]; b != nil {
-			o.slots[to] = nil
-			PutBatch(b)
+	for to, b := range o.open {
+		if b != nil {
+			o.open[to] = nil
+			o.Recycle(b)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 
 func TestOutboxFlushDueOrderAndOwnership(t *testing.T) {
 	o := NewOutbox(4)
-	o.Add(2, sched.TaskID(7), 1.5, 10)
-	o.Add(0, sched.TaskID(3), 2.5, 5)
-	o.Add(2, sched.TaskID(8), 3.5, 6)
-	o.Add(1, sched.TaskID(9), 4.5, 20)
+	o.Add(2, Item{Task: 7, Psi: 1.5}, 10)
+	o.Add(0, Item{Task: 3, Psi: 2.5}, 5)
+	o.Add(2, Item{Task: 8, Psi: 3.5}, 6)
+	o.Add(1, Item{Task: 9, Psi: 4.5}, 20)
 
 	var got []*Batch
 	o.FlushDue(6, func(b *Batch) { got = append(got, b) })
@@ -30,7 +30,7 @@ func TestOutboxFlushDueOrderAndOwnership(t *testing.T) {
 		t.Fatalf("dest 2 MinDue = %d, want 6", got[1].MinDue)
 	}
 	for _, b := range got {
-		PutBatch(b)
+		o.Recycle(b)
 	}
 
 	// Dest 1 (due 20) is still held; it flushes once its deadline arrives.
@@ -43,38 +43,34 @@ func TestOutboxFlushDueOrderAndOwnership(t *testing.T) {
 	if len(late) != 1 || late[0].To != 1 {
 		t.Fatalf("dest 1 did not flush at its due step: %v", late)
 	}
-	PutBatch(late[0])
+	o.Recycle(late[0])
 }
 
 func TestOutboxNoDueItemsRideAlongOrDiscard(t *testing.T) {
 	o := NewOutbox(2)
-	o.Add(0, sched.TaskID(1), 1, NoDue)
+	o.Add(0, Item{Task: 1, Psi: 1}, NoDue)
 	var got []*Batch
 	o.FlushDue(1<<20, func(b *Batch) { got = append(got, b) })
 	if len(got) != 0 {
 		t.Fatalf("an envelope holding only NoDue items must never flush on its own")
 	}
 	// A dated item shares the envelope; the NoDue item rides along.
-	o.Add(0, sched.TaskID(2), 2, 3)
+	o.Add(0, Item{Task: 2, Psi: 2}, 3)
 	o.FlushDue(3, func(b *Batch) { got = append(got, b) })
 	if len(got) != 1 || len(got[0].Items) != 2 {
 		t.Fatalf("NoDue item did not ride the dated flush: %v", got)
 	}
-	PutBatch(got[0])
+	o.Recycle(got[0])
 
-	o.Add(1, sched.TaskID(5), 5, NoDue)
+	o.Add(1, Item{Task: 5, Psi: 5}, NoDue)
 	o.DiscardAll()
 	o.FlushDue(NoDue, func(b *Batch) { t.Fatalf("DiscardAll left envelope %v", b) })
 }
 
-// TestOutboxWarmCycleZeroAllocs is the tentpole's 0 allocs/op contract
-// for the in-process batch path: once the pool and the item backing
-// arrays are warm, a full add→flush→drain→recycle cycle allocates
-// nothing.
+// TestOutboxWarmCycleZeroAllocs is the 0 allocs/op contract for the
+// in-process batch path: once the free list and the item backing arrays
+// are warm, a full add→flush→drain→recycle cycle allocates nothing.
 func TestOutboxWarmCycleZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the warm-pool contract is measured without -race")
-	}
 	const m = 8
 	col := obs.New()
 	ctr := NewCounters(col)
@@ -85,19 +81,19 @@ func TestOutboxWarmCycleZeroAllocs(t *testing.T) {
 		for _, it := range b.Items {
 			sink += it.Psi
 		}
-		PutBatch(b)
+		o.Recycle(b)
 	}
 	cycle := func() {
 		for to := int32(0); to < m; to++ {
 			for i := 0; i < 16; i++ {
-				o.Add(to, sched.TaskID(i), float64(i), int32(i%4))
+				o.Add(to, Item{Task: sched.TaskID(i), Psi: float64(i)}, int32(i%4))
 			}
 		}
 		ctr.Logical(16 * m)
 		o.FlushDue(NoDue, drain)
 	}
 	for i := 0; i < 4; i++ {
-		cycle() // warm the pool and the per-envelope item arrays
+		cycle() // warm the free list and the per-envelope item arrays
 	}
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("warm outbox cycle allocates %v per op, want 0", n)
@@ -129,19 +125,16 @@ func (r *batchedRing) RunProc(p, st int32) {
 
 func (r *batchedRing) CloseStep(int32) error {
 	for _, x := range r.sent {
-		r.out.Add(x.To, x.Task, x.Psi, x.Due)
+		r.out.Add(x.To, Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, x.Due)
 	}
 	r.sent = r.sent[:0]
 	return nil
 }
 
 // TestStepDriverWarmStepZeroAllocs extends the warm-cycle contract to the
-// whole step: driver, send list, outbox and envelope pool together
+// whole step: driver, send list, outbox and its free list together
 // allocate nothing once warm.
 func TestStepDriverWarmStepZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the warm-pool contract is measured without -race")
-	}
 	const m = 8
 	r := &batchedRing{m: m, out: NewOutbox(m), ctr: NewCounters(obs.New())}
 	r.flush = func(b *Batch) {
@@ -149,7 +142,7 @@ func TestStepDriverWarmStepZeroAllocs(t *testing.T) {
 		for _, it := range b.Items {
 			r.got += it.Psi
 		}
-		PutBatch(b)
+		r.out.Recycle(b)
 	}
 	procs := sched.AllProcs(m)
 	ctx := context.Background()
@@ -159,7 +152,7 @@ func TestStepDriverWarmStepZeroAllocs(t *testing.T) {
 		}
 		r.out.DiscardAll()
 	}
-	run() // warm the pool, the send list and the envelopes' item arrays
+	run() // warm the free list, the send list and the envelopes' item arrays
 	if n := testing.AllocsPerRun(50, run); n != 0 {
 		t.Fatalf("warm 16-step run allocates %v, want 0", n)
 	}

@@ -68,7 +68,10 @@ func (l *lazy[T]) get(build func() T) T {
 // Out returns v's successors. The slice aliases internal storage.
 func (d *DAG) Out(v int32) []int32 { return d.out[d.outStart[v]:d.outStart[v+1]] }
 
-// In returns v's predecessors. The slice aliases internal storage.
+// In returns v's predecessors, in ascending order: every constructor
+// mirrors the out-lists cell by cell, and sched.RecvTable.Build places an
+// edge on its consumer's side by that order. The slice aliases internal
+// storage.
 func (d *DAG) In(v int32) []int32 { return d.in[d.inStart[v]:d.inStart[v+1]] }
 
 // OutDegree returns the number of successors of v.

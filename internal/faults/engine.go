@@ -101,8 +101,10 @@ type Engine struct {
 	fullSteps  sched.StepTable // cur, whole; stale while !fullOK
 	fullOK     bool
 	residSteps sched.StepTable // the running sweep's residual schedule
-	recv       sched.RecvTable // slots for the assignment; stale while !recvOK
+	recv       sched.RecvTable // routes for the assignment; stale while !recvOK
 	recvOK     bool
+	due        []int32      // per receive slot: the running epoch's delivery deadline
+	dueWhole   bool         // due is that of cur run whole over recv: a fault-free sweep reuses it
 	sent       []sched.Send // the running step's messages, injected by CloseStep
 	outbox     *comm.Outbox
 	flush      func(*comm.Batch) // e.deliver, bound once
@@ -110,7 +112,7 @@ type Engine struct {
 	doneStart  []bool // done as of the running epoch's start: durable in psi
 	acks       []procAck
 	live       []int32    // the running epoch's processors, ascending
-	released   []Delivery // inject's scratch
+	released   []Delivery // CloseStep's scratch: what the injector let through of one send
 	ep         epoch
 
 	// col receives execution counters (nil = off).
@@ -296,9 +298,7 @@ type procAck struct {
 // run barrier-synchronously until completion, a crash, or a stall.
 type epoch struct {
 	e         *Engine
-	cur       *sched.Schedule
 	steps     *sched.StepTable
-	assign    sched.Assignment
 	compute   Compute
 	psi       []float64
 	remaining int
@@ -317,13 +317,19 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
 	if !e.recvOK {
 		e.recv.Build(e.inst, e.rec.Assign())
-		e.recvOK = true
+		e.recvOK, e.dueWhole = true, false
 	}
 	e.recv.Reset()
 	e.sent = e.sent[:0]
 	copy(e.doneStart, e.done)
+	// A sweep's first epoch runs the whole of e.cur with nothing durable;
+	// e.cur is only rebuilt after a crash, which invalidates recv as well.
+	if whole := cur == e.cur && remaining == len(e.done); !whole || !e.dueWhole {
+		e.routeEpoch(cur, psi)
+		e.dueWhole = whole
+	}
 	ep := &e.ep
-	*ep = epoch{e: e, cur: cur, steps: steps, assign: e.rec.Assign(), compute: compute, psi: psi,
+	*ep = epoch{e: e, steps: steps, compute: compute, psi: psi,
 		remaining: remaining, nextCrash: math.MaxInt32, dying: ep.dying[:0]}
 	e.live = e.live[:0]
 	for p := int32(0); p < int32(e.inst.M); p++ {
@@ -377,13 +383,8 @@ func (ep *epoch) OpenStep(ls int32) error {
 		e.lastCkpt = g
 	}
 	for _, dl := range e.inj.Matured(g) {
-		switch {
-		case !e.rec.Live(dl.To):
-		case e.noBatch:
-			e.recv.Deliver(dl.Task, dl.To, dl.Psi)
-		default:
-			// Joins the destination's envelope with an immediate deadline.
-			e.outbox.Add(dl.To, dl.Task, dl.Psi, ls)
+		if e.rec.Live(dl.To) {
+			e.hand(dl, ls) // batched, it joins the envelope with an immediate deadline
 		}
 	}
 	if !e.noBatch {
@@ -399,51 +400,67 @@ func (e *Engine) deliver(b *comm.Batch) {
 	e.commBytes += comm.BatchWireBytes(len(b.Items))
 	e.ctr.Envelope(len(b.Items))
 	for _, it := range b.Items {
-		e.recv.Deliver(it.Task, b.To, it.Psi)
+		e.recv.Deliver(it.Slot, it.Psi)
 	}
-	comm.PutBatch(b)
+	e.outbox.Recycle(b)
+}
+
+// routeEpoch fixes, before the epoch's first step, what its bodies would
+// otherwise work out per message. A producer durably done at epoch start
+// sends nothing this epoch: its flux is placed in its receive slots
+// straight from the checkpointed psi. Every other slot gets its deadline:
+// the slot is keyed by (producing task, destination), so one delivery can
+// satisfy every consumer of that pair and must arrive for the earliest one
+// not yet durable — NoDue when all of them are. (With a Drop on a sibling
+// edge the oracle's surviving per-message delivery serves both consumers;
+// the envelope must arrive just as early.)
+func (e *Engine) routeEpoch(cur *sched.Schedule, psi []float64) {
+	e.due = e.due[:0]
+	for s := e.recv.Slots(); s > 0; s-- {
+		e.due = append(e.due, comm.NoDue)
+	}
+	for t, durable := range e.doneStart {
+		for _, o := range e.recv.Out(sched.TaskID(t)) {
+			if durable {
+				e.recv.Deliver(o.Slot, psi[t])
+			} else if !e.doneStart[o.Consumer] {
+				e.due[o.Slot] = min(e.due[o.Slot], cur.Start[o.Consumer])
+			}
+		}
+	}
 }
 
 // RunProc is live processor p's step: it runs the tasks scheduled now,
-// reading checkpointed upwind fluxes straight from psi and in-epoch cross
-// fluxes only from what the interconnect delivered, and records every
-// cross-processor send for the barrier that closes the step.
+// reading local upwind fluxes straight from psi and cross-processor ones
+// only from the receive slots — what routeEpoch checkpointed there or the
+// interconnect delivered — and records every cross-processor send for the
+// barrier that closes the step.
 func (ep *epoch) RunProc(p, ls int32) {
 	e := ep.e
-	inst, assign, psi := e.inst, ep.assign, ep.psi
-	n := int32(inst.N())
-	g := e.globalStep
+	psi := ep.psi
 	a := &e.acks[p]
 	*a = procAck{}
 	for _, t := range ep.steps.Tasks(p, ls) {
-		v, i := inst.Split(t)
-		d := inst.DAGs[i]
-		base := sched.TaskID(int32(i) * n)
 		inflow := 0.0
-		preds := d.In(v)
-		slots := e.recv.In(t)
-		for j, u := range preds {
-			ut := base + sched.TaskID(u)
-			switch {
-			case e.doneStart[ut]:
-				inflow += psi[ut] // durable checkpoint, written in an earlier epoch
-			case slots[j] < 0:
-				if !e.done[ut] {
-					a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, g, ut)
+		in := e.recv.In(t)
+		for _, x := range in {
+			if x >= 0 { // a local producer's task id
+				if !e.done[x] {
+					a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, e.globalStep, x)
 					return
 				}
-				inflow += psi[ut]
-			default:
-				val, have := e.recv.Load(slots[j])
-				if !have {
-					a.stalled, a.stallTask, a.stallMiss = true, t, ut
-					return
-				}
-				inflow += val
+				inflow += psi[x]
+				continue
 			}
+			val, have := e.recv.Load(^x)
+			if !have {
+				a.stalled, a.stallTask, a.stallMiss = true, t, e.recv.Producer(^x)
+				return
+			}
+			inflow += val
 		}
-		if len(preds) > 0 {
-			inflow /= float64(len(preds))
+		if len(in) > 0 {
+			inflow /= float64(len(in))
 		}
 		val := ep.compute(t, inflow)
 		psi[t] = val
@@ -451,43 +468,22 @@ func (ep *epoch) RunProc(p, ls int32) {
 		e.done[t] = true
 		e.sinceCkpt[p] = append(e.sinceCkpt[p], t)
 		a.completed++
-		for _, w := range d.Out(v) {
-			q := assign[w]
-			if q == p {
-				continue
-			}
-			a.sent++
-			// The receive slot is keyed by (producing task, destination),
-			// so a delivery released for this edge can satisfy every
-			// consumer of (t -> q): its deadline is the earliest such
-			// consumer's step — NoDue when all were durably done at epoch
-			// start. (With a Drop on a sibling edge the oracle's surviving
-			// per-message delivery serves both consumers; the envelope must
-			// arrive just as early.)
-			due := int32(comm.NoDue)
-			for _, w2 := range d.Out(v) {
-				if wt := base + sched.TaskID(w2); assign[w2] == q && !e.doneStart[wt] {
-					due = min(due, ep.cur.Start[wt])
-				}
-			}
-			e.sent = append(e.sent, sched.Send{Task: t, To: q, Due: due, Psi: val})
+		out := e.recv.Out(t)
+		for _, o := range out {
+			e.sent = append(e.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: e.due[o.Slot], Psi: val})
 		}
+		a.sent += int32(len(out))
 	}
 }
 
-// inject routes one logical message through the injector — which decides
-// per (task, destination), so a planned Drop/Delay/Duplicate hits the same
-// message on either interconnect — and hands what it releases now to the
-// interconnect: delivered per message (NoBatch), or appended to the
-// destination's envelope.
-func (e *Engine) inject(x sched.Send) {
-	e.released = e.inj.AppendOnSend(e.released[:0], x.Task, x.To, x.Psi, e.globalStep)
-	for _, dl := range e.released {
-		if e.noBatch {
-			e.recv.Deliver(dl.Task, dl.To, dl.Psi)
-		} else {
-			e.outbox.Add(dl.To, dl.Task, dl.Psi, x.Due)
-		}
+// hand gives the interconnect one delivery the injector released:
+// delivered per message (NoBatch), or appended to the destination's
+// envelope with the deadline due.
+func (e *Engine) hand(dl Delivery, due int32) {
+	if e.noBatch {
+		e.recv.Deliver(dl.Slot, dl.Psi)
+	} else {
+		e.outbox.Add(dl.To, comm.Item{Task: dl.Task, Slot: dl.Slot, Psi: dl.Psi}, due)
 	}
 }
 
@@ -497,8 +493,13 @@ func (e *Engine) inject(x sched.Send) {
 func (ep *epoch) CloseStep(int32) error {
 	e := ep.e
 	g := e.globalStep
+	// The injector decides per (task, destination), so a planned
+	// Drop/Delay/Duplicate hits the same message on either interconnect.
 	for _, x := range e.sent {
-		e.inject(x)
+		e.released = e.inj.AppendOnSend(e.released[:0], Delivery{To: x.To, Task: x.Task, Slot: x.Slot, Psi: x.Psi}, g)
+		for _, dl := range e.released {
+			e.hand(dl, x.Due)
+		}
 	}
 	e.sent = e.sent[:0]
 	var sent, stepMax int32

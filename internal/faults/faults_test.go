@@ -187,9 +187,7 @@ func TestEngineFaultFreeSweepAllocatesNothing(t *testing.T) {
 		}
 		sweep()
 		sweep() // warm: tables built, send list and envelopes grown
-		// Under the race detector sync.Pool drops envelopes, so only the
-		// per-message interconnect is held to zero there.
-		if n := testing.AllocsPerRun(10, sweep); n != 0 && (noBatch || !raceEnabled) {
+		if n := testing.AllocsPerRun(10, sweep); n != 0 {
 			t.Fatalf("noBatch=%v: warm fault-free sweep allocates %v, want 0", noBatch, n)
 		}
 		if rep := eng.Report(); rep.Epochs != 13 || rep.Recoveries != 0 {

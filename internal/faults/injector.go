@@ -2,16 +2,18 @@ package faults
 
 import (
 	"sort"
-	"sync"
 
 	"sweepsched/internal/sched"
 )
 
 // Delivery is one flux message the interconnect should place in a
-// destination inbox.
+// destination inbox: in receive slot Slot there, for the in-process
+// executors (sched.RecvTable; the injector carries it and decides by task
+// and destination alone).
 type Delivery struct {
 	To   int32
 	Task sched.TaskID
+	Slot int32
 	Psi  float64
 }
 
@@ -25,18 +27,16 @@ type msgKey struct {
 // suppress, hold or duplicate the delivery) and asks Matured at each
 // barrier for held messages that are now due. The decision for a message
 // depends only on the plan (keyed by task and destination), never on call
-// order, so executions are reproducible. OnSend is safe for concurrent
-// callers, though the engine and procrun's orchestrator both call it from
-// their one step loop.
+// order, so executions are reproducible. An Injector belongs to one step
+// loop — the engine's barrier hook, procrun's orchestrator — and is not
+// safe for concurrent use.
 type Injector struct {
-	mu        sync.Mutex
 	crashStep map[int32]int32
 	severStep map[int32]int32
 	msg       map[msgKey]Event
 	consumed  map[msgKey]Kind // message events already fired
 	delayed   map[int32][]Delivery
 	applied   map[Kind]int
-	plan      *Plan
 }
 
 // NewInjector indexes a plan for execution. A nil plan injects nothing.
@@ -48,7 +48,6 @@ func NewInjector(plan *Plan) *Injector {
 		consumed:  map[msgKey]Kind{},
 		delayed:   map[int32][]Delivery{},
 		applied:   map[Kind]int{},
-		plan:      plan,
 	}
 	if plan != nil {
 		for _, e := range plan.Events {
@@ -80,11 +79,7 @@ func (inj *Injector) CrashStep(p int32) int32 {
 }
 
 // NoteCrash records that a planned crash actually fired.
-func (inj *Injector) NoteCrash() {
-	inj.mu.Lock()
-	inj.applied[Crash]++
-	inj.mu.Unlock()
-}
+func (inj *Injector) NoteCrash() { inj.applied[Crash]++ }
 
 // SeverStep returns the global barrier step at which the processor's
 // coordinator connection is scheduled to be cut, or -1 if never. Each
@@ -100,11 +95,7 @@ func (inj *Injector) SeverStep(p int32) int32 {
 }
 
 // NoteSever records that a planned connection cut actually fired.
-func (inj *Injector) NoteSever() {
-	inj.mu.Lock()
-	inj.applied[Sever]++
-	inj.mu.Unlock()
-}
+func (inj *Injector) NoteSever() { inj.applied[Sever]++ }
 
 // OnSend applies the plan to one cross-processor flux message sent at the
 // given global barrier step, returning the deliveries to perform now. A
@@ -113,19 +104,19 @@ func (inj *Injector) NoteSever() {
 // once — on later sends of the same message (transport re-sweeps the
 // schedule every source iteration) delivery is normal.
 func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	return inj.AppendOnSend(nil, task, to, psi, step)
+	return inj.AppendOnSend(nil, Delivery{To: to, Task: task, Psi: psi}, step)
 }
 
-// AppendOnSend is OnSend appending the deliveries to dst: with a buffer
-// of capacity two reused across sends it allocates nothing.
-func (inj *Injector) AppendOnSend(dst []Delivery, task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	normal := Delivery{To: to, Task: task, Psi: psi}
-	if inj.plan == nil {
+// AppendOnSend is OnSend for a delivery the caller has made up (slot
+// included), appending to dst: with a buffer of capacity two reused across
+// sends it allocates nothing. Fired events leave the index, so once none
+// is pending — from the start, for most plans soon after — a send costs
+// one length check and no hashing.
+func (inj *Injector) AppendOnSend(dst []Delivery, normal Delivery, step int32) []Delivery {
+	if len(inj.msg) == 0 {
 		return append(dst, normal)
 	}
-	key := msgKey{task, to}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
+	key := msgKey{normal.Task, normal.To}
 	e, ok := inj.msg[key]
 	if !ok {
 		return append(dst, normal)
@@ -149,9 +140,7 @@ func (inj *Injector) AppendOnSend(dst []Delivery, task sched.TaskID, to int32, p
 // Matured removes and returns every held delivery due at or before the
 // given global step, in deterministic (task, to) order.
 func (inj *Injector) Matured(step int32) []Delivery {
-	inj.mu.Lock()
 	if len(inj.delayed) == 0 { // every barrier asks; almost none has any
-		inj.mu.Unlock()
 		return nil
 	}
 	var due []Delivery
@@ -161,7 +150,6 @@ func (inj *Injector) Matured(step int32) []Delivery {
 			delete(inj.delayed, st)
 		}
 	}
-	inj.mu.Unlock()
 	sort.Slice(due, func(a, b int) bool {
 		if due[a].Task != due[b].Task {
 			return due[a].Task < due[b].Task
@@ -174,25 +162,15 @@ func (inj *Injector) Matured(step int32) []Delivery {
 // DiscardDelayed drops all held deliveries. Called on epoch teardown: the
 // producers of held fluxes have completed, so after recovery their values
 // are read from the durable checkpoint instead.
-func (inj *Injector) DiscardDelayed() {
-	inj.mu.Lock()
-	clear(inj.delayed)
-	inj.mu.Unlock()
-}
+func (inj *Injector) DiscardDelayed() { clear(inj.delayed) }
 
 // Explains reports whether a missing flux for (task, to) is accounted for
 // by a fired drop or a still-held delay — i.e. whether a stall on it is an
 // injected fault rather than an infeasible schedule.
 func (inj *Injector) Explains(task sched.TaskID, to int32) bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	k, ok := inj.consumed[msgKey{task, to}]
 	return ok && (k == Drop || k == Delay)
 }
 
 // Applied returns how many events of the kind have fired so far.
-func (inj *Injector) Applied(k Kind) int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.applied[k]
-}
+func (inj *Injector) Applied(k Kind) int { return inj.applied[k] }

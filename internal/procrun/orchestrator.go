@@ -604,7 +604,7 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 		o.outbox.DiscardAll()
 		for p, b := range o.stepBatch {
 			if b != nil {
-				comm.PutBatch(b)
+				o.outbox.Recycle(b)
 				o.stepBatch[p] = nil
 			}
 		}
@@ -664,7 +664,7 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 				// it joins the destination's envelope with the current step
 				// as its deadline, so the stall it would cause (or resolve)
 				// is identical to the per-message oracle's.
-				o.outbox.Add(dl.To, dl.Task, dl.Psi, ls)
+				o.outbox.Add(dl.To, comm.Item{Task: dl.Task, Psi: dl.Psi}, ls)
 			}
 		}
 		if !o.noBatch {
@@ -683,7 +683,7 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 				o.ctr.Envelope(len(b.Items))
 				o.commTx++
 				o.commBy += comm.BatchWireBytes(len(b.Items))
-				comm.PutBatch(b)
+				o.outbox.Recycle(b)
 				o.stepBatch[w.rank] = nil
 			} else {
 				e.u32(0)
@@ -904,7 +904,7 @@ func (o *orch) route(t sched.TaskID, psi float64, from int32, assign sched.Assig
 		}
 		for _, dl := range o.inj.OnSend(t, q, psi, g) {
 			if o.rec.Live(dl.To) {
-				o.outbox.Add(dl.To, dl.Task, dl.Psi, due)
+				o.outbox.Add(dl.To, comm.Item{Task: dl.Task, Psi: dl.Psi}, due)
 			}
 		}
 	}

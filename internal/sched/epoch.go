@@ -37,10 +37,7 @@ func (g *StepTable) Build(s *Schedule, assign Assignment, done []bool) error {
 	}
 	g.m, g.steps = inst.M, s.Makespan
 	rows := g.m * g.steps
-	if cap(g.off) < rows+1 {
-		g.off = make([]int32, rows+1)
-	}
-	g.off = g.off[:rows+1]
+	g.off = growInt32(g.off, rows+1)
 	clear(g.off)
 	n, k := inst.N(), inst.K()
 	live := 0
@@ -90,6 +87,11 @@ func (g *StepTable) Build(s *Schedule, assign Assignment, done []bool) error {
 // the schedule it was built from): what an executor hands RunSteps.
 func (g *StepTable) Steps() int32 { return int32(g.steps) }
 
+// Order returns every grouped task by (start step, processor, TaskID): an
+// execution order that respects the precedences of any validated schedule.
+// The slice aliases the table.
+func (g *StepTable) Order() []TaskID { return g.tasks }
+
 // Tasks returns the tasks processor p starts at the given step, in
 // ascending TaskID order. The slice aliases the table; a step outside
 // [0, Steps()) has no tasks.
@@ -101,66 +103,101 @@ func (g *StepTable) Tasks(p, step int32) []TaskID {
 	return g.tasks[g.off[r]:g.off[r+1]]
 }
 
-// RecvTable is the receive store of the in-process executors: one slot
-// per distinct (producer task, destination processor) pair of an
-// assignment's cross-processor edges, holding the flux the interconnect
-// delivered and the stamp of the sweep it was delivered in. A consumer
-// sees a flux only if it was delivered since the last Reset — stall
-// detection under dropped and delayed messages depends on that — and
-// Reset is one increment, not a sweep over the table.
+// RecvTable is the flux routing of the in-process executors, resolved once
+// per assignment: one receive slot per distinct (producer task, destination
+// processor) pair of the cross-processor edges, holding the flux the
+// interconnect delivered and the stamp of the sweep it was delivered in,
+// and, on either side of it, where every edge's flux is read and where it
+// is sent. A consumer sees a flux only if it was delivered since the last
+// Reset — stall detection under dropped and delayed messages depends on
+// that — and Reset is one increment, not a sweep over the table.
 //
-// The interconnect addresses a slot by (producer, destination); the
-// consumer addresses it by position: In(t) lists, edge by edge, where each
-// of task t's upwind fluxes arrives, so the hot loop does no search and
-// never looks the producer's processor up.
+// Nobody searches: the consumer addresses its inputs by position (In), the
+// producer its cross edges by position (Out), and the interconnect carries
+// the slot an Out entry names to Deliver. A step body therefore needs the
+// DAGs and the assignment for nothing.
 //
-// Deliver and Reset belong to the barrier hook; In and Load are the step
-// bodies' side.
+// Deliver and Reset belong to the barrier hook; In, Out and Load are the
+// step bodies' side. Nothing here is safe for concurrent use.
 type RecvTable struct {
-	off   []int32 // producer task t's slots are off[t]..off[t+1]
-	dest  []int32 // slot -> destination processor
+	prod  []TaskID // slot -> producing task
 	psi   []float64
 	stamp []uint32
 	cur   uint32
 
-	inOff  []int32 // consumer task t's upwind edges are inSlot[inOff[t]:inOff[t+1]]
-	inSlot []int32 // per upwind edge: its slot, or -1 when the producer is local
+	inOff  []int32 // consumer task t's upwind edges are in[inOff[t]:inOff[t+1]]
+	in     []int32
+	outOff []int32 // producer task t's cross edges are out[outOff[t]:outOff[t+1]]
+	out    []OutEdge
+	slotTo []int32 // Build's scratch: per destination, the last slot numbered for it
 }
 
-// Build numbers the slots for the assignment — in task order, a task's
-// destinations in out-edge order — and empties the store. It reuses the
-// table's storage.
+// OutEdge is one cross-processor edge as its producer sees it.
+type OutEdge struct {
+	To       int32  // the consumer's processor
+	Slot     int32  // where the flux arrives there
+	Consumer TaskID // whose scheduled start is the message's deadline
+}
+
+// Build resolves every edge for the assignment — slots numbered in task
+// order, a task's destinations in out-edge order — and empties the store.
+// One pass over the out-edges fills both sides: a producer's slot for a
+// destination is found once, not once per edge, and an edge's place on its
+// consumer's in-side is the next free one, because every DAG lists a cell's
+// predecessors in ascending order (dag mirrors the out-lists to build
+// them). It reuses the table's storage.
 func (r *RecvTable) Build(inst *Instance, assign Assignment) {
-	nt := inst.NTasks()
-	if cap(r.off) < nt+1 {
-		r.off = make([]int32, nt+1)
+	nt, n := inst.NTasks(), int32(inst.N())
+	r.inOff = growInt32(r.inOff, nt+1)
+	r.outOff = growInt32(r.outOff, nt+1)
+	r.slotTo = growInt32(r.slotTo, inst.M)
+	edges := 0
+	for _, d := range inst.DAGs {
+		edges += d.NumEdges()
 	}
-	r.off = r.off[:nt+1]
-	r.dest = r.dest[:0]
-	n := int32(inst.N())
+	r.in = growInt32(r.in, edges)
+	r.prod, r.out = r.prod[:0], r.out[:0]
+	for q := range r.slotTo {
+		r.slotTo[q] = -1
+	}
+	at := int32(0)
+	for i, d := range inst.DAGs {
+		base := int32(i) * n
+		for v := int32(0); v < n; v++ {
+			r.inOff[base+v] = at // the cursor of v's in-side until the shift below
+			at += int32(d.InDegree(v))
+		}
+	}
+	r.inOff[nt] = at
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for u := int32(0); u < n; u++ {
-			first := len(r.dest)
-			r.off[base+u] = int32(first)
+			t := TaskID(base + u)
+			first := int32(len(r.prod))
+			r.outOff[t] = int32(len(r.out))
 			pu := assign[u]
-		edges:
 			for _, w := range d.Out(u) {
-				q := assign[w]
-				if q == pu {
-					continue
-				}
-				for _, seen := range r.dest[first:] {
-					if seen == q {
-						continue edges
+				entry := int32(t)
+				if q := assign[w]; q != pu {
+					s := r.slotTo[q]
+					if s < first { // numbered for an earlier producer, or never
+						s = int32(len(r.prod))
+						r.slotTo[q] = s
+						r.prod = append(r.prod, t)
 					}
+					r.out = append(r.out, OutEdge{To: q, Slot: s, Consumer: TaskID(base + w)})
+					entry = ^s
 				}
-				r.dest = append(r.dest, q)
+				r.in[r.inOff[base+w]] = entry
+				r.inOff[base+w]++
 			}
 		}
 	}
-	slots := len(r.dest)
-	r.off[nt] = int32(slots)
+	r.outOff[nt] = int32(len(r.out))
+	copy(r.inOff[1:], r.inOff[:nt])
+	r.inOff[0] = 0
+
+	slots := len(r.prod)
 	if cap(r.psi) < slots {
 		r.psi = make([]float64, slots)
 		r.stamp = make([]uint32, slots)
@@ -168,48 +205,35 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment) {
 	r.psi, r.stamp = r.psi[:slots], r.stamp[:slots]
 	clear(r.stamp)
 	r.cur = 1
-
-	if cap(r.inOff) < nt+1 {
-		r.inOff = make([]int32, nt+1)
-	}
-	r.inOff = r.inOff[:nt+1]
-	r.inSlot = r.inSlot[:0]
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			r.inOff[base+v] = int32(len(r.inSlot))
-			pv := assign[v]
-			for _, u := range d.In(v) {
-				s := int32(-1)
-				if assign[u] != pv {
-					s = r.slot(TaskID(base+u), pv)
-				}
-				r.inSlot = append(r.inSlot, s)
-			}
-		}
-	}
-	r.inOff[nt] = int32(len(r.inSlot))
 }
 
-// In returns, for each upwind edge of task t in the DAG's In order, the
-// slot its flux arrives in, or -1 when the producer is a cell of t's own
-// processor (its flux is read where it was written). The slice aliases
-// the table.
-func (r *RecvTable) In(t TaskID) []int32 { return r.inSlot[r.inOff[t]:r.inOff[t+1]] }
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
 
-// Load returns the flux in a slot In named and whether it was delivered
-// since the last Reset.
+// In returns, for each upwind edge of task t in the DAG's In order, where
+// its flux is read: the producer's task id when the producer is a cell of
+// t's own processor (the flux is read where it was written), or ^slot for
+// Load when it arrives over the interconnect. The slice aliases the table.
+func (r *RecvTable) In(t TaskID) []int32 { return r.in[r.inOff[t]:r.inOff[t+1]] }
+
+// Out returns task t's cross-processor edges in the DAG's Out order: one
+// logical message each. The slice aliases the table.
+func (r *RecvTable) Out(t TaskID) []OutEdge { return r.out[r.outOff[t]:r.outOff[t+1]] }
+
+// Slots returns the number of receive slots.
+func (r *RecvTable) Slots() int { return len(r.prod) }
+
+// Producer returns the task whose flux arrives in the slot.
+func (r *RecvTable) Producer(slot int32) TaskID { return r.prod[slot] }
+
+// Load returns the flux in a slot and whether it was delivered since the
+// last Reset.
 func (r *RecvTable) Load(slot int32) (float64, bool) {
 	return r.psi[slot], r.stamp[slot] == r.cur
-}
-
-func (r *RecvTable) slot(t TaskID, to int32) int32 {
-	for s := r.off[t]; s < r.off[t+1]; s++ {
-		if r.dest[s] == to {
-			return s
-		}
-	}
-	return -1
 }
 
 // Reset forgets every delivered flux (a new sweep or epoch begins).
@@ -221,12 +245,9 @@ func (r *RecvTable) Reset() {
 	}
 }
 
-// Deliver records task t's flux as received by processor to. A pair the
-// assignment has no cross edge for is ignored: no consumer would read it.
-func (r *RecvTable) Deliver(t TaskID, to int32, psi float64) {
-	if s := r.slot(t, to); s >= 0 {
-		r.psi[s], r.stamp[s] = psi, r.cur
-	}
+// Deliver records a flux as received in the slot an Out entry named.
+func (r *RecvTable) Deliver(slot int32, psi float64) {
+	r.psi[slot], r.stamp[slot] = psi, r.cur
 }
 
 // AllProcs returns the processors 0..m-1 in ascending order: RunSteps'
@@ -240,14 +261,15 @@ func AllProcs(m int) []int32 {
 }
 
 // Send is one logical cross-processor flux message: task Task's flux Psi
-// for processor To, whose earliest consumer there starts at step Due. An
-// executor queues the sends its bodies produce and hands them to the
-// interconnect in CloseStep, so a flux sent during step t is visible to
-// its destination from step t+1 on whatever the interconnect — never to a
-// higher-numbered processor later in step t.
+// for receive slot Slot of processor To, whose consumer there starts at
+// step Due. An executor queues the sends its bodies produce and hands them
+// to the interconnect in CloseStep, so a flux sent during step t is visible
+// to its destination from step t+1 on whatever the interconnect — never to
+// a higher-numbered processor later in step t.
 type Send struct {
 	Task TaskID
 	To   int32
+	Slot int32 // the destination's receive slot (RecvTable.Out)
 	Due  int32
 	Psi  float64
 }

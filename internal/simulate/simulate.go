@@ -51,7 +51,6 @@ func Run(s *sched.Schedule) (*Result, error) {
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
 	m := s.Inst.M
 	r := &run{
-		s:       s,
 		ran:     make([]bool, s.Inst.NTasks()),
 		reports: make([]procReport, m),
 		res:     Result{Steps: s.Makespan},
@@ -70,7 +69,6 @@ func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
 // per-message interconnect, one delivery per message at the barrier
 // closing the step it was sent in.
 type run struct {
-	s       *sched.Schedule
 	steps   sched.StepTable
 	recv    sched.RecvTable
 	sent    []sched.Send // the running step's messages, delivered by CloseStep
@@ -86,34 +84,26 @@ func (r *run) OpenStep(int32) error { return nil }
 // delivered, "executes" the task, and sends its flux to downstream
 // off-processor tasks. A detected infeasibility travels in the report.
 func (r *run) RunProc(p, st int32) {
-	s, inst := r.s, r.s.Inst
-	n := int32(inst.N())
 	rep := &r.reports[p]
 	*rep = procReport{}
 	for _, t := range r.steps.Tasks(p, st) {
-		v, i := inst.Split(t)
-		d := inst.DAGs[i]
-		base := sched.TaskID(i * n)
-		slots := r.recv.In(t)
-		for j, u := range d.In(v) {
-			ut := base + sched.TaskID(u)
-			if slots[j] < 0 {
-				if !r.ran[ut] {
-					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, ut)
+		for _, x := range r.recv.In(t) {
+			if x >= 0 { // a local producer's task id
+				if !r.ran[x] {
+					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, x)
 					return
 				}
-			} else if _, ok := r.recv.Load(slots[j]); !ok {
-				rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, ut)
+			} else if _, ok := r.recv.Load(^x); !ok {
+				rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, r.recv.Producer(^x))
 				return
 			}
 		}
 		r.ran[t] = true
-		for _, w := range d.Out(v) {
-			if q := s.Assign[w]; q != p {
-				r.sent = append(r.sent, sched.Send{Task: t, To: q})
-				rep.sent++
-			}
+		out := r.recv.Out(t)
+		for _, o := range out {
+			r.sent = append(r.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot})
 		}
+		rep.sent += int32(len(out))
 	}
 }
 
@@ -122,7 +112,7 @@ func (r *run) RunProc(p, st int32) {
 // processor id wins).
 func (r *run) CloseStep(int32) error {
 	for _, x := range r.sent {
-		r.recv.Deliver(x.Task, x.To, 0)
+		r.recv.Deliver(x.Slot, 0)
 	}
 	r.sent = r.sent[:0]
 	var stepMax int32

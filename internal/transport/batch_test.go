@@ -143,7 +143,7 @@ func TestFaultTolerantBatchedMatchesUnbatched(t *testing.T) {
 // after their producers, which narrows the batching window (the
 // reduction ratio is schedule-dependent by design — see BENCH_PR10.json
 // for both).
-func benchCommSchedule(b *testing.B, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) *sched.Schedule {
+func benchCommSchedule(b testing.TB, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) *sched.Schedule {
 	b.Helper()
 	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 8, NY: 8, NZ: 8, Jitter: 0.15, Seed: 1})
 	dirs, err := quadrature.Octant(24)
@@ -159,6 +159,26 @@ func benchCommSchedule(b *testing.B, build func(*sched.Instance, *rng.Source) (*
 		b.Fatal(err)
 	}
 	return s
+}
+
+// TestSolveParallelAllocationsIndependentOfTraffic pins where envelopes
+// come from: the outbox's free list, warm after the first sweep, not the
+// heap — so a solve of eight sweeps allocates exactly what one of two does.
+func TestSolveParallelAllocationsIndependentOfTraffic(t *testing.T) {
+	s := benchCommSchedule(t, core.RandomDelay)
+	allocs := func(iters int) float64 {
+		cfg := testCfg
+		cfg.MaxIters = iters
+		cfg.Tol = 1e-300 // run exactly MaxIters sweeps
+		return testing.AllocsPerRun(2, func() {
+			if _, err := SolveParallel(s, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if two, eight := allocs(2), allocs(8); two != eight {
+		t.Fatalf("SolveParallel allocates %v times over 2 sweeps, %v over 8", two, eight)
+	}
 }
 
 func benchSolveParallelComm(b *testing.B, noBatch bool, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) {

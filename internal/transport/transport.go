@@ -224,30 +224,11 @@ func UpdatePhi(inst *sched.Instance, psi, phi []float64, cfg Config) float64 {
 	return maxDiff
 }
 
-// executionOrder sorts tasks by (start, id); any validated schedule yields
-// a precedence-compatible order.
-func executionOrder(s *sched.Schedule) []sched.TaskID {
-	nt := s.Inst.NTasks()
-	// Counting sort by start step.
-	counts := make([]int32, s.Makespan+1)
-	for _, st := range s.Start {
-		counts[st+1]++
-	}
-	for i := 1; i <= s.Makespan; i++ {
-		counts[i] += counts[i-1]
-	}
-	order := make([]sched.TaskID, nt)
-	cursor := make([]int32, s.Makespan)
-	for t := 0; t < nt; t++ {
-		st := s.Start[t]
-		order[counts[st]+cursor[st]] = sched.TaskID(t)
-		cursor[st]++
-	}
-	return order
-}
-
 // Solve runs source iteration serially, sweeping in the schedule's
-// execution order.
+// execution order — by start step, the order the step table groups tasks
+// in — which any validated schedule makes precedence-compatible. A
+// schedule that does not cover its tasks (one unscheduled, or starting at
+// or after the makespan) is refused with the step table's error.
 func Solve(s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveCtx(context.Background(), s, cfg)
 }
@@ -268,8 +249,12 @@ func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, erro
 			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
 		}
 	}
+	var steps sched.StepTable
+	if err := steps.Build(s, nil, nil); err != nil {
+		return nil, err
+	}
 	span := cfg.Collector.Span("transport.solve.time")
-	order := executionOrder(s)
+	order := steps.Order()
 	phi := make([]float64, inst.N())
 	psi := make([]float64, inst.NTasks())
 	done := make([]bool, inst.NTasks())
@@ -384,7 +369,7 @@ type procAck struct {
 // prior steps. The flux values, their production order per processor and
 // Comm.{Messages,Rounds} are the same either way.
 type parallelSolve struct {
-	s       *sched.Schedule
+	start   []int32 // the schedule's start steps: a message is due at its consumer's
 	procs   []int32 // every modelled processor is live
 	steps   sched.StepTable
 	recv    sched.RecvTable
@@ -402,7 +387,7 @@ type parallelSolve struct {
 func newParallelSolve(s *sched.Schedule, cfg Config) (*parallelSolve, error) {
 	inst := s.Inst
 	ps := &parallelSolve{
-		s:     s,
+		start: s.Start,
 		procs: sched.AllProcs(inst.M),
 		phi:   make([]float64, inst.N()),
 		psi:   make([]float64, inst.NTasks()),
@@ -442,50 +427,44 @@ func (ps *parallelSolve) deliverBatch(b *comm.Batch) {
 	ps.res.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
 	ps.ctr.Envelope(len(b.Items))
 	for _, it := range b.Items {
-		ps.recv.Deliver(it.Task, b.To, it.Psi)
+		ps.recv.Deliver(it.Slot, it.Psi)
 	}
-	comm.PutBatch(b)
+	ps.outbox.Recycle(b)
 }
 
+// RunProc is modelled processor p's step. Every route was resolved when
+// the tables were built: an upwind flux is read at the producer's task id
+// or in a receive slot, and a completed task's messages are its out-side
+// entries, due at their consumers' scheduled starts.
 func (ps *parallelSolve) RunProc(p, st int32) {
-	s, inst := ps.s, ps.s.Inst
-	n := int32(inst.N())
+	start := ps.start
 	ack := &ps.acks[p]
 	*ack = procAck{}
 	for _, t := range ps.steps.Tasks(p, st) {
-		v, i := inst.Split(t)
-		d := inst.DAGs[i]
-		base := int32(i) * n
 		inflow := 0.0
-		preds := d.In(v)
-		slots := ps.recv.In(t)
-		for j, u := range preds {
-			if slots[j] < 0 {
-				inflow += ps.psi[base+u] // written by this processor earlier
+		in := ps.recv.In(t)
+		for _, x := range in {
+			if x >= 0 {
+				inflow += ps.psi[x] // written by this processor earlier
 				continue
 			}
-			up, have := ps.recv.Load(slots[j])
+			up, have := ps.recv.Load(^x)
 			if !have {
-				ack.err = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, base+u, st)
+				ack.err = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ps.recv.Producer(^x), st)
 				return
 			}
 			inflow += up
 		}
-		if len(preds) > 0 {
-			inflow /= float64(len(preds))
+		if len(in) > 0 {
+			inflow /= float64(len(in))
 		}
 		val := ps.compute(t, inflow)
 		ps.psi[t] = val
-		for _, w := range d.Out(v) {
-			qp := s.Assign[w]
-			if qp == p {
-				continue
-			}
-			// One logical message per cross edge, due at the consumer's
-			// scheduled start step.
-			ps.sent = append(ps.sent, sched.Send{Task: t, To: qp, Due: s.Start[base+w], Psi: val})
-			ack.sent++
+		out := ps.recv.Out(t)
+		for _, o := range out {
+			ps.sent = append(ps.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: start[o.Consumer], Psi: val})
 		}
+		ack.sent += int32(len(out))
 	}
 }
 
@@ -495,9 +474,9 @@ func (ps *parallelSolve) RunProc(p, st int32) {
 func (ps *parallelSolve) CloseStep(int32) error {
 	for _, x := range ps.sent {
 		if ps.outbox != nil {
-			ps.outbox.Add(x.To, x.Task, x.Psi, x.Due)
+			ps.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, x.Due)
 		} else {
-			ps.recv.Deliver(x.Task, x.To, x.Psi)
+			ps.recv.Deliver(x.Slot, x.Psi)
 		}
 	}
 	ps.sent = ps.sent[:0]

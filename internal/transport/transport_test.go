@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"sweepsched/internal/core"
@@ -11,6 +12,7 @@ import (
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/verify"
 )
 
 func testSchedule(t testing.TB, nx, k, m int, seed uint64) *sched.Schedule {
@@ -255,6 +257,45 @@ func TestMaxItersCap(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsStaleMakespanAndUnscheduled hands every entry point a
+// schedule that does not cover its tasks — a makespan one too small, a
+// task with no start — and wants the step table's error, never a panic.
+func TestSolveRejectsStaleMakespanAndUnscheduled(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*sched.Schedule)
+		want    string
+	}{
+		{"stale makespan", func(s *sched.Schedule) { s.Makespan-- }, "makespan is"},
+		{"unscheduled task", func(s *sched.Schedule) { s.Start[3] = -1 }, "unscheduled"},
+	} {
+		good := testSchedule(t, 3, 4, 3, 5)
+		s := *good
+		s.Start = append([]int32(nil), good.Start...)
+		tc.corrupt(&s)
+		for _, ep := range []struct {
+			name  string
+			solve func() error
+		}{
+			{"Solve", func() error { _, err := Solve(&s, testCfg); return err }},
+			{"SolveParallel", func() error { _, err := SolveParallel(&s, testCfg); return err }},
+			{"SolveFaultTolerant", func() error {
+				_, _, err := SolveFaultTolerant(context.Background(), &s, testCfg, nil)
+				return err
+			}},
+		} {
+			err := ep.solve()
+			if err == nil {
+				t.Fatalf("%s: %s accepted the schedule", tc.name, ep.name)
+			}
+			// With SWEEPSCHED_VERIFY forced the audit refuses it first.
+			if !verify.ForcedByEnv() && !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: %s: error %q does not say %q", tc.name, ep.name, err, tc.want)
+			}
+		}
+	}
+}
+
 func BenchmarkSolveSerial(b *testing.B) {
 	s := testSchedule(b, 4, 8, 4, 1)
 	b.ResetTimer()
@@ -271,35 +312,74 @@ func reportStepTime(b *testing.B, stepsPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stepsPerOp), "ns/step")
 }
 
-func BenchmarkSolveParallel(b *testing.B) {
-	s := testSchedule(b, 4, 8, 4, 1)
+// sweepShape is the benchmark's sweep-goroutine workload as the executors
+// see it: tetonly at scale 0.05, k=24, m=8, a random-delays-with-priorities
+// schedule over a per-cell random assignment, solved to Tol 1e-4.
+func sweepShape(b *testing.B) (*sched.Schedule, Config) {
+	b.Helper()
+	msh, err := mesh.Family("tetonly", 0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dirs, err := quadrature.Octant(24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := sched.NewInstance(msh, dirs, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := core.RandomDelayPriorities(inst, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Tol: 1e-4}
+}
+
+// benchExecutor runs solve on the small 4x4x4 box (k=8, m=4) and at the
+// measured shape, reporting what a step and a logical message cost.
+func benchExecutor(b *testing.B, solve func(*sched.Schedule, Config) (steps int, messages int64, err error)) {
+	b.Run("box", func(b *testing.B) { benchExecutorOn(b, testSchedule(b, 4, 8, 4, 1), testCfg, solve) })
+	b.Run("sweep", func(b *testing.B) {
+		s, cfg := sweepShape(b)
+		benchExecutorOn(b, s, cfg, solve)
+	})
+}
+
+func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sched.Schedule, Config) (int, int64, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	var last *Result
+	var steps int
+	var messages int64
 	for i := 0; i < b.N; i++ {
-		res, err := SolveParallel(s, testCfg)
-		if err != nil {
+		var err error
+		if steps, messages, err = solve(s, cfg); err != nil {
 			b.Fatal(err)
 		}
-		last = res
 	}
-	reportStepTime(b, last.Iterations*s.Makespan)
+	reportStepTime(b, steps)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(messages), "ns/message")
+}
+
+func BenchmarkSolveParallel(b *testing.B) {
+	benchExecutor(b, func(s *sched.Schedule, cfg Config) (int, int64, error) {
+		res, err := SolveParallel(s, cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.Iterations * s.Makespan, res.Comm.Messages, nil
+	})
 }
 
 // BenchmarkSolveFaultTolerant is the fault engine's fault-free path: the
 // same solve as BenchmarkSolveParallel through faults.Engine, one epoch
 // per source iteration.
 func BenchmarkSolveFaultTolerant(b *testing.B) {
-	s := testSchedule(b, 4, 8, 4, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var steps int
-	for i := 0; i < b.N; i++ {
-		_, rep, err := SolveFaultTolerant(context.Background(), s, testCfg, nil)
+	benchExecutor(b, func(s *sched.Schedule, cfg Config) (int, int64, error) {
+		res, rep, err := SolveFaultTolerant(context.Background(), s, cfg, nil)
 		if err != nil {
-			b.Fatal(err)
+			return 0, 0, err
 		}
-		steps = rep.StepsExecuted
-	}
-	reportStepTime(b, steps)
+		return rep.StepsExecuted, res.Comm.Messages, nil
+	})
 }
