@@ -18,6 +18,22 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== structure: one step body, one source-iteration loop =="
+# The modelled machine (internal/machine) has the only RunProc; every
+# executor embeds or calls it. internal/transport has the only loop that
+# alternates a sweep with UpdatePhi. A second of either is the duplication
+# this check exists to refuse.
+bodies=$(grep -rlE '^func \([^)]*\) RunProc\(' --include='*.go' --exclude='*_test.go' internal | sort || true)
+if [ "$bodies" != "internal/machine/machine.go" ]; then
+    echo "ci: RunProc step bodies outside the modelled machine:" $bodies >&2
+    exit 1
+fi
+loops=$(ls internal/transport/*.go | grep -v '_test\.go$' | xargs grep -hE 'UpdatePhi\(' | grep -cvE '^[[:space:]]*//|^func UpdatePhi\(' || true)
+if [ "$loops" -ne 1 ]; then
+    echo "ci: internal/transport calls UpdatePhi from $loops places, want the one solve loop" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -29,7 +45,7 @@ SWEEPSCHED_VERIFY=1 go test -count=1 ./...
 echo "== resilience: executors under -race with a hard timeout =="
 # The fault-injection / recovery / cancellation suite must never hang: an
 # epoch that never ends turns into a test failure here.
-go test -race -timeout 120s ./internal/faults ./internal/simulate ./internal/transport
+go test -race -timeout 120s ./internal/machine ./internal/faults ./internal/simulate ./internal/transport
 
 echo "== procfault: kill -9 a real worker process, recover bitwise =="
 # True multi-process execution: 4 worker OS processes over localhost
@@ -60,10 +76,11 @@ go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -be
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
-# The in-process executors on the small box and at the benchmark's
-# sweep-goroutine shape (ns/step, ns/message), and the route table every
-# solve builds once and every recovery once more.
-go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
+# The in-process executors — all the modelled machine — on the small box
+# and at the benchmark's sweep-goroutine shape (ns/step, ns/message), the
+# simulator's single sweep, and the route table every solve builds once
+# and every recovery once more.
+go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild|Run)$' -benchmem -benchtime 1x ./internal/transport ./internal/simulate ./internal/sched
 
 echo "== service: sweepschedd daemon suite under -race + loadtest smoke =="
 # The HTTP service's integration tests (cache tiers, coalescing,

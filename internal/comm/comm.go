@@ -1,6 +1,7 @@
 // Package comm is the batched flux-communication layer shared by every
-// executor: the in-process parallel solver (transport.SolveParallel), the
-// fault-injected engine (faults.Engine), and the multi-process runner
+// executor: the modelled machine (internal/machine) under the in-process
+// parallel solver (transport.SolveParallel) and the fault-injected engine
+// (faults.Engine), and the multi-process runner's orchestrator
 // (internal/procrun). It owns the batch envelope, the recycled buffers that
 // keep the warm path at zero allocations, and the explicit per-message vs
 // per-batch cost model the obs counters report.
@@ -22,7 +23,8 @@
 // by its consumer's step uses fewer envelopes.
 //
 // Fault semantics are untouched: injectors operate on logical messages at
-// produce time (OnSend when the sender completes the task), so a planned
+// produce time (at the barrier closing the step that completed the task,
+// before the message joins an envelope), so a planned
 // Drop/Delay/Duplicate hits exactly the message it hits on the unbatched
 // path; only the physical transmission is deferred.
 package comm
@@ -64,9 +66,9 @@ type Batch struct {
 // destination's envelope comes back to that destination: its item array
 // has then already grown to what that destination's traffic needs, and a
 // sweep that repeats an earlier one grows nothing. An Outbox belongs to
-// one step loop — every executor adds, flushes and recycles from its
-// barrier hook (procrun's orchestrator while it folds acks) — and is not
-// safe for concurrent use.
+// one step loop — the modelled machine adds, flushes and recycles from
+// its barrier hook, procrun's orchestrator while it folds acks — and is
+// not safe for concurrent use.
 type Outbox struct {
 	open  []*Batch // per destination: the envelope being filled
 	spare []*Batch // per destination: a drained envelope awaiting reuse

@@ -120,12 +120,12 @@ type batchedRing struct {
 func (r *batchedRing) OpenStep(st int32) error { r.out.FlushDue(st, r.flush); return nil }
 
 func (r *batchedRing) RunProc(p, st int32) {
-	r.sent = append(r.sent, sched.Send{Task: sched.TaskID(p), To: (p + 1) % r.m, Due: st + 2, Psi: 1})
+	r.sent = append(r.sent, sched.Send{Task: sched.TaskID(p), To: (p + 1) % r.m, Psi: 1})
 }
 
-func (r *batchedRing) CloseStep(int32) error {
+func (r *batchedRing) CloseStep(st int32) error {
 	for _, x := range r.sent {
-		r.out.Add(x.To, Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, x.Due)
+		r.out.Add(x.To, Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, st+2)
 	}
 	r.sent = r.sent[:0]
 	return nil

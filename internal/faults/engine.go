@@ -5,20 +5,18 @@ import (
 	"fmt"
 	"math"
 
-	"sweepsched/internal/comm"
 	"sweepsched/internal/lb"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/verify"
 )
 
 // Compute produces the angular flux of one task from its averaged upwind
-// inflow. The transport solver supplies the cell-balance closure; the
-// machine simulator supplies a constant (it only tracks dependencies).
-// Compute must be a pure function of (task, inflow) and state that is
-// constant within one sweep, so that replayed tasks reproduce their values
-// bitwise.
-type Compute func(t sched.TaskID, inflow float64) float64
+// inflow (machine.Compute): the transport solver supplies the cell-balance
+// closure; the machine simulator supplies a constant (it only tracks
+// dependencies).
+type Compute = machine.Compute
 
 // RecoveryReport accounts for one fault-injected execution. With a fixed
 // plan it is identical byte-for-byte (via String) across runs and
@@ -54,17 +52,18 @@ func (r *RecoveryReport) String() string {
 		r.MessagesSent, r.CommRounds, r.DeadProcs, r.LastResidualBound)
 }
 
-// Engine executes sweeps of a schedule on the simulated distributed
-// machine — the live modelled processors stepped by the shared driver
-// (sched.RunSteps), barrier-synchronous steps, fluxes delivered by the
-// barrier hook — under an injected fault plan. It is stateful across
-// sweeps — crashed processors stay dead, and the recovered assignment and
-// schedule persist — so the transport solver can run its source
-// iteration through one engine.
+// Engine executes sweeps of a schedule on the modelled machine
+// (internal/machine) — the live processors stepped by the shared driver
+// (sched.RunSteps), barrier-synchronous steps, fluxes handed over at the
+// barrier — under an injected fault plan. It is stateful across sweeps —
+// crashed processors stay dead, and the recovered assignment and schedule
+// persist — so the transport solver can run its source iteration through
+// one engine.
 //
-// Execution proceeds in epochs. An epoch runs the current (residual)
-// schedule until it finishes, a planned crash fires, or a processor
-// stalls on a flux the injector withheld. Ending an epoch durably
+// The machine has the step body and the hand-over; the engine keeps what
+// is its own. Execution proceeds in epochs. An epoch runs the current
+// (residual) schedule until it finishes, a planned crash fires, or a
+// processor stalls on a flux the injector withheld. Ending an epoch durably
 // checkpoints every completed task except those the crashed processor
 // finished since the last periodic checkpoint (those are lost and
 // replayed); recovery is delegated to the shared Recovery core — orphan-cell
@@ -78,64 +77,43 @@ type Engine struct {
 	inj  *Injector
 	rec  *Recovery
 
+	// mc is the machine the epochs run on. Its NoBatch selects the
+	// per-message interconnect (one delivery per logical cross message, at
+	// the barrier closing the step that released it) instead of the
+	// deadline-driven envelopes; both converge bitwise-identically with
+	// identical RecoveryReports.
+	mc machine.Machine
+
 	sinceCkpt   [][]sched.TaskID // per proc: completions since the last durable checkpoint
 	lastCkpt    int32
 	ckptEvery   int32
 	globalStep  int32
 	needRebuild bool
-	report      RecoveryReport
+	report      RecoveryReport // MessagesSent and CommRounds are read off mc.Comm
 
-	// noBatch selects the per-message interconnect (one delivery per
-	// logical cross message, at the barrier closing the step that released
-	// it) instead of the deadline-driven envelope path. Both converge
-	// bitwise-identically with identical RecoveryReports; NoBatch is the
-	// differential oracle.
-	noBatch bool
-	// commBatches/commBytes accumulate physical transmissions on the
-	// batched path (the unbatched equivalents are derived from
-	// MessagesSent); see CommTraffic.
-	commBatches, commBytes int64
-
-	// Tables and scratch built once and reused across epochs and sweeps: a
-	// fault-free source iteration regroups nothing and allocates nothing.
+	// Tables built once and reused across epochs and sweeps: a fault-free
+	// source iteration regroups nothing and allocates nothing.
 	fullSteps  sched.StepTable // cur, whole; stale while !fullOK
 	fullOK     bool
 	residSteps sched.StepTable // the running sweep's residual schedule
-	recv       sched.RecvTable // routes for the assignment; stale while !recvOK
-	recvOK     bool
-	due        []int32      // per receive slot: the running epoch's delivery deadline
-	dueWhole   bool         // due is that of cur run whole over recv: a fault-free sweep reuses it
-	sent       []sched.Send // the running step's messages, injected by CloseStep
-	outbox     *comm.Outbox
-	flush      func(*comm.Batch) // e.deliver, bound once
-	done       []bool
-	doneStart  []bool // done as of the running epoch's start: durable in psi
-	acks       []procAck
-	live       []int32    // the running epoch's processors, ascending
-	released   []Delivery // CloseStep's scratch: what the injector let through of one send
+	routesOK   bool            // mc's routes are those of the live assignment
+	dueWhole   bool            // mc.Due is that of cur run whole: a fault-free sweep reuses it
 	ep         epoch
 
 	// col receives execution counters (nil = off).
 	col *obs.Collector
-	ctr comm.Counters
 }
 
 // SetNoBatch selects the per-message oracle interconnect (true) or the
 // batched envelopes (false, the default). Toggle before the first Sweep.
-func (e *Engine) SetNoBatch(on bool) { e.noBatch = on }
+func (e *Engine) SetNoBatch(on bool) { e.mc.NoBatch = on }
 
-// CommTraffic reports the engine's accumulated observed communication:
-// logical messages and barrier rounds (also in the RecoveryReport), plus
-// the physical transmissions and wire(-model) bytes that carried them —
-// envelopes when batching, one frame per message on the oracle path.
-func (e *Engine) CommTraffic() (messages, batches, bytes, rounds int64) {
-	messages = e.report.MessagesSent
-	rounds = e.report.CommRounds
-	if e.noBatch {
-		return messages, messages, comm.PerMessageWireBytes(int(messages)), rounds
-	}
-	return messages, e.commBatches, e.commBytes, rounds
-}
+// CommTraffic is where the engine's machine accumulates its observed
+// communication: logical messages and barrier rounds (also in the
+// RecoveryReport), plus the physical transmissions and wire(-model) bytes
+// that carried them — envelopes when batching, one frame per message on
+// the oracle path.
+func (e *Engine) CommTraffic() *machine.Stats { return &e.mc.Comm }
 
 // Observe attaches a stats collector: the engine reports epochs,
 // recoveries, replays and live processors, and the workspace forwards
@@ -143,7 +121,7 @@ func (e *Engine) CommTraffic() (messages, batches, bytes, rounds int64) {
 // collector detaches.
 func (e *Engine) Observe(col *obs.Collector) {
 	e.col = col
-	e.ctr = comm.NewCounters(col)
+	e.mc.Observe(col)
 	e.rec.Observe(col)
 }
 
@@ -182,12 +160,8 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 		rec:       rec,
 		sinceCkpt: make([][]sched.TaskID, s.Inst.M),
 		ckptEvery: Spec{}.withDefaults().CheckpointEvery,
-		outbox:    comm.NewOutbox(s.Inst.M),
-		done:      make([]bool, s.Inst.NTasks()),
-		doneStart: make([]bool, s.Inst.NTasks()),
-		acks:      make([]procAck, s.Inst.M),
+		mc:        machine.Machine{Done: make([]bool, s.Inst.NTasks())},
 	}
-	e.flush = e.deliver
 	if plan != nil {
 		e.report.Seed = plan.Seed
 		e.ckptEvery = plan.Spec.withDefaults().CheckpointEvery
@@ -198,6 +172,7 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 // Report returns a snapshot of the execution accounting.
 func (e *Engine) Report() *RecoveryReport {
 	r := e.report
+	r.MessagesSent, r.CommRounds = e.mc.Comm.Messages, e.mc.Comm.Rounds
 	r.Crashes = e.inj.Applied(Crash)
 	r.Drops = e.inj.Applied(Drop)
 	r.Delays = e.inj.Applied(Delay)
@@ -236,7 +211,8 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 	}
 	e.report.StepsFaultFree += e.orig.Makespan
 
-	clear(e.done)
+	done := e.mc.Done
+	clear(done)
 	remaining := nt
 	cur, steps := e.cur, &e.fullSteps
 	for remaining > 0 {
@@ -262,11 +238,11 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 			e.report.Recoveries++
 			e.col.Counter("faults.recoveries").Inc()
 			e.report.LastResidualBound = lb.ResidualLoad(remaining, e.rec.NLive())
-			resid, err := e.rec.Reschedule(e.done)
+			resid, err := e.rec.Reschedule(done)
 			if err != nil {
 				return err
 			}
-			if err := e.residSteps.Build(resid, e.rec.Assign(), e.done); err != nil {
+			if err := e.residSteps.Build(resid, e.rec.Assign(), done); err != nil {
 				return fmt.Errorf("faults: internal: %w", err)
 			}
 			cur, steps = resid, &e.residSteps
@@ -283,24 +259,12 @@ const (
 	endStall
 )
 
-// procAck is one live processor's account of the running step, written
-// by the processor and folded by the barrier hook.
-type procAck struct {
-	completed int32
-	sent      int32
-	stalled   bool
-	stallTask sched.TaskID // the task that could not run
-	stallMiss sched.TaskID // the upwind flux it is missing
-	err       error
-}
-
 // epoch is one epoch on the step driver: the schedule's not-done tasks
-// run barrier-synchronously until completion, a crash, or a stall.
+// run barrier-synchronously until completion, a crash, or a stall. The
+// step body is the machine's; the epoch wraps its two barrier hooks.
 type epoch struct {
+	*machine.Machine
 	e         *Engine
-	steps     *sched.StepTable
-	compute   Compute
-	psi       []float64
 	remaining int
 	end       epochEnd
 	nextCrash int32   // earliest planned crash step among the live processors
@@ -315,37 +279,38 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 	e.report.Epochs++
 	e.col.Counter("faults.epochs").Inc()
 	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
-	if !e.recvOK {
-		e.recv.Build(e.inst, e.rec.Assign())
-		e.recvOK, e.dueWhole = true, false
+	mc := &e.mc
+	mc.Steps, mc.Compute, mc.Psi = steps, compute, psi
+	if !e.routesOK {
+		mc.Build(e.inst, e.rec.Assign())
+		e.routesOK, e.dueWhole = true, false
 	}
-	e.recv.Reset()
-	e.sent = e.sent[:0]
-	copy(e.doneStart, e.done)
+	mc.Recv.Reset()
+	mc.Sent = mc.Sent[:0]
 	// A sweep's first epoch runs the whole of e.cur with nothing durable;
-	// e.cur is only rebuilt after a crash, which invalidates recv as well.
-	if whole := cur == e.cur && remaining == len(e.done); !whole || !e.dueWhole {
-		e.routeEpoch(cur, psi)
+	// e.cur is only rebuilt after a crash, which invalidates the routes as
+	// well.
+	if whole := cur == e.cur && remaining == len(mc.Done); !whole || !e.dueWhole {
+		mc.Route(cur.Start, mc.Done)
 		e.dueWhole = whole
 	}
 	ep := &e.ep
-	*ep = epoch{e: e, steps: steps, compute: compute, psi: psi,
-		remaining: remaining, nextCrash: math.MaxInt32, dying: ep.dying[:0]}
-	e.live = e.live[:0]
+	*ep = epoch{Machine: mc, e: e, remaining: remaining, nextCrash: math.MaxInt32, dying: ep.dying[:0]}
+	mc.Procs = mc.Procs[:0]
 	for p := int32(0); p < int32(e.inst.M); p++ {
 		if !e.rec.Live(p) {
 			continue
 		}
-		e.live = append(e.live, p)
+		mc.Procs = append(mc.Procs, p)
 		if cs := e.inj.CrashStep(p); cs >= 0 {
 			ep.nextCrash = min(ep.nextCrash, cs)
 		}
 	}
-	err := sched.RunSteps(ctx, e.live, steps.Steps(), ep)
+	err := sched.RunSteps(ctx, mc.Procs, steps.Steps(), ep)
 	// Whatever is still held or in an open envelope is moot — the next
 	// epoch reads completed producers' fluxes from the durable psi.
 	e.inj.DiscardDelayed()
-	e.outbox.DiscardAll()
+	mc.Discard()
 	if err != nil {
 		return ep.remaining, endCompleted, err
 	}
@@ -358,15 +323,15 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 // OpenStep is the barrier before local step ls. Planned crashes due now
 // fire before the step runs (a processor completes steps strictly before
 // its crash step); then the periodic checkpoint, and the interconnect:
-// held (delayed) messages that matured are delivered so they arrive at
-// their maturity step — maturing past the consumer's step stalls the
-// epoch in either mode — and, batched, exactly the envelopes whose
-// earliest consumer runs at ls are flushed.
+// held (delayed) messages that matured are handed in with an immediate
+// deadline so they arrive at their maturity step — maturing past the
+// consumer's step stalls the epoch in either mode — and the machine
+// flushes what is due.
 func (ep *epoch) OpenStep(ls int32) error {
 	e := ep.e
 	g := e.globalStep
 	if g >= ep.nextCrash {
-		for _, p := range e.live {
+		for _, p := range ep.Procs {
 			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
 				ep.dying = append(ep.dying, p)
 			}
@@ -384,167 +349,59 @@ func (ep *epoch) OpenStep(ls int32) error {
 	}
 	for _, dl := range e.inj.Matured(g) {
 		if e.rec.Live(dl.To) {
-			e.hand(dl, ls) // batched, it joins the envelope with an immediate deadline
+			ep.Hand(dl, ls)
 		}
 	}
-	if !e.noBatch {
-		e.outbox.FlushDue(ls, e.flush)
-	}
-	return nil
+	return ep.Machine.OpenStep(ls)
 }
 
-// deliver accounts for one envelope and hands its fluxes to the
-// destination's receive slots.
-func (e *Engine) deliver(b *comm.Batch) {
-	e.commBatches++
-	e.commBytes += comm.BatchWireBytes(len(b.Items))
-	e.ctr.Envelope(len(b.Items))
-	for _, it := range b.Items {
-		e.recv.Deliver(it.Slot, it.Psi)
-	}
-	e.outbox.Recycle(b)
-}
-
-// routeEpoch fixes, before the epoch's first step, what its bodies would
-// otherwise work out per message. A producer durably done at epoch start
-// sends nothing this epoch: its flux is placed in its receive slots
-// straight from the checkpointed psi. Every other slot gets its deadline:
-// the slot is keyed by (producing task, destination), so one delivery can
-// satisfy every consumer of that pair and must arrive for the earliest one
-// not yet durable — NoDue when all of them are. (With a Drop on a sibling
-// edge the oracle's surviving per-message delivery serves both consumers;
-// the envelope must arrive just as early.)
-func (e *Engine) routeEpoch(cur *sched.Schedule, psi []float64) {
-	e.due = e.due[:0]
-	for s := e.recv.Slots(); s > 0; s-- {
-		e.due = append(e.due, comm.NoDue)
-	}
-	for t, durable := range e.doneStart {
-		for _, o := range e.recv.Out(sched.TaskID(t)) {
-			if durable {
-				e.recv.Deliver(o.Slot, psi[t])
-			} else if !e.doneStart[o.Consumer] {
-				e.due[o.Slot] = min(e.due[o.Slot], cur.Start[o.Consumer])
-			}
-		}
-	}
-}
-
-// RunProc is live processor p's step: it runs the tasks scheduled now,
-// reading local upwind fluxes straight from psi and cross-processor ones
-// only from the receive slots — what routeEpoch checkpointed there or the
-// interconnect delivered — and records every cross-processor send for the
-// barrier that closes the step.
-func (ep *epoch) RunProc(p, ls int32) {
-	e := ep.e
-	psi := ep.psi
-	a := &e.acks[p]
-	*a = procAck{}
-	for _, t := range ep.steps.Tasks(p, ls) {
-		inflow := 0.0
-		in := e.recv.In(t)
-		for _, x := range in {
-			if x >= 0 { // a local producer's task id
-				if !e.done[x] {
-					a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, e.globalStep, x)
-					return
-				}
-				inflow += psi[x]
-				continue
-			}
-			val, have := e.recv.Load(^x)
-			if !have {
-				a.stalled, a.stallTask, a.stallMiss = true, t, e.recv.Producer(^x)
-				return
-			}
-			inflow += val
-		}
-		if len(in) > 0 {
-			inflow /= float64(len(in))
-		}
-		val := ep.compute(t, inflow)
-		psi[t] = val
-		// done[t] and sinceCkpt[p] are this processor's alone during a step.
-		e.done[t] = true
-		e.sinceCkpt[p] = append(e.sinceCkpt[p], t)
-		a.completed++
-		out := e.recv.Out(t)
-		for _, o := range out {
-			e.sent = append(e.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: e.due[o.Slot], Psi: val})
-		}
-		a.sent += int32(len(out))
-	}
-}
-
-// hand gives the interconnect one delivery the injector released:
-// delivered per message (NoBatch), or appended to the destination's
-// envelope with the deadline due.
-func (e *Engine) hand(dl Delivery, due int32) {
-	if e.noBatch {
-		e.recv.Deliver(dl.Slot, dl.Psi)
-	} else {
-		e.outbox.Add(dl.To, comm.Item{Task: dl.Task, Slot: dl.Slot, Psi: dl.Psi}, due)
-	}
-}
-
-// CloseStep is the barrier after local step ls: the step's sends pass the
-// injector in the order they were produced (processor, then task), and
-// the acks are folded in processor order.
-func (ep *epoch) CloseStep(int32) error {
+// CloseStep is the barrier after local step ls. The injector rewrites the
+// step's queued sends before the machine hands them over — it decides per
+// (task, destination), so a planned Drop/Delay/Duplicate hits the same
+// message on either interconnect — and the engine reads the folded acks:
+// completions join their processor's since-checkpoint log, a missing flux
+// is a stall if the injector explains it and an infeasible schedule if
+// not.
+func (ep *epoch) CloseStep(ls int32) error {
 	e := ep.e
 	g := e.globalStep
-	// The injector decides per (task, destination), so a planned
-	// Drop/Delay/Duplicate hits the same message on either interconnect.
-	for _, x := range e.sent {
-		e.released = e.inj.AppendOnSend(e.released[:0], Delivery{To: x.To, Task: x.Task, Slot: x.Slot, Psi: x.Psi}, g)
-		for _, dl := range e.released {
-			e.hand(dl, x.Due)
-		}
+	ep.Sent = e.inj.Rewrite(ep.Sent, g)
+	err := ep.Machine.CloseStep(ls)
+	for _, p := range ep.Procs {
+		// done[t] was p's alone during the step; the log is the barrier's.
+		ran := ep.Steps.Tasks(p, ls)[:ep.Acks[p].Completed]
+		e.sinceCkpt[p] = append(e.sinceCkpt[p], ran...)
+		ep.remaining -= len(ran)
 	}
-	e.sent = e.sent[:0]
-	var sent, stepMax int32
-	var feasErr error
-	stalled, unexplained := false, false
-	stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-	for _, p := range e.live {
-		a := &e.acks[p]
-		ep.remaining -= int(a.completed)
-		sent += a.sent
-		stepMax = max(stepMax, a.sent)
-		if a.err != nil && feasErr == nil {
-			feasErr = a.err
-		}
-		if a.stalled {
-			stalled = true
-			if stallTask < 0 || a.stallTask < stallTask {
-				stallTask, stallMiss = a.stallTask, a.stallMiss
-			}
-			if !e.inj.Explains(a.stallMiss, p) {
-				unexplained = true
-			}
-		}
-	}
-	e.report.MessagesSent += int64(sent)
-	e.ctr.Logical(int(sent))
-	if e.noBatch {
-		e.ctr.PerMessage(int(sent))
-	}
-	e.report.CommRounds += int64(stepMax)
 	e.globalStep++
 	e.report.StepsExecuted++
-	if feasErr != nil {
-		return feasErr
+	if err == nil {
+		return nil
+	}
+	if _, stall := err.(*machine.StallError); !stall { // the machine returns it bare
+		return fmt.Errorf("faults: global step %d: %w", g, err)
+	}
+	unexplained := false
+	stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
+	for _, p := range ep.Procs {
+		a := &ep.Acks[p]
+		if !a.Stalled {
+			continue
+		}
+		if stallTask < 0 || a.StallTask < stallTask {
+			stallTask, stallMiss = a.StallTask, a.StallMiss
+		}
+		if !e.inj.Explains(a.StallMiss, p) {
+			unexplained = true
+		}
 	}
 	if unexplained {
 		return fmt.Errorf(
 			"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
 			stallTask, stallMiss, g)
 	}
-	if stalled {
-		ep.end = endStall
-		return sched.ErrStopSteps
-	}
-	return nil
+	ep.end = endStall
+	return sched.ErrStopSteps
 }
 
 // applyCrashes kills the given processors: their completions since the
@@ -553,7 +410,7 @@ func (ep *epoch) CloseStep(int32) error {
 // shared Recovery core), and the recovery itself acts as a checkpoint for
 // everyone else.
 func (e *Engine) applyCrashes(dying []int32, remaining int) int {
-	done := e.done
+	done := e.mc.Done
 	for _, p := range dying {
 		e.inj.NoteCrash()
 		for _, t := range e.sinceCkpt[p] {
@@ -572,7 +429,7 @@ func (e *Engine) applyCrashes(dying []int32, remaining int) int {
 	}
 	e.lastCkpt = e.globalStep
 	e.rec.Kill(dying, done)
-	e.recvOK = false // the assignment changed
+	e.routesOK = false // the assignment changed
 	if e.rec.NLive() > 0 {
 		e.needRebuild = true
 	}

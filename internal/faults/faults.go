@@ -8,11 +8,13 @@
 // yields the same events, so every failure run is exactly reproducible. An
 // Injector applies a plan to the interconnect of a message-passing
 // executor, one logical message at a time, and the Engine drives a
-// barrier-synchronous execution with recovery on the shared step driver
-// (sched.RunSteps): the live processors are modelled — their step bodies
-// run one after another on the caller's goroutine — and everything that
-// decides the outcome — the injector's verdicts, deliveries, crash and
-// stall detection, the report's counters — happens in the barrier hook,
+// barrier-synchronous execution with recovery of the modelled machine
+// (internal/machine) on the shared step driver (sched.RunSteps): the step
+// body and the hand-over of a step's sends are the machine's — the live
+// processors' bodies run one after another on the caller's goroutine —
+// and everything the engine decides — the injector's rewrite of the
+// queued sends, crash and stall detection, checkpoints, the report's
+// counters — happens in the barrier hook it wraps around the machine's,
 // in processor order. On a detected crash or a missing-flux stall, the
 // hook ends the epoch: the engine checkpoints the
 // completed-task state, reassigns the dead processor's remaining cells

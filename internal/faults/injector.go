@@ -1,21 +1,17 @@
 package faults
 
 import (
+	"slices"
 	"sort"
 
 	"sweepsched/internal/sched"
 )
 
 // Delivery is one flux message the interconnect should place in a
-// destination inbox: in receive slot Slot there, for the in-process
-// executors (sched.RecvTable; the injector carries it and decides by task
-// and destination alone).
-type Delivery struct {
-	To   int32
-	Task sched.TaskID
-	Slot int32
-	Psi  float64
-}
+// destination inbox: the same sched.Send the step body queued (the
+// injector carries its slot along and decides by task and destination
+// alone).
+type Delivery = sched.Send
 
 type msgKey struct {
 	task sched.TaskID
@@ -23,9 +19,10 @@ type msgKey struct {
 }
 
 // Injector applies a Plan to the interconnect of an executor. The
-// executor routes every cross-processor send through OnSend (which may
-// suppress, hold or duplicate the delivery) and asks Matured at each
-// barrier for held messages that are now due. The decision for a message
+// executor passes every cross-processor send through it — one at a time
+// (OnSend, the orchestrator) or a step's queue at once (Rewrite, the
+// engine) — which may suppress, hold or duplicate the delivery, and asks
+// Matured at each barrier for held messages that are now due. The decision for a message
 // depends only on the plan (keyed by task and destination), never on call
 // order, so executions are reproducible. An Injector belongs to one step
 // loop — the engine's barrier hook, procrun's orchestrator — and is not
@@ -104,37 +101,41 @@ func (inj *Injector) NoteSever() { inj.applied[Sever]++ }
 // once — on later sends of the same message (transport re-sweeps the
 // schedule every source iteration) delivery is normal.
 func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	return inj.AppendOnSend(nil, Delivery{To: to, Task: task, Psi: psi}, step)
+	if out := inj.Rewrite([]Delivery{{Task: task, To: to, Psi: psi}}, step); len(out) > 0 {
+		return out
+	}
+	return nil
 }
 
-// AppendOnSend is OnSend for a delivery the caller has made up (slot
-// included), appending to dst: with a buffer of capacity two reused across
-// sends it allocates nothing. Fired events leave the index, so once none
-// is pending — from the start, for most plans soon after — a send costs
-// one length check and no hashing.
-func (inj *Injector) AppendOnSend(dst []Delivery, normal Delivery, step int32) []Delivery {
-	if len(inj.msg) == 0 {
-		return append(dst, normal)
+// Rewrite is OnSend for the sends one step queued on the modelled machine,
+// in place and in order: a drop removes its message, a delay removes and
+// holds it, a duplicate doubles it. Fired events leave the index, so once
+// none is pending — from the start, for most plans soon after — a step
+// costs one length check and no hashing.
+func (inj *Injector) Rewrite(sends []Delivery, step int32) []Delivery {
+	for i := 0; i < len(sends) && len(inj.msg) > 0; i++ {
+		key := msgKey{sends[i].Task, sends[i].To}
+		e, ok := inj.msg[key]
+		if !ok {
+			continue
+		}
+		delete(inj.msg, key)
+		inj.consumed[key] = e.Kind
+		inj.applied[e.Kind]++
+		switch e.Kind {
+		case Delay:
+			due := step + e.HoldSteps
+			inj.delayed[due] = append(inj.delayed[due], sends[i])
+			fallthrough
+		case Drop:
+			sends = slices.Delete(sends, i, i+1)
+			i--
+		case Duplicate:
+			sends = slices.Insert(sends, i, sends[i])
+			i++
+		}
 	}
-	key := msgKey{normal.Task, normal.To}
-	e, ok := inj.msg[key]
-	if !ok {
-		return append(dst, normal)
-	}
-	delete(inj.msg, key)
-	inj.consumed[key] = e.Kind
-	inj.applied[e.Kind]++
-	switch e.Kind {
-	case Drop:
-		return dst
-	case Delay:
-		due := step + e.HoldSteps
-		inj.delayed[due] = append(inj.delayed[due], normal)
-		return dst
-	case Duplicate:
-		return append(dst, normal, normal)
-	}
-	return append(dst, normal)
+	return sends
 }
 
 // Matured removes and returns every held delivery due at or before the

@@ -1,10 +1,13 @@
 // Package procrun executes a sweep schedule across real worker OS
-// processes. It is the faults.Engine architecture with the goroutines
-// replaced by processes and the channels by localhost TCP: the
-// orchestrator (this package, parent process) owns the schedule, the
-// recovery core and the fault plan; each worker (internal/procrun/worker,
-// spawned by re-exec) owns its task arithmetic and its durable checkpoint
-// shards on disk. Fault injection is physical — planned crashes are
+// processes. It is the faults.Engine architecture with the modelled
+// processors replaced by processes and the hand-over by localhost TCP:
+// the orchestrator (this package, parent process) owns the schedule, the
+// recovery core, the fault plan and the interconnect; each worker
+// (worker.go, spawned by re-exec) is one rank of the modelled machine
+// (internal/machine) — it runs the shared step body for its own rank over
+// the epoch's routes — and owns beyond that only the cell-balance closure
+// it computes with and its durable checkpoint shards on disk. Fault
+// injection is physical — planned crashes are
 // delivered as real SIGKILLs and planned severs as closed sockets — yet
 // the converged flux remains bitwise-identical to the serial
 // transport.Solve, because recovery replays lost tasks with identical

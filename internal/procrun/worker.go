@@ -11,6 +11,7 @@ import (
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/transport"
@@ -58,9 +59,11 @@ func RunWorker(assignment string) int {
 
 // worker is one sweep processor living in its own OS process. It is a
 // pure frame-reactor: all control (sweeps, epochs, barrier steps,
-// checkpoint triggers, shutdown) comes from the orchestrator; the worker
-// owns only its task arithmetic, its durable checkpoint shards, and its
-// reconnect loop.
+// checkpoint triggers, shutdown) comes from the orchestrator, which is
+// also the interconnect. The worker runs the modelled machine's step body
+// (internal/machine) for its own rank — the same body the in-process
+// executors run for every rank — and owns only the cell-balance closure it
+// gives it, its durable checkpoint shards, and its reconnect loop.
 type worker struct {
 	addr string
 	rank int32
@@ -84,18 +87,16 @@ type worker struct {
 	// sweep state (reset by fSweep)
 	iter     int32
 	phi      []float64
-	compute  func(sched.TaskID, float64) float64
 	logTasks []sched.TaskID // cumulative completions this sweep, in completion order
 	logPsi   []float64
 
 	// epoch state (reset by fEpoch)
-	epoch     int32
-	assign    sched.Assignment
-	steps     sched.StepTable // this epoch's schedule; the worker runs row w.rank
-	doneStart []bool
-	psi       []float64
-	recv      map[sched.TaskID]float64
-	localDone map[sched.TaskID]bool
+	epoch int32
+	steps sched.StepTable // this epoch's schedule; the worker runs row w.rank
+	// mc is the machine of which this process is processor w.rank: the
+	// epoch's routes, the durable fluxes in their slots, the fluxes the
+	// wire delivered. Its Done is nil until the first epoch frame.
+	mc machine.Machine
 }
 
 func (w *worker) current() *wireConn {
@@ -303,7 +304,7 @@ func (w *worker) onSweep(payload []byte) (func() error, error) {
 	if len(w.phi) != w.inst.N() {
 		return nil, fmt.Errorf("procrun: sweep phi covers %d of %d cells", len(w.phi), w.inst.N())
 	}
-	w.compute = transport.CellBalance(w.inst, w.cfg, w.phi)
+	w.mc.Compute = transport.CellBalance(w.inst, w.cfg, w.phi)
 	w.logTasks = w.logTasks[:0]
 	w.logPsi = w.logPsi[:0]
 	w.col.Counter("proc.sweeps").Inc()
@@ -337,15 +338,21 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 	if makespan > maxFrame/4/w.inst.M {
 		return nil, fmt.Errorf("procrun: epoch frame claims a makespan of %d steps for %d processors", makespan, w.inst.M)
 	}
-	w.assign = sched.Assignment(assign)
-	s := &sched.Schedule{Inst: w.inst, Assign: w.assign, Start: start, Makespan: makespan}
-	if err := w.steps.Build(s, w.assign, done); err != nil {
+	s := &sched.Schedule{Inst: w.inst, Assign: assign, Start: start, Makespan: makespan}
+	if err := s.Assign.Validate(w.inst.N(), w.inst.M); err != nil {
 		return nil, err
 	}
-	w.doneStart = done
-	w.psi = psi
-	w.recv = map[sched.TaskID]float64{}
-	w.localDone = map[sched.TaskID]bool{}
+	if err := w.steps.Build(s, nil, done); err != nil {
+		return nil, err
+	}
+	// The epoch's machine: routes for the epoch's assignment, and every
+	// flux that is durable placed where its consumers read it — a local one
+	// in psi under a done mark, a cross-processor one in its receive slot.
+	// (Its hand-over never runs: the orchestrator is the interconnect.)
+	mc := &w.mc
+	mc.Steps, mc.Psi, mc.Done = &w.steps, psi, done
+	mc.Build(w.inst, s.Assign)
+	mc.Route(start, done)
 	w.col.Counter("proc.epochs").Inc()
 	return w.okReply(), nil
 }
@@ -354,18 +361,18 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 // per-message transmissions) into the receive set. No reply: the step
 // frame that follows carries the ack for the whole barrier.
 func (w *worker) onFlux(payload []byte) (func() error, error) {
-	if w.recv == nil {
+	if w.mc.Done == nil {
 		return nil, fmt.Errorf("procrun: flux before epoch")
 	}
 	items, err := decodeFluxBatch(payload, w.fluxBuf)
 	if err != nil {
 		return nil, err
 	}
-	for _, it := range items {
-		w.recv[it.Task] = it.Psi
-	}
 	if items != nil {
 		w.fluxBuf = items
+	}
+	if err := w.deliver(items); err != nil {
+		return nil, err
 	}
 	w.ctr.Logical(len(items))
 	w.ctr.PerMessage(len(items))
@@ -388,8 +395,8 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	if delivs != nil {
 		w.fluxBuf = delivs
 	}
-	if w.doneStart == nil {
-		return nil, fmt.Errorf("procrun: step before epoch")
+	if w.mc.Done == nil || w.mc.Compute == nil {
+		return nil, fmt.Errorf("procrun: step before sweep and epoch")
 	}
 	if ckpt {
 		ck := &faults.Checkpoint{
@@ -401,81 +408,60 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 		}
 		w.col.Counter("proc.checkpoints").Inc()
 	}
-	for _, dl := range delivs {
-		w.recv[dl.Task] = dl.Psi
+	if err := w.deliver(delivs); err != nil {
+		return nil, err
 	}
 	if n := len(delivs); n > 0 {
 		w.ctr.Logical(n)
 		w.ctr.Envelope(n)
 	}
 
+	// The shared step body, for this rank only. Its queued sends are
+	// dropped: the orchestrator routes from the completions in the ack.
+	mc := &w.mc
+	mc.RunProc(w.rank, local)
+	mc.Sent = mc.Sent[:0]
+	ack := &mc.Acks[w.rank]
 	completed := w.compBuf[:0]
-	stalled := false
-	stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-	errMsg := ""
-	inst := w.inst
-	n := int32(inst.N())
-	for _, t := range w.steps.Tasks(w.rank, local) {
-		v, i := inst.Split(t)
-		dag := inst.DAGs[i]
-		base := sched.TaskID(int32(i) * n)
-		inflow := 0.0
-		preds := dag.In(v)
-		ok := true
-		for _, u := range preds {
-			ut := base + sched.TaskID(u)
-			switch {
-			case w.doneStart[ut]:
-				inflow += w.psi[ut] // durable value from an earlier epoch
-			case w.assign[u] == w.rank:
-				if !w.localDone[ut] {
-					errMsg = fmt.Sprintf("procrun: rank %d task %d at step %d: local input %d not done", w.rank, t, global, ut)
-					ok = false
-				} else {
-					inflow += w.psi[ut]
-				}
-			default:
-				val, have := w.recv[ut]
-				if !have {
-					stalled, stallTask, stallMiss = true, t, ut
-					ok = false
-				} else {
-					inflow += val
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			break
-		}
-		if len(preds) > 0 {
-			inflow /= float64(len(preds))
-		}
-		val := w.compute(t, inflow)
-		w.psi[t] = val
-		w.localDone[t] = true
+	for _, t := range w.steps.Tasks(w.rank, local)[:ack.Completed] {
+		val := mc.Psi[t]
 		w.logTasks = append(w.logTasks, t)
 		w.logPsi = append(w.logPsi, val)
 		completed = append(completed, comm.Item{Task: t, Psi: val})
-		w.col.Counter("proc.tasks").Inc()
 	}
 	w.compBuf = completed
+	w.col.Counter("proc.tasks").Add(int64(ack.Completed))
 	w.col.Counter("proc.steps").Inc()
+	errMsg := ""
+	if ack.Err != nil {
+		errMsg = fmt.Sprintf("procrun: rank %d at global step %d: %v", w.rank, global, ack.Err)
+	}
 
 	e := enc{b: w.ackb[:0]}
 	appendFluxBatch(&e, completed)
-	if stalled {
+	if ack.Stalled {
 		e.u8(1)
 	} else {
 		e.u8(0)
 	}
-	e.i32(int32(stallTask))
-	e.i32(int32(stallMiss))
+	e.i32(int32(ack.StallTask))
+	e.i32(int32(ack.StallMiss))
 	e.str(errMsg)
 	w.ackb = e.b
 	return func() error { return w.current().writeFrame(fAck, e.b, 5*time.Second) }, nil
+}
+
+// deliver places fluxes that came off the wire, named by producing task,
+// in the receive slots the epoch's routes give (task, own rank). A task id
+// out of range, or one with no edge into this rank, is a protocol error
+// (*machine.RouteError): fatal, like any other malformed frame.
+func (w *worker) deliver(items []comm.Item) error {
+	for _, it := range items {
+		if err := w.mc.DeliverNamed(it.Task, w.rank, it.Psi); err != nil {
+			return fmt.Errorf("procrun: rank %d: %w", w.rank, err)
+		}
+	}
+	return nil
 }
 
 // onSnapshot ships the worker's metrics snapshot for the orchestrator's

@@ -2,14 +2,14 @@ package sched
 
 import "fmt"
 
-// This file holds the tables every barrier-synchronous executor shares:
-// the message-passing simulator (internal/simulate), the parallel transport
-// solver (internal/transport), the fault-injected engine
-// (internal/faults) and the multi-process runner (internal/procrun) all
-// partition a schedule the same way — tasks per (processor, step) — and
-// the three in-process executors keep received cross-processor fluxes in
-// the same dense table. The step driver that runs them is in
-// stepdriver.go.
+// This file holds the tables of the modelled machine (internal/machine),
+// and so of every barrier-synchronous executor: the message-passing
+// simulator (internal/simulate), the parallel transport solver
+// (internal/transport), the fault-injected engine (internal/faults) and
+// the workers of the multi-process runner (internal/procrun) all partition
+// a schedule the same way — tasks per (processor, step) — and keep
+// received cross-processor fluxes in the same dense table. The step driver
+// that runs them is in stepdriver.go.
 
 // StepTable groups a schedule's not-yet-done tasks by (processor, start
 // step) in one flat CSR array: no hashing on the executors' hot path,
@@ -103,7 +103,7 @@ func (g *StepTable) Tasks(p, step int32) []TaskID {
 	return g.tasks[g.off[r]:g.off[r+1]]
 }
 
-// RecvTable is the flux routing of the in-process executors, resolved once
+// RecvTable is the flux routing of the modelled machine, resolved once
 // per assignment: one receive slot per distinct (producer task, destination
 // processor) pair of the cross-processor edges, holding the flux the
 // interconnect delivered and the stamp of the sweep it was delivered in,
@@ -260,16 +260,17 @@ func AllProcs(m int) []int32 {
 	return procs
 }
 
-// Send is one logical cross-processor flux message: task Task's flux Psi
-// for receive slot Slot of processor To, whose consumer there starts at
-// step Due. An executor queues the sends its bodies produce and hands them
-// to the interconnect in CloseStep, so a flux sent during step t is visible
-// to its destination from step t+1 on whatever the interconnect — never to
-// a higher-numbered processor later in step t.
+// Send is one logical cross-processor flux message, the one in-memory form
+// it has between the step body that produced it and the interconnect: task
+// Task's flux Psi for receive slot Slot of processor To. The modelled
+// machine (internal/machine) queues the sends its bodies produce and hands
+// them over in CloseStep, so a flux sent during step t is visible to its
+// destination from step t+1 on whatever the interconnect — never to a
+// higher-numbered processor later in step t. (When it must arrive is the
+// slot's business, not the message's: machine.Machine.Due.)
 type Send struct {
 	Task TaskID
 	To   int32
 	Slot int32 // the destination's receive slot (RecvTable.Out)
-	Due  int32
 	Psi  float64
 }

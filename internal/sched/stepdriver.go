@@ -7,7 +7,8 @@ import (
 
 // Stepper is one barrier-step execution as the step driver sees it: the
 // modelled processors' step bodies and the coordinator work on either
-// side of them.
+// side of them. The one implementation outside tests is the modelled
+// machine (internal/machine), which the fault engine wraps.
 //
 // RunProc(p, step) is modelled processor p's share of a step. A body
 // writes only state that belongs to p (its ack slot, its tasks' fluxes,

@@ -1,9 +1,10 @@
-// Package simulate executes a sweep schedule on a simulated distributed
-// machine: the schedule's m processors modelled on the shared step driver
-// (sched.RunSteps, one barrier-synchronous step loop) and a per-message
-// interconnect delivered at the barrier. It is the executable counterpart
-// of the paper's simulation methodology — every precedence is enforced by
-// an actual message arriving (or local completion), so a schedule that
+// Package simulate executes a sweep schedule on the modelled machine
+// (internal/machine) with no arithmetic: the schedule's m processors on
+// the shared step driver (sched.RunSteps, one barrier-synchronous step
+// loop), a constant for the cell balance and the per-message interconnect
+// delivered at the barrier. It is the executable counterpart of the
+// paper's simulation methodology — every precedence is enforced by an
+// actual message arriving (or local completion), so a schedule that
 // validates here would run correctly on a real cluster with the same task
 // placement.
 //
@@ -19,9 +20,9 @@ package simulate
 
 import (
 	"context"
-	"fmt"
 
 	"sweepsched/internal/faults"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/sched"
 )
 
@@ -32,13 +33,6 @@ type Result struct {
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
 }
 
-// procReport is one modelled processor's account of the running step,
-// written by the processor and folded by the barrier hook.
-type procReport struct {
-	sent int32 // cross-processor messages sent at this step
-	err  error // infeasibility detected at this step, nil if ok
-}
-
 // Run executes the schedule. It returns an error if any task would run
 // before one of its inputs is available — i.e., if the schedule is
 // infeasible under message passing.
@@ -46,90 +40,21 @@ func Run(s *sched.Schedule) (*Result, error) {
 	return RunCtx(context.Background(), s)
 }
 
+// noFlux is the simulator's cell balance: it tracks dependencies only.
+func noFlux(sched.TaskID, float64) float64 { return 0 }
+
 // RunCtx is Run with cooperative cancellation: it returns ctx.Err() within
-// one barrier step of cancellation.
+// one barrier step of cancellation. It is one fault-free sweep of the
+// modelled machine on the per-message interconnect.
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
-	m := s.Inst.M
-	r := &run{
-		ran:     make([]bool, s.Inst.NTasks()),
-		reports: make([]procReport, m),
-		res:     Result{Steps: s.Makespan},
-	}
-	if err := r.steps.Build(s, nil, nil); err != nil {
+	mc, err := machine.New(s, true, noFlux, make([]float64, s.Inst.NTasks()))
+	if err != nil {
 		return nil, err
 	}
-	r.recv.Build(s.Inst, s.Assign)
-	if err := sched.RunSteps(ctx, sched.AllProcs(m), r.steps.Steps(), r); err != nil {
+	if err := mc.Sweep(ctx); err != nil {
 		return nil, err
 	}
-	return &r.res, nil
-}
-
-// run is one execution on the shared step driver (sched.RunSteps): the
-// per-message interconnect, one delivery per message at the barrier
-// closing the step it was sent in.
-type run struct {
-	steps   sched.StepTable
-	recv    sched.RecvTable
-	sent    []sched.Send // the running step's messages, delivered by CloseStep
-	ran     []bool       // per task; written and read only by the task's processor
-	reports []procReport
-	res     Result
-}
-
-func (r *run) OpenStep(int32) error { return nil }
-
-// RunProc is one simulated processor's step: it checks every input of
-// every task scheduled now against what has completed locally or been
-// delivered, "executes" the task, and sends its flux to downstream
-// off-processor tasks. A detected infeasibility travels in the report.
-func (r *run) RunProc(p, st int32) {
-	rep := &r.reports[p]
-	*rep = procReport{}
-	for _, t := range r.steps.Tasks(p, st) {
-		for _, x := range r.recv.In(t) {
-			if x >= 0 { // a local producer's task id
-				if !r.ran[x] {
-					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, x)
-					return
-				}
-			} else if _, ok := r.recv.Load(^x); !ok {
-				rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, r.recv.Producer(^x))
-				return
-			}
-		}
-		r.ran[t] = true
-		out := r.recv.Out(t)
-		for _, o := range out {
-			r.sent = append(r.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot})
-		}
-		rep.sent += int32(len(out))
-	}
-}
-
-// CloseStep delivers the step's messages and folds the reports in
-// processor order, so the reported error is deterministic (lowest
-// processor id wins).
-func (r *run) CloseStep(int32) error {
-	for _, x := range r.sent {
-		r.recv.Deliver(x.Slot, 0)
-	}
-	r.sent = r.sent[:0]
-	var stepMax int32
-	var stepErr error
-	for p := range r.reports {
-		rep := &r.reports[p]
-		r.res.TotalMessages += int64(rep.sent)
-		stepMax = max(stepMax, rep.sent)
-		if rep.err != nil && stepErr == nil {
-			stepErr = rep.err
-		}
-	}
-	if stepErr != nil {
-		return stepErr
-	}
-	r.res.CommRounds += int64(stepMax)
-	return nil
+	return &Result{Steps: s.Makespan, TotalMessages: mc.Comm.Messages, CommRounds: mc.Comm.Rounds}, nil
 }
 
 // RunFaulty executes the schedule under an injected fault plan with
@@ -145,8 +70,7 @@ func RunFaulty(ctx context.Context, s *sched.Schedule, plan *faults.Plan) (*Resu
 		return nil, nil, err
 	}
 	psi := make([]float64, s.Inst.NTasks())
-	zero := func(sched.TaskID, float64) float64 { return 0 }
-	if err := eng.Sweep(ctx, zero, psi); err != nil {
+	if err := eng.Sweep(ctx, noFlux, psi); err != nil {
 		return nil, eng.Report(), err
 	}
 	rep := eng.Report()

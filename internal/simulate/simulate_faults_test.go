@@ -9,6 +9,7 @@ import (
 	"sweepsched/internal/faults"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/transport"
 )
 
 // corruption mutates a valid schedule into an infeasible one.
@@ -35,6 +36,33 @@ func firstCrossEdge(t *testing.T, s *sched.Schedule) (ut, wt sched.TaskID) {
 	return 0, 0
 }
 
+// localOnlyProducer finds a task whose out-edges all stay on its own
+// processor (and that has one), and the latest start among its consumers:
+// a precedence no message enforces.
+func localOnlyProducer(t *testing.T, s *sched.Schedule) (ut sched.TaskID, lastConsumer int32) {
+	t.Helper()
+	inst := s.Inst
+	n := int32(inst.N())
+	for i, d := range inst.DAGs {
+		base := sched.TaskID(int32(i) * n)
+	cells:
+		for u := int32(0); u < n; u++ {
+			last := int32(-1)
+			for _, w := range d.Out(u) {
+				if s.Assign[u] != s.Assign[w] {
+					continue cells
+				}
+				last = max(last, s.Start[base+sched.TaskID(w)])
+			}
+			if last >= 0 {
+				return base + sched.TaskID(u), last
+			}
+		}
+	}
+	t.Fatal("no producer with only same-processor consumers in schedule")
+	return 0, 0
+}
+
 func corruptions() []corruption {
 	return []corruption{
 		{"swapped edge starts", func(t *testing.T, s *sched.Schedule) {
@@ -52,12 +80,19 @@ func corruptions() []corruption {
 				s.Makespan = int(s.Start[ut]) + 1
 			}
 		}},
+		{"local producer moved past its last consumer", func(t *testing.T, s *sched.Schedule) {
+			ut, last := localOnlyProducer(t, s)
+			s.Start[ut] = last + 1 // breaks no cross-processor edge: only the done check sees it
+			s.Makespan = max(s.Makespan, int(s.Start[ut])+1)
+		}},
 	}
 }
 
 // TestInfeasibleSchedulesRejectedEverywhere feeds corrupted schedules to
-// every executor and asserts a descriptive error with no panic and no
-// leaked goroutines.
+// every executor — the simulator, the fault engine under the empty plan,
+// and the transport solves, serial, on the machine (both interconnects)
+// and fault-tolerant — and asserts an error, never a result, with no panic
+// and no leaked goroutines.
 func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
 	for _, c := range corruptions() {
 		t.Run(c.name, func(t *testing.T) {
@@ -75,6 +110,27 @@ func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
 					t.Error("RunFaulty accepted an infeasible schedule")
 				}
 			})
+			cfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 3}
+			unbatched := cfg
+			unbatched.NoBatch = true
+			for _, ex := range []struct {
+				name  string
+				solve func() (*transport.Result, error)
+			}{
+				{"Solve", func() (*transport.Result, error) { return transport.Solve(s, cfg) }},
+				{"SolveParallel", func() (*transport.Result, error) { return transport.SolveParallel(s, cfg) }},
+				{"SolveParallel NoBatch", func() (*transport.Result, error) { return transport.SolveParallel(s, unbatched) }},
+				{"SolveFaultTolerant", func() (*transport.Result, error) {
+					res, _, err := transport.SolveFaultTolerant(context.Background(), s, cfg, nil)
+					return res, err
+				}},
+			} {
+				leakcheck.Check(t, func() {
+					if res, err := ex.solve(); err == nil || res != nil {
+						t.Errorf("transport.%s accepted an infeasible schedule (a flux: %v)", ex.name, res != nil)
+					}
+				})
+			}
 		})
 	}
 }

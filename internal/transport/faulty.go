@@ -6,13 +6,13 @@ import (
 
 	"sweepsched/internal/faults"
 	"sweepsched/internal/sched"
-	"sweepsched/internal/verify"
 )
 
-// SolveFaultTolerant runs the source iteration on the fault-injected
-// distributed executor (internal/faults): the live modelled processors on
-// the shared step driver, the interconnect wrapped by the plan's injector,
-// and checkpointed recovery rescheduling on crashes and lost fluxes. Message
+// SolveFaultTolerant runs the source iteration (solve) on the
+// fault-injected distributed executor (internal/faults): the modelled
+// machine's live processors on the shared step driver, its hand-over
+// wrapped by the plan's injector, and checkpointed recovery rescheduling
+// on crashes and lost fluxes. Message
 // fault events fire on the first sweep that sends the affected flux;
 // crashes are permanent, so later iterations keep running on the recovered
 // schedule.
@@ -26,50 +26,26 @@ import (
 // every processor, infeasible schedule) the report still describes the
 // faults applied so far.
 func SolveFaultTolerant(ctx context.Context, s *sched.Schedule, cfg Config, plan *faults.Plan) (*Result, *faults.RecoveryReport, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	var eng *faults.Engine
+	res, err := solve(ctx, s, cfg, func(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
+		var err error
+		if eng, err = faults.NewEngine(s, plan); err != nil {
+			return nil, nil, err
+		}
+		eng.Observe(cfg.Collector)
+		eng.SetNoBatch(cfg.NoBatch)
+		eng.SetVerify(cfg.verifyOn())
+		compute := CellBalance(s.Inst, cfg, phi)
+		return func(ctx context.Context) error { return eng.Sweep(ctx, compute, psi) }, eng.CommTraffic(), nil
+	})
+	if eng == nil {
 		return nil, nil, err
 	}
-	inst := s.Inst
-	if err := cfg.validateFor(inst); err != nil {
-		return nil, nil, err
-	}
-	eng, err := faults.NewEngine(s, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng.Observe(cfg.Collector)
-	eng.SetNoBatch(cfg.NoBatch)
-	if cfg.Verify {
-		eng.SetVerify(true)
-	}
-	if cfg.verifyOn() {
-		if err := verify.Schedule(s.Inst, s, verify.Opts{}); err != nil {
-			return nil, eng.Report(), fmt.Errorf("transport: schedule failed the audit: %w", err)
-		}
-	}
-	phi := make([]float64, inst.N())
-	psi := make([]float64, inst.NTasks())
-	compute := CellBalance(inst, cfg, phi)
-	res := &Result{}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := eng.Sweep(ctx, compute, psi); err != nil {
-			return nil, eng.Report(), err
-		}
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	res.Phi = phi
-	res.Comm.Messages, res.Comm.Batches, res.Comm.Bytes, res.Comm.Rounds = eng.CommTraffic()
-	if cfg.verifyOn() {
+	if err == nil && cfg.verifyOn() {
 		// Cross-check the run's accumulated accounting before reporting it.
-		if err := eng.Audit(); err != nil {
-			return nil, eng.Report(), fmt.Errorf("transport: recovery accounting failed the audit: %w", err)
+		if aerr := eng.Audit(); aerr != nil {
+			res, err = nil, fmt.Errorf("transport: recovery accounting failed the audit: %w", aerr)
 		}
 	}
-	return res, eng.Report(), nil
+	return res, eng.Report(), err
 }

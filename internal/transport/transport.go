@@ -11,17 +11,21 @@
 // upwind neighbors in direction i, and nothing else, before it can be
 // solved.
 //
-// Two executors are provided, and they produce bitwise-identical fluxes:
+// Three executors are provided, and they produce bitwise-identical
+// fluxes. All run one source iteration (solve): the same prelude, the same
+// audit, the same sweep/UpdatePhi loop; they differ only in what sweeps.
 //
 //   - Solve: serial, walking tasks in schedule start order.
-//   - SolveParallel: the m processors of the schedule's assignment as
-//     modelled processors on the shared step driver (sched.RunSteps),
-//     exchanging cross-processor angular fluxes only through the
-//     interconnect, in barrier-synchronous steps — a faithful miniature
-//     of the distributed sweep the schedule would drive on a real
-//     cluster. The driver runs a step's processors one after another on
-//     the caller's goroutine; what is modelled is the machine's data
+//   - SolveParallel: the modelled machine (internal/machine) — the m
+//     processors of the schedule's assignment on the shared step driver
+//     (sched.RunSteps), exchanging cross-processor angular fluxes only
+//     through the interconnect, in barrier-synchronous steps — a faithful
+//     miniature of the distributed sweep the schedule would drive on a
+//     real cluster. The driver runs a step's processors one after another
+//     on the caller's goroutine; what is modelled is the machine's data
 //     flow and traffic, not its speed.
+//   - SolveFaultTolerant: the same machine under the fault engine
+//     (internal/faults).
 package transport
 
 import (
@@ -29,7 +33,7 @@ import (
 	"fmt"
 	"math"
 
-	"sweepsched/internal/comm"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/verify"
@@ -64,8 +68,11 @@ type Config struct {
 	// oracle: both modes converge bitwise-identically; only the
 	// transmission counts and bytes differ.
 	NoBatch bool
-	// Collector, when non-nil, receives solve counters (iterations) and,
-	// on the fault-tolerant path, the engine's epoch/recovery series.
+	// Collector, when non-nil, receives every solve's counters
+	// (transport.iterations, the transport.solve.time span), the comm.*
+	// series of the communicating executors — posted barrier by barrier,
+	// so a cancelled solve has reported what it sent — and, on the
+	// fault-tolerant path, the engine's epoch/recovery series.
 	Collector *obs.Collector
 }
 
@@ -115,22 +122,8 @@ func (c Config) validateFor(inst *sched.Instance) error {
 
 // CommStats is the communication the executor that produced a Result
 // actually performed — observed traffic, not schedule-derived analytics
-// (sched.C1/C2 describe the schedule; these describe the run, which may
-// differ under recovery rescheduling).
-type CommStats struct {
-	// Messages counts logical cross-processor flux messages sent, one per
-	// cross edge per sweep. Identical batched or unbatched.
-	Messages int64
-	// Batches counts physical transmissions carrying them: envelopes in
-	// batched mode, one per message unbatched.
-	Batches int64
-	// Bytes is the wire(-model) cost of those transmissions
-	// (comm.BatchWireBytes / comm.PerMessageWireBytes).
-	Bytes int64
-	// Rounds is Σ_step max_p(messages sent by p at that step) — the
-	// observed analogue of the paper's C2 metric.
-	Rounds int64
-}
+// (see machine.Stats, which counts it).
+type CommStats = machine.Stats
 
 // Result is a converged (or iteration-capped) solve.
 type Result struct {
@@ -144,8 +137,9 @@ type Result struct {
 }
 
 // CellBalance returns the per-task cell-balance closure every executor
-// shares — serial, parallel (step driver), fault-injected, and the worker
-// processes of internal/procrun:
+// shares — the serial walk, and the modelled machine's Compute under
+// SolveParallel, the fault engine and the worker processes of
+// internal/procrun:
 //
 //	psi = (q + inflow) / (1 + SigmaT),  q = source(v) + SigmaS·φ[v]
 //
@@ -153,7 +147,7 @@ type Result struct {
 // between sweeps, so the capture stays current) and is otherwise a pure
 // function of (task, inflow) within one sweep — the property that makes
 // replayed tasks, on any executor, reproduce their fluxes bitwise.
-func CellBalance(inst *sched.Instance, cfg Config, phi []float64) func(t sched.TaskID, inflow float64) float64 {
+func CellBalance(inst *sched.Instance, cfg Config, phi []float64) machine.Compute {
 	return func(t sched.TaskID, inflow float64) float64 {
 		v, _ := inst.Split(t)
 		q := cfg.Source
@@ -224,18 +218,16 @@ func UpdatePhi(inst *sched.Instance, psi, phi []float64, cfg Config) float64 {
 	return maxDiff
 }
 
-// Solve runs source iteration serially, sweeping in the schedule's
-// execution order — by start step, the order the step table groups tasks
-// in — which any validated schedule makes precedence-compatible. A
-// schedule that does not cover its tasks (one unscheduled, or starting at
-// or after the makespan) is refused with the step table's error.
-func Solve(s *sched.Schedule, cfg Config) (*Result, error) {
-	return SolveCtx(context.Background(), s, cfg)
-}
+// sweeper is what one solve iterates: given the solve's scalar and angular
+// flux arrays, it returns the function that sweeps every direction once
+// into psi (reading phi as UpdatePhi last left it) and, for an executor
+// that communicates, where it counts its observed traffic.
+type sweeper func(s *sched.Schedule, cfg Config, phi, psi []float64) (sweep func(context.Context) error, traffic *CommStats, err error)
 
-// SolveCtx is Solve with cooperative cancellation, checked once per source
-// iteration (one full sweep of every direction).
-func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
+// solve is the source iteration under every entry point: defaults and
+// shape checks, the audit, then sweeps alternating with UpdatePhi until
+// the scalar flux converges or MaxIters is spent.
+func solve(ctx context.Context, s *sched.Schedule, cfg Config, on sweeper) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -249,44 +241,67 @@ func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, erro
 			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
 		}
 	}
-	var steps sched.StepTable
-	if err := steps.Build(s, nil, nil); err != nil {
+	res := &Result{Phi: make([]float64, inst.N())}
+	psi := make([]float64, inst.NTasks())
+	sweep, traffic, err := on(s, cfg, res.Phi, psi)
+	if err != nil {
 		return nil, err
 	}
-	span := cfg.Collector.Span("transport.solve.time")
-	order := steps.Order()
-	phi := make([]float64, inst.N())
-	psi := make([]float64, inst.NTasks())
-	done := make([]bool, inst.NTasks())
-	res := &Result{}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := ctx.Err(); err != nil {
+	defer cfg.Collector.Span("transport.solve.time").End()
+	iterations := cfg.Collector.Counter("transport.iterations")
+	for iter := 1; iter <= cfg.MaxIters && !res.Converged; iter++ {
+		if err := sweep(ctx); err != nil {
 			return nil, err
 		}
-		if err := sweepOnce(inst, order, phi, psi, done, cfg); err != nil {
-			return nil, err
-		}
-		cfg.Collector.Counter("transport.iterations").Inc()
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
+		iterations.Inc()
+		res.Residual = UpdatePhi(inst, psi, res.Phi, cfg)
 		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
+		res.Converged = res.Residual < cfg.Tol
 	}
-	res.Phi = phi
-	span.End()
+	if traffic != nil {
+		res.Comm = *traffic
+	}
 	return res, nil
+}
+
+// Solve runs source iteration serially, sweeping in the schedule's
+// execution order — by start step, the order the step table groups tasks
+// in — which any validated schedule makes precedence-compatible. A
+// schedule that does not cover its tasks (one unscheduled, or starting at
+// or after the makespan) is refused with the step table's error.
+func Solve(s *sched.Schedule, cfg Config) (*Result, error) {
+	return SolveCtx(context.Background(), s, cfg)
+}
+
+// SolveCtx is Solve with cooperative cancellation, checked once per source
+// iteration (one full sweep of every direction).
+func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
+	return solve(ctx, s, cfg, serialSweeper)
+}
+
+func serialSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
+	var steps sched.StepTable
+	if err := steps.Build(s, nil, nil); err != nil {
+		return nil, nil, err
+	}
+	done := make([]bool, len(psi))
+	return func(ctx context.Context) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return sweepOnce(s.Inst, steps.Order(), phi, psi, done, cfg)
+	}, nil, nil
 }
 
 // SolveParallel runs the same source iteration on the machine the
 // schedule was made for: m modelled processors following the schedule
 // step by step on the shared step driver (sched.RunSteps). A
 // cross-processor angular flux reaches its consumer only through the
-// interconnect, delivered by the barrier hook between steps (a flux
-// sent during step t is visible from step t+1, so every upwind flux is
-// present when needed — the schedule guarantees the ordering). The
-// result is bitwise-identical to Solve.
+// interconnect, delivered at the barrier between steps (a flux sent
+// during step t is visible from step t+1, so every upwind flux is present
+// when needed — the schedule guarantees the ordering, and a schedule that
+// does not is refused with the machine's error). The result is
+// bitwise-identical to Solve.
 func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveParallelCtx(context.Background(), s, cfg)
 }
@@ -304,192 +319,14 @@ func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 // the batched path is tested against. Both are bitwise-identical to
 // Solve; only Comm.Batches and Comm.Bytes differ.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
+	return solve(ctx, s, cfg, machineSweeper)
+}
+
+func machineSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
+	mc, err := machine.New(s, cfg.NoBatch, CellBalance(s.Inst, cfg, phi), psi)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inst := s.Inst
-	if err := cfg.validateFor(inst); err != nil {
-		return nil, err
-	}
-	if cfg.verifyOn() {
-		if err := verify.Schedule(inst, s, verify.Opts{}); err != nil {
-			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
-		}
-	}
-	ps, err := newParallelSolve(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if ps.outbox != nil {
-		// Every cross edge's consumer starts before Makespan, so a
-		// completed sweep leaves the outbox empty; an error or cancellation
-		// may not.
-		defer ps.outbox.DiscardAll()
-	}
-	res := &ps.res
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := ps.sweep(ctx); err != nil {
-			return nil, err
-		}
-		res.Residual = UpdatePhi(inst, ps.psi, ps.phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	ps.ctr.Logical(int(res.Comm.Messages))
-	if cfg.NoBatch {
-		// Per-message cost model: one transmission per logical message.
-		res.Comm.Batches = res.Comm.Messages
-		res.Comm.Bytes = comm.PerMessageWireBytes(int(res.Comm.Messages))
-		ps.ctr.PerMessage(int(res.Comm.Messages))
-	}
-	res.Phi = ps.phi
-	return res, nil
-}
-
-// procAck is one modelled processor's account of the running step,
-// written by the processor and folded by the barrier hook.
-type procAck struct {
-	sent int32 // logical cross-processor messages produced this step
-	err  error
-}
-
-// parallelSolve is SolveParallel's state on the step driver. A completed
-// task's cross-processor fluxes are queued, and the interconnect — the
-// only fork — takes them over at the barrier closing the step. Per
-// message (Config.NoBatch), CloseStep delivers each one to its
-// destination's receive slot. Batched, CloseStep appends each to the
-// destination's open envelope tagged with the consumer's scheduled start
-// step, and OpenStep delivers exactly the envelopes whose earliest
-// deadline is the step about to open, so one transmission carries every
-// flux the destination needs next, accumulated across all senders and all
-// prior steps. The flux values, their production order per processor and
-// Comm.{Messages,Rounds} are the same either way.
-type parallelSolve struct {
-	start   []int32 // the schedule's start steps: a message is due at its consumer's
-	procs   []int32 // every modelled processor is live
-	steps   sched.StepTable
-	recv    sched.RecvTable
-	sent    []sched.Send // the running step's messages, handed over by CloseStep
-	outbox  *comm.Outbox // nil: per-message interconnect
-	flush   func(*comm.Batch)
-	compute func(sched.TaskID, float64) float64
-	phi     []float64
-	psi     []float64 // a processor reads only fluxes its own tasks wrote
-	acks    []procAck
-	ctr     comm.Counters
-	res     Result
-}
-
-func newParallelSolve(s *sched.Schedule, cfg Config) (*parallelSolve, error) {
-	inst := s.Inst
-	ps := &parallelSolve{
-		start: s.Start,
-		procs: sched.AllProcs(inst.M),
-		phi:   make([]float64, inst.N()),
-		psi:   make([]float64, inst.NTasks()),
-		acks:  make([]procAck, inst.M),
-		ctr:   comm.NewCounters(cfg.Collector),
-	}
-	if err := ps.steps.Build(s, nil, nil); err != nil {
-		return nil, err
-	}
-	ps.recv.Build(inst, s.Assign)
-	ps.compute = CellBalance(inst, cfg, ps.phi)
-	if !cfg.NoBatch {
-		ps.outbox = comm.NewOutbox(inst.M)
-		ps.flush = ps.deliverBatch // bound once: a method value per step would allocate
-	}
-	return ps, nil
-}
-
-// sweep runs one sweep of every direction into psi: the receive store is
-// forgotten, then every step of the schedule runs on the step driver.
-func (ps *parallelSolve) sweep(ctx context.Context) error {
-	ps.recv.Reset()
-	return sched.RunSteps(ctx, ps.procs, ps.steps.Steps(), ps)
-}
-
-func (ps *parallelSolve) OpenStep(st int32) error {
-	if ps.outbox != nil {
-		ps.outbox.FlushDue(st, ps.flush)
-	}
-	return nil
-}
-
-// deliverBatch accounts for one envelope and hands its fluxes to the
-// destination's receive slots.
-func (ps *parallelSolve) deliverBatch(b *comm.Batch) {
-	ps.res.Comm.Batches++
-	ps.res.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
-	ps.ctr.Envelope(len(b.Items))
-	for _, it := range b.Items {
-		ps.recv.Deliver(it.Slot, it.Psi)
-	}
-	ps.outbox.Recycle(b)
-}
-
-// RunProc is modelled processor p's step. Every route was resolved when
-// the tables were built: an upwind flux is read at the producer's task id
-// or in a receive slot, and a completed task's messages are its out-side
-// entries, due at their consumers' scheduled starts.
-func (ps *parallelSolve) RunProc(p, st int32) {
-	start := ps.start
-	ack := &ps.acks[p]
-	*ack = procAck{}
-	for _, t := range ps.steps.Tasks(p, st) {
-		inflow := 0.0
-		in := ps.recv.In(t)
-		for _, x := range in {
-			if x >= 0 {
-				inflow += ps.psi[x] // written by this processor earlier
-				continue
-			}
-			up, have := ps.recv.Load(^x)
-			if !have {
-				ack.err = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ps.recv.Producer(^x), st)
-				return
-			}
-			inflow += up
-		}
-		if len(in) > 0 {
-			inflow /= float64(len(in))
-		}
-		val := ps.compute(t, inflow)
-		ps.psi[t] = val
-		out := ps.recv.Out(t)
-		for _, o := range out {
-			ps.sent = append(ps.sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: start[o.Consumer], Psi: val})
-		}
-		ack.sent += int32(len(out))
-	}
-}
-
-// CloseStep hands the step's sends to the interconnect and folds the acks
-// in processor order: the lowest processor's error wins, and Comm.Rounds
-// adds the step's per-processor maximum, the observed analogue of C2.
-func (ps *parallelSolve) CloseStep(int32) error {
-	for _, x := range ps.sent {
-		if ps.outbox != nil {
-			ps.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, x.Due)
-		} else {
-			ps.recv.Deliver(x.Slot, x.Psi)
-		}
-	}
-	ps.sent = ps.sent[:0]
-	var firstErr error
-	var stepMax int32
-	for p := range ps.acks {
-		a := &ps.acks[p]
-		ps.res.Comm.Messages += int64(a.sent)
-		stepMax = max(stepMax, a.sent)
-		if a.err != nil && firstErr == nil {
-			firstErr = a.err
-		}
-	}
-	ps.res.Comm.Rounds += int64(stepMax)
-	return firstErr
+	mc.Observe(cfg.Collector)
+	return mc.Sweep, &mc.Comm, nil
 }
