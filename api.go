@@ -480,7 +480,10 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	span = col.Span("api.metrics.time")
 	if pl.weighted != nil {
 		pl.bounds = lb.ComputeWeighted(inst, mdl.weights, mdl.machine)
+	} else if met, ok := ws.Metrics(); ok {
+		pl.metrics = met // counted on the step core's own edge walk
 	} else {
+		// The layer-synchronous random_delays never runs the step core.
 		pl.metrics = sched.Measure(pl.schedule, opts.Workers)
 	}
 	span.End()

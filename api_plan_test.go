@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"sweepsched/internal/mesh"
@@ -176,6 +178,43 @@ func TestWarmPlanAllocatesItsResult(t *testing.T) {
 		budget := uint64(4*len(res.Schedule.Start) + 4*len(res.Schedule.Assign) + 64<<10)
 		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 			t.Errorf("%s: a warm plan allocated %d bytes, budget %d (its result plus 64 KiB)", tc.name, got, budget)
+		}
+	}
+}
+
+// TestConcurrentFirstPlans: eight goroutines make the first plans of one
+// fresh Problem at once, as the daemon's requests do on a family it has
+// just cached. What the first plan leaves on the family — DAG facts, the
+// task graph — is built under them, and every plan is the serial one.
+func TestConcurrentFirstPlans(t *testing.T) {
+	want, err := kuhnProblem(t).Schedule(DescendantDelays, ScheduleOptions{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := kuhnProblem(t)
+	const planners = 8
+	var (
+		wg      sync.WaitGroup
+		gate    = make(chan struct{})
+		results [planners]*Result
+		errs    [planners]error
+	)
+	for g := range planners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-gate
+			results[g], errs[g] = p.Schedule(DescendantDelays, ScheduleOptions{Seed: 11, Verify: true})
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatalf("planner %d: %v", g, errs[g])
+		}
+		if res.Metrics != want.Metrics || !slices.Equal(res.Schedule.Start, want.Schedule.Start) {
+			t.Fatalf("planner %d: metrics %+v, serial plan %+v (or the start steps differ)", g, res.Metrics, want.Metrics)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package sweepsched
 
 import (
+	"bytes"
 	"testing"
+
+	"sweepsched/internal/dag"
 )
 
 func tinyProblem(t testing.TB, alg Scheduler) (*Problem, *Result) {
@@ -49,6 +52,33 @@ func TestNewProblemErrors(t *testing.T) {
 	}
 	if _, err := NewProblemFromFamily("tetonly", 0.01, 8, 0, 1); err == nil {
 		t.Fatal("m=0 accepted")
+	}
+}
+
+// A mesh without cells has nothing to schedule. It used to make a Problem
+// with N() == 0 whose first Schedule divided by zero in the kernel; it is
+// refused where instances are made, however the cells arrive: as a mesh,
+// through the mesh codec, or as prebuilt DAGs.
+func TestNewProblemRefusesZeroCells(t *testing.T) {
+	if p, err := NewProblemFromMesh(&Mesh{}, 8, 4); err == nil {
+		t.Errorf("empty mesh accepted as a problem with %d cells", p.N())
+	}
+	// Through the codec an empty mesh must be stopped somewhere: today the
+	// decoder refuses it; were it to pass, the constructor has to.
+	var buf bytes.Buffer
+	if err := EncodeMesh(&buf, &Mesh{Verts: []Vec3{}, Cells: [][4]int32{}}); err == nil {
+		if msh, err := DecodeMesh(&buf); err == nil {
+			if p, err := NewProblemFromMesh(msh, 8, 4); err == nil {
+				t.Errorf("decoded empty mesh accepted as a problem with %d cells", p.N())
+			}
+		}
+	}
+	d, err := dag.FromEdges(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProblemFromPrebuiltDAGs(nil, []Vec3{{X: 1}}, []*dag.DAG{d}, 4); err == nil {
+		t.Error("zero-cell DAG family accepted")
 	}
 }
 

@@ -73,6 +73,9 @@ echo "== feasibility tail bench smoke (allocation-counted) =="
 # Validate, ValidateComm and the verify audit run after every plan; their
 # bytes/op is the garbage one plan's check leaves behind.
 go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -benchmem -benchtime 1x ./internal/sched ./internal/verify
+# The unit-step kernel at the paper's size (755k tasks, a new assignment
+# every run), where it is bound by memory; it fails on a warm allocation.
+go test -run '^$' -bench 'BenchmarkScheduleKernelPaperShape$' -benchmem -benchtime 1x ./internal/sched
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
@@ -129,6 +132,7 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/mesh
 go test -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime "$FUZZTIME" ./internal/faults
 go test -run '^$' -fuzz '^FuzzScheduleRequest$' -fuzztime "$FUZZTIME" ./internal/service
+go test -run '^$' -fuzz '^FuzzTransportRequest$' -fuzztime "$FUZZTIME" ./internal/service
 go test -run '^$' -fuzz '^FuzzAnglesetExpand$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzWeightedEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzFluxBatchCodec$' -fuzztime "$FUZZTIME" ./internal/procrun

@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"sweepsched/internal/core"
+	"sweepsched/internal/geom"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/sched/refimpl"
 )
 
 // tinyConfig keeps every experiment fast enough for unit tests.
@@ -124,6 +128,62 @@ func TestWorkloadInstanceSharesDAGs(t *testing.T) {
 	if i1.M != 2 || i2.M != 16 {
 		t.Fatal("instance processor counts wrong")
 	}
+}
+
+// TestWorkloadInstancesPlanLikeReference: every Instance derives its own
+// task graph from the DAGs on its first plan, so two instances over one
+// workload's shared DAGs (a processor sweep) each schedule like the
+// reference kernel — and so does a fresh Instance over the same storage
+// after the family was rebuilt for other directions, which is the only
+// supported way to plan a rebuilt family (an Instance's DAGs are immutable
+// once planned).
+func TestWorkloadInstancesPlanLikeReference(t *testing.T) {
+	var out strings.Builder
+	w, err := NewWorkload(tinyConfig(&out), "tetonly", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(77)
+	check := func(name string, inst *sched.Instance) {
+		t.Helper()
+		assign := sched.RandomAssignment(inst.N(), inst.M, r)
+		prio := make(sched.Priorities, inst.NTasks())
+		for i := range prio {
+			prio[i] = int64(r.Intn(40))
+		}
+		want, err := refimpl.ListScheduleWithRelease(inst, assign, prio, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sched.ListSchedule(inst, assign, prio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Start, want.Start) {
+			t.Fatalf("%s: schedule differs from the reference kernel's", name)
+		}
+	}
+	for _, m := range []int{3, 16} {
+		inst, err := w.Instance(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("shared DAGs, m=%d", m), inst)
+	}
+
+	turned := make([]geom.Vec3, len(w.Dirs))
+	for i, d := range w.Dirs {
+		turned[i] = geom.Vec3{X: d.Z, Y: -d.X, Z: d.Y}
+	}
+	rebuilt := w.Family.BuildAll(turned, 0)
+	if rebuilt[0] != w.DAGs[0] {
+		t.Fatal("the family did not recycle its DAG storage; the case below tests nothing")
+	}
+	inst, err := sched.FromDAGs(rebuilt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt family", inst)
 }
 
 func TestBlockAssignmentReducesC1(t *testing.T) {

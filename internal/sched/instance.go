@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -24,16 +25,63 @@ import (
 type TaskID int32
 
 // Instance is a sweep-scheduling problem: n cells, k direction DAGs and m
-// processors.
+// processors. Its DAGs are immutable once a schedule has been planned on
+// it: the first unit-step plan derives the family-wide task graph from
+// them and every later plan reads that, so a family rebuilt for other
+// directions (dag.BuildAllInto over the same storage) needs a fresh
+// Instance. Instances sharing DAGs (one family, several m) are fine. An
+// Instance must not be copied.
 type Instance struct {
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
 	DAGs []*dag.DAG
 	M    int
+
+	graph taskGraph
+}
+
+// taskGraph is the family's out-adjacency over task ids in one CSR:
+// succ[off[t]:off[t+1]] are task t's successors, the k per-direction
+// out-lists laid end to end with the direction's base already added. The
+// step core walks it instead of Split + DAGs[i].Out(v) + base: one
+// sequential stream of 4·(nt+1) + 4·edges bytes per Instance. Built by the
+// first plan (concurrent first plans share one build), read-only after.
+type taskGraph struct {
+	once sync.Once
+	off  []int32 // nil when the family has more than MaxInt32 edges
+	succ []TaskID
+}
+
+// taskGraph returns the instance's task graph, building it on first use.
+func (inst *Instance) taskGraph() *taskGraph {
+	g := &inst.graph
+	g.once.Do(func() {
+		n, edges := inst.N(), 0
+		for _, d := range inst.DAGs {
+			edges += d.NumEdges()
+		}
+		if edges > math.MaxInt32 {
+			return
+		}
+		off, succ := make([]int32, inst.NTasks()+1), make([]TaskID, 0, edges)
+		for i, d := range inst.DAGs {
+			base := TaskID(i * n)
+			for v := 0; v < n; v++ {
+				off[i*n+v] = int32(len(succ))
+				for _, w := range d.Out(int32(v)) {
+					succ = append(succ, base+TaskID(w))
+				}
+			}
+		}
+		off[len(off)-1] = int32(len(succ))
+		g.off, g.succ = off, succ
+	})
+	return g
 }
 
 // NewInstance builds the per-direction DAGs for the mesh and wraps them in
-// an Instance. It returns an error for invalid m or empty direction sets.
+// an Instance. It returns an error for invalid m, empty direction sets or
+// a mesh without cells.
 func NewInstance(m *mesh.Mesh, dirs []geom.Vec3, procs int) (*Instance, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("sched: need at least one processor, got %d", procs)
@@ -41,11 +89,14 @@ func NewInstance(m *mesh.Mesh, dirs []geom.Vec3, procs int) (*Instance, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("sched: need at least one direction")
 	}
+	if m.NCells() == 0 {
+		return nil, fmt.Errorf("sched: need at least one cell, the mesh has none")
+	}
 	return &Instance{Mesh: m, Dirs: dirs, DAGs: dag.BuildAll(m, dirs), M: procs}, nil
 }
 
-// FromDAGs wraps pre-built DAGs (all over the same cell set) in an Instance;
-// used by synthetic/non-geometric tests. Mesh may be nil.
+// FromDAGs wraps pre-built DAGs (all over the same, non-empty cell set) in
+// an Instance; used by synthetic/non-geometric tests. Mesh may be nil.
 func FromDAGs(dags []*dag.DAG, procs int) (*Instance, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("sched: need at least one processor, got %d", procs)
@@ -54,6 +105,9 @@ func FromDAGs(dags []*dag.DAG, procs int) (*Instance, error) {
 		return nil, fmt.Errorf("sched: need at least one DAG")
 	}
 	n := dags[0].N
+	if n == 0 {
+		return nil, fmt.Errorf("sched: need at least one cell, the DAGs have none")
+	}
 	for i, d := range dags {
 		if d.N != n {
 			return nil, fmt.Errorf("sched: DAG %d has %d cells, want %d", i, d.N, n)

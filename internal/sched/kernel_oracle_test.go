@@ -5,10 +5,11 @@ package sched_test
 // they double as the differential oracle of internal/verify. This file
 // is an external test package because package sched's own test files
 // cannot import refimpl (refimpl imports sched). The kernel benchmarks
-// live here too: their "ref" variants are the "before" baseline recorded
-// in BENCH_PR3.json.
+// live here too, their "ref" variants as the baseline.
 
 import (
+	"flag"
+	"runtime"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -17,6 +18,7 @@ import (
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/sched/refimpl"
+	"sweepsched/internal/verify"
 )
 
 // meshInstance builds a jittered Kuhn-box mesh instance (the same
@@ -232,6 +234,88 @@ func TestResidualMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStepCoreMetricsMatchOracles: the C1 and C2 the step core counts on
+// its own edge walk are the ones sched.Measure computes from the finished
+// schedule over the DAG arrays and the ones internal/verify recomputes
+// from first principles — for every wrapper that reports metrics, on
+// every instance the differentials above use. The residual wrapper
+// schedules part of the graph and must report none.
+func TestStepCoreMetricsMatchOracles(t *testing.T) {
+	ws := sched.NewWorkspace()
+	r := rng.New(4242)
+	insts := []*sched.Instance{
+		meshInstance(t, 3, 6, 4, 5),
+		syntheticInstance(t, 120, 5, 7, 6),
+		syntheticInstance(t, 40, 3, 2, 7),
+		meshInstance(t, 3, 4, 6, 9),
+		syntheticInstance(t, 90, 4, 5, 10),
+		meshInstance(t, 3, 4, 5, 12),
+		syntheticInstance(t, 70, 4, 3, 13),
+		syntheticInstance(t, 80, 4, 5, 20),
+	}
+	for ii, inst := range insts {
+		nt, n, k := inst.NTasks(), inst.N(), inst.K()
+		assign := sched.RandomAssignment(n, inst.M, r)
+		prio := tiedPrio(nt, r)
+		// Anglesets: directions {0,1}, {2,3}, ... with per-angleset inputs.
+		var groups [][]int32
+		for i := 0; i < k; i += 2 {
+			g := []int32{int32(i)}
+			if i+1 < k {
+				g = append(g, int32(i+1))
+			}
+			groups = append(groups, g)
+		}
+		aggPrio := tiedPrio(n*len(groups), r)
+		aggRel := randomRelease(len(groups), 2*k, r)
+
+		dst := &sched.Schedule{}
+		runs := []struct {
+			name string
+			run  func() error
+		}{
+			{"list", func() error { return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil) }},
+			{"list+release", func() error {
+				return sched.ListScheduleInto(ws, dst, inst, assign, prio, randomRelease(nt, 2*k, r))
+			}},
+			{"comm", func() error { return sched.CommScheduleInto(ws, dst, inst, assign, prio, 3) }},
+			{"anglist", func() error {
+				return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, aggPrio, aggRel)
+			}},
+			{"angcomm", func() error {
+				return sched.CommScheduleAnglesetInto(ws, dst, inst, assign, groups, aggPrio, 2)
+			}},
+		}
+		for _, rc := range runs {
+			if err := rc.run(); err != nil {
+				t.Fatalf("inst %d %s: %v", ii, rc.name, err)
+			}
+			got, ok := ws.Metrics()
+			if !ok {
+				t.Fatalf("inst %d %s: the step core reported no metrics", ii, rc.name)
+			}
+			if want := sched.Measure(dst, 1); got != want {
+				t.Fatalf("inst %d %s: step core counted %+v, Measure %+v", ii, rc.name, got, want)
+			}
+			if c1, c2 := verify.C1Ref(inst, assign), verify.C2Ref(dst); got.C1 != c1 || got.C2 != c2 {
+				t.Fatalf("inst %d %s: step core counted C1=%d C2=%d, verify's reference C1=%d C2=%d",
+					ii, rc.name, got.C1, got.C2, c1, c2)
+			}
+		}
+
+		done := make([]bool, nt)
+		for tt, st := range dst.Start {
+			done[tt] = st < int32(dst.Makespan)/2
+		}
+		if err := sched.ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
+			t.Fatalf("inst %d residual: %v", ii, err)
+		}
+		if met, ok := ws.Metrics(); ok {
+			t.Fatalf("inst %d: the residual run reported metrics %+v", ii, met)
+		}
+	}
+}
+
 // kernelBenchWorkload builds the random-delay trial workload both kernel
 // benchmark variants share: level+delay priorities and per-direction
 // release times, fresh assignment per trial — the §5.2 inner loop.
@@ -260,8 +344,7 @@ func kernelBenchWorkload(b *testing.B) (*sched.Instance, []sched.Assignment, sch
 
 // BenchmarkScheduleKernel compares the old container/heap+map kernel
 // ("ref", now internal/sched/refimpl) with the typed workspace kernel
-// ("workspace") on the random-delay trial loop; the speedup and
-// allocs/op are recorded in BENCH_PR3.json.
+// ("workspace") on the random-delay trial loop.
 func BenchmarkScheduleKernel(b *testing.B) {
 	inst, assigns, prio, rel := kernelBenchWorkload(b)
 	b.Run("ref", func(b *testing.B) {
@@ -283,6 +366,65 @@ func BenchmarkScheduleKernel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkScheduleKernelPaperShape is the workspace kernel at the paper's
+// headline size — tetonly at scale 1, k=24, m=64, about 755k tasks and
+// 1.47M edges, level+delay priorities (Algorithm 2), a fresh per-cell
+// assignment every trial. BenchmarkScheduleKernel's 74k-task box lives in
+// cache; here the per-task state is 12 MB and the kernel is bound by
+// memory, which is what the node and task-graph layout is for. A warm
+// run must allocate nothing.
+func BenchmarkScheduleKernelPaperShape(b *testing.B) {
+	msh, err := mesh.Family("tetonly", 1.0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dirs, err := quadrature.Octant(24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := sched.NewInstance(msh, dirs, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(2)
+	n := inst.N()
+	prio := make(sched.Priorities, inst.NTasks())
+	for i, d := range inst.DAGs {
+		delay := int32(r.Intn(inst.K()))
+		for v, lvl := range d.Level {
+			prio[i*n+v] = int64(lvl + delay)
+		}
+	}
+	assigns := make([]sched.Assignment, 4)
+	for i := range assigns {
+		assigns[i] = sched.RandomAssignment(n, inst.M, r)
+	}
+	ws := sched.NewWorkspace()
+	dst := &sched.Schedule{}
+	trial := 0
+	run := func() {
+		if err := sched.ListScheduleInto(ws, dst, inst, assigns[trial%len(assigns)], prio, nil); err != nil {
+			b.Fatal(err)
+		}
+		trial++
+	}
+	run() // builds the task graph and grows the workspace
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	// MemStats counts every goroutine's allocations, a profiler's included.
+	profiled := flag.Lookup("test.cpuprofile").Value.String() != "" || flag.Lookup("test.memprofile").Value.String() != ""
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 && !profiled {
+		b.Fatalf("%d allocations in %d runs on a warm workspace, want 0", allocs, b.N)
+	}
 }
 
 // BenchmarkCommKernel is the same comparison for the communication-delay

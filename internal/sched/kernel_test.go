@@ -10,11 +10,14 @@ package sched
 // package cannot import directly.
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -228,8 +231,8 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("round %d proc %d rank %d: task %d, want %d", round, p, i, got[i], want[i])
 				}
-				if q.rank[want[i]] != int32(i) {
-					t.Fatalf("round %d proc %d: task %d has rank %d, want %d", round, p, want[i], q.rank[want[i]], i)
+				if q.node[want[i]].rank != int32(i) {
+					t.Fatalf("round %d proc %d: task %d has rank %d, want %d", round, p, want[i], q.node[want[i]].rank, i)
 				}
 			}
 		}
@@ -480,6 +483,118 @@ func TestWorkspaceScratchBuffers(t *testing.T) {
 		if dst.Start[tt] != want.Start[tt] {
 			t.Fatalf("task %d starts at %d, reference %d", tt, dst.Start[tt], want.Start[tt])
 		}
+	}
+}
+
+// TestConcurrentFirstPlansShareOneTaskGraph: the first plans of a fresh
+// instance may come from several goroutines at once (sweepschedd plans a
+// cached family from every request that hits it). They must build the
+// task graph once between them and produce the one schedule; run under
+// -race this is also the check that nothing writes the graph after.
+func TestConcurrentFirstPlansShareOneTaskGraph(t *testing.T) {
+	inst := testInstance(t, 4, 8, 6, 31)
+	r := rng.New(5)
+	assign := RandomAssignment(inst.N(), inst.M, r)
+	prio := randomPrio(inst.NTasks(), r)
+	const planners = 8
+	var (
+		wg     sync.WaitGroup
+		gate   = make(chan struct{})
+		starts [planners][]int32
+		graphs [planners]*TaskID
+		errs   [planners]error
+	)
+	for g := range planners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := GetWorkspace(inst)
+			defer ws.Release()
+			dst := &Schedule{}
+			<-gate
+			errs[g] = ListScheduleInto(ws, dst, inst, assign, prio, nil)
+			starts[g], graphs[g] = dst.Start, &inst.taskGraph().succ[0]
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	for g := range planners {
+		if errs[g] != nil {
+			t.Fatalf("planner %d: %v", g, errs[g])
+		}
+		if graphs[g] != graphs[0] {
+			t.Fatalf("planner %d read a task graph of its own", g)
+		}
+		if !slices.Equal(starts[g], starts[0]) {
+			t.Fatalf("planner %d scheduled differently from planner 0", g)
+		}
+	}
+}
+
+// TestSortAndPartitionOrder: the priority-digits-only radix sort returns
+// the ids in (prio, id) order whatever the priorities' spread — no pass
+// at all, one digit, a spread across the 12-bit digit boundary, offsets
+// below zero, the comparison fallback — each against slices.SortFunc.
+func TestSortAndPartitionOrder(t *testing.T) {
+	r := rng.New(7331)
+	spreadOf := func(nkeys int, spread uint64, base int64) Priorities {
+		prio := make(Priorities, nkeys)
+		for i := range prio {
+			prio[i] = base + int64(r.Uint64()%(spread+1))
+		}
+		prio[0], prio[nkeys-1] = base, base+int64(spread) // the spread is attained
+		return prio
+	}
+	cases := []struct {
+		name     string
+		n, nt, m int
+		prio     func(nkeys int) Priorities
+	}{
+		{name: "all equal: no pass", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return make(Priorities, nk) }},
+		{name: "spread 1", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 1, 0) }},
+		{name: "spread 4095: one full digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4095, 0) }},
+		{name: "spread 4096: into the second digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4096, 0) }},
+		{name: "spread 2^25: three digits", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 1<<25, 17) }},
+		{name: "negative priorities", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 700, -350) }},
+		{name: "extremes of int64: comparison fallback", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities {
+			prio := spreadOf(nk, 1000, 0)
+			for i := range prio {
+				if i%2 == 0 {
+					prio[i] += math.MinInt64 / 2
+				} else {
+					prio[i] += math.MaxInt64 / 2
+				}
+			}
+			return prio
+		}},
+		{name: "one task", n: 1, nt: 1, m: 1, prio: func(nk int) Priorities { return Priorities{-9} }},
+		{name: "ragged nt", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 5, 0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prio := tc.prio(tc.nt)
+			assign := RandomAssignment(tc.n, tc.m, r)
+			var q rankq
+			got := q.sortAndPartition(prio, tc.nt, tc.nt, tc.m, assign, int32(tc.n))
+			want := make([]uint64, tc.nt)
+			for i := range want {
+				want[i] = uint64(i)
+			}
+			slices.SortFunc(want, func(a, b uint64) int {
+				if c := cmp.Compare(prio[a], prio[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("position %d: id %d (prio %d), want id %d (prio %d)", i, got[i], prio[got[i]], want[i], prio[want[i]])
+				}
+			}
+			if int(q.taskOff[tc.m]) != tc.nt {
+				t.Fatalf("partition covers %d of %d tasks", q.taskOff[tc.m], tc.nt)
+			}
+		})
 	}
 }
 

@@ -73,7 +73,7 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 	}
 	span := ws.col.Span("sched.greedy.time")
 	n := int32(inst.N())
-	ws.fillIndeg(inst, nil)
+	ws.fillIndeg(inst)
 	indeg := ws.indeg
 	ready := &ws.heaps[0]
 	ready.reset(prio)

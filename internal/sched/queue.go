@@ -136,7 +136,7 @@ type rankq struct {
 	keys     []uint64 // sort scratch: (prio - minPrio) << idBits | TaskID
 	keys2    []uint64 // radix scatter buffer
 	order    []TaskID // taskOff[p] + local rank -> task
-	rank     []int32  // task -> local rank on its processor
+	node     []node   // task -> local rank on its processor (+ the step core's state), len nt+1
 	taskOff  []int32  // processor -> start of its slot in order (len m+1)
 	wordsOff []int32  // processor -> start of its bitmap words (len m+1)
 	next     []int32  // partition scratch (len m)
@@ -150,6 +150,19 @@ type rankq struct {
 	segLo    []int32 // segment -> start in sorted keys (+ end sentinel)
 	segOf    []int32 // angleset -> segment index, valid when stamped
 	segStamp []int32 // angleset -> run id that last stamped segOf
+}
+
+// node is everything the step core reads or writes about one task between
+// its release and its pop, in 16 bytes — four tasks to a cache line — so
+// releasing a successor (indeg, then proc and rank for the push) and
+// popping a task (off, proc) each touch one line. rank is the queue's,
+// written by place; the step core fills the rest once per run. The array
+// is nt+1 long: node[t+1].off ends t's successor list in the task graph.
+type node struct {
+	indeg int32 // unfinished predecessors
+	rank  int32 // local rank on proc
+	off   int32 // start of the task's successors in taskGraph.succ
+	proc  int32 // the task's processor
 }
 
 // build sorts the nt tasks by (prio, TaskID) and partitions the sorted
@@ -169,7 +182,7 @@ func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
 func (q *rankq) place(p int32, t TaskID) {
 	lr := q.next[p]
 	q.next[p] = lr + 1
-	q.rank[t] = lr
+	q.node[t].rank = lr
 	q.order[q.taskOff[p]+lr] = t
 }
 
@@ -181,19 +194,19 @@ func (q *rankq) place(p int32, t TaskID) {
 //
 // Priorities whose spread fits alongside an id in 64 bits — every
 // practical case; level and delay priorities are small ints — pack into
-// uint64 keys sorted by an LSD radix sort over only the bits the key
-// range actually uses (typically ~20: priority spread in the hundreds
-// times ids in the tens of thousands, i.e. two scatter passes). Wider
-// spreads fall back to an in-place comparison sort.
+// uint64 keys, which are written in id order; a stable LSD radix sort of
+// the priority bits alone therefore leaves them in (prio, id) order (one
+// 12-bit pass for a spread under 4096, none when all priorities are
+// equal). Wider spreads fall back to an in-place comparison sort.
 func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assignment, n int32) []uint64 {
 	if cap(q.order) < nt {
 		q.order = make([]TaskID, nt)
-		q.rank = make([]int32, nt)
+		q.node = make([]node, nt+1)
 		q.keys = make([]uint64, nt)
 		q.keys2 = make([]uint64, nt)
 	}
 	q.order = q.order[:nt]
-	q.rank = q.rank[:nt]
+	q.node = q.node[:nt+1]
 	q.keys = q.keys[:nkeys]
 	q.keys2 = q.keys2[:nkeys]
 	if cap(q.taskOff) < m+1 {
@@ -259,7 +272,7 @@ func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assig
 	for t := range keys {
 		keys[t] = (uint64(prio[t])-uint64(minP))<<idBits | uint64(t)
 	}
-	q.sortKeys(spread<<idBits | uint64(nkeys-1))
+	q.sortKeys(idBits, bits.Len64(spread))
 	keys = q.keys // sortKeys may have swapped the buffers
 	idMask := uint64(1)<<idBits - 1
 	for r, key := range keys {
@@ -268,17 +281,16 @@ func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assig
 	return keys
 }
 
-// sortKeys is a stable LSD radix sort of q.keys ascending, 12-bit
-// digits, visiting only the digits below maxKey's highest set bit.
-// Typical list-kernel keys use ~20-25 significant bits (priority spread
-// in the hundreds, task ids in the tens of thousands), so two scatter
-// passes replace the O(nt log nt) comparison sort.
-func (q *rankq) sortKeys(maxKey uint64) {
+// sortKeys is a stable LSD radix sort of q.keys ascending by the width
+// bits above the low idBits, in 12-bit digits. The low bits hold the ids
+// the keys were laid out by, so they are already in order within every
+// priority and a stable sort never needs to look at them.
+func (q *rankq) sortKeys(idBits, width int) {
 	const dbits = 12
 	const dsize = 1 << dbits
 	var counts [dsize]int32
 	keys, tmp := q.keys, q.keys2
-	for shift := 0; shift < bits.Len64(maxKey); shift += dbits {
+	for shift := idBits; shift < idBits+width; shift += dbits {
 		clear(counts[:])
 		for _, k := range keys {
 			counts[(k>>shift)&(dsize-1)]++
@@ -305,7 +317,9 @@ func (q *rankq) reset() {
 	m := len(q.taskOff) - 1
 	need := int(q.wordsOff[m])
 	if cap(q.words) < need {
-		q.words = make([]uint64, need)
+		// Each processor rounds its tasks up to whole words, so the count
+		// moves with the assignment; nt/64 + m covers every assignment.
+		q.words = make([]uint64, need, int(q.taskOff[m])>>6+m)
 	}
 	q.words = q.words[:need]
 	clear(q.words)
@@ -322,7 +336,7 @@ func (q *rankq) reset() {
 // push marks task t ready on its processor p (p must be the processor
 // build partitioned t onto).
 func (q *rankq) push(p int32, t TaskID) {
-	r := q.rank[t]
+	r := q.node[t].rank
 	w := q.wordsOff[p] + r>>6
 	q.words[w] |= 1 << uint(r&63)
 	if w < q.minWord[p] {

@@ -78,6 +78,7 @@ func checkStepRange(nt, commDelay int, maxRelease int32) error {
 // recycled dst it performs zero heap allocations.
 func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, rule stepRule) error {
 	nt, n, m := inst.NTasks(), int32(inst.N()), inst.M
+	ws.hasMetrics = false
 	if rule.commDelay < 0 {
 		return fmt.Errorf("sched: negative communication delay %d", rule.commDelay)
 	}
@@ -110,9 +111,11 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		return err
 	}
 
+	g := inst.taskGraph()
+	if g.off == nil {
+		return fmt.Errorf("sched: the %d directions have more than %d edges between them", inst.K(), math.MaxInt32)
+	}
 	span := ws.col.Span(rule.series.time)
-	indeg := ws.indeg
-	remaining := ws.fillIndeg(inst, rule.done)
 	rq := &ws.rq
 	if rule.aggregated {
 		rq.buildAngleset(prio, n, m, assign, rule.groups, ws.dirGroup)
@@ -120,6 +123,8 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		rq.build(prio, nt, m, assign, n)
 	}
 	rq.reset()
+	nodes, succ := rq.node, g.succ
+	remaining := fillNodes(nodes, inst, g, assign, rule.done)
 
 	// readyAt[t] is the earliest step t may start as far as is known:
 	// its release floor, raised by every finished cross-processor
@@ -148,13 +153,13 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	cal.prepare(max(maxFloor, cd+1), nt)
 
 	for t := TaskID(0); t < TaskID(nt); t++ {
-		if indeg[t] != 0 || rule.done != nil && rule.done[t] {
+		if nodes[t].indeg != 0 || rule.done != nil && rule.done[t] {
 			continue
 		}
 		if readyAt != nil && readyAt[t] > 0 {
 			cal.push(t, readyAt[t])
 		} else {
-			rq.push(assign[int32(t)%n], t)
+			rq.push(nodes[t].proc, t)
 		}
 	}
 
@@ -163,11 +168,17 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		start[i] = -1
 	}
 	completed := ws.completed[:0]
+	// c1 and c2 are the paper's communication metrics, read off the edge
+	// walk below: a popped task's cross-processor out-edges are the
+	// messages its processor sends after this step, a processor runs one
+	// task per step, so their sum is C1 and the per-step maximum, summed
+	// over the steps, is C2.
+	var c1, c2 int64
 	step := int32(0)
 	for ; remaining > 0; step++ {
 		if cal.pending > 0 {
 			for _, t := range cal.drain(step) {
-				rq.push(assign[int32(t)%n], t)
+				rq.push(nodes[t].proc, t)
 			}
 		}
 		completed = completed[:0]
@@ -189,65 +200,76 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 			// calendar's next entry: a release of 2³⁰ is not 2³⁰ idle turns.
 			step = cal.earliest() - 1
 		}
+		var stepMax int32
 		for _, t := range completed {
-			v, i := inst.Split(t)
-			p := assign[v]
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				if cd > 0 && assign[w] != p && step+1+cd > readyAt[wt] {
-					readyAt[wt] = step + 1 + cd
+			p := nodes[t].proc
+			var cross int32
+			for _, wt := range succ[nodes[t].off:nodes[t+1].off] {
+				w := &nodes[wt]
+				if w.proc != p {
+					cross++
+					if cd > 0 && step+1+cd > readyAt[wt] {
+						readyAt[wt] = step + 1 + cd
+					}
 				}
 				// A done successor starts at indegree 0 and only goes negative.
-				indeg[wt]--
-				if indeg[wt] == 0 {
+				w.indeg--
+				if w.indeg == 0 {
 					if readyAt != nil && readyAt[wt] > step+1 {
 						cal.push(wt, readyAt[wt])
 					} else {
-						rq.push(assign[w], wt)
+						rq.push(w.proc, wt)
 					}
 				}
 			}
+			c1 += int64(cross)
+			stepMax = max(stepMax, cross)
 		}
+		c2 += int64(stepMax)
 	}
 	ws.completed = completed[:0]
 	dst.Inst, dst.Assign = inst, assign
 	dst.Makespan = int(step) // the last step always runs a task
+	// A residual run walks only part of the graph: its counts are no metrics.
+	ws.metrics, ws.hasMetrics = Metrics{Makespan: dst.Makespan, C1: c1, C2: c2}, rule.done == nil
 	span.End()
 	ws.col.Counter(rule.series.runs).Inc()
 	ws.col.Counter(rule.series.steps).Add(int64(step))
 	return nil
 }
 
-// fillIndeg loads every task's indegree into the workspace and returns
-// the number of tasks to schedule. Under a done mask only edges between
-// not-done tasks count, and done tasks are left at indegree 0.
-func (ws *Workspace) fillIndeg(inst *Instance, done []bool) (remaining int) {
+// fillNodes loads every task's indegree, successor offset and processor
+// into its node (the ranks are the queue's) and returns the number of
+// tasks to schedule. Under a done mask only edges between not-done tasks
+// count, and done tasks are left at indegree 0.
+func fillNodes(nodes []node, inst *Instance, g *taskGraph, assign Assignment, done []bool) (remaining int) {
 	n := inst.N()
-	if done == nil {
-		for i, d := range inst.DAGs {
-			indeg := ws.indeg[i*n : (i+1)*n]
-			for v := range indeg {
-				indeg[v] = int32(d.InDegree(int32(v)))
-			}
-		}
-		return inst.NTasks()
-	}
 	for i, d := range inst.DAGs {
-		indeg, mask := ws.indeg[i*n:(i+1)*n], done[i*n:(i+1)*n]
-		for v := range indeg {
-			indeg[v] = 0
+		seg, off := nodes[i*n:(i+1)*n], g.off[i*n:(i+1)*n]
+		if done == nil {
+			for v := range seg {
+				nd := &seg[v]
+				nd.indeg, nd.off, nd.proc = int32(d.InDegree(int32(v))), off[v], assign[v]
+			}
+			remaining += n
+			continue
+		}
+		mask := done[i*n : (i+1)*n]
+		for v := range seg {
+			nd := &seg[v]
+			nd.indeg, nd.off, nd.proc = 0, off[v], assign[v]
 			if mask[v] {
 				continue
 			}
 			remaining++
 			for _, u := range d.In(int32(v)) {
 				if !mask[u] {
-					indeg[v]++
+					nd.indeg++
 				}
 			}
 		}
 	}
+	nodes[len(nodes)-1].off = g.off[len(g.off)-1]
 	return remaining
 }
 

@@ -348,7 +348,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	n := int32(inst.N())
 	nt := inst.NTasks()
 	m := inst.M
-	ws.fillIndeg(inst, nil)
+	ws.fillIndeg(inst)
 	indeg := ws.indeg
 	ready := ws.heaps[:m]
 	for p := range ready {

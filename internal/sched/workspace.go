@@ -8,10 +8,10 @@ import (
 )
 
 // Workspace is the reusable scratch arena of the scheduling kernels:
-// indegree counters, the rank-bitmap ready set of the unit-step core
-// (stepcore.go), per-processor typed ready heaps (greedy and weighted
-// engines), the release calendar, the per-step completion buffer, and
-// caller-visible priority/release scratch. One warm workspace makes
+// the rank-bitmap ready set and per-task nodes of the unit-step core
+// (stepcore.go), indegree counters and per-processor typed ready heaps
+// (greedy and weighted engines), the release calendar, the per-step
+// completion buffer, and caller-visible priority/release scratch. One warm workspace makes
 // every Into entry point allocate nothing — the paper's experiments run
 // the list scheduler thousands of times per instance shape (once per
 // heuristic × delay draw × seed), and the per-call make/map/boxing
@@ -45,6 +45,11 @@ type Workspace struct {
 	touchBuf []bool
 	readyW   []int64
 
+	// metrics are the last step-core run's, read off its edge walk; see
+	// Metrics.
+	metrics    Metrics
+	hasMetrics bool
+
 	// col receives the kernels' stage timers and run/step counters
 	// (SetObserver). nil disables collection; the nil-safe obs calls cost
 	// one branch each, and warm metric updates allocate nothing, so the
@@ -66,6 +71,14 @@ func (ws *Workspace) SetObserver(col *obs.Collector) { ws.col = col }
 // layering their own stages over the kernels (heuristics, core) record
 // through it so one attachment instruments the whole pipeline.
 func (ws *Workspace) Observer() *obs.Collector { return ws.col }
+
+// Metrics returns the makespan, C1 and C2 of the schedule the unit-step
+// core last wrote through this workspace, counted while it released
+// successors — what Measure would compute from the schedule, without the
+// second walk. ok is false when there is none to report: no step-core
+// run since the workspace was drawn, a run that failed, or a residual run
+// (ListScheduleResidualInto), which schedules only part of the graph.
+func (ws *Workspace) Metrics() (met Metrics, ok bool) { return ws.metrics, ws.hasMetrics }
 
 // NewWorkspace returns an empty workspace; it grows to fit the first
 // instance it schedules and is warm from the second call on. Callers
@@ -105,7 +118,7 @@ func GetWorkspace(inst *Instance) *Workspace {
 // not be used afterwards; schedules it produced remain valid (they never
 // alias workspace memory).
 func (ws *Workspace) Release() {
-	ws.col = nil
+	ws.col, ws.hasMetrics = nil, false
 	if ws.key == (wsKey{}) {
 		return // not pool-managed (NewWorkspace)
 	}
@@ -142,10 +155,6 @@ func (ws *Workspace) Int32Buf(n int) []int32 {
 // shape allocate nothing.
 func (ws *Workspace) ensure(inst *Instance) {
 	nt, m := inst.NTasks(), inst.M
-	if cap(ws.indeg) < nt {
-		ws.indeg = make([]int32, nt)
-	}
-	ws.indeg = ws.indeg[:nt]
 	if cap(ws.readyAt) < nt {
 		ws.readyAt = make([]int32, nt)
 	}
@@ -180,6 +189,22 @@ func (ws *Workspace) ensureWeighted(inst *Instance) {
 	}
 	ws.readyW = ws.readyW[:nt]
 	// ws.events grows by append inside the run and keeps its capacity.
+}
+
+// fillIndeg loads every task's indegree into ws.indeg, the greedy and
+// weighted engines' counters (the step core keeps its own in node).
+func (ws *Workspace) fillIndeg(inst *Instance) {
+	n, nt := inst.N(), inst.NTasks()
+	if cap(ws.indeg) < nt {
+		ws.indeg = make([]int32, nt)
+	}
+	ws.indeg = ws.indeg[:nt]
+	for i, d := range inst.DAGs {
+		indeg := ws.indeg[i*n : (i+1)*n]
+		for v := range indeg {
+			indeg[v] = int32(d.InDegree(int32(v)))
+		}
+	}
 }
 
 // checkListArgs validates the shared argument contract of the kernels

@@ -267,14 +267,19 @@ func skeletonBytes(e *skeletonEntry) int64 {
 // familyBytes estimates a family entry: per direction, the DAG's CSR
 // offsets and level array (3·(n+1) int32) plus out- and in-edge arrays
 // (≈ 2 int32 per edge, with edges ≈ 2n on tetrahedral meshes: ≤ 4
-// faces per cell, about half oriented downwind), plus the facts the
-// DAG grows once a descendant or DFDS request has been planned on it
-// (level order, b-levels and descendant counts: up to 16 bytes per
-// task).
+// faces per cell, about half oriented downwind), plus what the family
+// grows once it has been planned on: the facts of each DAG after a
+// descendant or DFDS request (level order, b-levels and descendant
+// counts: up to 16 bytes per task) and the instance's task graph after
+// any list-scheduled request (one int32 per task and one per edge).
 func familyBytes(e *familyEntry) int64 {
 	n := int64(e.prob.N())
 	k := int64(e.prob.K())
-	return 128 + k*(3*4*(n+1)+2*4*2*n+16*n)
+	const edgesPerCell = 2
+	dags := 3*4*(n+1) + 2*4*edgesPerCell*n
+	facts := 16 * n
+	taskGraph := 4*(n+1) + 4*edgesPerCell*n
+	return 128 + k*(dags+facts+taskGraph)
 }
 
 // scheduleBytes estimates a schedule entry: start steps + assignment

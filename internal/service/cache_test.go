@@ -87,8 +87,11 @@ func TestLRUEvictionCascade(t *testing.T) {
 
 // TestFamilyBytesCountsDAGFacts: a cached family grows after it was sized
 // — the first descendant or DFDS plan leaves a level order, b-levels and
-// descendant counts on every DAG — so the estimate charges them up front:
-// 16 bytes per task on top of the CSR and level arrays.
+// descendant counts on every DAG, the first list-scheduled plan the task
+// graph on the instance — so the estimate charges them up front: 16 bytes
+// per task for the facts and about 12 per task (an offset, and a
+// successor for each of ≈ 2 edges) for the graph, on top of the CSR and
+// level arrays. The real graph of a planned family stays within it.
 func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	p, err := sweepsched.NewProblemFromFamily("tetonly", 0.02, 8, 4, 1)
 	if err != nil {
@@ -96,8 +99,21 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	}
 	n, k := int64(p.N()), int64(p.K())
 	csr := k * (3*4*(n+1) + 2*4*2*n)
-	if got, want := familyBytes(&familyEntry{prob: p}), 128+csr+16*n*k; got != want {
-		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task)", got, n, k, want, csr)
+	graph := k * (4*(n+1) + 4*2*n)
+	got := familyBytes(&familyEntry{prob: p})
+	if want := 128 + csr + 16*n*k + graph; got != want {
+		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task + task graph %d)", got, n, k, want, csr, graph)
+	}
+	res, err := p.Schedule(sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges int64
+	for _, d := range res.Schedule.Inst.DAGs {
+		edges += int64(d.NumEdges())
+	}
+	if real := 4*(n*k+1) + 4*edges; real > graph {
+		t.Fatalf("task graph of the planned family is %d bytes (%d edges), estimate %d", real, edges, graph)
 	}
 }
 
