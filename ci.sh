@@ -18,19 +18,33 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== structure: one step body, one source-iteration loop =="
+echo "== structure: one step body, one source-iteration loop, one epoch loop =="
 # The modelled machine (internal/machine) has the only RunProc; every
-# executor embeds or calls it. internal/transport has the only loop that
-# alternates a sweep with UpdatePhi. A second of either is the duplication
-# this check exists to refuse.
+# executor embeds or calls it (the orchestrator's ack replay is not a step
+# body and has no method of that name). transport.SolveOn is the only code
+# in the tree that alternates a sweep with UpdatePhi, and faults.Engine the
+# only fault-epoch loop: internal/procrun is its wire side and may not
+# route, reschedule or iterate on its own. A second of any is the
+# duplication this check exists to refuse.
+src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort)
 bodies=$(grep -rlE '^func \([^)]*\) RunProc\(' --include='*.go' --exclude='*_test.go' internal | sort || true)
 if [ "$bodies" != "internal/machine/machine.go" ]; then
     echo "ci: RunProc step bodies outside the modelled machine:" $bodies >&2
     exit 1
 fi
-loops=$(ls internal/transport/*.go | grep -v '_test\.go$' | xargs grep -hE 'UpdatePhi\(' | grep -cvE '^[[:space:]]*//|^func UpdatePhi\(' || true)
+loops=$(grep -hE 'UpdatePhi\(' $src | grep -cvE '^[[:space:]]*//|^func UpdatePhi\(' || true)
 if [ "$loops" -ne 1 ]; then
-    echo "ci: internal/transport calls UpdatePhi from $loops places, want the one solve loop" >&2
+    echo "ci: UpdatePhi is called from $loops places, want the one SolveOn loop" >&2
+    exit 1
+fi
+epochs=$(cat $src | grep -cE '^type epochEnd |^[[:space:]]+endCrash$' || true)
+if [ "$epochs" -ne 2 ]; then
+    echo "ci: epochEnd/endCrash declared $epochs times, want once each (faults.Engine's epoch loop)" >&2
+    exit 1
+fi
+wire=$(ls internal/procrun/*.go | grep -v '_test\.go$')
+if grep -nE 'inst\.Split\(|\.Out\(|comm\.NewOutbox|UpdatePhi\(|OnSend\(|Reschedule\(|RebuildFull\(' $wire; then
+    echo "ci: internal/procrun routes, reschedules or iterates on its own (lines above)" >&2
     exit 1
 fi
 

@@ -1,7 +1,6 @@
-// Package comm is the batched flux-communication layer shared by every
-// executor: the modelled machine (internal/machine) under the in-process
-// parallel solver (transport.SolveParallel) and the fault-injected engine
-// (faults.Engine), and the multi-process runner's orchestrator
+// Package comm is the batched flux-communication layer of the modelled
+// machine (internal/machine), and so of every executor: the parallel
+// solver, the fault engine and the multi-process runner
 // (internal/procrun). It owns the batch envelope, the recycled buffers that
 // keep the warm path at zero allocations, and the explicit per-message vs
 // per-batch cost model the obs counters report.
@@ -66,9 +65,8 @@ type Batch struct {
 // destination's envelope comes back to that destination: its item array
 // has then already grown to what that destination's traffic needs, and a
 // sweep that repeats an earlier one grows nothing. An Outbox belongs to
-// one step loop — the modelled machine adds, flushes and recycles from
-// its barrier hook, procrun's orchestrator while it folds acks — and is
-// not safe for concurrent use.
+// one step loop — the modelled machine adds, flushes and recycles at its
+// barriers — and is not safe for concurrent use.
 type Outbox struct {
 	open  []*Batch // per destination: the envelope being filled
 	spare []*Batch // per destination: a drained envelope awaiting reuse

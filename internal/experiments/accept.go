@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"sweepsched/internal/core"
 	"sweepsched/internal/heuristics"
@@ -18,20 +19,21 @@ func init() {
 }
 
 // Accept runs the machine-checkable acceptance criteria distilled from the
-// paper's qualitative claims (the DESIGN.md §4 criteria) and prints one
-// PASS/FAIL row per criterion. It picks processor counts adaptively so the
-// checks remain meaningful at any -scale (the claims implicitly assume
-// nk/m stays well above the critical path, which fixed m would violate on
-// scaled-down meshes).
+// paper's qualitative claims (the DESIGN.md §4 criteria), prints one
+// PASS/FAIL row per criterion and returns an *AcceptError naming those that
+// failed. It picks processor counts adaptively so the checks remain
+// meaningful at any -scale (the claims implicitly assume nk/m stays well
+// above the critical path, which fixed m would violate on scaled-down
+// meshes).
 func Accept(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(cfg.Out, "# accept: machine-checkable paper claims at scale %g\n", cfg.Scale)
 	tbl := stats.NewTable("id", "criterion", "measured", "threshold", "pass")
-	allPass := true
+	var failed []string
 	check := func(id, desc string, measured float64, threshold float64, pass bool) {
 		tbl.AddRow(id, desc, measured, threshold, pass)
 		if !pass {
-			allPass = false
+			failed = append(failed, id)
 		}
 	}
 
@@ -148,12 +150,20 @@ func Accept(cfg Config) error {
 	if err := cfg.render(tbl); err != nil {
 		return err
 	}
-	if allPass {
-		_, err = fmt.Fprintln(cfg.Out, "ACCEPT: all criteria passed")
-	} else {
-		_, err = fmt.Fprintln(cfg.Out, "ACCEPT: FAILURES above")
+	if len(failed) > 0 {
+		fmt.Fprintln(cfg.Out, "ACCEPT: FAILURES above")
+		return &AcceptError{Failed: failed}
 	}
+	_, err = fmt.Fprintln(cfg.Out, "ACCEPT: all criteria passed")
 	return err
+}
+
+// AcceptError is Accept's verdict when the paper's claims do not all hold:
+// the ids of the criteria that failed, in table order.
+type AcceptError struct{ Failed []string }
+
+func (e *AcceptError) Error() string {
+	return "experiments: acceptance criteria failed: " + strings.Join(e.Failed, ", ")
 }
 
 // loadBoundProcs returns the largest processor count from the sweep that

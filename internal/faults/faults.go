@@ -5,24 +5,18 @@
 //
 // A Plan is a deterministic fault scenario derived from a master seed via
 // rng.Source.Substream: the same (schedule, spec, seed) triple always
-// yields the same events, so every failure run is exactly reproducible. An
-// Injector applies a plan to the interconnect of a message-passing
-// executor, one logical message at a time, and the Engine drives a
-// barrier-synchronous execution with recovery of the modelled machine
-// (internal/machine) on the shared step driver (sched.RunSteps): the step
-// body and the hand-over of a step's sends are the machine's — the live
-// processors' bodies run one after another on the caller's goroutine —
-// and everything the engine decides — the injector's rewrite of the
-// queued sends, crash and stall detection, checkpoints, the report's
-// counters — happens in the barrier hook it wraps around the machine's,
-// in processor order. On a detected crash or a missing-flux stall, the
-// hook ends the epoch: the engine checkpoints the
-// completed-task state, reassigns the dead processor's remaining cells
-// onto the survivors, rebuilds a feasible residual schedule by list
-// scheduling over the not-yet-done tasks (sched.ListScheduleResidual), and
-// resumes. The per-task arithmetic is unchanged by recovery, so a
-// recovered transport solve converges to flux bitwise-identical to the
-// fault-free serial solve.
+// yields the same events, so every failure run is exactly reproducible.
+// The Engine has the one epoch loop: it steps the modelled machine
+// (internal/machine) barrier-synchronously, decides everything at the
+// barriers in processor order — planned crashes, the periodic checkpoint,
+// the Injector's rewrite of the step's queued sends, stalls — and on a
+// crash or a missing-flux stall ends the epoch, rolls the victims back to
+// what is durable, reassigns their cells onto the survivors, list-schedules
+// the not-yet-done tasks (sched.ListScheduleResidual) and resumes. Where
+// the processors run between the barriers, and what a crash loses, is the
+// Ranks seam: modelled here, worker processes under internal/procrun. The
+// per-task arithmetic is unchanged by recovery, so a recovered transport
+// solve converges to flux bitwise-identical to the fault-free serial solve.
 package faults
 
 import (

@@ -77,23 +77,27 @@ func TestInjectorMessageEventsFireOnce(t *testing.T) {
 	mk := func(k Kind, hold int32) *Injector {
 		return NewInjector(&Plan{Events: []Event{{Kind: k, Task: 5, To: 1, HoldSteps: hold}}})
 	}
+	// One step's queue of one message, through Rewrite.
+	send := func(inj *Injector, task sched.TaskID, psi float64, step int32) []Delivery {
+		return inj.Rewrite([]Delivery{{Task: task, To: 1, Psi: psi}}, step)
+	}
 
 	inj := mk(Drop, 0)
-	if got := inj.OnSend(5, 1, 1.5, 0); got != nil {
+	if got := send(inj, 5, 1.5, 0); len(got) != 0 {
 		t.Fatalf("dropped message delivered: %v", got)
 	}
 	if !inj.Explains(5, 1) {
 		t.Fatal("injector does not explain the drop it applied")
 	}
-	if got := inj.OnSend(5, 1, 1.5, 3); len(got) != 1 {
+	if got := send(inj, 5, 1.5, 3); len(got) != 1 {
 		t.Fatalf("second send of dropped message got %d deliveries, want 1", len(got))
 	}
-	if got := inj.OnSend(6, 1, 1.5, 0); len(got) != 1 || got[0].Psi != 1.5 {
+	if got := send(inj, 6, 1.5, 0); len(got) != 1 || got[0].Psi != 1.5 {
 		t.Fatalf("unaffected message mangled: %v", got)
 	}
 
 	inj = mk(Delay, 2)
-	if got := inj.OnSend(5, 1, 2.5, 4); got != nil {
+	if got := send(inj, 5, 2.5, 4); len(got) != 0 {
 		t.Fatalf("delayed message delivered immediately: %v", got)
 	}
 	if got := inj.Matured(5); len(got) != 0 {
@@ -108,7 +112,7 @@ func TestInjectorMessageEventsFireOnce(t *testing.T) {
 	}
 
 	inj = mk(Duplicate, 0)
-	if got := inj.OnSend(5, 1, 3.5, 0); len(got) != 2 {
+	if got := send(inj, 5, 3.5, 0); len(got) != 2 {
 		t.Fatalf("duplicate yielded %d deliveries, want 2", len(got))
 	}
 	if inj.Applied(Duplicate) != 1 {

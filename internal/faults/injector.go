@@ -18,15 +18,13 @@ type msgKey struct {
 	to   int32
 }
 
-// Injector applies a Plan to the interconnect of an executor. The
-// executor passes every cross-processor send through it — one at a time
-// (OnSend, the orchestrator) or a step's queue at once (Rewrite, the
-// engine) — which may suppress, hold or duplicate the delivery, and asks
-// Matured at each barrier for held messages that are now due. The decision for a message
-// depends only on the plan (keyed by task and destination), never on call
-// order, so executions are reproducible. An Injector belongs to one step
-// loop — the engine's barrier hook, procrun's orchestrator — and is not
-// safe for concurrent use.
+// Injector applies a Plan to the interconnect of the fault engine, which
+// passes every step's queue of cross-processor sends through it (Rewrite)
+// — it may suppress, hold or duplicate a delivery — and asks Matured at
+// each barrier for held messages that are now due. The decision for a
+// message depends only on the plan (keyed by task and destination), never
+// on call order, so executions are reproducible. An Injector belongs to
+// its engine's barrier and is not safe for concurrent use.
 type Injector struct {
 	crashStep map[int32]int32
 	severStep map[int32]int32
@@ -94,24 +92,15 @@ func (inj *Injector) SeverStep(p int32) int32 {
 // NoteSever records that a planned connection cut actually fired.
 func (inj *Injector) NoteSever() { inj.applied[Sever]++ }
 
-// OnSend applies the plan to one cross-processor flux message sent at the
-// given global barrier step, returning the deliveries to perform now. A
-// dropped or delayed message yields none (the delayed one surfaces later
-// through Matured); a duplicated one yields two. Each message event fires
-// once — on later sends of the same message (transport re-sweeps the
-// schedule every source iteration) delivery is normal.
-func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	if out := inj.Rewrite([]Delivery{{Task: task, To: to, Psi: psi}}, step); len(out) > 0 {
-		return out
-	}
-	return nil
-}
-
-// Rewrite is OnSend for the sends one step queued on the modelled machine,
+// Rewrite applies the plan to the cross-processor flux messages one step
+// queued on the modelled machine, sent at the given global barrier step,
 // in place and in order: a drop removes its message, a delay removes and
-// holds it, a duplicate doubles it. Fired events leave the index, so once
-// none is pending — from the start, for most plans soon after — a step
-// costs one length check and no hashing.
+// holds it (it surfaces later through Matured), a duplicate doubles it.
+// Each message event fires once — on later sends of the same message
+// (transport re-sweeps the schedule every source iteration) delivery is
+// normal. Fired events leave the index, so once none is pending — from
+// the start, for most plans soon after — a step costs one length check and
+// no hashing.
 func (inj *Injector) Rewrite(sends []Delivery, step int32) []Delivery {
 	for i := 0; i < len(sends) && len(inj.msg) > 0; i++ {
 		key := msgKey{sends[i].Task, sends[i].To}

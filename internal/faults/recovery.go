@@ -9,13 +9,11 @@ import (
 	"sweepsched/internal/verify"
 )
 
-// Recovery is the executor-independent crash-recovery core: it tracks
-// which processors are alive, owns the (mutating) cell assignment, and
-// rebuilds feasible schedules over the outstanding tasks by residual list
-// scheduling. Both the in-process Engine (modelled processors) and the
-// multi-process orchestrator (internal/procrun) drive their recoveries
-// through one Recovery, so a kill -9'd OS process and a simulated crash
-// take the exact same reassignment and rescheduling decisions.
+// Recovery is the engine's crash-recovery core: it tracks which processors
+// are alive, owns the (mutating) cell assignment, and rebuilds feasible
+// schedules over the outstanding tasks by residual list scheduling — the
+// same decisions for a simulated crash and a kill -9'd worker process,
+// since both are the engine's.
 //
 // Recovery is deterministic: Kill order, orphan reassignment (least
 // loaded survivor, ties to smallest id) and list-scheduling priorities
@@ -74,9 +72,6 @@ func NewRecovery(s *sched.Schedule) (*Recovery, error) {
 	return r, nil
 }
 
-// Inst returns the instance being executed.
-func (r *Recovery) Inst() *sched.Instance { return r.inst }
-
 // Assign returns the live cell assignment. Callers must treat it as
 // read-only; it changes across Kill calls.
 func (r *Recovery) Assign() sched.Assignment { return r.assign }
@@ -102,9 +97,6 @@ func (r *Recovery) Observe(col *obs.Collector) { r.ws.SetObserver(col) }
 // failed audit aborts with its diagnostic). Defaults to off unless
 // SWEEPSCHED_VERIFY forces it.
 func (r *Recovery) SetVerify(on bool) { r.audit = on }
-
-// Verifying reports whether reschedules are audited.
-func (r *Recovery) Verifying() bool { return r.audit }
 
 // Kill marks the processors dead and moves every cell of a dead
 // processor onto the least-loaded survivor (done marks tasks that no

@@ -1,32 +1,32 @@
 // Package machine is the paper's machine, modelled once: m processors
 // that each run the tasks a schedule gives them at step t and exchange the
 // cross-processor fluxes it implies. It owns the flux routes
-// (sched.RecvTable), the per-task done marks, the per-slot delivery
-// deadlines, the sends a step queues, the per-processor acks, the
-// interconnect (deadline-driven envelopes, or one delivery per message)
-// and the traffic accounting — and has the one step body (RunProc) and the
-// one hand-over of a step's sends (CloseStep) that every executor runs:
-// the message-passing simulator (internal/simulate), the parallel
-// transport solve (internal/transport), the fault engine
-// (internal/faults, which decorates the hand-over with its injector) and
-// the worker processes of internal/procrun (which run the body for their
-// own rank and leave the interconnect to the orchestrator).
+// (sched.RecvTable), the done marks, one delivery deadline per receive
+// slot, the sends a step queues, the per-processor acks, the interconnect
+// (deadline-driven envelopes, or one delivery per message) and the traffic
+// accounting, and has the one step body (RunProc) and the one hand-over of
+// a step's sends (CloseStep). Every executor is this machine: the
+// simulator and the parallel transport solve sweep it (Sweep), the fault
+// engine (internal/faults) runs its epochs on it, and under
+// internal/procrun its processors are worker processes — each runs the
+// body for its own rank, the orchestrator replays their acks (Replay) into
+// the same queue, and a handed-over flux lands in a frame (Wire) instead
+// of a slot.
 //
 // The invariants the executors rely on:
 //
 //   - A body writes only what belongs to its processor p: its tasks'
 //     fluxes and done marks, its ack, and the sends it queues. It reads no
 //     flux another processor wrote except from a receive slot.
-//   - A send queued during step t reaches its destination's slot at a
-//     barrier — the one closing t, per message; no later than the one
-//     opening its earliest consumer's step, batched — so it is visible
-//     from step t+1 on and never to a higher-numbered processor later in
-//     step t, on either interconnect.
+//   - A send queued during step t reaches its destination at a barrier —
+//     the one closing t, per message; no later than the one opening its
+//     earliest consumer's step, batched — so it is visible from step t+1
+//     on and never to a higher-numbered processor later in step t.
 //   - The body never interprets a missing flux. It reports (task, missing
 //     producer) in its ack and stops, the barrier passes it on as a
-//     *StallError, and the owner decides — an infeasible schedule for a
-//     fault-free sweep (Sweep), a stall to recover from for the fault
-//     engine if its injector explains it.
+//     *StallError, and the owner decides: an infeasible schedule for a
+//     fault-free sweep, a stall to recover from if the fault engine's
+//     injector explains it.
 //   - NoBatch is the oracle mode of the same machine: flux values, their
 //     production order and Stats.{Messages,Rounds} are identical, only the
 //     transmissions differ.
@@ -94,6 +94,13 @@ type Machine struct {
 	Compute Compute
 	Psi     []float64 // per task: a processor reads only fluxes its own tasks wrote
 	Done    []bool    // per task: run this sweep (or durable from an earlier epoch)
+
+	// Wire, when set, is where a handed-over flux lands instead of in a
+	// receive slot here: with the processor it is for, which runs in
+	// another process and keeps its own slots (internal/procrun puts it in
+	// that worker's next frame). Deadlines, envelopes and the accounting
+	// are the same either way.
+	Wire func(to int32, t sched.TaskID, psi float64)
 
 	Recv sched.RecvTable
 	Due  []int32      // per receive slot: the step its earliest consumer runs, else comm.NoDue (Route)
@@ -232,16 +239,57 @@ func (m *Machine) RunProc(p, step int32) {
 		if len(in) > 0 {
 			inflow /= float64(len(in))
 		}
-		val := m.Compute(t, inflow)
-		psi[t] = val
-		done[t] = true
-		a.Completed++
-		out := m.Recv.Out(t)
-		for _, o := range out {
-			m.Sent = append(m.Sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Psi: val})
-		}
-		a.Sent += int32(len(out))
+		m.complete(a, t, m.Compute(t, inflow))
 	}
+}
+
+// complete is what a task's having run means to the machine, wherever it
+// ran: its flux is in Psi, it is done, its processor's account counts it
+// and its cross-processor edges are queued as sends.
+func (m *Machine) complete(a *Ack, t sched.TaskID, val float64) {
+	m.Psi[t] = val
+	m.Done[t] = true
+	a.Completed++
+	out := m.Recv.Out(t)
+	for _, o := range out {
+		m.Sent = append(m.Sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Psi: val})
+	}
+	a.Sent += int32(len(out))
+}
+
+// AccountError reports an account of a step, from a processor that ran it
+// elsewhere, that is not a prefix of the processor's row: its completion
+// Index names task Task, and the row has another there or no more.
+type AccountError struct {
+	Proc, Step int32
+	Index      int
+	Task       sched.TaskID
+}
+
+func (e *AccountError) Error() string {
+	return fmt.Sprintf("machine: proc %d step %d: reported completion %d is task %d, not its row's", e.Proc, e.Step, e.Index, e.Task)
+}
+
+// Replay is RunProc for a processor whose body ran in another process
+// (internal/procrun): ran, the tasks it reports complete with their
+// fluxes, must be a prefix of its row of the step, as a body's account
+// here would be, and is completed as such; what stopped it short (by's
+// stall or error, nothing else of by is read) ends the account as it would
+// a body's. The zero Ack is a processor that reports nothing.
+func (m *Machine) Replay(p, step int32, ran []comm.Item, by Ack) error {
+	a := &m.Acks[p]
+	*a = Ack{StallTask: -1, StallMiss: -1, Err: by.Err}
+	if by.Stalled {
+		a.Stalled, a.StallTask, a.StallMiss = true, by.StallTask, by.StallMiss
+	}
+	row := m.Steps.Tasks(p, step)
+	for i, it := range ran {
+		if i >= len(row) || it.Task != row[i] {
+			return &AccountError{Proc: p, Step: step, Index: i, Task: it.Task}
+		}
+		m.complete(a, it.Task, it.Psi)
+	}
+	return nil
 }
 
 // OpenStep is the barrier before a step: exactly the envelopes whose
@@ -258,8 +306,14 @@ func (m *Machine) deliverBatch(b *comm.Batch) {
 	m.Comm.Batches++
 	m.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
 	m.ctr.Envelope(len(b.Items))
-	for _, it := range b.Items {
-		m.Recv.Deliver(it.Slot, it.Psi)
+	if m.Wire != nil {
+		for _, it := range b.Items {
+			m.Wire(b.To, it.Task, it.Psi)
+		}
+	} else {
+		for _, it := range b.Items {
+			m.Recv.Deliver(it.Slot, it.Psi)
+		}
 	}
 	m.outbox.Recycle(b)
 }
@@ -269,10 +323,13 @@ func (m *Machine) deliverBatch(b *comm.Batch) {
 // step due. CloseStep does this for a step's queue; an owner calls it for
 // a message from outside the queue (a delayed one that matured).
 func (m *Machine) Hand(x sched.Send, due int32) {
-	if m.NoBatch {
-		m.Recv.Deliver(x.Slot, x.Psi)
-	} else {
+	switch {
+	case !m.NoBatch:
 		m.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, due)
+	case m.Wire != nil:
+		m.Wire(x.To, x.Task, x.Psi)
+	default:
+		m.Recv.Deliver(x.Slot, x.Psi)
 	}
 }
 
@@ -298,13 +355,18 @@ func (e *StallError) Error() string {
 // per-processor maximum, and the lowest processor's error is returned —
 // or, when none erred, a *StallError if one is missing a flux.
 func (m *Machine) CloseStep(step int32) error {
-	if m.NoBatch { // Hand, once per mode instead of a call per message
-		for _, x := range m.Sent {
-			m.Recv.Deliver(x.Slot, x.Psi)
-		}
-	} else {
+	switch { // Hand, once per mode instead of a call per message
+	case !m.NoBatch:
 		for _, x := range m.Sent {
 			m.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, m.Due[x.Slot])
+		}
+	case m.Wire != nil:
+		for _, x := range m.Sent {
+			m.Wire(x.To, x.Task, x.Psi)
+		}
+	default:
+		for _, x := range m.Sent {
+			m.Recv.Deliver(x.Slot, x.Psi)
 		}
 	}
 	m.Sent = m.Sent[:0]

@@ -1,17 +1,19 @@
 // Package procrun executes a sweep schedule across real worker OS
-// processes. It is the faults.Engine architecture with the modelled
-// processors replaced by processes and the hand-over by localhost TCP:
-// the orchestrator (this package, parent process) owns the schedule, the
-// recovery core, the fault plan and the interconnect; each worker
-// (worker.go, spawned by re-exec) is one rank of the modelled machine
-// (internal/machine) — it runs the shared step body for its own rank over
-// the epoch's routes — and owns beyond that only the cell-balance closure
-// it computes with and its durable checkpoint shards on disk. Fault
-// injection is physical — planned crashes are
-// delivered as real SIGKILLs and planned severs as closed sockets — yet
-// the converged flux remains bitwise-identical to the serial
-// transport.Solve, because recovery replays lost tasks with identical
-// inputs through the shared cell-balance closure.
+// processes. It is the fault engine (internal/faults) with the modelled
+// machine's processors moved out of the process: the orchestrator (this
+// file, the parent process) is the engine's Ranks and the machine's Wire.
+// A step is a frame to every worker and an ack from each, replayed through
+// the machine; a flux the machine hands over lands in its destination's
+// next frame; a planned crash is a real SIGKILL, a planned sever a closed
+// socket, and a kill loses what the victim's durable shard on disk does
+// not cover. The epoch loop, the barrier's decisions, the injector, routes,
+// deadlines and accounting, and the source iteration are the engine's, the
+// machine's and internal/transport's: Run is spawn, setup, that loop,
+// teardown. Each worker (worker.go, spawned by re-exec) is one rank of the
+// same machine: it runs the shared step body for its own rank, and owns
+// only its cell-balance closure and its checkpoint shards. Recovery
+// replays lost tasks with identical inputs through that closure, so the
+// converged flux is bitwise-identical to the serial transport.Solve.
 package procrun
 
 import (
@@ -22,12 +24,12 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"time"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/faults"
-	"sweepsched/internal/lb"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/transport"
@@ -67,12 +69,6 @@ type Options struct {
 func (o Options) withDefaults(plan *faults.Plan) (Options, error) {
 	if o.CkptDir == "" {
 		return o, errors.New("procrun: Options.CkptDir is required")
-	}
-	if o.CkptEvery <= 0 {
-		o.CkptEvery = 8
-		if plan != nil && plan.Spec.CheckpointEvery > 0 {
-			o.CkptEvery = plan.Spec.CheckpointEvery
-		}
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 200 * time.Millisecond
@@ -118,10 +114,12 @@ type RunResult struct {
 	Residual   float64
 	Converged  bool
 	Report     *Report
-	// Comm is the orchestrator-observed traffic: logical messages and
-	// rounds (mirroring the Report), plus the physical flux transmissions
-	// and their wire bytes — per-destination step-frame envelopes by
-	// default, one fFlux frame per message under Config.NoBatch.
+	// Comm is the traffic the orchestrator's machine counted, by the
+	// definitions every executor shares (machine.Stats): logical messages
+	// and rounds (mirroring the Report), plus the transmissions carrying
+	// them — one per due envelope, riding a step frame, by default; under
+	// Config.NoBatch one per logical message sent, whatever the plan then
+	// did to it (the fFlux frames written are the workers' comm.batches).
 	Comm transport.CommStats
 	// Merged folds every surviving worker's metrics snapshot into one
 	// report (obs.Snapshot.Merge). Workers record only deterministic
@@ -144,43 +142,31 @@ type workerProc struct {
 	conn *wireConn
 }
 
-// orch drives one Run.
+// orch drives one Run: the processes, their sockets, and the far side of
+// the engine's machine.
 type orch struct {
 	inst    *sched.Instance
-	orig    *sched.Schedule
 	spec    ProblemSpec
 	cfg     transport.Config
 	opts    Options
 	ln      net.Listener
 	helloCh chan hello
 	workers []*workerProc
-	inj     *faults.Injector
-	rec     *faults.Recovery
-	report  Report
-	col     *obs.Collector
 
-	globalStep int32
-	lastCkpt   int32
-	severed    map[int32]bool
+	eng *faults.Engine   // the epoch loop; o is its Ranks
+	mc  *machine.Machine // its machine: acks are replayed through it, o.land is its Wire
+	inj *faults.Injector // its injector, which also plans the severs
 
-	psi      []float64
+	severed  map[int32]bool
 	iter     int32
-	sweepLog [][]sched.TaskID    // per rank: completions this sweep, for disk-authority rollback
-	pending  [][]faults.Delivery // NoBatch: deliveries awaiting per-message fFlux frames
-	lastStep [][]byte            // per rank: the fStep frame in flight, for resend after a transient drop
-	lastFlux [][]comm.Item       // NoBatch: per rank, this step's fFlux items, replayed on a resend
-
-	// Batched interconnect (default): deadline-driven per-destination
-	// envelopes that ride inside step frames, plus the epoch-start state
-	// their deadlines are computed from.
-	noBatch    bool
-	outbox     *comm.Outbox
-	stepBatch  []*comm.Batch // envelopes flushed for the step frame being built
-	epochStart []int32       // current epoch's start steps (envelope deadlines)
-	epochDone  []bool        // done set at epoch start
-	ctr        comm.Counters
-	commTx     int64 // physical flux transmissions (envelopes, or frames when NoBatch)
-	commBy     int64 // wire-model bytes across those transmissions
+	sweepLog [][]sched.TaskID // per rank: completions this sweep, for disk-authority rollback
+	// flux is, per rank, what the machine handed over for it since its last
+	// step frame: the next one's envelope, or (NoBatch) an fFlux frame each
+	// ahead of it. Kept until the step's acks are in, for a resend.
+	flux     [][]comm.Item
+	lastStep [][]byte // per rank: the fStep frame in flight, for resend after a transient drop
+	acked    []int32  // RunStep's scratch: the ranks that got this step's frame
+	lost     []int32  // RunStep's scratch: the ranks lost in this step
 
 	scratch []byte      // sweep/epoch payload builder, reused across frames
 	fluxBuf []byte      // fFlux frame payload builder (NoBatch)
@@ -191,7 +177,9 @@ type orch struct {
 // processes under the fault plan, returning the converged flux, the
 // recovery accounting, and the merged worker metrics. The schedule must
 // be for the instance spec builds (same mesh family, scale, seed, k, m);
-// workers rebuild that instance locally from the spec.
+// workers rebuild that instance locally from the spec. The configuration
+// and the schedule are checked (and audited, under cfg.Verify) as for
+// every transport solve, before any worker process exists.
 //
 // Every planned Crash is delivered as a real SIGKILL at its barrier step
 // and every planned Sever as a closed socket (the worker reconnects with
@@ -206,95 +194,69 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 	if inst.M != spec.M {
 		return nil, fmt.Errorf("procrun: schedule has %d processors, spec says %d", inst.M, spec.M)
 	}
-	if cfg.SigmaT <= 0 {
-		return nil, fmt.Errorf("procrun: SigmaT must be positive, got %v", cfg.SigmaT)
-	}
-	if cfg.SigmaS < 0 || cfg.SigmaS >= cfg.SigmaT {
-		return nil, fmt.Errorf("procrun: need 0 <= SigmaS < SigmaT, got SigmaS=%v SigmaT=%v", cfg.SigmaS, cfg.SigmaT)
-	}
-	if cfg.SourceField != nil && len(cfg.SourceField) != inst.N() {
-		return nil, fmt.Errorf("procrun: source field covers %d of %d cells", len(cfg.SourceField), inst.N())
-	}
-	if cfg.Weights != nil && len(cfg.Weights) != inst.K() {
-		return nil, fmt.Errorf("procrun: %d angular weights for %d directions", len(cfg.Weights), inst.K())
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-10
-	}
-	if cfg.MaxIters <= 0 {
-		cfg.MaxIters = 500
-	}
 	opts, err := opts.withDefaults(plan)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := faults.NewRecovery(s)
-	if err != nil {
-		return nil, err
-	}
-	rec.Observe(opts.Collector)
-	if opts.Verify {
-		rec.SetVerify(true)
-	}
 	o := &orch{
 		inst:     inst,
-		orig:     s,
 		spec:     spec,
-		cfg:      cfg,
 		opts:     opts,
 		helloCh:  make(chan hello, inst.M),
 		workers:  make([]*workerProc, inst.M),
-		inj:      faults.NewInjector(plan),
-		rec:      rec,
-		col:      opts.Collector,
 		severed:  map[int32]bool{},
-		psi:      make([]float64, inst.NTasks()),
 		sweepLog: make([][]sched.TaskID, inst.M),
-		pending:  make([][]faults.Delivery, inst.M),
+		flux:     make([][]comm.Item, inst.M),
 		lastStep: make([][]byte, inst.M),
-		lastFlux: make([][]comm.Item, inst.M),
-
-		noBatch:   cfg.NoBatch,
-		outbox:    comm.NewOutbox(inst.M),
-		stepBatch: make([]*comm.Batch, inst.M),
-		epochDone: make([]bool, inst.NTasks()),
-		ctr:       comm.NewCounters(opts.Collector),
-	}
-	if plan != nil {
-		o.report.Seed = plan.Seed
 	}
 	defer o.teardownAll()
-	if err := o.spawnAll(ctx); err != nil {
-		return nil, err
-	}
-	if err := o.setupAll(); err != nil {
-		return nil, err
-	}
-	res, err := o.iterate(ctx)
+	res, err := transport.SolveOn(ctx, s, cfg, func(s *sched.Schedule, cfg transport.Config, phi, psi []float64) (func(context.Context) error, *transport.CommStats, error) {
+		eng, err := faults.NewEngine(s, plan)
+		if err != nil {
+			return nil, nil, err
+		}
+		o.cfg, o.eng = cfg, eng
+		o.mc, o.inj = eng.RunOn(o, "procrun", "kills")
+		o.mc.Wire = o.land
+		eng.Observe(opts.Collector)
+		eng.SetNoBatch(cfg.NoBatch)
+		if opts.CkptEvery > 0 {
+			eng.SetCheckpointEvery(opts.CkptEvery)
+		}
+		if opts.Verify {
+			eng.SetVerify(true)
+		}
+		if err := o.spawnAll(ctx); err != nil {
+			return nil, nil, err
+		}
+		if err := o.setupAll(); err != nil {
+			return nil, nil, err
+		}
+		return func(ctx context.Context) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := o.beginSweep(phi); err != nil {
+				return err
+			}
+			return eng.Sweep(ctx, nil, psi) // the workers have the cell balance
+		}, eng.CommTraffic(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Merged = o.collectSnapshots()
-	o.report.Reconnects = res.Merged.CounterValue("proc.reconnects")
+	merged := o.collectSnapshots()
 	o.sayGoodbye()
-	o.fillReport()
-	res.Report = &o.report
-	res.Comm = transport.CommStats{
-		Messages: o.report.MessagesSent,
-		Batches:  o.commTx,
-		Bytes:    o.commBy,
-		Rounds:   o.report.CommRounds,
-	}
-	return res, nil
-}
-
-func (o *orch) fillReport() {
-	o.report.Crashes = o.inj.Applied(faults.Crash)
-	o.report.Drops = o.inj.Applied(faults.Drop)
-	o.report.Delays = o.inj.Applied(faults.Delay)
-	o.report.Duplicates = o.inj.Applied(faults.Duplicate)
-	o.report.Severs = o.inj.Applied(faults.Sever)
-	o.report.DeadProcs = o.rec.Dead()
+	return &RunResult{
+		Phi: res.Phi, Iterations: res.Iterations, Residual: res.Residual, Converged: res.Converged,
+		Report: &Report{
+			RecoveryReport: *o.eng.Report(),
+			Severs:         o.inj.Applied(faults.Sever),
+			Reconnects:     merged.CounterValue("proc.reconnects"),
+		},
+		Comm:   res.Comm,
+		Merged: merged,
+	}, nil
 }
 
 // spawnAll opens the rendezvous listener, starts m worker processes of
@@ -435,89 +397,10 @@ func (o *orch) readSkippingHeartbeats(w *workerProc, timeout time.Duration) (uin
 	}
 }
 
-// iterate runs the source iteration: sweep to completion (recovering
-// across epochs as faults fire), update the scalar flux, repeat until
-// convergence. Mirrors faults.Engine.Sweep plus the transport solver's
-// outer loop.
-func (o *orch) iterate(ctx context.Context) (*RunResult, error) {
-	inst := o.inst
-	nt := inst.NTasks()
-	phi := make([]float64, inst.N())
-	res := &RunResult{}
-	full := o.orig // full schedule each sweep starts from; rebuilt after crashes
-	needRebuild := false
-	for iter := 1; iter <= o.cfg.MaxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if needRebuild {
-			f, err := o.rec.RebuildFull()
-			if err != nil {
-				return nil, err
-			}
-			full = f
-			needRebuild = false
-		}
-		o.iter = int32(iter)
-		if err := o.beginSweep(phi); err != nil {
-			return nil, err
-		}
-		o.report.StepsFaultFree += o.orig.Makespan
-
-		done := make([]bool, nt)
-		remaining := nt
-		cur := full
-		for remaining > 0 {
-			if o.rec.NLive() == 0 {
-				o.fillReport()
-				return nil, &faults.UnrecoverableError{DeadProcs: o.rec.Dead(), Remaining: remaining}
-			}
-			var reason epochEnd
-			var err error
-			remaining, reason, err = o.runEpoch(ctx, cur, done, remaining)
-			if err != nil {
-				return nil, err
-			}
-			if remaining == 0 {
-				break
-			}
-			switch reason {
-			case endCompleted:
-				return nil, fmt.Errorf("procrun: internal: epoch completed with %d tasks remaining", remaining)
-			case endCrash, endStall:
-				if o.rec.NLive() == 0 {
-					o.fillReport()
-					return nil, &faults.UnrecoverableError{DeadProcs: o.rec.Dead(), Remaining: remaining}
-				}
-				if reason == endCrash {
-					// The assignment changed: later sweeps need a rebuilt
-					// full schedule, not the pre-crash one.
-					needRebuild = true
-				}
-				o.report.Recoveries++
-				o.col.Counter("procrun.recoveries").Inc()
-				o.report.LastResidualBound = lb.ResidualLoad(remaining, o.rec.NLive())
-				resid, err := o.rec.Reschedule(done)
-				if err != nil {
-					return nil, err
-				}
-				cur = resid
-			}
-		}
-		res.Residual = transport.UpdatePhi(inst, o.psi, phi, o.cfg)
-		res.Iterations = iter
-		if res.Residual < o.cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	res.Phi = phi
-	return res, nil
-}
-
 // beginSweep broadcasts the iteration's scalar flux and resets the
 // per-sweep completion logs.
 func (o *orch) beginSweep(phi []float64) error {
+	o.iter++
 	e := enc{b: o.scratch[:0]}
 	e.i32(o.iter)
 	e.f64s(phi)
@@ -542,7 +425,8 @@ func (o *orch) broadcastAck(typ uint8, payload []byte) error {
 			return fmt.Errorf("procrun: rank %d ack for %s: %w", w.rank, frameName(typ), err)
 		}
 		if rtyp == fAck { // worker reported a fatal protocol error
-			return fmt.Errorf("procrun: rank %d failed %s: %s", w.rank, frameName(typ), ackError(payload))
+			_, ack, _ := o.decodeAck(payload)
+			return fmt.Errorf("procrun: rank %d failed %s: %v", w.rank, frameName(typ), ack.Err)
 		}
 		if rtyp != fOK {
 			return fmt.Errorf("procrun: rank %d replied %s to %s", w.rank, frameName(rtyp), frameName(typ))
@@ -551,245 +435,118 @@ func (o *orch) broadcastAck(typ uint8, payload []byte) error {
 	return nil
 }
 
-func ackError(payload []byte) string {
-	d := dec{b: payload}
-	d.fluxItems(nil) // completions section
-	d.u8()
-	d.i32()
-	d.i32()
-	return d.str()
-}
-
 func (o *orch) liveWorkers() []*workerProc {
 	var ws []*workerProc
 	for _, w := range o.workers {
-		if w != nil && w.conn != nil && o.rec.Live(w.rank) {
+		if w != nil && w.conn != nil && o.eng.Live(w.rank) {
 			ws = append(ws, w)
 		}
 	}
 	return ws
 }
 
-type epochEnd uint8
-
-const (
-	endCompleted epochEnd = iota
-	endCrash
-	endStall
-)
-
-// runEpoch drives the schedule's not-done tasks to completion, a crash,
-// or a stall — the barrier loop of faults.Engine.runEpoch with frames in
-// place of channels. Planned kills and severs fire at their barrier,
-// before the step frame goes out, so a victim completes steps strictly
-// before its fault step and every rerun of the plan sees identical state.
-func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, remaining int) (int, epochEnd, error) {
-	o.report.Epochs++
-	o.col.Counter("procrun.epochs").Inc()
-	o.col.Gauge("procrun.live_procs").Set(int64(o.rec.NLive()))
-	assign := o.rec.Assign()
-
-	// Workers derive their own per-step groups from the epoch frame; the
-	// orchestrator runs the same grouping once for validation (it rejects
-	// unscheduled tasks before any frame goes out).
-	if err := new(sched.StepTable).Build(cur, assign, done); err != nil {
-		return remaining, endCompleted, fmt.Errorf("procrun: internal: %w", err)
+// Epoch ships an epoch's schedule and durable state to every live worker:
+// assignment, start steps, the done set, and the checkpointed fluxes done
+// tasks carry. Workers derive their own step rows and routes from it.
+func (o *orch) Epoch(n int, cur *sched.Schedule, assign sched.Assignment) error {
+	for p := range o.flux {
+		o.flux[p] = o.flux[p][:0] // handed over as the last epoch ended: moot
 	}
-	// Envelope deadlines are computed against the epoch-start schedule and
-	// done set: the consumers a flux must reach are exactly those not yet
-	// durable when the epoch's grouping was fixed.
-	o.epochStart = cur.Start
-	o.epochDone = append(o.epochDone[:0], done...)
-	defer func() {
-		for p := range o.pending {
-			o.pending[p] = o.pending[p][:0]
-		}
-		o.outbox.DiscardAll()
-		for p, b := range o.stepBatch {
-			if b != nil {
-				o.outbox.Recycle(b)
-				o.stepBatch[p] = nil
-			}
-		}
-		o.inj.DiscardDelayed()
-	}()
-
-	if err := o.sendEpoch(cur, assign, done); err != nil {
-		return remaining, endCompleted, err
-	}
-
-	live := o.liveWorkers()
-	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
-		if err := ctx.Err(); err != nil {
-			return remaining, endCompleted, err
-		}
-		g := o.globalStep
-
-		// Planned kills due at this barrier: real SIGKILL, then disk-authority
-		// rollback and recovery.
-		var dying []int32
-		for _, w := range live {
-			if cs := o.inj.CrashStep(w.rank); cs >= 0 && cs <= g {
-				dying = append(dying, w.rank)
-			}
-		}
-		if len(dying) > 0 {
-			remaining = o.applyKills(dying, done, remaining)
-			return remaining, endCrash, nil
-		}
-
-		// Planned severs: cut the socket and wait out the worker's
-		// backoff-paced reconnect before proceeding.
-		for _, w := range live {
-			if ss := o.inj.SeverStep(w.rank); ss >= 0 && ss <= g && !o.severed[w.rank] {
-				o.severed[w.rank] = true
-				if err := o.severAndRejoin(w); err != nil {
-					return remaining, endCompleted, err
-				}
-				o.inj.NoteSever()
-				o.col.Counter("procrun.severs").Inc()
-			}
-		}
-
-		ckpt := uint8(0)
-		if g-o.lastCkpt >= o.opts.CkptEvery {
-			ckpt = 1
-			o.lastCkpt = g
-		}
-		for _, dl := range o.inj.Matured(g) {
-			if !o.rec.Live(dl.To) {
-				continue
-			}
-			if o.noBatch {
-				o.pending[dl.To] = append(o.pending[dl.To], dl)
-			} else {
-				// A delayed message matures at this barrier on both paths:
-				// it joins the destination's envelope with the current step
-				// as its deadline, so the stall it would cause (or resolve)
-				// is identical to the per-message oracle's.
-				o.outbox.Add(dl.To, comm.Item{Task: dl.Task, Psi: dl.Psi}, ls)
-			}
-		}
-		if !o.noBatch {
-			o.outbox.FlushDue(ls, func(b *comm.Batch) { o.stepBatch[b.To] = b })
-		}
-
-		var lost []int32
-		var acked []*workerProc // workers that received this step's frame
-		for _, w := range live {
-			e := enc{b: o.lastStep[w.rank][:0]}
-			e.i32(ls)
-			e.i32(g)
-			e.u8(ckpt)
-			if b := o.stepBatch[w.rank]; b != nil {
-				appendFluxBatch(&e, b.Items)
-				o.ctr.Envelope(len(b.Items))
-				o.commTx++
-				o.commBy += comm.BatchWireBytes(len(b.Items))
-				o.outbox.Recycle(b)
-				o.stepBatch[w.rank] = nil
-			} else {
-				e.u32(0)
-			}
-			o.lastStep[w.rank] = e.b
-			if o.noBatch {
-				items := o.lastFlux[w.rank][:0]
-				for _, dl := range o.pending[w.rank] {
-					items = append(items, comm.Item{Task: dl.Task, Psi: dl.Psi})
-				}
-				o.lastFlux[w.rank] = items
-				o.pending[w.rank] = o.pending[w.rank][:0]
-				o.ctr.PerMessage(len(items))
-				o.commTx += int64(len(items))
-				o.commBy += comm.PerMessageWireBytes(len(items))
-			}
-			if err := o.sendStep(w); err != nil {
-				// The link died mid-epoch without a plan event: unplanned
-				// crash. Workers that did get the frame still run the step
-				// and their acks are collected below, keeping the stream
-				// free of stale frames.
-				lost = append(lost, w.rank)
-				continue
-			}
-			acked = append(acked, w)
-		}
-
-		var stepMax int32
-		var feasErr error
-		feasProc := int32(-1)
-		stalled := false
-		unexplained := false
-		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for _, w := range acked {
-			ack, err := o.readAck(w)
-			if err != nil {
-				lost = append(lost, w.rank)
-				continue
-			}
-			var sent int32
-			for _, c := range ack.completed {
-				if !done[c.Task] {
-					done[c.Task] = true
-					remaining--
-				}
-				o.psi[c.Task] = c.Psi
-				o.sweepLog[w.rank] = append(o.sweepLog[w.rank], c.Task)
-				sent += o.route(c.Task, c.Psi, w.rank, assign, g)
-			}
-			o.report.MessagesSent += int64(sent)
-			o.ctr.Logical(int(sent))
-			if sent > stepMax {
-				stepMax = sent
-			}
-			if ack.errMsg != "" && (feasProc < 0 || w.rank < feasProc) {
-				feasErr, feasProc = errors.New(ack.errMsg), w.rank
-			}
-			if ack.stalled {
-				stalled = true
-				if stallTask < 0 || ack.stallTask < stallTask {
-					stallTask, stallMiss = ack.stallTask, ack.stallMiss
-				}
-				if !o.inj.Explains(ack.stallMiss, w.rank) {
-					unexplained = true
-				}
-			}
-		}
-		o.report.CommRounds += int64(stepMax)
-		o.globalStep++
-		o.report.StepsExecuted++
-		o.col.Counter("procrun.steps").Inc()
-		if len(lost) > 0 {
-			remaining = o.applyKills(lost, done, remaining)
-			return remaining, endCrash, nil
-		}
-		if feasErr != nil {
-			return remaining, endCompleted, feasErr
-		}
-		if stalled {
-			if unexplained {
-				return remaining, endCompleted, fmt.Errorf(
-					"procrun: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
-					stallTask, stallMiss, g)
-			}
-			return remaining, endStall, nil
-		}
-	}
-	return remaining, endCompleted, nil
-}
-
-// sendEpoch ships an epoch's schedule and durable state to every live
-// worker: assignment, start steps, the done set, and the checkpointed
-// fluxes done tasks carry.
-func (o *orch) sendEpoch(cur *sched.Schedule, assign sched.Assignment, done []bool) error {
 	e := enc{b: o.scratch[:0]}
-	e.i32(int32(o.report.Epochs))
+	e.i32(int32(n))
 	e.u32(uint32(cur.Makespan))
 	e.i32s(assign)
 	e.i32s(cur.Start)
-	e.bools(done)
-	e.f64s(o.psi)
+	e.bools(o.mc.Done)
+	e.f64s(o.mc.Psi)
 	o.scratch = e.b
 	return o.broadcastAck(fEpoch, e.b)
+}
+
+// land is the machine's Wire: a flux handed over for rank to rides that
+// worker's next frame.
+func (o *orch) land(to int32, t sched.TaskID, psi float64) {
+	o.flux[to] = append(o.flux[to], comm.Item{Task: t, Psi: psi})
+}
+
+// RunStep is one step on the worker processes. Planned severs fire first,
+// at the barrier with no frame in flight — the socket is cut and the
+// worker's backoff-paced reconnect waited out; it loses no state — so every
+// rerun of the plan sees identical state (a planned kill the engine has
+// already turned into the end of the epoch). Then every live worker gets
+// its step frame, carrying the checkpoint flag and what the machine handed
+// over for it, and each one's ack is replayed through the machine. A link
+// that dies with no plan event behind it is an unplanned crash: the rank is
+// reported lost, while the workers that did get the frame still run the
+// step and have their acks collected, keeping the streams free of stale
+// frames.
+func (o *orch) RunStep(ls, g int32, ckpt bool) ([]int32, error) {
+	mc := o.mc
+	for _, p := range mc.Procs {
+		if ss := o.inj.SeverStep(p); ss >= 0 && ss <= g && !o.severed[p] {
+			o.severed[p] = true
+			w := o.workers[p]
+			w.conn.Close()
+			w.conn = nil
+			if !o.awaitRejoin(w) {
+				return nil, fmt.Errorf("procrun: rank %d never reconnected after sever", p)
+			}
+			o.inj.NoteSever()
+			o.opts.Collector.Counter("procrun.severs").Inc()
+		}
+	}
+	acked, lost := o.acked[:0], o.lost[:0]
+	for _, p := range mc.Procs {
+		e := enc{b: o.lastStep[p][:0]}
+		e.i32(ls)
+		e.i32(g)
+		e.flag(ckpt)
+		if mc.NoBatch {
+			e.u32(0) // the fluxes go ahead of the frame, one fFlux each
+		} else {
+			appendFluxBatch(&e, o.flux[p])
+		}
+		o.lastStep[p] = e.b
+		if err := o.sendStep(o.workers[p]); err != nil {
+			lost = append(lost, p)
+			continue
+		}
+		acked = append(acked, p)
+	}
+	for _, p := range acked {
+		ran, ack, err := o.readAck(o.workers[p])
+		if err != nil {
+			lost = append(lost, p)
+			continue
+		}
+		if err := o.fold(p, ls, ran, ack); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range lost {
+		_ = mc.Replay(p, ls, nil, machine.Ack{}) // it reports nothing, which is a prefix of any row
+	}
+	for _, p := range mc.Procs {
+		o.flux[p] = o.flux[p][:0]
+	}
+	slices.Sort(lost)
+	o.acked, o.lost = acked, lost
+	o.opts.Collector.Counter("procrun.steps").Inc()
+	return lost, nil
+}
+
+// fold replays one rank's ack through the machine, which refuses
+// completions that are not a prefix of the rank's row of the step
+// (*machine.AccountError: the task ids are the worker's word, and index
+// arrays here), and logs them as this sweep's.
+func (o *orch) fold(p, ls int32, ran []comm.Item, ack machine.Ack) error {
+	if err := o.mc.Replay(p, ls, ran, ack); err != nil {
+		return fmt.Errorf("procrun: rank %d's ack: %w", p, err)
+	}
+	for _, c := range ran {
+		o.sweepLog[p] = append(o.sweepLog[p], c.Task)
+	}
+	return nil
 }
 
 // sendStep writes the worker's prepared step traffic, riding out one
@@ -812,8 +569,8 @@ func (o *orch) sendStep(w *workerProc) error {
 // step frame with one fFlux frame per pending message, the per-message
 // cost the envelope path exists to amortize.
 func (o *orch) writeStepFrames(w *workerProc) error {
-	if o.noBatch {
-		items := o.lastFlux[w.rank]
+	if o.mc.NoBatch {
+		items := o.flux[w.rank]
 		for i := range items {
 			o.fluxBuf = encodeFluxBatch(o.fluxBuf, items[i:i+1])
 			if err := w.conn.writeFrame(fFlux, o.fluxBuf, 5*time.Second); err != nil {
@@ -824,106 +581,38 @@ func (o *orch) writeStepFrames(w *workerProc) error {
 	return w.conn.writeFrame(fStep, o.lastStep[w.rank], 5*time.Second)
 }
 
-type stepAck struct {
-	completed            []comm.Item
-	stalled              bool
-	stallTask, stallMiss sched.TaskID
-	errMsg               string
-}
-
 // readAck collects one step acknowledgement, riding out one transient
-// reconnect by resending the in-flight step frames. The returned
+// reconnect by resending the in-flight step frames: the tasks the worker
+// completed with their fluxes, and the stall or error that stopped it. The
 // completions alias a scratch buffer reused on the next readAck, so the
 // caller must consume them first (the ack loop does).
-func (o *orch) readAck(w *workerProc) (*stepAck, error) {
+func (o *orch) readAck(w *workerProc) ([]comm.Item, machine.Ack, error) {
 	typ, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+	if err != nil && o.awaitRejoin(w) {
+		if err = o.writeStepFrames(w); err == nil {
+			typ, payload, err = o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+		}
+	}
+	if err == nil && typ != fAck {
+		err = fmt.Errorf("procrun: rank %d replied %s to step", w.rank, frameName(typ))
+	}
 	if err != nil {
-		if !o.awaitRejoin(w) {
-			return nil, err
-		}
-		if err := o.writeStepFrames(w); err != nil {
-			return nil, err
-		}
-		typ, payload, err = o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
-		if err != nil {
-			return nil, err
-		}
+		return nil, machine.Ack{}, err
 	}
-	if typ != fAck {
-		return nil, fmt.Errorf("procrun: rank %d replied %s to step", w.rank, frameName(typ))
-	}
+	return o.decodeAck(payload)
+}
+
+func (o *orch) decodeAck(payload []byte) ([]comm.Item, machine.Ack, error) {
 	d := dec{b: payload}
-	a := &stepAck{}
-	a.completed = d.fluxItems(o.ackBuf)
-	if a.completed != nil {
-		o.ackBuf = a.completed
+	ran := d.fluxItems(o.ackBuf)
+	if ran != nil {
+		o.ackBuf = ran
 	}
-	a.stalled = d.u8() == 1
-	a.stallTask = sched.TaskID(d.i32())
-	a.stallMiss = sched.TaskID(d.i32())
-	a.errMsg = d.str()
-	return a, d.err
-}
-
-// route fans a completed task's flux out along its cross-processor
-// edges, applying the fault plan per message — injection happens at
-// produce time in both interconnects, so a planned fault hits the same
-// logical message either way. NoBatch queues each surviving delivery for
-// its own fFlux frame next step; the batched path adds it to the
-// destination's envelope with a deadline, and the envelope rides a step
-// frame only when that deadline arrives.
-func (o *orch) route(t sched.TaskID, psi float64, from int32, assign sched.Assignment, g int32) int32 {
-	v, i := o.inst.Split(t)
-	out := o.inst.DAGs[i].Out(v)
-	base := sched.TaskID(int(i) * o.inst.N())
-	var sent int32
-	for _, u := range out {
-		q := assign[u]
-		if q == from {
-			continue
-		}
-		sent++
-		if o.noBatch {
-			for _, dl := range o.inj.OnSend(t, q, psi, g) {
-				if o.rec.Live(dl.To) {
-					o.pending[dl.To] = append(o.pending[dl.To], dl)
-				}
-			}
-			continue
-		}
-		// Deadline = the earliest not-yet-durable consumer of this
-		// producer on q. Receivers key recv by producing task, so one
-		// surviving delivery serves every sibling edge — the deadline must
-		// honor all of them for Drop parity with the per-message oracle.
-		due := int32(comm.NoDue)
-		for _, u2 := range out {
-			if assign[u2] != q {
-				continue
-			}
-			ut := base + sched.TaskID(u2)
-			if !o.epochDone[ut] && o.epochStart[ut] < due {
-				due = o.epochStart[ut]
-			}
-		}
-		for _, dl := range o.inj.OnSend(t, q, psi, g) {
-			if o.rec.Live(dl.To) {
-				o.outbox.Add(dl.To, comm.Item{Task: dl.Task, Psi: dl.Psi}, due)
-			}
-		}
+	ack := machine.Ack{Stalled: d.u8() == 1, StallTask: sched.TaskID(d.i32()), StallMiss: sched.TaskID(d.i32())}
+	if msg := d.str(); msg != "" {
+		ack.Err = errors.New(msg)
 	}
-	return sent
-}
-
-// severAndRejoin cuts the worker's socket and blocks until its
-// backoff-paced reconnect lands. The worker loses no state — severing
-// happens at a barrier with no frame in flight.
-func (o *orch) severAndRejoin(w *workerProc) error {
-	w.conn.Close()
-	w.conn = nil
-	if !o.awaitRejoin(w) {
-		return fmt.Errorf("procrun: rank %d never reconnected after sever", w.rank)
-	}
-	return nil
+	return ran, ack, d.err
 }
 
 // awaitRejoin waits out the worker's full reconnect budget for a resumed
@@ -939,7 +628,7 @@ func (o *orch) awaitRejoin(w *workerProc) bool {
 		select {
 		case h := <-o.helloCh:
 			tgt := o.worker(h.rank)
-			if tgt == nil || !h.resumed || !o.rec.Live(h.rank) {
+			if tgt == nil || !h.resumed || !o.eng.Live(h.rank) {
 				h.conn.Close()
 				continue
 			}
@@ -956,20 +645,15 @@ func (o *orch) awaitRejoin(w *workerProc) bool {
 	}
 }
 
-// applyKills delivers real SIGKILLs to the victims and rolls their
+// Kill delivers real SIGKILLs to the victims and rolls their
 // current-sweep completions back to the last durable checkpoint shard on
 // disk. The disk is the authority — values the orchestrator already
 // holds in memory are discarded unless the victim's shard covers them,
 // exactly as a restarted cluster could only trust what was fsynced.
-func (o *orch) applyKills(dying []int32, done []bool, remaining int) int {
-	sort.Slice(dying, func(a, b int) bool { return dying[a] < dying[b] })
+func (o *orch) Kill(dying []int32, done []bool) int {
+	lost := 0
 	for _, p := range dying {
-		o.inj.NoteCrash()
-		o.col.Counter("procrun.kills").Inc()
-		w := o.worker(p)
-		if w != nil {
-			o.killWorker(w)
-		}
+		o.killWorker(o.workers[p])
 		covered := map[sched.TaskID]bool{}
 		if ck, err := faults.LoadLatest(o.opts.CkptDir, p); err == nil && ck != nil && ck.Iter == o.iter {
 			for _, t := range ck.Tasks {
@@ -979,16 +663,12 @@ func (o *orch) applyKills(dying []int32, done []bool, remaining int) int {
 		for _, t := range o.sweepLog[p] {
 			if done[t] && !covered[t] {
 				done[t] = false
-				remaining++
-				o.report.TasksReplayed++
-				o.col.Counter("procrun.tasks_replayed").Inc()
+				lost++
 			}
 		}
 		o.sweepLog[p] = nil
 	}
-	o.lastCkpt = o.globalStep
-	o.rec.Kill(dying, done)
-	return remaining
+	return lost
 }
 
 // killWorker delivers SIGKILL, reaps the process, and closes its socket.

@@ -148,6 +148,13 @@ func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) i32(v int32)   { e.u32(uint32(v)) }
 func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) flag(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)

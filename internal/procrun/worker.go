@@ -126,11 +126,7 @@ func (w *worker) connect(resumed bool) error {
 	wc := newWireConn(c)
 	var e enc
 	e.i32(w.rank)
-	if resumed {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(resumed)
 	if err := wc.writeFrame(fHello, e.b, 5*time.Second); err != nil {
 		wc.Close()
 		return err
@@ -348,7 +344,8 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 	// The epoch's machine: routes for the epoch's assignment, and every
 	// flux that is durable placed where its consumers read it — a local one
 	// in psi under a done mark, a cross-processor one in its receive slot.
-	// (Its hand-over never runs: the orchestrator is the interconnect.)
+	// (Its hand-over never runs: the orchestrator's copy of the machine is
+	// the one with the interconnect.)
 	mc := &w.mc
 	mc.Steps, mc.Psi, mc.Done = &w.steps, psi, done
 	mc.Build(w.inst, s.Assign)
@@ -417,7 +414,8 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	}
 
 	// The shared step body, for this rank only. Its queued sends are
-	// dropped: the orchestrator routes from the completions in the ack.
+	// dropped: the orchestrator's machine queues them again when it replays
+	// the completions in the ack.
 	mc := &w.mc
 	mc.RunProc(w.rank, local)
 	mc.Sent = mc.Sent[:0]
@@ -439,11 +437,7 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 
 	e := enc{b: w.ackb[:0]}
 	appendFluxBatch(&e, completed)
-	if ack.Stalled {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.flag(ack.Stalled)
 	e.i32(int32(ack.StallTask))
 	e.i32(int32(ack.StallMiss))
 	e.str(errMsg)

@@ -1,14 +1,12 @@
 package sched
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
 // Stepper is one barrier-step execution as the step driver sees it: the
 // modelled processors' step bodies and the coordinator work on either
 // side of them. The one implementation outside tests is the modelled
-// machine (internal/machine), which the fault engine wraps.
+// machine (internal/machine) sweeping fault-free; the fault engine steps
+// the same machine itself, because its processors may be other processes.
 //
 // RunProc(p, step) is modelled processor p's share of a step. A body
 // writes only state that belongs to p (its ack slot, its tasks' fluxes,
@@ -19,17 +17,12 @@ import (
 // OpenStep and CloseStep are the barrier hook: they run before the first
 // and after the last body of the step, and are the only place shared
 // state may change — flushing due envelopes, delivering fluxes, folding
-// the per-processor acks, crash and stall decisions. Returning an error
-// ends the run with that error; returning ErrStopSteps ends it cleanly.
+// the per-processor acks. Returning an error ends the run with that error.
 type Stepper interface {
 	OpenStep(step int32) error
 	RunProc(p, step int32)
 	CloseStep(step int32) error
 }
-
-// ErrStopSteps is returned by a Stepper hook to end RunSteps early
-// without an error (a fault-injected epoch ends at a crash or a stall).
-var ErrStopSteps = errors.New("sched: stop stepping")
 
 // RunSteps executes steps 0..steps-1 of the modelled processors procs:
 // per step it checks ctx, runs OpenStep, every processor's body in the
@@ -39,7 +32,7 @@ var ErrStopSteps = errors.New("sched: stop stepping")
 // hand-over between threads costs (DESIGN.md §7.1 has the measurements).
 //
 // RunSteps returns the first hook error, ctx.Err() before the step that
-// follows a cancellation, or nil (ErrStopSteps included).
+// follows a cancellation, or nil.
 func RunSteps(ctx context.Context, procs []int32, steps int32, s Stepper) error {
 	if len(procs) == 0 {
 		return nil
@@ -54,9 +47,6 @@ func RunSteps(ctx context.Context, procs []int32, steps int32, s Stepper) error 
 				s.RunProc(p, st)
 			}
 			err = s.CloseStep(st)
-		}
-		if err == ErrStopSteps {
-			return nil
 		}
 		if err != nil {
 			return err

@@ -107,41 +107,35 @@ func TestRunStepsNothingToDo(t *testing.T) {
 	}
 }
 
-// TestRunStepsStopsWhereTheHookSays covers both hooks ending a run early,
-// cleanly (ErrStopSteps) and with an error, at the first step, mid-run and
-// at the last step: the run ends at exactly that step.
+// TestRunStepsStopsWhereTheHookSays covers both hooks ending a run with
+// an error, at the first step, mid-run and at the last step: the run ends
+// at exactly that step.
 func TestRunStepsStopsWhereTheHookSays(t *testing.T) {
 	boom := errors.New("boom")
 	const steps = 20
 	for _, at := range []int32{0, 7, steps - 1} {
-		for _, stop := range []error{ErrStopSteps, boom} {
-			wantErr := stop
-			if stop == ErrStopSteps {
-				wantErr = nil
+		for _, inOpen := range []bool{true, false} {
+			ts := newTraceStepper(AllProcs(8))
+			hook := func(step int32) error {
+				if step == at {
+					return boom
+				}
+				return nil
 			}
-			for _, inOpen := range []bool{true, false} {
-				ts := newTraceStepper(AllProcs(8))
-				hook := func(step int32) error {
-					if step == at {
-						return stop
-					}
-					return nil
-				}
-				wantClosed := at + 1
-				if inOpen {
-					ts.openErr, wantClosed = hook, at
-				} else {
-					ts.closeErr = hook
-				}
-				if err := RunSteps(context.Background(), ts.procs, steps, ts); err != wantErr {
-					t.Fatalf("at=%d open=%v: got %v, want %v", at, inOpen, err, wantErr)
-				}
-				if ts.bad != "" {
-					t.Fatalf("at=%d open=%v: %s", at, inOpen, ts.bad)
-				}
-				if ts.closed != wantClosed {
-					t.Fatalf("at=%d open=%v stop=%v: closed %d steps, want %d", at, inOpen, stop, ts.closed, wantClosed)
-				}
+			wantClosed := at + 1
+			if inOpen {
+				ts.openErr, wantClosed = hook, at
+			} else {
+				ts.closeErr = hook
+			}
+			if err := RunSteps(context.Background(), ts.procs, steps, ts); err != boom {
+				t.Fatalf("at=%d open=%v: got %v, want %v", at, inOpen, err, boom)
+			}
+			if ts.bad != "" {
+				t.Fatalf("at=%d open=%v: %s", at, inOpen, ts.bad)
+			}
+			if ts.closed != wantClosed {
+				t.Fatalf("at=%d open=%v: closed %d steps, want %d", at, inOpen, ts.closed, wantClosed)
 			}
 		}
 	}

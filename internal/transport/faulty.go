@@ -8,7 +8,7 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// SolveFaultTolerant runs the source iteration (solve) on the
+// SolveFaultTolerant runs the source iteration (SolveOn) on the
 // fault-injected distributed executor (internal/faults): the modelled
 // machine's live processors on the shared step driver, its hand-over
 // wrapped by the plan's injector, and checkpointed recovery rescheduling
@@ -27,7 +27,7 @@ import (
 // faults applied so far.
 func SolveFaultTolerant(ctx context.Context, s *sched.Schedule, cfg Config, plan *faults.Plan) (*Result, *faults.RecoveryReport, error) {
 	var eng *faults.Engine
-	res, err := solve(ctx, s, cfg, func(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
+	res, err := SolveOn(ctx, s, cfg, func(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
 		var err error
 		if eng, err = faults.NewEngine(s, plan); err != nil {
 			return nil, nil, err

@@ -12,7 +12,7 @@
 // solved.
 //
 // Three executors are provided, and they produce bitwise-identical
-// fluxes. All run one source iteration (solve): the same prelude, the same
+// fluxes. All run one source iteration (SolveOn): the same prelude, the same
 // audit, the same sweep/UpdatePhi loop; they differ only in what sweeps.
 //
 //   - Solve: serial, walking tasks in schedule start order.
@@ -218,16 +218,20 @@ func UpdatePhi(inst *sched.Instance, psi, phi []float64, cfg Config) float64 {
 	return maxDiff
 }
 
-// sweeper is what one solve iterates: given the solve's scalar and angular
+// Sweeper is what one solve iterates: given the solve's scalar and angular
 // flux arrays, it returns the function that sweeps every direction once
 // into psi (reading phi as UpdatePhi last left it) and, for an executor
-// that communicates, where it counts its observed traffic.
-type sweeper func(s *sched.Schedule, cfg Config, phi, psi []float64) (sweep func(context.Context) error, traffic *CommStats, err error)
+// that communicates, where it counts its observed traffic. It is called
+// once the configuration and the schedule have passed the checks, so what
+// an executor starts here (internal/procrun: worker processes) does not
+// exist while a solve is refused.
+type Sweeper func(s *sched.Schedule, cfg Config, phi, psi []float64) (sweep func(context.Context) error, traffic *CommStats, err error)
 
-// solve is the source iteration under every entry point: defaults and
-// shape checks, the audit, then sweeps alternating with UpdatePhi until
-// the scalar flux converges or MaxIters is spent.
-func solve(ctx context.Context, s *sched.Schedule, cfg Config, on sweeper) (*Result, error) {
+// SolveOn is the source iteration under every entry point, here and in
+// internal/procrun: defaults and shape checks, the audit, then sweeps
+// alternating with UpdatePhi until the scalar flux converges or MaxIters
+// is spent.
+func SolveOn(ctx context.Context, s *sched.Schedule, cfg Config, on Sweeper) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -276,7 +280,7 @@ func Solve(s *sched.Schedule, cfg Config) (*Result, error) {
 // SolveCtx is Solve with cooperative cancellation, checked once per source
 // iteration (one full sweep of every direction).
 func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	return solve(ctx, s, cfg, serialSweeper)
+	return SolveOn(ctx, s, cfg, serialSweeper)
 }
 
 func serialSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
@@ -319,7 +323,7 @@ func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 // the batched path is tested against. Both are bitwise-identical to
 // Solve; only Comm.Batches and Comm.Bytes differ.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	return solve(ctx, s, cfg, machineSweeper)
+	return SolveOn(ctx, s, cfg, machineSweeper)
 }
 
 func machineSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
