@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"sweepsched/internal/dag"
@@ -97,10 +98,28 @@ type Problem struct {
 	recipe *procrun.ProblemSpec
 
 	// verifySeq numbers the audited-schedule runs on this problem for
-	// ScheduleOptions.VerifyEvery sampling. It is the only mutable state
-	// a Problem carries; it never influences scheduling output, only
-	// which runs pay for the audit.
+	// ScheduleOptions.VerifyEvery sampling. It never influences scheduling
+	// output, only which runs pay for the audit.
 	verifySeq atomic.Uint64
+
+	// cellGraph is the mesh's cell-adjacency graph with unit weights, what
+	// every BlockSize > 1 plan partitions; the first one builds it.
+	cellGraphOnce sync.Once
+	cellGraph     *partition.Graph
+}
+
+// blockGraph returns the graph a block plan partitions. It is shared and
+// read-only: the partitioner coarsens into graphs of its own, and a
+// weight-aware plan takes a shallow copy carrying its weights (balance
+// work, not cell counts).
+func (p *Problem) blockGraph(weights CellWeights) *partition.Graph {
+	p.cellGraphOnce.Do(func() { p.cellGraph = partition.FromMesh(p.inst.Mesh) })
+	if weights == nil {
+		return p.cellGraph
+	}
+	g := *p.cellGraph
+	g.VWeight = weights
+	return &g
 }
 
 // MeshFamilies lists the built-in synthetic analogues of the paper's
@@ -412,11 +431,7 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		if inst.Mesh == nil {
 			return nil, fmt.Errorf("sweepsched: block partitioning requires a mesh; this problem is non-geometric (use BlockSize <= 1)")
 		}
-		g := partition.FromMesh(inst.Mesh)
-		if mdl.weights != nil {
-			copy(g.VWeight, mdl.weights) // weight-aware blocks: balance work, not cell counts
-		}
-		part, nBlocks, err := partition.Blocks(g, opts.BlockSize, opts.Seed)
+		part, nBlocks, err := partition.Blocks(p.blockGraph(mdl.weights), opts.BlockSize, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -581,17 +596,21 @@ func (p *Problem) ScheduleWeightedMachine(alg Scheduler, opts ScheduleOptions, w
 }
 
 // LogNormalWeights draws reproducible heterogeneous cell costs: weight ≈
-// round(median · exp(sigma·N(0,1))) + 1. Useful for exercising the
-// weighted engine on realistic skewed cost distributions.
+// round(median · exp(sigma·N(0,1))) + 1, saturating at math.MaxInt32.
+// Useful for exercising the weighted engine on realistic skewed cost
+// distributions.
 func LogNormalWeights(n int, median, sigma float64, seed uint64) CellWeights {
 	r := rng.New(seed)
 	w := make(CellWeights, n)
 	for v := range w {
-		x := median * math.Exp(sigma*r.NormFloat64())
-		if x < 0 {
-			x = 0
+		switch x := median * math.Exp(sigma*r.NormFloat64()); {
+		case x < 0:
+			w[v] = 1
+		case x < math.MaxInt32:
+			w[v] = int32(x) + 1
+		default: // past int32, +Inf or NaN
+			w[v] = math.MaxInt32
 		}
-		w[v] = int32(x) + 1
 	}
 	return w
 }

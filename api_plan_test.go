@@ -133,10 +133,12 @@ func kuhnProblem(t testing.TB) *Problem {
 // warmPlans are the plans a trial loop repeats on one family: each reads
 // DAG facts, kernel scratch and sort scratch that the plan before it left
 // behind.
-var warmPlans = []struct {
+type warmPlan struct {
 	name string
 	plan func(p *Problem, seed uint64) (*Result, error)
-}{
+}
+
+var warmPlans = []warmPlan{
 	{"descendant_delays", func(p *Problem, seed uint64) (*Result, error) {
 		return p.Schedule(DescendantDelays, ScheduleOptions{Seed: seed})
 	}},
@@ -219,13 +221,53 @@ func TestConcurrentFirstPlans(t *testing.T) {
 	}
 }
 
+// blockPlan is a warm plan that partitions the mesh into blocks first. The
+// cell graph it partitions is the Problem's since the priming plan; the
+// partitioner's own coarsening is still allocated per plan, so it sits
+// outside warmPlans and the result-sized budget.
+var blockPlan = warmPlan{"descendant_delays_block8", func(p *Problem, seed uint64) (*Result, error) {
+	return p.Schedule(DescendantDelays, ScheduleOptions{Seed: seed, BlockSize: 8})
+}}
+
+// TestBlockPlansShareTheCellGraph: block plans partition one cell graph
+// built on the Problem by the first of them, and a weight-aware plan
+// partitions a copy carrying its weights: the shared graph keeps its unit
+// weights, so the unweighted plan after it is the one a fresh Problem
+// makes.
+func TestBlockPlansShareTheCellGraph(t *testing.T) {
+	want, err := blockPlan.plan(kuhnProblem(t), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := kuhnProblem(t)
+	weights := LogNormalWeights(p.N(), 4, 0.75, 9)
+	if _, err := p.ScheduleWeighted(DescendantDelays, ScheduleOptions{Seed: 5, BlockSize: 8}, weights); err != nil {
+		t.Fatal(err)
+	}
+	g := p.cellGraph
+	if g == nil {
+		t.Fatal("the weighted block plan left no cell graph on the Problem")
+	}
+	got, err := blockPlan.plan(p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.cellGraph != g {
+		t.Fatal("the second block plan built a cell graph of its own")
+	}
+	if got.Metrics != want.Metrics || !slices.Equal(got.Schedule.Start, want.Schedule.Start) {
+		t.Fatalf("after a weighted block plan: metrics %+v, a fresh Problem's %+v (or the start steps differ)", got.Metrics, want.Metrics)
+	}
+}
+
 // BenchmarkPlanWarm times those plans end to end — assignment, priorities,
 // kernel, Validate, metrics — on the primed Problem. Run with -benchmem:
 // bytes/op is what a whole warm plan allocates, the Result's 307,200 bytes
-// at this size plus the small change.
+// at this size plus the small change (and the partitioner's coarsening on
+// the block row).
 func BenchmarkPlanWarm(b *testing.B) {
 	p := kuhnProblem(b)
-	for _, tc := range warmPlans {
+	for _, tc := range slices.Concat(warmPlans, []warmPlan{blockPlan}) {
 		b.Run(tc.name, func(b *testing.B) {
 			if _, err := tc.plan(p, 1); err != nil {
 				b.Fatal(err)

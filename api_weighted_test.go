@@ -1,6 +1,10 @@
 package sweepsched
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 func TestScheduleWeightedFacade(t *testing.T) {
 	p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
@@ -53,6 +57,30 @@ func TestLogNormalWeights(t *testing.T) {
 		if w[i] != again[i] {
 			t.Fatalf("weights nondeterministic at %d", i)
 		}
+	}
+}
+
+// TestLogNormalWeightsSaturate: a draw past 2³¹ used to wrap to a negative
+// weight, which the result's own Validate rejects; it saturates instead,
+// and so do +Inf and NaN.
+func TestLogNormalWeightsSaturate(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		median, sigma float64
+	}{
+		{"past int32", 1e9, 3},
+		{"infinite median", math.Inf(1), 0.75},
+		{"NaN median", math.NaN(), 0.75},
+		{"negative median", -4, 0.75},
+	} {
+		w := LogNormalWeights(2000, tc.median, tc.sigma, 3)
+		if err := w.Validate(2000); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+	w := LogNormalWeights(2000, 1e9, 3, 3)
+	if !slices.Contains(w, math.MaxInt32) {
+		t.Error("median 1e9, sigma 3: no draw saturated at MaxInt32")
 	}
 }
 

@@ -48,6 +48,16 @@ if grep -nE 'inst\.Split\(|\.Out\(|comm\.NewOutbox|UpdatePhi\(|OnSend\(|Reschedu
     exit 1
 fi
 
+echo "== structure: one ready set, no heap outside the oracles =="
+# Every list engine pops from the rank bitmaps (rankq). The only heaps on
+# the product path are the weighted engine's two typed event queues; a
+# task heap, container/heap or a separate indegree array outside refimpl
+# and the tests is the second ready-set structure this check refuses.
+if grep -rnE 'type heap4|"container/heap"|fillIndeg' --include='*.go' --exclude='*_test.go' --exclude-dir=refimpl --exclude-dir=.bench_build .; then
+    echo "ci: a heap or fillIndeg outside refimpl and the tests (lines above)" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -90,6 +100,9 @@ go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -be
 # The unit-step kernel at the paper's size (755k tasks, a new assignment
 # every run), where it is bound by memory; it fails on a warm allocation.
 go test -run '^$' -bench 'BenchmarkScheduleKernelPaperShape$' -benchmem -benchtime 1x ./internal/sched
+# The weighted event core and the greedy preprocessing on the same warm
+# workspace contract: either fails on a warm allocation.
+go test -run '^$' -bench 'Benchmark(WeightedKernel|GreedySchedule)$' -benchmem -benchtime 1x ./internal/sched
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
@@ -149,6 +162,7 @@ go test -run '^$' -fuzz '^FuzzScheduleRequest$' -fuzztime "$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzTransportRequest$' -fuzztime "$FUZZTIME" ./internal/service
 go test -run '^$' -fuzz '^FuzzAnglesetExpand$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzWeightedEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
+go test -run '^$' -fuzz '^FuzzWeightedMachineDifferential$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzFluxBatchCodec$' -fuzztime "$FUZZTIME" ./internal/procrun
 
 echo "ci: all green"

@@ -26,10 +26,10 @@ type TaskID int32
 
 // Instance is a sweep-scheduling problem: n cells, k direction DAGs and m
 // processors. Its DAGs are immutable once a schedule has been planned on
-// it: the first unit-step plan derives the family-wide task graph from
-// them and every later plan reads that, so a family rebuilt for other
-// directions (dag.BuildAllInto over the same storage) needs a fresh
-// Instance. Instances sharing DAGs (one family, several m) are fine. An
+// it: the first list-scheduled plan (unit-step, weighted or greedy) derives
+// the family-wide task graph from them and every later plan reads that,
+// so a family rebuilt for other directions (dag.BuildAllInto over the
+// same storage) needs a fresh Instance. Instances sharing DAGs (one family, several m) are fine. An
 // Instance must not be copied.
 type Instance struct {
 	Mesh *mesh.Mesh
@@ -43,7 +43,7 @@ type Instance struct {
 // taskGraph is the family's out-adjacency over task ids in one CSR:
 // succ[off[t]:off[t+1]] are task t's successors, the k per-direction
 // out-lists laid end to end with the direction's base already added. The
-// step core walks it instead of Split + DAGs[i].Out(v) + base: one
+// list engines walk it instead of Split + DAGs[i].Out(v) + base: one
 // sequential stream of 4·(nt+1) + 4·edges bytes per Instance. Built by the
 // first plan (concurrent first plans share one build), read-only after.
 type taskGraph struct {
@@ -53,7 +53,9 @@ type taskGraph struct {
 }
 
 // taskGraph returns the instance's task graph, building it on first use.
-func (inst *Instance) taskGraph() *taskGraph {
+// A family with more edges than an int32 offset can address has none, and
+// every kernel refuses it with this error.
+func (inst *Instance) taskGraph() (*taskGraph, error) {
 	g := &inst.graph
 	g.once.Do(func() {
 		n, edges := inst.N(), 0
@@ -76,7 +78,10 @@ func (inst *Instance) taskGraph() *taskGraph {
 		off[len(off)-1] = int32(len(succ))
 		g.off, g.succ = off, succ
 	})
-	return g
+	if g.off == nil {
+		return nil, fmt.Errorf("sched: the %d directions have more than %d edges between them", inst.K(), math.MaxInt32)
+	}
+	return g, nil
 }
 
 // NewInstance builds the per-direction DAGs for the mesh and wraps them in

@@ -8,8 +8,6 @@ package sched_test
 // live here too, their "ref" variants as the baseline.
 
 import (
-	"flag"
-	"runtime"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -161,15 +159,29 @@ func TestCommScheduleIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGreedyScheduleMatchesReference pins the workspace Graham scheduler
-// to the promoted reference on levels and makespan.
-func TestGreedyScheduleMatchesReference(t *testing.T) {
-	r := rng.New(321)
-	insts := []*sched.Instance{
+// oracleInstances are the instances the differentials in this file run
+// on, mesh DAGs and random non-geometric ones, of differing shapes.
+func oracleInstances(t testing.TB) []*sched.Instance {
+	return []*sched.Instance{
+		meshInstance(t, 3, 6, 4, 5),
+		syntheticInstance(t, 120, 5, 7, 6),
+		syntheticInstance(t, 40, 3, 2, 7),
+		meshInstance(t, 3, 4, 6, 9),
+		syntheticInstance(t, 90, 4, 5, 10),
 		meshInstance(t, 3, 4, 5, 12),
 		syntheticInstance(t, 70, 4, 3, 13),
+		syntheticInstance(t, 80, 4, 5, 20),
 	}
-	for ii, inst := range insts {
+}
+
+// TestGreedyScheduleMatchesReference pins the workspace Graham scheduler
+// — the ready set's one-partition case — to the promoted reference on
+// levels and makespan, bit for bit on every oracle instance, through one
+// workspace that the shapes take turns on.
+func TestGreedyScheduleMatchesReference(t *testing.T) {
+	r := rng.New(321)
+	ws := sched.NewWorkspace()
+	for ii, inst := range oracleInstances(t) {
 		for round := 0; round < 5; round++ {
 			var prio sched.Priorities
 			if round > 0 {
@@ -179,7 +191,8 @@ func TestGreedyScheduleMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotLevel, gotMk, err := sched.GreedySchedule(inst, prio)
+			gotLevel := make([]int32, inst.NTasks())
+			gotMk, err := sched.GreedyScheduleInto(ws, gotLevel, inst, prio)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,17 +256,7 @@ func TestResidualMatchesReference(t *testing.T) {
 func TestStepCoreMetricsMatchOracles(t *testing.T) {
 	ws := sched.NewWorkspace()
 	r := rng.New(4242)
-	insts := []*sched.Instance{
-		meshInstance(t, 3, 6, 4, 5),
-		syntheticInstance(t, 120, 5, 7, 6),
-		syntheticInstance(t, 40, 3, 2, 7),
-		meshInstance(t, 3, 4, 6, 9),
-		syntheticInstance(t, 90, 4, 5, 10),
-		meshInstance(t, 3, 4, 5, 12),
-		syntheticInstance(t, 70, 4, 3, 13),
-		syntheticInstance(t, 80, 4, 5, 20),
-	}
-	for ii, inst := range insts {
+	for ii, inst := range oracleInstances(t) {
 		nt, n, k := inst.NTasks(), inst.N(), inst.K()
 		assign := sched.RandomAssignment(n, inst.M, r)
 		prio := tiedPrio(nt, r)
@@ -410,21 +413,7 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 		}
 		trial++
 	}
-	run() // builds the task graph and grows the workspace
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	// MemStats counts every goroutine's allocations, a profiler's included.
-	profiled := flag.Lookup("test.cpuprofile").Value.String() != "" || flag.Lookup("test.memprofile").Value.String() != ""
-	if allocs := after.Mallocs - before.Mallocs; allocs != 0 && !profiled {
-		b.Fatalf("%d allocations in %d runs on a warm workspace, want 0", allocs, b.N)
-	}
+	sched.BenchWarm(b, run) // the first run builds the task graph and grows the workspace
 }
 
 // BenchmarkCommKernel is the same comparison for the communication-delay

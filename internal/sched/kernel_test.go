@@ -1,8 +1,8 @@
 package sched
 
-// Tests for the typed scheduling kernel: the 4-ary heap and calendar
-// queue are property-tested against container/heap and map references on
-// random streams, and testing.AllocsPerRun enforces the zero
+// Tests for the typed scheduling kernel: the rank-bitmap ready set and the
+// calendar queue are property-tested against container/heap and map
+// references on random streams, and testing.AllocsPerRun enforces the zero
 // steady-state allocation contract on a warm workspace (with and without
 // an attached obs collector). The bitwise pinning of the Into entry
 // points to the pre-workspace kernels lives in kernel_oracle_test.go
@@ -12,6 +12,7 @@ package sched
 import (
 	"cmp"
 	"container/heap"
+	"flag"
 	"fmt"
 	"math"
 	"runtime"
@@ -26,8 +27,8 @@ import (
 )
 
 // refTaskHeap is the old container/heap min-heap of tasks ordered by
-// (priority, id) — the in-package reference for the heap4 and rankq
-// property tests (the full pre-workspace kernels are in refimpl).
+// (priority, id) — the in-package reference for the rankq property tests
+// (the full pre-workspace kernels are in refimpl).
 type refTaskHeap struct {
 	ids  []TaskID
 	prio Priorities
@@ -61,48 +62,11 @@ func randomPrio(nt int, r *rng.Source) Priorities {
 	return prio
 }
 
-// TestHeap4MatchesContainerHeap drives a typed heap and a container/heap
-// reference with the same random (push, pop) stream and demands identical
-// pop sequences — including (priority, TaskID) tie-breaks.
-func TestHeap4MatchesContainerHeap(t *testing.T) {
-	r := rng.New(101)
-	for round := 0; round < 50; round++ {
-		nt := 1 + r.Intn(300)
-		prio := randomPrio(nt, r)
-		var h heap4
-		h.reset(prio)
-		ref := &refTaskHeap{prio: prio}
-		next := TaskID(0)
-		var got, want []TaskID
-		for op := 0; op < 4*nt; op++ {
-			if next >= TaskID(nt) && ref.Len() == 0 {
-				break
-			}
-			if next < TaskID(nt) && (ref.Len() == 0 || r.Intn(2) == 0) {
-				h.push(next)
-				heap.Push(ref, next)
-				next++
-				continue
-			}
-			got = append(got, h.pop())
-			want = append(want, heap.Pop(ref).(TaskID))
-		}
-		for h.len() > 0 {
-			got = append(got, h.pop())
-			want = append(want, heap.Pop(ref).(TaskID))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: pop %d: heap4 %d, container/heap %d", round, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestHeap4PopOrderIsTotalOrder checks the defining property the kernel's
-// bitwise-equivalence rests on: regardless of push order, a drain returns
+// TestRankqPopOrderIsTotalOrder checks the defining property the kernels'
+// bitwise-equivalence rests on, on the greedy scheduler's single
+// partition (m = 1): regardless of push order, a drain returns
 // tasks sorted by (priority, TaskID).
-func TestHeap4PopOrderIsTotalOrder(t *testing.T) {
+func TestRankqPopOrderIsTotalOrder(t *testing.T) {
 	r := rng.New(77)
 	nt := 200
 	prio := randomPrio(nt, r)
@@ -114,10 +78,11 @@ func TestHeap4PopOrderIsTotalOrder(t *testing.T) {
 		j := r.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	var h heap4
-	h.reset(prio)
+	var q rankq
+	q.build(prio, nt, 1, make(Assignment, 50), 50)
+	q.reset()
 	for _, t := range perm {
-		h.push(t)
+		q.push(0, t)
 	}
 	want := make([]TaskID, nt)
 	copy(want, perm)
@@ -128,9 +93,12 @@ func TestHeap4PopOrderIsTotalOrder(t *testing.T) {
 		return want[a] < want[b]
 	})
 	for i, w := range want {
-		if got := h.pop(); got != w {
+		if got := q.pop(0); got != w {
 			t.Fatalf("pop %d: got %d want %d", i, got, w)
 		}
+	}
+	if q.count[0] != 0 {
+		t.Fatalf("count %d after drain", q.count[0])
 	}
 }
 
@@ -179,7 +147,7 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 }
 
 // TestRankqMatchesHeapReference drives the rank-bitmap ready set and a
-// per-processor heap4 reference with the same random interleaved
+// per-processor container/heap reference with the same random interleaved
 // (push, pop) streams and demands identical pop sequences, including
 // (priority, TaskID) tie-breaks. Every seventh round inflates the
 // priority spread past what packs next to a task id in 64 bits, forcing
@@ -238,9 +206,9 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 		}
 
 		q.reset()
-		ref := make([]heap4, m)
+		ref := make([]refTaskHeap, m)
 		for p := range ref {
-			ref[p].reset(prio)
+			ref[p].prio = prio
 		}
 		next, ready := 0, 0
 		for next < nt || ready > 0 {
@@ -248,19 +216,19 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 				tt := TaskID(next)
 				p := procOf(tt)
 				q.push(p, tt)
-				ref[p].push(tt)
+				heap.Push(&ref[p], tt)
 				next++
 				ready++
 				continue
 			}
 			p := int32(r.Intn(m))
-			for ref[p].len() == 0 {
+			for ref[p].Len() == 0 {
 				p = (p + 1) % int32(m)
 			}
-			if int(q.count[p]) != ref[p].len() {
-				t.Fatalf("round %d proc %d: count %d, reference %d", round, p, q.count[p], ref[p].len())
+			if int(q.count[p]) != ref[p].Len() {
+				t.Fatalf("round %d proc %d: count %d, reference %d", round, p, q.count[p], ref[p].Len())
 			}
-			got, want := q.pop(p), ref[p].pop()
+			got, want := q.pop(p), heap.Pop(&ref[p]).(TaskID)
 			if got != want {
 				t.Fatalf("round %d proc %d: popped %d, reference %d", round, p, got, want)
 			}
@@ -426,6 +394,76 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEnginesTakeTurnsZeroAllocs: the three list engines share one ready
+// set, so one workspace's bitmaps, partition offsets and nodes are laid
+// out for one partition (greedy), then for m (the unit core, the weighted
+// core), round after round. From the second round on none of them may
+// allocate — a ready set sized for whichever partitioning came first
+// would regrow on every turn. Each run is counted on its own, with the
+// other engines' runs between it and its last (testing.AllocsPerRun
+// would warm it up with a run of its own first).
+func TestEnginesTakeTurnsZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inst := testInstance(t, 4, 8, 13, 11)
+	r := rng.New(17)
+	nt := inst.NTasks()
+	prio := randomPrio(nt, r)
+	weights := randomWeights(inst.N(), r, 9)
+	speeds, groups := make([]int32, inst.M), make([]int32, inst.M)
+	for p := range speeds {
+		speeds[p], groups[p] = int32(p%3)+1, int32(p%2)
+	}
+	model := &MachineModel{Speeds: speeds, Group: groups, IntraDelay: 1, CrossDelay: 3}
+	assign := RandomAssignment(inst.N(), inst.M, r)
+	ws := NewWorkspace()
+	level := make([]int32, nt)
+	unit, weighted := &Schedule{}, &WeightedSchedule{}
+	engines := []struct {
+		name string
+		run  func() error
+	}{
+		{"greedy", func() error { _, err := GreedyScheduleInto(ws, level, inst, prio); return err }},
+		{"unit core", func() error { return CommScheduleInto(ws, unit, inst, assign, prio, 2) }},
+		{"weighted core", func() error { return ListScheduleWeightedInto(ws, weighted, inst, assign, prio, weights, model) }},
+	}
+	var before, after runtime.MemStats
+	for round := 0; round < 4; round++ {
+		for _, e := range engines {
+			runtime.ReadMemStats(&before)
+			err := e.run()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", round, e.name, err)
+			}
+			if allocs := after.Mallocs - before.Mallocs; round > 0 && allocs != 0 {
+				t.Errorf("round %d: the %s allocated %d times on a workspace the other engines had used since its last run", round, e.name, allocs)
+			}
+		}
+	}
+}
+
+// BenchWarm is the loop of the benchmarks that hold a kernel to its
+// zero-allocation contract: one run to grow the workspace, then b.N timed
+// runs that fail the benchmark if they allocate at all. Exported for the
+// external test package's benchmarks.
+func BenchWarm(b *testing.B, run func()) {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	// MemStats counts every goroutine's allocations, a profiler's included.
+	profiled := flag.Lookup("test.cpuprofile").Value.String() != "" || flag.Lookup("test.memprofile").Value.String() != ""
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 && !profiled {
+		b.Fatalf("%d allocations in %d runs on a warm workspace, want 0", allocs, b.N)
+	}
+}
+
 // TestWorkspacePoolRoundTrip checks GetWorkspace returns shape-warm
 // workspaces after Release and that pooled reuse still yields correct
 // schedules.
@@ -513,7 +551,8 @@ func TestConcurrentFirstPlansShareOneTaskGraph(t *testing.T) {
 			dst := &Schedule{}
 			<-gate
 			errs[g] = ListScheduleInto(ws, dst, inst, assign, prio, nil)
-			starts[g], graphs[g] = dst.Start, &inst.taskGraph().succ[0]
+			tg, _ := inst.taskGraph()
+			starts[g], graphs[g] = dst.Start, &tg.succ[0]
 		}()
 	}
 	close(gate)
@@ -649,18 +688,18 @@ func TestRankqRaggedTaskCount(t *testing.T) {
 
 		// The ready set must still pop in (prio, id) order per processor.
 		q.reset()
-		ref := make([]heap4, m)
+		ref := make([]refTaskHeap, m)
 		for p := range ref {
-			ref[p].reset(prio)
+			ref[p].prio = prio
 		}
 		for tt := TaskID(0); tt < TaskID(nt); tt++ {
 			p := procOf(tt)
 			q.push(p, tt)
-			ref[p].push(tt)
+			heap.Push(&ref[p], tt)
 		}
 		for p := int32(0); p < int32(m); p++ {
-			for ref[p].len() > 0 {
-				if got, want := q.pop(p), ref[p].pop(); got != want {
+			for ref[p].Len() > 0 {
+				if got, want := q.pop(p), heap.Pop(&ref[p]).(TaskID); got != want {
 					t.Fatalf("round %d proc %d: popped %d, reference %d", round, p, got, want)
 				}
 			}

@@ -44,7 +44,7 @@ func ListScheduleWithRelease(inst *Instance, assign Assignment, prio Priorities,
 // step up to m ready tasks run, smallest priority first. It returns the
 // completion step (1-based level) of every task — exactly the L'
 // preprocessing levels of Algorithm 3 — and the makespan T. Its transient
-// state (ready heap, indegrees, step batch) comes from the shape-keyed
+// state (ready set, task nodes, step batch) comes from the shape-keyed
 // workspace pool, so trial loops pay only for the returned level slice.
 func GreedySchedule(inst *Instance, prio Priorities) (level []int32, makespan int, err error) {
 	ws := GetWorkspace(inst)
@@ -71,40 +71,42 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 	} else if len(prio) != nt {
 		return 0, fmt.Errorf("sched: %d priorities for %d tasks", len(prio), nt)
 	}
+	g, err := inst.taskGraph()
+	if err != nil {
+		return 0, err
+	}
 	span := ws.col.Span("sched.greedy.time")
-	n := int32(inst.N())
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	ready := &ws.heaps[0]
-	ready.reset(prio)
+	// No task is pinned, so the ready set is one partition of the rank
+	// bitmaps — every cell on processor 0 of 1 — and the m smallest ready
+	// (prio, id) run each step.
+	rq := &ws.rq
+	rq.build(prio, nt, 1, ws.zeroAssign, int32(inst.N()))
+	rq.reset()
+	nodes, succ := rq.node, g.succ
+	remaining := fillNodes(nodes, inst, g, ws.zeroAssign, nil)
 	for t := TaskID(0); t < TaskID(nt); t++ {
-		if indeg[t] == 0 {
-			ready.push(t)
+		if nodes[t].indeg == 0 {
+			rq.push(0, t)
 		}
 	}
-	remaining := nt
 	batch := ws.completed[:0]
 	for step := int32(1); remaining > 0; step++ {
 		batch = batch[:0]
-		for len(batch) < inst.M && ready.len() > 0 {
-			batch = append(batch, ready.pop())
+		for len(batch) < inst.M && rq.count[0] > 0 {
+			batch = append(batch, rq.pop(0))
 		}
 		if len(batch) == 0 {
 			ws.completed = batch
 			return 0, fmt.Errorf("sched: greedy deadlock at step %d", step)
 		}
+		remaining -= len(batch)
 		for _, t := range batch {
 			level[t] = step
-			remaining--
-		}
-		for _, t := range batch {
-			v, i := inst.Split(t)
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					ready.push(wt)
+			for _, wt := range succ[nodes[t].off:nodes[t+1].off] {
+				w := &nodes[wt]
+				w.indeg--
+				if w.indeg == 0 {
+					rq.push(0, wt)
 				}
 			}
 		}

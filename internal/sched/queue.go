@@ -7,123 +7,27 @@ import (
 	"slices"
 )
 
-// Typed ready-queue primitives for the scheduling kernels. All replace
-// container/heap structures from the original implementation: heap4 is a
-// slice-backed 4-ary min-heap with no interface{} boxing (greedy and
-// weighted engines), rankq is the rank-bitmap ready set of the unit-step
-// core, and
-// calendar is a monotone bucket queue for release times. Every operation
-// preserves the (priority, TaskID) total order the old heaps used, so
-// schedules produced through these structures are bitwise-identical to
-// the container/heap ones (a heap pops elements of a total order in
-// sorted order regardless of arity or insertion history, and rankq pops
-// the ready task of minimum rank in exactly that order).
+// Typed ready-queue primitives for the scheduling kernels. Both replace
+// container/heap structures from the original implementation: rankq is
+// the rank-bitmap ready set every list engine pops from — the unit-step
+// core and the weighted event core with one partition per processor, the
+// greedy preprocessing with a single partition — and calendar is a
+// monotone bucket queue for release times. rankq preserves the
+// (priority, TaskID) total order the old heaps used, so schedules
+// produced through it are bitwise-identical to the container/heap ones:
+// a heap pops elements of a total order in sorted order whatever its
+// insertion history, and rankq pops the ready task of minimum rank in
+// exactly that order.
 
-// heapEntry is one heap slot: the task's priority is captured at push
-// time, so sift comparisons read contiguous heap memory instead of
-// indirecting into the shared priority slice (the kernel never mutates
-// priorities mid-run, so the captured copy cannot go stale).
-type heapEntry struct {
-	prio int64
-	id   TaskID
-}
-
-// entryLess is the strict (priority, id) total order; ids are unique, so
-// no two distinct tasks compare equal.
-func entryLess(a, b heapEntry) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.id < b.id
-}
-
-// heap4 is a 4-ary min-heap of (priority, TaskID) entries. The priority
-// slice is shared with the caller, read only at push time, never written.
-// A 4-ary layout halves the tree depth of a binary heap and keeps the
-// four children of a node in one or two cache lines, which is where the
-// list scheduler's inner loop spends its time.
-type heap4 struct {
-	es   []heapEntry
-	prio Priorities
-}
-
-// reset empties the heap (keeping capacity) and installs the priority
-// slice for this run.
-func (h *heap4) reset(prio Priorities) {
-	h.es = h.es[:0]
-	h.prio = prio
-}
-
-func (h *heap4) len() int { return len(h.es) }
-
-// push inserts a task, sifting it up from the last slot.
-func (h *heap4) push(t TaskID) {
-	e := heapEntry{h.prio[t], t}
-	h.es = append(h.es, e)
-	es := h.es
-	i := len(es) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !entryLess(e, es[parent]) {
-			break
-		}
-		es[i] = es[parent]
-		i = parent
-	}
-	es[i] = e
-}
-
-// pop removes and returns the (priority, id)-smallest task.
-func (h *heap4) pop() TaskID {
-	es := h.es
-	top := es[0].id
-	last := len(es) - 1
-	es[0] = es[last]
-	h.es = es[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h *heap4) siftDown(i int) {
-	es := h.es
-	n := len(es)
-	e := es[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		be := es[first]
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if entryLess(es[c], be) {
-				best, be = c, es[c]
-			}
-		}
-		if !entryLess(be, e) {
-			break
-		}
-		es[i] = be
-		i = best
-	}
-	es[i] = e
-}
-
-// rankq is the ready-set structure of the unit-step core (stepcore.go).
-// A run never changes a task's priority or its processor, so the
-// (priority, TaskID) total order can be materialized once per run:
-// build sorts all tasks into rank order and partitions them by
-// processor, giving each processor a dense local rank space over only
-// its own tasks. Each processor's ready set is then a bitmap over its
-// local ranks: push sets one bit; pop finds the lowest set bit — the
-// ready task of minimum (priority, TaskID) — with a short forward word
-// scan from a per-processor hint plus TrailingZeros64. That removes the
+// rankq is the ready-set structure of the list engines (stepcore.go,
+// weighted.go, GreedyScheduleInto). A run never changes a task's
+// priority or its processor, so the (priority, TaskID) total order can be
+// materialized once per run: build sorts all tasks into rank order and
+// partitions them by processor, giving each processor a dense local rank
+// space over only its own tasks. Each processor's ready set is then a
+// bitmap over its local ranks: push sets one bit; pop finds the lowest
+// set bit — the ready task of minimum (priority, TaskID) — with a short
+// forward word scan from a per-processor hint plus TrailingZeros64. That removes the
 // per-pop sift work of a heap (the dominant cost of the kernel) in
 // exchange for one cache-friendly radix sort per run, and the dense
 // per-processor bitmaps (nt bits total across all processors) stay
@@ -131,12 +35,12 @@ func (h *heap4) siftDown(i int) {
 //
 // Pop order is identical to a min-heap's: both return the minimum of
 // the current ready set under the same strict total order, so schedules
-// are bitwise-identical to the heap4 and container/heap kernels.
+// are bitwise-identical to the container/heap kernels (refimpl).
 type rankq struct {
 	keys     []uint64 // sort scratch: (prio - minPrio) << idBits | TaskID
 	keys2    []uint64 // radix scatter buffer
 	order    []TaskID // taskOff[p] + local rank -> task
-	node     []node   // task -> local rank on its processor (+ the step core's state), len nt+1
+	node     []node   // task -> local rank on its processor (+ the engine's state), len nt+1
 	taskOff  []int32  // processor -> start of its slot in order (len m+1)
 	wordsOff []int32  // processor -> start of its bitmap words (len m+1)
 	next     []int32  // partition scratch (len m)
@@ -152,12 +56,13 @@ type rankq struct {
 	segStamp []int32 // angleset -> run id that last stamped segOf
 }
 
-// node is everything the step core reads or writes about one task between
+// node is everything a list engine reads or writes about one task between
 // its release and its pop, in 16 bytes — four tasks to a cache line — so
 // releasing a successor (indeg, then proc and rank for the push) and
 // popping a task (off, proc) each touch one line. rank is the queue's,
-// written by place; the step core fills the rest once per run. The array
-// is nt+1 long: node[t+1].off ends t's successor list in the task graph.
+// written by place; the engine fills the rest once per run (fillNodes).
+// The array is nt+1 long: node[t+1].off ends t's successor list in the
+// task graph.
 type node struct {
 	indeg int32 // unfinished predecessors
 	rank  int32 // local rank on proc
@@ -169,6 +74,8 @@ type node struct {
 // order into per-processor local ranks (processor of task t is
 // assign[t mod n]): processor p's tasks, in global (prio, id) order,
 // occupy order[taskOff[p]:taskOff[p+1]] and get local ranks 0..count-1.
+// The greedy scheduler pins nothing: it builds with m = 1 and every cell
+// on processor 0, one partition ranked by (prio, TaskID) alone.
 // It does not allocate once the scratch has grown to (nt, m).
 func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
 	for _, key := range q.sortAndPartition(prio, nt, nt, m, assign, n) {

@@ -399,12 +399,15 @@ func BenchmarkListSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedySchedule is the L′ preprocessing on a warm workspace and a
+// recycled level slice, as core.GreedyLevelPrioritiesInto runs it.
 func BenchmarkGreedySchedule(b *testing.B) {
 	inst := testInstance(b, 6, 24, 32, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := GreedySchedule(inst, nil); err != nil {
+	ws := NewWorkspace()
+	level := make([]int32, inst.NTasks())
+	BenchWarm(b, func() {
+		if _, err := GreedyScheduleInto(ws, level, inst, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 }

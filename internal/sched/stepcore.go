@@ -111,9 +111,9 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		return err
 	}
 
-	g := inst.taskGraph()
-	if g.off == nil {
-		return fmt.Errorf("sched: the %d directions have more than %d edges between them", inst.K(), math.MaxInt32)
+	g, err := inst.taskGraph()
+	if err != nil {
+		return err
 	}
 	span := ws.col.Span(rule.series.time)
 	rq := &ws.rq

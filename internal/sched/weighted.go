@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 )
 
 // The paper takes uniform processing time p=1 ("we will assume that each
@@ -215,22 +216,29 @@ func (s *WeightedSchedule) Validate() error {
 	return nil
 }
 
-// completionEvent orders the event queue by (time, task id). proc is the
-// processor freed by a completion, or -1 for a release event (a task whose
-// communication delay elapses at time, making it ready on its processor).
-// A task never has a completion and a release pending at once — release
-// precedes start precedes completion — so (time, task) stays a total
-// order over the queue.
+// completionEvent is one entry of the engine's two event queues, ordered
+// by (time, task): in the completions queue, task finishes at time and
+// frees proc; in the releases queue, task's last communication delay
+// elapses at time, making it ready on proc.
 type completionEvent struct {
 	time int64
 	task TaskID
 	proc int32
 }
 
-// eventHeap is a typed, slice-backed 4-ary min-heap of completion events
-// ordered by (time, task) — the event-driven analogue of heap4, with the
-// same no-boxing layout.
+// eventHeap is a typed, slice-backed 4-ary min-heap of events ordered by
+// (time, task), with no interface boxing. Time is an int64 with unbounded
+// gaps between events, so neither queue can be a calendar ring.
 type eventHeap []completionEvent
+
+// due is the time of the earliest event; an empty heap has none before the
+// end of time.
+func (h eventHeap) due() int64 {
+	if len(h) == 0 {
+		return math.MaxInt64
+	}
+	return h[0].time
+}
 
 func (h eventHeap) less(a, b completionEvent) bool {
 	if a.time != b.time {
@@ -287,19 +295,27 @@ func (h *eventHeap) pop() completionEvent {
 }
 
 // weightedTryStart starts the best ready task on processor p at time now,
-// if p is idle and has one. A plain function (not a closure) so the warm
-// kernel allocates nothing.
-func weightedTryStart(p int32, now int64, inst *Instance, busy []bool, ready []heap4,
-	start, finish []int64, weights CellWeights, model *MachineModel, events *eventHeap) {
-	if busy[p] || ready[p].len() == 0 {
+// if p is idle and has one. finish[t] holds t's duration until t starts.
+// A plain function (not a closure) so the warm kernel allocates nothing.
+func weightedTryStart(p int32, now int64, rq *rankq, busy []bool, start, finish []int64, completions *eventHeap) {
+	if busy[p] || rq.count[p] == 0 {
 		return
 	}
-	t := ready[p].pop()
-	v, _ := inst.Split(t)
+	t := rq.pop(p)
 	start[t] = now
-	finish[t] = now + durationOn(weights[v], model.SpeedOf(p))
+	finish[t] += now
 	busy[p] = true
-	events.push(completionEvent{time: finish[t], task: t, proc: p})
+	completions.push(completionEvent{time: finish[t], task: t, proc: p})
+}
+
+// wake lists processor p, once, for a start attempt when the events of the
+// current timestamp are drained: it went idle or its ready set grew.
+func wake(p int32, touched []bool, woken []int32) []int32 {
+	if !touched[p] {
+		touched[p] = true
+		woken = append(woken, p)
+	}
+	return woken
 }
 
 // ensureWeighted sizes dst's start/finish arrays for nt tasks, reusing
@@ -324,12 +340,23 @@ func ensureWeighted(dst *WeightedSchedule, nt int) (start, finish []int64) {
 // (if the model charges any) have elapsed. All completions and releases
 // sharing a timestamp are drained before any start decision at that
 // timestamp, so priority choices see every task the moment makes ready —
-// the same semantics as the step-driven unit scheduler.
+// the same semantics as the step-driven unit scheduler, and on the same
+// data: rank-bitmap ready sets, one node per task, the flat task graph.
+//
+// Events wait in two heaps: completions, at most one per processor, and
+// releases, so a completion's pop never pays for the depth of the pending
+// releases. Both are drained while their top equals the current time, in
+// no particular order between them, and none is needed: a release time is
+// a maximum, an indegree a count and a ready set a set popped by
+// (priority, id), so every order of one timestamp's events leaves the
+// same state, and everything pushed during a drain is due later (delays
+// that release a task at the current time skip the heap, durations are
+// at least 1).
 //
 // A nil model is the uniform machine and reproduces the historical
 // delay-free engine exactly: with no delays a successor's release time
 // always equals the timestamp being drained, so it goes straight to its
-// ready heap and no release events are ever queued. On a warm workspace
+// ready set and no release events are ever queued. On a warm workspace
 // and recycled dst the kernel performs zero heap allocations.
 func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instance,
 	assign Assignment, prio Priorities, weights CellWeights, model *MachineModel) error {
@@ -343,97 +370,99 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	if err != nil {
 		return err
 	}
+	g, err := inst.taskGraph()
+	if err != nil {
+		return err
+	}
 	span := ws.col.Span("sched.weighted.time")
 	ws.ensureWeighted(inst)
-	n := int32(inst.N())
-	nt := inst.NTasks()
-	m := inst.M
-	ws.fillIndeg(inst)
-	indeg := ws.indeg
-	ready := ws.heaps[:m]
-	for p := range ready {
-		ready[p].reset(prio)
-	}
+	n, nt, m := inst.N(), inst.NTasks(), inst.M
+	rq := &ws.rq
+	rq.build(prio, nt, m, assign, int32(n))
+	rq.reset()
+	nodes, succ := rq.node, g.succ
+	remaining := fillNodes(nodes, inst, g, assign, nil)
 	busy := ws.busyBuf
 	touched := ws.touchBuf
 	clear(busy)
+	clear(touched)
+	woken := ws.woken[:0]
+	// readyW[t] is the earliest time t may start as far as its finished
+	// cross-processor predecessors say. A same-processor edge is free and
+	// its predecessor finishes no later than now, so it never raises it.
 	delayed := model.hasDelays()
 	readyW := ws.readyW
 	if delayed {
 		clear(readyW)
 	}
-	events := &ws.events
-	*events = (*events)[:0]
+	completions, releases := &ws.completions, &ws.releases
+	*completions, *releases = (*completions)[:0], (*releases)[:0]
 
+	// Until a task starts, its finish slot holds its duration: one division
+	// per cell, copied to every direction.
 	start, finish := ensureWeighted(dst, nt)
 	for i := range start {
 		start[i] = -1
 	}
-	remaining := nt
+	for v, w := range weights {
+		finish[v] = durationOn(w, model.SpeedOf(assign[v]))
+	}
+	for i := 1; i < inst.K(); i++ {
+		copy(finish[i*n:(i+1)*n], finish[:n])
+	}
 
-	for t := 0; t < nt; t++ {
-		if indeg[t] == 0 {
-			ready[assign[int32(t)%n]].push(TaskID(t))
+	for t := TaskID(0); t < TaskID(nt); t++ {
+		if nodes[t].indeg == 0 {
+			rq.push(nodes[t].proc, t)
 		}
 	}
 	for p := int32(0); p < int32(m); p++ {
-		weightedTryStart(p, 0, inst, busy, ready, start, finish, weights, model, events)
+		weightedTryStart(p, 0, rq, busy, start, finish, completions)
 	}
 
-	for len(*events) > 0 {
-		now := (*events)[0].time
-		clear(touched)
-		for len(*events) > 0 && (*events)[0].time == now {
-			ev := events.pop()
-			if ev.proc < 0 {
-				// Release: the task's last communication delay elapses now.
-				v, _ := inst.Split(ev.task)
-				p := assign[v]
-				ready[p].push(ev.task)
-				touched[p] = true
-				continue
-			}
+	var now int64
+	for len(*completions)+len(*releases) > 0 {
+		now = min(completions.due(), releases.due())
+		for releases.due() == now {
+			ev := releases.pop()
+			rq.push(ev.proc, ev.task)
+			woken = wake(ev.proc, touched, woken)
+		}
+		for completions.due() == now {
+			ev := completions.pop()
 			remaining--
 			busy[ev.proc] = false
-			touched[ev.proc] = true
-			v, i := inst.Split(ev.task)
-			base := TaskID(i * n)
-			for _, w := range inst.DAGs[i].Out(v) {
-				wt := base + TaskID(w)
-				if delayed {
-					if cand := now + model.DelayOf(ev.proc, assign[w]); cand > readyW[wt] {
+			woken = wake(ev.proc, touched, woken)
+			for _, wt := range succ[nodes[ev.task].off:nodes[ev.task+1].off] {
+				w := &nodes[wt]
+				if delayed && w.proc != ev.proc {
+					if cand := now + model.DelayOf(ev.proc, w.proc); cand > readyW[wt] {
 						readyW[wt] = cand
 					}
 				}
-				indeg[wt]--
-				if indeg[wt] == 0 {
-					p := assign[w]
+				w.indeg--
+				if w.indeg == 0 {
 					if delayed && readyW[wt] > now {
-						events.push(completionEvent{time: readyW[wt], task: wt, proc: -1})
+						releases.push(completionEvent{time: readyW[wt], task: wt, proc: w.proc})
 					} else {
-						ready[p].push(wt)
-						touched[p] = true
+						rq.push(w.proc, wt)
+						woken = wake(w.proc, touched, woken)
 					}
 				}
 			}
 		}
-		for p := int32(0); p < int32(m); p++ {
-			if touched[p] {
-				weightedTryStart(p, now, inst, busy, ready, start, finish, weights, model, events)
-			}
+		for _, p := range woken {
+			touched[p] = false
+			weightedTryStart(p, now, rq, busy, start, finish, completions)
 		}
+		woken = woken[:0]
 	}
 	if remaining != 0 {
 		return fmt.Errorf("sched: weighted deadlock with %d tasks unfinished", remaining)
 	}
 
 	dst.Inst, dst.Assign, dst.Weights, dst.Model = inst, assign, weights, model
-	dst.Makespan = 0
-	for _, f := range finish {
-		if f > dst.Makespan {
-			dst.Makespan = f
-		}
-	}
+	dst.Makespan = now // the last event is a completion, and events come in time order
 	span.End()
 	ws.col.Counter("sched.weighted.runs").Inc()
 	return nil

@@ -559,16 +559,11 @@ func BenchmarkWeightedKernel(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			ws := NewWorkspace()
 			dst := &WeightedSchedule{}
-			if err := ListScheduleWeightedInto(ws, dst, inst, assign, prio, weights, bc.model); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			BenchWarm(b, func() {
 				if err := ListScheduleWeightedInto(ws, dst, inst, assign, prio, weights, bc.model); err != nil {
 					b.Fatal(err)
 				}
-			}
+			})
 		})
 	}
 }

@@ -8,28 +8,29 @@ import (
 )
 
 // Workspace is the reusable scratch arena of the scheduling kernels:
-// the rank-bitmap ready set and per-task nodes of the unit-step core
-// (stepcore.go), indegree counters and per-processor typed ready heaps
-// (greedy and weighted engines), the release calendar, the per-step
-// completion buffer, and caller-visible priority/release scratch. One warm workspace makes
-// every Into entry point allocate nothing — the paper's experiments run
-// the list scheduler thousands of times per instance shape (once per
-// heuristic × delay draw × seed), and the per-call make/map/boxing
-// traffic of the original kernel was the dominant cost of those trial
-// loops.
+// the rank-bitmap ready sets and per-task nodes every list engine runs on
+// (the unit-step core, the weighted event core, the greedy preprocessing),
+// the release calendar, the per-step completion buffer, the weighted
+// engine's event heaps, and caller-visible priority/release scratch. One
+// warm workspace makes every Into entry point allocate nothing — the
+// paper's experiments run the list scheduler thousands of times per
+// instance shape (once per heuristic × delay draw × seed), and the
+// per-call make/map/boxing traffic of the original kernel was the
+// dominant cost of those trial loops.
 //
 // A Workspace is not safe for concurrent use; parallel trial loops draw
 // one each from the shape-keyed pool (GetWorkspace/Release).
 type Workspace struct {
-	indeg     []int32
 	readyAt   []int32
-	heaps     []heap4
 	rq        rankq
 	cal       calendar
 	completed []TaskID
 	// zeroPrio backs nil-priority runs. The kernel never writes
 	// priorities, so it stays all-zero across reuses.
 	zeroPrio Priorities
+	// zeroAssign puts every cell on processor 0: the greedy scheduler's one
+	// ready-set partition. Never written either.
+	zeroAssign Assignment
 	// prioBuf and int32Buf are caller scratch (PrioBuf/Int32Buf) for
 	// building priorities and release times without per-trial allocation.
 	prioBuf  Priorities
@@ -37,13 +38,16 @@ type Workspace struct {
 	// dirGroup maps direction -> angleset for the aggregated kernels
 	// (validated and filled by fillDirGroup per run).
 	dirGroup []int32
-	// Weighted-engine scratch (weighted.go): the completion/release event
-	// heap, per-processor busy and touched flags, and per-task int64
+	// Weighted-engine scratch (weighted.go): the completion and release
+	// event heaps, per-processor busy and touched flags with the list of
+	// processors touched at the current timestamp, and per-task int64
 	// release times for the hierarchical-delay machine model.
-	events   eventHeap
-	busyBuf  []bool
-	touchBuf []bool
-	readyW   []int64
+	completions eventHeap
+	releases    eventHeap
+	busyBuf     []bool
+	touchBuf    []bool
+	woken       []int32
+	readyW      []int64
 
 	// metrics are the last step-core run's, read off its edge walk; see
 	// Metrics.
@@ -163,15 +167,16 @@ func (ws *Workspace) ensure(inst *Instance) {
 		ws.zeroPrio = make(Priorities, nt)
 	}
 	ws.zeroPrio = ws.zeroPrio[:nt]
-	for len(ws.heaps) < m {
-		ws.heaps = append(ws.heaps, heap4{})
+	if cap(ws.zeroAssign) < inst.N() {
+		ws.zeroAssign = make(Assignment, inst.N())
 	}
+	ws.zeroAssign = ws.zeroAssign[:inst.N()]
 	if cap(ws.completed) < m {
 		ws.completed = make([]TaskID, 0, m)
 	}
 }
 
-// ensureWeighted grows the weighted engine's extra scratch (event heap,
+// ensureWeighted grows the weighted engine's extra scratch (event heaps,
 // busy/touched flags, release times) to the instance's shape. Like
 // ensure, it allocates nothing once warm for a shape.
 func (ws *Workspace) ensureWeighted(inst *Instance) {
@@ -184,27 +189,17 @@ func (ws *Workspace) ensureWeighted(inst *Instance) {
 		ws.touchBuf = make([]bool, m)
 	}
 	ws.touchBuf = ws.touchBuf[:m]
+	if cap(ws.woken) < m {
+		ws.woken = make([]int32, 0, m)
+	}
 	if cap(ws.readyW) < nt {
 		ws.readyW = make([]int64, nt)
 	}
 	ws.readyW = ws.readyW[:nt]
-	// ws.events grows by append inside the run and keeps its capacity.
-}
-
-// fillIndeg loads every task's indegree into ws.indeg, the greedy and
-// weighted engines' counters (the step core keeps its own in node).
-func (ws *Workspace) fillIndeg(inst *Instance) {
-	n, nt := inst.N(), inst.NTasks()
-	if cap(ws.indeg) < nt {
-		ws.indeg = make([]int32, nt)
+	if cap(ws.completions) < m {
+		ws.completions = make(eventHeap, 0, m) // at most one per processor
 	}
-	ws.indeg = ws.indeg[:nt]
-	for i, d := range inst.DAGs {
-		indeg := ws.indeg[i*n : (i+1)*n]
-		for v := range indeg {
-			indeg[v] = int32(d.InDegree(int32(v)))
-		}
-	}
+	// ws.releases grows by append inside the run and keeps its capacity.
 }
 
 // checkListArgs validates the shared argument contract of the kernels

@@ -270,8 +270,11 @@ func skeletonBytes(e *skeletonEntry) int64 {
 // faces per cell, about half oriented downwind), plus what the family
 // grows once it has been planned on: the facts of each DAG after a
 // descendant or DFDS request (level order, b-levels and descendant
-// counts: up to 16 bytes per task) and the instance's task graph after
-// any list-scheduled request (one int32 per task and one per edge).
+// counts: up to 16 bytes per task), the instance's task graph after
+// any list-scheduled request (one int32 per task and one per edge) and,
+// once for the family, the cell graph the Problem keeps after a block
+// request (an offset and a weight per cell; a neighbour and an edge
+// weight for both ends of each of ≈ 2n interior faces).
 func familyBytes(e *familyEntry) int64 {
 	n := int64(e.prob.N())
 	k := int64(e.prob.K())
@@ -279,7 +282,8 @@ func familyBytes(e *familyEntry) int64 {
 	dags := 3*4*(n+1) + 2*4*edgesPerCell*n
 	facts := 16 * n
 	taskGraph := 4*(n+1) + 4*edgesPerCell*n
-	return 128 + k*(dags+facts+taskGraph)
+	cellGraph := 4*(n+1) + 4*n + 2*4*2*edgesPerCell*n
+	return 128 + k*(dags+facts+taskGraph) + cellGraph
 }
 
 // scheduleBytes estimates a schedule entry: start steps + assignment

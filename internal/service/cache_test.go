@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sweepsched"
+	"sweepsched/internal/partition"
 )
 
 func TestLRUBasics(t *testing.T) {
@@ -91,7 +92,9 @@ func TestLRUEvictionCascade(t *testing.T) {
 // graph on the instance — so the estimate charges them up front: 16 bytes
 // per task for the facts and about 12 per task (an offset, and a
 // successor for each of ≈ 2 edges) for the graph, on top of the CSR and
-// level arrays. The real graph of a planned family stays within it.
+// level arrays — and, once per family, 40 bytes per cell for the cell graph
+// a block plan leaves on the Problem. The real graphs of a planned family
+// stay within it.
 func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	p, err := sweepsched.NewProblemFromFamily("tetonly", 0.02, 8, 4, 1)
 	if err != nil {
@@ -100,11 +103,12 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	n, k := int64(p.N()), int64(p.K())
 	csr := k * (3*4*(n+1) + 2*4*2*n)
 	graph := k * (4*(n+1) + 4*2*n)
+	cells := 4*(n+1) + 4*n + 2*4*2*2*n
 	got := familyBytes(&familyEntry{prob: p})
-	if want := 128 + csr + 16*n*k + graph; got != want {
-		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task + task graph %d)", got, n, k, want, csr, graph)
+	if want := 128 + csr + 16*n*k + graph + cells; got != want {
+		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task + task graph %d + cell graph %d)", got, n, k, want, csr, graph, cells)
 	}
-	res, err := p.Schedule(sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 1})
+	res, err := p.Schedule(sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 1, BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +118,10 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	}
 	if real := 4*(n*k+1) + 4*edges; real > graph {
 		t.Fatalf("task graph of the planned family is %d bytes (%d edges), estimate %d", real, edges, graph)
+	}
+	cg := partition.FromMesh(res.Schedule.Inst.Mesh) // what the block plan left on p
+	if real := 4 * int64(len(cg.Start)+len(cg.Adj)+len(cg.EWeight)+len(cg.VWeight)); real > cells {
+		t.Fatalf("cell graph of the block-planned family is %d bytes, estimate %d", real, cells)
 	}
 }
 
