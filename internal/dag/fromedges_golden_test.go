@@ -1,0 +1,104 @@
+package dag
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
+	"testing"
+
+	"sweepsched/internal/rng"
+)
+
+const fromEdgesGoldenPath = "testdata/fromedges_golden.txt"
+
+// fromEdgesDigest is one golden row: the counts FromEdges reports and an
+// FNV-64a hash over every array it fills, in a fixed order.
+func fromEdgesDigest(d *DAG, edges int) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, arr := range [][]int32{d.outStart, d.out, d.inStart, d.in, d.Level} {
+		for _, x := range arr {
+			binary.LittleEndian.PutUint32(buf[:], uint32(x))
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("n=%d edges=%d removed=%d levels=%d fnv=%016x",
+		d.N, edges, d.RemovedEdges, d.NumLevels, h.Sum64())
+}
+
+// fromEdgesGoldenCases are the edge lists behind the golden table: the two
+// degenerate sizes, then seeded random lists of three kinds — acyclic
+// (every edge ascends a random cell order), cyclic (free endpoints) and
+// parallel (a cyclic list with a share of its edges repeated) — over cell
+// counts from 2 to 61 and densities from sparse to about 4 edges a cell.
+func fromEdgesGoldenCases() (names []string, ns []int, lists [][][2]int32) {
+	add := func(name string, n int, edges [][2]int32) {
+		names, ns, lists = append(names, name), append(ns, n), append(lists, edges)
+	}
+	add("empty-n0", 0, nil)
+	add("empty-n1", 1, nil)
+	r := rng.New(0xF20ED6E5)
+	for i := 0; i < 240; i++ {
+		n := 2 + r.Intn(60)
+		e := r.Intn(4*n + 1)
+		kind := [...]string{"acyclic", "cyclic", "parallel"}[i%3]
+		rank := r.Perm(n)
+		edges := make([][2]int32, 0, e)
+		for len(edges) < e {
+			a, b := r.Intn(n), r.Intn(n)
+			if a == b {
+				continue
+			}
+			if kind == "acyclic" && rank[a] > rank[b] {
+				a, b = b, a
+			}
+			edges = append(edges, [2]int32{int32(a), int32(b)})
+			if kind == "parallel" && r.Intn(3) == 0 {
+				edges = append(edges, edges[r.Intn(len(edges))])
+			}
+		}
+		add(fmt.Sprintf("%s-%03d", kind, i), n, edges)
+	}
+	return names, ns, lists
+}
+
+// TestFromEdgesGolden pins FromEdges bit for bit: CSR contents, levels and
+// the cycle break's choice of edges on every case above must hash to the
+// committed table, which was generated before FromEdges was moved onto
+// the Builder's CSR fill, peel and cycle break.
+func TestFromEdgesGolden(t *testing.T) {
+	names, ns, lists := fromEdgesGoldenCases()
+	var sb strings.Builder
+	cyclic := 0
+	for i, edges := range lists {
+		d, err := FromEdges(ns[i], edges)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if d.RemovedEdges > 0 {
+			cyclic++
+		}
+		fmt.Fprintf(&sb, "%s %s\n", names[i], fromEdgesDigest(d, len(edges)))
+	}
+	if cyclic < len(lists)/3 {
+		t.Fatalf("only %d of %d cases exercise the cycle break", cyclic, len(lists))
+	}
+	want, err := os.ReadFile(fromEdgesGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("row %d differs from %s:\n got  %s\n want %s", i+1, fromEdgesGoldenPath, gl[i], strings.Join(wl[i:min(i+1, len(wl))], ""))
+			}
+		}
+		t.Fatalf("%s has %d rows, regenerated %d", fromEdgesGoldenPath, len(wl)-1, len(gl)-1)
+	}
+}
