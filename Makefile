@@ -55,12 +55,12 @@ service:
 	$(GO) test -race -count=1 ./internal/service ./internal/cliutil ./internal/obs
 	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 4 -scale 0.02 -k 8 -m 16 -verify-every 4 -out /dev/null
 
-# Record the service load/soak numbers in BENCH_PR6.json: 8 concurrent
-# clients, cold (unique meshes) vs warm (identical request) phases on a
-# paper-scale tetonly mesh with sampled runtime audits enabled.
+# Print the service load/soak numbers: 8 concurrent clients, cold
+# (unique meshes) vs warm (identical request) phases on a paper-scale
+# tetonly mesh with sampled runtime audits enabled.
 loadtest:
 	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 25 -mesh tetonly -scale 0.05 \
-	    -k 24 -m 64 -verify-every 8 -out BENCH_PR6.json
+	    -k 24 -m 64 -verify-every 8
 
 # Same harness, small enough for CI.
 loadtest-smoke:
@@ -70,8 +70,8 @@ loadtest-smoke:
 # The one benchmark of the whole pipeline (bench/, BENCHMARK.json): all
 # workloads end to end; `bash bench/run.sh -trace 1` for the per-layer
 # rows, `-workload <name>` for one workload (see bench/README.md). The Go
-# micro-benchmarks behind the BENCH_PR*.json records still run by name
-# with `go test -run '^$$' -bench <regexp> -benchmem <package>`.
+# micro-benchmarks of the single layers run by name with
+# `go test -run '^$$' -bench <regexp> -benchmem <package>`.
 bench:
 	bash bench/run.sh
 

@@ -17,13 +17,12 @@
 // audits on) and tears it down at the end; -addr drives an external
 // daemon instead. Results (per-phase latency distribution, per-window
 // trajectory, server cache/audit counters, warm-over-cold speedup) are
-// printed and optionally written as JSON with -out (see
-// BENCH_PR6.json).
+// printed and optionally written as JSON with -out.
 //
 // Usage:
 //
 //	sweeploadtest -clients 8 -requests 25 -mesh tetonly -scale 0.05 \
-//	              -k 24 -m 64 -out BENCH_PR6.json
+//	              -k 24 -m 64 -out report.json
 package main
 
 import (
@@ -179,7 +178,7 @@ func main() {
 	}
 }
 
-// Report is the JSON artifact (BENCH_PR6.json).
+// Report is the JSON artifact -out writes.
 type Report struct {
 	Recorded string `json:"recorded"`
 	Note     string `json:"note,omitempty"`

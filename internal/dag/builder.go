@@ -144,7 +144,14 @@ func (b *Builder) BuildInto(dst *DAG, skel *Skeleton, dir geom.Vec3) {
 		}
 	}
 	b.eu, b.ev = eu, ev
+	b.finish(dst, n)
+}
 
+// finish turns the builder's oriented edge list over n cells into dst:
+// both CSR halves, levels, and — only when the level peel finds a cycle —
+// the DFS cycle break. BuildInto and FromEdges both end here.
+func (b *Builder) finish(dst *DAG, n int) {
+	eu, ev := b.eu, b.ev
 	dst.N = n
 	dst.RemovedEdges = 0
 	dst.NumLevels = 0
@@ -247,7 +254,7 @@ func (b *Builder) buildInCSR(dst *DAG, n int) {
 // means the graph is acyclic and the levels are final). The relaxation
 // is the same as the pre-skeleton computeLevels, so the level function
 // is identical; unlike it, this variant reports an incomplete peel to
-// the caller instead of panicking, which is what lets BuildInto try the
+// the caller instead of panicking, which is what lets finish try the
 // peel before paying for the DFS cycle hunt.
 func (b *Builder) computeLevels(dst *DAG, n int) int {
 	indeg := b.indeg

@@ -106,8 +106,10 @@ func Build(m *mesh.Mesh, dir geom.Vec3) *DAG {
 // FromEdges builds a DAG over n cells from an explicit edge list,
 // supporting non-geometric instances (§2 notes the algorithms assume no
 // relation between the DAGs in different directions). Cycles are broken the
-// same way as in geometric construction.
+// same way as in geometric construction, by the same code.
 func FromEdges(n int, edgeList [][2]int32) (*DAG, error) {
+	b := NewBuilder()
+	b.grow(n, len(edgeList))
 	for _, e := range edgeList {
 		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
 			return nil, fmt.Errorf("dag: edge %v out of range [0,%d)", e, n)
@@ -115,144 +117,11 @@ func FromEdges(n int, edgeList [][2]int32) (*DAG, error) {
 		if e[0] == e[1] {
 			return nil, fmt.Errorf("dag: self-loop at %d", e[0])
 		}
+		b.eu, b.ev = append(b.eu, e[0]), append(b.ev, e[1])
 	}
-	d := &DAG{N: n}
-	edges := edgeList
-	buildCSR := func() {
-		d.outStart = make([]int32, n+1)
-		for _, e := range edges {
-			d.outStart[e[0]+1]++
-		}
-		for i := 0; i < n; i++ {
-			d.outStart[i+1] += d.outStart[i]
-		}
-		d.out = make([]int32, len(edges))
-		cursor := make([]int32, n)
-		for _, e := range edges {
-			d.out[d.outStart[e[0]]+cursor[e[0]]] = e[1]
-			cursor[e[0]]++
-		}
-	}
-	buildCSR()
-	if removed := d.breakCycles(); removed > 0 {
-		d.RemovedEdges = removed
-		kept := make([][2]int32, 0, len(edges)-removed)
-		for u := int32(0); u < int32(n); u++ {
-			for _, v := range d.Out(u) {
-				if v >= 0 {
-					kept = append(kept, [2]int32{u, v})
-				}
-			}
-		}
-		edges = kept
-		buildCSR()
-	}
-	d.inStart = make([]int32, n+1)
-	for _, v := range d.out {
-		d.inStart[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		d.inStart[i+1] += d.inStart[i]
-	}
-	d.in = make([]int32, len(d.out))
-	cursor := make([]int32, n)
-	for u := int32(0); u < int32(n); u++ {
-		for _, v := range d.Out(u) {
-			d.in[d.inStart[v]+cursor[v]] = u
-			cursor[v]++
-		}
-	}
-	d.computeLevels()
+	d := &DAG{}
+	b.finish(d, n)
 	return d, nil
-}
-
-// breakCycles runs an iterative DFS over the out-adjacency and overwrites
-// the target of every back edge with -1, returning the number of edges
-// removed. The caller rebuilds the CSR afterwards.
-func (d *DAG) breakCycles() int {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, d.N)
-	removed := 0
-	type frame struct {
-		v    int32
-		next int32 // index into out[outStart[v]:...]
-	}
-	var stack []frame
-	for s := int32(0); s < int32(d.N); s++ {
-		if color[s] != white {
-			continue
-		}
-		color[s] = gray
-		stack = append(stack[:0], frame{v: s})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			lo, hi := d.outStart[f.v], d.outStart[f.v+1]
-			if f.next == hi-lo {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			idx := lo + f.next
-			f.next++
-			w := d.out[idx]
-			if w < 0 {
-				continue
-			}
-			switch color[w] {
-			case white:
-				color[w] = gray
-				stack = append(stack, frame{v: w})
-			case gray:
-				d.out[idx] = -1 // back edge: remove
-				removed++
-			}
-		}
-	}
-	return removed
-}
-
-// computeLevels performs Kahn peeling, assigning 1-based levels. It panics
-// if a cycle survives (breakCycles guarantees none does).
-func (d *DAG) computeLevels() {
-	n := d.N
-	indeg := make([]int32, n)
-	for v := int32(0); v < int32(n); v++ {
-		indeg[v] = int32(d.InDegree(v))
-	}
-	d.Level = make([]int32, n)
-	queue := make([]int32, 0, n)
-	for v := int32(0); v < int32(n); v++ {
-		if indeg[v] == 0 {
-			d.Level[v] = 1
-			queue = append(queue, v)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		lv := d.Level[v]
-		if int(lv) > d.NumLevels {
-			d.NumLevels = int(lv)
-		}
-		for _, w := range d.Out(v) {
-			if d.Level[w] < lv+1 {
-				d.Level[w] = lv + 1
-			}
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if done != n {
-		panic(fmt.Sprintf("dag: %d of %d cells unreachable in level peel (cycle?)", n-done, n))
-	}
 }
 
 // TopoOrder returns the cells in a topological order (by level, then id).
@@ -275,17 +144,6 @@ func (d *DAG) levelOrder() []int32 {
 		counts[l]++
 	}
 	return order
-}
-
-// LevelSets returns, for each level j (1-based; index 0 unused), the cells
-// at that level.
-func (d *DAG) LevelSets() [][]int32 {
-	sets := make([][]int32, d.NumLevels+1)
-	for v := int32(0); v < int32(d.N); v++ {
-		l := d.Level[v]
-		sets[l] = append(sets[l], v)
-	}
-	return sets
 }
 
 // BLevels returns, for every cell, the number of nodes on the longest path
@@ -442,42 +300,10 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// Sources returns the cells with no predecessors.
-func (d *DAG) Sources() []int32 {
-	var s []int32
-	for v := int32(0); v < int32(d.N); v++ {
-		if d.InDegree(v) == 0 {
-			s = append(s, v)
-		}
-	}
-	return s
-}
-
-// Sinks returns the cells with no successors.
-func (d *DAG) Sinks() []int32 {
-	var s []int32
-	for v := int32(0); v < int32(d.N); v++ {
-		if d.OutDegree(v) == 0 {
-			s = append(s, v)
-		}
-	}
-	return s
-}
-
 // BuildAll induces the DAGs for every direction in parallel on GOMAXPROCS
 // workers, preserving direction order in the result.
 func BuildAll(m *mesh.Mesh, dirs []geom.Vec3) []*DAG {
-	return BuildAllWorkers(m, dirs, 0)
-}
-
-// BuildAllWorkers is BuildAll with an explicit worker bound (<= 0 selects
-// GOMAXPROCS). Direction i's DAG is built independently into slot i, so the
-// result is identical for every worker count. The mesh's skeleton is
-// extracted once and shared by every worker; each direction draws a
-// pooled Builder, so the per-direction scratch is recycled across the
-// family.
-func BuildAllWorkers(m *mesh.Mesh, dirs []geom.Vec3, workers int) []*DAG {
-	return BuildAllSkeleton(NewSkeleton(m), dirs, workers)
+	return BuildAllSkeleton(NewSkeleton(m), dirs, 0)
 }
 
 // BuildAllSkeleton builds the DAG family for every direction over a
@@ -554,16 +380,4 @@ func (d *DAG) Analyze() Profile {
 		}
 	}
 	return p
-}
-
-// MaxLevels returns D, the maximum number of levels across the DAGs — one of
-// the lower-bound terms of §4 (OPT ≥ D).
-func MaxLevels(dags []*DAG) int {
-	d := 0
-	for _, g := range dags {
-		if g.NumLevels > d {
-			d = g.NumLevels
-		}
-	}
-	return d
 }

@@ -37,14 +37,14 @@ func TestBuildRegularHexDiagonal(t *testing.T) {
 	if d.RemovedEdges != 0 {
 		t.Fatalf("removed %d edges on a regular grid", d.RemovedEdges)
 	}
-	// The corner cell nearest the direction origin is the unique source.
-	srcs := d.Sources()
-	if len(srcs) != 1 || srcs[0] != 0 {
-		t.Fatalf("sources = %v, want [0]", srcs)
+	// The corner cell nearest the direction origin is the unique source,
+	// the opposite corner the unique sink.
+	a := d.Analyze()
+	if a.Sources != 1 || d.InDegree(0) != 0 {
+		t.Fatalf("%d sources, cell 0 has in-degree %d; want cell 0 alone", a.Sources, d.InDegree(0))
 	}
-	sinks := d.Sinks()
-	if len(sinks) != 1 || sinks[0] != 26 {
-		t.Fatalf("sinks = %v, want [26]", sinks)
+	if a.Sinks != 1 || d.OutDegree(26) != 0 {
+		t.Fatalf("%d sinks, cell 26 has out-degree %d; want cell 26 alone", a.Sinks, d.OutDegree(26))
 	}
 }
 
@@ -129,20 +129,24 @@ func TestLevelsMatchPeelDefinition(t *testing.T) {
 }
 
 func TestLevelSetsPartition(t *testing.T) {
+	// The level sets are the runs of TopoOrder: level by level, WidthProfile
+	// cells each, every cell once.
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 2, NY: 3, NZ: 2, Jitter: 0.1, Seed: 3})
 	d := Build(m, geom.Vec3{X: 1, Y: 0.2, Z: 0.4}.Normalize())
-	sets := d.LevelSets()
-	total := 0
+	order, prof := d.TopoOrder(), d.WidthProfile()
+	seen := make([]bool, d.N)
+	i := 0
 	for l := 1; l <= d.NumLevels; l++ {
-		for _, v := range sets[l] {
-			if int(d.Level[v]) != l {
-				t.Fatalf("cell %d in set %d but Level=%d", v, l, d.Level[v])
+		for end := i + int(prof[l]); i < end; i++ {
+			v := order[i]
+			if int(d.Level[v]) != l || seen[v] {
+				t.Fatalf("position %d: cell %d (level %d, seen %v) in level set %d", i, v, d.Level[v], seen[v], l)
 			}
+			seen[v] = true
 		}
-		total += len(sets[l])
 	}
-	if total != d.N {
-		t.Fatalf("level sets cover %d of %d cells", total, d.N)
+	if i != d.N {
+		t.Fatalf("level sets cover %d of %d cells", i, d.N)
 	}
 }
 
@@ -416,13 +420,15 @@ func TestBuildAllMatchesSequential(t *testing.T) {
 }
 
 func TestMaxLevels(t *testing.T) {
+	// D, the §4 lower-bound term, is the deepest DAG of the family: the
+	// axis sweep of the 3x3x3 grid has 3 levels, the diagonal one 7.
 	m := hex3()
 	dags := BuildAll(m, []geom.Vec3{
 		{X: 1},
 		geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize(),
 	})
-	if got := MaxLevels(dags); got != 7 {
-		t.Fatalf("MaxLevels = %d, want 7", got)
+	if dags[0].NumLevels != 3 || dags[1].NumLevels != 7 {
+		t.Fatalf("levels = %d, %d, want 3, 7", dags[0].NumLevels, dags[1].NumLevels)
 	}
 }
 
@@ -504,8 +510,8 @@ func BenchmarkBuildAll24(b *testing.B) {
 
 // BenchmarkBuildAll sweeps worker counts over a k=24-direction instance;
 // workers=1 is the serial baseline the parallel rows are compared
-// against. The cold rows build fresh DAGs each iteration (the
-// BuildAllWorkers entry point); the warm rows recycle a Family's
+// against. The cold rows build fresh DAGs each iteration (skeleton
+// included); the warm rows recycle a Family's
 // skeleton and DAG storage, the steady state of trial loops that
 // rebuild DAG families.
 func BenchmarkBuildAll(b *testing.B) {
@@ -514,7 +520,7 @@ func BenchmarkBuildAll(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildAllWorkers(m, dirs, workers)
+				BuildAllSkeleton(NewSkeleton(m), dirs, workers)
 			}
 		})
 	}
@@ -538,9 +544,9 @@ func TestBuildAllWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := BuildAllWorkers(m, dirs, 1)
+	ref := BuildAllSkeleton(NewSkeleton(m), dirs, 1)
 	for _, workers := range []int{2, 4, 8} {
-		got := BuildAllWorkers(m, dirs, workers)
+		got := BuildAllSkeleton(NewSkeleton(m), dirs, workers)
 		for i := range ref {
 			if got[i].NumEdges() != ref[i].NumEdges() ||
 				got[i].NumLevels != ref[i].NumLevels ||

@@ -28,17 +28,20 @@ func fromEdgesDigest(d *DAG, edges int) string {
 		d.N, edges, d.RemovedEdges, d.NumLevels, h.Sum64())
 }
 
+// edgeCase is one input of the golden table.
+type edgeCase struct {
+	name  string
+	n     int
+	edges [][2]int32
+}
+
 // fromEdgesGoldenCases are the edge lists behind the golden table: the two
 // degenerate sizes, then seeded random lists of three kinds — acyclic
 // (every edge ascends a random cell order), cyclic (free endpoints) and
 // parallel (a cyclic list with a share of its edges repeated) — over cell
 // counts from 2 to 61 and densities from sparse to about 4 edges a cell.
-func fromEdgesGoldenCases() (names []string, ns []int, lists [][][2]int32) {
-	add := func(name string, n int, edges [][2]int32) {
-		names, ns, lists = append(names, name), append(ns, n), append(lists, edges)
-	}
-	add("empty-n0", 0, nil)
-	add("empty-n1", 1, nil)
+func fromEdgesGoldenCases() []edgeCase {
+	cases := []edgeCase{{"empty-n0", 0, nil}, {"empty-n1", 1, nil}}
 	r := rng.New(0xF20ED6E5)
 	for i := 0; i < 240; i++ {
 		n := 2 + r.Intn(60)
@@ -59,9 +62,9 @@ func fromEdgesGoldenCases() (names []string, ns []int, lists [][][2]int32) {
 				edges = append(edges, edges[r.Intn(len(edges))])
 			}
 		}
-		add(fmt.Sprintf("%s-%03d", kind, i), n, edges)
+		cases = append(cases, edgeCase{fmt.Sprintf("%s-%03d", kind, i), n, edges})
 	}
-	return names, ns, lists
+	return cases
 }
 
 // TestFromEdgesGolden pins FromEdges bit for bit: CSR contents, levels and
@@ -69,36 +72,32 @@ func fromEdgesGoldenCases() (names []string, ns []int, lists [][][2]int32) {
 // committed table, which was generated before FromEdges was moved onto
 // the Builder's CSR fill, peel and cycle break.
 func TestFromEdgesGolden(t *testing.T) {
-	names, ns, lists := fromEdgesGoldenCases()
-	var sb strings.Builder
+	golden, err := os.ReadFile(fromEdgesGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	cases := fromEdgesGoldenCases()
+	if len(want) != len(cases) {
+		t.Fatalf("%s has %d rows for %d cases", fromEdgesGoldenPath, len(want), len(cases))
+	}
 	cyclic := 0
-	for i, edges := range lists {
-		d, err := FromEdges(ns[i], edges)
+	for i, c := range cases {
+		d, err := FromEdges(c.n, c.edges)
 		if err != nil {
-			t.Fatalf("%s: %v", names[i], err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if err := d.Validate(); err != nil {
-			t.Fatalf("%s: %v", names[i], err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if d.RemovedEdges > 0 {
 			cyclic++
 		}
-		fmt.Fprintf(&sb, "%s %s\n", names[i], fromEdgesDigest(d, len(edges)))
-	}
-	if cyclic < len(lists)/3 {
-		t.Fatalf("only %d of %d cases exercise the cycle break", cyclic, len(lists))
-	}
-	want, err := os.ReadFile(fromEdgesGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("row %d differs from %s:\n got  %s\n want %s", i+1, fromEdgesGoldenPath, gl[i], strings.Join(wl[i:min(i+1, len(wl))], ""))
-			}
+		if got := c.name + " " + fromEdgesDigest(d, len(c.edges)); got != want[i] {
+			t.Errorf("row %d of %s:\n got  %s\n want %s", i+1, fromEdgesGoldenPath, got, want[i])
 		}
-		t.Fatalf("%s has %d rows, regenerated %d", fromEdgesGoldenPath, len(wl)-1, len(gl)-1)
+	}
+	if cyclic < len(cases)/3 {
+		t.Fatalf("only %d of %d cases exercise the cycle break", cyclic, len(cases))
 	}
 }

@@ -82,7 +82,7 @@ func NewFamily(m *mesh.Mesh) *Family { return &Family{Skel: NewSkeleton(m)} }
 
 // BuildAll induces the DAGs for every direction over the family's
 // skeleton, recycling the family's DAG storage (see the type comment).
-// Workers bounds the parallelism as in BuildAllWorkers; the result is
+// Workers bounds the parallelism as in BuildAllInto; the result is
 // identical for every worker count.
 func (f *Family) BuildAll(dirs []geom.Vec3, workers int) []*DAG {
 	if cap(f.dags) < len(dirs) {

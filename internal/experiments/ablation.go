@@ -68,16 +68,9 @@ func AblateDelayRange(cfg Config) error {
 	return cfg.render(tbl)
 }
 
-// delayedLevelPriorities builds Γ(v,i) = level_i(v) + X_i with X_i drawn
-// uniformly from {0..delayRange-1}.
-func delayedLevelPriorities(inst *sched.Instance, delayRange int, r *rng.Source) sched.Priorities {
-	prio := make(sched.Priorities, inst.NTasks())
-	delayedLevelPrioritiesInto(prio, inst, delayRange, r)
-	return prio
-}
-
-// delayedLevelPrioritiesInto fills a caller-provided priority slice; trial
-// loops pass the workspace's PrioBuf.
+// delayedLevelPrioritiesInto fills Γ(v,i) = level_i(v) + X_i, X_i drawn
+// uniformly from {0..delayRange-1}, into a caller-provided priority slice;
+// trial loops pass the workspace's PrioBuf.
 func delayedLevelPrioritiesInto(prio sched.Priorities, inst *sched.Instance, delayRange int, r *rng.Source) {
 	if delayRange < 1 {
 		delayRange = 1

@@ -95,10 +95,3 @@ func NewAABB(pts ...Vec3) AABB {
 
 // Extent returns the box dimensions (Max - Min).
 func (b AABB) Extent() Vec3 { return b.Max.Sub(b.Min) }
-
-// Contains reports whether p lies inside the closed box.
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}

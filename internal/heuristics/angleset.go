@@ -16,36 +16,11 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// LevelAnglesetPrioritiesInto fills aggregate level priorities (len =
-// n·len(groups)): angleset a's segment holds its representative DAG's
-// levels. The per-angleset fills run on up to workers goroutines.
-func LevelAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, groups [][]int32, workers int) {
-	fillSegments(prio, inst, nil, groups, workers, levelFill)
-}
-
 // DescendantAnglesetPrioritiesInto fills aggregate descendant
 // priorities: angleset a's segment holds the (negated) descendant
 // counts of its representative DAG.
 func DescendantAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, groups [][]int32, workers int) {
 	fillSegments(prio, inst, nil, groups, workers, descendantFill)
-}
-
-// DFDSAnglesetPrioritiesInto fills aggregate DFDS priorities computed
-// on each angleset's representative DAG.
-func DFDSAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, workers int) {
-	fillSegments(prio, inst, assign, groups, workers, dfdsFill)
-}
-
-// RunAngleset executes the named scheduler angleset-aggregated, drawing
-// a pooled workspace. See RunAnglesetInto.
-func RunAngleset(name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (*sched.Schedule, error) {
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	dst := &sched.Schedule{}
-	if err := RunAnglesetInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // RunAnglesetInto is the angleset-aggregated counterpart of RunInto:

@@ -24,6 +24,17 @@ func hexInstance(t testing.TB, nx, k, m int) *sched.Instance {
 	return inst
 }
 
+// runAngleset is RunAnglesetInto on a pooled workspace and a new schedule.
+func runAngleset(name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (*sched.Schedule, error) {
+	ws := sched.GetWorkspace(inst)
+	defer ws.Release()
+	dst := &sched.Schedule{}
+	if err := RunAnglesetInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // TestRunAnglesetMatchesPerDirectionOnHex: on a regular hex mesh every
 // octant's member DAGs are identical, so the representative priorities
 // ARE the per-direction priorities and the aggregated runner must
@@ -38,7 +49,7 @@ func TestRunAnglesetMatchesPerDirectionOnHex(t *testing.T) {
 	r := rng.New(3)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	for _, name := range []Name{Level, Descendant, DFDS} {
-		got, err := RunAngleset(name, inst, assign, groups, rng.New(1), 1)
+		got, err := runAngleset(name, inst, assign, groups, rng.New(1), 1)
 		if err != nil {
 			t.Fatalf("%s aggregated: %v", name, err)
 		}
@@ -71,7 +82,7 @@ func TestRunAnglesetAllValid(t *testing.T) {
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	names := []Name{RandomDelaysPriority, Level, LevelDelays, Descendant, DescendantDelays, DFDS, DFDSDelays}
 	for _, name := range names {
-		s, err := RunAngleset(name, inst, assign, groups, rng.New(21), 2)
+		s, err := runAngleset(name, inst, assign, groups, rng.New(21), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,7 +92,7 @@ func TestRunAnglesetAllValid(t *testing.T) {
 		if err := verify.Schedule(inst, s, verify.Opts{Anglesets: groups}); err != nil {
 			t.Fatalf("%s: angleset audit: %v", name, err)
 		}
-		again, err := RunAngleset(name, inst, assign, groups, rng.New(21), 2)
+		again, err := runAngleset(name, inst, assign, groups, rng.New(21), 2)
 		if err != nil {
 			t.Fatalf("%s rerun: %v", name, err)
 		}
@@ -104,14 +115,14 @@ func TestRunAnglesetRejects(t *testing.T) {
 	r := rng.New(4)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	for _, name := range []Name{RandomDelays, ImprovedDelays} {
-		if _, err := RunAngleset(name, inst, assign, groups, r, 1); err == nil {
+		if _, err := runAngleset(name, inst, assign, groups, r, 1); err == nil {
 			t.Fatalf("%s accepted aggregated execution", name)
 		}
 	}
-	if _, err := RunAngleset(Name("nope"), inst, assign, groups, r, 1); err == nil {
+	if _, err := runAngleset(Name("nope"), inst, assign, groups, r, 1); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if _, err := RunAngleset(Level, inst, assign, [][]int32{{0}}, r, 1); err == nil {
+	if _, err := runAngleset(Level, inst, assign, [][]int32{{0}}, r, 1); err == nil {
 		t.Fatal("partial partition accepted")
 	}
 }

@@ -80,16 +80,6 @@ func (m *Mesh) Degree(c int) int {
 	return int(m.adjStart[c+1] - m.adjStart[c])
 }
 
-// OutNormal returns the unit normal of face f oriented away from cell c,
-// which must be one of the face's two cells.
-func (m *Mesh) OutNormal(f int, c int32) geom.Vec3 {
-	face := &m.Faces[f]
-	if face.C0 == c {
-		return face.Normal
-	}
-	return face.Normal.Scale(-1)
-}
-
 // buildAdjacency fills the CSR adjacency arrays from m.Faces. Interior faces
 // contribute one entry in each direction.
 func (m *Mesh) buildAdjacency() {

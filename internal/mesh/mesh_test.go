@@ -57,21 +57,6 @@ func TestTwoTetsStructure(t *testing.T) {
 	}
 }
 
-func TestOutNormalFlips(t *testing.T) {
-	m := twoTets()
-	var shared int
-	for i, f := range m.Faces {
-		if f.C1 != NoCell {
-			shared = i
-		}
-	}
-	n0 := m.OutNormal(shared, m.Faces[shared].C0)
-	n1 := m.OutNormal(shared, m.Faces[shared].C1)
-	if n0.Add(n1).Norm() > 1e-12 {
-		t.Fatalf("OutNormal not antisymmetric: %v vs %v", n0, n1)
-	}
-}
-
 func TestKuhnBoxCounts(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 5, 5}} {
 		m := KuhnBox(BoxSpec{NX: dims[0], NY: dims[1], NZ: dims[2]})

@@ -9,7 +9,6 @@ package opt
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sweepsched/internal/sched"
 )
@@ -160,6 +159,3 @@ func TrueRatio(s *sched.Schedule) (float64, error) {
 	}
 	return float64(s.Makespan) / float64(optimal), nil
 }
-
-// popcount is exposed for tests.
-func popcount(x uint32) int { return bits.OnesCount32(x) }

@@ -222,12 +222,6 @@ func TestAlgorithmsNeverBeatOPT(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	if popcount(0b1011) != 3 {
-		t.Fatal("popcount broken")
-	}
-}
-
 func BenchmarkExactTiny(b *testing.B) {
 	dags, err := synth.LayeredRandom(5, 3, 2, 1)
 	if err != nil {

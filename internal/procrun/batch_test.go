@@ -237,9 +237,8 @@ func FuzzFluxBatchCodec(f *testing.F) {
 // the observed traffic. The batched variant is the default interconnect;
 // the unbatched one pays one fFlux frame per logical message. The smoke
 // default is a small instance; `make bench-comm` sets
-// SWEEPSCHED_BENCH_COMM_FULL=1 for the BENCH_PR3 instance scale (~3.1k
-// tet cells, k=24, m=32 — minutes of wall clock, recorded in
-// BENCH_PR10.json).
+// SWEEPSCHED_BENCH_COMM_FULL=1 for the kernel benchmarks' instance scale
+// (~3.1k tet cells, k=24, m=32 — minutes of wall clock).
 func benchProcRunComm(b *testing.B, noBatch bool) {
 	spec := ProblemSpec{Family: "tetonly", Scale: 0.02, MeshSeed: 1, K: 8, M: 8}
 	if os.Getenv("SWEEPSCHED_BENCH_COMM_FULL") != "" {

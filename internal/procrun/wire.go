@@ -171,12 +171,6 @@ func (e *enc) i32s(vs []int32) {
 		e.i32(v)
 	}
 }
-func (e *enc) tasks(ts []sched.TaskID) {
-	e.u32(uint32(len(ts)))
-	for _, t := range ts {
-		e.i32(int32(t))
-	}
-}
 func (e *enc) bools(bs []bool) {
 	e.u32(uint32(len(bs)))
 	bits := make([]byte, (len(bs)+7)/8)
@@ -263,18 +257,6 @@ func (d *dec) i32s() []int32 {
 		vs[i] = d.i32()
 	}
 	return vs
-}
-func (d *dec) tasks() []sched.TaskID {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+4*n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	ts := make([]sched.TaskID, n)
-	for i := range ts {
-		ts[i] = sched.TaskID(d.i32())
-	}
-	return ts
 }
 func (d *dec) bools() []bool {
 	n := int(d.u32())

@@ -155,14 +155,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes xs in place using the Fisher-Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // sqrt and ln are tiny local implementations so that this package has zero
 // dependencies beyond math/bits; they are only used by NormFloat64, which is
 // not on any hot path.

@@ -220,19 +220,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(19)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d: %v", v, xs)
-		}
-		seen[v] = true
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(23)
 	const draws = 200000

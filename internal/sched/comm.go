@@ -49,11 +49,3 @@ func ValidateComm(s *Schedule, commDelay int) error {
 	}
 	return nil
 }
-
-// RealizedMakespan returns the end-to-end time of a schedule when every
-// computation step is followed by an explicit synchronous communication
-// round of the C2 model: makespan + C2. This is the "both objectives at
-// once" cost the two measures of §5 bracket.
-func RealizedMakespan(s *Schedule) int64 {
-	return int64(s.Makespan) + C2(s, 0)
-}

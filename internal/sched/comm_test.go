@@ -181,14 +181,3 @@ func TestCommDelayFavorsBlockAssignment(t *testing.T) {
 		t.Fatalf("clustered (%d) not better than random (%d) at c=%d", sClus.Makespan, sRand.Makespan, c)
 	}
 }
-
-func TestRealizedMakespan(t *testing.T) {
-	inst := chainInstance(t, 4, 2)
-	s, err := ListSchedule(inst, Assignment{0, 1, 0, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RealizedMakespan(s); got != int64(s.Makespan)+C2(s, 0) {
-		t.Fatalf("RealizedMakespan = %d", got)
-	}
-}

@@ -536,8 +536,7 @@ func BenchmarkListScheduleWeighted(b *testing.B) {
 }
 
 // BenchmarkWeightedKernel measures the warm Into kernel (recycled
-// workspace and destination — the BENCH_PR9.json configuration, with its
-// 0 allocs/op contract) on the uniform machine and on a heterogeneous
+// workspace and destination, with its 0 allocs/op contract) on the uniform machine and on a heterogeneous
 // one with mixed speeds and two delay-charged locality groups.
 func BenchmarkWeightedKernel(b *testing.B) {
 	inst := testInstance(b, 6, 24, 32, 1)

@@ -130,9 +130,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Collector returns the server-wide metrics collector.
 func (s *Server) Collector() *obs.Collector { return s.col }
 

@@ -85,9 +85,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, cells)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // textCell formats a value for the aligned text renderer: floats at 4
 // significant digits, everything else with %v.
 func textCell(c interface{}) string {

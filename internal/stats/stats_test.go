@@ -65,9 +65,6 @@ func TestTableRender(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
-	}
 }
 
 func TestTableRenderCSV(t *testing.T) {

@@ -59,16 +59,6 @@ func Compute(s *sched.Schedule) Profile {
 	return p
 }
 
-// StepLoads returns the number of tasks running at every step — the width
-// profile of the executed schedule.
-func StepLoads(s *sched.Schedule) []int {
-	loads := make([]int, s.Makespan)
-	for _, st := range s.Start {
-		loads[st]++
-	}
-	return loads
-}
-
 // UtilizationHistogram buckets processors by utilization decile and returns
 // the 10 counts ([0-10%), [10-20%), ..., [90-100%]).
 func UtilizationHistogram(s *sched.Schedule) [10]int {
@@ -157,12 +147,4 @@ func RenderGantt(w io.Writer, s *sched.Schedule, maxProcs, maxCols int) error {
 		}
 	}
 	return nil
-}
-
-// CompareIdle reports the idle-slot counts of two schedules over the same
-// instance — the quantity Algorithm 2's compaction removes relative to
-// Algorithm 1 (§4.2 "idle times needlessly increase the makespan").
-func CompareIdle(a, b *sched.Schedule) (idleA, idleB int) {
-	pa, pb := Compute(a), Compute(b)
-	return pa.IdleSteps, pb.IdleSteps
 }

@@ -55,24 +55,6 @@ func TestComputeConservation(t *testing.T) {
 	}
 }
 
-func TestStepLoadsSumToTasks(t *testing.T) {
-	s := testSchedule(t, 4)
-	loads := StepLoads(s)
-	if len(loads) != s.Makespan {
-		t.Fatalf("loads length %d != makespan %d", len(loads), s.Makespan)
-	}
-	sum := 0
-	for _, l := range loads {
-		if l < 0 || l > 4 {
-			t.Fatalf("step load %d out of [0,4]", l)
-		}
-		sum += l
-	}
-	if sum != s.Inst.NTasks() {
-		t.Fatalf("loads sum %d != tasks %d", sum, s.Inst.NTasks())
-	}
-}
-
 func TestUtilizationHistogramCoversProcs(t *testing.T) {
 	s := testSchedule(t, 8)
 	hist := UtilizationHistogram(s)
@@ -144,7 +126,7 @@ func TestCompareIdleAlg1VsAlg2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle1, idle2 := CompareIdle(s1, s2)
+	idle1, idle2 := Compute(s1).IdleSteps, Compute(s2).IdleSteps
 	if idle2 > idle1 {
 		t.Fatalf("compacted schedule has more idle (%d) than layered (%d)", idle2, idle1)
 	}

@@ -136,13 +136,12 @@ func TestFaultTolerantBatchedMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// benchCommSchedule builds the BENCH_PR3-scale instance (KuhnBox 8x8x8
+// benchCommSchedule builds the kernel benchmarks' instance (KuhnBox 8x8x8
 // jittered tets, k=24 directions, m=32 processors) under the named
 // scheduler. The headline bench-comm numbers use the paper's basic
 // random-delay scheduler; priorities variants start consumers sooner
 // after their producers, which narrows the batching window (the
-// reduction ratio is schedule-dependent by design — see BENCH_PR10.json
-// for both).
+// reduction ratio is schedule-dependent by design).
 func benchCommSchedule(b testing.TB, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) *sched.Schedule {
 	b.Helper()
 	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 8, NY: 8, NZ: 8, Jitter: 0.15, Seed: 1})
