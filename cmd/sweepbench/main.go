@@ -127,9 +127,7 @@ func main() {
 	case "all":
 		names = experiments.Names()
 	case "paper":
-		// Just the artifacts the paper itself plots or states.
-		names = []string{"fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c",
-			"speedup", "guarantee", "blocks"}
+		names = experiments.Paper()
 	}
 	for _, name := range names {
 		start := time.Now()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sweepsched/internal/core"
@@ -11,130 +12,108 @@ import (
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/simulate"
-	"sweepsched/internal/stats"
 )
 
-func init() {
-	Registry["accept"] = Accept
-}
-
-// Accept runs the machine-checkable acceptance criteria distilled from the
-// paper's qualitative claims (the DESIGN.md §4 criteria), prints one
-// PASS/FAIL row per criterion and returns an *AcceptError naming those that
-// failed. It picks processor counts adaptively so the checks remain
-// meaningful at any -scale (the claims implicitly assume nk/m stays well
-// above the critical path, which fixed m would violate on scaled-down
-// meshes).
-func Accept(cfg Config) error {
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(cfg.Out, "# accept: machine-checkable paper claims at scale %g\n", cfg.Scale)
-	tbl := stats.NewTable("id", "criterion", "measured", "threshold", "pass")
-	var failed []string
-	check := func(id, desc string, measured float64, threshold float64, pass bool) {
-		tbl.AddRow(id, desc, measured, threshold, pass)
-		if !pass {
-			failed = append(failed, id)
-		}
+// acceptRows measures the machine-checkable acceptance criteria distilled
+// from the paper's qualitative claims (the DESIGN.md §4 criteria), one
+// row per criterion: id, criterion, measured, threshold, pass. It picks
+// processor counts adaptively so the checks remain meaningful at any
+// -scale (the claims implicitly assume nk/m stays well above the critical
+// path, which fixed m would violate on scaled-down meshes).
+func acceptRows(g *group) ([]*point, error) {
+	cfg := g.cfg
+	var pts []*point
+	check := func(id, desc string, measured, threshold float64, pass bool) {
+		pts = append(pts, &point{g: g, cells: []any{id, desc, measured, threshold, pass}})
 	}
 
-	// A1: Algorithm 2 ratio ≤ 3 on every mesh family (load-bound regime).
+	// A1: Algorithm 2 ratio ≤ 3 on every mesh family (load-bound regime),
+	// averaged over the trials by the evaluator's own row.
+	a1 := &figure{runs: []run{{seed: mixed(0xaa1), do: alg(core.RandomDelayPriorities)}}, cols: []col{{metric: ratio}}}
 	worstA1 := 0.0
 	for _, name := range mesh.FamilyNames() {
 		w, err := NewWorkload(cfg, name, 24)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		m := loadBoundProcs(w, cfg.Procs)
-		inst, err := w.Instance(m)
+		cells, err := a1.row(&point{g: &group{cfg: cfg, w: w}, m: loadBoundProcs(w, cfg.Procs)})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		_, ratio, err := meanMakespanRatio(cfg, inst, 0xaa1, func(r *rng.Source) (*sched.Schedule, error) {
-			return core.RandomDelayPriorities(inst, r)
-		})
-		if err != nil {
-			return err
-		}
-		if ratio > worstA1 {
-			worstA1 = ratio
-		}
+		worstA1 = max(worstA1, cells[0].(float64))
 	}
 	check("A1", "alg2 ratio <= 3 on all meshes", worstA1, 3, worstA1 <= 3)
 
 	// Shared workload for the remaining checks.
 	w, err := NewWorkload(cfg, "tetonly", 24)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mMid := loadBoundProcs(w, cfg.Procs)
 	inst, err := w.Instance(mMid)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r := rng.New(cfg.Seed ^ 0xacce97)
 
 	// A2: block partitioning cuts C1 by ≥ 2x at ≤ 3x makespan. The cut
 	// grows with block size (roughly surface/volume ≈ bs^(1/3)), so keep
 	// blocks at least 16 cells while still giving every processor several
-	// blocks.
-	bs := w.Mesh.NCells() / (8 * mMid)
-	if bs < 16 {
-		bs = 16
-	}
+	// blocks. A3: priorities never lose to layered execution (same
+	// randomness).
+	bs := max(16, w.Mesh.NCells()/(8*mMid))
 	cellAssign, err := w.Assignment(1, mMid, r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blockAssign, err := w.Assignment(bs, mMid, r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sCell, err := core.RandomDelayPrioritiesWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa2))
-	if err != nil {
-		return err
+	var s [4]*sched.Schedule // A2's cell and block plans, A3's layered and compacted
+	for i, c := range []struct {
+		alg    func(*sched.Instance, sched.Assignment, *rng.Source) (*sched.Schedule, error)
+		assign sched.Assignment
+		tag    uint64
+	}{
+		{core.RandomDelayPrioritiesWithAssignment, cellAssign, 0xa2},
+		{core.RandomDelayPrioritiesWithAssignment, blockAssign, 0xa2},
+		{core.RandomDelayWithAssignment, cellAssign, 0xa3},
+		{core.RandomDelayPrioritiesWithAssignment, cellAssign, 0xa3},
+	} {
+		if s[i], err = c.alg(inst, c.assign, rng.New(cfg.Seed^c.tag)); err != nil {
+			return nil, err
+		}
 	}
-	sBlock, err := core.RandomDelayPrioritiesWithAssignment(inst, blockAssign, rng.New(cfg.Seed^0xa2))
-	if err != nil {
-		return err
-	}
-	c1Cell, c1Block := sched.C1(inst, cellAssign, cfg.Workers), sched.C1(inst, blockAssign, cfg.Workers)
-	cut := float64(c1Cell) / float64(c1Block)
+	cut := float64(sched.C1(inst, cellAssign, cfg.Workers)) / float64(sched.C1(inst, blockAssign, cfg.Workers))
 	check("A2a", "block cuts C1 by >= 2x", cut, 2, cut >= 2)
-	growth := float64(sBlock.Makespan) / float64(sCell.Makespan)
+	growth := float64(s[1].Makespan) / float64(s[0].Makespan)
 	check("A2b", "block makespan growth <= 3x", growth, 3, growth <= 3)
-
-	// A3: priorities never lose to layered execution (same randomness).
-	sRD, err := core.RandomDelayWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
-	if err != nil {
-		return err
-	}
-	sRDP, err := core.RandomDelayPrioritiesWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
-	if err != nil {
-		return err
-	}
-	adv := float64(sRD.Makespan) / float64(sRDP.Makespan)
+	adv := float64(s[2].Makespan) / float64(s[3].Makespan)
 	check("A3", "alg2 makespan <= alg1 makespan", adv, 1, adv >= 1)
 
 	// A4: C2 <= C1 (per-step maxima cannot exceed the total edge count).
+	sRDP := s[3]
 	met := sched.Measure(sRDP, cfg.Workers)
 	check("A4", "C2 <= C1", float64(met.C2), float64(met.C1), met.C2 <= met.C1)
 
 	// A5: DFDS and alg2 within 35% of each other at small m.
-	instSmall, err := w.Instance(minProcs(cfg.Procs))
+	mSmall := slices.Min(cfg.Procs)
+	instSmall, err := w.Instance(mSmall)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	smallAssign, err := w.Assignment(bs, minProcs(cfg.Procs), rng.New(cfg.Seed^0xa5))
+	smallAssign, err := w.Assignment(bs, mSmall, rng.New(cfg.Seed^0xa5))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sD, err := heuristics.Run(heuristics.DFDS, instSmall, smallAssign, rng.New(cfg.Seed^0xa51), cfg.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sR, err := heuristics.Run(heuristics.RandomDelaysPriority, instSmall, smallAssign, rng.New(cfg.Seed^0xa52), cfg.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	gap := lb.Ratio(sR.Makespan, instSmall) / lb.Ratio(sD.Makespan, instSmall)
 	check("A5", "alg2/dfds ratio gap at small m <= 1.35", gap, 1.35, gap <= 1.35)
@@ -142,24 +121,39 @@ func Accept(cfg Config) error {
 	// A6: simulator replay agrees with analytic metrics.
 	sim, err := simulate.Run(sRDP)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	agree := sim.Steps == sRDP.Makespan && sim.TotalMessages == met.C1 && sim.CommRounds == met.C2
 	check("A6", "simulator replay matches metrics", b2f(agree), 1, agree)
+	return pts, nil
+}
 
-	if err := cfg.render(tbl); err != nil {
-		return err
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// acceptVerdict prints the verdict line under the table and returns an
+// *AcceptError naming the criteria that failed.
+func acceptVerdict(c Config, rows [][]any) error {
+	var failed []string
+	for _, row := range rows {
+		if !row[4].(bool) {
+			failed = append(failed, row[0].(string))
+		}
 	}
 	if len(failed) > 0 {
-		fmt.Fprintln(cfg.Out, "ACCEPT: FAILURES above")
+		fmt.Fprintln(c.Out, "ACCEPT: FAILURES above")
 		return &AcceptError{Failed: failed}
 	}
-	_, err = fmt.Fprintln(cfg.Out, "ACCEPT: all criteria passed")
+	_, err := fmt.Fprintln(c.Out, "ACCEPT: all criteria passed")
 	return err
 }
 
-// AcceptError is Accept's verdict when the paper's claims do not all hold:
-// the ids of the criteria that failed, in table order.
+// AcceptError is the accept experiment's verdict when the paper's claims
+// do not all hold: the ids of the criteria that failed, in table order.
 type AcceptError struct{ Failed []string }
 
 func (e *AcceptError) Error() string {
@@ -172,9 +166,7 @@ func (e *AcceptError) Error() string {
 func loadBoundProcs(w *Workload, procs []int) int {
 	d := 0
 	for _, g := range w.DAGs {
-		if g.NumLevels > d {
-			d = g.NumLevels
-		}
+		d = max(d, g.NumLevels)
 	}
 	nk := w.Mesh.NCells() * w.K
 	best := procs[0]
@@ -184,21 +176,4 @@ func loadBoundProcs(w *Workload, procs []int) int {
 		}
 	}
 	return best
-}
-
-func minProcs(procs []int) int {
-	min := procs[0]
-	for _, m := range procs {
-		if m < min {
-			min = m
-		}
-	}
-	return min
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -12,7 +12,7 @@ import (
 // sweep still leaves loadBoundProcs a load-bound machine to pick.
 func TestAcceptPaperCriteria(t *testing.T) {
 	var out strings.Builder
-	if err := Accept(Config{Scale: 0.02, Seed: 1, Trials: 3, Out: &out}); err != nil {
+	if err := Run("accept", Config{Scale: 0.02, Seed: 1, Trials: 3, Out: &out}); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "ACCEPT: all criteria passed") {
@@ -22,11 +22,11 @@ func TestAcceptPaperCriteria(t *testing.T) {
 
 // TestAcceptReturnsTheFailedCriteria: 512 processors for a mesh of ~150
 // cells is far outside the load-bound regime the claims assume, so the
-// ratio criteria fail — and Accept must say so with an error that names
+// ratio criteria fail — and the experiment must say so with an error that names
 // them, not only in the table.
 func TestAcceptReturnsTheFailedCriteria(t *testing.T) {
 	var out strings.Builder
-	err := Accept(Config{Scale: 0.005, Seed: 1, Trials: 1, Procs: []int{512}, Out: &out})
+	err := Run("accept", Config{Scale: 0.005, Seed: 1, Trials: 1, Procs: []int{512}, Out: &out})
 	var ae *AcceptError
 	if !errors.As(err, &ae) {
 		t.Fatalf("got %v, want an *AcceptError\n%s", err, out.String())

@@ -1,16 +1,16 @@
 // Package experiments reproduces every figure and headline observation of
-// the paper's empirical study (§5). Each experiment has a registered
-// runner that generates the workload (synthetic analogue of the paper's
-// mesh, see internal/mesh), runs the schedulers, and prints the same
-// series the paper plots. EXPERIMENTS.md records the qualitative
-// paper-vs-measured comparison; cmd/sweepbench and the benchmarks in
-// bench_test.go drive the same runners.
+// the paper's empirical study (§5). Each experiment is a figure, a value in
+// one sorted table (figures.go): the rows it sweeps, the randomized calls
+// each row makes with their seed rules, and the columns read off them. One
+// evaluator runs them all, and testdata/experiments_golden.txt pins every
+// table. EXPERIMENTS.md records the paper-vs-measured comparison.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"sweepsched/internal/dag"
@@ -18,6 +18,7 @@ import (
 	"sweepsched/internal/lb"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
+	"sweepsched/internal/par"
 	"sweepsched/internal/partition"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -41,53 +42,34 @@ type Config struct {
 	Out io.Writer
 	// CSV switches table rendering from aligned text to CSV rows.
 	CSV bool
-	// Workers bounds the parallelism inside an experiment — both row
-	// evaluation and the per-direction pipeline stages (priorities,
-	// C1/C2 accumulation) of each run (0 = GOMAXPROCS). Output is
-	// identical regardless.
+	// Workers bounds the parallelism of row evaluation and of each run's
+	// per-direction stages (0 = GOMAXPROCS). Output is identical regardless.
 	Workers int
 	// Verify audits schedules an experiment produces with
 	// internal/verify and fails the experiment on the first violation.
 	// The SWEEPSCHED_VERIFY environment variable forces it on.
 	Verify bool
-	// VerifyEvery samples the audit when Verify is on: only every Nth
-	// trial (trial indices 0, N, 2N, ...) is verified, so long sweeps can
-	// keep an always-on audit at a fraction of its serial recomputation
-	// cost. 0 or 1 audits every trial (the historical behavior). Sampled
-	// and skipped audits are counted separately in the Collector
-	// ("experiments.verified", "experiments.verify_skipped").
+	// VerifyEvery samples the audit: only trials 0, N, 2N, ... are
+	// verified (0 or 1: every trial). The Collector counts audited and
+	// skipped trials ("experiments.verified", "experiments.verify_skipped").
 	VerifyEvery int
 	// Collector, when non-nil, accumulates trial counters and stage
 	// timings across the experiment's runs.
 	Collector *obs.Collector
 	// Speeds, when non-empty, gives the weighted experiment a
-	// heterogeneous machine: the pattern is cycled over each processor
-	// count (so "1,2,4" on m=8 yields speeds 1,2,4,1,2,4,1,2). Entries
-	// must be positive. Empty means the uniform machine.
+	// heterogeneous machine: the positive pattern cycled over each m ("1,2,4"
+	// on m=8 is 1,2,4,1,2,4,1,2). Empty means the uniform machine.
 	Speeds []int32
 	// WeightSeed, when non-zero, overrides the weighted experiment's
 	// cell-cost draw seed (default: derived from Seed).
 	WeightSeed uint64
 	// NoBatch runs the comm experiment on the per-message oracle
-	// interconnect only (transport.Config.NoBatch), reporting its raw
-	// traffic instead of the batched-vs-oracle comparison. Other
-	// experiments ignore it — they run no communicating executor.
+	// interconnect only, reporting its raw traffic. Others ignore it.
 	NoBatch bool
-	// Anglesets > 0 runs the Figure 3 heuristic-ratio harness with
-	// angleset aggregation: directions are partitioned into about this
-	// many sign-homogeneous anglesets and priorities are computed once
-	// per angleset on representative DAGs (see internal/heuristics).
-	// Audited trials additionally pass the aggregated-schedule audit.
+	// Anglesets > 0 runs the Figure 3 panels angleset-aggregated: priorities
+	// once per sign-homogeneous angleset (about this many), audited as such.
 	// 0 keeps the per-direction pipeline.
 	Anglesets int
-}
-
-// render writes a finished table in the configured format.
-func (c Config) render(tbl *stats.Table) error {
-	if c.CSV {
-		return tbl.RenderCSV(c.Out)
-	}
-	return tbl.Render(c.Out)
 }
 
 func (c Config) withDefaults() Config {
@@ -118,42 +100,292 @@ func (c Config) auditTrial(trial int) bool {
 	return c.Verify && trial%c.VerifyEvery == 0
 }
 
-// Runner executes one experiment.
-type Runner func(Config) error
+// audit checks one trial's schedule, unit-step or weighted, when the
+// sampling picks its trial index, and counts audited and skipped trials.
+func (c Config) audit(s *sample, trial int) error {
+	switch {
+	case !c.Verify || s.s == nil && s.w == nil:
+		return nil
+	case !c.auditTrial(trial):
+		c.Collector.Counter("experiments.verify_skipped").Inc()
+		return nil
+	}
+	var err error
+	if s.w != nil {
+		err = verify.Weighted(s.w.Inst, s.w)
+	} else {
+		err = verify.Schedule(nil, s.s, s.opts)
+	}
+	if err == nil {
+		c.Collector.Counter("experiments.verified").Inc()
+	}
+	return err
+}
 
-// Registry maps experiment ids (the DESIGN.md per-experiment index) to
-// runners.
-var Registry = map[string]Runner{
-	"fig2a":     Fig2a,
-	"fig2b":     Fig2b,
-	"fig2c":     Fig2c,
-	"fig3a":     Fig3a,
-	"fig3b":     Fig3b,
-	"fig3c":     Fig3c,
-	"speedup":   Speedup,
-	"guarantee": Guarantee,
-	"blocks":    BlockTradeoff,
-	"improved":  Improved,
-	"kba":       KBARegular,
+// figure is one experiment as a value: its table's title, a row axis,
+// the randomized calls (runs) each row makes and the columns read off
+// them.
+type figure struct {
+	id, title string
+	paper     bool                 // the paper plots or states it (sweepbench -exp paper)
+	args      func(g *group) []any // the title's arguments, from the first group
+
+	// The row axis: one group per mesh × k (a workload each, built when
+	// its rows run; one group without one if meshes is nil), and in each
+	// group the rows lists, by default one per processor count.
+	meshes []string
+	ks     []int
+	rows   func(g *group) ([]*point, error)
+
+	runs  []run
+	cols  []col
+	worst int // > 0: a group's rows fold into the one largest in this column (worst over m)
+
+	noBatch *figure                            // run instead under Config.NoBatch
+	verdict func(c Config, rows [][]any) error // after the table
+}
+
+// run is one randomized call a figure's columns measure: a scheduler or
+// kernel on an assignment policy, made Trials times (once if once) from
+// the seed its rule gives each trial.
+type run struct {
+	seed func(p *point, trial int) uint64
+	once bool
+	do   func(p *point, seed uint64) (*sample, error)
+}
+
+// sample is what one trial produced: the schedule the audit checks
+// (unit-step with the audit's options, or weighted), and the values of a
+// run that measures something else.
+type sample struct {
+	s    *sched.Schedule
+	opts verify.Opts
+	w    *sched.WeightedSchedule
+	v    []float64
+}
+
+// measure returns the schedule's makespan, C1 and C2, computed once; the
+// audit cross-checks them.
+func (s *sample) measure(p *point) sched.Metrics {
+	if s.opts.Metrics == nil {
+		met := sched.Measure(s.s, p.g.cfg.Workers)
+		s.opts.Metrics = &met
+	}
+	return *s.opts.Metrics
+}
+
+// col is one column: a metric of one run's samples, averaged over its
+// trials (truncated if whole), or a cell computed from the row's point
+// and the row's averages.
+type col struct {
+	name   string
+	run    int
+	metric func(p *point, s *sample) float64
+	whole  bool
+	cell   func(p *point, v []float64) any
+}
+
+// group is one workload of a figure's row axis and what its rows share.
+type group struct {
+	cfg     Config
+	mesh    string
+	k       int
+	w       *Workload
+	bs      int               // commdelay's block size
+	s       *sched.Schedule   // resilience's schedule
+	weights sched.CellWeights // weighted's cell costs
+}
+
+// point is one row: its place on the axis and what its runs schedule.
+type point struct {
+	g      *group
+	m, x   int // processors; the swept value or the row's variant
+	inst   *sched.Instance
+	assign sched.Assignment // weighted's fixed assignment, model and bounds
+	model  *sched.MachineModel
+	bounds lb.WeightedBounds
+	cells  []any // a row given whole (accept, weighted's skipped m)
 }
 
 // Names returns the experiment ids in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(Registry))
-	for n := range Registry {
-		names = append(names, n)
+	names := make([]string, len(figures))
+	for i := range figures {
+		names[i] = figures[i].id
 	}
-	sort.Strings(names)
+	return names
+}
+
+// Paper returns the ids of what the paper itself plots or states.
+func Paper() []string {
+	var names []string
+	for i := range figures {
+		if figures[i].paper {
+			names = append(names, figures[i].id)
+		}
+	}
 	return names
 }
 
 // Run executes the named experiment.
 func Run(name string, cfg Config) error {
-	r, ok := Registry[name]
+	i, ok := slices.BinarySearchFunc(figures, name, func(f figure, id string) int { return strings.Compare(f.id, id) })
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	return r(cfg)
+	return figures[i].eval(cfg.withDefaults())
+}
+
+// eval is the one evaluator. Group by group it builds the workload and
+// the rows, evaluates the rows in parallel and folds them if the figure
+// reduces over m; then it renders the table.
+func (f *figure) eval(cfg Config) error {
+	if cfg.NoBatch && f.noBatch != nil {
+		f = f.noBatch
+	}
+	groups := []*group{{cfg: cfg}}
+	if f.meshes != nil {
+		groups = nil
+		for _, name := range f.meshes {
+			for _, k := range f.ks {
+				groups = append(groups, &group{cfg: cfg, mesh: name, k: k})
+			}
+		}
+	}
+	var all [][]any
+	for gi, g := range groups {
+		var err error
+		if g.mesh != "" {
+			if g.w, err = NewWorkload(cfg, g.mesh, g.k); err != nil {
+				return err
+			}
+		}
+		pts, err := procRows(g)
+		if f.rows != nil {
+			pts, err = f.rows(g)
+		}
+		if err != nil {
+			return err
+		}
+		if gi == 0 {
+			var args []any
+			if f.args != nil {
+				args = f.args(g)
+			}
+			fmt.Fprintf(cfg.Out, "# "+f.title+"\n", args...)
+		}
+		rows, err := par.Map(len(pts), cfg.Workers, func(i int) ([]any, error) { return f.row(pts[i]) })
+		if err != nil {
+			return err
+		}
+		if f.worst > 0 {
+			for _, r := range rows[1:] {
+				if r[f.worst].(float64) > rows[0][f.worst].(float64) {
+					rows[0] = r
+				}
+			}
+			rows = rows[:1]
+		}
+		all = append(all, rows...)
+	}
+	header := make([]string, len(f.cols))
+	for i, c := range f.cols {
+		header[i] = c.name
+	}
+	tbl := stats.NewTable(header...)
+	for _, r := range all {
+		tbl.AddRow(r...)
+	}
+	render := tbl.Render
+	if cfg.CSV {
+		render = tbl.RenderCSV
+	}
+	if err := render(cfg.Out); err != nil || f.verdict == nil {
+		return err
+	}
+	return f.verdict(cfg, all)
+}
+
+// procRows is the default row axis: one row per processor count.
+func procRows(g *group) ([]*point, error) {
+	var pts []*point
+	for _, m := range g.cfg.Procs {
+		pts = append(pts, &point{g: g, m: m})
+	}
+	return pts, nil
+}
+
+// sweep is the row axis of a sweep on a fixed machine: one row per value.
+func sweep(m int, xs ...int) func(*group) ([]*point, error) {
+	return func(g *group) ([]*point, error) {
+		var pts []*point
+		for _, x := range xs {
+			pts = append(pts, &point{g: g, m: m, x: x})
+		}
+		return pts, nil
+	}
+}
+
+// row evaluates one point. It holds the package's only trial loop: each
+// run is made Trials times (once if once) from its seed rule, every
+// sampled trial is audited, and each column's metric is averaged over
+// its run's trials before the cells are computed.
+func (f *figure) row(p *point) ([]any, error) {
+	if p.cells != nil {
+		return p.cells, nil
+	}
+	cfg := p.g.cfg
+	if p.inst == nil && p.g.w != nil && p.m > 0 {
+		inst, err := p.g.w.Instance(p.m)
+		if err != nil {
+			return nil, err
+		}
+		p.inst = inst
+		defer func() { p.inst = nil }() // a row's task graph lives while the row runs
+	}
+	v := make([]float64, len(f.cols))
+	for ri, rn := range f.runs {
+		trials := cfg.Trials
+		if rn.once {
+			trials = 1
+		}
+		for trial := 0; trial < trials; trial++ {
+			var seed uint64
+			if rn.seed != nil {
+				seed = rn.seed(p, trial)
+			}
+			s, err := rn.do(p, seed)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Collector.Counter("experiments.trials").Inc()
+			for ci, c := range f.cols {
+				if c.metric != nil && c.run == ri {
+					v[ci] += c.metric(p, s)
+				}
+			}
+			if err := cfg.audit(s, trial); err != nil {
+				return nil, fmt.Errorf("experiments: %s m=%d trial %d failed the schedule audit: %w", f.id, p.m, trial, err)
+			}
+		}
+		for ci, c := range f.cols {
+			if c.metric != nil && c.run == ri {
+				v[ci] /= float64(trials)
+			}
+		}
+	}
+	cells := make([]any, len(f.cols))
+	for ci, c := range f.cols {
+		switch {
+		case c.cell != nil:
+			cells[ci] = c.cell(p, v)
+		case c.whole:
+			cells[ci] = int64(v[ci])
+		default:
+			cells[ci] = v[ci]
+		}
+	}
+	return cells, nil
 }
 
 // Workload caches a mesh, its direction set and its DAGs so that a
@@ -164,24 +396,15 @@ type Workload struct {
 
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
-	// Family owns the mesh skeleton and the DAG storage; DAGs is its
-	// most recent build. Rebuilding through the family (for example
-	// with a different direction set) recycles the DAG arrays in place,
-	// invalidating DAGs.
+	// Family owns the skeleton and the DAG storage; DAGs is its latest
+	// build, invalidated by the next (which recycles the arrays in place).
 	Family *dag.Family
 	DAGs   []*dag.DAG
 
-	mu         sync.Mutex
-	blockCache map[blockKey]blockPartition
-}
-
-// blockKey identifies a cached block partition. The seed is part of the
-// key: two calls with the same block size but different seeds are
-// independent random partitions, and caching on size alone would hand
-// the second caller the first caller's partition.
-type blockKey struct {
-	size int
-	seed uint64
+	mu sync.Mutex
+	// blocks caches partitions by (block size, seed): two seeds are two
+	// independent random partitions of the same size.
+	blocks map[[2]uint64]blockPartition
 }
 
 type blockPartition struct {
@@ -203,13 +426,13 @@ func NewWorkload(cfg Config, meshName string, k int) (*Workload, error) {
 	}
 	fam := dag.NewFamily(m)
 	return &Workload{
-		MeshName:   meshName,
-		K:          k,
-		Mesh:       m,
-		Dirs:       dirs,
-		Family:     fam,
-		DAGs:       fam.BuildAll(dirs, cfg.Workers),
-		blockCache: map[blockKey]blockPartition{},
+		MeshName: meshName,
+		K:        k,
+		Mesh:     m,
+		Dirs:     dirs,
+		Family:   fam,
+		DAGs:     fam.BuildAll(dirs, cfg.Workers),
+		blocks:   map[[2]uint64]blockPartition{},
 	}, nil
 }
 
@@ -231,8 +454,8 @@ func (w *Workload) Instance(m int) (*sched.Instance, error) {
 func (w *Workload) BlockPartition(blockSize int, seed uint64) ([]int32, int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := blockKey{blockSize, seed}
-	if bp, ok := w.blockCache[key]; ok {
+	key := [2]uint64{uint64(blockSize), seed}
+	if bp, ok := w.blocks[key]; ok {
 		return bp.part, bp.nBlocks, nil
 	}
 	g := partition.FromMesh(w.Mesh)
@@ -240,7 +463,7 @@ func (w *Workload) BlockPartition(blockSize int, seed uint64) ([]int32, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	w.blockCache[key] = blockPartition{part, nBlocks}
+	w.blocks[key] = blockPartition{part, nBlocks}
 	return part, nBlocks, nil
 }
 
@@ -256,39 +479,4 @@ func (w *Workload) Assignment(blockSize, m int, r *rng.Source) (sched.Assignment
 		return nil, err
 	}
 	return sched.BlockAssignment(part, nBlocks, m, r), nil
-}
-
-// meanMakespanRatio runs fn cfg.Trials times and returns the mean makespan
-// and mean ratio to the nk/m lower bound.
-func meanMakespanRatio(cfg Config, inst *sched.Instance, seedTag uint64,
-	fn func(r *rng.Source) (*sched.Schedule, error)) (makespan float64, ratio float64, err error) {
-	return meanMakespanRatioOpts(cfg, inst, seedTag, verify.Opts{}, fn)
-}
-
-// meanMakespanRatioOpts is meanMakespanRatio with explicit audit
-// options, for harnesses whose schedules carry extra contracts (the
-// angleset-aggregated Figure 3 runs).
-func meanMakespanRatioOpts(cfg Config, inst *sched.Instance, seedTag uint64, vopts verify.Opts,
-	fn func(r *rng.Source) (*sched.Schedule, error)) (makespan float64, ratio float64, err error) {
-	var sumMs, sumRatio float64
-	for trial := 0; trial < cfg.Trials; trial++ {
-		r := rng.New(cfg.Seed ^ seedTag ^ (uint64(trial+1) * 0x9e3779b97f4a7c15))
-		s, err := fn(r)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg.Collector.Counter("experiments.trials").Inc()
-		if cfg.auditTrial(trial) {
-			if err := verify.Schedule(inst, s, vopts); err != nil {
-				return 0, 0, fmt.Errorf("experiments: trial %d failed the schedule audit: %w", trial, err)
-			}
-			cfg.Collector.Counter("experiments.verified").Inc()
-		} else if cfg.Verify {
-			cfg.Collector.Counter("experiments.verify_skipped").Inc()
-		}
-		sumMs += float64(s.Makespan)
-		sumRatio += lb.Ratio(s.Makespan, inst)
-	}
-	n := float64(cfg.Trials)
-	return sumMs / n, sumRatio / n, nil
 }
