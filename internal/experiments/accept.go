@@ -49,61 +49,57 @@ func acceptRows(g *group) ([]*point, error) {
 	if err != nil {
 		return nil, err
 	}
-	mMid := loadBoundProcs(w, cfg.Procs)
+	n, mMid := w.Mesh.NCells(), loadBoundProcs(w, cfg.Procs)
 	inst, err := w.Instance(mMid)
 	if err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed ^ 0xacce97)
 
 	// A2: block partitioning cuts C1 by ≥ 2x at ≤ 3x makespan. The cut
-	// grows with block size (roughly surface/volume ≈ bs^(1/3)), so keep
-	// blocks at least 16 cells while still giving every processor several
-	// blocks. A3: priorities never lose to layered execution (same
-	// randomness).
-	bs := max(16, w.Mesh.NCells()/(8*mMid))
-	cellAssign, err := w.Assignment(1, mMid, r)
-	if err != nil {
-		return nil, err
-	}
-	blockAssign, err := w.Assignment(bs, mMid, r)
-	if err != nil {
-		return nil, err
-	}
-	var s [4]*sched.Schedule // A2's cell and block plans, A3's layered and compacted
-	for i, c := range []struct {
-		alg    func(*sched.Instance, sched.Assignment, *rng.Source) (*sched.Schedule, error)
-		assign sched.Assignment
-		tag    uint64
-	}{
-		{core.RandomDelayPrioritiesWithAssignment, cellAssign, 0xa2},
-		{core.RandomDelayPrioritiesWithAssignment, blockAssign, 0xa2},
-		{core.RandomDelayWithAssignment, cellAssign, 0xa3},
-		{core.RandomDelayPrioritiesWithAssignment, cellAssign, 0xa3},
-	} {
-		if s[i], err = c.alg(inst, c.assign, rng.New(cfg.Seed^c.tag)); err != nil {
-			return nil, err
+	// grows with block size (roughly surface/volume ≈ bs^(1/3)), so A2 runs
+	// on the largest sweep m that still gives every processor 8 blocks of
+	// at least 16 cells (the smallest m if none does).
+	mA2 := slices.Min(cfg.Procs)
+	for _, m := range cfg.Procs {
+		if n/(8*m) >= 16 {
+			mA2 = max(mA2, m)
 		}
 	}
-	cut := float64(sched.C1(inst, cellAssign, cfg.Workers)) / float64(sched.C1(inst, blockAssign, cfg.Workers))
+	cut, growth, err := blockTradeoff(cfg, w, mA2, max(16, n/(8*mA2)))
+	if err != nil {
+		return nil, err
+	}
 	check("A2a", "block cuts C1 by >= 2x", cut, 2, cut >= 2)
-	growth := float64(s[1].Makespan) / float64(s[0].Makespan)
 	check("A2b", "block makespan growth <= 3x", growth, 3, growth <= 3)
-	adv := float64(s[2].Makespan) / float64(s[3].Makespan)
+
+	// A3: priorities never lose to layered execution (same randomness).
+	cellAssign, err := w.Assignment(1, mMid, rng.New(cfg.Seed^0xacce97))
+	if err != nil {
+		return nil, err
+	}
+	sRD, err := core.RandomDelayWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
+	if err != nil {
+		return nil, err
+	}
+	sRDP, err := core.RandomDelayPrioritiesWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
+	if err != nil {
+		return nil, err
+	}
+	adv := float64(sRD.Makespan) / float64(sRDP.Makespan)
 	check("A3", "alg2 makespan <= alg1 makespan", adv, 1, adv >= 1)
 
 	// A4: C2 <= C1 (per-step maxima cannot exceed the total edge count).
-	sRDP := s[3]
 	met := sched.Measure(sRDP, cfg.Workers)
 	check("A4", "C2 <= C1", float64(met.C2), float64(met.C1), met.C2 <= met.C1)
 
-	// A5: DFDS and alg2 within 35% of each other at small m.
+	// A5: DFDS and alg2 within 35% of each other at small m, on blocks of
+	// n/(8·mMid) cells, at least 16.
 	mSmall := slices.Min(cfg.Procs)
 	instSmall, err := w.Instance(mSmall)
 	if err != nil {
 		return nil, err
 	}
-	smallAssign, err := w.Assignment(bs, mSmall, rng.New(cfg.Seed^0xa5))
+	smallAssign, err := w.Assignment(max(16, n/(8*mMid)), mSmall, rng.New(cfg.Seed^0xa5))
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +129,30 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// blockTradeoff plans Algorithm 2 on m processors under a per-cell and a
+// bs-cell block assignment drawn in turn from one stream, with the same
+// delays, and returns the C1 cut and the makespan growth of blocks.
+func blockTradeoff(cfg Config, w *Workload, m, bs int) (cut, growth float64, err error) {
+	inst, err := w.Instance(m)
+	if err != nil {
+		return 0, 0, err
+	}
+	r := rng.New(cfg.Seed ^ 0xacce97)
+	var c1, makespan [2]float64
+	for i, size := range []int{1, bs} {
+		assign, err := w.Assignment(size, m, r)
+		if err != nil {
+			return 0, 0, err
+		}
+		s, err := core.RandomDelayPrioritiesWithAssignment(inst, assign, rng.New(cfg.Seed^0xa2))
+		if err != nil {
+			return 0, 0, err
+		}
+		c1[i], makespan[i] = float64(sched.C1(inst, assign, cfg.Workers)), float64(s.Makespan)
+	}
+	return c1[0] / c1[1], makespan[1] / makespan[0], nil
 }
 
 // acceptVerdict prints the verdict line under the table and returns an

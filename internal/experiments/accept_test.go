@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -9,14 +10,19 @@ import (
 
 // TestAcceptPaperCriteria is the paper's gate in tier-1: all of A1–A6 on
 // the four mesh families at the smallest scale where the default processor
-// sweep still leaves loadBoundProcs a load-bound machine to pick.
+// sweep still leaves loadBoundProcs a load-bound machine to pick, and at
+// sweepbench's default scale.
 func TestAcceptPaperCriteria(t *testing.T) {
-	var out strings.Builder
-	if err := Run("accept", Config{Scale: 0.02, Seed: 1, Trials: 3, Out: &out}); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "ACCEPT: all criteria passed") {
-		t.Fatalf("no verdict line:\n%s", out.String())
+	for _, scale := range []float64{0.02, 0.05} {
+		t.Run(fmt.Sprint("scale=", scale), func(t *testing.T) {
+			var out strings.Builder
+			if err := Run("accept", Config{Scale: scale, Seed: 1, Trials: 3, Out: &out}); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), "ACCEPT: all criteria passed") {
+				t.Fatalf("no verdict line:\n%s", out.String())
+			}
+		})
 	}
 }
 
