@@ -287,6 +287,7 @@ func (f *figure) eval(cfg Config) error {
 			rows = rows[:1]
 		}
 		all = append(all, rows...)
+		groups[gi] = nil // the workload goes with its rows
 	}
 	header := make([]string, len(f.cols))
 	for i, c := range f.cols {
