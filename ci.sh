@@ -40,6 +40,12 @@ echo "== benchmark smoke (1 iteration each) =="
 # without turning CI into a measurement job.
 go test -run '^$' -bench . -benchtime 1x ./...
 
+echo "== paper figures: results_scale0.1.txt regenerated byte for byte =="
+# Every experiment at scale 0.1 (about 10 s). sweepbench's stdout depends
+# only on its flags (the timing lines go to stderr), so a change that moves
+# a schedule, a seed or a metric fails here with a diff of the figure.
+go run ./cmd/sweepbench -exp all -scale 0.1 | cmp - results_scale0.1.txt
+
 echo "== bench module: vet + smoke (its own module, so ./... above does not compile it) =="
 # bench/ imports the kernels and the public API by name; a changed
 # signature would otherwise surface only in the benchmark pipeline.

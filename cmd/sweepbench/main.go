@@ -134,7 +134,9 @@ func main() {
 		if err := experiments.Run(name, cfg); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		fmt.Printf("# %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+		// The wall clock goes to stderr: stdout is a function of the flags.
+		fmt.Fprintf(os.Stderr, "# %s done in %v\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 	if cfg.Collector != nil {
 		fmt.Println("# stats")
