@@ -260,10 +260,11 @@ func (f *figure) eval(cfg Config) error {
 				return err
 			}
 		}
-		pts, err := procRows(g)
-		if f.rows != nil {
-			pts, err = f.rows(g)
+		rows := f.rows
+		if rows == nil {
+			rows = procRows
 		}
+		pts, err := rows(g)
 		if err != nil {
 			return err
 		}
@@ -274,19 +275,19 @@ func (f *figure) eval(cfg Config) error {
 			}
 			fmt.Fprintf(cfg.Out, "# "+f.title+"\n", args...)
 		}
-		rows, err := par.Map(len(pts), cfg.Workers, func(i int) ([]any, error) { return f.row(pts[i]) })
+		cells, err := par.Map(len(pts), cfg.Workers, func(i int) ([]any, error) { return f.row(pts[i]) })
 		if err != nil {
 			return err
 		}
-		if f.worst > 0 {
-			for _, r := range rows[1:] {
-				if r[f.worst].(float64) > rows[0][f.worst].(float64) {
-					rows[0] = r
+		if f.worst > 0 && len(cells) > 0 {
+			for _, r := range cells[1:] {
+				if r[f.worst].(float64) > cells[0][f.worst].(float64) {
+					cells[0] = r
 				}
 			}
-			rows = rows[:1]
+			cells = cells[:1]
 		}
-		all = append(all, rows...)
+		all = append(all, cells...)
 		groups[gi] = nil // the workload goes with its rows
 	}
 	header := make([]string, len(f.cols))

@@ -212,9 +212,12 @@ var figures = []figure{
 		id: "kba", title: "kba: regular 12x12x12 grid, 8 octant directions",
 		rows: func(g *group) ([]*point, error) {
 			dirs, err := quadrature.Diagonals(8)
+			if err != nil {
+				return nil, err
+			}
 			msh := mesh.RegularHex(12, 12, 12)
 			g.w = &Workload{MeshName: "hex", K: 8, Mesh: msh, Dirs: dirs, DAGs: dag.BuildAll(msh, dirs)}
-			pts, _ := procRows(g)
+			pts, err := procRows(g)
 			return slices.DeleteFunc(pts, func(p *point) bool { return p.m > 12*12 }), err
 		},
 		runs: []run{{once: true, do: func(p *point, _ uint64) (*sample, error) {
@@ -296,9 +299,10 @@ var figures = []figure{
 			if err != nil {
 				return nil, err
 			}
-			g.s, err = heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, r, g.cfg.Workers)
-			pts, _ := sweep(16, 0, 1, 2, 3, 4)(g)
-			return pts, err
+			if g.s, err = heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, r, g.cfg.Workers); err != nil {
+				return nil, err
+			}
+			return sweep(16, 0, 1, 2, 3, 4)(g)
 		},
 		runs: []run{{seed: spaced(0, 1000, 0), do: func(p *point, seed uint64) (*sample, error) {
 			spec := faultSpecs[p.x]
