@@ -28,8 +28,8 @@ func TestAcceptPaperCriteria(t *testing.T) {
 
 // TestAcceptReturnsTheFailedCriteria: 512 processors for a mesh of ~150
 // cells is far outside the load-bound regime the claims assume, so the
-// ratio criteria fail — and the experiment must say so with an error that names
-// them, not only in the table.
+// ratio criteria fail — and the experiment must say so with an error that
+// names them, not only in the table.
 func TestAcceptReturnsTheFailedCriteria(t *testing.T) {
 	var out strings.Builder
 	err := Run("accept", Config{Scale: 0.005, Seed: 1, Trials: 1, Procs: []int{512}, Out: &out})

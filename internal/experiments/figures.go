@@ -274,7 +274,7 @@ var figures = []figure{
 		// True approximation ratios where exhaustive search finds the
 		// optimum: how much of a reported ratio is lower-bound slack.
 		id: "optratio", title: "optratio: true makespan/OPT on tiny instances (exact search)",
-		rows: sweep(0, 0, 1, 2, 3),
+		rows: sweep(0, 0, 1, 2, 3), // one row per optCases entry, which sets its own m
 		runs: []run{{seed: func(p *point, trial int) uint64 { return p.g.cfg.Seed + uint64(trial)*7919 }, do: optRatios}},
 		cols: []col{{name: "instance", cell: func(p *point, _ []float64) any { return optCases[p.x].name }},
 			{name: "n", cell: func(p *point, _ []float64) any { return optCases[p.x].n }},
@@ -438,8 +438,8 @@ func alg(f func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) func(*po
 	}
 }
 
-// blocked runs Algorithm 2 on an assignment of bs-cell blocks (bs 1: of
-// cells) drawn from the trial's stream.
+// blocked runs Algorithm 2 on an assignment of bs-cell blocks (bs 1: per
+// cell) drawn from the trial's stream.
 func blocked(bs int) func(*point, uint64) (*sample, error) {
 	return func(p *point, seed uint64) (*sample, error) {
 		r := rng.New(seed)
