@@ -30,8 +30,8 @@ func Workers(w int) int {
 // Error contract: ForEach returns the lowest-index error — the error
 // recorded at the smallest index among all indices whose fn call returned
 // non-nil. Once any call fails, workers stop claiming new indices, so
-// higher indices may never run; indices below the returned one either
-// succeeded or were already in flight when the failure occurred. With
+// higher indices may never run; every index below the returned one ran
+// and succeeded, so the error is the one a serial loop returns. With
 // workers == 1 execution is a plain serial loop and the first (lowest)
 // failing index short-circuits exactly as a for-loop would.
 //
@@ -65,9 +65,12 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			// A failure stops the claiming, never a claimed index: every
+			// index below a failing one was claimed before it and so runs,
+			// and the lowest error is the one a serial loop returns.
+			for !failed.Load() {
 				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
 				if pv := protect(fn, i, errs); pv != nil {

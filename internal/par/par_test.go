@@ -244,3 +244,34 @@ func TestQuickForEachCoversAllIndices(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForEachRunsEveryIndexBelowTheError: every index below the returned
+// error's runs, so the error is the one a serial loop returns — what the
+// split feasibility checks rely on. Indices from n/2 on fail; a worker
+// that had claimed an index just below n/2 used to see the failure flag a
+// later index set and return without running it, and the error returned
+// was then that later index's.
+func TestForEachRunsEveryIndexBelowTheError(t *testing.T) {
+	const n = 4000
+	errAt := make([]error, n)
+	for i := n / 2; i < n; i++ {
+		errAt[i] = fmt.Errorf("err-%d", i)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		for trial := 0; trial < 50; trial++ {
+			ran := make([]atomic.Bool, n)
+			err := ForEach(n, workers, func(i int) error {
+				ran[i].Store(true)
+				return errAt[i]
+			})
+			if err != errAt[n/2] {
+				t.Fatalf("workers=%d trial %d: err = %v, want %v", workers, trial, err, errAt[n/2])
+			}
+			for i := 0; i < n/2; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d trial %d: index %d below the first failure never ran", workers, trial, i)
+				}
+			}
+		}
+	}
+}
