@@ -266,12 +266,16 @@ type ScheduleOptions struct {
 	// same seed are identical.
 	Seed uint64
 	// Workers bounds the goroutines used for the embarrassingly parallel
-	// per-direction stages of a run — priority computation and C1/C2 metric
-	// accumulation (0 = GOMAXPROCS, 1 = serial). The result is bit-for-bit
-	// identical for every value: parallel stages write into slots indexed
-	// by direction and all randomness is drawn from per-direction
-	// substreams before any fan-out (see DESIGN.md, "Parallel execution &
-	// determinism").
+	// stages of a run (0 = GOMAXPROCS, 1 = serial): the per-direction
+	// priority computation, and the feasibility tail — Validate split by
+	// direction and by processor, with a sampled audit on a goroutine
+	// beside it — once the instance is large enough to pay for the
+	// hand-off (random_delays, which the step core does not run, also
+	// counts its C1/C2 on them). The result is bit-for-bit identical for
+	// every value: parallel stages write into slots indexed by direction
+	// or processor, all randomness is drawn from per-direction substreams
+	// before any fan-out, and the tail reports the error a serial run
+	// would (see DESIGN.md, "Parallel execution & determinism").
 	Workers int
 	// Verify runs the internal/verify auditor over the produced schedule —
 	// an independent recomputation of every feasibility constraint and of
@@ -285,6 +289,9 @@ type ScheduleOptions struct {
 	// fraction of its cost. 0 or 1 audits every run (the historical
 	// behavior). Skipped audits are counted in the Collector as
 	// "api.verify_skipped". Sampling never changes scheduling output.
+	// The sample is drawn before the schedule is validated, so a run
+	// whose schedule fails validation (a scheduler bug, reported as an
+	// error) has advanced the sequence too.
 	VerifyEvery int
 	// Collector, when non-nil, receives counters and stage timings from
 	// the run (assignment, scheduling, metrics, verification and the
@@ -355,7 +362,7 @@ func (p *Problem) Schedule(alg Scheduler, opts ScheduleOptions) (*Result, error)
 
 // ScheduleCtx is Schedule with cooperative cancellation: the context is
 // observed between the pipeline's stages (assignment, scheduling,
-// validation, metrics), so a cancelled run returns ctx.Err() without
+// metrics, validation), so a cancelled run returns ctx.Err() without
 // finishing the remaining stages.
 func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleOptions) (*Result, error) {
 	pl, err := p.plan(ctx, alg, opts, planModel{})
@@ -410,9 +417,9 @@ func (pl *planned) result(p *Problem) *Result {
 
 // plan is the one pipeline behind every scheduling entry point: assign
 // cells to processors, derive the scheduler's priorities, run the
-// model's kernel, validate, measure and (when sampled) audit. ctx is
-// observed between the stages, and each stage reports an api.* span to
-// opts.Collector.
+// model's kernel, measure, then validate and (when sampled) audit. ctx
+// is observed between the stages, and each stage but validation reports
+// an api.* span to opts.Collector.
 func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions, mdl planModel) (*planned, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -481,17 +488,6 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		return nil, err
 	}
 
-	if pl.weighted != nil {
-		err = pl.weighted.Validate()
-	} else if err = pl.schedule.Validate(); err == nil && mdl.comm {
-		err = sched.ValidateComm(pl.schedule, mdl.commDelay)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweepsched: scheduler %s produced an invalid schedule: %w", alg, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	span = col.Span("api.metrics.time")
 	if pl.weighted != nil {
 		pl.bounds = lb.ComputeWeighted(inst, mdl.weights, mdl.machine)
@@ -503,21 +499,56 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	}
 	span.End()
 
-	if !p.shouldVerify(opts) {
-		if opts.verifyOn() {
-			col.Counter("api.verify_skipped").Inc()
+	// The feasibility tail: Validate always, the audit when sampled. On an
+	// instance large enough to pay for the hand-off the audit runs on a
+	// goroutine of its own beside Validate; either way an invalid schedule
+	// outranks cancellation, which outranks a failed audit.
+	audited := p.shouldVerify(opts)
+	if !audited && opts.verifyOn() {
+		col.Counter("api.verify_skipped").Inc()
+	}
+	var auditErr error
+	audit := func() {
+		span := col.Span("api.verify.time")
+		if pl.weighted != nil {
+			auditErr = verify.Weighted(inst, pl.weighted)
+		} else {
+			auditErr = verify.Schedule(inst, pl.schedule, verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups})
 		}
+		span.End()
+	}
+	workers := inst.TailWorkers(opts.Workers)
+	var beside chan struct{}
+	if audited && workers > 1 {
+		beside = make(chan struct{})
+		go func() {
+			defer close(beside)
+			audit()
+		}()
+		workers--
+	}
+	if pl.weighted != nil {
+		err = pl.weighted.ValidateWorkers(workers)
+	} else if err = pl.schedule.ValidateWorkers(workers); err == nil && mdl.comm {
+		err = sched.ValidateComm(pl.schedule, mdl.commDelay)
+	}
+	if beside != nil {
+		<-beside
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sweepsched: scheduler %s produced an invalid schedule: %w", alg, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if !audited {
 		return pl, nil
 	}
-	span = col.Span("api.verify.time")
-	if pl.weighted != nil {
-		err = verify.Weighted(inst, pl.weighted)
-	} else {
-		err = verify.Schedule(inst, pl.schedule, verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups})
+	if beside == nil {
+		audit()
 	}
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("sweepsched: scheduler %s failed the schedule audit: %w", alg, err)
+	if auditErr != nil {
+		return nil, fmt.Errorf("sweepsched: scheduler %s failed the schedule audit: %w", alg, auditErr)
 	}
 	col.Counter("api.verified").Inc()
 	return pl, nil

@@ -282,3 +282,31 @@ func BenchmarkPlanWarm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlanAudited is BenchmarkPlanWarm's descendant_delays plan with
+// every run audited, serially (Workers 1) and at the default Workers,
+// where the instance is past the tail's crossover: the audit runs on a
+// goroutine beside a Validate split by direction and by processor.
+// bytes/op is the Result plus the audit's own task-long arrays.
+func BenchmarkPlanAudited(b *testing.B) {
+	p := kuhnProblem(b)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"default", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opts := ScheduleOptions{Seed: 1, Verify: true, Workers: tc.workers}
+			if _, err := p.Schedule(DescendantDelays, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = uint64(i + 2)
+				if _, err := p.Schedule(DescendantDelays, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -56,8 +56,9 @@ go test -run '^$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -bench
 
 echo "== feasibility tail bench smoke (allocation-counted) =="
 # Validate, ValidateComm and the verify audit run after every plan; their
-# bytes/op is the garbage one plan's check leaves behind.
-go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted)' -benchmem -benchtime 1x ./internal/sched ./internal/verify
+# bytes/op is the garbage one plan's check leaves behind. PlanAudited is a
+# whole audited plan, serial and with the audit beside a split Validate.
+go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted|PlanAudited)' -benchmem -benchtime 1x ./internal/sched ./internal/verify .
 # The unit-step kernel at the paper's size (755k tasks, a new assignment
 # every run), where it is bound by memory; it fails on a warm allocation.
 go test -run '^$' -bench 'BenchmarkScheduleKernelPaperShape$' -benchmem -benchtime 1x ./internal/sched

@@ -43,9 +43,11 @@ func ValidateComm(s *Schedule, commDelay int) error {
 	if err := checkStepRange(inst.NTasks(), commDelay, 0); err != nil {
 		return err
 	}
-	if i, u, w, gap, tight := s.tightEdge(int32(commDelay)); tight {
-		return fmt.Errorf("sched: comm gap violated on edge (%d,%d)->(%d,%d): %d -> %d (need +%d)",
-			u, i, w, i, s.Start[inst.Task(u, i)], s.Start[inst.Task(w, i)], gap)
+	for i := int32(0); i < int32(inst.K()); i++ {
+		if u, w, gap, tight := s.tightEdge(i, int32(commDelay)); tight {
+			return fmt.Errorf("sched: comm gap violated on edge (%d,%d)->(%d,%d): %d -> %d (need +%d)",
+				u, i, w, i, s.Start[inst.Task(u, i)], s.Start[inst.Task(w, i)], gap)
+		}
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
 	"sweepsched/internal/mesh"
+	"sweepsched/internal/par"
 	"sweepsched/internal/rng"
 )
 
@@ -206,8 +207,13 @@ func (s *Schedule) computeMakespan() {
 // within every direction DAG, one task per processor per step, and (by
 // construction of Assignment) all copies of a cell on one processor. It
 // also checks every task was scheduled and that Makespan is the last
-// start step plus one.
-func (s *Schedule) Validate() error {
+// start step plus one. It is ValidateWorkers(0).
+func (s *Schedule) Validate() error { return s.ValidateWorkers(0) }
+
+// ValidateWorkers is Validate with its precedence and exclusivity checks
+// on up to TailWorkers(workers) goroutines. The verdict and the error are
+// the same for every workers value.
+func (s *Schedule) ValidateWorkers(workers int) error {
 	inst := s.Inst
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
 		return err
@@ -222,14 +228,19 @@ func (s *Schedule) Validate() error {
 		}
 		maxStart = max(maxStart, st)
 	}
-	// Precedence.
-	if i, u, w, _, tight := s.tightEdge(0); tight {
-		return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
-			i, u, s.Start[inst.Task(u, i)], w, s.Start[inst.Task(w, i)])
-	}
-	// Processor exclusivity: no processor runs two tasks in one step.
-	if p, a, b, found := overlap(inst, s.Assign, s.Start, maxStart, func(t TaskID) int64 { return int64(s.Start[t]) + 1 }); found {
-		return fmt.Errorf("sched: processor %d runs tasks %d and %d at step %d", p, a, b, s.Start[a])
+	err := splitChecks(inst, s.Assign, s.Start, maxStart, func(_ TaskID, st int64) int64 { return st + 1 }, workers,
+		func(i int32) error {
+			if u, w, _, tight := s.tightEdge(i, 0); tight {
+				return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
+					i, u, s.Start[inst.Task(u, i)], w, s.Start[inst.Task(w, i)])
+			}
+			return nil
+		},
+		func(q int32, a, b TaskID) error {
+			return fmt.Errorf("sched: processor %d runs tasks %d and %d at step %d", q, a, b, s.Start[a])
+		})
+	if err != nil {
+		return err
 	}
 	// A stale Makespan would mis-size everything downstream that trusts it.
 	if s.Makespan != int(maxStart)+1 {
@@ -239,64 +250,157 @@ func (s *Schedule) Validate() error {
 }
 
 // tightEdge is the edge walk Validate and ValidateComm share. It returns
-// the first edge (u,i)->(w,i), in direction then cell then successor
+// the first edge (u,i)->(w,i) of direction i, in cell then successor
 // order, whose successor starts fewer than gap steps after its
 // predecessor: gap is 1, plus commDelay when the two cells sit on
 // different processors. tight is false when every edge has its gap.
-func (s *Schedule) tightEdge(commDelay int32) (i, u, w, gap int32, tight bool) {
-	inst := s.Inst
-	n := int32(inst.N())
-	for i, d := range inst.DAGs {
-		starts := s.Start[i*int(n):]
-		for u := int32(0); u < n; u++ {
-			su, pu := int64(starts[u]), s.Assign[u]
-			for _, w := range d.Out(u) {
-				gap := int32(1)
-				if commDelay > 0 && s.Assign[w] != pu {
-					gap += commDelay
-				}
-				if int64(starts[w]) < su+int64(gap) {
-					return int32(i), u, w, gap, true
-				}
+func (s *Schedule) tightEdge(i, commDelay int32) (u, w, gap int32, tight bool) {
+	n := int32(s.Inst.N())
+	d, starts := s.Inst.DAGs[i], s.Start[i*n:]
+	for u := int32(0); u < n; u++ {
+		su, pu := int64(starts[u]), s.Assign[u]
+		for _, w := range d.Out(u) {
+			gap := int32(1)
+			if commDelay > 0 && s.Assign[w] != pu {
+				gap += commDelay
+			}
+			if int64(starts[w]) < su+int64(gap) {
+				return u, w, gap, true
 			}
 		}
 	}
-	return 0, 0, 0, 0, false
+	return 0, 0, 0, false
 }
 
-// startOrder is the scratch of one sortByStart: the two task-long id
-// arrays and the digit table. Validate and C2 run after every plan and
-// neither has a Workspace to draw from, so the scratch is pooled on its
-// own; a warm plan's feasibility tail then allocates nothing per task.
+// tailCrossover is the instance size, in tasks plus DAG edges, from which
+// a plan's feasibility tail is split across goroutines: below it the
+// cross-CPU hand-off costs more than the split saves (DESIGN.md §9,
+// "Feasibility tail", has the measurement).
+const tailCrossover = 200_000
+
+// TailWorkers is how many goroutines the feasibility tail of a plan on
+// inst may use under a Workers knob (<= 0 selects GOMAXPROCS): one below
+// tailCrossover tasks plus edges, par.Workers(workers) from there up.
+func (inst *Instance) TailWorkers(workers int) int {
+	if workers == 1 {
+		return 1
+	}
+	size := inst.NTasks()
+	for _, d := range inst.DAGs {
+		size += d.NumEdges()
+	}
+	if size < tailCrossover {
+		return 1
+	}
+	return par.Workers(workers)
+}
+
+// splitChecks runs the checks Validate and WeightedSchedule.Validate split
+// by direction and by processor as one index range [0, k+m) on up to
+// TailWorkers(workers) goroutines: index i < k is direction i's
+// precedence (prec), index k+q is processor q's exclusivity (overlap,
+// whose first conflicting pair clash turns into an error). par.ForEach
+// returns the error of the lowest failing index, so the result is the
+// serial loop's: precedence in direction order first, then the
+// lowest-numbered processor with an overlap.
+func splitChecks[T int32 | int64](inst *Instance, assign Assignment, start []T, bound T, end func(t TaskID, start int64) int64, workers int,
+	prec func(i int32) error, clash func(q int32, a, b TaskID) error) error {
+	k := inst.K()
+	byProc := procCellsPool.Get().(*procCells)
+	defer procCellsPool.Put(byProc)
+	off, cells := byProc.group(assign, inst.M)
+	return par.ForEach(k+inst.M, inst.TailWorkers(workers), func(i int) error {
+		if i < k {
+			return prec(int32(i))
+		}
+		q := int32(i - k)
+		sc := startOrderPool.Get().(*startOrder)
+		defer startOrderPool.Put(sc)
+		if a, b, found := overlap(sc, inst, cells[off[q]:off[q+1]], start, bound, end); found {
+			return clash(q, a, b)
+		}
+		return nil
+	})
+}
+
+// startOrder is the scratch of one sortByStart: two arrays each of ids
+// and of their starts, and the digit table. procCells is splitChecks'
+// cells grouped by processor. Validate and C2 run after every plan and
+// neither has a Workspace to draw from, so both are pooled on their own;
+// a warm plan's feasibility tail then allocates nothing per task.
 type startOrder struct {
-	ids, spare []TaskID
-	counts     []int32
+	ids, spareIDs   []TaskID
+	keys, spareKeys []uint64
+	counts          []int32
 }
 
-var startOrderPool = sync.Pool{New: func() any { return new(startOrder) }}
+type procCells struct{ off, cells []int32 }
 
-// sortByStart returns the task ids 0..len(start)-1 in (start, id) order,
-// plus a second id array of the same length for the caller to scatter
-// into; both live in sc and are valid until it goes back to the pool.
-// Starts must lie in [0, bound]. The sort is a stable LSD radix sort
-// over the bits of bound, in the fewest passes whose digits stay
-// within 16 bits: a schedule of up to 65,536 steps — every practical one
+var (
+	startOrderPool = sync.Pool{New: func() any { return new(startOrder) }}
+	procCellsPool  = sync.Pool{New: func() any { return new(procCells) }}
+)
+
+// take returns sc's first id and start arrays at length n, for the caller
+// to fill — ids ascending, each with its start — before sortByStart. They
+// grow with half again as much room: a processor's task count moves a
+// little from one assignment to the next, and a warm plan should not pay
+// for that.
+func (sc *startOrder) take(n int) ([]TaskID, []uint64) {
+	if cap(sc.ids) < n {
+		c := n + n/2
+		sc.ids, sc.spareIDs = make([]TaskID, c), make([]TaskID, c)
+		sc.keys, sc.spareKeys = make([]uint64, c), make([]uint64, c)
+	}
+	return sc.ids[:n], sc.keys[:n]
+}
+
+// group groups the cells by processor in one stable counting pass:
+// cells[off[q]:off[q+1]] are processor q's cells in ascending order.
+func (pc *procCells) group(assign Assignment, m int) (off, cells []int32) {
+	if cap(pc.off) < m+1 {
+		pc.off = make([]int32, m+1)
+	}
+	if cap(pc.cells) < len(assign) {
+		pc.cells = make([]int32, len(assign))
+	}
+	off, cells = pc.off[:m+1], pc.cells[:len(assign)]
+	clear(off)
+	for _, q := range assign {
+		off[q+1]++
+	}
+	for q := 0; q < m; q++ {
+		off[q+1] += off[q]
+	}
+	for v, q := range assign {
+		cells[off[q]] = int32(v)
+		off[q]++
+	}
+	// The scatter advanced off[q] to the start of q+1's cells.
+	copy(off[1:], off[:m])
+	off[0] = 0
+	return off, cells
+}
+
+// sortByStart orders the tasks of sc.take's arrays — ids ascending, starts
+// in [0, bound] beside them — by start, and returns both in (start, id)
+// order in one of sc's two pairs of arrays, valid until sc goes back to
+// the pool. Carrying the starts along keeps every pass a sequential read
+// of the scratch rather than a lookup into the schedule. The sort is a
+// stable LSD radix sort over the bits of bound, in the fewest passes
+// whose digits stay within as many bits as the task count has (at least
+// 8, at most 16): a schedule of up to 65,536 steps — every practical one
 // — takes a single counting pass over a table no larger than twice its
-// step count, and one whose steps are spread far beyond its task count
-// takes at most four, over the two id arrays and a 65,536-entry table
-// whatever the start values are.
-func sortByStart[T int32 | int64](sc *startOrder, start []T, bound T) (ids, spare []TaskID) {
-	if cap(sc.ids) < len(start) {
-		sc.ids, sc.spare = make([]TaskID, len(start)), make([]TaskID, len(start))
-	}
-	ids, spare = sc.ids[:len(start)], sc.spare[:len(start)]
-	for t := range ids {
-		ids[t] = TaskID(t)
-	}
-	width := bits.Len64(uint64(max(bound, 0)))
-	passes := (width + 15) / 16
+// step count or its task count, and one whose steps are spread far beyond
+// its task count takes at most four, over the two pairs of arrays and a
+// table of at most 65,536 entries whatever the start values are.
+func (sc *startOrder) sortByStart(ids []TaskID, keys []uint64, bound uint64) ([]TaskID, []uint64) {
+	spareIDs, spareKeys := sc.spareIDs[:len(ids)], sc.spareKeys[:len(ids)]
+	width := bits.Len64(bound)
+	digit := min(16, max(8, bits.Len(uint(len(ids)))))
+	passes := (width + digit - 1) / digit
 	if passes == 0 {
-		return ids, spare
+		return ids, keys
 	}
 	dbits := (width + passes - 1) / passes
 	mask := uint64(1)<<dbits - 1
@@ -306,65 +410,53 @@ func sortByStart[T int32 | int64](sc *startOrder, start []T, bound T) (ids, spar
 	counts := sc.counts[:1<<dbits]
 	for shift := 0; shift < width; shift += dbits {
 		clear(counts)
-		for _, st := range start {
-			counts[(uint64(st)>>shift)&mask]++
+		for _, key := range keys {
+			counts[key>>shift&mask]++
 		}
 		var sum int32
 		for d, c := range counts {
 			counts[d] = sum
 			sum += c
 		}
-		for _, t := range ids {
-			d := (uint64(start[t]) >> shift) & mask
-			spare[counts[d]] = t
+		for j, key := range keys {
+			d := key >> shift & mask
+			spareIDs[counts[d]], spareKeys[counts[d]] = ids[j], key
 			counts[d]++
 		}
-		ids, spare = spare, ids
+		ids, spareIDs = spareIDs, ids
+		keys, spareKeys = spareKeys, keys
 	}
-	return ids, spare
+	return ids, keys
 }
 
-// overlap is the one exclusivity check behind both schedule kinds: task t
-// occupies processor assign[t mod n] over [start[t], end(t)) — end is
-// start+1 for unit schedules, the finish time for weighted ones — and no
-// two intervals on a processor may intersect. start must cover
-// inst.NTasks() tasks with values in [0, bound], and assign be valid.
+// overlap is the one exclusivity check behind both schedule kinds, run on
+// one processor: task t occupies its cell's processor over
+// [start[t], end(t, start[t])) — end is start+1 for unit schedules, the
+// finish time for weighted ones — and no two intervals on a processor may
+// intersect. cells are the processor's cells in ascending order, start
+// covers inst.NTasks() tasks with values in [0, bound].
 //
-// The ids come from sortByStart in (start, id) order; one more stable
-// counting pass groups them by processor (m+1 offsets), and neighbours
-// within a processor's run are compared: O(nt + m) memory whatever the
-// start values are.
-//
-// When several pairs overlap, the one reported is the first neighbouring
-// pair in (start, id) order on the lowest-numbered processor that has
-// one: a deterministic function of the schedule.
-func overlap[T int32 | int64](inst *Instance, assign Assignment, start []T, bound T, end func(TaskID) int64) (p int32, a, b TaskID, found bool) {
-	sc := startOrderPool.Get().(*startOrder)
-	defer startOrderPool.Put(sc)
-	byStart, ids := sortByStart(sc, start, bound)
-	n := int32(inst.N())
-	off := make([]int32, inst.M+1)
-	for _, q := range assign {
-		off[q+1] += int32(inst.K())
-	}
-	for q := 0; q < inst.M; q++ {
-		off[q+1] += off[q]
-	}
-	for _, t := range byStart {
-		q := assign[int32(t)%n]
-		ids[off[q]] = t
-		off[q]++
-	}
-	// The scatter advanced off[q] to the end of q's run, the start of q+1's.
-	lo := int32(0)
-	for q := 0; q < inst.M; q++ {
-		run := ids[lo:off[q]]
-		lo = off[q]
-		for i := 1; i < len(run); i++ {
-			if int64(start[run[i]]) < end(run[i-1]) {
-				return int32(q), run[i-1], run[i], true
-			}
+// The processor's tasks — its cells in every direction, gathered in id
+// order with their starts — are put in (start, id) order by sortByStart
+// and neighbours are compared: O(tasks of the processor) memory whatever
+// the start values are. When several pairs overlap, the one reported is
+// the first neighbouring pair in (start, id) order, a deterministic
+// function of the schedule.
+func overlap[T int32 | int64](sc *startOrder, inst *Instance, cells []int32, start []T, bound T, end func(t TaskID, start int64) int64) (a, b TaskID, found bool) {
+	n := TaskID(inst.N())
+	ids, keys := sc.take(len(cells) * inst.K())
+	j := 0
+	for base := TaskID(0); j < len(ids); base += n {
+		for _, v := range cells {
+			ids[j], keys[j] = base+TaskID(v), uint64(start[base+TaskID(v)])
+			j++
 		}
 	}
-	return 0, 0, 0, false
+	ids, keys = sc.sortByStart(ids, keys, uint64(bound))
+	for i := 1; i < len(ids); i++ {
+		if int64(keys[i]) < end(ids[i-1], int64(keys[i-1])) {
+			return ids[i-1], ids[i], true
+		}
+	}
+	return 0, 0, false
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -497,5 +499,158 @@ func TestWeightedValidateSingleProcessorIsFast(t *testing.T) {
 	want := fmt.Sprintf("sched: processor 0 overlap between tasks %d and %d", prev, last)
 	if err := s.Validate(); err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %q", err, want)
+	}
+}
+
+// violationOrder is the error contract of both validators under several
+// violations, written out by brute force: the first tight edge of the
+// lowest direction in (cell, successor) order — tight when the successor
+// starts before its predecessor's end plus gap — and otherwise the lowest
+// processor's first neighbouring pair in (start, id) order, each
+// processor's tasks ordered by a comparison sort, that overlaps.
+func violationOrder(inst *Instance, assign Assignment, start, end func(TaskID) int64, gap func(p, q int32) int64,
+	precedence func(i, u, w int32) string, clash func(q int32, a, b TaskID) string) string {
+	n := int32(inst.N())
+	for i, d := range inst.DAGs {
+		for u := int32(0); u < n; u++ {
+			for _, w := range d.Out(u) {
+				if start(inst.Task(w, int32(i))) < end(inst.Task(u, int32(i)))+gap(assign[u], assign[w]) {
+					return precedence(int32(i), u, w)
+				}
+			}
+		}
+	}
+	for q := int32(0); q < int32(inst.M); q++ {
+		var tasks []TaskID
+		for t := TaskID(0); t < TaskID(inst.NTasks()); t++ {
+			if assign[int32(t)%n] == q {
+				tasks = append(tasks, t)
+			}
+		}
+		sort.Slice(tasks, func(a, b int) bool {
+			if sa, sb := start(tasks[a]), start(tasks[b]); sa != sb {
+				return sa < sb
+			}
+			return tasks[a] < tasks[b]
+		})
+		for j := 1; j < len(tasks); j++ {
+			if start(tasks[j]) < end(tasks[j-1]) {
+				return clash(q, tasks[j-1], tasks[j])
+			}
+		}
+	}
+	return ""
+}
+
+// TestValidateErrorOrderUnderManyViolations plants precedence violations
+// in two directions and overlaps on two processors at once — or only the
+// overlaps, or only the violations — into unit and weighted schedules on
+// an instance past tailCrossover, and requires both validators to report
+// what violationOrder names, serially and at the default Workers, where
+// the directions and processors are checked on several goroutines.
+func TestValidateErrorOrderUnderManyViolations(t *testing.T) {
+	inst := testInstance(t, 8, 24, 32, 1)
+	if inst.TailWorkers(2) != 2 {
+		t.Fatal("the instance is below tailCrossover: nothing would be split")
+	}
+	r := rng.New(28)
+	nt := inst.NTasks()
+	assign := RandomAssignment(inst.N(), inst.M, r)
+	unit, err := ListSchedule(inst, assign, levelPrio(inst, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := randomWeights(inst.N(), r, 9)
+	weighted, err := ListScheduleWeighted(inst, assign, levelPrio(inst, r), weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// plant picks the violations of one trial: an edge in each of two
+	// directions, and two pairs of tasks on two different processors.
+	type pair struct{ a, b TaskID }
+	plant := func(trial int) (edges, clashes []pair) {
+		if trial%3 != 1 {
+			i1 := r.Intn(inst.K() - 1)
+			for _, i := range []int{i1, i1 + 1 + r.Intn(inst.K()-1-i1)} {
+				for {
+					u := int32(r.Intn(inst.N()))
+					if outs := inst.DAGs[i].Out(u); len(outs) > 0 {
+						edges = append(edges, pair{inst.Task(u, int32(i)), inst.Task(outs[r.Intn(len(outs))], int32(i))})
+						break
+					}
+				}
+			}
+		}
+		if trial%3 != 2 {
+			b := TaskID(r.Intn(nt))
+			clashes = append(clashes, pair{otherOnProc(inst, assign, b, r), b})
+			for {
+				b2 := TaskID(r.Intn(nt))
+				if assign[int32(b2)%int32(inst.N())] != assign[int32(b)%int32(inst.N())] {
+					clashes = append(clashes, pair{otherOnProc(inst, assign, b2, r), b2})
+					break
+				}
+			}
+		}
+		return edges, clashes
+	}
+	check := func(name, want string, validate func(workers int) error) {
+		t.Helper()
+		if want == "" {
+			t.Fatalf("%s: nothing planted", name)
+		}
+		for _, workers := range []int{1, 0} {
+			if err := validate(workers); err == nil || err.Error() != want {
+				t.Fatalf("%s at workers %d: got %v, want %q", name, workers, err, want)
+			}
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		edges, clashes := plant(trial)
+
+		s := &Schedule{Inst: inst, Assign: assign, Start: append([]int32(nil), unit.Start...)}
+		for _, e := range edges {
+			s.Start[e.a], s.Start[e.b] = s.Start[e.b], s.Start[e.a]
+		}
+		for _, c := range clashes {
+			s.Start[c.b] = s.Start[c.a]
+		}
+		s.computeMakespan()
+		start := func(t TaskID) int64 { return int64(s.Start[t]) }
+		check(fmt.Sprintf("unit trial %d", trial), violationOrder(inst, assign, start,
+			func(t TaskID) int64 { return start(t) + 1 },
+			func(int32, int32) int64 { return 0 },
+			func(i, u, w int32) string {
+				return fmt.Sprintf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d", i, u, start(inst.Task(u, i)), w, start(inst.Task(w, i)))
+			},
+			func(q int32, a, b TaskID) string {
+				return fmt.Sprintf("sched: processor %d runs tasks %d and %d at step %d", q, a, b, s.Start[a])
+			}), s.ValidateWorkers)
+
+		ws := &WeightedSchedule{Inst: inst, Assign: assign, Weights: weights,
+			Start: append([]int64(nil), weighted.Start...), Finish: append([]int64(nil), weighted.Finish...)}
+		moveTo := func(b TaskID, at int64) {
+			ws.Finish[b] += at - ws.Start[b]
+			ws.Start[b] = at
+		}
+		for _, e := range edges {
+			sa, sb := ws.Start[e.a], ws.Start[e.b]
+			moveTo(e.a, sb)
+			moveTo(e.b, sa)
+		}
+		for _, c := range clashes {
+			moveTo(c.b, ws.Start[c.a])
+		}
+		ws.Makespan = slices.Max(ws.Finish)
+		check(fmt.Sprintf("weighted trial %d", trial), violationOrder(inst, assign,
+			func(t TaskID) int64 { return ws.Start[t] },
+			func(t TaskID) int64 { return ws.Finish[t] },
+			ws.Model.DelayOf,
+			func(i, u, w int32) string {
+				return fmt.Sprintf("sched: weighted precedence violated on (%d,%d)->(%d,%d)", u, i, w, i)
+			},
+			func(q int32, a, b TaskID) string {
+				return fmt.Sprintf("sched: processor %d overlap between tasks %d and %d", q, a, b)
+			}), ws.ValidateWorkers)
 	}
 }

@@ -162,8 +162,14 @@ type WeightedSchedule struct {
 // Validate checks weighted feasibility: durations under the model's
 // speeds, precedence with finish-to-start semantics plus the model's
 // hierarchical communication delays, no overlapping intervals on a
-// processor, and Makespan equal to the last finish time.
-func (s *WeightedSchedule) Validate() error {
+// processor, and Makespan equal to the last finish time. It is
+// ValidateWorkers(0).
+func (s *WeightedSchedule) Validate() error { return s.ValidateWorkers(0) }
+
+// ValidateWorkers is Validate with its precedence and exclusivity checks
+// on up to TailWorkers(workers) goroutines. The verdict and the error are
+// the same for every workers value.
+func (s *WeightedSchedule) ValidateWorkers(workers int) error {
 	inst := s.Inst
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
 		return err
@@ -193,22 +199,27 @@ func (s *WeightedSchedule) Validate() error {
 		}
 		maxFinish = max(maxFinish, s.Finish[t])
 	}
-	for i, d := range inst.DAGs {
-		base := TaskID(int32(i) * n)
-		for u := int32(0); u < n; u++ {
-			fu := s.Finish[base+TaskID(u)]
-			pu := s.Assign[u]
-			for _, w := range d.Out(u) {
-				gap := s.Model.DelayOf(pu, s.Assign[w])
-				if s.Start[base+TaskID(w)] < fu+gap {
-					return fmt.Errorf("sched: weighted precedence violated on (%d,%d)->(%d,%d)", u, i, w, i)
+	// Every start is below maxFinish, the bound overlap's sort needs.
+	err := splitChecks(inst, s.Assign, s.Start, maxFinish, func(t TaskID, _ int64) int64 { return s.Finish[t] }, workers,
+		func(i int32) error {
+			d, base := inst.DAGs[i], TaskID(i*n)
+			for u := int32(0); u < n; u++ {
+				fu := s.Finish[base+TaskID(u)]
+				pu := s.Assign[u]
+				for _, w := range d.Out(u) {
+					gap := s.Model.DelayOf(pu, s.Assign[w])
+					if s.Start[base+TaskID(w)] < fu+gap {
+						return fmt.Errorf("sched: weighted precedence violated on (%d,%d)->(%d,%d)", u, i, w, i)
+					}
 				}
 			}
-		}
-	}
-	// Per-processor intervals must not overlap (every start is below maxFinish).
-	if p, a, b, found := overlap(inst, s.Assign, s.Start, maxFinish, func(t TaskID) int64 { return s.Finish[t] }); found {
-		return fmt.Errorf("sched: processor %d overlap between tasks %d and %d", p, a, b)
+			return nil
+		},
+		func(q int32, a, b TaskID) error {
+			return fmt.Errorf("sched: processor %d overlap between tasks %d and %d", q, a, b)
+		})
+	if err != nil {
+		return err
 	}
 	if s.Makespan != maxFinish {
 		return fmt.Errorf("sched: weighted makespan %d inconsistent with max finish %d", s.Makespan, maxFinish)

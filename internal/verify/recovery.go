@@ -82,7 +82,7 @@ func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 	for t := range proc {
 		proc[t] = s.Assign[int32(t)%n]
 	}
-	if p, a, b, step, found := doubleBooked(inst.M, proc, s.Start, stepOrder(s.Start)); found {
+	if p, a, b, step, _, found := doubleBooked(inst.M, proc, s.Start, stepOrder(s.Start), nil); found {
 		return fmt.Errorf("verify: processor %d runs tasks %d and %d at residual step %d", p, a, b, step)
 	}
 	return nil

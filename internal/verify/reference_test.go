@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -317,4 +318,86 @@ func TestResidualRejectsDoubleBooking(t *testing.T) {
 		}
 	}
 	t.Fatal("no surviving pair to double-book")
+}
+
+// c2Claims requires verify.Schedule to accept a reported C2 equal to
+// C2Ref(s) — which must agree with c2RefMaps(s) — and to reject one off
+// by one either way, naming C2.
+func c2Claims(t *testing.T, name string, s *sched.Schedule, opts verify.Opts) {
+	t.Helper()
+	want := verify.C2Ref(s)
+	if maps := c2RefMaps(s); maps != want {
+		t.Fatalf("%s: C2Ref %d, map-based reference %d", name, want, maps)
+	}
+	for _, off := range []int64{0, -1, 1} {
+		opts.Metrics = &sched.Metrics{Makespan: s.Makespan, C1: verify.C1Ref(s.Inst, s.Assign), C2: want + off}
+		err := verify.Schedule(s.Inst, s, opts)
+		if off == 0 && err != nil {
+			t.Fatalf("%s: the reference C2 %d rejected: %v", name, want, err)
+		}
+		if off != 0 && (err == nil || !strings.Contains(err.Error(), "C2")) {
+			t.Fatalf("%s: a reported C2 of %d against the reference %d: got %v, want a C2 mismatch", name, want+off, want, err)
+		}
+	}
+}
+
+// TestScheduleC2MatchesReference pins the audit's C2, recounted from its
+// own precedence walk, to the standalone references on the seeded
+// instances of TestTasksAndC2RefMatchReference, scheduled four ways:
+// plain list, comm-delay, block-assigned and angleset-aggregated.
+func TestScheduleC2MatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 240; seed++ {
+		r := rng.New(seed ^ 0xa0d17)
+		inst := syntheticInstance(t, 6+r.Intn(24), 1+r.Intn(4), 1+r.Intn(6), seed)
+		assign := sched.RandomAssignment(inst.N(), inst.M, r)
+		var (
+			s    *sched.Schedule
+			opts verify.Opts
+			err  error
+			kind string
+		)
+		switch seed % 4 {
+		case 0:
+			kind = "list"
+			s, err = sched.ListScheduleWithRelease(inst, assign, nil, nil)
+		case 1:
+			kind, opts.CommDelay = "comm", 1+r.Intn(3)
+			s, err = sched.ListScheduleComm(inst, assign, nil, opts.CommDelay)
+		case 2:
+			kind = "blocks" // runs of four consecutive cells, each run on one processor
+			part := make([]int32, inst.N())
+			for v := range part {
+				part[v] = int32(v / 4)
+			}
+			s, err = sched.ListScheduleWithRelease(inst, sched.BlockAssignment(part, (inst.N()+3)/4, inst.M, r), nil, nil)
+		case 3:
+			kind, opts.Anglesets = "angleset", randomAnglesets(inst.K(), 3, r)
+			s = aggSchedule(t, inst, opts.Anglesets, nil, seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2Claims(t, fmt.Sprintf("seed %d %s", seed, kind), s, opts)
+	}
+}
+
+// TestScheduleC2TiedStep plants a step whose largest send count is held
+// by two processors at once: cells 0 (processor 0) and 1 (processor 1)
+// both run at step 0 and each sends two messages off its processor. The
+// step is charged 2, not 4, and the later steps send nothing, so C2 is 2.
+func TestScheduleC2TiedStep(t *testing.T) {
+	d, err := dag.FromEdges(6, [][2]int32{{0, 2}, {0, 3}, {1, 4}, {1, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs([]*dag.DAG{d}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0, 1, 1, 2, 0, 2},
+		Start: []int32{0, 0, 1, 1, 1, 2}, Makespan: 3}
+	if got := verify.C2Ref(s); got != 2 {
+		t.Fatalf("C2Ref %d, want 2", got)
+	}
+	c2Claims(t, "tied step", s, verify.Opts{})
 }

@@ -13,8 +13,9 @@
 // production validators cannot hide in a shared helper. Verification is
 // O(tasks + edges) in time and O(tasks + m) in memory per schedule,
 // whatever the start values are: the tasks are put in step order once
-// (stepOrder), and processor exclusivity and the C2 recomputation both
-// walk that one order.
+// (stepOrder), and processor exclusivity and the C2 recomputation walk
+// that one order together, C2 from per-task send counts the precedence
+// walk leaves behind.
 package verify
 
 import (
@@ -47,7 +48,8 @@ type Opts struct {
 	CommDelay int
 	// Metrics, when non-nil, is cross-checked against an independent
 	// recomputation: Makespan against max start + 1, C1 against C1Ref,
-	// C2 against C2Ref.
+	// C2 against C2Ref's count (recounted from the audit's own precedence
+	// walk, c2Steps).
 	Metrics *sched.Metrics
 	// Anglesets, when non-nil, asserts the schedule was produced by
 	// angleset aggregation over this direction partition: the partition
@@ -85,14 +87,18 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	nt := inst.NTasks()
-	n := int32(inst.N())
+	nt, n := inst.NTasks(), inst.N()
 	proc := make([]int32, nt)
-	for t := 0; t < nt; t++ {
-		proc[t] = s.Assign[int32(t)%n]
+	for base := 0; base < nt; base += n {
+		copy(proc[base:], s.Assign)
+	}
+	var cross []int32
+	if opts.Metrics != nil {
+		cross = make([]int32, nt)
 	}
 	order := stepOrder(s.Start)
-	if err := audit(inst, proc, s.Start, order, opts); err != nil {
+	c2, err := audit(inst, proc, s.Start, order, opts, cross)
+	if err != nil {
 		return err
 	}
 	// Makespan consistency: the schedule's claim against the start times.
@@ -110,8 +116,8 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 		if want := C1Ref(inst, s.Assign); m.C1 != want {
 			return fmt.Errorf("verify: reported C1 %d, reference recomputation %d", m.C1, want)
 		}
-		if want := c2Over(s, order); m.C2 != want {
-			return fmt.Errorf("verify: reported C2 %d, reference recomputation %d", m.C2, want)
+		if m.C2 != c2 {
+			return fmt.Errorf("verify: reported C2 %d, reference recomputation %d", m.C2, c2)
 		}
 	}
 	return nil
@@ -126,35 +132,38 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 // per-direction DAG precedence with the comm-delay gap on cross-
 // processor edges, and <= 1 task per processor per step.
 func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
-	return audit(inst, proc, start, stepOrder(start), opts)
+	_, err := audit(inst, proc, start, stepOrder(start), opts, nil)
+	return err
 }
 
-// audit is Tasks given the step order of start, which Schedule goes on to
-// recompute C2 over.
-func audit(inst *sched.Instance, proc, start, order []int32, opts Opts) error {
+// audit is Tasks given the step order of start. When cross is non-nil
+// (nt long) it also recounts C2 for Schedule, off its own walks: the
+// precedence walk stores there each task's count of cross-processor
+// out-edges, and the exclusivity walk sums them by step (doubleBooked).
+func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []int32) (c2 int64, err error) {
 	nt := inst.NTasks()
 	n := int32(inst.N())
 	if len(proc) != nt {
-		return fmt.Errorf("verify: processor slice covers %d of %d tasks", len(proc), nt)
+		return 0, fmt.Errorf("verify: processor slice covers %d of %d tasks", len(proc), nt)
 	}
 	if len(start) != nt {
-		return fmt.Errorf("verify: start slice covers %d of %d tasks", len(start), nt)
+		return 0, fmt.Errorf("verify: start slice covers %d of %d tasks", len(start), nt)
 	}
 	if opts.Release != nil && len(opts.Release) != nt {
-		return fmt.Errorf("verify: release slice covers %d of %d tasks", len(opts.Release), nt)
+		return 0, fmt.Errorf("verify: release slice covers %d of %d tasks", len(opts.Release), nt)
 	}
 	if opts.CommDelay < 0 {
-		return fmt.Errorf("verify: negative comm delay %d", opts.CommDelay)
+		return 0, fmt.Errorf("verify: negative comm delay %d", opts.CommDelay)
 	}
 	for t := 0; t < nt; t++ {
 		if start[t] < 0 {
-			return fmt.Errorf("verify: task %d unscheduled (start %d)", t, start[t])
+			return 0, fmt.Errorf("verify: task %d unscheduled (start %d)", t, start[t])
 		}
 		if proc[t] < 0 || int(proc[t]) >= inst.M {
-			return fmt.Errorf("verify: task %d on processor %d (m=%d)", t, proc[t], inst.M)
+			return 0, fmt.Errorf("verify: task %d on processor %d (m=%d)", t, proc[t], inst.M)
 		}
 		if opts.Release != nil && start[t] < opts.Release[t] {
-			return fmt.Errorf("verify: task %d starts at %d before release %d", t, start[t], opts.Release[t])
+			return 0, fmt.Errorf("verify: task %d starts at %d before release %d", t, start[t], opts.Release[t])
 		}
 	}
 	// All k copies of a cell on one processor (§3, constraint 3).
@@ -162,7 +171,7 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts) error {
 		p0 := proc[v]
 		for i := int32(1); i < int32(inst.K()); i++ {
 			if p := proc[i*n+v]; p != p0 {
-				return fmt.Errorf("verify: cell %d split across processors %d (dir 0) and %d (dir %d)", v, p0, p, i)
+				return 0, fmt.Errorf("verify: cell %d split across processors %d (dir 0) and %d (dir %d)", v, p0, p, i)
 			}
 		}
 	}
@@ -173,32 +182,38 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts) error {
 		base := int32(i) * n
 		for u := int32(0); u < n; u++ {
 			ut := base + u
+			sends := int32(0)
 			for _, w := range d.Out(u) {
 				wt := base + w
 				gap := int32(1)
-				if cd > 0 && proc[ut] != proc[wt] {
+				if proc[ut] != proc[wt] {
+					sends++
 					gap += cd
 				}
 				if start[wt] < start[ut]+gap {
-					return fmt.Errorf("verify: precedence violated in dir %d: cell %d@%d -> cell %d@%d needs gap %d",
+					return 0, fmt.Errorf("verify: precedence violated in dir %d: cell %d@%d -> cell %d@%d needs gap %d",
 						i, u, start[ut], w, start[wt], gap)
 				}
+			}
+			if cross != nil {
+				cross[ut] = sends
 			}
 		}
 	}
 	// Processor exclusivity: <= 1 task per processor per step.
-	if p, a, b, step, found := doubleBooked(inst.M, proc, start, order); found {
-		return fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", p, a, b, step)
+	p, a, b, step, c2, found := doubleBooked(inst.M, proc, start, order, cross)
+	if found {
+		return 0, fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", p, a, b, step)
 	}
 	if opts.AnglesetRelease != nil && opts.Anglesets == nil {
-		return fmt.Errorf("verify: AnglesetRelease given without Anglesets")
+		return 0, fmt.Errorf("verify: AnglesetRelease given without Anglesets")
 	}
 	if opts.Anglesets != nil {
 		if err := anglesetAudit(inst, proc, start, opts); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return c2, nil
 }
 
 // stepOrder returns the tasks with a start >= 0 (a residual schedule's
@@ -253,20 +268,33 @@ func stepOrder(start []int32) []int32 {
 // conflicts the one reported is in the lowest doubly-used step — the
 // first found in (step, task) order — with the two lowest-numbered tasks
 // of that slot.
-func doubleBooked(m int, proc, start, order []int32) (p, a, b int, step int32, found bool) {
+//
+// When cross is non-nil (task t's count of cross-processor out-edges)
+// the same walk recounts C2: with no processor double-booked, a
+// processor's sends after a step are its one task's count, so each step
+// is charged the largest count among its tasks — what c2Over counts,
+// without walking the DAGs again. c2 means nothing when found is true.
+func doubleBooked(m int, proc, start, order, cross []int32) (p, a, b int, step int32, c2 int64, found bool) {
 	lastStep := make([]int32, m)
 	lastTask := make([]int32, m)
 	for q := range lastStep {
 		lastStep[q] = -1
 	}
+	step, most := int32(-1), int32(0)
 	for _, t := range order {
-		q := proc[t]
-		if lastStep[q] == start[t] {
-			return int(q), int(lastTask[q]), int(t), start[t], true
+		q, st := proc[t], start[t]
+		if lastStep[q] == st {
+			return int(q), int(lastTask[q]), int(t), st, 0, true
 		}
-		lastStep[q], lastTask[q] = start[t], t
+		lastStep[q], lastTask[q] = st, t
+		if cross != nil {
+			if st != step {
+				c2, step, most = c2+int64(most), st, 0
+			}
+			most = max(most, cross[t])
+		}
 	}
-	return 0, 0, 0, 0, false
+	return 0, 0, 0, 0, c2 + int64(most), false
 }
 
 // anglesetAudit is the aggregated-schedule audit: an independent
