@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,6 +118,34 @@ func TestInjectorMessageEventsFireOnce(t *testing.T) {
 	}
 	if inj.Applied(Duplicate) != 1 {
 		t.Fatalf("applied count %d, want 1", inj.Applied(Duplicate))
+	}
+}
+
+// TestInjectorEventThatNeverFires: a message event on a (task, to) pair no
+// step sends — as when a recovery has moved the cell it was drawn for —
+// never fires: every step's sends pass through unchanged and its kind's
+// Applied count stays 0, while an event of the same task to another
+// destination still fires, once.
+func TestInjectorEventThatNeverFires(t *testing.T) {
+	inj := NewInjector(&Plan{Events: []Event{
+		{Kind: Drop, Task: 5, To: 3},      // (5, 3) is never sent
+		{Kind: Duplicate, Task: 5, To: 1}, // fires on the first step
+	}})
+	sends := []Delivery{{Task: 4, To: 3, Psi: 1}, {Task: 5, To: 1, Psi: 2}, {Task: 5, To: 2, Psi: 3}, {Task: 9, To: 3, Psi: 4}}
+	for step := int32(0); step < 8; step++ {
+		want := sends
+		if step == 0 {
+			want = slices.Insert(slices.Clone(sends), 1, sends[1])
+		}
+		if got := inj.Rewrite(slices.Clone(sends), step); !slices.Equal(got, want) {
+			t.Fatalf("step %d: sends %v, want %v", step, got, want)
+		}
+	}
+	if d, dup := inj.Applied(Drop), inj.Applied(Duplicate); d != 0 || dup != 1 {
+		t.Fatalf("applied %d drops and %d duplicates, want 0 and 1", d, dup)
+	}
+	if inj.Explains(5, 3) {
+		t.Fatal("a drop that never fired explains a missing flux")
 	}
 }
 

@@ -29,6 +29,7 @@ type Injector struct {
 	crashStep map[int32]int32
 	severStep map[int32]int32
 	msg       map[msgKey]Event
+	pending   []int32         // per producing task, its events still in msg
 	consumed  map[msgKey]Kind // message events already fired
 	delayed   map[int32][]Delivery
 	applied   map[Kind]int
@@ -59,6 +60,16 @@ func NewInjector(plan *Plan) *Injector {
 			default:
 				inj.msg[msgKey{e.Task, e.To}] = e
 			}
+		}
+	}
+	top := sched.TaskID(-1)
+	for key := range inj.msg {
+		top = max(top, key.task)
+	}
+	inj.pending = make([]int32, top+1)
+	for key := range inj.msg {
+		if key.task >= 0 { // no step sends a negative task
+			inj.pending[key.task]++
 		}
 	}
 	return inj
@@ -100,15 +111,23 @@ func (inj *Injector) NoteSever() { inj.applied[Sever]++ }
 // (transport re-sweeps the schedule every source iteration) delivery is
 // normal. Fired events leave the index, so once none is pending — from
 // the start, for most plans soon after — a step costs one length check and
-// no hashing.
+// no hashing; while some are, only a send whose task still has a pending
+// event is looked up, so an event that can no longer fire (its message is
+// never sent again, as after a recovery moved its cell) costs the steps
+// after it one slice read per send.
 func (inj *Injector) Rewrite(sends []Delivery, step int32) []Delivery {
 	for i := 0; i < len(sends) && len(inj.msg) > 0; i++ {
-		key := msgKey{sends[i].Task, sends[i].To}
+		t := sends[i].Task
+		if uint(t) >= uint(len(inj.pending)) || inj.pending[t] == 0 {
+			continue
+		}
+		key := msgKey{t, sends[i].To}
 		e, ok := inj.msg[key]
 		if !ok {
 			continue
 		}
 		delete(inj.msg, key)
+		inj.pending[t]--
 		inj.consumed[key] = e.Kind
 		inj.applied[e.Kind]++
 		switch e.Kind {
