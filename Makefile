@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnglesetExpand$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightedEquivalence$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightedMachineDifferential$$' -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzStepCoreEquivalence$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzFluxBatchCodec$$' -fuzztime 10s ./internal/procrun
 
 ci:

@@ -60,7 +60,9 @@ echo "== feasibility tail bench smoke (allocation-counted) =="
 # whole audited plan, serial and with the audit beside a split Validate.
 go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted|PlanAudited)' -benchmem -benchtime 1x ./internal/sched ./internal/verify .
 # The unit-step kernel at the paper's size (755k tasks, a new assignment
-# every run), where it is bound by memory; it fails on a warm allocation.
+# every run), where it is bound by memory, in ns/op and ns/task: Algorithm
+# 2's priorities, and descendant_delays' with per-direction release floors.
+# Either fails on a warm allocation.
 go test -run '^$' -bench 'BenchmarkScheduleKernelPaperShape$' -benchmem -benchtime 1x ./internal/sched
 # The weighted event core and the greedy preprocessing on the same warm
 # workspace contract: either fails on a warm allocation.
@@ -122,6 +124,7 @@ go test -run '^$' -fuzz '^FuzzTransportRequest$' -fuzztime "$FUZZTIME" ./interna
 go test -run '^$' -fuzz '^FuzzAnglesetExpand$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzWeightedEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzWeightedMachineDifferential$' -fuzztime "$FUZZTIME" ./internal/sched
+go test -run '^$' -fuzz '^FuzzStepCoreEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
 go test -run '^$' -fuzz '^FuzzFluxBatchCodec$' -fuzztime "$FUZZTIME" ./internal/procrun
 
 echo "ci: all green"

@@ -82,3 +82,44 @@ func TestCheckFailsOnLeak(t *testing.T) {
 		t.Fatalf("failure message %q does not mention the leak", ftb.msg)
 	}
 }
+
+// TestCheckFailsOnLeakWhileAnotherExits: a goroutine that was running
+// before the call and exits during it must not hide one the call leaks —
+// the goroutine count is the same before and after, the goroutines are
+// not. This is the shape of the old -race flake in TestCheckFailsOnLeak,
+// where an earlier test's goroutine was still exiting when Check started.
+func TestCheckFailsOnLeakWhileAnotherExits(t *testing.T) {
+	old := settleDeadline
+	settleDeadline = 50 * time.Millisecond
+	defer func() { settleDeadline = old }()
+
+	release := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		<-release
+	}()
+	ftb := &fakeTB{}
+	block := make(chan struct{})
+	defer close(block)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		Check(ftb, func() {
+			go func() { <-block }() // deliberately leaked past fn's return
+			close(release)          // and the older goroutine exits
+		})
+	}()
+	select {
+	case <-finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Check did not return within 5s on a leaked goroutine")
+	}
+	<-exited
+	if !ftb.failed {
+		t.Fatal("Check missed a leaked goroutine while an unrelated one exited")
+	}
+	if !strings.Contains(ftb.msg, "goroutine leak") {
+		t.Fatalf("failure message %q does not mention the leak", ftb.msg)
+	}
+}

@@ -16,7 +16,9 @@ import "fmt"
 // bit for bit. Sorting na keys instead of nt, and filling priorities
 // once per angleset instead of once per direction, is where the k/A
 // amortization comes from; the expansion back to per-direction task
-// ranks is a linear pass (buildAngleset).
+// ranks is a linear pass (buildAngleset). Narrow spreads skip the sort:
+// the counting pass ranks the expanded tasks straight from the aggregate
+// priorities (rankq.load).
 
 // ValidateAnglesets checks that groups is an angleset partition of the
 // k directions: every group non-empty with strictly ascending members
@@ -121,18 +123,21 @@ func ExpandAnglesetRelease(dst []int32, aggRel []int32, groups [][]int32, n int)
 	return nil
 }
 
-// buildAngleset is build's aggregated counterpart: it sorts the na =
-// n·A aggregate keys by (aggPrio, aggregate id) and expands the sorted
-// order into the full nt-task rank/order partition that build would
-// compute from the expanded priorities — without ever materializing
-// them. Within a run of equal priority the aggregate order is
-// angleset-segmented with ascending cells, and the expanded order of
+// buildAngleset is build's aggregated counterpart, for spreads the
+// counting pass does not take (narrower ones it ranks from the aggregate
+// priorities directly, reading each direction's row through dirGroup): it
+// sorts the na = n·A aggregate keys by (aggPrio, aggregate id) and
+// expands the sorted order into the full nt-task rank/order partition
+// that build would compute from the expanded priorities — without ever
+// materializing them. Within a run of equal priority the aggregate order
+// is angleset-segmented with ascending cells, and the expanded order of
 // the run is TaskID-ascending, i.e. direction-major: for each direction
 // i (ascending), the run's cells of group(i) ascending. Single-segment
 // runs (the common case: priorities rarely collide across anglesets)
 // expand by iterating the one group's members; multi-segment runs do a
 // k-scan over directions with a stamped group→segment lookup.
-func (q *rankq) buildAngleset(aggPrio Priorities, n int32, m int, assign Assignment, groups [][]int32, dirGroup []int32) {
+func (q *rankq) buildAngleset(in *prelude, minP int64, spread uint64, path rankPath) {
+	aggPrio, n, assign, groups, dirGroup := in.prio, in.n, in.assign, in.groups, in.dirGroup
 	A := len(groups)
 	k := int32(len(dirGroup))
 	na := int(n) * A
@@ -150,7 +155,8 @@ func (q *rankq) buildAngleset(aggPrio Priorities, n int32, m int, assign Assignm
 
 	// Every cell contributes exactly k tasks, all on its processor, so
 	// the partition offsets are plain build's for the full instance.
-	keys := q.sortAndPartition(aggPrio, na, int(n)*int(k), m, assign, n)
+	q.partition(in.nt, in.m, assign, n)
+	keys := q.sortedIDs(aggPrio, minP, spread, path)
 
 	// Expand the sorted aggregate order run by run. Emission order is
 	// exactly the expanded global (prio, TaskID) order, so rank/order

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sweepsched/internal/dag"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -373,11 +374,15 @@ func BenchmarkScheduleKernel(b *testing.B) {
 
 // BenchmarkScheduleKernelPaperShape is the workspace kernel at the paper's
 // headline size — tetonly at scale 1, k=24, m=64, about 755k tasks and
-// 1.47M edges, level+delay priorities (Algorithm 2), a fresh per-cell
-// assignment every trial. BenchmarkScheduleKernel's 74k-task box lives in
-// cache; here the per-task state is 12 MB and the kernel is bound by
-// memory, which is what the node and task-graph layout is for. A warm
-// run must allocate nothing.
+// 1.47M edges, a fresh per-cell assignment every trial — reported per run
+// and per task. BenchmarkScheduleKernel's 74k-task box lives in cache;
+// here the per-task state is 12 MB and the kernel is bound by memory,
+// which is what the node and task-graph layout is for. Two inputs:
+// "priority" is Algorithm 2's, level+delay priorities and no floors (the
+// counting pass ranks them); "release" is descendant_delays', descendant
+// priorities (a spread the radix sort ranks) and every direction held
+// back to its delay, so the release loop runs with the calendar on. A
+// warm run of either must allocate nothing.
 func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	msh, err := mesh.Family("tetonly", 1.0, 1)
 	if err != nil {
@@ -392,28 +397,43 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := rng.New(2)
-	n := inst.N()
-	prio := make(sched.Priorities, inst.NTasks())
+	n, nt := inst.N(), inst.NTasks()
+	levelDelay := make(sched.Priorities, nt)
+	release := make([]int32, nt)
 	for i, d := range inst.DAGs {
 		delay := int32(r.Intn(inst.K()))
 		for v, lvl := range d.Level {
-			prio[i*n+v] = int64(lvl + delay)
+			levelDelay[i*n+v] = int64(lvl + delay)
+			release[i*n+v] = delay
 		}
 	}
+	descendant := heuristics.DescendantPriorities(inst, 1)
 	assigns := make([]sched.Assignment, 4)
 	for i := range assigns {
 		assigns[i] = sched.RandomAssignment(n, inst.M, r)
 	}
-	ws := sched.NewWorkspace()
-	dst := &sched.Schedule{}
-	trial := 0
-	run := func() {
-		if err := sched.ListScheduleInto(ws, dst, inst, assigns[trial%len(assigns)], prio, nil); err != nil {
-			b.Fatal(err)
-		}
-		trial++
+	for _, bc := range []struct {
+		name    string
+		prio    sched.Priorities
+		release []int32
+	}{
+		{"priority", levelDelay, nil},
+		{"release", descendant, release},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ws := sched.NewWorkspace()
+			dst := &sched.Schedule{}
+			trial := 0
+			// The first run builds the task graph and grows the workspace.
+			sched.BenchWarm(b, func() {
+				if err := sched.ListScheduleInto(ws, dst, inst, assigns[trial%len(assigns)], bc.prio, bc.release); err != nil {
+					b.Fatal(err)
+				}
+				trial++
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nt), "ns/task")
+		})
 	}
-	sched.BenchWarm(b, run) // the first run builds the task graph and grows the workspace
 }
 
 // BenchmarkCommKernel is the same comparison for the communication-delay

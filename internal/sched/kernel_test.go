@@ -79,10 +79,9 @@ func TestRankqPopOrderIsTotalOrder(t *testing.T) {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	var q rankq
-	q.build(prio, nt, 1, make(Assignment, 50), 50)
-	q.reset()
-	for _, t := range perm {
-		q.push(0, t)
+	rankOnly(t, &q, prio, nt, 1, make(Assignment, 50))
+	for _, tt := range perm {
+		q.push(0, q.node[tt].rank)
 	}
 	want := make([]TaskID, nt)
 	copy(want, perm)
@@ -97,8 +96,8 @@ func TestRankqPopOrderIsTotalOrder(t *testing.T) {
 			t.Fatalf("pop %d: got %d want %d", i, got, w)
 		}
 	}
-	if q.count[0] != 0 {
-		t.Fatalf("count %d after drain", q.count[0])
+	if q.procs[0].count != 0 {
+		t.Fatalf("count %d after drain", q.procs[0].count)
 	}
 }
 
@@ -151,7 +150,8 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 // (push, pop) streams and demands identical pop sequences, including
 // (priority, TaskID) tie-breaks. Every seventh round inflates the
 // priority spread past what packs next to a task id in 64 bits, forcing
-// build's comparison-sort fallback; build's partition is also checked
+// the comparison-sort fallback, and the others fall on either side of
+// the counting pass's threshold; load's partition is also checked
 // structurally against a sorted per-processor reference.
 func TestRankqMatchesHeapReference(t *testing.T) {
 	r := rng.New(7777)
@@ -174,7 +174,7 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 		procOf := func(tt TaskID) int32 { return assign[int32(tt)%int32(n)] }
 
 		var q rankq
-		q.build(prio, nt, m, assign, int32(n))
+		rankOnly(t, &q, prio, nt, m, assign)
 
 		// Structural check: each processor's slot of order holds exactly
 		// its tasks in (prio, id) order, with rank the position within it.
@@ -191,7 +191,7 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 				}
 				return want[a] < want[b]
 			})
-			got := q.order[q.taskOff[p]:q.taskOff[p+1]]
+			got := q.order[q.procs[p].tasks:q.procs[p+1].tasks]
 			if len(got) != len(want) {
 				t.Fatalf("round %d proc %d: %d tasks in partition, want %d", round, p, len(got), len(want))
 			}
@@ -205,7 +205,6 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 			}
 		}
 
-		q.reset()
 		ref := make([]refTaskHeap, m)
 		for p := range ref {
 			ref[p].prio = prio
@@ -215,7 +214,7 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 			if next < nt && (ready == 0 || r.Intn(2) == 0) {
 				tt := TaskID(next)
 				p := procOf(tt)
-				q.push(p, tt)
+				q.push(p, q.node[tt].rank)
 				heap.Push(&ref[p], tt)
 				next++
 				ready++
@@ -225,8 +224,8 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 			for ref[p].Len() == 0 {
 				p = (p + 1) % int32(m)
 			}
-			if int(q.count[p]) != ref[p].Len() {
-				t.Fatalf("round %d proc %d: count %d, reference %d", round, p, q.count[p], ref[p].Len())
+			if int(q.procs[p].count) != ref[p].Len() {
+				t.Fatalf("round %d proc %d: count %d, reference %d", round, p, q.procs[p].count, ref[p].Len())
 			}
 			got, want := q.pop(p), heap.Pop(&ref[p]).(TaskID)
 			if got != want {
@@ -570,10 +569,77 @@ func TestConcurrentFirstPlansShareOneTaskGraph(t *testing.T) {
 	}
 }
 
-// TestSortAndPartitionOrder: the priority-digits-only radix sort returns
-// the ids in (prio, id) order whatever the priorities' spread — no pass
-// at all, one digit, a spread across the 12-bit digit boundary, offsets
-// below zero, the comparison fallback — each against slices.SortFunc.
+// rankOnly runs the list engines' prelude on q for nt tasks with
+// priorities prio, task t on processor assign[t mod len(assign)] of m, and
+// files none of them: the tasks are all marked done over edge-free DAGs,
+// so load ranks every task and pushes none. nt need not be a multiple of
+// the cell count. It returns the path load took.
+func rankOnly(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assignment) rankPath {
+	t.Helper()
+	n := len(assign)
+	d, err := dag.FromEdges(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags := make([]*dag.DAG, (nt+n-1)/n)
+	for i := range dags {
+		dags[i] = d
+	}
+	done := make([]bool, nt)
+	for i := range done {
+		done[i] = true
+	}
+	if left := q.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: dags, off: make([]int32, nt+1), done: done}); left != 0 {
+		t.Fatalf("%d of %d done tasks left to schedule", left, nt)
+	}
+	_, spread := prioRange(prio)
+	return rankPathFor(spread, len(prio), nt, m)
+}
+
+// checkRanks holds q's layout to a sort: each processor's slot of order
+// holds exactly its tasks in (prio, id) order, every task's rank is its
+// position there, and the slots cover all nt tasks.
+func checkRanks(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assignment) {
+	t.Helper()
+	n := int32(len(assign))
+	if got := int(q.procs[m].tasks); got != nt {
+		t.Fatalf("partition covers %d of %d tasks", got, nt)
+	}
+	for p := 0; p < m; p++ {
+		var want []TaskID
+		for tt := TaskID(0); tt < TaskID(nt); tt++ {
+			if assign[int32(tt)%n] == int32(p) {
+				want = append(want, tt)
+			}
+		}
+		slices.SortFunc(want, func(a, b TaskID) int {
+			if c := cmp.Compare(prio[a], prio[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		got := q.order[q.procs[p].tasks:q.procs[p+1].tasks]
+		if len(got) != len(want) {
+			t.Fatalf("proc %d: %d tasks in partition, want %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("proc %d rank %d: task %d (prio %d), want %d (prio %d)", p, i, got[i], prio[got[i]], want[i], prio[want[i]])
+			}
+			if q.node[want[i]].rank != int32(i) {
+				t.Fatalf("proc %d: task %d has rank %d, want %d", p, want[i], q.node[want[i]].rank, i)
+			}
+		}
+	}
+}
+
+// TestSortAndPartitionOrder: load ranks the tasks in (prio, id) order per
+// processor whatever the priorities' spread, on each side of both
+// thresholds — the counting pass (all equal, spread 1, its exact bucket
+// limit, negative offsets, a ragged nt), the priority-digits-only radix
+// sort (one bucket past the limit, one digit, a spread across the 12-bit
+// digit boundary, three digits) and the comparison fallback — each
+// against slices.SortFunc, and each on the path its spread selects.
 func TestSortAndPartitionOrder(t *testing.T) {
 	r := rng.New(7331)
 	spreadOf := func(nkeys int, spread uint64, base int64) Priorities {
@@ -588,13 +654,17 @@ func TestSortAndPartitionOrder(t *testing.T) {
 		name     string
 		n, nt, m int
 		prio     func(nkeys int) Priorities
+		path     rankPath
 	}{
-		{name: "all equal: no pass", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return make(Priorities, nk) }},
-		{name: "spread 1", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 1, 0) }},
-		{name: "spread 4095: one full digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4095, 0) }},
-		{name: "spread 4096: into the second digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4096, 0) }},
-		{name: "spread 2^25: three digits", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 1<<25, 17) }},
-		{name: "negative priorities", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 700, -350) }},
+		{name: "all equal: no pass", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return make(Priorities, nk) }, path: countPath},
+		{name: "spread 1", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 1, 0) }, path: countPath},
+		{name: "spread 74: buckets fill the tasks", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 74, 3) }, path: countPath},
+		{name: "spread 75: one bucket row past the tasks", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 75, 3) }, path: radixPath},
+		{name: "spread 4095: one full digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4095, 0) }, path: radixPath},
+		{name: "spread 4096: into the second digit", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 4096, 0) }, path: radixPath},
+		{name: "spread 2^25: three digits", n: 64, nt: 8192, m: 5, prio: func(nk int) Priorities { return spreadOf(nk, 1<<25, 17) }, path: radixPath},
+		{name: "negative priorities", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 70, -35) }, path: countPath},
+		{name: "negative priorities, radix", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities { return spreadOf(nk, 700, -350) }, path: radixPath},
 		{name: "extremes of int64: comparison fallback", n: 50, nt: 300, m: 4, prio: func(nk int) Priorities {
 			prio := spreadOf(nk, 1000, 0)
 			for i := range prio {
@@ -605,96 +675,76 @@ func TestSortAndPartitionOrder(t *testing.T) {
 				}
 			}
 			return prio
-		}},
-		{name: "one task", n: 1, nt: 1, m: 1, prio: func(nk int) Priorities { return Priorities{-9} }},
-		{name: "ragged nt", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 5, 0) }},
+		}, path: comparePath},
+		{name: "one task", n: 1, nt: 1, m: 1, prio: func(nk int) Priorities { return Priorities{-9} }, path: countPath},
+		{name: "ragged nt", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 5, 0) }, path: countPath},
+		{name: "ragged nt, radix", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 8, 0) }, path: radixPath},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prio := tc.prio(tc.nt)
 			assign := RandomAssignment(tc.n, tc.m, r)
 			var q rankq
-			got := q.sortAndPartition(prio, tc.nt, tc.nt, tc.m, assign, int32(tc.n))
-			want := make([]uint64, tc.nt)
-			for i := range want {
-				want[i] = uint64(i)
+			if path := rankOnly(t, &q, prio, tc.nt, tc.m, assign); path != tc.path {
+				t.Fatalf("ranked on path %d, want %d", path, tc.path)
 			}
-			slices.SortFunc(want, func(a, b uint64) int {
-				if c := cmp.Compare(prio[a], prio[b]); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("position %d: id %d (prio %d), want id %d (prio %d)", i, got[i], prio[got[i]], want[i], prio[want[i]])
-				}
-			}
-			if int(q.taskOff[tc.m]) != tc.nt {
-				t.Fatalf("partition covers %d of %d tasks", q.taskOff[tc.m], tc.nt)
-			}
+			checkRanks(t, &q, prio, tc.nt, tc.m, assign)
 		})
 	}
 }
 
-// TestRankqRaggedTaskCount exercises rankq.build on task counts that are
-// not an exact multiple of the cell count (a trailing partial
-// direction). The per-processor counts must come from the actual
-// task→cell mapping: the old cells-times-k shortcut truncated nt/n and
-// mis-sized every partition offset after the first affected processor.
+// TestRankqRaggedTaskCount exercises load on task counts that are not an
+// exact multiple of the cell count (a trailing partial direction), on
+// the counting pass, the radix sort and the comparison fallback in turn.
+// The per-processor counts must come from the actual task→cell mapping:
+// the old cells-times-k shortcut truncated nt/n and mis-sized every
+// partition offset after the first affected processor.
 func TestRankqRaggedTaskCount(t *testing.T) {
 	r := rng.New(9091)
 	for round := 0; round < 30; round++ {
 		n := 2 + r.Intn(40)
 		m := 1 + r.Intn(6)
 		// nt deliberately not a multiple of n (and sometimes < n).
-		nt := 1 + r.Intn(3*n)
+		nt := 2 + r.Intn(3*n)
 		if nt%n == 0 {
 			nt++
 		}
-		prio := randomPrio(nt, r)
+		var prio Priorities
+		want := rankPath(round % 3)
+		switch want {
+		case countPath:
+			prio = make(Priorities, nt)
+			for tt := range prio {
+				prio[tt] = int64(r.Intn(max(1, nt/m)))
+			}
+			if nt < m {
+				want = radixPath // a bucket per processor is already more than the tasks
+			}
+		case radixPath:
+			prio = randomPrio(nt, r)
+			prio[0] = int64(nt) + prio[1] // past the counting pass's buckets
+		case comparePath:
+			prio = randomPrio(nt, r)
+			prio[0] = math.MinInt64
+			prio[nt-1] = math.MaxInt64
+		}
 		assign := RandomAssignment(n, m, r)
 		procOf := func(tt TaskID) int32 { return assign[int32(tt)%int32(n)] }
 
 		var q rankq
-		q.build(prio, nt, m, assign, int32(n))
-		if got := int(q.taskOff[m]); got != nt {
-			t.Fatalf("round %d (n=%d nt=%d m=%d): partition covers %d tasks, want %d",
-				round, n, nt, m, got, nt)
+		if path := rankOnly(t, &q, prio, nt, m, assign); path != want {
+			t.Fatalf("round %d (n=%d nt=%d m=%d): ranked on path %d, want %d", round, n, nt, m, path, want)
 		}
-		for p := 0; p < m; p++ {
-			var want []TaskID
-			for tt := TaskID(0); tt < TaskID(nt); tt++ {
-				if procOf(tt) == int32(p) {
-					want = append(want, tt)
-				}
-			}
-			sort.Slice(want, func(a, b int) bool {
-				if prio[want[a]] != prio[want[b]] {
-					return prio[want[a]] < prio[want[b]]
-				}
-				return want[a] < want[b]
-			})
-			got := q.order[q.taskOff[p]:q.taskOff[p+1]]
-			if len(got) != len(want) {
-				t.Fatalf("round %d proc %d: %d tasks in partition, want %d", round, p, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("round %d proc %d rank %d: task %d, want %d", round, p, i, got[i], want[i])
-				}
-			}
-		}
+		checkRanks(t, &q, prio, nt, m, assign)
 
 		// The ready set must still pop in (prio, id) order per processor.
-		q.reset()
 		ref := make([]refTaskHeap, m)
 		for p := range ref {
 			ref[p].prio = prio
 		}
 		for tt := TaskID(0); tt < TaskID(nt); tt++ {
 			p := procOf(tt)
-			q.push(p, tt)
+			q.push(p, q.node[tt].rank)
 			heap.Push(&ref[p], tt)
 		}
 		for p := int32(0); p < int32(m); p++ {
@@ -703,14 +753,14 @@ func TestRankqRaggedTaskCount(t *testing.T) {
 					t.Fatalf("round %d proc %d: popped %d, reference %d", round, p, got, want)
 				}
 			}
-			if q.count[p] != 0 {
-				t.Fatalf("round %d proc %d: count %d after drain", round, p, q.count[p])
+			if q.procs[p].count != 0 {
+				t.Fatalf("round %d proc %d: count %d after drain", round, p, q.procs[p].count)
 			}
 		}
 	}
 }
 
-// TestRankqRadixFallbackBoundary pins build's sort-path selection at the
+// TestRankqRadixFallbackBoundary pins the sort-path selection at the
 // exact threshold: a priority spread of math.MaxUint64>>(idBits+1) still
 // packs next to a task id in 64 bits (radix path), spread+1 must take
 // the comparison-sort fallback — and both must produce the identical
@@ -721,31 +771,18 @@ func TestRankqRadixFallbackBoundary(t *testing.T) {
 	idBits := uint(2)
 	atLimit := int64(uint64(math.MaxUint64) >> (idBits + 1)) // fits: spread<<idBits has headroom
 	assign := Assignment{0, 1}
-	for name, spread := range map[string]int64{"atThreshold": atLimit, "pastThreshold": atLimit + 1} {
-		prio := Priorities{0, spread, spread, 0}
-		var q rankq
-		q.build(prio, nt, m, assign, n)
-		// Expected per-processor (prio, id) order, from a plain sort.
-		for p := 0; p < m; p++ {
-			var want []TaskID
-			for tt := TaskID(0); tt < TaskID(nt); tt++ {
-				if assign[int32(tt)%n] == int32(p) {
-					want = append(want, tt)
-				}
+	for name, tc := range map[string]struct {
+		spread int64
+		path   rankPath
+	}{"atThreshold": {atLimit, radixPath}, "pastThreshold": {atLimit + 1, comparePath}} {
+		t.Run(name, func(t *testing.T) {
+			prio := Priorities{0, tc.spread, tc.spread, 0}
+			var q rankq
+			if path := rankOnly(t, &q, prio, nt, m, assign); path != tc.path {
+				t.Fatalf("ranked on path %d, want %d", path, tc.path)
 			}
-			sort.Slice(want, func(a, b int) bool {
-				if prio[want[a]] != prio[want[b]] {
-					return prio[want[a]] < prio[want[b]]
-				}
-				return want[a] < want[b]
-			})
-			got := q.order[q.taskOff[p]:q.taskOff[p+1]]
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s proc %d rank %d: task %d, want %d", name, p, i, got[i], want[i])
-				}
-			}
-		}
+			checkRanks(t, &q, prio, nt, m, assign)
+		})
 	}
 }
 

@@ -80,34 +80,26 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 	// bitmaps — every cell on processor 0 of 1 — and the m smallest ready
 	// (prio, id) run each step.
 	rq := &ws.rq
-	rq.build(prio, nt, 1, ws.zeroAssign, int32(inst.N()))
-	rq.reset()
-	nodes, succ := rq.node, g.succ
-	remaining := fillNodes(nodes, inst, g, ws.zeroAssign, nil)
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if nodes[t].indeg == 0 {
-			rq.push(0, t)
-		}
-	}
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: 1, n: int32(inst.N()), assign: ws.zeroAssign, dags: inst.DAGs, off: g.off})
+	nodes, succ, ready := rq.node, g.succ, &rq.procs[0]
 	batch := ws.completed[:0]
 	for step := int32(1); remaining > 0; step++ {
 		batch = batch[:0]
-		for len(batch) < inst.M && rq.count[0] > 0 {
-			batch = append(batch, rq.pop(0))
+		for len(batch) < inst.M && ready.count > 0 {
+			t := rq.pop(0)
+			level[t] = step
+			batch = append(batch, popped{0, nodes[t].off, nodes[t+1].off})
 		}
 		if len(batch) == 0 {
 			ws.completed = batch
 			return 0, fmt.Errorf("sched: greedy deadlock at step %d", step)
 		}
 		remaining -= len(batch)
-		for _, t := range batch {
-			level[t] = step
-			for _, wt := range succ[nodes[t].off:nodes[t+1].off] {
+		for _, ran := range batch {
+			for _, wt := range succ[ran.lo:ran.hi] {
 				w := &nodes[wt]
 				w.indeg--
-				if w.indeg == 0 {
-					rq.push(0, wt)
-				}
+				rq.pushIf(0, w.rank, zeroBit(w.indeg))
 			}
 		}
 		makespan = int(step)

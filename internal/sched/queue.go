@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"sweepsched/internal/dag"
 )
 
 // Typed ready-queue primitives for the scheduling kernels. Both replace
@@ -22,31 +24,30 @@ import (
 // rankq is the ready-set structure of the list engines (stepcore.go,
 // weighted.go, GreedyScheduleInto). A run never changes a task's
 // priority or its processor, so the (priority, TaskID) total order can be
-// materialized once per run: build sorts all tasks into rank order and
-// partitions them by processor, giving each processor a dense local rank
-// space over only its own tasks. Each processor's ready set is then a
-// bitmap over its local ranks: push sets one bit; pop finds the lowest
-// set bit — the ready task of minimum (priority, TaskID) — with a short
-// forward word scan from a per-processor hint plus TrailingZeros64. That removes the
-// per-pop sift work of a heap (the dominant cost of the kernel) in
-// exchange for one cache-friendly radix sort per run, and the dense
-// per-processor bitmaps (nt bits total across all processors) stay
-// resident in L1.
+// materialized once per run: load ranks every task among its processor's
+// tasks, giving each processor a dense local rank space over only its own
+// tasks. Each processor's ready set is then a bitmap over its local ranks:
+// push sets one bit; pop finds the lowest set bit — the ready task of
+// minimum (priority, TaskID) — with a short forward word scan from a
+// per-processor hint plus TrailingZeros64. That removes the per-pop sift
+// work of a heap (the dominant cost of the kernel) in exchange for one
+// ranking pass per run, and the dense per-processor bitmaps (nt bits
+// total across all processors) stay resident in L1.
 //
 // Pop order is identical to a min-heap's: both return the minimum of
 // the current ready set under the same strict total order, so schedules
 // are bitwise-identical to the container/heap kernels (refimpl).
 type rankq struct {
-	keys     []uint64 // sort scratch: (prio - minPrio) << idBits | TaskID
-	keys2    []uint64 // radix scatter buffer
-	order    []TaskID // taskOff[p] + local rank -> task
-	node     []node   // task -> local rank on its processor (+ the engine's state), len nt+1
-	taskOff  []int32  // processor -> start of its slot in order (len m+1)
-	wordsOff []int32  // processor -> start of its bitmap words (len m+1)
-	next     []int32  // partition scratch (len m)
-	words    []uint64 // concatenated per-processor bitmaps
-	minWord  []int32  // per-processor scan hint (lowest possibly-set word)
-	count    []int32  // per-processor ready count
+	order []TaskID // procs[p].tasks + local rank -> task
+	node  []node   // task -> local rank on its processor and the engine's state, len nt+1
+	procs []procq  // processor -> its queue record; procs[m] closes the last one (len m+1)
+	words []uint64 // concatenated per-processor bitmaps
+
+	// Ranking scratch: the counting path's bucket cursors, the radix
+	// path's packed keys and their scatter buffer.
+	cursor []int32
+	keys   []uint64 // (prio - minPrio) << idBits | TaskID
+	keys2  []uint64
 
 	// Angleset expansion scratch (buildAngleset, angleset.go): segment
 	// table of one equal-priority run plus the group→segment stamp map.
@@ -56,13 +57,22 @@ type rankq struct {
 	segStamp []int32 // angleset -> run id that last stamped segOf
 }
 
+// procq is one processor's queue record: everything push and pop read or
+// write about the processor, in 16 bytes, so each touches one line of
+// queue state besides the bitmap word.
+type procq struct {
+	words int32 // first bitmap word
+	min   int32 // scan hint: no word below it has a set bit
+	count int32 // ready tasks
+	tasks int32 // first slot in order
+}
+
 // node is everything a list engine reads or writes about one task between
 // its release and its pop, in 16 bytes — four tasks to a cache line — so
 // releasing a successor (indeg, then proc and rank for the push) and
-// popping a task (off, proc) each touch one line. rank is the queue's,
-// written by place; the engine fills the rest once per run (fillNodes).
-// The array is nt+1 long: node[t+1].off ends t's successor list in the
-// task graph.
+// popping a task (off, proc) each touch one line. load writes all of it
+// once per run. The array is nt+1 long: node[t+1].off ends t's successor
+// list in the task graph.
 type node struct {
 	indeg int32 // unfinished predecessors
 	rank  int32 // local rank on proc
@@ -70,101 +80,275 @@ type node struct {
 	proc  int32 // the task's processor
 }
 
-// build sorts the nt tasks by (prio, TaskID) and partitions the sorted
-// order into per-processor local ranks (processor of task t is
-// assign[t mod n]): processor p's tasks, in global (prio, id) order,
-// occupy order[taskOff[p]:taskOff[p+1]] and get local ranks 0..count-1.
-// The greedy scheduler pins nothing: it builds with m = 1 and every cell
-// on processor 0, one partition ranked by (prio, TaskID) alone.
-// It does not allocate once the scratch has grown to (nt, m).
-func (q *rankq) build(prio Priorities, nt, m int, assign Assignment, n int32) {
-	for _, key := range q.sortAndPartition(prio, nt, nt, m, assign, n) {
+// prelude is one run's input to load: the priorities to rank by, where
+// every task runs, and the graph and release state its node and its
+// filing as a source come from. Processor of task t is assign[t mod n].
+type prelude struct {
+	prio     Priorities // one per task; one per (angleset, cell) under dirGroup
+	dirGroup []int32    // direction -> angleset; nil when prio is per task
+	groups   [][]int32  // the anglesets, under dirGroup
+	nt, m    int
+	n        int32
+	assign   Assignment
+	dags     []*dag.DAG // the directions' in-degrees, and in-lists under done
+	off      []int32    // taskGraph.off: successor offsets, nt+1 of them
+	done     []bool     // tasks finished before the run; nil for none
+	floor    []int32    // release floors, nil for none: a source with one above 0 waits in cal
+	cal      *calendar
+}
+
+// row returns the priorities of the first cells cells of direction i.
+func (in *prelude) row(i, cells int) Priorities {
+	if in.dirGroup != nil {
+		i = int(in.dirGroup[i])
+	}
+	lo := i * int(in.n)
+	return in.prio[lo : lo+cells]
+}
+
+// load is the prelude every list engine runs, as one call: it ranks the
+// tasks, writes every node, empties the ready sets and files each source
+// as ready (or, under a release floor above 0, in the calendar), and
+// returns how many tasks the run schedules. The greedy scheduler pins
+// nothing: it loads with m = 1 and every cell on processor 0, one
+// partition ranked by (prio, TaskID) alone. It does not allocate once the
+// scratch has grown to the run's shape.
+//
+// How the ranks are computed depends on the priorities' spread
+// (rankPathFor). On the counting path — level and delay priorities at any
+// practical m — they come out of the same pass that writes the nodes;
+// otherwise build or buildAngleset sorts first and that pass reads them.
+func (q *rankq) load(in prelude) (remaining int) {
+	nt, m := in.nt, in.m
+	if cap(q.order) < nt {
+		q.order = make([]TaskID, nt)
+		q.node = make([]node, nt+1)
+	}
+	q.order, q.node = q.order[:nt], q.node[:nt+1]
+	if cap(q.procs) < m+1 {
+		q.procs = make([]procq, m+1)
+	}
+	q.procs = q.procs[:m+1]
+
+	minP, spread := prioRange(in.prio)
+	path := rankPathFor(spread, len(in.prio), nt, m)
+	span := 0
+	switch {
+	case path == countPath:
+		span = int(spread) + 1
+		q.countBuckets(&in, minP, span)
+	case in.dirGroup != nil:
+		q.buildAngleset(&in, minP, spread, path)
+	default:
+		q.build(&in, minP, spread, path)
+	}
+	q.reset()
+	return q.fill(&in, minP, span)
+}
+
+// rankPath is how load ranks a run's tasks.
+type rankPath uint8
+
+const (
+	countPath   rankPath = iota // one stable counting pass by (processor, priority)
+	radixPath                   // LSD radix sort of the priority digits of packed keys
+	comparePath                 // comparison sort: the spread does not pack beside an id
+)
+
+// rankPathFor is the one place the ranking method is chosen, from the
+// spread (largest minus smallest) of nkeys priorities for nt tasks on m
+// processors. The counting pass keeps a bucket per (processor, priority
+// value) and takes the run when those (spread+1)·m buckets are no more
+// than the tasks, so laying them out costs no more than the pass itself.
+// Otherwise a spread that fits alongside an id below nkeys in 64 bits —
+// every practical one — packs into uint64 keys for the radix sort, and a
+// wider one is compared.
+func rankPathFor(spread uint64, nkeys, nt, m int) rankPath {
+	switch {
+	case spread < uint64(nt) && (spread+1)*uint64(m) <= uint64(nt):
+		return countPath
+	case spread <= math.MaxUint64>>(bits.Len64(uint64(nkeys-1))+1):
+		return radixPath
+	}
+	return comparePath
+}
+
+// prioRange returns the smallest priority and the spread up to the largest.
+func prioRange(prio Priorities) (minP int64, spread uint64) {
+	if len(prio) == 0 {
+		return 0, 0
+	}
+	minP, maxP := prio[0], prio[0]
+	for _, p := range prio[1:] {
+		minP, maxP = min(minP, p), max(maxP, p)
+	}
+	return minP, uint64(maxP) - uint64(minP)
+}
+
+// countBuckets lays out the counting path: it counts the tasks of every
+// (processor, priority) bucket, orders the buckets processor-major and
+// priority-minor, and leaves each bucket's first slot in order in
+// q.cursor and each processor's first slot and bitmap word in its record.
+// fill then ranks the tasks.
+func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
+	nb := in.m * span
+	if cap(q.cursor) < nb {
+		q.cursor = make([]int32, nb)
+	}
+	cur := q.cursor[:nb]
+	q.cursor = cur
+	clear(cur)
+	n := int(in.n)
+	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
+		for v, pv := range in.row(i, min(n, in.nt-base)) {
+			cur[int(in.assign[v])*span+int(pv-minP)]++
+		}
+	}
+	var slot, word int32
+	for p := 0; p < in.m; p++ {
+		first := slot
+		for b, c := range cur[p*span : (p+1)*span] {
+			cur[p*span+b] = slot
+			slot += c
+		}
+		q.procs[p].tasks, q.procs[p].words = first, word
+		word += (slot - first + 63) >> 6
+	}
+	q.procs[in.m].tasks, q.procs[in.m].words = slot, word
+}
+
+// fill writes every task's node — in-degree, rank, successor offset,
+// processor — in one sequential pass in id order, files the sources, and
+// returns the number of tasks to schedule. On the counting path (span > 0)
+// it ranks as it goes: a task takes the next slot of its (processor,
+// priority) bucket, the tasks come in id order, so each bucket fills in id
+// order and a processor's buckets, in priority order, hold its tasks in
+// (priority, id) order. On the other paths build or buildAngleset has
+// ranked them already. Under a done mask only edges between not-done tasks
+// count; done tasks sit at in-degree 0 and are never filed, and a finished
+// predecessor drives a done successor's counter negative, never to zero,
+// so the engines' release loops need no mask test.
+func (q *rankq) fill(in *prelude, minP int64, span int) (remaining int) {
+	n := int(in.n)
+	nodes, procs, order, cur := q.node, q.procs, q.order, q.cursor
+	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
+		cells := min(n, in.nt-base)
+		d, seg, off := in.dags[i], nodes[base:base+cells], in.off[base:base+cells]
+		var pr Priorities
+		if span > 0 {
+			pr = in.row(i, cells)
+		}
+		var mask []bool
+		if in.done != nil {
+			mask = in.done[base : base+cells]
+		}
+		for v := range seg {
+			p := in.assign[v]
+			var r int32
+			if span > 0 {
+				b := int(p)*span + int(pr[v]-minP)
+				slot := cur[b]
+				cur[b] = slot + 1
+				order[slot] = TaskID(base + v)
+				r = slot - procs[p].tasks
+			} else {
+				r = seg[v].rank
+			}
+			var indeg int32
+			switch {
+			case mask == nil:
+				indeg = int32(d.InDegree(int32(v)))
+			case mask[v]:
+				seg[v] = node{rank: r, off: off[v], proc: p}
+				continue
+			default:
+				for _, u := range d.In(int32(v)) {
+					if !mask[u] {
+						indeg++
+					}
+				}
+			}
+			seg[v] = node{indeg: indeg, rank: r, off: off[v], proc: p}
+			remaining++
+			if indeg == 0 {
+				if t := TaskID(base + v); in.floor != nil && in.floor[t] > 0 {
+					in.cal.push(t, in.floor[t])
+				} else {
+					q.push(p, r)
+				}
+			}
+		}
+	}
+	nodes[in.nt].off = in.off[in.nt]
+	return remaining
+}
+
+// build ranks per-task priorities on the radix and comparison paths: it
+// lays out the processors' slots, sorts the ids by (prio, id) and places
+// each task, in that order, at the next local rank on its processor.
+func (q *rankq) build(in *prelude, minP int64, spread uint64, path rankPath) {
+	q.partition(in.nt, in.m, in.assign, in.n)
+	for _, key := range q.sortedIDs(in.prio, minP, spread, path) {
 		t := TaskID(key)
-		q.place(assign[int32(t)%n], t)
+		q.place(in.assign[int32(t)%in.n], t)
 	}
 }
 
 // place gives task t the next local rank on its processor p. Tasks
 // must be placed in global (prio, TaskID) order.
 func (q *rankq) place(p int32, t TaskID) {
-	lr := q.next[p]
-	q.next[p] = lr + 1
-	q.node[t].rank = lr
-	q.order[q.taskOff[p]+lr] = t
+	pq := &q.procs[p]
+	q.node[t].rank = pq.count
+	q.order[pq.tasks+pq.count] = t
+	pq.count++
 }
 
-// sortAndPartition is the prelude build and buildAngleset share. It
-// grows the scratch for nt tasks on m processors, lays out the
-// per-processor partition (task slots and bitmap words) with the local
-// rank cursors q.next at zero, and returns the ids 0..nkeys-1 sorted by
-// (prio, id) ascending — nkeys is nt for build, n·A for buildAngleset.
-//
-// Priorities whose spread fits alongside an id in 64 bits — every
-// practical case; level and delay priorities are small ints — pack into
-// uint64 keys, which are written in id order; a stable LSD radix sort of
-// the priority bits alone therefore leaves them in (prio, id) order (one
-// 12-bit pass for a spread under 4096, none when all priorities are
-// equal). Wider spreads fall back to an in-place comparison sort.
-func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assignment, n int32) []uint64 {
-	if cap(q.order) < nt {
-		q.order = make([]TaskID, nt)
-		q.node = make([]node, nt+1)
-		q.keys = make([]uint64, nt)
-		q.keys2 = make([]uint64, nt)
+// partition lays out the processors' slots in order and their bitmap
+// words for the sorting paths, with every record's count at zero for
+// place to use as its cursor. The per-processor task counts come from
+// the task→cell mapping: the Instance layout (nt = n·k, every direction
+// one copy of each cell) admits the cells-times-k shortcut, but a ragged
+// nt (not a multiple of n) must be counted task by task or the trailing
+// partial direction mis-sizes every offset after the first affected
+// processor.
+func (q *rankq) partition(nt, m int, assign Assignment, n int32) {
+	procs := q.procs
+	for p := range procs {
+		procs[p].count = 0
 	}
-	q.order = q.order[:nt]
-	q.node = q.node[:nt+1]
-	q.keys = q.keys[:nkeys]
-	q.keys2 = q.keys2[:nkeys]
-	if cap(q.taskOff) < m+1 {
-		q.taskOff = make([]int32, m+1)
-		q.wordsOff = make([]int32, m+1)
-		q.next = make([]int32, m)
-	}
-	q.taskOff = q.taskOff[:m+1]
-	q.wordsOff = q.wordsOff[:m+1]
-	q.next = q.next[:m]
-
-	// Per-processor task counts come from the task→cell mapping: the
-	// Instance layout (nt = n·k, every direction one copy of each cell)
-	// admits the cells-times-k shortcut, but a ragged nt (not a multiple
-	// of n) must be counted task by task or the trailing partial
-	// direction mis-sizes every offset after the first affected processor.
-	next := q.next
-	clear(next)
 	if k := int32(nt) / n; k*n == int32(nt) {
 		for v := int32(0); v < n; v++ {
-			next[assign[v]] += k
+			procs[assign[v]].count += k
 		}
 	} else {
 		for t := int32(0); t < int32(nt); t++ {
-			next[assign[t%n]]++
+			procs[assign[t%n]].count++
 		}
 	}
-	var to, wo int32
+	var slot, word int32
 	for p := 0; p < m; p++ {
-		q.taskOff[p], q.wordsOff[p] = to, wo
-		to += next[p]
-		wo += (next[p] + 63) >> 6
+		c := procs[p].count
+		procs[p].tasks, procs[p].words, procs[p].count = slot, word, 0
+		slot += c
+		word += (c + 63) >> 6
 	}
-	q.taskOff[m], q.wordsOff[m] = to, wo
-	clear(next)
-	if nkeys == 0 {
-		return nil
-	}
+	procs[m].tasks, procs[m].words = slot, word
+}
 
-	keys := q.keys
-	minP, maxP := prio[0], prio[0]
-	for _, p := range prio[1:] {
-		if p < minP {
-			minP = p
-		} else if p > maxP {
-			maxP = p
-		}
+// sortedIDs returns the ids 0..len(prio)-1 sorted by (prio, id) ascending
+// on the radix or the comparison path. On the radix path the keys are
+// packed and written in id order, so a stable LSD radix sort of the
+// priority bits alone leaves them in (prio, id) order (one 12-bit pass for
+// a spread under 4096).
+func (q *rankq) sortedIDs(prio Priorities, minP int64, spread uint64, path rankPath) []uint64 {
+	nkeys := len(prio)
+	if cap(q.keys) < nkeys {
+		q.keys = make([]uint64, nkeys)
+		q.keys2 = make([]uint64, nkeys)
 	}
-	spread := uint64(maxP) - uint64(minP)
-	idBits := bits.Len64(uint64(nkeys - 1))
-	if spread > math.MaxUint64>>(idBits+1) {
+	q.keys, q.keys2 = q.keys[:nkeys], q.keys2[:nkeys]
+	keys := q.keys
+	if path == comparePath {
 		for t := range keys {
 			keys[t] = uint64(t)
 		}
@@ -176,6 +360,10 @@ func (q *rankq) sortAndPartition(prio Priorities, nkeys, nt, m int, assign Assig
 		})
 		return keys
 	}
+	if nkeys == 0 {
+		return keys
+	}
+	idBits := bits.Len64(uint64(nkeys - 1))
 	for t := range keys {
 		keys[t] = (uint64(prio[t])-uint64(minP))<<idBits | uint64(t)
 	}
@@ -218,53 +406,58 @@ func (q *rankq) sortKeys(idBits, width int) {
 	q.keys, q.keys2 = keys, tmp
 }
 
-// reset clears the per-processor bitmaps for a run. Must follow build
-// (which computes the partition offsets).
+// reset empties every processor's ready set. The layout (the records'
+// slots and words) must be in place.
 func (q *rankq) reset() {
-	m := len(q.taskOff) - 1
-	need := int(q.wordsOff[m])
+	m := len(q.procs) - 1
+	need := int(q.procs[m].words)
 	if cap(q.words) < need {
 		// Each processor rounds its tasks up to whole words, so the count
 		// moves with the assignment; nt/64 + m covers every assignment.
-		q.words = make([]uint64, need, int(q.taskOff[m])>>6+m)
+		q.words = make([]uint64, need, int(q.procs[m].tasks)>>6+m)
 	}
 	q.words = q.words[:need]
 	clear(q.words)
-	if cap(q.minWord) < m {
-		q.minWord = make([]int32, m)
-		q.count = make([]int32, m)
+	for p := 0; p < m; p++ {
+		q.procs[p].min, q.procs[p].count = q.procs[p+1].words, 0
 	}
-	q.minWord = q.minWord[:m]
-	q.count = q.count[:m]
-	copy(q.minWord, q.wordsOff[1:])
-	clear(q.count)
 }
 
-// push marks task t ready on its processor p (p must be the processor
-// build partitioned t onto).
-func (q *rankq) push(p int32, t TaskID) {
-	r := q.node[t].rank
-	w := q.wordsOff[p] + r>>6
-	q.words[w] |= 1 << uint(r&63)
-	if w < q.minWord[p] {
-		q.minWord[p] = w
-	}
-	q.count[p]++
+// push marks the task of local rank r on processor p ready (p must be the
+// processor load ranked it on).
+func (q *rankq) push(p, r int32) { q.pushIf(p, r, 1) }
+
+// pushIf is push when ready is 1 and leaves the ready set as it was when
+// ready is 0, without a branch: a release loop that would otherwise
+// branch on a successor's last predecessor — a coin flip for the
+// predictor — passes the outcome in as a number instead. An unready
+// task's word gains no bit, the count nothing, and its word index is
+// lifted past any real one before it meets the scan hint.
+func (q *rankq) pushIf(p, r, ready int32) {
+	pq := &q.procs[p]
+	w := pq.words + r>>6
+	q.words[w] |= uint64(ready) << uint(r&63)
+	pq.count += ready
+	pq.min = min(pq.min, w|(ready-1)&math.MaxInt32)
 }
+
+// zeroBit is 1 when x is 0 and 0 otherwise, computed without a branch:
+// x|-x has its sign bit set exactly when x is not 0 (x > MinInt32).
+func zeroBit(x int32) int32 { return 1 + (x|-x)>>31 }
 
 // pop removes and returns processor p's ready task of minimum
-// (priority, TaskID). The caller must check count[p] > 0 first.
+// (priority, TaskID). The caller must check procs[p].count > 0 first.
 func (q *rankq) pop(p int32) TaskID {
-	w := q.minWord[p]
+	pq := &q.procs[p]
+	w := pq.min
 	for q.words[w] == 0 {
 		w++
 	}
 	b := bits.TrailingZeros64(q.words[w])
 	q.words[w] &^= 1 << uint(b)
-	q.minWord[p] = w
-	q.count[p]--
-	lr := int32(w-q.wordsOff[p])<<6 + int32(b)
-	return q.order[q.taskOff[p]+lr]
+	pq.min = w
+	pq.count--
+	return q.order[pq.tasks+(w-pq.words)<<6+int32(b)]
 }
 
 // calendar is a monotone bucket queue for task release times keyed on the

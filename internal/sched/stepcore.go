@@ -8,8 +8,9 @@ import (
 // The unit-step scheduling core. The §3 list scheduler, its §5.2
 // random-delay releases, the uniform communication-delay model, the
 // angleset-aggregated forms and the recovery reschedule are one loop:
-// rank the tasks, prime the calendar, pop one ready task per processor
-// per step, release successors. What differs between them is when a
+// rank the tasks and file the sources (rankq.load, the prelude all the
+// list engines share), pop one ready task per processor per step,
+// release successors. What differs between them is when a
 // task becomes available,
 //
 //	avail(t) = max(floor(t), max over predecessors u of
@@ -50,6 +51,12 @@ type stepRule struct {
 	// (Start stays -1) and their successors owe them no wait.
 	done []bool
 }
+
+// popped is a task a step ran, as the release walk after the pops needs
+// it: its processor and its successors' range in the task graph. The pop
+// loop reads the range while it pops, so a step's node loads overlap one
+// another instead of each waiting for the previous task's walk.
+type popped struct{ proc, lo, hi int32 }
 
 // StepRangeError reports a communication delay or release time whose
 // worst-case makespan — nt·(commDelay+1) steps on top of the latest
@@ -116,16 +123,6 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		return err
 	}
 	span := ws.col.Span(rule.series.time)
-	rq := &ws.rq
-	if rule.aggregated {
-		rq.buildAngleset(prio, n, m, assign, rule.groups, ws.dirGroup)
-	} else {
-		rq.build(prio, nt, m, assign, n)
-	}
-	rq.reset()
-	nodes, succ := rq.node, g.succ
-	remaining := fillNodes(nodes, inst, g, assign, rule.done)
-
 	// readyAt[t] is the earliest step t may start as far as is known:
 	// its release floor, raised by every finished cross-processor
 	// predecessor. With no communication delay nothing raises it, so the
@@ -152,20 +149,21 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	cal := &ws.cal
 	cal.prepare(max(maxFloor, cd+1), nt)
 
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if nodes[t].indeg != 0 || rule.done != nil && rule.done[t] {
-			continue
-		}
-		if readyAt != nil && readyAt[t] > 0 {
-			cal.push(t, readyAt[t])
-		} else {
-			rq.push(nodes[t].proc, t)
-		}
+	rq := &ws.rq
+	in := prelude{prio: prio, nt: nt, m: m, n: n, assign: assign, dags: inst.DAGs, off: g.off, done: rule.done, floor: readyAt, cal: cal}
+	if rule.aggregated {
+		in.dirGroup, in.groups = ws.dirGroup, rule.groups
 	}
+	remaining := rq.load(in)
+	nodes, succ, procs := rq.node, g.succ, rq.procs
 
 	start := ensureStart(dst, nt)
-	for i := range start {
-		start[i] = -1
+	if rule.done != nil {
+		// A full run writes every start; a residual one leaves the done
+		// tasks' at -1.
+		for i := range start {
+			start[i] = -1
+		}
 	}
 	completed := ws.completed[:0]
 	// c1 and c2 are the paper's communication metrics, read off the edge
@@ -178,18 +176,18 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	for ; remaining > 0; step++ {
 		if cal.pending > 0 {
 			for _, t := range cal.drain(step) {
-				rq.push(nodes[t].proc, t)
+				rq.push(nodes[t].proc, nodes[t].rank)
 			}
 		}
 		completed = completed[:0]
 		for p := int32(0); p < int32(m); p++ {
-			if rq.count[p] == 0 {
+			if procs[p].count == 0 {
 				continue
 			}
 			t := rq.pop(p)
 			start[t] = step
 			remaining--
-			completed = append(completed, t)
+			completed = append(completed, popped{p, nodes[t].off, nodes[t+1].off})
 		}
 		if len(completed) == 0 {
 			if cal.pending == 0 {
@@ -200,27 +198,34 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 			// calendar's next entry: a release of 2³⁰ is not 2³⁰ idle turns.
 			step = cal.earliest() - 1
 		}
+		// Whether a successor's last predecessor just finished, and whether
+		// it sits on another processor, are coin flips for the branch
+		// predictor, so both are counted as 0/1 rather than branched on.
+		// Only the calendar and delay clauses branch, and those first test
+		// whether the run has floors or a delay at all; then whether the
+		// successor must still wait, which past the early steps of a floor
+		// run is almost never true, and only then whether it is ready.
 		var stepMax int32
-		for _, t := range completed {
-			p := nodes[t].proc
+		for _, ran := range completed {
+			p := ran.proc
 			var cross int32
-			for _, wt := range succ[nodes[t].off:nodes[t+1].off] {
+			for _, wt := range succ[ran.lo:ran.hi] {
 				w := &nodes[wt]
-				if w.proc != p {
-					cross++
-					if cd > 0 && step+1+cd > readyAt[wt] {
-						readyAt[wt] = step + 1 + cd
-					}
+				other := w.proc ^ p
+				cross += 1 - zeroBit(other)
+				if cd > 0 && other != 0 && step+1+cd > readyAt[wt] {
+					readyAt[wt] = step + 1 + cd
 				}
 				// A done successor starts at indegree 0 and only goes negative.
 				w.indeg--
-				if w.indeg == 0 {
-					if readyAt != nil && readyAt[wt] > step+1 {
+				left := w.indeg
+				if readyAt != nil && readyAt[wt] > step+1 {
+					if left == 0 {
 						cal.push(wt, readyAt[wt])
-					} else {
-						rq.push(w.proc, wt)
 					}
+					continue
 				}
+				rq.pushIf(w.proc, w.rank, zeroBit(left))
 			}
 			c1 += int64(cross)
 			stepMax = max(stepMax, cross)
@@ -236,41 +241,6 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	ws.col.Counter(rule.series.runs).Inc()
 	ws.col.Counter(rule.series.steps).Add(int64(step))
 	return nil
-}
-
-// fillNodes loads every task's indegree, successor offset and processor
-// into its node (the ranks are the queue's) and returns the number of
-// tasks to schedule. Under a done mask only edges between not-done tasks
-// count, and done tasks are left at indegree 0.
-func fillNodes(nodes []node, inst *Instance, g *taskGraph, assign Assignment, done []bool) (remaining int) {
-	n := inst.N()
-	for i, d := range inst.DAGs {
-		seg, off := nodes[i*n:(i+1)*n], g.off[i*n:(i+1)*n]
-		if done == nil {
-			for v := range seg {
-				nd := &seg[v]
-				nd.indeg, nd.off, nd.proc = int32(d.InDegree(int32(v))), off[v], assign[v]
-			}
-			remaining += n
-			continue
-		}
-		mask := done[i*n : (i+1)*n]
-		for v := range seg {
-			nd := &seg[v]
-			nd.indeg, nd.off, nd.proc = 0, off[v], assign[v]
-			if mask[v] {
-				continue
-			}
-			remaining++
-			for _, u := range d.In(int32(v)) {
-				if !mask[u] {
-					nd.indeg++
-				}
-			}
-		}
-	}
-	nodes[len(nodes)-1].off = g.off[len(g.off)-1]
-	return remaining
 }
 
 // ListScheduleInto is the allocation-free form of priority list

@@ -309,7 +309,7 @@ func (h *eventHeap) pop() completionEvent {
 // if p is idle and has one. finish[t] holds t's duration until t starts.
 // A plain function (not a closure) so the warm kernel allocates nothing.
 func weightedTryStart(p int32, now int64, rq *rankq, busy []bool, start, finish []int64, completions *eventHeap) {
-	if busy[p] || rq.count[p] == 0 {
+	if busy[p] || rq.procs[p].count == 0 {
 		return
 	}
 	t := rq.pop(p)
@@ -389,10 +389,8 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	ws.ensureWeighted(inst)
 	n, nt, m := inst.N(), inst.NTasks(), inst.M
 	rq := &ws.rq
-	rq.build(prio, nt, m, assign, int32(n))
-	rq.reset()
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: inst.DAGs, off: g.off})
 	nodes, succ := rq.node, g.succ
-	remaining := fillNodes(nodes, inst, g, assign, nil)
 	busy := ws.busyBuf
 	touched := ws.touchBuf
 	clear(busy)
@@ -410,11 +408,9 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	*completions, *releases = (*completions)[:0], (*releases)[:0]
 
 	// Until a task starts, its finish slot holds its duration: one division
-	// per cell, copied to every direction.
+	// per cell, copied to every direction. Every task starts, so start
+	// needs no initial value.
 	start, finish := ensureWeighted(dst, nt)
-	for i := range start {
-		start[i] = -1
-	}
 	for v, w := range weights {
 		finish[v] = durationOn(w, model.SpeedOf(assign[v]))
 	}
@@ -422,11 +418,6 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 		copy(finish[i*n:(i+1)*n], finish[:n])
 	}
 
-	for t := TaskID(0); t < TaskID(nt); t++ {
-		if nodes[t].indeg == 0 {
-			rq.push(nodes[t].proc, t)
-		}
-	}
 	for p := int32(0); p < int32(m); p++ {
 		weightedTryStart(p, 0, rq, busy, start, finish, completions)
 	}
@@ -436,7 +427,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 		now = min(completions.due(), releases.due())
 		for releases.due() == now {
 			ev := releases.pop()
-			rq.push(ev.proc, ev.task)
+			rq.push(ev.proc, nodes[ev.task].rank)
 			woken = wake(ev.proc, touched, woken)
 		}
 		for completions.due() == now {
@@ -456,7 +447,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 					if delayed && readyW[wt] > now {
 						releases.push(completionEvent{time: readyW[wt], task: wt, proc: w.proc})
 					} else {
-						rq.push(w.proc, wt)
+						rq.push(w.proc, w.rank)
 						woken = wake(w.proc, touched, woken)
 					}
 				}

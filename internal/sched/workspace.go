@@ -24,7 +24,7 @@ type Workspace struct {
 	readyAt   []int32
 	rq        rankq
 	cal       calendar
-	completed []TaskID
+	completed []popped
 	// zeroPrio backs nil-priority runs. The kernel never writes
 	// priorities, so it stays all-zero across reuses.
 	zeroPrio Priorities
@@ -172,7 +172,7 @@ func (ws *Workspace) ensure(inst *Instance) {
 	}
 	ws.zeroAssign = ws.zeroAssign[:inst.N()]
 	if cap(ws.completed) < m {
-		ws.completed = make([]TaskID, 0, m)
+		ws.completed = make([]popped, 0, m)
 	}
 }
 
