@@ -573,12 +573,24 @@ func (o *orch) writeStepFrames(w *workerProc) error {
 		items := o.flux[w.rank]
 		for i := range items {
 			o.fluxBuf = encodeFluxBatch(o.fluxBuf, items[i:i+1])
-			if err := w.conn.writeFrame(fFlux, o.fluxBuf, 5*time.Second); err != nil {
+			if err := o.writeStepFrame(w, fFlux, o.fluxBuf); err != nil {
 				return err
 			}
 		}
 	}
-	return w.conn.writeFrame(fStep, o.lastStep[w.rank], 5*time.Second)
+	return o.writeStepFrame(w, fStep, o.lastStep[w.rank])
+}
+
+// stepFrameTap, when set, is shown every step-traffic frame (fFlux, fStep)
+// as it is written to a worker: the tests that pin what the wire carries
+// record it there.
+var stepFrameTap func(rank int32, typ uint8, payload []byte)
+
+func (o *orch) writeStepFrame(w *workerProc, typ uint8, payload []byte) error {
+	if stepFrameTap != nil {
+		stepFrameTap(w.rank, typ, payload)
+	}
+	return w.conn.writeFrame(typ, payload, 5*time.Second)
 }
 
 // readAck collects one step acknowledgement, riding out one transient
