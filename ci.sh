@@ -70,10 +70,11 @@ go test -run '^$' -bench 'Benchmark(WeightedKernel|GreedySchedule)$' -benchmem -
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
-# The in-process executors — all the modelled machine — on the small box
-# and at the benchmark's sweep-goroutine shape (ns/step, ns/message), the
-# simulator's single sweep, and the route table every solve builds once
-# and every recovery once more.
+# The in-process executors — all the modelled machine — on the small box,
+# at the benchmark's sweep-goroutine shape and, fault-tolerant, at its
+# sweep-faulty shape under its fault plan (ns/step, ns/task, ns/message),
+# the simulator's single sweep, and the route table every solve builds
+# once and every recovery once more.
 go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild|Run)$' -benchmem -benchtime 1x ./internal/transport ./internal/simulate ./internal/sched
 
 echo "== service: loadtest smoke =="

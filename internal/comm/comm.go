@@ -1,9 +1,8 @@
-// Package comm is the batched flux-communication layer of the modelled
-// machine (internal/machine), and so of every executor: the parallel
-// solver, the fault engine and the multi-process runner
-// (internal/procrun). It owns the batch envelope, the recycled buffers that
-// keep the warm path at zero allocations, and the explicit per-message vs
-// per-batch cost model the obs counters report.
+// Package comm is the flux-communication layer of the modelled machine
+// (internal/machine), and so of every executor: the parallel solver, the
+// fault engine and the multi-process runner (internal/procrun). It owns the
+// envelope ledger and the explicit per-message vs per-batch cost model the
+// obs counters report.
 //
 // # Deadline-driven envelopes
 //
@@ -15,11 +14,17 @@
 // schedule itself: a flux produced at the sender's step is not needed
 // until its consumer's start step, so the envelope for a destination can
 // keep accumulating across steps and flush at the latest barrier that
-// still meets the earliest deadline among its items. Each Batch therefore
-// carries MinDue — the earliest step any held item is consumed — and the
-// flusher ships the envelope exactly when MinDue is reached. This is the
-// classic interval-stabbing optimum: no policy that delivers every flux
-// by its consumer's step uses fewer envelopes.
+// still meets the earliest deadline among its items. Each envelope
+// therefore carries MinDue — the earliest step any held item is consumed —
+// and the flusher ships the envelope exactly when MinDue is reached. This
+// is the classic interval-stabbing optimum: no policy that delivers every
+// flux by its consumer's step uses fewer envelopes.
+//
+// An envelope is counted, not carried: the modelled machine places a flux
+// in its receive slot when it is handed over, visible from the next step,
+// so in process an envelope is an item count and a deadline (Outbox). Its
+// contents exist only at the process boundary (internal/procrun), in the
+// frame of the step at which it flushes.
 //
 // Fault semantics are untouched: injectors operate on logical messages at
 // produce time (at the barrier closing the step that completed the task,
@@ -35,14 +40,10 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// Item is one logical flux message inside an envelope: the producing
-// task, its angular flux and, for the in-process executors, the receive
-// slot the destination keeps it in (sched.RecvTable; the wire carries task
-// and flux only). Floats are carried as float64 end to end (and as
-// IEEE-754 bits on the wire), preserving the bitwise-identical guarantee.
+// Item is one logical flux message on the wire: the producing task and its
+// angular flux, carried as float64 end to end (IEEE-754 bits on the wire).
 type Item struct {
 	Task sched.TaskID
-	Slot int32
 	Psi  float64
 }
 
@@ -51,81 +52,78 @@ type Item struct {
 // path delivers such messages into an inbox nobody reads).
 const NoDue = math.MaxInt32
 
-// Batch is a per-destination envelope of flux items. MinDue is the
-// earliest step any held item's consumer runs; the envelope must be
-// transmitted at or before the barrier opening that step.
-type Batch struct {
-	To     int32
-	MinDue int32
-	Items  []Item
-}
-
-// Outbox holds one open envelope per destination and recycles drained
-// ones itself, so a warm executor allocates nothing per envelope. A
-// destination's envelope comes back to that destination: its item array
-// has then already grown to what that destination's traffic needs, and a
-// sweep that repeats an earlier one grows nothing. An Outbox belongs to
-// one step loop — the modelled machine adds, flushes and recycles at its
-// barriers — and is not safe for concurrent use.
+// Outbox is the envelope ledger: per destination, the open envelope's item
+// count and MinDue, the earliest step one of its items is consumed; the
+// envelope must be transmitted at or before the barrier opening that step.
+// It allocates nothing after NewOutbox, belongs to one step loop and is
+// not safe for concurrent use.
 type Outbox struct {
-	open  []*Batch // per destination: the envelope being filled
-	spare []*Batch // per destination: a drained envelope awaiting reuse
+	env     []envelope // per destination: its open envelope
+	next    int32      // the least MinDue: no envelope is due before it
+	flushed []int32    // the destinations the last FlushDue shipped
 }
 
-// NewOutbox returns an outbox for m destinations.
+type envelope struct {
+	minDue int32 // the earliest deadline of its items, NoDue if none
+	n      int32 // items
+}
+
+// NewOutbox returns an empty outbox for m destinations.
 func NewOutbox(m int) *Outbox {
-	return &Outbox{open: make([]*Batch, m), spare: make([]*Batch, m)}
+	o := &Outbox{env: make([]envelope, m), flushed: make([]int32, 0, m)}
+	o.DiscardAll()
+	return o
 }
 
-// Add appends one logical message for destination to, consumed no later
-// than step due (NoDue if it has no scheduled consumer this epoch).
-func (o *Outbox) Add(to int32, it Item, due int32) {
-	b := o.open[to]
-	if b == nil {
-		if b = o.spare[to]; b == nil {
-			b = &Batch{To: to}
-		}
-		o.spare[to] = nil
-		b.MinDue, b.Items = NoDue, b.Items[:0]
-		o.open[to] = b
+// Add counts one logical message for destination to, consumed no later
+// than step due (NoDue if it has no scheduled consumer this epoch), into
+// its open envelope.
+func (o *Outbox) Add(to, due int32) {
+	e := &o.env[to]
+	e.n++
+	if due < e.minDue {
+		e.minDue = due
+		o.next = min(o.next, due)
 	}
-	if due < b.MinDue {
-		b.MinDue = due
-	}
-	b.Items = append(b.Items, it)
 }
 
-// FlushDue hands every envelope whose deadline has arrived (MinDue ≤ now)
-// to send, transferring ownership — the consumer returns it with Recycle
-// once drained, which may be after FlushDue returns. Destinations are
-// visited in ascending order so the flush sequence is deterministic for a
-// fixed schedule.
-func (o *Outbox) FlushDue(now int32, send func(b *Batch)) {
-	for to, b := range o.open {
-		if b == nil || b.MinDue > now {
+// FlushDue transmits every envelope whose deadline has arrived (MinDue ≤
+// now): it returns their destinations in ascending order (the slice is
+// the outbox's, valid until the next FlushDue) and what they cost, one
+// transmission and BatchWireBytes of its items each. An envelope holding
+// only NoDue items never flushes on its own; it rides along with the
+// destination's next dated one.
+func (o *Outbox) FlushDue(now int32) (flushed []int32, batches, bytes int64) {
+	o.flushed = o.flushed[:0]
+	if now < o.next {
+		return o.flushed, 0, 0
+	}
+	o.next = NoDue
+	for to := range o.env {
+		e := &o.env[to]
+		if e.minDue > now {
+			o.next = min(o.next, e.minDue)
 			continue
 		}
-		o.open[to] = nil
-		send(b)
+		if e.n == 0 { // nothing open, and now is NoDue
+			continue
+		}
+		batches++
+		bytes += BatchWireBytes(int(e.n))
+		o.flushed = append(o.flushed, int32(to))
+		*e = envelope{minDue: NoDue}
 	}
+	return o.flushed, batches, bytes
 }
 
-// Recycle takes back an envelope FlushDue handed out; its items' backing
-// array is kept for the destination's next envelope. (One spare per
-// destination is all the executors need — at most one envelope per
-// destination is out while the next fills; a second is left to the GC.)
-func (o *Outbox) Recycle(b *Batch) { o.spare[b.To] = b }
-
-// DiscardAll recycles every open envelope without sending (epoch
-// teardown: completed producers' fluxes are re-read from the durable state
-// after recovery, so undelivered envelopes are moot).
+// DiscardAll forgets every open envelope without transmitting it (epoch
+// teardown: completed producers' fluxes are re-read from the durable
+// state after recovery, so undelivered envelopes are moot).
 func (o *Outbox) DiscardAll() {
-	for to, b := range o.open {
-		if b != nil {
-			o.open[to] = nil
-			o.Recycle(b)
-		}
+	for to := range o.env {
+		o.env[to] = envelope{minDue: NoDue}
 	}
+	o.next = NoDue
 }
 
 // Wire cost model, matching internal/procrun's frame format: every frame
@@ -178,15 +176,13 @@ func NewCounters(col *obs.Collector) Counters {
 // same in both modes).
 func (c Counters) Logical(n int) { c.Messages.Add(int64(n)) }
 
-// Envelope records the transmission of one batch of n items.
-func (c Counters) Envelope(n int) {
-	c.Batches.Inc()
-	c.Bytes.Add(BatchWireBytes(n))
+// Transmitted records transmissions and their wire bytes: what FlushDue
+// returns, or one envelope of n items, (1, BatchWireBytes(n)).
+func (c Counters) Transmitted(batches, bytes int64) {
+	c.Batches.Add(batches)
+	c.Bytes.Add(bytes)
 }
 
 // PerMessage records n messages transmitted one frame each (the
 // unbatched cost model).
-func (c Counters) PerMessage(n int) {
-	c.Batches.Add(int64(n))
-	c.Bytes.Add(PerMessageWireBytes(n))
-}
+func (c Counters) PerMessage(n int) { c.Transmitted(int64(n), PerMessageWireBytes(n)) }

@@ -161,8 +161,12 @@ type Engine struct {
 	fullSteps  sched.StepTable // cur, whole; stale while !fullOK
 	fullOK     bool
 	residSteps sched.StepTable // the running sweep's residual schedule
-	routesOK   bool            // mc's routes are those of the live assignment
-	dueWhole   bool            // mc.Due is that of cur run whole: a fault-free sweep reuses it
+	// routed is the step table mc's routes are laid out for, under the live
+	// assignment; nil once the table is regrouped or the assignment
+	// changes. They are laid out again only when an epoch runs another
+	// table: per recovery.
+	routed   *sched.StepTable
+	dueWhole bool // mc's deadlines are those of cur run whole: a fault-free sweep reuses them
 
 	// The running epoch.
 	remaining int
@@ -312,7 +316,7 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 		if err := e.fullSteps.Build(e.cur, e.rec.Assign(), nil); err != nil {
 			return fmt.Errorf("faults: internal: %w", err)
 		}
-		e.fullOK = true
+		e.fullOK, e.routed = true, nil
 	}
 	e.report.StepsFaultFree += e.orig.Makespan
 
@@ -335,7 +339,7 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 			if err := e.residSteps.Build(resid, e.rec.Assign(), done); err != nil {
 				return fmt.Errorf("faults: internal: %w", err)
 			}
-			cur, steps = resid, &e.residSteps
+			cur, steps, e.routed = resid, &e.residSteps, nil
 		}
 		if err := e.runEpoch(ctx, cur, steps, compute, psi); err != nil {
 			return err
@@ -365,9 +369,9 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 	e.liveProcs.Set(int64(e.rec.NLive()))
 	mc := &e.mc
 	mc.Steps, mc.Compute, mc.Psi = steps, compute, psi
-	if !e.routesOK {
+	if e.routed != steps {
 		mc.Build(e.inst, e.rec.Assign())
-		e.routesOK, e.dueWhole = true, false
+		e.routed, e.dueWhole = steps, false
 	}
 	mc.Recv.Reset()
 	mc.Sent = mc.Sent[:0]
@@ -411,9 +415,10 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 // Before: planned crashes due now fire ahead of the step (a processor
 // completes steps strictly before its crash step) and end the epoch. Else
 // the periodic checkpoint falls due or not, held (delayed) messages that
-// matured are handed in with an immediate deadline — maturing past the
+// matured are handed in, visible and due now — maturing past the
 // consumer's step stalls the epoch in either mode — and the machine
-// flushes what is due.
+// flushes what is due. While the injector has a message event pending, the
+// bodies queue their sends instead of handing them over.
 //
 // After: the injector rewrites the step's queued sends before the machine
 // hands them over — it decides per (task, destination), so a planned fault
@@ -446,6 +451,7 @@ func (e *Engine) step(ls int32) error {
 		return err
 	}
 
+	mc.Intercept = e.inj.Pending()
 	lost, err := e.ranks.RunStep(ls, g, ckpt)
 	if err != nil {
 		return err
@@ -506,7 +512,7 @@ func (e *Engine) applyCrashes() {
 	e.count("tasks_replayed", lost)
 	e.lastCkpt = e.globalStep
 	e.rec.Kill(e.dying, e.mc.Done)
-	e.routesOK = false // the assignment changed
+	e.routed = nil // the assignment changed
 	if e.rec.NLive() > 0 {
 		e.needRebuild = true
 	}

@@ -82,7 +82,7 @@ func TestEngineEpochStopsAtExactlyThatStep(t *testing.T) {
 	routes.Build(inst, s.Assign)
 	stallAt := map[msg]int32{}
 	for u := sched.TaskID(0); int(u) < inst.NTasks(); u++ {
-		for _, o := range routes.Recv.Out(u) {
+		for _, o := range routes.Recv.Out(routes.Recv.Pos(u)) {
 			k := msg{u, o.To}
 			if at, ok := stallAt[k]; !ok || s.Start[o.Consumer] < at {
 				stallAt[k] = s.Start[o.Consumer]

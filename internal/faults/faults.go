@@ -9,7 +9,8 @@
 // The Engine has the one epoch loop: it steps the modelled machine
 // (internal/machine) barrier-synchronously, decides everything at the
 // barriers in processor order — planned crashes, the periodic checkpoint,
-// the Injector's rewrite of the step's queued sends, stalls — and on a
+// the Injector's rewrite of the step's sends while a message event is
+// pending, stalls — and on a
 // crash or a missing-flux stall ends the epoch, rolls the victims back to
 // what is durable, reassigns their cells onto the survivors, list-schedules
 // the not-yet-done tasks (sched.ListScheduleResidual) and resumes. Where

@@ -9,8 +9,8 @@ import (
 
 // Delivery is one flux message the interconnect should place in a
 // destination inbox: the same sched.Send the step body queued (the
-// injector carries its slot along and decides by task and destination
-// alone).
+// injector carries its slot and deadline along and decides by task and
+// destination alone).
 type Delivery = sched.Send
 
 type msgKey struct {
@@ -18,9 +18,10 @@ type msgKey struct {
 	to   int32
 }
 
-// Injector applies a Plan to the interconnect of the fault engine, which
-// passes every step's queue of cross-processor sends through it (Rewrite)
-// — it may suppress, hold or duplicate a delivery — and asks Matured at
+// Injector applies a Plan to the interconnect of the fault engine, which,
+// while a message event is pending, passes every step's queue of
+// cross-processor sends through it (Rewrite) — it may suppress, hold or
+// duplicate a delivery — and asks Matured at
 // each barrier for held messages that are now due. The decision for a
 // message depends only on the plan (keyed by task and destination), never
 // on call order, so executions are reproducible. An Injector belongs to
@@ -145,6 +146,11 @@ func (inj *Injector) Rewrite(sends []Delivery, step int32) []Delivery {
 	}
 	return sends
 }
+
+// Pending reports whether a message event has yet to fire: while one has,
+// the engine's machine queues each step's sends for Rewrite instead of
+// handing them over in the bodies.
+func (inj *Injector) Pending() bool { return len(inj.msg) > 0 }
 
 // Matured removes and returns every held delivery due at or before the
 // given global step, in deterministic (task, to) order.

@@ -1,35 +1,35 @@
 // Package machine is the paper's machine, modelled once: m processors
 // that each run the tasks a schedule gives them at step t and exchange the
 // cross-processor fluxes it implies. It owns the flux routes
-// (sched.RecvTable), the done marks, one delivery deadline per receive
-// slot, the sends a step queues, the per-processor acks, the interconnect
-// (deadline-driven envelopes, or one delivery per message) and the traffic
-// accounting, and has the one step body (RunProc) and the one hand-over of
-// a step's sends (CloseStep). Every executor is this machine: the
-// simulator and the parallel transport solve sweep it (Sweep), the fault
-// engine (internal/faults) runs its epochs on it, and under
-// internal/procrun its processors are worker processes — each runs the
-// body for its own rank, the orchestrator replays their acks (Replay) into
-// the same queue, and a handed-over flux lands in a frame (Wire) instead
-// of a slot.
+// (sched.RecvTable, laid out in the order the bodies run them), the done
+// marks, the per-processor acks, the interconnect (deadline-driven
+// envelopes, or one transmission per message) and the traffic accounting,
+// and has the one step body (RunProc) and the one hand-over of a flux
+// (hand). Every executor is this machine: the simulator and the parallel
+// transport solve sweep it (Sweep), the fault engine (internal/faults)
+// runs its epochs on it, and under internal/procrun its processors are
+// worker processes — each runs the body for its own rank, the orchestrator
+// replays their acks (Replay) through the same hand-over, and a
+// handed-over flux lands in a frame (Wire) instead of a slot.
 //
 // The invariants the executors rely on:
 //
-//   - A body writes only what belongs to its processor p: its tasks'
-//     fluxes and done marks, its ack, and the sends it queues. It reads no
-//     flux another processor wrote except from a receive slot.
-//   - A send queued during step t reaches its destination at a barrier —
-//     the one closing t, per message; no later than the one opening its
-//     earliest consumer's step, batched — so it is visible from step t+1
-//     on and never to a higher-numbered processor later in step t.
+//   - A body writes its own tasks' state — their fluxes and done marks,
+//     its processor's ack — and the receive slots those tasks feed (and
+//     counts its messages into the envelope ledger, which does not depend
+//     on the order the bodies run in), and nothing it writes is visible to
+//     another body before the next step: a flux handed over during step t
+//     is visible from t+1, where the interconnect would have put it by the
+//     time its earliest consumer runs. It reads no flux another processor
+//     wrote except from a receive slot.
 //   - The body never interprets a missing flux. It reports (task, missing
 //     producer) in its ack and stops, the barrier passes it on as a
 //     *StallError, and the owner decides: an infeasible schedule for a
 //     fault-free sweep, a stall to recover from if the fault engine's
 //     injector explains it.
-//   - NoBatch is the oracle mode of the same machine: flux values, their
-//     production order and Stats.{Messages,Rounds} are identical, only the
-//     transmissions differ.
+//   - NoBatch is the oracle mode of the same machine: the same hand-over,
+//     the same flux values, their production order and
+//     Stats.{Messages,Rounds}; only the transmissions counted differ.
 //
 // A Machine belongs to one step loop and is not safe for concurrent use.
 package machine
@@ -37,7 +37,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
@@ -98,19 +97,23 @@ type Machine struct {
 	// Wire, when set, is where a handed-over flux lands instead of in a
 	// receive slot here: with the processor it is for, which runs in
 	// another process and keeps its own slots (internal/procrun puts it in
-	// that worker's next frame). Deadlines, envelopes and the accounting
-	// are the same either way.
+	// that worker's frames, and Flushed says which are due). Deadlines,
+	// envelopes and the accounting are the same either way.
 	Wire func(to int32, t sched.TaskID, psi float64)
 
+	// Intercept makes the bodies queue their sends in Sent for the owner to
+	// see and rewrite; CloseStep hands the queue over in production order
+	// (the fault engine sets it while its injector has an event pending).
+	Intercept bool
+	Sent      []sched.Send
+
 	Recv sched.RecvTable
-	Due  []int32      // per receive slot: the step its earliest consumer runs, else comm.NoDue (Route)
-	Sent []sched.Send // the running step's messages, handed over by CloseStep
-	Acks []Ack        // per processor
+	Acks []Ack // per processor
 	Comm Stats
 
-	outbox *comm.Outbox
-	flush  func(*comm.Batch) // deliverBatch, bound once: a method value per step would allocate
-	ctr    comm.Counters
+	outbox  *comm.Outbox
+	flushed []int32 // the destinations whose envelopes the last OpenStep shipped
+	ctr     comm.Counters
 }
 
 // New sets a machine up for fault-free sweeps (Sweep) of the schedule into
@@ -139,45 +142,45 @@ func New(s *sched.Schedule, noBatch bool, compute Compute, psi []float64) (*Mach
 // every barrier. A nil collector detaches.
 func (m *Machine) Observe(col *obs.Collector) { m.ctr = comm.NewCounters(col) }
 
-// Build resolves every flux route for the assignment and empties the
-// receive slots; it reuses the machine's storage. The slots' deadlines are
+// Build resolves every flux route for the assignment, laid out in the
+// order of Steps (TaskID order without one), empties the receive slots and
+// the envelopes; it reuses the machine's storage. The slots' deadlines are
 // Route's to set, which a batched machine needs before it steps.
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
-	m.Recv.Build(inst, assign)
+	m.Recv.Build(inst, assign, m.Steps)
 	if len(m.Acks) != inst.M {
 		m.Acks = make([]Ack, inst.M)
 	}
 	if m.outbox == nil { // the first Build
 		m.outbox = comm.NewOutbox(inst.M)
-		m.flush = m.deliverBatch
-		// A step's sends are a few per processor: sized so that the usual
-		// step regrows nothing.
-		m.Sent = make([]sched.Send, 0, 8*inst.M)
 	}
+	m.outbox.DiscardAll()
 }
 
 // Route fixes, before the first step of a sweep or an epoch, what the
-// bodies would otherwise work out per message. A producer that is durable
-// (done before the epoch started) sends nothing: its flux is placed in its
-// receive slots straight from Psi. Every other slot gets its deadline: a
-// slot is keyed by (producing task, destination), so one delivery serves
-// every consumer of that pair and must arrive for the earliest one not yet
-// durable — comm.NoDue when all of them are. (With a Drop on a sibling
-// edge the oracle's surviving per-message delivery serves both consumers;
-// the envelope must arrive just as early.) A nil durable means nothing is.
+// bodies would otherwise work out per message. A durable producer (done
+// before the epoch started; nil durable: none is) sends nothing: its flux
+// is placed in its receive slots straight from Psi, visible from the first
+// step. Every other out-entry gets its slot's deadline: a slot is keyed by
+// (producing task, destination), so one delivery serves every consumer of
+// that pair and must arrive for the earliest one not yet durable —
+// comm.NoDue when all of them are. (With a Drop on a sibling edge the
+// oracle's surviving delivery serves both; the envelope must be as early.)
 func (m *Machine) Route(start []int32, durable []bool) {
-	n := m.Recv.Slots()
-	m.Due = slices.Grow(m.Due[:0], n)[:n]
-	for s := range m.Due {
-		m.Due[s] = comm.NoDue
-	}
-	for t := range m.Psi {
+	for i := range int32(len(m.Psi)) {
+		t := m.Recv.Task(i)
 		sent := durable != nil && durable[t]
-		for _, o := range m.Recv.Out(sched.TaskID(t)) {
+		out := m.Recv.Out(i) // a producer's entries: each of its slots' are among them
+		for j := range out {
+			out[j].Due = comm.NoDue
 			if sent {
-				m.Recv.Deliver(o.Slot, m.Psi[t])
-			} else if durable == nil || !durable[o.Consumer] {
-				m.Due[o.Slot] = min(m.Due[o.Slot], start[o.Consumer])
+				m.Recv.Deliver(out[j].Slot, m.Psi[t], 0)
+				continue
+			}
+			for _, o := range out {
+				if o.Slot == out[j].Slot && (durable == nil || !durable[o.Consumer]) {
+					out[j].Due = min(out[j].Due, start[o.Consumer])
+				}
 			}
 		}
 	}
@@ -194,13 +197,13 @@ func (e *RouteError) Error() string {
 	return fmt.Sprintf("machine: no route for the flux of task %d into processor %d", e.Task, e.To)
 }
 
-// DeliverNamed places a flux that arrived named by its producing task, as
-// it does off a wire, in the slot the routes give (task, to).
+// DeliverNamed places a flux that arrived off a wire at a barrier, named by
+// its producing task, in the slot the routes give (task, to), visible now.
 func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 	if t >= 0 && int(t) < len(m.Psi) {
-		for _, o := range m.Recv.Out(t) {
+		for _, o := range m.Recv.Out(m.Recv.Pos(t)) {
 			if o.To == to {
-				m.Recv.Deliver(o.Slot, psi)
+				m.Recv.Deliver(o.Slot, psi, 0)
 				return nil
 			}
 		}
@@ -209,17 +212,19 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 }
 
 // RunProc is modelled processor p's step — the only step body there is.
-// Every route was resolved by Build: an upwind flux is read at the
-// producer's task id, which must be done, or in a receive slot, where it
-// must have been delivered; a completed task is marked done and its
-// cross-processor edges are queued as sends.
+// Every route was resolved by Build, in the order the bodies run: an
+// upwind flux is read at the producer's task id, which must be done, or in
+// a receive slot, where it must be visible; a completed task is marked
+// done and hands its cross-processor fluxes over.
 func (m *Machine) RunProc(p, step int32) {
 	psi, done := m.Psi, m.Done
 	a := &m.Acks[p]
 	*a = Ack{StallTask: -1, StallMiss: -1}
-	for _, t := range m.Steps.Tasks(p, step) {
+	lo, hi := m.Steps.Row(p, step)
+	for i := lo; i < hi; i++ {
+		t := m.Recv.Task(i)
 		inflow := 0.0
-		in := m.Recv.In(t)
+		in := m.Recv.In(i)
 		for _, x := range in {
 			if x >= 0 { // a local producer's task id
 				if !done[x] {
@@ -229,7 +234,7 @@ func (m *Machine) RunProc(p, step int32) {
 				inflow += psi[x]
 				continue
 			}
-			val, have := m.Recv.Load(^x)
+			val, have := m.Recv.Load(^x, step)
 			if !have {
 				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
 				return
@@ -239,22 +244,43 @@ func (m *Machine) RunProc(p, step int32) {
 		if len(in) > 0 {
 			inflow /= float64(len(in))
 		}
-		m.complete(a, t, m.Compute(t, inflow))
+		m.complete(a, i, t, step, m.Compute(t, inflow))
 	}
 }
 
-// complete is what a task's having run means to the machine, wherever it
-// ran: its flux is in Psi, it is done, its processor's account counts it
-// and its cross-processor edges are queued as sends.
-func (m *Machine) complete(a *Ack, t sched.TaskID, val float64) {
+// complete is what task t, at position i, having run at the step means to
+// the machine, wherever it ran: its flux is in Psi, it is done, its
+// processor's account counts it, and its cross-processor fluxes are handed
+// over (queued in Sent while the owner intercepts).
+func (m *Machine) complete(a *Ack, i int32, t sched.TaskID, step int32, val float64) {
 	m.Psi[t] = val
 	m.Done[t] = true
 	a.Completed++
-	out := m.Recv.Out(t)
-	for _, o := range out {
-		m.Sent = append(m.Sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Psi: val})
-	}
+	out := m.Recv.Out(i)
 	a.Sent += int32(len(out))
+	if m.Intercept {
+		for _, o := range out {
+			m.Sent = append(m.Sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: o.Due, Psi: val})
+		}
+		return
+	}
+	for _, o := range out {
+		m.hand(t, o.To, o.Slot, o.Due, val, step+1)
+	}
+}
+
+// hand is the one hand-over of a flux: into its receive slot (or onto the
+// Wire), visible from step from, and, batched, counted into its
+// destination's envelope, due at step due.
+func (m *Machine) hand(t sched.TaskID, to, slot, due int32, psi float64, from int32) {
+	if m.Wire != nil {
+		m.Wire(to, t, psi)
+	} else {
+		m.Recv.Deliver(slot, psi, from)
+	}
+	if !m.NoBatch {
+		m.outbox.Add(to, due)
+	}
 }
 
 // AccountError reports an account of a step, from a processor that ran it
@@ -282,56 +308,40 @@ func (m *Machine) Replay(p, step int32, ran []comm.Item, by Ack) error {
 	if by.Stalled {
 		a.Stalled, a.StallTask, a.StallMiss = true, by.StallTask, by.StallMiss
 	}
-	row := m.Steps.Tasks(p, step)
+	lo, hi := m.Steps.Row(p, step)
+	row := m.Steps.Order()[lo:hi]
 	for i, it := range ran {
 		if i >= len(row) || it.Task != row[i] {
 			return &AccountError{Proc: p, Step: step, Index: i, Task: it.Task}
 		}
-		m.complete(a, it.Task, it.Psi)
+		m.complete(a, lo+int32(i), it.Task, step, it.Psi)
 	}
 	return nil
 }
 
 // OpenStep is the barrier before a step: exactly the envelopes whose
-// earliest consumer runs now are delivered, so one transmission carries
+// earliest consumer runs now are transmitted, so one transmission carries
 // every flux a destination needs next, accumulated across all senders and
-// all prior steps. (Per message there are no envelopes to find.)
+// all prior steps. (Per message there are no envelopes.)
 func (m *Machine) OpenStep(step int32) error {
-	m.outbox.FlushDue(step, m.flush)
+	var batches, bytes int64
+	m.flushed, batches, bytes = m.outbox.FlushDue(step)
+	if batches > 0 {
+		m.Comm.Batches += batches
+		m.Comm.Bytes += bytes
+		m.ctr.Transmitted(batches, bytes)
+	}
 	return nil
 }
 
-// deliverBatch accounts for one envelope and places its fluxes.
-func (m *Machine) deliverBatch(b *comm.Batch) {
-	m.Comm.Batches++
-	m.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
-	m.ctr.Envelope(len(b.Items))
-	if m.Wire != nil {
-		for _, it := range b.Items {
-			m.Wire(b.To, it.Task, it.Psi)
-		}
-	} else {
-		for _, it := range b.Items {
-			m.Recv.Deliver(it.Slot, it.Psi)
-		}
-	}
-	m.outbox.Recycle(b)
-}
+// Flushed returns, ascending, the destinations whose envelopes the last
+// OpenStep transmitted (valid until the next): over a wire, what was handed
+// over for them since their previous one rides this step's frames.
+func (m *Machine) Flushed() []int32 { return m.flushed }
 
-// Hand gives the interconnect one message: delivered now (NoBatch), or
-// added to its destination's envelope to arrive by the barrier opening
-// step due. CloseStep does this for a step's queue; an owner calls it for
-// a message from outside the queue (a delayed one that matured).
-func (m *Machine) Hand(x sched.Send, due int32) {
-	switch {
-	case !m.NoBatch:
-		m.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, due)
-	case m.Wire != nil:
-		m.Wire(x.To, x.Task, x.Psi)
-	default:
-		m.Recv.Deliver(x.Slot, x.Psi)
-	}
-}
+// Hand gives the interconnect one message from outside the bodies (a
+// delayed one that matured): visible from step at, and due then.
+func (m *Machine) Hand(x sched.Send, at int32) { m.hand(x.Task, x.To, x.Slot, at, x.Psi, at) }
 
 // StallError is how CloseStep reports a step in which no processor erred
 // but at least one could not run a task for want of a cross-processor
@@ -348,26 +358,15 @@ func (e *StallError) Error() string {
 	return fmt.Sprintf("machine: proc %d task %d at step %d: flux from task %d not received", e.Proc, e.Task, e.Step, e.Producer)
 }
 
-// CloseStep is the barrier after a step — the only hand-over there is:
-// the queued sends go to the interconnect in the order they were produced
-// (processor, then task), each due at its slot's deadline, and the acks
-// are folded in processor order: Comm.Rounds adds the step's
-// per-processor maximum, and the lowest processor's error is returned —
-// or, when none erred, a *StallError if one is missing a flux.
+// CloseStep is the barrier after a step: an intercepted queue of sends is
+// handed over in the order it was produced (processor, then task), visible
+// from the next step, and the acks are folded in processor order:
+// Comm.Rounds adds the step's per-processor maximum, and the lowest
+// processor's error is returned — or, when none erred, a *StallError if
+// one is missing a flux.
 func (m *Machine) CloseStep(step int32) error {
-	switch { // Hand, once per mode instead of a call per message
-	case !m.NoBatch:
-		for _, x := range m.Sent {
-			m.outbox.Add(x.To, comm.Item{Task: x.Task, Slot: x.Slot, Psi: x.Psi}, m.Due[x.Slot])
-		}
-	case m.Wire != nil:
-		for _, x := range m.Sent {
-			m.Wire(x.To, x.Task, x.Psi)
-		}
-	default:
-		for _, x := range m.Sent {
-			m.Recv.Deliver(x.Slot, x.Psi)
-		}
+	for _, x := range m.Sent {
+		m.hand(x.Task, x.To, x.Slot, x.Due, x.Psi, step+1)
 	}
 	m.Sent = m.Sent[:0]
 	var sent, stepMax int32
@@ -399,9 +398,9 @@ func (m *Machine) CloseStep(step int32) error {
 	return firstErr
 }
 
-// Discard empties the interconnect without delivering (an epoch's
-// teardown: whatever is still in an open envelope is moot, the next epoch
-// reads completed producers' fluxes from the durable Psi).
+// Discard forgets the open envelopes without transmitting them (an
+// epoch's teardown: the next epoch reads completed producers' fluxes from
+// the durable Psi).
 func (m *Machine) Discard() { m.outbox.DiscardAll() }
 
 // Sweep runs every step of Steps once on the shared step driver, from

@@ -170,7 +170,6 @@ func TestLowestProcessorErrorWins(t *testing.T) {
 // earliest remaining consumer.
 func TestRoutePlacesDurableFluxesAndSkipsTheirDeadlines(t *testing.T) {
 	m := newDiamond(t, false)
-	m.Recv.Reset()
 	clear(m.Done)
 	m.Psi[0], m.Psi[4] = 10, 20
 	durable := []bool{true, false, false, false, true}
@@ -179,16 +178,18 @@ func TestRoutePlacesDurableFluxesAndSkipsTheirDeadlines(t *testing.T) {
 	if err := m.Steps.Build(s, nil, durable); err != nil { // a residual epoch's rows
 		t.Fatal(err)
 	}
+	m.Build(s.Inst, s.Assign) // and its routes, laid out in their order
+	m.Recv.Reset()
 	m.Route(s.Start, durable)
-	for _, o := range m.Recv.Out(0) {
-		if got, have := m.Recv.Load(o.Slot); !have || got != 10 {
-			t.Fatalf("durable task 0's slot for processor %d holds (%v, %v), want 10", o.To, got, have)
+	for _, o := range m.Recv.Out(m.Recv.Pos(0)) {
+		if got, have := m.Recv.Load(o.Slot, 0); !have || got != 10 {
+			t.Fatalf("durable task 0's slot for processor %d holds (%v, %v) at step 0, want 10", o.To, got, have)
 		}
-		if m.Due[o.Slot] != comm.NoDue {
-			t.Fatalf("durable task 0's slot has deadline %d", m.Due[o.Slot])
+		if o.Due != comm.NoDue {
+			t.Fatalf("durable task 0's slot has deadline %d", o.Due)
 		}
 	}
-	if due := m.Due[m.Recv.Out(2)[0].Slot]; due != 2 {
+	if due := m.Recv.Out(m.Recv.Pos(2))[0].Due; due != 2 {
 		t.Fatalf("task 2's message to processor 1 due at %d, want 2 (task 3's start)", due)
 	}
 	if err := sched.RunSteps(context.Background(), m.Procs, 3, m); err != nil {
@@ -208,7 +209,7 @@ func TestDeliverNamedRejectsWhatHasNoRoute(t *testing.T) {
 	if err := m.DeliverNamed(0, 1, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got, have := m.Recv.Load(m.Recv.Out(0)[0].Slot); !have || got != 7 {
+	if got, have := m.Recv.Load(m.Recv.Out(m.Recv.Pos(0))[0].Slot, 0); !have || got != 7 {
 		t.Fatalf("slot holds (%v, %v) after DeliverNamed", got, have)
 	}
 	for _, bad := range []struct {
@@ -314,6 +315,96 @@ func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
 		stall := Ack{Stalled: true, StallTask: 3, StallMiss: 0, Completed: 9, Sent: 9}
 		if err := far.Replay(1, 1, nil, stall); err != nil || far.Acks[1] != (Ack{Stalled: true, StallTask: 3, StallMiss: 0}) {
 			t.Fatalf("noBatch=%v: replayed stall %+v (%v), want the stall and no completions", noBatch, far.Acks[1], err)
+		}
+	}
+}
+
+// fork is the smallest instance step visibility shows on: one direction,
+// three cells on two processors, 0 → 1 and 0 → 2 with cell 0 on processor
+// 0 and cells 1 and 2 on processor 1 — two cross edges into one receive
+// slot, read by two consumers.
+func fork(t *testing.T, noBatch bool, start ...int32) *Machine {
+	t.Helper()
+	d, err := dag.FromEdges(3, [][2]int32{{0, 1}, {0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs([]*dag.DAG{d}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0, 1, 1}, Start: start}
+	for _, st := range start {
+		s.Makespan = max(s.Makespan, int(st)+1)
+	}
+	m, err := New(s, noBatch, plusID, make([]float64, inst.NTasks()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestFluxIsVisibleFromTheStepAfterItsProducer pins step visibility at the
+// machine: processor 0's body runs first, and hands its flux over at once,
+// yet a consumer on processor 1 in the producer's own step stalls, with the
+// same *StallError on either interconnect; one step later it runs. A flux
+// handed in at step ls (a delayed one that matured) is visible at ls, and
+// a consumer at ls-1 stalls on it.
+func TestFluxIsVisibleFromTheStepAfterItsProducer(t *testing.T) {
+	for _, noBatch := range []bool{false, true} {
+		var stall *StallError
+		err := fork(t, noBatch, 0, 0, 1).Sweep(context.Background())
+		if !errors.As(err, &stall) || *stall != (StallError{Proc: 1, Step: 0, Task: 1, Producer: 0}) {
+			t.Fatalf("noBatch=%v: consumer in its producer's step: %v, want processor 1's stall on task 0 at step 0", noBatch, err)
+		}
+		m := fork(t, noBatch, 0, 1, 1)
+		if err := m.Sweep(context.Background()); err != nil {
+			t.Fatalf("noBatch=%v: consumers one step after their producer: %v", noBatch, err)
+		}
+		if want := 1 + 2.0; m.Psi[1] != want {
+			t.Fatalf("noBatch=%v: task 1's flux %v, want %v", noBatch, m.Psi[1], want)
+		}
+
+		// Step 0's sends withheld, as a Delay does, and handed in at step 2.
+		const ls = 2
+		for _, c := range []struct {
+			start []int32
+			stall bool
+		}{{[]int32{0, ls, ls + 1}, false}, {[]int32{0, ls - 1, ls + 1}, true}} {
+			m := fork(t, noBatch, c.start...)
+			m.Recv.Reset()
+			var held []sched.Send
+			for st := int32(0); st < m.Steps.Steps(); st++ {
+				if st == ls {
+					for _, x := range held {
+						m.Hand(x, ls)
+					}
+				}
+				if err := m.OpenStep(st); err != nil {
+					t.Fatal(err)
+				}
+				m.Intercept = st == 0
+				for _, p := range m.Procs {
+					m.RunProc(p, st)
+				}
+				if st == 0 {
+					held, m.Sent = append(held, m.Sent...), m.Sent[:0]
+				}
+				err := m.CloseStep(st)
+				if !c.stall || st != ls-1 {
+					if err != nil {
+						t.Fatalf("noBatch=%v starts %v: step %d: %v", noBatch, c.start, st, err)
+					}
+					continue
+				}
+				if !errors.As(err, &stall) || *stall != (StallError{Proc: 1, Step: ls - 1, Task: 1, Producer: 0}) {
+					t.Fatalf("noBatch=%v: consumer a step before the delayed flux is handed in: %v, want its stall", noBatch, err)
+				}
+				break
+			}
+			if len(held) != 2 {
+				t.Fatalf("noBatch=%v: %d sends withheld at step 0, want task 0's two", noBatch, len(held))
+			}
 		}
 	}
 }

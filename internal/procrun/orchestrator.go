@@ -3,10 +3,10 @@
 // machine's processors moved out of the process: the orchestrator (this
 // file, the parent process) is the engine's Ranks and the machine's Wire.
 // A step is a frame to every worker and an ack from each, replayed through
-// the machine; a flux the machine hands over lands in its destination's
-// next frame; a planned crash is a real SIGKILL, a planned sever a closed
-// socket, and a kill loses what the victim's durable shard on disk does
-// not cover. The epoch loop, the barrier's decisions, the injector, routes,
+// the machine; a flux the machine hands over rides its destination's step
+// frame at the barrier that flushes its envelope; a planned crash is a
+// real SIGKILL, a planned sever a closed socket, and a kill loses what the
+// victim's durable shard on disk does not cover. The epoch loop, the barrier's decisions, the injector, routes,
 // deadlines and accounting, and the source iteration are the engine's, the
 // machine's and internal/transport's: Run is spawn, setup, that loop,
 // teardown. Each worker (worker.go, spawned by re-exec) is one rank of the
@@ -160,10 +160,15 @@ type orch struct {
 	severed  map[int32]bool
 	iter     int32
 	sweepLog [][]sched.TaskID // per rank: completions this sweep, for disk-authority rollback
-	// flux is, per rank, what the machine handed over for it since its last
-	// step frame: the next one's envelope, or (NoBatch) an fFlux frame each
-	// ahead of it. Kept until the step's acks are in, for a resend.
-	flux     [][]comm.Item
+	// flux is, per rank, what the machine handed over for it and no frame
+	// has carried yet: batched, the contents of its open envelope, which
+	// ride the step frame of the barrier that flushes it; NoBatch, the last
+	// step's messages, an fFlux frame each ahead of the next step frame.
+	flux [][]comm.Item
+	// ship is, per rank, what this step's frames carry — taken out of flux
+	// before the acks, which hand over more, are folded — kept until the
+	// acks are in, for a resend.
+	ship     [][]comm.Item
 	lastStep [][]byte // per rank: the fStep frame in flight, for resend after a transient drop
 	acked    []int32  // RunStep's scratch: the ranks that got this step's frame
 	lost     []int32  // RunStep's scratch: the ranks lost in this step
@@ -207,6 +212,7 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 		severed:  map[int32]bool{},
 		sweepLog: make([][]sched.TaskID, inst.M),
 		flux:     make([][]comm.Item, inst.M),
+		ship:     make([][]comm.Item, inst.M),
 		lastStep: make([][]byte, inst.M),
 	}
 	defer o.teardownAll()
@@ -463,8 +469,8 @@ func (o *orch) Epoch(n int, cur *sched.Schedule, assign sched.Assignment) error 
 	return o.broadcastAck(fEpoch, e.b)
 }
 
-// land is the machine's Wire: a flux handed over for rank to rides that
-// worker's next frame.
+// land is the machine's Wire: a flux handed over for rank to waits for the
+// frame that carries that rank's envelope (NoBatch: its next step's).
 func (o *orch) land(to int32, t sched.TaskID, psi float64) {
 	o.flux[to] = append(o.flux[to], comm.Item{Task: t, Psi: psi})
 }
@@ -474,8 +480,9 @@ func (o *orch) land(to int32, t sched.TaskID, psi float64) {
 // worker's backoff-paced reconnect waited out; it loses no state — so every
 // rerun of the plan sees identical state (a planned kill the engine has
 // already turned into the end of the epoch). Then every live worker gets
-// its step frame, carrying the checkpoint flag and what the machine handed
-// over for it, and each one's ack is replayed through the machine. A link
+// its step frame, carrying the checkpoint flag and, when the machine
+// flushed its envelope at this barrier, what was handed over for it since
+// the last one, and each one's ack is replayed through the machine. A link
 // that dies with no plan event behind it is an unplanned crash: the rank is
 // reported lost, while the workers that did get the frame still run the
 // step and have their acks collected, keeping the streams free of stale
@@ -496,7 +503,15 @@ func (o *orch) RunStep(ls, g int32, ckpt bool) ([]int32, error) {
 		}
 	}
 	acked, lost := o.acked[:0], o.lost[:0]
+	due := mc.Flushed()
 	for _, p := range mc.Procs {
+		for len(due) > 0 && due[0] < p {
+			due = due[1:]
+		}
+		o.ship[p] = o.ship[p][:0]
+		if mc.NoBatch || len(due) > 0 && due[0] == p {
+			o.ship[p], o.flux[p] = o.flux[p], o.ship[p]
+		}
 		e := enc{b: o.lastStep[p][:0]}
 		e.i32(ls)
 		e.i32(g)
@@ -504,7 +519,7 @@ func (o *orch) RunStep(ls, g int32, ckpt bool) ([]int32, error) {
 		if mc.NoBatch {
 			e.u32(0) // the fluxes go ahead of the frame, one fFlux each
 		} else {
-			appendFluxBatch(&e, o.flux[p])
+			appendFluxBatch(&e, o.ship[p])
 		}
 		o.lastStep[p] = e.b
 		if err := o.sendStep(o.workers[p]); err != nil {
@@ -525,9 +540,6 @@ func (o *orch) RunStep(ls, g int32, ckpt bool) ([]int32, error) {
 	}
 	for _, p := range lost {
 		_ = mc.Replay(p, ls, nil, machine.Ack{}) // it reports nothing, which is a prefix of any row
-	}
-	for _, p := range mc.Procs {
-		o.flux[p] = o.flux[p][:0]
 	}
 	slices.Sort(lost)
 	o.acked, o.lost = acked, lost
@@ -570,7 +582,7 @@ func (o *orch) sendStep(w *workerProc) error {
 // cost the envelope path exists to amortize.
 func (o *orch) writeStepFrames(w *workerProc) error {
 	if o.mc.NoBatch {
-		items := o.flux[w.rank]
+		items := o.ship[w.rank]
 		for i := range items {
 			o.fluxBuf = encodeFluxBatch(o.fluxBuf, items[i:i+1])
 			if err := o.writeStepFrame(w, fFlux, o.fluxBuf); err != nil {

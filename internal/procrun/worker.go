@@ -410,15 +410,15 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	}
 	if n := len(delivs); n > 0 {
 		w.ctr.Logical(n)
-		w.ctr.Envelope(n)
+		w.ctr.Transmitted(1, comm.BatchWireBytes(n))
 	}
 
-	// The shared step body, for this rank only. Its queued sends are
-	// dropped: the orchestrator's machine queues them again when it replays
-	// the completions in the ack.
+	// The shared step body, for this rank only. What it hands over stays in
+	// this process's slots for other ranks, which nothing here reads: the
+	// orchestrator's machine hands it over again when it replays the
+	// completions in the ack.
 	mc := &w.mc
 	mc.RunProc(w.rank, local)
-	mc.Sent = mc.Sent[:0]
 	ack := &mc.Acks[w.rank]
 	completed := w.compBuf[:0]
 	for _, t := range w.steps.Tasks(w.rank, local)[:ack.Completed] {

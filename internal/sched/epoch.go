@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the tables of the modelled machine (internal/machine),
 // and so of every barrier-synchronous executor: the message-passing
@@ -89,93 +92,167 @@ func (g *StepTable) Steps() int32 { return int32(g.steps) }
 
 // Order returns every grouped task by (start step, processor, TaskID): an
 // execution order that respects the precedences of any validated schedule.
-// The slice aliases the table.
+// A task's index in it is its position. The slice aliases the table.
 func (g *StepTable) Order() []TaskID { return g.tasks }
 
-// Tasks returns the tasks processor p starts at the given step, in
-// ascending TaskID order. The slice aliases the table; a step outside
-// [0, Steps()) has no tasks.
-func (g *StepTable) Tasks(p, step int32) []TaskID {
+// Row returns the positions of the tasks processor p starts at the given
+// step: they are Order()[lo:hi], in ascending TaskID order. A step outside
+// [0, Steps()) has none.
+func (g *StepTable) Row(p, step int32) (lo, hi int32) {
 	if step < 0 || int(step) >= g.steps {
-		return nil
+		return 0, 0
 	}
 	r := int(step)*g.m + int(p)
-	return g.tasks[g.off[r]:g.off[r+1]]
+	return g.off[r], g.off[r+1]
 }
 
-// RecvTable is the flux routing of the modelled machine, resolved once
-// per assignment: one receive slot per distinct (producer task, destination
-// processor) pair of the cross-processor edges, holding the flux the
-// interconnect delivered and the stamp of the sweep it was delivered in,
-// and, on either side of it, where every edge's flux is read and where it
-// is sent. A consumer sees a flux only if it was delivered since the last
-// Reset — stall detection under dropped and delayed messages depends on
-// that — and Reset is one increment, not a sweep over the table.
-//
-// Nobody searches: the consumer addresses its inputs by position (In), the
-// producer its cross edges by position (Out), and the interconnect carries
-// the slot an Out entry names to Deliver. A step body therefore needs the
-// DAGs and the assignment for nothing.
-//
-// Deliver and Reset belong to the barrier hook; In, Out and Load are the
-// step bodies' side. Nothing here is safe for concurrent use.
-type RecvTable struct {
-	prod  []TaskID // slot -> producing task
-	psi   []float64
-	stamp []uint32
-	cur   uint32
+// Tasks returns the tasks processor p starts at the given step, in
+// ascending TaskID order: nil for none, and for a step outside
+// [0, Steps()). The slice aliases the table.
+func (g *StepTable) Tasks(p, step int32) []TaskID {
+	if lo, hi := g.Row(p, step); lo < hi {
+		return g.tasks[lo:hi]
+	}
+	return nil
+}
 
-	inOff  []int32 // consumer task t's upwind edges are in[inOff[t]:inOff[t+1]]
+// RecvTable is the flux routing of the modelled machine, resolved once per
+// assignment and execution order: one receive slot per distinct (producer
+// task, destination processor) pair of the cross-processor edges, holding
+// the flux handed over into it and the step from which it is visible, and,
+// on either side of it, where every edge's flux is read and where it is
+// sent.
+//
+// The routes are laid out by position — a task's index in the execution
+// order Build is given (StepTable.Order), then every task that order does
+// not hold, in TaskID order — so a sweep, which runs the positions in
+// ascending order, streams its in-entries and out-entries instead of
+// gathering them task by task. Pos maps a task to its position for those
+// that arrive by name (a flux off the wire, a durable producer). Nobody
+// searches on the hot path: the consumer addresses its inputs by position
+// (In), the producer its cross edges (Out), and each out-entry names the
+// slot its flux goes into and the deadline of that slot. A step body
+// therefore needs the DAGs and the assignment for nothing.
+//
+// A consumer sees a flux only if it was handed over since the last Reset
+// and is visible at the step it reads it at — stall detection under
+// dropped and delayed messages depends on the first, the machine's
+// barrier semantics on the second — and Reset is a few additions, not a
+// sweep over the table. Nothing here is safe for concurrent use.
+type RecvTable struct {
+	prod []TaskID   // slot -> producing task
+	slot []recvSlot // what was handed over into each
+	base uint32     // the stamp of step 0 of the running sweep
+	span uint32     // a sweep's stamps: the steps it runs, and one past them
+
+	at     []route // per position, and one past the last
+	pos    []int32 // task -> position
 	in     []int32
-	outOff []int32 // producer task t's cross edges are out[outOff[t]:outOff[t+1]]
 	out    []OutEdge
 	slotTo []int32 // Build's scratch: per destination, the last slot numbered for it
+}
+
+// recvSlot is one receive slot: the flux handed over into it and the stamp of
+// the step from which it is visible, base + that step (older than base: a
+// flux of an earlier sweep).
+type recvSlot struct {
+	psi  float64
+	from uint32
+}
+
+// route is one position: its task, and where its entries begin — position
+// i's are in[at[i].in:at[i+1].in] and out[at[i].out:at[i+1].out].
+type route struct {
+	task    TaskID
+	in, out int32
 }
 
 // OutEdge is one cross-processor edge as its producer sees it.
 type OutEdge struct {
 	To       int32  // the consumer's processor
 	Slot     int32  // where the flux arrives there
-	Consumer TaskID // whose scheduled start is the message's deadline
+	Due      int32  // the step the slot's earliest consumer runs (the machine's Route sets it)
+	Consumer TaskID // whose scheduled start is one candidate for Due
 }
 
-// Build resolves every edge for the assignment — slots numbered in task
-// order, a task's destinations in out-edge order — and empties the store.
-// One pass over the out-edges fills both sides: a producer's slot for a
-// destination is found once, not once per edge, and an edge's place on its
-// consumer's in-side is the next free one, because every DAG lists a cell's
-// predecessors in ascending order (dag mirrors the out-lists to build
-// them). It reuses the table's storage.
-func (r *RecvTable) Build(inst *Instance, assign Assignment) {
-	nt, n := inst.NTasks(), int32(inst.N())
-	r.inOff = growInt32(r.inOff, nt+1)
-	r.outOff = growInt32(r.outOff, nt+1)
-	r.slotTo = growInt32(r.slotTo, inst.M)
-	edges := 0
-	for _, d := range inst.DAGs {
-		edges += d.NumEdges()
+// Build resolves every edge for the assignment, laid out in the execution
+// order of the step table the sweeps run (nil: TaskID order) — slots
+// numbered in task order, a task's destinations in out-edge order, its
+// inputs in the DAG's In order — and empties the store. It reuses the
+// table's storage.
+func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
+	nt := inst.NTasks()
+	var order []TaskID
+	r.span = math.MaxInt32 + 1 // any step an int32 can name
+	if steps != nil {
+		order, r.span = steps.Order(), uint32(steps.Steps())+1
 	}
-	r.in = growInt32(r.in, edges)
-	r.prod, r.out = r.prod[:0], r.out[:0]
+	if cap(r.at) < nt+1 {
+		r.at = make([]route, nt+1)
+	}
+	r.at = r.at[:nt+1]
+	r.pos = growInt32(r.pos, nt)
+	for t := range r.pos {
+		r.pos[t] = -1
+	}
+	for i, t := range order {
+		r.at[i].task, r.pos[t] = t, int32(i)
+	}
+	next := int32(len(order))
+	for t, i := range r.pos {
+		if i < 0 {
+			r.at[next].task, r.pos[t] = TaskID(t), next
+			next++
+		}
+	}
+	r.slotTo = growInt32(r.slotTo, inst.M)
 	for q := range r.slotTo {
 		r.slotTo[q] = -1
 	}
-	at := int32(0)
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			r.inOff[base+v] = at // the cursor of v's in-side until the shift below
-			at += int32(d.InDegree(v))
+
+	// Both passes walk the DAGs in TaskID order, as they are stored, and
+	// scatter into positions. The first counts each position's entries —
+	// its upwind edges, its cross-processor out-edges — one position on,
+	// so that the sum below leaves at[i] at where position i's begin.
+	n := inst.N()
+	for dir, d := range inst.DAGs {
+		base := dir * n
+		for v := range int32(n) {
+			cross, pv := int32(0), assign[v]
+			for _, w := range d.Out(v) {
+				if assign[w] != pv {
+					cross++
+				}
+			}
+			i := r.pos[base+int(v)] + 1
+			r.at[i].in, r.at[i].out = int32(d.InDegree(v)), cross
 		}
 	}
-	r.inOff[nt] = at
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for u := int32(0); u < n; u++ {
-			t := TaskID(base + u)
-			first := int32(len(r.prod))
-			r.outOff[t] = int32(len(r.out))
-			pu := assign[u]
+	r.at[0].in, r.at[0].out = 0, 0
+	for i := 1; i <= nt; i++ {
+		r.at[i].in += r.at[i-1].in
+		r.at[i].out += r.at[i-1].out
+	}
+	r.in = growInt32(r.in, int(r.at[nt].in))
+	if cap(r.out) < int(r.at[nt].out) {
+		r.out = make([]OutEdge, r.at[nt].out)
+	}
+	r.out = r.out[:r.at[nt].out]
+
+	// The second fills them: a producer's out-entries where its position's
+	// begin, and each edge's entry on its consumer's in-side at the next
+	// free place there — in the DAG's In order, because producers come in
+	// ascending order and every DAG lists a cell's predecessors ascending
+	// (dag mirrors the out-lists to build them). at[i].in is position i's
+	// cursor until the shift after the pass. A producer's slot for a
+	// destination is found once, not once per edge.
+	r.prod = r.prod[:0]
+	for dir, d := range inst.DAGs {
+		base := TaskID(dir * n)
+		for u := range int32(n) {
+			t := base + TaskID(u)
+			first, pu := int32(len(r.prod)), assign[u]
+			k := r.at[r.pos[t]].out
 			for _, w := range d.Out(u) {
 				entry := int32(t)
 				if q := assign[w]; q != pu {
@@ -185,26 +262,28 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment) {
 						r.slotTo[q] = s
 						r.prod = append(r.prod, t)
 					}
-					r.out = append(r.out, OutEdge{To: q, Slot: s, Consumer: TaskID(base + w)})
+					r.out[k] = OutEdge{To: q, Slot: s, Consumer: base + TaskID(w)}
+					k++
 					entry = ^s
 				}
-				r.in[r.inOff[base+w]] = entry
-				r.inOff[base+w]++
+				j := r.pos[base+TaskID(w)]
+				r.in[r.at[j].in] = entry
+				r.at[j].in++
 			}
 		}
 	}
-	r.outOff[nt] = int32(len(r.out))
-	copy(r.inOff[1:], r.inOff[:nt])
-	r.inOff[0] = 0
+	for i := nt; i > 0; i-- {
+		r.at[i].in = r.at[i-1].in
+	}
+	r.at[0].in = 0
 
 	slots := len(r.prod)
-	if cap(r.psi) < slots {
-		r.psi = make([]float64, slots)
-		r.stamp = make([]uint32, slots)
+	if cap(r.slot) < slots {
+		r.slot = make([]recvSlot, slots)
 	}
-	r.psi, r.stamp = r.psi[:slots], r.stamp[:slots]
-	clear(r.stamp)
-	r.cur = 1
+	r.slot = r.slot[:slots]
+	clear(r.slot)
+	r.base = 1
 }
 
 func growInt32(s []int32, n int) []int32 {
@@ -214,40 +293,49 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// In returns, for each upwind edge of task t in the DAG's In order, where
-// its flux is read: the producer's task id when the producer is a cell of
-// t's own processor (the flux is read where it was written), or ^slot for
-// Load when it arrives over the interconnect. The slice aliases the table.
-func (r *RecvTable) In(t TaskID) []int32 { return r.in[r.inOff[t]:r.inOff[t+1]] }
+// In returns, for each upwind edge of the task at position i in the DAG's
+// In order, where its flux is read: the producer's task id when the
+// producer is a cell of the task's own processor (the flux is read where
+// it was written), or ^slot for Load when it arrives over the
+// interconnect. The slice aliases the table.
+func (r *RecvTable) In(i int32) []int32 { return r.in[r.at[i].in:r.at[i+1].in] }
 
-// Out returns task t's cross-processor edges in the DAG's Out order: one
-// logical message each. The slice aliases the table.
-func (r *RecvTable) Out(t TaskID) []OutEdge { return r.out[r.outOff[t]:r.outOff[t+1]] }
+// Out returns the cross-processor edges of the task at position i in the
+// DAG's Out order: one logical message each. The slice aliases the table.
+func (r *RecvTable) Out(i int32) []OutEdge { return r.out[r.at[i].out:r.at[i+1].out] }
 
-// Slots returns the number of receive slots.
-func (r *RecvTable) Slots() int { return len(r.prod) }
+// Task returns the task at position i.
+func (r *RecvTable) Task(i int32) TaskID { return r.at[i].task }
+
+// Pos returns the position of task t.
+func (r *RecvTable) Pos(t TaskID) int32 { return r.pos[t] }
 
 // Producer returns the task whose flux arrives in the slot.
 func (r *RecvTable) Producer(slot int32) TaskID { return r.prod[slot] }
 
-// Load returns the flux in a slot and whether it was delivered since the
-// last Reset.
-func (r *RecvTable) Load(slot int32) (float64, bool) {
-	return r.psi[slot], r.stamp[slot] == r.cur
+// Load returns the flux in a slot and whether it is there for a consumer
+// running at the given step: handed over since the last Reset, visible
+// from that step or an earlier one.
+func (r *RecvTable) Load(slot, step int32) (float64, bool) {
+	x := &r.slot[slot]
+	return x.psi, x.from-r.base <= uint32(step)
 }
 
-// Reset forgets every delivered flux (a new sweep or epoch begins).
+// Reset forgets every flux handed over (a new sweep or epoch begins): the
+// next sweep's stamps start past every one the last could write.
 func (r *RecvTable) Reset() {
-	r.cur++
-	if r.cur == 0 { // stamp wrapped: really clear, once per 2^32 resets
-		clear(r.stamp)
-		r.cur = 1
+	next := uint64(r.base) + uint64(r.span)
+	if next+uint64(r.span) > math.MaxUint32 { // the stamps would wrap: really clear, once per ~2^32 steps
+		clear(r.slot)
+		next = 1
 	}
+	r.base = uint32(next)
 }
 
-// Deliver records a flux as received in the slot an Out entry named.
-func (r *RecvTable) Deliver(slot int32, psi float64) {
-	r.psi[slot], r.stamp[slot] = psi, r.cur
+// Deliver hands a flux over into the slot an Out entry named, visible from
+// step from of the running sweep on. Only the slot's producer writes it.
+func (r *RecvTable) Deliver(slot int32, psi float64, from int32) {
+	r.slot[slot] = recvSlot{psi: psi, from: r.base + uint32(from)}
 }
 
 // AllProcs returns the processors 0..m-1 in ascending order: RunSteps'
@@ -261,16 +349,16 @@ func AllProcs(m int) []int32 {
 }
 
 // Send is one logical cross-processor flux message, the one in-memory form
-// it has between the step body that produced it and the interconnect: task
-// Task's flux Psi for receive slot Slot of processor To. The modelled
-// machine (internal/machine) queues the sends its bodies produce and hands
-// them over in CloseStep, so a flux sent during step t is visible to its
-// destination from step t+1 on whatever the interconnect — never to a
-// higher-numbered processor later in step t. (When it must arrive is the
-// slot's business, not the message's: machine.Machine.Due.)
+// it has between the step body that produced it and the interconnect while
+// the machine's owner must see it first (internal/machine's Intercept):
+// task Task's flux Psi for receive slot Slot of processor To, due at the
+// slot's deadline. A flux sent during step t is visible to its destination
+// from step t+1 on whatever the interconnect — never to a higher-numbered
+// processor later in step t.
 type Send struct {
 	Task TaskID
 	To   int32
 	Slot int32 // the destination's receive slot (RecvTable.Out)
+	Due  int32 // the step the slot's earliest consumer runs (OutEdge.Due)
 	Psi  float64
 }

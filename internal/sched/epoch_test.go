@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -175,42 +176,71 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 	}
 }
 
+// TestRecvTableDeliversOnlyWhatWasDelivered: a slot is readable only once
+// a flux was handed over into it since the last Reset, and only from the
+// step it was stamped visible from; Reset forgets everything in O(1), and
+// stamps running out must not resurrect old deliveries.
 func TestRecvTableDeliversOnlyWhatWasDelivered(t *testing.T) {
 	inst := testInstance(t, 2, 4, 3, 3)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(4))
+	s, err := ListSchedule(inst, assign, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps StepTable
+	if err := steps.Build(s, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	var r RecvTable
-	r.Build(inst, assign)
-	if r.Slots() < 4 {
+	r.Build(inst, assign, &steps)
+	if len(r.prod) < 4 {
 		t.Fatal("instance has too few cross edges")
 	}
-	readable := func() (slots []int32) {
-		for s := int32(0); s < int32(r.Slots()); s++ {
-			if _, ok := r.Load(s); ok {
+	last := steps.Steps() - 1
+	readable := func(step int32) (slots []int32) {
+		for s := range int32(len(r.prod)) {
+			if _, ok := r.Load(s, step); ok {
 				slots = append(slots, s)
 			}
 		}
 		return slots
 	}
-	if got := readable(); got != nil {
+	r.Reset()
+	if got := readable(last); got != nil {
 		t.Fatalf("slots %v readable before any delivery", got)
 	}
-	r.Deliver(2, 1.5)
-	r.Deliver(2, 1.5) // a duplicate is harmless
-	if v, ok := r.Load(2); !ok || v != 1.5 {
-		t.Fatalf("delivered flux reads (%v, %v)", v, ok)
+	r.Deliver(2, 1.5, 3)
+	r.Deliver(2, 1.5, 3) // a duplicate is harmless
+	if got := readable(2); got != nil {
+		t.Fatalf("slots %v readable at step 2, before the step they are visible from", got)
 	}
-	if got := readable(); len(got) != 1 {
+	if v, ok := r.Load(2, 3); !ok || v != 1.5 {
+		t.Fatalf("delivered flux reads (%v, %v) at the step it is visible from", v, ok)
+	}
+	if got := readable(last); len(got) != 1 {
 		t.Fatalf("slots %v readable though only slot 2 was delivered", got)
 	}
+	r.Deliver(1, 2, last+1) // what the last step hands over
 	r.Reset()
-	if got := readable(); got != nil {
+	if got := readable(last); got != nil {
 		t.Fatalf("slots %v survived Reset", got)
 	}
-	// The stamp wrapping around must not resurrect old deliveries.
-	r.Deliver(1, 2)
-	r.cur = ^uint32(0)
+	// The stamps running out must not resurrect old deliveries.
+	r.Deliver(1, 2, 0)
+	r.base = math.MaxUint32 - 3
 	r.Reset()
-	if got := readable(); got != nil || r.cur != 1 {
-		t.Fatalf("stamp wrap: readable=%v cur=%d", got, r.cur)
+	if got := readable(last); got != nil || r.base != 1 {
+		t.Fatalf("stamp wrap: readable=%v base=%d", got, r.base)
+	}
+	r.Deliver(0, 4, last)
+	if got := readable(last); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("after the wrap, slots %v readable, want [0]", got)
+	}
+	// Without a step table a sweep may run any number of steps.
+	r.Build(inst, assign, nil)
+	r.Deliver(3, 1, math.MaxInt32)
+	r.Reset()
+	if got := readable(math.MaxInt32); got != nil {
+		t.Fatalf("slots %v survived Reset on a table without steps", got)
 	}
 }

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"slices"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -13,24 +14,36 @@ import (
 )
 
 // checkRecvTable holds the table to what the executors trust it for:
-// every cross edge exactly once on its producer's out side, in the DAG's
-// Out order, naming the slot its consumer's in-side entry names; every
-// local edge read at its producer's task id; slots dense, one per
-// (producer, destination) pair.
-func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assign sched.Assignment) {
+// positions are the execution order given, then every other task in
+// TaskID order; every cross edge exactly once on its producer's out side,
+// in the DAG's Out order, naming the slot its consumer's in-side entry
+// names; every local edge read at its producer's task id; slots dense, one
+// per (producer, destination) pair.
+func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assign sched.Assignment, order []sched.TaskID) int {
 	t.Helper()
+	var pos []sched.TaskID
+	for i := range int32(inst.NTasks()) {
+		tsk := r.Task(i)
+		if r.Pos(tsk) != i {
+			t.Fatalf("position %d holds task %d, which Pos puts at %d", i, tsk, r.Pos(tsk))
+		}
+		pos = append(pos, tsk)
+	}
+	if !slices.Equal(pos[:len(order)], order) || !slices.IsSorted(pos[len(order):]) {
+		t.Fatalf("positions are not the execution order given, then the other tasks ascending")
+	}
 	type pair struct {
 		t  sched.TaskID
 		to int32
 	}
 	n := int32(inst.N())
 	slotOf := map[pair]int32{}
-	owned := make([]bool, r.Slots())
+	owner := map[int32]sched.TaskID{}
 	for i, d := range inst.DAGs {
 		base := sched.TaskID(int32(i) * n)
 		for u := int32(0); u < n; u++ {
 			tsk := base + sched.TaskID(u)
-			out := r.Out(tsk)
+			out := r.Out(r.Pos(tsk))
 			j := 0
 			for _, w := range d.Out(u) {
 				if assign[w] == assign[u] {
@@ -44,17 +57,14 @@ func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assi
 				if e.To != assign[w] || e.Consumer != base+sched.TaskID(w) {
 					t.Fatalf("task %d: out entry %d is %+v, edge goes to task %d on processor %d", tsk, j-1, e, base+sched.TaskID(w), assign[w])
 				}
-				if e.Slot < 0 || int(e.Slot) >= r.Slots() || r.Producer(e.Slot) != tsk {
-					t.Fatalf("task %d: out entry %+v names a slot that is not this producer's", tsk, e)
-				}
 				c := pair{tsk, e.To}
 				if s, seen := slotOf[c]; seen && s != e.Slot {
 					t.Fatalf("(%d -> %d) arrives in slots %d and %d", c.t, c.to, s, e.Slot)
 				} else if !seen {
-					if owned[e.Slot] {
+					if _, taken := owner[e.Slot]; taken {
 						t.Fatalf("slot %d serves (%d -> %d) and another destination", e.Slot, c.t, c.to)
 					}
-					owned[e.Slot], slotOf[c] = true, e.Slot
+					owner[e.Slot], slotOf[c] = tsk, e.Slot
 				}
 			}
 			if j != len(out) {
@@ -62,13 +72,15 @@ func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assi
 			}
 		}
 	}
-	if len(slotOf) != r.Slots() {
-		t.Fatalf("%d slots for %d (producer, destination) pairs", r.Slots(), len(slotOf))
+	for s := range int32(len(owner)) {
+		if tsk, ok := owner[s]; !ok || r.Producer(s) != tsk {
+			t.Fatalf("%d (producer, destination) pairs, but slot %d is not one of them or not its producer's", len(owner), s)
+		}
 	}
 	for i, d := range inst.DAGs {
 		base := sched.TaskID(int32(i) * n)
 		for v := int32(0); v < n; v++ {
-			in := r.In(base + sched.TaskID(v))
+			in := r.In(r.Pos(base + sched.TaskID(v)))
 			if len(in) != d.InDegree(v) {
 				t.Fatalf("task %d: %d in entries for %d upwind edges", base+sched.TaskID(v), len(in), d.InDegree(v))
 			}
@@ -84,6 +96,7 @@ func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assi
 			}
 		}
 	}
+	return len(owner)
 }
 
 // randomFamily draws a DAG family with no geometry behind it: random
@@ -148,10 +161,9 @@ func TestRecvTableRoutesEveryEdgeOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		assign := sched.RandomAssignment(inst.N(), m, r)
-		tab.Build(inst, assign)
-		checkRecvTable(t, &tab, inst, assign)
-		if m == 1 && (tab.Slots() != 0 || len(tab.Out(0)) != 0) {
-			t.Fatalf("seed %d: one processor, yet %d slots", seed, tab.Slots())
+		tab.Build(inst, assign, nil)
+		if slots := checkRecvTable(t, &tab, inst, assign, nil); m == 1 && slots != 0 {
+			t.Fatalf("seed %d: one processor, yet %d slots", seed, slots)
 		}
 		if m == 1 {
 			continue
@@ -160,13 +172,30 @@ func TestRecvTableRoutesEveryEdgeOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// In a sweep's execution order, and in a residual epoch's: the
+		// tasks not yet done, then the durable rest.
+		var steps sched.StepTable
+		if err := steps.Build(s, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		tab.Build(inst, assign, &steps)
+		checkRecvTable(t, &tab, inst, assign, steps.Order())
+		done := make([]bool, inst.NTasks())
+		for tsk := range done {
+			done[tsk] = r.Intn(3) == 0
+		}
+		if err := steps.Build(s, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		tab.Build(inst, assign, &steps)
+		checkRecvTable(t, &tab, inst, assign, steps.Order())
 		rec, err := faults.NewRecovery(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.Kill([]int32{int32(r.Intn(m))}, make([]bool, inst.NTasks()))
-		tab.Build(inst, rec.Assign())
-		checkRecvTable(t, &tab, inst, rec.Assign())
+		tab.Build(inst, rec.Assign(), nil)
+		checkRecvTable(t, &tab, inst, rec.Assign(), nil)
 	}
 }
 
@@ -191,15 +220,24 @@ func sweepShapeInstance(tb testing.TB) *sched.Instance {
 
 // BenchmarkRecvTableBuild is what every solve pays once and every
 // recovery once more: resolving the routes of a per-cell random
-// assignment at the sweep-goroutine shape, into a table already sized.
+// assignment at the sweep-goroutine shape, laid out in its schedule's
+// execution order, into a table already sized.
 func BenchmarkRecvTableBuild(b *testing.B) {
 	inst := sweepShapeInstance(b)
 	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(1))
+	s, err := sched.ListSchedule(inst, assign, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var steps sched.StepTable
+	if err := steps.Build(s, nil, nil); err != nil {
+		b.Fatal(err)
+	}
 	var r sched.RecvTable
-	r.Build(inst, assign)
+	r.Build(inst, assign, &steps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Build(inst, assign)
+		r.Build(inst, assign, &steps)
 	}
 }

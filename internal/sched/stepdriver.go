@@ -9,14 +9,13 @@ import "context"
 // the same machine itself, because its processors may be other processes.
 //
 // RunProc(p, step) is modelled processor p's share of a step. A body
-// writes only state that belongs to p (its ack slot, its tasks' fluxes,
-// the sends it queues) and reads nothing another body of the same step
-// writes: a processor must not see what a lower-numbered one did earlier
-// in the step, or the outcome would depend on processor numbering.
+// writes its own tasks' state and what they hand over, and nothing it
+// writes is visible to another body of the same step: a processor must
+// not see what a lower-numbered one did earlier in the step, or the
+// outcome would depend on processor numbering.
 //
 // OpenStep and CloseStep are the barrier hook: they run before the first
-// and after the last body of the step, and are the only place shared
-// state may change — flushing due envelopes, delivering fluxes, folding
+// and after the last body of the step — flushing due envelopes, folding
 // the per-processor acks. Returning an error ends the run with that error.
 type Stepper interface {
 	OpenStep(step int32) error

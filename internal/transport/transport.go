@@ -315,13 +315,14 @@ func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 // ctx.Err() within one barrier step.
 //
 // By default cross-processor fluxes ride deadline-driven per-destination
-// envelopes (internal/comm): a sender's flux is held in the destination's
-// open envelope until the barrier before its earliest consumer's step,
-// so one transmission carries many messages. Config.NoBatch selects the
-// per-message interconnect instead — one delivery per logical message at
-// the barrier closing the step it was sent in — the differential oracle
-// the batched path is tested against. Both are bitwise-identical to
-// Solve; only Comm.Batches and Comm.Bytes differ.
+// envelopes (internal/comm): a sender's flux joins the destination's open
+// envelope, which is transmitted at the barrier before the earliest
+// consumer's step of anything it holds, so one transmission carries many
+// messages. Config.NoBatch selects the per-message interconnect instead —
+// one transmission per logical message, at the barrier closing the step
+// it was sent in — the differential oracle the batched path is tested
+// against. Both are bitwise-identical to Solve; only Comm.Batches and
+// Comm.Bytes differ.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveOn(ctx, s, cfg, machineSweeper)
 }

@@ -8,6 +8,7 @@ import (
 
 	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
+	"sweepsched/internal/faults"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -314,14 +315,16 @@ func reportStepTime(b *testing.B, stepsPerOp int) {
 
 // sweepShape is the benchmark's sweep-goroutine workload as the executors
 // see it: tetonly at scale 0.05, k=24, m=8, a random-delays-with-priorities
-// schedule over a per-cell random assignment, solved to Tol 1e-4.
-func sweepShape(b *testing.B) (*sched.Schedule, Config) {
+// schedule over a per-cell random assignment, solved to Tol 1e-4. Its
+// sweep-faulty workload is the same mesh and machine with k=8, solved to
+// Tol 1e-6 (faultyPlan is its fault plan).
+func sweepShape(b *testing.B, k int, tol float64) (*sched.Schedule, Config) {
 	b.Helper()
 	msh, err := mesh.Family("tetonly", 0.05, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dirs, err := quadrature.Octant(24)
+	dirs, err := quadrature.Octant(k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,53 +336,76 @@ func sweepShape(b *testing.B) (*sched.Schedule, Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s, Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Tol: 1e-4}
+	return s, Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Tol: tol}
+}
+
+// faultyPlan is the sweep-faulty workload's fault plan for the schedule.
+func faultyPlan(s *sched.Schedule) *faults.Plan {
+	return faults.NewPlan(s, faults.Spec{Crashes: 1, Drops: 2, Delays: 1, Duplicates: 1, CheckpointEvery: 8}, 1)
+}
+
+// executorRun is what one solve executed: barrier steps, tasks (replays
+// included) and logical messages.
+type executorRun struct {
+	steps, tasks int
+	messages     int64
 }
 
 // benchExecutor runs solve on the small 4x4x4 box (k=8, m=4) and at the
-// measured shape, reporting what a step and a logical message cost.
-func benchExecutor(b *testing.B, solve func(*sched.Schedule, Config) (steps int, messages int64, err error)) {
+// measured shape, reporting what a step, a task and a logical message
+// cost.
+func benchExecutor(b *testing.B, solve func(*sched.Schedule, Config) (executorRun, error)) {
 	b.Run("box", func(b *testing.B) { benchExecutorOn(b, testSchedule(b, 4, 8, 4, 1), testCfg, solve) })
 	b.Run("sweep", func(b *testing.B) {
-		s, cfg := sweepShape(b)
+		s, cfg := sweepShape(b, 24, 1e-4)
 		benchExecutorOn(b, s, cfg, solve)
 	})
 }
 
-func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sched.Schedule, Config) (int, int64, error)) {
+func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sched.Schedule, Config) (executorRun, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	var steps int
-	var messages int64
+	var run executorRun
 	for i := 0; i < b.N; i++ {
 		var err error
-		if steps, messages, err = solve(s, cfg); err != nil {
+		if run, err = solve(s, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportStepTime(b, steps)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(messages), "ns/message")
+	reportStepTime(b, run.steps)
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perOp/float64(run.tasks), "ns/task")
+	b.ReportMetric(perOp/float64(run.messages), "ns/message")
 }
 
 func BenchmarkSolveParallel(b *testing.B) {
-	benchExecutor(b, func(s *sched.Schedule, cfg Config) (int, int64, error) {
+	benchExecutor(b, func(s *sched.Schedule, cfg Config) (executorRun, error) {
 		res, err := SolveParallel(s, cfg)
 		if err != nil {
-			return 0, 0, err
+			return executorRun{}, err
 		}
-		return res.Iterations * s.Makespan, res.Comm.Messages, nil
+		return executorRun{res.Iterations * s.Makespan, res.Iterations * s.Inst.NTasks(), res.Comm.Messages}, nil
 	})
 }
 
-// BenchmarkSolveFaultTolerant is the fault engine's fault-free path: the
-// same solve as BenchmarkSolveParallel through faults.Engine, one epoch
-// per source iteration.
+// BenchmarkSolveFaultTolerant is the fault engine's fault-free path — the
+// same solve as BenchmarkSolveParallel through faults.Engine, one epoch per
+// source iteration — and, at the sweep-faulty shape, its recoveries: a
+// crash, two drops, a delay and a duplicate, each regrouping the steps and
+// laying the routes out again.
 func BenchmarkSolveFaultTolerant(b *testing.B) {
-	benchExecutor(b, func(s *sched.Schedule, cfg Config) (int, int64, error) {
-		res, rep, err := SolveFaultTolerant(context.Background(), s, cfg, nil)
-		if err != nil {
-			return 0, 0, err
+	solve := func(plan func(*sched.Schedule) *faults.Plan) func(*sched.Schedule, Config) (executorRun, error) {
+		return func(s *sched.Schedule, cfg Config) (executorRun, error) {
+			res, rep, err := SolveFaultTolerant(context.Background(), s, cfg, plan(s))
+			if err != nil {
+				return executorRun{}, err
+			}
+			return executorRun{rep.StepsExecuted, res.Iterations*s.Inst.NTasks() + rep.TasksReplayed, res.Comm.Messages}, nil
 		}
-		return rep.StepsExecuted, res.Comm.Messages, nil
+	}
+	benchExecutor(b, solve(func(*sched.Schedule) *faults.Plan { return nil }))
+	b.Run("faulty", func(b *testing.B) {
+		s, cfg := sweepShape(b, 8, 1e-6)
+		benchExecutorOn(b, s, cfg, solve(faultyPlan))
 	})
 }
