@@ -8,6 +8,56 @@ import (
 	"sweepsched/internal/sched"
 )
 
+func TestOutboxFlushDueOrderAndOwnership(t *testing.T) {
+	o := NewOutbox(4)
+	o.Add(2, 10)
+	o.Add(0, 5)
+	o.Add(2, 6)
+	o.Add(1, 20)
+
+	dests, batches, bytes := o.FlushDue(6)
+	if len(dests) != 2 || dests[0] != 0 || dests[1] != 2 {
+		t.Fatalf("flushed %v at now=6, want ascending [0 2]", dests)
+	}
+	// Dest 2's envelope holds both of its items: its MinDue is 6, not 10.
+	if batches != 2 || bytes != BatchWireBytes(1)+BatchWireBytes(2) {
+		t.Fatalf("flush cost = (%d, %d), want (2, %d)", batches, bytes, BatchWireBytes(1)+BatchWireBytes(2))
+	}
+	// A flushed envelope is gone: dest 2's due-10 item left with it.
+	if dests, _, _ := o.FlushDue(10); len(dests) != 0 {
+		t.Fatalf("flushed %v at now=10, want nothing until dest 1's step 20", dests)
+	}
+
+	// Dest 1 (due 20) is still held; it flushes once its deadline arrives.
+	if dests, _, _ := o.FlushDue(19); len(dests) != 0 {
+		t.Fatalf("dest 1 flushed at now=19 before its due step 20")
+	}
+	dests, batches, bytes = o.FlushDue(20)
+	if len(dests) != 1 || dests[0] != 1 || batches != 1 || bytes != BatchWireBytes(1) {
+		t.Fatalf("dest 1 at its due step: flushed %v cost (%d, %d), want [1] (1, %d)", dests, batches, bytes, BatchWireBytes(1))
+	}
+}
+
+func TestOutboxNoDueItemsRideAlongOrDiscard(t *testing.T) {
+	o := NewOutbox(2)
+	o.Add(0, NoDue)
+	if dests, batches, _ := o.FlushDue(1 << 20); len(dests) != 0 || batches != 0 {
+		t.Fatalf("an envelope holding only NoDue items must never flush on its own")
+	}
+	// A dated item shares the envelope; the NoDue item rides along.
+	o.Add(0, 3)
+	dests, batches, bytes := o.FlushDue(3)
+	if len(dests) != 1 || dests[0] != 0 || batches != 1 || bytes != BatchWireBytes(2) {
+		t.Fatalf("NoDue item did not ride the dated flush: flushed %v cost (%d, %d)", dests, batches, bytes)
+	}
+
+	o.Add(1, NoDue)
+	o.DiscardAll()
+	if dests, batches, _ := o.FlushDue(NoDue); len(dests) != 0 || batches != 0 {
+		t.Fatalf("DiscardAll left envelopes %v", dests)
+	}
+}
+
 // TestOutboxWarmCycleZeroAllocs is the 0 allocs/op contract of the
 // ledger: counting items into envelopes, flushing the due ones and
 // discarding the rest allocate nothing.
