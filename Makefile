@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check ci race resilience procfault fuzz bench bench-smoke verify service loadtest loadtest-smoke
+.PHONY: check ci race resilience procfault fuzz bench bench-smoke verify service
 
 check:
 	$(GO) build ./... && $(GO) test ./...
@@ -49,24 +49,11 @@ fuzz:
 ci:
 	./ci.sh
 
-# The sweepschedd daemon suite under the race detector plus a short
-# in-process loadtest smoke (8 clients against the paper tetonly mesh,
-# server-side sampled audits on; see ci.sh).
+# The sweepschedd daemon suite under the race detector. The daemon's
+# load numbers (cold, family and warm phases) are the benchmark's
+# service-tiers workload: `bash bench/run.sh -workload service-tiers`.
 service:
 	$(GO) test -race -count=1 ./internal/service ./internal/cliutil ./internal/obs
-	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 4 -scale 0.02 -k 8 -m 16 -verify-every 4 -out /dev/null
-
-# Print the service load/soak numbers: 8 concurrent clients, cold
-# (unique meshes) vs warm (identical request) phases on a paper-scale
-# tetonly mesh with sampled runtime audits enabled.
-loadtest:
-	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 25 -mesh tetonly -scale 0.05 \
-	    -k 24 -m 64 -verify-every 8
-
-# Same harness, small enough for CI.
-loadtest-smoke:
-	$(GO) run ./cmd/sweeploadtest -clients 8 -requests 5 -scale 0.02 -k 8 -m 16 \
-	    -verify-every 4 -out /dev/null
 
 # The one benchmark of the whole pipeline (bench/, BENCHMARK.json): all
 # workloads end to end; `bash bench/run.sh -trace 1` for the per-layer

@@ -43,7 +43,6 @@ func main() {
 		doVerify   = flag.Bool("verify", false, "audit every produced schedule with the internal/verify auditor (fails fast on the first violation)")
 		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth trial (1 = every trial)")
 		doStats    = flag.Bool("stats", false, "print accumulated counters and stage timings after the experiments")
-		noBatch    = flag.Bool("nobatch", false, "run the comm experiment on the per-message oracle interconnect only, reporting its raw traffic instead of the batched-vs-oracle comparison")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -59,9 +58,6 @@ func main() {
 			}
 		}
 	})
-	if err := cliutil.ValidateNoBatch(*noBatch, *exp == "comm" || *exp == "all", "use -exp comm (or all) to run one"); err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		for _, n := range experiments.Names() {
@@ -116,7 +112,6 @@ func main() {
 		Anglesets:   *anglesets,
 		Speeds:      speeds,
 		WeightSeed:  *weightSeed,
-		NoBatch:     *noBatch,
 	}
 	if *doStats {
 		cfg.Collector = obs.New()

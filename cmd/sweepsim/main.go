@@ -67,7 +67,6 @@ func main() {
 		nDup       = flag.Int("dup", 0, "message duplications to inject (with -faults)")
 		nSever     = flag.Int("sever", 0, "worker coordinator sockets to sever (with -faults -procs)")
 		doProcs    = flag.Bool("procs", false, "with -faults, execute on real worker OS processes: crashes become kill -9, severs become closed sockets")
-		noBatch    = flag.Bool("nobatch", false, "with -faults, run the transport executors on the per-message oracle interconnect instead of batched flux envelopes (converges bitwise-identically; only transmission counts differ)")
 		ckptDir    = flag.String("ckptdir", "", "durable checkpoint directory for -procs (default: a temp dir, removed on exit)")
 		timeout    = flag.Duration("timeout", 0, "overall deadline for fault-injected runs (0 = none)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -97,9 +96,6 @@ func main() {
 			}
 		}
 	})
-	if err := cliutil.ValidateNoBatch(*noBatch, *doFaults, "add -faults (optionally -procs) to run one"); err != nil {
-		fatal(err)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -256,7 +252,7 @@ func main() {
 		plan := sweepsched.NewFaultPlan(res, spec, *faultSeed)
 		fmt.Printf("fault plan (seed=%d): %s\n", *faultSeed, plan)
 
-		cfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: *doVerify, NoBatch: *noBatch, Collector: col}
+		cfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: *doVerify, Collector: col}
 		serial, err := p.SolveTransport(res, cfg)
 		if err != nil {
 			fatal(err)

@@ -1,5 +1,5 @@
 // Package cliutil holds the flag validation shared by the repo's
-// commands (sweepsim, sweepbench, sweepschedd, sweeploadtest). The
+// commands (sweepsim, sweepbench, sweepschedd). The
 // commands exit non-zero with these messages instead of silently
 // coercing nonsense values — a negative -verify-every used to be
 // absorbed by the ≤1 "audit every run" fallback, which reads as "off"
@@ -32,32 +32,11 @@ func ValidateAnglesets(n int) error {
 	return nil
 }
 
-// ValidatePositive rejects values < 1 for flags that name a count that
-// must exist (clients, requests, concurrency slots).
-func ValidatePositive(flag string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("%s must be >= 1, got %d", flag, n)
-	}
-	return nil
-}
-
 // ValidateNonNegative rejects negative values for flags where zero
 // selects a default.
 func ValidateNonNegative(flag string, n int) error {
 	if n < 0 {
 		return fmt.Errorf("%s must be >= 0, got %d", flag, n)
-	}
-	return nil
-}
-
-// ValidateNoBatch rejects -nobatch when the invocation runs no
-// communicating transport executor: the flag selects the per-message
-// oracle interconnect (internal/comm), so on a run that never sends
-// flux between processors it would silently do nothing. hint names the
-// flag combination that makes it meaningful.
-func ValidateNoBatch(set, runsTransport bool, hint string) error {
-	if set && !runsTransport {
-		return fmt.Errorf("-nobatch only affects communicating transport runs; %s", hint)
 	}
 	return nil
 }

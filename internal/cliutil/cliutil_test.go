@@ -27,27 +27,6 @@ func TestValidateVerifyEvery(t *testing.T) {
 	}
 }
 
-func TestValidatePositive(t *testing.T) {
-	cases := []struct {
-		name    string
-		n       int
-		wantErr bool
-	}{
-		{"zero", 0, true},
-		{"negative", -3, true},
-		{"one", 1, false},
-		{"many", 128, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidatePositive("-clients", tc.n)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidatePositive(%d) = %v, wantErr=%v", tc.n, err, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestValidateNonNegative(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -78,31 +57,6 @@ func TestValidateAnglesets(t *testing.T) {
 		if err := ValidateAnglesets(n); err == nil {
 			t.Errorf("n=%d: expected error", n)
 		}
-	}
-}
-
-// TestValidateNoBatch pins the -nobatch contract: the flag is rejected
-// unless the invocation actually runs a communicating transport
-// executor, so a do-nothing -nobatch never passes silently.
-func TestValidateNoBatch(t *testing.T) {
-	cases := []struct {
-		name          string
-		set           bool
-		runsTransport bool
-		wantErr       bool
-	}{
-		{"unset_no_transport", false, false, false},
-		{"unset_with_transport", false, true, false},
-		{"set_with_transport", true, true, false},
-		{"set_without_transport", true, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateNoBatch(tc.set, tc.runsTransport, "add -faults to run the transport executor")
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidateNoBatch(%v, %v) = %v, wantErr=%v", tc.set, tc.runsTransport, err, tc.wantErr)
-			}
-		})
 	}
 }
 

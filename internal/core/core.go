@@ -1,21 +1,24 @@
-// Package core implements the paper's randomized sweep-scheduling
-// algorithms with provable guarantees:
+// Package core holds what the paper's provable algorithms (§4) need
+// beyond the scheduler table in internal/heuristics:
 //
-//   - Algorithm 1, "Random Delay": combine the k direction DAGs with
-//     uniformly random per-direction delays, assign each cell to a random
-//     processor, and process the combined layers synchronously. Makespan is
-//     O(OPT·log²n) with high probability (Theorem 1).
-//   - Algorithm 2, "Random Delays with Priorities": the same random delays
-//     folded into per-task priorities Γ(v,i) = level_i(v) + X_i, executed
-//     with idle-free priority list scheduling. Same O(log²n) guarantee
-//     (Theorem 2), much better in practice (§5.1).
-//   - Algorithm 3, "Improved Random Delay": greedy (Graham) preprocessing
-//     on the union DAG H bounds every layer width by m before the delays,
-//     giving expected makespan O(OPT·log m·logloglog m) (Corollary 1).
+//   - Delays, the per-direction random delays X_i every algorithm draws;
+//   - DelayPrioritiesInto and GreedyLevelPrioritiesInto, which turn levels,
+//     or Algorithm 3's Graham preprocessing levels L', into delayed
+//     priorities;
+//   - the two layer-synchronous executions: Algorithm 1, "Random Delay"
+//     (makespan O(OPT·log²n) with high probability, Theorem 1), and
+//     Algorithm 3, "Improved Random Delay", whose preprocessing bounds
+//     every layer's width by m (expected O(OPT·log m·logloglog m),
+//     Corollary 1);
+//   - theory.go's bounds.
 //
-// Every algorithm has a *WithAssignment variant taking an externally
-// produced cell-to-processor assignment (e.g. the block assignment of §5.1)
-// in place of step "choose a processor uniformly at random for each cell".
+// Algorithm 2, "Random Delays with Priorities" (Γ(v,i) = level_i(v) + X_i,
+// list-scheduled with no idling, Theorem 2), and the priority form of
+// Algorithm 3 are list schedules: heuristics.Run runs them as
+// random_delays_priority and improved_delays, and Algorithm 1 as
+// random_delays. Every entry point takes a cell-to-processor assignment;
+// the paper's uniformly random one is sched.RandomAssignment, drawn from
+// the same stream before the delays.
 package core
 
 import (
@@ -83,60 +86,11 @@ func combinedLayers(inst *sched.Instance, delays []int32) []int32 {
 	return layer
 }
 
-// RandomDelay runs Algorithm 1 with a uniformly random cell assignment.
-func RandomDelay(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
-	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	return RandomDelayWithAssignment(inst, assign, r)
-}
-
 // RandomDelayWithAssignment runs Algorithm 1 with the given assignment:
 // random delays, combined DAG, layer-synchronous execution.
 func RandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
 	layer := combinedLayers(inst, Delays(inst.K(), r))
 	return sched.LayeredSchedule(inst, assign, layer)
-}
-
-// RandomDelayPriorities runs Algorithm 2 with a uniformly random cell
-// assignment.
-func RandomDelayPriorities(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
-	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	return RandomDelayPrioritiesWithAssignment(inst, assign, r)
-}
-
-// RandomDelayPrioritiesWithAssignment runs Algorithm 2 with the given
-// assignment: Γ(v,i) = level_i(v) + X_i, smallest-Γ-first list scheduling
-// with no idling.
-func RandomDelayPrioritiesWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	dst := &sched.Schedule{}
-	if err := RandomDelayPrioritiesInto(ws, dst, inst, assign, r); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RandomDelayPrioritiesInto is the trial-loop form of Algorithm 2: the
-// priorities Γ(v,i) = level_i(v) + X_i are built in the workspace's
-// priority scratch and the schedule lands in dst. On a warm workspace
-// only the k delays are allocated.
-func RandomDelayPrioritiesInto(ws *sched.Workspace, dst *sched.Schedule, inst *sched.Instance, assign sched.Assignment, r *rng.Source) error {
-	n := inst.N()
-	prio := ws.PrioBuf(inst.NTasks())
-	for i, d := range inst.DAGs {
-		for v, l := range d.Level {
-			prio[i*n+v] = int64(l)
-		}
-	}
-	DelayPrioritiesInto(prio, n, Delays(inst.K(), r))
-	return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
-}
-
-// ImprovedRandomDelay runs Algorithm 3 with a uniformly random cell
-// assignment.
-func ImprovedRandomDelay(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
-	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	return ImprovedRandomDelayWithAssignment(inst, assign, r)
 }
 
 // ImprovedRandomDelayWithAssignment runs Algorithm 3 with the given
@@ -160,40 +114,4 @@ func ImprovedRandomDelayWithAssignment(inst *sched.Instance, assign sched.Assign
 		}
 	}
 	return sched.LayeredSchedule(inst, assign, layer)
-}
-
-// ImprovedRandomDelayPriorities is the natural priority-compacted version
-// of Algorithm 3 (the same idle-elimination that turns Algorithm 1 into
-// Algorithm 2, applied to the preprocessed levels). It retains the
-// theoretical guarantee — compaction never lengthens a layered schedule —
-// and performs best of the provable family in practice.
-func ImprovedRandomDelayPriorities(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
-	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	return ImprovedRandomDelayPrioritiesWithAssignment(inst, assign, r)
-}
-
-// ImprovedRandomDelayPrioritiesWithAssignment is the assignment-taking
-// variant of ImprovedRandomDelayPriorities.
-func ImprovedRandomDelayPrioritiesWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	dst := &sched.Schedule{}
-	if err := ImprovedRandomDelayPrioritiesInto(ws, dst, inst, assign, r); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ImprovedRandomDelayPrioritiesInto is the trial-loop form of the
-// priority-compacted Algorithm 3: the Graham preprocessing levels and
-// the delayed priorities are built in the workspace's scratch and the
-// schedule lands in dst. On a warm workspace only the k delays are
-// allocated.
-func ImprovedRandomDelayPrioritiesInto(ws *sched.Workspace, dst *sched.Schedule, inst *sched.Instance, assign sched.Assignment, r *rng.Source) error {
-	prio := ws.PrioBuf(inst.NTasks())
-	if err := GreedyLevelPrioritiesInto(ws, prio, inst); err != nil {
-		return err
-	}
-	DelayPrioritiesInto(prio, inst.N(), Delays(inst.K(), r))
-	return sched.ListScheduleInto(ws, dst, inst, assign, prio, nil)
 }

@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"sweepsched/internal/core"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/lb"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
@@ -26,10 +28,30 @@ func testInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 	return inst
 }
 
+// The paper's algorithms as it states them, each on a uniformly random
+// cell assignment drawn first from r: Algorithms 1 and 2 and the priority
+// form of Algorithm 3 run through the scheduler table, layered Algorithm
+// 3 directly.
+var (
+	alg1  = onRandom(heuristics.RandomDelays)
+	alg2  = onRandom(heuristics.RandomDelaysPriority)
+	alg3p = onRandom(heuristics.ImprovedDelays)
+)
+
+func onRandom(name heuristics.Name) func(*sched.Instance, *rng.Source) (*sched.Schedule, error) {
+	return func(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
+		return heuristics.Run(name, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
+	}
+}
+
+func alg3(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
+	return core.ImprovedRandomDelayWithAssignment(inst, sched.RandomAssignment(inst.N(), inst.M, r), r)
+}
+
 func TestDelaysRange(t *testing.T) {
 	r := rng.New(1)
 	for _, k := range []int{1, 2, 5, 24} {
-		x := Delays(k, r)
+		x := core.Delays(k, r)
 		if len(x) != k {
 			t.Fatalf("Delays(%d) length %d", k, len(x))
 		}
@@ -43,7 +65,7 @@ func TestDelaysRange(t *testing.T) {
 
 func TestDelaysSpread(t *testing.T) {
 	r := rng.New(2)
-	x := Delays(1000, r)
+	x := core.Delays(1000, r)
 	seen := map[int32]bool{}
 	for _, d := range x {
 		seen[d] = true
@@ -55,7 +77,7 @@ func TestDelaysSpread(t *testing.T) {
 
 func TestRandomDelayValidSchedule(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 1)
-	s, err := RandomDelay(inst, rng.New(7))
+	s, err := alg1(inst, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +90,11 @@ func TestRandomDelayPrioritiesValidAndNoWorse(t *testing.T) {
 	inst := testInstance(t, 3, 8, 8, 2)
 	// Same seed: identical delays and assignment, so Algorithm 2 (compacted
 	// list schedule) must not be longer than Algorithm 1 (layered).
-	s1, err := RandomDelay(inst, rng.New(11))
+	s1, err := alg1(inst, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RandomDelayPriorities(inst, rng.New(11))
+	s2, err := alg2(inst, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +108,7 @@ func TestRandomDelayPrioritiesValidAndNoWorse(t *testing.T) {
 
 func TestImprovedRandomDelayValid(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 3)
-	s, err := ImprovedRandomDelay(inst, rng.New(5))
+	s, err := alg3(inst, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +119,7 @@ func TestImprovedRandomDelayValid(t *testing.T) {
 
 func TestImprovedRandomDelayPrioritiesValid(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 4)
-	s, err := ImprovedRandomDelayPriorities(inst, rng.New(6))
+	s, err := alg3p(inst, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +136,16 @@ func TestWithAssignmentRespectsAssignment(t *testing.T) {
 	}
 	for name, run := range map[string]func() (*sched.Schedule, error){
 		"alg1": func() (*sched.Schedule, error) {
-			return RandomDelayWithAssignment(inst, assign, rng.New(1))
+			return heuristics.Run(heuristics.RandomDelays, inst, assign, rng.New(1), 1)
 		},
 		"alg2": func() (*sched.Schedule, error) {
-			return RandomDelayPrioritiesWithAssignment(inst, assign, rng.New(1))
+			return heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, rng.New(1), 1)
 		},
 		"alg3": func() (*sched.Schedule, error) {
-			return ImprovedRandomDelayWithAssignment(inst, assign, rng.New(1))
+			return core.ImprovedRandomDelayWithAssignment(inst, assign, rng.New(1))
 		},
 		"alg3p": func() (*sched.Schedule, error) {
-			return ImprovedRandomDelayPrioritiesWithAssignment(inst, assign, rng.New(1))
+			return heuristics.Run(heuristics.ImprovedDelays, inst, assign, rng.New(1), 1)
 		},
 	} {
 		s, err := run()
@@ -145,7 +167,7 @@ func TestEmpiricalRatioReasonable(t *testing.T) {
 	// §5.1 observation 1: the ratio to the lower bound is a small constant
 	// (paper: usually < 3). Give headroom for the tiny test mesh.
 	inst := testInstance(t, 4, 8, 8, 6)
-	s, err := RandomDelayPriorities(inst, rng.New(9))
+	s, err := alg2(inst, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +181,7 @@ func TestSingleDirectionDegeneratesToListScheduling(t *testing.T) {
 	// With k=1 the delay is always 0 and Algorithm 2 is plain level-priority
 	// list scheduling.
 	inst := testInstance(t, 3, 1, 4, 7)
-	s, err := RandomDelayPriorities(inst, rng.New(3))
+	s, err := alg2(inst, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +192,8 @@ func TestSingleDirectionDegeneratesToListScheduling(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 8)
-	a, _ := RandomDelayPriorities(inst, rng.New(42))
-	b, _ := RandomDelayPriorities(inst, rng.New(42))
+	a, _ := alg2(inst, rng.New(42))
+	b, _ := alg2(inst, rng.New(42))
 	if a.Makespan != b.Makespan {
 		t.Fatalf("same seed gave makespans %d and %d", a.Makespan, b.Makespan)
 	}
@@ -193,11 +215,11 @@ func TestQuickPrioritiesNeverLoseToLayered(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s1, err := RandomDelay(inst, rng.New(seed^0x1))
+		s1, err := alg1(inst, rng.New(seed^0x1))
 		if err != nil {
 			return false
 		}
-		s2, err := RandomDelayPriorities(inst, rng.New(seed^0x1))
+		s2, err := alg2(inst, rng.New(seed^0x1))
 		if err != nil {
 			return false
 		}
@@ -219,7 +241,7 @@ func TestQuickAllAlgorithmsValid(t *testing.T) {
 		}
 		r := rng.New(seed ^ 0x51)
 		for _, run := range []func(*sched.Instance, *rng.Source) (*sched.Schedule, error){
-			RandomDelay, RandomDelayPriorities, ImprovedRandomDelay, ImprovedRandomDelayPriorities,
+			alg1, alg2, alg3, alg3p,
 		} {
 			s, err := run(inst, r)
 			if err != nil || s.Validate() != nil {
@@ -236,14 +258,14 @@ func TestQuickAllAlgorithmsValid(t *testing.T) {
 // --- theory.go ---
 
 func TestChernoffUpperBasics(t *testing.T) {
-	if g := ChernoffUpper(10, 1); g <= 0 || g >= 1 {
+	if g := core.ChernoffUpper(10, 1); g <= 0 || g >= 1 {
 		t.Fatalf("G(10,1) = %v not in (0,1)", g)
 	}
 	// Monotone decreasing in delta.
-	if ChernoffUpper(10, 2) >= ChernoffUpper(10, 1) {
+	if core.ChernoffUpper(10, 2) >= core.ChernoffUpper(10, 1) {
 		t.Fatal("G not decreasing in delta")
 	}
-	if ChernoffUpper(0, 1) != 1 || ChernoffUpper(10, 0) != 1 {
+	if core.ChernoffUpper(0, 1) != 1 || core.ChernoffUpper(10, 0) != 1 {
 		t.Fatal("degenerate inputs should return 1")
 	}
 }
@@ -264,7 +286,7 @@ func TestChernoffBoundEmpirically(t *testing.T) {
 			exceed++
 		}
 	}
-	bound := ChernoffUpper(20, 1)
+	bound := core.ChernoffUpper(20, 1)
 	if emp := float64(exceed) / trials; emp > bound {
 		t.Fatalf("empirical tail %v exceeds Chernoff bound %v", emp, bound)
 	}
@@ -273,8 +295,8 @@ func TestChernoffBoundEmpirically(t *testing.T) {
 func TestFDominatesMean(t *testing.T) {
 	for _, mu := range []float64{0.1, 1, 5, 50} {
 		for _, p := range []float64{0.1, 0.01, 1e-6} {
-			if F(mu, p) < mu {
-				t.Fatalf("F(%v,%v) = %v below mean", mu, p, F(mu, p))
+			if core.F(mu, p) < mu {
+				t.Fatalf("F(%v,%v) = %v below mean", mu, p, core.F(mu, p))
 			}
 		}
 	}
@@ -289,13 +311,13 @@ func TestHContinuousNondecreasingNearConcave(t *testing.T) {
 	lp := math.Log(1 / p)
 	// Continuity at mu* = lp/e.
 	muStar := lp / math.E
-	if d := math.Abs(H(muStar-1e-9, p) - H(muStar+1e-9, p)); d > 1e-6 {
+	if d := math.Abs(core.H(muStar-1e-9, p) - core.H(muStar+1e-9, p)); d > 1e-6 {
 		t.Fatalf("H discontinuous at branch point: jump %v", d)
 	}
 	prev := 0.0
 	prevSlope := math.Inf(1)
 	for mu := 0.05; mu < 50; mu += 0.05 {
-		h := H(mu, p)
+		h := core.H(mu, p)
 		if h < prev {
 			t.Fatalf("H decreasing at mu=%v: %v < %v", mu, h, prev)
 		}
@@ -331,7 +353,7 @@ func TestExpectedMaxLoadBoundHolds(t *testing.T) {
 			sum += float64(max)
 		}
 		mean := sum / trials
-		bound := ExpectedMaxLoadBound(tc.t, tc.m)
+		bound := core.ExpectedMaxLoadBound(tc.t, tc.m)
 		if mean > bound {
 			t.Fatalf("t=%d m=%d: observed mean max %v exceeds bound %v", tc.t, tc.m, mean, bound)
 		}
@@ -339,20 +361,20 @@ func TestExpectedMaxLoadBoundHolds(t *testing.T) {
 }
 
 func TestRhoAndLog2Sq(t *testing.T) {
-	if Rho(1) != 1 {
-		t.Fatalf("Rho(1) = %v", Rho(1))
+	if core.Rho(1) != 1 {
+		t.Fatalf("Rho(1) = %v", core.Rho(1))
 	}
-	if Rho(1024) <= 0 {
+	if core.Rho(1024) <= 0 {
 		t.Fatal("Rho(1024) <= 0")
 	}
-	if Rho(1<<20) <= Rho(1024) {
+	if core.Rho(1<<20) <= core.Rho(1024) {
 		t.Fatal("Rho not increasing")
 	}
-	if Log2Sq(1024) != 100 {
-		t.Fatalf("Log2Sq(1024) = %v, want 100", Log2Sq(1024))
+	if core.Log2Sq(1024) != 100 {
+		t.Fatalf("Log2Sq(1024) = %v, want 100", core.Log2Sq(1024))
 	}
-	if Log2Sq(1) != 1 {
-		t.Fatalf("Log2Sq(1) = %v, want 1", Log2Sq(1))
+	if core.Log2Sq(1) != 1 {
+		t.Fatalf("Log2Sq(1) = %v, want 1", core.Log2Sq(1))
 	}
 }
 
@@ -360,7 +382,7 @@ func BenchmarkRandomDelayPriorities(b *testing.B) {
 	inst := testInstance(b, 5, 24, 16, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RandomDelayPriorities(inst, rng.New(uint64(i))); err != nil {
+		if _, err := alg2(inst, rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +392,7 @@ func BenchmarkImprovedRandomDelay(b *testing.B) {
 	inst := testInstance(b, 5, 24, 16, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ImprovedRandomDelay(inst, rng.New(uint64(i))); err != nil {
+		if _, err := alg3(inst, rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

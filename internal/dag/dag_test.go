@@ -34,9 +34,6 @@ func TestBuildRegularHexDiagonal(t *testing.T) {
 	if d.NumLevels != 7 {
 		t.Fatalf("levels = %d, want 7", d.NumLevels)
 	}
-	if d.RemovedEdges != 0 {
-		t.Fatalf("removed %d edges on a regular grid", d.RemovedEdges)
-	}
 	// The corner cell nearest the direction origin is the unique source,
 	// the opposite corner the unique sink.
 	a := d.Analyze()
@@ -45,6 +42,38 @@ func TestBuildRegularHexDiagonal(t *testing.T) {
 	}
 	if a.Sinks != 1 || d.OutDegree(26) != 0 {
 		t.Fatalf("%d sinks, cell 26 has out-degree %d; want cell 26 alone", a.Sinks, d.OutDegree(26))
+	}
+}
+
+// TestSweepableMeshesBreakNoCycles holds the builder to sweepability
+// (Camminady and Frank): on regular grids and on Kuhn triangulations of
+// boxes without hanging nodes or jitter, no sweep direction induces a
+// cycle, so cycle breaking must never remove an edge.
+func TestSweepableMeshesBreakNoCycles(t *testing.T) {
+	meshes := []*mesh.Mesh{
+		mesh.RegularHex(3, 3, 3),
+		mesh.RegularHex(5, 2, 4),
+		mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 3}),
+		mesh.KuhnBox(mesh.BoxSpec{NX: 4, NY: 2, NZ: 5, DX: 0.5, DZ: 1.5}),
+	}
+	sets := map[string]func() ([]geom.Vec3, error){
+		"octant8":    func() ([]geom.Vec3, error) { return quadrature.Octant(8) },
+		"octant24":   func() ([]geom.Vec3, error) { return quadrature.Octant(24) },
+		"octant48":   func() ([]geom.Vec3, error) { return quadrature.Octant(48) },
+		"diagonals8": func() ([]geom.Vec3, error) { return quadrature.Diagonals(8) },
+	}
+	for _, m := range meshes {
+		for name, set := range sets {
+			dirs, err := set()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range NewFamily(m).BuildAll(dirs, 1) {
+				if d.RemovedEdges != 0 {
+					t.Errorf("%s (%d cells), %s direction %d %v: removed %d edges", m.Name, m.NCells(), name, i, dirs[i], d.RemovedEdges)
+				}
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/lb"
 	"sweepsched/internal/mesh"
@@ -29,7 +28,7 @@ func acceptRows(g *group) ([]*point, error) {
 
 	// A1: Algorithm 2 ratio ≤ 3 on every mesh family (load-bound regime),
 	// averaged over the trials by the evaluator's own row.
-	a1 := &figure{runs: []run{{seed: mixed(0xaa1), do: alg(core.RandomDelayPriorities)}}, cols: []col{{metric: ratio}}}
+	a1 := &figure{runs: []run{{seed: mixed(0xaa1), do: alg(heuristics.RandomDelaysPriority)}}, cols: []col{{metric: ratio}}}
 	worstA1 := 0.0
 	for _, name := range mesh.FamilyNames() {
 		w, err := NewWorkload(cfg, name, 24)
@@ -77,11 +76,11 @@ func acceptRows(g *group) ([]*point, error) {
 	if err != nil {
 		return nil, err
 	}
-	sRD, err := core.RandomDelayWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
+	sRD, err := heuristics.Run(heuristics.RandomDelays, inst, cellAssign, rng.New(cfg.Seed^0xa3), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	sRDP, err := core.RandomDelayPrioritiesWithAssignment(inst, cellAssign, rng.New(cfg.Seed^0xa3))
+	sRDP, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, cellAssign, rng.New(cfg.Seed^0xa3), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +145,7 @@ func blockTradeoff(cfg Config, w *Workload, m, bs int) (cut, growth float64, err
 		if err != nil {
 			return 0, 0, err
 		}
-		s, err := core.RandomDelayPrioritiesWithAssignment(inst, assign, rng.New(cfg.Seed^0xa2))
+		s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, rng.New(cfg.Seed^0xa2), cfg.Workers)
 		if err != nil {
 			return 0, 0, err
 		}

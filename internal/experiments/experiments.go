@@ -63,9 +63,6 @@ type Config struct {
 	// WeightSeed, when non-zero, overrides the weighted experiment's
 	// cell-cost draw seed (default: derived from Seed).
 	WeightSeed uint64
-	// NoBatch runs the comm experiment on the per-message oracle
-	// interconnect only, reporting its raw traffic. Others ignore it.
-	NoBatch bool
 	// Anglesets > 0 runs the Figure 3 panels angleset-aggregated: priorities
 	// once per sign-homogeneous angleset (about this many), audited as such.
 	// 0 keeps the per-direction pipeline.
@@ -141,7 +138,6 @@ type figure struct {
 	cols  []col
 	worst int // > 0: a group's rows fold into the one largest in this column (worst over m)
 
-	noBatch *figure                            // run instead under Config.NoBatch
 	verdict func(c Config, rows [][]any) error // after the table
 }
 
@@ -240,9 +236,6 @@ func Run(name string, cfg Config) error {
 // the rows, evaluates the rows in parallel and folds them if the figure
 // reduces over m; then it renders the table.
 func (f *figure) eval(cfg Config) error {
-	if cfg.NoBatch && f.noBatch != nil {
-		f = f.noBatch
-	}
 	groups := []*group{{cfg: cfg}}
 	if f.meshes != nil {
 		groups = nil

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/geom"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
@@ -231,13 +231,12 @@ func TestPrioritiesBeatLayeredOnAverage(t *testing.T) {
 	}
 	var ms1, ms2 float64
 	for trial := 0; trial < 5; trial++ {
-		r := rng.New(uint64(100 + trial))
-		s1, err := core.RandomDelay(inst, r)
+		r1, r2 := rng.New(uint64(100+trial)), rng.New(uint64(100+trial))
+		s1, err := heuristics.Run(heuristics.RandomDelays, inst, sched.RandomAssignment(inst.N(), m, r1), r1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r = rng.New(uint64(100 + trial))
-		s2, err := core.RandomDelayPriorities(inst, r)
+		s2, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), m, r2), r2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,21 +97,13 @@ var figures = []figure{
 		// The batched flux interconnect against the per-message oracle on
 		// the transport executor, one schedule per m solved both ways: the
 		// fluxes must agree bit for bit and the logical traffic exactly, so
-		// the table isolates what batching saves. Config.NoBatch reports the
-		// oracle's raw traffic alone.
+		// the table isolates what batching saves.
 		id: "comm", title: "comm: batched flux envelopes vs per-message oracle (tetonly, k=8; modes converge bitwise-identically)",
 		meshes: []string{"tetonly"}, ks: []int{8}, runs: []run{{once: true, do: commTraffic}},
 		cols: []col{{name: "m", cell: procs}, {name: "messages", metric: val(0), whole: true},
 			{name: "rounds", metric: val(1), whole: true}, {name: "envelopes", metric: val(2), whole: true},
 			{name: "env_bytes", metric: val(3), whole: true}, {name: "permsg_bytes", metric: val(4), whole: true},
 			{name: "msgs_per_tx", metric: val(5)}, {name: "byte_ratio", metric: val(6)}},
-		noBatch: &figure{
-			id: "comm", title: "comm: per-message oracle interconnect traffic (tetonly, k=8, -nobatch)",
-			meshes: []string{"tetonly"}, ks: []int{8}, runs: []run{{once: true, do: commTraffic}},
-			cols: []col{{name: "m", cell: procs}, {name: "messages", metric: val(0), whole: true},
-				{name: "rounds", metric: val(1), whole: true}, {name: "frames", metric: val(2), whole: true},
-				{name: "bytes", metric: val(3), whole: true}},
-		},
 	},
 	{
 		// §3's uniform communication cost c: as c grows, block assignments
@@ -133,7 +125,7 @@ var figures = []figure{
 		// assignments.
 		id: "fig2a", paper: true, title: "fig2a: makespan on %s (n=%d, k=%d), cell vs block assignment", args: meshArgs,
 		meshes: []string{"tetonly"}, ks: []int{24},
-		runs: []run{{seed: mixed(0xa1), do: alg(core.RandomDelay)},
+		runs: []run{{seed: mixed(0xa1), do: alg(heuristics.RandomDelays)},
 			{seed: mixed(0xa2 + 1), do: blocked(1)}, {seed: mixed(0xa2 + 64), do: blocked(64)}, {seed: mixed(0xa2 + 256), do: blocked(256)}},
 		cols: []col{{name: "m", cell: procs}, {name: "lb(nk/m)", cell: func(p *point, _ []float64) any { return loadLB(p) }},
 			{name: "rd_cell", metric: makespan}, {name: "rdp_cell", run: 1, metric: makespan},
@@ -158,7 +150,7 @@ var figures = []figure{
 		// Priorities" on long, as ratios to nk/m.
 		id: "fig2c", paper: true, title: "fig2c: Random Delays vs Random Delays with Priorities on long",
 		meshes: []string{"long"}, ks: []int{4, 24, 48},
-		runs: []run{{seed: mixed(0xc1), do: alg(core.RandomDelay)}, {seed: mixed(0xc2), do: alg(core.RandomDelayPriorities)}},
+		runs: []run{{seed: mixed(0xc1), do: alg(heuristics.RandomDelays)}, {seed: mixed(0xc2), do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}, {name: "ratio_rd", metric: ratio},
 			{name: "ratio_rdp", run: 1, metric: ratio}, {name: "improvement", cell: quot(2, 3)}},
 	},
@@ -173,8 +165,8 @@ var figures = []figure{
 		// below the O(log²n) and ρ(m) = log m · logloglog m factors.
 		id: "guarantee", paper: true, title: "guarantee: observed ratio vs theoretical factors",
 		meshes: mesh.FamilyNames(), ks: []int{24},
-		runs: []run{{seed: mixed(0x6e), do: alg(core.RandomDelay)}, {seed: mixed(0x6f), do: alg(core.RandomDelayPriorities)},
-			{seed: mixed(0x70), do: alg(core.ImprovedRandomDelayPriorities)}},
+		runs: []run{{seed: mixed(0x6e), do: alg(heuristics.RandomDelays)}, {seed: mixed(0x6f), do: alg(heuristics.RandomDelaysPriority)},
+			{seed: mixed(0x70), do: alg(heuristics.ImprovedDelays)}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ratio_alg1", metric: ratio},
 			{name: "ratio_alg2", run: 1, metric: ratio}, {name: "ratio_alg3", run: 2, metric: ratio},
 			{name: "log2n^2", cell: func(p *point, _ []float64) any { return core.Log2Sq(p.g.w.Mesh.NCells()) }},
@@ -186,8 +178,8 @@ var figures = []figure{
 		// removes.
 		id: "idle", title: "idle: layer-barrier idle time removed by compaction (long, k=24)",
 		meshes: []string{"long"}, ks: []int{24},
-		runs: []run{{seed: perM(0x1d7e), once: true, do: alg(core.RandomDelay)},
-			{seed: perM(0x1d7e), once: true, do: alg(core.RandomDelayPriorities)}},
+		runs: []run{{seed: perM(0x1d7e), once: true, do: alg(heuristics.RandomDelays)},
+			{seed: perM(0x1d7e), once: true, do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "m", cell: procs}, {name: "idle_alg1", metric: idle, whole: true},
 			{name: "idle_alg2", run: 1, metric: idle, whole: true}, {name: "util_alg1", metric: util},
 			{name: "util_alg2", run: 1, metric: util}, {name: "idle_removed", cell: func(_ *point, v []float64) any {
@@ -202,7 +194,11 @@ var figures = []figure{
 		// narrows every combined layer to width ≤ m.
 		id: "improved", title: "improved: Algorithm 1 vs Algorithm 3 (layered forms)",
 		meshes: []string{"tetonly", "long"}, ks: []int{24},
-		runs: []run{{seed: mixed(0x8a), do: alg(core.RandomDelay)}, {seed: mixed(0x8b), do: alg(core.ImprovedRandomDelay)}},
+		runs: []run{{seed: mixed(0x8a), do: alg(heuristics.RandomDelays)}, {seed: mixed(0x8b), do: func(p *point, seed uint64) (*sample, error) {
+			r := rng.New(seed)
+			s, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r)
+			return &sample{s: s}, err
+		}}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ms_alg1", metric: makespan},
 			{name: "ms_alg3", run: 1, metric: makespan}, {name: "alg1/alg3", cell: quot(2, 3)}},
 	},
@@ -227,7 +223,7 @@ var figures = []figure{
 			}
 			s, err := kba.Schedule(p.inst, assign)
 			return &sample{s: s}, err
-		}}, {seed: mixed(0x9c), do: alg(core.RandomDelayPriorities)}},
+		}}, {seed: mixed(0x9c), do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "m", cell: procs}, {name: "ratio_kba", metric: ratio}, {name: "ratio_rdp", run: 1, metric: ratio}},
 	},
 	{
@@ -327,7 +323,7 @@ var figures = []figure{
 		id: "speedup", paper: true, title: "speedup: max makespan/(nk/m) over m in %v (paper: always <= 3)",
 		args:   func(g *group) []any { return []any{g.cfg.Procs} },
 		meshes: mesh.FamilyNames(), ks: []int{24, 48}, worst: 3,
-		runs: []run{{seed: mixed(0x5d), do: alg(core.RandomDelayPriorities)}},
+		runs: []run{{seed: mixed(0x5d), do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "mesh", cell: meshName},
 			{name: "n", cell: func(p *point, _ []float64) any { return p.g.w.Mesh.NCells() }},
 			{name: "k", cell: dirs}, {name: "worst_ratio", metric: ratio}, {name: "worst_m", cell: procs},
@@ -430,10 +426,12 @@ func perM(tag uint64) func(*point, int) uint64 {
 	return func(p *point, _ int) uint64 { return p.g.cfg.Seed ^ tag ^ uint64(p.m) }
 }
 
-// alg runs one of the paper's algorithms on its own per-cell assignment.
-func alg(f func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) func(*point, uint64) (*sample, error) {
+// alg runs the named scheduler on a per-cell assignment drawn first from
+// the trial's stream.
+func alg(name heuristics.Name) func(*point, uint64) (*sample, error) {
 	return func(p *point, seed uint64) (*sample, error) {
-		s, err := f(p.inst, rng.New(seed))
+		r := rng.New(seed)
+		s, err := heuristics.Run(name, p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r, 1)
 		return &sample{s: s}, err
 	}
 }
@@ -447,7 +445,7 @@ func blocked(bs int) func(*point, uint64) (*sample, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := core.RandomDelayPrioritiesWithAssignment(p.inst, assign, r)
+		s, err := heuristics.Run(heuristics.RandomDelaysPriority, p.inst, assign, r, 1)
 		return &sample{s: s}, err
 	}
 }
@@ -626,9 +624,8 @@ func realizedRounds(s *sched.Schedule, seed uint64) (greedyTotal, distribTotal i
 }
 
 // commTraffic solves one schedule per row on the transport executor,
-// batched and on the per-message oracle (the oracle alone under
-// Config.NoBatch). The draws depend on (Seed, m) alone, so both modes run
-// the same schedule.
+// batched and on the per-message oracle. The draws depend on (Seed, m)
+// alone, so both modes run the same schedule.
 func commTraffic(p *point, _ uint64) (*sample, error) {
 	cfg := p.g.cfg
 	assign, err := p.g.w.Assignment(1, p.m, rng.New(cfg.Seed^0xba7c^uint64(p.m)))
@@ -639,22 +636,13 @@ func commTraffic(p *point, _ uint64) (*sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	solve := func(noBatch bool) (*transport.Result, error) {
-		tcfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), NoBatch: noBatch}
-		if noBatch == cfg.NoBatch {
-			tcfg.Collector = cfg.Collector // the reported mode's counters only
-		}
-		return transport.SolveParallel(s, tcfg)
-	}
-	b, err := solve(cfg.NoBatch)
+	tcfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), Collector: cfg.Collector}
+	b, err := transport.SolveParallel(s, tcfg)
 	if err != nil {
 		return nil, err
 	}
-	v := []float64{float64(b.Comm.Messages), float64(b.Comm.Rounds), float64(b.Comm.Batches), float64(b.Comm.Bytes)}
-	if cfg.NoBatch {
-		return &sample{v: v}, nil
-	}
-	o, err := solve(true)
+	tcfg.NoBatch, tcfg.Collector = true, nil // the collector counts the batched run only
+	o, err := transport.SolveParallel(s, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -665,7 +653,8 @@ func commTraffic(p *point, _ uint64) (*sample, error) {
 		return nil, fmt.Errorf("comm: m=%d logical traffic differs across modes: batched %d msgs/%d rounds, oracle %d/%d",
 			p.m, b.Comm.Messages, b.Comm.Rounds, o.Comm.Messages, o.Comm.Rounds)
 	}
-	return &sample{v: append(v, float64(o.Comm.Bytes), per(b.Comm.Messages, b.Comm.Batches), per(o.Comm.Bytes, b.Comm.Bytes))}, nil
+	return &sample{v: []float64{float64(b.Comm.Messages), float64(b.Comm.Rounds), float64(b.Comm.Batches), float64(b.Comm.Bytes),
+		float64(o.Comm.Bytes), per(b.Comm.Messages, b.Comm.Batches), per(o.Comm.Bytes, b.Comm.Bytes)}}, nil
 }
 
 // per renders a/b, guarding the empty-traffic case (m=1 or a schedule

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"sweepsched/internal/core"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
@@ -27,7 +27,8 @@ func testSchedule(t testing.TB, m int, seed uint64) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(seed^0x77))
+	r := rng.New(seed ^ 0x77)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -35,7 +35,8 @@ func FuzzFaultPlan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(0x5eed))
+	r := rng.New(0x5eed)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package opt
 import (
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/lb"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
@@ -202,7 +202,8 @@ func TestAlgorithmsNeverBeatOPT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := core.RandomDelayPriorities(inst, rng.New(seed))
+		r := rng.New(seed)
+		s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,10 @@ import (
 	"testing"
 
 	"sweepsched/internal/comm"
-	"sweepsched/internal/core"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/rng"
+	"sweepsched/internal/sched"
 	"sweepsched/internal/transport"
 )
 
@@ -248,7 +249,8 @@ func benchProcRunComm(b *testing.B, noBatch bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := core.RandomDelay(inst, rng.New(41))
+	r := rng.New(41)
+	s, err := heuristics.Run(heuristics.RandomDelays, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/rng"
@@ -37,7 +37,8 @@ func testSetup(t testing.TB, spec ProblemSpec) (*sched.Schedule, transport.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(41))
+	r := rng.New(41)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,12 @@ func FuzzScheduleRequest(f *testing.F) {
 		}
 		// A decoded request must have passed validation: spot-check the
 		// invariants the server relies on downstream.
-		if req.Directions <= 0 || req.Procs <= 0 {
+		if req.Directions <= 0 || req.Directions > MaxDirections || req.Procs <= 0 || req.Procs > MaxProcs {
 			t.Fatalf("validator admitted k=%d m=%d\ninput: %q", req.Directions, req.Procs, body)
+		}
+		if req.CommDelay > MaxCommDelay || req.BlockSize > MaxBlockSize || len(req.Speeds) > MaxSpeedEntries {
+			t.Fatalf("validator admitted comm_delay=%d block_size=%d and %d speeds\ninput: %q",
+				req.CommDelay, req.BlockSize, len(req.Speeds), body)
 		}
 		if req.Scheduler == "" {
 			t.Fatalf("validator left scheduler empty\ninput: %q", body)
@@ -61,7 +65,9 @@ func FuzzScheduleRequest(f *testing.F) {
 }
 
 // FuzzTransportRequest covers the outer transport envelope the same
-// way (it embeds and re-validates the schedule spec).
+// way (it embeds and re-validates the schedule spec). A decoded request's
+// iteration cap must be bounded: it is how long the solve holds its
+// admission slot.
 func FuzzTransportRequest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -75,11 +81,15 @@ func FuzzTransportRequest(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		_, err := DecodeTransportRequest(strings.NewReader(body))
+		req, err := DecodeTransportRequest(strings.NewReader(body))
 		if err != nil {
 			if st := StatusOf(err); st < 400 || st >= 500 {
 				t.Fatalf("decode error classified %d (want 4xx): %v\ninput: %q", st, err, body)
 			}
+			return
+		}
+		if req.MaxIters < 0 || req.MaxIters > maxIters {
+			t.Fatalf("validator admitted max_iters=%d\ninput: %q", req.MaxIters, body)
 		}
 	})
 }

@@ -234,31 +234,39 @@ func TestMalformedRequests(t *testing.T) {
 		name string
 		body string
 		want int
+		path string // "" posts to /v1/schedule
 	}{
-		{"empty", "", 400},
-		{"not_json", "bogus", 400},
-		{"trailing_garbage", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16} trailing`, 400},
-		{"unknown_field", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"bogus":1}`, 400},
-		{"no_mesh_source", `{"mesh":{},"directions":8,"procs":16}`, 400},
-		{"two_mesh_sources", `{"mesh":{"family":"tetonly","scale":0.02,"synthetic":"random_chains","n":10},"directions":8,"procs":16}`, 400},
-		{"unknown_family", `{"mesh":{"family":"moebius","scale":0.02},"directions":8,"procs":16}`, 400},
-		{"zero_scale", `{"mesh":{"family":"tetonly"},"directions":8,"procs":16}`, 400},
-		{"huge_scale", `{"mesh":{"family":"tetonly","scale":1e9},"directions":8,"procs":16}`, 400},
-		{"zero_directions", `{"mesh":{"family":"tetonly","scale":0.02},"procs":16}`, 400},
-		{"zero_procs", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8}`, 400},
-		{"unknown_scheduler", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"scheduler":"quantum"}`, 400},
-		{"negative_block", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"block_size":-1}`, 400},
-		{"negative_comm", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"comm_delay":-2}`, 400},
-		{"comm_with_layered_alg", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"scheduler":"random_delays","comm_delay":1}`, 400},
-		{"block_on_synthetic", `{"mesh":{"synthetic":"random_chains","n":50,"seed":1},"directions":8,"procs":16,"block_size":8}`, 400},
-		{"unknown_synthetic", `{"mesh":{"synthetic":"fractal","n":50},"directions":8,"procs":16}`, 400},
-		{"task_ceiling", `{"mesh":{"synthetic":"random_chains","n":1048576,"seed":1},"directions":512,"procs":16}`, 400},
-		{"bad_encoded_mesh", `{"mesh":{"encoded":"not a sweepmesh"},"directions":8,"procs":16}`, 400},
-		{"negative_workers", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"workers":-1}`, 400},
+		{"empty", "", 400, ""},
+		{"not_json", "bogus", 400, ""},
+		{"trailing_garbage", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16} trailing`, 400, ""},
+		{"unknown_field", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"bogus":1}`, 400, ""},
+		{"no_mesh_source", `{"mesh":{},"directions":8,"procs":16}`, 400, ""},
+		{"two_mesh_sources", `{"mesh":{"family":"tetonly","scale":0.02,"synthetic":"random_chains","n":10},"directions":8,"procs":16}`, 400, ""},
+		{"unknown_family", `{"mesh":{"family":"moebius","scale":0.02},"directions":8,"procs":16}`, 400, ""},
+		{"zero_scale", `{"mesh":{"family":"tetonly"},"directions":8,"procs":16}`, 400, ""},
+		{"huge_scale", `{"mesh":{"family":"tetonly","scale":1e9},"directions":8,"procs":16}`, 400, ""},
+		{"zero_directions", `{"mesh":{"family":"tetonly","scale":0.02},"procs":16}`, 400, ""},
+		{"zero_procs", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8}`, 400, ""},
+		{"unknown_scheduler", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"scheduler":"quantum"}`, 400, ""},
+		{"negative_block", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"block_size":-1}`, 400, ""},
+		{"negative_comm", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"comm_delay":-2}`, 400, ""},
+		{"comm_with_layered_alg", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"scheduler":"random_delays","comm_delay":1}`, 400, ""},
+		{"block_on_synthetic", `{"mesh":{"synthetic":"random_chains","n":50,"seed":1},"directions":8,"procs":16,"block_size":8}`, 400, ""},
+		{"unknown_synthetic", `{"mesh":{"synthetic":"fractal","n":50},"directions":8,"procs":16}`, 400, ""},
+		{"task_ceiling", `{"mesh":{"synthetic":"random_chains","n":1048576,"seed":1},"directions":512,"procs":16}`, 400, ""},
+		{"bad_encoded_mesh", `{"mesh":{"encoded":"not a sweepmesh"},"directions":8,"procs":16}`, 400, ""},
+		{"negative_workers", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"workers":-1}`, 400, ""},
+		// A tiny tol with an unbounded iteration cap would hold an admission
+		// slot until its client gave up.
+		{"max_iters_ceiling", `{"schedule":{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16},"sigma_t":1,"sigma_s":0.5,"source":1,"max_iters":10001}`, 400, "/v1/transport"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := ts.Client().Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(tc.body))
+			path := tc.path
+			if path == "" {
+				path = "/v1/schedule"
+			}
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

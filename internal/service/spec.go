@@ -37,6 +37,7 @@ const (
 	MaxSynthCells = 1 << 20  // n for non-geometric families
 	MaxTasks      = 64 << 20 // n·k after the mesh is realized
 	MaxCommDelay  = 1 << 20  // uniform comm delay c
+	maxIters      = 10000    // transport iteration cap max_iters (20× its default)
 	MaxBlockSize  = 1 << 20  // §5.1 block size
 	MaxBody       = 32 << 20 // request body bytes (inline meshes)
 
@@ -368,8 +369,8 @@ func (req *TransportRequest) Validate() error {
 	if req.Tol < 0 || math.IsNaN(req.Tol) {
 		return badRequest("tol must be >= 0, got %v", req.Tol)
 	}
-	if req.MaxIters < 0 {
-		return badRequest("max_iters must be >= 0, got %d", req.MaxIters)
+	if req.MaxIters < 0 || req.MaxIters > maxIters {
+		return badRequest("max_iters must be in [0, %d], got %d", maxIters, req.MaxIters)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package simulate
 import (
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
@@ -22,7 +21,8 @@ func testSchedule(t testing.TB, m int, seed uint64) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(seed^0x77))
+	r := rng.New(seed ^ 0x77)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,8 @@ func TestRunManyProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(8))
+	r := rng.New(8)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sweepsched/internal/core"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 )
@@ -119,7 +119,8 @@ func TestSchedulersRunOnSyntheticInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(6))
+	r := rng.New(6)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -24,7 +24,8 @@ func testSchedule(t testing.TB, m int) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(2))
+	r := rng.New(2)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,13 @@ func TestCompareIdleAlg1VsAlg2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := core.RandomDelay(inst, rng.New(9))
+	r := rng.New(9)
+	s1, err := heuristics.Run(heuristics.RandomDelays, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := core.RandomDelayPriorities(inst, rng.New(9))
+	r = rng.New(9)
+	s2, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

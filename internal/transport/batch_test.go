@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/quadrature"
@@ -142,7 +142,7 @@ func TestFaultTolerantBatchedMatchesUnbatched(t *testing.T) {
 // random-delay scheduler; priorities variants start consumers sooner
 // after their producers, which narrows the batching window (the
 // reduction ratio is schedule-dependent by design).
-func benchCommSchedule(b testing.TB, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) *sched.Schedule {
+func benchCommSchedule(b testing.TB, name heuristics.Name) *sched.Schedule {
 	b.Helper()
 	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 8, NY: 8, NZ: 8, Jitter: 0.15, Seed: 1})
 	dirs, err := quadrature.Octant(24)
@@ -153,7 +153,8 @@ func benchCommSchedule(b testing.TB, build func(*sched.Instance, *rng.Source) (*
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := build(inst, rng.New(1^0x42))
+	r := rng.New(1 ^ 0x42)
+	s, err := heuristics.Run(name, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func benchCommSchedule(b testing.TB, build func(*sched.Instance, *rng.Source) (*
 // come from: the outbox's free list, warm after the first sweep, not the
 // heap — so a solve of eight sweeps allocates exactly what one of two does.
 func TestSolveParallelAllocationsIndependentOfTraffic(t *testing.T) {
-	s := benchCommSchedule(t, core.RandomDelay)
+	s := benchCommSchedule(t, heuristics.RandomDelays)
 	allocs := func(iters int) float64 {
 		cfg := testCfg
 		cfg.MaxIters = iters
@@ -180,8 +181,8 @@ func TestSolveParallelAllocationsIndependentOfTraffic(t *testing.T) {
 	}
 }
 
-func benchSolveParallelComm(b *testing.B, noBatch bool, build func(*sched.Instance, *rng.Source) (*sched.Schedule, error)) {
-	s := benchCommSchedule(b, build)
+func benchSolveParallelComm(b *testing.B, noBatch bool, name heuristics.Name) {
+	s := benchCommSchedule(b, name)
 	cfg := testCfg
 	cfg.NoBatch = noBatch
 	cfg.MaxIters = 2
@@ -203,17 +204,17 @@ func benchSolveParallelComm(b *testing.B, noBatch bool, build func(*sched.Instan
 }
 
 func BenchmarkSolveParallelCommBatched(b *testing.B) {
-	benchSolveParallelComm(b, false, core.RandomDelay)
+	benchSolveParallelComm(b, false, heuristics.RandomDelays)
 }
 
 func BenchmarkSolveParallelCommUnbatched(b *testing.B) {
-	benchSolveParallelComm(b, true, core.RandomDelay)
+	benchSolveParallelComm(b, true, heuristics.RandomDelays)
 }
 
 func BenchmarkSolveParallelCommBatchedRDP(b *testing.B) {
-	benchSolveParallelComm(b, false, core.RandomDelayPriorities)
+	benchSolveParallelComm(b, false, heuristics.RandomDelaysPriority)
 }
 
 func BenchmarkSolveParallelCommUnbatchedRDP(b *testing.B) {
-	benchSolveParallelComm(b, true, core.RandomDelayPriorities)
+	benchSolveParallelComm(b, true, heuristics.RandomDelaysPriority)
 }

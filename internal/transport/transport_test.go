@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/faults"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -27,7 +27,8 @@ func testSchedule(t testing.TB, nx, k, m int, seed uint64) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(seed^0x42))
+	r := rng.New(seed ^ 0x42)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,13 @@ func TestSolveParallelAcrossSchedulersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := core.RandomDelayPriorities(inst, rng.New(1))
+	r := rng.New(1)
+	s1, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := core.RandomDelayPriorities(inst, rng.New(99))
+	r = rng.New(99)
+	s2, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +203,8 @@ func TestWeightedQuadratureFlux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(4))
+	r := rng.New(4)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,8 @@ func sweepShape(b *testing.B, k int, tol float64) (*sched.Schedule, Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := core.RandomDelayPriorities(inst, rng.New(1))
+	r := rng.New(1)
+	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

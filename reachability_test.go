@@ -56,13 +56,13 @@ var reachabilityAllow = map[string][2]string{
 	"verify.Tasks":                    {oracle, "audit of raw proc/start slices: the only form that can express a split cell"},
 	"leakcheck.Check":                 {oracle, "goroutine-leak audit at the end of every executor, fault and service test"},
 	"coloring.Validate":               {oracle, "properness check every colouring produced in coloring's tests passes through"},
-	"core.ChernoffUpper":              {reserved, "5b: Lemma 1(a)'s upper-tail bound, for the theorems-as-tests ensemble"},
-	"core.F":                          {reserved, "5b: Lemma 1(b)'s load threshold F(μ, p)"},
-	"core.ExpectedMaxLoadBound":       {reserved, "5b: Corollary 2(b)'s expected maximum bin load (and equation (3)'s H under it)"},
-	"opt.ExactGivenAssignment":        {reserved, "5b: true optimum under a fixed assignment, for true-ratio tests"},
-	"opt.TrueRatio":                   {reserved, "5b: makespan over the enumerated optimum on tiny instances"},
-	"kba.IdealMakespan":               {reserved, "1b: the closed-form KBA stage count to print beside the measured makespan"},
-	"kba.SchedulePipelined":           {reserved, "parked DOG item: the only depth-of-graph angleset ordering in the tree"},
+	"core.ChernoffUpper":              {reserved, "the paper's theorems as tests: Lemma 1(a)'s upper-tail bound"},
+	"core.F":                          {reserved, "the paper's theorems as tests: Lemma 1(b)'s load threshold F(μ, p)"},
+	"core.ExpectedMaxLoadBound":       {reserved, "the paper's theorems as tests: Corollary 2(b)'s expected maximum bin load (and equation (3)'s H under it)"},
+	"opt.ExactGivenAssignment":        {reserved, "the paper's theorems as tests: true optimum under a fixed assignment, for true-ratio tests"},
+	"opt.TrueRatio":                   {reserved, "the paper's theorems as tests: makespan over the enumerated optimum on tiny instances"},
+	"kba.IdealMakespan":               {reserved, "optimal references at scale: the closed-form KBA stage count to print beside the measured makespan"},
+	"kba.SchedulePipelined":           {reserved, "optimal references at scale, the DOG ordering: the only depth-of-graph angleset ordering in the tree"},
 	"dag.Build":                       {input, "one-direction DAGs for the sched, heuristics and trace tests"},
 	"sched.ListScheduleComm":          {input, "allocating comm-delay plan the angleset, verify and validate-bench tests start from"},
 	"sched.ListScheduleResidual":      {input, "allocating residual plan the epoch, kernel-oracle and verify tests start from"},
