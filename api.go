@@ -665,7 +665,7 @@ type TransportResult = transport.Result
 // the mesh in the result's schedule order. This is the application the
 // schedules exist to drive (paper §1).
 func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportResult, error) {
-	return transport.Solve(res.Schedule, cfg)
+	return transport.SolveCtx(context.Background(), res.Schedule, cfg)
 }
 
 // SolveTransportParallel runs the same solve on the machine the schedule
@@ -682,7 +682,7 @@ func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportRe
 // SolveTransport, and TransportResult.Comm (the observed traffic) is the
 // same on either interconnect but for the transmissions.
 func (p *Problem) SolveTransportParallel(res *Result, cfg TransportConfig) (*TransportResult, error) {
-	return transport.SolveParallel(res.Schedule, cfg)
+	return transport.SolveParallelCtx(context.Background(), res.Schedule, cfg)
 }
 
 // MultigroupConfig couples several energy groups through downscatter; see
@@ -709,7 +709,7 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 // independent accounting (steps, total messages = C1, communication
 // rounds = C2).
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
-	return simulate.Run(res.Schedule)
+	return simulate.RunCtx(context.Background(), res.Schedule)
 }
 
 // SimulationResult reports a distributed execution.

@@ -1,0 +1,175 @@
+package sweepsched_test
+
+// TestDocReferences is the first slice of the documents' gate: every Go
+// identifier that README, DESIGN, EXPERIMENTS and the verify skill name in
+// backticks must name something in the tree. It reads the declarations
+// loadSource (reachability_test.go) parses, plus the top-level functions
+// of the test files:
+//
+//   - pkg.Name and pkg.Type.Member, where pkg is a package of the module
+//     and Name is exported (pkg.lower is a metric or a file name, left to
+//     the full gate);
+//   - Type.Member, where Type is capitalized: a declared type, and Member
+//     one of its methods or fields, or one of a type it embeds or aliases;
+//   - Test*, Benchmark* and Fuzz* names; a trailing * or { (a family
+//     written BenchmarkX{A,B}) matches a prefix.
+//
+// Repository paths, -flags, experiment ids and metric names are not
+// checked yet (ROADMAP, "Docs that cannot drift").
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"unicode"
+)
+
+// docFiles are the documents the gate reads. bench/'s own documents belong
+// to the benchmark and change with it.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// docHistory is the whole allowlist: a name the documents cite on purpose
+// although nothing declares it any more, and why.
+var docHistory = map[string]string{
+	"Workspace.heaps": "DESIGN §9 records that the kernel's heaps were removed",
+	"Workspace.indeg": "DESIGN §9 records that the kernel's indegree array was removed",
+}
+
+var (
+	fencedBlock = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	dottedName  = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
+	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
+)
+
+func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
+
+func TestDocReferences(t *testing.T) {
+	s := loadSource(t)
+	pkgs := map[string]map[string]bool{} // package (its directory's name) -> top-level names
+	for _, d := range s.decls {
+		if d.recv != "" {
+			s.addMember(d.recv, d.name)
+			continue
+		}
+		name := path.Base(d.pkg)
+		if pkgs[name] == nil {
+			pkgs[name] = map[string]bool{}
+		}
+		pkgs[name][d.name] = true
+	}
+	// hasMember follows embedded and aliased types breadth first.
+	hasMember := func(typ, member string) bool {
+		seen := map[string]bool{typ: true}
+		for queue := []string{typ}; len(queue) > 0; queue = queue[1:] {
+			members := s.members[queue[0]]
+			if members[member] {
+				return true
+			}
+			for m := range members {
+				if next, ok := strings.CutPrefix(m, "^"); ok && !seen[next] {
+					seen[next] = true
+					queue = append(queue, next)
+				}
+			}
+		}
+		return false
+	}
+	tests := testFuncs(t)
+	resolves := func(tok string) bool {
+		if prefix := strings.TrimRight(tok, "*{"); prefix != tok {
+			for name := range tests {
+				if strings.HasPrefix(name, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		part := strings.Split(tok, ".")
+		switch _, isType := s.members[part[0]]; {
+		case len(part) == 1:
+			return tests[tok]
+		case pkgs[part[0]] != nil:
+			if !exported(part[1]) {
+				return true // a metric or a file name
+			}
+			return pkgs[part[0]][part[1]] && (len(part) == 2 || hasMember(part[1], part[2]))
+		case !exported(part[0]):
+			return true // a value: cfg.Verify, ctx.Err
+		case isType:
+			return hasMember(part[0], part[1])
+		default:
+			return !exported(part[1]) // README.md and the like
+		}
+	}
+
+	cited := map[string]bool{}
+	for _, file := range docFiles {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Blank the fenced blocks, keeping their lines for the positions.
+		text := fencedBlock.ReplaceAllStringFunc(string(data), func(b string) string {
+			return strings.Repeat("\n", strings.Count(b, "\n"))
+		})
+		for _, loc := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+			span := text[loc[2]:loc[3]]
+			for _, tok := range append(dottedName.FindAllString(span, -1), testName.FindAllString(span, -1)...) {
+				if _, ok := docHistory[tok]; ok {
+					cited[tok] = true
+				} else if !resolves(tok) {
+					t.Errorf("%s:%d: `%s` names nothing in the tree", file, 1+strings.Count(text[:loc[0]], "\n"), tok)
+				}
+			}
+		}
+	}
+	for tok, why := range docHistory {
+		if !cited[tok] || resolves(tok) || why == "" {
+			t.Errorf("docHistory entry %s: drop it unless a document cites it, nothing declares it and it has a reason", tok)
+		}
+	}
+}
+
+// testFuncs returns the names of the top-level functions of every test
+// file, bench/'s included.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipDir(p, d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				funcs[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}

@@ -100,17 +100,19 @@ func RandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r 
 // by m. The random delays and layer-synchronous execution then proceed as
 // in Algorithm 1.
 func ImprovedRandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	level, _, err := sched.GreedySchedule(inst, nil)
+	layer := make([]int32, inst.NTasks())
+	ws := sched.GetWorkspace(inst)
+	_, err := sched.GreedyScheduleInto(ws, layer, inst, nil)
+	ws.Release()
 	if err != nil {
 		return nil, err
 	}
 	delays := Delays(inst.K(), r)
 	n := int32(inst.N())
-	layer := make([]int32, inst.NTasks())
 	for i := range inst.DAGs {
 		base := int32(i) * n
 		for v := int32(0); v < n; v++ {
-			layer[base+v] = level[base+v] + delays[i]
+			layer[base+v] += delays[i]
 		}
 	}
 	return sched.LayeredSchedule(inst, assign, layer)

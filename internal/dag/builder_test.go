@@ -97,7 +97,7 @@ func cyclicMesh() *mesh.Mesh {
 }
 
 // TestBuildMatchesReference is the randomized differential oracle: for
-// every corpus mesh and direction, Build (skeleton + pooled builder)
+// every corpus mesh and direction, BuildAll (skeleton + pooled builder)
 // and a warm Builder reused across the whole grid must both reproduce
 // the frozen pre-skeleton builder bit for bit. The warm builder is
 // deliberately shared across meshes of different shapes with one
@@ -111,7 +111,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		for di, dir := range diffDirections() {
 			tag := fmt.Sprintf("mesh %d (%s) dir %d", mi, m.Name, di)
 			ref := refimpl.Build(m, dir)
-			sameAsRef(t, tag+" via Build", Build(m, dir), ref)
+			sameAsRef(t, tag+" via Build", buildOne(m, dir), ref)
 			warm.BuildInto(recycled, skel, dir)
 			sameAsRef(t, tag+" via warm BuildInto", recycled, ref)
 			if err := recycled.Validate(); err != nil {
@@ -158,7 +158,7 @@ func TestBuildIntoZeroAllocs(t *testing.T) {
 // TestSkeletonBoundaryOnlyMesh covers the zero-interior-face case: two
 // disconnected cells whose only faces are boundary faces. The skeleton
 // is empty and every direction yields the edgeless one-level DAG, on
-// both the Build and BuildInto paths.
+// both the BuildAll and BuildInto paths.
 func TestSkeletonBoundaryOnlyMesh(t *testing.T) {
 	m := &mesh.Mesh{Name: "boundary_only"}
 	m.Centroids = []geom.Vec3{{X: 0}, {X: 3}}
@@ -172,7 +172,7 @@ func TestSkeletonBoundaryOnlyMesh(t *testing.T) {
 	}
 	for _, dir := range diffDirections() {
 		ref := refimpl.Build(m, dir)
-		d := Build(m, dir)
+		d := buildOne(m, dir)
 		sameAsRef(t, "boundary-only Build", d, ref)
 		if d.NumEdges() != 0 || d.NumLevels != 1 {
 			t.Fatalf("boundary-only: edges=%d levels=%d, want 0 and 1", d.NumEdges(), d.NumLevels)
@@ -195,7 +195,7 @@ func TestSkeletonSingleCellMesh(t *testing.T) {
 	}
 	dir := geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize()
 	ref := refimpl.Build(m, dir)
-	sameAsRef(t, "single-cell Build", Build(m, dir), ref)
+	sameAsRef(t, "single-cell Build", buildOne(m, dir), ref)
 	b := GetBuilder(skel)
 	defer b.Release()
 	into := &DAG{}
@@ -231,7 +231,7 @@ func TestBuildEpsThresholdFace(t *testing.T) {
 	for _, tc := range cases {
 		dir := geom.Vec3{X: tc.dirX, Y: 1}
 		ref := refimpl.Build(m, dir)
-		d := Build(m, dir)
+		d := buildOne(m, dir)
 		sameAsRef(t, tc.name+" Build", d, ref)
 		if d.NumEdges() != tc.edges {
 			t.Fatalf("%s: %d edges, want %d", tc.name, d.NumEdges(), tc.edges)
@@ -242,15 +242,15 @@ func TestBuildEpsThresholdFace(t *testing.T) {
 	}
 	// Downwind orientation: the below-Eps negative direction must emit
 	// the reversed edge 1 -> 0.
-	d := Build(m, geom.Vec3{X: math.Nextafter(-Eps, -1), Y: 1})
+	d := buildOne(m, geom.Vec3{X: math.Nextafter(-Eps, -1), Y: 1})
 	if out := d.Out(1); len(out) != 1 || out[0] != 0 {
 		t.Fatalf("reversed edge: Out(1) = %v, want [0]", out)
 	}
 }
 
-// TestFamilyRecyclesStorage asserts that Family.BuildAll reuses both
-// the DAG structs and their backing arrays across rebuilds, and that a
-// recycled rebuild is identical to a fresh one.
+// TestFamilyRecyclesStorage asserts that BuildAllInto reuses both the DAG
+// structs and their backing arrays when a family is rebuilt into its own
+// slots, and that a recycled rebuild is identical to a fresh one.
 func TestFamilyRecyclesStorage(t *testing.T) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 3, Jitter: 0.15, Seed: 6})
 	dirsA, err := quadrature.Octant(8)
@@ -261,23 +261,23 @@ func TestFamilyRecyclesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := NewFamily(m)
-	first := fam.BuildAll(dirsA, 1)
-	firstPtrs := make([]*DAG, len(first))
-	copy(firstPtrs, first)
-	second := fam.BuildAll(dirsB, 1)
+	skel := NewSkeleton(m)
+	first := BuildAllInto(make([]*DAG, len(dirsA)), skel, dirsA, 1)
+	firstPtrs := append([]*DAG(nil), first...)
+	second := BuildAllInto(first[:len(dirsB)], skel, dirsB, 1)
 	for i := range second {
 		if second[i] != firstPtrs[i] {
 			t.Fatalf("direction %d: rebuild allocated a fresh DAG instead of recycling", i)
 		}
 		sameAsRef(t, fmt.Sprintf("recycled direction %d", i), second[i], refimpl.Build(m, dirsB[i]))
 	}
-	// Growing the direction set keeps the old slots and fills new ones.
-	third := fam.BuildAll(dirsA, 2)
-	if len(third) != len(dirsA) {
-		t.Fatalf("family built %d DAGs for %d directions", len(third), len(dirsA))
-	}
+	// Growing the direction set again recycles the slots the shorter
+	// rebuild left alone.
+	third := BuildAllInto(first, skel, dirsA, 2)
 	for i := range third {
+		if third[i] != firstPtrs[i] {
+			t.Fatalf("direction %d: regrown slot allocated a fresh DAG", i)
+		}
 		sameAsRef(t, fmt.Sprintf("regrown direction %d", i), third[i], refimpl.Build(m, dirsA[i]))
 	}
 }
@@ -295,7 +295,7 @@ func largestFamilyMesh(b *testing.B) *mesh.Mesh {
 
 // BenchmarkBuildInto compares single-direction DAG induction on the
 // largest mesh family: the frozen pre-skeleton reference, the cold
-// wrapper (skeleton + pooled builder per call), and the warm
+// path (skeleton + pooled builder per call, through BuildAll), and the warm
 // zero-allocation path (shared skeleton, warm builder, recycled
 // destination).
 func BenchmarkBuildInto(b *testing.B) {
@@ -308,7 +308,7 @@ func BenchmarkBuildInto(b *testing.B) {
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Build(m, dir)
+			buildOne(m, dir)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -349,11 +349,11 @@ func BenchmarkBuildAllFamily(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		fam := NewFamily(m)
-		fam.BuildAll(dirs, 0)
+		skel := NewSkeleton(m)
+		dags := BuildAllInto(make([]*DAG, len(dirs)), skel, dirs, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fam.BuildAll(dirs, 0)
+			BuildAllInto(dags, skel, dirs, 0)
 		}
 	})
 }

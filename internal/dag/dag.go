@@ -87,22 +87,6 @@ func (d *DAG) NumEdges() int { return len(d.out) }
 // treated as parallel to the sweep (no dependence across it).
 const Eps = 1e-9
 
-// Build induces the DAG for one direction. Cycles, which arise on
-// unstructured meshes, are broken by discarding DFS back edges. It is a
-// convenience wrapper over the skeleton/builder path — callers building
-// many directions over one mesh should extract the Skeleton once and
-// reuse pooled Builders (or a Family), which amortizes the face walk
-// and all scratch allocation. Output is bitwise-identical either way
-// (and to the frozen pre-skeleton reference in internal/dag/refimpl).
-func Build(m *mesh.Mesh, dir geom.Vec3) *DAG {
-	skel := NewSkeleton(m)
-	b := GetBuilder(skel)
-	defer b.Release()
-	d := &DAG{}
-	b.BuildInto(d, skel, dir)
-	return d
-}
-
 // FromEdges builds a DAG over n cells from an explicit edge list,
 // supporting non-geometric instances (§2 notes the algorithms assume no
 // relation between the DAGs in different directions). Cycles are broken the
@@ -301,15 +285,13 @@ func (d *DAG) Validate() error {
 }
 
 // BuildAll induces the DAGs for every direction in parallel on GOMAXPROCS
-// workers, preserving direction order in the result.
+// workers, preserving direction order in the result. Cycles, which arise
+// on unstructured meshes, are broken by discarding DFS back edges. Output
+// is bitwise-identical to the frozen pre-skeleton reference in
+// internal/dag/refimpl. Callers that rebuild a family over one mesh extract
+// the Skeleton once and recycle their DAGs through BuildAllInto.
 func BuildAll(m *mesh.Mesh, dirs []geom.Vec3) []*DAG {
-	return BuildAllSkeleton(NewSkeleton(m), dirs, 0)
-}
-
-// BuildAllSkeleton builds the DAG family for every direction over a
-// pre-extracted skeleton, allocating fresh destination DAGs.
-func BuildAllSkeleton(skel *Skeleton, dirs []geom.Vec3, workers int) []*DAG {
-	return BuildAllInto(make([]*DAG, len(dirs)), skel, dirs, workers)
+	return BuildAllInto(make([]*DAG, len(dirs)), NewSkeleton(m), dirs, 0)
 }
 
 // BuildAllInto builds direction i's DAG into dst[i] (nil slots are

@@ -15,10 +15,13 @@ import (
 
 func hex3() *mesh.Mesh { return mesh.RegularHex(3, 3, 3) }
 
+// buildOne induces one direction's DAG from the mesh.
+func buildOne(m *mesh.Mesh, dir geom.Vec3) *DAG { return BuildAll(m, []geom.Vec3{dir})[0] }
+
 func TestBuildRegularHexDiagonal(t *testing.T) {
 	m := hex3()
 	dir := geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize()
-	d := Build(m, dir)
+	d := buildOne(m, dir)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestSweepableMeshesBreakNoCycles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, d := range NewFamily(m).BuildAll(dirs, 1) {
+			for i, d := range BuildAllInto(make([]*DAG, len(dirs)), NewSkeleton(m), dirs, 1) {
 				if d.RemovedEdges != 0 {
 					t.Errorf("%s (%d cells), %s direction %d %v: removed %d edges", m.Name, m.NCells(), name, i, dirs[i], d.RemovedEdges)
 				}
@@ -80,8 +83,8 @@ func TestSweepableMeshesBreakNoCycles(t *testing.T) {
 func TestBuildOppositeDirectionReverses(t *testing.T) {
 	m := hex3()
 	dir := geom.Vec3{X: 1, Y: 0.3, Z: 0.2}.Normalize()
-	fwd := Build(m, dir)
-	bwd := Build(m, dir.Scale(-1))
+	fwd := buildOne(m, dir)
+	bwd := buildOne(m, dir.Scale(-1))
 	if fwd.NumEdges() != bwd.NumEdges() {
 		t.Fatalf("edge counts differ: %d vs %d", fwd.NumEdges(), bwd.NumEdges())
 	}
@@ -107,7 +110,7 @@ func TestBuildParallelFaceSkipped(t *testing.T) {
 	m := hex3()
 	// Direction exactly +x: faces with ±y, ±z normals are parallel, so only
 	// x-adjacency edges appear: (3-1)*3*3 = 18.
-	d := Build(m, geom.Vec3{X: 1})
+	d := buildOne(m, geom.Vec3{X: 1})
 	if d.NumEdges() != 18 {
 		t.Fatalf("edges = %d, want 18", d.NumEdges())
 	}
@@ -118,7 +121,7 @@ func TestBuildParallelFaceSkipped(t *testing.T) {
 
 func TestLevelsMatchPeelDefinition(t *testing.T) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 3, Jitter: 0.15, Seed: 2})
-	d := Build(m, geom.Vec3{X: 0.5, Y: 0.6, Z: 0.7}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 0.5, Y: 0.6, Z: 0.7}.Normalize())
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestLevelSetsPartition(t *testing.T) {
 	// The level sets are the runs of TopoOrder: level by level, WidthProfile
 	// cells each, every cell once.
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 2, NY: 3, NZ: 2, Jitter: 0.1, Seed: 3})
-	d := Build(m, geom.Vec3{X: 1, Y: 0.2, Z: 0.4}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 1, Y: 0.2, Z: 0.4}.Normalize())
 	order, prof := d.TopoOrder(), d.WidthProfile()
 	seen := make([]bool, d.N)
 	i := 0
@@ -181,7 +184,7 @@ func TestLevelSetsPartition(t *testing.T) {
 
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 2, NZ: 2, Jitter: 0.2, Seed: 4})
-	d := Build(m, geom.Vec3{X: 0.3, Y: 1, Z: 0.1}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 0.3, Y: 1, Z: 0.1}.Normalize())
 	pos := make([]int, d.N)
 	for i, v := range d.TopoOrder() {
 		pos[v] = i
@@ -197,7 +200,7 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 
 func TestBLevels(t *testing.T) {
 	m := hex3()
-	d := Build(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
 	b := d.BLevels()
 	// On the 3x3x3 diagonal sweep, b-level of cell (i,j,k) is 7-(i+j+k).
 	cid := func(i, j, k int) int32 { return int32((k*3+j)*3 + i) }
@@ -231,7 +234,7 @@ func TestBLevels(t *testing.T) {
 func TestDescendantsExactChain(t *testing.T) {
 	// 1D chain: 4x1x1 hexes along +x.
 	m := mesh.RegularHex(4, 1, 1)
-	d := Build(m, geom.Vec3{X: 1})
+	d := buildOne(m, geom.Vec3{X: 1})
 	desc := d.DescendantsExact()
 	for v := 0; v < 4; v++ {
 		if int(desc[v]) != 3-v {
@@ -242,7 +245,7 @@ func TestDescendantsExactChain(t *testing.T) {
 
 func TestDescendantsApproxUpperBoundsExact(t *testing.T) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 2, Jitter: 0.15, Seed: 5})
-	d := Build(m, geom.Vec3{X: 0.7, Y: 0.5, Z: 0.5}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 0.7, Y: 0.5, Z: 0.5}.Normalize())
 	exact := d.DescendantsExact()
 	approx := d.DescendantsApprox()
 	for v := range exact {
@@ -257,7 +260,7 @@ func TestDescendantsApproxUpperBoundsExact(t *testing.T) {
 
 func TestDescendantsExactSinksAndSources(t *testing.T) {
 	m := hex3()
-	d := Build(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
 	desc := d.DescendantsExact()
 	// The unique source reaches everything.
 	if desc[0] != int32(d.N-1) {
@@ -375,9 +378,9 @@ func TestRecycledDAGForgetsItsFacts(t *testing.T) {
 	b := NewBuilder()
 	d := &DAG{}
 	b.BuildInto(d, skel, dirA)
-	sameFacts(t, "first build", d, Build(m, dirA))
+	sameFacts(t, "first build", d, buildOne(m, dirA))
 	b.BuildInto(d, skel, dirB)
-	sameFacts(t, "rebuilt for another direction", d, Build(m, dirB))
+	sameFacts(t, "rebuilt for another direction", d, buildOne(m, dirB))
 
 	dirs, err := quadrature.Octant(8)
 	if err != nil {
@@ -387,15 +390,15 @@ func TestRecycledDAGForgetsItsFacts(t *testing.T) {
 	for i, v := range dirs {
 		flipped[i] = geom.Vec3{X: -v.Y, Y: v.Z, Z: -v.X}
 	}
-	fam := NewFamily(m)
-	for _, g := range fam.BuildAll(dirs, 2) {
+	dags := BuildAllInto(make([]*DAG, len(dirs)), skel, dirs, 2)
+	for _, g := range dags {
 		g.TopoOrder()
 		g.BLevels()
 		g.DescendantsExact()
 		g.DescendantsApprox()
 	}
-	for i, g := range fam.BuildAll(flipped, 2) {
-		sameFacts(t, fmt.Sprintf("recycled family direction %d", i), g, Build(m, flipped[i]))
+	for i, g := range BuildAllInto(dags, skel, flipped, 2) {
+		sameFacts(t, fmt.Sprintf("recycled family direction %d", i), g, buildOne(m, flipped[i]))
 	}
 }
 
@@ -415,8 +418,8 @@ func TestCycleBreakingOnForcedCycle(t *testing.T) {
 	// the orientation convention deliberately: under direction +x the edge
 	// goes 2 -> 0, closing the cycle 0->1->2->0.
 	// Build adjacency by re-deriving from faces via a submesh round-trip is
-	// unnecessary: Build only reads Faces.
-	d := Build(m, geom.Vec3{X: 1})
+	// unnecessary: the builder only reads Faces.
+	d := buildOne(m, geom.Vec3{X: 1})
 	if d.RemovedEdges != 1 {
 		t.Fatalf("removed %d edges, want 1", d.RemovedEdges)
 	}
@@ -436,7 +439,7 @@ func TestBuildAllMatchesSequential(t *testing.T) {
 	}
 	par := BuildAll(m, dirs)
 	for i, dir := range dirs {
-		seq := Build(m, dir)
+		seq := buildOne(m, dir)
 		if par[i].NumEdges() != seq.NumEdges() || par[i].NumLevels != seq.NumLevels {
 			t.Fatalf("direction %d: parallel build differs from sequential", i)
 		}
@@ -463,7 +466,7 @@ func TestMaxLevels(t *testing.T) {
 
 func TestWidthProfileAndAnalyze(t *testing.T) {
 	m := hex3()
-	d := Build(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 1, Y: 1, Z: 1}.Normalize())
 	prof := d.WidthProfile()
 	// Diagonal sweep of a 3x3x3 grid: widths are the diagonal plane sizes
 	// 1,3,6,7,6,3,1.
@@ -497,7 +500,7 @@ func TestQuickDAGInvariants(t *testing.T) {
 		}
 		dir = dir.Normalize()
 		m := mesh.KuhnBox(mesh.BoxSpec{NX: 2, NY: 2, NZ: 2, Jitter: 0.2, Seed: seed})
-		d := Build(m, dir)
+		d := buildOne(m, dir)
 		return d.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -507,7 +510,7 @@ func TestQuickDAGInvariants(t *testing.T) {
 
 func TestTetMeshDAGEdgesBounded(t *testing.T) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 4, NY: 4, NZ: 4, Jitter: 0.18, Seed: 7})
-	d := Build(m, geom.Vec3{X: 0.4, Y: 0.5, Z: 0.8}.Normalize())
+	d := buildOne(m, geom.Vec3{X: 0.4, Y: 0.5, Z: 0.8}.Normalize())
 	// A tet has 4 faces, so out-degree <= 4.
 	for v := int32(0); v < int32(d.N); v++ {
 		if d.OutDegree(v) > 4 {
@@ -524,7 +527,7 @@ func BenchmarkBuildSingleDirection(b *testing.B) {
 	dir := geom.Vec3{X: 0.3, Y: 0.8, Z: 0.52}.Normalize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(m, dir)
+		buildOne(m, dir)
 	}
 }
 
@@ -540,26 +543,25 @@ func BenchmarkBuildAll24(b *testing.B) {
 // BenchmarkBuildAll sweeps worker counts over a k=24-direction instance;
 // workers=1 is the serial baseline the parallel rows are compared
 // against. The cold rows build fresh DAGs each iteration (skeleton
-// included); the warm rows recycle a Family's
-// skeleton and DAG storage, the steady state of trial loops that
-// rebuild DAG families.
+// included); the warm rows recycle one skeleton and its DAG storage,
+// the steady state of trial loops that rebuild DAG families.
 func BenchmarkBuildAll(b *testing.B) {
 	m := mesh.KuhnBox(mesh.BoxSpec{NX: 10, NY: 10, NZ: 10, Jitter: 0.15, Seed: 1})
 	dirs, _ := quadrature.Octant(24)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildAllSkeleton(NewSkeleton(m), dirs, workers)
+				BuildAllInto(make([]*DAG, len(dirs)), NewSkeleton(m), dirs, workers)
 			}
 		})
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("warm/workers=%d", workers), func(b *testing.B) {
-			fam := NewFamily(m)
-			fam.BuildAll(dirs, workers)
+			skel := NewSkeleton(m)
+			dags := BuildAllInto(make([]*DAG, len(dirs)), skel, dirs, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fam.BuildAll(dirs, workers)
+				BuildAllInto(dags, skel, dirs, workers)
 			}
 		})
 	}
@@ -573,9 +575,9 @@ func TestBuildAllWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := BuildAllSkeleton(NewSkeleton(m), dirs, 1)
+	ref := BuildAllInto(make([]*DAG, len(dirs)), NewSkeleton(m), dirs, 1)
 	for _, workers := range []int{2, 4, 8} {
-		got := BuildAllSkeleton(NewSkeleton(m), dirs, workers)
+		got := BuildAllInto(make([]*DAG, len(dirs)), NewSkeleton(m), dirs, workers)
 		for i := range ref {
 			if got[i].NumEdges() != ref[i].NumEdges() ||
 				got[i].NumLevels != ref[i].NumLevels ||

@@ -58,7 +58,7 @@ func FuzzFromEdges(f *testing.F) {
 // and boundary faces, normals drawn from a table that includes ±Eps and
 // 0 to sit exactly on the orientation threshold, adjacency free to form
 // cycles) plus a sweep direction, runs both the frozen pre-skeleton
-// reference builder and the skeleton/builder path — cold Build and a
+// reference builder and the skeleton/builder path — cold BuildAll and a
 // recycled-destination BuildInto — and demands identical CSR contents,
 // levels and RemovedEdges.
 func FuzzBuildEquivalence(f *testing.F) {
@@ -106,7 +106,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 		dir := dirs[int(dirSel)%len(dirs)]
 
 		ref := refimpl.Build(m, dir)
-		got := Build(m, dir)
+		got := buildOne(m, dir)
 		skel := NewSkeleton(m)
 		b := GetBuilder(skel)
 		into := &DAG{}

@@ -1,18 +1,15 @@
 package dag
 
-import (
-	"sweepsched/internal/geom"
-	"sweepsched/internal/mesh"
-)
+import "sweepsched/internal/mesh"
 
 // Skeleton is the direction-independent part of a mesh's DAG family:
 // the interior-face endpoints and normals, extracted once per mesh into
-// packed SoA arrays. Every per-direction Build re-walked the full face
-// table (boundary faces included, 56-byte Face structs, branch per
-// face) even though only the interior endpoints and normals matter and
-// none of them depend on the sweep direction; a Skeleton pays that walk
-// once and leaves the per-direction orientation pass a branch-light
-// streaming loop over flat float64/int32 arrays.
+// packed SoA arrays. A build per direction from the mesh would re-walk
+// the full face table (boundary faces included, 56-byte Face structs,
+// branch per face) even though only the interior endpoints and normals
+// matter and none of them depend on the sweep direction; a Skeleton pays
+// that walk once and leaves the per-direction orientation pass a
+// branch-light streaming loop over flat float64/int32 arrays.
 //
 // A Skeleton is immutable after NewSkeleton and safe for concurrent use
 // by any number of Builders.
@@ -60,36 +57,3 @@ func NewSkeleton(m *mesh.Mesh) *Skeleton {
 
 // NFaces returns the number of interior faces in the skeleton.
 func (s *Skeleton) NFaces() int { return len(s.U) }
-
-// Family amortizes DAG construction for one mesh across repeated
-// direction-set builds: it owns the mesh's Skeleton plus a recycled
-// destination DAG set, so a warm family rebuilds a k-direction family
-// with zero allocations beyond builder-pool churn. Callers that build a
-// DAG set once (most of the pipeline) use BuildAll; callers that
-// rebuild per trial or per direction-set sweep hold a Family.
-//
-// BuildAll reuses the family-owned DAG storage: the DAGs returned by
-// the previous BuildAll call are overwritten in place. Callers that
-// retain a DAG set across builds must use separate families.
-type Family struct {
-	Skel *Skeleton
-
-	dags []*DAG
-}
-
-// NewFamily extracts the skeleton of m and returns an empty family.
-func NewFamily(m *mesh.Mesh) *Family { return &Family{Skel: NewSkeleton(m)} }
-
-// BuildAll induces the DAGs for every direction over the family's
-// skeleton, recycling the family's DAG storage (see the type comment).
-// Workers bounds the parallelism as in BuildAllInto; the result is
-// identical for every worker count.
-func (f *Family) BuildAll(dirs []geom.Vec3, workers int) []*DAG {
-	if cap(f.dags) < len(dirs) {
-		grown := make([]*DAG, len(dirs))
-		copy(grown, f.dags[:cap(f.dags)])
-		f.dags = grown
-	}
-	f.dags = f.dags[:len(dirs)]
-	return BuildAllInto(f.dags, f.Skel, dirs, workers)
-}

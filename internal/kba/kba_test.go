@@ -3,6 +3,7 @@ package kba
 import (
 	"testing"
 
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/lb"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
@@ -88,7 +89,9 @@ func TestKBANearOptimalOnRegularGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Schedule(inst, assign)
+	// KBA's pipeline is level-priority list scheduling on the column
+	// assignment: level priorities reproduce the diagonal wavefront.
+	s, err := heuristics.Run(heuristics.Level, inst, assign, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (o AnglesetOrdering) String() string {
 // semi-structured sweep schedulers. The stage order is the given
 // ordering over groups (DepthOfGraph: representative depth descending,
 // ties by group index). The instance must be built on the matching
-// regular hex mesh with the column assignment, as in Schedule.
+// regular hex mesh with the column assignment (ColumnAssignment).
 func SchedulePipelined(inst *sched.Instance, assign sched.Assignment, groups [][]int32, ordering AnglesetOrdering) (*sched.Schedule, error) {
 	if err := sched.ValidateAnglesets(groups, inst.K()); err != nil {
 		return nil, err

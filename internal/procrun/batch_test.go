@@ -27,7 +27,7 @@ import (
 func TestProcRunBatchedReducesTraffic(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestProcRunBatchedReducesTraffic(t *testing.T) {
 func TestProcRunBatchedMatchesNoBatchUnderFaults(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

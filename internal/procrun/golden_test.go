@@ -72,7 +72,7 @@ func series(s obs.Snapshot, prefixes ...string) string {
 func TestProcRunGolden(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

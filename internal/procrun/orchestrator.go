@@ -13,7 +13,7 @@
 // same machine: it runs the shared step body for its own rank, and owns
 // only its cell-balance closure and its checkpoint shards. Recovery
 // replays lost tasks with identical inputs through that closure, so the
-// converged flux is bitwise-identical to the serial transport.Solve.
+// converged flux is bitwise-identical to the serial transport.SolveCtx.
 package procrun
 
 import (
@@ -39,9 +39,6 @@ import (
 type Options struct {
 	// CkptDir is where workers write durable checkpoint shards. Required.
 	CkptDir string
-	// CkptEvery overrides the barrier-step interval between durable
-	// checkpoints (default: the plan's CheckpointEvery, else 8).
-	CkptEvery int32
 	// HeartbeatInterval is how often each worker pings (default 200ms);
 	// HeartbeatTimeout is how long the orchestrator waits for any frame
 	// from a live worker before declaring it dead (default 10s — it must
@@ -61,9 +58,6 @@ type Options struct {
 	// Collector receives orchestrator-side counters (nil = off). Worker
 	// metrics arrive separately in RunResult.Merged.
 	Collector *obs.Collector
-	// Verify audits every recovery reschedule (SWEEPSCHED_VERIFY forces
-	// it on).
-	Verify bool
 }
 
 func (o Options) withDefaults(plan *faults.Plan) (Options, error) {
@@ -184,7 +178,9 @@ type orch struct {
 // be for the instance spec builds (same mesh family, scale, seed, k, m);
 // workers rebuild that instance locally from the spec. The configuration
 // and the schedule are checked (and audited, under cfg.Verify) as for
-// every transport solve, before any worker process exists.
+// every transport solve, before any worker process exists; cfg.Verify
+// also audits every recovery reschedule and, after the solve, the
+// recovery accounting, as SolveFaultTolerant does.
 //
 // Every planned Crash is delivered as a real SIGKILL at its barrier step
 // and every planned Sever as a closed socket (the worker reconnects with
@@ -226,12 +222,7 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 		o.mc.Wire = o.land
 		eng.Observe(opts.Collector)
 		eng.SetNoBatch(cfg.NoBatch)
-		if opts.CkptEvery > 0 {
-			eng.SetCheckpointEvery(opts.CkptEvery)
-		}
-		if opts.Verify {
-			eng.SetVerify(true)
-		}
+		eng.SetVerify(cfg.Verify)
 		if err := o.spawnAll(ctx); err != nil {
 			return nil, nil, err
 		}
@@ -250,6 +241,12 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 	})
 	if err != nil {
 		return nil, err
+	}
+	if o.cfg.Verify {
+		// Cross-check the run's accumulated accounting, as SolveFaultTolerant does.
+		if err := o.eng.Audit(); err != nil {
+			return nil, fmt.Errorf("procrun: recovery accounting failed the audit: %w", err)
+		}
 	}
 	merged := o.collectSnapshots()
 	o.sayGoodbye()

@@ -88,7 +88,7 @@ func TestAckFoldRefusesWhatIsNotTheRanksRow(t *testing.T) {
 
 // TestRunRefusesWhatEverySolveRefuses: Run goes through the prelude of
 // every transport solve, so a configuration or (under Verify) a schedule
-// that SolveParallel refuses is refused by Run with the same error — and
+// that SolveParallelCtx refuses is refused by Run with the same error — and
 // before any worker process exists: the worker binary named here does not,
 // so a Run that got as far as spawning would fail differently.
 func TestRunRefusesWhatEverySolveRefuses(t *testing.T) {
@@ -130,7 +130,7 @@ func TestRunRefusesWhatEverySolveRefuses(t *testing.T) {
 		{"a negative source", s, with(func(c *transport.Config) { c.SourceField = ones(inst.N()); c.SourceField[0] = -1 })},
 		{"a schedule that fails the audit", &broken, with(func(c *transport.Config) { c.Verify = true })},
 	} {
-		_, want := transport.SolveParallel(tc.s, tc.cfg)
+		_, want := transport.SolveParallelCtx(context.Background(), tc.s, tc.cfg)
 		if want == nil {
 			t.Fatalf("%s: SolveParallel accepted it", tc.name)
 		}

@@ -87,7 +87,7 @@ func workerProcCount(t *testing.T) int {
 func TestProcRunFaultFreeMatchesSerial(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestProcRunFaultFreeMatchesSerial(t *testing.T) {
 func TestProcRunKillNineRecoversBitwise(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,35 @@ func TestProcRunKillNineRecoversBitwise(t *testing.T) {
 	}
 }
 
+// TestProcRunVerifyAuditsRecovery: cfg.Verify turns on in the
+// multi-process run what it turns on in SolveFaultTolerant — the audit of
+// every recovery reschedule and, after the solve, of the recovery
+// accounting — and a kill -9 still recovers bitwise under it.
+func TestProcRunVerifyAuditsRecovery(t *testing.T) {
+	spec := testSpec()
+	s, cfg := testSetup(t, spec)
+	cfg.Verify = true
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.NewPlan(s, faults.Spec{Crashes: 1}, 99)
+	res, err := Run(context.Background(), s, spec, cfg, plan, Options{CkptDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Recoveries < 1 {
+		t.Fatalf("the kill left no reschedule to audit: %s", res.Report)
+	}
+	if i, ok := bitwiseEqual(res.Phi, serial.Phi); !ok {
+		t.Fatalf("flux differs from serial at cell %d under the audit: %x vs %x", i, res.Phi[i], serial.Phi[i])
+	}
+}
+
 func TestProcRunSeverReconnects(t *testing.T) {
 	spec := testSpec()
 	s, cfg := testSetup(t, spec)
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +242,7 @@ func TestProcRunMixedFaultsReproducible(t *testing.T) {
 	if a.Merged.CounterValue("comm.messages") == 0 || a.Merged.CounterValue("comm.batches") == 0 {
 		t.Fatalf("merged snapshot is missing comm.* counters:\n%s", aSnap)
 	}
-	serial, err := transport.Solve(s, cfg)
+	serial, err := transport.SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@ import (
 func chainInstance(t *testing.T, cells, procs int) *Instance {
 	t.Helper()
 	msh := mesh.RegularHex(cells, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, err := FromDAGs([]*dag.DAG{d}, procs)
+	inst, err := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +24,11 @@ func chainInstance(t *testing.T, cells, procs int) *Instance {
 func TestListScheduleCommZeroMatchesPlain(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 21)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
-	a, err := ListSchedule(inst, assign, nil)
+	a, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListScheduleComm(inst, assign, nil, 0)
+	b, err := into(CommScheduleInto, inst, assign, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 	// Chain 0->1->2->3 alternating processors with c=2: starts 0,3,6,9.
 	inst := chainInstance(t, 4, 2)
 	assign := Assignment{0, 1, 0, 1}
-	s, err := ListScheduleComm(inst, assign, nil, 2)
+	s, err := into(CommScheduleInto, inst, assign, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same chain on one processor: no gaps at all.
-	s2, err := ListScheduleComm(inst, Assignment{0, 0, 0, 0}, nil, 2)
+	s2, err := into(CommScheduleInto, inst, Assignment{0, 0, 0, 0}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 
 func TestListScheduleCommNegativeDelay(t *testing.T) {
 	inst := chainInstance(t, 3, 2)
-	if _, err := ListScheduleComm(inst, Assignment{0, 1, 0}, nil, -1); err == nil {
+	if _, err := into(CommScheduleInto, inst, Assignment{0, 1, 0}, nil, -1); err == nil {
 		t.Fatal("negative delay accepted")
 	}
 }
@@ -132,7 +131,7 @@ func TestCommDelayMonotoneInC(t *testing.T) {
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(5))
 	prev := 0
 	for _, c := range []int{0, 1, 2, 4, 8} {
-		s, err := ListScheduleComm(inst, assign, nil, c)
+		s, err := into(CommScheduleInto, inst, assign, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +168,11 @@ func TestCommDelayFavorsBlockAssignment(t *testing.T) {
 		clustered[v] = int32(v * 4 / inst.N())
 	}
 	const c = 8
-	sRand, err := ListScheduleComm(inst, random, nil, c)
+	sRand, err := into(CommScheduleInto, inst, random, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sClus, err := ListScheduleComm(inst, clustered, nil, c)
+	sClus, err := into(CommScheduleInto, inst, clustered, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}

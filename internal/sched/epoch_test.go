@@ -63,7 +63,7 @@ func checkAgainstRef(t *testing.T, g *StepTable, s *Schedule, assign Assignment,
 func TestStepTableCases(t *testing.T) {
 	inst := testInstance(t, 2, 4, 3, 1)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 		for tsk := range prio {
 			prio[tsk] = int64(r.Intn(1 << 20))
 		}
-		s, err := ListSchedule(inst, assign, prio)
+		s, err := into(ListScheduleInto, inst, assign, prio, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 				}
 			}
 		}
-		resid, err := ListScheduleResidual(inst, moved, nil, done)
+		resid, err := into(ListScheduleResidualInto, inst, moved, nil, done)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 func TestRecvTableDeliversOnlyWhatWasDelivered(t *testing.T) {
 	inst := testInstance(t, 2, 4, 3, 3)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(4))
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestTraceRoundTrip(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 51)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,11 +217,11 @@ func TestResidualMatchesReference(t *testing.T) {
 	r := rng.New(21)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	prio := tiedPrio(inst.NTasks(), r)
-	full, err := sched.ListSchedule(inst, assign, prio)
-	if err != nil {
+	ws := sched.NewWorkspace()
+	full := &sched.Schedule{}
+	if err := sched.ListScheduleInto(ws, full, inst, assign, prio, nil); err != nil {
 		t.Fatal(err)
 	}
-	ws := sched.NewWorkspace()
 	for _, cut := range []int32{0, 1, int32(full.Makespan) / 2, int32(full.Makespan)} {
 		done := make([]bool, inst.NTasks())
 		for tt, st := range full.Start {

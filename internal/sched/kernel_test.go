@@ -275,47 +275,8 @@ func releaseStream(nt, maxRel int, r *rng.Source) []int32 {
 	return rel
 }
 
-// TestResidualIntoMatchesWrapper checks the residual Into kernel against
-// the (already-tested) wrapper across random done sets.
-func TestResidualIntoMatchesWrapper(t *testing.T) {
-	inst := randomDAGInstance(t, 80, 4, 5, 20)
-	r := rng.New(21)
-	assign := RandomAssignment(inst.N(), inst.M, r)
-	prio := randomPrio(inst.NTasks(), r)
-	full, err := ListSchedule(inst, assign, prio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A precedence-consistent done set: everything started before a cut.
-	for _, cut := range []int32{0, 1, int32(full.Makespan) / 2} {
-		done := make([]bool, inst.NTasks())
-		for tt, st := range full.Start {
-			if st < cut {
-				done[tt] = true
-			}
-		}
-		want, err := ListScheduleResidual(inst, assign, prio, done)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := NewWorkspace()
-		dst := &Schedule{}
-		if err := ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
-			t.Fatal(err)
-		}
-		for tt := range want.Start {
-			if dst.Start[tt] != want.Start[tt] {
-				t.Fatalf("cut %d: task %d starts at %d, wrapper %d", cut, tt, dst.Start[tt], want.Start[tt])
-			}
-		}
-		if dst.Makespan != want.Makespan {
-			t.Fatalf("cut %d: makespan %d vs %d", cut, dst.Makespan, want.Makespan)
-		}
-	}
-}
-
-// TestKernelErrorsPreserved checks the Into kernels report the same
-// argument errors as the old entry points.
+// TestKernelErrorsPreserved checks the Into kernels refuse malformed
+// arguments.
 func TestKernelErrorsPreserved(t *testing.T) {
 	inst := randomDAGInstance(t, 10, 2, 2, 30)
 	ws := NewWorkspace()
@@ -469,7 +430,7 @@ func BenchWarm(b *testing.B, run func()) {
 func TestWorkspacePoolRoundTrip(t *testing.T) {
 	inst := randomDAGInstance(t, 60, 3, 4, 40)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(8))
-	want, err := ListScheduleWithRelease(inst, assign, nil, nil)
+	want, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +469,7 @@ func TestWorkspaceScratchBuffers(t *testing.T) {
 	// zero priorities (zeroPrio is a separate buffer).
 	inst := randomDAGInstance(t, 30, 2, 2, 50)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	want, err := ListScheduleWithRelease(inst, assign, nil, nil)
+	want, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -837,7 +798,7 @@ func TestCalendarRingBoundedByTasks(t *testing.T) {
 	var s *Schedule
 	var err error
 	got := allocated(func() {
-		s, err = ListScheduleWithRelease(pair, Assignment{0, 0}, nil, []int32{1 << 30, 0})
+		s, err = into(ListScheduleInto, pair, Assignment{0, 0}, nil, []int32{1 << 30, 0})
 	})
 	if err != nil {
 		t.Fatal(err)

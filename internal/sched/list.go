@@ -9,57 +9,11 @@ import (
 // passing it in). Ties break on TaskID for determinism.
 type Priorities []int64
 
-// ListSchedule runs priority list scheduling with a fixed cell-to-processor
-// assignment (§3, "List Scheduling"): at every timestep each processor runs
-// the ready task of smallest priority among the tasks assigned to it. The
-// result is a complete, validated-shape Schedule (call Validate to check).
-//
-// prio may be nil, in which case all tasks share one priority and ties
-// break on TaskID.
-//
-// ListSchedule is a convenience wrapper over ListScheduleInto with a
-// pooled workspace; trial loops that schedule the same instance shape
-// repeatedly should hold a Workspace and call the Into form directly.
-func ListSchedule(inst *Instance, assign Assignment, prio Priorities) (*Schedule, error) {
-	return ListScheduleWithRelease(inst, assign, prio, nil)
-}
-
-// ListScheduleWithRelease is ListSchedule with per-task release times: task
-// t may not start before step release[t] even if its predecessors are done.
-// This implements the "random delays + heuristic" combinations of §5.2,
-// where direction i is held back by X_i steps. A nil release means all
-// zeros.
-func ListScheduleWithRelease(inst *Instance, assign Assignment, prio Priorities, release []int32) (*Schedule, error) {
-	ws := GetWorkspace(inst)
-	defer ws.Release()
-	dst := &Schedule{}
-	if err := ListScheduleInto(ws, dst, inst, assign, prio, release); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// GreedySchedule runs Graham's list scheduling on the union DAG H of all
-// directions with m identical machines and no processor pinning: at every
-// step up to m ready tasks run, smallest priority first. It returns the
-// completion step (1-based level) of every task — exactly the L'
-// preprocessing levels of Algorithm 3 — and the makespan T. Its transient
-// state (ready set, task nodes, step batch) comes from the shape-keyed
-// workspace pool, so trial loops pay only for the returned level slice.
-func GreedySchedule(inst *Instance, prio Priorities) (level []int32, makespan int, err error) {
-	ws := GetWorkspace(inst)
-	defer ws.Release()
-	level = make([]int32, inst.NTasks())
-	makespan, err = GreedyScheduleInto(ws, level, inst, prio)
-	if err != nil {
-		return nil, 0, err
-	}
-	return level, makespan, nil
-}
-
-// GreedyScheduleInto is GreedySchedule writing the preprocessing levels
-// into the caller-provided level slice (len = NTasks) and drawing all
-// transient state from ws. It allocates nothing on a warm workspace.
+// GreedyScheduleInto runs Graham's list scheduling on the union DAG H of
+// all directions on m unpinned machines: each step up to m ready tasks
+// run, smallest priority first. It writes every task's completion step —
+// the L' preprocessing levels of Algorithm 3 — into level (len = NTasks)
+// and returns the makespan T, allocating nothing on a warm workspace.
 func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Priorities) (makespan int, err error) {
 	nt := inst.NTasks()
 	if len(level) != nt {

@@ -76,7 +76,7 @@ func TestBuildPathsAgree(t *testing.T) {
 		rel, aggRel := releaseStream(nt, k, r), releaseStream(len(groups), k, r)
 		weights := randomWeights(n, r, 5)
 		model := &MachineModel{IntraDelay: 1, CrossDelay: 2}
-		full, err := ListSchedule(inst, assign, basePrio)
+		full, err := into(ListScheduleInto, inst, assign, basePrio, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

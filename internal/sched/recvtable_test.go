@@ -168,8 +168,8 @@ func TestRecvTableRoutesEveryEdgeOnce(t *testing.T) {
 		if m == 1 {
 			continue
 		}
-		s, err := sched.ListSchedule(inst, assign, nil)
-		if err != nil {
+		s := &sched.Schedule{}
+		if err := sched.ListScheduleInto(sched.NewWorkspace(), s, inst, assign, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// In a sweep's execution order, and in a residual epoch's: the
@@ -225,8 +225,8 @@ func sweepShapeInstance(tb testing.TB) *sched.Instance {
 func BenchmarkRecvTableBuild(b *testing.B) {
 	inst := sweepShapeInstance(b)
 	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(1))
-	s, err := sched.ListSchedule(inst, assign, nil)
-	if err != nil {
+	s := &sched.Schedule{}
+	if err := sched.ListScheduleInto(sched.NewWorkspace(), s, inst, assign, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	var steps sched.StepTable

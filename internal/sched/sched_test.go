@@ -25,6 +25,19 @@ func testInstance(t testing.TB, nx, k, m int, seed uint64) *Instance {
 	return inst
 }
 
+// into runs one unit-step kernel (ListScheduleInto, CommScheduleInto or
+// ListScheduleResidualInto, arg its last parameter) into a fresh schedule
+// on a pooled workspace.
+func into[A any](kernel func(*Workspace, *Schedule, *Instance, Assignment, Priorities, A) error, inst *Instance, assign Assignment, prio Priorities, arg A) (*Schedule, error) {
+	ws := GetWorkspace(inst)
+	defer ws.Release()
+	dst := &Schedule{}
+	if err := kernel(ws, dst, inst, assign, prio, arg); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func TestNewInstanceErrors(t *testing.T) {
 	msh := mesh.RegularHex(2, 2, 2)
 	dirs, _ := quadrature.Octant(4)
@@ -93,7 +106,7 @@ func TestAssignmentValidate(t *testing.T) {
 func TestListScheduleSingleProcessorSerial(t *testing.T) {
 	inst := testInstance(t, 2, 4, 1, 3)
 	assign := make(Assignment, inst.N())
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +121,7 @@ func TestListScheduleSingleProcessorSerial(t *testing.T) {
 func TestListScheduleValidAndNoIdleHoles(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 4)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(5))
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +147,13 @@ func TestListSchedulePriorityOrderWithinProcessor(t *testing.T) {
 	// multiple sources and one processor, and check priority order among
 	// simultaneously-ready tasks.
 	msh := mesh.RegularHex(4, 1, 1)
-	d := dag.Build(msh, geom.Vec3{Z: 1}) // all faces parallel: no edges
-	inst, err := FromDAGs([]*dag.DAG{d}, 1)
+	inst, err := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{Z: 1}}), 1) // all faces parallel: no edges
 	if err != nil {
 		t.Fatal(err)
 	}
 	prio := Priorities{3, 1, 2, 0}
 	assign := make(Assignment, 4)
-	s, err := ListSchedule(inst, assign, prio)
+	s, err := into(ListScheduleInto, inst, assign, prio, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +168,15 @@ func TestListSchedulePriorityOrderWithinProcessor(t *testing.T) {
 func TestListSchedulePriorityLengthError(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 6)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	if _, err := ListSchedule(inst, assign, Priorities{1, 2, 3}); err == nil {
+	if _, err := into(ListScheduleInto, inst, assign, Priorities{1, 2, 3}, nil); err == nil {
 		t.Fatal("bad priority length accepted")
 	}
 }
 
 func TestGreedyScheduleBounds(t *testing.T) {
 	inst := testInstance(t, 3, 8, 8, 7)
-	level, makespan, err := GreedySchedule(inst, nil)
+	level := make([]int32, inst.NTasks())
+	makespan, err := GreedyScheduleInto(NewWorkspace(), level, inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +220,7 @@ func TestGreedyScheduleBounds(t *testing.T) {
 func TestGreedyScheduleWidthOne(t *testing.T) {
 	// m=1 greedy schedule is a pure topological order: nk levels.
 	inst := testInstance(t, 2, 4, 1, 8)
-	_, makespan, err := GreedySchedule(inst, nil)
+	makespan, err := GreedyScheduleInto(NewWorkspace(), make([]int32, inst.NTasks()), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +276,7 @@ func TestLayeredScheduleRejectsBadLayer(t *testing.T) {
 
 func TestC1CountsInterprocEdges(t *testing.T) {
 	msh := mesh.RegularHex(4, 1, 1) // path of 4 cells
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := FromDAGs([]*dag.DAG{d}, 2)
+	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	// Edges 0->1->2->3. Split {0,1} vs {2,3}: one crossing edge.
 	if got := C1(inst, Assignment{0, 0, 1, 1}, 0); got != 1 {
 		t.Fatalf("C1 = %d, want 1", got)
@@ -279,10 +291,9 @@ func TestC1CountsInterprocEdges(t *testing.T) {
 
 func TestC2ChainAlternating(t *testing.T) {
 	msh := mesh.RegularHex(4, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := FromDAGs([]*dag.DAG{d}, 2)
+	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	assign := Assignment{0, 1, 0, 1}
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +303,7 @@ func TestC2ChainAlternating(t *testing.T) {
 		t.Fatalf("C2 = %d, want 3", got)
 	}
 	// All on one processor: no messages.
-	s2, _ := ListSchedule(inst, Assignment{0, 0, 0, 0}, nil)
+	s2, _ := into(ListScheduleInto, inst, Assignment{0, 0, 0, 0}, nil, nil)
 	if got := C2(s2, 0); got != 0 {
 		t.Fatalf("C2 = %d, want 0", got)
 	}
@@ -302,11 +313,10 @@ func TestC2MaxPerStepNotSum(t *testing.T) {
 	// Two independent chains on two processors, both sending at the same
 	// step: C2 counts the max (1), not the sum (2).
 	msh := mesh.RegularHex(2, 2, 1) // cells 0,1 (y=0) and 2,3 (y=1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := FromDAGs([]*dag.DAG{d}, 4)
+	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 4)
 	// 0->1 crossing 0 to 2; 2->3 crossing 1 to 3; both sends happen at step 0.
 	assign := Assignment{0, 2, 1, 3}
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestC2MaxPerStepNotSum(t *testing.T) {
 func TestMeasure(t *testing.T) {
 	inst := testInstance(t, 2, 4, 4, 13)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(3))
-	s, err := ListSchedule(inst, assign, nil)
+	s, err := into(ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +345,7 @@ func TestMeasure(t *testing.T) {
 
 func TestScheduleValidateCatchesViolations(t *testing.T) {
 	msh := mesh.RegularHex(3, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := FromDAGs([]*dag.DAG{d}, 2)
+	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	assign := Assignment{0, 0, 1}
 
 	// Valid schedule first.
@@ -377,7 +386,7 @@ func TestQuickListScheduleAlwaysValid(t *testing.T) {
 			return false
 		}
 		assign := RandomAssignment(inst.N(), m, rng.New(seed^0xabc))
-		s, err := ListSchedule(inst, assign, nil)
+		s, err := into(ListScheduleInto, inst, assign, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -393,7 +402,7 @@ func BenchmarkListSchedule(b *testing.B) {
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ListSchedule(inst, assign, nil); err != nil {
+		if _, err := into(ListScheduleInto, inst, assign, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

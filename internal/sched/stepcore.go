@@ -243,11 +243,11 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	return nil
 }
 
-// ListScheduleInto is the allocation-free form of priority list
-// scheduling with optional per-task release times (§3 "List Scheduling";
-// release times implement the §5.2 random-delay combinations). It writes
-// the schedule into dst and uses ws for every piece of transient state;
-// output is bitwise-identical to ListScheduleWithRelease's.
+// ListScheduleInto is priority list scheduling with a fixed assignment and
+// optional per-task release times (§3 "List Scheduling"; release times
+// implement the §5.2 random-delay combinations). It writes the schedule
+// into dst and uses ws for every piece of transient state; output is
+// bitwise-identical to refimpl.ListScheduleWithRelease's.
 //
 // dst must not alias a schedule still in use: its contents are
 // overwritten. A nil release means all zeros; a nil prio means all equal
@@ -256,17 +256,17 @@ func ListScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assig
 	return ws.schedule(dst, inst, assign, stepRule{series: listSeries, prio: prio, taskFloor: release})
 }
 
-// CommScheduleInto is the allocation-free form of list scheduling under
-// the uniform communication-delay model (§3): a cross-processor edge
-// delays its successor by commDelay extra steps. Output matches
-// ListScheduleComm bit for bit.
+// CommScheduleInto is list scheduling under the uniform
+// communication-delay model (§3): a cross-processor edge delays its
+// successor by commDelay extra steps; 0 reduces to ListScheduleInto.
+// Output matches refimpl.ListScheduleComm bit for bit.
 func CommScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, commDelay int) error {
 	return ws.schedule(dst, inst, assign, stepRule{series: commSeries, prio: prio, commDelay: commDelay})
 }
 
-// ListScheduleResidualInto is the allocation-free form of recovery
-// rescheduling (internal/faults): list scheduling restricted to the
-// tasks with !done[t], done tasks treated as finished before step 0.
+// ListScheduleResidualInto is recovery rescheduling (internal/faults):
+// list scheduling restricted to the tasks with !done[t], done tasks
+// treated as finished before step 0; a nil done is ListScheduleInto.
 // Done tasks keep Start = -1 and Makespan covers only residual steps
 // (the result is an execution plan, not a Validate-able full schedule).
 func ListScheduleResidualInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, done []bool) error {

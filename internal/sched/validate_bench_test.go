@@ -17,7 +17,7 @@ func BenchmarkValidate(b *testing.B) {
 	prio := levelPrio(inst, r)
 
 	b.Run("unit", func(b *testing.B) {
-		s, err := ListSchedule(inst, assign, prio)
+		s, err := into(ListScheduleInto, inst, assign, prio, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func BenchmarkValidate(b *testing.B) {
 	})
 	b.Run("comm", func(b *testing.B) {
 		const commDelay = 3
-		s, err := ListScheduleComm(inst, assign, prio, commDelay)
+		s, err := into(CommScheduleInto, inst, assign, prio, commDelay)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkValidate(b *testing.B) {
 		}
 	})
 	b.Run("weighted", func(b *testing.B) {
-		s, err := ListScheduleWeighted(inst, assign, prio, randomWeights(inst.N(), r, 9))
+		s, err := ListScheduleMachine(inst, assign, prio, randomWeights(inst.N(), r, 9), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // ceil(w(v)/speed(p)) time) and a two-level hierarchical communication
 // delay (intra-group vs cross-group, NUMA/rack-style). A nil model is the
 // uniform machine and reproduces the historical engine bit for bit; the
-// uniform machine with all-ones weights reproduces the unit ListSchedule
+// uniform machine with all-ones weights reproduces the unit ListScheduleInto
 // bit for bit (both reductions are fuzzer-enforced, see
 // FuzzWeightedEquivalence).
 
@@ -37,15 +37,6 @@ func (w CellWeights) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// UniformWeights returns all-ones weights (the paper's model).
-func UniformWeights(n int) CellWeights {
-	w := make(CellWeights, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
 
 // MachineModel describes the processors the weighted engine schedules
@@ -468,13 +459,6 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	span.End()
 	ws.col.Counter("sched.weighted.runs").Inc()
 	return nil
-}
-
-// ListScheduleWeighted runs the weighted engine on the uniform machine
-// (unit speeds, no communication cost) — the historical entry point. A
-// pooled wrapper over ListScheduleWeightedInto.
-func ListScheduleWeighted(inst *Instance, assign Assignment, prio Priorities, weights CellWeights) (*WeightedSchedule, error) {
-	return ListScheduleMachine(inst, assign, prio, weights, nil)
 }
 
 // ListScheduleMachine runs the weighted engine under a machine model:

@@ -69,7 +69,7 @@ func TestCellWeightsValidate(t *testing.T) {
 	if err := (CellWeights{1, 0}).Validate(2); err == nil {
 		t.Fatal("zero weight accepted")
 	}
-	if err := UniformWeights(4).Validate(4); err != nil {
+	if err := (CellWeights{1, 1, 1, 1}).Validate(4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,11 +106,12 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	r := rng.New(3)
 	assign := RandomAssignment(inst.N(), inst.M, r)
 	prio := levelPrio(inst, r)
-	unit, err := ListSchedule(inst, assign, prio)
+	unit, err := into(ListScheduleInto, inst, assign, prio, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := ListScheduleWeighted(inst, assign, prio, UniformWeights(inst.N()))
+	ones := randomWeights(inst.N(), rng.New(0), 1) // every weight 1
+	weighted, err := ListScheduleMachine(inst, assign, prio, ones, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 func TestWeightedChain(t *testing.T) {
 	inst := chainInstance(t, 3, 1)
 	weights := CellWeights{5, 1, 2}
-	s, err := ListScheduleWeighted(inst, Assignment{0, 0, 0}, nil, weights)
+	s, err := ListScheduleMachine(inst, Assignment{0, 0, 0}, nil, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestMachineUniformModelBitwise(t *testing.T) {
 	assign := RandomAssignment(inst.N(), inst.M, r)
 	prio := levelPrio(inst, r)
 	weights := randomWeights(inst.N(), r, 9)
-	plain, err := ListScheduleWeighted(inst, assign, prio, weights)
+	plain, err := ListScheduleMachine(inst, assign, prio, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestWeightedBoundsHold(t *testing.T) {
 	r := rng.New(5)
 	weights := randomWeights(inst.N(), r, 7)
 	assign := RandomAssignment(inst.N(), inst.M, r)
-	s, err := ListScheduleWeighted(inst, assign, nil, weights)
+	s, err := ListScheduleMachine(inst, assign, nil, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +305,17 @@ func TestWeightedValidateCatchesDelayViolation(t *testing.T) {
 
 func TestWeightedErrors(t *testing.T) {
 	inst := chainInstance(t, 3, 2)
-	if _, err := ListScheduleWeighted(inst, Assignment{0, 1, 0}, nil, CellWeights{1, 1}); err == nil {
+	if _, err := ListScheduleMachine(inst, Assignment{0, 1, 0}, nil, CellWeights{1, 1}, nil); err == nil {
 		t.Fatal("short weights accepted")
 	}
-	if _, err := ListScheduleWeighted(inst, Assignment{0, 9, 0}, nil, UniformWeights(3)); err == nil {
+	if _, err := ListScheduleMachine(inst, Assignment{0, 9, 0}, nil, CellWeights{1, 1, 1}, nil); err == nil {
 		t.Fatal("bad assignment accepted")
 	}
-	if _, err := ListScheduleWeighted(inst, Assignment{0, 1, 0}, Priorities{1}, UniformWeights(3)); err == nil {
+	if _, err := ListScheduleMachine(inst, Assignment{0, 1, 0}, Priorities{1}, CellWeights{1, 1, 1}, nil); err == nil {
 		t.Fatal("short priorities accepted")
 	}
 	bad := &MachineModel{Speeds: []int32{1}}
-	if _, err := ListScheduleMachine(inst, Assignment{0, 1, 0}, nil, UniformWeights(3), bad); err == nil {
+	if _, err := ListScheduleMachine(inst, Assignment{0, 1, 0}, nil, CellWeights{1, 1, 1}, bad); err == nil {
 		t.Fatal("short speeds accepted")
 	}
 }
@@ -409,7 +410,7 @@ func TestQuickWeightedAlwaysValid(t *testing.T) {
 		r := rng.New(seed ^ 0x33)
 		assign := RandomAssignment(inst.N(), m, r)
 		weights := randomWeights(inst.N(), r, int(wMax%9)+1)
-		s, err := ListScheduleWeighted(inst, assign, levelPrio(inst, r), weights)
+		s, err := ListScheduleMachine(inst, assign, levelPrio(inst, r), weights, nil)
 		if err != nil {
 			return false
 		}
@@ -453,7 +454,7 @@ func TestQuickMachineAlwaysValid(t *testing.T) {
 
 // FuzzWeightedEquivalence enforces the two bitwise reductions of the
 // machine-model engine: (a) with all-ones weights on the uniform machine
-// it reproduces the unit step-driven ListSchedule exactly, and (b) an
+// it reproduces the unit step-driven ListScheduleInto exactly, and (b) an
 // explicitly uniform model (all-ones speeds, single group, zero delays)
 // reproduces the nil-model weighted engine exactly on arbitrary weights.
 func FuzzWeightedEquivalence(f *testing.F) {
@@ -475,12 +476,12 @@ func FuzzWeightedEquivalence(f *testing.F) {
 		assign := RandomAssignment(inst.N(), m, r)
 		prio := levelPrio(inst, r)
 
-		// (a) all-ones weights + uniform machine == unit ListSchedule.
-		unit, err := ListSchedule(inst, assign, prio)
+		// (a) all-ones weights + uniform machine == unit ListScheduleInto.
+		unit, err := into(ListScheduleInto, inst, assign, prio, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ones, err := ListScheduleWeighted(inst, assign, prio, UniformWeights(inst.N()))
+		ones, err := ListScheduleMachine(inst, assign, prio, randomWeights(inst.N(), rng.New(0), 1), nil) // every weight 1
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +497,7 @@ func FuzzWeightedEquivalence(f *testing.F) {
 
 		// (b) explicit uniform model == nil model on arbitrary weights.
 		weights := randomWeights(inst.N(), r, int(wMax%9)+1)
-		plain, err := ListScheduleWeighted(inst, assign, prio, weights)
+		plain, err := ListScheduleMachine(inst, assign, prio, weights, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,20 +520,6 @@ func FuzzWeightedEquivalence(f *testing.F) {
 			}
 		}
 	})
-}
-
-func BenchmarkListScheduleWeighted(b *testing.B) {
-	inst := testInstance(b, 6, 24, 32, 1)
-	r := rng.New(1)
-	assign := RandomAssignment(inst.N(), inst.M, r)
-	weights := randomWeights(inst.N(), r, 10)
-	prio := levelPrio(inst, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ListScheduleWeighted(inst, assign, prio, weights); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkWeightedKernel measures the warm Into kernel (recycled

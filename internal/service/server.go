@@ -593,7 +593,7 @@ func (s *Server) familyFor(ctx context.Context, req *ScheduleRequest, meshKey, f
 			if derr != nil {
 				return nil, &RequestError{Msg: derr.Error()}
 			}
-			dags := dag.BuildAllSkeleton(skelEnt.skel, dirs, workers)
+			dags := dag.BuildAllInto(make([]*dag.DAG, len(dirs)), skelEnt.skel, dirs, workers)
 			s.col.Counter("service.build.dag_family").Inc()
 			prob, err = sweepsched.NewProblemFromPrebuiltDAGs(skelEnt.mesh, dirs, dags, req.Procs)
 			if err != nil {

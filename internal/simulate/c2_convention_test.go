@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -21,8 +22,8 @@ func starSchedule(t *testing.T, assign sched.Assignment) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.ListSchedule(inst, assign, nil)
-	if err != nil {
+	s := &sched.Schedule{}
+	if err := sched.ListScheduleInto(sched.NewWorkspace(), s, inst, assign, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -49,7 +50,7 @@ func TestC2EdgeConventionStar(t *testing.T) {
 		if got := verify.C2Ref(s); got != 3 {
 			t.Errorf("%s: C2Ref = %d, want 3", name, got)
 		}
-		res, err := Run(s)
+		res, err := RunCtx(context.Background(), s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,7 +71,7 @@ func TestC2ConventionAgreesEverywhere(t *testing.T) {
 		if got := verify.C2Ref(s); got != want {
 			t.Fatalf("seed %d: C2Ref %d, production C2 %d", seed, got, want)
 		}
-		res, err := Run(s)
+		res, err := RunCtx(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,9 @@
 // functions: it recounts total messages (= C1) and per-step maximum
 // send-degrees (summing to C2) from the messages that actually flow.
 //
-// Run rejects infeasible schedules with a descriptive error; RunCtx adds
-// cooperative cancellation (the driver observes ctx before every step),
-// and RunFaulty executes under an injected fault plan with checkpointed
-// recovery rescheduling (see internal/faults).
+// RunCtx rejects infeasible schedules with a descriptive error and
+// observes ctx before every step; RunFaulty executes under an injected
+// fault plan with checkpointed recovery rescheduling (see internal/faults).
 package simulate
 
 import (
@@ -33,19 +32,13 @@ type Result struct {
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
 }
 
-// Run executes the schedule. It returns an error if any task would run
-// before one of its inputs is available — i.e., if the schedule is
-// infeasible under message passing.
-func Run(s *sched.Schedule) (*Result, error) {
-	return RunCtx(context.Background(), s)
-}
-
 // noFlux is the simulator's cell balance: it tracks dependencies only.
 func noFlux(sched.TaskID, float64) float64 { return 0 }
 
-// RunCtx is Run with cooperative cancellation: it returns ctx.Err() within
-// one barrier step of cancellation. It is one fault-free sweep of the
-// modelled machine on the per-message interconnect.
+// RunCtx executes the schedule: one fault-free sweep of the modelled
+// machine on the per-message interconnect. It refuses a schedule under
+// which a task would run before one of its inputs is available, and
+// returns ctx.Err() within one barrier step of cancellation.
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
 	mc, err := machine.New(s, true, noFlux, make([]float64, s.Inst.NTasks()))
 	if err != nil {
@@ -62,7 +55,7 @@ func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
 // rescheduled onto survivors, dropped and delayed fluxes are reread from
 // the durable checkpoint after a recovery reschedule. The Result counts
 // what actually flowed (replays included), so with an empty plan it equals
-// Run's C1/C2 accounting exactly; the RecoveryReport is byte-for-byte
+// RunCtx's C1/C2 accounting exactly; the RecoveryReport is byte-for-byte
 // reproducible for a fixed plan.
 func RunFaulty(ctx context.Context, s *sched.Schedule, plan *faults.Plan) (*Result, *faults.RecoveryReport, error) {
 	eng, err := faults.NewEngine(s, plan)

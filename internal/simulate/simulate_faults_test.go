@@ -99,7 +99,7 @@ func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
 			s := testSchedule(t, 4, 4)
 			c.apply(t, s)
 			leakcheck.Check(t, func() {
-				if _, err := Run(s); err == nil {
+				if _, err := RunCtx(context.Background(), s); err == nil {
 					t.Error("Run accepted an infeasible schedule")
 				}
 			})
@@ -117,9 +117,11 @@ func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
 				name  string
 				solve func() (*transport.Result, error)
 			}{
-				{"Solve", func() (*transport.Result, error) { return transport.Solve(s, cfg) }},
-				{"SolveParallel", func() (*transport.Result, error) { return transport.SolveParallel(s, cfg) }},
-				{"SolveParallel NoBatch", func() (*transport.Result, error) { return transport.SolveParallel(s, unbatched) }},
+				{"Solve", func() (*transport.Result, error) { return transport.SolveCtx(context.Background(), s, cfg) }},
+				{"SolveParallel", func() (*transport.Result, error) { return transport.SolveParallelCtx(context.Background(), s, cfg) }},
+				{"SolveParallel NoBatch", func() (*transport.Result, error) {
+					return transport.SolveParallelCtx(context.Background(), s, unbatched)
+				}},
 				{"SolveFaultTolerant", func() (*transport.Result, error) {
 					res, _, err := transport.SolveFaultTolerant(context.Background(), s, cfg, nil)
 					return res, err
@@ -162,7 +164,7 @@ func TestRunCtxCancellation(t *testing.T) {
 // accounting agrees exactly with the plain simulator.
 func TestRunFaultyEmptyPlanMatchesRun(t *testing.T) {
 	s := testSchedule(t, 4, 6)
-	want, err := Run(s)
+	want, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 
 	"sweepsched/internal/heuristics"
@@ -31,7 +32,7 @@ func testSchedule(t testing.TB, m int, seed uint64) *sched.Schedule {
 
 func TestRunValidSchedule(t *testing.T) {
 	s := testSchedule(t, 4, 1)
-	res, err := Run(s)
+	res, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestRunValidSchedule(t *testing.T) {
 
 func TestRunCrossChecksC1AndC2(t *testing.T) {
 	s := testSchedule(t, 4, 2)
-	res, err := Run(s)
+	res, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRunCrossChecksC1AndC2(t *testing.T) {
 
 func TestRunSingleProcessorNoMessages(t *testing.T) {
 	s := testSchedule(t, 1, 3)
-	res, err := Run(s)
+	res, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ outer:
 	if !found {
 		t.Fatal("no edge found to corrupt")
 	}
-	if _, err := Run(s); err == nil {
+	if _, err := RunCtx(context.Background(), s); err == nil {
 		t.Fatal("simulator accepted an infeasible schedule")
 	}
 }
@@ -105,7 +106,7 @@ func TestRunAllHeuristics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := Run(s)
+		res, err := RunCtx(context.Background(), s)
 		if err != nil {
 			t.Fatalf("%s: simulation failed: %v", name, err)
 		}
@@ -128,7 +129,7 @@ func TestRunManyProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(s); err != nil {
+	if _, err := RunCtx(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,7 +139,7 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(s); err != nil {
+		if _, err := RunCtx(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}

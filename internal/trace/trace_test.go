@@ -100,8 +100,7 @@ func TestRenderGanttTruncatesProcs(t *testing.T) {
 func TestRenderGanttEmpty(t *testing.T) {
 	// Schedule with zero makespan (degenerate, constructed directly).
 	msh := mesh.RegularHex(2, 1, 1)
-	d := dag.Build(msh, geom.Vec3{X: 1})
-	inst, _ := sched.FromDAGs([]*dag.DAG{d}, 1)
+	inst, _ := sched.FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 1)
 	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0, 0}, Start: []int32{0, 1}}
 	var b strings.Builder
 	// Makespan left at 0 deliberately: must not panic.

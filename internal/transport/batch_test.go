@@ -16,22 +16,22 @@ import (
 // TestSolveParallelBatchedMatchesUnbatchedBitwise is the tentpole's
 // in-process differential pass: the batched (default) and NoBatch
 // interconnects must produce bitwise-identical fluxes — both equal to
-// serial Solve — and identical logical traffic (Messages, Rounds), while
+// serial SolveCtx — and identical logical traffic (Messages, Rounds), while
 // the batched path uses strictly fewer transmissions and bytes.
 func TestSolveParallelBatchedMatchesUnbatchedBitwise(t *testing.T) {
 	for _, m := range []int{2, 4, 8} {
 		s := testSchedule(t, 3, 8, m, 4)
-		serial, err := Solve(s, testCfg)
+		serial, err := SolveCtx(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := SolveParallel(s, testCfg)
+		batched, err := SolveParallelCtx(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		noBatchCfg := testCfg
 		noBatchCfg.NoBatch = true
-		plain, err := SolveParallel(s, noBatchCfg)
+		plain, err := SolveParallelCtx(context.Background(), s, noBatchCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSolveParallelCommCountersMatchResult(t *testing.T) {
 		cfg := testCfg
 		cfg.NoBatch = noBatch
 		cfg.Collector = obs.New()
-		res, err := SolveParallel(s, cfg)
+		res, err := SolveParallelCtx(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestSolveParallelCommCountersMatchResult(t *testing.T) {
 // batched.
 func TestFaultTolerantBatchedMatchesUnbatched(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 4)
-	want, err := Solve(s, testCfg)
+	want, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSolveParallelAllocationsIndependentOfTraffic(t *testing.T) {
 		cfg.MaxIters = iters
 		cfg.Tol = 1e-300 // run exactly MaxIters sweeps
 		return testing.AllocsPerRun(2, func() {
-			if _, err := SolveParallel(s, cfg); err != nil {
+			if _, err := SolveParallelCtx(context.Background(), s, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -191,7 +191,7 @@ func benchSolveParallelComm(b *testing.B, noBatch bool, name heuristics.Name) {
 	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
-		res, err := SolveParallel(s, cfg)
+		res, err := SolveParallelCtx(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

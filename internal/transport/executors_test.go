@@ -21,7 +21,7 @@ func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 	loose.Tol = 1e-5 // a third of the sweeps
 	for _, m := range []int{1, 3, 64} {
 		s := testSchedule(t, 3, 4, m, uint64(20+m))
-		want, err := Solve(s, loose)
+		want, err := SolveCtx(context.Background(), s, loose)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 		for _, noBatch := range []bool{false, true} {
 			cfg := loose
 			cfg.NoBatch = noBatch
-			par, err := SolveParallel(s, cfg)
+			par, err := SolveParallelCtx(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatalf("m=%d nobatch=%v: %v", m, noBatch, err)
 			}

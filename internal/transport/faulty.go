@@ -19,7 +19,7 @@ import (
 //
 // Because recovery replays tasks with identical inputs and the per-task
 // cell-balance arithmetic is unchanged, the converged flux is
-// bitwise-identical to the serial Solve whenever recovery succeeds —
+// bitwise-identical to the serial SolveCtx whenever recovery succeeds —
 // i.e. under any plan that leaves at least one processor alive. The
 // returned RecoveryReport is byte-for-byte reproducible for a fixed plan,
 // independent of GOMAXPROCS. On error (cancellation, unrecoverable loss of

@@ -28,10 +28,10 @@ func TestValidateWeightsAndSourceFieldLengths(t *testing.T) {
 		for i := range tc.cfg.Weights {
 			tc.cfg.Weights[i] = 1
 		}
-		if _, err := Solve(s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := SolveCtx(context.Background(), s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Solve err = %v, want mention of %q", tc.name, err, tc.want)
 		}
-		if _, err := SolveParallel(s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := SolveParallelCtx(context.Background(), s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: SolveParallel err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
@@ -40,7 +40,7 @@ func TestValidateWeightsAndSourceFieldLengths(t *testing.T) {
 	for i := range okCfg.SourceField {
 		okCfg.SourceField[i] = 1
 	}
-	if _, err := Solve(s, okCfg); err != nil {
+	if _, err := SolveCtx(context.Background(), s, okCfg); err != nil {
 		t.Fatalf("valid lengths rejected: %v", err)
 	}
 }
@@ -51,7 +51,7 @@ func TestValidateWeightsAndSourceFieldLengths(t *testing.T) {
 // and the recovery report is byte-for-byte reproducible across runs.
 func TestFaultTolerantCrashOnlyBitwiseIdentical(t *testing.T) {
 	s := testSchedule(t, 3, 8, 6, 3)
-	want, err := Solve(s, testCfg)
+	want, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFaultTolerantCrashOnlyBitwiseIdentical(t *testing.T) {
 
 func TestFaultTolerantMixedFaultsBitwiseIdentical(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 4)
-	want, err := Solve(s, testCfg)
+	want, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

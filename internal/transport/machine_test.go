@@ -7,7 +7,7 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// parallelSolve is the handle the executor tests keep on SolveParallel's
+// parallelSolve is the handle the executor tests keep on SolveParallelCtx's
 // machine: they swap its compute and run single sweeps.
 type parallelSolve struct {
 	mc      *machine.Machine

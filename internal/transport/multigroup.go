@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 
 	"sweepsched/internal/sched"
@@ -101,7 +102,7 @@ func SolveMultigroup(s *sched.Schedule, cfg MultigroupConfig) (*MultigroupResult
 			Weights:     cfg.Weights,
 			SourceField: append([]float64(nil), sourceField...),
 		}
-		gr, err := Solve(s, groupCfg)
+		gr, err := SolveCtx(context.Background(), s, groupCfg)
 		if err != nil {
 			return nil, fmt.Errorf("group %d: %w", g, err)
 		}

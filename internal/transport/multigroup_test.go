@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestMultigroupOnMesh(t *testing.T) {
 	}
 	// Downscatter feeds group 1, so its flux must exceed the flux of a
 	// standalone group-1 solve without the coupling.
-	solo, err := Solve(s, Config{
+	solo, err := SolveCtx(context.Background(), s, Config{
 		SigmaT: 0.8, SigmaS: 0.5, Source: 0.2, Tol: 1e-11,
 	})
 	if err != nil {
@@ -110,13 +111,13 @@ func TestSourceFieldOverridesUniform(t *testing.T) {
 	cfg := testCfg
 	cfg.Source = 123456 // must be ignored when SourceField is set
 	cfg.SourceField = field
-	withField, err := Solve(s, cfg)
+	withField, err := SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uniform := testCfg
 	uniform.Source = 2.0
-	want, err := Solve(s, uniform)
+	want, err := SolveCtx(context.Background(), s, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSourceFieldOverridesUniform(t *testing.T) {
 	}
 	// Negative sources rejected.
 	cfg.SourceField[0] = -1
-	if _, err := Solve(s, cfg); err == nil {
+	if _, err := SolveCtx(context.Background(), s, cfg); err == nil {
 		t.Fatal("negative source accepted")
 	}
 }
@@ -141,11 +142,11 @@ func TestSourceFieldParallelMatches(t *testing.T) {
 	}
 	cfg := testCfg
 	cfg.SourceField = field
-	serial, err := Solve(s, cfg)
+	serial, err := SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SolveParallel(s, cfg)
+	par, err := SolveParallelCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

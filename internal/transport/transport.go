@@ -15,8 +15,8 @@
 // fluxes. All run one source iteration (SolveOn): the same prelude, the same
 // audit, the same sweep/UpdatePhi loop; they differ only in what sweeps.
 //
-//   - Solve: serial, walking tasks in schedule start order.
-//   - SolveParallel: the modelled machine (internal/machine) — the m
+//   - SolveCtx: serial, walking tasks in schedule start order.
+//   - SolveParallelCtx: the modelled machine (internal/machine) — the m
 //     processors of the schedule's assignment on the shared step driver
 //     (sched.RunSteps), exchanging cross-processor angular fluxes only
 //     through the interconnect, in barrier-synchronous steps — a faithful
@@ -58,10 +58,11 @@ type Config struct {
 	// Verify audits the schedule with internal/verify before the solve
 	// starts and, on the fault-tolerant path, audits every recovery
 	// reschedule and the final accounting. The SWEEPSCHED_VERIFY
-	// environment variable forces it on.
+	// environment variable forces it on; the Config an executor's Sweeper
+	// receives has it resolved.
 	Verify bool
 	// NoBatch disables the batched flux interconnect on every
-	// communicating executor (SolveParallel, SolveFaultTolerant, and the
+	// communicating executor (SolveParallelCtx, SolveFaultTolerant, and the
 	// multi-process runner), sending one transmission per logical
 	// cross-processor message instead of deadline-driven per-destination
 	// envelopes (internal/comm). The unbatched path is the differential
@@ -80,6 +81,7 @@ type Config struct {
 func (c Config) verifyOn() bool { return c.Verify || verify.ForcedByEnv() }
 
 func (c Config) withDefaults() (Config, error) {
+	c.Verify = c.verifyOn()
 	if c.Tol <= 0 {
 		c.Tol = 1e-10
 	}
@@ -131,14 +133,14 @@ type Result struct {
 	Iterations int
 	Residual   float64 // final max |Δφ|
 	Converged  bool
-	// Comm reports observed communication. Zero for the serial Solve
+	// Comm reports observed communication. Zero for the serial SolveCtx
 	// (it performs none) and for executors that predate the counters.
 	Comm CommStats
 }
 
 // CellBalance returns the per-task cell-balance closure every executor
 // shares — the serial walk, and the modelled machine's Compute under
-// SolveParallel, the fault engine and the worker processes of
+// SolveParallelCtx, the fault engine and the worker processes of
 // internal/procrun:
 //
 //	psi = (q + inflow) / (1 + SigmaT),  q = source(v) + SigmaS·φ[v]
@@ -268,17 +270,12 @@ func SolveOn(ctx context.Context, s *sched.Schedule, cfg Config, on Sweeper) (*R
 	return res, nil
 }
 
-// Solve runs source iteration serially, sweeping in the schedule's
+// SolveCtx runs source iteration serially, sweeping in the schedule's
 // execution order — by start step, the order the step table groups tasks
 // in — which any validated schedule makes precedence-compatible. A
 // schedule that does not cover its tasks (one unscheduled, or starting at
-// or after the makespan) is refused with the step table's error.
-func Solve(s *sched.Schedule, cfg Config) (*Result, error) {
-	return SolveCtx(context.Background(), s, cfg)
-}
-
-// SolveCtx is Solve with cooperative cancellation, checked once per source
-// iteration (one full sweep of every direction).
+// or after the makespan) is refused with the step table's error. ctx is
+// checked once per source iteration (one full sweep of every direction).
 func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveOn(ctx, s, cfg, serialSweeper)
 }
@@ -297,22 +294,15 @@ func serialSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(cont
 	}, nil, nil
 }
 
-// SolveParallel runs the same source iteration on the machine the
+// SolveParallelCtx runs the same source iteration on the machine the
 // schedule was made for: m modelled processors following the schedule
-// step by step on the shared step driver (sched.RunSteps). A
-// cross-processor angular flux reaches its consumer only through the
-// interconnect, delivered at the barrier between steps (a flux sent
-// during step t is visible from step t+1, so every upwind flux is present
-// when needed — the schedule guarantees the ordering, and a schedule that
-// does not is refused with the machine's error). The result is
-// bitwise-identical to Solve.
-func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
-	return SolveParallelCtx(context.Background(), s, cfg)
-}
-
-// SolveParallelCtx is SolveParallel with cooperative cancellation: the
-// driver observes ctx before every step, so cancellation returns
-// ctx.Err() within one barrier step.
+// step by step on the shared step driver (sched.RunSteps), which observes
+// ctx before every step, so cancellation returns ctx.Err() within one
+// barrier step. A cross-processor angular flux reaches its consumer only
+// through the interconnect, delivered at the barrier between steps (a flux
+// sent during step t is visible from step t+1, so every upwind flux is
+// present when needed — the schedule guarantees the ordering, and a
+// schedule that does not is refused with the machine's error).
 //
 // By default cross-processor fluxes ride deadline-driven per-destination
 // envelopes (internal/comm): a sender's flux joins the destination's open
@@ -321,7 +311,7 @@ func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 // messages. Config.NoBatch selects the per-message interconnect instead —
 // one transmission per logical message, at the barrier closing the step
 // it was sent in — the differential oracle the batched path is tested
-// against. Both are bitwise-identical to Solve; only Comm.Batches and
+// against. Both are bitwise-identical to SolveCtx; only Comm.Batches and
 // Comm.Bytes differ.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveOn(ctx, s, cfg, machineSweeper)

@@ -44,7 +44,7 @@ func TestConfigValidation(t *testing.T) {
 		{SigmaT: 1, SigmaS: -0.1, Source: 1},
 		{SigmaT: 1, SigmaS: 1.0, Source: 1}, // SigmaS == SigmaT diverges
 	} {
-		if _, err := Solve(s, cfg); err == nil {
+		if _, err := SolveCtx(context.Background(), s, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
 	}
@@ -52,7 +52,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSolveConverges(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 2)
-	res, err := Solve(s, testCfg)
+	res, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIsolatedCellFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0}, Start: []int32{0, 1}, Makespan: 2}
-	res, err := Solve(s, testCfg)
+	res, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestScatteringIncreasesFlux(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 3)
 	noScatter := testCfg
 	noScatter.SigmaS = 0
-	a, err := Solve(s, noScatter)
+	a, err := SolveCtx(context.Background(), s, noScatter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(s, testCfg)
+	b, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestScatteringIncreasesFlux(t *testing.T) {
 func TestSolveParallelMatchesSerialBitwise(t *testing.T) {
 	for _, m := range []int{1, 2, 4, 8} {
 		s := testSchedule(t, 3, 8, m, 4)
-		serial, err := Solve(s, testCfg)
+		serial, err := SolveCtx(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := SolveParallel(s, testCfg)
+		par, err := SolveParallelCtx(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestSolveParallelAcrossSchedulersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Solve(s1, testCfg)
+	r1, err := SolveCtx(context.Background(), s1, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Solve(s2, testCfg)
+	r2, err := SolveCtx(context.Background(), s2, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSolveRejectsCorruptSchedule(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Solve(s, testCfg); err == nil {
+	if _, err := SolveCtx(context.Background(), s, testCfg); err == nil {
 		t.Fatal("corrupt schedule accepted")
 	}
 }
@@ -210,7 +210,7 @@ func TestWeightedQuadratureFlux(t *testing.T) {
 	}
 	cfg := testCfg
 	cfg.Weights = weights
-	weighted, err := Solve(s, cfg)
+	weighted, err := SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestWeightedQuadratureFlux(t *testing.T) {
 		t.Fatal("weighted solve did not converge")
 	}
 	// Serial and parallel must still agree bitwise with weights.
-	par, err := SolveParallel(s, cfg)
+	par, err := SolveParallelCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestWeightedQuadratureFlux(t *testing.T) {
 		}
 	}
 	// S2 weights are uniform (one level), so equal-weight solve matches.
-	equal, err := Solve(s, testCfg)
+	equal, err := SolveCtx(context.Background(), s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBadWeightsRejected(t *testing.T) {
 	s := testSchedule(t, 2, 4, 2, 9)
 	cfg := testCfg
 	cfg.Weights = []float64{0.5, -0.1, 0.3, 0.3}
-	if _, err := Solve(s, cfg); err == nil {
+	if _, err := SolveCtx(context.Background(), s, cfg); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 }
@@ -253,7 +253,7 @@ func TestMaxItersCap(t *testing.T) {
 	cfg := testCfg
 	cfg.MaxIters = 2
 	cfg.Tol = 1e-300
-	res, err := Solve(s, cfg)
+	res, err := SolveCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +282,8 @@ func TestSolveRejectsStaleMakespanAndUnscheduled(t *testing.T) {
 			name  string
 			solve func() error
 		}{
-			{"Solve", func() error { _, err := Solve(&s, testCfg); return err }},
-			{"SolveParallel", func() error { _, err := SolveParallel(&s, testCfg); return err }},
+			{"Solve", func() error { _, err := SolveCtx(context.Background(), &s, testCfg); return err }},
+			{"SolveParallel", func() error { _, err := SolveParallelCtx(context.Background(), &s, testCfg); return err }},
 			{"SolveFaultTolerant", func() error {
 				_, _, err := SolveFaultTolerant(context.Background(), &s, testCfg, nil)
 				return err
@@ -305,7 +305,7 @@ func BenchmarkSolveSerial(b *testing.B) {
 	s := testSchedule(b, 4, 8, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(s, testCfg); err != nil {
+		if _, err := SolveCtx(context.Background(), s, testCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -385,7 +385,7 @@ func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sc
 
 func BenchmarkSolveParallel(b *testing.B) {
 	benchExecutor(b, func(s *sched.Schedule, cfg Config) (executorRun, error) {
-		res, err := SolveParallel(s, cfg)
+		res, err := SolveParallelCtx(context.Background(), s, cfg)
 		if err != nil {
 			return executorRun{}, err
 		}

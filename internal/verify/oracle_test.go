@@ -50,7 +50,7 @@ func TestDifferentialOracle(t *testing.T) {
 				t.Errorf("inst %d round %d: %v", ii, round, err)
 			}
 			// Residual from a random cut of a full schedule.
-			full, err := sched.ListSchedule(inst, assign, prio)
+			full, err := into(sched.ListScheduleInto, inst, assign, prio, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,12 +54,25 @@ func syntheticInstance(t testing.TB, n, k, m int, seed uint64) *sched.Instance {
 	return inst
 }
 
+// into runs one unit-step kernel (sched.ListScheduleInto, CommScheduleInto
+// or ListScheduleResidualInto, arg its last parameter) into a fresh
+// schedule on a pooled workspace.
+func into[A any](kernel func(*sched.Workspace, *sched.Schedule, *sched.Instance, sched.Assignment, sched.Priorities, A) error, inst *sched.Instance, assign sched.Assignment, prio sched.Priorities, arg A) (*sched.Schedule, error) {
+	ws := sched.GetWorkspace(inst)
+	defer ws.Release()
+	dst := &sched.Schedule{}
+	if err := kernel(ws, dst, inst, assign, prio, arg); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // validSchedule builds a feasible list schedule for corruption tests.
 func validSchedule(t *testing.T, inst *sched.Instance, seed uint64) *sched.Schedule {
 	t.Helper()
 	r := rng.New(seed)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	s, err := sched.ListSchedule(inst, assign, nil)
+	s, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +245,14 @@ func TestScheduleCommDelayFeasibility(t *testing.T) {
 	r := rng.New(5)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	const cd = 3
-	s, err := sched.ListScheduleComm(inst, assign, nil, cd)
+	s, err := into(sched.CommScheduleInto, inst, assign, nil, cd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.Schedule(inst, s, verify.Opts{CommDelay: cd}); err != nil {
 		t.Fatalf("comm schedule rejected under its own delay: %v", err)
 	}
-	plain, err := sched.ListSchedule(inst, assign, nil)
+	plain, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +273,7 @@ func TestMetricRefsMatchProduction(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		inst := syntheticInstance(t, 30+round*17, 2+round%3, 2+round, uint64(100+round))
 		assign := sched.RandomAssignment(inst.N(), inst.M, r)
-		s, err := sched.ListSchedule(inst, assign, nil)
+		s, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +294,7 @@ func TestResidualAudit(t *testing.T) {
 	inst := syntheticInstance(t, 40, 3, 4, 41)
 	r := rng.New(6)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	full, err := sched.ListSchedule(inst, assign, nil)
+	full, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +305,7 @@ func TestResidualAudit(t *testing.T) {
 			done[tt] = true
 		}
 	}
-	resid, err := sched.ListScheduleResidual(inst, assign, nil, done)
+	resid, err := into(sched.ListScheduleResidualInto, inst, assign, nil, done)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,6 @@ var reachabilityAllow = map[string][2]string{
 	"opt.TrueRatio":                   {reserved, "the paper's theorems as tests: makespan over the enumerated optimum on tiny instances"},
 	"kba.IdealMakespan":               {reserved, "optimal references at scale: the closed-form KBA stage count to print beside the measured makespan"},
 	"kba.SchedulePipelined":           {reserved, "optimal references at scale, the DOG ordering: the only depth-of-graph angleset ordering in the tree"},
-	"dag.Build":                       {input, "one-direction DAGs for the sched, heuristics and trace tests"},
-	"sched.ListScheduleComm":          {input, "allocating comm-delay plan the angleset, verify and validate-bench tests start from"},
-	"sched.ListScheduleResidual":      {input, "allocating residual plan the epoch, kernel-oracle and verify tests start from"},
-	"sched.ListScheduleWeighted":      {input, "allocating weighted plan the Validate benchmarks and weighted tests start from"},
-	"sched.UniformWeights":            {input, "the all-ones weights under which the weighted tests must reproduce the unit kernel"},
 	"quadrature.AnglesetsByOctant":    {input, "octant groups for the heuristics, kba and sched angleset tests and benchmarks"},
 	"quadrature.RandomSphere":         {input, "unrelated directions, §2's non-geometric stress input"},
 	"quadrature.Axes2D":               {input, "planar directions for the sign-grouping tests"},
@@ -102,6 +97,11 @@ type source struct {
 	decls   []*decl
 	imports map[string][]string // file -> import paths
 	fields  map[string]bool     // every struct field name
+	// members maps a type's name to what a selector on its values may name
+	// besides its methods: struct fields, interface methods, and "^T" for a
+	// type T it embeds, aliases or is defined as. Types of one name in
+	// several packages share an entry (the doc gate's Type.Member lookup).
+	members map[string]map[string]bool
 }
 
 const modulePath = "sweepsched"
@@ -111,7 +111,7 @@ const modulePath = "sweepsched"
 func loadSource(t *testing.T) *source {
 	t.Helper()
 	const root = "."
-	s := &source{imports: map[string][]string{}, fields: map[string]bool{}}
+	s := &source{imports: map[string][]string{}, fields: map[string]bool{}, members: map[string]map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -119,9 +119,7 @@ func loadSource(t *testing.T) *source {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			// Hidden directories hold build products (.bench_build, .git),
-			// bench/out the benchmark's results.
-			if p != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+			if skipDir(p, name) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -142,8 +140,18 @@ func loadSource(t *testing.T) *source {
 	return s
 }
 
-func recvTypeName(fd *ast.FuncDecl) string {
-	e := fd.Recv.List[0].Type
+// skipDir reports whether a walk from the repository root leaves out the
+// directory: hidden ones hold build products (.bench_build, .git), bench/out
+// the benchmark's results.
+func skipDir(p, name string) bool {
+	return p != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out")
+}
+
+func recvTypeName(fd *ast.FuncDecl) string { return baseTypeName(fd.Recv.List[0].Type) }
+
+// baseTypeName names the type e denotes, without pointer, package or type
+// arguments: "" for a type literal.
+func baseTypeName(e ast.Expr) string {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -152,6 +160,8 @@ func recvTypeName(fd *ast.FuncDecl) string {
 			e = x.X
 		case *ast.IndexListExpr:
 			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
 		case *ast.Ident:
 			return x.Name
 		default:
@@ -250,6 +260,7 @@ func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 				switch sp := sp.(type) {
 				case *ast.TypeSpec:
 					walk(add(sp.Name, ""), sp.Type)
+					s.addMembers(sp.Name.Name, sp.Type)
 				case *ast.ValueSpec:
 					// Every name of one spec shares its type and values.
 					for _, id := range sp.Names {
@@ -263,6 +274,38 @@ func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// addMember records that a selector on the named type may name member.
+func (s *source) addMember(typ, member string) {
+	if s.members[typ] == nil {
+		s.members[typ] = map[string]bool{}
+	}
+	s.members[typ][member] = true
+}
+
+// addMembers records a type declaration's fields, interface methods and the
+// types it embeds or stands for.
+func (s *source) addMembers(name string, typ ast.Expr) {
+	var fields *ast.FieldList
+	switch x := typ.(type) {
+	case *ast.StructType:
+		fields = x.Fields
+	case *ast.InterfaceType:
+		fields = x.Methods
+	default:
+		s.addMember(name, "^"+baseTypeName(typ))
+		return
+	}
+	s.addMember(name, "^") // declared, if with no members
+	for _, f := range fields.List {
+		for _, id := range f.Names {
+			s.addMember(name, id.Name)
+		}
+		if len(f.Names) == 0 {
+			s.addMember(name, "^"+baseTypeName(f.Type))
 		}
 	}
 }
