@@ -32,19 +32,9 @@ resilience:
 procfault:
 	$(GO) test -race -count=1 -timeout 300s ./internal/procrun
 
+# Every fuzz target for 10s (FUZZTIME overrides); the list is fuzz.sh's.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzFromEdges$$' -fuzztime 10s ./internal/dag
-	$(GO) test -run '^$$' -fuzz '^FuzzBuildEquivalence$$' -fuzztime 10s ./internal/dag
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/mesh
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults
-	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzTransportRequest$$' -fuzztime 10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzAnglesetExpand$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzWeightedEquivalence$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzWeightedMachineDifferential$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzStepCoreEquivalence$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzFluxBatchCodec$$' -fuzztime 10s ./internal/procrun
+	./fuzz.sh
 
 ci:
 	./ci.sh

@@ -703,7 +703,7 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 }
 
 // Simulate executes a result's schedule on the message-passing machine
-// simulator — the same barrier-step driver as SolveTransportParallel,
+// simulator — the same barrier-step machine as SolveTransportParallel,
 // with one delivery per message and no arithmetic: a task runs only if
 // every upwind flux was completed locally or delivered — and returns its
 // independent accounting (steps, total messages = C1, communication

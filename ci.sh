@@ -107,17 +107,6 @@ go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 \
 go run -race ./cmd/sweepbench -exp comm -scale 0.02 -procs 2,8
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
-go test -run '^$' -fuzz '^FuzzFromEdges$' -fuzztime "$FUZZTIME" ./internal/dag
-go test -run '^$' -fuzz '^FuzzBuildEquivalence$' -fuzztime "$FUZZTIME" ./internal/dag
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/mesh
-go test -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime "$FUZZTIME" ./internal/sched
-go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime "$FUZZTIME" ./internal/faults
-go test -run '^$' -fuzz '^FuzzScheduleRequest$' -fuzztime "$FUZZTIME" ./internal/service
-go test -run '^$' -fuzz '^FuzzTransportRequest$' -fuzztime "$FUZZTIME" ./internal/service
-go test -run '^$' -fuzz '^FuzzAnglesetExpand$' -fuzztime "$FUZZTIME" ./internal/sched
-go test -run '^$' -fuzz '^FuzzWeightedEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
-go test -run '^$' -fuzz '^FuzzWeightedMachineDifferential$' -fuzztime "$FUZZTIME" ./internal/sched
-go test -run '^$' -fuzz '^FuzzStepCoreEquivalence$' -fuzztime "$FUZZTIME" ./internal/sched
-go test -run '^$' -fuzz '^FuzzFluxBatchCodec$' -fuzztime "$FUZZTIME" ./internal/procrun
+FUZZTIME="$FUZZTIME" ./fuzz.sh
 
 echo "ci: all green"

@@ -72,7 +72,7 @@ func (p *Problem) SolveTransportCtx(ctx context.Context, res *Result, cfg Transp
 }
 
 // SolveTransportParallelCtx is SolveTransportParallel with cooperative
-// cancellation: the step driver observes ctx before every step and
+// cancellation: the modelled machine observes ctx before every step and
 // returns ctx.Err().
 func (p *Problem) SolveTransportParallelCtx(ctx context.Context, res *Result, cfg TransportConfig) (*TransportResult, error) {
 	return transport.SolveParallelCtx(ctx, res.Schedule, cfg)
@@ -80,7 +80,7 @@ func (p *Problem) SolveTransportParallelCtx(ctx context.Context, res *Result, cf
 
 // SolveTransportFaultTolerant runs the transport source iteration on the
 // fault-injected recovery executor: the live modelled processors on the
-// same step driver as SolveTransportParallel, with planned crashes, the
+// same modelled machine as SolveTransportParallel, with planned crashes, the
 // injector's drops, delays and duplicates, checkpoints and stall
 // detection all decided in the barrier hook. Under any plan that leaves
 // at least one processor alive, the converged flux is bitwise-identical

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"context"
 	"testing"
 
 	"sweepsched/internal/obs"
@@ -90,10 +89,10 @@ func TestOutboxWarmCycleZeroAllocs(t *testing.T) {
 	}
 }
 
-// batchedRing is the smallest executor on the step driver with the
-// batched interconnect: every processor sends one flux to its right-hand
-// neighbour each step, due two steps on; CloseStep counts the step's sends
-// into the outbox, OpenStep flushes the due envelopes.
+// batchedRing is the smallest executor with the batched interconnect:
+// every processor sends one flux to its right-hand neighbour each step,
+// due two steps on; the barrier closing a step counts the step's sends
+// into the outbox, the one opening a step flushes the due envelopes.
 type batchedRing struct {
 	m       int32
 	sent    []sched.Send
@@ -102,37 +101,29 @@ type batchedRing struct {
 	batches int64
 }
 
-func (r *batchedRing) OpenStep(st int32) error {
-	_, batches, bytes := r.out.FlushDue(st)
-	r.batches += batches
-	r.ctr.Transmitted(batches, bytes)
-	return nil
-}
-
-func (r *batchedRing) RunProc(p, st int32) {
-	r.sent = append(r.sent, sched.Send{Task: sched.TaskID(p), To: (p + 1) % r.m, Due: st + 2, Psi: 1})
-}
-
-func (r *batchedRing) CloseStep(st int32) error {
-	for _, x := range r.sent {
-		r.out.Add(x.To, x.Due)
+func (r *batchedRing) run(steps int32) {
+	for st := range steps {
+		_, batches, bytes := r.out.FlushDue(st)
+		r.batches += batches
+		r.ctr.Transmitted(batches, bytes)
+		for p := range r.m {
+			r.sent = append(r.sent, sched.Send{Task: sched.TaskID(p), To: (p + 1) % r.m, Due: st + 2, Psi: 1})
+		}
+		for _, x := range r.sent {
+			r.out.Add(x.To, x.Due)
+		}
+		r.sent = r.sent[:0]
 	}
-	r.sent = r.sent[:0]
-	return nil
 }
 
 // TestStepDriverWarmStepZeroAllocs extends the warm-cycle contract to the
-// whole step: driver, send list and outbox together allocate nothing once
-// warm.
+// whole step: the step loop, send list and outbox together allocate
+// nothing once warm.
 func TestStepDriverWarmStepZeroAllocs(t *testing.T) {
 	const m = 8
 	r := &batchedRing{m: m, out: NewOutbox(m), ctr: NewCounters(obs.New())}
-	procs := sched.AllProcs(m)
-	ctx := context.Background()
 	run := func() {
-		if err := sched.RunSteps(ctx, procs, 16, r); err != nil {
-			t.Fatal(err)
-		}
+		r.run(16)
 		r.out.DiscardAll()
 	}
 	run() // warm the send list

@@ -191,7 +191,7 @@ func machineEnvelopeOps(t *testing.T, s *sched.Schedule, plan *faults.Plan) ([]e
 	var steps sched.StepTable
 	mc := &machine.Machine{
 		Steps: &steps, Procs: sched.AllProcs(inst.M),
-		Compute: func(sched.TaskID, float64) float64 { return 1 },
+		Balance: machine.Balance{Q: make([]float64, inst.N()), Denom: 1},
 		Psi:     make([]float64, inst.NTasks()), Done: make([]bool, inst.NTasks()),
 	}
 	inj := faults.NewInjector(plan)
@@ -211,13 +211,9 @@ func machineEnvelopeOps(t *testing.T, s *sched.Schedule, plan *faults.Plan) ([]e
 				mc.Hand(dl, ls)
 			}
 			ops = append(ops, envOp{kind: 'f', now: ls})
-			if err := mc.OpenStep(ls); err != nil {
-				t.Fatal(err)
-			}
+			mc.OpenStep(ls)
 			mc.Intercept = true
-			for _, p := range mc.Procs {
-				mc.RunProc(p, ls)
-			}
+			mc.Step(ls)
 			mc.Sent = inj.Rewrite(mc.Sent, g)
 			for _, x := range mc.Sent {
 				ops = append(ops, envOp{kind: 'a', to: x.To, due: x.Due})

@@ -12,12 +12,6 @@ import (
 	"sweepsched/internal/verify"
 )
 
-// Compute produces the angular flux of one task from its averaged upwind
-// inflow (machine.Compute): the transport solver supplies the cell-balance
-// closure; the machine simulator supplies a constant (it only tracks
-// dependencies).
-type Compute = machine.Compute
-
 // RecoveryReport accounts for one fault-injected execution. With a fixed
 // plan it is identical byte-for-byte (via String) across runs and
 // GOMAXPROCS settings: every field is accumulated in barrier order or
@@ -64,12 +58,13 @@ type Ranks interface {
 	// over the assignment, the machine's Done and Psi being what is durable.
 	Epoch(n int, cur *sched.Schedule, assign sched.Assignment) error
 	// RunStep runs local step ls (global step g) on every processor in the
-	// machine's Procs, between its two barriers, and leaves what RunProc
-	// would: each one's account in Acks, its completions in Psi, Done and
-	// Sent. ckpt: what completed before this step is to be durable first.
-	// It returns, ascending, the processors lost on the way with no plan
-	// saying so; the engine crashes them at the barrier closing the step,
-	// unless another's account carries an error, which ends the sweep.
+	// machine's Procs, between its two barriers, and leaves what the
+	// machine's Step would: each one's account in Acks, its completions in
+	// Psi, Done and Sent. ckpt: what completed before this step is to be
+	// durable first. It returns, ascending, the processors lost on the way
+	// with no plan saying so; the engine crashes them at the barrier
+	// closing the step, unless another's account carries an error, which
+	// ends the sweep.
 	RunStep(ls, g int32, ckpt bool) (lost []int32, err error)
 	// Kill ends the given processors, takes back in done those of their
 	// completions this sweep that died with them, and returns how many.
@@ -89,8 +84,8 @@ func (r *modelled) RunStep(ls, _ int32, ckpt bool) ([]int32, error) {
 		r.checkpoint()
 	}
 	mc := r.mc
+	mc.Step(ls)
 	for _, p := range mc.Procs {
-		mc.RunProc(p, ls)
 		ran := mc.Steps.Tasks(p, ls)[:mc.Acks[p].Completed]
 		r.sinceCkpt[p] = append(r.sinceCkpt[p], ran...)
 	}
@@ -289,9 +284,9 @@ func (e *Engine) Report() *RecoveryReport {
 // from injected faults as needed. It returns ctx.Err() promptly on
 // cancellation, an *UnrecoverableError once every processor has crashed
 // with work outstanding, or a descriptive error for infeasible schedules.
-// compute is the modelled processors' cell balance; ranks that run
-// elsewhere have their own and take nil.
-func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) error {
+// bal is the modelled processors' cell balance for this sweep; ranks that
+// run elsewhere have their own and take the zero Balance.
+func (e *Engine) Sweep(ctx context.Context, bal machine.Balance, psi []float64) error {
 	nt := e.inst.NTasks()
 	if len(psi) != nt {
 		return fmt.Errorf("faults: psi has %d entries for %d tasks", len(psi), nt)
@@ -337,7 +332,7 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 			}
 			cur, steps, e.routed = resid, &e.residSteps, nil
 		}
-		if err := e.runEpoch(ctx, cur, steps, compute, psi); err != nil {
+		if err := e.runEpoch(ctx, cur, steps, bal, psi); err != nil {
 			return err
 		}
 		if e.end == endCompleted && e.remaining > 0 {
@@ -359,12 +354,12 @@ const (
 // barrier-synchronously until completion, a crash or a stall — and tears
 // its interconnect state down on every path, cancellation included: ctx is
 // observed before every step.
-func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched.StepTable, compute Compute, psi []float64) error {
+func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched.StepTable, bal machine.Balance, psi []float64) error {
 	e.report.Epochs++
 	e.epochs.Inc()
 	e.liveProcs.Set(int64(e.rec.NLive()))
 	mc := &e.mc
-	mc.Steps, mc.Compute, mc.Psi = steps, compute, psi
+	mc.Steps, mc.Balance, mc.Psi = steps, bal, psi
 	if e.routed != steps {
 		mc.Build(e.inst, e.rec.Assign())
 		e.routed, e.dueWhole = steps, false
@@ -443,9 +438,7 @@ func (e *Engine) step(ls int32) error {
 			mc.Hand(dl, ls)
 		}
 	}
-	if err := mc.OpenStep(ls); err != nil {
-		return err
-	}
+	mc.OpenStep(ls)
 
 	mc.Intercept = e.inj.Pending()
 	lost, err := e.ranks.RunStep(ls, g, ckpt)

@@ -137,7 +137,7 @@ func TestEngineEpochStopsAtExactlyThatStep(t *testing.T) {
 			spy := &spyRanks{Ranks: eng.ranks, e: eng, loseAt: c.loseAt}
 			eng.RunOn(spy, "faults", "crashes")
 			psi := make([]float64, inst.NTasks())
-			if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+			if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
 				t.Fatalf("%s at %d (noBatch=%v): %v", c.name, c.bodiesRan, noBatch, err)
 			}
 			fail := func(format string, args ...any) {

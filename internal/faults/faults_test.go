@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/leakcheck"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -35,7 +35,10 @@ func testSchedule(t testing.TB, m int, seed uint64) *sched.Schedule {
 	return s
 }
 
-func zeroCompute(sched.TaskID, float64) float64 { return 0 }
+// zeroBalance is a cell balance that tracks dependencies only.
+func zeroBalance(s *sched.Schedule) machine.Balance {
+	return machine.Balance{Q: make([]float64, s.Inst.N()), Denom: 1}
+}
 
 func TestNewPlanDeterministic(t *testing.T) {
 	s := testSchedule(t, 4, 1)
@@ -157,7 +160,7 @@ func TestEngineFaultFreeMatchesAnalyticMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	psi := make([]float64, s.Inst.NTasks())
-	if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+	if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
 		t.Fatal(err)
 	}
 	rep := eng.Report()
@@ -184,7 +187,7 @@ func TestEngineRecoversFromMixedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := make([]float64, s.Inst.NTasks())
-		if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+		if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
 			t.Fatal(err)
 		}
 		rep := eng.Report()
@@ -213,9 +216,9 @@ func TestEngineFaultFreeSweepAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.SetNoBatch(noBatch)
-		psi := make([]float64, s.Inst.NTasks())
+		psi, zero := make([]float64, s.Inst.NTasks()), zeroBalance(s)
 		sweep := func() {
-			if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+			if err := eng.Sweep(context.Background(), zero, psi); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -241,7 +244,7 @@ func TestReportReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := make([]float64, s.Inst.NTasks())
-		if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+		if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
 			t.Fatal(err)
 		}
 		return eng.Report().String()
@@ -273,7 +276,7 @@ func TestEngineAllProcessorsCrashedIsUnrecoverable(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := make([]float64, s.Inst.NTasks())
-		err = eng.Sweep(context.Background(), zeroCompute, psi)
+		err = eng.Sweep(context.Background(), zeroBalance(s), psi)
 		var ue *UnrecoverableError
 		if !errors.As(err, &ue) {
 			t.Fatalf("got %v, want *UnrecoverableError", err)
@@ -284,25 +287,38 @@ func TestEngineAllProcessorsCrashedIsUnrecoverable(t *testing.T) {
 	})
 }
 
+// cancelAt is a context that cancels itself the n-th time it is asked
+// whether it is done: at a barrier, from inside a running sweep.
+type cancelAt struct {
+	context.Context
+	cancel context.CancelFunc
+	asked  int
+	n      int
+}
+
+func (c *cancelAt) Err() error {
+	if c.asked++; c.asked >= c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 func TestEngineCancellation(t *testing.T) {
 	s := testSchedule(t, 4, 7)
-	slow := func(sched.TaskID, float64) float64 {
-		time.Sleep(2 * time.Millisecond)
-		return 0
-	}
 	leakcheck.Check(t, func() {
 		eng, err := NewEngine(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-		}()
+		defer cancel()
+		mid := &cancelAt{Context: ctx, cancel: cancel, n: s.Makespan / 2}
 		psi := make([]float64, s.Inst.NTasks())
-		if err := eng.Sweep(ctx, slow, psi); !errors.Is(err, context.Canceled) {
+		if err := eng.Sweep(mid, zeroBalance(s), psi); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
+		}
+		if mid.asked != mid.n {
+			t.Fatalf("asked %d times, want the sweep to stop at the %d-th", mid.asked, mid.n)
 		}
 	})
 }

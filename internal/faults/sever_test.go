@@ -85,7 +85,7 @@ func TestEngineIgnoresSevers(t *testing.T) {
 		t.Fatal(err)
 	}
 	psi := make([]float64, s.Inst.NTasks())
-	if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+	if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
 		t.Fatal(err)
 	}
 	r := eng.Report()

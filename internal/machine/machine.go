@@ -4,13 +4,15 @@
 // (sched.RecvTable, laid out in the order the bodies run them), the done
 // marks, the per-processor acks, the interconnect (deadline-driven
 // envelopes, or one transmission per message) and the traffic accounting,
-// and has the one step body (RunProc) and the one hand-over of a flux
+// and has the one step body (Step: every live processor's row of a step
+// in one loop, the cell balance inline) and the one hand-over of a flux
 // (hand). Every executor is this machine: the simulator and the parallel
 // transport solve sweep it (Sweep), the fault engine (internal/faults)
 // runs its epochs on it, and under internal/procrun its processors are
-// worker processes — each runs the body for its own rank, the orchestrator
-// replays their acks (Replay) through the same hand-over, and a
-// handed-over flux lands in a frame (Wire) instead of a slot.
+// worker processes — each steps a machine whose one live processor is its
+// own rank, the orchestrator replays their acks (Replay) through the same
+// hand-over, and a handed-over flux lands in a frame (Wire) instead of a
+// slot.
 //
 // The invariants the executors rely on:
 //
@@ -43,12 +45,19 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// Compute produces the angular flux of one task from its averaged upwind
-// inflow: the transport solver's cell balance, or a constant for executors
-// that only track dependencies. It must be a pure function of (task,
-// inflow) and state that is constant within one sweep, so that a replayed
-// task reproduces its flux bitwise.
-type Compute func(t sched.TaskID, inflow float64) float64
+// Balance is the cell balance the bodies compute a task's flux with, from
+// its averaged upwind inflow:
+//
+//	psi = (Q[v] + inflow) / Denom,  v the task's cell
+//
+// Its owner fills it once per sweep (the transport solver: the source and
+// scattering term per cell, internal/transport's CellBalance); a zero Q
+// over Denom 1 tracks dependencies only. It is constant within a sweep, so
+// a replayed task reproduces its flux bitwise.
+type Balance struct {
+	Q     []float64 // per cell: one entry per cell of the instance
+	Denom float64
+}
 
 // Stats is the communication a machine actually performed — observed
 // traffic, not schedule-derived analytics (sched.C1/C2 describe the
@@ -90,9 +99,9 @@ type Machine struct {
 	NoBatch bool             // per-message interconnect (set before Build)
 	Steps   *sched.StepTable // the rows the bodies run
 	Procs   []int32          // the live processors, ascending
-	Compute Compute
-	Psi     []float64 // per task: a processor reads only fluxes its own tasks wrote
-	Done    []bool    // per task: run this sweep (or durable from an earlier epoch)
+	Balance
+	Psi  []float64 // per task: a processor reads only fluxes its own tasks wrote
+	Done []bool    // per task: run this sweep (or durable from an earlier epoch)
 
 	// Wire, when set, is where a handed-over flux lands instead of in a
 	// receive slot here: with the processor it is for, which runs in
@@ -120,7 +129,7 @@ type Machine struct {
 // psi: every processor live, and a message due at its earliest consumer's
 // scheduled start. A schedule that does not cover its tasks is refused
 // with the step table's error.
-func New(s *sched.Schedule, noBatch bool, compute Compute, psi []float64) (*Machine, error) {
+func New(s *sched.Schedule, noBatch bool, bal Balance, psi []float64) (*Machine, error) {
 	x := &struct { // the machine and its step table, one allocation
 		Machine
 		steps sched.StepTable
@@ -130,7 +139,7 @@ func New(s *sched.Schedule, noBatch bool, compute Compute, psi []float64) (*Mach
 	}
 	m := &x.Machine
 	m.NoBatch, m.Steps, m.Procs = noBatch, &x.steps, sched.AllProcs(s.Inst.M)
-	m.Compute, m.Psi, m.Done = compute, psi, make([]bool, len(psi))
+	m.Balance, m.Psi, m.Done = bal, psi, make([]bool, len(psi))
 	m.Build(s.Inst, s.Assign)
 	if !noBatch { // per message nothing waits for a deadline
 		m.Route(s.Start, nil)
@@ -211,40 +220,48 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 	return &RouteError{Task: t, To: to}
 }
 
-// RunProc is modelled processor p's step — the only step body there is.
-// Every route was resolved by Build, in the order the bodies run: an
-// upwind flux is read at the producer's task id, which must be done, or in
-// a receive slot, where it must be visible; a completed task is marked
-// done and hands its cross-processor fluxes over.
-func (m *Machine) RunProc(p, step int32) {
-	psi, done := m.Psi, m.Done
-	a := &m.Acks[p]
-	*a = Ack{StallTask: -1, StallMiss: -1}
-	lo, hi := m.Steps.Row(p, step)
-	for i := lo; i < hi; i++ {
-		t := m.Recv.Task(i)
-		inflow := 0.0
-		in := m.Recv.In(i)
-		for _, x := range in {
-			if x >= 0 { // a local producer's task id
-				if !done[x] {
-					a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
-					return
+// Step is the only step body there is: the rows of the given step of
+// every live processor, in ascending processor order, in one loop. Every
+// route was resolved by Build, in the order the bodies run: an upwind flux
+// is read at the producer's task id, which must be done, or in a receive
+// slot, where it must be visible; the task's flux is the cell balance of
+// their average, and a completed task is marked done and hands its
+// cross-processor fluxes over. Each processor's ack is written once; what
+// stops it short (a local input not done, a flux not received) ends its
+// row, not the step.
+func (m *Machine) Step(step int32) {
+	psi, done, q, denom := m.Psi, m.Done, m.Q, m.Denom
+	n := int32(len(q))
+	for _, p := range m.Procs {
+		a := &m.Acks[p]
+		*a = Ack{StallTask: -1, StallMiss: -1}
+		lo, hi := m.Steps.Row(p, step)
+	row:
+		for i := lo; i < hi; i++ {
+			t := m.Recv.Task(i)
+			inflow := 0.0
+			in := m.Recv.In(i)
+			for _, x := range in {
+				if x >= 0 { // a local producer's task id
+					if !done[x] {
+						a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
+						break row
+					}
+					inflow += psi[x]
+					continue
 				}
-				inflow += psi[x]
-				continue
+				val, have := m.Recv.Load(^x, step)
+				if !have {
+					a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
+					break row
+				}
+				inflow += val
 			}
-			val, have := m.Recv.Load(^x, step)
-			if !have {
-				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
-				return
+			if len(in) > 0 {
+				inflow /= float64(len(in))
 			}
-			inflow += val
+			m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
 		}
-		if len(in) > 0 {
-			inflow /= float64(len(in))
-		}
-		m.complete(a, i, t, step, m.Compute(t, inflow))
 	}
 }
 
@@ -296,7 +313,7 @@ func (e *AccountError) Error() string {
 	return fmt.Sprintf("machine: proc %d step %d: reported completion %d is task %d, not its row's", e.Proc, e.Step, e.Index, e.Task)
 }
 
-// Replay is RunProc for a processor whose body ran in another process
+// Replay is Step's row for a processor whose body ran in another process
 // (internal/procrun): ran, the tasks it reports complete with their
 // fluxes, must be a prefix of its row of the step, as a body's account
 // here would be, and is completed as such; what stopped it short (by's
@@ -323,7 +340,7 @@ func (m *Machine) Replay(p, step int32, ran []comm.Item, by Ack) error {
 // earliest consumer runs now are transmitted, so one transmission carries
 // every flux a destination needs next, accumulated across all senders and
 // all prior steps. (Per message there are no envelopes.)
-func (m *Machine) OpenStep(step int32) error {
+func (m *Machine) OpenStep(step int32) {
 	var batches, bytes int64
 	m.flushed, batches, bytes = m.outbox.FlushDue(step)
 	if batches > 0 {
@@ -331,7 +348,6 @@ func (m *Machine) OpenStep(step int32) error {
 		m.Comm.Bytes += bytes
 		m.ctr.Transmitted(batches, bytes)
 	}
-	return nil
 }
 
 // Flushed returns, ascending, the destinations whose envelopes the last
@@ -403,13 +419,25 @@ func (m *Machine) CloseStep(step int32) error {
 // the durable Psi).
 func (m *Machine) Discard() { m.outbox.DiscardAll() }
 
-// Sweep runs every step of Steps once on the shared step driver, from
-// empty receive slots and nothing done, with no fault to blame: a missing
-// flux (*StallError) ends it like a local input not done. It returns
-// ctx.Err() within one barrier step of a cancellation. A machine whose
-// sweep failed is not reusable.
+// Sweep runs every step of Steps once, from empty receive slots and
+// nothing done, with no fault to blame: per step it checks ctx, opens the
+// barrier, runs Step and closes the barrier, all on the caller's
+// goroutine — a modelled processor is a slice of Step's loop, not a
+// goroutine. A missing flux (*StallError) ends it like a local input not
+// done, and it returns ctx.Err() before the step that follows a
+// cancellation. A machine whose sweep failed is not reusable.
 func (m *Machine) Sweep(ctx context.Context) error {
 	m.Recv.Reset()
 	clear(m.Done)
-	return sched.RunSteps(ctx, m.Procs, m.Steps.Steps(), m)
+	for st := range m.Steps.Steps() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m.OpenStep(st)
+		m.Step(st)
+		if err := m.CloseStep(st); err != nil {
+			return err
+		}
+	}
+	return nil
 }

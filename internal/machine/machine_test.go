@@ -41,9 +41,16 @@ func diamond(t testing.TB, start ...int32) *sched.Schedule {
 	return s
 }
 
-// plusID makes every flux depend on its task and its inflow, so a wrong
-// route or a wrong average shows.
-func plusID(t sched.TaskID, inflow float64) float64 { return inflow + float64(t+1) }
+// plusID is the cell balance psi = inflow + v+1 over n cells: every flux
+// depends on its cell and its inflow, so a wrong route or a wrong average
+// shows.
+func plusID(n int) Balance {
+	b := Balance{Q: make([]float64, n), Denom: 1}
+	for v := range b.Q {
+		b.Q[v] = float64(v + 1)
+	}
+	return b
+}
 
 // diamondFlux is plusID's fixed point on the diamond, summed and averaged
 // in In order as the body does.
@@ -56,7 +63,7 @@ func diamondFlux() []float64 {
 func newDiamond(t testing.TB, noBatch bool, start ...int32) *Machine {
 	t.Helper()
 	s := diamond(t, start...)
-	m, err := New(s, noBatch, plusID, make([]float64, s.Inst.NTasks()))
+	m, err := New(s, noBatch, plusID(s.Inst.N()), make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +116,7 @@ func TestBodyReportsAMissingFluxAndDecidesNothing(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		m := newDiamond(t, noBatch, 0, 0, 1, 2, 1)
 		m.Recv.Reset()
-		for _, p := range m.Procs {
-			m.RunProc(p, 0)
-		}
+		m.Step(0)
 		if a := m.Acks[1]; !a.Stalled || a.StallTask != 1 || a.StallMiss != 0 || a.Err != nil || a.Completed != 0 {
 			t.Fatalf("noBatch=%v: processor 1's ack %+v, want a stall of task 1 on task 0 and nothing else", noBatch, a)
 		}
@@ -139,7 +144,7 @@ func TestFluxFromBeforeAResetIsNotSeen(t *testing.T) {
 	}
 	m.Recv.Reset()
 	clear(m.Done)
-	m.RunProc(1, 1)
+	m.Step(1)
 	if a := m.Acks[1]; !a.Stalled || a.StallTask != 1 || a.StallMiss != 0 {
 		t.Fatalf("ack %+v after Reset, want a stall of task 1 on task 0", a)
 	}
@@ -147,14 +152,11 @@ func TestFluxFromBeforeAResetIsNotSeen(t *testing.T) {
 
 // TestLowestProcessorErrorWins: consumers 2 and 3 scheduled before their
 // same-processor producers 0 and 1. Both bodies put a local-input error in
-// their acks at step 0; the barrier returns processor 0's, whatever order
-// the bodies ran in.
+// their acks at step 0; the barrier returns processor 0's.
 func TestLowestProcessorErrorWins(t *testing.T) {
 	m := newDiamond(t, false, 1, 1, 0, 0, 0)
 	m.Recv.Reset()
-	for _, p := range []int32{2, 1, 0} {
-		m.RunProc(p, 0)
-	}
+	m.Step(0)
 	if m.Acks[0].Err == nil || m.Acks[1].Err == nil || m.Acks[2].Err != nil {
 		t.Fatalf("acks %+v: want local-input errors from processors 0 and 1 only", m.Acks)
 	}
@@ -192,8 +194,12 @@ func TestRoutePlacesDurableFluxesAndSkipsTheirDeadlines(t *testing.T) {
 	if due := m.Recv.Out(m.Recv.Pos(2))[0].Due; due != 2 {
 		t.Fatalf("task 2's message to processor 1 due at %d, want 2 (task 3's start)", due)
 	}
-	if err := sched.RunSteps(context.Background(), m.Procs, 3, m); err != nil {
-		t.Fatal(err)
+	for st := range int32(3) {
+		m.OpenStep(st)
+		m.Step(st)
+		if err := m.CloseStep(st); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// 1 = 10+2, 2 = 10+3, 3 = (12+13+20)/3 + 4; 0 and 4 did not run.
 	if m.Psi[1] != 12 || m.Psi[2] != 13 || m.Psi[3] != 19 || m.Psi[0] != 10 || m.Psi[4] != 20 {
@@ -252,7 +258,7 @@ func TestWarmSweepAllocatesNothing(t *testing.T) {
 func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		near, far := newDiamond(t, noBatch), newDiamond(t, noBatch)
-		far.Compute = nil
+		far.Balance = Balance{} // it computes nothing
 		type landed struct {
 			to   int32
 			task sched.TaskID
@@ -263,12 +269,10 @@ func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
 		near.Recv.Reset()
 		for st := int32(0); st < near.Steps.Steps(); st++ {
 			for _, m := range []*Machine{near, far} {
-				if err := m.OpenStep(st); err != nil {
-					t.Fatal(err)
-				}
+				m.OpenStep(st)
 			}
+			near.Step(st)
 			for _, p := range near.Procs {
-				near.RunProc(p, st)
 				var ran []comm.Item
 				for _, tsk := range near.Steps.Tasks(p, st)[:near.Acks[p].Completed] {
 					ran = append(ran, comm.Item{Task: tsk, Psi: near.Psi[tsk]})
@@ -337,7 +341,7 @@ func fork(t *testing.T, noBatch bool, start ...int32) *Machine {
 	for _, st := range start {
 		s.Makespan = max(s.Makespan, int(st)+1)
 	}
-	m, err := New(s, noBatch, plusID, make([]float64, inst.NTasks()))
+	m, err := New(s, noBatch, plusID(inst.N()), make([]float64, inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,13 +384,9 @@ func TestFluxIsVisibleFromTheStepAfterItsProducer(t *testing.T) {
 						m.Hand(x, ls)
 					}
 				}
-				if err := m.OpenStep(st); err != nil {
-					t.Fatal(err)
-				}
+				m.OpenStep(st)
 				m.Intercept = st == 0
-				for _, p := range m.Procs {
-					m.RunProc(p, st)
-				}
+				m.Step(st)
 				if st == 0 {
 					held, m.Sent = append(held, m.Sent...), m.Sent[:0]
 				}

@@ -11,9 +11,9 @@
 // machine's and internal/transport's: Run is spawn, setup, that loop,
 // teardown. Each worker (worker.go, spawned by re-exec) is one rank of the
 // same machine: it runs the shared step body for its own rank, and owns
-// only its cell-balance closure and its checkpoint shards. Recovery
-// replays lost tasks with identical inputs through that closure, so the
-// converged flux is bitwise-identical to the serial transport.SolveCtx.
+// only its cell balance and its checkpoint shards. Recovery replays lost
+// tasks with identical inputs through that balance, so the converged flux
+// is bitwise-identical to the serial transport.SolveCtx.
 package procrun
 
 import (
@@ -236,7 +236,7 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 			if err := o.beginSweep(phi); err != nil {
 				return err
 			}
-			return eng.Sweep(ctx, nil, psi) // the workers have the cell balance
+			return eng.Sweep(ctx, machine.Balance{}, psi) // the workers have the cell balance
 		}, eng.CommTraffic(), nil
 	})
 	if err != nil {

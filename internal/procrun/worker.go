@@ -60,10 +60,11 @@ func RunWorker(assignment string) int {
 // worker is one sweep processor living in its own OS process. It is a
 // pure frame-reactor: all control (sweeps, epochs, barrier steps,
 // checkpoint triggers, shutdown) comes from the orchestrator, which is
-// also the interconnect. The worker runs the modelled machine's step body
-// (internal/machine) for its own rank — the same body the in-process
-// executors run for every rank — and owns only the cell-balance closure it
-// gives it, its durable checkpoint shards, and its reconnect loop.
+// also the interconnect. The worker steps a modelled machine
+// (internal/machine) whose only live processor is its own rank — the same
+// body the in-process executors run for every rank — and owns only the
+// cell balance it fills once per sweep, its durable checkpoint shards, and
+// its reconnect loop.
 type worker struct {
 	addr string
 	rank int32
@@ -93,9 +94,10 @@ type worker struct {
 	// epoch state (reset by fEpoch)
 	epoch int32
 	steps sched.StepTable // this epoch's schedule; the worker runs row w.rank
-	// mc is the machine of which this process is processor w.rank: the
-	// epoch's routes, the durable fluxes in their slots, the fluxes the
-	// wire delivered. Its Done is nil until the first epoch frame.
+	// mc is the machine of which this process is processor w.rank, its one
+	// live processor: the epoch's routes, the durable fluxes in their
+	// slots, the fluxes the wire delivered. Its Done is nil until the first
+	// epoch frame, its cell balance until the first sweep frame.
 	mc machine.Machine
 }
 
@@ -300,7 +302,7 @@ func (w *worker) onSweep(payload []byte) (func() error, error) {
 	if len(w.phi) != w.inst.N() {
 		return nil, fmt.Errorf("procrun: sweep phi covers %d of %d cells", len(w.phi), w.inst.N())
 	}
-	w.mc.Compute = transport.CellBalance(w.inst, w.cfg, w.phi)
+	transport.CellBalance(&w.mc.Balance, w.cfg, w.phi)
 	w.logTasks = w.logTasks[:0]
 	w.logPsi = w.logPsi[:0]
 	w.col.Counter("proc.sweeps").Inc()
@@ -348,6 +350,7 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 	// the one with the interconnect.)
 	mc := &w.mc
 	mc.Steps, mc.Psi, mc.Done = &w.steps, psi, done
+	mc.Procs = append(mc.Procs[:0], w.rank) // the one live processor it steps
 	mc.Build(w.inst, s.Assign)
 	mc.Route(start, done)
 	w.col.Counter("proc.epochs").Inc()
@@ -392,7 +395,7 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 	if delivs != nil {
 		w.fluxBuf = delivs
 	}
-	if w.mc.Done == nil || w.mc.Compute == nil {
+	if w.mc.Done == nil || w.mc.Q == nil {
 		return nil, fmt.Errorf("procrun: step before sweep and epoch")
 	}
 	if ckpt {
@@ -413,12 +416,12 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 		w.ctr.Transmitted(1, comm.BatchWireBytes(n))
 	}
 
-	// The shared step body, for this rank only. What it hands over stays in
-	// this process's slots for other ranks, which nothing here reads: the
-	// orchestrator's machine hands it over again when it replays the
-	// completions in the ack.
+	// The shared step body, for this rank only (the machine's Procs). What
+	// it hands over stays in this process's slots for other ranks, which
+	// nothing here reads: the orchestrator's machine hands it over again
+	// when it replays the completions in the ack.
 	mc := &w.mc
-	mc.RunProc(w.rank, local)
+	mc.Step(local)
 	ack := &mc.Acks[w.rank]
 	completed := w.compBuf[:0]
 	for _, t := range w.steps.Tasks(w.rank, local)[:ack.Completed] {

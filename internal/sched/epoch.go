@@ -11,8 +11,8 @@ import (
 // (internal/transport), the fault-injected engine (internal/faults) and
 // the workers of the multi-process runner (internal/procrun) all partition
 // a schedule the same way — tasks per (processor, step) — and keep
-// received cross-processor fluxes in the same dense table. The step driver
-// that runs them is in stepdriver.go.
+// received cross-processor fluxes in the same dense table. The machine's
+// Step runs them.
 
 // StepTable groups a schedule's not-yet-done tasks by (processor, start
 // step) in one flat CSR array: no hashing on the executors' hot path,
@@ -87,7 +87,7 @@ func (g *StepTable) Build(s *Schedule, assign Assignment, done []bool) error {
 }
 
 // Steps returns the number of steps the table covers (the makespan of
-// the schedule it was built from): what an executor hands RunSteps.
+// the schedule it was built from): the steps an executor runs.
 func (g *StepTable) Steps() int32 { return int32(g.steps) }
 
 // Order returns every grouped task by (start step, processor, TaskID): an
@@ -338,8 +338,8 @@ func (r *RecvTable) Deliver(slot int32, psi float64, from int32) {
 	r.slot[slot] = recvSlot{psi: psi, from: r.base + uint32(from)}
 }
 
-// AllProcs returns the processors 0..m-1 in ascending order: RunSteps'
-// processor list when every modelled processor is live.
+// AllProcs returns the processors 0..m-1 in ascending order: the modelled
+// machine's live set when every processor is live.
 func AllProcs(m int) []int32 {
 	procs := make([]int32, m)
 	for p := range procs {

@@ -1,10 +1,9 @@
 // Package simulate executes a sweep schedule on the modelled machine
-// (internal/machine) with no arithmetic: the schedule's m processors on
-// the shared step driver (sched.RunSteps, one barrier-synchronous step
-// loop), a constant for the cell balance and the per-message interconnect
-// delivered at the barrier. It is the executable counterpart of the
-// paper's simulation methodology — every precedence is enforced by an
-// actual message arriving (or local completion), so a schedule that
+// (internal/machine) with no arithmetic: the schedule's m processors in
+// barrier-synchronous steps, a zero cell balance and the per-message
+// interconnect delivered at the barrier. It is the executable counterpart
+// of the paper's simulation methodology — every precedence is enforced by
+// an actual message arriving (or local completion), so a schedule that
 // validates here would run correctly on a real cluster with the same task
 // placement.
 //
@@ -32,15 +31,13 @@ type Result struct {
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
 }
 
-// noFlux is the simulator's cell balance: it tracks dependencies only.
-func noFlux(sched.TaskID, float64) float64 { return 0 }
-
 // RunCtx executes the schedule: one fault-free sweep of the modelled
 // machine on the per-message interconnect. It refuses a schedule under
 // which a task would run before one of its inputs is available, and
 // returns ctx.Err() within one barrier step of cancellation.
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
-	mc, err := machine.New(s, true, noFlux, make([]float64, s.Inst.NTasks()))
+	zero := machine.Balance{Q: make([]float64, s.Inst.N()), Denom: 1} // dependencies only
+	mc, err := machine.New(s, true, zero, make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +60,8 @@ func RunFaulty(ctx context.Context, s *sched.Schedule, plan *faults.Plan) (*Resu
 		return nil, nil, err
 	}
 	psi := make([]float64, s.Inst.NTasks())
-	if err := eng.Sweep(ctx, noFlux, psi); err != nil {
+	zero := machine.Balance{Q: make([]float64, s.Inst.N()), Denom: 1} // dependencies only
+	if err := eng.Sweep(ctx, zero, psi); err != nil {
 		return nil, eng.Report(), err
 	}
 	rep := eng.Report()

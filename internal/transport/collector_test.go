@@ -10,7 +10,7 @@ import (
 )
 
 // cancelAfter is a context whose Err turns to context.Canceled after it
-// has been asked a fixed number of times: the step driver asks once per
+// has been asked a fixed number of times: the machine asks once per
 // step, so the cancellation lands mid-sweep, deterministically.
 type cancelAfter struct {
 	context.Context

@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"sweepsched/internal/faults"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/sched"
 )
 
-// TestExecutorsMatchSerialAtEveryMachineSize is the step driver's contract
+// TestExecutorsMatchSerialAtEveryMachineSize is the barrier-step contract
 // at the executors' level: whatever the modelled machine — one processor,
 // three, 64, a live set that crashes down to one processor mid-run — the
 // flux is bitwise the serial solve's on both interconnects, and the two
@@ -65,79 +69,139 @@ func samePhi(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// TestNonFiniteInputIsRefusedNotConverged: every executor refuses a NaN
+// or infinite cross section, source or tolerance with an error naming it,
+// rather than return a NaN flux as converged; and a NaN in the angular
+// flux reaches the residual, which no tolerance accepts.
+func TestNonFiniteInputIsRefusedNotConverged(t *testing.T) {
+	s := testSchedule(t, 3, 4, 3, 7)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"SigmaT", Config{SigmaT: math.NaN(), Source: 1}},
+		{"SigmaS", Config{SigmaT: 1, SigmaS: math.NaN(), Source: 1}},
+		{"Source", Config{SigmaT: 1, Source: math.NaN()}},
+		{"Source", Config{SigmaT: 1, Source: math.Inf(1)}},
+		{"Tol", Config{SigmaT: 1, Source: 1, Tol: math.NaN()}},
+	} {
+		for name, solve := range map[string]func() (*Result, error){
+			"serial":   func() (*Result, error) { return SolveCtx(context.Background(), s, c.cfg) },
+			"parallel": func() (*Result, error) { return SolveParallelCtx(context.Background(), s, c.cfg) },
+			"faulty": func() (*Result, error) {
+				res, _, err := SolveFaultTolerant(context.Background(), s, c.cfg, nil)
+				return res, err
+			},
+		} {
+			if res, err := solve(); err == nil || !strings.Contains(err.Error(), c.name+" must be finite") {
+				if res != nil {
+					err = fmt.Errorf("converged=%v after %d iterations", res.Converged, res.Iterations)
+				}
+				t.Errorf("%s with a non-finite %s: %v, want an error naming it", name, c.name, err)
+			}
+		}
+	}
+	psi := make([]float64, s.Inst.NTasks())
+	psi[len(psi)/2] = math.NaN()
+	if d := UpdatePhi(s.Inst, psi, make([]float64, s.Inst.N()), testCfg); !math.IsNaN(d) {
+		t.Fatalf("a NaN angular flux gives the residual %v, want NaN", d)
+	}
+}
+
 // TestSolveParallelAddsNoGoroutinePerProcessor: a sweep over 64 modelled
 // processors runs on the caller's goroutine — counted from inside the
-// cell balance, mid-step.
+// hand-over, mid-step, by a Wire that puts each flux in its slot.
 func TestSolveParallelAddsNoGoroutinePerProcessor(t *testing.T) {
 	s := testSchedule(t, 3, 8, 64, 5)
-	ps, err := newParallelSolve(s, testCfg)
+	var bal machine.Balance
+	CellBalance(&bal, testCfg, make([]float64, s.Inst.N()))
+	mc, err := machine.New(s, false, bal, make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before, most := runtime.NumGoroutine(), 0
-	balance := ps.compute
-	ps.compute = func(tsk sched.TaskID, inflow float64) float64 {
+	mc.Wire = func(to int32, tsk sched.TaskID, psi float64) {
 		most = max(most, runtime.NumGoroutine()-before)
-		return balance(tsk, inflow)
+		if err := mc.DeliverNamed(tsk, to, psi); err != nil {
+			t.Error(err)
+		}
 	}
-	if err := ps.sweep(context.Background()); err != nil {
+	if err := mc.Sweep(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if ps.res.Comm.Messages == 0 || most > 0 {
-		t.Fatalf("a 64-processor sweep sent %d messages and added %d goroutines", ps.res.Comm.Messages, most)
+	if mc.Comm.Messages == 0 || most > 0 {
+		t.Fatalf("a 64-processor sweep sent %d messages and added %d goroutines", mc.Comm.Messages, most)
 	}
 }
 
+// cancelOnFlux is a context cancelled from inside a sweep: once the flux
+// of task probe has been written, as the next barrier sees it.
+type cancelOnFlux struct {
+	context.Context
+	cancel context.CancelFunc
+	psi    []float64
+	probe  sched.TaskID
+}
+
+func (c *cancelOnFlux) Err() error {
+	if c.psi[c.probe] != 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestCancellationInsideAStep cancels a parallel and a fault-tolerant
-// solve from inside a cell balance — mid-step — at the first step of a
-// sweep, in the middle and at its last step: the solve returns ctx.Err()
-// no later than the next step it would open (for the last step, the next
-// sweep's first).
+// sweep during a step — the first step of a sweep, one in the middle and
+// its last: the sweep returns ctx.Err() without running a task of a later
+// step (for the last step, any task of the next sweep).
 func TestCancellationInsideAStep(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 6)
 	last := int32(s.Makespan - 1)
 	for _, at := range []int32{0, last / 2, last} {
+		probe := sched.TaskID(slices.Index(s.Start, at))
 		for _, faulty := range []bool{false, true} {
+			psi := make([]float64, s.Inst.NTasks())
 			ctx, cancel := context.WithCancel(context.Background())
-			ran := 0 // cell balances after the cancelling step's own
-			compute := func(tsk sched.TaskID, inflow float64) float64 {
-				if ctx.Err() != nil && s.Start[tsk] != at {
-					ran++
-				}
-				if s.Start[tsk] == at {
-					cancel()
-				}
-				return inflow + 1
-			}
-			sweep := cancellableSweep(t, s, compute, faulty)
-			err := sweep(ctx)
+			mid := &cancelOnFlux{Context: ctx, cancel: cancel, psi: psi, probe: probe}
+			sweep := executorSweep(t, s, faulty, psi)
+			err := sweep(mid)
+			ran := func(tsk int) bool { return s.Start[tsk] <= at }
 			if err == nil && at == last {
-				err = sweep(ctx)
+				for tsk := range psi {
+					psi[tsk] = -1 // no task of the next sweep runs
+				}
+				err = sweep(mid)
+				ran = func(int) bool { return false }
 			}
 			cancel()
-			if !errors.Is(err, context.Canceled) || ran != 0 {
-				t.Fatalf("step %d faulty=%v: got %v after %d more cell balances, want context.Canceled after none",
-					at, faulty, err, ran)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("step %d faulty=%v: got %v, want context.Canceled", at, faulty, err)
+			}
+			for tsk, v := range psi {
+				if ran(tsk) != (v > 0) {
+					t.Fatalf("step %d faulty=%v: task %d at step %d has flux %v", at, faulty, tsk, s.Start[tsk], v)
+				}
 			}
 		}
 	}
 }
 
-// cancellableSweep returns one executor's sweep function with its cell
-// balance replaced by compute.
-func cancellableSweep(t *testing.T, s *sched.Schedule, compute faults.Compute, faulty bool) func(context.Context) error {
-	if faulty {
-		eng, err := faults.NewEngine(s, nil)
+// executorSweep returns the parallel or the fault-tolerant executor's
+// sweep function into psi, from a zero scalar flux.
+func executorSweep(t *testing.T, s *sched.Schedule, faulty bool, psi []float64) func(context.Context) error {
+	phi := make([]float64, s.Inst.N())
+	if !faulty {
+		sweep, _, err := machineSweeper(s, testCfg, phi, psi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		psi := make([]float64, s.Inst.NTasks())
-		return func(ctx context.Context) error { return eng.Sweep(ctx, compute, psi) }
+		return sweep
 	}
-	ps, err := newParallelSolve(s, testCfg)
+	eng, err := faults.NewEngine(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps.compute = compute
-	return ps.sweep
+	var bal machine.Balance
+	CellBalance(&bal, testCfg, phi)
+	return func(ctx context.Context) error { return eng.Sweep(ctx, bal, psi) }
 }

@@ -5,12 +5,13 @@ import (
 	"fmt"
 
 	"sweepsched/internal/faults"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/sched"
 )
 
 // SolveFaultTolerant runs the source iteration (SolveOn) on the
 // fault-injected distributed executor (internal/faults): the modelled
-// machine's live processors on the shared step driver, its hand-over
+// machine's live processors stepped by the engine, its hand-over
 // wrapped by the plan's injector, and checkpointed recovery rescheduling
 // on crashes and lost fluxes. Message
 // fault events fire on the first sweep that sends the affected flux;
@@ -35,8 +36,11 @@ func SolveFaultTolerant(ctx context.Context, s *sched.Schedule, cfg Config, plan
 		eng.Observe(cfg.Collector)
 		eng.SetNoBatch(cfg.NoBatch)
 		eng.SetVerify(cfg.verifyOn())
-		compute := CellBalance(s.Inst, cfg, phi)
-		return func(ctx context.Context) error { return eng.Sweep(ctx, compute, psi) }, eng.CommTraffic(), nil
+		var bal machine.Balance
+		return func(ctx context.Context) error {
+			CellBalance(&bal, cfg, phi)
+			return eng.Sweep(ctx, bal, psi)
+		}, eng.CommTraffic(), nil
 	})
 	if eng == nil {
 		return nil, nil, err

@@ -17,13 +17,12 @@
 //
 //   - SolveCtx: serial, walking tasks in schedule start order.
 //   - SolveParallelCtx: the modelled machine (internal/machine) — the m
-//     processors of the schedule's assignment on the shared step driver
-//     (sched.RunSteps), exchanging cross-processor angular fluxes only
-//     through the interconnect, in barrier-synchronous steps — a faithful
-//     miniature of the distributed sweep the schedule would drive on a
-//     real cluster. The driver runs a step's processors one after another
-//     on the caller's goroutine; what is modelled is the machine's data
-//     flow and traffic, not its speed.
+//     processors of the schedule's assignment, exchanging cross-processor
+//     angular fluxes only through the interconnect, in barrier-synchronous
+//     steps — a faithful miniature of the distributed sweep the schedule
+//     would drive on a real cluster. One call runs a whole step, its
+//     processors one after another on the caller's goroutine; what is
+//     modelled is the machine's data flow and traffic, not its speed.
 //   - SolveFaultTolerant: the same machine under the fault engine
 //     (internal/faults).
 package transport
@@ -32,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"sweepsched/internal/machine"
 	"sweepsched/internal/obs"
@@ -82,6 +82,16 @@ func (c Config) verifyOn() bool { return c.Verify || verify.ForcedByEnv() }
 
 func (c Config) withDefaults() (Config, error) {
 	c.Verify = c.verifyOn()
+	// Every comparison with NaN is false: without this, a NaN input would
+	// pass the range checks below and a NaN Tol would never be met.
+	for _, x := range []struct {
+		name string
+		v    float64
+	}{{"SigmaT", c.SigmaT}, {"SigmaS", c.SigmaS}, {"Source", c.Source}, {"Tol", c.Tol}} {
+		if math.IsNaN(x.v) || math.IsInf(x.v, 0) {
+			return c, fmt.Errorf("transport: %s must be finite, got %v", x.name, x.v)
+		}
+	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-10
 	}
@@ -95,13 +105,13 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("transport: need 0 <= SigmaS < SigmaT, got SigmaS=%v SigmaT=%v", c.SigmaS, c.SigmaT)
 	}
 	for i, w := range c.Weights {
-		if w <= 0 {
-			return c, fmt.Errorf("transport: angular weight %d is %v, want > 0", i, w)
+		if !(w > 0) || math.IsInf(w, 0) {
+			return c, fmt.Errorf("transport: angular weight %d is %v, want finite and > 0", i, w)
 		}
 	}
 	for v, q := range c.SourceField {
-		if q < 0 {
-			return c, fmt.Errorf("transport: negative source %v at cell %d", q, v)
+		if !(q >= 0) || math.IsInf(q, 0) {
+			return c, fmt.Errorf("transport: source %v at cell %d, want finite and >= 0", q, v)
 		}
 	}
 	return c, nil
@@ -138,39 +148,35 @@ type Result struct {
 	Comm CommStats
 }
 
-// CellBalance returns the per-task cell-balance closure every executor
-// shares — the serial walk, and the modelled machine's Compute under
-// SolveParallelCtx, the fault engine and the worker processes of
-// internal/procrun:
+// CellBalance fills bal with the cell balance of the sweep that reads the
+// scalar flux phi, which every executor shares — the serial walk, and the
+// modelled machine under SolveParallelCtx, the fault engine and the worker
+// processes of internal/procrun:
 //
-//	psi = (q + inflow) / (1 + SigmaT),  q = source(v) + SigmaS·φ[v]
+//	psi = (Q[v] + inflow) / Denom,  Q[v] = source(v) + SigmaS·φ[v],  Denom = 1 + SigmaT
 //
-// The closure reads phi at call time (UpdatePhi rewrites it in place
-// between sweeps, so the capture stays current) and is otherwise a pure
-// function of (task, inflow) within one sweep — the property that makes
-// replayed tasks, on any executor, reproduce their fluxes bitwise.
-func CellBalance(inst *sched.Instance, cfg Config, phi []float64) machine.Compute {
-	return func(t sched.TaskID, inflow float64) float64 {
-		v, _ := inst.Split(t)
+// It is called once per sweep, after UpdatePhi rewrote phi, and the
+// balance is constant within the sweep — the property that makes replayed
+// tasks, on any executor, reproduce their fluxes bitwise.
+func CellBalance(bal *machine.Balance, cfg Config, phi []float64) {
+	bal.Q = slices.Grow(bal.Q[:0], len(phi))[:len(phi)]
+	for v := range bal.Q {
 		q := cfg.Source
 		if cfg.SourceField != nil {
 			q = cfg.SourceField[v]
 		}
-		q += cfg.SigmaS * phi[v]
-		return (q + inflow) / (1 + cfg.SigmaT)
+		bal.Q[v] = q + cfg.SigmaS*phi[v]
 	}
+	bal.Denom = 1 + cfg.SigmaT
 }
 
-// sweepOnce computes one full sweep of every direction given the previous
-// scalar flux, writing angular fluxes into psi (indexed i*n+v). done is a
+// sweepOnce computes one full sweep of every direction with the cell
+// balance bal, writing angular fluxes into psi (indexed i*n+v). done is a
 // scratch bool slice of the same length. Tasks are processed in the given
 // order, which must be precedence-compatible.
-func sweepOnce(inst *sched.Instance, order []sched.TaskID, phi, psi []float64, done []bool, cfg Config) error {
+func sweepOnce(inst *sched.Instance, order []sched.TaskID, bal *machine.Balance, psi []float64, done []bool) error {
 	n := int32(inst.N())
-	compute := CellBalance(inst, cfg, phi)
-	for i := range done {
-		done[i] = false
-	}
+	clear(done)
 	for _, t := range order {
 		v, i := inst.Split(t)
 		d := inst.DAGs[i]
@@ -187,7 +193,7 @@ func sweepOnce(inst *sched.Instance, order []sched.TaskID, phi, psi []float64, d
 		if len(preds) > 0 {
 			inflow /= float64(len(preds))
 		}
-		psi[base+v] = compute(t, inflow)
+		psi[base+v] = (bal.Q[v] + inflow) / bal.Denom
 		done[base+v] = true
 	}
 	return nil
@@ -195,7 +201,8 @@ func sweepOnce(inst *sched.Instance, order []sched.TaskID, phi, psi []float64, d
 
 // UpdatePhi folds psi into a new scalar flux using the configured angular
 // weights, in a fixed (cell-major, direction-minor) order so every executor
-// produces the same floating-point result. It returns the max |Δφ|.
+// produces the same floating-point result. It returns the max |Δφ|, NaN
+// if any difference is (a NaN is never below the tolerance).
 func UpdatePhi(inst *sched.Instance, psi, phi []float64, cfg Config) float64 {
 	n := inst.N()
 	k := inst.K()
@@ -212,7 +219,7 @@ func UpdatePhi(inst *sched.Instance, psi, phi []float64, cfg Config) float64 {
 				sum += cfg.Weights[i] * psi[i*n+v]
 			}
 		}
-		if d := math.Abs(sum - phi[v]); d > maxDiff {
+		if d := math.Abs(sum - phi[v]); d > maxDiff || math.IsNaN(d) {
 			maxDiff = d
 		}
 		phi[v] = sum
@@ -286,18 +293,19 @@ func serialSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(cont
 		return nil, nil, err
 	}
 	done := make([]bool, len(psi))
+	var bal machine.Balance
 	return func(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return sweepOnce(s.Inst, steps.Order(), phi, psi, done, cfg)
+		CellBalance(&bal, cfg, phi)
+		return sweepOnce(s.Inst, steps.Order(), &bal, psi, done)
 	}, nil, nil
 }
 
 // SolveParallelCtx runs the same source iteration on the machine the
 // schedule was made for: m modelled processors following the schedule
-// step by step on the shared step driver (sched.RunSteps), which observes
-// ctx before every step, so cancellation returns ctx.Err() within one
+// step by step (machine.Sweep), which observes ctx before every step, so cancellation returns ctx.Err() within one
 // barrier step. A cross-processor angular flux reaches its consumer only
 // through the interconnect, delivered at the barrier between steps (a flux
 // sent during step t is visible from step t+1, so every upwind flux is
@@ -318,10 +326,13 @@ func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Resu
 }
 
 func machineSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
-	mc, err := machine.New(s, cfg.NoBatch, CellBalance(s.Inst, cfg, phi), psi)
+	mc, err := machine.New(s, cfg.NoBatch, machine.Balance{}, psi)
 	if err != nil {
 		return nil, nil, err
 	}
 	mc.Observe(cfg.Collector)
-	return mc.Sweep, &mc.Comm, nil
+	return func(ctx context.Context) error {
+		CellBalance(&mc.Balance, cfg, phi)
+		return mc.Sweep(ctx)
+	}, &mc.Comm, nil
 }

@@ -43,11 +43,33 @@ func TestConfigValidation(t *testing.T) {
 		{SigmaT: 0, SigmaS: 0, Source: 1},
 		{SigmaT: 1, SigmaS: -0.1, Source: 1},
 		{SigmaT: 1, SigmaS: 1.0, Source: 1}, // SigmaS == SigmaT diverges
+		// Non-finite inputs pass every ordered comparison they are put to.
+		{SigmaT: math.NaN(), Source: 1},
+		{SigmaT: math.Inf(1), Source: 1},
+		{SigmaT: 1, SigmaS: math.NaN(), Source: 1},
+		{SigmaT: 1, Source: math.NaN()},
+		{SigmaT: 1, Source: math.Inf(1)},
+		{SigmaT: 1, Source: 1, Tol: math.NaN()},
+		{SigmaT: 1, Source: 1, Tol: math.Inf(1)},
+		{SigmaT: 1, Source: 1, Weights: []float64{1, math.NaN(), 1, 1}},
+		{SigmaT: 1, Source: 1, Weights: []float64{1, math.Inf(1), 1, 1}},
+		{SigmaT: 1, SourceField: nonFinite(s.Inst.N(), math.NaN())},
+		{SigmaT: 1, SourceField: nonFinite(s.Inst.N(), math.Inf(1))},
 	} {
 		if _, err := SolveCtx(context.Background(), s, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
 	}
+}
+
+// nonFinite is a source field of ones with x in its middle cell.
+func nonFinite(n int, x float64) []float64 {
+	f := make([]float64, n)
+	for v := range f {
+		f[v] = 1
+	}
+	f[n/2] = x
+	return f
 }
 
 func TestSolveConverges(t *testing.T) {
@@ -312,7 +334,7 @@ func BenchmarkSolveSerial(b *testing.B) {
 }
 
 // reportStepTime adds the executor benchmarks' shared headline: wall time
-// per barrier step, the unit the step driver's overhead is paid in.
+// per barrier step, the unit the machine's per-step overhead is paid in.
 func reportStepTime(b *testing.B, stepsPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stepsPerOp), "ns/step")
 }

@@ -382,9 +382,10 @@ func TestInternalReachability(t *testing.T) {
 }
 
 // TestStructure refuses the duplication the executor and kernel refactors
-// removed. The modelled machine (internal/machine) has the only RunProc
-// step body; transport.SolveOn is the only code that alternates a sweep
-// with UpdatePhi; faults.Engine is the only fault-epoch loop, and
+// removed. The modelled machine (internal/machine) has the only Step
+// body, and no per-processor RunProc body exists anywhere;
+// transport.SolveOn is the only code that alternates a sweep with
+// UpdatePhi; faults.Engine is the only fault-epoch loop, and
 // internal/procrun, its wire side, may not route, reschedule or iterate on
 // its own; every list engine pops from the rank bitmaps, so a task heap or
 // a separate indegree array outside refimpl is a second ready set.
@@ -394,8 +395,8 @@ func TestStructure(t *testing.T) {
 	declared := map[string]int{}
 	for _, d := range s.decls {
 		at := fmt.Sprintf("%s:%d", d.file, d.line)
-		if d.recv != "" && d.name == "RunProc" {
-			bodies = append(bodies, d.file)
+		if d.recv != "" && (d.name == "Step" || d.name == "RunProc") {
+			bodies = append(bodies, d.key)
 		}
 		if d.recv == "" {
 			declared[d.name]++
@@ -418,8 +419,8 @@ func TestStructure(t *testing.T) {
 			}
 		}
 	}
-	if len(bodies) != 1 || !strings.HasPrefix(bodies[0], "internal/machine/") {
-		t.Errorf("RunProc step bodies in %v, want exactly one, in internal/machine", bodies)
+	if len(bodies) != 1 || bodies[0] != "machine.Machine.Step" {
+		t.Errorf("step bodies %v, want exactly one, internal/machine's Step, and no RunProc", bodies)
 	}
 	if len(loops) != 1 {
 		t.Errorf("UpdatePhi is called from %v, want the one SolveOn loop", loops)
