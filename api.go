@@ -303,8 +303,9 @@ type ScheduleOptions struct {
 	// grouping, split largest-first toward the requested count, capped at
 	// one direction per set), priorities and release delays are computed
 	// once per angleset on its representative DAG, and the aggregated
-	// kernel expands them back to per-direction task placements —
-	// precedence is always enforced with every direction's own DAG.
+	// kernel expands them to per-direction inputs for the per-direction
+	// kernel — precedence is always enforced with every direction's own
+	// DAG.
 	// Requires a problem built with an explicit direction set (geometric
 	// problems); the layer-synchronous RandomDelays and ImprovedDelays
 	// schedulers do not support aggregation. 0 disables aggregation (the

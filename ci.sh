@@ -79,10 +79,10 @@ go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBu
 
 echo "== angleset smoke: aggregated pipeline end to end under -race, every run audited =="
 # The aggregated scheduling path (priorities once per octant angleset on
-# representative DAGs, anglesets-aware kernel) through the real CLI, with
-# the independent auditor re-checking every produced schedule against
-# per-direction true DAGs rebuilt from scratch (-anglesets triggers the
-# wrong-octant audit in internal/verify).
+# representative DAGs, expanded for the per-direction kernel) through the
+# real CLI, with the independent auditor re-checking every produced
+# schedule against per-direction true DAGs rebuilt from scratch
+# (-anglesets triggers the wrong-octant audit in internal/verify).
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 16 -m 8 \
     -alg descendant_delays -anglesets 8 -verify -verify-every 1
 

@@ -12,10 +12,15 @@ package sweepsched_test
 //   - Type.Member, where Type is capitalized: a declared type, and Member
 //     one of its methods or fields, or one of a type it embeds or aliases;
 //   - Test*, Benchmark* and Fuzz* names; a trailing * or { (a family
-//     written BenchmarkX{A,B}) matches a prefix.
+//     written BenchmarkX{A,B}) matches a prefix;
+//   - repository paths: a whitespace-separated word that begins with
+//     internal/, cmd/, bench/, examples/ or testdata/, or ends in .go,
+//     .md, .txt, .sh or .json, names a path from the root (a glob
+//     matching one) or the trailing part of one in the tree, as
+//     sched/io.go and testdata/fuzz/ do.
 //
-// Repository paths, -flags, experiment ids and metric names are not
-// checked yet (ROADMAP, "Docs that cannot drift").
+// -flags, experiment ids and metric names are not checked yet (ROADMAP,
+// "Docs that cannot drift").
 
 import (
 	"go/ast"
@@ -47,6 +52,7 @@ var (
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
 	dottedName  = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
 	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
+	docPath     = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
 )
 
 func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
@@ -83,6 +89,19 @@ func TestDocReferences(t *testing.T) {
 		return false
 	}
 	tests := testFuncs(t)
+	paths := treePaths(t)
+	pathResolves := func(tok string) bool {
+		tok = strings.TrimSuffix(tok, "/")
+		if found, _ := filepath.Glob(tok); len(found) > 0 {
+			return true
+		}
+		for _, p := range paths {
+			if strings.HasSuffix(p, "/"+tok) {
+				return true
+			}
+		}
+		return false
+	}
 	resolves := func(tok string) bool {
 		if prefix := strings.TrimRight(tok, "*{"); prefix != tok {
 			for name := range tests {
@@ -121,12 +140,17 @@ func TestDocReferences(t *testing.T) {
 			return strings.Repeat("\n", strings.Count(b, "\n"))
 		})
 		for _, loc := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
-			span := text[loc[2]:loc[3]]
+			span, line := text[loc[2]:loc[3]], 1+strings.Count(text[:loc[0]], "\n")
 			for _, tok := range append(dottedName.FindAllString(span, -1), testName.FindAllString(span, -1)...) {
 				if _, ok := docHistory[tok]; ok {
 					cited[tok] = true
 				} else if !resolves(tok) {
-					t.Errorf("%s:%d: `%s` names nothing in the tree", file, 1+strings.Count(text[:loc[0]], "\n"), tok)
+					t.Errorf("%s:%d: `%s` names nothing in the tree", file, line, tok)
+				}
+			}
+			for _, tok := range strings.Fields(span) {
+				if docPath.MatchString(tok) && !pathResolves(tok) {
+					t.Errorf("%s:%d: `%s` is no path in the tree", file, line, tok)
 				}
 			}
 		}
@@ -136,6 +160,27 @@ func TestDocReferences(t *testing.T) {
 			t.Errorf("docHistory entry %s: drop it unless a document cites it, nothing declares it and it has a reason", tok)
 		}
 	}
+}
+
+// treePaths returns every path under the root but the hidden ones, with
+// forward slashes.
+func treePaths(t *testing.T) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		paths = append(paths, filepath.ToSlash(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 // testFuncs returns the names of the top-level functions of every test

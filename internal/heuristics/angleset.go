@@ -1,8 +1,9 @@
 // Angleset-aggregated forms of the §5.2 priority schedulers: priorities
 // are computed once per angleset on its representative DAG (the first
-// member direction's) instead of once per direction, and the aggregated
-// kernels (sched.ListScheduleAnglesetInto) expand them back to
-// per-direction task placements. With octant anglesets on a mesh whose
+// member direction's) instead of once per direction — the one stage
+// where aggregation saves work — and the aggregated kernels
+// (sched.ListScheduleAnglesetInto) expand them to per-direction inputs
+// for the per-direction kernel. With octant anglesets on a mesh whose
 // octant groups are orientation-consistent the representative DAG *is*
 // every member's DAG, so the aggregated priorities are exact; on
 // unstructured meshes they are the representative's hints applied to

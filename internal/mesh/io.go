@@ -26,6 +26,11 @@ import (
 // formatVersion is the current sweepmesh format version.
 const formatVersion = 1
 
+// headerCap bounds the capacity a decoder reserves from a count in a
+// header: past it the tables grow as the body is read, so a short input
+// claiming a huge count fails at its end instead of allocating the claim.
+const headerCap = 1 << 12
+
 // Encode writes m in sweepmesh format. It fails if the mesh has no vertex
 // and cell tables (derived meshes cannot round-trip).
 func Encode(w io.Writer, m *Mesh) error {
@@ -75,11 +80,13 @@ func Decode(r io.Reader) (*Mesh, error) {
 	if nv < 4 {
 		return nil, fmt.Errorf("mesh: %d vertices is too few", nv)
 	}
-	verts := make([]geom.Vec3, nv)
-	for i := range verts {
-		if _, err := fmt.Fscanf(br, "%g %g %g\n", &verts[i].X, &verts[i].Y, &verts[i].Z); err != nil {
+	verts := make([]geom.Vec3, 0, min(nv, headerCap))
+	for i := 0; i < nv; i++ {
+		var p geom.Vec3
+		if _, err := fmt.Fscanf(br, "%g %g %g\n", &p.X, &p.Y, &p.Z); err != nil {
 			return nil, fmt.Errorf("mesh: vertex %d: %w", i, err)
 		}
+		verts = append(verts, p)
 	}
 	var nc int
 	if _, err := fmt.Fscanf(br, "cells %d\n", &nc); err != nil {
@@ -88,9 +95,9 @@ func Decode(r io.Reader) (*Mesh, error) {
 	if nc < 1 {
 		return nil, fmt.Errorf("mesh: no cells")
 	}
-	cells := make([][4]int32, nc)
-	for i := range cells {
-		c := &cells[i]
+	cells := make([][4]int32, 0, min(nc, headerCap))
+	for i := 0; i < nc; i++ {
+		var c [4]int32
 		if _, err := fmt.Fscanf(br, "%d %d %d %d\n", &c[0], &c[1], &c[2], &c[3]); err != nil {
 			return nil, fmt.Errorf("mesh: cell %d: %w", i, err)
 		}
@@ -103,6 +110,7 @@ func Decode(r io.Reader) (*Mesh, error) {
 		if geom.TetVolume(verts[c[0]], verts[c[1]], verts[c[2]], verts[c[3]]) < 0 {
 			c[1], c[2] = c[2], c[1]
 		}
+		cells = append(cells, c)
 	}
 	m := FromTets(name, verts, cells)
 	return m, nil

@@ -2,6 +2,9 @@ package mesh
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,5 +85,27 @@ func TestDecodeRepairsOrientation(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("orientation not repaired: %v", err)
+	}
+}
+
+// TestDecodeHugeCountAllocatesLittle: the header's counts are claims the
+// body has to back. A short input claiming 2⁴⁴ vertices or 2⁵⁰ cells
+// fails at its end, wrapping io.EOF, having allocated under 1 MB.
+func TestDecodeHugeCountAllocatesLittle(t *testing.T) {
+	cases := map[string]string{
+		"verts": "sweepmesh 1\nname x\nverts 17592186044416\n0 0 0\n",
+		"cells": "sweepmesh 1\nname x\nverts 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ncells 1125899906842624\n0 1 2 3\n",
+	}
+	for what, text := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(strings.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v, want one wrapping io.EOF", what, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: decoding a short input allocated %d bytes", what, d)
+		}
 	}
 }

@@ -8,23 +8,22 @@ import "fmt"
 // priorities and release delays. The aggregated kernels take one
 // priority per (angleset, cell) — na = n·A values instead of nt = n·k —
 // and one release delay per angleset, and produce the schedule the
-// per-direction kernels would produce on the expanded inputs
+// per-direction kernels produce on the expanded inputs
 //
 //	prio[i·n+v]    = aggPrio[group(i)·n+v]
 //	release[i·n+v] = aggRel[group(i)]
 //
-// bit for bit. Sorting na keys instead of nt, and filling priorities
-// once per angleset instead of once per direction, is where the k/A
-// amortization comes from; the expansion back to per-direction task
-// ranks is a linear pass (buildAngleset). Narrow spreads skip the sort:
-// the counting pass ranks the expanded tasks straight from the aggregate
-// priorities (rankq.load).
+// bit for bit, because that is what they run: they expand the inputs
+// into workspace scratch (expand, the loop ExpandAnglesetPrio and
+// ExpandAnglesetRelease share) and hand them to the per-direction step
+// rule. The partition ends here; the step core never sees it. Filling
+// priorities once per angleset instead of once per direction
+// (internal/heuristics) is where the k/A saving lives.
 
 // ValidateAnglesets checks that groups is an angleset partition of the
 // k directions: every group non-empty with strictly ascending members
 // in [0, k), and every direction in exactly one group. Ascending
-// members are part of the contract — the aggregated kernels expand a
-// group's tasks in member order and rely on it matching TaskID order.
+// members are part of the contract, so a partition has one spelling.
 func ValidateAnglesets(groups [][]int32, k int) error {
 	return fillDirGroup(make([]int32, k), groups)
 }
@@ -67,38 +66,64 @@ func fillDirGroup(dg []int32, groups [][]int32) error {
 }
 
 // checkExpansion validates groups as a partition of the directions it
-// names and the expansion destination's length against it.
-func checkExpansion(groups [][]int32, n, dstLen int) error {
+// names and the expansion destination's length against it, and returns
+// the direction -> angleset map.
+func checkExpansion(groups [][]int32, n, dstLen int) ([]int32, error) {
 	k := 0
 	for _, g := range groups {
 		k += len(g)
 	}
-	if err := ValidateAnglesets(groups, k); err != nil {
-		return err
+	dirGroup := make([]int32, k)
+	if err := fillDirGroup(dirGroup, groups); err != nil {
+		return nil, err
 	}
 	if dstLen != n*k {
-		return fmt.Errorf("sched: expansion destination covers %d of %d tasks", dstLen, n*k)
+		return nil, fmt.Errorf("sched: expansion destination covers %d of %d tasks", dstLen, n*k)
+	}
+	return dirGroup, nil
+}
+
+// checkAggPrio wants one aggregate priority per (angleset, cell).
+func checkAggPrio(aggPrio Priorities, anglesets, n int) error {
+	if len(aggPrio) != n*anglesets {
+		return fmt.Errorf("sched: %d aggregate priorities for %d anglesets × %d cells", len(aggPrio), anglesets, n)
 	}
 	return nil
+}
+
+// checkAggRel wants one release delay per angleset.
+func checkAggRel(aggRel []int32, anglesets int) error {
+	if len(aggRel) != anglesets {
+		return fmt.Errorf("sched: %d release delays for %d anglesets", len(aggRel), anglesets)
+	}
+	return nil
+}
+
+// expand is the one expansion loop: direction i's n values in dst are
+// row dirGroup[i] of src, w values wide, repeated until they fill the
+// direction — w = n for priorities, 1 for a release delay.
+func expand[T int32 | int64](dst, src []T, dirGroup []int32, n, w int) {
+	for i, a := range dirGroup {
+		seg := dst[i*n : (i+1)*n]
+		for f := copy(seg, src[int(a)*w:(int(a)+1)*w]); f < n; f *= 2 {
+			copy(seg[f:], seg[:f])
+		}
+	}
 }
 
 // ExpandAnglesetPrio writes the per-direction expansion of an
 // aggregated priority vector into dst (len nt = n·k): every member
 // direction of angleset a receives a copy of aggPrio[a·n : (a+1)·n].
-// This is the priority vector the aggregated kernels emulate.
+// This is the priority vector the aggregated kernels run on.
 func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n int) error {
-	if err := checkExpansion(groups, n, len(dst)); err != nil {
+	dirGroup, err := checkExpansion(groups, n, len(dst))
+	if err != nil {
 		return err
 	}
-	if len(aggPrio) != n*len(groups) {
-		return fmt.Errorf("sched: %d aggregate priorities for %d anglesets × %d cells", len(aggPrio), len(groups), n)
+	if err := checkAggPrio(aggPrio, len(groups), n); err != nil {
+		return err
 	}
-	for a, g := range groups {
-		src := aggPrio[a*n : (a+1)*n]
-		for _, i := range g {
-			copy(dst[int(i)*n:(int(i)+1)*n], src)
-		}
-	}
+	expand(dst, aggPrio, dirGroup, n, n)
 	return nil
 }
 
@@ -106,138 +131,47 @@ func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n 
 // release delays into dst (len nt): every task of a member direction of
 // angleset a is released at aggRel[a].
 func ExpandAnglesetRelease(dst []int32, aggRel []int32, groups [][]int32, n int) error {
-	if err := checkExpansion(groups, n, len(dst)); err != nil {
+	dirGroup, err := checkExpansion(groups, n, len(dst))
+	if err != nil {
 		return err
 	}
-	if len(aggRel) != len(groups) {
-		return fmt.Errorf("sched: %d release delays for %d anglesets", len(aggRel), len(groups))
+	if err := checkAggRel(aggRel, len(groups)); err != nil {
+		return err
 	}
-	for a, g := range groups {
-		for _, i := range g {
-			seg := dst[int(i)*n : (int(i)+1)*n]
-			for v := range seg {
-				seg[v] = aggRel[a]
-			}
-		}
-	}
+	expand(dst, aggRel, dirGroup, n, 1)
 	return nil
 }
 
-// buildAngleset is build's aggregated counterpart, for spreads the
-// counting pass does not take (narrower ones it ranks from the aggregate
-// priorities directly, reading each direction's row through dirGroup): it
-// sorts the na = n·A aggregate keys by (aggPrio, aggregate id) and
-// expands the sorted order into the full nt-task rank/order partition
-// that build would compute from the expanded priorities — without ever
-// materializing them. Within a run of equal priority the aggregate order
-// is angleset-segmented with ascending cells, and the expanded order of
-// the run is TaskID-ascending, i.e. direction-major: for each direction
-// i (ascending), the run's cells of group(i) ascending. Single-segment
-// runs (the common case: priorities rarely collide across anglesets)
-// expand by iterating the one group's members; multi-segment runs do a
-// k-scan over directions with a stamped group→segment lookup.
-func (q *rankq) buildAngleset(in *prelude, minP int64, spread uint64, path rankPath) {
-	aggPrio, n, assign, groups, dirGroup := in.prio, in.n, in.assign, in.groups, in.dirGroup
-	A := len(groups)
-	k := int32(len(dirGroup))
-	na := int(n) * A
-	if cap(q.segA) < A+1 {
-		q.segA = make([]int32, A+1)
-		q.segLo = make([]int32, A+1)
-		q.segOf = make([]int32, A+1)
-		q.segStamp = make([]int32, A+1)
-	}
-	q.segA = q.segA[:A+1]
-	q.segLo = q.segLo[:A+1]
-	q.segOf = q.segOf[:A]
-	q.segStamp = q.segStamp[:A]
-	clear(q.segStamp)
-
-	// Every cell contributes exactly k tasks, all on its processor, so
-	// the partition offsets are plain build's for the full instance.
-	q.partition(in.nt, in.m, assign, n)
-	keys := q.sortedIDs(aggPrio, minP, spread, path)
-
-	// Expand the sorted aggregate order run by run. Emission order is
-	// exactly the expanded global (prio, TaskID) order, so rank/order
-	// match plain build on the expanded priorities bit for bit.
-	// emit places cells keys[lo:hi] of angleset a as tasks of direction i.
-	emit := func(i, a, lo, hi int32) {
-		for _, key := range keys[lo:hi] {
-			v := int32(key) - a*n
-			q.place(assign[v], TaskID(i*n+v))
-		}
-	}
-	runID := int32(0)
-	for s := 0; s < na; {
-		p0 := aggPrio[keys[s]]
-		e := s + 1
-		for e < na && aggPrio[keys[e]] == p0 {
-			e++
-		}
-		runID++
-
-		// Segment the run by angleset: aggregate ids ascend within the
-		// run, so the angleset index a = id/n only advances.
-		nSeg := 0
-		a, bound := int32(0), n
-		for j := s; j < e; j++ {
-			id := int32(keys[j])
-			for id >= bound {
-				a++
-				bound += n
-			}
-			if nSeg == 0 || q.segA[nSeg-1] != a {
-				q.segA[nSeg] = a
-				q.segLo[nSeg] = int32(j)
-				nSeg++
-			}
-		}
-		q.segLo[nSeg] = int32(e)
-
-		if nSeg == 1 {
-			for _, i := range groups[a] {
-				emit(i, a, int32(s), int32(e))
-			}
-		} else {
-			for sg := 0; sg < nSeg; sg++ {
-				q.segStamp[q.segA[sg]] = runID
-				q.segOf[q.segA[sg]] = int32(sg)
-			}
-			for i := int32(0); i < k; i++ {
-				if a := dirGroup[i]; q.segStamp[a] == runID {
-					sg := q.segOf[a]
-					emit(i, a, q.segLo[sg], q.segLo[sg+1])
-				}
-			}
-		}
-		s = e
-	}
-}
-
-// checkAnglesetArgs validates the shared argument contract of the
-// aggregated kernels, fills ws.dirGroup, and resolves a nil aggregate
-// priority slice to all-zero scratch.
-func (ws *Workspace) checkAnglesetArgs(inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities) (Priorities, error) {
+// expandAngleset validates the aggregated kernels' arguments — the
+// assignment, then the partition, then the aggregate lengths — and
+// expands them into workspace scratch for the per-direction rule. A nil
+// aggPrio stays nil (all equal), as does a nil aggRel (no releases).
+func (ws *Workspace) expandAngleset(inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, aggRel []int32) (prio Priorities, release []int32, err error) {
 	if err := assign.Validate(inst.N(), inst.M); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if cap(ws.dirGroup) < inst.K() {
-		ws.dirGroup = make([]int32, inst.K())
-	}
-	ws.dirGroup = ws.dirGroup[:inst.K()]
+	ws.dirGroup = grow(ws.dirGroup, inst.K())
 	if err := fillDirGroup(ws.dirGroup, groups); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ws.ensure(inst)
-	na := inst.N() * len(groups)
-	if aggPrio == nil {
-		return ws.zeroPrio[:na], nil
+	n, nt := inst.N(), inst.NTasks()
+	if aggPrio != nil {
+		if err := checkAggPrio(aggPrio, len(groups), n); err != nil {
+			return nil, nil, err
+		}
+		prio = grow(ws.expPrio, nt)
+		expand(prio, aggPrio, ws.dirGroup, n, n)
+		ws.expPrio = prio
 	}
-	if len(aggPrio) != na {
-		return nil, fmt.Errorf("sched: %d aggregate priorities for %d anglesets × %d cells", len(aggPrio), len(groups), inst.N())
+	if aggRel != nil {
+		if err := checkAggRel(aggRel, len(groups)); err != nil {
+			return nil, nil, err
+		}
+		release = grow(ws.expRel, nt)
+		expand(release, aggRel, ws.dirGroup, n, 1)
+		ws.expRel = release
 	}
-	return aggPrio, nil
+	return prio, release, nil
 }
 
 // ListScheduleAnglesetInto is the angleset-aggregated form of
@@ -252,7 +186,11 @@ func (ws *Workspace) checkAnglesetArgs(inst *Instance, assign Assignment, groups
 // (ValidateAnglesets); a nil aggRel means no release delays, a nil
 // aggPrio all-equal priorities.
 func ListScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, aggRel []int32) error {
-	return ws.schedule(dst, inst, assign, stepRule{series: anglistSeries, prio: aggPrio, aggregated: true, groups: groups, groupFloor: aggRel})
+	prio, release, err := ws.expandAngleset(inst, assign, groups, aggPrio, aggRel)
+	if err != nil {
+		return err
+	}
+	return ws.schedule(dst, inst, assign, stepRule{series: anglistSeries, prio: prio, taskFloor: release})
 }
 
 // CommScheduleAnglesetInto is the angleset-aggregated form of
@@ -261,5 +199,9 @@ func ListScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assi
 // CommScheduleInto on the expanded priorities. Zero heap allocations on
 // a warm workspace and recycled dst.
 func CommScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, commDelay int) error {
-	return ws.schedule(dst, inst, assign, stepRule{series: angcommSeries, prio: aggPrio, aggregated: true, groups: groups, commDelay: commDelay})
+	prio, _, err := ws.expandAngleset(inst, assign, groups, aggPrio, nil)
+	if err != nil {
+		return err
+	}
+	return ws.schedule(dst, inst, assign, stepRule{series: angcommSeries, prio: prio, commDelay: commDelay})
 }

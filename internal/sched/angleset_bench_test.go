@@ -3,6 +3,7 @@ package sched_test
 import (
 	"testing"
 
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
@@ -39,42 +40,52 @@ func anglesetBenchWorkload(b *testing.B) (*sched.Instance, []sched.Assignment, [
 	return inst, assigns, groups, aggPrio, aggRel
 }
 
-// BenchmarkAnglesetKernel compares the per-direction list kernel on
-// expanded inputs ("perdir") with the aggregated kernel on the compact
-// per-angleset inputs ("angleset") — identical output, 24 directions
-// driven by 8 anglesets' worth of priority data. Allocs/op must be 0
-// for both on the warm workspace.
+// BenchmarkAnglesetKernel compares the aggregated kernel on the compact
+// per-angleset inputs ("angleset": expanding them, then the
+// per-direction kernel) with the per-direction kernel on inputs expanded
+// beforehand ("perdir"); the output is identical, so the difference is
+// the expansion. The level+delay priorities take the counting pass; the
+// "_radix" pair ranks descendant priorities, plan-ladder's angleset rung,
+// whose spread rankPathFor sends to the radix sort of all n·k keys.
+// Allocs/op must be 0 for all four on the warm workspace.
 func BenchmarkAnglesetKernel(b *testing.B) {
 	inst, assigns, groups, aggPrio, aggRel := anglesetBenchWorkload(b)
-	n := inst.N()
-	prio := make(sched.Priorities, inst.NTasks())
-	if err := sched.ExpandAnglesetPrio(prio, aggPrio, groups, n); err != nil {
-		b.Fatal(err)
-	}
-	rel := make([]int32, inst.NTasks())
-	if err := sched.ExpandAnglesetRelease(rel, aggRel, groups, n); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("perdir", func(b *testing.B) {
-		ws := sched.NewWorkspace()
-		dst := &sched.Schedule{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sched.ListScheduleInto(ws, dst, inst, assigns[i%len(assigns)], prio, rel); err != nil {
-				b.Fatal(err)
-			}
+	wide := make(sched.Priorities, inst.N()*len(groups))
+	heuristics.DescendantAnglesetPrioritiesInto(wide, inst, groups, 1)
+	for _, c := range []struct {
+		suffix  string
+		aggPrio sched.Priorities
+	}{{"", aggPrio}, {"_radix", wide}} {
+		prio := make(sched.Priorities, inst.NTasks())
+		if err := sched.ExpandAnglesetPrio(prio, c.aggPrio, groups, inst.N()); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("angleset", func(b *testing.B) {
-		ws := sched.NewWorkspace()
-		dst := &sched.Schedule{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sched.ListScheduleAnglesetInto(ws, dst, inst, assigns[i%len(assigns)], groups, aggPrio, aggRel); err != nil {
-				b.Fatal(err)
-			}
+		rel := make([]int32, inst.NTasks())
+		if err := sched.ExpandAnglesetRelease(rel, aggRel, groups, inst.N()); err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run("perdir"+c.suffix, func(b *testing.B) {
+			benchKernel(b, assigns, func(ws *sched.Workspace, dst *sched.Schedule, assign sched.Assignment) error {
+				return sched.ListScheduleInto(ws, dst, inst, assign, prio, rel)
+			})
+		})
+		b.Run("angleset"+c.suffix, func(b *testing.B) {
+			benchKernel(b, assigns, func(ws *sched.Workspace, dst *sched.Schedule, assign sched.Assignment) error {
+				return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, c.aggPrio, aggRel)
+			})
+		})
+	}
+}
+
+// benchKernel times run on a fresh workspace, cycling the assignments.
+func benchKernel(b *testing.B, assigns []sched.Assignment, run func(*sched.Workspace, *sched.Schedule, sched.Assignment) error) {
+	ws := sched.NewWorkspace()
+	dst := &sched.Schedule{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(ws, dst, assigns[i%len(assigns)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -40,7 +40,7 @@ func (g *StepTable) Build(s *Schedule, assign Assignment, done []bool) error {
 	}
 	g.m, g.steps = inst.M, s.Makespan
 	rows := g.m * g.steps
-	g.off = growInt32(g.off, rows+1)
+	g.off = grow(g.off, rows+1)
 	clear(g.off)
 	n, k := inst.N(), inst.K()
 	live := 0
@@ -191,7 +191,7 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 		r.at = make([]route, nt+1)
 	}
 	r.at = r.at[:nt+1]
-	r.pos = growInt32(r.pos, nt)
+	r.pos = grow(r.pos, nt)
 	for t := range r.pos {
 		r.pos[t] = -1
 	}
@@ -205,7 +205,7 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 			next++
 		}
 	}
-	r.slotTo = growInt32(r.slotTo, inst.M)
+	r.slotTo = grow(r.slotTo, inst.M)
 	for q := range r.slotTo {
 		r.slotTo[q] = -1
 	}
@@ -233,7 +233,7 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 		r.at[i].in += r.at[i-1].in
 		r.at[i].out += r.at[i-1].out
 	}
-	r.in = growInt32(r.in, int(r.at[nt].in))
+	r.in = grow(r.in, int(r.at[nt].in))
 	if cap(r.out) < int(r.at[nt].out) {
 		r.out = make([]OutEdge, r.at[nt].out)
 	}
@@ -284,13 +284,6 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 	r.slot = r.slot[:slots]
 	clear(r.slot)
 	r.base = 1
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // In returns, for each upwind edge of the task at position i in the DAG's

@@ -18,12 +18,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"sweepsched/internal/dag"
 )
 
 // traceVersion is the current sweeptrace format version.
 const traceVersion = 1
+
+// traceCap bounds the capacity DecodeTrace reserves from the shape line.
+const traceCap = 1 << 12
 
 // EncodeTrace writes the schedule's trace.
 func EncodeTrace(w io.Writer, s *Schedule) error {
@@ -63,6 +67,41 @@ func DecodeTrace(r io.Reader) (*Schedule, error) {
 	if n < 1 || k < 1 || m < 1 || makespan < 1 {
 		return nil, fmt.Errorf("sched: degenerate shape n=%d k=%d m=%d makespan=%d", n, k, m, makespan)
 	}
+	if k > math.MaxInt32/n {
+		return nil, fmt.Errorf("sched: shape n=%d k=%d has more tasks than a TaskID holds", n, k)
+	}
+	// The tables grow as the body is read: the shape line is a claim,
+	// and a short trace claiming a huge one must fail at its end, not
+	// allocate the claim first.
+	var word string
+	if _, err := fmt.Fscan(br, &word); err != nil || word != "assign" {
+		return nil, fmt.Errorf("sched: missing assign section")
+	}
+	assign := make(Assignment, 0, min(n, traceCap))
+	for v := 0; v < n; v++ {
+		var p int32
+		if _, err := fmt.Fscan(br, &p); err != nil {
+			return nil, fmt.Errorf("sched: assign[%d]: %w", v, err)
+		}
+		if p < 0 || int(p) >= m {
+			return nil, fmt.Errorf("sched: assign[%d]=%d out of range", v, p)
+		}
+		assign = append(assign, p)
+	}
+	if _, err := fmt.Fscan(br, &word); err != nil || word != "start" {
+		return nil, fmt.Errorf("sched: missing start section")
+	}
+	start := make([]int32, 0, min(n*k, traceCap))
+	for t := 0; t < n*k; t++ {
+		var st int32
+		if _, err := fmt.Fscan(br, &st); err != nil {
+			return nil, fmt.Errorf("sched: start[%d]: %w", t, err)
+		}
+		if st < 0 || int(st) >= makespan {
+			return nil, fmt.Errorf("sched: start[%d]=%d outside [0,%d)", t, st, makespan)
+		}
+		start = append(start, st)
+	}
 	dags := make([]*dag.DAG, k)
 	empty, err := dag.FromEdges(n, nil)
 	if err != nil {
@@ -74,31 +113,6 @@ func DecodeTrace(r io.Reader) (*Schedule, error) {
 	inst, err := FromDAGs(dags, m)
 	if err != nil {
 		return nil, err
-	}
-	var word string
-	if _, err := fmt.Fscan(br, &word); err != nil || word != "assign" {
-		return nil, fmt.Errorf("sched: missing assign section")
-	}
-	assign := make(Assignment, n)
-	for v := range assign {
-		if _, err := fmt.Fscan(br, &assign[v]); err != nil {
-			return nil, fmt.Errorf("sched: assign[%d]: %w", v, err)
-		}
-		if assign[v] < 0 || int(assign[v]) >= m {
-			return nil, fmt.Errorf("sched: assign[%d]=%d out of range", v, assign[v])
-		}
-	}
-	if _, err := fmt.Fscan(br, &word); err != nil || word != "start" {
-		return nil, fmt.Errorf("sched: missing start section")
-	}
-	start := make([]int32, n*k)
-	for t := range start {
-		if _, err := fmt.Fscan(br, &start[t]); err != nil {
-			return nil, fmt.Errorf("sched: start[%d]: %w", t, err)
-		}
-		if start[t] < 0 || int(start[t]) >= makespan {
-			return nil, fmt.Errorf("sched: start[%d]=%d outside [0,%d)", t, start[t], makespan)
-		}
 	}
 	s := &Schedule{Inst: inst, Assign: assign, Start: start}
 	s.computeMakespan()

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,5 +74,32 @@ func TestTraceValidForViews(t *testing.T) {
 	}
 	if s.Inst.NTasks() != 4 {
 		t.Fatalf("tasks %d", s.Inst.NTasks())
+	}
+}
+
+// TestTraceDecodeHugeShapeAllocatesLittle: the shape line is a claim the
+// body has to back. A short trace claiming 2,000,000 cells fails at its
+// end, wrapping io.EOF, and shapes past a TaskID's range fail at the
+// shape line; neither allocates 1 MB.
+func TestTraceDecodeHugeShapeAllocatesLittle(t *testing.T) {
+	cases := map[string]struct {
+		text string
+		eof  bool
+	}{
+		"cells":      {"sweeptrace 1\nshape 2000000 1 1 1\nassign 0\n", true},
+		"directions": {"sweeptrace 1\nshape 1 1125899906842624 1 1\nassign 0\nstart 0\n", false},
+		"wrapping":   {"sweeptrace 1\nshape 1125899906842624 1048576 1 1\nassign 0\n", false},
+	}
+	for what, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeTrace(strings.NewReader(tc.text))
+		runtime.ReadMemStats(&after)
+		if err == nil || tc.eof && !errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v", what, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: decoding a short trace allocated %d bytes", what, d)
+		}
 	}
 }

@@ -48,13 +48,6 @@ type rankq struct {
 	cursor []int32
 	keys   []uint64 // (prio - minPrio) << idBits | TaskID
 	keys2  []uint64
-
-	// Angleset expansion scratch (buildAngleset, angleset.go): segment
-	// table of one equal-priority run plus the group→segment stamp map.
-	segA     []int32 // segment -> angleset
-	segLo    []int32 // segment -> start in sorted keys (+ end sentinel)
-	segOf    []int32 // angleset -> segment index, valid when stamped
-	segStamp []int32 // angleset -> run id that last stamped segOf
 }
 
 // procq is one processor's queue record: everything push and pop read or
@@ -84,26 +77,15 @@ type node struct {
 // every task runs, and the graph and release state its node and its
 // filing as a source come from. Processor of task t is assign[t mod n].
 type prelude struct {
-	prio     Priorities // one per task; one per (angleset, cell) under dirGroup
-	dirGroup []int32    // direction -> angleset; nil when prio is per task
-	groups   [][]int32  // the anglesets, under dirGroup
-	nt, m    int
-	n        int32
-	assign   Assignment
-	dags     []*dag.DAG // the directions' in-degrees, and in-lists under done
-	off      []int32    // taskGraph.off: successor offsets, nt+1 of them
-	done     []bool     // tasks finished before the run; nil for none
-	floor    []int32    // release floors, nil for none: a source with one above 0 waits in cal
-	cal      *calendar
-}
-
-// row returns the priorities of the first cells cells of direction i.
-func (in *prelude) row(i, cells int) Priorities {
-	if in.dirGroup != nil {
-		i = int(in.dirGroup[i])
-	}
-	lo := i * int(in.n)
-	return in.prio[lo : lo+cells]
+	prio   Priorities // one per task
+	nt, m  int
+	n      int32
+	assign Assignment
+	dags   []*dag.DAG // the directions' in-degrees, and in-lists under done
+	off    []int32    // taskGraph.off: successor offsets, nt+1 of them
+	done   []bool     // tasks finished before the run; nil for none
+	floor  []int32    // release floors, nil for none: a source with one above 0 waits in cal
+	cal    *calendar
 }
 
 // load is the prelude every list engine runs, as one call: it ranks the
@@ -117,7 +99,7 @@ func (in *prelude) row(i, cells int) Priorities {
 // How the ranks are computed depends on the priorities' spread
 // (rankPathFor). On the counting path — level and delay priorities at any
 // practical m — they come out of the same pass that writes the nodes;
-// otherwise build or buildAngleset sorts first and that pass reads them.
+// otherwise build sorts first and that pass reads them.
 func (q *rankq) load(in prelude) (remaining int) {
 	nt, m := in.nt, in.m
 	if cap(q.order) < nt {
@@ -133,13 +115,10 @@ func (q *rankq) load(in prelude) (remaining int) {
 	minP, spread := prioRange(in.prio)
 	path := rankPathFor(spread, len(in.prio), nt, m)
 	span := 0
-	switch {
-	case path == countPath:
+	if path == countPath {
 		span = int(spread) + 1
 		q.countBuckets(&in, minP, span)
-	case in.dirGroup != nil:
-		q.buildAngleset(&in, minP, spread, path)
-	default:
+	} else {
 		q.build(&in, minP, spread, path)
 	}
 	q.reset()
@@ -199,8 +178,8 @@ func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
 	q.cursor = cur
 	clear(cur)
 	n := int(in.n)
-	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
-		for v, pv := range in.row(i, min(n, in.nt-base)) {
+	for base := 0; base < in.nt; base += n {
+		for v, pv := range in.prio[base:min(base+n, in.nt)] {
 			cur[int(in.assign[v])*span+int(pv-minP)]++
 		}
 	}
@@ -223,8 +202,8 @@ func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
 // it ranks as it goes: a task takes the next slot of its (processor,
 // priority) bucket, the tasks come in id order, so each bucket fills in id
 // order and a processor's buckets, in priority order, hold its tasks in
-// (priority, id) order. On the other paths build or buildAngleset has
-// ranked them already. Under a done mask only edges between not-done tasks
+// (priority, id) order. On the other paths build has ranked them
+// already. Under a done mask only edges between not-done tasks
 // count; done tasks sit at in-degree 0 and are never filed, and a finished
 // predecessor drives a done successor's counter negative, never to zero,
 // so the engines' release loops need no mask test.
@@ -234,10 +213,7 @@ func (q *rankq) fill(in *prelude, minP int64, span int) (remaining int) {
 	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
 		cells := min(n, in.nt-base)
 		d, seg, off := in.dags[i], nodes[base:base+cells], in.off[base:base+cells]
-		var pr Priorities
-		if span > 0 {
-			pr = in.row(i, cells)
-		}
+		pr := in.prio[base : base+cells]
 		var mask []bool
 		if in.done != nil {
 			mask = in.done[base : base+cells]
@@ -290,22 +266,16 @@ func (q *rankq) build(in *prelude, minP int64, spread uint64, path rankPath) {
 	q.partition(in.nt, in.m, in.assign, in.n)
 	for _, key := range q.sortedIDs(in.prio, minP, spread, path) {
 		t := TaskID(key)
-		q.place(in.assign[int32(t)%in.n], t)
+		pq := &q.procs[in.assign[int32(t)%in.n]]
+		q.node[t].rank = pq.count
+		q.order[pq.tasks+pq.count] = t
+		pq.count++
 	}
-}
-
-// place gives task t the next local rank on its processor p. Tasks
-// must be placed in global (prio, TaskID) order.
-func (q *rankq) place(p int32, t TaskID) {
-	pq := &q.procs[p]
-	q.node[t].rank = pq.count
-	q.order[pq.tasks+pq.count] = t
-	pq.count++
 }
 
 // partition lays out the processors' slots in order and their bitmap
 // words for the sorting paths, with every record's count at zero for
-// place to use as its cursor. The per-processor task counts come from
+// build to use as its cursor. The per-processor task counts come from
 // the task→cell mapping: the Instance layout (nt = n·k, every direction
 // one copy of each cell) admits the cells-times-k shortcut, but a ragged
 // nt (not a multiple of n) must be counted task by task or the trailing

@@ -6,8 +6,8 @@ import (
 )
 
 // The unit-step scheduling core. The §3 list scheduler, its §5.2
-// random-delay releases, the uniform communication-delay model, the
-// angleset-aggregated forms and the recovery reschedule are one loop:
+// random-delay releases, the uniform communication-delay model and the
+// recovery reschedule are one loop:
 // rank the tasks and file the sources (rankq.load, the prelude all the
 // list engines share), pop one ready task per processor per step,
 // release successors. What differs between them is when a
@@ -17,7 +17,8 @@ import (
 //	               finish(u) + (proc(u) != proc(t) ? commDelay : 0)),
 //
 // and which tasks exist at all. A stepRule states exactly that as plain
-// data; the five exported kernels are wrappers that fill one in.
+// data, per task; the five exported kernels are wrappers that fill one in
+// (the two angleset forms after expanding their inputs, angleset.go).
 
 // kernelSeries names the obs series one kernel reports under.
 type kernelSeries struct{ kernel, time, runs, steps string }
@@ -36,15 +37,9 @@ var (
 
 // stepRule is one run's release rule. Nil slices switch their clause off.
 type stepRule struct {
-	series *kernelSeries
-	// prio holds one priority per task or, aggregated, one per (angleset,
-	// cell) with groups partitioning the directions into anglesets.
-	prio       Priorities
-	aggregated bool
-	groups     [][]int32
-	// Release floors: per task, or per angleset when aggregated.
-	taskFloor  []int32
-	groupFloor []int32
+	series    *kernelSeries
+	prio      Priorities // one per task
+	taskFloor []int32    // release floor per task
 	// commDelay is added to a predecessor's finish on cross-processor edges.
 	commDelay int
 	// done marks tasks finished before step 0: they are not scheduled
@@ -84,7 +79,7 @@ func checkStepRange(nt, commDelay int, maxRelease int32) error {
 // (dst.Start's backing array is reused). On a warm workspace and a
 // recycled dst it performs zero heap allocations.
 func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, rule stepRule) error {
-	nt, n, m := inst.NTasks(), int32(inst.N()), inst.M
+	nt, m := inst.NTasks(), inst.M
 	ws.hasMetrics = false
 	if rule.commDelay < 0 {
 		return fmt.Errorf("sched: negative communication delay %d", rule.commDelay)
@@ -92,27 +87,16 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	if rule.taskFloor != nil && len(rule.taskFloor) != nt {
 		return fmt.Errorf("sched: %d release times for %d tasks", len(rule.taskFloor), nt)
 	}
-	if rule.groupFloor != nil && len(rule.groupFloor) != len(rule.groups) {
-		return fmt.Errorf("sched: %d release delays for %d anglesets", len(rule.groupFloor), len(rule.groups))
-	}
 	if rule.done != nil && len(rule.done) != nt {
 		return fmt.Errorf("sched: done set covers %d of %d tasks", len(rule.done), nt)
 	}
-	var prio Priorities
-	var err error
-	if rule.aggregated {
-		prio, err = ws.checkAnglesetArgs(inst, assign, rule.groups, rule.prio)
-	} else {
-		prio, err = ws.checkListArgs(inst, assign, rule.prio)
-	}
+	prio, err := ws.checkListArgs(inst, assign, rule.prio)
 	if err != nil {
 		return err
 	}
 	var maxFloor int32
-	for _, floors := range [2][]int32{rule.taskFloor, rule.groupFloor} {
-		for _, f := range floors {
-			maxFloor = max(maxFloor, f)
-		}
+	for _, f := range rule.taskFloor {
+		maxFloor = max(maxFloor, f)
 	}
 	if err := checkStepRange(nt, rule.commDelay, maxFloor); err != nil {
 		return err
@@ -129,19 +113,11 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	// caller's floors are read in place; nil means no task ever waits.
 	cd := int32(rule.commDelay)
 	readyAt := rule.taskFloor
-	if cd > 0 || rule.groupFloor != nil {
+	if cd > 0 {
 		readyAt = ws.readyAt
-		switch {
-		case rule.groupFloor != nil:
-			for i, a := range ws.dirGroup {
-				seg := readyAt[int32(i)*n : int32(i+1)*n]
-				for v := range seg {
-					seg[v] = rule.groupFloor[a]
-				}
-			}
-		case rule.taskFloor != nil:
+		if rule.taskFloor != nil {
 			copy(readyAt, rule.taskFloor)
-		default:
+		} else {
 			clear(readyAt)
 		}
 	}
@@ -150,11 +126,7 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	cal.prepare(max(maxFloor, cd+1), nt)
 
 	rq := &ws.rq
-	in := prelude{prio: prio, nt: nt, m: m, n: n, assign: assign, dags: inst.DAGs, off: g.off, done: rule.done, floor: readyAt, cal: cal}
-	if rule.aggregated {
-		in.dirGroup, in.groups = ws.dirGroup, rule.groups
-	}
-	remaining := rq.load(in)
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(inst.N()), assign: assign, dags: inst.DAGs, off: g.off, done: rule.done, floor: readyAt, cal: cal})
 	nodes, succ, procs := rq.node, g.succ, rq.procs
 
 	start := ensureStart(dst, nt)

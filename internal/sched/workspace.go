@@ -35,9 +35,11 @@ type Workspace struct {
 	// building priorities and release times without per-trial allocation.
 	prioBuf  Priorities
 	int32Buf []int32
-	// dirGroup maps direction -> angleset for the aggregated kernels
-	// (validated and filled by fillDirGroup per run).
+	// The angleset kernels' inputs, expanded per task (expandAngleset):
+	// dirGroup maps direction -> angleset, filled by fillDirGroup per run.
 	dirGroup []int32
+	expPrio  Priorities
+	expRel   []int32
 	// Weighted-engine scratch (weighted.go): the completion and release
 	// event heaps, per-processor busy and touched flags with the list of
 	// processors touched at the current timestamp, and per-task int64
@@ -66,7 +68,8 @@ type Workspace struct {
 // SetObserver attaches an obs collector: every kernel run through this
 // workspace records a stage span and run/step counters under its own
 // series (sched.{list,comm,residual,anglist,angcomm,greedy,weighted}.
-// {time,runs,steps}). A nil
+// {time,runs,steps}); the angleset kernels keep theirs although they run
+// the per-direction rule, and their span leaves out the expansion. A nil
 // collector detaches. Release detaches automatically so pooled
 // workspaces never leak a collector to an unrelated caller.
 func (ws *Workspace) SetObserver(col *obs.Collector) { ws.col = col }
@@ -226,4 +229,13 @@ func ensureStart(dst *Schedule, nt int) []int32 {
 	}
 	dst.Start = dst.Start[:nt]
 	return dst.Start
+}
+
+// grow returns s resliced to length n, or a fresh slice when its
+// capacity falls short; the contents are unspecified.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

@@ -255,6 +255,8 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown_synthetic", `{"mesh":{"synthetic":"fractal","n":50},"directions":8,"procs":16}`, 400, ""},
 		{"task_ceiling", `{"mesh":{"synthetic":"random_chains","n":1048576,"seed":1},"directions":512,"procs":16}`, 400, ""},
 		{"bad_encoded_mesh", `{"mesh":{"encoded":"not a sweepmesh"},"directions":8,"procs":16}`, 400, ""},
+		// The decoder must not allocate a header's claim before the body backs it.
+		{"huge_count_encoded_mesh", `{"mesh":{"encoded":"sweepmesh 1\nname x\nverts 17592186044416\n0 0 0\n"},"directions":8,"procs":16}`, 400, ""},
 		{"negative_workers", `{"mesh":{"family":"tetonly","scale":0.02},"directions":8,"procs":16,"workers":-1}`, 400, ""},
 		// A tiny tol with an unbounded iteration cap would hold an admission
 		// slot until its client gave up.

@@ -70,10 +70,11 @@ func DifferentialComm(inst *sched.Instance, assign sched.Assignment, prio sched.
 
 // DifferentialAngleset checks the angleset-aggregated list kernel
 // against the per-direction reference: the aggregate priority/release
-// vectors are expanded to their per-direction form (the aggregated
-// kernel's documented semantics) and replayed through the frozen
-// reference scheduler. Expansion errors must be mirrored by a kernel
-// rejection of the same inputs.
+// vectors are expanded to their per-direction form (through the
+// expansion the kernel itself runs, which TestExpandAnglesetByFormula
+// holds to the contract) and replayed through the frozen reference
+// scheduler. Expansion errors must be mirrored by a kernel rejection of
+// the same inputs.
 func DifferentialAngleset(inst *sched.Instance, assign sched.Assignment, groups [][]int32, aggPrio sched.Priorities, aggRel []int32) error {
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()

@@ -388,7 +388,10 @@ func TestInternalReachability(t *testing.T) {
 // UpdatePhi; faults.Engine is the only fault-epoch loop, and
 // internal/procrun, its wire side, may not route, reschedule or iterate on
 // its own; every list engine pops from the rank bitmaps, so a task heap or
-// a separate indegree array outside refimpl is a second ready set.
+// a separate indegree array outside refimpl is a second ready set. The
+// unit-step core takes per-task inputs only: the angleset kernels expand
+// theirs first, so a second rank build (buildAngleset) or a partition
+// carried into the core's run state is a second input form.
 func TestStructure(t *testing.T) {
 	s := loadSource(t)
 	var bodies, loops []string
@@ -401,7 +404,7 @@ func TestStructure(t *testing.T) {
 		if d.recv == "" {
 			declared[d.name]++
 		}
-		if (d.name == "heap4" || d.name == "fillIndeg") && !strings.Contains(d.file, "/refimpl/") {
+		if (d.name == "heap4" || d.name == "fillIndeg" || d.name == "buildAngleset") && !strings.Contains(d.file, "/refimpl/") {
 			t.Errorf("%s: %s declared outside refimpl", at, d.name)
 		}
 		for _, u := range d.uses {
@@ -428,6 +431,13 @@ func TestStructure(t *testing.T) {
 	for _, name := range []string{"epochEnd", "endCrash"} {
 		if declared[name] != 1 {
 			t.Errorf("%s declared %d times, want once (faults.Engine's epoch loop)", name, declared[name])
+		}
+	}
+	for _, typ := range []string{"stepRule", "prelude", "rankq"} {
+		for _, field := range []string{"aggregated", "groups", "groupFloor", "dirGroup"} {
+			if s.members[typ][field] {
+				t.Errorf("the step core's %s carries %s: the angleset partition ends at the expansion", typ, field)
+			}
 		}
 	}
 	for file, paths := range s.imports {
