@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"sweepsched/internal/core"
 	"sweepsched/internal/mesh"
+	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/verify"
 )
@@ -148,6 +150,9 @@ var warmPlans = []warmPlan{
 	{"rdp", func(p *Problem, seed uint64) (*Result, error) {
 		return p.Schedule(RandomDelaysPriority, ScheduleOptions{Seed: seed})
 	}},
+	{"improved_delays", func(p *Problem, seed uint64) (*Result, error) {
+		return p.Schedule(ImprovedDelays, ScheduleOptions{Seed: seed})
+	}},
 }
 
 // TestWarmPlanAllocatesItsResult: after one priming plan, a plan
@@ -187,44 +192,105 @@ func TestWarmPlanAllocatesItsResult(t *testing.T) {
 // TestConcurrentFirstPlans: eight goroutines make the first plans of one
 // fresh Problem at once, as the daemon's requests do on a family it has
 // just cached. What the first plan leaves on the family — DAG facts, the
-// task graph — is built under them, and every plan is the serial one.
+// task graph, Algorithm 3's greedy levels — is built once under them, and
+// every plan is the serial one.
 func TestConcurrentFirstPlans(t *testing.T) {
-	want, err := kuhnProblem(t).Schedule(DescendantDelays, ScheduleOptions{Seed: 11})
+	for _, alg := range []Scheduler{DescendantDelays, ImprovedDelays} {
+		want, err := kuhnProblem(t).Schedule(alg, ScheduleOptions{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, col := kuhnProblem(t), NewStatsCollector()
+		const planners = 8
+		var (
+			wg      sync.WaitGroup
+			gate    = make(chan struct{})
+			results [planners]*Result
+			errs    [planners]error
+		)
+		for g := range planners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate
+				results[g], errs[g] = p.Schedule(alg, ScheduleOptions{Seed: 11, Verify: true, Collector: col})
+			}()
+		}
+		close(gate)
+		wg.Wait()
+		for g, res := range results {
+			if errs[g] != nil {
+				t.Fatalf("%s planner %d: %v", alg, g, errs[g])
+			}
+			if res.Metrics != want.Metrics || !slices.Equal(res.Schedule.Start, want.Schedule.Start) {
+				t.Fatalf("%s planner %d: metrics %+v, serial plan %+v (or the start steps differ)", alg, g, res.Metrics, want.Metrics)
+			}
+		}
+		wantRuns := int64(0)
+		if alg == ImprovedDelays {
+			wantRuns = 1
+		}
+		if runs := col.Snapshot().CounterValue("sched.greedy.runs"); runs != wantRuns {
+			t.Fatalf("%s: %d concurrent first plans ran the greedy schedule %d times, want %d", alg, planners, runs, wantRuns)
+		}
+	}
+}
+
+// TestGreedyLevelsBuiltOnce: Algorithm 3's levels L' are a fact of the
+// instance. Two improved_delays plans on one Problem run the greedy
+// schedule once between them. A layered Algorithm 3 run on the same
+// instance reads the same levels and adds its delays to a copy, so they
+// stay a fresh build's, no plan after it rebuilds them, and a plan with
+// the first seed is the first plan again.
+func TestGreedyLevelsBuiltOnce(t *testing.T) {
+	p, col := kuhnProblem(t), NewStatsCollector()
+	runs := func() int64 { return col.Snapshot().CounterValue("sched.greedy.runs") }
+	opts := ScheduleOptions{Seed: 3, Collector: col}
+	first, err := p.Schedule(ImprovedDelays, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := kuhnProblem(t)
-	const planners = 8
-	var (
-		wg      sync.WaitGroup
-		gate    = make(chan struct{})
-		results [planners]*Result
-		errs    [planners]error
-	)
-	for g := range planners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			results[g], errs[g] = p.Schedule(DescendantDelays, ScheduleOptions{Seed: 11, Verify: true})
-		}()
+	if _, err := p.Schedule(ImprovedDelays, ScheduleOptions{Seed: 4, Collector: col}); err != nil {
+		t.Fatal(err)
 	}
-	close(gate)
-	wg.Wait()
-	for g, res := range results {
-		if errs[g] != nil {
-			t.Fatalf("planner %d: %v", g, errs[g])
-		}
-		if res.Metrics != want.Metrics || !slices.Equal(res.Schedule.Start, want.Schedule.Start) {
-			t.Fatalf("planner %d: metrics %+v, serial plan %+v (or the start steps differ)", g, res.Metrics, want.Metrics)
-		}
+	if n := runs(); n != 1 {
+		t.Fatalf("two improved_delays plans ran the greedy schedule %d times, want 1", n)
+	}
+	level, err := p.inst.GreedyLevels(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([]int32, p.inst.NTasks())
+	if _, err := sched.GreedyScheduleInto(sched.NewWorkspace(), fresh, p.inst, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(level, fresh) {
+		t.Fatal("the instance's greedy levels are not a fresh greedy schedule's")
+	}
+	r := rng.New(5)
+	if _, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.N(), p.inst.M, r), r); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := p.inst.GreedyLevels(nil); &after[0] != &level[0] || !slices.Equal(level, fresh) {
+		t.Fatal("the layered Algorithm 3 run rebuilt the shared levels or wrote its delays into them")
+	}
+	again, err := p.Schedule(ImprovedDelays, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs(); n != 1 {
+		t.Fatalf("three improved_delays plans and a layered run ran the greedy schedule %d times, want 1", n)
+	}
+	if again.Metrics != first.Metrics || !slices.Equal(again.Schedule.Start, first.Schedule.Start) {
+		t.Fatalf("after a layered run: metrics %+v, the first plan's %+v (or the start steps differ)", again.Metrics, first.Metrics)
 	}
 }
 
 // blockPlan is a warm plan that partitions the mesh into blocks first. The
 // cell graph it partitions is the Problem's since the priming plan; the
-// partitioner's own coarsening is still allocated per plan, so it sits
-// outside warmPlans and the result-sized budget.
+// partitioner still allocates its labels, its vertex orders and any coarse
+// levels per plan, so it sits outside warmPlans and the result-sized
+// budget.
 var blockPlan = warmPlan{"descendant_delays_block8", func(p *Problem, seed uint64) (*Result, error) {
 	return p.Schedule(DescendantDelays, ScheduleOptions{Seed: seed, BlockSize: 8})
 }}

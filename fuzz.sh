@@ -25,4 +25,5 @@ FuzzWeightedEquivalence ./internal/sched
 FuzzWeightedMachineDifferential ./internal/sched
 FuzzStepCoreEquivalence ./internal/sched
 FuzzFluxBatchCodec ./internal/procrun
+FuzzKWayEquivalence ./internal/partition
 TARGETS

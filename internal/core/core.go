@@ -22,6 +22,8 @@
 package core
 
 import (
+	"slices"
+
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 )
@@ -58,11 +60,11 @@ func DelayPrioritiesInto(prio sched.Priorities, n int, delays []int32) {
 // GreedyLevelPrioritiesInto fills prio (len = NTasks) with Algorithm 3's
 // preprocessing levels L': every task's completion step in a Graham
 // list schedule of the union DAG H on m machines, which bounds every
-// layer's width by m. The levels pass through the workspace's int32
-// scratch.
+// layer's width by m. The levels are the instance's, built by its first
+// Algorithm 3 plan on ws (sched.Instance.GreedyLevels).
 func GreedyLevelPrioritiesInto(ws *sched.Workspace, prio sched.Priorities, inst *sched.Instance) error {
-	level := ws.Int32Buf(inst.NTasks())
-	if _, err := sched.GreedyScheduleInto(ws, level, inst, nil); err != nil {
+	level, err := inst.GreedyLevels(ws)
+	if err != nil {
 		return err
 	}
 	for t, l := range level {
@@ -98,15 +100,13 @@ func RandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r 
 // union DAG H (all task copies distinct) on m machines; the completion step
 // of each task defines the new levels L', which bound every layer's width
 // by m. The random delays and layer-synchronous execution then proceed as
-// in Algorithm 1.
+// in Algorithm 1, on a copy of the instance's shared levels.
 func ImprovedRandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	layer := make([]int32, inst.NTasks())
-	ws := sched.GetWorkspace(inst)
-	_, err := sched.GreedyScheduleInto(ws, layer, inst, nil)
-	ws.Release()
+	level, err := inst.GreedyLevels(nil)
 	if err != nil {
 		return nil, err
 	}
+	layer := slices.Clone(level)
 	delays := Delays(inst.K(), r)
 	n := int32(inst.N())
 	for i := range inst.DAGs {

@@ -142,15 +142,6 @@ func EdgeCut(g *Graph, part []int32) int64 {
 	return cut
 }
 
-// PartWeights returns the vertex-weight load of each of k parts.
-func PartWeights(g *Graph, part []int32, k int) []int64 {
-	loads := make([]int64, k)
-	for v := 0; v < g.N; v++ {
-		loads[part[v]] += int64(g.VWeight[v])
-	}
-	return loads
-}
-
 // Validate checks the CSR structure, symmetry and positive weights.
 func (g *Graph) Validate() error {
 	if len(g.Start) != g.N+1 {

@@ -2,6 +2,9 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"sweepsched/internal/rng"
 )
@@ -56,6 +59,8 @@ func KWay(g *Graph, k int, opts Options) ([]int32, error) {
 	}
 	opts = opts.withDefaults(k)
 	r := rng.New(opts.Seed)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 
 	// Coarsening phase.
 	graphs := []*Graph{g}
@@ -70,23 +75,28 @@ func KWay(g *Graph, k int, opts Options) ([]int32, error) {
 		maps = append(maps, cmap)
 	}
 
-	// Initial partition on the coarsest graph.
-	coarsest := graphs[len(graphs)-1]
-	cpart := initialKWay(coarsest, k, opts, r)
-	refine(coarsest, cpart, k, opts, r)
+	// Initial partition on the coarsest graph, written straight into the
+	// result when nothing coarsened.
+	levelPart := func(lvl int) []int32 {
+		if lvl == 0 {
+			return part
+		}
+		return make([]int32, graphs[lvl].N)
+	}
+	top := len(graphs) - 1
+	cpart := levelPart(top)
+	s.initialKWay(graphs[top], cpart, k, r)
+	s.refine(graphs[top], cpart, k, opts, r)
 
 	// Uncoarsening with refinement.
-	for lvl := len(graphs) - 2; lvl >= 0; lvl-- {
-		fine := graphs[lvl]
-		fpart := make([]int32, fine.N)
-		cmap := maps[lvl]
-		for v := 0; v < fine.N; v++ {
-			fpart[v] = cpart[cmap[v]]
+	for lvl := top - 1; lvl >= 0; lvl-- {
+		fpart := levelPart(lvl)
+		for v, c := range maps[lvl] {
+			fpart[v] = cpart[c]
 		}
-		refine(fine, fpart, k, opts, r)
+		s.refine(graphs[lvl], fpart, k, opts, r)
 		cpart = fpart
 	}
-	copy(part, cpart)
 	return part, nil
 }
 
@@ -103,13 +113,43 @@ func maxLoad(g *Graph, k int, opts Options) int64 {
 	return lim
 }
 
-// initialKWay grows k regions greedily on the (coarsest) graph: each part
-// starts from a random unassigned seed and repeatedly absorbs the
-// unassigned neighbor most connected to it until the part reaches its
+// scratch is one KWay call's working memory; calls draw it from
+// scratchPool, so a warm call allocates its result, the Perm orders and
+// the coarse levels only.
+type scratch struct {
+	loads    []int64
+	conn     []int32 // refine: v's connectivity to each part
+	gain     []int32 // initialKWay: an unassigned vertex's connectivity to the growing part
+	frontier []int32
+
+	// refine's active set, stamped with the move clock (moves so far in
+	// the call to refine): when each vertex was last evaluated, when it
+	// or a neighbour last moved, when each part's load last changed, and
+	// whether the last evaluation read loads.
+	evaluated, touched, loadChanged []int
+	loadSensitive                   []bool
+
+	over    []uint64 // balance repair: the parts above the ceiling, one bit each
+	members memberLists
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns s resliced to length n, or a fresh slice when its
+// capacity falls short; the contents are unspecified.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
+// initialKWay grows k regions greedily on the (coarsest) graph into part:
+// each part starts from a random unassigned seed and repeatedly absorbs
+// the unassigned neighbor most connected to it until the part reaches its
 // target weight. Leftover vertices go to the lightest adjacent or lightest
 // overall part.
-func initialKWay(g *Graph, k int, opts Options, r *rng.Source) []int32 {
-	part := make([]int32, g.N)
+func (s *scratch) initialKWay(g *Graph, part []int32, k int, r *rng.Source) {
 	for i := range part {
 		part[i] = -1
 	}
@@ -117,8 +157,10 @@ func initialKWay(g *Graph, k int, opts Options, r *rng.Source) []int32 {
 	if target < 1 {
 		target = 1
 	}
-	loads := make([]int64, k)
-	gain := make([]int32, g.N) // connectivity of unassigned vertex to current part
+	s.loads, s.gain = grow(s.loads, k), grow(s.gain, g.N)
+	loads, gain := s.loads, s.gain
+	clear(loads)
+	clear(gain)
 
 	order := r.Perm(g.N)
 	seedCursor := 0
@@ -132,28 +174,30 @@ func initialKWay(g *Graph, k int, opts Options, r *rng.Source) []int32 {
 		}
 		return -1
 	}
-
+	frontier := s.frontier[:0]
+	// push adds v's unassigned neighbours to the frontier and their
+	// connectivity to gain.
+	push := func(v int32) {
+		adj, w := g.Neighbors(v)
+		for j, u := range adj {
+			if part[u] == -1 {
+				if gain[u] == 0 {
+					frontier = append(frontier, u)
+				}
+				gain[u] += w[j]
+			}
+		}
+	}
 	for p := int32(0); p < int32(k); p++ {
 		seed := nextSeed()
 		if seed == -1 {
 			break
 		}
-		// Frontier as a simple slice scanned for max gain; coarsest graphs
-		// are small (≤ CoarsenTo), so O(F) scans are fine.
+		// Frontier as a simple slice scanned for max gain: a region grows
+		// to about N/k vertices, so O(F) scans are fine.
 		part[seed] = p
 		loads[p] += int64(g.VWeight[seed])
-		var frontier []int32
-		push := func(v int32) {
-			adj, w := g.Neighbors(v)
-			for j, u := range adj {
-				if part[u] == -1 {
-					if gain[u] == 0 {
-						frontier = append(frontier, u)
-					}
-					gain[u] += w[j]
-				}
-			}
-		}
+		frontier = frontier[:0]
 		push(seed)
 		for loads[p] < target && len(frontier) > 0 {
 			bi, bg := -1, int32(-1)
@@ -183,6 +227,7 @@ func initialKWay(g *Graph, k int, opts Options, r *rng.Source) []int32 {
 			gain[u] = 0
 		}
 	}
+	s.frontier = frontier
 
 	// Assign any leftovers to the lightest part among neighbors, else the
 	// lightest part overall.
@@ -208,17 +253,34 @@ func initialKWay(g *Graph, k int, opts Options, r *rng.Source) []int32 {
 		part[v] = best
 		loads[best] += int64(g.VWeight[v])
 	}
-	return part
 }
 
 // refine performs greedy boundary-move passes (FM-style, positive-gain and
 // balance-improving moves only) until a pass makes no move or the pass
-// limit is hit.
-func refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
+// limit is hit, then repairs any part left above the balance ceiling.
+//
+// A vertex's evaluation reads its own part, its neighbours' parts and,
+// only when some candidate's gain is ≥ 0, the loads of its home and
+// candidate parts. A pass therefore skips every vertex none of whose
+// inputs changed since its last evaluation: that evaluation kept it put,
+// and this one would too. The moves, the pass count and the draws from r
+// are those of evaluating every vertex in every pass.
+func (s *scratch) refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
 	lim := maxLoad(g, k, opts)
-	loads := PartWeights(g, part, k)
-	conn := make([]int32, k) // scratch: connectivity of v to each part
+	s.loads, s.conn, s.loadChanged = grow(s.loads, k), grow(s.conn, k), grow(s.loadChanged, k)
+	s.evaluated, s.touched, s.loadSensitive = grow(s.evaluated, g.N), grow(s.touched, g.N), grow(s.loadSensitive, g.N)
+	loads, conn, loadChanged := s.loads, s.conn, s.loadChanged
+	evaluated, touched, loadSensitive := s.evaluated, s.touched, s.loadSensitive
+	clear(loads)
+	clear(conn)
+	clear(loadChanged)
+	clear(touched)
+	for v := range evaluated {
+		evaluated[v] = -1
+		loads[part[v]] += int64(g.VWeight[v])
+	}
 
+	clock := 0
 	order := r.Perm(g.N)
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		moves := 0
@@ -226,6 +288,12 @@ func refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
 			v := int32(vi)
 			home := part[v]
 			adj, w := g.Neighbors(v)
+			if seen := evaluated[v]; touched[v] <= seen {
+				if !loadSensitive[v] || loadChanged[home] <= seen && !anyPartChanged(part, adj, loadChanged, seen) {
+					continue
+				}
+			}
+			evaluated[v], loadSensitive[v] = clock, false
 			boundary := false
 			for _, u := range adj {
 				if part[u] != home {
@@ -248,6 +316,9 @@ func refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
 					continue
 				}
 				gain := conn[p] - conn[home]
+				if gain >= 0 {
+					loadSensitive[v] = true
+				}
 				if gain <= bestGain {
 					// Equal-gain moves allowed only when they improve balance.
 					if gain < bestGain || !(gain == 0 && loads[p]+vw < loads[home]) {
@@ -267,45 +338,87 @@ func refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
 				loads[home] -= vw
 				loads[bestPart] += vw
 				moves++
+				clock++
+				touched[v], loadChanged[home], loadChanged[bestPart] = clock, clock, clock
+				for _, u := range adj {
+					touched[u] = clock
+				}
 			}
 		}
 		if moves == 0 {
 			break
 		}
 	}
+	s.repair(g, part, k, lim)
+}
 
-	// Balance repair: if the initial projection violated the ceiling and
-	// gain moves could not fix it, push boundary vertices out of overloaded
-	// parts regardless of cut gain.
-	for iter := 0; iter < g.N; iter++ {
-		over := int32(-1)
-		for p := int32(0); p < int32(k); p++ {
-			if loads[p] > lim {
-				over = p
-				break
+// anyPartChanged reports whether the load of any neighbour's part changed
+// after the move clock read seen.
+func anyPartChanged(part, adj []int32, loadChanged []int, seen int) bool {
+	for _, u := range adj {
+		if loadChanged[part[u]] > seen {
+			return true
+		}
+	}
+	return false
+}
+
+// repair is refine's balance repair: if the projection violated the
+// ceiling and gain moves could not fix it, it pushes vertices out of the
+// lowest-numbered overloaded part regardless of cut gain, the part's
+// lowest-numbered vertex with a neighbour in a part that has room first,
+// else its lowest-numbered vertex to the globally lightest part. It stops
+// after g.N moves.
+func (s *scratch) repair(g *Graph, part []int32, k int, lim int64) {
+	loads := s.loads
+	s.over = grow(s.over, (k+63)/64)
+	over := s.over
+	clear(over)
+	for p, l := range loads[:k] {
+		if l > lim {
+			over[p/64] |= 1 << (p % 64)
+		}
+	}
+	if firstSet(over) == -1 {
+		return
+	}
+	ml := &s.members
+	ml.build(part, k)
+	move := func(v, from, to int32) {
+		vw := int64(g.VWeight[v])
+		part[v] = to
+		loads[from] -= vw
+		loads[to] += vw
+		ml.insert(to, v)
+		for _, p := range [2]int32{from, to} {
+			if bit := uint64(1) << (p % 64); loads[p] > lim {
+				over[p/64] |= bit
+			} else {
+				over[p/64] &^= bit
 			}
 		}
-		if over == -1 {
+	}
+	for iter := 0; iter < g.N; iter++ {
+		o := firstSet(over)
+		if o == -1 {
 			break
 		}
 		moved := false
-		for v := int32(0); v < int32(g.N) && !moved; v++ {
-			if part[v] != over {
-				continue
-			}
+		members := ml.compact(o, part)
+		for _, v := range members {
 			adj, _ := g.Neighbors(v)
 			for _, u := range adj {
-				p := part[u]
-				if p != over && loads[p]+int64(g.VWeight[v]) <= lim {
-					part[v] = p
-					loads[over] -= int64(g.VWeight[v])
-					loads[p] += int64(g.VWeight[v])
+				if p := part[u]; p != o && loads[p]+int64(g.VWeight[v]) <= lim {
+					move(v, o, p)
 					moved = true
 					break
 				}
 			}
+			if moved {
+				break
+			}
 		}
-		if !moved {
+		if !moved && len(members) > 0 {
 			// Move any vertex to the globally lightest part.
 			lightest := int32(0)
 			for p := int32(1); p < int32(k); p++ {
@@ -313,16 +426,79 @@ func refine(g *Graph, part []int32, k int, opts Options, r *rng.Source) {
 					lightest = p
 				}
 			}
-			for v := int32(0); v < int32(g.N); v++ {
-				if part[v] == over {
-					part[v] = lightest
-					loads[over] -= int64(g.VWeight[v])
-					loads[lightest] += int64(g.VWeight[v])
-					break
-				}
-			}
+			move(members[0], o, lightest)
 		}
 	}
+}
+
+// firstSet returns the lowest set bit of a bitset, or -1.
+func firstSet(bitset []uint64) int32 {
+	for i, w := range bitset {
+		if w != 0 {
+			return int32(i*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return -1
+}
+
+// memberLists holds every part's vertices in ascending order, part p's in
+// slab[at[p] : at[p]+n[p]] with room for room[p]. A vertex that leaves a
+// part stays in its list until the next compact; a list that outgrows its
+// room moves to the slab's end with twice the room.
+type memberLists struct {
+	slab        []int32
+	at, n, room []int32
+}
+
+func (ml *memberLists) build(part []int32, k int) {
+	ml.at, ml.n, ml.room = grow(ml.at, k), grow(ml.n, k), grow(ml.room, k)
+	clear(ml.n)
+	for _, p := range part {
+		ml.n[p]++
+	}
+	at := int32(0)
+	for p := range ml.n {
+		ml.at[p], ml.room[p] = at, ml.n[p]
+		at += ml.n[p]
+		ml.n[p] = 0
+	}
+	ml.slab = grow(ml.slab, len(part))
+	for v, p := range part {
+		ml.slab[ml.at[p]+ml.n[p]] = int32(v)
+		ml.n[p]++
+	}
+}
+
+func (ml *memberLists) list(p int32) []int32 {
+	return ml.slab[ml.at[p] : ml.at[p]+ml.n[p]]
+}
+
+// compact drops the vertices that have left part p from its list and
+// returns the list.
+func (ml *memberLists) compact(p int32, part []int32) []int32 {
+	kept := slices.DeleteFunc(ml.list(p), func(v int32) bool { return part[v] != p })
+	ml.n[p] = int32(len(kept))
+	return kept
+}
+
+// insert puts v into part p's list in order; a v still listed there from
+// before it left is kept as it is.
+func (ml *memberLists) insert(p, v int32) {
+	i, found := slices.BinarySearch(ml.list(p), v)
+	if found {
+		return
+	}
+	if ml.n[p] == ml.room[p] {
+		room := 2*ml.room[p] + 4
+		at := int32(len(ml.slab))
+		ml.slab = append(slices.Grow(ml.slab, int(room)), ml.list(p)...)
+		ml.slab = ml.slab[:int(at+room)]
+		ml.at[p], ml.room[p] = at, room
+	}
+	ml.n[p]++
+	l := ml.list(p)
+	copy(l[i+1:], l[i:])
+	l[i] = v
 }
 
 // Blocks partitions the graph into ceil(N/blockSize) balanced parts: the

@@ -64,8 +64,8 @@ func randomAggRel(a, maxRel int, r *rng.Source) []int32 {
 // TestAnglesetBitwiseVsExpanded pins both aggregated kernels to the
 // per-direction kernels and the frozen refimpl on the expanded
 // priority/release vectors, across mesh and synthetic instances, random
-// partitions (including heavy priority collisions that force the
-// multi-segment expansion path) and random releases.
+// partitions (including heavy priority collisions: equal priorities
+// across anglesets) and random releases.
 func TestAnglesetBitwiseVsExpanded(t *testing.T) {
 	instances := map[string]*sched.Instance{
 		"mesh":      meshInstance(t, 4, 12, 5, 7),
@@ -81,8 +81,9 @@ func TestAnglesetBitwiseVsExpanded(t *testing.T) {
 				assign := sched.RandomAssignment(n, inst.M, r)
 				groups := randomAnglesets(k, 1+r.Intn(k), r)
 				a := len(groups)
-				// Small spreads force runs that span anglesets, so the
-				// multi-segment k-scan path gets exercised too.
+				// Small spreads make many tasks of different anglesets tie
+				// on priority; the counting path must break every tie by
+				// TaskID, as the per-direction kernels do.
 				spread := int64(r.Intn(3)*50 + 1)
 				aggPrio := randomAggPrio(n, a, spread, r)
 				var aggRel []int32

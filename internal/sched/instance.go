@@ -28,17 +28,19 @@ type TaskID int32
 // Instance is a sweep-scheduling problem: n cells, k direction DAGs and m
 // processors. Its DAGs are immutable once a schedule has been planned on
 // it: the first list-scheduled plan (unit-step, weighted or greedy) derives
-// the family-wide task graph from them and every later plan reads that,
-// so a family rebuilt for other directions (dag.BuildAllInto over the
-// same storage) needs a fresh Instance. Instances sharing DAGs (one family, several m) are fine. An
-// Instance must not be copied.
+// the family-wide task graph from them, the first Algorithm 3 plan its
+// greedy levels, and every later plan reads those, so a family rebuilt
+// for other directions (dag.BuildAllInto over the same storage) needs a
+// fresh Instance. Instances sharing DAGs (one family, several m) are
+// fine. An Instance must not be copied.
 type Instance struct {
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
 	DAGs []*dag.DAG
 	M    int
 
-	graph taskGraph
+	graph  taskGraph
+	greedy greedyLevels
 }
 
 // taskGraph is the family's out-adjacency over task ids in one CSR:
@@ -83,6 +85,37 @@ func (inst *Instance) taskGraph() (*taskGraph, error) {
 		return nil, fmt.Errorf("sched: the %d directions have more than %d edges between them", inst.K(), math.MaxInt32)
 	}
 	return g, nil
+}
+
+// greedyLevels are Algorithm 3's preprocessing levels L' of an instance.
+// They depend on its DAGs and M alone, so the first plan that needs them
+// builds them (concurrent first plans share one build) and every later
+// plan reads them; nothing writes them after.
+type greedyLevels struct {
+	once  sync.Once
+	level []int32
+	err   error
+}
+
+// GreedyLevels returns the instance's L' levels: every task's completion
+// step in GreedyScheduleInto's Graham list schedule of the union DAG H on
+// M machines, with no priorities. The first call builds them on ws (nil
+// draws a pooled workspace), so that build's sched.greedy series goes to
+// ws's observer; later calls return the same slice. It is shared and
+// read-only: a caller that adds delays to it copies it first.
+func (inst *Instance) GreedyLevels(ws *Workspace) ([]int32, error) {
+	g := &inst.greedy
+	g.once.Do(func() {
+		if ws == nil {
+			ws = GetWorkspace(inst)
+			defer ws.Release()
+		}
+		level := make([]int32, inst.NTasks())
+		if _, g.err = GreedyScheduleInto(ws, level, inst, nil); g.err == nil {
+			g.level = level
+		}
+	})
+	return g.level, g.err
 }
 
 // NewInstance builds the per-direction DAGs for the mesh and wraps them in

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"sweepsched/internal/dag"
 )
@@ -29,22 +30,26 @@ const traceVersion = 1
 // traceCap bounds the capacity DecodeTrace reserves from the shape line.
 const traceCap = 1 << 12
 
-// EncodeTrace writes the schedule's trace.
+// EncodeTrace writes the schedule's trace. The integers go through one
+// strconv buffer, so a trace costs a constant number of allocations
+// whatever its task count.
 func EncodeTrace(w io.Writer, s *Schedule) error {
 	bw := bufio.NewWriter(w)
 	inst := s.Inst
 	fmt.Fprintf(bw, "sweeptrace %d\n", traceVersion)
 	fmt.Fprintf(bw, "shape %d %d %d %d\n", inst.N(), inst.K(), inst.M, s.Makespan)
-	fmt.Fprint(bw, "assign")
-	for _, p := range s.Assign {
-		fmt.Fprintf(bw, " %d", p)
+	var num []byte
+	for _, sec := range [2]struct {
+		name string
+		vals []int32
+	}{{"assign", s.Assign}, {"start", s.Start}} {
+		bw.WriteString(sec.name)
+		for _, x := range sec.vals {
+			num = strconv.AppendInt(append(num[:0], ' '), int64(x), 10)
+			bw.Write(num)
+		}
+		bw.WriteByte('\n')
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprint(bw, "start")
-	for _, st := range s.Start {
-		fmt.Fprintf(bw, " %d", st)
-	}
-	fmt.Fprintln(bw)
 	return bw.Flush()
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"sweepsched/internal/dag"
 	"sweepsched/internal/rng"
 )
 
@@ -40,6 +42,56 @@ func TestTraceRoundTrip(t *testing.T) {
 	for tid := range s.Start {
 		if s.Start[tid] != got.Start[tid] {
 			t.Fatalf("start[%d] changed", tid)
+		}
+	}
+}
+
+// TestEncodeTraceBytes: EncodeTrace writes the format byte for byte —
+// the text below is what the encoder wrote when it printed every integer
+// with fmt's " %d" — DecodeTrace reads it back, and the encoder's
+// allocations do not grow with the task count.
+func TestEncodeTraceBytes(t *testing.T) {
+	const want = "sweeptrace 1\nshape 3 2 2 1235\nassign 0 1 1\nstart 0 9 10 1234 5 67\n"
+	empty, err := dag.FromEdges(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := FromDAGs([]*dag.DAG{empty, empty}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Schedule{Inst: inst, Assign: Assignment{0, 1, 1}, Start: []int32{0, 9, 10, 1234, 5, 67}, Makespan: 1235}
+	var buf bytes.Buffer
+	if err := EncodeTrace(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Fatalf("encoded\n%q\nwant\n%q", got, want)
+	}
+	back, err := DecodeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Makespan != s.Makespan || !slices.Equal(back.Assign, s.Assign) || !slices.Equal(back.Start, s.Start) {
+		t.Fatalf("decoded %+v, encoded %+v", back, s)
+	}
+
+	allocs := func(s *Schedule) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := EncodeTrace(io.Discard, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	big := testInstance(t, 4, 8, 4, 3)
+	bs, err := into(ListScheduleInto, big, RandomAssignment(big.N(), big.M, rng.New(2)), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 16
+	for _, s := range []*Schedule{s, bs} {
+		if n := allocs(s); n > bound {
+			t.Fatalf("encoding %d tasks allocated %v times, want at most %d", len(s.Start), n, bound)
 		}
 	}
 }

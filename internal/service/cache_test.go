@@ -91,10 +91,11 @@ func TestLRUEvictionCascade(t *testing.T) {
 // descendant counts on every DAG, the first list-scheduled plan the task
 // graph on the instance — so the estimate charges them up front: 16 bytes
 // per task for the facts and about 12 per task (an offset, and a
-// successor for each of ≈ 2 edges) for the graph, on top of the CSR and
-// level arrays — and, once per family, 40 bytes per cell for the cell graph
-// a block plan leaves on the Problem. The real graphs of a planned family
-// stay within it.
+// successor for each of ≈ 2 edges) for the graph and 4 per task for the
+// greedy levels an improved_delays plan leaves on the instance, on top of
+// the CSR and level arrays — and, once per family, 40 bytes per cell for
+// the cell graph a block plan leaves on the Problem. The real graphs of a
+// planned family stay within it.
 func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	p, err := sweepsched.NewProblemFromFamily("tetonly", 0.02, 8, 4, 1)
 	if err != nil {
@@ -105,8 +106,8 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	graph := k * (4*(n+1) + 4*2*n)
 	cells := 4*(n+1) + 4*n + 2*4*2*2*n
 	got := familyBytes(&familyEntry{prob: p})
-	if want := 128 + csr + 16*n*k + graph + cells; got != want {
-		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task + task graph %d + cell graph %d)", got, n, k, want, csr, graph, cells)
+	if want := 128 + csr + 16*n*k + graph + 4*n*k + cells; got != want {
+		t.Fatalf("familyBytes = %d for n=%d k=%d, want %d (CSR %d + 16 bytes per task + task graph %d + 4 bytes per task + cell graph %d)", got, n, k, want, csr, graph, cells)
 	}
 	res, err := p.Schedule(sweepsched.DescendantDelays, sweepsched.ScheduleOptions{Seed: 1, BlockSize: 8})
 	if err != nil {
