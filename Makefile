@@ -21,7 +21,7 @@ race:
 # The fault-injection / recovery / cancellation suite under the race
 # detector, with a hard timeout so a deadlock fails instead of hanging.
 resilience:
-	$(GO) test -race -timeout 120s ./internal/machine ./internal/faults ./internal/simulate ./internal/transport
+	$(GO) test -race -timeout 120s ./internal/machine ./internal/faults ./internal/transport
 
 # Multi-process fault injection under the race detector: spawn real
 # worker OS processes over localhost TCP, kill -9 one mid-epoch (and in

@@ -45,7 +45,6 @@ import (
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
-	"sweepsched/internal/simulate"
 	"sweepsched/internal/synth"
 	"sweepsched/internal/trace"
 	"sweepsched/internal/transport"
@@ -703,18 +702,22 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 	return transport.SolveMultigroup(res.Schedule, cfg)
 }
 
-// Simulate executes a result's schedule on the message-passing machine
-// simulator — the same barrier-step machine as SolveTransportParallel,
-// with one delivery per message and no arithmetic: a task runs only if
-// every upwind flux was completed locally or delivered — and returns its
-// independent accounting (steps, total messages = C1, communication
-// rounds = C2).
+// Simulate executes a result's schedule on the modelled machine — the
+// same barrier-step machine as SolveTransportParallel, with one delivery
+// per message and every flux zero (transport.DependencyOnly): a task runs
+// only if every upwind flux was completed locally or delivered — and
+// returns its independent accounting (steps, total messages = C1,
+// communication rounds = C2).
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
-	return simulate.RunCtx(context.Background(), res.Schedule)
+	return p.SimulateCtx(context.Background(), res)
 }
 
 // SimulationResult reports a distributed execution.
-type SimulationResult = simulate.Result
+type SimulationResult struct {
+	Steps         int   // barrier steps executed (== schedule makespan when fault-free)
+	TotalMessages int64 // messages sent across processors (== C1)
+	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
+}
 
 // DirectionLevels returns the number of precedence levels in each
 // direction's DAG; the maximum is the critical-path lower bound D.

@@ -73,9 +73,9 @@ go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm
 # The in-process executors — all the modelled machine — on the small box,
 # at the benchmark's sweep-goroutine shape and, fault-tolerant, at its
 # sweep-faulty shape under its fault plan (ns/step, ns/task, ns/message),
-# the simulator's single sweep, and the route table every solve builds
-# once and every recovery once more.
-go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild|Run)$' -benchmem -benchtime 1x ./internal/transport ./internal/simulate ./internal/sched
+# and the route table every solve builds once and every recovery once
+# more.
+go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
 
 echo "== angleset smoke: aggregated pipeline end to end under -race, every run audited =="
 # The aggregated scheduling path (priorities once per octant angleset on

@@ -17,10 +17,13 @@ package sweepsched_test
 //     internal/, cmd/, bench/, examples/ or testdata/, or ends in .go,
 //     .md, .txt, .sh or .json, names a path from the root (a glob
 //     matching one) or the trailing part of one in the tree, as
-//     sched/io.go and testdata/fuzz/ do.
+//     sched/io.go and testdata/fuzz/ do;
+//   - -flags: a command line in a code span or a fenced block that runs a
+//     cmd/ binary (go run ./cmd/<bin> or <bin>) passes it only flags the
+//     binary defines through the flag package.
 //
-// -flags, experiment ids and metric names are not checked yet (ROADMAP,
-// "Docs that cannot drift").
+// Experiment ids and metric names are not checked yet (ROADMAP, "Docs
+// that cannot drift").
 
 import (
 	"go/ast"
@@ -31,6 +34,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -53,6 +57,8 @@ var (
 	dottedName  = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
 	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
 	docPath     = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
+	shellSep    = regexp.MustCompile(`\|\||&&|[|;]|\s#.*`)
+	flagArg     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
 
 func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
@@ -129,11 +135,35 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 
+	binFlags := cmdFlags(t)
+	// checkFlags reports the flags a command line passes a cmd/ binary that
+	// the binary does not define.
+	checkFlags := func(file string, line int, cmdline string) {
+		for _, command := range shellSep.Split(strings.TrimPrefix(strings.TrimSpace(cmdline), "$ "), -1) {
+			var bin string
+			for _, word := range strings.Fields(command) {
+				if bin == "" {
+					if name := strings.TrimPrefix(strings.TrimSuffix(word, "/"), "./cmd/"); binFlags[name] != nil {
+						bin = name
+					}
+				} else if m := flagArg.FindStringSubmatch(word); m != nil && !binFlags[bin][m[1]] {
+					t.Errorf("%s:%d: %s defines no flag -%s", file, line, bin, m[1])
+				}
+			}
+		}
+	}
+
 	cited := map[string]bool{}
 	for _, file := range docFiles {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, loc := range fencedBlock.FindAllStringIndex(string(data), -1) {
+			first := 1 + strings.Count(string(data[:loc[0]]), "\n")
+			for i, cmdline := range strings.Split(string(data[loc[0]:loc[1]]), "\n") {
+				checkFlags(file, first+i, cmdline)
+			}
 		}
 		// Blank the fenced blocks, keeping their lines for the positions.
 		text := fencedBlock.ReplaceAllStringFunc(string(data), func(b string) string {
@@ -141,6 +171,7 @@ func TestDocReferences(t *testing.T) {
 		})
 		for _, loc := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 			span, line := text[loc[2]:loc[3]], 1+strings.Count(text[:loc[0]], "\n")
+			checkFlags(file, line, span)
 			for _, tok := range append(dottedName.FindAllString(span, -1), testName.FindAllString(span, -1)...) {
 				if _, ok := docHistory[tok]; ok {
 					cited[tok] = true
@@ -217,4 +248,57 @@ func testFuncs(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	return funcs
+}
+
+// cmdFlags returns, for each binary under cmd/, the flags it defines
+// through the flag package: the name is the first string literal among a
+// flag.X call's first two arguments (flag.Int("k", …), flag.IntVar(&k,
+// "k", …)). Every binary also takes -h and -help.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin := filepath.Base(filepath.Dir(file))
+		if bins[bin] == nil {
+			bins[bin] = map[string]bool{"h": true, "help": true}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !isIdent(sel.X, "flag") {
+				return true
+			}
+			for _, arg := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bins[bin][name] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	return bins
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"sweepsched/internal/faults"
-	"sweepsched/internal/simulate"
 	"sweepsched/internal/transport"
 )
 
@@ -54,15 +53,24 @@ func NewFaultPlan(res *Result, spec FaultSpec, seed uint64) *FaultPlan {
 // SimulateCtx is Simulate with cooperative cancellation: the executor
 // returns ctx.Err() within one barrier step.
 func (p *Problem) SimulateCtx(ctx context.Context, res *Result) (*SimulationResult, error) {
-	return simulate.RunCtx(ctx, res.Schedule)
+	tr, err := transport.SolveParallelCtx(ctx, res.Schedule, transport.DependencyOnly)
+	if err != nil {
+		return nil, err
+	}
+	return &SimulationResult{Steps: res.Schedule.Makespan, TotalMessages: tr.Comm.Messages, CommRounds: tr.Comm.Rounds}, nil
 }
 
 // SimulateFaulty executes the result's schedule under a fault plan with
-// checkpointed recovery rescheduling. A nil plan injects nothing. The
-// RecoveryReport is returned even on error, describing the faults applied
-// before the failure.
+// checkpointed recovery rescheduling: SolveTransportFaultTolerant's
+// dependency-only run. A nil plan injects nothing. The result counts what
+// actually flowed (replays included). The RecoveryReport is returned even
+// on error, describing the faults applied before the failure.
 func (p *Problem) SimulateFaulty(ctx context.Context, res *Result, plan *FaultPlan) (*SimulationResult, *RecoveryReport, error) {
-	return simulate.RunFaulty(ctx, res.Schedule, plan)
+	_, rep, err := transport.SolveFaultTolerant(ctx, res.Schedule, transport.DependencyOnly, plan)
+	if err != nil {
+		return nil, rep, err
+	}
+	return &SimulationResult{Steps: rep.StepsExecuted, TotalMessages: rep.MessagesSent, CommRounds: rep.CommRounds}, rep, nil
 }
 
 // SolveTransportCtx is SolveTransport with cooperative cancellation

@@ -3,7 +3,15 @@ package sweepsched
 import (
 	"context"
 	"errors"
+	"math"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+
+	"sweepsched/internal/leakcheck"
+	"sweepsched/internal/sched"
 )
 
 func faultTestProblem(t *testing.T) (*Problem, *Result) {
@@ -75,5 +83,203 @@ func TestSolveTransportCtxVariantsCancelled(t *testing.T) {
 	}
 	if _, err := p.SimulateCtx(ctx, res); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SimulateCtx: got %v", err)
+	}
+}
+
+// TestFaultPlanOutOfRangeRefused: a hand-built plan whose one event names
+// a processor or a task the schedule does not have is refused by every
+// fault-injected executor, before anything is sized by the event.
+func TestFaultPlanOutOfRangeRefused(t *testing.T) {
+	p, res := faultTestProblem(t)
+	m, nk := int32(p.M()), sched.TaskID(p.Tasks())
+	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1}
+	for _, ev := range []FaultEvent{
+		{Kind: FaultDrop, Task: nk},
+		{Kind: FaultDrop, Task: 1 << 26},
+		{Kind: FaultDrop, Task: math.MaxInt32 - 1},
+		{Kind: FaultDuplicate, Task: -1},
+		{Kind: FaultDelay, To: m, HoldSteps: 1},
+		{Kind: FaultDrop, To: -1},
+		{Kind: FaultCrash, Proc: m},
+		{Kind: FaultCrash, Proc: -1},
+		{Kind: FaultSever, Proc: 16},
+	} {
+		plan := &FaultPlan{Events: []FaultEvent{ev}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, simErr := p.SimulateFaulty(context.Background(), res, plan)
+		runtime.ReadMemStats(&after)
+		_, _, solveErr := p.SolveTransportFaultTolerant(context.Background(), res, cfg, plan)
+		if simErr == nil || solveErr == nil {
+			t.Errorf("%+v on %d processors and %d tasks: SimulateFaulty %v, SolveTransportFaultTolerant %v, want both refused",
+				ev, m, nk, simErr, solveErr)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%+v: refusing the plan allocated %d bytes", ev, d)
+		}
+	}
+}
+
+// TestSolveTransportProcsRefusesAnotherProblemsResult: the workers would
+// rebuild p's mesh and step q's schedule. Two tetonly meshes of the same
+// size are refused at the API, before a worker is spawned: the worker
+// binary does not exist.
+func TestSolveTransportProcsRefusesAnotherProblemsResult(t *testing.T) {
+	var probs [2]*Problem
+	for i := range probs {
+		var err error
+		if probs[i], err = NewProblemFromFamily("tetonly", 0.01, 4, 2, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, q := probs[0], probs[1]
+	if p.N() != q.N() {
+		t.Fatalf("the meshes have %d and %d cells, want the same", p.N(), q.N())
+	}
+	res, err := q.Schedule(RandomDelaysPriority, ScheduleOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ProcRunOptions{CkptDir: t.TempDir(), WorkerBinary: filepath.Join(t.TempDir(), "no-such-worker")}
+	_, err = p.SolveTransportProcs(context.Background(), res, TransportConfig{SigmaT: 1, Source: 1}, nil, opts)
+	if err == nil || !strings.Contains(err.Error(), "another problem") {
+		t.Fatalf("got %v, want the result refused as another problem's", err)
+	}
+}
+
+// corruptions mutate a valid schedule into an infeasible one.
+var corruptions = []struct {
+	name  string
+	apply func(t *testing.T, s *sched.Schedule)
+}{
+	{"swapped edge starts", func(t *testing.T, s *sched.Schedule) {
+		ut, wt := firstCrossEdge(t, s)
+		s.Start[ut], s.Start[wt] = s.Start[wt], s.Start[ut]
+	}},
+	{"consumer shifted onto producer step", func(t *testing.T, s *sched.Schedule) {
+		ut, wt := firstCrossEdge(t, s)
+		s.Start[wt] = s.Start[ut] // cross-proc flux cannot arrive in time
+	}},
+	{"producer shifted past makespan order", func(t *testing.T, s *sched.Schedule) {
+		ut, wt := firstCrossEdge(t, s)
+		s.Start[ut] = s.Start[wt] + 1
+		s.Makespan = max(s.Makespan, int(s.Start[ut])+1)
+	}},
+	{"local producer moved past its last consumer", func(t *testing.T, s *sched.Schedule) {
+		ut, last := localOnlyProducer(t, s)
+		s.Start[ut] = last + 1 // breaks no cross-processor edge: only the done check sees it
+		s.Makespan = max(s.Makespan, int(s.Start[ut])+1)
+	}},
+}
+
+// edges calls visit on every (producer, consumer) task pair until it
+// returns true.
+func edges(s *sched.Schedule, visit func(u, w sched.TaskID) bool) {
+	n := int32(s.Inst.N())
+	for i, d := range s.Inst.DAGs {
+		base := sched.TaskID(int32(i) * n)
+		for u := int32(0); u < n; u++ {
+			for _, w := range d.Out(u) {
+				if visit(base+sched.TaskID(u), base+sched.TaskID(w)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func firstCrossEdge(t *testing.T, s *sched.Schedule) (ut, wt sched.TaskID) {
+	t.Helper()
+	ut, n := sched.TaskID(-1), sched.TaskID(s.Inst.N())
+	edges(s, func(u, w sched.TaskID) bool {
+		if s.Assign[u%n] != s.Assign[w%n] {
+			ut, wt = u, w
+			return true
+		}
+		return false
+	})
+	if ut < 0 {
+		t.Fatal("no cross-processor edge in schedule")
+	}
+	return ut, wt
+}
+
+// localOnlyProducer finds a task whose out-edges all stay on its own
+// processor (and that has one), and the latest start among its consumers:
+// a precedence no message enforces.
+func localOnlyProducer(t *testing.T, s *sched.Schedule) (ut sched.TaskID, lastConsumer int32) {
+	t.Helper()
+	n := sched.TaskID(s.Inst.N())
+	last := make([]int32, s.Inst.NTasks()) // per producer: -1 once a consumer is remote
+	for i := range last {
+		last[i] = -2
+	}
+	edges(s, func(u, w sched.TaskID) bool {
+		if s.Assign[u%n] != s.Assign[w%n] {
+			last[u] = -1
+		} else if last[u] != -1 {
+			last[u] = max(last[u], s.Start[w])
+		}
+		return false
+	})
+	for u, l := range last {
+		if l >= 0 {
+			return sched.TaskID(u), l
+		}
+	}
+	t.Fatal("no producer with only same-processor consumers in schedule")
+	return 0, 0
+}
+
+// TestInfeasibleSchedulesRejectedEverywhere feeds corrupted schedules to
+// every in-process executor — the simulation, fault-free and under the
+// empty plan, and the transport solves, serial, on the machine (both
+// interconnects) and fault-tolerant — and asserts an error, never a
+// result, with no panic and no leaked goroutines.
+func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
+	p, valid := faultTestProblem(t)
+	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 3}
+	unbatched := cfg
+	unbatched.NoBatch = true
+	ctx := context.Background()
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			s := *valid.Schedule
+			s.Start = slices.Clone(s.Start)
+			c.apply(t, &s)
+			res := &Result{Schedule: &s}
+			for name, run := range map[string]func() (bool, error){
+				"SimulateCtx": func() (bool, error) {
+					sim, err := p.SimulateCtx(ctx, res)
+					return sim != nil, err
+				},
+				"SimulateFaulty": func() (bool, error) {
+					sim, _, err := p.SimulateFaulty(ctx, res, nil) // blames the schedule, not a fault
+					return sim != nil, err
+				},
+				"SolveTransportCtx": func() (bool, error) {
+					tr, err := p.SolveTransportCtx(ctx, res, cfg)
+					return tr != nil, err
+				},
+				"SolveTransportParallelCtx": func() (bool, error) {
+					tr, err := p.SolveTransportParallelCtx(ctx, res, cfg)
+					return tr != nil, err
+				},
+				"SolveTransportParallelCtx NoBatch": func() (bool, error) {
+					tr, err := p.SolveTransportParallelCtx(ctx, res, unbatched)
+					return tr != nil, err
+				},
+				"SolveTransportFaultTolerant": func() (bool, error) {
+					tr, _, err := p.SolveTransportFaultTolerant(ctx, res, cfg, nil)
+					return tr != nil, err
+				},
+			} {
+				leakcheck.Check(t, func() {
+					if out, err := run(); err == nil || out {
+						t.Errorf("%s accepted an infeasible schedule (a result: %v)", name, out)
+					}
+				})
+			}
+		})
 	}
 }

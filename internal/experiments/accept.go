@@ -11,7 +11,7 @@ import (
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
-	"sweepsched/internal/simulate"
+	"sweepsched/internal/transport"
 )
 
 // acceptRows measures the machine-checkable acceptance criteria distilled
@@ -115,11 +115,11 @@ func acceptRows(g *group) ([]*point, error) {
 	check("A5", "alg2/dfds ratio gap at small m <= 1.35", gap, 1.35, gap <= 1.35)
 
 	// A6: simulator replay agrees with analytic metrics.
-	sim, err := simulate.RunCtx(context.Background(), sRDP)
+	sim, err := transport.SolveParallelCtx(context.Background(), sRDP, transport.DependencyOnly)
 	if err != nil {
 		return nil, err
 	}
-	agree := sim.Steps == sRDP.Makespan && sim.TotalMessages == met.C1 && sim.CommRounds == met.C2
+	agree := sim.Comm.Messages == met.C1 && sim.Comm.Rounds == met.C2
 	check("A6", "simulator replay matches metrics", b2f(agree), 1, agree)
 	return pts, nil
 }

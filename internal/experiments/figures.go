@@ -19,7 +19,6 @@ import (
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
-	"sweepsched/internal/simulate"
 	"sweepsched/internal/synth"
 	"sweepsched/internal/trace"
 	"sweepsched/internal/transport"
@@ -303,7 +302,7 @@ var figures = []figure{
 		},
 		runs: []run{{seed: spaced(0, 1000, 0), do: func(p *point, seed uint64) (*sample, error) {
 			spec := faultSpecs[p.x]
-			_, rep, err := simulate.RunFaulty(context.Background(), p.g.s, faults.NewPlan(p.g.s, spec, seed))
+			_, rep, err := transport.SolveFaultTolerant(context.Background(), p.g.s, transport.DependencyOnly, faults.NewPlan(p.g.s, spec, seed))
 			if err != nil {
 				return nil, fmt.Errorf("resilience: spec %+v: %w", spec, err)
 			}

@@ -228,9 +228,20 @@ func (e *Engine) Audit() error {
 }
 
 // NewEngine prepares a fault-injected executor for the schedule. plan may
-// be nil (no faults). The schedule must be feasible; infeasibility is
-// detected during execution and reported as an error.
+// be nil (no faults); an event of it that names a processor outside
+// [0, m) or a task outside [0, n·k) is refused before anything is sized by
+// it. The schedule must be feasible; infeasibility is detected during
+// execution and reported as an error.
 func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
+	if plan == nil {
+		plan = &Plan{}
+	}
+	m, nk := int32(s.Inst.M), sched.TaskID(s.Inst.NTasks())
+	for i, e := range plan.Events {
+		if e.Proc < 0 || e.Proc >= m || e.To < 0 || e.To >= m || e.Task < 0 || e.Task >= nk {
+			return nil, fmt.Errorf("faults: plan event %d (%s, proc=%d to=%d task=%d) is outside the schedule's %d processors and %d tasks", i, e.Kind, e.Proc, e.To, e.Task, m, nk)
+		}
+	}
 	rec, err := NewRecovery(s)
 	if err != nil {
 		return nil, err
@@ -241,16 +252,13 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 		cur:       s,
 		inj:       NewInjector(plan),
 		rec:       rec,
-		ckptEvery: Spec{}.withDefaults().CheckpointEvery,
+		ckptEvery: plan.Spec.withDefaults().CheckpointEvery,
 		mc:        machine.Machine{Done: make([]bool, s.Inst.NTasks())},
 		prefix:    "faults",
 		crashed:   "crashes",
 	}
 	e.ranks = &modelled{mc: &e.mc, sinceCkpt: make([][]sched.TaskID, s.Inst.M)}
-	if plan != nil {
-		e.report.Seed = plan.Seed
-		e.ckptEvery = plan.Spec.withDefaults().CheckpointEvery
-	}
+	e.report.Seed = plan.Seed
 	return e, nil
 }
 

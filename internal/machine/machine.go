@@ -6,8 +6,9 @@
 // envelopes, or one transmission per message) and the traffic accounting,
 // and has the one step body (Step: every live processor's row of a step
 // in one loop, the cell balance inline) and the one hand-over of a flux
-// (hand). Every executor is this machine: the simulator and the parallel
-// transport solve sweep it (Sweep), the fault engine (internal/faults)
+// (hand). Every executor is this machine: the parallel transport solve
+// sweeps it (Sweep), a simulation being its dependency-only case
+// (transport.DependencyOnly), the fault engine (internal/faults)
 // runs its epochs on it, and under internal/procrun its processors are
 // worker processes — each steps a machine whose one live processor is its
 // own rank, the orchestrator replays their acks (Replay) through the same
@@ -52,7 +53,7 @@ import (
 //
 // Its owner fills it once per sweep (the transport solver: the source and
 // scattering term per cell, internal/transport's CellBalance); a zero Q
-// over Denom 1 tracks dependencies only. It is constant within a sweep, so
+// tracks dependencies only. It is constant within a sweep, so
 // a replayed task reproduces its flux bitwise.
 type Balance struct {
 	Q     []float64 // per cell: one entry per cell of the instance
@@ -128,8 +129,8 @@ type Machine struct {
 // New sets a machine up for fault-free sweeps (Sweep) of the schedule into
 // psi: every processor live, and a message due at its earliest consumer's
 // scheduled start. A schedule that does not cover its tasks is refused
-// with the step table's error.
-func New(s *sched.Schedule, noBatch bool, bal Balance, psi []float64) (*Machine, error) {
+// with the step table's error. The owner fills Balance before each Sweep.
+func New(s *sched.Schedule, noBatch bool, psi []float64) (*Machine, error) {
 	x := &struct { // the machine and its step table, one allocation
 		Machine
 		steps sched.StepTable
@@ -139,7 +140,7 @@ func New(s *sched.Schedule, noBatch bool, bal Balance, psi []float64) (*Machine,
 	}
 	m := &x.Machine
 	m.NoBatch, m.Steps, m.Procs = noBatch, &x.steps, sched.AllProcs(s.Inst.M)
-	m.Balance, m.Psi, m.Done = bal, psi, make([]bool, len(psi))
+	m.Psi, m.Done = psi, make([]bool, len(psi))
 	m.Build(s.Inst, s.Assign)
 	if !noBatch { // per message nothing waits for a deadline
 		m.Route(s.Start, nil)

@@ -63,10 +63,11 @@ func diamondFlux() []float64 {
 func newDiamond(t testing.TB, noBatch bool, start ...int32) *Machine {
 	t.Helper()
 	s := diamond(t, start...)
-	m, err := New(s, noBatch, plusID(s.Inst.N()), make([]float64, s.Inst.NTasks()))
+	m, err := New(s, noBatch, make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Balance = plusID(s.Inst.N())
 	return m
 }
 
@@ -341,10 +342,11 @@ func fork(t *testing.T, noBatch bool, start ...int32) *Machine {
 	for _, st := range start {
 		s.Makespan = max(s.Makespan, int(st)+1)
 	}
-	m, err := New(s, noBatch, plusID(inst.N()), make([]float64, inst.NTasks()))
+	m, err := New(s, noBatch, make([]float64, inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Balance = plusID(inst.N())
 	return m
 }
 

@@ -38,11 +38,11 @@ func ring(t *testing.T, m int, procs []int32, steps int) *Machine {
 	for c := range s.Start {
 		s.Assign[c], s.Start[c] = procs[c%L], int32(c/L)
 	}
-	mc, err := New(s, false, plusID(inst.N()), make([]float64, inst.NTasks()))
+	mc, err := New(s, false, make([]float64, inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.Procs = procs
+	mc.Balance, mc.Procs = plusID(inst.N()), procs
 	return mc
 }
 
@@ -252,10 +252,11 @@ func TestStepErrorBeatsStallAndEveryAckIsWritten(t *testing.T) {
 	}
 	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0, 1, 3, 3, 2, 4, 1, 3}, Start: []int32{0, 0, 0, 1, 0, 0, 0, 0}, Makespan: 2}
 	for _, noBatch := range []bool{false, true} {
-		m, err := New(s, noBatch, plusID(inst.N()), make([]float64, inst.NTasks()))
+		m, err := New(s, noBatch, make([]float64, inst.NTasks()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Balance = plusID(inst.N())
 		stale := errors.New("stale")
 		for p := range m.Acks {
 			m.Acks[p] = Ack{Completed: 9, Sent: 9, Stalled: true, StallTask: 7, StallMiss: 7, Err: stale}

@@ -6,9 +6,9 @@ import (
 )
 
 // This file holds the tables of the modelled machine (internal/machine),
-// and so of every barrier-synchronous executor: the message-passing
-// simulator (internal/simulate), the parallel transport solver
-// (internal/transport), the fault-injected engine (internal/faults) and
+// and so of every barrier-synchronous executor: the parallel transport
+// solver (internal/transport, whose dependency-only run is the
+// simulation), the fault-injected engine (internal/faults) and
 // the workers of the multi-process runner (internal/procrun) all partition
 // a schedule the same way — tasks per (processor, step) — and keep
 // received cross-processor fluxes in the same dense table. The machine's

@@ -13,21 +13,33 @@ import (
 	"sweepsched/internal/faults"
 	"sweepsched/internal/machine"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/verify"
 )
 
 // TestExecutorsMatchSerialAtEveryMachineSize is the barrier-step contract
 // at the executors' level: whatever the modelled machine — one processor,
-// three, 64, a live set that crashes down to one processor mid-run — the
-// flux is bitwise the serial solve's on both interconnects, and the two
-// interconnects agree on everything but the transmissions.
+// three, 64, more processors than the 162 cells, a live set that crashes
+// down to one processor mid-run — the flux is bitwise the serial solve's
+// on both interconnects, and the two interconnects agree on everything but
+// the transmissions. A DependencyOnly run recounts the schedule's C1 and
+// C2 from the messages that flow, as the auditor does from the schedule.
 func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 	loose := testCfg
 	loose.Tol = 1e-5 // a third of the sweeps
-	for _, m := range []int{1, 3, 64} {
+	for _, m := range []int{1, 3, 64, 200} {
 		s := testSchedule(t, 3, 4, m, uint64(20+m))
 		want, err := SolveCtx(context.Background(), s, loose)
 		if err != nil {
 			t.Fatal(err)
+		}
+		dep, err := SolveParallelCtx(context.Background(), s, DependencyOnly)
+		if err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		c1, c2 := sched.C1(s.Inst, s.Assign, 0), sched.C2(s, 0)
+		if dep.Comm.Messages != c1 || dep.Comm.Rounds != c2 || verify.C2Ref(s) != c2 || (m == 1 && c1 != 0) {
+			t.Fatalf("m=%d: a dependency-only run sent %d messages in %d rounds, C1 = %d, C2 = %d, C2Ref = %d",
+				m, dep.Comm.Messages, dep.Comm.Rounds, c1, c2, verify.C2Ref(s))
 		}
 		plans := []*faults.Plan{
 			nil,
@@ -113,12 +125,11 @@ func TestNonFiniteInputIsRefusedNotConverged(t *testing.T) {
 // hand-over, mid-step, by a Wire that puts each flux in its slot.
 func TestSolveParallelAddsNoGoroutinePerProcessor(t *testing.T) {
 	s := testSchedule(t, 3, 8, 64, 5)
-	var bal machine.Balance
-	CellBalance(&bal, testCfg, make([]float64, s.Inst.N()))
-	mc, err := machine.New(s, false, bal, make([]float64, s.Inst.NTasks()))
+	mc, err := machine.New(s, false, make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	CellBalance(&mc.Balance, testCfg, make([]float64, s.Inst.N()))
 	before, most := runtime.NumGoroutine(), 0
 	mc.Wire = func(to int32, tsk sched.TaskID, psi float64) {
 		most = max(most, runtime.NumGoroutine()-before)

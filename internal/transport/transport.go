@@ -77,6 +77,12 @@ type Config struct {
 	Collector *obs.Collector
 }
 
+// DependencyOnly simulates a schedule: no source and no scattering, so
+// every flux is zero, and one sweep on the per-message interconnect. A
+// task still runs only once its upwind fluxes are done or delivered, and
+// Comm.Messages and Comm.Rounds recount the schedule's C1 and C2.
+var DependencyOnly = Config{SigmaT: 1, MaxIters: 1, NoBatch: true}
+
 // verifyOn reports whether this solve should audit its schedule.
 func (c Config) verifyOn() bool { return c.Verify || verify.ForcedByEnv() }
 
@@ -326,7 +332,7 @@ func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Resu
 }
 
 func machineSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
-	mc, err := machine.New(s, cfg.NoBatch, machine.Balance{}, psi)
+	mc, err := machine.New(s, cfg.NoBatch, psi)
 	if err != nil {
 		return nil, nil, err
 	}

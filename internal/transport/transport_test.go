@@ -215,6 +215,75 @@ func TestSolveRejectsCorruptSchedule(t *testing.T) {
 	}
 }
 
+// starSchedule list-schedules a 1-direction star DAG (cell 0 feeds cells
+// 1..3) on 2 processors under the given assignment.
+func starSchedule(t *testing.T, assign sched.Assignment) *sched.Schedule {
+	t.Helper()
+	d, err := dag.FromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs([]*dag.DAG{d}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{}
+	if err := sched.ListScheduleInto(sched.NewWorkspace(), s, inst, assign, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// c2Everywhere returns the three independent C2 accountings of s: the
+// chunked production counter, the auditor's serial recomputation, and the
+// rounds a DependencyOnly run sends its messages in.
+func c2Everywhere(t *testing.T, s *sched.Schedule) [3]int64 {
+	t.Helper()
+	dep, err := SolveParallelCtx(context.Background(), s, DependencyOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [3]int64{sched.C2(s, 0), verify.C2Ref(s), dep.Comm.Rounds}
+}
+
+// TestC2EdgeConventionStar pins the repository's C2 convention: a step's
+// communication cost is the maximum over processors of CROSS-PROCESSOR
+// EDGES leaving that processor's tasks — parallel edges to the same
+// destination processor are NOT deduplicated into one message. On a star
+// the hub sends along 3 edges to one processor, so its step costs 3 (a
+// message-counting convention would report 1). Swapping which side of the
+// cut the hub lives on leaves the cut edges, and so C2, unchanged. The
+// production counter, the auditor and a DependencyOnly run must agree.
+func TestC2EdgeConventionStar(t *testing.T) {
+	for name, assign := range map[string]sched.Assignment{
+		"hubOnProc0": {0, 1, 1, 1},
+		"hubOnProc1": {1, 0, 0, 0},
+	} {
+		if got := c2Everywhere(t, starSchedule(t, assign)); got != [3]int64{3, 3, 3} {
+			t.Errorf("%s: C2, C2Ref, run rounds = %v, want 3 each (edge-counting convention)", name, got)
+		}
+	}
+}
+
+// TestC2ConventionAgreesEverywhere cross-checks the three independent C2
+// accountings on randomized mesh schedules.
+func TestC2ConventionAgreesEverywhere(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		got := c2Everywhere(t, testSchedule(t, 2, 4, 3+int(seed), seed))
+		if got[0] == 0 || got[1] != got[0] || got[2] != got[0] {
+			t.Fatalf("seed %d: C2, C2Ref, run rounds = %v, want all equal and nonzero", seed, got)
+		}
+	}
+}
+
+// TestC2ZeroOnSingleProcessor: with every cell on one processor no edge
+// crosses the cut, so every accounting must be zero.
+func TestC2ZeroOnSingleProcessor(t *testing.T) {
+	if got := c2Everywhere(t, starSchedule(t, sched.Assignment{0, 0, 0, 0})); got != [3]int64{} {
+		t.Fatalf("C2, C2Ref, run rounds = %v on a single processor, want 0 each", got)
+	}
+}
+
 func TestWeightedQuadratureFlux(t *testing.T) {
 	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 2, NY: 2, NZ: 2, Jitter: 0.1, Seed: 8})
 	dirs, weights, err := quadrature.SNWeights(2) // 8 directions + weights

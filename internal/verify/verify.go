@@ -397,7 +397,8 @@ func C1Ref(inst *sched.Instance, assign sched.Assignment) int64 {
 }
 
 // C2Ref recomputes C2 under the repository's edge-counting convention
-// (documented in DESIGN.md §5 and matched by internal/simulate): after
+// (documented in DESIGN.md §5 and matched by the rounds a
+// transport.DependencyOnly run counts): after
 // every step, each processor sends one message per cross-processor edge
 // out of its tasks finishing that step, and the step is charged the
 // maximum over processors. Steps at or beyond s.Makespan, and tasks with

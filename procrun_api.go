@@ -42,5 +42,8 @@ func (p *Problem) SolveTransportProcs(ctx context.Context, res *Result, cfg Tran
 	if p.recipe == nil {
 		return nil, errors.New("sweepsched: multi-process execution needs a family-built problem (workers rebuild the mesh from its construction recipe)")
 	}
+	if res.Schedule.Inst != p.inst {
+		return nil, errors.New("sweepsched: the result was scheduled on another problem (workers rebuild this problem's mesh, not the schedule's)")
+	}
 	return procrun.Run(ctx, res.Schedule, *p.recipe, cfg, plan, opts)
 }
