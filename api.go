@@ -415,6 +415,12 @@ func (pl *planned) result(p *Problem) *Result {
 	return &Result{Schedule: pl.schedule, Metrics: pl.metrics, Ratio: lb.Ratio(pl.schedule.Makespan, p.inst)}
 }
 
+// kernelFault, when a test sets it, edits each unit-step plan's schedule
+// and metrics after its kernel run, before validation and the audit,
+// given the release floors the kernel ran with — standing in for a faulty
+// kernel the feasibility tail must catch.
+var kernelFault func(s *sched.Schedule, met *sched.Metrics, release []int32)
+
 // plan is the one pipeline behind every scheduling entry point: assign
 // cells to processors, derive the scheduler's priorities, run the
 // model's kernel, measure, then validate and (when sampled) audit. ctx
@@ -456,16 +462,21 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	ws.SetObserver(col)
 	defer ws.Release()
 	pl := &planned{}
+	// release is the floors the kernel ran with: per task in ws's scratch,
+	// or per angleset with groups; nil for none.
+	var release []int32
 	span = col.Span("api.schedule.time")
-	err = func() error {
+	err = func() (err error) {
 		if mdl.weights == nil {
 			pl.schedule = &sched.Schedule{}
 		}
 		if mdl.weights == nil && !mdl.comm {
 			if groups != nil {
-				return heuristics.RunAnglesetInto(ws, pl.schedule, alg, inst, assign, groups, r, opts.Workers)
+				release, err = heuristics.RunAnglesetInto(ws, pl.schedule, alg, inst, assign, groups, r, opts.Workers)
+			} else {
+				release, err = heuristics.RunInto(ws, pl.schedule, alg, inst, assign, r, opts.Workers)
 			}
-			return heuristics.RunInto(ws, pl.schedule, alg, inst, assign, r, opts.Workers)
+			return err
 		}
 		// Neither model applies the release delays of the *_delays schedulers.
 		prio, _, err := heuristics.Inputs(ws, alg, inst, assign, groups, r, opts.Workers)
@@ -498,6 +509,9 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		pl.metrics = sched.Measure(pl.schedule, opts.Workers)
 	}
 	span.End()
+	if kernelFault != nil && pl.schedule != nil {
+		kernelFault(pl.schedule, &pl.metrics, release)
+	}
 
 	// The feasibility tail: Validate always, the audit when sampled. On an
 	// instance large enough to pay for the hand-off the audit runs on a
@@ -513,7 +527,11 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		if pl.weighted != nil {
 			auditErr = verify.Weighted(inst, pl.weighted)
 		} else {
-			auditErr = verify.Schedule(inst, pl.schedule, verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups})
+			vo := verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups, Release: release}
+			if groups != nil {
+				vo.Release, vo.AnglesetRelease = nil, release
+			}
+			auditErr = verify.Schedule(inst, pl.schedule, vo)
 		}
 		span.End()
 	}

@@ -376,3 +376,68 @@ func BenchmarkPlanAudited(b *testing.B) {
 		})
 	}
 }
+
+// TestPlanAuditChecksReleaseFloors: a kernel that starts a delayed task
+// before its release floor must fail the plan's own audit, on the
+// per-direction path (level_delays, a floor per task) and the aggregated
+// one (descendant_delays over 8 anglesets, a floor per angleset). The
+// fault moves one delayed source task to a step before its floor that no
+// task of its processor uses, and not off the last step, so precedence,
+// exclusivity and the makespan still hold and only the release model
+// breaks; the metrics are recounted to match.
+func TestPlanAuditChecksReleaseFloors(t *testing.T) {
+	p, err := NewProblemFromFamily("tetonly", 0.02, 16, 64, 1) // ~10 cells a processor: idle early steps
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { kernelFault = nil }()
+	n := p.N()
+	for _, tc := range []struct {
+		alg       Scheduler
+		anglesets int
+	}{{LevelDelays, 0}, {DescendantDelays, 8}} {
+		opts := ScheduleOptions{Seed: 3, Verify: true, Anglesets: tc.anglesets}
+		groups, err := p.anglesets(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernelFault = nil
+		if _, err := p.Schedule(tc.alg, opts); err != nil {
+			t.Fatalf("%s: the unfaulted plan fails: %v", tc.alg, err)
+		}
+		moved := sched.TaskID(-1)
+		kernelFault = func(s *sched.Schedule, met *sched.Metrics, release []int32) {
+			floor := release
+			if groups != nil {
+				floor = make([]int32, p.Tasks())
+				if err := sched.ExpandAnglesetRelease(floor, release, groups, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			busy := map[[2]int32]bool{}
+			for tt, st := range s.Start {
+				busy[[2]int32{s.Assign[tt%n], st}] = true
+			}
+			for tt, st := range s.Start {
+				q, d := s.Assign[tt%n], s.Inst.DAGs[tt/n]
+				if floor[tt] == 0 || d.InDegree(int32(tt%n)) != 0 || st+1 >= int32(s.Makespan) {
+					continue
+				}
+				for step := int32(0); step < floor[tt]; step++ {
+					if !busy[[2]int32{q, step}] {
+						s.Start[tt], moved = step, sched.TaskID(tt)
+						*met = sched.Measure(s, 1)
+						return
+					}
+				}
+			}
+		}
+		_, err = p.Schedule(tc.alg, opts)
+		if moved < 0 {
+			t.Fatalf("%s: no delayed source task has a free step before its floor", tc.alg)
+		}
+		if err == nil || !strings.Contains(err.Error(), "failed the schedule audit") || !strings.Contains(err.Error(), "release") {
+			t.Fatalf("%s: task %d moved before its release floor; plan error = %v, want the audit's release violation", tc.alg, moved, err)
+		}
+	}
+}

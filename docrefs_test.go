@@ -20,12 +20,15 @@ package sweepsched_test
 //     sched/io.go and testdata/fuzz/ do;
 //   - -flags: a command line in a code span or a fenced block that runs a
 //     cmd/ binary (go run ./cmd/<bin> or <bin>) passes it only flags the
-//     binary defines through the flag package.
+//     binary defines through the flag package;
+//   - flag values: sweepbench's -exp names all, paper or an id
+//     experiments.Names returns, and bench/run.sh's -workload a workload
+//     BENCHMARK.json declares (a <placeholder> passes).
 //
-// Experiment ids and metric names are not checked yet (ROADMAP, "Docs
-// that cannot drift").
+// Metric names are not checked yet (ROADMAP, "Docs that cannot drift").
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -38,6 +41,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"sweepsched/internal/experiments"
 )
 
 // docFiles are the documents the gate reads. bench/'s own documents belong
@@ -58,7 +63,7 @@ var (
 	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
 	docPath     = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
 	shellSep    = regexp.MustCompile(`\|\||&&|[|;]|\s#.*`)
-	flagArg     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+	flagArg     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:(=)(.*))?$`)
 )
 
 func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
@@ -136,18 +141,43 @@ func TestDocReferences(t *testing.T) {
 	}
 
 	binFlags := cmdFlags(t)
+	const runner = "bench/run.sh"
+	// values are the values a command line may give these flags.
+	values := map[string]map[string]map[string]bool{
+		"sweepbench": {"exp": {"all": true, "paper": true}},
+		runner:       {"workload": benchWorkloads(t)},
+	}
+	for _, id := range experiments.Names() {
+		values["sweepbench"]["exp"][id] = true
+	}
 	// checkFlags reports the flags a command line passes a cmd/ binary that
-	// the binary does not define.
+	// the binary does not define, and the values it gives a flag of values
+	// that are not among them.
 	checkFlags := func(file string, line int, cmdline string) {
 		for _, command := range shellSep.Split(strings.TrimPrefix(strings.TrimSpace(cmdline), "$ "), -1) {
 			var bin string
-			for _, word := range strings.Fields(command) {
+			words := strings.Fields(command)
+			for i, word := range words {
 				if bin == "" {
-					if name := strings.TrimPrefix(strings.TrimSuffix(word, "/"), "./cmd/"); binFlags[name] != nil {
+					if name := strings.TrimPrefix(strings.TrimPrefix(strings.TrimSuffix(word, "/"), "./cmd/"), "./"); binFlags[name] != nil || name == runner {
 						bin = name
 					}
-				} else if m := flagArg.FindStringSubmatch(word); m != nil && !binFlags[bin][m[1]] {
+					continue
+				}
+				m := flagArg.FindStringSubmatch(word)
+				if m == nil {
+					continue
+				}
+				if binFlags[bin] != nil && !binFlags[bin][m[1]] {
 					t.Errorf("%s:%d: %s defines no flag -%s", file, line, bin, m[1])
+				}
+				valid := values[bin][m[1]]
+				value := m[3]
+				if m[2] == "" && i+1 < len(words) {
+					value = words[i+1]
+				}
+				if valid != nil && !valid[value] && !strings.HasPrefix(value, "<") {
+					t.Errorf("%s:%d: %s -%s %s: no such value", file, line, bin, m[1], value)
 				}
 			}
 		}
@@ -191,6 +221,25 @@ func TestDocReferences(t *testing.T) {
 			t.Errorf("docHistory entry %s: drop it unless a document cites it, nothing declares it and it has a reason", tok)
 		}
 	}
+}
+
+// benchWorkloads returns the names of the workloads BENCHMARK.json
+// declares.
+func benchWorkloads(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, w := range bench.Workloads {
+		names[w.Name] = true
+	}
+	return names
 }
 
 // treePaths returns every path under the root but the hidden ones, with

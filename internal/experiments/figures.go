@@ -452,7 +452,8 @@ func blocked(bs int) func(*point, uint64) (*sample, error) {
 
 // fig3 is a Figure 3 panel: the named schedulers, seeded by position, on a
 // shared block assignment; with Config.Anglesets, angleset-aggregated and
-// audited as such.
+// audited as such. The audit holds each schedule to the release floors
+// its kernel ran with.
 func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
 	f := figure{id: id, paper: true, title: id + ": " + about, meshes: []string{meshName}, ks: []int{4, 24, 48},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}}}
@@ -470,12 +471,16 @@ func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
 			ws := sched.GetWorkspace(p.inst)
 			defer ws.Release()
 			dst := &sched.Schedule{}
+			opts := verify.Opts{Anglesets: groups}
 			if groups != nil {
-				err = heuristics.RunAnglesetInto(ws, dst, name, p.inst, assign, groups, r, 1)
+				opts.AnglesetRelease, err = heuristics.RunAnglesetInto(ws, dst, name, p.inst, assign, groups, r, 1)
 			} else {
-				err = heuristics.RunInto(ws, dst, name, p.inst, assign, r, 1)
+				opts.Release, err = heuristics.RunInto(ws, dst, name, p.inst, assign, r, 1)
+				if p.g.cfg.Verify { // the audit runs after ws goes back to the pool
+					opts.Release = slices.Clone(opts.Release)
+				}
 			}
-			return &sample{s: dst, opts: verify.Opts{Anglesets: groups}}, err
+			return &sample{s: dst, opts: opts}, err
 		}})
 		f.cols = append(f.cols, col{name: "ratio_" + string(name), run: i, metric: ratio})
 	}

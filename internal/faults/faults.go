@@ -107,18 +107,16 @@ type Spec struct {
 	// Severs is the number of connection cuts (capped at the processor
 	// count). Only process-level executors act on them; see Sever.
 	Severs int
-	// MaxDelay bounds the hold of each delayed message (default 3 steps).
-	MaxDelay int32
 	// CheckpointEvery is the barrier-step interval between durable
 	// checkpoints (default 8). A crashed processor's completions since the
 	// last checkpoint are lost and replayed after recovery.
 	CheckpointEvery int32
 }
 
+// maxDelay bounds the hold of each delayed message, in barrier steps.
+const maxDelay = 3
+
 func (sp Spec) withDefaults() Spec {
-	if sp.MaxDelay <= 0 {
-		sp.MaxDelay = 3
-	}
 	if sp.CheckpointEvery <= 0 {
 		sp.CheckpointEvery = 8
 	}
@@ -223,7 +221,7 @@ func NewPlan(s *sched.Schedule, spec Spec, seed uint64) *Plan {
 	})
 	dl := root.Substream(2)
 	draw(dl, spec.Delays, func(ms msg) Event {
-		return Event{Kind: Delay, Task: ms.task, To: ms.to, HoldSteps: 1 + int32(dl.Intn(int(spec.MaxDelay)))}
+		return Event{Kind: Delay, Task: ms.task, To: ms.to, HoldSteps: 1 + int32(dl.Intn(maxDelay))}
 	})
 	draw(root.Substream(3), spec.Duplicates, func(ms msg) Event {
 		return Event{Kind: Duplicate, Task: ms.task, To: ms.to}

@@ -31,16 +31,18 @@ func DescendantAnglesetPrioritiesInto(prio sched.Priorities, inst *sched.Instanc
 // in {0..len(groups)-1}, per-angleset substreams) instead of one per
 // direction. RandomDelays and ImprovedDelays rank tasks across all k
 // directions at once and cannot run aggregated; they return an error.
-func RunAnglesetInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) error {
+// It returns the per-angleset release delays the kernel ran with, nil
+// for a scheduler without them (verify.Opts.AnglesetRelease).
+func RunAnglesetInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (release []int32, err error) {
 	col := ws.Observer()
 	defer col.Span("heuristics.runangleset.time").End()
 	col.Counter("heuristics.angleset_runs").Inc()
 	if err := sched.ValidateAnglesets(groups, inst.K()); err != nil {
-		return err
+		return nil, err
 	}
 	prio, release, err := Inputs(ws, name, inst, assign, groups, r, workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, release)
+	return release, sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, prio, release)
 }

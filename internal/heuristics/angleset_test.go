@@ -29,7 +29,7 @@ func runAngleset(name Name, inst *sched.Instance, assign sched.Assignment, group
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	dst := &sched.Schedule{}
-	if err := RunAnglesetInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
+	if _, err := RunAnglesetInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -271,7 +271,7 @@ func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	dst := &sched.Schedule{}
-	if err := RunInto(ws, dst, name, inst, assign, r, workers); err != nil {
+	if _, err := RunInto(ws, dst, name, inst, assign, r, workers); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -282,8 +282,11 @@ func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source
 // so repeated runs on one instance shape allocate the k delays and the
 // priority fan-out's goroutines, nothing per task. The layer-synchronous
 // RandomDelays still builds its schedule afresh and copies the header
-// into dst.
-func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) error {
+// into dst. It returns the release floors the kernel ran with, one per
+// task in the workspace's scratch (valid until the workspace's next run
+// or Release), or nil for a scheduler without release delays — what an
+// audit of the schedule must hold it to (verify.Opts.Release).
+func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (release []int32, err error) {
 	// Spans/counters no-op when no collector is attached (ws.SetObserver).
 	col := ws.Observer()
 	defer col.Span("heuristics.run.time").End()
@@ -291,16 +294,15 @@ func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.In
 	if name == RandomDelays {
 		s, err := core.RandomDelayWithAssignment(inst, assign, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		*dst = *s
-		return nil
+		return nil, nil
 	}
 	prio, delays, err := Inputs(ws, name, inst, assign, nil, r, workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var release []int32
 	if delays != nil {
 		release = ws.Int32Buf(inst.NTasks())
 		for i, x := range delays {
@@ -310,7 +312,7 @@ func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.In
 			}
 		}
 	}
-	return sched.ListScheduleInto(ws, dst, inst, assign, prio, release)
+	return release, sched.ListScheduleInto(ws, dst, inst, assign, prio, release)
 }
 
 type errUnknown Name

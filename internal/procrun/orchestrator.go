@@ -39,18 +39,6 @@ import (
 type Options struct {
 	// CkptDir is where workers write durable checkpoint shards. Required.
 	CkptDir string
-	// HeartbeatInterval is how often each worker pings (default 200ms);
-	// HeartbeatTimeout is how long the orchestrator waits for any frame
-	// from a live worker before declaring it dead (default 10s — it must
-	// comfortably exceed the interval).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// WorkerReadTimeout bounds how long a worker waits for the next
-	// orchestrator frame before treating the link as lost (default 30s).
-	WorkerReadTimeout time.Duration
-	// Backoff parameterizes worker reconnect loops. Seed defaults to the
-	// plan seed so reruns reconnect on the same clock.
-	Backoff Backoff
 	// WorkerBinary is the executable to spawn (default: this executable,
 	// re-exec style — the binary must call MaybeWorker early in main or
 	// TestMain).
@@ -60,23 +48,10 @@ type Options struct {
 	Collector *obs.Collector
 }
 
-func (o Options) withDefaults(plan *faults.Plan) (Options, error) {
+func (o Options) withDefaults() (Options, error) {
 	if o.CkptDir == "" {
 		return o, errors.New("procrun: Options.CkptDir is required")
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 200 * time.Millisecond
-	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 10 * time.Second
-	}
-	if o.WorkerReadTimeout <= 0 {
-		o.WorkerReadTimeout = 30 * time.Second
-	}
-	if o.Backoff.Seed == 0 && plan != nil {
-		o.Backoff.Seed = plan.Seed
-	}
-	o.Backoff = o.Backoff.withDefaults()
 	if o.WorkerBinary == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -143,6 +118,7 @@ type orch struct {
 	spec    ProblemSpec
 	cfg     transport.Config
 	opts    Options
+	seed    uint64 // the plan's seed (0 for none), which the workers' reconnect jitter draws on
 	ln      net.Listener
 	helloCh chan hello
 	workers []*workerProc
@@ -195,14 +171,18 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 	if inst.M != spec.M {
 		return nil, fmt.Errorf("procrun: schedule has %d processors, spec says %d", inst.M, spec.M)
 	}
-	opts, err := opts.withDefaults(plan)
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if plan == nil {
+		plan = &faults.Plan{}
 	}
 	o := &orch{
 		inst:     inst,
 		spec:     spec,
 		opts:     opts,
+		seed:     plan.Seed,
 		helloCh:  make(chan hello, inst.M),
 		workers:  make([]*workerProc, inst.M),
 		severed:  map[int32]bool{},
@@ -282,7 +262,7 @@ func (o *orch) spawnAll(ctx context.Context) error {
 		}
 		o.workers[p] = &workerProc{rank: p, cmd: cmd}
 	}
-	deadline := time.After(o.opts.HeartbeatTimeout)
+	deadline := time.After(heartbeatTimeout)
 	for need := o.inst.M; need > 0; {
 		select {
 		case h := <-o.helloCh:
@@ -351,20 +331,14 @@ func (o *orch) setupAll() error {
 	e.f64(o.cfg.Source)
 	e.f64s(o.cfg.SourceField)
 	e.str(o.opts.CkptDir)
-	e.u32(uint32(o.opts.HeartbeatInterval / time.Millisecond))
-	e.u32(uint32(o.opts.WorkerReadTimeout / time.Millisecond))
-	e.u32(uint32(o.opts.Backoff.Base / time.Millisecond))
-	e.u32(uint32(o.opts.Backoff.Max / time.Millisecond))
-	e.f64(o.opts.Backoff.Factor)
-	e.u32(uint32(o.opts.Backoff.Attempts))
-	e.u64(o.opts.Backoff.Seed)
+	e.u64(o.seed)
 	for _, w := range o.workers {
 		if err := w.conn.writeFrame(fSetup, e.b, 5*time.Second); err != nil {
 			return fmt.Errorf("procrun: setup rank %d: %w", w.rank, err)
 		}
 	}
 	for _, w := range o.workers {
-		typ, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+		typ, payload, err := o.readSkippingHeartbeats(w, heartbeatTimeout)
 		if err != nil {
 			return fmt.Errorf("procrun: rank %d setup ack: %w", w.rank, err)
 		}
@@ -423,7 +397,7 @@ func (o *orch) broadcastAck(typ uint8, payload []byte) error {
 		}
 	}
 	for _, w := range o.liveWorkers() {
-		rtyp, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+		rtyp, payload, err := o.readSkippingHeartbeats(w, heartbeatTimeout)
 		if err != nil {
 			return fmt.Errorf("procrun: rank %d ack for %s: %w", w.rank, frameName(typ), err)
 		}
@@ -608,10 +582,10 @@ func (o *orch) writeStepFrame(w *workerProc, typ uint8, payload []byte) error {
 // completions alias a scratch buffer reused on the next readAck, so the
 // caller must consume them first (the ack loop does).
 func (o *orch) readAck(w *workerProc) ([]comm.Item, machine.Ack, error) {
-	typ, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+	typ, payload, err := o.readSkippingHeartbeats(w, heartbeatTimeout)
 	if err != nil && o.awaitRejoin(w) {
 		if err = o.writeStepFrames(w); err == nil {
-			typ, payload, err = o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+			typ, payload, err = o.readSkippingHeartbeats(w, heartbeatTimeout)
 		}
 	}
 	if err == nil && typ != fAck {
@@ -640,10 +614,10 @@ func (o *orch) decodeAck(payload []byte) ([]comm.Item, machine.Ack, error) {
 // hello, re-binding the connection on success.
 func (o *orch) awaitRejoin(w *workerProc) bool {
 	var budget time.Duration
-	for _, d := range o.opts.Backoff.delays(w.rank) {
+	for _, d := range backoffDelays(o.seed, w.rank) {
 		budget += d
 	}
-	budget += o.opts.HeartbeatTimeout
+	budget += heartbeatTimeout
 	deadline := time.After(budget)
 	for {
 		select {
@@ -714,7 +688,7 @@ func (o *orch) collectSnapshots() obs.Snapshot {
 		if err := w.conn.writeFrame(fSnapReq, nil, 5*time.Second); err != nil {
 			continue
 		}
-		typ, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
+		typ, payload, err := o.readSkippingHeartbeats(w, heartbeatTimeout)
 		if err != nil || typ != fSnapshot {
 			continue
 		}
@@ -741,7 +715,7 @@ func (o *orch) sayGoodbye() {
 		go func() { cmd.Wait(); close(reaped) }()
 		select {
 		case <-reaped:
-		case <-time.After(o.opts.HeartbeatTimeout):
+		case <-time.After(heartbeatTimeout):
 			cmd.Process.Kill()
 			<-reaped
 		}

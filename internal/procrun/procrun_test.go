@@ -327,15 +327,14 @@ func TestProcRunObservesOrchestratorCounters(t *testing.T) {
 }
 
 func TestBackoffDelaysDeterministicAndBounded(t *testing.T) {
-	b := Backoff{Seed: 42}
-	a1 := b.delays(3)
-	a2 := b.delays(3)
+	a1 := backoffDelays(42, 3)
+	a2 := backoffDelays(42, 3)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("same (seed, rank): delay %d differs: %v vs %v", i, a1[i], a2[i])
 		}
 	}
-	other := b.delays(4)
+	other := backoffDelays(42, 4)
 	same := true
 	for i := range a1 {
 		if a1[i] != other[i] {
@@ -345,16 +344,15 @@ func TestBackoffDelaysDeterministicAndBounded(t *testing.T) {
 	if same {
 		t.Fatal("distinct ranks drew identical jitter: thundering herd")
 	}
-	wd := b.withDefaults()
 	for i, d := range a1 {
-		if d > wd.Max {
-			t.Fatalf("delay %d = %v exceeds cap %v", i, d, wd.Max)
+		if d > backoffMax {
+			t.Fatalf("delay %d = %v exceeds cap %v", i, d, backoffMax)
 		}
 		if d <= 0 {
 			t.Fatalf("delay %d = %v not positive", i, d)
 		}
 	}
-	if len(a1) != wd.Attempts {
-		t.Fatalf("%d delays for %d attempts", len(a1), wd.Attempts)
+	if len(a1) != backoffAttempts {
+		t.Fatalf("%d delays for %d attempts", len(a1), backoffAttempts)
 	}
 }

@@ -32,12 +32,12 @@ func MaybeWorker() {
 	if v == "" {
 		return
 	}
-	os.Exit(RunWorker(v))
+	os.Exit(runWorker(v))
 }
 
-// RunWorker runs the worker loop for an "addr|rank" assignment and
-// returns the process exit code. Exposed for cmd/sweepworker.
-func RunWorker(assignment string) int {
+// runWorker runs the worker loop for an "addr|rank" assignment and
+// returns the process exit code.
+func runWorker(assignment string) int {
 	parts := strings.Split(assignment, "|")
 	if len(parts) != 2 {
 		fmt.Fprintf(os.Stderr, "sweepworker: malformed %s=%q (want addr|rank)\n", EnvWorker, assignment)
@@ -72,14 +72,12 @@ type worker struct {
 	mu   sync.Mutex // guards conn swaps (heartbeat goroutine vs reconnect)
 	conn *wireConn
 
-	inst        *sched.Instance
-	cfg         transport.Config
-	ckptDir     string
-	hbInterval  time.Duration
-	readTimeout time.Duration
-	backoff     Backoff
-	col         *obs.Collector
-	ctr         comm.Counters // receive-side comm.* accounting (deterministic per plan)
+	inst    *sched.Instance
+	cfg     transport.Config
+	ckptDir string
+	seed    uint64 // the plan's seed, which the reconnect jitter draws on
+	col     *obs.Collector
+	ctr     comm.Counters // receive-side comm.* accounting (deterministic per plan)
 
 	fluxBuf []comm.Item // decode scratch for flux sections, reused per frame
 	compBuf []comm.Item // this step's completions, reused per step
@@ -139,7 +137,7 @@ func (w *worker) connect(resumed bool) error {
 
 // reconnect runs the bounded backoff loop after a lost connection.
 func (w *worker) reconnect() error {
-	delays := w.backoff.delays(w.rank)
+	delays := backoffDelays(w.seed, w.rank)
 	var lastErr error
 	for _, d := range delays {
 		time.Sleep(d)
@@ -166,10 +164,9 @@ func (w *worker) run() error {
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 
-	readTimeout := 30 * time.Second // until fSetup provides the real one
 	for {
 		conn := w.current()
-		typ, payload, err := conn.readFrame(readTimeout)
+		typ, payload, err := conn.readFrame(workerReadTimeout)
 		if err != nil {
 			// Lost or severed link: bounded reconnect, then resume the
 			// frame loop — all sweep/epoch state survives in this process.
@@ -182,9 +179,6 @@ func (w *worker) run() error {
 		switch typ {
 		case fSetup:
 			reply, err = w.onSetup(payload, hbStop)
-			if err == nil {
-				readTimeout = w.readTimeout
-			}
 		case fSweep:
 			reply, err = w.onSweep(payload)
 		case fEpoch:
@@ -242,15 +236,7 @@ func (w *worker) onSetup(payload []byte, hbStop <-chan struct{}) (func() error, 
 		w.cfg.SourceField = sf
 	}
 	w.ckptDir = d.str()
-	w.hbInterval = time.Duration(d.u32()) * time.Millisecond
-	w.readTimeout = time.Duration(d.u32()) * time.Millisecond
-	w.backoff = Backoff{
-		Base:     time.Duration(d.u32()) * time.Millisecond,
-		Max:      time.Duration(d.u32()) * time.Millisecond,
-		Factor:   d.f64(),
-		Attempts: int(d.u32()),
-		Seed:     d.u64(),
-	}.withDefaults()
+	w.seed = d.u64()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -259,9 +245,7 @@ func (w *worker) onSetup(payload []byte, hbStop <-chan struct{}) (func() error, 
 		return nil, err
 	}
 	w.inst = inst
-	if w.hbInterval > 0 {
-		go w.heartbeat(hbStop)
-	}
+	go w.heartbeat(hbStop)
 	return func() error {
 		var e enc
 		e.u32(uint32(inst.N()))
@@ -275,14 +259,14 @@ func (w *worker) onSetup(payload []byte, hbStop <-chan struct{}) (func() error, 
 // the wireConn write mutex serializes it against frame replies. Send
 // errors are ignored — the main loop owns reconnection.
 func (w *worker) heartbeat(stop <-chan struct{}) {
-	tick := time.NewTicker(w.hbInterval)
+	tick := time.NewTicker(heartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
-			w.current().writeFrame(fHeartbeat, nil, w.hbInterval)
+			w.current().writeFrame(fHeartbeat, nil, heartbeatInterval)
 		}
 	}
 }

@@ -347,8 +347,8 @@ func splitChecks[T int32 | int64](inst *Instance, assign Assignment, start []T, 
 			return prec(int32(i))
 		}
 		q := int32(i - k)
-		sc := startOrderPool.Get().(*startOrder)
-		defer startOrderPool.Put(sc)
+		sc := keyOrderPool.Get().(*keyOrder)
+		defer keyOrderPool.Put(sc)
 		if a, b, found := overlap(sc, inst, cells[off[q]:off[q+1]], start, bound, end); found {
 			return clash(q, a, b)
 		}
@@ -356,12 +356,13 @@ func splitChecks[T int32 | int64](inst *Instance, assign Assignment, start []T, 
 	})
 }
 
-// startOrder is the scratch of one sortByStart: two arrays each of ids
-// and of their starts, and the digit table. procCells is splitChecks'
-// cells grouped by processor. Validate and C2 run after every plan and
-// neither has a Workspace to draw from, so both are pooled on their own;
-// a warm plan's feasibility tail then allocates nothing per task.
-type startOrder struct {
+// keyOrder is the scratch of one sortByKey: two arrays each of ids and
+// of their keys, and the digit table. procCells is splitChecks' cells
+// grouped by processor. The list engines' rankq keeps a keyOrder of its
+// own in the Workspace; Validate and C2 run after every plan and have no
+// Workspace to draw from, so both are pooled on their own and a warm
+// plan's feasibility tail then allocates nothing per task.
+type keyOrder struct {
 	ids, spareIDs   []TaskID
 	keys, spareKeys []uint64
 	counts          []int32
@@ -370,16 +371,16 @@ type startOrder struct {
 type procCells struct{ off, cells []int32 }
 
 var (
-	startOrderPool = sync.Pool{New: func() any { return new(startOrder) }}
-	procCellsPool  = sync.Pool{New: func() any { return new(procCells) }}
+	keyOrderPool  = sync.Pool{New: func() any { return new(keyOrder) }}
+	procCellsPool = sync.Pool{New: func() any { return new(procCells) }}
 )
 
-// take returns sc's first id and start arrays at length n, for the caller
-// to fill — ids ascending, each with its start — before sortByStart. They
+// take returns sc's first id and key arrays at length n, for the caller
+// to fill — ids ascending, each with its key — before sortByKey. They
 // grow with half again as much room: a processor's task count moves a
 // little from one assignment to the next, and a warm plan should not pay
 // for that.
-func (sc *startOrder) take(n int) ([]TaskID, []uint64) {
+func (sc *keyOrder) take(n int) ([]TaskID, []uint64) {
 	if cap(sc.ids) < n {
 		c := n + n/2
 		sc.ids, sc.spareIDs = make([]TaskID, c), make([]TaskID, c)
@@ -415,19 +416,21 @@ func (pc *procCells) group(assign Assignment, m int) (off, cells []int32) {
 	return off, cells
 }
 
-// sortByStart orders the tasks of sc.take's arrays — ids ascending, starts
-// in [0, bound] beside them — by start, and returns both in (start, id)
-// order in one of sc's two pairs of arrays, valid until sc goes back to
-// the pool. Carrying the starts along keeps every pass a sequential read
-// of the scratch rather than a lookup into the schedule. The sort is a
-// stable LSD radix sort over the bits of bound, in the fewest passes
-// whose digits stay within as many bits as the task count has (at least
-// 8, at most 16): a schedule of up to 65,536 steps — every practical one
-// — takes a single counting pass over a table no larger than twice its
-// step count or its task count, and one whose steps are spread far beyond
-// its task count takes at most four, over the two pairs of arrays and a
-// table of at most 65,536 entries whatever the start values are.
-func (sc *startOrder) sortByStart(ids []TaskID, keys []uint64, bound uint64) ([]TaskID, []uint64) {
+// sortByKey orders the tasks of sc.take's arrays — ids ascending, keys
+// in [0, bound] beside them — by key, and returns both in (key, id)
+// order in one of sc's two pairs of arrays, valid until sc is reused.
+// The keys are start steps for Validate and C2 and priority offsets from
+// the smallest priority for rankq. Carrying the keys along keeps every
+// pass a sequential read of the scratch rather than a lookup into the
+// schedule or the priorities. The sort is a stable LSD radix sort over
+// the bits of bound, in the fewest passes whose digits stay within as
+// many bits as the task count has (at least 8, at most 16): a bound of up
+// to 65,536 — every practical schedule length — takes a single counting
+// pass over a table no larger than twice the bound or the task count, and
+// any wider one, up to the full 64 bits, takes at most four, over the two
+// pairs of arrays and a table of at most 65,536 entries whatever the key
+// values are.
+func (sc *keyOrder) sortByKey(ids []TaskID, keys []uint64, bound uint64) ([]TaskID, []uint64) {
 	spareIDs, spareKeys := sc.spareIDs[:len(ids)], sc.spareKeys[:len(ids)]
 	width := bits.Len64(bound)
 	digit := min(16, max(8, bits.Len(uint(len(ids)))))
@@ -470,12 +473,12 @@ func (sc *startOrder) sortByStart(ids []TaskID, keys []uint64, bound uint64) ([]
 // covers inst.NTasks() tasks with values in [0, bound].
 //
 // The processor's tasks — its cells in every direction, gathered in id
-// order with their starts — are put in (start, id) order by sortByStart
+// order with their starts — are put in (start, id) order by sortByKey
 // and neighbours are compared: O(tasks of the processor) memory whatever
 // the start values are. When several pairs overlap, the one reported is
 // the first neighbouring pair in (start, id) order, a deterministic
 // function of the schedule.
-func overlap[T int32 | int64](sc *startOrder, inst *Instance, cells []int32, start []T, bound T, end func(t TaskID, start int64) int64) (a, b TaskID, found bool) {
+func overlap[T int32 | int64](sc *keyOrder, inst *Instance, cells []int32, start []T, bound T, end func(t TaskID, start int64) int64) (a, b TaskID, found bool) {
 	n := TaskID(inst.N())
 	ids, keys := sc.take(len(cells) * inst.K())
 	j := 0
@@ -485,7 +488,7 @@ func overlap[T int32 | int64](sc *startOrder, inst *Instance, cells []int32, sta
 			j++
 		}
 	}
-	ids, keys = sc.sortByStart(ids, keys, uint64(bound))
+	ids, keys = sc.sortByKey(ids, keys, uint64(bound))
 	for i := 1; i < len(ids); i++ {
 		if int64(keys[i]) < end(ids[i-1], int64(keys[i-1])) {
 			return ids[i-1], ids[i], true

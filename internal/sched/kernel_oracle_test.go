@@ -380,9 +380,10 @@ func BenchmarkScheduleKernel(b *testing.B) {
 // which is what the node and task-graph layout is for. Two inputs:
 // "priority" is Algorithm 2's, level+delay priorities and no floors (the
 // counting pass ranks them); "release" is descendant_delays', descendant
-// priorities (a spread the radix sort ranks) and every direction held
-// back to its delay, so the release loop runs with the calendar on. A
-// warm run of either must allocate nothing.
+// priorities (path counts capped at 2⁵⁰, too wide to pack beside a task
+// id, which the radix sort carries in a key array of their own) and every
+// direction held back to its delay, so the release loop runs with the
+// calendar on. A warm run of either must allocate nothing.
 func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	msh, err := mesh.Family("tetonly", 1.0, 1)
 	if err != nil {

@@ -149,8 +149,8 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 // per-processor container/heap reference with the same random interleaved
 // (push, pop) streams and demands identical pop sequences, including
 // (priority, TaskID) tie-breaks. Every seventh round inflates the
-// priority spread past what packs next to a task id in 64 bits, forcing
-// the comparison-sort fallback, and the others fall on either side of
+// priority spread past what packs next to a task id in 64 bits, which
+// the radix sort must rank, and the others fall on either side of
 // the counting pass's threshold; load's partition is also checked
 // structurally against a sorted per-processor reference.
 func TestRankqMatchesHeapReference(t *testing.T) {
@@ -554,7 +554,7 @@ func rankOnly(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assignm
 		t.Fatalf("%d of %d done tasks left to schedule", left, nt)
 	}
 	_, spread := prioRange(prio)
-	return rankPathFor(spread, len(prio), nt, m)
+	return rankPathFor(spread, nt, m)
 }
 
 // checkRanks holds q's layout to a sort: each processor's slot of order
@@ -597,10 +597,10 @@ func checkRanks(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assig
 // TestSortAndPartitionOrder: load ranks the tasks in (prio, id) order per
 // processor whatever the priorities' spread, on each side of both
 // thresholds — the counting pass (all equal, spread 1, its exact bucket
-// limit, negative offsets, a ragged nt), the priority-digits-only radix
-// sort (one bucket past the limit, one digit, a spread across the 12-bit
-// digit boundary, three digits) and the comparison fallback — each
-// against slices.SortFunc, and each on the path its spread selects.
+// limit, negative offsets, a ragged nt) and the radix sort (one bucket
+// past the limit, one 12-bit digit, a spread across it, 2²⁵, and the
+// extremes of int64, a spread that packs beside no id) — each against
+// slices.SortFunc, and each on the path its spread selects.
 func TestSortAndPartitionOrder(t *testing.T) {
 	r := rng.New(7331)
 	spreadOf := func(nkeys int, spread uint64, base int64) Priorities {
@@ -636,7 +636,7 @@ func TestSortAndPartitionOrder(t *testing.T) {
 				}
 			}
 			return prio
-		}, path: comparePath},
+		}, path: radixPath},
 		{name: "one task", n: 1, nt: 1, m: 1, prio: func(nk int) Priorities { return Priorities{-9} }, path: countPath},
 		{name: "ragged nt", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 5, 0) }, path: countPath},
 		{name: "ragged nt, radix", n: 7, nt: 7*3 + 4, m: 3, prio: func(nk int) Priorities { return spreadOf(nk, 8, 0) }, path: radixPath},
@@ -656,7 +656,8 @@ func TestSortAndPartitionOrder(t *testing.T) {
 
 // TestRankqRaggedTaskCount exercises load on task counts that are not an
 // exact multiple of the cell count (a trailing partial direction), on
-// the counting pass, the radix sort and the comparison fallback in turn.
+// the counting pass, the radix sort and the radix sort of the full int64
+// range in turn.
 // The per-processor counts must come from the actual task→cell mapping:
 // the old cells-times-k shortcut truncated nt/n and mis-sized every
 // partition offset after the first affected processor.
@@ -671,20 +672,20 @@ func TestRankqRaggedTaskCount(t *testing.T) {
 			nt++
 		}
 		var prio Priorities
-		want := rankPath(round % 3)
-		switch want {
-		case countPath:
+		want := radixPath
+		switch round % 3 {
+		case 0:
 			prio = make(Priorities, nt)
 			for tt := range prio {
 				prio[tt] = int64(r.Intn(max(1, nt/m)))
 			}
-			if nt < m {
-				want = radixPath // a bucket per processor is already more than the tasks
+			if nt >= m { // else a bucket per processor is already more than the tasks
+				want = countPath
 			}
-		case radixPath:
+		case 1:
 			prio = randomPrio(nt, r)
 			prio[0] = int64(nt) + prio[1] // past the counting pass's buckets
-		case comparePath:
+		case 2:
 			prio = randomPrio(nt, r)
 			prio[0] = math.MinInt64
 			prio[nt-1] = math.MaxInt64
@@ -721,10 +722,9 @@ func TestRankqRaggedTaskCount(t *testing.T) {
 	}
 }
 
-// TestRankqRadixFallbackBoundary pins the sort-path selection at the
-// exact threshold: a priority spread of math.MaxUint64>>(idBits+1) still
-// packs next to a task id in 64 bits (radix path), spread+1 must take
-// the comparison-sort fallback — and both must produce the identical
+// TestRankqRadixFallbackBoundary ranks the spreads on either side of
+// what once packed beside a task id in 64 bits: math.MaxUint64>>(idBits+1)
+// and one more. Both take the radix path and must produce the identical
 // (prio, id) partition order.
 func TestRankqRadixFallbackBoundary(t *testing.T) {
 	const n, k, m = 2, 2, 2
@@ -735,7 +735,7 @@ func TestRankqRadixFallbackBoundary(t *testing.T) {
 	for name, tc := range map[string]struct {
 		spread int64
 		path   rankPath
-	}{"atThreshold": {atLimit, radixPath}, "pastThreshold": {atLimit + 1, comparePath}} {
+	}{"atThreshold": {atLimit, radixPath}, "pastThreshold": {atLimit + 1, radixPath}} {
 		t.Run(name, func(t *testing.T) {
 			prio := Priorities{0, tc.spread, tc.spread, 0}
 			var q rankq

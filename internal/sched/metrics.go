@@ -64,13 +64,13 @@ func C2(s *Schedule, workers int) int64 {
 	if nt == 0 {
 		return 0
 	}
-	sc := startOrderPool.Get().(*startOrder)
-	defer startOrderPool.Put(sc)
+	sc := keyOrderPool.Get().(*keyOrder)
+	defer keyOrderPool.Put(sc)
 	ids, keys := sc.take(nt)
 	for t, st := range s.Start {
 		ids[t], keys[t] = TaskID(t), uint64(st)
 	}
-	order, _ := sc.sortByStart(ids, keys, uint64(max(slices.Max(s.Start), 0)))
+	order, _ := sc.sortByKey(ids, keys, uint64(max(slices.Max(s.Start), 0)))
 
 	// A few chunks per worker smooths out ranges whose tasks carry uneven
 	// edge counts. cut[c] is where chunk c begins: its even share of the

@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
 
 	"sweepsched/internal/dag"
 )
@@ -44,10 +42,9 @@ type rankq struct {
 	words []uint64 // concatenated per-processor bitmaps
 
 	// Ranking scratch: the counting path's bucket cursors, the radix
-	// path's packed keys and their scatter buffer.
+	// path's ids and priority offsets.
 	cursor []int32
-	keys   []uint64 // (prio - minPrio) << idBits | TaskID
-	keys2  []uint64
+	sorter keyOrder
 }
 
 // procq is one processor's queue record: everything push and pop read or
@@ -99,7 +96,7 @@ type prelude struct {
 // How the ranks are computed depends on the priorities' spread
 // (rankPathFor). On the counting path — level and delay priorities at any
 // practical m — they come out of the same pass that writes the nodes;
-// otherwise build sorts first and that pass reads them.
+// otherwise build radix-sorts first and that pass reads them.
 func (q *rankq) load(in prelude) (remaining int) {
 	nt, m := in.nt, in.m
 	if cap(q.order) < nt {
@@ -113,13 +110,12 @@ func (q *rankq) load(in prelude) (remaining int) {
 	q.procs = q.procs[:m+1]
 
 	minP, spread := prioRange(in.prio)
-	path := rankPathFor(spread, len(in.prio), nt, m)
 	span := 0
-	if path == countPath {
+	if rankPathFor(spread, nt, m) == countPath {
 		span = int(spread) + 1
 		q.countBuckets(&in, minP, span)
 	} else {
-		q.build(&in, minP, spread, path)
+		q.build(&in, minP, spread)
 	}
 	q.reset()
 	return q.fill(&in, minP, span)
@@ -129,27 +125,21 @@ func (q *rankq) load(in prelude) (remaining int) {
 type rankPath uint8
 
 const (
-	countPath   rankPath = iota // one stable counting pass by (processor, priority)
-	radixPath                   // LSD radix sort of the priority digits of packed keys
-	comparePath                 // comparison sort: the spread does not pack beside an id
+	countPath rankPath = iota // one stable counting pass by (processor, priority)
+	radixPath                 // keyOrder.sortByKey of the ids by priority
 )
 
 // rankPathFor is the one place the ranking method is chosen, from the
-// spread (largest minus smallest) of nkeys priorities for nt tasks on m
+// spread (largest minus smallest) of the priorities of nt tasks on m
 // processors. The counting pass keeps a bucket per (processor, priority
 // value) and takes the run when those (spread+1)·m buckets are no more
 // than the tasks, so laying them out costs no more than the pass itself.
-// Otherwise a spread that fits alongside an id below nkeys in 64 bits —
-// every practical one — packs into uint64 keys for the radix sort, and a
-// wider one is compared.
-func rankPathFor(spread uint64, nkeys, nt, m int) rankPath {
-	switch {
-	case spread < uint64(nt) && (spread+1)*uint64(m) <= uint64(nt):
+// Any wider spread, up to the full 64 bits, goes to the radix sort.
+func rankPathFor(spread uint64, nt, m int) rankPath {
+	if spread < uint64(nt) && (spread+1)*uint64(m) <= uint64(nt) {
 		return countPath
-	case spread <= math.MaxUint64>>(bits.Len64(uint64(nkeys-1))+1):
-		return radixPath
 	}
-	return comparePath
+	return radixPath
 }
 
 // prioRange returns the smallest priority and the spread up to the largest.
@@ -202,7 +192,7 @@ func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
 // it ranks as it goes: a task takes the next slot of its (processor,
 // priority) bucket, the tasks come in id order, so each bucket fills in id
 // order and a processor's buckets, in priority order, hold its tasks in
-// (priority, id) order. On the other paths build has ranked them
+// (priority, id) order. On the radix path build has ranked them
 // already. Under a done mask only edges between not-done tasks
 // count; done tasks sit at in-degree 0 and are never filed, and a finished
 // predecessor drives a done successor's counter negative, never to zero,
@@ -259,13 +249,18 @@ func (q *rankq) fill(in *prelude, minP int64, span int) (remaining int) {
 	return remaining
 }
 
-// build ranks per-task priorities on the radix and comparison paths: it
-// lays out the processors' slots, sorts the ids by (prio, id) and places
+// build ranks per-task priorities on the radix path: it lays out the
+// processors' slots, sorts the ids by (prio, id) — sortByKey is stable and
+// the ids go in ascending, so equal priorities keep id order — and places
 // each task, in that order, at the next local rank on its processor.
-func (q *rankq) build(in *prelude, minP int64, spread uint64, path rankPath) {
+func (q *rankq) build(in *prelude, minP int64, spread uint64) {
 	q.partition(in.nt, in.m, in.assign, in.n)
-	for _, key := range q.sortedIDs(in.prio, minP, spread, path) {
-		t := TaskID(key)
+	ids, keys := q.sorter.take(len(in.prio))
+	for t, p := range in.prio {
+		ids[t], keys[t] = TaskID(t), uint64(p)-uint64(minP)
+	}
+	ids, _ = q.sorter.sortByKey(ids, keys, spread)
+	for _, t := range ids {
 		pq := &q.procs[in.assign[int32(t)%in.n]]
 		q.node[t].rank = pq.count
 		q.order[pq.tasks+pq.count] = t
@@ -274,7 +269,7 @@ func (q *rankq) build(in *prelude, minP int64, spread uint64, path rankPath) {
 }
 
 // partition lays out the processors' slots in order and their bitmap
-// words for the sorting paths, with every record's count at zero for
+// words for the radix path, with every record's count at zero for
 // build to use as its cursor. The per-processor task counts come from
 // the task→cell mapping: the Instance layout (nt = n·k, every direction
 // one copy of each cell) admits the cells-times-k shortcut, but a ragged
@@ -303,77 +298,6 @@ func (q *rankq) partition(nt, m int, assign Assignment, n int32) {
 		word += (c + 63) >> 6
 	}
 	procs[m].tasks, procs[m].words = slot, word
-}
-
-// sortedIDs returns the ids 0..len(prio)-1 sorted by (prio, id) ascending
-// on the radix or the comparison path. On the radix path the keys are
-// packed and written in id order, so a stable LSD radix sort of the
-// priority bits alone leaves them in (prio, id) order (one 12-bit pass for
-// a spread under 4096).
-func (q *rankq) sortedIDs(prio Priorities, minP int64, spread uint64, path rankPath) []uint64 {
-	nkeys := len(prio)
-	if cap(q.keys) < nkeys {
-		q.keys = make([]uint64, nkeys)
-		q.keys2 = make([]uint64, nkeys)
-	}
-	q.keys, q.keys2 = q.keys[:nkeys], q.keys2[:nkeys]
-	keys := q.keys
-	if path == comparePath {
-		for t := range keys {
-			keys[t] = uint64(t)
-		}
-		slices.SortFunc(keys, func(x, y uint64) int {
-			if c := cmp.Compare(prio[x], prio[y]); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
-		})
-		return keys
-	}
-	if nkeys == 0 {
-		return keys
-	}
-	idBits := bits.Len64(uint64(nkeys - 1))
-	for t := range keys {
-		keys[t] = (uint64(prio[t])-uint64(minP))<<idBits | uint64(t)
-	}
-	q.sortKeys(idBits, bits.Len64(spread))
-	keys = q.keys // sortKeys may have swapped the buffers
-	idMask := uint64(1)<<idBits - 1
-	for r, key := range keys {
-		keys[r] = key & idMask
-	}
-	return keys
-}
-
-// sortKeys is a stable LSD radix sort of q.keys ascending by the width
-// bits above the low idBits, in 12-bit digits. The low bits hold the ids
-// the keys were laid out by, so they are already in order within every
-// priority and a stable sort never needs to look at them.
-func (q *rankq) sortKeys(idBits, width int) {
-	const dbits = 12
-	const dsize = 1 << dbits
-	var counts [dsize]int32
-	keys, tmp := q.keys, q.keys2
-	for shift := idBits; shift < idBits+width; shift += dbits {
-		clear(counts[:])
-		for _, k := range keys {
-			counts[(k>>shift)&(dsize-1)]++
-		}
-		var sum int32
-		for d := range counts {
-			c := counts[d]
-			counts[d] = sum
-			sum += c
-		}
-		for _, k := range keys {
-			d := (k >> shift) & (dsize - 1)
-			tmp[counts[d]] = k
-			counts[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	q.keys, q.keys2 = keys, tmp
 }
 
 // reset empties every processor's ready set. The layout (the records'

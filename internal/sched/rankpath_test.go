@@ -2,47 +2,48 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"sweepsched/internal/rng"
 )
 
-// TestRankPathSelection pins rankPathFor on both sides of each threshold:
+// TestRankPathSelection pins rankPathFor on both sides of its threshold:
 // the counting pass while (spread+1)·m buckets fit in the tasks, the radix
-// sort from one bucket row past that up to the largest spread that packs
-// beside an id, the comparison sort past it.
+// sort from one bucket row past that, up to spreads far too wide to pack
+// beside a task id in 64 bits.
 func TestRankPathSelection(t *testing.T) {
-	const nt, m = 1000, 8 // 125 buckets a processor; ids need 10 bits
+	const nt, m = 1000, 8 // 125 buckets a processor
 	cases := []struct {
 		spread uint64
-		nkeys  int
 		m      int
 		want   rankPath
 	}{
-		{0, nt, m, countPath},
-		{124, nt, m, countPath},
-		{125, nt, m, radixPath},
-		{nt - 1, nt, 1, countPath},
-		{nt, nt, 1, radixPath},
-		{0, nt, nt + 1, radixPath}, // more processors than tasks: no bucket budget at all
-		{1<<53 - 1, nt, m, radixPath},
-		{1 << 53, nt, m, comparePath},
-		{1<<53 - 1, 2 * nt, m, comparePath}, // the ids of the keys, not of the tasks, set the packing
+		{0, m, countPath},
+		{124, m, countPath},
+		{125, m, radixPath},
+		{nt - 1, 1, countPath},
+		{nt, 1, radixPath},
+		{0, nt + 1, radixPath}, // more processors than tasks: no bucket budget at all
+		{1<<53 - 1, m, radixPath},
+		{1 << 53, m, radixPath},
+		{math.MaxUint64, m, radixPath},
 	}
 	for _, tc := range cases {
-		if got := rankPathFor(tc.spread, tc.nkeys, nt, tc.m); got != tc.want {
-			t.Errorf("spread %d, %d keys, m=%d: path %d, want %d", tc.spread, tc.nkeys, tc.m, got, tc.want)
+		if got := rankPathFor(tc.spread, nt, tc.m); got != tc.want {
+			t.Errorf("spread %d, m=%d: path %d, want %d", tc.spread, tc.m, got, tc.want)
 		}
 	}
 }
 
-// TestBuildPathsAgree pins the counting pass against the two sorts without
-// a test hook: priorities p and a·p + b (a > 0) order the tasks the same
-// way, so every engine must produce byte-identical output from both, and
-// the affine forms are chosen to move the run off the counting pass —
-// a = nt widens the spread into the radix sort, a = 2⁵⁰ with b = −2⁶¹
-// into the comparison fallback. Each form's path is asserted, for the
+// TestBuildPathsAgree pins the counting pass against the radix sort
+// without a test hook: priorities p and a·p + b (a > 0) order the tasks
+// the same way, so every engine must produce byte-identical output from
+// both, and the affine forms are chosen to move the run off the counting
+// pass — a = nt widens the spread into the radix sort, and a = 2⁵⁰ with
+// b = −2⁶¹ widens it past what packs beside a task id in 64 bits, which
+// the radix sort must rank too. Each form's path is asserted, for the
 // unit core's list, release, comm, residual and angleset wrappers, the
 // weighted core and the greedy pass, on a mesh and a random-DAG instance.
 func TestBuildPathsAgree(t *testing.T) {
@@ -55,7 +56,7 @@ func TestBuildPathsAgree(t *testing.T) {
 	}{
 		{"p", 1, 0, countPath},
 		{"nt·p-7", 0, -7, radixPath}, // a = nt, set per instance
-		{"2^50·p-2^61", 1 << 50, -(1 << 61), comparePath},
+		{"2^50·p-2^61", 1 << 50, -(1 << 61), radixPath},
 	}
 	for ii, inst := range insts {
 		n, k, nt, m := inst.N(), inst.K(), inst.NTasks(), inst.M
@@ -105,7 +106,7 @@ func TestBuildPathsAgree(t *testing.T) {
 				nt, m int
 			}{{"per-task", prio, nt, m}, {"aggregate", agg, nt, m}, {"greedy", prio, nt, 1}} {
 				_, spread := prioRange(c.prio)
-				if got := rankPathFor(spread, len(c.prio), c.nt, c.m); got != f.path {
+				if got := rankPathFor(spread, c.nt, c.m); got != f.path {
 					t.Fatalf("inst %d form %s: %s priorities take path %d, want %d", ii, f.name, c.what, got, f.path)
 				}
 			}

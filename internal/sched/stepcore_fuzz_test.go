@@ -92,7 +92,7 @@ func FuzzStepCoreEquivalence(f *testing.F) {
 // fuzzPriorities draws nt priorities whose spread mode picks: the low
 // bits of mode bound a narrow spread (0 is nil, all equal); from 64 the
 // same values are scaled past the counting pass's buckets into the radix
-// sort; from 128 past what packs beside an id, into the comparison sort;
+// sort; from 128 past what packs beside an id, still the radix sort;
 // from 192 they sit at both extremes of int64.
 func fuzzPriorities(nt int, mode uint8, r *rng.Source) sched.Priorities {
 	spread := int(mode % 64)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"sweepsched"
@@ -53,16 +54,24 @@ func (l *lru) pushFront(e *lruEntry) {
 	e.next.prev = e
 }
 
-// get returns the cached value and marks it most recently used.
-func (l *lru) get(key string) (any, bool) {
+// get returns the cached value, marks it most recently used and counts
+// the hit or the miss in the tier's stats.
+func (l *lru) get(key string) (any, bool) { return l.lookup(key, 1) }
+
+// peek is get without the count, for lookups that are not a request's
+// own: a shared build's second look after its request's counted miss,
+// and the family behind a cached schedule.
+func (l *lru) peek(key string) (any, bool) { return l.lookup(key, 0) }
+
+func (l *lru) lookup(key string, count int64) (any, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.m[key]
 	if !ok {
-		l.misses++
+		l.misses += count
 		return nil, false
 	}
-	l.hits++
+	l.hits += count
 	l.unlink(e)
 	l.pushFront(e)
 	return e.val, true
@@ -122,10 +131,12 @@ func (l *lru) stats() TierStats {
 
 // flightGroup coalesces concurrent calls with the same key into one
 // execution (a stdlib-only singleflight). The winner runs fn; everyone
-// else blocks on its completion and shares the result.
+// else blocks on its completion and shares the result. col, when set,
+// counts the retries (service.flight.retry).
 type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
+	mu  sync.Mutex
+	m   map[string]*flightCall
+	col *obs.Collector
 }
 
 type flightCall struct {
@@ -140,22 +151,31 @@ type flightCall struct {
 // the winner finishes and shares its result. shared reports whether
 // this caller was a follower. A follower whose own ctx ends stops
 // waiting and returns ctx.Err() — the build keeps running for the
-// remaining waiters. A follower can also inherit the winner's context
-// error (the winner's client vanished mid-build); callers retry in
-// that case — see Server.scheduleEntryFor.
+// remaining waiters. A build that died of its winner's context error
+// (the winner's client vanished mid-build, or the winner waited on an
+// inner build and left) is no answer for a follower whose own ctx is
+// alive: it calls again, running fn itself or joining a newer winner,
+// so one impatient client never fails another's request at any tier.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (val any, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
+	for {
+		g.mu.Lock()
+		if g.m == nil {
+			g.m = make(map[string]*flightCall)
+		}
+		c, ok := g.m[key]
+		if !ok {
+			break // the lock stays held for the winner's entry
+		}
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.val, c.err, true
 		case <-ctx.Done():
 			return nil, ctx.Err(), true
 		}
+		if ctx.Err() != nil || !(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+			return c.val, c.err, true
+		}
+		g.col.Counter("service.flight.retry").Inc()
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.m[key] = c
@@ -244,6 +264,7 @@ func newCache(totalBytes int64, col *obs.Collector) *cache {
 		skeletons: newLRU(totalBytes / skeletonShare),
 		families:  newLRU(totalBytes / familyShare),
 		schedules: newLRU(totalBytes / scheduleShare),
+		flight:    flightGroup{col: col},
 		col:       col,
 	}
 }

@@ -77,7 +77,7 @@ func (cfg Config) withDefaults() Config {
 //	POST /v1/transport — schedule + discrete-ordinates transport solve
 //	GET  /v1/stats     — cache/admission/metrics accounting
 //	GET  /healthz      — liveness; 503 once draining
-//	GET  /readyz       — readiness; 503 while initializing or draining
+//	GET  /readyz       — readiness; 503 while draining
 //
 // Construct with New, serve with Handler, stop with BeginDrain +
 // http.Server.Shutdown (see cmd/sweepschedd).
@@ -89,11 +89,11 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 	draining atomic.Bool
-	ready    atomic.Bool
 
-	// testHook, when non-nil, runs inside the admitted section of
-	// every schedule build with the named stage. Tests use it to hold
-	// requests in flight deterministically (429s, drain, cancellation).
+	// testHook, when non-nil, runs with the named stage inside the
+	// admitted section of every request ("admitted") and inside every
+	// skeleton build ("skeleton"). Tests use it to hold requests in
+	// flight deterministically (429s, drain, cancellation, shared builds).
 	testHook func(stage string, ctx context.Context)
 }
 
@@ -113,11 +113,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	// Caches and the admission semaphore are live; the server can take
-	// traffic. Kept as an explicit flip so future construction stages
-	// (warmed caches, loaded meshes) extend the not-ready window instead
-	// of silently racing it.
-	s.ready.Store(true)
 	return s
 }
 
@@ -289,19 +284,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness, distinct from /healthz liveness: a live
-// server that is still initializing or already draining should be taken
-// out of rotation without being restarted.
+// server that is draining should be taken out of rotation without being
+// restarted. New returns a server whose caches and admission semaphore
+// are already live, so there is no initializing window to report.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.col.Counter("service.requests.readyz").Inc()
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case !s.ready.Load():
-		http.Error(w, "initializing", http.StatusServiceUnavailable)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ready")
+		return
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ready")
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -412,11 +405,12 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (*ScheduleR
 }
 
 // familyPeek fetches the family entry backing a cached schedule for
-// bounds/shape reporting, refreshing its LRU position; if the family
-// tier already evicted it, the schedule entry's own pinned reference
-// serves (the entry keeps its producing family alive).
+// bounds/shape reporting, refreshing its LRU position without counting a
+// family-tier lookup; if the family tier already evicted it, the
+// schedule entry's own pinned reference serves (the entry keeps its
+// producing family alive).
 func (s *Server) familyPeek(famKey string, ent *scheduleEntry) *familyEntry {
-	if v, ok := s.cache.families.get(famKey); ok {
+	if v, ok := s.cache.families.peek(famKey); ok {
 		return v.(*familyEntry)
 	}
 	return ent.fam
@@ -431,36 +425,27 @@ type scheduleFlightResult struct {
 
 // scheduleEntryFor resolves the schedule-tier entry, building through
 // the family and skeleton tiers on miss. Concurrent identical requests
-// coalesce; a follower that inherits the winner's context error (the
-// winner's client vanished mid-build) retries while its own context is
-// alive, becoming the new winner.
+// coalesce (flightGroup.do, which also retries a build its winner's
+// client abandoned).
 func (s *Server) scheduleEntryFor(ctx context.Context, req *ScheduleRequest, meshKey, famKey, schedKey string, reqCol *obs.Collector) (*scheduleEntry, *familyEntry, CacheTrace, error) {
-	for {
-		v, err, shared := s.cache.flight.do(ctx, "sched|"+schedKey, func() (any, error) {
-			// A racer may have completed between our miss and this
-			// flight: serve its entry.
-			if v, ok := s.cache.schedules.get(schedKey); ok {
-				ent := v.(*scheduleEntry)
-				return scheduleFlightResult{ent, s.familyPeek(famKey, ent), CacheTrace{Schedule: "hit"}}, nil
-			}
-			return s.buildSchedule(ctx, req, meshKey, famKey, schedKey, reqCol)
-		})
-		if err != nil {
-			if shared && ctx.Err() == nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// The winner's client vanished; ours is still here.
-				s.col.Counter("service.flight.retry").Inc()
-				continue
-			}
-			return nil, nil, CacheTrace{}, err
+	v, err, shared := s.cache.flight.do(ctx, "sched|"+schedKey, func() (any, error) {
+		// A racer may have completed between our miss and this
+		// flight: serve its entry.
+		if v, ok := s.cache.schedules.peek(schedKey); ok {
+			ent := v.(*scheduleEntry)
+			return scheduleFlightResult{ent, s.familyPeek(famKey, ent), CacheTrace{Schedule: "hit"}}, nil
 		}
-		res := v.(scheduleFlightResult)
-		if shared {
-			s.col.Counter("service.flight.coalesced").Inc()
-			res.trace.Coalesced = true
-		}
-		return res.ent, res.fam, res.trace, nil
+		return s.buildSchedule(ctx, req, meshKey, famKey, schedKey, reqCol)
+	})
+	if err != nil {
+		return nil, nil, CacheTrace{}, err
 	}
+	res := v.(scheduleFlightResult)
+	if shared {
+		s.col.Counter("service.flight.coalesced").Inc()
+		res.trace.Coalesced = true
+	}
+	return res.ent, res.fam, res.trace, nil
 }
 
 // buildSchedule is the cold path: resolve the DAG family (itself
@@ -558,7 +543,7 @@ func (s *Server) familyFor(ctx context.Context, req *ScheduleRequest, meshKey, f
 		skelText string
 	}
 	v, err, _ := s.cache.flight.do(ctx, "fam|"+famKey, func() (any, error) {
-		if v, ok := s.cache.families.get(famKey); ok {
+		if v, ok := s.cache.families.peek(famKey); ok {
 			return famOut{v.(*familyEntry), ""}, nil
 		}
 		span := s.col.Span("service.build.family.time")
@@ -621,8 +606,11 @@ func (s *Server) skeletonFor(ctx context.Context, spec *MeshSpec, meshKey string
 	s.col.Counter("service.cache.skeleton.miss").Inc()
 
 	v, err, _ := s.cache.flight.do(ctx, "skel|"+meshKey, func() (any, error) {
-		if v, ok := s.cache.skeletons.get(meshKey); ok {
+		if v, ok := s.cache.skeletons.peek(meshKey); ok {
 			return v.(*skeletonEntry), nil
+		}
+		if s.testHook != nil {
+			s.testHook("skeleton", ctx)
 		}
 		span := s.col.Span("service.build.skeleton.time")
 		defer span.End()

@@ -884,3 +884,114 @@ func TestScheduleWeighted(t *testing.T) {
 		t.Fatalf("weighted transport: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSharedBuildSurvivesJoinedWinnerLeaving holds three requests on one
+// mesh: C builds the skeleton (held by the hook), A — another k — wins
+// family F and waits on C's skeleton build, and B — F with another seed —
+// joins A's family build. A's client then leaves, so A's wait ends with
+// context.Canceled and F's build dies of it. B's client is still there:
+// B must retry F's build and get 200, not inherit A's 499.
+func TestSharedBuildSurvivesJoinedWinnerLeaving(t *testing.T) {
+	srv := New(testConfig())
+	skelIn, skelRelease := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.testHook = func(stage string, _ context.Context) {
+		if stage == "skeleton" {
+			once.Do(func() { close(skelIn) })
+			<-skelRelease
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer ts.Client().CloseIdleConnections()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	statusC := make(chan int, 1)
+	go func() {
+		status, _, _ := postScheduleClient(t, ts.Client(), ts.URL, baseSpec())
+		statusC <- status
+	}()
+	<-skelIn
+
+	specA := baseSpec()
+	specA["directions"] = 16
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	body, _ := json.Marshal(specA)
+	reqA, _ := http.NewRequestWithContext(ctxA, http.MethodPost, ts.URL+"/v1/schedule", bytes.NewReader(body))
+	errA := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(reqA)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errA <- err
+	}()
+	// A has missed the skeleton tier and is about to join C's build.
+	waitFor("A to miss the skeleton tier", func() bool { return counterValue(srv, "service.cache.skeleton.miss") == 2 })
+
+	specB := baseSpec()
+	specB["directions"] = 16
+	specB["seed"] = 99
+	statusB := make(chan int, 1)
+	go func() {
+		status, _, _ := postScheduleClient(t, ts.Client(), ts.URL, specB)
+		statusB <- status
+	}()
+	// B has missed the family tier and is about to join A's build.
+	waitFor("B to miss the family tier", func() bool { return counterValue(srv, "service.cache.family.miss") == 2 })
+	time.Sleep(50 * time.Millisecond) // both waits are entered
+
+	cancelA()
+	if err := <-errA; err == nil {
+		t.Fatal("cancelled client A got a response")
+	}
+	waitFor("A's 499", func() bool { return counterValue(srv, "service.status.499") >= 1 })
+	close(skelRelease)
+
+	if status := <-statusB; status != http.StatusOK {
+		t.Fatalf("B, whose client stayed, finished with %d, want 200", status)
+	}
+	if status := <-statusC; status != http.StatusOK {
+		t.Fatalf("C finished with %d, want 200", status)
+	}
+	if got := counterValue(srv, "service.status.499"); got != 1 {
+		t.Fatalf("%d requests ended 499, want only A's", got)
+	}
+}
+
+// TestTierStatsCountEachMissOnce: one cold request misses every tier
+// once, and /v1/stats says so — the shared build's second look at its
+// tier is not a second miss — in agreement with the
+// service.cache.<tier>.miss counters.
+func TestTierStatsCountEachMissOnce(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	if status, _, msg := postSchedule(t, ts, baseSpec()); status != 200 {
+		t.Fatalf("cold request failed: %d %s", status, msg)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct {
+		name string
+		st   TierStats
+	}{{"skeleton", stats.Cache.Skeletons}, {"family", stats.Cache.Families}, {"schedule", stats.Cache.Schedules}} {
+		counter := counterValue(srv, "service.cache."+tier.name+".miss")
+		if tier.st.Misses != 1 || tier.st.Hits != 0 || counter != 1 {
+			t.Errorf("%s tier: stats hits=%d misses=%d, miss counter %d; want 0, 1 and 1", tier.name, tier.st.Hits, tier.st.Misses, counter)
+		}
+	}
+}

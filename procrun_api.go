@@ -7,9 +7,10 @@ import (
 	"sweepsched/internal/procrun"
 )
 
-// ProcRunOptions configures the multi-process sweep executor: durable
-// checkpoint directory, heartbeat and reconnect-backoff parameters, and
-// the worker binary to spawn.
+// ProcRunOptions configures the multi-process sweep executor: the durable
+// checkpoint directory, the worker binary to spawn and the collector. The
+// heartbeat, read-timeout and reconnect-backoff clocks are fixed; the
+// backoff's jitter is drawn from the fault plan's seed.
 type ProcRunOptions = procrun.Options
 
 // ProcRunResult is a completed multi-process solve: converged flux, the
