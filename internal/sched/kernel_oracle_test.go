@@ -8,6 +8,7 @@ package sched_test
 // live here too, their "ref" variants as the baseline.
 
 import (
+	"slices"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -34,6 +35,20 @@ func meshInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 		t.Fatal(err)
 	}
 	return inst
+}
+
+// shuffledMesh is msh with its tetrahedra renumbered in a seeded random
+// order through mesh.FromTets: the same geometry with the arbitrary
+// numbering a real mesher gives, where the generators number cells
+// spatially.
+func shuffledMesh(msh *mesh.Mesh, seed uint64) *mesh.Mesh {
+	cells := slices.Clone(msh.Cells)
+	r := rng.New(seed)
+	for i := len(cells) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		cells[i], cells[j] = cells[j], cells[i]
+	}
+	return mesh.FromTets(msh.Name, msh.Verts, cells)
 }
 
 // syntheticInstance builds a mesh-free instance of k independent random
@@ -377,13 +392,15 @@ func BenchmarkScheduleKernel(b *testing.B) {
 // 1.47M edges, a fresh per-cell assignment every trial — reported per run
 // and per task. BenchmarkScheduleKernel's 74k-task box lives in cache;
 // here the per-task state is 12 MB and the kernel is bound by memory,
-// which is what the node and task-graph layout is for. Two inputs:
+// which is what the node and task-graph layout is for. Three inputs:
 // "priority" is Algorithm 2's, level+delay priorities and no floors (the
 // counting pass ranks them); "release" is descendant_delays', descendant
 // priorities (path counts capped at 2⁵⁰, too wide to pack beside a task
 // id, which the radix sort carries in a key array of their own) and every
 // direction held back to its delay, so the release loop runs with the
-// calendar on. A warm run of either must allocate nothing.
+// calendar on; "shuffled" is "priority" on the same mesh with its
+// tetrahedra renumbered at random, the arbitrary numbering a real mesher
+// gives. A warm run of any of them must allocate nothing.
 func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	msh, err := mesh.Family("tetonly", 1.0, 1)
 	if err != nil {
@@ -393,48 +410,55 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst, err := sched.NewInstance(msh, dirs, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	n, nt := inst.N(), inst.NTasks()
-	levelDelay := make(sched.Priorities, nt)
-	release := make([]int32, nt)
-	for i, d := range inst.DAGs {
-		delay := int32(r.Intn(inst.K()))
-		for v, lvl := range d.Level {
-			levelDelay[i*n+v] = int64(lvl + delay)
-			release[i*n+v] = delay
+	instOn := func(msh *mesh.Mesh) *sched.Instance {
+		inst, err := sched.NewInstance(msh, dirs, 64)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return inst
 	}
+	// levelDelay is Algorithm 2's priorities, the release floors every
+	// direction's delay.
+	levelDelay := func(inst *sched.Instance, r *rng.Source) (sched.Priorities, []int32) {
+		n, nt := inst.N(), inst.NTasks()
+		prio, release := make(sched.Priorities, nt), make([]int32, nt)
+		for i, d := range inst.DAGs {
+			delay := int32(r.Intn(inst.K()))
+			for v, lvl := range d.Level {
+				prio[i*n+v] = int64(lvl + delay)
+				release[i*n+v] = delay
+			}
+		}
+		return prio, release
+	}
+	inst := instOn(msh)
+	r := rng.New(2)
+	prio, release := levelDelay(inst, r)
 	descendant := heuristics.DescendantPriorities(inst, 1)
 	assigns := make([]sched.Assignment, 4)
 	for i := range assigns {
-		assigns[i] = sched.RandomAssignment(n, inst.M, r)
+		assigns[i] = sched.RandomAssignment(inst.N(), inst.M, r)
 	}
-	for _, bc := range []struct {
-		name    string
-		prio    sched.Priorities
-		release []int32
-	}{
-		{"priority", levelDelay, nil},
-		{"release", descendant, release},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			ws := sched.NewWorkspace()
-			dst := &sched.Schedule{}
-			trial := 0
-			// The first run builds the task graph and grows the workspace.
-			sched.BenchWarm(b, func() {
-				if err := sched.ListScheduleInto(ws, dst, inst, assigns[trial%len(assigns)], bc.prio, bc.release); err != nil {
-					b.Fatal(err)
-				}
-				trial++
-			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nt), "ns/task")
+	run := func(b *testing.B, inst *sched.Instance, prio sched.Priorities, release []int32) {
+		ws := sched.NewWorkspace()
+		dst := &sched.Schedule{}
+		trial := 0
+		// The first run builds the task graph and grows the workspace.
+		sched.BenchWarm(b, func() {
+			if err := sched.ListScheduleInto(ws, dst, inst, assigns[trial%len(assigns)], prio, release); err != nil {
+				b.Fatal(err)
+			}
+			trial++
 		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(inst.NTasks()), "ns/task")
 	}
+	b.Run("priority", func(b *testing.B) { run(b, inst, prio, nil) })
+	b.Run("release", func(b *testing.B) { run(b, inst, descendant, release) })
+	b.Run("shuffled", func(b *testing.B) {
+		shuffled := instOn(shuffledMesh(msh, 3))
+		prio, _ := levelDelay(shuffled, rng.New(2))
+		run(b, shuffled, prio, nil)
+	})
 }
 
 // BenchmarkCommKernel is the same comparison for the communication-delay

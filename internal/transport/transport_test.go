@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -419,6 +420,12 @@ func sweepShape(b *testing.B, k int, tol float64) (*sched.Schedule, Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sweepShapeOn(b, msh, k, tol)
+}
+
+// sweepShapeOn is sweepShape on a given mesh.
+func sweepShapeOn(b *testing.B, msh *mesh.Mesh, k int, tol float64) (*sched.Schedule, Config) {
+	b.Helper()
 	dirs, err := quadrature.Octant(k)
 	if err != nil {
 		b.Fatal(err)
@@ -474,14 +481,42 @@ func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sc
 	b.ReportMetric(perOp/float64(run.messages), "ns/message")
 }
 
+// BenchmarkSolveParallel is the goroutine executor on the box and the
+// sweep shape, and on the sweep shape's mesh with its tetrahedra
+// renumbered at random ("shuffled"): the same solve on the numbering a
+// real mesher gives, where the executor's per-task state is no longer
+// laid out along the sweep.
 func BenchmarkSolveParallel(b *testing.B) {
-	benchExecutor(b, func(s *sched.Schedule, cfg Config) (executorRun, error) {
+	solve := func(s *sched.Schedule, cfg Config) (executorRun, error) {
 		res, err := SolveParallelCtx(context.Background(), s, cfg)
 		if err != nil {
 			return executorRun{}, err
 		}
 		return executorRun{res.Iterations * s.Makespan, res.Iterations * s.Inst.NTasks(), res.Comm.Messages}, nil
+	}
+	benchExecutor(b, solve)
+	b.Run("shuffled", func(b *testing.B) {
+		msh, err := mesh.Family("tetonly", 0.05, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, cfg := sweepShapeOn(b, shuffledMesh(msh, 3), 24, 1e-4)
+		benchExecutorOn(b, s, cfg, solve)
 	})
+}
+
+// shuffledMesh is msh with its tetrahedra renumbered in a seeded random
+// order through mesh.FromTets: the same geometry with the arbitrary
+// numbering a real mesher gives, where the generators number cells
+// spatially.
+func shuffledMesh(msh *mesh.Mesh, seed uint64) *mesh.Mesh {
+	cells := slices.Clone(msh.Cells)
+	r := rng.New(seed)
+	for i := len(cells) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		cells[i], cells[j] = cells[j], cells[i]
+	}
+	return mesh.FromTets(msh.Name, msh.Verts, cells)
 }
 
 // BenchmarkSolveFaultTolerant is the fault engine's fault-free path — the
