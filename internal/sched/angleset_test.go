@@ -63,13 +63,14 @@ func randomAggRel(a, maxRel int, r *rng.Source) []int32 {
 
 // TestAnglesetBitwiseVsExpanded pins both aggregated kernels to the
 // per-direction kernels and the frozen refimpl on the expanded
-// priority/release vectors, across mesh and synthetic instances, random
-// partitions (including heavy priority collisions: equal priorities
-// across anglesets) and random releases.
+// priority/release vectors, across mesh (one renumbered at random) and
+// synthetic instances, random partitions (including heavy priority
+// collisions: equal priorities across anglesets) and random releases.
 func TestAnglesetBitwiseVsExpanded(t *testing.T) {
 	instances := map[string]*sched.Instance{
 		"mesh":      meshInstance(t, 4, 12, 5, 7),
 		"synthetic": syntheticInstance(t, 80, 9, 4, 11),
+		"shuffled":  shuffledInstance(t, 4, 12, 5, 7),
 	}
 	for name, inst := range instances {
 		t.Run(name, func(t *testing.T) {

@@ -28,11 +28,11 @@ type TaskID int32
 // Instance is a sweep-scheduling problem: n cells, k direction DAGs and m
 // processors. Its DAGs are immutable once a schedule has been planned on
 // it: the first list-scheduled plan (unit-step, weighted or greedy) derives
-// the family-wide task graph from them, the first Algorithm 3 plan its
-// greedy levels, and every later plan reads those, so a family rebuilt
-// for other directions (dag.BuildAllInto over the same storage) needs a
-// fresh Instance. Instances sharing DAGs (one family, several m) are
-// fine. An Instance must not be copied.
+// the family-wide task graph from them, laid out in sweep-plane slots, the
+// first Algorithm 3 plan its greedy levels, and every later plan reads
+// those, so a family rebuilt for other directions (dag.BuildAllInto over
+// the same storage) needs a fresh Instance. Instances sharing DAGs (one
+// family, several m) are fine. An Instance must not be copied.
 type Instance struct {
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
@@ -43,16 +43,24 @@ type Instance struct {
 	greedy greedyLevels
 }
 
-// taskGraph is the family's out-adjacency over task ids in one CSR:
-// succ[off[t]:off[t+1]] are task t's successors, the k per-direction
-// out-lists laid end to end with the direction's base already added. The
-// list engines walk it instead of Split + DAGs[i].Out(v) + base: one
-// sequential stream of 4·(nt+1) + 4·edges bytes per Instance. Built by the
-// first plan (concurrent first plans share one build), read-only after.
+// taskGraph is the family's out-adjacency in one CSR over slots, the
+// order a sweep reaches the tasks in: direction i's tasks fill the block
+// of slots [i·n, (i+1)·n) as TaskIDs do, and within the block its cells
+// follow the DAG's TopoOrder, by (level, cell), so slot i·n+j holds cell
+// order[i][j]. succ[off[s]:off[s+1]] are slot s's successors, all later
+// slots of the same block. The list engines keep their per-task state in
+// slot order too, so a step's successor loads land near one another on
+// one sweep plane or the next, whatever order the mesh numbers its cells
+// in; only the prelude (priorities, the done mask), the release floors'
+// way in (toSlots) and the result's way out (fromSlots) see TaskIDs.
+// Built by the first plan (concurrent first plans share one build),
+// read-only after.
 type taskGraph struct {
-	once sync.Once
-	off  []int32 // nil when the family has more than MaxInt32 edges
-	succ []TaskID
+	once  sync.Once
+	off   []int32 // nil when the family has more than MaxInt32 edges
+	succ  []int32
+	slot  []int32   // TaskID -> slot
+	order [][]int32 // direction -> its DAG's TopoOrder, the block's cells in slot order
 }
 
 // taskGraph returns the instance's task graph, building it on first use.
@@ -60,31 +68,76 @@ type taskGraph struct {
 // every kernel refuses it with this error.
 func (inst *Instance) taskGraph() (*taskGraph, error) {
 	g := &inst.graph
-	g.once.Do(func() {
-		n, edges := inst.N(), 0
-		for _, d := range inst.DAGs {
-			edges += d.NumEdges()
-		}
-		if edges > math.MaxInt32 {
-			return
-		}
-		off, succ := make([]int32, inst.NTasks()+1), make([]TaskID, 0, edges)
-		for i, d := range inst.DAGs {
-			base := TaskID(i * n)
-			for v := 0; v < n; v++ {
-				off[i*n+v] = int32(len(succ))
-				for _, w := range d.Out(int32(v)) {
-					succ = append(succ, base+TaskID(w))
-				}
-			}
-		}
-		off[len(off)-1] = int32(len(succ))
-		g.off, g.succ = off, succ
-	})
+	g.once.Do(func() { g.build(inst.DAGs) })
 	if g.off == nil {
 		return nil, fmt.Errorf("sched: the %d directions have more than %d edges between them", inst.K(), math.MaxInt32)
 	}
 	return g, nil
+}
+
+// build lays the directions' DAGs out in slots. It leaves g empty when
+// they have more edges between them than an int32 offset can address.
+// Per direction, one pass over the TopoOrder gives every cell its slot
+// and every slot its list's start, and one pass over the cells in id
+// order, reading the DAG's out-lists as they are stored, copies each list
+// to its slot's place with the successors' slots in it.
+func (g *taskGraph) build(dags []*dag.DAG) {
+	n, edges := dags[0].N, 0
+	for _, d := range dags {
+		edges += d.NumEdges()
+	}
+	if edges > math.MaxInt32 {
+		return
+	}
+	// One allocation holds all three arrays.
+	nt := n * len(dags)
+	buf := make([]int32, 2*nt+1+edges)
+	off, slot, succ := buf[:nt+1:nt+1], buf[nt+1:2*nt+1:2*nt+1], buf[2*nt+1:]
+	order := make([][]int32, len(dags))
+	e := int32(0)
+	for i, d := range dags {
+		base := int32(i * n)
+		ord, sl, first := d.TopoOrder(), slot[base:int(base)+n], off[base:int(base)+n]
+		for j, v := range ord {
+			sl[v], first[j] = base+int32(j), e
+			e += int32(d.OutDegree(v))
+		}
+		for v := range int32(n) {
+			out := d.Out(v)
+			at := off[sl[v]]
+			dst := succ[at : int(at)+len(out)]
+			for k, w := range out {
+				dst[k] = sl[w]
+			}
+		}
+		order[i] = ord
+	}
+	off[nt] = e
+	g.off, g.succ, g.slot, g.order = off, succ, slot, order
+}
+
+// toSlots writes src, one value per task in TaskID order, into dst in
+// slot order.
+func toSlots[T int32 | int64](g *taskGraph, dst, src []T) {
+	n := len(g.order[0])
+	for i, ord := range g.order {
+		d, s := dst[i*n:(i+1)*n], src[i*n:(i+1)*n]
+		for j, v := range ord {
+			d[j] = s[v]
+		}
+	}
+}
+
+// fromSlots writes src, one value per slot, into dst in TaskID order: the
+// one write-back of a run's result.
+func fromSlots[T int32 | int64](g *taskGraph, dst, src []T) {
+	n := len(g.order[0])
+	for i, ord := range g.order {
+		d, s := dst[i*n:(i+1)*n], src[i*n:(i+1)*n]
+		for j, v := range ord {
+			d[v] = s[j]
+		}
+	}
 }
 
 // greedyLevels are Algorithm 3's preprocessing levels L' of an instance.
@@ -357,13 +410,14 @@ func splitChecks[T int32 | int64](inst *Instance, assign Assignment, start []T, 
 }
 
 // keyOrder is the scratch of one sortByKey: two arrays each of ids and
-// of their keys, and the digit table. procCells is splitChecks' cells
-// grouped by processor. The list engines' rankq keeps a keyOrder of its
+// of their keys, and the digit table. The ids are task ids for Validate
+// and C2 and slots of the task graph for rankq. procCells is
+// splitChecks' cells grouped by processor. The list engines' rankq keeps a keyOrder of its
 // own in the Workspace; Validate and C2 run after every plan and have no
 // Workspace to draw from, so both are pooled on their own and a warm
 // plan's feasibility tail then allocates nothing per task.
 type keyOrder struct {
-	ids, spareIDs   []TaskID
+	ids, spareIDs   []int32
 	keys, spareKeys []uint64
 	counts          []int32
 }
@@ -380,10 +434,10 @@ var (
 // grow with half again as much room: a processor's task count moves a
 // little from one assignment to the next, and a warm plan should not pay
 // for that.
-func (sc *keyOrder) take(n int) ([]TaskID, []uint64) {
+func (sc *keyOrder) take(n int) ([]int32, []uint64) {
 	if cap(sc.ids) < n {
 		c := n + n/2
-		sc.ids, sc.spareIDs = make([]TaskID, c), make([]TaskID, c)
+		sc.ids, sc.spareIDs = make([]int32, c), make([]int32, c)
 		sc.keys, sc.spareKeys = make([]uint64, c), make([]uint64, c)
 	}
 	return sc.ids[:n], sc.keys[:n]
@@ -430,7 +484,7 @@ func (pc *procCells) group(assign Assignment, m int) (off, cells []int32) {
 // any wider one, up to the full 64 bits, takes at most four, over the two
 // pairs of arrays and a table of at most 65,536 entries whatever the key
 // values are.
-func (sc *keyOrder) sortByKey(ids []TaskID, keys []uint64, bound uint64) ([]TaskID, []uint64) {
+func (sc *keyOrder) sortByKey(ids []int32, keys []uint64, bound uint64) ([]int32, []uint64) {
 	spareIDs, spareKeys := sc.spareIDs[:len(ids)], sc.spareKeys[:len(ids)]
 	width := bits.Len64(bound)
 	digit := min(16, max(8, bits.Len(uint(len(ids)))))
@@ -479,19 +533,19 @@ func (sc *keyOrder) sortByKey(ids []TaskID, keys []uint64, bound uint64) ([]Task
 // the first neighbouring pair in (start, id) order, a deterministic
 // function of the schedule.
 func overlap[T int32 | int64](sc *keyOrder, inst *Instance, cells []int32, start []T, bound T, end func(t TaskID, start int64) int64) (a, b TaskID, found bool) {
-	n := TaskID(inst.N())
+	n := int32(inst.N())
 	ids, keys := sc.take(len(cells) * inst.K())
 	j := 0
-	for base := TaskID(0); j < len(ids); base += n {
+	for base := int32(0); j < len(ids); base += n {
 		for _, v := range cells {
-			ids[j], keys[j] = base+TaskID(v), uint64(start[base+TaskID(v)])
+			ids[j], keys[j] = base+v, uint64(start[base+v])
 			j++
 		}
 	}
 	ids, keys = sc.sortByKey(ids, keys, uint64(bound))
 	for i := 1; i < len(ids); i++ {
-		if int64(keys[i]) < end(ids[i-1], int64(keys[i-1])) {
-			return ids[i-1], ids[i], true
+		if int64(keys[i]) < end(TaskID(ids[i-1]), int64(keys[i-1])) {
+			return TaskID(ids[i-1]), TaskID(ids[i]), true
 		}
 	}
 	return 0, 0, false

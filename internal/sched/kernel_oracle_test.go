@@ -8,7 +8,6 @@ package sched_test
 // live here too, their "ref" variants as the baseline.
 
 import (
-	"slices"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -25,7 +24,20 @@ import (
 // construction as package sched's in-package testInstance helper).
 func meshInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 	t.Helper()
-	msh := mesh.KuhnBox(mesh.BoxSpec{NX: nx, NY: nx, NZ: nx, Jitter: 0.15, Seed: seed})
+	return instanceOn(t, mesh.KuhnBox(mesh.BoxSpec{NX: nx, NY: nx, NZ: nx, Jitter: 0.15, Seed: seed}), k, m)
+}
+
+// shuffledInstance is meshInstance with the box's tetrahedra renumbered
+// at random (sched.ShuffledMesh), so that a task's slot in the task graph
+// has nothing to do with its id: the differentials run every engine on
+// one.
+func shuffledInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
+	t.Helper()
+	return instanceOn(t, sched.ShuffledMesh(mesh.KuhnBox(mesh.BoxSpec{NX: nx, NY: nx, NZ: nx, Jitter: 0.15, Seed: seed}), seed+1), k, m)
+}
+
+func instanceOn(t testing.TB, msh *mesh.Mesh, k, m int) *sched.Instance {
+	t.Helper()
 	dirs, err := quadrature.Octant(k)
 	if err != nil {
 		t.Fatal(err)
@@ -35,20 +47,6 @@ func meshInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 		t.Fatal(err)
 	}
 	return inst
-}
-
-// shuffledMesh is msh with its tetrahedra renumbered in a seeded random
-// order through mesh.FromTets: the same geometry with the arbitrary
-// numbering a real mesher gives, where the generators number cells
-// spatially.
-func shuffledMesh(msh *mesh.Mesh, seed uint64) *mesh.Mesh {
-	cells := slices.Clone(msh.Cells)
-	r := rng.New(seed)
-	for i := len(cells) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		cells[i], cells[j] = cells[j], cells[i]
-	}
-	return mesh.FromTets(msh.Name, msh.Verts, cells)
 }
 
 // syntheticInstance builds a mesh-free instance of k independent random
@@ -99,9 +97,9 @@ func randomRelease(nt, maxRel int, r *rng.Source) []int32 {
 
 // TestListScheduleIntoMatchesReference pins the typed workspace kernel to
 // the promoted container/heap reference bit for bit across random
-// instances, priorities and release streams — mesh DAGs and random
-// non-geometric DAGs, with one workspace reused across every case to
-// also exercise cross-shape reuse.
+// instances, priorities and release streams — mesh DAGs, a mesh
+// renumbered at random and random non-geometric DAGs, with one workspace
+// reused across every case to also exercise cross-shape reuse.
 func TestListScheduleIntoMatchesReference(t *testing.T) {
 	ws := sched.NewWorkspace()
 	r := rng.New(987)
@@ -109,6 +107,7 @@ func TestListScheduleIntoMatchesReference(t *testing.T) {
 		meshInstance(t, 3, 6, 4, 5),
 		syntheticInstance(t, 120, 5, 7, 6),
 		syntheticInstance(t, 40, 3, 2, 7),
+		shuffledInstance(t, 4, 8, 6, 8),
 	}
 	for ii, inst := range insts {
 		nt := inst.NTasks()
@@ -151,6 +150,7 @@ func TestCommScheduleIntoMatchesReference(t *testing.T) {
 	insts := []*sched.Instance{
 		meshInstance(t, 3, 4, 6, 9),
 		syntheticInstance(t, 90, 4, 5, 10),
+		shuffledInstance(t, 4, 8, 6, 8),
 	}
 	for ii, inst := range insts {
 		nt := inst.NTasks()
@@ -176,7 +176,8 @@ func TestCommScheduleIntoMatchesReference(t *testing.T) {
 }
 
 // oracleInstances are the instances the differentials in this file run
-// on, mesh DAGs and random non-geometric ones, of differing shapes.
+// on, mesh DAGs (one renumbered at random) and random non-geometric ones,
+// of differing shapes.
 func oracleInstances(t testing.TB) []*sched.Instance {
 	return []*sched.Instance{
 		meshInstance(t, 3, 6, 4, 5),
@@ -187,6 +188,7 @@ func oracleInstances(t testing.TB) []*sched.Instance {
 		meshInstance(t, 3, 4, 5, 12),
 		syntheticInstance(t, 70, 4, 3, 13),
 		syntheticInstance(t, 80, 4, 5, 20),
+		shuffledInstance(t, 4, 8, 6, 8),
 	}
 }
 
@@ -226,39 +228,41 @@ func TestGreedyScheduleMatchesReference(t *testing.T) {
 }
 
 // TestResidualMatchesReference pins the residual kernel to the promoted
-// reference across precedence-consistent done sets.
+// reference across precedence-consistent done sets, on random DAGs and
+// on a mesh renumbered at random.
 func TestResidualMatchesReference(t *testing.T) {
-	inst := syntheticInstance(t, 80, 4, 5, 20)
-	r := rng.New(21)
-	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	prio := tiedPrio(inst.NTasks(), r)
-	ws := sched.NewWorkspace()
-	full := &sched.Schedule{}
-	if err := sched.ListScheduleInto(ws, full, inst, assign, prio, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int32{0, 1, int32(full.Makespan) / 2, int32(full.Makespan)} {
-		done := make([]bool, inst.NTasks())
-		for tt, st := range full.Start {
-			if st < cut {
-				done[tt] = true
-			}
-		}
-		want, err := refimpl.ListScheduleResidual(inst, assign, prio, done)
-		if err != nil {
+	for ii, inst := range []*sched.Instance{syntheticInstance(t, 80, 4, 5, 20), shuffledInstance(t, 4, 8, 6, 8)} {
+		r := rng.New(21)
+		assign := sched.RandomAssignment(inst.N(), inst.M, r)
+		prio := tiedPrio(inst.NTasks(), r)
+		ws := sched.NewWorkspace()
+		full := &sched.Schedule{}
+		if err := sched.ListScheduleInto(ws, full, inst, assign, prio, nil); err != nil {
 			t.Fatal(err)
 		}
-		dst := &sched.Schedule{}
-		if err := sched.ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
-			t.Fatal(err)
-		}
-		for tt := range want.Start {
-			if dst.Start[tt] != want.Start[tt] {
-				t.Fatalf("cut %d: task %d starts at %d, reference %d", cut, tt, dst.Start[tt], want.Start[tt])
+		for _, cut := range []int32{0, 1, int32(full.Makespan) / 2, int32(full.Makespan)} {
+			done := make([]bool, inst.NTasks())
+			for tt, st := range full.Start {
+				if st < cut {
+					done[tt] = true
+				}
 			}
-		}
-		if dst.Makespan != want.Makespan {
-			t.Fatalf("cut %d: makespan %d vs %d", cut, dst.Makespan, want.Makespan)
+			want, err := refimpl.ListScheduleResidual(inst, assign, prio, done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := &sched.Schedule{}
+			if err := sched.ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
+				t.Fatal(err)
+			}
+			for tt := range want.Start {
+				if dst.Start[tt] != want.Start[tt] {
+					t.Fatalf("inst %d cut %d: task %d starts at %d, reference %d", ii, cut, tt, dst.Start[tt], want.Start[tt])
+				}
+			}
+			if dst.Makespan != want.Makespan {
+				t.Fatalf("inst %d cut %d: makespan %d vs %d", ii, cut, dst.Makespan, want.Makespan)
+			}
 		}
 	}
 }
@@ -455,7 +459,7 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	b.Run("priority", func(b *testing.B) { run(b, inst, prio, nil) })
 	b.Run("release", func(b *testing.B) { run(b, inst, descendant, release) })
 	b.Run("shuffled", func(b *testing.B) {
-		shuffled := instOn(shuffledMesh(msh, 3))
+		shuffled := instOn(sched.ShuffledMesh(msh, 3))
 		prio, _ := levelDelay(shuffled, rng.New(2))
 		run(b, shuffled, prio, nil)
 	})

@@ -22,7 +22,9 @@ import (
 	"testing"
 
 	"sweepsched/internal/dag"
+	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
+	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 )
 
@@ -92,7 +94,7 @@ func TestRankqPopOrderIsTotalOrder(t *testing.T) {
 		return want[a] < want[b]
 	})
 	for i, w := range want {
-		if got := q.pop(0); got != w {
+		if got := TaskID(q.pop(0)); got != w {
 			t.Fatalf("pop %d: got %d want %d", i, got, w)
 		}
 	}
@@ -116,12 +118,12 @@ func TestCalendarMatchesMapReference(t *testing.T) {
 			tasks = 1 + r.Intn(int(horizon))
 		}
 		cal.prepare(horizon, tasks)
-		ref := map[int32][]TaskID{}
+		ref := map[int32][]int32{}
 		refPending := 0
-		next := TaskID(0)
+		next := int32(0)
 		steps := int32(200)
 		for now := int32(0); now < steps; now++ {
-			var got []TaskID
+			var got []int32
 			if cal.pending > 0 {
 				got = append(got, cal.drain(now)...)
 			}
@@ -196,7 +198,7 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 				t.Fatalf("round %d proc %d: %d tasks in partition, want %d", round, p, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if TaskID(got[i]) != want[i] {
 					t.Fatalf("round %d proc %d rank %d: task %d, want %d", round, p, i, got[i], want[i])
 				}
 				if q.node[want[i]].rank != int32(i) {
@@ -227,7 +229,7 @@ func TestRankqMatchesHeapReference(t *testing.T) {
 			if int(q.procs[p].count) != ref[p].Len() {
 				t.Fatalf("round %d proc %d: count %d, reference %d", round, p, q.procs[p].count, ref[p].Len())
 			}
-			got, want := q.pop(p), heap.Pop(&ref[p]).(TaskID)
+			got, want := TaskID(q.pop(p)), heap.Pop(&ref[p]).(TaskID)
 			if got != want {
 				t.Fatalf("round %d proc %d: popped %d, reference %d", round, p, got, want)
 			}
@@ -402,6 +404,90 @@ func TestEnginesTakeTurnsZeroAllocs(t *testing.T) {
 	}
 }
 
+// ShuffledMesh is msh with its tetrahedra renumbered in a seeded random
+// order through mesh.FromTets: the same geometry with the arbitrary
+// numbering a real mesher gives, where the generators number cells
+// spatially. Exported for the external test package.
+func ShuffledMesh(msh *mesh.Mesh, seed uint64) *mesh.Mesh {
+	cells := slices.Clone(msh.Cells)
+	r := rng.New(seed)
+	for i := len(cells) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		cells[i], cells[j] = cells[j], cells[i]
+	}
+	return mesh.FromTets(msh.Name, msh.Verts, cells)
+}
+
+// TestTaskGraphSlotOrder holds the task graph to its layout, on a box as
+// generated and the same box renumbered at random: slot is a bijection
+// onto the task ids' range, each direction's block of slots is its DAG's
+// TopoOrder, every task's successors are its DAG successors' slots, each
+// a later slot of the same block, and on the renumbered box the metrics
+// the step core counts on its walk of the slots are Measure's.
+func TestTaskGraphSlotOrder(t *testing.T) {
+	box := mesh.KuhnBox(mesh.BoxSpec{NX: 4, NY: 4, NZ: 4, Jitter: 0.15, Seed: 3})
+	dirs, err := quadrature.Octant(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, msh := range map[string]*mesh.Mesh{"as generated": box, "shuffled": ShuffledMesh(box, 5)} {
+		inst, err := NewInstance(msh, dirs, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := inst.taskGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, nt := inst.N(), inst.NTasks()
+		taken := make([]bool, nt)
+		for tt, s := range g.slot {
+			if s < 0 || int(s) >= nt || taken[s] {
+				t.Fatalf("%s: task %d has slot %d, out of range or taken", name, tt, s)
+			}
+			taken[s] = true
+		}
+		for i, d := range inst.DAGs {
+			lo, hi := int32(i*n), int32((i+1)*n)
+			if !slices.Equal(g.order[i], d.TopoOrder()) {
+				t.Fatalf("%s: direction %d's order is not its TopoOrder", name, i)
+			}
+			for j, v := range d.TopoOrder() {
+				if s := g.slot[int(lo)+int(v)]; s != lo+int32(j) {
+					t.Fatalf("%s: direction %d cell %d (topological position %d) has slot %d, want %d", name, i, v, j, s, int(lo)+j)
+				}
+			}
+			for v := range int32(n) {
+				s := g.slot[lo+v]
+				got := g.succ[g.off[s]:g.off[s+1]]
+				var want []int32
+				for _, w := range d.Out(v) {
+					want = append(want, g.slot[lo+w])
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: slot %d (direction %d cell %d) has successors %v, want %v", name, s, i, v, got, want)
+				}
+				for _, sw := range got {
+					if sw <= s || sw >= hi {
+						t.Fatalf("%s: edge from slot %d to %d leaves [%d, %d) or points back", name, s, sw, s+1, hi)
+					}
+				}
+			}
+		}
+		if g.off[nt] != int32(len(g.succ)) {
+			t.Fatalf("%s: offsets end at %d of %d successors", name, g.off[nt], len(g.succ))
+		}
+		ws, dst := NewWorkspace(), &Schedule{}
+		r := rng.New(9)
+		if err := ListScheduleInto(ws, dst, inst, RandomAssignment(n, inst.M, r), levelPrio(inst, r), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := ws.Metrics(); !ok || got != Measure(dst, 1) {
+			t.Fatalf("%s: step core counted %+v (ok %v), Measure %+v", name, got, ok, Measure(dst, 1))
+		}
+	}
+}
+
 // BenchWarm is the loop of the benchmarks that hold a kernel to its
 // zero-allocation contract: one run to grow the workspace, then b.N timed
 // runs that fail the benchmark if they allocate at all. Exported for the
@@ -499,7 +585,7 @@ func TestConcurrentFirstPlansShareOneTaskGraph(t *testing.T) {
 		wg     sync.WaitGroup
 		gate   = make(chan struct{})
 		starts [planners][]int32
-		graphs [planners]*TaskID
+		graphs [planners]*int32
 		errs   [planners]error
 	)
 	for g := range planners {
@@ -533,8 +619,9 @@ func TestConcurrentFirstPlansShareOneTaskGraph(t *testing.T) {
 // rankOnly runs the list engines' prelude on q for nt tasks with
 // priorities prio, task t on processor assign[t mod len(assign)] of m, and
 // files none of them: the tasks are all marked done over edge-free DAGs,
-// so load ranks every task and pushes none. nt need not be a multiple of
-// the cell count. It returns the path load took.
+// so load ranks every task and pushes none. An edge-free DAG's TopoOrder
+// is the identity, so every task's slot is its id. nt need not be a
+// multiple of the cell count. It returns the path load took.
 func rankOnly(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assignment) rankPath {
 	t.Helper()
 	n := len(assign)
@@ -543,14 +630,15 @@ func rankOnly(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assignm
 		t.Fatal(err)
 	}
 	dags := make([]*dag.DAG, (nt+n-1)/n)
+	g := &taskGraph{off: make([]int32, nt+1), slot: make([]int32, nt), order: make([][]int32, len(dags))}
 	for i := range dags {
-		dags[i] = d
+		dags[i], g.order[i] = d, d.TopoOrder()
 	}
 	done := make([]bool, nt)
 	for i := range done {
-		done[i] = true
+		g.slot[i], done[i] = int32(i), true
 	}
-	if left := q.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: dags, off: make([]int32, nt+1), done: done}); left != 0 {
+	if left := q.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: dags, g: g, done: done}); left != 0 {
 		t.Fatalf("%d of %d done tasks left to schedule", left, nt)
 	}
 	_, spread := prioRange(prio)
@@ -584,7 +672,7 @@ func checkRanks(t testing.TB, q *rankq, prio Priorities, nt, m int, assign Assig
 			t.Fatalf("proc %d: %d tasks in partition, want %d", p, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if TaskID(got[i]) != want[i] {
 				t.Fatalf("proc %d rank %d: task %d (prio %d), want %d (prio %d)", p, i, got[i], prio[got[i]], want[i], prio[want[i]])
 			}
 			if q.node[want[i]].rank != int32(i) {
@@ -711,7 +799,7 @@ func TestRankqRaggedTaskCount(t *testing.T) {
 		}
 		for p := int32(0); p < int32(m); p++ {
 			for ref[p].Len() > 0 {
-				if got, want := q.pop(p), heap.Pop(&ref[p]).(TaskID); got != want {
+				if got, want := TaskID(q.pop(p)), heap.Pop(&ref[p]).(TaskID); got != want {
 					t.Fatalf("round %d proc %d: popped %d, reference %d", round, p, got, want)
 				}
 			}
@@ -754,8 +842,8 @@ func TestCalendarPushAtHorizonLimit(t *testing.T) {
 	for _, horizon := range []int32{1, 7, 8, 63} {
 		var cal calendar
 		cal.prepare(horizon, 1<<20)
-		next := TaskID(0)
-		seen := map[TaskID]int32{}
+		next := int32(0)
+		seen := map[int32]int32{}
 		steps := 4 * horizon
 		for now := int32(0); now <= steps; now++ {
 			for _, tt := range cal.drain(now) {

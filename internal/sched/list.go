@@ -34,15 +34,15 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 	// bitmaps — every cell on processor 0 of 1 — and the m smallest ready
 	// (prio, id) run each step.
 	rq := &ws.rq
-	remaining := rq.load(prelude{prio: prio, nt: nt, m: 1, n: int32(inst.N()), assign: ws.zeroAssign, dags: inst.DAGs, off: g.off})
-	nodes, succ, ready := rq.node, g.succ, &rq.procs[0]
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: 1, n: int32(inst.N()), assign: ws.zeroAssign, dags: inst.DAGs, g: g})
+	nodes, succ, ready, slotLevel := rq.node, g.succ, &rq.procs[0], ws.start
 	batch := ws.completed[:0]
 	for step := int32(1); remaining > 0; step++ {
 		batch = batch[:0]
 		for len(batch) < inst.M && ready.count > 0 {
-			t := rq.pop(0)
-			level[t] = step
-			batch = append(batch, popped{0, nodes[t].off, nodes[t+1].off})
+			s := rq.pop(0)
+			slotLevel[s] = step
+			batch = append(batch, popped{0, nodes[s].off, nodes[s+1].off})
 		}
 		if len(batch) == 0 {
 			ws.completed = batch
@@ -50,8 +50,8 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 		}
 		remaining -= len(batch)
 		for _, ran := range batch {
-			for _, wt := range succ[ran.lo:ran.hi] {
-				w := &nodes[wt]
+			for _, sw := range succ[ran.lo:ran.hi] {
+				w := &nodes[sw]
 				w.indeg--
 				rq.pushIf(0, w.rank, zeroBit(w.indeg))
 			}
@@ -59,6 +59,7 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 		makespan = int(step)
 	}
 	ws.completed = batch[:0]
+	fromSlots(g, level, slotLevel)
 	span.End()
 	ws.col.Counter("sched.greedy.runs").Inc()
 	ws.col.Counter("sched.greedy.steps").Add(int64(makespan))

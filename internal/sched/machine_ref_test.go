@@ -16,6 +16,8 @@ import (
 	"slices"
 	"testing"
 
+	"sweepsched/internal/mesh"
+	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
 )
 
@@ -168,7 +170,13 @@ var machineVariants = []struct {
 // makespan. ws is reused across calls, as a trial loop reuses it.
 func checkMachineAgainstReference(t *testing.T, ws *Workspace, seed uint64, n, k, m, variant int) {
 	t.Helper()
-	inst := randomDAGInstance(t, n, k, m, seed)
+	checkMachineOn(t, ws, randomDAGInstance(t, n, k, m, seed), seed, variant)
+}
+
+// checkMachineOn is checkMachineAgainstReference on a given instance.
+func checkMachineOn(t *testing.T, ws *Workspace, inst *Instance, seed uint64, variant int) {
+	t.Helper()
+	n, k, m := inst.N(), inst.K(), inst.M
 	r := rng.New(seed ^ 0x77)
 	assign := RandomAssignment(n, m, r)
 	var prio Priorities
@@ -205,8 +213,8 @@ func checkMachineAgainstReference(t *testing.T, ws *Workspace, seed uint64, n, k
 }
 
 // TestWeightedMachineMatchesReference is the seeded differential: random
-// instances of several shapes under every model variant, one workspace
-// throughout.
+// instances of several shapes, and a mesh renumbered at random, under
+// every model variant, one workspace throughout.
 func TestWeightedMachineMatchesReference(t *testing.T) {
 	ws := NewWorkspace()
 	r := rng.New(2024)
@@ -215,6 +223,18 @@ func TestWeightedMachineMatchesReference(t *testing.T) {
 		for variant := range machineVariants {
 			checkMachineAgainstReference(t, ws, r.Uint64(), n, k, m, variant)
 		}
+	}
+	box := mesh.KuhnBox(mesh.BoxSpec{NX: 4, NY: 4, NZ: 4, Jitter: 0.15, Seed: 8})
+	dirs, err := quadrature.Octant(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled, err := NewInstance(ShuffledMesh(box, 9), dirs, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for variant := range machineVariants {
+		checkMachineOn(t, ws, shuffled, r.Uint64(), variant)
 	}
 }
 

@@ -68,7 +68,7 @@ func C2(s *Schedule, workers int) int64 {
 	defer keyOrderPool.Put(sc)
 	ids, keys := sc.take(nt)
 	for t, st := range s.Start {
-		ids[t], keys[t] = TaskID(t), uint64(st)
+		ids[t], keys[t] = int32(t), uint64(st)
 	}
 	order, _ := sc.sortByKey(ids, keys, uint64(max(slices.Max(s.Start), 0)))
 
@@ -96,7 +96,7 @@ func C2(s *Schedule, workers int) int64 {
 			st := s.Start[tasks[0]]
 			maxMsgs := int32(0)
 			for len(tasks) > 0 && s.Start[tasks[0]] == st {
-				v, i := inst.Split(tasks[0])
+				v, i := inst.Split(TaskID(tasks[0]))
 				tasks = tasks[1:]
 				p := s.Assign[v]
 				d := inst.DAGs[i]

@@ -30,21 +30,27 @@ import (
 // per-processor hint plus TrailingZeros64. That removes the per-pop sift
 // work of a heap (the dominant cost of the kernel) in exchange for one
 // ranking pass per run, and the dense per-processor bitmaps (nt bits
-// total across all processors) stay resident in L1.
+// total across all processors) stay resident in L1. The ranks follow
+// TaskIDs, so no tie breaks by where a task sits; everything else the
+// engines touch per task — the nodes, the ranked order, the successors —
+// is indexed by the task's slot in the instance's task graph, and pop
+// returns a slot.
 //
 // Pop order is identical to a min-heap's: both return the minimum of
 // the current ready set under the same strict total order, so schedules
 // are bitwise-identical to the container/heap kernels (refimpl).
 type rankq struct {
-	order []TaskID // procs[p].tasks + local rank -> task
-	node  []node   // task -> local rank on its processor and the engine's state, len nt+1
+	order []int32  // procs[p].tasks + local rank -> slot
+	node  []node   // slot -> local rank on its processor and the engine's state, len nt+1
 	procs []procq  // processor -> its queue record; procs[m] closes the last one (len m+1)
 	words []uint64 // concatenated per-processor bitmaps
 
-	// Ranking scratch: the counting path's bucket cursors, the radix
-	// path's ids and priority offsets.
-	cursor []int32
-	sorter keyOrder
+	// Ranking scratch: the counting path's bucket cursors and one
+	// direction's ranks by cell, the radix path's ids and priority
+	// offsets.
+	cursor   []int32
+	cellRank []int32
+	sorter   keyOrder
 }
 
 // procq is one processor's queue record: everything push and pop read or
@@ -54,53 +60,56 @@ type procq struct {
 	words int32 // first bitmap word
 	min   int32 // scan hint: no word below it has a set bit
 	count int32 // ready tasks
-	tasks int32 // first slot in order
+	tasks int32 // first place in order
 }
 
 // node is everything a list engine reads or writes about one task between
 // its release and its pop, in 16 bytes — four tasks to a cache line — so
 // releasing a successor (indeg, then proc and rank for the push) and
 // popping a task (off, proc) each touch one line. load writes all of it
-// once per run. The array is nt+1 long: node[t+1].off ends t's successor
-// list in the task graph.
+// once per run, in slot order. The array is nt+1 long: node[s+1].off ends
+// slot s's successor list in the task graph.
 type node struct {
 	indeg int32 // unfinished predecessors
 	rank  int32 // local rank on proc
-	off   int32 // start of the task's successors in taskGraph.succ
+	off   int32 // start of the slot's successors in taskGraph.succ
 	proc  int32 // the task's processor
 }
 
 // prelude is one run's input to load: the priorities to rank by, where
 // every task runs, and the graph and release state its node and its
 // filing as a source come from. Processor of task t is assign[t mod n].
+// prio and done are per TaskID, floor per slot.
 type prelude struct {
 	prio   Priorities // one per task
 	nt, m  int
 	n      int32
 	assign Assignment
 	dags   []*dag.DAG // the directions' in-degrees, and in-lists under done
-	off    []int32    // taskGraph.off: successor offsets, nt+1 of them
+	g      *taskGraph // the slots and their successor offsets
 	done   []bool     // tasks finished before the run; nil for none
-	floor  []int32    // release floors, nil for none: a source with one above 0 waits in cal
+	floor  []int32    // release floors by slot, nil for none: a source with one above 0 waits in cal
 	cal    *calendar
 }
 
 // load is the prelude every list engine runs, as one call: it ranks the
-// tasks, writes every node, empties the ready sets and files each source
-// as ready (or, under a release floor above 0, in the calendar), and
-// returns how many tasks the run schedules. The greedy scheduler pins
+// tasks in TaskID order, writes every node in slot order, empties the
+// ready sets and files each source as ready (or, under a release floor
+// above 0, in the calendar), and returns how many tasks the run
+// schedules. The greedy scheduler pins
 // nothing: it loads with m = 1 and every cell on processor 0, one
 // partition ranked by (prio, TaskID) alone. It does not allocate once the
 // scratch has grown to the run's shape.
 //
 // How the ranks are computed depends on the priorities' spread
 // (rankPathFor). On the counting path — level and delay priorities at any
-// practical m — they come out of the same pass that writes the nodes;
-// otherwise build radix-sorts first and that pass reads them.
+// practical m — fill counts them out one direction at a time, just
+// before it writes that direction's nodes; otherwise build radix-sorts
+// first and fill reads them.
 func (q *rankq) load(in prelude) (remaining int) {
 	nt, m := in.nt, in.m
 	if cap(q.order) < nt {
-		q.order = make([]TaskID, nt)
+		q.order = make([]int32, nt)
 		q.node = make([]node, nt+1)
 	}
 	q.order, q.node = q.order[:nt], q.node[:nt+1]
@@ -156,9 +165,9 @@ func prioRange(prio Priorities) (minP int64, spread uint64) {
 
 // countBuckets lays out the counting path: it counts the tasks of every
 // (processor, priority) bucket, orders the buckets processor-major and
-// priority-minor, and leaves each bucket's first slot in order in
-// q.cursor and each processor's first slot and bitmap word in its record.
-// fill then ranks the tasks.
+// priority-minor, and leaves each bucket's first place in order in
+// q.cursor and each processor's first place and bitmap word in its
+// record. fill then ranks the tasks.
 func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
 	nb := in.m * span
 	if cap(q.cursor) < nb {
@@ -173,102 +182,124 @@ func (q *rankq) countBuckets(in *prelude, minP int64, span int) {
 			cur[int(in.assign[v])*span+int(pv-minP)]++
 		}
 	}
-	var slot, word int32
+	var next, word int32
 	for p := 0; p < in.m; p++ {
-		first := slot
+		first := next
 		for b, c := range cur[p*span : (p+1)*span] {
-			cur[p*span+b] = slot
-			slot += c
+			cur[p*span+b] = next
+			next += c
 		}
 		q.procs[p].tasks, q.procs[p].words = first, word
-		word += (slot - first + 63) >> 6
+		word += (next - first + 63) >> 6
 	}
-	q.procs[in.m].tasks, q.procs[in.m].words = slot, word
+	q.procs[in.m].tasks, q.procs[in.m].words = next, word
 }
 
 // fill writes every task's node — in-degree, rank, successor offset,
-// processor — in one sequential pass in id order, files the sources, and
-// returns the number of tasks to schedule. On the counting path (span > 0)
-// it ranks as it goes: a task takes the next slot of its (processor,
-// priority) bucket, the tasks come in id order, so each bucket fills in id
-// order and a processor's buckets, in priority order, hold its tasks in
-// (priority, id) order. On the radix path build has ranked them
-// already. Under a done mask only edges between not-done tasks
-// count; done tasks sit at in-degree 0 and are never filed, and a finished
-// predecessor drives a done successor's counter negative, never to zero,
-// so the engines' release loops need no mask test.
+// processor — in one sequential pass in slot order per direction, files
+// the sources, and returns the number of tasks to schedule. On the
+// counting path (span > 0) it first ranks the direction's tasks in id
+// order into q.cellRank: each takes the next place of its (processor,
+// priority) bucket, the tasks come in id order, so each bucket fills in
+// id order and a processor's buckets, in priority order, hold its tasks
+// in (priority, id) order. On the radix path build has put the ranks in
+// the nodes already. Under a done mask only edges between not-done tasks
+// count; done tasks sit at in-degree 0 and are never filed, and a
+// finished predecessor drives a done successor's counter negative, never
+// to zero, so the engines' release loops need no mask test.
 func (q *rankq) fill(in *prelude, minP int64, span int) (remaining int) {
 	n := int(in.n)
 	nodes, procs, order, cur := q.node, q.procs, q.order, q.cursor
+	if span > 0 {
+		q.cellRank = grow(q.cellRank, n)
+	}
+	cellRank := q.cellRank
 	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
 		cells := min(n, in.nt-base)
-		d, seg, off := in.dags[i], nodes[base:base+cells], in.off[base:base+cells]
-		pr := in.prio[base : base+cells]
+		d, seg, off := in.dags[i], nodes[base:base+cells], in.g.off[base:base+cells]
+		if span > 0 {
+			slots := in.g.slot[base : base+cells]
+			for v, pv := range in.prio[base : base+cells] {
+				p := in.assign[v]
+				b := int(p)*span + int(pv-minP)
+				at := cur[b]
+				cur[b] = at + 1
+				order[at] = slots[v]
+				cellRank[v] = at - procs[p].tasks
+			}
+		}
 		var mask []bool
 		if in.done != nil {
 			mask = in.done[base : base+cells]
 		}
-		for v := range seg {
+		for j, v := range in.g.order[i][:cells] {
 			p := in.assign[v]
 			var r int32
 			if span > 0 {
-				b := int(p)*span + int(pr[v]-minP)
-				slot := cur[b]
-				cur[b] = slot + 1
-				order[slot] = TaskID(base + v)
-				r = slot - procs[p].tasks
+				r = cellRank[v]
 			} else {
-				r = seg[v].rank
+				r = seg[j].rank
 			}
 			var indeg int32
 			switch {
 			case mask == nil:
-				indeg = int32(d.InDegree(int32(v)))
+				indeg = int32(d.InDegree(v))
 			case mask[v]:
-				seg[v] = node{rank: r, off: off[v], proc: p}
+				seg[j] = node{rank: r, off: off[j], proc: p}
 				continue
 			default:
-				for _, u := range d.In(int32(v)) {
+				for _, u := range d.In(v) {
 					if !mask[u] {
 						indeg++
 					}
 				}
 			}
-			seg[v] = node{indeg: indeg, rank: r, off: off[v], proc: p}
+			seg[j] = node{indeg: indeg, rank: r, off: off[j], proc: p}
 			remaining++
 			if indeg == 0 {
-				if t := TaskID(base + v); in.floor != nil && in.floor[t] > 0 {
-					in.cal.push(t, in.floor[t])
+				if s := int32(base + j); in.floor != nil && in.floor[s] > 0 {
+					in.cal.push(s, in.floor[s])
 				} else {
 					q.push(p, r)
 				}
 			}
 		}
 	}
-	nodes[in.nt].off = in.off[in.nt]
+	nodes[in.nt].off = in.g.off[in.nt]
 	return remaining
 }
 
 // build ranks per-task priorities on the radix path: it lays out the
-// processors' slots, sorts the ids by (prio, id) — sortByKey is stable and
-// the ids go in ascending, so equal priorities keep id order — and places
-// each task, in that order, at the next local rank on its processor.
+// processors' places in order, writes every slot's processor into its
+// node, sorts the slots by their tasks' (prio, id) — they go in in id
+// order and sortByKey is stable, so equal priorities keep id order — and
+// places each, in that order, at the next local rank on its processor,
+// reading the processor from the same node line it writes the rank to.
 func (q *rankq) build(in *prelude, minP int64, spread uint64) {
 	q.partition(in.nt, in.m, in.assign, in.n)
-	ids, keys := q.sorter.take(len(in.prio))
-	for t, p := range in.prio {
-		ids[t], keys[t] = TaskID(t), uint64(p)-uint64(minP)
+	n := int(in.n)
+	for i, base := 0, 0; base < in.nt; i, base = i+1, base+n {
+		seg := q.node[base:min(base+n, in.nt)]
+		for j, v := range in.g.order[i][:len(seg)] {
+			seg[j].proc = in.assign[v]
+		}
 	}
-	ids, _ = q.sorter.sortByKey(ids, keys, spread)
-	for _, t := range ids {
-		pq := &q.procs[in.assign[int32(t)%in.n]]
-		q.node[t].rank = pq.count
-		q.order[pq.tasks+pq.count] = t
+	slots, keys := q.sorter.take(len(in.prio))
+	copy(slots, in.g.slot[:len(in.prio)])
+	for t, p := range in.prio {
+		keys[t] = uint64(p) - uint64(minP)
+	}
+	slots, _ = q.sorter.sortByKey(slots, keys, spread)
+	for _, s := range slots {
+		nd := &q.node[s]
+		pq := &q.procs[nd.proc]
+		nd.rank = pq.count
+		q.order[pq.tasks+pq.count] = s
 		pq.count++
 	}
 }
 
-// partition lays out the processors' slots in order and their bitmap
+// partition lays out the processors' places in order and their bitmap
 // words for the radix path, with every record's count at zero for
 // build to use as its cursor. The per-processor task counts come from
 // the task→cell mapping: the Instance layout (nt = n·k, every direction
@@ -290,18 +321,18 @@ func (q *rankq) partition(nt, m int, assign Assignment, n int32) {
 			procs[assign[t%n]].count++
 		}
 	}
-	var slot, word int32
+	var next, word int32
 	for p := 0; p < m; p++ {
 		c := procs[p].count
-		procs[p].tasks, procs[p].words, procs[p].count = slot, word, 0
-		slot += c
+		procs[p].tasks, procs[p].words, procs[p].count = next, word, 0
+		next += c
 		word += (c + 63) >> 6
 	}
-	procs[m].tasks, procs[m].words = slot, word
+	procs[m].tasks, procs[m].words = next, word
 }
 
 // reset empties every processor's ready set. The layout (the records'
-// slots and words) must be in place.
+// places and words) must be in place.
 func (q *rankq) reset() {
 	m := len(q.procs) - 1
 	need := int(q.procs[m].words)
@@ -339,9 +370,9 @@ func (q *rankq) pushIf(p, r, ready int32) {
 // x|-x has its sign bit set exactly when x is not 0 (x > MinInt32).
 func zeroBit(x int32) int32 { return 1 + (x|-x)>>31 }
 
-// pop removes and returns processor p's ready task of minimum
-// (priority, TaskID). The caller must check procs[p].count > 0 first.
-func (q *rankq) pop(p int32) TaskID {
+// pop removes processor p's ready task of minimum (priority, TaskID) and
+// returns its slot. The caller must check procs[p].count > 0 first.
+func (q *rankq) pop(p int32) int32 {
 	pq := &q.procs[p]
 	w := pq.min
 	for q.words[w] == 0 {
@@ -355,8 +386,8 @@ func (q *rankq) pop(p int32) TaskID {
 }
 
 // calendar is a monotone bucket queue for task release times keyed on the
-// schedule step: bucket (due & mask) holds the tasks that become
-// available at step due. It replaces the map[int32][]TaskID
+// schedule step: bucket (due & mask) holds the tasks, by slot, that
+// become available at step due. It replaces the map[int32][]TaskID
 // "future" calendars that list.go and comm.go each used to duplicate.
 //
 // The queue exploits the monotone structure of the scheduling loop: the
@@ -374,11 +405,11 @@ type calendar struct {
 	buckets [][]calEntry
 	mask    int32
 	pending int
-	out     []TaskID // drain's result, reused
+	out     []int32 // drain's result, reused
 }
 
 type calEntry struct {
-	t   TaskID
+	s   int32
 	due int32
 }
 
@@ -406,16 +437,16 @@ func (c *calendar) prepare(horizon int32, tasks int) {
 
 // push files a task under its due step, which must lie after the step
 // last drained.
-func (c *calendar) push(t TaskID, due int32) {
+func (c *calendar) push(s, due int32) {
 	i := due & c.mask
-	c.buckets[i] = append(c.buckets[i], calEntry{t, due})
+	c.buckets[i] = append(c.buckets[i], calEntry{s, due})
 	c.pending++
 }
 
 // drain removes and returns the tasks due exactly at step now, in push
 // order; entries of a later lap of the ring stay in their bucket. The
 // result is valid until the next drain.
-func (c *calendar) drain(now int32) []TaskID {
+func (c *calendar) drain(now int32) []int32 {
 	b := c.buckets[now&c.mask]
 	if len(b) == 0 {
 		return nil
@@ -423,7 +454,7 @@ func (c *calendar) drain(now int32) []TaskID {
 	out, keep := c.out[:0], b[:0]
 	for _, e := range b {
 		if e.due == now {
-			out = append(out, e.t)
+			out = append(out, e.s)
 		} else {
 			keep = append(keep, e)
 		}

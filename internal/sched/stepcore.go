@@ -107,29 +107,27 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		return err
 	}
 	span := ws.col.Span(rule.series.time)
-	// readyAt[t] is the earliest step t may start as far as is known:
-	// its release floor, raised by every finished cross-processor
-	// predecessor. With no communication delay nothing raises it, so the
-	// caller's floors are read in place; nil means no task ever waits.
+	// readyAt[s] is the earliest step slot s may start as far as is
+	// known: its release floor, raised by every finished cross-processor
+	// predecessor. nil means no task ever waits.
 	cd := int32(rule.commDelay)
-	readyAt := rule.taskFloor
-	if cd > 0 {
+	var readyAt []int32
+	if rule.taskFloor != nil {
 		readyAt = ws.readyAt
-		if rule.taskFloor != nil {
-			copy(readyAt, rule.taskFloor)
-		} else {
-			clear(readyAt)
-		}
+		toSlots(g, readyAt, rule.taskFloor)
+	} else if cd > 0 {
+		readyAt = ws.readyAt
+		clear(readyAt)
 	}
-	// A task released at step s waits until at most max(floor, s+1+cd).
+	// A task released at a step waits at most until max(floor, step+1+cd).
 	cal := &ws.cal
 	cal.prepare(max(maxFloor, cd+1), nt)
 
 	rq := &ws.rq
-	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(inst.N()), assign: assign, dags: inst.DAGs, off: g.off, done: rule.done, floor: readyAt, cal: cal})
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(inst.N()), assign: assign, dags: inst.DAGs, g: g, done: rule.done, floor: readyAt, cal: cal})
 	nodes, succ, procs := rq.node, g.succ, rq.procs
 
-	start := ensureStart(dst, nt)
+	start := ws.start
 	if rule.done != nil {
 		// A full run writes every start; a residual one leaves the done
 		// tasks' at -1.
@@ -147,8 +145,8 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	step := int32(0)
 	for ; remaining > 0; step++ {
 		if cal.pending > 0 {
-			for _, t := range cal.drain(step) {
-				rq.push(nodes[t].proc, nodes[t].rank)
+			for _, s := range cal.drain(step) {
+				rq.push(nodes[s].proc, nodes[s].rank)
 			}
 		}
 		completed = completed[:0]
@@ -156,10 +154,10 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 			if procs[p].count == 0 {
 				continue
 			}
-			t := rq.pop(p)
-			start[t] = step
+			s := rq.pop(p)
+			start[s] = step
 			remaining--
-			completed = append(completed, popped{p, nodes[t].off, nodes[t+1].off})
+			completed = append(completed, popped{p, nodes[s].off, nodes[s+1].off})
 		}
 		if len(completed) == 0 {
 			if cal.pending == 0 {
@@ -181,19 +179,19 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		for _, ran := range completed {
 			p := ran.proc
 			var cross int32
-			for _, wt := range succ[ran.lo:ran.hi] {
-				w := &nodes[wt]
+			for _, sw := range succ[ran.lo:ran.hi] {
+				w := &nodes[sw]
 				other := w.proc ^ p
 				cross += 1 - zeroBit(other)
-				if cd > 0 && other != 0 && step+1+cd > readyAt[wt] {
-					readyAt[wt] = step + 1 + cd
+				if cd > 0 && other != 0 && step+1+cd > readyAt[sw] {
+					readyAt[sw] = step + 1 + cd
 				}
 				// A done successor starts at indegree 0 and only goes negative.
 				w.indeg--
 				left := w.indeg
-				if readyAt != nil && readyAt[wt] > step+1 {
+				if readyAt != nil && readyAt[sw] > step+1 {
 					if left == 0 {
-						cal.push(wt, readyAt[wt])
+						cal.push(sw, readyAt[sw])
 					}
 					continue
 				}
@@ -205,6 +203,7 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		c2 += int64(stepMax)
 	}
 	ws.completed = completed[:0]
+	fromSlots(g, ensureStart(dst, nt), start)
 	dst.Inst, dst.Assign = inst, assign
 	dst.Makespan = int(step) // the last step always runs a task
 	// A residual run walks only part of the graph: its counts are no metrics.

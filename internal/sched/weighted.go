@@ -219,17 +219,17 @@ func (s *WeightedSchedule) ValidateWorkers(workers int) error {
 }
 
 // completionEvent is one entry of the engine's two event queues, ordered
-// by (time, task): in the completions queue, task finishes at time and
-// frees proc; in the releases queue, task's last communication delay
-// elapses at time, making it ready on proc.
+// by (time, slot): in the completions queue, the task in slot finishes at
+// time and frees proc; in the releases queue, its last communication
+// delay elapses at time, making it ready on proc.
 type completionEvent struct {
 	time int64
-	task TaskID
+	slot int32
 	proc int32
 }
 
 // eventHeap is a typed, slice-backed 4-ary min-heap of events ordered by
-// (time, task), with no interface boxing. Time is an int64 with unbounded
+// (time, slot), with no interface boxing. Time is an int64 with unbounded
 // gaps between events, so neither queue can be a calendar ring.
 type eventHeap []completionEvent
 
@@ -246,7 +246,7 @@ func (h eventHeap) less(a, b completionEvent) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
-	return a.task < b.task
+	return a.slot < b.slot
 }
 
 func (h *eventHeap) push(e completionEvent) {
@@ -297,17 +297,17 @@ func (h *eventHeap) pop() completionEvent {
 }
 
 // weightedTryStart starts the best ready task on processor p at time now,
-// if p is idle and has one. finish[t] holds t's duration until t starts.
-// A plain function (not a closure) so the warm kernel allocates nothing.
-func weightedTryStart(p int32, now int64, rq *rankq, busy []bool, start, finish []int64, completions *eventHeap) {
+// if p is idle and has one. finish[s] holds slot s's duration until its
+// task starts. A plain function (not a closure) so the warm kernel
+// allocates nothing.
+func weightedTryStart(p int32, now int64, rq *rankq, busy []bool, finish []int64, completions *eventHeap) {
 	if busy[p] || rq.procs[p].count == 0 {
 		return
 	}
-	t := rq.pop(p)
-	start[t] = now
-	finish[t] += now
+	s := rq.pop(p)
+	finish[s] += now
 	busy[p] = true
-	completions.push(completionEvent{time: finish[t], task: t, proc: p})
+	completions.push(completionEvent{time: finish[s], slot: s, proc: p})
 }
 
 // wake lists processor p, once, for a start attempt when the events of the
@@ -343,7 +343,8 @@ func ensureWeighted(dst *WeightedSchedule, nt int) (start, finish []int64) {
 // sharing a timestamp are drained before any start decision at that
 // timestamp, so priority choices see every task the moment makes ready —
 // the same semantics as the step-driven unit scheduler, and on the same
-// data: rank-bitmap ready sets, one node per task, the flat task graph.
+// data: rank-bitmap ready sets, one node per task, the task graph in
+// slots.
 //
 // Events wait in two heaps: completions, at most one per processor, and
 // releases, so a completion's pop never pays for the depth of the pending
@@ -380,16 +381,17 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	ws.ensureWeighted(inst)
 	n, nt, m := inst.N(), inst.NTasks(), inst.M
 	rq := &ws.rq
-	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: inst.DAGs, off: g.off})
+	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(n), assign: assign, dags: inst.DAGs, g: g})
 	nodes, succ := rq.node, g.succ
 	busy := ws.busyBuf
 	touched := ws.touchBuf
 	clear(busy)
 	clear(touched)
 	woken := ws.woken[:0]
-	// readyW[t] is the earliest time t may start as far as its finished
-	// cross-processor predecessors say. A same-processor edge is free and
-	// its predecessor finishes no later than now, so it never raises it.
+	// readyW[s] is the earliest time slot s may start as far as its
+	// finished cross-processor predecessors say. A same-processor edge is
+	// free and its predecessor finishes no later than now, so it never
+	// raises it.
 	delayed := model.hasDelays()
 	readyW := ws.readyW
 	if delayed {
@@ -398,19 +400,22 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 	completions, releases := &ws.completions, &ws.releases
 	*completions, *releases = (*completions)[:0], (*releases)[:0]
 
-	// Until a task starts, its finish slot holds its duration: one division
-	// per cell, copied to every direction. Every task starts, so start
-	// needs no initial value.
-	start, finish := ensureWeighted(dst, nt)
+	// Until a task starts, its finish (per slot until the run writes it
+	// back) holds its duration: one division per cell, copied to every
+	// direction in the caller's start array, where the write-back finds
+	// the durations again.
+	outStart, outFinish := ensureWeighted(dst, nt)
 	for v, w := range weights {
-		finish[v] = durationOn(w, model.SpeedOf(assign[v]))
+		outStart[v] = durationOn(w, model.SpeedOf(assign[v]))
 	}
 	for i := 1; i < inst.K(); i++ {
-		copy(finish[i*n:(i+1)*n], finish[:n])
+		copy(outStart[i*n:(i+1)*n], outStart[:n])
 	}
+	finish := ws.finishW
+	toSlots(g, finish, outStart)
 
 	for p := int32(0); p < int32(m); p++ {
-		weightedTryStart(p, 0, rq, busy, start, finish, completions)
+		weightedTryStart(p, 0, rq, busy, finish, completions)
 	}
 
 	var now int64
@@ -418,7 +423,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 		now = min(completions.due(), releases.due())
 		for releases.due() == now {
 			ev := releases.pop()
-			rq.push(ev.proc, nodes[ev.task].rank)
+			rq.push(ev.proc, nodes[ev.slot].rank)
 			woken = wake(ev.proc, touched, woken)
 		}
 		for completions.due() == now {
@@ -426,17 +431,17 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 			remaining--
 			busy[ev.proc] = false
 			woken = wake(ev.proc, touched, woken)
-			for _, wt := range succ[nodes[ev.task].off:nodes[ev.task+1].off] {
-				w := &nodes[wt]
+			for _, sw := range succ[nodes[ev.slot].off:nodes[ev.slot+1].off] {
+				w := &nodes[sw]
 				if delayed && w.proc != ev.proc {
-					if cand := now + model.DelayOf(ev.proc, w.proc); cand > readyW[wt] {
-						readyW[wt] = cand
+					if cand := now + model.DelayOf(ev.proc, w.proc); cand > readyW[sw] {
+						readyW[sw] = cand
 					}
 				}
 				w.indeg--
 				if w.indeg == 0 {
-					if delayed && readyW[wt] > now {
-						releases.push(completionEvent{time: readyW[wt], task: wt, proc: w.proc})
+					if delayed && readyW[sw] > now {
+						releases.push(completionEvent{time: readyW[sw], slot: sw, proc: w.proc})
 					} else {
 						rq.push(w.proc, w.rank)
 						woken = wake(w.proc, touched, woken)
@@ -446,7 +451,7 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 		}
 		for _, p := range woken {
 			touched[p] = false
-			weightedTryStart(p, now, rq, busy, start, finish, completions)
+			weightedTryStart(p, now, rq, busy, finish, completions)
 		}
 		woken = woken[:0]
 	}
@@ -454,6 +459,11 @@ func ListScheduleWeightedInto(ws *Workspace, dst *WeightedSchedule, inst *Instan
 		return fmt.Errorf("sched: weighted deadlock with %d tasks unfinished", remaining)
 	}
 
+	// Every task started its duration before it finished.
+	fromSlots(g, outFinish, finish)
+	for t, d := range outStart {
+		outStart[t] = outFinish[t] - d
+	}
 	dst.Inst, dst.Assign, dst.Weights, dst.Model = inst, assign, weights, model
 	dst.Makespan = now // the last event is a completion, and events come in time order
 	span.End()

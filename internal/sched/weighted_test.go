@@ -321,15 +321,15 @@ func TestWeightedErrors(t *testing.T) {
 }
 
 func TestEventHeapOrdered(t *testing.T) {
-	// Push events in a scrambled order with heavy (time, task)
-	// collisions; pops must come out sorted by (time, task).
+	// Push events in a scrambled order with heavy (time, slot)
+	// collisions; pops must come out sorted by (time, slot).
 	r := rng.New(77)
 	var h eventHeap
 	const count = 2000
 	for i := 0; i < count; i++ {
 		h.push(completionEvent{
 			time: int64(r.Intn(17)), // small range forces time ties
-			task: TaskID(r.Intn(500)),
+			slot: int32(r.Intn(500)),
 			proc: int32(r.Intn(8)),
 		})
 	}
@@ -340,9 +340,9 @@ func TestEventHeapOrdered(t *testing.T) {
 		}
 		e := h.pop()
 		if i > 0 {
-			if e.time < prev.time || (e.time == prev.time && e.task < prev.task) {
+			if e.time < prev.time || (e.time == prev.time && e.slot < prev.slot) {
 				t.Fatalf("pop %d out of order: (%d,%d) after (%d,%d)",
-					i, e.time, e.task, prev.time, prev.task)
+					i, e.time, e.slot, prev.time, prev.slot)
 			}
 		}
 		prev = e
@@ -353,16 +353,16 @@ func TestEventHeapOrdered(t *testing.T) {
 }
 
 func TestEventHeapTieBreak(t *testing.T) {
-	// Exact-tie times must pop in ascending task order regardless of
+	// Exact-tie times must pop in ascending slot order regardless of
 	// push order.
 	var h eventHeap
-	for _, task := range []TaskID{9, 3, 7, 1, 5} {
-		h.push(completionEvent{time: 42, task: task})
+	for _, s := range []int32{9, 3, 7, 1, 5} {
+		h.push(completionEvent{time: 42, slot: s})
 	}
-	want := []TaskID{1, 3, 5, 7, 9}
+	want := []int32{1, 3, 5, 7, 9}
 	for i, w := range want {
-		if e := h.pop(); e.task != w {
-			t.Fatalf("pop %d: task %d, want %d", i, e.task, w)
+		if e := h.pop(); e.slot != w {
+			t.Fatalf("pop %d: slot %d, want %d", i, e.slot, w)
 		}
 	}
 }

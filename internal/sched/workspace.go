@@ -21,7 +21,11 @@ import (
 // A Workspace is not safe for concurrent use; parallel trial loops draw
 // one each from the shape-keyed pool (GetWorkspace/Release).
 type Workspace struct {
+	// readyAt and start are per slot of the task graph: the step core's
+	// release times, and the start steps (greedy levels) a run writes
+	// before they go back to the caller in TaskID order.
 	readyAt   []int32
+	start     []int32
 	rq        rankq
 	cal       calendar
 	completed []popped
@@ -42,14 +46,16 @@ type Workspace struct {
 	expRel   []int32
 	// Weighted-engine scratch (weighted.go): the completion and release
 	// event heaps, per-processor busy and touched flags with the list of
-	// processors touched at the current timestamp, and per-task int64
-	// release times for the hierarchical-delay machine model.
+	// processors touched at the current timestamp, and per-slot int64
+	// release times for the hierarchical-delay machine model and finish
+	// times.
 	completions eventHeap
 	releases    eventHeap
 	busyBuf     []bool
 	touchBuf    []bool
 	woken       []int32
 	readyW      []int64
+	finishW     []int64
 
 	// metrics are the last step-core run's, read off its edge walk; see
 	// Metrics.
@@ -162,10 +168,8 @@ func (ws *Workspace) Int32Buf(n int) []int32 {
 // shape allocate nothing.
 func (ws *Workspace) ensure(inst *Instance) {
 	nt, m := inst.NTasks(), inst.M
-	if cap(ws.readyAt) < nt {
-		ws.readyAt = make([]int32, nt)
-	}
-	ws.readyAt = ws.readyAt[:nt]
+	ws.readyAt = grow(ws.readyAt, nt)
+	ws.start = grow(ws.start, nt)
 	if cap(ws.zeroPrio) < nt {
 		ws.zeroPrio = make(Priorities, nt)
 	}
@@ -195,10 +199,8 @@ func (ws *Workspace) ensureWeighted(inst *Instance) {
 	if cap(ws.woken) < m {
 		ws.woken = make([]int32, 0, m)
 	}
-	if cap(ws.readyW) < nt {
-		ws.readyW = make([]int64, nt)
-	}
-	ws.readyW = ws.readyW[:nt]
+	ws.readyW = grow(ws.readyW, nt)
+	ws.finishW = grow(ws.finishW, nt)
 	if cap(ws.completions) < m {
 		ws.completions = make(eventHeap, 0, m) // at most one per processor
 	}

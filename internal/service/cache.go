@@ -292,7 +292,9 @@ func skeletonBytes(e *skeletonEntry) int64 {
 // grows once it has been planned on: the facts of each DAG after a
 // descendant or DFDS request (level order, b-levels and descendant
 // counts: up to 16 bytes per task), the instance's task graph after
-// any list-scheduled request (one int32 per task and one per edge), its
+// any list-scheduled request (in slot order: an offset and a slot per
+// task, one int32 per edge, and the DAG's level order, counted in the
+// facts), its
 // greedy levels after an improved_delays request (one int32 per task)
 // and, once for the family, the cell graph the Problem keeps after a
 // block request (an offset and a weight per cell; a neighbour and an
@@ -303,7 +305,7 @@ func familyBytes(e *familyEntry) int64 {
 	const edgesPerCell = 2
 	dags := 3*4*(n+1) + 2*4*edgesPerCell*n
 	facts := 16 * n
-	taskGraph := 4*(n+1) + 4*edgesPerCell*n
+	taskGraph := 4*(n+1) + 4*n + 4*edgesPerCell*n
 	greedyLevels := 4 * n
 	cellGraph := 4*(n+1) + 4*n + 2*4*2*edgesPerCell*n
 	return 128 + k*(dags+facts+taskGraph+greedyLevels) + cellGraph

@@ -90,7 +90,7 @@ func TestLRUEvictionCascade(t *testing.T) {
 // — the first descendant or DFDS plan leaves a level order, b-levels and
 // descendant counts on every DAG, the first list-scheduled plan the task
 // graph on the instance — so the estimate charges them up front: 16 bytes
-// per task for the facts and about 12 per task (an offset, and a
+// per task for the facts and about 16 per task (an offset, a slot, and a
 // successor for each of ≈ 2 edges) for the graph and 4 per task for the
 // greedy levels an improved_delays plan leaves on the instance, on top of
 // the CSR and level arrays — and, once per family, 40 bytes per cell for
@@ -103,7 +103,7 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	}
 	n, k := int64(p.N()), int64(p.K())
 	csr := k * (3*4*(n+1) + 2*4*2*n)
-	graph := k * (4*(n+1) + 4*2*n)
+	graph := k * (4*(n+1) + 4*n + 4*2*n)
 	cells := 4*(n+1) + 4*n + 2*4*2*2*n
 	got := familyBytes(&familyEntry{prob: p})
 	if want := 128 + csr + 16*n*k + graph + 4*n*k + cells; got != want {
@@ -117,7 +117,7 @@ func TestFamilyBytesCountsDAGFacts(t *testing.T) {
 	for _, d := range res.Schedule.Inst.DAGs {
 		edges += int64(d.NumEdges())
 	}
-	if real := 4*(n*k+1) + 4*edges; real > graph {
+	if real := 4*(n*k+1) + 4*n*k + 4*edges; real > graph {
 		t.Fatalf("task graph of the planned family is %d bytes (%d edges), estimate %d", real, edges, graph)
 	}
 	cg := partition.FromMesh(res.Schedule.Inst.Mesh) // what the block plan left on p
