@@ -410,17 +410,6 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dirs, err := quadrature.Octant(24)
-	if err != nil {
-		b.Fatal(err)
-	}
-	instOn := func(msh *mesh.Mesh) *sched.Instance {
-		inst, err := sched.NewInstance(msh, dirs, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return inst
-	}
 	// levelDelay is Algorithm 2's priorities, the release floors every
 	// direction's delay.
 	levelDelay := func(inst *sched.Instance, r *rng.Source) (sched.Priorities, []int32) {
@@ -435,7 +424,7 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 		}
 		return prio, release
 	}
-	inst := instOn(msh)
+	inst := instanceOn(b, msh, 24, 64)
 	r := rng.New(2)
 	prio, release := levelDelay(inst, r)
 	descendant := heuristics.DescendantPriorities(inst, 1)
@@ -459,7 +448,7 @@ func BenchmarkScheduleKernelPaperShape(b *testing.B) {
 	b.Run("priority", func(b *testing.B) { run(b, inst, prio, nil) })
 	b.Run("release", func(b *testing.B) { run(b, inst, descendant, release) })
 	b.Run("shuffled", func(b *testing.B) {
-		shuffled := instOn(sched.ShuffledMesh(msh, 3))
+		shuffled := instanceOn(b, sched.ShuffledMesh(msh, 3), 24, 64)
 		prio, _ := levelDelay(shuffled, rng.New(2))
 		run(b, shuffled, prio, nil)
 	})
