@@ -7,8 +7,7 @@ package sweepsched_test
 // of the test files:
 //
 //   - pkg.Name and pkg.Type.Member, where pkg is a package of the module
-//     and Name is exported (pkg.lower is a metric or a file name, left to
-//     the full gate);
+//     and Name is exported (pkg.lower is a metric or a file name);
 //   - Type.Member, where Type is capitalized: a declared type, and Member
 //     one of its methods or fields, or one of a type it embeds or aliases;
 //   - Test*, Benchmark* and Fuzz* names; a trailing * or { (a family
@@ -23,9 +22,11 @@ package sweepsched_test
 //     binary defines through the flag package;
 //   - flag values: sweepbench's -exp names all, paper or an id
 //     experiments.Names returns, and bench/run.sh's -workload a workload
-//     BENCHMARK.json declares (a <placeholder> passes).
-//
-// Metric names are not checked yet (ROADMAP, "Docs that cannot drift").
+//     BENCHMARK.json declares (a <placeholder> passes);
+//   - metric names: a lowercase token that ends in a suffix made of one of
+//     BENCHMARK.json's units (_s, _mb, _us, _frac, …) is a metric the file
+//     declares, a bare end-to-end name such as warm_s or a per-layer
+//     layer.name such as dag.family_warm_s.
 
 import (
 	"encoding/json"
@@ -37,6 +38,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,6 +66,8 @@ var (
 	docPath     = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
 	shellSep    = regexp.MustCompile(`\|\||&&|[|;]|\s#.*`)
 	flagArg     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:(=)(.*))?$`)
+	metricToken = regexp.MustCompile(`\b[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*\b`)
+	unitWord    = regexp.MustCompile(`^[A-Za-z]+$`)
 )
 
 func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
@@ -140,12 +144,13 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 
+	bench := readBench(t)
 	binFlags := cmdFlags(t)
 	const runner = "bench/run.sh"
 	// values are the values a command line may give these flags.
 	values := map[string]map[string]map[string]bool{
 		"sweepbench": {"exp": {"all": true, "paper": true}},
-		runner:       {"workload": benchWorkloads(t)},
+		runner:       {"workload": bench.workloads()},
 	}
 	for _, id := range experiments.Names() {
 		values["sweepbench"]["exp"][id] = true
@@ -214,6 +219,11 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s:%d: `%s` is no path in the tree", file, line, tok)
 				}
 			}
+			for _, tok := range metricToken.FindAllString(span, -1) {
+				if bench.staleMetric(tok) {
+					t.Errorf("%s:%d: `%s` is no metric BENCHMARK.json declares", file, line, tok)
+				}
+			}
 		}
 	}
 	for tok, why := range docHistory {
@@ -223,23 +233,55 @@ func TestDocReferences(t *testing.T) {
 	}
 }
 
-// benchWorkloads returns the names of the workloads BENCHMARK.json
-// declares.
-func benchWorkloads(t *testing.T) map[string]bool {
+// benchSpec is what the gate reads of BENCHMARK.json.
+type benchSpec struct {
+	Workloads []struct{ Name string }
+	EndToEnd  []benchMetric `json:"end_to_end"`
+	PerLayer  []benchMetric `json:"per_layer"`
+}
+
+type benchMetric struct{ Name, Unit string }
+
+func readBench(t *testing.T) *benchSpec {
 	t.Helper()
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bench struct{ Workloads []struct{ Name string } }
+	var bench benchSpec
 	if err := json.Unmarshal(data, &bench); err != nil {
 		t.Fatal(err)
 	}
+	return &bench
+}
+
+// workloads returns the names of the workloads the file declares.
+func (b *benchSpec) workloads() map[string]bool {
 	names := map[string]bool{}
-	for _, w := range bench.Workloads {
+	for _, w := range b.Workloads {
 		names[w.Name] = true
 	}
 	return names
+}
+
+// staleMetric reports whether tok is written like a metric, ending in _
+// and the lowercase name of a unit the file uses, and yet is none of the
+// metrics the file declares.
+func (b *benchSpec) staleMetric(tok string) bool {
+	i := strings.LastIndexByte(tok, '_')
+	if i < 0 {
+		return false
+	}
+	metricLike := false
+	for _, m := range slices.Concat(b.EndToEnd, b.PerLayer) {
+		if m.Name == tok {
+			return false
+		}
+		if unitWord.MatchString(m.Unit) && tok[i+1:] == strings.ToLower(m.Unit) {
+			metricLike = true
+		}
+	}
+	return metricLike
 }
 
 // treePaths returns every path under the root but the hidden ones, with

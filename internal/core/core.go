@@ -10,7 +10,8 @@
 //     Algorithm 3, "Improved Random Delay", whose preprocessing bounds
 //     every layer's width by m (expected O(OPT·log m·logloglog m),
 //     Corollary 1);
-//   - theory.go's bounds.
+//   - Rho and Log2Sq, the approximation factors of Corollary 1 and
+//     Theorem 1, which the "guarantee" experiment prints.
 //
 // Algorithm 2, "Random Delays with Priorities" (Γ(v,i) = level_i(v) + X_i,
 // list-scheduled with no idling, Theorem 2), and the priority form of

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -252,111 +251,6 @@ func TestQuickAllAlgorithmsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// --- theory.go ---
-
-func TestChernoffUpperBasics(t *testing.T) {
-	if g := core.ChernoffUpper(10, 1); g <= 0 || g >= 1 {
-		t.Fatalf("G(10,1) = %v not in (0,1)", g)
-	}
-	// Monotone decreasing in delta.
-	if core.ChernoffUpper(10, 2) >= core.ChernoffUpper(10, 1) {
-		t.Fatal("G not decreasing in delta")
-	}
-	if core.ChernoffUpper(0, 1) != 1 || core.ChernoffUpper(10, 0) != 1 {
-		t.Fatal("degenerate inputs should return 1")
-	}
-}
-
-func TestChernoffBoundEmpirically(t *testing.T) {
-	// Binomial(200, 0.1): mu = 20. Check Pr[X >= 2mu] <= G(mu, 1).
-	r := rng.New(77)
-	const trials = 20000
-	exceed := 0
-	for i := 0; i < trials; i++ {
-		x := 0
-		for j := 0; j < 200; j++ {
-			if r.Float64() < 0.1 {
-				x++
-			}
-		}
-		if float64(x) >= 40 {
-			exceed++
-		}
-	}
-	bound := core.ChernoffUpper(20, 1)
-	if emp := float64(exceed) / trials; emp > bound {
-		t.Fatalf("empirical tail %v exceeds Chernoff bound %v", emp, bound)
-	}
-}
-
-func TestFDominatesMean(t *testing.T) {
-	for _, mu := range []float64{0.1, 1, 5, 50} {
-		for _, p := range []float64{0.1, 0.01, 1e-6} {
-			if core.F(mu, p) < mu {
-				t.Fatalf("F(%v,%v) = %v below mean", mu, p, core.F(mu, p))
-			}
-		}
-	}
-}
-
-func TestHContinuousNondecreasingNearConcave(t *testing.T) {
-	// The paper states H is concave for fixed p; strictly, the closed form
-	// of equation (3) is mildly convex on the window (ln(1/p)/e², ln(1/p)/e)
-	// just below the branch point, so we verify: continuity at the branch
-	// point, global monotonicity, and exact concavity outside that window.
-	const p = 1e-4
-	lp := math.Log(1 / p)
-	// Continuity at mu* = lp/e.
-	muStar := lp / math.E
-	if d := math.Abs(core.H(muStar-1e-9, p) - core.H(muStar+1e-9, p)); d > 1e-6 {
-		t.Fatalf("H discontinuous at branch point: jump %v", d)
-	}
-	prev := 0.0
-	prevSlope := math.Inf(1)
-	for mu := 0.05; mu < 50; mu += 0.05 {
-		h := core.H(mu, p)
-		if h < prev {
-			t.Fatalf("H decreasing at mu=%v: %v < %v", mu, h, prev)
-		}
-		slope := (h - prev) / 0.05
-		inWindow := mu > lp/(math.E*math.E) && mu < lp/math.E+0.1
-		if prev > 0 && !inWindow && slope > prevSlope+1e-6 {
-			t.Fatalf("H not concave at mu=%v: slope %v > %v", mu, slope, prevSlope)
-		}
-		prev, prevSlope = h, slope
-	}
-}
-
-func TestExpectedMaxLoadBoundHolds(t *testing.T) {
-	// Throw t balls into m bins repeatedly; the mean observed maximum must
-	// stay below the Corollary 2(b) bound.
-	r := rng.New(123)
-	for _, tc := range []struct{ t, m int }{{100, 10}, {1000, 10}, {50, 50}} {
-		const trials = 300
-		sum := 0.0
-		counts := make([]int, tc.m)
-		for trial := 0; trial < trials; trial++ {
-			for i := range counts {
-				counts[i] = 0
-			}
-			max := 0
-			for b := 0; b < tc.t; b++ {
-				i := r.Intn(tc.m)
-				counts[i]++
-				if counts[i] > max {
-					max = counts[i]
-				}
-			}
-			sum += float64(max)
-		}
-		mean := sum / trials
-		bound := core.ExpectedMaxLoadBound(tc.t, tc.m)
-		if mean > bound {
-			t.Fatalf("t=%d m=%d: observed mean max %v exceeds bound %v", tc.t, tc.m, mean, bound)
-		}
 	}
 }
 

@@ -2,68 +2,8 @@ package core
 
 import "math"
 
-// This file implements the concentration-bound machinery of §4 (Lemma 1 and
-// the H function of equation (3)). The scheduling algorithms themselves do
-// not need these functions — the randomness does the work — but they let
-// tests and the "guarantee" experiment report the theoretical layer-load
-// bounds next to the observed ones.
-
-// ChernoffUpper returns G(mu, delta) = (e^δ / (1+δ)^(1+δ))^μ, the classic
-// upper-tail bound Pr[X ≥ μ(1+δ)] ≤ G(μ,δ) of Lemma 1(a).
-func ChernoffUpper(mu, delta float64) float64 {
-	if mu <= 0 || delta <= 0 {
-		return 1
-	}
-	exponent := mu * (delta - (1+delta)*math.Log1p(delta))
-	return math.Exp(exponent)
-}
-
-// F implements the function F(μ, p) of Lemma 1(b) with constant a: the
-// load threshold such that Pr[X > F(μ,p)] < p. The paper leaves the
-// constant unspecified; a = 4 makes the bound hold for all μ, p of
-// interest (verified empirically in tests).
-func F(mu, p float64) float64 {
-	const a = 4
-	if mu <= 0 || p <= 0 || p >= 1 {
-		return math.Inf(1)
-	}
-	lp := math.Log(1 / p)
-	if mu <= lp/math.E {
-		den := math.Log(lp / mu)
-		if den <= 0 {
-			return mu + a*math.Sqrt(lp*mu)
-		}
-		return a * lp / den
-	}
-	return mu + a*math.Sqrt(lp/mu)*mu
-}
-
-// H implements equation (3): the balls-in-bins expected-maximum-load bound
-// used by the improved analysis. For fixed p it is concave and
-// non-decreasing in μ (Corollary 2(a)); tests verify both numerically.
-func H(mu, p float64) float64 {
-	const c = 4
-	if mu <= 0 || p <= 0 || p >= 1 {
-		return math.Inf(1)
-	}
-	lp := math.Log(1 / p)
-	if mu <= lp/math.E {
-		return c * lp / math.Log(lp/mu)
-	}
-	return c * math.E * mu
-}
-
-// ExpectedMaxLoadBound returns the Corollary 2(b) bound on the expected
-// maximum bin load when t objects go to m bins at random:
-// H(t/m, 1/m²) + t/m.
-func ExpectedMaxLoadBound(t, m int) float64 {
-	if t <= 0 || m <= 0 {
-		return 0
-	}
-	mu := float64(t) / float64(m)
-	p := 1 / float64(m*m)
-	return H(mu, p) + mu
-}
+// The approximation factors of §4's guarantees, which the "guarantee"
+// experiment prints beside the measured ratios.
 
 // Rho returns ρ = log m · logloglog m, the approximation factor of the
 // improved analysis (values of m below e^e^e clamp the inner term at 1).

@@ -92,6 +92,3 @@ func NewAABB(pts ...Vec3) AABB {
 	}
 	return box
 }
-
-// Extent returns the box dimensions (Max - Min).
-func (b AABB) Extent() Vec3 { return b.Max.Sub(b.Min) }

@@ -92,9 +92,6 @@ func TestAABB(t *testing.T) {
 	if box.Min != (Vec3{-1, 0, -2}) || box.Max != (Vec3{1, 5, 3}) {
 		t.Fatalf("NewAABB = %+v", box)
 	}
-	if box.Extent() != (Vec3{2, 5, 5}) {
-		t.Fatalf("Extent = %v", box.Extent())
-	}
 }
 
 func TestQuickDotSymmetry(t *testing.T) {

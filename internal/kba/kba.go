@@ -55,15 +55,3 @@ func factorNear(m int) (px, py int) {
 	}
 	return m / py, py
 }
-
-// IdealMakespan returns the textbook KBA makespan for an nx×ny×nz grid
-// swept in k octant directions on a px×py processor tiling: each direction
-// costs roughly nz·(nx/px)·(ny/py) steps of work per processor after a
-// pipeline fill of (px−1)+(py−1) block-steps. It is a coarse model used
-// only to sanity-check the simulated schedule's scaling.
-func IdealMakespan(nx, ny, nz, m, k int) int {
-	px, py := factorNear(m)
-	blockWork := (nx + px - 1) / px * ((ny + py - 1) / py) * nz
-	fill := (px - 1) + (py - 1)
-	return k*blockWork + fill*blockWork
-}

@@ -103,15 +103,3 @@ func TestKBANearOptimalOnRegularGrid(t *testing.T) {
 		t.Fatalf("KBA ratio %v > 1.6 on a regular grid", ratio)
 	}
 }
-
-func TestIdealMakespanScales(t *testing.T) {
-	// Doubling processors should not increase the ideal makespan.
-	prev := IdealMakespan(16, 16, 16, 1, 8)
-	for _, m := range []int{2, 4, 8, 16} {
-		cur := IdealMakespan(16, 16, 16, m, 8)
-		if cur > prev {
-			t.Fatalf("ideal makespan grew from %d to %d at m=%d", prev, cur, m)
-		}
-		prev = cur
-	}
-}

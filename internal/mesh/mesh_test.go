@@ -234,7 +234,7 @@ func TestFamilyErrors(t *testing.T) {
 func TestLongAspect(t *testing.T) {
 	m := Long(2000, 3)
 	box := geom.NewAABB(m.Centroids...)
-	e := box.Extent()
+	e := box.Max.Sub(box.Min)
 	if e.X < 4*e.Y {
 		t.Fatalf("long mesh not elongated: extent %v", e)
 	}

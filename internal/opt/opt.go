@@ -59,18 +59,6 @@ func Exact(inst *sched.Instance) (int, error) {
 	return best, nil
 }
 
-// ExactGivenAssignment returns the optimal makespan for a fixed
-// assignment. It errors if the instance exceeds MaxTasks tasks.
-func ExactGivenAssignment(inst *sched.Instance, assign sched.Assignment) (int, error) {
-	if inst.NTasks() > MaxTasks {
-		return 0, fmt.Errorf("opt: %d tasks exceeds the exact-search limit %d", inst.NTasks(), MaxTasks)
-	}
-	if err := assign.Validate(inst.N(), inst.M); err != nil {
-		return 0, err
-	}
-	return exactGivenAssignment(inst, assign), nil
-}
-
 // exactGivenAssignment runs a BFS over completed-task bitmasks. For unit
 // tasks with pinned processors, idling a processor that has ready work is
 // never beneficial (a standard exchange argument), so each step every
@@ -146,16 +134,4 @@ func exactGivenAssignment(inst *sched.Instance, assign sched.Assignment) int {
 		}
 		frontier = next
 	}
-}
-
-// TrueRatio returns makespan / OPT for a schedule on a tiny instance.
-func TrueRatio(s *sched.Schedule) (float64, error) {
-	optimal, err := Exact(s.Inst)
-	if err != nil {
-		return 0, err
-	}
-	if optimal == 0 {
-		return 0, fmt.Errorf("opt: zero optimal makespan")
-	}
-	return float64(s.Makespan) / float64(optimal), nil
 }

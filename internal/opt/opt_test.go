@@ -141,30 +141,11 @@ func TestExactGivenAssignmentSerialOnOneProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := ExactGivenAssignment(inst, sched.Assignment{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms != 4 {
+	if ms := exactGivenAssignment(inst, sched.Assignment{0, 0, 0, 0}); ms != 4 {
 		t.Fatalf("all-on-one OPT=%d, want 4", ms)
 	}
-	ms, err = ExactGivenAssignment(inst, sched.Assignment{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms != 2 {
+	if ms := exactGivenAssignment(inst, sched.Assignment{0, 0, 1, 1}); ms != 2 {
 		t.Fatalf("split OPT=%d, want 2", ms)
-	}
-}
-
-func TestExactGivenAssignmentValidates(t *testing.T) {
-	d := emptyDAG(t, 3)
-	inst, err := sched.FromDAGs([]*dag.DAG{d}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExactGivenAssignment(inst, sched.Assignment{0, 9, 0}); err == nil {
-		t.Fatal("bad assignment accepted")
 	}
 }
 
@@ -207,10 +188,11 @@ func TestAlgorithmsNeverBeatOPT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio, err := TrueRatio(s)
+		optimal, err := Exact(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ratio := float64(s.Makespan) / float64(optimal)
 		if ratio < 1 {
 			t.Fatalf("seed %d: algorithm beat OPT (ratio %v)", seed, ratio)
 		}

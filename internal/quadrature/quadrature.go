@@ -2,9 +2,8 @@
 // drive sweeps. Radiation transport codes use S_N angular quadratures whose
 // directions are spread symmetrically over the unit sphere; the scheduling
 // algorithms in this repository only consume the unit vectors, so we provide
-// a level-symmetric-style S_N construction (k = N(N+2) directions), simple
-// octant-symmetric sets for arbitrary k, and uniformly random sphere sets
-// for non-geometric stress tests.
+// a level-symmetric-style S_N construction (k = N(N+2) directions) and
+// simple octant-symmetric sets for arbitrary k.
 package quadrature
 
 import (
@@ -12,7 +11,6 @@ import (
 	"math"
 
 	"sweepsched/internal/geom"
-	"sweepsched/internal/rng"
 )
 
 // SN returns a level-symmetric-style S_N quadrature direction set with
@@ -117,48 +115,6 @@ func Octant(k int) ([]geom.Vec3, error) {
 		}
 	}
 	return out, nil
-}
-
-// RandomSphere returns k independent directions uniform on the unit sphere,
-// for non-geometric stress instances (the paper notes its algorithms do not
-// assume any relation between the per-direction DAGs).
-func RandomSphere(k int, seed uint64) ([]geom.Vec3, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("quadrature: need k > 0 directions, got %d", k)
-	}
-	r := rng.New(seed)
-	dirs := make([]geom.Vec3, k)
-	for i := range dirs {
-		// Marsaglia rejection from the cube.
-		for {
-			v := geom.Vec3{
-				X: 2*r.Float64() - 1,
-				Y: 2*r.Float64() - 1,
-				Z: 2*r.Float64() - 1,
-			}
-			n := v.Norm()
-			if n > 1e-9 && n <= 1 {
-				dirs[i] = v.Scale(1 / n)
-				break
-			}
-		}
-	}
-	return dirs, nil
-}
-
-// Axes2D returns k directions confined to the xy plane at equal angles,
-// offset to avoid exact axis alignment (which would make mesh faces exactly
-// parallel to the sweep). Useful for 2-D style tests and KBA comparisons.
-func Axes2D(k int) ([]geom.Vec3, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("quadrature: need k > 0 directions, got %d", k)
-	}
-	dirs := make([]geom.Vec3, k)
-	for i := range dirs {
-		phi := (float64(i)+0.25)/float64(k)*2*math.Pi + 0.1
-		dirs[i] = geom.Vec3{X: math.Cos(phi), Y: math.Sin(phi), Z: 0}
-	}
-	return dirs, nil
 }
 
 // Diagonals returns the up-to-8 signed diagonal directions (±1,±1,±1)/√3 in

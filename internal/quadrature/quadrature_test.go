@@ -1,6 +1,7 @@
 package quadrature
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -164,28 +165,19 @@ func TestOctantSpreadWhenTruncated(t *testing.T) {
 	}
 }
 
-func TestRandomSphere(t *testing.T) {
-	dirs, err := RandomSphere(500, 42)
-	if err != nil {
-		t.Fatal(err)
+// Axes2D returns k directions confined to the xy plane at equal angles,
+// offset to avoid exact axis alignment (which would make mesh faces exactly
+// parallel to the sweep). The sign-grouping tests use it for planar sets.
+func Axes2D(k int) ([]geom.Vec3, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("quadrature: need k > 0 directions, got %d", k)
 	}
-	checkUnit(t, dirs)
-	var sum geom.Vec3
-	for _, d := range dirs {
-		sum = sum.Add(d)
-	}
-	if sum.Norm() > 60 { // E ~ sqrt(500) ≈ 22, allow slack
-		t.Fatalf("random sphere mean direction too biased: %v", sum)
-	}
-	again, _ := RandomSphere(500, 42)
+	dirs := make([]geom.Vec3, k)
 	for i := range dirs {
-		if dirs[i] != again[i] {
-			t.Fatal("RandomSphere not deterministic for same seed")
-		}
+		phi := (float64(i)+0.25)/float64(k)*2*math.Pi + 0.1
+		dirs[i] = geom.Vec3{X: math.Cos(phi), Y: math.Sin(phi), Z: 0}
 	}
-	if _, err := RandomSphere(0, 1); err == nil {
-		t.Fatal("RandomSphere(0) did not error")
-	}
+	return dirs, nil
 }
 
 func TestAxes2D(t *testing.T) {

@@ -13,8 +13,8 @@
 //   - Xoshiro256: the xoshiro256** generator, the workhorse used by all
 //     randomized algorithms in this repository.
 //
-// Derived streams (see New and (*Source).Fork) let each mesh, direction set
-// and algorithm invocation draw from statistically independent sequences
+// Derived streams (see New and (*Source).Substream) let each mesh, direction
+// set and algorithm invocation draw from statistically independent sequences
 // while remaining a pure function of the master experiment seed.
 package rng
 
@@ -41,8 +41,8 @@ func (s *SplitMix64) Next() uint64 {
 }
 
 // Source is a xoshiro256** pseudo-random generator. It is not safe for
-// concurrent use; Fork per goroutine instead, which is both faster and
-// reproducible regardless of scheduling order.
+// concurrent use; derive a Substream per goroutine instead, which is both
+// faster and reproducible regardless of scheduling order.
 type Source struct {
 	s [4]uint64
 }
@@ -64,18 +64,10 @@ func New(seed uint64) *Source {
 	return &src
 }
 
-// Fork derives a new independent Source from r. The child stream is a pure
-// function of r's current state, and advancing r afterwards does not affect
-// the child. Fork is the supported way to hand generators to goroutines.
-func (r *Source) Fork() *Source {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 // Substream derives the i-th member of a family of independent child
 // streams as a pure function of r's *current* state and i, without
-// advancing r. Unlike Fork (which consumes a draw per child, making child
-// identity depend on call order), Substream(i) gives the same stream no
-// matter when — or from which goroutine's loop iteration — it is derived.
+// advancing r: Substream(i) gives the same stream no matter when — or from
+// which goroutine's loop iteration — it is derived.
 // This is the primitive behind per-direction randomness in parallel
 // regions: draws are identical at Workers=1 and Workers=N because each
 // direction's stream depends only on (parent state, direction index).

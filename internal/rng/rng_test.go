@@ -56,31 +56,6 @@ func TestSourceDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Fork()
-	// Child must be unaffected by further parent draws.
-	childCopy := *child
-	for i := 0; i < 10; i++ {
-		parent.Uint64()
-	}
-	for i := 0; i < 100; i++ {
-		if child.Uint64() != childCopy.Uint64() {
-			t.Fatalf("child stream affected by parent draws at %d", i)
-		}
-	}
-}
-
-func TestForkReproducible(t *testing.T) {
-	c1 := New(9).Fork()
-	c2 := New(9).Fork()
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatalf("forks of identical parents diverged at %d", i)
-		}
-	}
-}
-
 func TestSubstreamPureOfStateAndIndex(t *testing.T) {
 	// Same parent state + same index => same stream, independent of the
 	// order substreams are derived in and of later parent draws.
@@ -265,17 +240,6 @@ func TestQuickIntnAlwaysInRange(t *testing.T) {
 		r := New(seed)
 		v := r.Intn(n)
 		return v >= 0 && v < n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickForkDeterministic(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := New(seed).Fork().Uint64()
-		b := New(seed).Fork().Uint64()
-		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -125,9 +125,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Collector returns the server-wide metrics collector.
-func (s *Server) Collector() *obs.Collector { return s.col }
-
 // CacheTrace reports which tiers served a request. Inner tiers are
 // only consulted (and reported) when the outer tier missed.
 type CacheTrace struct {

@@ -80,7 +80,7 @@ func postScheduleClient(t *testing.T, client *http.Client, base string, spec any
 }
 
 func counterValue(s *Server, name string) int64 {
-	return s.Collector().Counter(name).Value()
+	return s.col.Counter(name).Value()
 }
 
 // TestScheduleColdWarm is the headline cache contract: the first

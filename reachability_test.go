@@ -33,12 +33,11 @@ import (
 	"testing"
 )
 
-// The four reasons an unreferenced declaration may stay.
+// The two reasons an unreferenced declaration may stay. A helper only its
+// own package's tests use belongs in that package's _test.go files.
 const (
-	oracle   = "auditor/oracle entry point"
-	reserved = "paper helper reserved by a ROADMAP item"
-	iface    = "satisfies an interface"
-	input    = "input or probe of another declaration's tests"
+	oracle = "auditor/oracle entry point"
+	input  = "input or probe of another package's tests"
 )
 
 // reachabilityAllow is the whole allowlist: declaration (package path under
@@ -56,21 +55,9 @@ var reachabilityAllow = map[string][2]string{
 	"verify.Tasks":                    {oracle, "audit of raw proc/start slices: the only form that can express a split cell"},
 	"leakcheck.Check":                 {oracle, "goroutine-leak audit at the end of every executor, fault and service test"},
 	"coloring.Validate":               {oracle, "properness check every colouring produced in coloring's tests passes through"},
-	"core.ChernoffUpper":              {reserved, "the paper's theorems as tests: Lemma 1(a)'s upper-tail bound"},
-	"core.F":                          {reserved, "the paper's theorems as tests: Lemma 1(b)'s load threshold F(μ, p)"},
-	"core.ExpectedMaxLoadBound":       {reserved, "the paper's theorems as tests: Corollary 2(b)'s expected maximum bin load (and equation (3)'s H under it)"},
-	"opt.ExactGivenAssignment":        {reserved, "the paper's theorems as tests: true optimum under a fixed assignment, for true-ratio tests"},
-	"opt.TrueRatio":                   {reserved, "the paper's theorems as tests: makespan over the enumerated optimum on tiny instances"},
-	"kba.IdealMakespan":               {reserved, "optimal references at scale: the closed-form KBA stage count to print beside the measured makespan"},
-	"kba.SchedulePipelined":           {reserved, "optimal references at scale, the DOG ordering: the only depth-of-graph angleset ordering in the tree"},
-	"quadrature.AnglesetsByOctant":    {input, "octant groups for the heuristics, kba and sched angleset tests and benchmarks"},
-	"quadrature.RandomSphere":         {input, "unrelated directions, §2's non-geometric stress input"},
-	"quadrature.Axes2D":               {input, "planar directions for the sign-grouping tests"},
+	"quadrature.AnglesetsByOctant":    {input, "octant groups for the heuristics and sched angleset tests and benchmarks"},
 	"quadrature.SNWeights":            {input, "the weighted S_N set transport's tests integrate the flux with"},
-	"rng.Source.Fork":                 {input, "the order-dependent derivation Substream's tests and doc are written against"},
-	"geom.AABB.Extent":                {input, "mesh's generator tests measure the box they asked for with it"},
 	"faults.Plan.CrashOnly":           {input, "precondition of the crash-only plans in the faults and transport tests"},
-	"service.Server.Collector":        {input, "counter probe of the service tests (cache tiers, coalescing, admission)"},
 }
 
 // decl is one package-level declaration or method in a non-test file.
@@ -367,12 +354,12 @@ func TestInternalReachability(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("allowlist entry %s names no declaration", key)
 		}
-		if why[0] != oracle && why[0] != reserved && why[0] != iface && why[0] != input || why[1] == "" {
-			t.Errorf("allowlist entry %s needs one of the four classes and a reason", key)
+		if why[0] != oracle && why[0] != input || why[1] == "" {
+			t.Errorf("allowlist entry %s needs a class, oracle or input (of another package's tests), and a reason", key)
 		}
 	}
-	if len(reachabilityAllow) > 40 {
-		t.Errorf("allowlist has %d entries, at most 40: delete code, not the limit", len(reachabilityAllow))
+	if len(reachabilityAllow) > 20 {
+		t.Errorf("allowlist has %d entries, at most 20: delete code, not the limit", len(reachabilityAllow))
 	}
 	if len(dead) > 0 {
 		sort.Strings(dead)
