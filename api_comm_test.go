@@ -1,6 +1,7 @@
 package sweepsched
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,49 @@ func TestProcessorMatchesAssignment(t *testing.T) {
 		pr := res.Processor(cell)
 		if pr < 0 || pr >= p.M() {
 			t.Fatalf("cell %d on processor %d", cell, pr)
+		}
+	}
+}
+
+// TestStretchedScheduleExecutesInBoundedMemory: a comm-delay schedule's
+// makespan can be a thousand times its task count — here 2,520 tasks on
+// 64 processors with a delay of 65,536 steps per cross edge — and no
+// executor may size a table by processors × steps (that table alone was
+// 688 MB here). The simulation and the serial solve each allocate under
+// 16 MB.
+func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
+	const budget = 16 << 20
+	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ScheduleComm(RandomDelaysPriority, ScheduleOptions{Seed: 1}, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := len(res.Schedule.Start)
+	if res.Metrics.Makespan < 500*tasks {
+		t.Fatalf("makespan %d is not stretched past 500× the %d tasks", res.Metrics.Makespan, tasks)
+	}
+	for _, run := range []struct {
+		name string
+		f    func() error
+	}{
+		{"Simulate", func() error { _, err := p.Simulate(res); return err }},
+		{"SolveTransport", func() error {
+			_, err := p.SolveTransport(res, TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 2})
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run.f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+			t.Fatalf("%s allocated %d bytes for %d tasks over %d steps (budget %d)", run.name, got, tasks, res.Metrics.Makespan, budget)
 		}
 	}
 }

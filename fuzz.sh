@@ -25,5 +25,6 @@ FuzzWeightedEquivalence ./internal/sched
 FuzzWeightedMachineDifferential ./internal/sched
 FuzzStepCoreEquivalence ./internal/sched
 FuzzFluxBatchCodec ./internal/procrun
+FuzzOutboxMatchesReference ./internal/comm
 FuzzKWayEquivalence ./internal/partition
 TARGETS

@@ -77,14 +77,15 @@ func NewOutbox(m int) *Outbox {
 
 // Add counts one logical message for destination to, consumed no later
 // than step due (NoDue if it has no scheduled consumer this epoch), into
-// its open envelope.
+// its open envelope. It does not branch on the deadline: whether a
+// message is its envelope's earliest is a coin flip the branch predictor
+// loses, and taking the minimum regardless leaves the same state, since
+// next is never above an open envelope's MinDue.
 func (o *Outbox) Add(to, due int32) {
 	e := &o.env[to]
 	e.n++
-	if due < e.minDue {
-		e.minDue = due
-		o.next = min(o.next, due)
-	}
+	e.minDue = min(e.minDue, due)
+	o.next = min(o.next, due)
 }
 
 // FlushDue transmits every envelope whose deadline has arrived (MinDue ≤

@@ -4,9 +4,10 @@
 // (sched.RecvTable, laid out in the order the bodies run them), the done
 // marks, the per-processor acks, the interconnect (deadline-driven
 // envelopes, or one transmission per message) and the traffic accounting,
-// and has the one step body (Step: every live processor's row of a step
-// in one loop, the cell balance inline) and the one hand-over of a flux
-// (hand). Every executor is this machine: the parallel transport solve
+// and has the one step body (Step: one loop over the step's positions of
+// the step table, where the live processors' rows lie side by side, the
+// cell balance inline) and the one hand-over of a flux (hand). Every
+// executor is this machine: the parallel transport solve
 // sweeps it (Sweep), a simulation being its dependency-only case
 // (transport.DependencyOnly), the fault engine (internal/faults)
 // runs its epochs on it, and under internal/procrun its processors are
@@ -124,6 +125,8 @@ type Machine struct {
 	outbox  *comm.Outbox
 	flushed []int32 // the destinations whose envelopes the last OpenStep shipped
 	ctr     comm.Counters
+	runs    []bool  // per processor: live and not stopped short, during Step
+	due     []int32 // Route's scratch: per receive slot, its deadline
 }
 
 // New sets a machine up for fault-free sweeps (Sweep) of the schedule into
@@ -159,7 +162,7 @@ func (m *Machine) Observe(col *obs.Collector) { m.ctr = comm.NewCounters(col) }
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 	m.Recv.Build(inst, assign, m.Steps)
 	if len(m.Acks) != inst.M {
-		m.Acks = make([]Ack, inst.M)
+		m.Acks, m.runs = make([]Ack, inst.M), make([]bool, inst.M)
 	}
 	if m.outbox == nil { // the first Build
 		m.outbox = comm.NewOutbox(inst.M)
@@ -176,22 +179,37 @@ func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 // that pair and must arrive for the earliest one not yet durable —
 // comm.NoDue when all of them are. (With a Drop on a sibling edge the
 // oracle's surviving delivery serves both; the envelope must be as early.)
+// One pass takes each slot's minimum over its out-entries, a second
+// writes it to them.
 func (m *Machine) Route(start []int32, durable []bool) {
-	for i := range int32(len(m.Psi)) {
-		t := m.Recv.Task(i)
-		sent := durable != nil && durable[t]
-		out := m.Recv.Out(i) // a producer's entries: each of its slots' are among them
+	if slots := int(m.Recv.Slots()); cap(m.due) < slots {
+		m.due = make([]int32, slots)
+	} else {
+		m.due = m.due[:slots]
+	}
+	due := m.due
+	for s := range due {
+		due[s] = comm.NoDue
+	}
+	positions := int32(len(m.Psi))
+	for i := range positions {
+		t, _, _ := m.Recv.At(i)
+		if durable != nil && durable[t] {
+			for _, o := range m.Recv.Out(i) {
+				m.Recv.Deliver(o.Slot, m.Psi[t], 0)
+			}
+			continue
+		}
+		for _, o := range m.Recv.Out(i) {
+			if durable == nil || !durable[o.Consumer] {
+				due[o.Slot] = min(due[o.Slot], start[o.Consumer])
+			}
+		}
+	}
+	for i := range positions {
+		out := m.Recv.Out(i)
 		for j := range out {
-			out[j].Due = comm.NoDue
-			if sent {
-				m.Recv.Deliver(out[j].Slot, m.Psi[t], 0)
-				continue
-			}
-			for _, o := range out {
-				if o.Slot == out[j].Slot && (durable == nil || !durable[o.Consumer]) {
-					out[j].Due = min(out[j].Due, start[o.Consumer])
-				}
-			}
+			out[j].Due = due[out[j].Slot]
 		}
 	}
 }
@@ -221,48 +239,59 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 	return &RouteError{Task: t, To: to}
 }
 
-// Step is the only step body there is: the rows of the given step of
-// every live processor, in ascending processor order, in one loop. Every
-// route was resolved by Build, in the order the bodies run: an upwind flux
-// is read at the producer's task id, which must be done, or in a receive
-// slot, where it must be visible; the task's flux is the cell balance of
-// their average, and a completed task is marked done and hands its
-// cross-processor fluxes over. Each processor's ack is written once; what
-// stops it short (a local input not done, a flux not received) ends its
-// row, not the step.
+// Step is the only step body there is: one loop over the positions of
+// the step (Steps.Span), which hold every processor's row of it in
+// ascending processor order. A position whose processor is not live, or
+// whose row already stopped short, is skipped. Every route was resolved
+// by Build, in the order the loop runs: an upwind flux is read at the
+// producer's task id, which must be done, or in a receive slot, where it
+// must be visible; the task's flux is the cell balance of their average,
+// and a completed task is marked done and hands its cross-processor
+// fluxes over. Each live processor's ack is written once, reset before
+// the loop; what stops a row short (a local input not done, a flux not
+// received) ends that row, not the step, so an account is a prefix of
+// its row.
 func (m *Machine) Step(step int32) {
-	psi, done, q, denom := m.Psi, m.Done, m.Q, m.Denom
+	psi, done, q, denom, runs := m.Psi, m.Done, m.Q, m.Denom, m.runs
 	n := int32(len(q))
 	for _, p := range m.Procs {
-		a := &m.Acks[p]
-		*a = Ack{StallTask: -1, StallMiss: -1}
-		lo, hi := m.Steps.Row(p, step)
-	row:
-		for i := lo; i < hi; i++ {
-			t := m.Recv.Task(i)
-			inflow := 0.0
-			in := m.Recv.In(i)
-			for _, x := range in {
-				if x >= 0 { // a local producer's task id
-					if !done[x] {
-						a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
-						break row
-					}
-					inflow += psi[x]
-					continue
-				}
-				val, have := m.Recv.Load(^x, step)
-				if !have {
-					a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
-					break row
-				}
-				inflow += val
-			}
-			if len(in) > 0 {
-				inflow /= float64(len(in))
-			}
-			m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
+		m.Acks[p] = Ack{StallTask: -1, StallMiss: -1}
+		runs[p] = true
+	}
+	lo, hi := m.Steps.Span(step)
+tasks:
+	for i := lo; i < hi; i++ {
+		t, p, in := m.Recv.At(i)
+		if !runs[p] {
+			continue
 		}
+		a := &m.Acks[p]
+		inflow := 0.0
+		for _, x := range in {
+			if x >= 0 { // a local producer's task id
+				if !done[x] {
+					a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
+					runs[p] = false
+					continue tasks
+				}
+				inflow += psi[x]
+				continue
+			}
+			val, have := m.Recv.Load(^x, step)
+			if !have {
+				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
+				runs[p] = false
+				continue tasks
+			}
+			inflow += val
+		}
+		if len(in) > 0 {
+			inflow /= float64(len(in))
+		}
+		m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
+	}
+	for _, p := range m.Procs {
+		runs[p] = false
 	}
 }
 
@@ -282,22 +311,23 @@ func (m *Machine) complete(a *Ack, i int32, t sched.TaskID, step int32, val floa
 		}
 		return
 	}
-	for _, o := range out {
-		m.hand(t, o.To, o.Slot, o.Due, val, step+1)
-	}
+	m.hand(t, out, val, step+1)
 }
 
-// hand is the one hand-over of a flux: into its receive slot (or onto the
-// Wire), visible from step from, and, batched, counted into its
-// destination's envelope, due at step due.
-func (m *Machine) hand(t sched.TaskID, to, slot, due int32, psi float64, from int32) {
-	if m.Wire != nil {
-		m.Wire(to, t, psi)
-	} else {
-		m.Recv.Deliver(slot, psi, from)
-	}
-	if !m.NoBatch {
-		m.outbox.Add(to, due)
+// hand is the one hand-over of a flux, task t's over the given edges: into
+// each one's receive slot (or onto the Wire), visible from step from, and,
+// batched, counted into its destination's envelope, due at the edge's Due.
+// It takes a task's edges at once so that a message costs no call.
+func (m *Machine) hand(t sched.TaskID, out []sched.OutEdge, psi float64, from int32) {
+	for _, o := range out {
+		if m.Wire != nil {
+			m.Wire(o.To, t, psi)
+		} else {
+			m.Recv.Deliver(o.Slot, psi, from)
+		}
+		if !m.NoBatch {
+			m.outbox.Add(o.To, o.Due)
+		}
 	}
 }
 
@@ -358,7 +388,9 @@ func (m *Machine) Flushed() []int32 { return m.flushed }
 
 // Hand gives the interconnect one message from outside the bodies (a
 // delayed one that matured): visible from step at, and due then.
-func (m *Machine) Hand(x sched.Send, at int32) { m.hand(x.Task, x.To, x.Slot, at, x.Psi, at) }
+func (m *Machine) Hand(x sched.Send, at int32) {
+	m.hand(x.Task, []sched.OutEdge{{To: x.To, Slot: x.Slot, Due: at}}, x.Psi, at)
+}
 
 // StallError is how CloseStep reports a step in which no processor erred
 // but at least one could not run a task for want of a cross-processor
@@ -383,7 +415,7 @@ func (e *StallError) Error() string {
 // one is missing a flux.
 func (m *Machine) CloseStep(step int32) error {
 	for _, x := range m.Sent {
-		m.hand(x.Task, x.To, x.Slot, x.Due, x.Psi, step+1)
+		m.hand(x.Task, []sched.OutEdge{{To: x.To, Slot: x.Slot, Due: x.Due}}, x.Psi, step+1)
 	}
 	m.Sent = m.Sent[:0]
 	var sent, stepMax int32

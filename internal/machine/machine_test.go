@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/dag"
@@ -208,6 +209,50 @@ func TestRoutePlacesDurableFluxesAndSkipsTheirDeadlines(t *testing.T) {
 	}
 	if m.Comm.Messages != 1 { // only 2 → 3: task 0's and 4's were placed, not sent
 		t.Fatalf("%d messages, want 1", m.Comm.Messages)
+	}
+}
+
+// TestRouteIsLinearInAProducersFanOut: a star whose centre, on processor
+// 0, feeds 32,768 consumers on processor 1 — one receive slot behind
+// 32,768 out-entries — goes through New and a Route with half of them
+// durable in well under a second, and the slot is due at its earliest
+// consumer that is not durable each time. A Route that rescans a
+// producer's entries for every entry takes seconds here.
+func TestRouteIsLinearInAProducersFanOut(t *testing.T) {
+	const fan = 1 << 15
+	edges := make([][2]int32, fan)
+	for c := range edges {
+		edges[c] = [2]int32{0, int32(c + 1)}
+	}
+	d, err := dag.FromEdges(fan+1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs([]*dag.DAG{d}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{Inst: inst, Assign: make(sched.Assignment, fan+1), Start: make([]int32, fan+1), Makespan: fan + 1}
+	for c := 1; c <= fan; c++ {
+		s.Assign[c], s.Start[c] = 1, int32(c)
+	}
+	durable := make([]bool, fan+1)
+	for c := 1; c <= fan/2; c++ {
+		durable[c] = true
+	}
+	begin := time.Now()
+	m, err := New(s, false, make([]float64, fan+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dues := []int32{m.Recv.Out(m.Recv.Pos(0))[fan-1].Due}
+	m.Route(s.Start, durable)
+	dues = append(dues, m.Recv.Out(m.Recv.Pos(0))[0].Due)
+	if elapsed := time.Since(begin); elapsed > time.Second {
+		t.Fatalf("New and Route took %v for a fan-out of %d", elapsed, fan)
+	}
+	if dues[0] != 1 || dues[1] != fan/2+1 {
+		t.Fatalf("the centre's slot due at %v, want [1 %d]", dues, fan/2+1)
 	}
 }
 

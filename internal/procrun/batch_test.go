@@ -285,10 +285,11 @@ func BenchmarkProcRunCommUnbatched(b *testing.B) {
 }
 
 // TestWorkerRejectsMalformedEpochFrames: an epoch frame states its
-// makespan as a bare number, and the worker sizes its step table by it, so
-// a corrupt one must be refused before anything is allocated — as must a
-// start step the stated makespan does not cover. The well-formed frame is
-// accepted.
+// makespan as a bare number, which must be a step the machine can number
+// (an int32), and cover every start step. The well-formed frame is
+// accepted, and so is one whose makespan is far past its starts: the
+// worker's step table is sized by the tasks the frame carries, not by the
+// makespan.
 func TestWorkerRejectsMalformedEpochFrames(t *testing.T) {
 	s, _ := testSetup(t, testSpec())
 	inst := s.Inst
@@ -312,7 +313,8 @@ func TestWorkerRejectsMalformedEpochFrames(t *testing.T) {
 	}{
 		{"well-formed", uint32(s.Makespan), s.Start, ""},
 		{"makespan 2^32-1", ^uint32(0), s.Start, "claims a makespan"},
-		{"makespan just over the frame cap", uint32(maxFrame/4/inst.M + 1), s.Start, "claims a makespan"},
+		{"makespan 2^31, one past the int32 steps", 1 << 31, s.Start, "claims a makespan"},
+		{"makespan 2^31-1, far past the starts", 1<<31 - 1, s.Start, ""},
 		{"start at the makespan", uint32(s.Makespan), late, "makespan is"},
 	} {
 		w := &worker{inst: inst}

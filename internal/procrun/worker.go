@@ -2,6 +2,7 @@ package procrun
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -314,10 +315,10 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 		len(done) != w.inst.NTasks() || len(psi) != w.inst.NTasks() {
 		return nil, fmt.Errorf("procrun: epoch frame shapes do not match the instance")
 	}
-	// The step table is sized by m·makespan, a number the frame states but
-	// does not carry: hold it to what a frame could carry, so a corrupt
-	// frame cannot make the worker allocate more than maxFrame allows.
-	if makespan > maxFrame/4/w.inst.M {
+	// The step table is sized by the tasks the frame carries, not by the
+	// makespan it states, which only bounds the starts; a step is an int32,
+	// and so must the makespan be.
+	if makespan > math.MaxInt32 {
 		return nil, fmt.Errorf("procrun: epoch frame claims a makespan of %d steps for %d processors", makespan, w.inst.M)
 	}
 	s := &sched.Schedule{Inst: w.inst, Assign: assign, Start: start, Makespan: makespan}

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file holds the tables of the modelled machine (internal/machine),
@@ -16,13 +18,23 @@ import (
 
 // StepTable groups a schedule's not-yet-done tasks by (processor, start
 // step) in one flat CSR array: no hashing on the executors' hot path,
-// and rows of one step are adjacent in memory. The zero value is ready
-// for Build, and Build reuses the table's storage, so an executor that
-// regroups every epoch allocates only when an epoch is larger than any
-// before it.
+// and rows of one step are adjacent in memory. A row's key is step·m +
+// processor, and the offsets are kept per bucket of 2^shift keys, no
+// more buckets than four times the tasks plus m, so the table costs
+// O(tasks + m) whatever the makespan is — a schedule stretched by comm
+// delays or release floors has far more (processor, step) pairs than
+// tasks. When m·makespan is within that count, as for a list schedule
+// that keeps a quarter of its processors busy, a bucket is one key and
+// the offsets are the dense per-row ones; otherwise the table also keeps
+// each task's key, and finding a row searches the few tasks of its
+// bucket. The zero value is ready for Build, and Build reuses the
+// table's storage, so an executor that regroups every epoch allocates
+// only when an epoch is larger than any before it.
 type StepTable struct {
 	m, steps int
-	off      []int32 // row (step, p) is tasks[off[step*m+p]:off[step*m+p+1]]
+	shift    uint
+	off      []int32  // bucket k is tasks[off[k]:off[k+1]]: the tasks whose key>>shift is k
+	keys     []uint64 // per task, its key (shift > 0 only)
 	tasks    []TaskID
 }
 
@@ -32,57 +44,75 @@ type StepTable struct {
 // schedules over a mutated assignment); done may be nil (group
 // everything). It is an error for a not-done task to be unscheduled
 // (Start < 0) or to start at or after the makespan — the executor was
-// handed a schedule that does not cover its work.
+// handed a schedule that does not cover its work. The tasks are counted
+// into their buckets and placed in TaskID order; a bucket of more than
+// one key is then sorted by key.
 func (g *StepTable) Build(s *Schedule, assign Assignment, done []bool) error {
 	inst := s.Inst
 	if assign == nil {
 		assign = s.Assign
 	}
 	g.m, g.steps = inst.M, s.Makespan
-	rows := g.m * g.steps
-	g.off = grow(g.off, rows+1)
-	clear(g.off)
-	n, k := inst.N(), inst.K()
+	n, m := inst.N(), uint64(inst.M)
 	live := 0
-	for i := 0; i < k; i++ {
-		for v := 0; v < n; v++ {
-			t := i*n + v
-			if done != nil && done[t] {
-				continue
-			}
-			st := int(s.Start[t])
-			if st < 0 {
-				return fmt.Errorf("sched: task %d unscheduled (start < 0)", t)
-			}
-			if st >= g.steps {
-				return fmt.Errorf("sched: task %d starts at step %d, makespan is %d", t, st, g.steps)
-			}
-			g.off[st*g.m+int(assign[v])+1]++
-			live++
+	for t := range inst.NTasks() {
+		if done != nil && done[t] {
+			continue
+		}
+		st := int(s.Start[t])
+		if st < 0 {
+			return fmt.Errorf("sched: task %d unscheduled (start < 0)", t)
+		}
+		if st >= g.steps {
+			return fmt.Errorf("sched: task %d starts at step %d, makespan is %d", t, st, g.steps)
+		}
+		live++
+	}
+
+	// The narrowest buckets there are at most 4·live + m of. Each bucket's
+	// tasks are counted one bucket on, so that the sum leaves off[b] at
+	// where bucket b begins; the scatter uses it as the bucket's cursor,
+	// which leaves it at where bucket b+1 begins, so it shifts back.
+	top := m*uint64(max(g.steps, 1)) - 1 // the largest key there can be
+	g.shift = 0
+	for top>>g.shift >= uint64(4*live+inst.M) {
+		g.shift++
+	}
+	buckets := int(top>>g.shift) + 1
+	g.off = grow(g.off, buckets+1)
+	clear(g.off)
+	key := func(t int) uint64 { return uint64(s.Start[t])*m + uint64(assign[t%n]) }
+	for t := range inst.NTasks() {
+		if done == nil || !done[t] {
+			g.off[key(t)>>g.shift+1]++
 		}
 	}
-	for r := 0; r < rows; r++ {
-		g.off[r+1] += g.off[r]
+	for b := 1; b <= buckets; b++ {
+		g.off[b] += g.off[b-1]
 	}
-	if cap(g.tasks) < live {
-		g.tasks = make([]TaskID, live)
-	}
-	g.tasks = g.tasks[:live]
-	// Place in ascending TaskID order, using off[r] as row r's cursor;
-	// afterwards off[r] is the end of row r, so shift it back one row.
-	for i := 0; i < k; i++ {
-		for v := 0; v < n; v++ {
-			t := i*n + v
-			if done != nil && done[t] {
-				continue
-			}
-			r := int(s.Start[t])*g.m + int(assign[v])
-			g.tasks[g.off[r]] = TaskID(t)
-			g.off[r]++
+	g.tasks = grow(g.tasks, live)
+	for t := range inst.NTasks() {
+		if done == nil || !done[t] {
+			b := key(t) >> g.shift
+			g.tasks[g.off[b]] = TaskID(t)
+			g.off[b]++
 		}
 	}
-	copy(g.off[1:], g.off[:rows])
+	copy(g.off[1:], g.off[:buckets])
 	g.off[0] = 0
+	if g.shift == 0 {
+		return nil
+	}
+	// A bucket holds several keys: order its tasks by key, stably, so that
+	// a row stays in TaskID order.
+	g.keys = grow(g.keys, live)
+	for b := range buckets {
+		bucket := g.tasks[g.off[b]:g.off[b+1]]
+		slices.SortStableFunc(bucket, func(x, y TaskID) int { return cmp.Compare(key(int(x)), key(int(y))) })
+		for i, t := range bucket {
+			g.keys[int(g.off[b])+i] = key(int(t))
+		}
+	}
 	return nil
 }
 
@@ -96,14 +126,43 @@ func (g *StepTable) Steps() int32 { return int32(g.steps) }
 func (g *StepTable) Order() []TaskID { return g.tasks }
 
 // Row returns the positions of the tasks processor p starts at the given
-// step: they are Order()[lo:hi], in ascending TaskID order. A step outside
-// [0, Steps()) has none.
+// step: they are Order()[lo:hi], in ascending TaskID order (lo = hi, where
+// they would be, for none). A step outside [0, Steps()) has none, at 0.
 func (g *StepTable) Row(p, step int32) (lo, hi int32) {
 	if step < 0 || int(step) >= g.steps {
 		return 0, 0
 	}
-	r := int(step)*g.m + int(p)
-	return g.off[r], g.off[r+1]
+	key := uint64(step)*uint64(g.m) + uint64(p)
+	return g.at(key), g.at(key + 1)
+}
+
+// Span returns the positions of every task the step starts, all
+// processors' rows in ascending processor order: Order()[lo:hi], from
+// Row(0, step)'s lo to Row(m-1, step)'s hi. A step outside [0, Steps())
+// has none, at 0.
+func (g *StepTable) Span(step int32) (lo, hi int32) {
+	if step < 0 || int(step) >= g.steps {
+		return 0, 0
+	}
+	key := uint64(step) * uint64(g.m)
+	return g.at(key), g.at(key + uint64(g.m))
+}
+
+// at returns the position of the first task whose key is key or more, key
+// at most m·Steps().
+func (g *StepTable) at(key uint64) int32 {
+	if g.shift == 0 { // a bucket per key
+		return g.off[key]
+	}
+	return g.search(key)
+}
+
+// search is at over buckets of several keys.
+func (g *StepTable) search(key uint64) int32 {
+	k := key >> g.shift // at most the number of buckets
+	lo, hi := g.off[k], g.off[min(k+1, uint64(len(g.off)-1))]
+	j, _ := slices.BinarySearch(g.keys[lo:hi], key)
+	return lo + int32(j)
 }
 
 // Tasks returns the tasks processor p starts at the given step, in
@@ -130,7 +189,7 @@ func (g *StepTable) Tasks(p, step int32) []TaskID {
 // gathering them task by task. Pos maps a task to its position for those
 // that arrive by name (a flux off the wire, a durable producer). Nobody
 // searches on the hot path: the consumer addresses its inputs by position
-// (In), the producer its cross edges (Out), and each out-entry names the
+// (At), the producer its cross edges (Out), and each out-entry names the
 // slot its flux goes into and the deadline of that slot. A step body
 // therefore needs the DAGs and the assignment for nothing.
 //
@@ -160,10 +219,12 @@ type recvSlot struct {
 	from uint32
 }
 
-// route is one position: its task, and where its entries begin — position
-// i's are in[at[i].in:at[i+1].in] and out[at[i].out:at[i+1].out].
+// route is one position: its task, the task's processor, and where its
+// entries begin — position i's are in[at[i].in:at[i+1].in] and
+// out[at[i].out:at[i+1].out].
 type route struct {
 	task    TaskID
+	proc    int32
 	in, out int32
 }
 
@@ -195,13 +256,14 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 	for t := range r.pos {
 		r.pos[t] = -1
 	}
+	n := inst.N()
 	for i, t := range order {
-		r.at[i].task, r.pos[t] = t, int32(i)
+		r.at[i].task, r.at[i].proc, r.pos[t] = t, assign[int(t)%n], int32(i)
 	}
 	next := int32(len(order))
 	for t, i := range r.pos {
 		if i < 0 {
-			r.at[next].task, r.pos[t] = TaskID(t), next
+			r.at[next].task, r.at[next].proc, r.pos[t] = TaskID(t), assign[t%n], next
 			next++
 		}
 	}
@@ -214,7 +276,6 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 	// scatter into positions. The first counts each position's entries —
 	// its upwind edges, its cross-processor out-edges — one position on,
 	// so that the sum below leaves at[i] at where position i's begin.
-	n := inst.N()
 	for dir, d := range inst.DAGs {
 		base := dir * n
 		for v := range int32(n) {
@@ -246,6 +307,9 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 	// (dag mirrors the out-lists to build them). at[i].in is position i's
 	// cursor until the shift after the pass. A producer's slot for a
 	// destination is found once, not once per edge.
+	if cap(r.prod) < len(r.out) { // a slot per cross edge at most
+		r.prod = make([]TaskID, 0, len(r.out))
+	}
 	r.prod = r.prod[:0]
 	for dir, d := range inst.DAGs {
 		base := TaskID(dir * n)
@@ -286,22 +350,25 @@ func (r *RecvTable) Build(inst *Instance, assign Assignment, steps *StepTable) {
 	r.base = 1
 }
 
-// In returns, for each upwind edge of the task at position i in the DAG's
-// In order, where its flux is read: the producer's task id when the
-// producer is a cell of the task's own processor (the flux is read where
-// it was written), or ^slot for Load when it arrives over the
-// interconnect. The slice aliases the table.
-func (r *RecvTable) In(i int32) []int32 { return r.in[r.at[i].in:r.at[i+1].in] }
-
 // Out returns the cross-processor edges of the task at position i in the
 // DAG's Out order: one logical message each. The slice aliases the table.
 func (r *RecvTable) Out(i int32) []OutEdge { return r.out[r.at[i].out:r.at[i+1].out] }
 
-// Task returns the task at position i.
-func (r *RecvTable) Task(i int32) TaskID { return r.at[i].task }
+// At returns the task at position i, its processor, and, for each of
+// its upwind edges in the DAG's In order, where the edge's flux is read:
+// the producer's task id when the producer is a cell of the task's own
+// processor (the flux is read where it was written), or ^slot for Load
+// when it arrives over the interconnect. The slice aliases the table.
+func (r *RecvTable) At(i int32) (t TaskID, p int32, in []int32) {
+	x, y := &r.at[i], &r.at[i+1]
+	return x.task, x.proc, r.in[x.in:y.in]
+}
 
 // Pos returns the position of task t.
 func (r *RecvTable) Pos(t TaskID) int32 { return r.pos[t] }
+
+// Slots returns the number of receive slots; they are numbered from 0.
+func (r *RecvTable) Slots() int32 { return int32(len(r.prod)) }
 
 // Producer returns the task whose flux arrives in the slot.
 func (r *RecvTable) Producer(slot int32) TaskID { return r.prod[slot] }

@@ -58,6 +58,78 @@ func checkAgainstRef(t *testing.T, g *StepTable, s *Schedule, assign Assignment,
 	if g.Tasks(0, -1) != nil || g.Tasks(0, int32(s.Makespan)) != nil {
 		t.Fatal("a step outside the table has tasks")
 	}
+	for st := int32(0); st < int32(s.Makespan); st++ {
+		checkSpan(t, g, st)
+	}
+}
+
+// checkSpan holds Span(step) to the step's rows: from processor 0's row's
+// start to processor m-1's row's end, every row between them adjacent.
+func checkSpan(t *testing.T, g *StepTable, step int32) {
+	t.Helper()
+	lo, hi := g.Span(step)
+	at := lo
+	for p := int32(0); p < int32(g.m); p++ {
+		rlo, rhi := g.Row(p, step)
+		if rlo != at || rhi < rlo {
+			t.Fatalf("step %d: processor %d's row is [%d, %d), the step's rows reach %d", step, p, rlo, rhi, at)
+		}
+		at = rhi
+	}
+	if at != hi {
+		t.Fatalf("step %d: Span is [%d, %d), its rows end at %d", step, lo, hi, at)
+	}
+}
+
+// TestStepTableOnAStretchedSchedule: a list schedule with its starts
+// spread 10⁵ steps apart and a pair of tasks at the far end of the int32
+// steps groups as the map grouping does — at every start step, either
+// side of it, and at steps no task starts at — with a table of O(tasks +
+// m) entries: an index over processors × steps would be billions of them.
+func TestStepTableOnAStretchedSchedule(t *testing.T) {
+	var g StepTable
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.New(seed)
+		m := []int{1, 5, 64}[seed%3]
+		inst := testInstance(t, 2, 4, m, seed)
+		s, err := into(ListScheduleInto, inst, RandomAssignment(inst.N(), inst.M, r), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const spread = 100_000
+		for tsk := range s.Start {
+			s.Start[tsk] *= spread
+		}
+		if seed%2 == 0 { // and two tasks at the end of the int32 steps
+			s.Start[0], s.Start[len(s.Start)-1] = math.MaxInt32-2, math.MaxInt32-1
+		}
+		s.computeMakespan()
+		if err := g.Build(s, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		ref := groupStepsRef(s, nil, nil)
+		steps := map[int32]bool{0: true, int32(s.Makespan) - 1: true}
+		for _, st := range s.Start {
+			steps[st], steps[st-1], steps[st+1] = true, true, true
+		}
+		for range 50 {
+			steps[int32(r.Intn(s.Makespan))] = true
+		}
+		for st := range steps {
+			if st < 0 || int(st) >= s.Makespan {
+				continue
+			}
+			for p := int32(0); p < int32(m); p++ {
+				if got, want := g.Tasks(p, st), ref[p][st]; !sameTasks(got, want) {
+					t.Fatalf("seed %d: Tasks(%d, %d) = %v, reference grouping %v", seed, p, st, got, want)
+				}
+			}
+			checkSpan(t, &g, st)
+		}
+		if size := len(g.off) + len(g.keys) + len(g.tasks); size > 6*inst.NTasks()+m+2 {
+			t.Fatalf("seed %d: %d table entries for %d tasks on m=%d over %d steps", seed, size, inst.NTasks(), m, s.Makespan)
+		}
+	}
 }
 
 func TestStepTableCases(t *testing.T) {

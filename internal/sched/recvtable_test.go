@@ -15,7 +15,7 @@ import (
 
 // checkRecvTable holds the table to what the executors trust it for:
 // positions are the execution order given, then every other task in
-// TaskID order; every cross edge exactly once on its producer's out side,
+// TaskID order, each with its task's processor; every cross edge exactly once on its producer's out side,
 // in the DAG's Out order, naming the slot its consumer's in-side entry
 // names; every local edge read at its producer's task id; slots dense, one
 // per (producer, destination) pair.
@@ -23,9 +23,12 @@ func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assi
 	t.Helper()
 	var pos []sched.TaskID
 	for i := range int32(inst.NTasks()) {
-		tsk := r.Task(i)
+		tsk, p, _ := r.At(i)
 		if r.Pos(tsk) != i {
 			t.Fatalf("position %d holds task %d, which Pos puts at %d", i, tsk, r.Pos(tsk))
+		}
+		if v, _ := inst.Split(tsk); p != assign[v] {
+			t.Fatalf("position %d holds task %d of processor %d, not %d", i, tsk, assign[v], p)
 		}
 		pos = append(pos, tsk)
 	}
@@ -80,7 +83,7 @@ func checkRecvTable(t *testing.T, r *sched.RecvTable, inst *sched.Instance, assi
 	for i, d := range inst.DAGs {
 		base := sched.TaskID(int32(i) * n)
 		for v := int32(0); v < n; v++ {
-			in := r.In(r.Pos(base + sched.TaskID(v)))
+			_, _, in := r.At(r.Pos(base + sched.TaskID(v)))
 			if len(in) != d.InDegree(v) {
 				t.Fatalf("task %d: %d in entries for %d upwind edges", base+sched.TaskID(v), len(in), d.InDegree(v))
 			}
