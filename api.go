@@ -21,15 +21,20 @@
 // synthetic unstructured tetrahedral meshes, S_N-style direction sets, DAG
 // induction with cycle breaking, a multilevel graph partitioner, and a
 // barrier-step message-passing executor — live in internal packages and
-// are reached through this API.
+// are reached through this API. The package's Examples (quickstart,
+// transport, scaling, partitioning, nongeometric) are its worked uses;
+// go test runs each and checks its output.
+//
+// Each operation has one exported form. Only planning has a context-free
+// twin: Schedule beside ScheduleCtx, which the daemon uses to cancel plans.
 package sweepsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -121,10 +126,6 @@ func (p *Problem) blockGraph(weights CellWeights) *partition.Graph {
 	return &g
 }
 
-// MeshFamilies lists the built-in synthetic analogues of the paper's
-// meshes: tetonly, well_logging, long, prismtet.
-func MeshFamilies() []string { return mesh.FamilyNames() }
-
 // NewProblemFromFamily generates a synthetic mesh of the named family at
 // scale × its paper cell count, an S_N-style direction set with k
 // directions, and wraps them for m processors.
@@ -151,11 +152,6 @@ func NewProblemFromMesh(msh *Mesh, k, m int) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewProblemFromDirections(msh, dirs, m)
-}
-
-// NewProblemFromDirections builds a problem with explicit directions.
-func NewProblemFromDirections(msh *Mesh, dirs []Vec3, m int) (*Problem, error) {
 	inst, err := sched.NewInstance(msh, dirs, m)
 	if err != nil {
 		return nil, err
@@ -572,11 +568,6 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	return pl, nil
 }
 
-// RenderGantt writes a text Gantt chart of the result's schedule.
-func (r *Result) RenderGantt(w io.Writer, maxProcs, maxCols int) error {
-	return trace.RenderGantt(w, r.Schedule, maxProcs, maxCols)
-}
-
 // Utilization returns mean processor utilization (tasks / (m·makespan)),
 // the reciprocal of the ratio to the nk/m bound.
 func (r *Result) Utilization() float64 {
@@ -605,17 +596,12 @@ type WeightedResult struct {
 	StrongRatio float64
 }
 
-// ScheduleWeighted runs the named scheduler with per-cell processing costs
-// on the uniform machine (the paper's model is the all-ones special case).
-// RandomDelays (the layer-synchronous Algorithm 1) is not supported; use
-// the priority form.
-func (p *Problem) ScheduleWeighted(alg Scheduler, opts ScheduleOptions, weights CellWeights) (*WeightedResult, error) {
-	return p.ScheduleWeightedMachine(alg, opts, weights, nil)
-}
-
-// ScheduleWeightedMachine is ScheduleWeighted under a machine model:
-// per-processor integer speeds (duration = ceil(w/speed)) and two-level
-// hierarchical communication delays. A nil model is the uniform machine.
+// ScheduleWeightedMachine runs the named scheduler with per-cell
+// processing costs (the paper's model is the all-ones special case) on a
+// machine model: per-processor integer speeds (duration = ceil(w/speed))
+// and two-level hierarchical communication delays. A nil model is the
+// uniform machine. RandomDelays (the layer-synchronous Algorithm 1) is not
+// supported; use the priority form.
 func (p *Problem) ScheduleWeightedMachine(alg Scheduler, opts ScheduleOptions, weights CellWeights, model *MachineModel) (*WeightedResult, error) {
 	if alg == RandomDelays {
 		return nil, fmt.Errorf("sweepsched: %s is layer-synchronous and has no weighted form; use %s",
@@ -679,11 +665,25 @@ type TransportConfig = transport.Config
 // TransportResult is a converged (or iteration-capped) transport solve.
 type TransportResult = transport.Result
 
+// scheduleOf returns the schedule of res, refused when another problem
+// produced it: every method that executes a result runs the schedule's own
+// instance, so a foreign result would silently sweep the other mesh.
+func (p *Problem) scheduleOf(res *Result) (*sched.Schedule, error) {
+	if res.Schedule.Inst != p.inst {
+		return nil, errors.New("sweepsched: the result was scheduled on another problem")
+	}
+	return res.Schedule, nil
+}
+
 // SolveTransport runs the S_N transport source iteration serially, sweeping
 // the mesh in the result's schedule order. This is the application the
 // schedules exist to drive (paper §1).
 func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportResult, error) {
-	return transport.SolveCtx(context.Background(), res.Schedule, cfg)
+	s, err := p.scheduleOf(res)
+	if err != nil {
+		return nil, err
+	}
+	return transport.SolveCtx(context.Background(), s, cfg)
 }
 
 // SolveTransportParallel runs the same solve on the machine the schedule
@@ -700,7 +700,11 @@ func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportRe
 // SolveTransport, and TransportResult.Comm (the observed traffic) is the
 // same on either interconnect but for the transmissions.
 func (p *Problem) SolveTransportParallel(res *Result, cfg TransportConfig) (*TransportResult, error) {
-	return transport.SolveParallelCtx(context.Background(), res.Schedule, cfg)
+	s, err := p.scheduleOf(res)
+	if err != nil {
+		return nil, err
+	}
+	return transport.SolveParallelCtx(context.Background(), s, cfg)
 }
 
 // MultigroupConfig couples several energy groups through downscatter; see
@@ -717,7 +721,11 @@ type MultigroupResult = transport.MultigroupResult
 // problem, reusing the result's sweep schedule for every energy group (as
 // production S_N codes do — the schedule's cost is amortized G times).
 func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*MultigroupResult, error) {
-	return transport.SolveMultigroup(res.Schedule, cfg)
+	s, err := p.scheduleOf(res)
+	if err != nil {
+		return nil, err
+	}
+	return transport.SolveMultigroup(s, cfg)
 }
 
 // Simulate executes a result's schedule on the modelled machine — the
@@ -727,7 +735,15 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 // returns its independent accounting (steps, total messages = C1,
 // communication rounds = C2).
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
-	return p.SimulateCtx(context.Background(), res)
+	s, err := p.scheduleOf(res)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := transport.SolveParallelCtx(context.Background(), s, transport.DependencyOnly)
+	if err != nil {
+		return nil, err
+	}
+	return &SimulationResult{Steps: s.Makespan, TotalMessages: tr.Comm.Messages, CommRounds: tr.Comm.Rounds}, nil
 }
 
 // SimulationResult reports a distributed execution.
@@ -737,94 +753,10 @@ type SimulationResult struct {
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
 }
 
-// DirectionLevels returns the number of precedence levels in each
-// direction's DAG; the maximum is the critical-path lower bound D.
-func (p *Problem) DirectionLevels() []int {
-	out := make([]int, p.inst.K())
-	for i, d := range p.inst.DAGs {
-		out[i] = d.NumLevels
-	}
-	return out
-}
-
-// BrokenCycleEdges reports how many dependence edges were discarded per
-// direction to acyclify the induced digraphs (§3 assumes broken cycles).
-func (p *Problem) BrokenCycleEdges() []int {
-	out := make([]int, p.inst.K())
-	for i, d := range p.inst.DAGs {
-		out[i] = d.RemovedEdges
-	}
-	return out
-}
-
-// GenerateFamilyMesh exposes the synthetic mesh generator directly for
-// callers that want to inspect the mesh (cmd/meshgen, examples).
-func GenerateFamilyMesh(family string, scale float64, seed uint64) (*Mesh, error) {
-	return mesh.Family(family, scale, seed)
-}
-
-// RegularGrid returns a structured nx×ny×nz hexahedral mesh, the substrate
-// for KBA-style comparisons.
-func RegularGrid(nx, ny, nz int) *Mesh { return mesh.RegularHex(nx, ny, nz) }
-
 // EncodeTrace writes the result's schedule as a plain-text trace viewable
 // with cmd/sweepview.
 func EncodeTrace(w io.Writer, r *Result) error { return sched.EncodeTrace(w, r.Schedule) }
 
-// EncodeMesh writes a tetrahedral mesh in the plain-text sweepmesh format.
-func EncodeMesh(w io.Writer, m *Mesh) error { return mesh.Encode(w, m) }
-
 // DecodeMesh reads a sweepmesh stream and rebuilds the mesh (faces,
 // normals, adjacency).
 func DecodeMesh(r io.Reader) (*Mesh, error) { return mesh.Decode(r) }
-
-// Task identifies one unit of sweep work: cell Cell processed in direction
-// Dir.
-type Task struct {
-	Cell, Dir int
-	// Start is the schedule step at which the task runs (set by
-	// ExecutionOrder).
-	Start int
-}
-
-// ExecutionOrder returns every task sorted by scheduled start step (ties by
-// direction, then cell). Processing tasks in this order is a valid
-// execution of all sweeps: each task appears after all of its upwind
-// predecessors, which is what a solver consuming the schedule needs.
-func (r *Result) ExecutionOrder() []Task {
-	inst := r.Schedule.Inst
-	tasks := make([]Task, inst.NTasks())
-	for t := range tasks {
-		v, i := inst.Split(sched.TaskID(t))
-		tasks[t] = Task{Cell: int(v), Dir: int(i), Start: int(r.Schedule.Start[t])}
-	}
-	sort.Slice(tasks, func(a, b int) bool {
-		ta, tb := tasks[a], tasks[b]
-		if ta.Start != tb.Start {
-			return ta.Start < tb.Start
-		}
-		if ta.Dir != tb.Dir {
-			return ta.Dir < tb.Dir
-		}
-		return ta.Cell < tb.Cell
-	})
-	return tasks
-}
-
-// Upwind returns the cells immediately upwind of cell in the given
-// direction — the predecessors whose angular flux a transport solver needs
-// before solving this cell. The returned slice aliases internal storage and
-// must not be modified.
-func (p *Problem) Upwind(cell, dir int) []int32 {
-	return p.inst.DAGs[dir].In(int32(cell))
-}
-
-// Downwind returns the cells immediately downwind of cell in the given
-// direction. The returned slice aliases internal storage and must not be
-// modified.
-func (p *Problem) Downwind(cell, dir int) []int32 {
-	return p.inst.DAGs[dir].Out(int32(cell))
-}
-
-// Processor returns the processor a result assigned to the given cell.
-func (r *Result) Processor(cell int) int { return int(r.Schedule.Assign[cell]) }

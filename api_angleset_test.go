@@ -49,7 +49,7 @@ func TestScheduleAnglesetsRejections(t *testing.T) {
 			t.Fatalf("%s accepted aggregation", alg)
 		}
 	}
-	if _, err := p.ScheduleWeighted(Level, ScheduleOptions{Anglesets: 8}, LogNormalWeights(p.N(), 4, 0.5, 1)); err == nil {
+	if _, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Anglesets: 8}, LogNormalWeights(p.N(), 4, 0.5, 1), nil); err == nil {
 		t.Fatal("weighted scheduler accepted aggregation")
 	}
 	ng, err := NewProblemNonGeometric(RandomChains, 40, 4, 2, 7)

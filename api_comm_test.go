@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"sweepsched/internal/trace"
 )
 
 func TestScheduleCommBasic(t *testing.T) {
@@ -67,7 +69,7 @@ func TestScheduleCommUnknownScheduler(t *testing.T) {
 func TestResultGanttAndUtilization(t *testing.T) {
 	_, res := tinyProblem(t, RandomDelaysPriority)
 	var b strings.Builder
-	if err := res.RenderGantt(&b, 4, 30); err != nil {
+	if err := trace.RenderGantt(&b, res.Schedule, 4, 30); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "gantt:") {
@@ -83,21 +85,17 @@ func TestResultGanttAndUtilization(t *testing.T) {
 	}
 }
 
+// TestExecutionOrderTopological: processing the tasks in scheduled start
+// order is a valid execution of every sweep: each task starts after all of
+// its upwind predecessors.
 func TestExecutionOrderTopological(t *testing.T) {
 	p, res := tinyProblem(t, Level)
-	order := res.ExecutionOrder()
-	if len(order) != p.Tasks() {
-		t.Fatalf("order covers %d of %d tasks", len(order), p.Tasks())
-	}
-	pos := make(map[[2]int]int, len(order))
-	for idx, task := range order {
-		pos[[2]int{task.Cell, task.Dir}] = idx
-	}
-	for dir := 0; dir < p.K(); dir++ {
-		for cell := 0; cell < p.N(); cell++ {
-			for _, u := range p.Upwind(cell, dir) {
-				if pos[[2]int{int(u), dir}] >= pos[[2]int{cell, dir}] {
-					t.Fatalf("execution order violates upwind edge %d->%d in dir %d", u, cell, dir)
+	n, start := p.N(), res.Schedule.Start
+	for dir, d := range p.inst.DAGs {
+		for cell := 0; cell < n; cell++ {
+			for _, u := range d.In(int32(cell)) {
+				if start[dir*n+int(u)] >= start[dir*n+cell] {
+					t.Fatalf("start order violates upwind edge %d->%d in dir %d", u, cell, dir)
 				}
 			}
 		}
@@ -106,30 +104,20 @@ func TestExecutionOrderTopological(t *testing.T) {
 
 func TestUpwindDownwindMirror(t *testing.T) {
 	p, _ := tinyProblem(t, Level)
-	for dir := 0; dir < p.K(); dir++ {
-		for cell := 0; cell < p.N(); cell++ {
-			for _, d := range p.Downwind(cell, dir) {
+	for dir, d := range p.inst.DAGs {
+		for cell := int32(0); cell < int32(p.N()); cell++ {
+			for _, w := range d.Out(cell) {
 				found := false
-				for _, u := range p.Upwind(int(d), dir) {
-					if int(u) == cell {
+				for _, u := range d.In(w) {
+					if u == cell {
 						found = true
 						break
 					}
 				}
 				if !found {
-					t.Fatalf("downwind edge %d->%d not mirrored upwind (dir %d)", cell, d, dir)
+					t.Fatalf("downwind edge %d->%d not mirrored upwind (dir %d)", cell, w, dir)
 				}
 			}
-		}
-	}
-}
-
-func TestProcessorMatchesAssignment(t *testing.T) {
-	p, res := tinyProblem(t, Level)
-	for cell := 0; cell < p.N(); cell++ {
-		pr := res.Processor(cell)
-		if pr < 0 || pr >= p.M() {
-			t.Fatalf("cell %d on processor %d", cell, pr)
 		}
 	}
 }

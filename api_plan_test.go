@@ -307,7 +307,7 @@ func TestBlockPlansShareTheCellGraph(t *testing.T) {
 	}
 	p := kuhnProblem(t)
 	weights := LogNormalWeights(p.N(), 4, 0.75, 9)
-	if _, err := p.ScheduleWeighted(DescendantDelays, ScheduleOptions{Seed: 5, BlockSize: 8}, weights); err != nil {
+	if _, err := p.ScheduleWeightedMachine(DescendantDelays, ScheduleOptions{Seed: 5, BlockSize: 8}, weights, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := p.cellGraph

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"sweepsched/internal/dag"
+	"sweepsched/internal/mesh"
+	"sweepsched/internal/sched"
 )
 
 func tinyProblem(t testing.TB, alg Scheduler) (*Problem, *Result) {
@@ -35,12 +37,6 @@ func TestNewProblemFromFamilyShape(t *testing.T) {
 	if b.PerCell != 8 || b.Load <= 0 || b.CriticalPath <= 0 {
 		t.Fatalf("bounds %+v", b)
 	}
-	if len(p.DirectionLevels()) != 8 {
-		t.Fatal("DirectionLevels wrong length")
-	}
-	if len(p.BrokenCycleEdges()) != 8 {
-		t.Fatal("BrokenCycleEdges wrong length")
-	}
 }
 
 func TestNewProblemErrors(t *testing.T) {
@@ -66,7 +62,7 @@ func TestNewProblemRefusesZeroCells(t *testing.T) {
 	// Through the codec an empty mesh must be stopped somewhere: today the
 	// decoder refuses it; were it to pass, the constructor has to.
 	var buf bytes.Buffer
-	if err := EncodeMesh(&buf, &Mesh{Verts: []Vec3{}, Cells: [][4]int32{}}); err == nil {
+	if err := mesh.Encode(&buf, &Mesh{Verts: []Vec3{}, Cells: [][4]int32{}}); err == nil {
 		if msh, err := DecodeMesh(&buf); err == nil {
 			if p, err := NewProblemFromMesh(msh, 8, 4); err == nil {
 				t.Errorf("decoded empty mesh accepted as a problem with %d cells", p.N())
@@ -152,14 +148,14 @@ func TestSimulateMatchesMetrics(t *testing.T) {
 }
 
 func TestMeshFamilies(t *testing.T) {
-	fams := MeshFamilies()
+	fams := mesh.FamilyNames()
 	if len(fams) != 4 {
 		t.Fatalf("families %v", fams)
 	}
 }
 
 func TestRegularGridProblem(t *testing.T) {
-	msh := RegularGrid(4, 4, 4)
+	msh := mesh.RegularHex(4, 4, 4)
 	p, err := NewProblemFromMesh(msh, 8, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +170,13 @@ func TestRegularGridProblem(t *testing.T) {
 }
 
 func TestCustomDirections(t *testing.T) {
-	msh := RegularGrid(3, 3, 3)
+	msh := mesh.RegularHex(3, 3, 3)
 	dirs := []Vec3{{X: 1, Y: 0.2, Z: 0.3}, {X: -1, Y: -0.2, Z: -0.3}}
-	p, err := NewProblemFromDirections(msh, dirs, 2)
+	inst, err := sched.NewInstance(msh, dirs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &Problem{inst: inst}
 	if p.K() != 2 {
 		t.Fatalf("K = %d", p.K())
 	}

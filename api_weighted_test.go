@@ -15,7 +15,7 @@ func TestScheduleWeightedFacade(t *testing.T) {
 	for v := range weights {
 		weights[v] = int32(v%5) + 1
 	}
-	res, err := p.ScheduleWeighted(RandomDelaysPriority, ScheduleOptions{Seed: 2}, weights)
+	res, err := p.ScheduleWeightedMachine(RandomDelaysPriority, ScheduleOptions{Seed: 2}, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestScheduleWeightedFacade(t *testing.T) {
 		t.Fatalf("weighted ratio %v below 1", res.Ratio)
 	}
 	// Block variant (weight-aware partitioning).
-	res2, err := p.ScheduleWeighted(Level, ScheduleOptions{Seed: 2, BlockSize: 16}, weights)
+	res2, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Seed: 2, BlockSize: 16}, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestScheduleWeightedRejects(t *testing.T) {
 	for v := range weights {
 		weights[v] = 1
 	}
-	if _, err := p.ScheduleWeighted(RandomDelays, ScheduleOptions{}, weights); err == nil {
+	if _, err := p.ScheduleWeightedMachine(RandomDelays, ScheduleOptions{}, weights, nil); err == nil {
 		t.Fatal("layered algorithm accepted weights")
 	}
-	if _, err := p.ScheduleWeighted(Level, ScheduleOptions{}, weights[:1]); err == nil {
+	if _, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{}, weights[:1], nil); err == nil {
 		t.Fatal("short weights accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestScheduleWeightedUnitMatchesUnweightedMakespan(t *testing.T) {
 	for v := range ones {
 		ones[v] = 1
 	}
-	weighted, err := p.ScheduleWeighted(Level, ScheduleOptions{Seed: 9}, ones)
+	weighted, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Seed: 9}, ones, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestScheduleWeightedUnitMatchesUnweightedMakespan(t *testing.T) {
 
 // TestScheduleWeightedMachineFacade covers the heterogeneous facade:
 // model validation at the API boundary, working Verify/VerifyEvery
-// sampling (ScheduleWeighted used to silently ignore both), and the
+// sampling (the weighted path used to silently ignore both), and the
 // weighted bound terms in the result.
 func TestScheduleWeightedMachineFacade(t *testing.T) {
 	p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
@@ -165,16 +165,16 @@ func TestScheduleWeightedMachineFacade(t *testing.T) {
 		t.Fatal("intra > cross delay accepted")
 	}
 
-	// The nil model is exactly ScheduleWeighted.
+	// The nil model is the uniform machine: unit speeds, no delays.
 	a, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Seed: 7}, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.ScheduleWeighted(Level, ScheduleOptions{Seed: 7}, weights)
+	b, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Seed: 7}, weights, &MachineModel{Speeds: []int32{1, 1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Makespan != b.Makespan {
-		t.Fatalf("nil model makespan %d != ScheduleWeighted %d", a.Makespan, b.Makespan)
+		t.Fatalf("nil model makespan %d != unit-speed model %d", a.Makespan, b.Makespan)
 	}
 }

@@ -3,7 +3,7 @@
 // message-passing simulator as an independent feasibility check.
 //
 // With -faults it re-executes the schedule under a deterministic
-// seed-derived fault plan (processor crashes, message drops/delays/
+// fault plan drawn from -seed (processor crashes, message drops/delays/
 // duplicates) with checkpointed recovery rescheduling, then cross-checks
 // the fault-tolerant transport solve against the serial solver bit for
 // bit.
@@ -18,7 +18,7 @@
 //
 //	sweepsim -mesh tetonly -k 24 -m 64 -alg random_delays_priority -block 64
 //	sweepsim -mesh long -k 8 -m 16 -alg dfds -simulate
-//	sweepsim -mesh long -k 8 -m 16 -faults -crash 2 -drop 3 -fault-seed 11
+//	sweepsim -mesh long -k 8 -m 16 -faults -crash 2 -drop 3 -seed 11
 //	sweepsim -mesh tetonly -scale 0.002 -k 8 -m 4 -faults -procs -crash 1 -sever 1
 package main
 
@@ -27,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"sweepsched"
 	"sweepsched/internal/cliutil"
@@ -48,29 +46,22 @@ func main() {
 		block      = flag.Int("block", 1, "block size (1 = per-cell random assignment)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		sim        = flag.Bool("simulate", false, "replay on the message-passing simulator")
-		gantt      = flag.Bool("gantt", false, "print a text Gantt chart of the schedule")
 		commC      = flag.Int("c", 0, "uniform communication delay (steps per cross-processor edge)")
 		saveTrace  = flag.String("savetrace", "", "write the schedule trace to this path (view with sweepview)")
-		weighted   = flag.Bool("weighted", false, "draw log-normal per-cell costs and run the weighted engine")
-		weightSeed = flag.Uint64("weights", 0, "seed for the log-normal per-cell cost draw (implies -weighted; default derives from -seed)")
-		speedsSpec = flag.String("speeds", "", "comma-separated per-processor speed pattern, cycled over m, e.g. 1,2,4 (implies -weighted; duration = ceil(weight/speed))")
+		weightSeed = flag.Uint64("weights", 0, "draw log-normal per-cell costs with this seed and run the weighted engine (0 derives the seed from -seed)")
+		speedsSpec = flag.String("speeds", "", "comma-separated per-processor speed pattern, cycled over m, e.g. 1,2,4 (runs the weighted engine; duration = ceil(weight/speed))")
 		workers    = flag.Int("workers", 0, "goroutines for per-direction pipeline stages (0 = GOMAXPROCS; output is identical for any value)")
 		anglesets  = flag.Int("anglesets", 0, "aggregate directions into about this many octant anglesets (priorities once per angleset on representative DAGs; omit for the per-direction pipeline)")
 		doVerify   = flag.Bool("verify", false, "audit the schedule with the internal/verify auditor (independent recomputation of every constraint and metric)")
 		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth scheduling run (1 = every run)")
 		doStats    = flag.Bool("stats", false, "print the run's counters and stage timings on exit")
 		doFaults   = flag.Bool("faults", false, "execute under an injected fault plan with checkpointed recovery")
-		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the fault plan (independent of -seed)")
 		nCrash     = flag.Int("crash", 1, "processor crashes to inject (with -faults)")
 		nDrop      = flag.Int("drop", 0, "message drops to inject (with -faults)")
 		nDelay     = flag.Int("delay", 0, "message delays to inject (with -faults)")
 		nDup       = flag.Int("dup", 0, "message duplications to inject (with -faults)")
 		nSever     = flag.Int("sever", 0, "worker coordinator sockets to sever (with -faults -procs)")
 		doProcs    = flag.Bool("procs", false, "with -faults, execute on real worker OS processes: crashes become kill -9, severs become closed sockets")
-		ckptDir    = flag.String("ckptdir", "", "durable checkpoint directory for -procs (default: a temp dir, removed on exit)")
-		timeout    = flag.Duration("timeout", 0, "overall deadline for fault-injected runs (0 = none)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -81,46 +72,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// -weights and -speeds only make sense on the weighted engine.
+	// -weights and -speeds select the weighted engine. -anglesets
+	// distinguishes "absent" (per-direction) from an explicit value, which
+	// must name at least one angleset.
+	weighted := false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "weights" || f.Name == "speeds" {
-			*weighted = true
-		}
-	})
-	// -anglesets distinguishes "absent" (per-direction) from an explicit
-	// value, which must name at least one angleset.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "anglesets" {
+		switch f.Name {
+		case "weights", "speeds":
+			weighted = true
+		case "anglesets":
 			if err := cliutil.ValidateAnglesets(*anglesets); err != nil {
 				fatal(err)
 			}
 		}
 	})
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
-	}
 
 	var p *sweepsched.Problem
 	if *meshFile != "" {
@@ -159,7 +124,7 @@ func main() {
 		}()
 	}
 
-	if *weighted {
+	if weighted {
 		ws := *weightSeed
 		if ws == 0 {
 			ws = *seed ^ 0x57
@@ -206,12 +171,6 @@ func main() {
 		fmt.Println("  verify: schedule audit passed (precedence, exclusivity, copies, metrics)")
 	}
 
-	if *gantt {
-		if err := res.RenderGantt(os.Stdout, 16, 100); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *saveTrace != "" {
 		f, err := os.Create(*saveTrace)
 		if err != nil {
@@ -237,11 +196,6 @@ func main() {
 
 	if *doFaults {
 		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
 		spec := sweepsched.FaultSpec{
 			Crashes:    *nCrash,
 			Drops:      *nDrop,
@@ -249,8 +203,8 @@ func main() {
 			Duplicates: *nDup,
 			Severs:     *nSever,
 		}
-		plan := sweepsched.NewFaultPlan(res, spec, *faultSeed)
-		fmt.Printf("fault plan (seed=%d): %s\n", *faultSeed, plan)
+		plan := sweepsched.NewFaultPlan(res, spec, *seed)
+		fmt.Printf("fault plan (seed=%d): %s\n", *seed, plan)
 
 		cfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: *doVerify, Collector: col}
 		serial, err := p.SolveTransport(res, cfg)
@@ -259,15 +213,11 @@ func main() {
 		}
 
 		if *doProcs {
-			dir := *ckptDir
-			if dir == "" {
-				tmp, err := os.MkdirTemp("", "sweepsim-ckpt-*")
-				if err != nil {
-					fatal(err)
-				}
-				defer os.RemoveAll(tmp)
-				dir = tmp
+			dir, err := os.MkdirTemp("", "sweepsim-ckpt-*")
+			if err != nil {
+				fatal(err)
 			}
+			defer os.RemoveAll(dir)
 			pres, err := p.SolveTransportProcs(ctx, res, cfg, plan, sweepsched.ProcRunOptions{CkptDir: dir, Collector: col})
 			if err != nil {
 				fatal(fmt.Errorf("multi-process transport failed: %w", err))

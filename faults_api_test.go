@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
+	"sweepsched/internal/faults"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/sched"
 )
@@ -70,22 +70,6 @@ func TestFaultPlanRoundTripThroughAPI(t *testing.T) {
 	}
 }
 
-func TestSolveTransportCtxVariantsCancelled(t *testing.T) {
-	p, res := faultTestProblem(t)
-	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.SolveTransportCtx(ctx, res, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveTransportCtx: got %v", err)
-	}
-	if _, err := p.SolveTransportParallelCtx(ctx, res, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveTransportParallelCtx: got %v", err)
-	}
-	if _, err := p.SimulateCtx(ctx, res); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SimulateCtx: got %v", err)
-	}
-}
-
 // TestFaultPlanOutOfRangeRefused: a hand-built plan whose one event names
 // a processor or a task the schedule does not have is refused by every
 // fault-injected executor, before anything is sized by the event.
@@ -93,18 +77,18 @@ func TestFaultPlanOutOfRangeRefused(t *testing.T) {
 	p, res := faultTestProblem(t)
 	m, nk := int32(p.M()), sched.TaskID(p.Tasks())
 	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1}
-	for _, ev := range []FaultEvent{
-		{Kind: FaultDrop, Task: nk},
-		{Kind: FaultDrop, Task: 1 << 26},
-		{Kind: FaultDrop, Task: math.MaxInt32 - 1},
-		{Kind: FaultDuplicate, Task: -1},
-		{Kind: FaultDelay, To: m, HoldSteps: 1},
-		{Kind: FaultDrop, To: -1},
-		{Kind: FaultCrash, Proc: m},
-		{Kind: FaultCrash, Proc: -1},
-		{Kind: FaultSever, Proc: 16},
+	for _, ev := range []faults.Event{
+		{Kind: faults.Drop, Task: nk},
+		{Kind: faults.Drop, Task: 1 << 26},
+		{Kind: faults.Drop, Task: math.MaxInt32 - 1},
+		{Kind: faults.Duplicate, Task: -1},
+		{Kind: faults.Delay, To: m, HoldSteps: 1},
+		{Kind: faults.Drop, To: -1},
+		{Kind: faults.Crash, Proc: m},
+		{Kind: faults.Crash, Proc: -1},
+		{Kind: faults.Sever, Proc: 16},
 	} {
-		plan := &FaultPlan{Events: []FaultEvent{ev}}
+		plan := &FaultPlan{Events: []faults.Event{ev}}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, _, simErr := p.SimulateFaulty(context.Background(), res, plan)
@@ -120,11 +104,12 @@ func TestFaultPlanOutOfRangeRefused(t *testing.T) {
 	}
 }
 
-// TestSolveTransportProcsRefusesAnotherProblemsResult: the workers would
-// rebuild p's mesh and step q's schedule. Two tetonly meshes of the same
-// size are refused at the API, before a worker is spawned: the worker
-// binary does not exist.
-func TestSolveTransportProcsRefusesAnotherProblemsResult(t *testing.T) {
+// TestResultOfAnotherProblemRefused: every method that executes a result
+// refuses one another problem produced, with one error, instead of
+// running the other mesh. Two tetonly meshes of the same size make the
+// mistake easy. The multi-process solve is refused before a worker is
+// spawned: the worker binary does not exist.
+func TestResultOfAnotherProblemRefused(t *testing.T) {
 	var probs [2]*Problem
 	for i := range probs {
 		var err error
@@ -140,10 +125,43 @@ func TestSolveTransportProcsRefusesAnotherProblemsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ProcRunOptions{CkptDir: t.TempDir(), WorkerBinary: filepath.Join(t.TempDir(), "no-such-worker")}
-	_, err = p.SolveTransportProcs(context.Background(), res, TransportConfig{SigmaT: 1, Source: 1}, nil, opts)
-	if err == nil || !strings.Contains(err.Error(), "another problem") {
-		t.Fatalf("got %v, want the result refused as another problem's", err)
+	ctx := context.Background()
+	cfg := TransportConfig{SigmaT: 1, Source: 1}
+	for name, run := range map[string]func() (bool, error){
+		"Simulate": func() (bool, error) {
+			sim, err := p.Simulate(res)
+			return sim != nil, err
+		},
+		"SimulateFaulty": func() (bool, error) {
+			sim, _, err := p.SimulateFaulty(ctx, res, nil)
+			return sim != nil, err
+		},
+		"SolveTransport": func() (bool, error) {
+			tr, err := p.SolveTransport(res, cfg)
+			return tr != nil, err
+		},
+		"SolveTransportParallel": func() (bool, error) {
+			tr, err := p.SolveTransportParallel(res, cfg)
+			return tr != nil, err
+		},
+		"SolveTransportFaultTolerant": func() (bool, error) {
+			tr, _, err := p.SolveTransportFaultTolerant(ctx, res, cfg, nil)
+			return tr != nil, err
+		},
+		"SolveMultigroup": func() (bool, error) {
+			mg, err := p.SolveMultigroup(res, MultigroupConfig{Groups: []GroupSpec{{SigmaT: 1, Source: 1}}, Scatter: [][]float64{{0}}})
+			return mg != nil, err
+		},
+		"SolveTransportProcs": func() (bool, error) {
+			opts := ProcRunOptions{CkptDir: t.TempDir(), WorkerBinary: filepath.Join(t.TempDir(), "no-such-worker")}
+			pr, err := p.SolveTransportProcs(ctx, res, cfg, nil, opts)
+			return pr != nil, err
+		},
+	} {
+		out, err := run()
+		if err == nil || err.Error() != "sweepsched: the result was scheduled on another problem" || out {
+			t.Errorf("%s: got %v (a result: %v), want the result refused as another problem's", name, err, out)
+		}
 	}
 }
 
@@ -249,24 +267,24 @@ func TestInfeasibleSchedulesRejectedEverywhere(t *testing.T) {
 			c.apply(t, &s)
 			res := &Result{Schedule: &s}
 			for name, run := range map[string]func() (bool, error){
-				"SimulateCtx": func() (bool, error) {
-					sim, err := p.SimulateCtx(ctx, res)
+				"Simulate": func() (bool, error) {
+					sim, err := p.Simulate(res)
 					return sim != nil, err
 				},
 				"SimulateFaulty": func() (bool, error) {
 					sim, _, err := p.SimulateFaulty(ctx, res, nil) // blames the schedule, not a fault
 					return sim != nil, err
 				},
-				"SolveTransportCtx": func() (bool, error) {
-					tr, err := p.SolveTransportCtx(ctx, res, cfg)
+				"SolveTransport": func() (bool, error) {
+					tr, err := p.SolveTransport(res, cfg)
 					return tr != nil, err
 				},
-				"SolveTransportParallelCtx": func() (bool, error) {
-					tr, err := p.SolveTransportParallelCtx(ctx, res, cfg)
+				"SolveTransportParallel": func() (bool, error) {
+					tr, err := p.SolveTransportParallel(res, cfg)
 					return tr != nil, err
 				},
-				"SolveTransportParallelCtx NoBatch": func() (bool, error) {
-					tr, err := p.SolveTransportParallelCtx(ctx, res, unbatched)
+				"SolveTransportParallel NoBatch": func() (bool, error) {
+					tr, err := p.SolveTransportParallel(res, unbatched)
 					return tr != nil, err
 				},
 				"SolveTransportFaultTolerant": func() (bool, error) {

@@ -5,13 +5,15 @@ package sweepsched
 
 import (
 	"testing"
+
+	"sweepsched/internal/mesh"
 )
 
 func TestIntegrationAllSchedulersAllFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration matrix skipped in -short mode")
 	}
-	for _, family := range MeshFamilies() {
+	for _, family := range mesh.FamilyNames() {
 		family := family
 		t.Run(family, func(t *testing.T) {
 			p, err := NewProblemFromFamily(family, 0.02, 8, 8, 11)

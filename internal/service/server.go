@@ -17,6 +17,7 @@ import (
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/quadrature"
+	"sweepsched/internal/transport"
 )
 
 // Config tunes a scheduling daemon.
@@ -759,7 +760,7 @@ func (s *Server) transport(ctx context.Context, req *TransportRequest) (*Transpo
 		return nil, err
 	}
 
-	cfg := sweepsched.TransportConfig{
+	cfg := transport.Config{
 		SigmaT:    req.SigmaT,
 		SigmaS:    req.SigmaS,
 		Source:    req.Source,
@@ -768,7 +769,10 @@ func (s *Server) transport(ctx context.Context, req *TransportRequest) (*Transpo
 		Collector: reqCol,
 	}
 	span := s.col.Span("service.solve.transport.time")
-	tres, err := fam.prob.SolveTransportCtx(ctx, ent.res, cfg)
+	// The schedule carries its own instance. fam may be a family entry
+	// rebuilt after an eviction, a Problem other than the one that made
+	// ent.res, so the solve does not go through it.
+	tres, err := transport.SolveCtx(ctx, ent.res.Schedule, cfg)
 	span.End()
 	if err != nil {
 		if ctx.Err() != nil {

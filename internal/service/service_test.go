@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"sweepsched"
 	"sweepsched/internal/leakcheck"
+	"sweepsched/internal/mesh"
 )
 
 // testConfig is small and fast: tiny mesh, no queueing surprises.
@@ -73,6 +73,34 @@ func postScheduleClient(t *testing.T, client *http.Client, base string, spec any
 		return resp.StatusCode, nil, eb.Error
 	}
 	var out ScheduleResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("bad 200 body: %v\n%s", err, raw)
+	}
+	return resp.StatusCode, &out, ""
+}
+
+// postTransport fires one /v1/transport request and decodes the result.
+func postTransport(t *testing.T, ts *httptest.Server, req any) (int, *TransportResponse, string) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/transport", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		_ = json.Unmarshal(raw, &eb)
+		return resp.StatusCode, nil, eb.Error
+	}
+	var out TransportResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("bad 200 body: %v\n%s", err, raw)
 	}
@@ -597,12 +625,12 @@ func TestMoreRequestShapes(t *testing.T) {
 // TestInlineMeshContentAddressing submits the same mesh twice as
 // inline sweepmesh text and expects the second request to hit.
 func TestInlineMeshContentAddressing(t *testing.T) {
-	msh, err := sweepsched.GenerateFamilyMesh("tetonly", 0.02, 5)
+	msh, err := mesh.Family("tetonly", 0.02, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sweepsched.EncodeMesh(&buf, msh); err != nil {
+	if err := mesh.Encode(&buf, msh); err != nil {
 		t.Fatal(err)
 	}
 	spec := map[string]any{
@@ -634,27 +662,7 @@ func TestTransportEndpoint(t *testing.T) {
 		"sigma_s":  0.5,
 		"source":   1.0,
 	}
-	post := func() (int, *TransportResponse, string) {
-		body, _ := json.Marshal(treq)
-		resp, err := ts.Client().Post(ts.URL+"/v1/transport", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			var eb errorBody
-			_ = json.Unmarshal(raw, &eb)
-			return resp.StatusCode, nil, eb.Error
-		}
-		var out TransportResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatalf("bad 200 body: %v", err)
-		}
-		return resp.StatusCode, &out, ""
-	}
-
-	status, first, msg := post()
+	status, first, msg := postTransport(t, ts, treq)
 	if status != 200 {
 		t.Fatalf("transport: %d %s", status, msg)
 	}
@@ -664,7 +672,7 @@ func TestTransportEndpoint(t *testing.T) {
 	if first.Schedule.Cache.Schedule != "miss" {
 		t.Fatalf("first solve trace = %+v", first.Schedule.Cache)
 	}
-	status, second, _ := post()
+	status, second, _ := postTransport(t, ts, treq)
 	if second.Schedule.Cache.Schedule != "hit" {
 		t.Fatalf("second solve trace = %+v, want schedule hit", second.Schedule.Cache)
 	}
@@ -673,14 +681,43 @@ func TestTransportEndpoint(t *testing.T) {
 	}
 
 	bad := map[string]any{"schedule": baseSpec(), "sigma_t": 1.0, "sigma_s": 1.5, "source": 1.0}
-	body, _ := json.Marshal(bad)
-	resp, err := ts.Client().Post(ts.URL+"/v1/transport", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if status, _, _ := postTransport(t, ts, bad); status != 400 {
+		t.Fatalf("sigma_s >= sigma_t: status %d, want 400", status)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("sigma_s >= sigma_t: status %d, want 400", resp.StatusCode)
+}
+
+// TestTransportAfterFamilyRebuild: a schedule-tier hit whose family entry
+// was evicted and rebuilt meanwhile solves the cached schedule. The
+// rebuilt family holds a Problem other than the one that made the
+// schedule, and the flux sum is the one from before the eviction.
+func TestTransportAfterFamilyRebuild(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	treq := map[string]any{"schedule": baseSpec(), "sigma_t": 1.0, "sigma_s": 0.5, "source": 1.0}
+	status, before, msg := postTransport(t, ts, treq)
+	if status != 200 {
+		t.Fatalf("transport: %d %s", status, msg)
+	}
+	// An entry the size of the whole family tier evicts every family.
+	srv.cache.families.put("filler", (*familyEntry)(nil), srv.cache.families.limit)
+	other := baseSpec()
+	other["seed"] = 8
+	status, r, msg := postSchedule(t, ts, other)
+	if status != 200 {
+		t.Fatalf("rebuild: %d %s", status, msg)
+	}
+	if r.Cache.Family != "miss" {
+		t.Fatalf("rebuild trace %+v, want a family miss", r.Cache)
+	}
+	status, after, msg := postTransport(t, ts, treq)
+	if status != 200 {
+		t.Fatalf("transport after the rebuild: %d %s", status, msg)
+	}
+	if after.Schedule.Cache.Schedule != "hit" {
+		t.Fatalf("trace %+v, want a schedule hit", after.Schedule.Cache)
+	}
+	if after.FluxSum != before.FluxSum || after.Iterations != before.Iterations {
+		t.Fatalf("flux sum %v in %d iterations after the rebuild, want %v in %d",
+			after.FluxSum, after.Iterations, before.FluxSum, before.Iterations)
 	}
 }
 

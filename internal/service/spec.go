@@ -87,7 +87,7 @@ type MeshSpec struct {
 	Seed   uint64  `json:"seed,omitempty"`
 
 	// Encoded is an inline mesh in the plain-text sweepmesh format
-	// (cmd/meshgen, sweepsched.EncodeMesh). Cached by content hash.
+	// (cmd/meshgen, mesh.Encode). Cached by content hash.
 	Encoded string `json:"encoded,omitempty"`
 
 	// Synthetic is a non-geometric DAG family (random_chains,

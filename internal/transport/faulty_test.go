@@ -123,13 +123,18 @@ func TestFaultTolerantAllCrashedReturnsTypedError(t *testing.T) {
 	})
 }
 
+// TestSolveParallelCtxCancellation: the modelled machine returns the
+// context's error, for a transport solve and for the dependency-only run
+// a simulation is, and leaks nothing.
 func TestSolveParallelCtxCancellation(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 6)
 	leakcheck.Check(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := SolveParallelCtx(ctx, s, testCfg); !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
+		for name, cfg := range map[string]Config{"transport": testCfg, "DependencyOnly": DependencyOnly} {
+			if _, err := SolveParallelCtx(ctx, s, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: got %v, want context.Canceled", name, err)
+			}
 		}
 	})
 	leakcheck.Check(t, func() {

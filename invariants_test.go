@@ -47,10 +47,10 @@ func TestScheduleInvariants(t *testing.T) {
 					t.Fatalf("invariants violated: %v", err)
 				}
 				// Same-processor-per-cell is structural (assignments map
-				// cells, not tasks); confirm via the public accessor that
-				// every cell has exactly one in-range processor.
+				// cells, not tasks); confirm that every cell has exactly
+				// one in-range processor.
 				for v := 0; v < p.N(); v++ {
-					if pr := res.Processor(v); pr < 0 || pr >= p.M() {
+					if pr := int(res.Schedule.Assign[v]); pr < 0 || pr >= p.M() {
 						t.Fatalf("cell %d on processor %d (m=%d)", v, pr, p.M())
 					}
 				}

@@ -17,10 +17,6 @@ type ProcRunOptions = procrun.Options
 // recovery accounting, and the merged worker metrics snapshot.
 type ProcRunResult = procrun.RunResult
 
-// ProcRunReport extends the in-process RecoveryReport with socket-level
-// events (severs, reconnects).
-type ProcRunReport = procrun.Report
-
 // MaybeProcWorker turns the current process into a sweep worker if it
 // was spawned by the multi-process orchestrator (re-exec style), never
 // returning in that case. Binaries that want to host workers — anything
@@ -43,8 +39,10 @@ func (p *Problem) SolveTransportProcs(ctx context.Context, res *Result, cfg Tran
 	if p.recipe == nil {
 		return nil, errors.New("sweepsched: multi-process execution needs a family-built problem (workers rebuild the mesh from its construction recipe)")
 	}
-	if res.Schedule.Inst != p.inst {
-		return nil, errors.New("sweepsched: the result was scheduled on another problem (workers rebuild this problem's mesh, not the schedule's)")
+	// Workers rebuild this problem's mesh, not the schedule's.
+	s, err := p.scheduleOf(res)
+	if err != nil {
+		return nil, err
 	}
-	return procrun.Run(ctx, res.Schedule, *p.recipe, cfg, plan, opts)
+	return procrun.Run(ctx, s, *p.recipe, cfg, plan, opts)
 }

@@ -2,20 +2,22 @@ package sweepsched_test
 
 // The reachability gate and the structure checks: one parse of every
 // non-test .go file of the module and of bench/ (its own module, a root
-// like cmd/ and examples/), no type checker — a go/types pass with the
-// source importer takes longer than the rest of tier-1 together.
+// like cmd/), plus the Example functions of the root package's tests, no
+// type checker — a go/types pass with the source importer takes longer
+// than the rest of tier-1 together.
 //
 // TestInternalReachability fails on any package-level func, type, var,
 // const or method declared in a non-test file under internal/ (the two
-// frozen refimpl packages excepted) that is not reachable, through
-// references in non-test files, from a declaration outside internal/ — a
-// binary, the public API, an example, the benchmark — or from an entry of
-// reachabilityAllow. References are resolved syntactically: an identifier
-// the file's own scopes do not bind refers to its package's declaration of
-// that name, pkg.Name resolves through the file's imports, and x.M refers
-// to every method named M (only where it is called, if some struct also
-// has a field M). That errs towards "reachable", never towards a false
-// failure.
+// frozen refimpl packages excepted) or in the root package that is not
+// reachable, through references in non-test files, from a binary under
+// cmd/, the benchmark, an Example of the root package, or an entry of
+// reachabilityAllow. A root name a kept signature mentions is reached
+// through that signature. References are resolved syntactically: an
+// identifier the file's own scopes do not bind refers to its package's
+// declaration of that name, pkg.Name resolves through the file's imports,
+// and x.M refers to every method named M (only where it is called, if some
+// struct also has a field M). That errs towards "reachable", never towards
+// a false failure.
 //
 // TestStructure holds what ci.sh used to grep for.
 
@@ -27,6 +29,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,8 +44,9 @@ const (
 )
 
 // reachabilityAllow is the whole allowlist: declaration (package path under
-// internal/, then the name or Type.Method), class, reason. An entry that
-// is referenced after all, or names nothing, fails the test too.
+// internal/, or sweepsched for the root package, then the name or
+// Type.Method), class, reason. An entry that is referenced after all, or
+// names nothing, fails the test too.
 var reachabilityAllow = map[string][2]string{
 	"verify.DifferentialList":         {oracle, "unit-step kernel against sched/refimpl, bit for bit"},
 	"verify.DifferentialComm":         {oracle, "comm-delay kernel against sched/refimpl"},
@@ -60,7 +64,8 @@ var reachabilityAllow = map[string][2]string{
 	"faults.Plan.CrashOnly":           {input, "precondition of the crash-only plans in the faults and transport tests"},
 }
 
-// decl is one package-level declaration or method in a non-test file.
+// decl is one package-level declaration or method in a non-test file, or
+// a root Example.
 type decl struct {
 	key   string // "dag.FromEdges", "dag.DAG.Validate"; outside internal/ the full import path leads
 	pkg   string // import path
@@ -68,7 +73,7 @@ type decl struct {
 	recv  string // receiver type name of a method
 	file  string // slash path from the repository root
 	line  int
-	gated bool  // under internal/, outside refimpl: must be reachable
+	gated bool  // under internal/ outside refimpl, or in the root package: must be reachable
 	uses  []use // what its type, value or body mentions
 }
 
@@ -79,9 +84,11 @@ type use struct {
 	call      bool // x.name(...)
 }
 
-// source is every non-test declaration of the module and of bench/.
+// source is every non-test declaration of the module and of bench/, and
+// the root package's Examples.
 type source struct {
 	decls   []*decl
+	mains   []string            // files of a package main
 	imports map[string][]string // file -> import paths
 	fields  map[string]bool     // every struct field name
 	// members maps a type's name to what a selector on its values may name
@@ -111,12 +118,21 @@ func loadSource(t *testing.T) *source {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		test := strings.HasSuffix(name, "_test.go")
+		if !strings.HasSuffix(name, ".go") || test && filepath.Dir(p) != root {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, 0)
 		if err != nil {
 			return err
+		}
+		if test {
+			// Of a test file only the Examples count: go test runs them and
+			// checks their output, as a binary is run.
+			f.Decls = slices.DeleteFunc(f.Decls, func(d ast.Decl) bool {
+				fd, ok := d.(*ast.FuncDecl)
+				return !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Example")
+			})
 		}
 		s.index(fset, filepath.ToSlash(p), f)
 		return nil
@@ -160,6 +176,11 @@ func baseTypeName(e ast.Expr) string {
 // index records one file's declarations and what each mentions.
 func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 	pkg := path.Join(modulePath, path.Dir(rel))
+	if f.Name.Name == "main" {
+		s.mains = append(s.mains, rel)
+	}
+	gatedFile := (strings.HasPrefix(rel, "internal/") && !strings.Contains(rel, "/refimpl/") || pkg == modulePath) &&
+		!strings.HasSuffix(rel, "_test.go")
 	imports := map[string]string{} // local name -> import path
 	for _, im := range f.Imports {
 		ipath, _ := strconv.Unquote(im.Path.Value)
@@ -192,9 +213,8 @@ func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 		}
 		d := &decl{key: key + id.Name, pkg: pkg, name: id.Name, recv: recv, file: rel, line: fset.Position(id.Pos()).Line}
 		// init, main and the blank identifier are run or evaluated without
-		// being named: roots like everything outside internal/.
-		d.gated = strings.HasPrefix(rel, "internal/") && !strings.Contains(rel, "/refimpl/") &&
-			id.Name != "_" && (recv != "" || id.Name != "init" && id.Name != "main")
+		// being named: roots like cmd/, bench/ and the Examples.
+		d.gated = gatedFile && id.Name != "_" && (recv != "" || id.Name != "init" && id.Name != "main")
 		s.decls = append(s.decls, d)
 		return d
 	}
@@ -336,13 +356,22 @@ func (s *source) reachable(allow map[string][2]string) map[*decl]bool {
 	return live
 }
 
+// rootNames is the ceiling on the root package's exported names —
+// functions, methods, types and constants, as go doc lists them. The public
+// surface grows only by raising it, in the change that needs the name.
+const rootNames = 64
+
 func TestInternalReachability(t *testing.T) {
 	s := loadSource(t)
 	product, live := s.reachable(nil), s.reachable(reachabilityAllow)
 	declared := map[string]bool{}
 	var dead []string
+	exportedRoot := 0
 	for _, d := range s.decls {
 		declared[d.key] = true
+		if d.gated && d.pkg == modulePath && exported(d.name) && (d.recv == "" || exported(d.recv)) {
+			exportedRoot++
+		}
 		if _, ok := reachabilityAllow[d.key]; ok && product[d] {
 			t.Errorf("allowlist entry %s is reachable from non-test code: drop it", d.key)
 		}
@@ -361,16 +390,21 @@ func TestInternalReachability(t *testing.T) {
 	if len(reachabilityAllow) > 20 {
 		t.Errorf("allowlist has %d entries, at most 20: delete code, not the limit", len(reachabilityAllow))
 	}
+	if exportedRoot > rootNames {
+		t.Errorf("the root package exports %d names, at most %d: a new name needs a caller in cmd/ or bench/ or an Example, and the ceiling raised with it",
+			exportedRoot, rootNames)
+	}
 	if len(dead) > 0 {
 		sort.Strings(dead)
-		t.Errorf("%d declarations under internal/ that no binary, API call, example or benchmark reaches — delete each, or allowlist it with a class and a reason:\n  %s",
+		t.Errorf("%d declarations under internal/ or in the root package that no binary, benchmark or Example reaches — delete each, or allowlist it with a class and a reason:\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
 }
 
 // TestStructure refuses the duplication the executor and kernel refactors
-// removed. The modelled machine (internal/machine) has the only Step
-// body, and no per-processor RunProc body exists anywhere;
+// removed, and a package main outside cmd/ and bench/, a program only
+// compiled, never run. The modelled machine (internal/machine) has the
+// only Step body, and no per-processor RunProc body exists anywhere;
 // transport.SolveOn is the only code that alternates a sweep with
 // UpdatePhi; faults.Engine is the only fault-epoch loop, and
 // internal/procrun, its wire side, may not route, reschedule or iterate on
@@ -425,6 +459,11 @@ func TestStructure(t *testing.T) {
 			if s.members[typ][field] {
 				t.Errorf("the step core's %s carries %s: the angleset partition ends at the expansion", typ, field)
 			}
+		}
+	}
+	for _, file := range s.mains {
+		if !strings.HasPrefix(file, "cmd/") && !strings.HasPrefix(file, "bench/") {
+			t.Errorf("%s is a package main outside cmd/ and bench/: a usage example is an Example in the root package's tests, where go test runs it", file)
 		}
 	}
 	for file, paths := range s.imports {
