@@ -12,6 +12,7 @@ import (
 	"sweepsched/internal/faults"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/transport"
 )
 
 func faultTestProblem(t *testing.T) (*Problem, *Result) {
@@ -33,6 +34,27 @@ func TestScheduleCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := p.ScheduleCtx(ctx, RandomDelaysPriority, ScheduleOptions{Seed: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestSolveTransportCtxVariantsCancelled: a cancelled context stops every
+// cancellable solve of a Result's schedule, the way the daemon runs one:
+// transport.SolveCtx (SolveTransport's path), transport.SolveParallelCtx
+// (SolveTransportParallel's) and SolveParallelCtx with DependencyOnly
+// (Simulate's).
+func TestSolveTransportCtxVariantsCancelled(t *testing.T) {
+	_, res := faultTestProblem(t)
+	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := transport.SolveCtx(ctx, res.Schedule, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveCtx: got %v", err)
+	}
+	if _, err := transport.SolveParallelCtx(ctx, res.Schedule, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveParallelCtx: got %v", err)
+	}
+	if _, err := transport.SolveParallelCtx(ctx, res.Schedule, transport.DependencyOnly); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveParallelCtx(DependencyOnly): got %v", err)
 	}
 }
 
