@@ -270,7 +270,7 @@ type ScheduleOptions struct {
 	// every value: parallel stages write into slots indexed by direction
 	// or processor, all randomness is drawn from per-direction substreams
 	// before any fan-out, and the tail reports the error a serial run
-	// would (see DESIGN.md, "Parallel execution & determinism").
+	// would (see DESIGN.md, "Determinism").
 	Workers int
 	// Verify runs the internal/verify auditor over the produced schedule —
 	// an independent recomputation of every feasibility constraint and of

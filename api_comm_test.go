@@ -2,6 +2,7 @@ package sweepsched
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,8 +127,10 @@ func TestUpwindDownwindMirror(t *testing.T) {
 // makespan can be a thousand times its task count — here 2,520 tasks on
 // 64 processors with a delay of 65,536 steps per cross edge — and no
 // executor may size a table by processors × steps (that table alone was
-// 688 MB here). The simulation and the serial solve each allocate under
-// 16 MB.
+// 688 MB here). The simulation, the serial solve and the batched parallel
+// solve each allocate under 16 MB, and the parallel flux is the serial
+// one bit for bit: the machine passes over the idle steps without missing
+// an envelope.
 func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
 	const budget = 16 << 20
 	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
@@ -142,15 +145,15 @@ func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
 	if res.Metrics.Makespan < 500*tasks {
 		t.Fatalf("makespan %d is not stretched past 500× the %d tasks", res.Metrics.Makespan, tasks)
 	}
+	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 2}
+	var serial, parallel *TransportResult
 	for _, run := range []struct {
 		name string
 		f    func() error
 	}{
 		{"Simulate", func() error { _, err := p.Simulate(res); return err }},
-		{"SolveTransport", func() error {
-			_, err := p.SolveTransport(res, TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 2})
-			return err
-		}},
+		{"SolveTransport", func() (err error) { serial, err = p.SolveTransport(res, cfg); return err }},
+		{"SolveTransportParallel", func() (err error) { parallel, err = p.SolveTransportParallel(res, cfg); return err }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -162,5 +165,8 @@ func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 			t.Fatalf("%s allocated %d bytes for %d tasks over %d steps (budget %d)", run.name, got, tasks, res.Metrics.Makespan, budget)
 		}
+	}
+	if !slices.Equal(parallel.Phi, serial.Phi) {
+		t.Fatal("the batched parallel solve's flux differs from the serial solve's")
 	}
 }

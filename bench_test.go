@@ -1,7 +1,7 @@
 package sweepsched_test
 
-// BenchmarkExperiments regenerates every paper figure and table (the
-// DESIGN.md per-experiment index) end to end — mesh generation, DAG
+// BenchmarkExperiments regenerates every paper figure and table (DESIGN.md,
+// "Experiments and acceptance criteria") end to end — mesh generation, DAG
 // induction, partitioning, scheduling, metrics — at a reduced mesh scale so
 // `go test -bench=.` stays interactive. cmd/sweepbench runs the same figures
 // with table output and paper-scale knobs.

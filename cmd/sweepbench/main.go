@@ -8,8 +8,9 @@
 //	sweepbench -list                      # available experiment ids
 //
 // Output is a text table per experiment, with the same rows/series as the
-// corresponding figure. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// corresponding figure. The experiment index is in
+// DESIGN.md, "Experiments and acceptance criteria", and EXPERIMENTS.md
+// has the recorded paper-vs-measured comparison.
 package main
 
 import (

@@ -36,6 +36,16 @@ func main() {
 	// If the multi-process executor re-exec'd us as a worker, become one
 	// before touching flags (the worker env var carries everything).
 	sweepsched.MaybeProcWorker()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "sweepsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command on its arguments. It returns every error it meets,
+// so that its deferred work — the -procs checkpoint directory's removal,
+// the -stats report — is done before main exits.
+func run(args []string) (err error) {
 	var (
 		meshName   = flag.String("mesh", "tetonly", "mesh family")
 		meshFile   = flag.String("meshfile", "", "load a sweepmesh file instead of generating -mesh")
@@ -63,40 +73,45 @@ func main() {
 		nSever     = flag.Int("sever", 0, "worker coordinator sockets to sever (with -faults -procs)")
 		doProcs    = flag.Bool("procs", false, "with -faults, execute on real worker OS processes: crashes become kill -9, severs become closed sockets")
 	)
-	flag.Parse()
+	if err := flag.CommandLine.Parse(args); err != nil {
+		return err
+	}
 
 	if err := cliutil.ValidateVerifyEvery(*verifyN); err != nil {
-		fatal(err)
+		return err
 	}
 	speeds, err := cliutil.ParseSpeeds(*speedsSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// -weights and -speeds select the weighted engine. -anglesets
 	// distinguishes "absent" (per-direction) from an explicit value, which
 	// must name at least one angleset.
-	weighted := false
+	weighted, anglesetsSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "weights", "speeds":
 			weighted = true
 		case "anglesets":
-			if err := cliutil.ValidateAnglesets(*anglesets); err != nil {
-				fatal(err)
-			}
+			anglesetsSet = true
 		}
 	})
+	if anglesetsSet {
+		if err := cliutil.ValidateAnglesets(*anglesets); err != nil {
+			return err
+		}
+	}
 
 	var p *sweepsched.Problem
 	if *meshFile != "" {
 		f, ferr := os.Open(*meshFile)
 		if ferr != nil {
-			fatal(ferr)
+			return ferr
 		}
 		msh, derr := sweepsched.DecodeMesh(f)
 		f.Close()
 		if derr != nil {
-			fatal(derr)
+			return derr
 		}
 		*meshName = msh.Name
 		p, err = sweepsched.NewProblemFromMesh(msh, *k, *m)
@@ -104,7 +119,7 @@ func main() {
 		p, err = sweepsched.NewProblemFromFamily(*meshName, *scale, *k, *m, *seed)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bounds := p.Bounds()
 	fmt.Printf("instance: mesh=%s n=%d k=%d m=%d tasks=%d\n", *meshName, p.N(), p.K(), p.M(), p.Tasks())
@@ -118,8 +133,8 @@ func main() {
 		opts.Collector = col
 		defer func() {
 			fmt.Println("-- stats --")
-			if err := col.Snapshot().WriteText(os.Stdout); err != nil {
-				fatal(err)
+			if werr := col.Snapshot().WriteText(os.Stdout); werr != nil && err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -140,7 +155,7 @@ func main() {
 		}
 		wres, err := p.ScheduleWeightedMachine(sweepsched.Scheduler(*alg), opts, weights, model)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("weighted scheduler %s (block=%d, log-normal costs, speeds=%s):\n", *alg, *block, orUniform(*speedsSpec))
 		fmt.Printf("  weighted bounds: load=%.1f percell=%d crit=%d (max %d)\n",
@@ -150,7 +165,7 @@ func main() {
 		if *doVerify {
 			fmt.Println("  verify: weighted schedule audit passed (precedence+delays, exclusivity, durations, makespan)")
 		}
-		return
+		return nil
 	}
 
 	var res *sweepsched.Result
@@ -160,7 +175,7 @@ func main() {
 		res, err = p.Schedule(sweepsched.Scheduler(*alg), opts)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("scheduler %s (block=%d, c=%d):\n", *alg, *block, *commC)
 	fmt.Printf("  makespan = %d  (ratio to nk/m: %.3f, utilization %.1f%%)\n",
@@ -174,13 +189,13 @@ func main() {
 	if *saveTrace != "" {
 		f, err := os.Create(*saveTrace)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := sweepsched.EncodeTrace(f, res); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("trace written to %s\n", *saveTrace)
 	}
@@ -188,7 +203,7 @@ func main() {
 	if *sim {
 		sr, err := p.Simulate(res)
 		if err != nil {
-			fatal(fmt.Errorf("simulation rejected the schedule: %w", err))
+			return fmt.Errorf("simulation rejected the schedule: %w", err)
 		}
 		fmt.Printf("simulator: steps=%d messages=%d rounds=%d — schedule is feasible under message passing\n",
 			sr.Steps, sr.TotalMessages, sr.CommRounds)
@@ -209,18 +224,18 @@ func main() {
 		cfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: *doVerify, Collector: col}
 		serial, err := p.SolveTransport(res, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 
 		if *doProcs {
 			dir, err := os.MkdirTemp("", "sweepsim-ckpt-*")
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			defer os.RemoveAll(dir)
 			pres, err := p.SolveTransportProcs(ctx, res, cfg, plan, sweepsched.ProcRunOptions{CkptDir: dir, Collector: col})
 			if err != nil {
-				fatal(fmt.Errorf("multi-process transport failed: %w", err))
+				return fmt.Errorf("multi-process transport failed: %w", err)
 			}
 			fmt.Println(pres.Report)
 			mismatch := 0
@@ -235,20 +250,20 @@ func main() {
 				fmt.Printf("procrun comm: %d logical messages in %d transmissions, %d modeled wire bytes, %d rounds\n",
 					pres.Comm.Messages, pres.Comm.Batches, pres.Comm.Bytes, pres.Comm.Rounds)
 			} else {
-				fatal(fmt.Errorf("procrun: recovered flux differs from serial solve in %d of %d cells", mismatch, len(pres.Phi)))
+				return fmt.Errorf("procrun: recovered flux differs from serial solve in %d of %d cells", mismatch, len(pres.Phi))
 			}
 			if *doStats {
 				fmt.Println("-- merged worker stats --")
 				if err := pres.Merged.WriteText(os.Stdout); err != nil {
-					fatal(err)
+					return err
 				}
 			}
-			return
+			return nil
 		}
 
 		sr, rep, err := p.SimulateFaulty(ctx, res, plan)
 		if err != nil {
-			fatal(fmt.Errorf("fault-injected simulation failed: %w", err))
+			return fmt.Errorf("fault-injected simulation failed: %w", err)
 		}
 		fmt.Printf("faulty simulator: steps=%d messages=%d rounds=%d (fault-free makespan %d, penalty %d steps)\n",
 			sr.Steps, sr.TotalMessages, sr.CommRounds, res.Metrics.Makespan, rep.Penalty())
@@ -256,7 +271,7 @@ func main() {
 
 		ft, _, err := p.SolveTransportFaultTolerant(ctx, res, cfg, plan)
 		if err != nil {
-			fatal(fmt.Errorf("fault-tolerant transport failed: %w", err))
+			return fmt.Errorf("fault-tolerant transport failed: %w", err)
 		}
 		mismatch := 0
 		for v := range serial.Phi {
@@ -270,9 +285,10 @@ func main() {
 			fmt.Printf("transport comm: %d logical messages in %d transmissions, %d modeled wire bytes, %d rounds\n",
 				ft.Comm.Messages, ft.Comm.Batches, ft.Comm.Bytes, ft.Comm.Rounds)
 		} else {
-			fatal(fmt.Errorf("transport: recovered flux differs from serial solve in %d of %d cells", mismatch, len(ft.Phi)))
+			return fmt.Errorf("transport: recovered flux differs from serial solve in %d of %d cells", mismatch, len(ft.Phi))
 		}
 	}
+	return nil
 }
 
 func orUniform(s string) string {
@@ -280,9 +296,4 @@ func orUniform(s string) string {
 		return "uniform"
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweepsim:", err)
-	os.Exit(1)
 }

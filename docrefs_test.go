@@ -27,6 +27,11 @@ package sweepsched_test
 //     BENCHMARK.json's units (_s, _mb, _us, _frac, …) is a metric the file
 //     declares, a bare end-to-end name such as warm_s or a per-layer
 //     layer.name such as dag.family_warm_s.
+//
+// It also holds DESIGN.md and README.md together to designLines, so that
+// neither grows back into a history of the code, and every citation of a
+// DESIGN section — a § number, or a quoted title after a comma — in a Go
+// file or in citingDocs to a heading DESIGN.md has (checkDesign).
 
 import (
 	"encoding/json"
@@ -54,9 +59,23 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/ski
 // docHistory is the whole allowlist: a name the documents cite on purpose
 // although nothing declares it any more, and why.
 var docHistory = map[string]string{
-	"Workspace.heaps": "DESIGN §9 records that the kernel's heaps were removed",
-	"Workspace.indeg": "DESIGN §9 records that the kernel's indegree array was removed",
+	"Workspace.heaps": "DESIGN §4 records that the kernel's heaps were removed",
+	"Workspace.indeg": "DESIGN §4 records that the kernel's indegree array was removed",
 }
+
+// designLines is the most lines DESIGN.md and README.md may have together.
+const designLines = 900
+
+// citingDocs are the documents whose DESIGN citations must name a heading:
+// the gate's own and the roadmap. CHANGES.md cites the sections a change
+// saw, which later changes renumber, and is not read.
+var citingDocs = append(slices.Clip(docFiles), "ROADMAP.md")
+
+var (
+	designHeading = regexp.MustCompile(`(?m)^#{2,3} (?:(\d+)\. )?(.+)$`)
+	sectionCite   = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:\.\d+)*)`)
+	titleCite     = regexp.MustCompile(`DESIGN(?:\.md)?, "([^"]+)"`)
+)
 
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
@@ -229,6 +248,52 @@ func TestDocReferences(t *testing.T) {
 	for tok, why := range docHistory {
 		if !cited[tok] || resolves(tok) || why == "" {
 			t.Errorf("docHistory entry %s: drop it unless a document cites it, nothing declares it and it has a reason", tok)
+		}
+	}
+	checkDesign(t, paths)
+}
+
+// checkDesign reports DESIGN.md and README.md if they have more than
+// designLines together, and a citation of DESIGN by section number or by
+// quoted title, in one of citingDocs or a Go file among paths, that names
+// no heading DESIGN.md has.
+func checkDesign(t *testing.T, paths []string) {
+	read := func(file string) string {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	design := read("DESIGN.md")
+	if lines := strings.Count(design+read("README.md"), "\n"); lines > designLines {
+		t.Errorf("DESIGN.md and README.md have %d lines together, more than %d", lines, designLines)
+	}
+	sections, titles := map[string]bool{}, map[string]bool{}
+	for _, m := range designHeading.FindAllStringSubmatch(design, -1) {
+		if m[1] != "" {
+			sections[m[1]] = true
+		}
+		titles[m[2]] = true
+	}
+	files := slices.Clone(citingDocs)
+	for _, p := range paths {
+		if strings.HasSuffix(p, ".go") {
+			files = append(files, p)
+		}
+	}
+	for _, file := range files {
+		for i, line := range strings.Split(read(file), "\n") {
+			for _, m := range sectionCite.FindAllStringSubmatch(line, -1) {
+				if !sections[m[1]] {
+					t.Errorf("%s:%d: DESIGN.md has no section %s", file, i+1, m[1])
+				}
+			}
+			for _, m := range titleCite.FindAllStringSubmatch(line, -1) {
+				if !titles[m[1]] {
+					t.Errorf("%s:%d: DESIGN.md has no heading %q", file, i+1, m[1])
+				}
+			}
 		}
 	}
 }

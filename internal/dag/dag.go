@@ -7,6 +7,22 @@
 // sources remaining after L_1..L_{j-1} are deleted. Levels equal
 // longest-path depth from a source, and the number of levels is the critical
 // path length in unit tasks.
+//
+// A family is built over a Skeleton, the mesh's interior faces extracted
+// once, by pooled Builders (GetBuilder). What callers may rely on:
+//
+//   - Every build is bitwise the frozen builder's in internal/dag/refimpl:
+//     the same CSR halves, levels, NumLevels and RemovedEdges for any mesh
+//     and direction, cycles included. The Kahn peel runs first, and only a
+//     peel that does not complete pays for the DFS back-edge removal and
+//     the re-peel.
+//   - A warm Builder writing into recycled storage (BuildInto,
+//     BuildAllInto) allocates nothing. A Skeleton is immutable and may be
+//     shared by any number of concurrent builders.
+//   - TopoOrder, BLevels, DescendantsExact and DescendantsApprox are built
+//     once per DAG, on first use (concurrent callers wait for one build),
+//     and every caller gets the same read-only slice; BuildInto drops them
+//     when it recycles the DAG.
 package dag
 
 import (

@@ -15,8 +15,9 @@ import (
 )
 
 // acceptRows measures the machine-checkable acceptance criteria distilled
-// from the paper's qualitative claims (the DESIGN.md §4 criteria), one
-// row per criterion: id, criterion, measured, threshold, pass. It picks
+// from the paper's qualitative claims, one row per criterion (see
+// DESIGN.md, "Experiments and acceptance criteria"): id, criterion,
+// measured, threshold, pass. It picks
 // processor counts adaptively so the checks remain meaningful at any
 // -scale (the claims implicitly assume nk/m stays well above the critical
 // path, which fixed m would violate on scaled-down meshes).

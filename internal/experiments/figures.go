@@ -55,7 +55,8 @@ var figures = []figure{
 			{name: "R=k", run: 2, metric: ratio}, {name: "R=2k", run: 3, metric: ratio}, {name: "R=4k", run: 4, metric: ratio}},
 	},
 	{
-		// The machine-checkable acceptance criteria (DESIGN.md §4).
+		// The machine-checkable acceptance criteria (see
+		// DESIGN.md, "Experiments and acceptance criteria").
 		id: "accept", title: "accept: machine-checkable paper claims at scale %g",
 		args: func(g *group) []any { return []any{g.cfg.Scale} },
 		rows: acceptRows, verdict: acceptVerdict,

@@ -18,6 +18,24 @@
 // Ranks seam: modelled here, worker processes under internal/procrun. The
 // per-task arithmetic is unchanged by recovery, so a recovered transport
 // solve converges to flux bitwise-identical to the fault-free serial solve.
+//
+// What callers may rely on:
+//
+//   - With at least one processor surviving, a recovered solve's flux is
+//     bitwise the serial solve's, on either interconnect.
+//   - The RecoveryReport is byte-for-byte reproducible: counters accumulate
+//     in barrier or processor order, stalls and errors resolve to the
+//     lowest task and processor, and DeadProcs is sorted.
+//   - Every epoch makes progress: a stall epoch completes at least one task
+//     (the residual schedule's step-0 tasks have every input done), and
+//     crashes and message events are finite. When every processor is dead
+//     the engine returns an *UnrecoverableError.
+//   - A message event fires once, on the first send of its (task,
+//     destination) message, batched or not. A crash loses what its victim
+//     completed since the last checkpoint (every CheckpointEvery steps),
+//     counted as TasksReplayed.
+//   - Engine.Sweep checks ctx before every step and returns ctx.Err(),
+//     discarding held deliveries and open envelopes.
 package faults
 
 import (

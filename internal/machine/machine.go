@@ -252,13 +252,18 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 // received) ends that row, not the step, so an account is a prefix of
 // its row.
 func (m *Machine) Step(step int32) {
+	lo, hi := m.Steps.Span(step)
+	m.step(step, lo, hi)
+}
+
+// step is Step over the step's positions [lo, hi).
+func (m *Machine) step(step, lo, hi int32) {
 	psi, done, q, denom, runs := m.Psi, m.Done, m.Q, m.Denom, m.runs
 	n := int32(len(q))
 	for _, p := range m.Procs {
 		m.Acks[p] = Ack{StallTask: -1, StallMiss: -1}
 		runs[p] = true
 	}
-	lo, hi := m.Steps.Span(step)
 tasks:
 	for i := lo; i < hi; i++ {
 		t, p, in := m.Recv.At(i)
@@ -456,9 +461,12 @@ func (m *Machine) Discard() { m.outbox.DiscardAll() }
 // nothing done, with no fault to blame: per step it checks ctx, opens the
 // barrier, runs Step and closes the barrier, all on the caller's
 // goroutine — a modelled processor is a slice of Step's loop, not a
-// goroutine. A missing flux (*StallError) ends it like a local input not
-// done, and it returns ctx.Err() before the step that follows a
-// cancellation. A machine whose sweep failed is not reusable.
+// goroutine. A step with no positions is passed over after its ctx check:
+// every deadline is some consumer's start, so no envelope is due at it,
+// and nothing is sent in it, so a stretched schedule costs its tasks, not
+// its makespan times m. A missing flux (*StallError) ends the sweep like a
+// local input not done, and it returns ctx.Err() before the step that
+// follows a cancellation. A machine whose sweep failed is not reusable.
 func (m *Machine) Sweep(ctx context.Context) error {
 	m.Recv.Reset()
 	clear(m.Done)
@@ -466,8 +474,12 @@ func (m *Machine) Sweep(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		lo, hi := m.Steps.Span(st)
+		if lo == hi {
+			continue
+		}
 		m.OpenStep(st)
-		m.Step(st)
+		m.step(st, lo, hi)
 		if err := m.CloseStep(st); err != nil {
 			return err
 		}

@@ -14,6 +14,24 @@
 // only its cell balance and its checkpoint shards. Recovery replays lost
 // tasks with identical inputs through that balance, so the converged flux
 // is bitwise-identical to the serial transport.SolveCtx.
+//
+// What callers may rely on:
+//
+//   - A planned kill or sever fires at a barrier before its global step,
+//     and a link lost with no plan event behind it is a crash at the
+//     barrier closing the step, so a fixed seed reproduces the recovery.
+//   - A worker writes its cumulative checkpoint shard by atomic rename
+//     (faults.WriteDurable) before it runs a flagged step; a shard covers
+//     the completions strictly before the flag and is acked before any
+//     later kill can fire. On a kill the orchestrator reloads the victim's
+//     latest shard from disk, ignores one of an earlier sweep, and rolls
+//     back only what the shard does not cover.
+//   - A severed worker reconnects with bounded exponential backoff, its
+//     jitter drawn from the plan's seed, and is resent its last step frame;
+//     running a step twice is a no-op, so a resend never double-counts.
+//   - Workers record only deterministic counters, so the merged worker
+//     snapshot is byte-for-byte reproducible for a fixed plan, and Run
+//     leaves no worker process behind.
 package procrun
 
 import (

@@ -7,6 +7,49 @@
 // scheduling — every copy of a cell runs on the same processor in every
 // direction (§3, constraint 3) — is enforced structurally: assignments map
 // cells (not tasks) to processors, so schedules cannot violate it.
+//
+// # The step core
+//
+// One unit-step loop runs every list kernel: it ranks the tasks once by
+// (priority, TaskID), pops one ready task per processor per step and
+// releases its successors. A task becomes available at
+//
+//	avail(t) = max(floor(t), max over predecessors u of
+//	               finish(u) + (proc(u) != proc(t) ? commDelay : 0))
+//
+// and the five exported kernels differ only in what fills those terms in:
+//
+//	kernel                    priorities         floors            commDelay  done mask
+//	ListScheduleInto          prio               release           0          -
+//	CommScheduleInto          prio               -                 commDelay  -
+//	ListScheduleResidualInto  prio               -                 0          done
+//	ListScheduleAnglesetInto  aggPrio, expanded  aggRel, expanded  0          -
+//	CommScheduleAnglesetInto  aggPrio, expanded  -                 commDelay  -
+//
+// GreedyScheduleInto (Graham on the union DAG), LayeredSchedule
+// (Algorithm 1) and ListScheduleWeightedInto (event-driven, per-cell
+// costs) are other algorithms on the same ready set and task graph.
+//
+// What callers may rely on:
+//
+//   - (priority, TaskID) is a strict total order, so no output depends on
+//     how a ready set is built: every kernel is bitwise the frozen one in
+//     internal/sched/refimpl, and the angleset kernels are the
+//     per-direction ones on expanded inputs.
+//   - A kernel writes into a caller-owned *Schedule, reusing its Start
+//     array, and keeps its transient state in a *Workspace; on a warm
+//     workspace it allocates nothing, with an obs collector attached or
+//     not.
+//   - A done task of a residual run is not scheduled (Start stays -1) and
+//     its successors owe it no wait.
+//   - A delay or floor whose worst case overflows the int32 step counter is
+//     refused with a *StepRangeError. No table is sized from a delay, a
+//     floor or a start value, so a stretched schedule costs what a dense
+//     one does.
+//   - An Instance's DAGs are immutable once it has planned: its task graph,
+//     laid out in sweep-plane order, is built from them once and shared.
+//   - A list-scheduled run counts C1 and C2 on its release walk
+//     (Workspace.Metrics); Measure is the independent recount.
 package sched
 
 import (
@@ -360,8 +403,8 @@ func (s *Schedule) tightEdge(i, commDelay int32) (u, w, gap int32, tight bool) {
 
 // tailCrossover is the instance size, in tasks plus DAG edges, from which
 // a plan's feasibility tail is split across goroutines: below it the
-// cross-CPU hand-off costs more than the split saves (DESIGN.md §9,
-// "Feasibility tail", has the measurement).
+// cross-CPU hand-off costs more than the split saves (DESIGN.md §6 has
+// the measurement).
 const tailCrossover = 200_000
 
 // TailWorkers is how many goroutines the feasibility tail of a plan on

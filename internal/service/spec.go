@@ -9,7 +9,27 @@
 // scheduling options, with an LRU byte budget, singleflight coalescing
 // of concurrent identical builds, and a bounded admission semaphore
 // that converts overload into fast 429s instead of collapse. See
-// DESIGN.md §12.
+// DESIGN.md §10.
+//
+// What clients may rely on:
+//
+//   - A warm identical request runs no DAG build and no scheduler. Workers
+//     is in no cache key: the output is bit-identical for every worker
+//     count.
+//   - Concurrent identical misses at any tier share one build. A follower
+//     waits on its own context; if the build dies of its winner's context
+//     error, the followers still waiting retry and one becomes the winner.
+//     Each tier's stats count a cold request's miss once.
+//   - Builds and solves take an admission slot; a request that cannot get
+//     one within the queue timeout is refused 429 with Retry-After =
+//     ceil((queued+1)·meanService/slots) seconds, clamped to [1, 60].
+//     Schedule-tier hits take no slot.
+//   - A malformed or out-of-range spec is a 400, a vanished client a 499,
+//     an expired deadline a 504, a draining server a 503. On SIGTERM
+//     /healthz and /readyz turn 503, new work is refused and in-flight
+//     requests finish.
+//   - A cached schedule pins its family entry, so evicting a family never
+//     leaves a resident schedule without its bounds.
 package service
 
 import (
@@ -408,7 +428,7 @@ func (req *ScheduleRequest) familyKey(meshKey string) string {
 
 // scheduleKey addresses the finished-schedule tier: the family key ×
 // every option that affects scheduling output. Workers is excluded —
-// output is bit-identical for every worker count (DESIGN.md §7) — as
+// output is bit-identical for every worker count (DESIGN.md, "Determinism") — as
 // are the response-shaping flags.
 func (req *ScheduleRequest) scheduleKey(familyKey string) string {
 	key := fmt.Sprintf("%s|alg:%s|block:%d|seed:%d|c:%d|as:%d",
