@@ -1,10 +1,12 @@
 package sweepsched
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sweepsched/internal/trace"
 )
@@ -168,5 +170,45 @@ func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
 	}
 	if !slices.Equal(parallel.Phi, serial.Phi) {
 		t.Fatal("the batched parallel solve's flux differs from the serial solve's")
+	}
+}
+
+// TestStretchedScheduleSimulatesFaultyInBoundedTime: the fault engine
+// passes over the empty steps of the same stretched schedule (2,687,027
+// barrier steps for 1,260 tasks), as Simulate does, and still counts
+// them: the RecoveryReports are those of the engine that ran every step,
+// which took about 100 times Simulate's time on the fault-free plan.
+func TestStretchedScheduleSimulatesFaultyInBoundedTime(t *testing.T) {
+	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ScheduleComm(RandomDelaysPriority, ScheduleOptions{Seed: 1}, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := p.Simulate(res); err != nil {
+		t.Fatal(err)
+	}
+	budget := 20*time.Since(start) + time.Second
+	for _, c := range []struct {
+		spec FaultSpec
+		want string
+	}{
+		{FaultSpec{}, "recovery: seed=0x1 faults{crash=0 drop=0 delay=0 dup=0} epochs=1 recoveries=0 replayed=0 steps=2687027 faultfree=2687027 penalty=0 msgs=4342 rounds=765 dead=[] residual_bound=0"},
+		{FaultSpec{Crashes: 2, Drops: 3, Delays: 3, Duplicates: 2}, "recovery: seed=0x1 faults{crash=0 drop=3 delay=3 dup=2} epochs=5 recoveries=4 replayed=0 steps=458831 faultfree=2687027 penalty=-2228196 msgs=4342 rounds=298 dead=[] residual_bound=6"},
+	} {
+		start := time.Now()
+		_, rep, err := p.SimulateFaulty(context.Background(), res, NewFaultPlan(res, c.spec, 1))
+		if took := time.Since(start); took > budget {
+			t.Errorf("%+v: SimulateFaulty took %v, over %v (20 Simulates and a second)", c.spec, took, budget)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.String(); got != c.want {
+			t.Errorf("%+v: report\n%s\nwant\n%s", c.spec, got, c.want)
+		}
 	}
 }

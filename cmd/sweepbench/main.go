@@ -39,7 +39,6 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV tables instead of aligned text")
 		workers    = flag.Int("workers", 0, "goroutines for experiment rows and per-direction pipeline stages (0 = GOMAXPROCS; output is identical for any value)")
 		anglesets  = flag.Int("anglesets", 0, "run the fig3 harness with priorities aggregated into about this many octant anglesets (omit for the per-direction pipeline)")
-		weightSeed = flag.Uint64("weights", 0, "override the weighted experiment's cell-cost draw seed (0 = derive from -seed)")
 		speedsSpec = flag.String("speeds", "", "comma-separated per-processor speed pattern for the weighted experiment, cycled over each m, e.g. 1,2,4 (empty = uniform machine)")
 		doVerify   = flag.Bool("verify", false, "audit every produced schedule with the internal/verify auditor (fails fast on the first violation)")
 		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth trial (1 = every trial)")
@@ -112,7 +111,6 @@ func main() {
 		VerifyEvery: *verifyN,
 		Anglesets:   *anglesets,
 		Speeds:      speeds,
-		WeightSeed:  *weightSeed,
 	}
 	if *doStats {
 		cfg.Collector = obs.New()

@@ -12,6 +12,10 @@ package sweepsched_test
 //     one of its methods or fields, or one of a type it embeds or aliases;
 //   - Test*, Benchmark* and Fuzz* names; a trailing * or { (a family
 //     written BenchmarkX{A,B}) matches a prefix;
+//   - a bare lowerCamel or PascalCase name with no dot (rankPathFor,
+//     GetBuilder): some .go file of the tree, a test file included,
+//     declares it; in the pattern of a -run or -bench flag, a Test,
+//     Benchmark, Fuzz or Example function's name contains it;
 //   - repository paths: a whitespace-separated word that begins with
 //     internal/, cmd/, bench/, examples/ or testdata/, or ends in .go,
 //     .md, .txt, .sh or .json, names a path from the root (a glob
@@ -61,6 +65,9 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/ski
 var docHistory = map[string]string{
 	"Workspace.heaps": "DESIGN §4 records that the kernel's heaps were removed",
 	"Workspace.indeg": "DESIGN §4 records that the kernel's indegree array was removed",
+	"fillIndeg":       "DESIGN §4 records that the kernel's indegree fill was removed; TestStructure refuses its return",
+	"buildAngleset":   "DESIGN §4 records that the aggregated rank build was removed; TestStructure refuses its return",
+	"RunProc":         "TestStructure refuses a per-processor step body under this name",
 }
 
 // designLines is the most lines DESIGN.md and README.md may have together.
@@ -78,15 +85,19 @@ var (
 )
 
 var (
-	fencedBlock = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
-	codeSpan    = regexp.MustCompile("`([^`]+)`")
-	dottedName  = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
-	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
-	docPath     = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
-	shellSep    = regexp.MustCompile(`\|\||&&|[|;]|\s#.*`)
-	flagArg     = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:(=)(.*))?$`)
-	metricToken = regexp.MustCompile(`\b[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*\b`)
-	unitWord    = regexp.MustCompile(`^[A-Za-z]+$`)
+	fencedBlock  = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
+	codeSpan     = regexp.MustCompile("`([^`]+)`")
+	dottedName   = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
+	testName     = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*{]?`)
+	identifier   = regexp.MustCompile(`[A-Za-z_]\w*`)
+	camelName    = regexp.MustCompile(`^(?:[a-z][a-z0-9]*|[A-Z][a-z0-9]+)[A-Z]\w*$`)
+	testPattern  = regexp.MustCompile(`-(?:run|bench)(?:=|\s+)('[^']*'|\S+)`)
+	runnableName = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz|Example)`)
+	docPath      = regexp.MustCompile(`^(?:internal|cmd|bench|examples|testdata)/|\.(?:go|md|txt|sh|json)$`)
+	shellSep     = regexp.MustCompile(`\|\||&&|[|;]|\s#.*`)
+	flagArg      = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:(=)(.*))?$`)
+	metricToken  = regexp.MustCompile(`\b[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*\b`)
+	unitWord     = regexp.MustCompile(`^[A-Za-z]+$`)
 )
 
 func exported(name string) bool { return unicode.IsUpper([]rune(name)[0]) }
@@ -122,7 +133,13 @@ func TestDocReferences(t *testing.T) {
 		}
 		return false
 	}
-	tests := testFuncs(t)
+	names := declaredNames(t)
+	var runnable []string // what a -run or -bench pattern matches
+	for name := range names {
+		if runnableName.MatchString(name) {
+			runnable = append(runnable, name)
+		}
+	}
 	paths := treePaths(t)
 	pathResolves := func(tok string) bool {
 		tok = strings.TrimSuffix(tok, "/")
@@ -138,7 +155,7 @@ func TestDocReferences(t *testing.T) {
 	}
 	resolves := func(tok string) bool {
 		if prefix := strings.TrimRight(tok, "*{"); prefix != tok {
-			for name := range tests {
+			for name := range names {
 				if strings.HasPrefix(name, prefix) {
 					return true
 				}
@@ -148,7 +165,7 @@ func TestDocReferences(t *testing.T) {
 		part := strings.Split(tok, ".")
 		switch _, isType := s.members[part[0]]; {
 		case len(part) == 1:
-			return tests[tok]
+			return names[tok]
 		case pkgs[part[0]] != nil:
 			if !exported(part[1]) {
 				return true // a metric or a file name
@@ -226,7 +243,15 @@ func TestDocReferences(t *testing.T) {
 		for _, loc := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 			span, line := text[loc[2]:loc[3]], 1+strings.Count(text[:loc[0]], "\n")
 			checkFlags(file, line, span)
-			for _, tok := range append(dottedName.FindAllString(span, -1), testName.FindAllString(span, -1)...) {
+			for _, loc := range testPattern.FindAllStringSubmatchIndex(span, -1) {
+				for _, tok := range bareNames(span[loc[2]:loc[3]]) {
+					if !slices.ContainsFunc(runnable, func(name string) bool { return strings.Contains(name, tok) }) {
+						t.Errorf("%s:%d: no test or benchmark matches `%s`", file, line, tok)
+					}
+				}
+			}
+			plain := testPattern.ReplaceAllString(span, " ")
+			for _, tok := range slices.Concat(dottedName.FindAllString(span, -1), testName.FindAllString(span, -1), bareNames(plain)) {
 				if _, ok := docHistory[tok]; ok {
 					cited[tok] = true
 				} else if !resolves(tok) {
@@ -370,11 +395,32 @@ func treePaths(t *testing.T) []string {
 	return paths
 }
 
-// testFuncs returns the names of the top-level functions of every test
-// file, bench/'s included.
-func testFuncs(t *testing.T) map[string]bool {
+// bareNames returns the lowerCamel and PascalCase identifiers of a code
+// span that stand alone: no dot, path separator or flag dash beside them,
+// and no * or { after them (a test family, which testName reads).
+func bareNames(span string) []string {
+	var found []string
+	for _, loc := range identifier.FindAllStringIndex(span, -1) {
+		before, after := byte(' '), byte(' ')
+		if loc[0] > 0 {
+			before = span[loc[0]-1]
+		}
+		if loc[1] < len(span) {
+			after = span[loc[1]]
+		}
+		if tok := span[loc[0]:loc[1]]; camelName.MatchString(tok) && !strings.ContainsRune(".-/", rune(before)) && !strings.ContainsRune("./*{", rune(after)) {
+			found = append(found, tok)
+		}
+	}
+	return found
+}
+
+// declaredNames returns every name a .go file of the tree declares —
+// functions, methods, types, variables, constants, fields and parameters
+// — test files and bench/'s included.
+func declaredNames(t *testing.T) map[string]bool {
 	t.Helper()
-	funcs := map[string]bool{}
+	names := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -386,24 +432,44 @@ func testFuncs(t *testing.T) map[string]bool {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
-				funcs[fd.Name.Name] = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{x.Name}
+			case *ast.TypeSpec:
+				ids = []*ast.Ident{x.Name}
+			case *ast.ValueSpec:
+				ids = x.Names
+			case *ast.Field:
+				ids = x.Names
+			case *ast.AssignStmt:
+				if x.Tok == token.DEFINE {
+					for _, e := range x.Lhs {
+						if id, ok := e.(*ast.Ident); ok {
+							ids = append(ids, id)
+						}
+					}
+				}
 			}
-		}
+			for _, id := range ids {
+				names[id.Name] = true
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return funcs
+	return names
 }
 
 // cmdFlags returns, for each binary under cmd/, the flags it defines

@@ -1,14 +1,17 @@
 // Package experiments reproduces every figure and headline observation of
 // the paper's empirical study (§5). Each experiment is a figure, a value in
 // one sorted table (figures.go): the rows it sweeps, the randomized calls
-// each row makes with their seed rules, and the columns read off them. One
-// evaluator runs them all, and testdata/experiments_golden.txt pins every
-// table. EXPERIMENTS.md records the paper-vs-measured comparison.
+// each row makes with their seed rules, the columns read off them, and
+// the paper's claims as predicates over those rows. One evaluator runs
+// them all and checks the claims, and testdata/experiments_golden.txt
+// pins every table. EXPERIMENTS.md records the paper-vs-measured
+// comparison.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -60,9 +63,6 @@ type Config struct {
 	// heterogeneous machine: the positive pattern cycled over each m ("1,2,4"
 	// on m=8 is 1,2,4,1,2,4,1,2). Empty means the uniform machine.
 	Speeds []int32
-	// WeightSeed, when non-zero, overrides the weighted experiment's
-	// cell-cost draw seed (default: derived from Seed).
-	WeightSeed uint64
 	// Anglesets > 0 runs the Figure 3 panels angleset-aggregated: priorities
 	// once per sign-homogeneous angleset (about this many), audited as such.
 	// 0 keeps the per-direction pipeline.
@@ -134,11 +134,62 @@ type figure struct {
 	ks     []int
 	rows   func(g *group) ([]*point, error)
 
-	runs  []run
-	cols  []col
-	worst int // > 0: a group's rows fold into the one largest in this column (worst over m)
+	runs   []run
+	cols   []col
+	worst  int // > 0: a group's rows fold into the one largest in this column (worst over m)
+	claims []claim
+}
 
-	verdict func(c Config, rows [][]any) error // after the table
+// claim is one of the paper's claims as a predicate over its figure's
+// own rows. In every group, each row i its regime admits (every row if
+// regime is nil) yields a value, read off the group's cells; the claim
+// holds when it has checked a row and every value meets the bound.
+type claim struct {
+	id, text string
+	regime   func(p *point) bool
+	value    func(rows [][]any, i int) float64
+	op       string // "<=", "<", ">=" or ">": how a value meets the bound
+	bound    float64
+}
+
+func (c *claim) meets(v float64) bool {
+	switch c.op {
+	case "<=":
+		return v <= c.bound
+	case "<":
+		return v < c.bound
+	case ">=":
+		return v >= c.bound
+	}
+	return v > c.bound
+}
+
+// tally is what a claim found over a figure's groups: the rows checked,
+// and the value furthest from meeting the bound (a NaN sticks), which
+// meets it only if every value does.
+type tally struct {
+	rows  int
+	worst float64
+}
+
+func (t *tally) add(c *claim, v float64) {
+	worse := v > t.worst
+	if c.op[0] == '>' {
+		worse = v < t.worst
+	}
+	if t.rows == 0 || worse || math.IsNaN(v) {
+		t.worst = v
+	}
+	t.rows++
+}
+
+// ClaimError is a figure's verdict when some of its claims do not hold:
+// the ids of those that failed or whose regime held no row, in the
+// figure's order.
+type ClaimError struct{ Failed []string }
+
+func (e *ClaimError) Error() string {
+	return "experiments: paper claims failed: " + strings.Join(e.Failed, ", ")
 }
 
 // run is one randomized call a figure's columns measure: a scheduler or
@@ -200,7 +251,7 @@ type point struct {
 	assign sched.Assignment // weighted's fixed assignment, model and bounds
 	model  *sched.MachineModel
 	bounds lb.WeightedBounds
-	cells  []any // a row given whole (accept, weighted's skipped m)
+	cells  []any // a row given whole (weighted's skipped m)
 }
 
 // Names returns the experiment ids in sorted order.
@@ -233,8 +284,9 @@ func Run(name string, cfg Config) error {
 }
 
 // eval is the one evaluator. Group by group it builds the workload and
-// the rows, evaluates the rows in parallel and folds them if the figure
-// reduces over m; then it renders the table.
+// the rows, evaluates the rows in parallel, checks the figure's claims on
+// them while the workload is alive, and folds them if the figure reduces
+// over m; then it renders the table and, under it, one line per claim.
 func (f *figure) eval(cfg Config) error {
 	groups := []*group{{cfg: cfg}}
 	if f.meshes != nil {
@@ -246,6 +298,7 @@ func (f *figure) eval(cfg Config) error {
 		}
 	}
 	var all [][]any
+	tallies := make([]tally, len(f.claims))
 	for gi, g := range groups {
 		var err error
 		if g.mesh != "" {
@@ -272,6 +325,14 @@ func (f *figure) eval(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		for ci := range f.claims {
+			c := &f.claims[ci]
+			for i, p := range pts {
+				if c.regime == nil || c.regime(p) {
+					tallies[ci].add(c, c.value(cells, i))
+				}
+			}
+		}
 		if f.worst > 0 && len(cells) > 0 {
 			for _, r := range cells[1:] {
 				if r[f.worst].(float64) > cells[0][f.worst].(float64) {
@@ -295,10 +356,31 @@ func (f *figure) eval(cfg Config) error {
 	if cfg.CSV {
 		render = tbl.RenderCSV
 	}
-	if err := render(cfg.Out); err != nil || f.verdict == nil {
+	if err := render(cfg.Out); err != nil {
 		return err
 	}
-	return f.verdict(cfg, all)
+	var failed []string
+	for ci, t := range tallies {
+		c := &f.claims[ci]
+		ok := t.rows > 0 && c.meets(t.worst)
+		verdict := fmt.Sprintf("holds on %d rows: %s, worst %.4g %s %.4g", t.rows, c.text, t.worst, c.op, c.bound)
+		switch {
+		case t.rows == 0:
+			verdict = "FAILS: no row in its regime (" + c.text + ")"
+		case !ok:
+			verdict = fmt.Sprintf("FAILS on %d rows: %s, worst %.4g, want %s %.4g", t.rows, c.text, t.worst, c.op, c.bound)
+		}
+		if !ok {
+			failed = append(failed, c.id)
+		}
+		if _, err := fmt.Fprintf(cfg.Out, "claim %s %s\n", c.id, verdict); err != nil {
+			return err
+		}
+	}
+	if len(failed) > 0 {
+		return &ClaimError{Failed: failed}
+	}
+	return nil
 }
 
 // procRows is the default row axis: one row per processor count.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -44,12 +45,22 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// tinyMisses are the claims that fail at tinyConfig, outside the regime
+// they speak about: fig3c's block 128 leaves the 430 cells of
+// well_logging at scale 0.01 four blocks for two processors, and one
+// draw puts them all on one (ratio 2, against DFDS's 1.07).
+var tinyMisses = map[string][]string{"fig3c": {"A5"}}
+
 func TestAllExperimentsRun(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var out strings.Builder
-			if err := Run(name, tinyConfig(&out)); err != nil {
+			err := Run(name, tinyConfig(&out))
+			var ce *ClaimError
+			if want := tinyMisses[name]; want != nil && (!errors.As(err, &ce) || !slices.Equal(ce.Failed, want)) {
+				t.Fatalf("%s: got %v, want the claims %v to fail", name, err, want)
+			} else if want == nil && err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			text := out.String()

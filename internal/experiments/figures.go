@@ -43,6 +43,13 @@ var figures = []figure{
 		}}},
 		cols: []col{{name: "m", cell: procs}, {name: "policy", cell: policyName},
 			{name: "ratio", metric: ratio}, {name: "C1", metric: c1, whole: true}},
+		// A blocks row reads the random row of its m, three rows up.
+		claims: []claim{
+			{id: "A2a", text: "C1 random/blocks, blocks of >= 16 cells", regime: bigBlocks, op: ">=", bound: 2,
+				value: func(rows [][]any, i int) float64 { return num(rows[i-3][3]) / num(rows[i][3]) }},
+			{id: "A2b", text: "ratio blocks/random, blocks of >= 16 cells", regime: bigBlocks, op: "<=", bound: 3,
+				value: func(rows [][]any, i int) float64 { return num(rows[i][2]) / num(rows[i-3][2]) }},
+		},
 	},
 	{
 		// Algorithm 2's delay range R, X_i ∈ {0..R-1}: R=1 is plain level
@@ -53,14 +60,6 @@ var figures = []figure{
 		runs: []run{delayRange(0, 1), delayRange(1, 6), delayRange(2, 24), delayRange(3, 48), delayRange(4, 96)},
 		cols: []col{{name: "m", cell: procs}, {name: "R=1(no delay)", metric: ratio}, {name: "R=k/4", run: 1, metric: ratio},
 			{name: "R=k", run: 2, metric: ratio}, {name: "R=2k", run: 3, metric: ratio}, {name: "R=4k", run: 4, metric: ratio}},
-	},
-	{
-		// The machine-checkable acceptance criteria (see
-		// DESIGN.md, "Experiments and acceptance criteria").
-		id: "accept", title: "accept: machine-checkable paper claims at scale %g",
-		args: func(g *group) []any { return []any{g.cfg.Scale} },
-		rows: acceptRows, verdict: acceptVerdict,
-		cols: []col{{name: "id"}, {name: "criterion"}, {name: "measured"}, {name: "threshold"}, {name: "pass"}},
 	},
 	{
 		// §5.1 observation 2: larger blocks cut C1 sharply while the
@@ -144,6 +143,11 @@ var figures = []figure{
 			{name: "C1_cell", metric: c1, whole: true}, {name: "C1_b64", run: 1, metric: c1, whole: true},
 			{name: "C1_b256", run: 2, metric: c1, whole: true}, {name: "C2_cell", metric: c2, whole: true},
 			{name: "C2_b64", run: 1, metric: c2, whole: true}, {name: "C2_b256", run: 2, metric: c2, whole: true}},
+		claims: []claim{{id: "A4", text: "C2 - C1, the most over the assignments", op: "<=", bound: 0,
+			value: func(rows [][]any, i int) float64 {
+				r := rows[i]
+				return max(num(r[4])-num(r[1]), num(r[5])-num(r[2]), num(r[6])-num(r[3]))
+			}}},
 	},
 	{
 		// Figure 2(c): "Random Delays" against "Random Delays with
@@ -153,13 +157,17 @@ var figures = []figure{
 		runs: []run{{seed: mixed(0xc1), do: alg(heuristics.RandomDelays)}, {seed: mixed(0xc2), do: alg(heuristics.RandomDelaysPriority)}},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}, {name: "ratio_rd", metric: ratio},
 			{name: "ratio_rdp", run: 1, metric: ratio}, {name: "improvement", cell: quot(2, 3)}},
+		claims: []claim{{id: "A3", text: "improvement: list scheduling never loses to the layered Algorithm 1", value: cellAt(4), op: ">", bound: 1}},
 	},
 	fig3("fig3a", "level priorities vs random delays (long, block 64)", "long", 64,
 		heuristics.Level, heuristics.RandomDelaysPriority),
 	fig3("fig3b", "descendant priorities vs random delays (tetonly, block 256)", "tetonly", 256,
 		heuristics.RandomDelaysPriority, heuristics.Descendant, heuristics.DescendantDelays),
 	fig3("fig3c", "DFDS priorities vs random delays (well_logging, block 128)", "well_logging", 128,
-		heuristics.RandomDelaysPriority, heuristics.DFDS, heuristics.DFDSDelays),
+		heuristics.RandomDelaysPriority, heuristics.DFDS, heuristics.DFDSDelays).with(claim{
+		id: "A5", text: "ratio_random_delays_priority/ratio_dfds at the smallest m",
+		regime: func(p *point) bool { return p.m == slices.Min(p.g.cfg.Procs) }, op: "<=", bound: 1.35,
+		value: func(rows [][]any, i int) float64 { return num(rows[i][2]) / num(rows[i][3]) }}),
 	{
 		// §5.1 observation 1: the provable algorithms' observed ratios far
 		// below the O(log²n) and ρ(m) = log m · logloglog m factors.
@@ -171,6 +179,8 @@ var figures = []figure{
 			{name: "ratio_alg2", run: 1, metric: ratio}, {name: "ratio_alg3", run: 2, metric: ratio},
 			{name: "log2n^2", cell: func(p *point, _ []float64) any { return core.Log2Sq(p.g.w.Mesh.NCells()) }},
 			{name: "rho(m)", cell: func(p *point, _ []float64) any { return core.Rho(p.m) }}},
+		claims: []claim{{id: "A1", text: "ratio_alg2 where nk/m >= 2D", value: cellAt(3), op: "<=", bound: 3,
+			regime: func(p *point) bool { return p.g.w.Mesh.NCells()*p.g.k/p.m >= 2*depth(p.g.w) }}},
 	},
 	{
 		// §4.2's motivation for Algorithm 2: the idle slots at Algorithm 1's
@@ -201,6 +211,8 @@ var figures = []figure{
 		}}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ms_alg1", metric: makespan},
 			{name: "ms_alg3", run: 1, metric: makespan}, {name: "alg1/alg3", cell: quot(2, 3)}},
+		claims: []claim{{id: "A7", text: "alg1/alg3 up to m = 128: layered Algorithm 3 is slower than Algorithm 1",
+			regime: func(p *point) bool { return p.m <= 128 }, value: cellAt(4), op: "<", bound: 1}},
 	},
 	{
 		// §2's related work: on a regular grid the KBA column schedule is
@@ -381,6 +393,33 @@ func share(a, b int) func(*point, []float64) any {
 	}
 }
 
+// cellAt is the value a claim reads off cell j of a row; num reads a
+// cell as a number.
+func cellAt(j int) func([][]any, int) float64 {
+	return func(rows [][]any, i int) float64 { return num(rows[i][j]) }
+}
+
+func num(cell any) float64 {
+	switch x := cell.(type) {
+	case int:
+		return float64(x)
+	case int64:
+		return float64(x)
+	case float64:
+		return x
+	}
+	return math.NaN()
+}
+
+// depth is the workload's critical path D, its DAGs' most levels.
+func depth(w *Workload) int {
+	d := 0
+	for _, g := range w.DAGs {
+		d = max(d, g.NumLevels)
+	}
+	return d
+}
+
 // The metrics a column reads off a sample.
 func makespan(_ *point, s *sample) float64    { return float64(s.s.Makespan) }
 func ratio(_ *point, s *sample) float64       { return lb.Ratio(s.s.Makespan, s.s.Inst) }
@@ -488,6 +527,12 @@ func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
 	return f
 }
 
+// with adds claims to a figure built by a constructor.
+func (f figure) with(claims ...claim) figure {
+	f.claims = append(f.claims, claims...)
+	return f
+}
+
 // delayRange is ablate_delay's column for delay range R, seeded by its
 // position.
 func delayRange(i, R int) run {
@@ -532,6 +577,10 @@ func policyRows(g *group) ([]*point, error) {
 
 // policyBlock is the block size of ablate_assign's block policies.
 func policyBlock(p *point) int { return max(2, p.g.w.Mesh.NCells()/(8*p.m)) }
+
+// bigBlocks is A2's regime: the blocks row of an m whose blocks hold at
+// least 16 cells.
+func bigBlocks(p *point) bool { return p.x == 3 && policyBlock(p) >= 16 }
 
 func policyName(p *point, _ []float64) any {
 	return []string{"random", "roundrobin", "slabs", fmt.Sprintf("blocks(%d)", policyBlock(p)),
@@ -659,6 +708,11 @@ func commTraffic(p *point, _ uint64) (*sample, error) {
 		return nil, fmt.Errorf("comm: m=%d logical traffic differs across modes: batched %d msgs/%d rounds, oracle %d/%d",
 			p.m, b.Comm.Messages, b.Comm.Rounds, o.Comm.Messages, o.Comm.Rounds)
 	}
+	// A6: one message per cross edge per sweep, and the per-step maxima.
+	if met, it := sched.Measure(s, cfg.Workers), int64(b.Iterations); b.Comm.Messages != it*met.C1 || b.Comm.Rounds != it*met.C2 {
+		return nil, fmt.Errorf("comm: m=%d claim A6 fails: %d sweeps sent %d msgs in %d rounds, want C1=%d and C2=%d per sweep",
+			p.m, it, b.Comm.Messages, b.Comm.Rounds, met.C1, met.C2)
+	}
 	return &sample{v: []float64{float64(b.Comm.Messages), float64(b.Comm.Rounds), float64(b.Comm.Batches), float64(b.Comm.Bytes),
 		float64(o.Comm.Bytes), per(b.Comm.Messages, b.Comm.Batches), per(o.Comm.Bytes, b.Comm.Bytes)}}, nil
 }
@@ -769,11 +823,7 @@ var faultSpecs = []faults.Spec{
 // weightedRows draws the cell costs, then per m a random and a balanced
 // assignment, or one skipped row.
 func weightedRows(g *group) ([]*point, error) {
-	seed := g.cfg.Seed ^ 0xdead
-	if g.cfg.WeightSeed != 0 {
-		seed = g.cfg.WeightSeed
-	}
-	r := rng.New(seed)
+	r := rng.New(g.cfg.Seed ^ 0xdead)
 	g.weights = make(sched.CellWeights, g.w.Mesh.NCells())
 	for v := range g.weights {
 		g.weights[v] = int32(math.Round(4*math.Exp(0.75*r.NormFloat64()))) + 1

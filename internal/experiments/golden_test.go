@@ -84,12 +84,13 @@ type ordering struct {
 }
 
 // paperOrderings are checked on the tables TestExperimentsGolden renders,
-// so they cost no second run. Block-64's C1 cut is left to accept's A2: at
-// scale 0.02 block 64 costs six times the per-cell makespan.
+// so they cost no second run. They are the orderings EXPERIMENTS.md marks
+// reproduced that hold at the golden's configuration but not at every one
+// the figures run at, so they are no claim of their figure: fig2b's share
+// misses 0.01 at BenchmarkExperiments' seeds 1 and 4 (one trial), the
+// guarantee's at seeds 3 and 5, and fig3c's fail at scales 0.05, 0.1 and
+// 1.0. Block-64's C1 cut is left to ablate_assign's A2.
 var paperOrderings = []ordering{
-	{"fig2c", "list scheduling never loses to the layered Algorithm 1", func(c func(string) float64) bool {
-		return c("improvement") > 1
-	}},
 	{"fig2b", "a per-cell random assignment cuts (m-1)/m of the edges", func(c func(string) float64) bool {
 		m := c("m")
 		return math.Abs(c("C1_cell")/c("edges")-(m-1)/m) <= 0.01
@@ -100,9 +101,6 @@ var paperOrderings = []ordering{
 	{"fig3c", "delays do not help DFDS", func(c func(string) float64) bool {
 		return c("ratio_dfds_delays") >= 0.97*c("ratio_dfds")
 	}},
-	{"improved", "layered Algorithm 3 is slower than Algorithm 1 up to m = 128", func(c func(string) float64) bool {
-		return c("m") > 128 || c("alg1/alg3") < 1
-	}},
 	{"guarantee", "Algorithm 3's priority form beats Algorithm 1", func(c func(string) float64) bool {
 		return c("ratio_alg3") < c("ratio_alg1")
 	}},
@@ -110,7 +108,7 @@ var paperOrderings = []ordering{
 
 // checkOrderings holds every row of an experiment's section to its
 // paperOrderings. A section is "=== id", the "# title" line, the header,
-// a rule, then one row per line.
+// a rule, one row per line, then the claim lines.
 func checkOrderings(t *testing.T, id, section string) {
 	t.Helper()
 	lines := strings.Split(strings.TrimSuffix(section, "\n"), "\n")
@@ -123,6 +121,9 @@ func checkOrderings(t *testing.T, id, section string) {
 		}
 		title, header := lines[1], strings.Fields(lines[2])
 		for _, row := range lines[4:] {
+			if strings.HasPrefix(row, "claim ") {
+				break
+			}
 			cells := strings.Fields(row)
 			col := func(name string) float64 {
 				text := ""

@@ -149,6 +149,8 @@ type Engine struct {
 	ckptEvery   int32
 	globalStep  int32
 	needRebuild bool
+	unsaved     bool           // a task completed since the last checkpoint
+	remote      bool           // the ranks run elsewhere (RunOn) and take every step's frame
 	report      RecoveryReport // MessagesSent and CommRounds are read off mc.Comm
 
 	// Tables built once and reused across epochs and sweeps: a fault-free
@@ -268,7 +270,7 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 // needs of the engine: the machine its acks are replayed through and the
 // injector that plans its severs.
 func (e *Engine) RunOn(r Ranks, prefix, crashed string) (*machine.Machine, *Injector) {
-	e.ranks, e.prefix, e.crashed = r, prefix, crashed
+	e.ranks, e.prefix, e.crashed, e.remote = r, prefix, crashed, true
 	return &e.mc, e.inj
 }
 
@@ -426,6 +428,11 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 // processor lost during the step is a crash at this barrier, a missing
 // flux a stall if the injector explains it and an infeasible schedule if
 // not.
+//
+// In process, a step with no positions is passed over, as Machine.Sweep
+// passes over one, unless a held message matures at it or its checkpoint
+// would make a completion durable: it only counts, so a stretched
+// schedule costs its tasks, not its makespan times m.
 func (e *Engine) step(ls int32) error {
 	mc, g := &e.mc, e.globalStep
 	if g >= e.nextCrash {
@@ -440,6 +447,11 @@ func (e *Engine) step(ls int32) error {
 	ckpt := g-e.lastCkpt >= e.ckptEvery
 	if ckpt {
 		e.lastCkpt = g
+	}
+	if lo, hi := mc.Steps.Span(ls); lo == hi && !e.remote && !(ckpt && e.unsaved) && !e.inj.matures(g) {
+		e.globalStep++
+		e.report.StepsExecuted++
+		return nil
 	}
 	for _, dl := range e.inj.Matured(g) {
 		if e.rec.Live(dl.To) {
@@ -456,9 +468,12 @@ func (e *Engine) step(ls int32) error {
 
 	mc.Sent = e.inj.Rewrite(mc.Sent, g)
 	err = mc.CloseStep(ls)
+	completed := 0
 	for _, p := range mc.Procs {
-		e.remaining -= int(mc.Acks[p].Completed)
+		completed += int(mc.Acks[p].Completed)
 	}
+	e.remaining -= completed
+	e.unsaved = completed > 0 || e.unsaved && !ckpt
 	e.globalStep++
 	e.report.StepsExecuted++
 	if _, stall := err.(*machine.StallError); err != nil && !stall { // the machine returns it bare
@@ -507,7 +522,7 @@ func (e *Engine) applyCrashes() {
 	e.remaining += lost
 	e.report.TasksReplayed += lost
 	e.count("tasks_replayed", lost)
-	e.lastCkpt = e.globalStep
+	e.lastCkpt, e.unsaved = e.globalStep, false
 	e.rec.Kill(e.dying, e.mc.Done)
 	e.routed = nil // the assignment changed
 	if e.rec.NLive() > 0 {

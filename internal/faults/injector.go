@@ -174,6 +174,17 @@ func (inj *Injector) Matured(step int32) []Delivery {
 	return due
 }
 
+// matures reports whether a held delivery is due at or before the given
+// global step, which Matured would return.
+func (inj *Injector) matures(step int32) bool {
+	for st := range inj.delayed {
+		if st <= step {
+			return true
+		}
+	}
+	return false
+}
+
 // DiscardDelayed drops all held deliveries. Called on epoch teardown: the
 // producers of held fluxes have completed, so after recovery their values
 // are read from the durable checkpoint instead.
