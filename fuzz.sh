@@ -26,5 +26,6 @@ FuzzWeightedMachineDifferential ./internal/sched
 FuzzStepCoreEquivalence ./internal/sched
 FuzzFluxBatchCodec ./internal/procrun
 FuzzOutboxMatchesReference ./internal/comm
+FuzzStepMatchesPerRowReference ./internal/machine
 FuzzKWayEquivalence ./internal/partition
 TARGETS

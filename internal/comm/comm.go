@@ -18,7 +18,10 @@
 // therefore carries MinDue — the earliest step any held item is consumed —
 // and the flusher ships the envelope exactly when MinDue is reached. This
 // is the classic interval-stabbing optimum: no policy that delivers every
-// flux by its consumer's step uses fewer envelopes.
+// flux by its consumer's step uses fewer envelopes. A flush costs the
+// envelopes open at it, not the destinations: it returns at once before
+// the least MinDue, and otherwise visits the destinations an open mark
+// names.
 //
 // An envelope is counted, not carried: the modelled machine places a flux
 // in its receive slot when it is handed over, visible from the next step,
@@ -35,6 +38,7 @@ package comm
 
 import (
 	"math"
+	"math/bits"
 
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
@@ -55,10 +59,12 @@ const NoDue = math.MaxInt32
 // Outbox is the envelope ledger: per destination, the open envelope's item
 // count and MinDue, the earliest step one of its items is consumed; the
 // envelope must be transmitted at or before the barrier opening that step.
-// It allocates nothing after NewOutbox, belongs to one step loop and is
-// not safe for concurrent use.
+// A bit per destination marks the envelopes that hold an item, so a flush
+// visits those, not every destination. It allocates nothing after
+// NewOutbox, belongs to one step loop and is not safe for concurrent use.
 type Outbox struct {
 	env     []envelope // per destination: its open envelope
+	open    []uint64   // bit to%64 of word to/64: destination to's envelope holds an item
 	next    int32      // the least MinDue: no envelope is due before it
 	flushed []int32    // the destinations the last FlushDue shipped
 }
@@ -70,8 +76,11 @@ type envelope struct {
 
 // NewOutbox returns an empty outbox for m destinations.
 func NewOutbox(m int) *Outbox {
-	o := &Outbox{env: make([]envelope, m), flushed: make([]int32, 0, m)}
-	o.DiscardAll()
+	o := &Outbox{env: make([]envelope, m), open: make([]uint64, (m+63)/64), flushed: make([]int32, 0, m)}
+	for to := range o.env {
+		o.env[to] = envelope{minDue: NoDue}
+	}
+	o.next = NoDue
 	return o
 }
 
@@ -86,6 +95,7 @@ func (o *Outbox) Add(to, due int32) {
 	e.n++
 	e.minDue = min(e.minDue, due)
 	o.next = min(o.next, due)
+	o.open[to>>6] |= 1 << (to & 63)
 }
 
 // FlushDue transmits every envelope whose deadline has arrived (MinDue ≤
@@ -93,26 +103,30 @@ func (o *Outbox) Add(to, due int32) {
 // the outbox's, valid until the next FlushDue) and what they cost, one
 // transmission and BatchWireBytes of its items each. An envelope holding
 // only NoDue items never flushes on its own; it rides along with the
-// destination's next dated one.
+// destination's next dated one. It visits the open envelopes only, in
+// ascending order of their bits.
 func (o *Outbox) FlushDue(now int32) (flushed []int32, batches, bytes int64) {
 	o.flushed = o.flushed[:0]
 	if now < o.next {
 		return o.flushed, 0, 0
 	}
 	o.next = NoDue
-	for to := range o.env {
-		e := &o.env[to]
-		if e.minDue > now {
-			o.next = min(o.next, e.minDue)
-			continue
+	for w, word := range o.open {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			to := w<<6 | bit
+			e := &o.env[to]
+			if e.minDue > now {
+				o.next = min(o.next, e.minDue)
+				continue
+			}
+			batches++
+			bytes += BatchWireBytes(int(e.n))
+			o.flushed = append(o.flushed, int32(to))
+			*e = envelope{minDue: NoDue}
+			word &^= 1 << bit
 		}
-		if e.n == 0 { // nothing open, and now is NoDue
-			continue
-		}
-		batches++
-		bytes += BatchWireBytes(int(e.n))
-		o.flushed = append(o.flushed, int32(to))
-		*e = envelope{minDue: NoDue}
+		o.open[w] = word
 	}
 	return o.flushed, batches, bytes
 }
@@ -121,8 +135,11 @@ func (o *Outbox) FlushDue(now int32) (flushed []int32, batches, bytes int64) {
 // teardown: completed producers' fluxes are re-read from the durable
 // state after recovery, so undelivered envelopes are moot).
 func (o *Outbox) DiscardAll() {
-	for to := range o.env {
-		o.env[to] = envelope{minDue: NoDue}
+	for w, word := range o.open {
+		for ; word != 0; word &= word - 1 {
+			o.env[w<<6|bits.TrailingZeros64(word)] = envelope{minDue: NoDue}
+		}
+		o.open[w] = 0
 	}
 	o.next = NoDue
 }

@@ -173,6 +173,36 @@ func TestOutboxMatchesReferenceEnvelopes(t *testing.T) {
 	}
 }
 
+// TestOutboxMatchesReferenceAcrossWords is the seeded half of
+// TestOutboxMatchesReferenceEnvelopes at machine sizes around and past 64
+// destinations, where the ledger's open marks span several words: a
+// flush must still ship the due envelopes of every word, ascending.
+func TestOutboxMatchesReferenceAcrossWords(t *testing.T) {
+	for i, m := range []int{63, 64, 65, 128, 130, 200} {
+		r := rng.New(uint64(i + 1))
+		var ops []envOp
+		now := int32(0)
+		for len(ops) < 2000 {
+			switch x := r.Intn(20); {
+			case x < 15:
+				due := now + int32(r.Intn(6)) - 1
+				if r.Intn(8) == 0 {
+					due = comm.NoDue
+				}
+				ops = append(ops, envOp{kind: 'a', to: int32(r.Intn(m)), due: due})
+			case x < 19:
+				now += int32(r.Intn(3))
+				ops = append(ops, envOp{kind: 'f', now: now})
+			default:
+				ops = append(ops, envOp{kind: 'd'})
+			}
+		}
+		if batches, _ := replayEnvelopes(t, fmt.Sprintf("m=%d", m), m, ops); batches == 0 {
+			t.Fatalf("m=%d: nothing flushed", m)
+		}
+	}
+}
+
 // machineEnvelopeOps sweeps the schedule on a batched machine, barrier by
 // barrier, with its sends intercepted so that each is recorded as the Add
 // it becomes, and returns the calls the machine makes on its envelopes,

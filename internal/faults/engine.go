@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"sweepsched/internal/lb"
 	"sweepsched/internal/machine"
@@ -60,7 +61,7 @@ type Ranks interface {
 	// RunStep runs local step ls (global step g) on every processor in the
 	// machine's Procs, between its two barriers, and leaves what the
 	// machine's Step would: each one's account in Acks, its completions in
-	// Psi, Done and Sent. ckpt: what completed before this step is to be
+	// Psi, Done and Sent and counted in Machine.Completed. ckpt: what completed before this step is to be
 	// durable first. It returns, ascending, the processors lost on the way
 	// with no plan saying so; the engine crashes them at the barrier
 	// closing the step, unless another's account carries an error, which
@@ -73,44 +74,54 @@ type Ranks interface {
 
 // modelled is the in-process Ranks.
 type modelled struct {
-	mc        *machine.Machine
-	sinceCkpt [][]sched.TaskID // per proc: completions since the last durable checkpoint
+	mc *machine.Machine
+	// since logs the completions since the last durable checkpoint, every
+	// processor's, step by step in the order of the step's positions.
+	since []sched.TaskID
 }
 
 func (r *modelled) Epoch(int, *sched.Schedule, sched.Assignment) error { return nil }
 
+// RunStep logs the step's completions in one pass over its positions, the
+// whole span at once when every task of it completed. A position's task is
+// one the step completed exactly when it is done after the step: an
+// epoch's table holds only tasks not done when it began, each once, and a
+// task is marked done only by its own completion — so a row that stopped
+// short, or a processor that is not live, logs nothing past what ran.
 func (r *modelled) RunStep(ls, _ int32, ckpt bool) ([]int32, error) {
 	if ckpt {
 		r.checkpoint()
 	}
 	mc := r.mc
 	mc.Step(ls)
-	for _, p := range mc.Procs {
-		ran := mc.Steps.Tasks(p, ls)[:mc.Acks[p].Completed]
-		r.sinceCkpt[p] = append(r.sinceCkpt[p], ran...)
+	lo, hi := mc.Steps.Span(ls)
+	span := mc.Steps.Order()[lo:hi]
+	if int(mc.Completed()) == len(span) {
+		r.since = append(r.since, span...)
+		return nil, nil
+	}
+	for _, t := range span {
+		if mc.Done[t] {
+			r.since = append(r.since, t)
+		}
 	}
 	return nil, nil
 }
 
 // checkpoint: completions up to here can no longer be lost to a crash.
-func (r *modelled) checkpoint() {
-	for p := range r.sinceCkpt {
-		r.sinceCkpt[p] = r.sinceCkpt[p][:0]
-	}
-}
+func (r *modelled) checkpoint() { r.since = r.since[:0] }
 
 // Kill rolls the victims back to the last checkpoint; the recovery that
-// follows acts as one for everyone else.
+// follows acts as one for everyone else. A logged task's processor is the
+// one the machine's routes give it: the assignment changes only after a
+// Kill, which empties the log.
 func (r *modelled) Kill(dying []int32, done []bool) int {
 	lost := 0
-	for _, p := range dying {
-		for _, t := range r.sinceCkpt[p] {
-			if done[t] {
-				done[t] = false
-				lost++
-			}
+	for _, t := range r.since {
+		if _, p, _ := r.mc.Recv.At(r.mc.Recv.Pos(t)); done[t] && slices.Contains(dying, p) {
+			done[t] = false
+			lost++
 		}
-		r.sinceCkpt[p] = nil
 	}
 	r.checkpoint()
 	return lost
@@ -259,7 +270,7 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 		prefix:    "faults",
 		crashed:   "crashes",
 	}
-	e.ranks = &modelled{mc: &e.mc, sinceCkpt: make([][]sched.TaskID, s.Inst.M)}
+	e.ranks = &modelled{mc: &e.mc}
 	e.report.Seed = plan.Seed
 	return e, nil
 }
@@ -467,11 +478,8 @@ func (e *Engine) step(ls int32) error {
 	}
 
 	mc.Sent = e.inj.Rewrite(mc.Sent, g)
+	completed := int(mc.Completed())
 	err = mc.CloseStep(ls)
-	completed := 0
-	for _, p := range mc.Procs {
-		completed += int(mc.Acks[p].Completed)
-	}
 	e.remaining -= completed
 	e.unsaved = completed > 0 || e.unsaved && !ckpt
 	e.globalStep++

@@ -34,6 +34,11 @@
 //   - NoBatch is the oracle mode of the same machine: the same hand-over,
 //     the same flux values, their production order and
 //     Stats.{Messages,Rounds}; only the transmissions counted differ.
+//   - A barrier costs the step's positions, not its processors: the step's
+//     traffic is tallied as its tasks complete, CloseStep folds the acks
+//     only when a row stopped short, and OpenStep's flush visits only the
+//     open envelopes. The comm.* counters are posted once per sweep or
+//     epoch, not per barrier.
 //
 // A Machine belongs to one step loop and is not safe for concurrent use.
 package machine
@@ -125,8 +130,20 @@ type Machine struct {
 	outbox  *comm.Outbox
 	flushed []int32 // the destinations whose envelopes the last OpenStep shipped
 	ctr     comm.Counters
-	runs    []bool  // per processor: live and not stopped short, during Step
-	due     []int32 // Route's scratch: per receive slot, its deadline
+	posted  Stats    // what of Comm the counters have been given
+	tally   tally    // the running step's, since the last CloseStep
+	runs    []uint64 // per processor: the stamp of the Step its row runs in, 0 once stopped short
+	stamp   uint64   // the running Step's: one more per Step, never 0
+	due     []int32  // Route's scratch: per receive slot, its deadline
+}
+
+// tally is what the completions of the running step add up to, kept by
+// complete as they happen, so that closing the step costs its positions,
+// not its processors.
+type tally struct {
+	completed, sent int32
+	most            int32 // the largest Ack.Sent of the step so far
+	stopped         bool  // a row stopped short: some ack holds a stall or an error
 }
 
 // New sets a machine up for fault-free sweeps (Sweep) of the schedule into
@@ -151,23 +168,33 @@ func New(s *sched.Schedule, noBatch bool, psi []float64) (*Machine, error) {
 	return m, nil
 }
 
-// Observe attaches a stats collector for the comm.* series, posted at
-// every barrier. A nil collector detaches.
+// Observe attaches a stats collector for the comm.* series, posted when a
+// Sweep returns, on every path, and at every Discard (an epoch's
+// teardown). A nil collector detaches.
 func (m *Machine) Observe(col *obs.Collector) { m.ctr = comm.NewCounters(col) }
 
+// post gives the counters what Comm gained since they were last given it.
+func (m *Machine) post() {
+	m.ctr.Logical(int(m.Comm.Messages - m.posted.Messages))
+	m.ctr.Transmitted(m.Comm.Batches-m.posted.Batches, m.Comm.Bytes-m.posted.Bytes)
+	m.posted = m.Comm
+}
+
 // Build resolves every flux route for the assignment, laid out in the
-// order of Steps (TaskID order without one), empties the receive slots and
-// the envelopes; it reuses the machine's storage. The slots' deadlines are
-// Route's to set, which a batched machine needs before it steps.
+// order of Steps (TaskID order without one), empties the receive slots,
+// the envelopes and the step's tally; it reuses the machine's storage. The
+// slots' deadlines are Route's to set, which a batched machine needs
+// before it steps.
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 	m.Recv.Build(inst, assign, m.Steps)
 	if len(m.Acks) != inst.M {
-		m.Acks, m.runs = make([]Ack, inst.M), make([]bool, inst.M)
+		m.Acks, m.runs = make([]Ack, inst.M), make([]uint64, inst.M)
 	}
 	if m.outbox == nil { // the first Build
 		m.outbox = comm.NewOutbox(inst.M)
 	}
 	m.outbox.DiscardAll()
+	m.tally = tally{}
 }
 
 // Route fixes, before the first step of a sweep or an epoch, what the
@@ -250,7 +277,9 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 // fluxes over. Each live processor's ack is written once, reset before
 // the loop; what stops a row short (a local input not done, a flux not
 // received) ends that row, not the step, so an account is a prefix of
-// its row.
+// its row. A processor is live for one Step when its runs entry holds that
+// Step's stamp, which the reset writes and a row that stops short clears:
+// one pass over Procs per step, none after the loop.
 func (m *Machine) Step(step int32) {
 	lo, hi := m.Steps.Span(step)
 	m.step(step, lo, hi)
@@ -260,14 +289,16 @@ func (m *Machine) Step(step int32) {
 func (m *Machine) step(step, lo, hi int32) {
 	psi, done, q, denom, runs := m.Psi, m.Done, m.Q, m.Denom, m.runs
 	n := int32(len(q))
+	m.stamp++
+	stamp := m.stamp
 	for _, p := range m.Procs {
 		m.Acks[p] = Ack{StallTask: -1, StallMiss: -1}
-		runs[p] = true
+		runs[p] = stamp
 	}
 tasks:
 	for i := lo; i < hi; i++ {
 		t, p, in := m.Recv.At(i)
-		if !runs[p] {
+		if runs[p] != stamp {
 			continue
 		}
 		a := &m.Acks[p]
@@ -276,7 +307,7 @@ tasks:
 			if x >= 0 { // a local producer's task id
 				if !done[x] {
 					a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
-					runs[p] = false
+					runs[p], m.tally.stopped = 0, true
 					continue tasks
 				}
 				inflow += psi[x]
@@ -285,7 +316,7 @@ tasks:
 			val, have := m.Recv.Load(^x, step)
 			if !have {
 				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
-				runs[p] = false
+				runs[p], m.tally.stopped = 0, true
 				continue tasks
 			}
 			inflow += val
@@ -295,21 +326,22 @@ tasks:
 		}
 		m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
 	}
-	for _, p := range m.Procs {
-		runs[p] = false
-	}
 }
 
 // complete is what task t, at position i, having run at the step means to
 // the machine, wherever it ran: its flux is in Psi, it is done, its
-// processor's account counts it, and its cross-processor fluxes are handed
-// over (queued in Sent while the owner intercepts).
+// processor's account and the step's tally count it, and its
+// cross-processor fluxes are handed over (queued in Sent while the owner
+// intercepts).
 func (m *Machine) complete(a *Ack, i int32, t sched.TaskID, step int32, val float64) {
 	m.Psi[t] = val
 	m.Done[t] = true
 	a.Completed++
 	out := m.Recv.Out(i)
 	a.Sent += int32(len(out))
+	m.tally.completed++
+	m.tally.sent += int32(len(out))
+	m.tally.most = max(m.tally.most, a.Sent)
 	if m.Intercept {
 		for _, o := range out {
 			m.Sent = append(m.Sent, sched.Send{Task: t, To: o.To, Slot: o.Slot, Due: o.Due, Psi: val})
@@ -354,12 +386,17 @@ func (e *AccountError) Error() string {
 // fluxes, must be a prefix of its row of the step, as a body's account
 // here would be, and is completed as such; what stopped it short (by's
 // stall or error, nothing else of by is read) ends the account as it would
-// a body's. The zero Ack is a processor that reports nothing.
+// a body's. The zero Ack is a processor that reports nothing. A refused
+// account keeps what it completed before the refusal, in the step's tally
+// too: its owner ends the sweep.
 func (m *Machine) Replay(p, step int32, ran []comm.Item, by Ack) error {
 	a := &m.Acks[p]
 	*a = Ack{StallTask: -1, StallMiss: -1, Err: by.Err}
 	if by.Stalled {
 		a.Stalled, a.StallTask, a.StallMiss = true, by.StallTask, by.StallMiss
+	}
+	if by.Err != nil || by.Stalled {
+		m.tally.stopped = true
 	}
 	lo, hi := m.Steps.Row(p, step)
 	row := m.Steps.Order()[lo:hi]
@@ -379,11 +416,8 @@ func (m *Machine) Replay(p, step int32, ran []comm.Item, by Ack) error {
 func (m *Machine) OpenStep(step int32) {
 	var batches, bytes int64
 	m.flushed, batches, bytes = m.outbox.FlushDue(step)
-	if batches > 0 {
-		m.Comm.Batches += batches
-		m.Comm.Bytes += bytes
-		m.ctr.Transmitted(batches, bytes)
-	}
+	m.Comm.Batches += batches
+	m.Comm.Bytes += bytes
 }
 
 // Flushed returns, ascending, the destinations whose envelopes the last
@@ -414,48 +448,58 @@ func (e *StallError) Error() string {
 
 // CloseStep is the barrier after a step: an intercepted queue of sends is
 // handed over in the order it was produced (processor, then task), visible
-// from the next step, and the acks are folded in processor order:
-// Comm.Rounds adds the step's per-processor maximum, and the lowest
-// processor's error is returned — or, when none erred, a *StallError if
-// one is missing a flux.
+// from the next step, and the step's tally is added to the traffic:
+// Comm.Messages its sends, Comm.Rounds its per-processor maximum. Only
+// when a row stopped short are the acks folded, in processor order, and
+// the lowest processor's error returned — or, when none erred, a
+// *StallError if one is missing a flux. The tally, kept as the tasks
+// completed, starts again for the next step.
 func (m *Machine) CloseStep(step int32) error {
 	for _, x := range m.Sent {
 		m.hand(x.Task, []sched.OutEdge{{To: x.To, Slot: x.Slot, Due: x.Due}}, x.Psi, step+1)
 	}
 	m.Sent = m.Sent[:0]
-	var sent, stepMax int32
-	var firstErr error
+	t := m.tally
+	m.tally = tally{}
+	m.Comm.Messages += int64(t.sent)
+	m.Comm.Rounds += int64(t.most)
+	if m.NoBatch { // per-message cost model: one transmission per logical message
+		m.Comm.Batches += int64(t.sent)
+		m.Comm.Bytes += comm.PerMessageWireBytes(int(t.sent))
+	}
+	if !t.stopped {
+		return nil
+	}
 	stalled := int32(-1) // the lowest processor missing a flux
 	for _, p := range m.Procs {
 		a := &m.Acks[p]
-		sent += a.Sent
-		stepMax = max(stepMax, a.Sent)
+		if a.Err != nil {
+			return a.Err
+		}
 		if a.Stalled && stalled < 0 {
 			stalled = p
 		}
-		if a.Err != nil && firstErr == nil {
-			firstErr = a.Err
-		}
 	}
-	if firstErr == nil && stalled >= 0 {
-		a := &m.Acks[stalled]
-		firstErr = &StallError{Proc: stalled, Step: step, Task: a.StallTask, Producer: a.StallMiss}
+	if stalled < 0 {
+		return nil
 	}
-	m.Comm.Messages += int64(sent)
-	m.Comm.Rounds += int64(stepMax)
-	m.ctr.Logical(int(sent))
-	if m.NoBatch { // per-message cost model: one transmission per logical message
-		m.Comm.Batches += int64(sent)
-		m.Comm.Bytes += comm.PerMessageWireBytes(int(sent))
-		m.ctr.PerMessage(int(sent))
-	}
-	return firstErr
+	a := &m.Acks[stalled]
+	return &StallError{Proc: stalled, Step: step, Task: a.StallTask, Producer: a.StallMiss}
 }
 
-// Discard forgets the open envelopes without transmitting them (an
-// epoch's teardown: the next epoch reads completed producers' fluxes from
-// the durable Psi).
-func (m *Machine) Discard() { m.outbox.DiscardAll() }
+// Completed returns the tasks completed since the last CloseStep: the
+// running step's, by bodies and Replay alike.
+func (m *Machine) Completed() int32 { return m.tally.completed }
+
+// Discard forgets the open envelopes without transmitting them and the
+// tally of a step left unclosed (an epoch's teardown: the next epoch reads
+// completed producers' fluxes from the durable Psi), and posts the
+// epoch's traffic to the counters.
+func (m *Machine) Discard() {
+	m.outbox.DiscardAll()
+	m.tally = tally{}
+	m.post()
+}
 
 // Sweep runs every step of Steps once, from empty receive slots and
 // nothing done, with no fault to blame: per step it checks ctx, opens the
@@ -466,8 +510,10 @@ func (m *Machine) Discard() { m.outbox.DiscardAll() }
 // and nothing is sent in it, so a stretched schedule costs its tasks, not
 // its makespan times m. A missing flux (*StallError) ends the sweep like a
 // local input not done, and it returns ctx.Err() before the step that
-// follows a cancellation. A machine whose sweep failed is not reusable.
+// follows a cancellation. It posts the sweep's traffic to the counters on
+// every return. A machine whose sweep failed is not reusable.
 func (m *Machine) Sweep(ctx context.Context) error {
+	defer m.post()
 	m.Recv.Reset()
 	clear(m.Done)
 	for st := range m.Steps.Steps() {

@@ -297,14 +297,19 @@ func TestWarmSweepAllocatesNothing(t *testing.T) {
 // the far side of the first, as internal/procrun's orchestrator is of its
 // workers — gets every step's completions through Replay and has a Wire.
 // It must queue, count and hand over exactly what the computing machine
-// does, on both interconnects: the same fluxes, the same traffic, and on
-// its Wire, per destination, the fluxes the computing machine's processors
-// read from their receive slots. An account that is not a prefix of the
-// processor's row is refused.
+// does, on both interconnects, its sends handed over or intercepted: the
+// same fluxes, the same traffic, and on its Wire, per destination, the
+// fluxes the computing machine's processors read from their receive
+// slots. A third replays the same accounts and closes its steps with
+// refCloseStep; both machines' barriers must return its error and
+// traffic. An account that is not a prefix of the processor's row is
+// refused.
 func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		near, far := newDiamond(t, noBatch), newDiamond(t, noBatch)
-		far.Balance = Balance{} // it computes nothing
+	for _, mode := range []struct{ noBatch, intercept bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		noBatch := mode.noBatch
+		near, far, ref := newDiamond(t, noBatch), newDiamond(t, noBatch), newDiamond(t, noBatch)
+		far.Balance, ref.Balance = Balance{}, Balance{} // they compute nothing
+		far.Intercept, ref.Intercept = mode.intercept, mode.intercept
 		type landed struct {
 			to   int32
 			task sched.TaskID
@@ -312,9 +317,10 @@ func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
 		}
 		var wire []landed
 		far.Wire = func(to int32, task sched.TaskID, psi float64) { wire = append(wire, landed{to, task, psi}) }
+		ref.Wire = func(int32, sched.TaskID, float64) {}
 		near.Recv.Reset()
 		for st := int32(0); st < near.Steps.Steps(); st++ {
-			for _, m := range []*Machine{near, far} {
+			for _, m := range []*Machine{near, far, ref} {
 				m.OpenStep(st)
 			}
 			near.Step(st)
@@ -323,48 +329,67 @@ func TestReplayedMachineHandsOverWhatTheComputingOneDoes(t *testing.T) {
 				for _, tsk := range near.Steps.Tasks(p, st)[:near.Acks[p].Completed] {
 					ran = append(ran, comm.Item{Task: tsk, Psi: near.Psi[tsk]})
 				}
-				if err := far.Replay(p, st, ran, near.Acks[p]); err != nil {
-					t.Fatalf("noBatch=%v step %d proc %d: %v", noBatch, st, p, err)
-				}
-				if far.Acks[p] != near.Acks[p] {
-					t.Fatalf("noBatch=%v step %d proc %d: replayed ack %+v, computed %+v", noBatch, st, p, far.Acks[p], near.Acks[p])
+				for _, m := range []*Machine{far, ref} {
+					if err := m.Replay(p, st, ran, near.Acks[p]); err != nil {
+						t.Fatalf("%+v step %d proc %d: %v", mode, st, p, err)
+					}
+					if m.Acks[p] != near.Acks[p] {
+						t.Fatalf("%+v step %d proc %d: replayed ack %+v, computed %+v", mode, st, p, m.Acks[p], near.Acks[p])
+					}
 				}
 			}
+			wantErr := refCloseStep(ref, st)
 			for _, m := range []*Machine{near, far} {
-				if err := m.CloseStep(st); err != nil {
-					t.Fatal(err)
+				if err := m.CloseStep(st); errText(err) != errText(wantErr) || err != nil {
+					t.Fatalf("%+v step %d: barrier returned %s, the reference's %s", mode, st, errText(err), errText(wantErr))
+				}
+				if m.Comm != ref.Comm {
+					t.Fatalf("%+v step %d: traffic %+v, the reference's %+v", mode, st, m.Comm, ref.Comm)
 				}
 			}
 		}
 		for tsk, want := range diamondFlux() {
 			if far.Psi[tsk] != want || !far.Done[tsk] {
-				t.Fatalf("noBatch=%v: replayed task %d flux %v done %v, want %v", noBatch, tsk, far.Psi[tsk], far.Done[tsk], want)
+				t.Fatalf("%+v: replayed task %d flux %v done %v, want %v", mode, tsk, far.Psi[tsk], far.Done[tsk], want)
 			}
 		}
 		if far.Comm != near.Comm {
-			t.Fatalf("noBatch=%v: replayed traffic %+v, computed %+v", noBatch, far.Comm, near.Comm)
+			t.Fatalf("%+v: replayed traffic %+v, computed %+v", mode, far.Comm, near.Comm)
 		}
 		f := diamondFlux()
 		want := []landed{{1, 0, f[0]}, {2, 0, f[0]}, {1, 2, f[2]}, {1, 4, f[4]}}
 		if len(wire) != len(want) {
-			t.Fatalf("noBatch=%v: %d fluxes landed on the wire, want %d: %v", noBatch, len(wire), len(want), wire)
+			t.Fatalf("%+v: %d fluxes landed on the wire, want %d: %v", mode, len(wire), len(want), wire)
 		}
 		for i := range want {
 			if wire[i] != want[i] {
-				t.Fatalf("noBatch=%v: wire delivery %d is %+v, want %+v", noBatch, i, wire[i], want[i])
+				t.Fatalf("%+v: wire delivery %d is %+v, want %+v", mode, i, wire[i], want[i])
 			}
+		}
+
+		// What stopped the far body short is the account's; its counts are
+		// not. Closed, the step is the stall's, as the reference says.
+		stall := Ack{Stalled: true, StallTask: 3, StallMiss: 0, Completed: 9, Sent: 9}
+		for _, m := range []*Machine{far, ref} {
+			for _, p := range m.Procs {
+				if err := m.Replay(p, 1, nil, Ack{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Replay(1, 1, nil, stall); err != nil || m.Acks[1] != (Ack{Stalled: true, StallTask: 3, StallMiss: 0}) {
+				t.Fatalf("%+v: replayed stall %+v (%v), want the stall and no completions", mode, m.Acks[1], err)
+			}
+		}
+		var se *StallError
+		if err, wantErr := far.CloseStep(1), refCloseStep(ref, 1); !errors.As(err, &se) || errText(err) != errText(wantErr) || far.Comm != ref.Comm {
+			t.Fatalf("%+v: barrier after a replayed stall returned %s with traffic %+v, the reference's %s with %+v", mode, errText(err), far.Comm, errText(wantErr), ref.Comm)
 		}
 
 		var ae *AccountError
 		for _, bad := range [][]comm.Item{{{Task: -1}}, {{Task: 5}}, {{Task: 1}}, {{Task: 0}, {Task: 2}}} {
 			if err := far.Replay(0, 0, bad, Ack{}); !errors.As(err, &ae) || ae.Proc != 0 || ae.Step != 0 {
-				t.Fatalf("noBatch=%v: account %v of processor 0's step 0 (row [0]): got %v, want an *AccountError", noBatch, bad, err)
+				t.Fatalf("%+v: account %v of processor 0's step 0 (row [0]): got %v, want an *AccountError", mode, bad, err)
 			}
-		}
-		// What stopped the far body short is the account's; its counts are not.
-		stall := Ack{Stalled: true, StallTask: 3, StallMiss: 0, Completed: 9, Sent: 9}
-		if err := far.Replay(1, 1, nil, stall); err != nil || far.Acks[1] != (Ack{Stalled: true, StallTask: 3, StallMiss: 0}) {
-			t.Fatalf("noBatch=%v: replayed stall %+v (%v), want the stall and no completions", noBatch, far.Acks[1], err)
 		}
 	}
 }

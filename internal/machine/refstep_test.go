@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sweepsched/internal/comm"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/synth"
@@ -47,6 +48,45 @@ func refStep(m *Machine, step int32) {
 			m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
 		}
 	}
+}
+
+// refCloseStep is the barrier after a step as it was before the step kept
+// a tally, kept as CloseStep's oracle: the intercepted sends handed over in
+// production order, then one fold over every live processor's ack —
+// Comm.Messages adds their sends, Comm.Rounds their maximum — that returns
+// the lowest processor's error, or else the lowest stalled processor's
+// *StallError. It reads nothing but the acks and the queue, so it does not
+// depend on a body having flagged a row that stopped short.
+func refCloseStep(m *Machine, step int32) error {
+	for _, x := range m.Sent {
+		m.hand(x.Task, []sched.OutEdge{{To: x.To, Slot: x.Slot, Due: x.Due}}, x.Psi, step+1)
+	}
+	m.Sent = m.Sent[:0]
+	var sent, stepMax int32
+	var firstErr error
+	stalled := int32(-1)
+	for _, p := range m.Procs {
+		a := &m.Acks[p]
+		sent += a.Sent
+		stepMax = max(stepMax, a.Sent)
+		if a.Stalled && stalled < 0 {
+			stalled = p
+		}
+		if a.Err != nil && firstErr == nil {
+			firstErr = a.Err
+		}
+	}
+	if firstErr == nil && stalled >= 0 {
+		a := &m.Acks[stalled]
+		firstErr = &StallError{Proc: stalled, Step: step, Task: a.StallTask, Producer: a.StallMiss}
+	}
+	m.Comm.Messages += int64(sent)
+	m.Comm.Rounds += int64(stepMax)
+	if m.NoBatch {
+		m.Comm.Batches += int64(sent)
+		m.Comm.Bytes += comm.PerMessageWireBytes(int(sent))
+	}
+	return firstErr
 }
 
 // plant breaks a feasible schedule the two ways a step body must catch:
@@ -95,75 +135,100 @@ func errText(err error) string {
 	return fmt.Sprintf("%T %v", err, err)
 }
 
-// TestStepMatchesPerRowReference runs Step and refStep side by side, each
-// on its own machine, over every step of seeded schedules — list and
-// comm-delay schedules of random layered DAGs on m ∈ {1, 8, 64}, feasible
+// FuzzStepMatchesPerRowReference runs Step and refStep side by side, each
+// on its own machine, over every step of a seeded schedule — a list or
+// comm-delay schedule of a random layered DAG on m ∈ {1, 8, 64}, feasible
 // and with a planted local or cross violation, every processor live or a
 // sparse random set, sends handed over or intercepted, on either
 // interconnect — and holds them to the same Psi, Done, Acks and Sent
-// after every step, and the same CloseStep error and traffic. The steps
-// go on past a failing barrier, so rows that stop short keep coming.
+// after every step, and CloseStep to refCloseStep's error and traffic. A
+// third machine replays Step's accounts (Replay) and is held to the same.
+// The steps go on past a failing barrier, so rows that stop short keep
+// coming. Seeds 1–60 are its corpus.
+func FuzzStepMatchesPerRowReference(f *testing.F) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		f.Add(seed)
+	}
+	ws := sched.NewWorkspace()
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		stepCases(t, ws, seed)
+	})
+}
+
+// TestStepMatchesPerRowReference is the fuzzer's corpus, seeds 1–60, with
+// a floor on the cases they make.
 func TestStepMatchesPerRowReference(t *testing.T) {
 	ws := sched.NewWorkspace()
 	cases := 0
 	for seed := uint64(1); seed <= 60; seed++ {
-		r := rng.New(seed)
-		m := []int{1, 8, 64}[seed%3]
-		n := 20 + r.Intn(120)
-		dags, err := synth.LayeredRandom(n, 1+r.Intn(4), 2+r.Intn(8), seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := sched.FromDAGs(dags, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assign := sched.RandomAssignment(n, m, r)
-		s := &sched.Schedule{}
-		if seed%4 == 0 {
-			err = sched.CommScheduleInto(ws, s, inst, assign, nil, 1+r.Intn(6))
-		} else {
-			err = sched.ListScheduleInto(ws, s, inst, assign, nil, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range []string{"feasible", "local", "cross"} {
-			v := &sched.Schedule{Inst: inst, Assign: assign, Start: slices.Clone(s.Start), Makespan: s.Makespan}
-			if kind != "feasible" && !plant(v, kind, r) {
-				continue
-			}
-			procs := sched.AllProcs(m)
-			if seed%2 == 0 {
-				procs = procs[:0]
-				for p := range int32(m) {
-					if r.Intn(3) == 0 {
-						procs = append(procs, p)
-					}
-				}
-			}
-			name := fmt.Sprintf("seed %d, m=%d, %s, %d live", seed, m, kind, len(procs))
-			failed := compareSteps(t, name, v, procs, seed%7 < 3, seed%5 < 2)
-			// With every processor live a planted fault fails a barrier
-			// and a feasible schedule none.
-			if len(procs) == m && (failed > 0) != (kind != "feasible") {
-				t.Fatalf("%s: %d barriers failed", name, failed)
-			}
-			cases++
-		}
+		cases += stepCases(t, ws, seed)
 	}
 	if cases < 150 {
 		t.Fatalf("only %d cases ran", cases)
 	}
 }
 
-// compareSteps steps a machine with Step and another with refStep over
-// every step of s, fails at the first difference, and returns the number
-// of barriers that returned an error.
+// stepCases builds the seed's schedule and compares the step bodies on it
+// feasible and with each planted violation it has room for; it returns
+// how many cases ran.
+func stepCases(t *testing.T, ws *sched.Workspace, seed uint64) (cases int) {
+	t.Helper()
+	r := rng.New(seed)
+	m := []int{1, 8, 64}[seed%3]
+	n := 20 + r.Intn(120)
+	dags, err := synth.LayeredRandom(n, 1+r.Intn(4), 2+r.Intn(8), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs(dags, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := sched.RandomAssignment(n, m, r)
+	s := &sched.Schedule{}
+	if seed%4 == 0 {
+		err = sched.CommScheduleInto(ws, s, inst, assign, nil, 1+r.Intn(6))
+	} else {
+		err = sched.ListScheduleInto(ws, s, inst, assign, nil, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"feasible", "local", "cross"} {
+		v := &sched.Schedule{Inst: inst, Assign: assign, Start: slices.Clone(s.Start), Makespan: s.Makespan}
+		if kind != "feasible" && !plant(v, kind, r) {
+			continue
+		}
+		procs := sched.AllProcs(m)
+		if seed%2 == 0 {
+			procs = procs[:0]
+			for p := range int32(m) {
+				if r.Intn(3) == 0 {
+					procs = append(procs, p)
+				}
+			}
+		}
+		name := fmt.Sprintf("seed %d, m=%d, %s, %d live", seed, m, kind, len(procs))
+		failed := compareSteps(t, name, v, procs, seed%7 < 3, seed%5 < 2)
+		// With every processor live a planted fault fails a barrier
+		// and a feasible schedule none.
+		if len(procs) == m && (failed > 0) != (kind != "feasible") {
+			t.Fatalf("%s: %d barriers failed", name, failed)
+		}
+		cases++
+	}
+	return cases
+}
+
+// compareSteps steps a machine with Step and CloseStep, another with
+// refStep and refCloseStep, and a third by replaying the first's accounts
+// through Replay and closing it with CloseStep, over every step of s; it
+// fails at the first difference and returns the number of barriers that
+// returned an error.
 func compareSteps(t *testing.T, name string, s *sched.Schedule, procs []int32, noBatch, intercept bool) (failed int) {
 	t.Helper()
-	var got, want *Machine
-	for _, mp := range []**Machine{&got, &want} {
+	var got, want, far *Machine
+	for _, mp := range []**Machine{&got, &want, &far} {
 		mc, err := New(s, noBatch, make([]float64, s.Inst.NTasks()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -172,31 +237,52 @@ func compareSteps(t *testing.T, name string, s *sched.Schedule, procs []int32, n
 		mc.Recv.Reset()
 		*mp = mc
 	}
+	var ran []comm.Item
 	for st := range s.Makespan {
 		step := int32(st)
-		got.OpenStep(step)
-		want.OpenStep(step)
+		for _, mc := range []*Machine{got, want, far} {
+			mc.OpenStep(step)
+		}
 		got.Step(step)
 		refStep(want, step)
-		if !slices.Equal(got.Psi, want.Psi) || !slices.Equal(got.Done, want.Done) {
-			t.Fatalf("%s: step %d: Psi or Done differ from the per-row reference", name, step)
+		for _, p := range procs {
+			ran = ran[:0]
+			for _, tsk := range got.Steps.Tasks(p, step)[:got.Acks[p].Completed] {
+				ran = append(ran, comm.Item{Task: tsk, Psi: got.Psi[tsk]})
+			}
+			if err := far.Replay(p, step, ran, got.Acks[p]); err != nil {
+				t.Fatalf("%s: step %d: replaying processor %d: %v", name, step, p, err)
+			}
+		}
+		for _, mc := range []*Machine{got, far} {
+			if !slices.Equal(mc.Psi, want.Psi) || !slices.Equal(mc.Done, want.Done) {
+				t.Fatalf("%s: step %d: Psi or Done differ from the per-row reference", name, step)
+			}
+			for _, p := range procs {
+				if !sameAck(mc.Acks[p], want.Acks[p]) {
+					t.Fatalf("%s: step %d: processor %d's ack %+v, the reference's %+v", name, step, p, mc.Acks[p], want.Acks[p])
+				}
+			}
+			if !slices.Equal(mc.Sent, want.Sent) {
+				t.Fatalf("%s: step %d: sent %v, the reference %v", name, step, mc.Sent, want.Sent)
+			}
 		}
 		for p := range got.Acks {
 			if !sameAck(got.Acks[p], want.Acks[p]) {
 				t.Fatalf("%s: step %d: processor %d's ack %+v, the reference's %+v", name, step, p, got.Acks[p], want.Acks[p])
 			}
 		}
-		if !slices.Equal(got.Sent, want.Sent) {
-			t.Fatalf("%s: step %d: sent %v, the reference %v", name, step, got.Sent, want.Sent)
+		wantErr := refCloseStep(want, step)
+		for _, mc := range []*Machine{got, far} {
+			err := mc.CloseStep(step)
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("%s: step %d: barrier returned %s, the reference's %s", name, step, errText(err), errText(wantErr))
+			}
+			if mc.Comm != want.Comm {
+				t.Fatalf("%s: step %d: traffic %+v, the reference's %+v", name, step, mc.Comm, want.Comm)
+			}
 		}
-		gotErr, wantErr := got.CloseStep(step), want.CloseStep(step)
-		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("%s: step %d: barrier returned %s, the reference's %s", name, step, errText(gotErr), errText(wantErr))
-		}
-		if got.Comm != want.Comm {
-			t.Fatalf("%s: step %d: traffic %+v, the reference's %+v", name, step, got.Comm, want.Comm)
-		}
-		if gotErr != nil {
+		if wantErr != nil {
 			failed++
 		}
 	}

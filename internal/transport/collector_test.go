@@ -28,8 +28,9 @@ func (c *cancelAfter) Err() error {
 // promises of any solve: transport.iterations counts the sweeps and the
 // transport.solve.time span is recorded on the serial, the parallel and the
 // fault-tolerant executor alike; the comm.* counters equal Result.Comm on
-// both interconnects; and they are posted barrier by barrier, so a solve
-// cancelled mid-sweep has reported the messages it sent.
+// both interconnects; and they are posted when a sweep or a fault epoch
+// returns, on every path, so a solve cancelled mid-sweep has reported the
+// messages it sent.
 func TestCollectorSeesEveryExecutor(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 11)
 	ctx := context.Background()

@@ -71,9 +71,10 @@ type Config struct {
 	NoBatch bool
 	// Collector, when non-nil, receives every solve's counters
 	// (transport.iterations, the transport.solve.time span), the comm.*
-	// series of the communicating executors — posted barrier by barrier,
-	// so a cancelled solve has reported what it sent — and, on the
-	// fault-tolerant path, the engine's epoch/recovery series.
+	// series of the communicating executors — posted once per sweep or
+	// fault epoch, on every return path, so a cancelled solve has
+	// reported what it sent — and, on the fault-tolerant path, the
+	// engine's epoch/recovery series.
 	Collector *obs.Collector
 }
 
