@@ -376,6 +376,13 @@ func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleO
 // rejected here. The *_delays schedulers contribute their priorities
 // only: under this model no release delay is applied, so LevelDelays
 // schedules exactly as Level does (and likewise for the other two).
+//
+// The schedule records commDelay (Schedule.CommDelay): Validate holds its
+// edges to it, and a fault-injected run of it (SimulateFaulty,
+// SolveTransportFaultTolerant) reschedules after a crash or stall under
+// the same delay, ranking the residual tasks by level instead of the
+// scheduler's priorities. At the cut a done predecessor owes no wait, so
+// such a run can take fewer steps than the fault-free one.
 func (p *Problem) ScheduleComm(alg Scheduler, opts ScheduleOptions, commDelay int) (*Result, error) {
 	if alg == RandomDelays {
 		return nil, fmt.Errorf("sweepsched: %s is layer-synchronous and does not support comm delays; use %s",
@@ -413,9 +420,9 @@ func (pl *planned) result(p *Problem) *Result {
 
 // kernelFault, when a test sets it, edits each unit-step plan's schedule
 // and metrics after its kernel run, before validation and the audit,
-// given the release floors the kernel ran with — standing in for a faulty
-// kernel the feasibility tail must catch.
-var kernelFault func(s *sched.Schedule, met *sched.Metrics, release []int32)
+// given the rule the kernel ran — standing in for a faulty kernel the
+// feasibility tail must catch.
+var kernelFault func(s *sched.Schedule, met *sched.Metrics, rule sched.Rule)
 
 // plan is the one pipeline behind every scheduling entry point: assign
 // cells to processors, derive the scheduler's priorities, run the
@@ -458,34 +465,30 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	ws.SetObserver(col)
 	defer ws.Release()
 	pl := &planned{}
-	// release is the floors the kernel ran with: per task in ws's scratch,
-	// or per angleset with groups; nil for none.
-	var release []int32
+	// rule is what the kernel runs: the scheduler's priorities and floors
+	// (per task, or per angleset with groups) in ws's scratch, and the
+	// model's delay. Neither the comm model nor the weighted engine applies
+	// the floors of the *_delays schedulers.
+	var rule sched.Rule
 	span = col.Span("api.schedule.time")
 	err = func() (err error) {
-		if mdl.weights == nil {
-			pl.schedule = &sched.Schedule{}
-		}
-		if mdl.weights == nil && !mdl.comm {
-			if groups != nil {
-				release, err = heuristics.RunAnglesetInto(ws, pl.schedule, alg, inst, assign, groups, r, opts.Workers)
-			} else {
-				release, err = heuristics.RunInto(ws, pl.schedule, alg, inst, assign, r, opts.Workers)
-			}
+		if alg == RandomDelays && groups == nil {
+			// Layer-synchronous, no rule; the other models' entry points refuse it.
+			pl.schedule, err = heuristics.Run(alg, inst, assign, r, opts.Workers)
 			return err
 		}
-		// Neither model applies the release delays of the *_delays schedulers.
-		prio, _, err := heuristics.Inputs(ws, alg, inst, assign, groups, r, opts.Workers)
-		switch {
-		case err != nil:
+		if rule, err = heuristics.Rule(ws, alg, inst, assign, groups, r, opts.Workers); err != nil {
 			return err
-		case mdl.weights != nil:
+		}
+		if mdl.weights != nil {
 			pl.weighted = &sched.WeightedSchedule{}
-			return sched.ListScheduleWeightedInto(ws, pl.weighted, inst, assign, prio, mdl.weights, mdl.machine)
-		case groups != nil:
-			return sched.CommScheduleAnglesetInto(ws, pl.schedule, inst, assign, groups, prio, mdl.commDelay)
+			return sched.ListScheduleWeightedInto(ws, pl.weighted, inst, assign, rule.Prio, mdl.weights, mdl.machine)
 		}
-		return sched.CommScheduleInto(ws, pl.schedule, inst, assign, prio, mdl.commDelay)
+		if mdl.comm {
+			rule.Release, rule.CommDelay = nil, mdl.commDelay
+		}
+		pl.schedule = &sched.Schedule{}
+		return ws.Schedule(pl.schedule, inst, assign, rule)
 	}()
 	if err != nil {
 		return nil, err
@@ -506,7 +509,7 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	}
 	span.End()
 	if kernelFault != nil && pl.schedule != nil {
-		kernelFault(pl.schedule, &pl.metrics, release)
+		kernelFault(pl.schedule, &pl.metrics, rule)
 	}
 
 	// The feasibility tail: Validate always, the audit when sampled. On an
@@ -523,10 +526,8 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		if pl.weighted != nil {
 			auditErr = verify.Weighted(inst, pl.weighted)
 		} else {
-			vo := verify.Opts{CommDelay: mdl.commDelay, Metrics: &pl.metrics, Anglesets: groups, Release: release}
-			if groups != nil {
-				vo.Release, vo.AnglesetRelease = nil, release
-			}
+			vo := verify.RuleOpts(rule)
+			vo.Metrics = &pl.metrics
 			auditErr = verify.Schedule(inst, pl.schedule, vo)
 		}
 		span.End()
@@ -543,8 +544,8 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	}
 	if pl.weighted != nil {
 		err = pl.weighted.ValidateWorkers(workers)
-	} else if err = pl.schedule.ValidateWorkers(workers); err == nil && mdl.comm {
-		err = sched.ValidateComm(pl.schedule, mdl.commDelay)
+	} else {
+		err = pl.schedule.ValidateWorkers(workers)
 	}
 	if beside != nil {
 		<-beside

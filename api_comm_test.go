@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sweepsched/internal/trace"
+	"sweepsched/internal/transport"
 )
 
 func TestScheduleCommBasic(t *testing.T) {
@@ -177,7 +178,10 @@ func TestStretchedScheduleExecutesInBoundedMemory(t *testing.T) {
 // passes over the empty steps of the same stretched schedule (2,687,027
 // barrier steps for 1,260 tasks), as Simulate does, and still counts
 // them: the RecoveryReports are those of the engine that ran every step,
-// which took about 100 times Simulate's time on the fault-free plan.
+// which took about 100 times Simulate's time on the fault-free plan. The
+// faulted run recovers under the schedule's delay, so it stays stretched
+// and both planned crashes fire; its penalty is negative because at each
+// cut a done predecessor owes no wait (internal/faults' package doc).
 func TestStretchedScheduleSimulatesFaultyInBoundedTime(t *testing.T) {
 	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
 	if err != nil {
@@ -197,7 +201,7 @@ func TestStretchedScheduleSimulatesFaultyInBoundedTime(t *testing.T) {
 		want string
 	}{
 		{FaultSpec{}, "recovery: seed=0x1 faults{crash=0 drop=0 delay=0 dup=0} epochs=1 recoveries=0 replayed=0 steps=2687027 faultfree=2687027 penalty=0 msgs=4342 rounds=765 dead=[] residual_bound=0"},
-		{FaultSpec{Crashes: 2, Drops: 3, Delays: 3, Duplicates: 2}, "recovery: seed=0x1 faults{crash=0 drop=3 delay=3 dup=2} epochs=5 recoveries=4 replayed=0 steps=458831 faultfree=2687027 penalty=-2228196 msgs=4342 rounds=298 dead=[] residual_bound=6"},
+		{FaultSpec{Crashes: 2, Drops: 3, Delays: 3, Duplicates: 2}, "recovery: seed=0x1 faults{crash=2 drop=3 delay=3 dup=2} epochs=5 recoveries=4 replayed=0 steps=2537153 faultfree=2687027 penalty=-149874 msgs=4346 rounds=603 dead=[35 62] residual_bound=9"},
 	} {
 		start := time.Now()
 		_, rep, err := p.SimulateFaulty(context.Background(), res, NewFaultPlan(res, c.spec, 1))
@@ -210,5 +214,59 @@ func TestStretchedScheduleSimulatesFaultyInBoundedTime(t *testing.T) {
 		if got := rep.String(); got != c.want {
 			t.Errorf("%+v: report\n%s\nwant\n%s", c.spec, got, c.want)
 		}
+	}
+}
+
+// TestStretchedScheduleRecoversUnderItsDelay: recovery reschedules under
+// the delay the schedule was built for. On the delay-65,536 schedule
+// above, run under the auditor, the planned crashes fire — a reschedule
+// under c = 0 finishes the sweep before either is due — and every
+// reschedule passes verify.Residual, which holds each cross-processor
+// edge of the residual to the delay it ran under.
+func TestStretchedScheduleRecoversUnderItsDelay(t *testing.T) {
+	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ScheduleComm(RandomDelaysPriority, ScheduleOptions{Seed: 1}, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := FaultSpec{Crashes: 2, Drops: 3, Delays: 3, Duplicates: 2}
+	cfg := transport.DependencyOnly
+	cfg.Verify = true
+	_, rep, err := transport.SolveFaultTolerant(context.Background(), res.Schedule, cfg, NewFaultPlan(res, spec, 1))
+	if err != nil {
+		t.Fatalf("a reschedule or the accounting failed the audit: %v", err)
+	}
+	if rep.Crashes != spec.Crashes || len(rep.DeadProcs) != spec.Crashes || rep.Recoveries == 0 {
+		t.Fatalf("%s: want both planned crashes applied and recovered from", rep)
+	}
+	// Under the delay the residual stays stretched: far more steps than
+	// the 1,260 tasks a c = 0 reschedule packs into a few hundred.
+	if rep.StepsExecuted < res.Metrics.Makespan/2 {
+		t.Fatalf("%s: the recovered run took %d steps, under half the fault-free %d", rep, rep.StepsExecuted, res.Metrics.Makespan)
+	}
+}
+
+// TestSolveAuditHoldsTheRecordedDelay: an audited solve holds the schedule
+// to the delay it records. A delay-4 schedule claiming delay 8 has edges
+// without that gap, and the solve refuses it before sweeping.
+func TestSolveAuditHoldsTheRecordedDelay(t *testing.T) {
+	p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ScheduleComm(Level, ScheduleOptions{Seed: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, MaxIters: 2, Verify: true}
+	if _, err := p.SolveTransport(res, cfg); err != nil {
+		t.Fatalf("the schedule under its own delay: %v", err)
+	}
+	res.Schedule.CommDelay = 8
+	if _, err := p.SolveTransport(res, cfg); err == nil || !strings.Contains(err.Error(), "failed the audit") {
+		t.Fatalf("a schedule claiming a delay it does not keep: solve says %v", err)
 	}
 }

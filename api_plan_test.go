@@ -406,11 +406,11 @@ func TestPlanAuditChecksReleaseFloors(t *testing.T) {
 			t.Fatalf("%s: the unfaulted plan fails: %v", tc.alg, err)
 		}
 		moved := sched.TaskID(-1)
-		kernelFault = func(s *sched.Schedule, met *sched.Metrics, release []int32) {
-			floor := release
+		kernelFault = func(s *sched.Schedule, met *sched.Metrics, rule sched.Rule) {
+			floor := rule.Release
 			if groups != nil {
 				floor = make([]int32, p.Tasks())
-				if err := sched.ExpandAnglesetRelease(floor, release, groups, n); err != nil {
+				if err := sched.ExpandAnglesetRelease(floor, rule.Release, groups, n); err != nil {
 					t.Fatal(err)
 				}
 			}

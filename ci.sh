@@ -55,7 +55,7 @@ echo "== dag builder bench smoke (allocation-counted) =="
 go test -run '^$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -benchtime 1x ./internal/dag
 
 echo "== feasibility tail bench smoke (allocation-counted) =="
-# Validate, ValidateComm and the verify audit run after every plan; their
+# Validate and the verify audit run after every plan; their
 # bytes/op is the garbage one plan's check leaves behind. PlanAudited is a
 # whole audited plan, serial and with the audit beside a split Validate.
 go test -run '^$' -bench 'Benchmark(Validate|VerifySchedule|VerifyWeighted|PlanAudited)' -benchmem -benchtime 1x ./internal/sched ./internal/verify .
@@ -104,6 +104,11 @@ echo "== batched-transport smoke: fault-injected solve under -race =="
 # logical traffic exactly.
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 \
     -faults -drop 2 -delay 1 -dup 1 -verify
+# A schedule built under a communication delay recovers under it: every
+# reschedule of this crash-and-drop run is audited (verify.Residual) with
+# the gap the schedule records.
+go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 -c 4 \
+    -faults -crash 2 -drop 2 -verify
 go run -race ./cmd/sweepbench -exp comm -scale 0.02 -procs 2,8
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="

@@ -510,17 +510,15 @@ func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
 			}
 			ws := sched.GetWorkspace(p.inst)
 			defer ws.Release()
-			dst := &sched.Schedule{}
-			opts := verify.Opts{Anglesets: groups}
-			if groups != nil {
-				opts.AnglesetRelease, err = heuristics.RunAnglesetInto(ws, dst, name, p.inst, assign, groups, r, 1)
-			} else {
-				opts.Release, err = heuristics.RunInto(ws, dst, name, p.inst, assign, r, 1)
-				if p.g.cfg.Verify { // the audit runs after ws goes back to the pool
-					opts.Release = slices.Clone(opts.Release)
-				}
+			rule, err := heuristics.Rule(ws, name, p.inst, assign, groups, r, 1)
+			if err != nil {
+				return nil, err
 			}
-			return &sample{s: dst, opts: opts}, err
+			if p.g.cfg.Verify { // the audit runs after ws goes back to the pool
+				rule.Release = slices.Clone(rule.Release)
+			}
+			dst := &sched.Schedule{}
+			return &sample{s: dst, opts: verify.RuleOpts(rule)}, ws.Schedule(dst, p.inst, assign, rule)
 		}})
 		f.cols = append(f.cols, col{name: "ratio_" + string(name), run: i, metric: ratio})
 	}
@@ -550,7 +548,7 @@ func levelDelayed(p *point, assign sched.Assignment, R int, r *rng.Source) (*sam
 	heuristics.LevelPrioritiesInto(prio, p.inst, p.g.cfg.Workers)
 	delayInto(prio, p.inst, R, r)
 	dst := &sched.Schedule{}
-	return &sample{s: dst}, sched.ListScheduleInto(ws, dst, p.inst, assign, prio, nil)
+	return &sample{s: dst}, ws.Schedule(dst, p.inst, assign, sched.Rule{Prio: prio})
 }
 
 // delayInto adds Algorithm 2's delay X_i to direction i's priorities, each
@@ -639,8 +637,8 @@ func commDelayed(block bool) func(*point, uint64) (*sample, error) {
 		ws := sched.GetWorkspace(p.inst)
 		defer ws.Release()
 		dst := &sched.Schedule{}
-		prio := heuristics.LevelPriorities(p.inst, p.g.cfg.Workers)
-		return &sample{s: dst, opts: verify.Opts{CommDelay: p.x}}, sched.CommScheduleInto(ws, dst, p.inst, assign, prio, p.x)
+		rule := sched.Rule{Prio: heuristics.LevelPriorities(p.inst, p.g.cfg.Workers), CommDelay: p.x}
+		return &sample{s: dst, opts: verify.RuleOpts(rule)}, ws.Schedule(dst, p.inst, assign, rule)
 	}
 }
 
@@ -867,14 +865,14 @@ func weightedRun(base heuristics.Name, delays bool) run {
 	return run{seed: spaced(0x321, 0, 0), once: true, do: func(p *point, seed uint64) (*sample, error) {
 		ws := sched.GetWorkspace(p.inst)
 		defer ws.Release()
-		prio, _, err := heuristics.Inputs(ws, base, p.inst, p.assign, nil, nil, p.g.cfg.Workers)
+		rule, err := heuristics.Rule(ws, base, p.inst, p.assign, nil, nil, p.g.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		if delays {
-			delayInto(prio, p.inst, p.inst.K(), rng.New(seed))
+			delayInto(rule.Prio, p.inst, p.inst.K(), rng.New(seed))
 		}
 		s := &sched.WeightedSchedule{}
-		return &sample{w: s}, sched.ListScheduleWeightedInto(ws, s, p.inst, p.assign, prio, p.g.weights, p.model)
+		return &sample{w: s}, sched.ListScheduleWeightedInto(ws, s, p.inst, p.assign, rule.Prio, p.g.weights, p.model)
 	}}
 }

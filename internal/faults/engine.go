@@ -140,7 +140,7 @@ func (r *modelled) Kill(dying []int32, done []bool) int {
 // fires, or a processor stalls on a flux the injector withheld. A crash
 // rolls its victims back to what is durable (Ranks.Kill); recovery is the
 // Recovery core — orphan-cell reassignment onto the least-loaded survivors
-// and residual list scheduling (sched.ListScheduleResidualInto).
+// and residual list scheduling under the schedule's delay.
 type Engine struct {
 	inst  *sched.Instance
 	orig  *sched.Schedule

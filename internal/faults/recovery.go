@@ -18,13 +18,21 @@ import (
 // Recovery is deterministic: Kill order, orphan reassignment (least
 // loaded survivor, ties to smallest id) and list-scheduling priorities
 // (per-direction DAG levels) are pure functions of the inputs.
+//
+// Every reschedule runs under the original schedule's communication delay
+// (Schedule.CommDelay), so a schedule built for a delay recovers into the
+// same machine model. It does not keep the plan's priorities or release
+// floors: those served the plan's draw, and the residual ranks by level.
 type Recovery struct {
 	inst   *sched.Instance
 	assign sched.Assignment
-	prio   sched.Priorities
-	live   []bool
-	nLive  int
-	dead   []int32
+	// rule is the residual run's: level priorities and the original
+	// delay; its Done is set per reschedule.
+	rule  sched.Rule
+	none  []bool // the empty done set of a full rebuild
+	live  []bool
+	nLive int
+	dead  []int32
 
 	// ws and the two destination schedules make repeated residual
 	// rescheduling allocation-free: full backs the cross-sweep schedule
@@ -53,6 +61,7 @@ func NewRecovery(s *sched.Schedule) (*Recovery, error) {
 	r := &Recovery{
 		inst:   inst,
 		assign: append(sched.Assignment(nil), s.Assign...),
+		none:   make([]bool, inst.NTasks()),
 		live:   make([]bool, inst.M),
 		nLive:  inst.M,
 		ws:     sched.NewWorkspace(),
@@ -62,11 +71,11 @@ func NewRecovery(s *sched.Schedule) (*Recovery, error) {
 		r.live[p] = true
 	}
 	n := int32(inst.N())
-	r.prio = make(sched.Priorities, inst.NTasks())
+	r.rule = sched.Rule{Prio: make(sched.Priorities, inst.NTasks()), CommDelay: s.CommDelay}
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for v := int32(0); v < n; v++ {
-			r.prio[base+v] = int64(d.Level[v])
+			r.rule.Prio[base+v] = int64(d.Level[v])
 		}
 	}
 	return r, nil
@@ -124,13 +133,8 @@ func (r *Recovery) Kill(procs []int32, done []bool) {
 // returned schedule is owned by the Recovery and overwritten by the next
 // RebuildFull.
 func (r *Recovery) RebuildFull() (*sched.Schedule, error) {
-	if err := sched.ListScheduleResidualInto(r.ws, &r.full, r.inst, r.assign, r.prio, nil); err != nil {
+	if err := r.reschedule(&r.full, r.none, "post-crash rebuild"); err != nil {
 		return nil, err
-	}
-	if r.audit {
-		if err := verify.Residual(r.inst, &r.full, nil); err != nil {
-			return nil, fmt.Errorf("faults: post-crash rebuild failed the audit: %w", err)
-		}
 	}
 	return &r.full, nil
 }
@@ -140,17 +144,26 @@ func (r *Recovery) RebuildFull() (*sched.Schedule, error) {
 // returned schedule is owned by the Recovery and overwritten by the next
 // Reschedule.
 func (r *Recovery) Reschedule(done []bool) (*sched.Schedule, error) {
-	if err := sched.ListScheduleResidualInto(r.ws, &r.resid, r.inst, r.assign, r.prio, done); err != nil {
+	if err := r.reschedule(&r.resid, done, "recovery reschedule"); err != nil {
 		return nil, err
 	}
+	return &r.resid, nil
+}
+
+// reschedule runs the residual rule for done into dst and, when auditing,
+// holds the result to verify.Residual: done is exact at a barrier, so the
+// residual schedule must cover precisely the survivors.
+func (r *Recovery) reschedule(dst *sched.Schedule, done []bool, what string) error {
+	r.rule.Done = done
+	if err := r.ws.Schedule(dst, r.inst, r.assign, r.rule); err != nil {
+		return err
+	}
 	if r.audit {
-		// done is exact at this barrier: the residual schedule must
-		// cover precisely the survivors.
-		if err := verify.Residual(r.inst, &r.resid, done); err != nil {
-			return nil, fmt.Errorf("faults: recovery reschedule failed the audit: %w", err)
+		if err := verify.Residual(r.inst, dst, done); err != nil {
+			return fmt.Errorf("faults: %s failed the audit: %w", what, err)
 		}
 	}
-	return &r.resid, nil
+	return nil
 }
 
 // reassignOrphans moves every cell of a dead processor onto the live

@@ -32,7 +32,7 @@ func BenchmarkAnglesetPipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunInto(ws, dst, DescendantDelays, inst, assigns[i%len(assigns)], rng.New(7), 1); err != nil {
+			if err := runInto(ws, dst, DescendantDelays, inst, assigns[i%len(assigns)], nil, rng.New(7), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -43,7 +43,7 @@ func BenchmarkAnglesetPipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunAnglesetInto(ws, dst, DescendantDelays, inst, assigns[i%len(assigns)], groups, rng.New(7), 1); err != nil {
+			if err := runInto(ws, dst, DescendantDelays, inst, assigns[i%len(assigns)], groups, rng.New(7), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,12 +24,22 @@ func hexInstance(t testing.TB, nx, k, m int) *sched.Instance {
 	return inst
 }
 
-// runAngleset is RunAnglesetInto on a pooled workspace and a new schedule.
+// runInto runs the named scheduler's rule, angleset-aggregated with
+// groups, into dst.
+func runInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) error {
+	rule, err := Rule(ws, name, inst, assign, groups, r, workers)
+	if err != nil {
+		return err
+	}
+	return ws.Schedule(dst, inst, assign, rule)
+}
+
+// runAngleset is runInto on a pooled workspace and a new schedule.
 func runAngleset(name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (*sched.Schedule, error) {
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	dst := &sched.Schedule{}
-	if _, err := RunAnglesetInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
+	if err := runInto(ws, dst, name, inst, assign, groups, r, workers); err != nil {
 		return nil, err
 	}
 	return dst, nil

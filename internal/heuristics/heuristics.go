@@ -225,40 +225,60 @@ var recipes = map[Name]struct {
 	DFDSDelays:           {dfdsFill, delayRelease},
 }
 
-// Inputs computes what the named scheduler feeds a list kernel, in the
-// workspace's scratch buffers: one priority per task — or, with an
-// angleset partition, one per (angleset, cell), computed on each
-// angleset's representative DAG — and, for the *_delays schedulers, the
-// release delay of every direction (angleset); release is nil for the
-// rest. The delays are the only draw from r, one core.Delays call over
-// the segments, made after the priorities are filled.
-func Inputs(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (prio sched.Priorities, release []int32, err error) {
+// Rule is what the named scheduler feeds the step core, in the
+// workspace's scratch buffers (valid until its next run or Release): one
+// priority per task — or, with an angleset partition, one per (angleset,
+// cell), computed on each angleset's representative DAG — and, for the
+// *_delays schedulers, release floors, one per task (one per angleset
+// with the partition); nil for the rest. The delays are the only draw
+// from r, one core.Delays call over the segments, made after the
+// priorities are filled. Algorithm 3's Graham levels rank tasks across
+// all k directions at once and have no angleset form, and the
+// layer-synchronous RandomDelays has no rule at all; both are errors.
+func Rule(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (sched.Rule, error) {
 	rec, ok := recipes[name]
 	switch {
 	case name == RandomDelays:
-		return nil, nil, fmt.Errorf("heuristics: %s is layer-synchronous, not a list scheduler", name)
+		return sched.Rule{}, fmt.Errorf("heuristics: %s is layer-synchronous, not a list scheduler", name)
 	case !ok:
-		return nil, nil, errUnknown(name)
+		return sched.Rule{}, errUnknown(name)
 	case rec.fill == nil && groups != nil:
-		return nil, nil, fmt.Errorf("heuristics: %s ranks tasks by one schedule of all directions and cannot run angleset-aggregated", name)
+		return sched.Rule{}, fmt.Errorf("heuristics: %s ranks tasks by one schedule of all directions and cannot run angleset-aggregated", name)
 	}
 	n, segs := inst.N(), inst.K()
 	if groups != nil {
+		if err := sched.ValidateAnglesets(groups, segs); err != nil {
+			return sched.Rule{}, err
+		}
 		segs = len(groups)
 	}
-	prio = ws.PrioBuf(n * segs)
+	rule := sched.Rule{Prio: ws.PrioBuf(n * segs), Anglesets: groups}
 	if rec.fill != nil {
-		fillSegments(prio, inst, assign, groups, workers, rec.fill)
-	} else if err := core.GreedyLevelPrioritiesInto(ws, prio, inst); err != nil {
-		return nil, nil, err
+		fillSegments(rule.Prio, inst, assign, groups, workers, rec.fill)
+	} else if err := core.GreedyLevelPrioritiesInto(ws, rule.Prio, inst); err != nil {
+		return sched.Rule{}, err
 	}
 	switch rec.delays {
 	case delayPriority:
-		core.DelayPrioritiesInto(prio, n, core.Delays(segs, r))
+		core.DelayPrioritiesInto(rule.Prio, n, core.Delays(segs, r))
 	case delayRelease:
-		release = core.Delays(segs, r)
+		rule.Release = core.Delays(segs, r)
+		if groups == nil {
+			rule.Release = expandDelays(ws.Int32Buf(inst.NTasks()), rule.Release, n)
+		}
 	}
-	return prio, release, nil
+	return rule, nil
+}
+
+// expandDelays writes direction i's delay into its n floors of release.
+func expandDelays(release, delays []int32, n int) []int32 {
+	for i, x := range delays {
+		seg := release[i*n : (i+1)*n]
+		for v := range seg {
+			seg[v] = x
+		}
+	}
+	return release
 }
 
 // Run executes the named scheduler on the instance with the given
@@ -268,51 +288,20 @@ func Inputs(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.A
 // identical across them (as in §5.2, which compares makespans only for
 // that reason).
 func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (*sched.Schedule, error) {
+	if name == RandomDelays {
+		return core.RandomDelayWithAssignment(inst, assign, r)
+	}
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
-	dst := &sched.Schedule{}
-	if _, err := RunInto(ws, dst, name, inst, assign, r, workers); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunInto is the trial-loop form of Run: priorities and release times are
-// built in the workspace's scratch buffers and the schedule lands in dst,
-// so repeated runs on one instance shape allocate the k delays and the
-// priority fan-out's goroutines, nothing per task. The layer-synchronous
-// RandomDelays still builds its schedule afresh and copies the header
-// into dst. It returns the release floors the kernel ran with, one per
-// task in the workspace's scratch (valid until the workspace's next run
-// or Release), or nil for a scheduler without release delays — what an
-// audit of the schedule must hold it to (verify.Opts.Release).
-func RunInto(ws *sched.Workspace, dst *sched.Schedule, name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (release []int32, err error) {
-	// Spans/counters no-op when no collector is attached (ws.SetObserver).
-	col := ws.Observer()
-	defer col.Span("heuristics.run.time").End()
-	col.Counter("heuristics.runs").Inc()
-	if name == RandomDelays {
-		s, err := core.RandomDelayWithAssignment(inst, assign, r)
-		if err != nil {
-			return nil, err
-		}
-		*dst = *s
-		return nil, nil
-	}
-	prio, delays, err := Inputs(ws, name, inst, assign, nil, r, workers)
+	rule, err := Rule(ws, name, inst, assign, nil, r, workers)
 	if err != nil {
 		return nil, err
 	}
-	if delays != nil {
-		release = ws.Int32Buf(inst.NTasks())
-		for i, x := range delays {
-			seg := release[i*inst.N() : (i+1)*inst.N()]
-			for v := range seg {
-				seg[v] = x
-			}
-		}
+	dst := &sched.Schedule{}
+	if err := ws.Schedule(dst, inst, assign, rule); err != nil {
+		return nil, err
 	}
-	return release, sched.ListScheduleInto(ws, dst, inst, assign, prio, release)
+	return dst, nil
 }
 
 type errUnknown Name

@@ -5,15 +5,15 @@ import "fmt"
 // Angleset-aggregated list scheduling. An angleset partition groups the
 // k directions into A disjoint sets (in practice the ≤8 sign octants,
 // see quadrature.AnglesetsByOctant) whose member directions share
-// priorities and release delays. The aggregated kernels take one
+// priorities and release delays. A Rule with Anglesets takes one
 // priority per (angleset, cell) — na = n·A values instead of nt = n·k —
-// and one release delay per angleset, and produce the schedule the
-// per-direction kernels produce on the expanded inputs
+// and one release delay per angleset, and produces the schedule the
+// per-direction rule produces on the expanded inputs
 //
 //	prio[i·n+v]    = aggPrio[group(i)·n+v]
 //	release[i·n+v] = aggRel[group(i)]
 //
-// bit for bit, because that is what they run: they expand the inputs
+// bit for bit, because that is what it runs: Schedule expands the inputs
 // into workspace scratch (expand, the loop ExpandAnglesetPrio and
 // ExpandAnglesetRelease share) and hand them to the per-direction step
 // rule. The partition ends here; the step core never sees it. Filling
@@ -114,7 +114,7 @@ func expand[T int32 | int64](dst, src []T, dirGroup []int32, n, w int) {
 // ExpandAnglesetPrio writes the per-direction expansion of an
 // aggregated priority vector into dst (len nt = n·k): every member
 // direction of angleset a receives a copy of aggPrio[a·n : (a+1)·n].
-// This is the priority vector the aggregated kernels run on.
+// This is the priority vector an angleset rule runs on.
 func ExpandAnglesetPrio(dst Priorities, aggPrio Priorities, groups [][]int32, n int) error {
 	dirGroup, err := checkExpansion(groups, n, len(dst))
 	if err != nil {
@@ -142,7 +142,7 @@ func ExpandAnglesetRelease(dst []int32, aggRel []int32, groups [][]int32, n int)
 	return nil
 }
 
-// expandAngleset validates the aggregated kernels' arguments — the
+// expandAngleset validates an angleset rule's arguments — the
 // assignment, then the partition, then the aggregate lengths — and
 // expands them into workspace scratch for the per-direction rule. A nil
 // aggPrio stays nil (all equal), as does a nil aggRel (no releases).
@@ -174,34 +174,9 @@ func (ws *Workspace) expandAngleset(inst *Instance, assign Assignment, groups []
 	return prio, release, nil
 }
 
-// ListScheduleAnglesetInto is the angleset-aggregated form of
-// ListScheduleInto: priorities are given per (angleset, cell) and
-// release delays per angleset, and the produced schedule is
-// bitwise-identical to ListScheduleInto on the expanded per-direction
-// inputs (ExpandAnglesetPrio / ExpandAnglesetRelease). With singleton
-// groups it therefore reproduces the per-direction kernel exactly. Zero
-// heap allocations on a warm workspace and recycled dst.
-//
-// groups must be an angleset partition of the instance's directions
-// (ValidateAnglesets); a nil aggRel means no release delays, a nil
-// aggPrio all-equal priorities.
+// ListScheduleAnglesetInto is Schedule under Rule{Prio: aggPrio,
+// Release: aggRel, Anglesets: groups}: priorities per (angleset, cell),
+// release delays per angleset.
 func ListScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, aggRel []int32) error {
-	prio, release, err := ws.expandAngleset(inst, assign, groups, aggPrio, aggRel)
-	if err != nil {
-		return err
-	}
-	return ws.schedule(dst, inst, assign, stepRule{series: anglistSeries, prio: prio, taskFloor: release})
-}
-
-// CommScheduleAnglesetInto is the angleset-aggregated form of
-// CommScheduleInto: aggregate priorities per (angleset, cell) under the
-// uniform communication-delay model, bitwise-identical to
-// CommScheduleInto on the expanded priorities. Zero heap allocations on
-// a warm workspace and recycled dst.
-func CommScheduleAnglesetInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, groups [][]int32, aggPrio Priorities, commDelay int) error {
-	prio, _, err := ws.expandAngleset(inst, assign, groups, aggPrio, nil)
-	if err != nil {
-		return err
-	}
-	return ws.schedule(dst, inst, assign, stepRule{series: angcommSeries, prio: prio, commDelay: commDelay})
+	return ws.Schedule(dst, inst, assign, Rule{Prio: aggPrio, Release: aggRel, Anglesets: groups})
 }

@@ -120,7 +120,7 @@ func TestAnglesetBitwiseVsExpanded(t *testing.T) {
 				compareStarts(t, trial, "list-vs-refimpl", &got, ref)
 
 				cd := r.Intn(4)
-				if err := sched.CommScheduleAnglesetInto(ws, &got, inst, assign, groups, aggPrio, cd); err != nil {
+				if err := ws.Schedule(&got, inst, assign, sched.Rule{Prio: aggPrio, CommDelay: cd, Anglesets: groups}); err != nil {
 					t.Fatalf("trial %d: aggregated comm: %v", trial, err)
 				}
 				if err := sched.CommScheduleInto(ws, &want, inst, assign, prio, cd); err != nil {
@@ -228,10 +228,10 @@ func TestAnglesetKernelRejects(t *testing.T) {
 	if err := sched.ListScheduleAnglesetInto(ws, &dst, inst, assign, good, nil, shortRel); err == nil {
 		t.Fatal("short aggregate releases accepted")
 	}
-	if err := sched.CommScheduleAnglesetInto(ws, &dst, inst, assign, bad, nil, 1); err == nil {
+	if err := ws.Schedule(&dst, inst, assign, sched.Rule{CommDelay: 1, Anglesets: bad}); err == nil {
 		t.Fatal("comm kernel accepted overlapping partition")
 	}
-	if err := sched.CommScheduleAnglesetInto(ws, &dst, inst, assign, good, nil, -1); err == nil {
+	if err := ws.Schedule(&dst, inst, assign, sched.Rule{CommDelay: -1, Anglesets: good}); err == nil {
 		t.Fatal("comm kernel accepted negative delay")
 	}
 }

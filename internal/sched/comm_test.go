@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"sweepsched/internal/dag"
@@ -24,11 +25,11 @@ func chainInstance(t *testing.T, cells, procs int) *Instance {
 func TestListScheduleCommZeroMatchesPlain(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 21)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
-	a, err := into(ListScheduleInto, inst, assign, nil, nil)
+	a, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := into(CommScheduleInto, inst, assign, nil, 0)
+	b, err := into(inst, assign, Rule{CommDelay: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 	// Chain 0->1->2->3 alternating processors with c=2: starts 0,3,6,9.
 	inst := chainInstance(t, 4, 2)
 	assign := Assignment{0, 1, 0, 1}
-	s, err := into(CommScheduleInto, inst, assign, nil, 2)
+	s, err := into(inst, assign, Rule{CommDelay: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,20 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 	if err := ValidateComm(s, 2); err != nil {
 		t.Fatal(err)
 	}
+	// Validate holds the edges to the delay the schedule records: task 3
+	// moved into its gap (step 7 of the 9 it needs) still follows task 2.
+	if s.CommDelay != 2 {
+		t.Fatalf("the schedule records delay %d, want 2", s.CommDelay)
+	}
+	s.Start[3], s.Makespan = 7, 8
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "comm gap violated") {
+		t.Fatalf("a successor inside the recorded gap: Validate says %v", err)
+	}
+	if s.CommDelay = 0; s.Validate() != nil {
+		t.Fatal("without a recorded delay the moved chain is feasible")
+	}
 	// Same chain on one processor: no gaps at all.
-	s2, err := into(CommScheduleInto, inst, Assignment{0, 0, 0, 0}, nil, 2)
+	s2, err := into(inst, Assignment{0, 0, 0, 0}, Rule{CommDelay: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +87,7 @@ func TestListScheduleCommChainGaps(t *testing.T) {
 
 func TestListScheduleCommNegativeDelay(t *testing.T) {
 	inst := chainInstance(t, 3, 2)
-	if _, err := into(CommScheduleInto, inst, Assignment{0, 1, 0}, nil, -1); err == nil {
+	if _, err := into(inst, Assignment{0, 1, 0}, Rule{CommDelay: -1}); err == nil {
 		t.Fatal("negative delay accepted")
 	}
 }
@@ -108,7 +121,7 @@ func TestStepRangeRejected(t *testing.T) {
 		"comm 1<<32":      CommScheduleInto(ws, dst, inst, assign, nil, 1<<32),
 		"comm MaxInt32":   CommScheduleInto(ws, dst, inst, assign, nil, math.MaxInt32),
 		"comm fits+1":     CommScheduleInto(ws, dst, inst, assign, nil, fits+1),
-		"angcomm 1<<32":   CommScheduleAnglesetInto(ws, dst, inst, assign, [][]int32{{0}}, nil, 1<<32),
+		"angcomm 1<<32":   ws.Schedule(dst, inst, assign, Rule{CommDelay: 1 << 32, Anglesets: [][]int32{{0}}}),
 		"release":         ListScheduleInto(ws, dst, inst, assign, nil, []int32{0, 0, math.MaxInt32 - 2}),
 		"angleset floor":  ListScheduleAnglesetInto(ws, dst, inst, assign, [][]int32{{0}}, nil, []int32{math.MaxInt32}),
 		"validate 1<<32":  ValidateComm(&Schedule{Inst: inst, Assign: assign, Start: []int32{0, 1, 2}}, 1<<32),
@@ -131,7 +144,7 @@ func TestCommDelayMonotoneInC(t *testing.T) {
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(5))
 	prev := 0
 	for _, c := range []int{0, 1, 2, 4, 8} {
-		s, err := into(CommScheduleInto, inst, assign, nil, c)
+		s, err := into(inst, assign, Rule{CommDelay: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +181,11 @@ func TestCommDelayFavorsBlockAssignment(t *testing.T) {
 		clustered[v] = int32(v * 4 / inst.N())
 	}
 	const c = 8
-	sRand, err := into(CommScheduleInto, inst, random, nil, c)
+	sRand, err := into(inst, random, Rule{CommDelay: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sClus, err := into(CommScheduleInto, inst, clustered, nil, c)
+	sClus, err := into(inst, clustered, Rule{CommDelay: c})
 	if err != nil {
 		t.Fatal(err)
 	}

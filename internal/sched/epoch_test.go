@@ -92,7 +92,7 @@ func TestStepTableOnAStretchedSchedule(t *testing.T) {
 		r := rng.New(seed)
 		m := []int{1, 5, 64}[seed%3]
 		inst := testInstance(t, 2, 4, m, seed)
-		s, err := into(ListScheduleInto, inst, RandomAssignment(inst.N(), inst.M, r), nil, nil)
+		s, err := into(inst, RandomAssignment(inst.N(), inst.M, r), Rule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestStepTableOnAStretchedSchedule(t *testing.T) {
 func TestStepTableCases(t *testing.T) {
 	inst := testInstance(t, 2, 4, 3, 1)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 		for tsk := range prio {
 			prio[tsk] = int64(r.Intn(1 << 20))
 		}
-		s, err := into(ListScheduleInto, inst, assign, prio, nil)
+		s, err := into(inst, assign, Rule{Prio: prio})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 				}
 			}
 		}
-		resid, err := into(ListScheduleResidualInto, inst, moved, nil, done)
+		resid, err := into(inst, moved, Rule{Done: done})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestStepTableMatchesMapGrouping(t *testing.T) {
 func TestRecvTableDeliversOnlyWhatWasDelivered(t *testing.T) {
 	inst := testInstance(t, 2, 4, 3, 3)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(4))
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,18 @@
 //	avail(t) = max(floor(t), max over predecessors u of
 //	               finish(u) + (proc(u) != proc(t) ? commDelay : 0))
 //
-// and the five exported kernels differ only in what fills those terms in:
+// and a Rule, run by (*Workspace).Schedule, fills those terms in:
 //
-//	kernel                    priorities         floors            commDelay  done mask
-//	ListScheduleInto          prio               release           0          -
-//	CommScheduleInto          prio               -                 commDelay  -
-//	ListScheduleResidualInto  prio               -                 0          done
-//	ListScheduleAnglesetInto  aggPrio, expanded  aggRel, expanded  0          -
-//	CommScheduleAnglesetInto  aggPrio, expanded  -                 commDelay  -
+//	field      sets                                   nil / 0
+//	Prio       the rank order, one per task           all equal: TaskID order
+//	Release    floor(t), one per task                 no floors
+//	CommDelay  commDelay, recorded on the schedule    unit precedence
+//	Anglesets  Prio per (angleset, cell) and Release  per-task Prio, Release
+//	           per angleset, expanded per task
+//	Done       tasks finished before step 0           every task runs
 //
+// ListScheduleInto, CommScheduleInto and ListScheduleAnglesetInto are
+// one-line constructors of the rules the §3 and §5.2 schedulers use.
 // GreedyScheduleInto (Graham on the union DAG), LayeredSchedule
 // (Algorithm 1) and ListScheduleWeightedInto (event-driven, per-cell
 // costs) are other algorithms on the same ready set and task graph.
@@ -34,14 +37,16 @@
 //
 //   - (priority, TaskID) is a strict total order, so no output depends on
 //     how a ready set is built: every kernel is bitwise the frozen one in
-//     internal/sched/refimpl, and the angleset kernels are the
-//     per-direction ones on expanded inputs.
+//     internal/sched/refimpl, and an angleset rule runs as the
+//     per-direction one on expanded inputs.
 //   - A kernel writes into a caller-owned *Schedule, reusing its Start
 //     array, and keeps its transient state in a *Workspace; on a warm
 //     workspace it allocates nothing, with an obs collector attached or
 //     not.
 //   - A done task of a residual run is not scheduled (Start stays -1) and
-//     its successors owe it no wait.
+//     its successors owe it no wait, cross-processor or not.
+//   - A schedule carries the CommDelay its rule ran under, and Validate
+//     holds its edges to it.
 //   - A delay or floor whose worst case overflows the int32 step counter is
 //     refused with a *StepRangeError. No table is sized from a delay, a
 //     floor or a start value, so a stretched schedule costs what a dense
@@ -313,12 +318,15 @@ func (a Assignment) Validate(n, m int) error {
 
 // Schedule is a complete solution: an assignment plus a start timestep for
 // every task (unit processing time, so the task occupies exactly its start
-// step).
+// step). CommDelay is the communication delay it was built under (the
+// kernel records its Rule's): Validate holds every cross-processor edge to
+// it, and recovery reschedules under it. EncodeTrace does not carry it.
 type Schedule struct {
-	Inst     *Instance
-	Assign   Assignment
-	Start    []int32
-	Makespan int
+	Inst      *Instance
+	Assign    Assignment
+	Start     []int32
+	Makespan  int
+	CommDelay int
 }
 
 // computeMakespan refreshes Makespan from Start.
@@ -334,7 +342,8 @@ func (s *Schedule) computeMakespan() {
 
 // Validate checks the three feasibility constraints of §3: precedence
 // within every direction DAG, one task per processor per step, and (by
-// construction of Assignment) all copies of a cell on one processor. It
+// construction of Assignment) all copies of a cell on one processor, with
+// the CommDelay the schedule records on every cross-processor edge. It
 // also checks every task was scheduled and that Makespan is the last
 // start step plus one. It is ValidateWorkers(0).
 func (s *Schedule) Validate() error { return s.ValidateWorkers(0) }
@@ -350,6 +359,9 @@ func (s *Schedule) ValidateWorkers(workers int) error {
 	if len(s.Start) != inst.NTasks() {
 		return fmt.Errorf("sched: schedule covers %d of %d tasks", len(s.Start), inst.NTasks())
 	}
+	if err := checkStepRange(inst.NTasks(), s.CommDelay, 0); err != nil {
+		return err
+	}
 	maxStart := int32(-1)
 	for t, st := range s.Start {
 		if st < 0 {
@@ -358,13 +370,7 @@ func (s *Schedule) ValidateWorkers(workers int) error {
 		maxStart = max(maxStart, st)
 	}
 	err := splitChecks(inst, s.Assign, s.Start, maxStart, func(_ TaskID, st int64) int64 { return st + 1 }, workers,
-		func(i int32) error {
-			if u, w, _, tight := s.tightEdge(i, 0); tight {
-				return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
-					i, u, s.Start[inst.Task(u, i)], w, s.Start[inst.Task(w, i)])
-			}
-			return nil
-		},
+		func(i int32) error { return s.edgeError(i, int32(s.CommDelay)) },
 		func(q int32, a, b TaskID) error {
 			return fmt.Errorf("sched: processor %d runs tasks %d and %d at step %d", q, a, b, s.Start[a])
 		})
@@ -376,6 +382,21 @@ func (s *Schedule) ValidateWorkers(workers int) error {
 		return fmt.Errorf("sched: makespan %d inconsistent with max start %d", s.Makespan, maxStart)
 	}
 	return nil
+}
+
+// edgeError reports direction i's first edge tighter than its gap
+// (tightEdge), as a precedence or a communication-gap violation.
+func (s *Schedule) edgeError(i, commDelay int32) error {
+	u, w, gap, tight := s.tightEdge(i, commDelay)
+	switch {
+	case !tight:
+		return nil
+	case gap == 1:
+		return fmt.Errorf("sched: precedence violated in dir %d: (%d)@%d !< (%d)@%d",
+			i, u, s.Start[s.Inst.Task(u, i)], w, s.Start[s.Inst.Task(w, i)])
+	}
+	return fmt.Errorf("sched: comm gap violated on edge (%d,%d)->(%d,%d): %d -> %d (need +%d)",
+		u, i, w, i, s.Start[s.Inst.Task(u, i)], s.Start[s.Inst.Task(w, i)], gap)
 }
 
 // tightEdge is the edge walk Validate and ValidateComm share. It returns

@@ -16,7 +16,7 @@ import (
 func TestTraceRoundTrip(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 51)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEncodeTraceBytes(t *testing.T) {
 		})
 	}
 	big := testInstance(t, 4, 8, 4, 3)
-	bs, err := into(ListScheduleInto, big, RandomAssignment(big.N(), big.M, rng.New(2)), nil, nil)
+	bs, err := into(big, RandomAssignment(big.N(), big.M, rng.New(2)), Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func TestResidualMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := &sched.Schedule{}
-			if err := sched.ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
+			if err := ws.Schedule(dst, inst, assign, sched.Rule{Prio: prio, Done: done}); err != nil {
 				t.Fatal(err)
 			}
 			for tt := range want.Start {
@@ -306,7 +306,7 @@ func TestStepCoreMetricsMatchOracles(t *testing.T) {
 				return sched.ListScheduleAnglesetInto(ws, dst, inst, assign, groups, aggPrio, aggRel)
 			}},
 			{"angcomm", func() error {
-				return sched.CommScheduleAnglesetInto(ws, dst, inst, assign, groups, aggPrio, 2)
+				return ws.Schedule(dst, inst, assign, sched.Rule{Prio: aggPrio, CommDelay: 2, Anglesets: groups})
 			}},
 		}
 		for _, rc := range runs {
@@ -330,7 +330,7 @@ func TestStepCoreMetricsMatchOracles(t *testing.T) {
 		for tt, st := range dst.Start {
 			done[tt] = st < int32(dst.Makespan)/2
 		}
-		if err := sched.ListScheduleResidualInto(ws, dst, inst, assign, prio, done); err != nil {
+		if err := ws.Schedule(dst, inst, assign, sched.Rule{Prio: prio, Done: done}); err != nil {
 			t.Fatalf("inst %d residual: %v", ii, err)
 		}
 		if met, ok := ws.Metrics(); ok {

@@ -296,7 +296,7 @@ func TestKernelErrorsPreserved(t *testing.T) {
 	if err := CommScheduleInto(ws, dst, inst, good, nil, -1); err == nil {
 		t.Fatal("negative comm delay accepted")
 	}
-	if err := ListScheduleResidualInto(ws, dst, inst, good, nil, make([]bool, 1)); err == nil {
+	if err := ws.Schedule(dst, inst, good, Rule{Done: make([]bool, 1)}); err == nil {
 		t.Fatal("short done set accepted")
 	}
 }
@@ -516,7 +516,7 @@ func BenchWarm(b *testing.B, run func()) {
 func TestWorkspacePoolRoundTrip(t *testing.T) {
 	inst := randomDAGInstance(t, 60, 3, 4, 40)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(8))
-	want, err := into(ListScheduleInto, inst, assign, nil, nil)
+	want, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestWorkspaceScratchBuffers(t *testing.T) {
 	// zero priorities (zeroPrio is a separate buffer).
 	inst := randomDAGInstance(t, 30, 2, 2, 50)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	want, err := into(ListScheduleInto, inst, assign, nil, nil)
+	want, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,7 +886,7 @@ func TestCalendarRingBoundedByTasks(t *testing.T) {
 	var s *Schedule
 	var err error
 	got := allocated(func() {
-		s, err = into(ListScheduleInto, pair, Assignment{0, 0}, nil, []int32{1 << 30, 0})
+		s, err = into(pair, Assignment{0, 0}, Rule{Release: []int32{1 << 30, 0}})
 	})
 	if err != nil {
 		t.Fatal(err)

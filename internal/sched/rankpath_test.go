@@ -77,7 +77,7 @@ func TestBuildPathsAgree(t *testing.T) {
 		rel, aggRel := releaseStream(nt, k, r), releaseStream(len(groups), k, r)
 		weights := randomWeights(n, r, 5)
 		model := &MachineModel{IntraDelay: 1, CrossDelay: 2}
-		full, err := into(ListScheduleInto, inst, assign, basePrio, nil)
+		full, err := into(inst, assign, Rule{Prio: basePrio})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,9 +125,9 @@ func TestBuildPathsAgree(t *testing.T) {
 				unitRun(func() error { return ListScheduleInto(ws, unit, inst, assign, prio, nil) }),
 				unitRun(func() error { return ListScheduleInto(ws, unit, inst, assign, prio, rel) }),
 				unitRun(func() error { return CommScheduleInto(ws, unit, inst, assign, prio, 2) }),
-				unitRun(func() error { return ListScheduleResidualInto(ws, unit, inst, assign, prio, done) }),
+				unitRun(func() error { return ws.Schedule(unit, inst, assign, Rule{Prio: prio, Done: done}) }),
 				unitRun(func() error { return ListScheduleAnglesetInto(ws, unit, inst, assign, groups, agg, aggRel) }),
-				unitRun(func() error { return CommScheduleAnglesetInto(ws, unit, inst, assign, groups, agg, 1) }),
+				unitRun(func() error { return ws.Schedule(unit, inst, assign, Rule{Prio: agg, CommDelay: 1, Anglesets: groups}) }),
 			}
 			if err := ListScheduleWeightedInto(ws, weighted, inst, assign, prio, weights, model); err != nil {
 				t.Fatal(err)

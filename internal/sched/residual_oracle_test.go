@@ -41,7 +41,7 @@ func TestResidualMatchesReferenceReassigned(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := &sched.Schedule{}
-			if err := sched.ListScheduleResidualInto(ws, dst, inst, moved, prio, done); err != nil {
+			if err := ws.Schedule(dst, inst, moved, sched.Rule{Prio: prio, Done: done}); err != nil {
 				t.Fatal(err)
 			}
 			if dst.Makespan != want.Makespan {

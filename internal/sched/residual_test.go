@@ -9,11 +9,11 @@ import (
 func TestListScheduleResidualNilDoneMatchesListSchedule(t *testing.T) {
 	inst := testInstance(t, 3, 4, 4, 1)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
-	full, err := into(ListScheduleInto, inst, assign, nil, nil)
+	full, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := into(ListScheduleResidualInto, inst, assign, nil, nil)
+	res, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestListScheduleResidualNilDoneMatchesListSchedule(t *testing.T) {
 func TestListScheduleResidualSkipsDoneAndRespectsPrecedence(t *testing.T) {
 	inst := testInstance(t, 3, 4, 4, 3)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(4))
-	full, err := into(ListScheduleInto, inst, assign, nil, nil)
+	full, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestListScheduleResidualSkipsDoneAndRespectsPrecedence(t *testing.T) {
 			remaining++
 		}
 	}
-	res, err := into(ListScheduleResidualInto, inst, assign, nil, done)
+	res, err := into(inst, assign, Rule{Done: done})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestListScheduleResidualSkipsDoneAndRespectsPrecedence(t *testing.T) {
 func TestListScheduleResidualInconsistentDoneErrors(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 5)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(6))
-	if _, err := into(ListScheduleResidualInto, inst, assign, nil, make([]bool, 3)); err == nil {
+	if _, err := into(inst, assign, Rule{Done: make([]bool, 3)}); err == nil {
 		t.Fatal("wrong-length done set accepted")
 	}
 }

@@ -25,14 +25,13 @@ func testInstance(t testing.TB, nx, k, m int, seed uint64) *Instance {
 	return inst
 }
 
-// into runs one unit-step kernel (ListScheduleInto, CommScheduleInto or
-// ListScheduleResidualInto, arg its last parameter) into a fresh schedule
-// on a pooled workspace.
-func into[A any](kernel func(*Workspace, *Schedule, *Instance, Assignment, Priorities, A) error, inst *Instance, assign Assignment, prio Priorities, arg A) (*Schedule, error) {
+// into runs the step core under rule into a fresh schedule on a pooled
+// workspace.
+func into(inst *Instance, assign Assignment, rule Rule) (*Schedule, error) {
 	ws := GetWorkspace(inst)
 	defer ws.Release()
 	dst := &Schedule{}
-	if err := kernel(ws, dst, inst, assign, prio, arg); err != nil {
+	if err := ws.Schedule(dst, inst, assign, rule); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -106,7 +105,7 @@ func TestAssignmentValidate(t *testing.T) {
 func TestListScheduleSingleProcessorSerial(t *testing.T) {
 	inst := testInstance(t, 2, 4, 1, 3)
 	assign := make(Assignment, inst.N())
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestListScheduleSingleProcessorSerial(t *testing.T) {
 func TestListScheduleValidAndNoIdleHoles(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 4)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(5))
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestListSchedulePriorityOrderWithinProcessor(t *testing.T) {
 	}
 	prio := Priorities{3, 1, 2, 0}
 	assign := make(Assignment, 4)
-	s, err := into(ListScheduleInto, inst, assign, prio, nil)
+	s, err := into(inst, assign, Rule{Prio: prio})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestListSchedulePriorityOrderWithinProcessor(t *testing.T) {
 func TestListSchedulePriorityLengthError(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 6)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	if _, err := into(ListScheduleInto, inst, assign, Priorities{1, 2, 3}, nil); err == nil {
+	if _, err := into(inst, assign, Rule{Prio: Priorities{1, 2, 3}}); err == nil {
 		t.Fatal("bad priority length accepted")
 	}
 }
@@ -293,7 +292,7 @@ func TestC2ChainAlternating(t *testing.T) {
 	msh := mesh.RegularHex(4, 1, 1)
 	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 2)
 	assign := Assignment{0, 1, 0, 1}
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +302,7 @@ func TestC2ChainAlternating(t *testing.T) {
 		t.Fatalf("C2 = %d, want 3", got)
 	}
 	// All on one processor: no messages.
-	s2, _ := into(ListScheduleInto, inst, Assignment{0, 0, 0, 0}, nil, nil)
+	s2, _ := into(inst, Assignment{0, 0, 0, 0}, Rule{})
 	if got := C2(s2, 0); got != 0 {
 		t.Fatalf("C2 = %d, want 0", got)
 	}
@@ -316,7 +315,7 @@ func TestC2MaxPerStepNotSum(t *testing.T) {
 	inst, _ := FromDAGs(dag.BuildAll(msh, []geom.Vec3{{X: 1}}), 4)
 	// 0->1 crossing 0 to 2; 2->3 crossing 1 to 3; both sends happen at step 0.
 	assign := Assignment{0, 2, 1, 3}
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func TestC2MaxPerStepNotSum(t *testing.T) {
 func TestMeasure(t *testing.T) {
 	inst := testInstance(t, 2, 4, 4, 13)
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(3))
-	s, err := into(ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +385,7 @@ func TestQuickListScheduleAlwaysValid(t *testing.T) {
 			return false
 		}
 		assign := RandomAssignment(inst.N(), m, rng.New(seed^0xabc))
-		s, err := into(ListScheduleInto, inst, assign, nil, nil)
+		s, err := into(inst, assign, Rule{})
 		if err != nil {
 			return false
 		}
@@ -402,7 +401,7 @@ func BenchmarkListSchedule(b *testing.B) {
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := into(ListScheduleInto, inst, assign, nil, nil); err != nil {
+		if _, err := into(inst, assign, Rule{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,9 +16,9 @@ import (
 //	avail(t) = max(floor(t), max over predecessors u of
 //	               finish(u) + (proc(u) != proc(t) ? commDelay : 0)),
 //
-// and which tasks exist at all. A stepRule states exactly that as plain
-// data, per task; the five exported kernels are wrappers that fill one in
-// (the two angleset forms after expanding their inputs, angleset.go).
+// and which tasks exist at all. A Rule states exactly that as plain data;
+// (*Workspace).Schedule expands an angleset rule per task (angleset.go)
+// and hands the core a stepRule, the same rule per task.
 
 // kernelSeries names the obs series one kernel reports under.
 type kernelSeries struct{ kernel, time, runs, steps string }
@@ -35,16 +35,70 @@ var (
 	angcommSeries  = seriesFor("angcomm")
 )
 
-// stepRule is one run's release rule. Nil slices switch their clause off.
+// Rule is one run's availability rule as plain data: the §3 list
+// scheduler's ranking, the §5.2 release floors, the uniform communication
+// delay and a recovery's done set. Nil slices switch their clause off.
+type Rule struct {
+	// Prio ranks the ready tasks, smaller first, ties by TaskID; nil is
+	// all equal. One per task, or with Anglesets one per (angleset, cell).
+	Prio Priorities
+	// Release holds the floors: a task starts no earlier than its own.
+	// One per task, or with Anglesets one per angleset.
+	Release []int32
+	// CommDelay is added to a predecessor's finish on a cross-processor
+	// edge. The schedule records it (Schedule.CommDelay).
+	CommDelay int
+	// Anglesets, when non-nil, is the angleset partition of the
+	// directions (ValidateAnglesets) that Prio and Release are given
+	// over; the run expands both per task first.
+	Anglesets [][]int32
+	// Done marks tasks finished before step 0: they are not scheduled
+	// (Start stays -1) and their successors owe them no wait.
+	Done []bool
+}
+
+// series names the obs series a run under the rule reports to.
+func (r *Rule) series() *kernelSeries {
+	switch {
+	case r.Done != nil:
+		return residualSeries
+	case r.Anglesets != nil && r.CommDelay > 0:
+		return angcommSeries
+	case r.Anglesets != nil:
+		return anglistSeries
+	case r.CommDelay > 0:
+		return commSeries
+	}
+	return listSeries
+}
+
+// stepRule is a Rule as the core runs it, every slice per task.
 type stepRule struct {
 	series    *kernelSeries
-	prio      Priorities // one per task
-	taskFloor []int32    // release floor per task
-	// commDelay is added to a predecessor's finish on cross-processor edges.
+	prio      Priorities
+	taskFloor []int32
 	commDelay int
-	// done marks tasks finished before step 0: they are not scheduled
-	// (Start stays -1) and their successors owe them no wait.
-	done []bool
+	done      []bool
+}
+
+// Schedule runs the step core under rule, writing the schedule into dst
+// (dst.Start's backing array is reused; dst must not alias a schedule
+// still in use). Without a done set the output is bitwise the frozen
+// reference's (refimpl.ListScheduleWithRelease, or ListScheduleComm
+// under a delay), an angleset rule's the per-direction one's on the
+// expanded inputs. With one, done tasks keep Start = -1 and Makespan
+// covers only the residual steps: an execution plan, not a schedule
+// Validate accepts. On a warm workspace and a recycled dst it performs
+// zero heap allocations.
+func (ws *Workspace) Schedule(dst *Schedule, inst *Instance, assign Assignment, rule Rule) error {
+	run := stepRule{series: rule.series(), prio: rule.Prio, taskFloor: rule.Release, commDelay: rule.CommDelay, done: rule.Done}
+	if rule.Anglesets != nil {
+		var err error
+		if run.prio, run.taskFloor, err = ws.expandAngleset(inst, assign, rule.Anglesets, rule.Prio, rule.Release); err != nil {
+			return err
+		}
+	}
+	return ws.schedule(dst, inst, assign, run)
 }
 
 // popped is a task a step ran, as the release walk after the pops needs
@@ -75,9 +129,7 @@ func checkStepRange(nt, commDelay int, maxRelease int32) error {
 	return nil
 }
 
-// schedule runs the step core under rule, writing the schedule into dst
-// (dst.Start's backing array is reused). On a warm workspace and a
-// recycled dst it performs zero heap allocations.
+// schedule is Schedule once the rule is per task.
 func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, rule stepRule) error {
 	nt, m := inst.NTasks(), inst.M
 	ws.hasMetrics = false
@@ -204,7 +256,7 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	}
 	ws.completed = completed[:0]
 	fromSlots(g, ensureStart(dst, nt), start)
-	dst.Inst, dst.Assign = inst, assign
+	dst.Inst, dst.Assign, dst.CommDelay = inst, assign, rule.commDelay
 	dst.Makespan = int(step) // the last step always runs a task
 	// A residual run walks only part of the graph: its counts are no metrics.
 	ws.metrics, ws.hasMetrics = Metrics{Makespan: dst.Makespan, C1: c1, C2: c2}, rule.done == nil
@@ -214,32 +266,14 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 	return nil
 }
 
-// ListScheduleInto is priority list scheduling with a fixed assignment and
-// optional per-task release times (§3 "List Scheduling"; release times
-// implement the §5.2 random-delay combinations). It writes the schedule
-// into dst and uses ws for every piece of transient state; output is
-// bitwise-identical to refimpl.ListScheduleWithRelease's.
-//
-// dst must not alias a schedule still in use: its contents are
-// overwritten. A nil release means all zeros; a nil prio means all equal
-// with TaskID tie-breaks.
+// ListScheduleInto is Schedule under Rule{Prio: prio, Release: release}:
+// priority list scheduling (§3) with optional release floors (§5.2).
 func ListScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, release []int32) error {
-	return ws.schedule(dst, inst, assign, stepRule{series: listSeries, prio: prio, taskFloor: release})
+	return ws.Schedule(dst, inst, assign, Rule{Prio: prio, Release: release})
 }
 
-// CommScheduleInto is list scheduling under the uniform
-// communication-delay model (§3): a cross-processor edge delays its
-// successor by commDelay extra steps; 0 reduces to ListScheduleInto.
-// Output matches refimpl.ListScheduleComm bit for bit.
+// CommScheduleInto is Schedule under Rule{Prio: prio, CommDelay:
+// commDelay}: list scheduling under the uniform communication delay (§3).
 func CommScheduleInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, commDelay int) error {
-	return ws.schedule(dst, inst, assign, stepRule{series: commSeries, prio: prio, commDelay: commDelay})
-}
-
-// ListScheduleResidualInto is recovery rescheduling (internal/faults):
-// list scheduling restricted to the tasks with !done[t], done tasks
-// treated as finished before step 0; a nil done is ListScheduleInto.
-// Done tasks keep Start = -1 and Makespan covers only residual steps
-// (the result is an execution plan, not a Validate-able full schedule).
-func ListScheduleResidualInto(ws *Workspace, dst *Schedule, inst *Instance, assign Assignment, prio Priorities, done []bool) error {
-	return ws.schedule(dst, inst, assign, stepRule{series: residualSeries, prio: prio, done: done})
+	return ws.Schedule(dst, inst, assign, Rule{Prio: prio, CommDelay: commDelay})
 }

@@ -8,18 +8,22 @@ import (
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/sched/refimpl"
+	"sweepsched/internal/verify"
 )
 
 // FuzzStepCoreEquivalence holds the unit-step core to the frozen
 // container/heap kernels of internal/sched/refimpl on a small random DAG
-// family: ListScheduleInto (with release floors), CommScheduleInto and
-// ListScheduleResidualInto (under a precedence-consistent done mask) must
-// each write the reference's schedule bit for bit, and the metrics the
-// core counts on its edge walk must be sched.Measure's. The fuzzer picks
-// the family, m, the priorities' spread — narrow enough for the counting
-// pass, widened into the radix sort, or at the extremes of int64 for the
-// comparison fallback — the floors, the delay and where the done mask
-// cuts. One workspace serves the three runs, as in a recovering solve.
+// family: the list rule (with release floors), the comm rule and the
+// residual rule (under a precedence-consistent done mask) must each write
+// the reference's schedule bit for bit, and the metrics the core counts
+// on its edge walk must be sched.Measure's. The residual rule under the
+// drawn delay, recovery's, has no reference of its own: with nothing done
+// it must be the comm schedule bit for bit, and at the cut
+// verify.Residual must accept it under the delay it records. The fuzzer
+// picks the family, m, the priorities' spread — narrow enough for the
+// counting pass, widened into the radix sort, or at the extremes of int64
+// for the comparison fallback — the floors, the delay and where the done
+// mask cuts. One workspace serves every run, as in a recovering solve.
 func FuzzStepCoreEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(3), uint8(4), uint8(5), uint8(0), uint8(0), uint8(3))
 	f.Add(uint64(2), uint8(70), uint8(4), uint8(6), uint8(70), uint8(6), uint8(2), uint8(9))
@@ -82,10 +86,27 @@ func FuzzStepCoreEquivalence(f *testing.F) {
 		if want, err = refimpl.ListScheduleResidual(inst, assign, prio, done); err != nil {
 			t.Fatal(err)
 		}
-		if err := sched.ListScheduleResidualInto(ws, got, inst, assign, prio, done); err != nil {
+		if err := ws.Schedule(got, inst, assign, sched.Rule{Prio: prio, Done: done}); err != nil {
 			t.Fatal(err)
 		}
 		check("residual", want, false)
+
+		if want, err = refimpl.ListScheduleComm(inst, assign, prio, cd); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Schedule(got, inst, assign, sched.Rule{Prio: prio, CommDelay: cd, Done: make([]bool, nt)}); err != nil {
+			t.Fatal(err)
+		}
+		check("residual comm, nothing done", want, false)
+		if err := ws.Schedule(got, inst, assign, sched.Rule{Prio: prio, CommDelay: cd, Done: done}); err != nil {
+			t.Fatal(err)
+		}
+		if got.CommDelay != cd {
+			t.Fatalf("residual comm: the schedule records delay %d, the rule ran %d", got.CommDelay, cd)
+		}
+		if err := verify.Residual(inst, got, done); err != nil {
+			t.Fatalf("residual comm (n=%d k=%d m=%d cd=%d cut=%d): %v", n, k, m, cd, cut, err)
+		}
 	})
 }
 

@@ -17,7 +17,7 @@ func BenchmarkValidate(b *testing.B) {
 	prio := levelPrio(inst, r)
 
 	b.Run("unit", func(b *testing.B) {
-		s, err := into(ListScheduleInto, inst, assign, prio, nil)
+		s, err := into(inst, assign, Rule{Prio: prio})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func BenchmarkValidate(b *testing.B) {
 	})
 	b.Run("comm", func(b *testing.B) {
 		const commDelay = 3
-		s, err := into(CommScheduleInto, inst, assign, prio, commDelay)
+		s, err := into(inst, assign, Rule{Prio: prio, CommDelay: commDelay})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -185,7 +185,7 @@ func TestValidateMatchesReference(t *testing.T) {
 		if seed%3 == 0 {
 			release = releaseStream(nt, 40, r) // idle gaps: steps no longer dense
 		}
-		valid, err := into(ListScheduleInto, inst, assign, randomPrio(nt, r), release)
+		valid, err := into(inst, assign, Rule{Prio: randomPrio(nt, r), Release: release})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestFeasibilityTailBoundedOnSparseSchedules(t *testing.T) {
 	// count, as release delays of that size would leave it.
 	small := randomDAGInstance(t, 16, 4, 8, 3)
 	r := rng.New(3)
-	stretched, err := into(ListScheduleInto, small, RandomAssignment(small.N(), small.M, r), nil, nil)
+	stretched, err := into(small, RandomAssignment(small.N(), small.M, r), Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestValidateErrorOrderUnderManyViolations(t *testing.T) {
 	r := rng.New(28)
 	nt := inst.NTasks()
 	assign := RandomAssignment(inst.N(), inst.M, r)
-	unit, err := into(ListScheduleInto, inst, assign, levelPrio(inst, r), nil)
+	unit, err := into(inst, assign, Rule{Prio: levelPrio(inst, r)})
 	if err != nil {
 		t.Fatal(err)
 	}

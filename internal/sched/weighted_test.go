@@ -106,7 +106,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	r := rng.New(3)
 	assign := RandomAssignment(inst.N(), inst.M, r)
 	prio := levelPrio(inst, r)
-	unit, err := into(ListScheduleInto, inst, assign, prio, nil)
+	unit, err := into(inst, assign, Rule{Prio: prio})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func FuzzWeightedEquivalence(f *testing.F) {
 		prio := levelPrio(inst, r)
 
 		// (a) all-ones weights + uniform machine == unit ListScheduleInto.
-		unit, err := into(ListScheduleInto, inst, assign, prio, nil)
+		unit, err := into(inst, assign, Rule{Prio: prio})
 		if err != nil {
 			t.Fatal(err)
 		}

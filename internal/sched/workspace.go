@@ -74,23 +74,20 @@ type Workspace struct {
 // SetObserver attaches an obs collector: every kernel run through this
 // workspace records a stage span and run/step counters under its own
 // series (sched.{list,comm,residual,anglist,angcomm,greedy,weighted}.
-// {time,runs,steps}); the angleset kernels keep theirs although they run
-// the per-direction rule, and their span leaves out the expansion. A nil
+// {time,runs,steps}); a step-core run's series is named by its rule —
+// residual with a done set, anglist/angcomm with anglesets, comm under a
+// delay, list otherwise — and an angleset run's span leaves out the
+// expansion. A nil
 // collector detaches. Release detaches automatically so pooled
 // workspaces never leak a collector to an unrelated caller.
 func (ws *Workspace) SetObserver(col *obs.Collector) { ws.col = col }
-
-// Observer returns the attached collector (nil when detached). Callers
-// layering their own stages over the kernels (heuristics, core) record
-// through it so one attachment instruments the whole pipeline.
-func (ws *Workspace) Observer() *obs.Collector { return ws.col }
 
 // Metrics returns the makespan, C1 and C2 of the schedule the unit-step
 // core last wrote through this workspace, counted while it released
 // successors — what Measure would compute from the schedule, without the
 // second walk. ok is false when there is none to report: no step-core
 // run since the workspace was drawn, a run that failed, or a residual run
-// (ListScheduleResidualInto), which schedules only part of the graph.
+// (a Rule with Done), which schedules only part of the graph.
 func (ws *Workspace) Metrics() (met Metrics, ok bool) { return ws.metrics, ws.hasMetrics }
 
 // NewWorkspace returns an empty workspace; it grows to fit the first

@@ -257,7 +257,8 @@ func SolveOn(ctx context.Context, s *sched.Schedule, cfg Config, on Sweeper) (*R
 		return nil, err
 	}
 	if cfg.verifyOn() {
-		if err := verify.Schedule(inst, s, verify.Opts{}); err != nil {
+		// The schedule carries the delay it was built under; hold it to that.
+		if err := verify.Schedule(inst, s, verify.Opts{CommDelay: s.CommDelay}); err != nil {
 			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
 		}
 	}

@@ -64,7 +64,7 @@ func TestAnglesetAuditAccepts(t *testing.T) {
 		aggRel[a] = int32(a % 3)
 	}
 	s := aggSchedule(t, inst, groups, aggRel, 31)
-	if err := verify.Schedule(inst, s, verify.Opts{Anglesets: groups, AnglesetRelease: aggRel}); err != nil {
+	if err := verify.Schedule(inst, s, verify.Opts{Anglesets: groups, Release: aggRel}); err != nil {
 		t.Fatalf("auditor rejects a genuine aggregated schedule: %v", err)
 	}
 }
@@ -122,13 +122,13 @@ func TestAnglesetAuditErrors(t *testing.T) {
 		opts verify.Opts
 		want string
 	}{
-		{"release without partition", verify.Opts{AnglesetRelease: []int32{0, 0, 0, 0}}, "without Anglesets"},
+		{"per-angleset release without partition", verify.Opts{Release: []int32{0, 0, 0, 0}}, "covers 4 of"},
 		{"overlapping partition", verify.Opts{Anglesets: [][]int32{{0, 1}, {1, 2, 3}}}, "more than one"},
 		{"missing direction", verify.Opts{Anglesets: [][]int32{{0, 1, 2}}}, "not covered"},
 		{"empty angleset", verify.Opts{Anglesets: [][]int32{{0, 1, 2, 3}, {}}}, "empty"},
 		{"release floor violated", verify.Opts{Anglesets: groups,
-			AnglesetRelease: []int32{1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}[:len(groups)]}, "release"},
-		{"release length mismatch", verify.Opts{Anglesets: groups, AnglesetRelease: []int32{1}}, "delays for"},
+			Release: []int32{1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}[:len(groups)]}, "release"},
+		{"release length mismatch", verify.Opts{Anglesets: groups, Release: []int32{1}}, "delays for"},
 	}
 	for _, tc := range cases {
 		err := verify.Schedule(inst, s, tc.opts)
@@ -141,7 +141,7 @@ func TestAnglesetAuditErrors(t *testing.T) {
 	}
 }
 
-// TestDifferentialAngleset: the aggregated kernels agree with the
+// TestDifferentialAngleset: angleset rules agree with the
 // frozen per-direction reference on the expanded inputs, across mesh
 // and synthetic instances, random partitions, priorities, releases and
 // comm delays — and agreeing rejections of invalid inputs count as a
@@ -169,10 +169,10 @@ func TestDifferentialAngleset(t *testing.T) {
 				}
 			}
 			assign := sched.RandomAssignment(n, inst.M, r)
-			if err := verify.DifferentialAngleset(inst, assign, groups, aggPrio, aggRel); err != nil {
+			if err := verify.Differential(inst, assign, sched.Rule{Prio: aggPrio, Release: aggRel, Anglesets: groups}); err != nil {
 				t.Fatalf("inst %d trial %d: %v", ii, trial, err)
 			}
-			if err := verify.DifferentialAnglesetComm(inst, assign, groups, aggPrio, r.Intn(3)); err != nil {
+			if err := verify.Differential(inst, assign, sched.Rule{Prio: aggPrio, CommDelay: r.Intn(3), Anglesets: groups}); err != nil {
 				t.Fatalf("inst %d trial %d comm: %v", ii, trial, err)
 			}
 		}
@@ -180,7 +180,7 @@ func TestDifferentialAngleset(t *testing.T) {
 		// kernel and the expansion, which the oracle reports as a match.
 		assign := sched.RandomAssignment(n, inst.M, r)
 		bad := [][]int32{{0, 1}, append([]int32{1}, int32(k-1))}
-		if err := verify.DifferentialAngleset(inst, assign, bad, nil, nil); err != nil {
+		if err := verify.Differential(inst, assign, sched.Rule{Anglesets: bad}); err != nil {
 			t.Fatalf("inst %d: agreeing rejection reported as divergence: %v", ii, err)
 		}
 	}

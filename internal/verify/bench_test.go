@@ -14,7 +14,7 @@ import (
 
 func BenchmarkVerifySchedule(b *testing.B) {
 	inst := meshInstance(b, 8, 24, 32, 1)
-	s, err := into(sched.ListScheduleInto, inst, sched.RandomAssignment(inst.N(), inst.M, rng.New(1)), nil, nil)
+	s, err := into(inst, sched.RandomAssignment(inst.N(), inst.M, rng.New(1)), sched.Rule{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,94 +33,57 @@ func diffStarts(kind string, got, want *sched.Schedule) error {
 	return nil
 }
 
-// DifferentialList runs sched.ListScheduleInto and the reference list
-// scheduler on the same inputs and returns an error on any divergence.
-// Both kernels' errors must also agree (both fail or both succeed).
-func DifferentialList(inst *sched.Instance, assign sched.Assignment, prio sched.Priorities, release []int32) error {
-	want, refErr := refimpl.ListScheduleWithRelease(inst, assign, prio, release)
+// Differential runs rule through the step core ((*sched.Workspace).
+// Schedule) and through the frozen reference its fields pick, and returns
+// an error on any divergence: refimpl.ListScheduleResidual with a done
+// set, refimpl.ListScheduleComm under a delay,
+// refimpl.ListScheduleWithRelease otherwise. An angleset rule's priorities and floors are expanded per
+// direction first (through the expansion the kernel itself runs, which
+// TestExpandAnglesetByFormula holds to the contract); expansion errors
+// must be mirrored by a kernel rejection of the same rule. Both kernels'
+// errors must agree (both fail or both succeed). A rule no one reference
+// covers — a done set with floors or a delay, floors with a delay — is
+// refused.
+func Differential(inst *sched.Instance, assign sched.Assignment, rule sched.Rule) error {
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	got := &sched.Schedule{}
-	err := sched.ListScheduleInto(ws, got, inst, assign, prio, release)
+	err := ws.Schedule(got, inst, assign, rule)
+
+	prio, rel := rule.Prio, rule.Release
+	if rule.Anglesets != nil {
+		var expErr error
+		if prio, rel, expErr = expandAngleset(inst, rule.Anglesets, prio, rel); expErr != nil {
+			if err == nil {
+				return fmt.Errorf("verify: angleset kernel accepted inputs the expansion rejects: %v", expErr)
+			}
+			return nil
+		}
+	}
+	var kind string
+	var want *sched.Schedule
+	var refErr error
+	switch {
+	case rule.Done != nil && rel == nil && rule.CommDelay == 0:
+		kind = "residual"
+		want, refErr = refimpl.ListScheduleResidual(inst, assign, prio, rule.Done)
+	case rule.Done == nil && rule.CommDelay == 0:
+		kind = "list"
+		want, refErr = refimpl.ListScheduleWithRelease(inst, assign, prio, rel)
+	case rule.Done == nil && rel == nil:
+		kind = "comm"
+		want, refErr = refimpl.ListScheduleComm(inst, assign, prio, rule.CommDelay)
+	default:
+		return fmt.Errorf("verify: no reference kernel runs a rule with floors %v, delay %d and a done set %v",
+			rel != nil, rule.CommDelay, rule.Done != nil)
+	}
 	if (err == nil) != (refErr == nil) {
-		return fmt.Errorf("verify: list kernel error mismatch: kernel %v, reference %v", err, refErr)
+		return fmt.Errorf("verify: %s kernel error mismatch: kernel %v, reference %v", kind, err, refErr)
 	}
 	if err != nil {
 		return nil // agreeing failures are a match
 	}
-	return diffStarts("list", got, want)
-}
-
-// DifferentialComm is DifferentialList for the communication-delay
-// kernel.
-func DifferentialComm(inst *sched.Instance, assign sched.Assignment, prio sched.Priorities, commDelay int) error {
-	want, refErr := refimpl.ListScheduleComm(inst, assign, prio, commDelay)
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	got := &sched.Schedule{}
-	err := sched.CommScheduleInto(ws, got, inst, assign, prio, commDelay)
-	if (err == nil) != (refErr == nil) {
-		return fmt.Errorf("verify: comm kernel error mismatch: kernel %v, reference %v", err, refErr)
-	}
-	if err != nil {
-		return nil
-	}
-	return diffStarts("comm", got, want)
-}
-
-// DifferentialAngleset checks the angleset-aggregated list kernel
-// against the per-direction reference: the aggregate priority/release
-// vectors are expanded to their per-direction form (through the
-// expansion the kernel itself runs, which TestExpandAnglesetByFormula
-// holds to the contract) and replayed through the frozen reference
-// scheduler. Expansion errors must be mirrored by a kernel rejection of
-// the same inputs.
-func DifferentialAngleset(inst *sched.Instance, assign sched.Assignment, groups [][]int32, aggPrio sched.Priorities, aggRel []int32) error {
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	got := &sched.Schedule{}
-	err := sched.ListScheduleAnglesetInto(ws, got, inst, assign, groups, aggPrio, aggRel)
-
-	prio, rel, expErr := expandAngleset(inst, groups, aggPrio, aggRel)
-	if expErr != nil {
-		if err == nil {
-			return fmt.Errorf("verify: angleset kernel accepted inputs the expansion rejects: %v", expErr)
-		}
-		return nil
-	}
-	want, refErr := refimpl.ListScheduleWithRelease(inst, assign, prio, rel)
-	if (err == nil) != (refErr == nil) {
-		return fmt.Errorf("verify: angleset kernel error mismatch: kernel %v, reference %v", err, refErr)
-	}
-	if err != nil {
-		return nil
-	}
-	return diffStarts("angleset", got, want)
-}
-
-// DifferentialAnglesetComm is DifferentialAngleset for the aggregated
-// communication-delay kernel.
-func DifferentialAnglesetComm(inst *sched.Instance, assign sched.Assignment, groups [][]int32, aggPrio sched.Priorities, commDelay int) error {
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	got := &sched.Schedule{}
-	err := sched.CommScheduleAnglesetInto(ws, got, inst, assign, groups, aggPrio, commDelay)
-
-	prio, _, expErr := expandAngleset(inst, groups, aggPrio, nil)
-	if expErr != nil {
-		if err == nil {
-			return fmt.Errorf("verify: angleset comm kernel accepted inputs the expansion rejects: %v", expErr)
-		}
-		return nil
-	}
-	want, refErr := refimpl.ListScheduleComm(inst, assign, prio, commDelay)
-	if (err == nil) != (refErr == nil) {
-		return fmt.Errorf("verify: angleset comm kernel error mismatch: kernel %v, reference %v", err, refErr)
-	}
-	if err != nil {
-		return nil
-	}
-	return diffStarts("angleset comm", got, want)
+	return diffStarts(kind, got, want)
 }
 
 // expandAngleset materializes the per-direction priority and release
@@ -172,21 +135,4 @@ func DifferentialGreedy(inst *sched.Instance, prio sched.Priorities) error {
 		}
 	}
 	return nil
-}
-
-// DifferentialResidual compares sched.ListScheduleResidualInto against
-// the reference residual scheduler for the given done set.
-func DifferentialResidual(inst *sched.Instance, assign sched.Assignment, prio sched.Priorities, done []bool) error {
-	want, refErr := refimpl.ListScheduleResidual(inst, assign, prio, done)
-	ws := sched.GetWorkspace(inst)
-	defer ws.Release()
-	got := &sched.Schedule{}
-	err := sched.ListScheduleResidualInto(ws, got, inst, assign, prio, done)
-	if (err == nil) != (refErr == nil) {
-		return fmt.Errorf("verify: residual kernel error mismatch: kernel %v, reference %v", err, refErr)
-	}
-	if err != nil {
-		return nil
-	}
-	return diffStarts("residual", got, want)
 }

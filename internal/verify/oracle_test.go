@@ -9,10 +9,9 @@ import (
 )
 
 // TestDifferentialOracle replays randomized instances — mesh-derived and
-// synthetic, with tied priorities and random releases — through all four
-// optimized kernels and their promoted pre-optimization references,
-// demanding bitwise agreement (the ISSUE acceptance criterion for the
-// differential oracle).
+// synthetic, with tied priorities and random releases — through the step
+// core's list, comm and residual rules and the greedy pass, against their
+// promoted pre-optimization references, demanding bitwise agreement.
 func TestDifferentialOracle(t *testing.T) {
 	r := rng.New(0xd1ff)
 	insts := []*sched.Instance{
@@ -40,17 +39,17 @@ func TestDifferentialOracle(t *testing.T) {
 					release[t] = int32(r.Intn(4))
 				}
 			}
-			if err := verify.DifferentialList(inst, assign, prio, release); err != nil {
+			if err := verify.Differential(inst, assign, sched.Rule{Prio: prio, Release: release}); err != nil {
 				t.Errorf("inst %d round %d: %v", ii, round, err)
 			}
-			if err := verify.DifferentialComm(inst, assign, prio, round%4); err != nil {
+			if err := verify.Differential(inst, assign, sched.Rule{Prio: prio, CommDelay: round % 4}); err != nil {
 				t.Errorf("inst %d round %d: %v", ii, round, err)
 			}
 			if err := verify.DifferentialGreedy(inst, prio); err != nil {
 				t.Errorf("inst %d round %d: %v", ii, round, err)
 			}
 			// Residual from a random cut of a full schedule.
-			full, err := into(sched.ListScheduleInto, inst, assign, prio, nil)
+			full, err := into(inst, assign, sched.Rule{Prio: prio})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +60,7 @@ func TestDifferentialOracle(t *testing.T) {
 					done[tt] = true
 				}
 			}
-			if err := verify.DifferentialResidual(inst, assign, prio, done); err != nil {
+			if err := verify.Differential(inst, assign, sched.Rule{Prio: prio, Done: done}); err != nil {
 				t.Errorf("inst %d round %d cut %d: %v", ii, round, cut, err)
 			}
 		}
@@ -76,13 +75,13 @@ func TestDifferentialAgreesOnErrors(t *testing.T) {
 	inst := syntheticInstance(t, 20, 2, 3, 23)
 	bad := make(sched.Assignment, inst.N())
 	bad[0] = int32(inst.M) + 5
-	if err := verify.DifferentialList(inst, bad, nil, nil); err != nil {
+	if err := verify.Differential(inst, bad, sched.Rule{}); err != nil {
 		t.Errorf("agreeing failures reported as divergence: %v", err)
 	}
-	if err := verify.DifferentialComm(inst, bad, nil, 2); err != nil {
+	if err := verify.Differential(inst, bad, sched.Rule{CommDelay: 2}); err != nil {
 		t.Errorf("agreeing comm failures reported as divergence: %v", err)
 	}
-	if err := verify.DifferentialResidual(inst, bad, nil, nil); err != nil {
+	if err := verify.Differential(inst, bad, sched.Rule{Done: make([]bool, inst.NTasks())}); err != nil {
 		t.Errorf("agreeing residual failures reported as divergence: %v", err)
 	}
 }

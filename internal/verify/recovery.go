@@ -6,14 +6,15 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// Residual audits a recovery reschedule produced by
-// sched.ListScheduleResidualInto: done tasks must keep Start = -1
-// (they are never re-executed), every surviving task must be scheduled,
-// precedence must hold over the residual sub-DAG (edges between two
-// not-done tasks), processors must run at most one task per step, and
-// Makespan must equal the number of residual steps. A nil done set
-// means nothing is done — the residual schedule is then a complete
-// schedule starting at step 0.
+// Residual audits a recovery reschedule, a step-core run under a
+// sched.Rule with Done: done tasks must keep Start = -1 (they are never
+// re-executed), every surviving task must be scheduled, precedence must
+// hold over the residual sub-DAG (edges between two not-done tasks) with
+// the gap of the CommDelay the schedule records on a cross-processor
+// edge, processors must run at most one task per step, and Makespan must
+// equal the number of residual steps. A done predecessor owes no wait. A
+// nil done set means nothing is done — the residual schedule is then a
+// complete schedule starting at step 0.
 func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 	if s == nil {
 		return fmt.Errorf("verify: nil residual schedule")
@@ -56,7 +57,12 @@ func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 	if s.Makespan != int(maxStart)+1 {
 		return fmt.Errorf("verify: residual makespan %d inconsistent with max start %d", s.Makespan, maxStart)
 	}
-	// Precedence over the residual sub-DAG.
+	if s.CommDelay < 0 {
+		return fmt.Errorf("verify: negative comm delay %d", s.CommDelay)
+	}
+	// Precedence over the residual sub-DAG, with the comm-delay gap on
+	// cross-processor edges.
+	cd := int64(s.CommDelay)
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for u := int32(0); u < n; u++ {
@@ -69,9 +75,13 @@ func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
 				if isDone(wt) {
 					continue
 				}
-				if s.Start[wt] <= s.Start[ut] {
-					return fmt.Errorf("verify: residual precedence violated in dir %d: cell %d@%d !< cell %d@%d",
-						i, u, s.Start[ut], w, s.Start[wt])
+				gap := int64(1)
+				if s.Assign[u] != s.Assign[w] {
+					gap += cd
+				}
+				if int64(s.Start[wt]) < int64(s.Start[ut])+gap {
+					return fmt.Errorf("verify: residual precedence violated in dir %d: cell %d@%d -> cell %d@%d needs gap %d",
+						i, u, s.Start[ut], w, s.Start[wt], gap)
 				}
 			}
 		}

@@ -144,7 +144,7 @@ func TestTasksAndC2RefMatchReference(t *testing.T) {
 				opts.Release[i] = int32(r.Intn(41))
 			}
 		}
-		valid, err := into(sched.ListScheduleInto, inst, assign, nil, opts.Release)
+		valid, err := into(inst, assign, sched.Rule{Release: opts.Release})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestAuditBoundedOnSparseSchedules(t *testing.T) {
 func TestResidualRejectsDoubleBooking(t *testing.T) {
 	inst := syntheticInstance(t, 40, 3, 4, 41)
 	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(6))
-	full, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
+	full, err := into(inst, assign, sched.Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestResidualRejectsDoubleBooking(t *testing.T) {
 	for tt, st := range full.Start {
 		done[tt] = st < int32(full.Makespan)/2
 	}
-	resid, err := into(sched.ListScheduleResidualInto, inst, assign, nil, done)
+	resid, err := into(inst, assign, sched.Rule{Done: done})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +359,17 @@ func TestScheduleC2MatchesReference(t *testing.T) {
 		switch seed % 4 {
 		case 0:
 			kind = "list"
-			s, err = into(sched.ListScheduleInto, inst, assign, nil, nil)
+			s, err = into(inst, assign, sched.Rule{})
 		case 1:
 			kind, opts.CommDelay = "comm", 1+r.Intn(3)
-			s, err = into(sched.CommScheduleInto, inst, assign, nil, opts.CommDelay)
+			s, err = into(inst, assign, sched.Rule{CommDelay: opts.CommDelay})
 		case 2:
 			kind = "blocks" // runs of four consecutive cells, each run on one processor
 			part := make([]int32, inst.N())
 			for v := range part {
 				part[v] = int32(v / 4)
 			}
-			s, err = into(sched.ListScheduleInto, inst, sched.BlockAssignment(part, (inst.N()+3)/4, inst.M, r), nil, nil)
+			s, err = into(inst, sched.BlockAssignment(part, (inst.N()+3)/4, inst.M, r), sched.Rule{})
 		case 3:
 			kind, opts.Anglesets = "angleset", randomAnglesets(inst.K(), 3, r)
 			s = aggSchedule(t, inst, opts.Anglesets, nil, seed)

@@ -39,8 +39,9 @@ var ForcedByEnv = sync.OnceValue(func() bool {
 // Opts selects the optional checks of Schedule and Tasks beyond the
 // structural invariants (which always run).
 type Opts struct {
-	// Release, when non-nil, asserts start[t] >= Release[t] for every
-	// task (the §5.2 random-delay release model).
+	// Release, when non-nil, asserts every task starts no earlier than
+	// its floor (the §5.2 random-delay release model): one per task, or
+	// with Anglesets one per angleset, as in a sched.Rule.
 	Release []int32
 	// CommDelay > 0 asserts the uniform communication-delay model: a
 	// successor on a different processor starts at least 1+CommDelay
@@ -61,10 +62,12 @@ type Opts struct {
 	// (a wrong-octant placement survives the inst.DAGs precedence check,
 	// because the corrupted family *is* inst.DAGs, but not this one).
 	Anglesets [][]int32
-	// AnglesetRelease, when non-nil (requires Anglesets), holds one
-	// release delay per angleset and asserts every task of a member
-	// direction starts no earlier than its angleset's delay.
-	AnglesetRelease []int32
+}
+
+// RuleOpts is the audit of a schedule the step core wrote under rule:
+// its floors, delay and angleset partition. A plan adds its Metrics.
+func RuleOpts(rule sched.Rule) Opts {
+	return Opts{Release: rule.Release, CommDelay: rule.CommDelay, Anglesets: rule.Anglesets}
 }
 
 // Schedule audits a complete schedule against the §3 feasibility
@@ -149,8 +152,12 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 	if len(start) != nt {
 		return 0, fmt.Errorf("verify: start slice covers %d of %d tasks", len(start), nt)
 	}
-	if opts.Release != nil && len(opts.Release) != nt {
-		return 0, fmt.Errorf("verify: release slice covers %d of %d tasks", len(opts.Release), nt)
+	taskFloor := opts.Release
+	if opts.Anglesets != nil {
+		taskFloor = nil // one per angleset: anglesetAudit's
+	}
+	if taskFloor != nil && len(taskFloor) != nt {
+		return 0, fmt.Errorf("verify: release slice covers %d of %d tasks", len(taskFloor), nt)
 	}
 	if opts.CommDelay < 0 {
 		return 0, fmt.Errorf("verify: negative comm delay %d", opts.CommDelay)
@@ -162,8 +169,8 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 		if proc[t] < 0 || int(proc[t]) >= inst.M {
 			return 0, fmt.Errorf("verify: task %d on processor %d (m=%d)", t, proc[t], inst.M)
 		}
-		if opts.Release != nil && start[t] < opts.Release[t] {
-			return 0, fmt.Errorf("verify: task %d starts at %d before release %d", t, start[t], opts.Release[t])
+		if taskFloor != nil && start[t] < taskFloor[t] {
+			return 0, fmt.Errorf("verify: task %d starts at %d before release %d", t, start[t], taskFloor[t])
 		}
 	}
 	// All k copies of a cell on one processor (§3, constraint 3).
@@ -204,9 +211,6 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 	p, a, b, step, c2, found := doubleBooked(inst.M, proc, start, order, cross)
 	if found {
 		return 0, fmt.Errorf("verify: processor %d runs tasks %d and %d at step %d", p, a, b, step)
-	}
-	if opts.AnglesetRelease != nil && opts.Anglesets == nil {
-		return 0, fmt.Errorf("verify: AnglesetRelease given without Anglesets")
 	}
 	if opts.Anglesets != nil {
 		if err := anglesetAudit(inst, proc, start, opts); err != nil {
@@ -339,12 +343,12 @@ func anglesetAudit(inst *sched.Instance, proc, start []int32, opts Opts) error {
 			return fmt.Errorf("verify: direction %d not covered by any angleset", i)
 		}
 	}
-	if opts.AnglesetRelease != nil {
-		if len(opts.AnglesetRelease) != len(groups) {
-			return fmt.Errorf("verify: %d angleset release delays for %d anglesets", len(opts.AnglesetRelease), len(groups))
+	if opts.Release != nil {
+		if len(opts.Release) != len(groups) {
+			return fmt.Errorf("verify: %d angleset release delays for %d anglesets", len(opts.Release), len(groups))
 		}
 		for i := 0; i < k; i++ {
-			rel := opts.AnglesetRelease[dirGroup[i]]
+			rel := opts.Release[dirGroup[i]]
 			base := int32(i) * n
 			for v := int32(0); v < n; v++ {
 				if start[base+v] < rel {

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,14 +55,13 @@ func syntheticInstance(t testing.TB, n, k, m int, seed uint64) *sched.Instance {
 	return inst
 }
 
-// into runs one unit-step kernel (sched.ListScheduleInto, CommScheduleInto
-// or ListScheduleResidualInto, arg its last parameter) into a fresh
-// schedule on a pooled workspace.
-func into[A any](kernel func(*sched.Workspace, *sched.Schedule, *sched.Instance, sched.Assignment, sched.Priorities, A) error, inst *sched.Instance, assign sched.Assignment, prio sched.Priorities, arg A) (*sched.Schedule, error) {
+// into runs the step core under rule into a fresh schedule on a pooled
+// workspace.
+func into(inst *sched.Instance, assign sched.Assignment, rule sched.Rule) (*sched.Schedule, error) {
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	dst := &sched.Schedule{}
-	if err := kernel(ws, dst, inst, assign, prio, arg); err != nil {
+	if err := ws.Schedule(dst, inst, assign, rule); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -72,7 +72,7 @@ func validSchedule(t *testing.T, inst *sched.Instance, seed uint64) *sched.Sched
 	t.Helper()
 	r := rng.New(seed)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	s, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
+	s, err := into(inst, assign, sched.Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +245,14 @@ func TestScheduleCommDelayFeasibility(t *testing.T) {
 	r := rng.New(5)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 	const cd = 3
-	s, err := into(sched.CommScheduleInto, inst, assign, nil, cd)
+	s, err := into(inst, assign, sched.Rule{CommDelay: cd})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.Schedule(inst, s, verify.Opts{CommDelay: cd}); err != nil {
 		t.Fatalf("comm schedule rejected under its own delay: %v", err)
 	}
-	plain, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
+	plain, err := into(inst, assign, sched.Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestMetricRefsMatchProduction(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		inst := syntheticInstance(t, 30+round*17, 2+round%3, 2+round, uint64(100+round))
 		assign := sched.RandomAssignment(inst.N(), inst.M, r)
-		s, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
+		s, err := into(inst, assign, sched.Rule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestResidualAudit(t *testing.T) {
 	inst := syntheticInstance(t, 40, 3, 4, 41)
 	r := rng.New(6)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
-	full, err := into(sched.ListScheduleInto, inst, assign, nil, nil)
+	full, err := into(inst, assign, sched.Rule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestResidualAudit(t *testing.T) {
 			done[tt] = true
 		}
 	}
-	resid, err := into(sched.ListScheduleResidualInto, inst, assign, nil, done)
+	resid, err := into(inst, assign, sched.Rule{Done: done})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +329,40 @@ func TestResidualAudit(t *testing.T) {
 		Start: append([]int32(nil), resid.Start...), Makespan: resid.Makespan + 1}
 	if err := verify.Residual(inst, bad, done); err == nil {
 		t.Fatal("wrong residual makespan not rejected")
+	}
+}
+
+// TestResidualAuditChecksCommGap: a residual run under a delay records it,
+// and Residual holds every cross-processor edge between two not-done tasks
+// to it. On the chain 0 -> 1 -> 2 with cell 0 done, cells 0 and 2 on
+// processor 1 and cell 1 on processor 0, the rule runs task 1 at step 0 —
+// a done predecessor owes no wait, across processors too — and task 2 a
+// delay later, at 1+3. Moved into the gap, to step 2, task 2 still follows
+// task 1 and has its processor to itself: only the gap is broken.
+func TestResidualAuditChecksCommGap(t *testing.T) {
+	d, err := dag.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.FromDAGs([]*dag.DAG{d}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := sched.Assignment{1, 0, 1}
+	done := []bool{true, false, false}
+	s, err := into(inst, assign, sched.Rule{CommDelay: 3, Done: done})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{-1, 0, 4}; !slices.Equal(s.Start, want) || s.CommDelay != 3 {
+		t.Fatalf("residual run: starts %v under delay %d, want %v under 3", s.Start, s.CommDelay, want)
+	}
+	if err := verify.Residual(inst, s, done); err != nil {
+		t.Fatalf("the rule's own residual schedule rejected: %v", err)
+	}
+	s.Start[2], s.Makespan = 2, 3
+	if err := verify.Residual(inst, s, done); err == nil || !strings.Contains(err.Error(), "needs gap 4") {
+		t.Fatalf("a successor started inside the communication gap: audit says %v, want the gap violation", err)
 	}
 }
 

@@ -48,20 +48,16 @@ const (
 // Type.Method), class, reason. An entry that is referenced after all, or
 // names nothing, fails the test too.
 var reachabilityAllow = map[string][2]string{
-	"verify.DifferentialList":         {oracle, "unit-step kernel against sched/refimpl, bit for bit"},
-	"verify.DifferentialComm":         {oracle, "comm-delay kernel against sched/refimpl"},
-	"verify.DifferentialAngleset":     {oracle, "angleset kernel against the reference run on expanded inputs"},
-	"verify.DifferentialAnglesetComm": {oracle, "angleset kernel with a comm delay against the same reference"},
-	"verify.DifferentialGreedy":       {oracle, "greedy preprocessing against sched/refimpl"},
-	"verify.DifferentialResidual":     {oracle, "residual rescheduling against sched/refimpl"},
-	"verify.DifferentialWeighted":     {oracle, "weighted event core against sched/refimpl"},
-	"verify.C2Ref":                    {oracle, "the C2 definition the kernel's and the simulator's counts are held to"},
-	"verify.Tasks":                    {oracle, "audit of raw proc/start slices: the only form that can express a split cell"},
-	"leakcheck.Check":                 {oracle, "goroutine-leak audit at the end of every executor, fault and service test"},
-	"coloring.Validate":               {oracle, "properness check every colouring produced in coloring's tests passes through"},
-	"quadrature.AnglesetsByOctant":    {input, "octant groups for the heuristics and sched angleset tests and benchmarks"},
-	"quadrature.SNWeights":            {input, "the weighted S_N set transport's tests integrate the flux with"},
-	"faults.Plan.CrashOnly":           {input, "precondition of the crash-only plans in the faults and transport tests"},
+	"verify.Differential":          {oracle, "a step-core rule against the sched/refimpl kernel its fields pick, bit for bit"},
+	"verify.DifferentialGreedy":    {oracle, "greedy preprocessing against sched/refimpl"},
+	"verify.DifferentialWeighted":  {oracle, "weighted event core against sched/refimpl"},
+	"verify.C2Ref":                 {oracle, "the C2 definition the kernel's and the simulator's counts are held to"},
+	"verify.Tasks":                 {oracle, "audit of raw proc/start slices: the only form that can express a split cell"},
+	"leakcheck.Check":              {oracle, "goroutine-leak audit at the end of every executor, fault and service test"},
+	"coloring.Validate":            {oracle, "properness check every colouring produced in coloring's tests passes through"},
+	"quadrature.AnglesetsByOctant": {input, "octant groups for the heuristics and sched angleset tests and benchmarks"},
+	"quadrature.SNWeights":         {input, "the weighted S_N set transport's tests integrate the flux with"},
+	"faults.Plan.CrashOnly":        {input, "precondition of the crash-only plans in the faults and transport tests"},
 }
 
 // decl is one package-level declaration or method in a non-test file, or
