@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"sweepsched"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
 	"sweepsched/internal/lb"
@@ -52,12 +54,15 @@ type Config struct {
 	// internal/verify and fails the experiment on the first violation.
 	// The SWEEPSCHED_VERIFY environment variable forces it on.
 	Verify bool
-	// VerifyEvery samples the audit: only trials 0, N, 2N, ... are
-	// verified (0 or 1: every trial). The Collector counts audited and
-	// skipped trials ("experiments.verified", "experiments.verify_skipped").
+	// VerifyEvery samples the audit (0 or 1: every schedule). A planned
+	// run is audited by the API, which samples every Nth plan on the
+	// row's Problem and counts "api.verified" and "api.verify_skipped";
+	// a bespoke run is audited here on trials 0, N, 2N, ..., counted as
+	// "experiments.verified" and "experiments.verify_skipped".
 	VerifyEvery int
 	// Collector, when non-nil, accumulates trial counters and stage
-	// timings across the experiment's runs.
+	// timings across the experiment's runs, the API's plan series among
+	// them.
 	Collector *obs.Collector
 	// Speeds, when non-empty, gives the weighted experiment a
 	// heterogeneous machine: the positive pattern cycled over each m ("1,2,4"
@@ -97,8 +102,9 @@ func (c Config) auditTrial(trial int) bool {
 	return c.Verify && trial%c.VerifyEvery == 0
 }
 
-// audit checks one trial's schedule, unit-step or weighted, when the
-// sampling picks its trial index, and counts audited and skipped trials.
+// audit checks one bespoke trial's schedule, unit-step or weighted, when
+// the sampling picks its trial index, and counts audited and skipped
+// trials.
 func (c Config) audit(s *sample, trial int) error {
 	switch {
 	case !c.Verify || s.s == nil && s.w == nil:
@@ -111,7 +117,7 @@ func (c Config) audit(s *sample, trial int) error {
 	if s.w != nil {
 		err = verify.Weighted(s.w.Inst, s.w)
 	} else {
-		err = verify.Schedule(nil, s.s, s.opts)
+		err = verify.Schedule(nil, s.s, verify.Opts{Metrics: s.met})
 	}
 	if err == nil {
 		c.Collector.Counter("experiments.verified").Inc()
@@ -192,33 +198,34 @@ func (e *ClaimError) Error() string {
 	return "experiments: paper claims failed: " + strings.Join(e.Failed, ", ")
 }
 
-// run is one randomized call a figure's columns measure: a scheduler or
-// kernel on an assignment policy, made Trials times (once if once) from
-// the seed its rule gives each trial.
+// run is one randomized call a figure's columns measure, made Trials
+// times (once if once) from the seed its rule gives each trial.
+//
+// A planned run (alg set) is the API's plan of alg on the row's Problem:
+// per cell, or with the block size and anglesets opts gives; under §3's
+// communication model when comm, the row's swept value its delay. The
+// evaluator sets the options' seed, workers and audit, and use, if set,
+// reads off the result what its metrics do not hold. Any other run is
+// bespoke, a call the options cannot express: do.
 type run struct {
+	alg  sweepsched.Scheduler
+	opts func(p *point) sweepsched.ScheduleOptions
+	comm bool
+	use  func(p *point, res *sweepsched.Result) (*sample, error)
+
 	seed func(p *point, trial int) uint64
 	once bool
 	do   func(p *point, seed uint64) (*sample, error)
 }
 
-// sample is what one trial produced: the schedule the audit checks
-// (unit-step with the audit's options, or weighted), and the values of a
-// run that measures something else.
+// sample is what one trial produced: a unit-step schedule with the
+// metrics its kernel counted (nil if none did), a weighted schedule, or
+// the values of a run that measures something else.
 type sample struct {
-	s    *sched.Schedule
-	opts verify.Opts
-	w    *sched.WeightedSchedule
-	v    []float64
-}
-
-// measure returns the schedule's makespan, C1 and C2, computed once; the
-// audit cross-checks them.
-func (s *sample) measure(p *point) sched.Metrics {
-	if s.opts.Metrics == nil {
-		met := sched.Measure(s.s, p.g.cfg.Workers)
-		s.opts.Metrics = &met
-	}
-	return *s.opts.Metrics
+	s   *sched.Schedule
+	met *sched.Metrics
+	w   *sched.WeightedSchedule
+	v   []float64
 }
 
 // col is one column: a metric of one run's samples, averaged over its
@@ -238,15 +245,18 @@ type group struct {
 	mesh    string
 	k       int
 	w       *Workload
-	bs      int               // commdelay's block size
-	s       *sched.Schedule   // resilience's schedule
+	bs      int                 // commdelay's block size
+	prob    *sweepsched.Problem // resilience's problem and plan
+	res     *sweepsched.Result
 	weights sched.CellWeights // weighted's cell costs
 }
 
-// point is one row: its place on the axis and what its runs schedule.
+// point is one row: its place on the axis and what its runs schedule,
+// the Problem planned runs plan on and the Instance bespoke runs take.
 type point struct {
 	g      *group
 	m, x   int // processors; the swept value or the row's variant
+	prob   *sweepsched.Problem
 	inst   *sched.Instance
 	assign sched.Assignment // weighted's fixed assignment, model and bounds
 	model  *sched.MachineModel
@@ -405,23 +415,27 @@ func sweep(m int, xs ...int) func(*group) ([]*point, error) {
 
 // row evaluates one point. It holds the package's only trial loop: each
 // run is made Trials times (once if once) from its seed rule, every
-// sampled trial is audited, and each column's metric is averaged over
-// its run's trials before the cells are computed.
+// sampled bespoke trial is audited (planned ones are audited by the
+// API), and each column's metric is averaged over its run's trials
+// before the cells are computed.
 func (f *figure) row(p *point) ([]any, error) {
 	if p.cells != nil {
 		return p.cells, nil
 	}
 	cfg := p.g.cfg
-	if p.inst == nil && p.g.w != nil && p.m > 0 {
-		inst, err := p.g.w.Instance(p.m)
-		if err != nil {
+	if w := p.g.w; p.inst == nil && w != nil && p.m > 0 {
+		var err error
+		if p.inst, err = w.Instance(p.m); err != nil {
 			return nil, err
 		}
-		p.inst = inst
-		defer func() { p.inst = nil }() // a row's task graph lives while the row runs
+		if p.prob, err = w.Problem(p.m); err != nil {
+			return nil, err
+		}
+		defer func() { p.inst, p.prob = nil, nil }() // a row's task graphs live while the row runs
 	}
 	v := make([]float64, len(f.cols))
-	for ri, rn := range f.runs {
+	for ri := range f.runs {
+		rn := &f.runs[ri]
 		trials := cfg.Trials
 		if rn.once {
 			trials = 1
@@ -431,18 +445,23 @@ func (f *figure) row(p *point) ([]any, error) {
 			if rn.seed != nil {
 				seed = rn.seed(p, trial)
 			}
-			s, err := rn.do(p, seed)
+			var s *sample
+			var err error
+			if rn.alg != "" {
+				s, err = rn.plan(p, seed)
+			} else if s, err = rn.do(p, seed); err == nil {
+				if err = cfg.audit(s, trial); err != nil {
+					err = fmt.Errorf("failed the schedule audit: %w", err)
+				}
+			}
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiments: %s m=%d trial %d: %w", f.id, p.m, trial, err)
 			}
 			cfg.Collector.Counter("experiments.trials").Inc()
 			for ci, c := range f.cols {
 				if c.metric != nil && c.run == ri {
 					v[ci] += c.metric(p, s)
 				}
-			}
-			if err := cfg.audit(s, trial); err != nil {
-				return nil, fmt.Errorf("experiments: %s m=%d trial %d failed the schedule audit: %w", f.id, p.m, trial, err)
 			}
 		}
 		for ci, c := range f.cols {
@@ -463,6 +482,37 @@ func (f *figure) row(p *point) ([]any, error) {
 		}
 	}
 	return cells, nil
+}
+
+// plan makes a planned run's trial on the row's Problem from seed.
+func (rn *run) plan(p *point, seed uint64) (*sample, error) {
+	var opts sweepsched.ScheduleOptions
+	if rn.opts != nil {
+		opts = rn.opts(p)
+	}
+	opts = p.g.cfg.options(opts, seed)
+	var res *sweepsched.Result
+	var err error
+	if rn.comm {
+		res, err = p.prob.ScheduleComm(rn.alg, opts, p.x)
+	} else {
+		res, err = p.prob.ScheduleCtx(context.Background(), rn.alg, opts)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case rn.use != nil:
+		return rn.use(p, res)
+	}
+	return &sample{s: res.Schedule, met: &res.Metrics}, nil
+}
+
+// options completes a plan's options with its seed and the config's
+// workers, audit and collector.
+func (c Config) options(opts sweepsched.ScheduleOptions, seed uint64) sweepsched.ScheduleOptions {
+	opts.Seed, opts.Workers, opts.Collector = seed, c.Workers, c.Collector
+	opts.Verify, opts.VerifyEvery = c.Verify, c.VerifyEvery
+	return opts
 }
 
 // Workload caches a mesh, its direction set and its DAGs so that a
@@ -506,6 +556,12 @@ func NewWorkload(cfg Config, meshName string, k int) (*Workload, error) {
 		DAGs:     dag.BuildAllInto(make([]*dag.DAG, len(dirs)), dag.NewSkeleton(m), dirs, cfg.Workers),
 		blocks:   map[[2]uint64]blockPartition{},
 	}, nil
+}
+
+// Problem returns the API's problem for m processors over the cached
+// DAGs.
+func (w *Workload) Problem(m int) (*sweepsched.Problem, error) {
+	return sweepsched.NewProblemFromPrebuiltDAGs(w.Mesh, w.Dirs, w.DAGs, m)
 }
 
 // Instance returns the scheduling instance for m processors, sharing the

@@ -265,39 +265,44 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestVerifyEverySamplesAudits checks the audit sampling: VerifyEvery=2
-// over an even number of trials audits exactly half of them (trial 0
-// always included), and the default audits every trial with no skips.
+// over an even number of trials audits exactly half of the schedules
+// (the first always included), and the default audits every one with no
+// skips — both where the API audits a figure's plans (fig2a, counted as
+// api.*) and where the evaluator audits its bespoke runs (ablate_delay,
+// counted as experiments.*).
 func TestVerifyEverySamplesAudits(t *testing.T) {
-	var out strings.Builder
-	cfg := tinyConfig(&out)
-	cfg.Trials = 4
-	cfg.Verify = true
-	cfg.VerifyEvery = 2
-	cfg.Collector = obs.New()
-	if err := Run("fig2a", cfg); err != nil {
-		t.Fatal(err)
-	}
-	verified := cfg.Collector.Counter("experiments.verified").Value()
-	skipped := cfg.Collector.Counter("experiments.verify_skipped").Value()
-	if verified == 0 || skipped == 0 {
-		t.Fatalf("sampled audit: verified=%d skipped=%d, want both > 0", verified, skipped)
-	}
-	if verified != skipped {
-		t.Fatalf("every=2 over %d trials: verified=%d skipped=%d, want equal", cfg.Trials, verified, skipped)
-	}
+	for _, c := range []struct{ id, counters string }{{"fig2a", "api"}, {"ablate_delay", "experiments"}} {
+		var out strings.Builder
+		cfg := tinyConfig(&out)
+		cfg.Trials = 4
+		cfg.Verify = true
+		cfg.VerifyEvery = 2
+		cfg.Collector = obs.New()
+		if err := Run(c.id, cfg); err != nil {
+			t.Fatal(err)
+		}
+		verified := cfg.Collector.Counter(c.counters + ".verified").Value()
+		skipped := cfg.Collector.Counter(c.counters + ".verify_skipped").Value()
+		if verified == 0 || skipped == 0 {
+			t.Fatalf("%s: sampled audit: verified=%d skipped=%d, want both > 0", c.id, verified, skipped)
+		}
+		if verified != skipped {
+			t.Fatalf("%s: every=2 over %d trials: verified=%d skipped=%d, want equal", c.id, cfg.Trials, verified, skipped)
+		}
 
-	cfg = tinyConfig(&out)
-	cfg.Trials = 2
-	cfg.Verify = true
-	cfg.Collector = obs.New()
-	if err := Run("fig2a", cfg); err != nil {
-		t.Fatal(err)
-	}
-	if skipped := cfg.Collector.Counter("experiments.verify_skipped").Value(); skipped != 0 {
-		t.Fatalf("default sampling skipped %d audits", skipped)
-	}
-	if cfg.Collector.Counter("experiments.verified").Value() == 0 {
-		t.Fatal("default sampling audited nothing")
+		cfg = tinyConfig(&out)
+		cfg.Trials = 2
+		cfg.Verify = true
+		cfg.Collector = obs.New()
+		if err := Run(c.id, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if skipped := cfg.Collector.Counter(c.counters + ".verify_skipped").Value(); skipped != 0 {
+			t.Fatalf("%s: default sampling skipped %d audits", c.id, skipped)
+		}
+		if cfg.Collector.Counter(c.counters+".verified").Value() == 0 {
+			t.Fatalf("%s: default sampling audited nothing", c.id)
+		}
 	}
 }
 

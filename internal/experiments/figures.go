@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"sweepsched"
 	"sweepsched/internal/coloring"
 	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
@@ -21,8 +22,6 @@ import (
 	"sweepsched/internal/sched"
 	"sweepsched/internal/synth"
 	"sweepsched/internal/trace"
-	"sweepsched/internal/transport"
-	"sweepsched/internal/verify"
 )
 
 // figures is every experiment, sorted by id (Run searches it).
@@ -67,7 +66,7 @@ var figures = []figure{
 		id: "blocks", paper: true, title: "blocks: block-size sweep on %s (n=%d, k=24, m=64)",
 		args:   func(g *group) []any { return meshArgs(g)[:2] },
 		meshes: []string{"tetonly"}, ks: []int{24}, rows: sweep(64, 1, 4, 16, 64, 256, 1024),
-		runs: []run{{seed: spaced(0x7b, 0, 100), do: func(p *point, seed uint64) (*sample, error) { return blocked(p.x)(p, seed) }}},
+		runs: []run{{seed: spaced(0x7b, 0, 100), alg: rdp, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.x) }}},
 		cols: []col{{name: "block", cell: swept}, {name: "makespan", metric: makespan},
 			{name: "ratio", cell: func(p *point, v []float64) any { return v[1] / loadLB(p) }},
 			{name: "C1", metric: c1, whole: true}, {name: "C2", metric: c2, whole: true},
@@ -79,14 +78,9 @@ var figures = []figure{
 		// distributed algorithm, against the C2 bound Σ max-degree.
 		id: "colorrounds", title: "colorrounds: realized comm rounds via edge coloring vs the C2 bound",
 		meshes: []string{"tetonly"}, ks: []int{8},
-		runs: []run{{seed: spaced(0xce, 0, 0), once: true, do: func(p *point, seed uint64) (*sample, error) {
-			s, err := blocked(16)(p, seed)
-			if err != nil {
-				return nil, err
-			}
-			greedy, distrib, err := realizedRounds(s.s, p.g.cfg.Seed)
-			s.v = []float64{float64(greedy), float64(distrib)}
-			return s, err
+		runs: []run{{seed: spaced(0xce, 0, 0), once: true, alg: rdp, opts: blocksOf(16), use: func(p *point, res *sweepsched.Result) (*sample, error) {
+			greedy, distrib, err := realizedRounds(res.Schedule, p.g.cfg.Seed)
+			return &sample{s: res.Schedule, met: &res.Metrics, v: []float64{float64(greedy), float64(distrib)}}, err
 		}}},
 		cols: []col{{name: "m", cell: procs}, {name: "C2(maxdeg)", metric: c2, whole: true},
 			{name: "greedy_rounds", metric: val(0), whole: true}, {name: "distrib_rounds", metric: val(1), whole: true},
@@ -98,7 +92,7 @@ var figures = []figure{
 		// fluxes must agree bit for bit and the logical traffic exactly, so
 		// the table isolates what batching saves.
 		id: "comm", title: "comm: batched flux envelopes vs per-message oracle (tetonly, k=8; modes converge bitwise-identically)",
-		meshes: []string{"tetonly"}, ks: []int{8}, runs: []run{{once: true, do: commTraffic}},
+		meshes: []string{"tetonly"}, ks: []int{8}, runs: []run{{seed: perM(0x5eed), once: true, alg: rdp, use: commTraffic}},
 		cols: []col{{name: "m", cell: procs}, {name: "messages", metric: val(0), whole: true},
 			{name: "rounds", metric: val(1), whole: true}, {name: "envelopes", metric: val(2), whole: true},
 			{name: "env_bytes", metric: val(3), whole: true}, {name: "permsg_bytes", metric: val(4), whole: true},
@@ -115,7 +109,8 @@ var figures = []figure{
 			g.bs = max(2, g.w.Mesh.NCells()/(8*32)) // well over m blocks at any scale
 			return sweep(32, 0, 2, 8, 32, 128)(g)
 		},
-		runs: []run{{seed: spaced(0xcd, 0, 100), do: commDelayed(false)}, {seed: spaced(0xcd, 0, 100), do: commDelayed(true)}},
+		runs: []run{{seed: spaced(0xcd, 0, 100), alg: heuristics.Level, comm: true},
+			{seed: spaced(0xcd, 0, 100), alg: heuristics.Level, comm: true, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.g.bs) }}},
 		cols: []col{{name: "c", cell: swept}, {name: "ms_cell", metric: makespan},
 			{name: "ms_block", run: 1, metric: makespan}, {name: "block/cell", cell: quot(2, 1)}},
 	},
@@ -124,8 +119,8 @@ var figures = []figure{
 		// assignments.
 		id: "fig2a", paper: true, title: "fig2a: makespan on %s (n=%d, k=%d), cell vs block assignment", args: meshArgs,
 		meshes: []string{"tetonly"}, ks: []int{24},
-		runs: []run{{seed: mixed(0xa1), do: alg(heuristics.RandomDelays)},
-			{seed: mixed(0xa2 + 1), do: blocked(1)}, {seed: mixed(0xa2 + 64), do: blocked(64)}, {seed: mixed(0xa2 + 256), do: blocked(256)}},
+		runs: []run{{seed: mixed(0xa1), alg: heuristics.RandomDelays},
+			{seed: mixed(0xa2 + 1), alg: rdp}, {seed: mixed(0xa2 + 64), alg: rdp, opts: blocksOf(64)}, {seed: mixed(0xa2 + 256), alg: rdp, opts: blocksOf(256)}},
 		cols: []col{{name: "m", cell: procs}, {name: "lb(nk/m)", cell: func(p *point, _ []float64) any { return loadLB(p) }},
 			{name: "rd_cell", metric: makespan}, {name: "rdp_cell", run: 1, metric: makespan},
 			{name: "rdp_b64", run: 2, metric: makespan}, {name: "rdp_b256", run: 3, metric: makespan},
@@ -137,8 +132,8 @@ var figures = []figure{
 		id: "fig2b", paper: true, title: "fig2b: comm costs on %s (n=%d, k=%d, edges=%d)",
 		args:   func(g *group) []any { return append(meshArgs(g), edges(g.w)) },
 		meshes: []string{"tetonly"}, ks: []int{24},
-		runs: []run{{seed: spaced(0xb0, 1000, 0), do: blocked(1)},
-			{seed: spaced(0xb0, 64000, 0), do: blocked(64)}, {seed: spaced(0xb0, 256000, 0), do: blocked(256)}},
+		runs: []run{{seed: spaced(0xb0, 1000, 0), alg: rdp},
+			{seed: spaced(0xb0, 64000, 0), alg: rdp, opts: blocksOf(64)}, {seed: spaced(0xb0, 256000, 0), alg: rdp, opts: blocksOf(256)}},
 		cols: []col{{name: "m", cell: procs},
 			{name: "C1_cell", metric: c1, whole: true}, {name: "C1_b64", run: 1, metric: c1, whole: true},
 			{name: "C1_b256", run: 2, metric: c1, whole: true}, {name: "C2_cell", metric: c2, whole: true},
@@ -154,7 +149,7 @@ var figures = []figure{
 		// Priorities" on long, as ratios to nk/m.
 		id: "fig2c", paper: true, title: "fig2c: Random Delays vs Random Delays with Priorities on long",
 		meshes: []string{"long"}, ks: []int{4, 24, 48},
-		runs: []run{{seed: mixed(0xc1), do: alg(heuristics.RandomDelays)}, {seed: mixed(0xc2), do: alg(heuristics.RandomDelaysPriority)}},
+		runs: []run{{seed: mixed(0xc1), alg: heuristics.RandomDelays}, {seed: mixed(0xc2), alg: rdp}},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}, {name: "ratio_rd", metric: ratio},
 			{name: "ratio_rdp", run: 1, metric: ratio}, {name: "improvement", cell: quot(2, 3)}},
 		claims: []claim{{id: "A3", text: "improvement: list scheduling never loses to the layered Algorithm 1", value: cellAt(4), op: ">", bound: 1}},
@@ -173,8 +168,8 @@ var figures = []figure{
 		// below the O(log²n) and ρ(m) = log m · logloglog m factors.
 		id: "guarantee", paper: true, title: "guarantee: observed ratio vs theoretical factors",
 		meshes: mesh.FamilyNames(), ks: []int{24},
-		runs: []run{{seed: mixed(0x6e), do: alg(heuristics.RandomDelays)}, {seed: mixed(0x6f), do: alg(heuristics.RandomDelaysPriority)},
-			{seed: mixed(0x70), do: alg(heuristics.ImprovedDelays)}},
+		runs: []run{{seed: mixed(0x6e), alg: heuristics.RandomDelays}, {seed: mixed(0x6f), alg: rdp},
+			{seed: mixed(0x70), alg: heuristics.ImprovedDelays}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ratio_alg1", metric: ratio},
 			{name: "ratio_alg2", run: 1, metric: ratio}, {name: "ratio_alg3", run: 2, metric: ratio},
 			{name: "log2n^2", cell: func(p *point, _ []float64) any { return core.Log2Sq(p.g.w.Mesh.NCells()) }},
@@ -188,8 +183,7 @@ var figures = []figure{
 		// removes.
 		id: "idle", title: "idle: layer-barrier idle time removed by compaction (long, k=24)",
 		meshes: []string{"long"}, ks: []int{24},
-		runs: []run{{seed: perM(0x1d7e), once: true, do: alg(heuristics.RandomDelays)},
-			{seed: perM(0x1d7e), once: true, do: alg(heuristics.RandomDelaysPriority)}},
+		runs: []run{{seed: perM(0x1d7e), once: true, alg: heuristics.RandomDelays}, {seed: perM(0x1d7e), once: true, alg: rdp}},
 		cols: []col{{name: "m", cell: procs}, {name: "idle_alg1", metric: idle, whole: true},
 			{name: "idle_alg2", run: 1, metric: idle, whole: true}, {name: "util_alg1", metric: util},
 			{name: "util_alg2", run: 1, metric: util}, {name: "idle_removed", cell: func(_ *point, v []float64) any {
@@ -204,7 +198,7 @@ var figures = []figure{
 		// narrows every combined layer to width ≤ m.
 		id: "improved", title: "improved: Algorithm 1 vs Algorithm 3 (layered forms)",
 		meshes: []string{"tetonly", "long"}, ks: []int{24},
-		runs: []run{{seed: mixed(0x8a), do: alg(heuristics.RandomDelays)}, {seed: mixed(0x8b), do: func(p *point, seed uint64) (*sample, error) {
+		runs: []run{{seed: mixed(0x8a), alg: heuristics.RandomDelays}, {seed: mixed(0x8b), do: func(p *point, seed uint64) (*sample, error) {
 			r := rng.New(seed)
 			s, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r)
 			return &sample{s: s}, err
@@ -236,7 +230,7 @@ var figures = []figure{
 			// Level priorities reproduce KBA's diagonal wavefront.
 			s, err := heuristics.Run(heuristics.Level, p.inst, assign, nil, 1)
 			return &sample{s: s}, err
-		}}, {seed: mixed(0x9c), do: alg(heuristics.RandomDelaysPriority)}},
+		}}, {seed: mixed(0x9c), alg: rdp}},
 		cols: []col{{name: "m", cell: procs}, {name: "ratio_kba", metric: ratio}, {name: "ratio_rdp", run: 1, metric: ratio}},
 	},
 	{
@@ -271,11 +265,11 @@ var figures = []figure{
 		// and the heuristic trap, on which deterministic priorities collide.
 		id: "nongeom", title: "nongeom: non-geometric instances (ratios to strongest lower bound)",
 		rows: nongeomRows,
-		runs: []run{nongeom(heuristics.RandomDelaysPriority), nongeom(heuristics.Level),
-			nongeom(heuristics.Descendant), nongeom(heuristics.DFDS)},
-		cols: []col{{name: "instance", cell: func(p *point, _ []float64) any { return nongeomNames[p.x] }},
-			{name: "n", cell: func(p *point, _ []float64) any { return p.inst.N() }},
-			{name: "k", cell: func(p *point, _ []float64) any { return p.inst.K() }}, {name: "m", cell: procs},
+		runs: []run{{seed: spaced(0x9d, 0, 0), alg: rdp}, {seed: spaced(0x9d, 0, 0), alg: heuristics.Level},
+			{seed: spaced(0x9d, 0, 0), alg: heuristics.Descendant}, {seed: spaced(0x9d, 0, 0), alg: heuristics.DFDS}},
+		cols: []col{{name: "instance", cell: func(p *point, _ []float64) any { return string(nongeomKinds[p.x]) }},
+			{name: "n", cell: func(p *point, _ []float64) any { return p.prob.N() }},
+			{name: "k", cell: func(p *point, _ []float64) any { return p.prob.K() }}, {name: "m", cell: procs},
 			{name: "rdp", metric: strong}, {name: "level", run: 1, metric: strong},
 			{name: "descendant", run: 2, metric: strong}, {name: "dfds", run: 3, metric: strong}},
 	},
@@ -296,26 +290,21 @@ var figures = []figure{
 		// The cost of fault recovery: one schedule replayed under fault
 		// plans of growing intensity, Trials fault seeds each.
 		id: "resilience", title: "resilience: recovery overhead on %s (n=%d, k=8, m=16, makespan=%d)",
-		args:   func(g *group) []any { return append(meshArgs(g)[:2], g.s.Makespan) },
+		args:   func(g *group) []any { return append(meshArgs(g)[:2], g.res.Schedule.Makespan) },
 		meshes: []string{"tetonly"}, ks: []int{8},
 		rows: func(g *group) ([]*point, error) {
-			inst, err := g.w.Instance(16)
-			if err != nil {
+			var err error
+			if g.prob, err = g.w.Problem(16); err != nil {
 				return nil, err
 			}
-			r := rng.New(g.cfg.Seed ^ 0xfa)
-			assign, err := g.w.Assignment(1, 16, r)
-			if err != nil {
-				return nil, err
-			}
-			if g.s, err = heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, r, g.cfg.Workers); err != nil {
+			if g.res, err = g.prob.ScheduleCtx(context.Background(), rdp, g.cfg.options(sweepsched.ScheduleOptions{}, g.cfg.Seed^0xfa)); err != nil {
 				return nil, err
 			}
 			return sweep(16, 0, 1, 2, 3, 4)(g)
 		},
 		runs: []run{{seed: spaced(0, 1000, 0), do: func(p *point, seed uint64) (*sample, error) {
 			spec := faultSpecs[p.x]
-			_, rep, err := transport.SolveFaultTolerant(context.Background(), p.g.s, transport.DependencyOnly, faults.NewPlan(p.g.s, spec, seed))
+			_, rep, err := p.g.prob.SimulateFaulty(context.Background(), p.g.res, sweepsched.NewFaultPlan(p.g.res, spec, seed))
 			if err != nil {
 				return nil, fmt.Errorf("resilience: spec %+v: %w", spec, err)
 			}
@@ -326,7 +315,7 @@ var figures = []figure{
 			{name: "drops", cell: func(p *point, _ []float64) any { return faultSpecs[p.x].Drops }},
 			{name: "delays", cell: func(p *point, _ []float64) any { return faultSpecs[p.x].Delays }},
 			{name: "steps", metric: val(0)},
-			{name: "penalty%", metric: val(1), cell: func(p *point, v []float64) any { return 100 * v[4] / float64(p.g.s.Makespan) }},
+			{name: "penalty%", metric: val(1), cell: func(p *point, v []float64) any { return 100 * v[4] / float64(p.g.res.Schedule.Makespan) }},
 			{name: "replayed", metric: val(2)}, {name: "recoveries", metric: val(3)}, {name: "epochs", metric: val(4)}},
 	},
 	{
@@ -336,7 +325,7 @@ var figures = []figure{
 		id: "speedup", paper: true, title: "speedup: max makespan/(nk/m) over m in %v (paper: always <= 3)",
 		args:   func(g *group) []any { return []any{g.cfg.Procs} },
 		meshes: mesh.FamilyNames(), ks: []int{24, 48}, worst: 3,
-		runs: []run{{seed: mixed(0x5d), do: alg(heuristics.RandomDelaysPriority)}},
+		runs: []run{{seed: mixed(0x5d), alg: rdp}},
 		cols: []col{{name: "mesh", cell: meshName},
 			{name: "n", cell: func(p *point, _ []float64) any { return p.g.w.Mesh.NCells() }},
 			{name: "k", cell: dirs}, {name: "worst_ratio", metric: ratio}, {name: "worst_m", cell: procs},
@@ -424,8 +413,8 @@ func depth(w *Workload) int {
 func makespan(_ *point, s *sample) float64    { return float64(s.s.Makespan) }
 func ratio(_ *point, s *sample) float64       { return lb.Ratio(s.s.Makespan, s.s.Inst) }
 func strong(_ *point, s *sample) float64      { return lb.StrongRatio(s.s.Makespan, s.s.Inst) }
-func c1(p *point, s *sample) float64          { return float64(s.measure(p).C1) }
-func c2(p *point, s *sample) float64          { return float64(s.measure(p).C2) }
+func c1(_ *point, s *sample) float64          { return float64(s.met.C1) }
+func c2(_ *point, s *sample) float64          { return float64(s.met.C2) }
 func idle(_ *point, s *sample) float64        { return float64(trace.Compute(s.s).IdleSteps) }
 func util(_ *point, s *sample) float64        { return trace.Compute(s.s).MeanUtilization }
 func loadRatio(p *point, s *sample) float64   { return float64(s.w.Makespan) / p.bounds.Load }
@@ -466,60 +455,28 @@ func perM(tag uint64) func(*point, int) uint64 {
 	return func(p *point, _ int) uint64 { return p.g.cfg.Seed ^ tag ^ uint64(p.m) }
 }
 
-// alg runs the named scheduler on a per-cell assignment drawn first from
-// the trial's stream.
-func alg(name heuristics.Name) func(*point, uint64) (*sample, error) {
-	return func(p *point, seed uint64) (*sample, error) {
-		r := rng.New(seed)
-		s, err := heuristics.Run(name, p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r, 1)
-		return &sample{s: s}, err
-	}
+// rdp is Algorithm 2, random delays with priorities.
+const rdp = heuristics.RandomDelaysPriority
+
+// blocks are the options of a plan on an assignment of bs-cell blocks
+// (bs 1: per cell); blocksOf gives them every row.
+func blocks(bs int) sweepsched.ScheduleOptions { return sweepsched.ScheduleOptions{BlockSize: bs} }
+
+func blocksOf(bs int) func(*point) sweepsched.ScheduleOptions {
+	return func(*point) sweepsched.ScheduleOptions { return blocks(bs) }
 }
 
-// blocked runs Algorithm 2 on an assignment of bs-cell blocks (bs 1: per
-// cell) drawn from the trial's stream.
-func blocked(bs int) func(*point, uint64) (*sample, error) {
-	return func(p *point, seed uint64) (*sample, error) {
-		r := rng.New(seed)
-		assign, err := p.g.w.Assignment(bs, p.m, r)
-		if err != nil {
-			return nil, err
-		}
-		s, err := heuristics.Run(heuristics.RandomDelaysPriority, p.inst, assign, r, 1)
-		return &sample{s: s}, err
-	}
-}
-
-// fig3 is a Figure 3 panel: the named schedulers, seeded by position, on a
-// shared block assignment; with Config.Anglesets, angleset-aggregated and
-// audited as such. The audit holds each schedule to the release floors
-// its kernel ran with.
+// fig3 is a Figure 3 panel: the named schedulers, seeded by position, on
+// blocks of bs cells; with Config.Anglesets, angleset-aggregated and
+// audited as such.
 func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
 	f := figure{id: id, paper: true, title: id + ": " + about, meshes: []string{meshName}, ks: []int{4, 24, 48},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}}}
+	opts := func(p *point) sweepsched.ScheduleOptions {
+		return sweepsched.ScheduleOptions{BlockSize: bs, Anglesets: p.g.cfg.Anglesets}
+	}
 	for i, name := range names {
-		f.runs = append(f.runs, run{seed: mixed(0xf30 + uint64(i)), do: func(p *point, seed uint64) (*sample, error) {
-			r := rng.New(seed)
-			assign, err := p.g.w.Assignment(bs, p.m, r)
-			var groups [][]int32
-			if a := p.g.cfg.Anglesets; a > 0 && err == nil {
-				groups, err = quadrature.AnglesetsFor(p.inst.Dirs, a)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ws := sched.GetWorkspace(p.inst)
-			defer ws.Release()
-			rule, err := heuristics.Rule(ws, name, p.inst, assign, groups, r, 1)
-			if err != nil {
-				return nil, err
-			}
-			if p.g.cfg.Verify { // the audit runs after ws goes back to the pool
-				rule.Release = slices.Clone(rule.Release)
-			}
-			dst := &sched.Schedule{}
-			return &sample{s: dst, opts: verify.RuleOpts(rule)}, ws.Schedule(dst, p.inst, assign, rule)
-		}})
+		f.runs = append(f.runs, run{seed: mixed(0xf30 + uint64(i)), alg: name, opts: opts})
 		f.cols = append(f.cols, col{name: "ratio_" + string(name), run: i, metric: ratio})
 	}
 	return f
@@ -548,7 +505,11 @@ func levelDelayed(p *point, assign sched.Assignment, R int, r *rng.Source) (*sam
 	heuristics.LevelPrioritiesInto(prio, p.inst, p.g.cfg.Workers)
 	delayInto(prio, p.inst, R, r)
 	dst := &sched.Schedule{}
-	return &sample{s: dst}, ws.Schedule(dst, p.inst, assign, sched.Rule{Prio: prio})
+	if err := ws.Schedule(dst, p.inst, assign, sched.Rule{Prio: prio}); err != nil {
+		return nil, err
+	}
+	met, _ := ws.Metrics()
+	return &sample{s: dst, met: &met}, nil
 }
 
 // delayInto adds Algorithm 2's delay X_i to direction i's priorities, each
@@ -621,27 +582,6 @@ func policyAssignment(p *point, r *rng.Source) (sched.Assignment, error) {
 	return a, nil
 }
 
-// commDelayed schedules level priorities under comm delay c = the row's
-// swept value, per cell or on blocks; both draw the per-cell assignment
-// first from the same stream.
-func commDelayed(block bool) func(*point, uint64) (*sample, error) {
-	return func(p *point, seed uint64) (*sample, error) {
-		r := rng.New(seed)
-		assign, err := p.g.w.Assignment(1, p.m, r)
-		if err == nil && block {
-			assign, err = p.g.w.Assignment(p.g.bs, p.m, r)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ws := sched.GetWorkspace(p.inst)
-		defer ws.Release()
-		dst := &sched.Schedule{}
-		rule := sched.Rule{Prio: heuristics.LevelPriorities(p.inst, p.g.cfg.Workers), CommDelay: p.x}
-		return &sample{s: dst, opts: verify.RuleOpts(rule)}, ws.Schedule(dst, p.inst, assign, rule)
-	}
-}
-
 // realizedRounds colors each step's message multigraph with both the
 // sequential greedy and the [11]-style distributed algorithm, and sums the
 // colors used by each.
@@ -676,26 +616,17 @@ func realizedRounds(s *sched.Schedule, seed uint64) (greedyTotal, distribTotal i
 	return greedyTotal, distribTotal, nil
 }
 
-// commTraffic solves one schedule per row on the transport executor,
-// batched and on the per-message oracle. The draws depend on (Seed, m)
-// alone, so both modes run the same schedule.
-func commTraffic(p *point, _ uint64) (*sample, error) {
+// commTraffic solves the row's plan on the transport executor, batched
+// and on the per-message oracle.
+func commTraffic(p *point, res *sweepsched.Result) (*sample, error) {
 	cfg := p.g.cfg
-	assign, err := p.g.w.Assignment(1, p.m, rng.New(cfg.Seed^0xba7c^uint64(p.m)))
-	if err != nil {
-		return nil, err
-	}
-	s, err := heuristics.Run(heuristics.RandomDelaysPriority, p.inst, assign, rng.New(cfg.Seed^0x5eed^uint64(p.m)), cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	tcfg := transport.Config{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), Collector: cfg.Collector}
-	b, err := transport.SolveParallelCtx(context.Background(), s, tcfg)
+	tcfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), Collector: cfg.Collector}
+	b, err := p.prob.SolveTransportParallel(res, tcfg)
 	if err != nil {
 		return nil, err
 	}
 	tcfg.NoBatch, tcfg.Collector = true, nil // the collector counts the batched run only
-	o, err := transport.SolveParallelCtx(context.Background(), s, tcfg)
+	o, err := p.prob.SolveTransportParallel(res, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -707,7 +638,7 @@ func commTraffic(p *point, _ uint64) (*sample, error) {
 			p.m, b.Comm.Messages, b.Comm.Rounds, o.Comm.Messages, o.Comm.Rounds)
 	}
 	// A6: one message per cross edge per sweep, and the per-step maxima.
-	if met, it := sched.Measure(s, cfg.Workers), int64(b.Iterations); b.Comm.Messages != it*met.C1 || b.Comm.Rounds != it*met.C2 {
+	if met, it := res.Metrics, int64(b.Iterations); b.Comm.Messages != it*met.C1 || b.Comm.Rounds != it*met.C2 {
 		return nil, fmt.Errorf("comm: m=%d claim A6 fails: %d sweeps sent %d msgs in %d rounds, want C1=%d and C2=%d per sweep",
 			p.m, it, b.Comm.Messages, b.Comm.Rounds, met.C1, met.C2)
 	}
@@ -724,44 +655,21 @@ func per(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-var nongeomNames = []string{"random_chains", "layered_random", "heuristic_trap"}
+var nongeomKinds = []sweepsched.NonGeometricKind{sweepsched.RandomChains, sweepsched.LayeredRandom, sweepsched.HeuristicTrap}
 
-// nongeomRows builds nongeom's instances: n = 60·(scale·100) cells (at
+// nongeomRows builds nongeom's problems: n = 60·(scale·100) cells (at
 // least 60), k = 8, m = 8.
 func nongeomRows(g *group) ([]*point, error) {
-	n, k, seed := max(60, 60*int(g.cfg.Scale*100)), 8, g.cfg.Seed
+	n := max(60, 60*int(g.cfg.Scale*100))
 	var pts []*point
-	for i := range nongeomNames {
-		var dags []*dag.DAG
-		var err error
-		switch i {
-		case 0:
-			dags, err = synth.RandomChains(n, k, seed)
-		case 1:
-			dags, err = synth.LayeredRandom(n, k, 8, seed)
-		case 2:
-			dags, err = synth.HeuristicTrap(n/10, 10, k, seed)
-		}
+	for i, kind := range nongeomKinds {
+		prob, err := sweepsched.NewProblemNonGeometric(kind, n, 8, 8, g.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		inst, err := sched.FromDAGs(dags, 8)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, &point{g: g, m: 8, x: i, inst: inst})
+		pts = append(pts, &point{g: g, m: 8, x: i, prob: prob})
 	}
 	return pts, nil
-}
-
-// nongeom runs a scheduler on a random assignment drawn from the trial's
-// stream, which every column shares.
-func nongeom(name heuristics.Name) run {
-	return run{seed: spaced(0x9d, 0, 0), do: func(p *point, seed uint64) (*sample, error) {
-		r := rng.New(seed)
-		s, err := heuristics.Run(name, p.inst, sched.RandomAssignment(p.inst.N(), p.m, r), r, p.g.cfg.Workers)
-		return &sample{s: s}, err
-	}}
 }
 
 // optCases are optratio's rows.

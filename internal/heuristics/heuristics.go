@@ -58,17 +58,10 @@ func fillSegments(prio sched.Priorities, inst *sched.Instance, assign sched.Assi
 	})
 }
 
-// LevelPriorities returns Γ(v,i) = level_i(v); list scheduling prefers
-// smaller values, matching the paper's "smaller priorities preferred".
-func LevelPriorities(inst *sched.Instance, workers int) sched.Priorities {
-	prio := make(sched.Priorities, inst.NTasks())
-	LevelPrioritiesInto(prio, inst, workers)
-	return prio
-}
-
 // LevelPrioritiesInto fills a caller-provided priority slice (len =
-// NTasks) instead of allocating one; trial loops pass the workspace's
-// PrioBuf.
+// NTasks) with Γ(v,i) = level_i(v); list scheduling prefers smaller
+// values, matching the paper's "smaller priorities preferred". Trial
+// loops pass the workspace's PrioBuf.
 func LevelPrioritiesInto(prio sched.Priorities, inst *sched.Instance, workers int) {
 	fillSegments(prio, inst, nil, nil, workers, levelFill)
 }

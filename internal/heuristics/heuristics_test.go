@@ -28,7 +28,8 @@ func testInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 
 func TestLevelPrioritiesMatchDAGLevels(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 1)
-	prio := LevelPriorities(inst, 0)
+	prio := make(sched.Priorities, inst.NTasks())
+	LevelPrioritiesInto(prio, inst, 0)
 	n := int32(inst.N())
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
