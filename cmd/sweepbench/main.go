@@ -41,7 +41,7 @@ func main() {
 		anglesets  = flag.Int("anglesets", 0, "run the fig3 harness with priorities aggregated into about this many octant anglesets (omit for the per-direction pipeline)")
 		speedsSpec = flag.String("speeds", "", "comma-separated per-processor speed pattern for the weighted experiment, cycled over each m, e.g. 1,2,4 (empty = uniform machine)")
 		doVerify   = flag.Bool("verify", false, "audit every produced schedule with the internal/verify auditor (fails fast on the first violation)")
-		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth trial (1 = every trial)")
+		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth schedule of a row (1 = every one)")
 		doStats    = flag.Bool("stats", false, "print accumulated counters and stage timings after the experiments")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

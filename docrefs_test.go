@@ -33,9 +33,11 @@ package sweepsched_test
 //     layer.name such as dag.family_warm_s.
 //
 // It also holds DESIGN.md and README.md together to designLines, so that
-// neither grows back into a history of the code, and every citation of a
+// neither grows back into a history of the code, every citation of a
 // DESIGN section — a § number, or a quoted title after a comma — in a Go
-// file or in citingDocs to a heading DESIGN.md has (checkDesign).
+// file or in citingDocs to a heading DESIGN.md has (checkDesign), and
+// every row EXPERIMENTS.md quotes from the paper-scale run to that run's
+// output (checkQuotedRows).
 
 import (
 	"encoding/json"
@@ -276,6 +278,61 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 	checkDesign(t, paths)
+	checkQuotedRows(t)
+}
+
+// quotedRun is the command line of a fenced block in EXPERIMENTS.md that
+// quotes the paper-scale run of one experiment.
+var quotedRun = regexp.MustCompile(`^\$ go run \./cmd/sweepbench -exp (\S+) -scale 1\.0 -trials 2\b`)
+
+// checkQuotedRows reports every line EXPERIMENTS.md quotes under a
+// quotedRun command that is not a line of that experiment's section of
+// results_full.txt, the output of the same command for every id: a quoted
+// table is a selection of the real rows, never a rewording of them.
+func checkQuotedRows(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile("results_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]map[string]bool{} // experiment id -> the lines of its section
+	for _, section := range strings.Split(string(full), "\n\n") {
+		title, _, _ := strings.Cut(section, "\n")
+		id, _, ok := strings.Cut(strings.TrimPrefix(title, "# "), ":")
+		if !ok || !strings.HasPrefix(title, "# ") {
+			continue
+		}
+		rows[id] = map[string]bool{}
+		for _, line := range strings.Split(section, "\n") {
+			rows[id][line] = true
+		}
+	}
+	quoted := 0
+	for _, loc := range fencedBlock.FindAllStringIndex(string(doc), -1) {
+		first := 1 + strings.Count(string(doc[:loc[0]]), "\n")
+		lines := strings.Split(string(doc[loc[0]:loc[1]]), "\n")
+		for i := 1; i < len(lines)-1; i++ {
+			m := quotedRun.FindStringSubmatch(lines[i])
+			if m == nil {
+				continue
+			}
+			if rows[m[1]] == nil {
+				t.Errorf("EXPERIMENTS.md:%d: results_full.txt has no section %s", first+i, m[1])
+			}
+			for j := i + 1; j < len(lines)-1 && quotedRun.FindString(lines[j]) == ""; j++ {
+				quoted++
+				if !rows[m[1]][lines[j]] {
+					t.Errorf("EXPERIMENTS.md:%d: %q is no line of %s in results_full.txt", first+j, lines[j], m[1])
+				}
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Error("EXPERIMENTS.md quotes no row of results_full.txt")
+	}
 }
 
 // checkDesign reports DESIGN.md and README.md if they have more than

@@ -1,7 +1,7 @@
 // Package experiments reproduces every figure and headline observation of
 // the paper's empirical study (§5). Each experiment is a figure, a value in
 // one sorted table (figures.go): the rows it sweeps, the randomized calls
-// each row makes with their seed rules, the columns read off them, and
+// each row makes with their seed rule, the columns read off them, and
 // the paper's claims as predicates over those rows. One evaluator runs
 // them all and checks the claims, and testdata/experiments_golden.txt
 // pins every table. EXPERIMENTS.md records the paper-vs-measured
@@ -126,8 +126,8 @@ func (c Config) audit(s *sample, trial int) error {
 }
 
 // figure is one experiment as a value: its table's title, a row axis,
-// the randomized calls (runs) each row makes and the columns read off
-// them.
+// the randomized calls (runs) each row makes, their seed rule and the
+// columns read off them.
 type figure struct {
 	id, title string
 	paper     bool                 // the paper plots or states it (sweepbench -exp paper)
@@ -140,6 +140,11 @@ type figure struct {
 	ks     []int
 	rows   func(g *group) ([]*point, error)
 
+	// seed gives each (row, trial) the one seed every run of the trial
+	// takes, so two planned runs with the same block size plan on the
+	// same partition and assignment and draw the same delays: a column
+	// compares schedulers, not draws.
+	seed   func(p *point, trial int) uint64
 	runs   []run
 	cols   []col
 	worst  int // > 0: a group's rows fold into the one largest in this column (worst over m)
@@ -199,7 +204,7 @@ func (e *ClaimError) Error() string {
 }
 
 // run is one randomized call a figure's columns measure, made Trials
-// times (once if once) from the seed its rule gives each trial.
+// times (once if once) from the seed of the figure's rule.
 //
 // A planned run (alg set) is the API's plan of alg on the row's Problem:
 // per cell, or with the block size and anglesets opts gives; under §3's
@@ -213,7 +218,6 @@ type run struct {
 	comm bool
 	use  func(p *point, res *sweepsched.Result) (*sample, error)
 
-	seed func(p *point, trial int) uint64
 	once bool
 	do   func(p *point, seed uint64) (*sample, error)
 }
@@ -414,7 +418,7 @@ func sweep(m int, xs ...int) func(*group) ([]*point, error) {
 }
 
 // row evaluates one point. It holds the package's only trial loop: each
-// run is made Trials times (once if once) from its seed rule, every
+// run is made Trials times (once if once) from the trial's seed, every
 // sampled bespoke trial is audited (planned ones are audited by the
 // API), and each column's metric is averaged over its run's trials
 // before the cells are computed.
@@ -442,8 +446,8 @@ func (f *figure) row(p *point) ([]any, error) {
 		}
 		for trial := 0; trial < trials; trial++ {
 			var seed uint64
-			if rn.seed != nil {
-				seed = rn.seed(p, trial)
+			if f.seed != nil {
+				seed = f.seed(p, trial)
 			}
 			var s *sample
 			var err error

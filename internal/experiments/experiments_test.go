@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"sweepsched"
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
 	"sweepsched/internal/heuristics"
@@ -45,22 +47,12 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-// tinyMisses are the claims that fail at tinyConfig, outside the regime
-// they speak about: fig3c's block 128 leaves the 430 cells of
-// well_logging at scale 0.01 four blocks for two processors, and one
-// draw puts them all on one (ratio 2, against DFDS's 1.07).
-var tinyMisses = map[string][]string{"fig3c": {"A5"}}
-
 func TestAllExperimentsRun(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var out strings.Builder
-			err := Run(name, tinyConfig(&out))
-			var ce *ClaimError
-			if want := tinyMisses[name]; want != nil && (!errors.As(err, &ce) || !slices.Equal(ce.Failed, want)) {
-				t.Fatalf("%s: got %v, want the claims %v to fail", name, err, want)
-			} else if want == nil && err != nil {
+			if err := Run(name, tinyConfig(&out)); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			text := out.String()
@@ -71,6 +63,67 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Fatalf("%s: suspiciously short output:\n%s", name, text)
 			}
 		})
+	}
+}
+
+// TestPlannedRunsShareTheDraw holds the figures to common random numbers:
+// within one (row, trial), two planned runs with the same block size plan
+// on the same assignment, so a column compares schedulers, not draws.
+func TestPlannedRunsShareTheDraw(t *testing.T) {
+	compared := 0
+	for _, f := range figures {
+		type (
+			slot struct {
+				p   *point
+				run int
+			}
+			key struct {
+				p            *point
+				trial, block int
+			}
+		)
+		var mu sync.Mutex
+		made := map[slot]int{} // the trials made so far
+		seen := map[key]sched.Assignment{}
+		g := f
+		g.runs = slices.Clone(f.runs)
+		for ri := range g.runs {
+			rn := &g.runs[ri]
+			if rn.alg == "" {
+				continue
+			}
+			use, opts := rn.use, rn.opts
+			rn.use = func(p *point, res *sweepsched.Result) (*sample, error) {
+				block := 1
+				if opts != nil {
+					block = max(1, opts(p).BlockSize)
+				}
+				mu.Lock()
+				k := key{p, made[slot{p, ri}], block}
+				made[slot{p, ri}]++
+				if a, ok := seen[k]; !ok {
+					seen[k] = res.Schedule.Assign
+				} else if compared++; !slices.Equal(a, res.Schedule.Assign) {
+					t.Errorf("%s m=%d x=%d trial %d: %s plans on another assignment than an earlier run with blocks of %d",
+						f.id, p.m, p.x, k.trial, rn.alg, block)
+				}
+				mu.Unlock()
+				if use != nil {
+					return use(p, res)
+				}
+				return &sample{s: res.Schedule, met: &res.Metrics}, nil
+			}
+		}
+		var out strings.Builder
+		cfg := tinyConfig(&out)
+		cfg.Trials = 2
+		var ce *ClaimError
+		if err := g.eval(cfg.withDefaults()); err != nil && !errors.As(err, &ce) {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no figure has two planned runs with one block size to compare")
 	}
 }
 

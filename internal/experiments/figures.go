@@ -32,7 +32,8 @@ var figures = []figure{
 		// and a balanced m-way decomposition with part p on processor p.
 		id: "ablate_assign", title: "ablate_assign: assignment policy in Algorithm 2 (tetonly, k=24)",
 		meshes: []string{"tetonly"}, ks: []int{24}, rows: policyRows,
-		runs: []run{{seed: spaced(0xac0, 0, 100), do: func(p *point, seed uint64) (*sample, error) {
+		seed: spaced(0xac0, 0, 100),
+		runs: []run{{do: func(p *point, seed uint64) (*sample, error) {
 			r := rng.New(seed)
 			assign, err := policyAssignment(p, r)
 			if err != nil {
@@ -55,8 +56,8 @@ var figures = []figure{
 		// priorities, R=k the paper's choice; larger R lengthens the
 		// critical path.
 		id: "ablate_delay", title: "ablate_delay: delay range R in Algorithm 2 (long, k=24; paper uses R=k)",
-		meshes: []string{"long"}, ks: []int{24},
-		runs: []run{delayRange(0, 1), delayRange(1, 6), delayRange(2, 24), delayRange(3, 48), delayRange(4, 96)},
+		meshes: []string{"long"}, ks: []int{24}, seed: mixed(0xab0),
+		runs: []run{delayRange(1), delayRange(6), delayRange(24), delayRange(48), delayRange(96)},
 		cols: []col{{name: "m", cell: procs}, {name: "R=1(no delay)", metric: ratio}, {name: "R=k/4", run: 1, metric: ratio},
 			{name: "R=k", run: 2, metric: ratio}, {name: "R=2k", run: 3, metric: ratio}, {name: "R=4k", run: 4, metric: ratio}},
 	},
@@ -66,7 +67,8 @@ var figures = []figure{
 		id: "blocks", paper: true, title: "blocks: block-size sweep on %s (n=%d, k=24, m=64)",
 		args:   func(g *group) []any { return meshArgs(g)[:2] },
 		meshes: []string{"tetonly"}, ks: []int{24}, rows: sweep(64, 1, 4, 16, 64, 256, 1024),
-		runs: []run{{seed: spaced(0x7b, 0, 100), alg: rdp, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.x) }}},
+		seed: spaced(0x7b, 0, 100),
+		runs: []run{{alg: rdp, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.x) }}},
 		cols: []col{{name: "block", cell: swept}, {name: "makespan", metric: makespan},
 			{name: "ratio", cell: func(p *point, v []float64) any { return v[1] / loadLB(p) }},
 			{name: "C1", metric: c1, whole: true}, {name: "C2", metric: c2, whole: true},
@@ -78,7 +80,8 @@ var figures = []figure{
 		// distributed algorithm, against the C2 bound Σ max-degree.
 		id: "colorrounds", title: "colorrounds: realized comm rounds via edge coloring vs the C2 bound",
 		meshes: []string{"tetonly"}, ks: []int{8},
-		runs: []run{{seed: spaced(0xce, 0, 0), once: true, alg: rdp, opts: blocksOf(16), use: func(p *point, res *sweepsched.Result) (*sample, error) {
+		seed: spaced(0xce, 0, 0),
+		runs: []run{{once: true, alg: rdp, opts: blocksOf(16), use: func(p *point, res *sweepsched.Result) (*sample, error) {
 			greedy, distrib, err := realizedRounds(res.Schedule, p.g.cfg.Seed)
 			return &sample{s: res.Schedule, met: &res.Metrics, v: []float64{float64(greedy), float64(distrib)}}, err
 		}}},
@@ -92,7 +95,7 @@ var figures = []figure{
 		// fluxes must agree bit for bit and the logical traffic exactly, so
 		// the table isolates what batching saves.
 		id: "comm", title: "comm: batched flux envelopes vs per-message oracle (tetonly, k=8; modes converge bitwise-identically)",
-		meshes: []string{"tetonly"}, ks: []int{8}, runs: []run{{seed: perM(0x5eed), once: true, alg: rdp, use: commTraffic}},
+		meshes: []string{"tetonly"}, ks: []int{8}, seed: perM(0x5eed), runs: []run{{once: true, alg: rdp, use: commTraffic}},
 		cols: []col{{name: "m", cell: procs}, {name: "messages", metric: val(0), whole: true},
 			{name: "rounds", metric: val(1), whole: true}, {name: "envelopes", metric: val(2), whole: true},
 			{name: "env_bytes", metric: val(3), whole: true}, {name: "permsg_bytes", metric: val(4), whole: true},
@@ -109,8 +112,9 @@ var figures = []figure{
 			g.bs = max(2, g.w.Mesh.NCells()/(8*32)) // well over m blocks at any scale
 			return sweep(32, 0, 2, 8, 32, 128)(g)
 		},
-		runs: []run{{seed: spaced(0xcd, 0, 100), alg: heuristics.Level, comm: true},
-			{seed: spaced(0xcd, 0, 100), alg: heuristics.Level, comm: true, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.g.bs) }}},
+		seed: spaced(0xcd, 0, 100),
+		runs: []run{{alg: heuristics.Level, comm: true},
+			{alg: heuristics.Level, comm: true, opts: func(p *point) sweepsched.ScheduleOptions { return blocks(p.g.bs) }}},
 		cols: []col{{name: "c", cell: swept}, {name: "ms_cell", metric: makespan},
 			{name: "ms_block", run: 1, metric: makespan}, {name: "block/cell", cell: quot(2, 1)}},
 	},
@@ -119,8 +123,8 @@ var figures = []figure{
 		// assignments.
 		id: "fig2a", paper: true, title: "fig2a: makespan on %s (n=%d, k=%d), cell vs block assignment", args: meshArgs,
 		meshes: []string{"tetonly"}, ks: []int{24},
-		runs: []run{{seed: mixed(0xa1), alg: heuristics.RandomDelays},
-			{seed: mixed(0xa2 + 1), alg: rdp}, {seed: mixed(0xa2 + 64), alg: rdp, opts: blocksOf(64)}, {seed: mixed(0xa2 + 256), alg: rdp, opts: blocksOf(256)}},
+		seed: mixed(0xa1),
+		runs: []run{{alg: heuristics.RandomDelays}, {alg: rdp}, {alg: rdp, opts: blocksOf(64)}, {alg: rdp, opts: blocksOf(256)}},
 		cols: []col{{name: "m", cell: procs}, {name: "lb(nk/m)", cell: func(p *point, _ []float64) any { return loadLB(p) }},
 			{name: "rd_cell", metric: makespan}, {name: "rdp_cell", run: 1, metric: makespan},
 			{name: "rdp_b64", run: 2, metric: makespan}, {name: "rdp_b256", run: 3, metric: makespan},
@@ -132,8 +136,8 @@ var figures = []figure{
 		id: "fig2b", paper: true, title: "fig2b: comm costs on %s (n=%d, k=%d, edges=%d)",
 		args:   func(g *group) []any { return append(meshArgs(g), edges(g.w)) },
 		meshes: []string{"tetonly"}, ks: []int{24},
-		runs: []run{{seed: spaced(0xb0, 1000, 0), alg: rdp},
-			{seed: spaced(0xb0, 64000, 0), alg: rdp, opts: blocksOf(64)}, {seed: spaced(0xb0, 256000, 0), alg: rdp, opts: blocksOf(256)}},
+		seed: spaced(0xb0, 1000, 0),
+		runs: []run{{alg: rdp}, {alg: rdp, opts: blocksOf(64)}, {alg: rdp, opts: blocksOf(256)}},
 		cols: []col{{name: "m", cell: procs},
 			{name: "C1_cell", metric: c1, whole: true}, {name: "C1_b64", run: 1, metric: c1, whole: true},
 			{name: "C1_b256", run: 2, metric: c1, whole: true}, {name: "C2_cell", metric: c2, whole: true},
@@ -149,7 +153,7 @@ var figures = []figure{
 		// Priorities" on long, as ratios to nk/m.
 		id: "fig2c", paper: true, title: "fig2c: Random Delays vs Random Delays with Priorities on long",
 		meshes: []string{"long"}, ks: []int{4, 24, 48},
-		runs: []run{{seed: mixed(0xc1), alg: heuristics.RandomDelays}, {seed: mixed(0xc2), alg: rdp}},
+		seed: mixed(0xc1), runs: []run{{alg: heuristics.RandomDelays}, {alg: rdp}},
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}, {name: "ratio_rd", metric: ratio},
 			{name: "ratio_rdp", run: 1, metric: ratio}, {name: "improvement", cell: quot(2, 3)}},
 		claims: []claim{{id: "A3", text: "improvement: list scheduling never loses to the layered Algorithm 1", value: cellAt(4), op: ">", bound: 1}},
@@ -159,23 +163,24 @@ var figures = []figure{
 	fig3("fig3b", "descendant priorities vs random delays (tetonly, block 256)", "tetonly", 256,
 		heuristics.RandomDelaysPriority, heuristics.Descendant, heuristics.DescendantDelays),
 	fig3("fig3c", "DFDS priorities vs random delays (well_logging, block 128)", "well_logging", 128,
-		heuristics.RandomDelaysPriority, heuristics.DFDS, heuristics.DFDSDelays).with(claim{
-		id: "A5", text: "ratio_random_delays_priority/ratio_dfds at the smallest m",
-		regime: func(p *point) bool { return p.m == slices.Min(p.g.cfg.Procs) }, op: "<=", bound: 1.35,
-		value: func(rows [][]any, i int) float64 { return num(rows[i][2]) / num(rows[i][3]) }}),
+		heuristics.RandomDelaysPriority, heuristics.DFDS, heuristics.DFDSDelays).with(
+		claim{id: "A5", text: "ratio_random_delays_priority/ratio_dfds at the smallest m",
+			regime: func(p *point) bool { return p.m == slices.Min(p.g.cfg.Procs) }, op: "<=", bound: 1.35, value: quotAt(2, 3)},
+		claim{id: "A9", text: "ratio_dfds/ratio_random_delays_priority: DFDS is no worse", op: "<=", bound: 1, value: quotAt(3, 2)},
+		claim{id: "A10", text: "ratio_dfds_delays/ratio_dfds: delays do not help DFDS", op: ">=", bound: 0.97, value: quotAt(4, 3)}),
 	{
 		// §5.1 observation 1: the provable algorithms' observed ratios far
 		// below the O(log²n) and ρ(m) = log m · logloglog m factors.
 		id: "guarantee", paper: true, title: "guarantee: observed ratio vs theoretical factors",
 		meshes: mesh.FamilyNames(), ks: []int{24},
-		runs: []run{{seed: mixed(0x6e), alg: heuristics.RandomDelays}, {seed: mixed(0x6f), alg: rdp},
-			{seed: mixed(0x70), alg: heuristics.ImprovedDelays}},
+		seed: mixed(0x6e), runs: []run{{alg: heuristics.RandomDelays}, {alg: rdp}, {alg: heuristics.ImprovedDelays}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ratio_alg1", metric: ratio},
 			{name: "ratio_alg2", run: 1, metric: ratio}, {name: "ratio_alg3", run: 2, metric: ratio},
 			{name: "log2n^2", cell: func(p *point, _ []float64) any { return core.Log2Sq(p.g.w.Mesh.NCells()) }},
 			{name: "rho(m)", cell: func(p *point, _ []float64) any { return core.Rho(p.m) }}},
 		claims: []claim{{id: "A1", text: "ratio_alg2 where nk/m >= 2D", value: cellAt(3), op: "<=", bound: 3,
-			regime: func(p *point) bool { return p.g.w.Mesh.NCells()*p.g.k/p.m >= 2*depth(p.g.w) }}},
+			regime: func(p *point) bool { return p.g.w.Mesh.NCells()*p.g.k/p.m >= 2*depth(p.g.w) }},
+			{id: "A8", text: "ratio_alg3/ratio_alg1: Algorithm 3's priority form beats Algorithm 1", value: quotAt(4, 2), op: "<", bound: 1}},
 	},
 	{
 		// §4.2's motivation for Algorithm 2: the idle slots at Algorithm 1's
@@ -183,7 +188,7 @@ var figures = []figure{
 		// removes.
 		id: "idle", title: "idle: layer-barrier idle time removed by compaction (long, k=24)",
 		meshes: []string{"long"}, ks: []int{24},
-		runs: []run{{seed: perM(0x1d7e), once: true, alg: heuristics.RandomDelays}, {seed: perM(0x1d7e), once: true, alg: rdp}},
+		seed: perM(0x1d7e), runs: []run{{once: true, alg: heuristics.RandomDelays}, {once: true, alg: rdp}},
 		cols: []col{{name: "m", cell: procs}, {name: "idle_alg1", metric: idle, whole: true},
 			{name: "idle_alg2", run: 1, metric: idle, whole: true}, {name: "util_alg1", metric: util},
 			{name: "util_alg2", run: 1, metric: util}, {name: "idle_removed", cell: func(_ *point, v []float64) any {
@@ -198,7 +203,8 @@ var figures = []figure{
 		// narrows every combined layer to width ≤ m.
 		id: "improved", title: "improved: Algorithm 1 vs Algorithm 3 (layered forms)",
 		meshes: []string{"tetonly", "long"}, ks: []int{24},
-		runs: []run{{seed: mixed(0x8a), alg: heuristics.RandomDelays}, {seed: mixed(0x8b), do: func(p *point, seed uint64) (*sample, error) {
+		seed: mixed(0x8a),
+		runs: []run{{alg: heuristics.RandomDelays}, {do: func(p *point, seed uint64) (*sample, error) {
 			r := rng.New(seed)
 			s, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r)
 			return &sample{s: s}, err
@@ -211,7 +217,7 @@ var figures = []figure{
 	{
 		// §2's related work: on a regular grid the KBA column schedule is
 		// essentially optimal. KBA tiles the xy plane, so m > 12² is skipped.
-		id: "kba", title: "kba: regular 12x12x12 grid, 8 octant directions",
+		id: "kba", title: "kba: regular 12x12x12 grid, 8 octant directions", seed: mixed(0x9c),
 		rows: func(g *group) ([]*point, error) {
 			dirs, err := quadrature.Diagonals(8)
 			if err != nil {
@@ -230,7 +236,7 @@ var figures = []figure{
 			// Level priorities reproduce KBA's diagonal wavefront.
 			s, err := heuristics.Run(heuristics.Level, p.inst, assign, nil, 1)
 			return &sample{s: s}, err
-		}}, {seed: mixed(0x9c), alg: rdp}},
+		}}, {alg: rdp}},
 		cols: []col{{name: "m", cell: procs}, {name: "ratio_kba", metric: ratio}, {name: "ratio_rdp", run: 1, metric: ratio}},
 	},
 	{
@@ -265,8 +271,8 @@ var figures = []figure{
 		// and the heuristic trap, on which deterministic priorities collide.
 		id: "nongeom", title: "nongeom: non-geometric instances (ratios to strongest lower bound)",
 		rows: nongeomRows,
-		runs: []run{{seed: spaced(0x9d, 0, 0), alg: rdp}, {seed: spaced(0x9d, 0, 0), alg: heuristics.Level},
-			{seed: spaced(0x9d, 0, 0), alg: heuristics.Descendant}, {seed: spaced(0x9d, 0, 0), alg: heuristics.DFDS}},
+		seed: spaced(0x9d, 0, 0),
+		runs: []run{{alg: rdp}, {alg: heuristics.Level}, {alg: heuristics.Descendant}, {alg: heuristics.DFDS}},
 		cols: []col{{name: "instance", cell: func(p *point, _ []float64) any { return string(nongeomKinds[p.x]) }},
 			{name: "n", cell: func(p *point, _ []float64) any { return p.prob.N() }},
 			{name: "k", cell: func(p *point, _ []float64) any { return p.prob.K() }}, {name: "m", cell: procs},
@@ -278,7 +284,7 @@ var figures = []figure{
 		// optimum: how much of a reported ratio is lower-bound slack.
 		id: "optratio", title: "optratio: true makespan/OPT on tiny instances (exact search)",
 		rows: sweep(0, 0, 1, 2, 3), // one row per optCases entry, which sets its own m
-		runs: []run{{seed: func(p *point, trial int) uint64 { return p.g.cfg.Seed + uint64(trial)*7919 }, do: optRatios}},
+		seed: func(p *point, trial int) uint64 { return p.g.cfg.Seed + uint64(trial)*7919 }, runs: []run{{do: optRatios}},
 		cols: []col{{name: "instance", cell: func(p *point, _ []float64) any { return optCases[p.x].name }},
 			{name: "n", cell: func(p *point, _ []float64) any { return optCases[p.x].n }},
 			{name: "k", cell: func(p *point, _ []float64) any { return optCases[p.x].k }},
@@ -302,7 +308,8 @@ var figures = []figure{
 			}
 			return sweep(16, 0, 1, 2, 3, 4)(g)
 		},
-		runs: []run{{seed: spaced(0, 1000, 0), do: func(p *point, seed uint64) (*sample, error) {
+		seed: spaced(0, 1000, 0),
+		runs: []run{{do: func(p *point, seed uint64) (*sample, error) {
 			spec := faultSpecs[p.x]
 			_, rep, err := p.g.prob.SimulateFaulty(context.Background(), p.g.res, sweepsched.NewFaultPlan(p.g.res, spec, seed))
 			if err != nil {
@@ -325,7 +332,7 @@ var figures = []figure{
 		id: "speedup", paper: true, title: "speedup: max makespan/(nk/m) over m in %v (paper: always <= 3)",
 		args:   func(g *group) []any { return []any{g.cfg.Procs} },
 		meshes: mesh.FamilyNames(), ks: []int{24, 48}, worst: 3,
-		runs: []run{{seed: mixed(0x5d), alg: rdp}},
+		seed: mixed(0x5d), runs: []run{{alg: rdp}},
 		cols: []col{{name: "mesh", cell: meshName},
 			{name: "n", cell: func(p *point, _ []float64) any { return p.g.w.Mesh.NCells() }},
 			{name: "k", cell: dirs}, {name: "worst_ratio", metric: ratio}, {name: "worst_m", cell: procs},
@@ -349,7 +356,7 @@ var figures = []figure{
 			}
 			return []any{g.mesh, len(g.weights), total, machine}
 		},
-		meshes: []string{"tetonly"}, ks: []int{24}, rows: weightedRows,
+		meshes: []string{"tetonly"}, ks: []int{24}, rows: weightedRows, seed: spaced(0x321, 0, 0),
 		runs: []run{weightedRun(heuristics.Level, false), weightedRun(heuristics.Level, true), weightedRun(heuristics.DFDS, false)},
 		cols: []col{{name: "m", cell: procs}, {name: "assign", cell: func(p *point, _ []float64) any { return []string{"random", "balanced"}[p.x] }},
 			{name: "ratio_level", metric: loadRatio}, {name: "ratio_rdp", run: 1, metric: loadRatio},
@@ -382,10 +389,14 @@ func share(a, b int) func(*point, []float64) any {
 	}
 }
 
-// cellAt is the value a claim reads off cell j of a row; num reads a
-// cell as a number.
+// cellAt is the value a claim reads off cell j of a row, quotAt the
+// ratio of cells a and b; num reads a cell as a number.
 func cellAt(j int) func([][]any, int) float64 {
 	return func(rows [][]any, i int) float64 { return num(rows[i][j]) }
+}
+
+func quotAt(a, b int) func([][]any, int) float64 {
+	return func(rows [][]any, i int) float64 { return num(rows[i][a]) / num(rows[i][b]) }
 }
 
 func num(cell any) float64 {
@@ -436,8 +447,8 @@ func edges(w *Workload) int {
 	return total
 }
 
-// mixed is the seed rule of the mean-ratio columns: the master seed, the
-// column's tag and the golden-ratio-spread trial number.
+// mixed is the seed rule of the mean-ratio figures: the master seed, the
+// figure's tag and the golden-ratio-spread trial number.
 func mixed(tag uint64) func(*point, int) uint64 {
 	return func(p *point, trial int) uint64 {
 		return p.g.cfg.Seed ^ tag ^ (uint64(trial+1) * 0x9e3779b97f4a7c15)
@@ -450,7 +461,7 @@ func spaced(tag uint64, off, mul int) func(*point, int) uint64 {
 	return func(p *point, trial int) uint64 { return p.g.cfg.Seed ^ tag ^ uint64(off+p.x*mul+trial) }
 }
 
-// perM seeds a run made once per row from the master seed, a tag and m.
+// perM seeds the runs made once per row from the master seed, a tag and m.
 func perM(tag uint64) func(*point, int) uint64 {
 	return func(p *point, _ int) uint64 { return p.g.cfg.Seed ^ tag ^ uint64(p.m) }
 }
@@ -466,17 +477,17 @@ func blocksOf(bs int) func(*point) sweepsched.ScheduleOptions {
 	return func(*point) sweepsched.ScheduleOptions { return blocks(bs) }
 }
 
-// fig3 is a Figure 3 panel: the named schedulers, seeded by position, on
-// blocks of bs cells; with Config.Anglesets, angleset-aggregated and
-// audited as such.
+// fig3 is a Figure 3 panel: the named schedulers on one shared
+// assignment of bs-cell blocks per (row, trial); with Config.Anglesets,
+// angleset-aggregated and audited as such.
 func fig3(id, about, meshName string, bs int, names ...heuristics.Name) figure {
-	f := figure{id: id, paper: true, title: id + ": " + about, meshes: []string{meshName}, ks: []int{4, 24, 48},
+	f := figure{id: id, paper: true, title: id + ": " + about, meshes: []string{meshName}, ks: []int{4, 24, 48}, seed: mixed(0xf30),
 		cols: []col{{name: "k", cell: dirs}, {name: "m", cell: procs}}}
 	opts := func(p *point) sweepsched.ScheduleOptions {
 		return sweepsched.ScheduleOptions{BlockSize: bs, Anglesets: p.g.cfg.Anglesets}
 	}
 	for i, name := range names {
-		f.runs = append(f.runs, run{seed: mixed(0xf30 + uint64(i)), alg: name, opts: opts})
+		f.runs = append(f.runs, run{alg: name, opts: opts})
 		f.cols = append(f.cols, col{name: "ratio_" + string(name), run: i, metric: ratio})
 	}
 	return f
@@ -488,10 +499,9 @@ func (f figure) with(claims ...claim) figure {
 	return f
 }
 
-// delayRange is ablate_delay's column for delay range R, seeded by its
-// position.
-func delayRange(i, R int) run {
-	return run{seed: mixed(0xab0 + uint64(i)), do: func(p *point, seed uint64) (*sample, error) {
+// delayRange is ablate_delay's column for delay range R.
+func delayRange(R int) run {
+	return run{do: func(p *point, seed uint64) (*sample, error) {
 		r := rng.New(seed)
 		return levelDelayed(p, sched.RandomAssignment(p.inst.N(), p.m, r), R, r)
 	}}
@@ -770,7 +780,7 @@ func weightedRows(g *group) ([]*point, error) {
 // weightedRun is one weighted column: base priorities as the API derives
 // them, rdp's delays drawn in turn from one stream.
 func weightedRun(base heuristics.Name, delays bool) run {
-	return run{seed: spaced(0x321, 0, 0), once: true, do: func(p *point, seed uint64) (*sample, error) {
+	return run{once: true, do: func(p *point, seed uint64) (*sample, error) {
 		ws := sched.GetWorkspace(p.inst)
 		defer ws.Release()
 		rule, err := heuristics.Rule(ws, base, p.inst, p.assign, nil, nil, p.g.cfg.Workers)
