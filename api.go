@@ -110,6 +110,20 @@ type Problem struct {
 	// every BlockSize > 1 plan partitions; the first one builds it.
 	cellGraphOnce sync.Once
 	cellGraph     *partition.Graph
+
+	// blocks is the last unit-weight block partition a plan drew, which
+	// the next plan with its block size and seed assigns from (blocksFor).
+	blocksMu sync.Mutex
+	blocks   blockPartition
+}
+
+// blockPartition is a partition of the cell graph into blocks, and what
+// drew it: the block size and the seed. Plans only read it.
+type blockPartition struct {
+	size    int
+	seed    uint64
+	part    []int32
+	nBlocks int
 }
 
 // blockGraph returns the graph a block plan partitions. It is shared and
@@ -124,6 +138,32 @@ func (p *Problem) blockGraph(weights CellWeights) *partition.Graph {
 	g := *p.cellGraph
 	g.VWeight = weights
 	return &g
+}
+
+// blocksFor returns the block partition a plan with the block size, seed
+// and cell weights assigns from. The last one drawn with unit weights is
+// kept: the columns of one (row, trial) of a figure plan on one seed, so
+// their block plans partition once. A weighted plan balances the caller's
+// weights, which may change between plans, and always partitions afresh.
+// Two plans that miss at once both partition; the later one is kept.
+func (p *Problem) blocksFor(blockSize int, seed uint64, weights CellWeights) ([]int32, int, error) {
+	if weights != nil {
+		return partition.Blocks(p.blockGraph(weights), blockSize, seed)
+	}
+	p.blocksMu.Lock()
+	last := p.blocks
+	p.blocksMu.Unlock()
+	if last.part != nil && last.size == blockSize && last.seed == seed {
+		return last.part, last.nBlocks, nil
+	}
+	part, nBlocks, err := partition.Blocks(p.blockGraph(nil), blockSize, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.blocksMu.Lock()
+	p.blocks = blockPartition{size: blockSize, seed: seed, part: part, nBlocks: nBlocks}
+	p.blocksMu.Unlock()
+	return part, nBlocks, nil
 }
 
 // NewProblemFromFamily generates a synthetic mesh of the named family at
@@ -447,7 +487,7 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		if inst.Mesh == nil {
 			return nil, fmt.Errorf("sweepsched: block partitioning requires a mesh; this problem is non-geometric (use BlockSize <= 1)")
 		}
-		part, nBlocks, err := partition.Blocks(p.blockGraph(mdl.weights), opts.BlockSize, opts.Seed)
+		part, nBlocks, err := p.blocksFor(opts.BlockSize, opts.Seed, mdl.weights)
 		if err != nil {
 			return nil, err
 		}

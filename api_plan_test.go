@@ -441,3 +441,70 @@ func TestPlanAuditChecksReleaseFloors(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockPartitionKeptForTheNextPlan: two plans with one block size and
+// seed partition once — the second assigns from the very partition the
+// first drew — and draw the same assignment, whatever their schedulers.
+// Another seed partitions afresh, and so does a weighted plan with the
+// kept block size and seed, which leaves the kept partition as it was.
+// Every assignment is the one a fresh Problem draws, and plans made at
+// once on one Problem, under -race too, draw theirs.
+func TestBlockPartitionKeptForTheNextPlan(t *testing.T) {
+	fresh := func() *Problem {
+		p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	assignOf := func(p *Problem, alg Scheduler, seed uint64) []int32 {
+		res, err := p.Schedule(alg, ScheduleOptions{Seed: seed, BlockSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Schedule.Assign
+	}
+	p := fresh()
+	first := assignOf(p, RandomDelaysPriority, 3)
+	kept := &p.blocks.part[0]
+	if again := assignOf(p, Level, 3); &p.blocks.part[0] != kept || !slices.Equal(again, first) {
+		t.Fatal("a second plan with the same block size and seed partitioned again, or drew another assignment")
+	}
+	weights := make(CellWeights, p.N())
+	for v := range weights {
+		weights[v] = int32(1 + 40*(v%2))
+	}
+	weighted := func(p *Problem) []int32 {
+		res, err := p.ScheduleWeightedMachine(Level, ScheduleOptions{Seed: 3, BlockSize: 16}, weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Schedule.Assign
+	}
+	if got := weighted(p); &p.blocks.part[0] != kept || !slices.Equal(got, weighted(fresh())) || slices.Equal(got, first) {
+		t.Fatal("a weighted plan reused the unit-weight partition, or replaced it")
+	}
+	if got := assignOf(p, Level, 4); &p.blocks.part[0] == kept || !slices.Equal(got, assignOf(fresh(), Level, 4)) {
+		t.Fatal("a plan with another seed reused the partition, or drew another assignment than a fresh Problem")
+	}
+
+	want := map[uint64][]int32{3: first, 4: assignOf(fresh(), Level, 4)}
+	var wg sync.WaitGroup
+	got := make([][]int32, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Schedule(Level, ScheduleOptions{Seed: uint64(3 + i%2), BlockSize: 16})
+			if err == nil {
+				got[i] = res.Schedule.Assign
+			}
+		}()
+	}
+	wg.Wait()
+	for i, a := range got {
+		if !slices.Equal(a, want[uint64(3+i%2)]) {
+			t.Fatalf("concurrent plan %d (seed %d) drew another assignment", i, 3+i%2)
+		}
+	}
+}

@@ -74,7 +74,10 @@ go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm
 # at the benchmark's sweep-goroutine shape and, fault-tolerant, at its
 # sweep-faulty shape under its fault plan (ns/step, ns/task, ns/message),
 # and the route table every solve builds once and every recovery once
-# more.
+# more. BenchmarkSolveParallel steps each solve's first sweep and runs the
+# rest flat; BenchmarkSolveFaultTolerant steps its first epoch on each
+# layout (and every faulted one), then runs its clean epochs as one
+# Machine.Sweep, stepped once and flat after.
 go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
 
 echo "== angleset smoke: aggregated pipeline end to end under -race, every run audited =="

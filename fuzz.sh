@@ -27,5 +27,6 @@ FuzzStepCoreEquivalence ./internal/sched
 FuzzFluxBatchCodec ./internal/procrun
 FuzzOutboxMatchesReference ./internal/comm
 FuzzStepMatchesPerRowReference ./internal/machine
+FuzzFlatSweepMatchesStepped ./internal/machine
 FuzzKWayEquivalence ./internal/partition
 TARGETS

@@ -421,7 +421,10 @@ func sweep(m int, xs ...int) func(*group) ([]*point, error) {
 // run is made Trials times (once if once) from the trial's seed, every
 // sampled bespoke trial is audited (planned ones are audited by the
 // API), and each column's metric is averaged over its run's trials
-// before the cells are computed.
+// before the cells are computed. The trials are the outer loop, so the
+// runs of one (row, trial) plan one after another on the row's Problem,
+// which keeps the block partition of their shared seed from the first to
+// the next; a column still sums its trials in trial order.
 func (f *figure) row(p *point) ([]any, error) {
 	if p.cells != nil {
 		return p.cells, nil
@@ -438,16 +441,21 @@ func (f *figure) row(p *point) ([]any, error) {
 		defer func() { p.inst, p.prob = nil, nil }() // a row's task graphs live while the row runs
 	}
 	v := make([]float64, len(f.cols))
-	for ri := range f.runs {
-		rn := &f.runs[ri]
-		trials := cfg.Trials
+	trials := func(rn *run) int {
 		if rn.once {
-			trials = 1
+			return 1
 		}
-		for trial := 0; trial < trials; trial++ {
-			var seed uint64
-			if f.seed != nil {
-				seed = f.seed(p, trial)
+		return cfg.Trials
+	}
+	for trial := 0; trial < cfg.Trials; trial++ {
+		var seed uint64
+		if f.seed != nil {
+			seed = f.seed(p, trial)
+		}
+		for ri := range f.runs {
+			rn := &f.runs[ri]
+			if trial >= trials(rn) {
+				continue
 			}
 			var s *sample
 			var err error
@@ -468,10 +476,10 @@ func (f *figure) row(p *point) ([]any, error) {
 				}
 			}
 		}
-		for ci, c := range f.cols {
-			if c.metric != nil && c.run == ri {
-				v[ci] /= float64(trials)
-			}
+	}
+	for ci, c := range f.cols {
+		if c.metric != nil {
+			v[ci] /= float64(trials(&f.runs[c.run]))
 		}
 	}
 	cells := make([]any, len(f.cols))

@@ -175,6 +175,13 @@ type Engine struct {
 	// table: per recovery.
 	routed   *sched.StepTable
 	dueWhole bool // mc's deadlines are those of cur run whole: a fault-free sweep reuses them
+	// ranWhole: an epoch stepped the whole of cur to its end on mc's present
+	// routes and deadlines, so cur is feasible there and a clean epoch
+	// (runClean) cannot fail but by cancellation.
+	ranWhole bool
+	// stepOnly holds every epoch to the step loop: the tests' reference for
+	// the clean ones.
+	stepOnly bool
 
 	// The running epoch.
 	remaining int
@@ -383,16 +390,17 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 	mc.Steps, mc.Balance, mc.Psi = steps, bal, psi
 	if e.routed != steps {
 		mc.Build(e.inst, e.rec.Assign())
-		e.routed, e.dueWhole = steps, false
+		e.routed, e.dueWhole, e.ranWhole = steps, false, false
 	}
 	mc.Recv.Reset()
 	mc.Sent = mc.Sent[:0]
 	// A sweep's first epoch runs the whole of e.cur with nothing durable;
 	// e.cur is only rebuilt after a crash, which invalidates the routes as
 	// well.
-	if whole := cur == e.cur && e.remaining == len(mc.Done); !whole || !e.dueWhole {
+	whole := cur == e.cur && e.remaining == len(mc.Done)
+	if !whole || !e.dueWhole {
 		mc.Route(cur.Start, mc.Done)
-		e.dueWhole = whole
+		e.dueWhole, e.ranWhole = whole, false
 	}
 	e.end, e.nextCrash, e.dying = endCompleted, math.MaxInt32, e.dying[:0]
 	mc.Procs = mc.Procs[:0]
@@ -406,10 +414,17 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 		}
 	}
 	err := e.ranks.Epoch(e.report.Epochs, cur, e.rec.Assign())
-	for ls := int32(0); err == nil && e.end == endCompleted && ls < steps.Steps(); ls++ {
-		if err = ctx.Err(); err == nil {
-			err = e.step(ls)
+	clean := whole && e.ranWhole && !e.remote && !e.stepOnly &&
+		e.nextCrash == math.MaxInt32 && !e.inj.Pending() && !e.inj.holding()
+	if err == nil && clean {
+		err = e.runClean(ctx)
+	} else {
+		for ls := int32(0); err == nil && e.end == endCompleted && ls < steps.Steps(); ls++ {
+			if err = ctx.Err(); err == nil {
+				err = e.step(ls)
+			}
 		}
+		e.ranWhole = e.ranWhole || err == nil && whole && e.end == endCompleted
 	}
 	// Whatever is still held or in an open envelope is moot — the next
 	// epoch reads completed producers' fluxes from the durable psi.
@@ -419,6 +434,43 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 		e.applyCrashes()
 	}
 	return err
+}
+
+// runClean runs a clean epoch — in process, the whole of e.cur with nothing
+// done, on routes an epoch already ran it whole on, no live processor with
+// a crash planned and no message event pending or held — as one
+// Machine.Sweep, which runs it flat once the routes' traffic is known.
+// Nothing can go wrong in it but cancellation, whose ctx.Err() it returns,
+// so no barrier has anything to decide, and none can later: no crash is
+// left to fire, so the completion log is not kept, and no message event to
+// rewrite. It accounts for the steps as stepping them would: the global
+// step, StepsExecuted and the periodic checkpoints advance over every step
+// of the table.
+func (e *Engine) runClean(ctx context.Context) error {
+	mc := &e.mc
+	mc.Intercept = false
+	if err := mc.Sweep(ctx); err != nil {
+		return err
+	}
+	for ls := range mc.Steps.Steps() {
+		ckpt := e.checkpointAt(e.globalStep)
+		lo, hi := mc.Steps.Span(ls)
+		e.unsaved = lo < hi || e.unsaved && !ckpt
+		e.globalStep++
+		e.report.StepsExecuted++
+	}
+	e.remaining -= len(mc.Steps.Order())
+	return nil
+}
+
+// checkpointAt reports whether the periodic checkpoint falls due at the
+// barrier before global step g, and if it does counts the next from there.
+func (e *Engine) checkpointAt(g int32) bool {
+	if g-e.lastCkpt < e.ckptEvery {
+		return false
+	}
+	e.lastCkpt = g
+	return true
 }
 
 // step is local step ls of the running epoch: the barrier before it, the
@@ -455,10 +507,7 @@ func (e *Engine) step(ls int32) error {
 		e.end = endCrash
 		return nil
 	}
-	ckpt := g-e.lastCkpt >= e.ckptEvery
-	if ckpt {
-		e.lastCkpt = g
-	}
+	ckpt := e.checkpointAt(g)
 	if lo, hi := mc.Steps.Span(ls); lo == hi && !e.remote && !(ckpt && e.unsaved) && !e.inj.matures(g) {
 		e.globalStep++
 		e.report.StepsExecuted++

@@ -15,7 +15,12 @@
 // what is durable, reassigns their cells onto the survivors, list-schedules
 // the not-yet-done tasks (a sched.Rule with Done) and resumes. Where
 // the processors run between the barriers, and what a crash loses, is the
-// Ranks seam: modelled here, worker processes under internal/procrun. The
+// Ranks seam: modelled here, worker processes under internal/procrun. An
+// epoch with nothing left to decide is clean: in process, the whole
+// schedule from nothing done, on routes an epoch already ran it whole on,
+// no crash planned on a live processor, no message event pending or held.
+// It runs as one Machine.Sweep (flat once the machine knows its traffic)
+// and counts its steps, checkpoints and global step as stepping would. The
 // per-task arithmetic is unchanged by recovery, so a recovered transport
 // solve converges to flux bitwise-identical to the fault-free serial solve.
 //

@@ -7,32 +7,15 @@ import (
 	"slices"
 	"testing"
 
-	"sweepsched/internal/heuristics"
 	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/machine"
 	"sweepsched/internal/mesh"
-	"sweepsched/internal/quadrature"
-	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 )
 
 func testSchedule(t testing.TB, m int, seed uint64) *sched.Schedule {
 	t.Helper()
-	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 3, Jitter: 0.15, Seed: seed})
-	dirs, err := quadrature.Octant(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sched.NewInstance(msh, dirs, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(seed ^ 0x77)
-	s, err := heuristics.Run(heuristics.RandomDelaysPriority, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return rdpSchedule(t, mesh.KuhnBox(mesh.BoxSpec{NX: 3, NY: 3, NZ: 3, Jitter: 0.15, Seed: seed}), 8, m, seed^0x77)
 }
 
 // zeroBalance is a cell balance that tracks dependencies only.
@@ -303,22 +286,33 @@ func (c *cancelAt) Err() error {
 	return c.Context.Err()
 }
 
+// TestEngineCancellation cancels a sweep halfway through: a fault-free
+// engine's first (stepped), its second (a clean epoch, stepped in the
+// machine) and its third (a clean epoch, flat). Each returns ctx.Err()
+// having asked no further.
 func TestEngineCancellation(t *testing.T) {
 	s := testSchedule(t, 4, 7)
-	leakcheck.Check(t, func() {
-		eng, err := NewEngine(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		mid := &cancelAt{Context: ctx, cancel: cancel, n: s.Makespan / 2}
-		psi := make([]float64, s.Inst.NTasks())
-		if err := eng.Sweep(mid, zeroBalance(s), psi); !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-		if mid.asked != mid.n {
-			t.Fatalf("asked %d times, want the sweep to stop at the %d-th", mid.asked, mid.n)
-		}
-	})
+	for warm, name := range []string{"stepped", "clean", "clean and flat"} {
+		leakcheck.Check(t, func() {
+			eng, err := NewEngine(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			psi := make([]float64, s.Inst.NTasks())
+			for range warm {
+				if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			mid := &cancelAt{Context: ctx, cancel: cancel, n: s.Makespan / 2}
+			if err := eng.Sweep(mid, zeroBalance(s), psi); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: got %v, want context.Canceled", name, err)
+			}
+			if mid.asked != mid.n {
+				t.Fatalf("%s: asked %d times, want the sweep to stop at the %d-th", name, mid.asked, mid.n)
+			}
+		})
+	}
 }

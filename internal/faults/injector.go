@@ -185,6 +185,10 @@ func (inj *Injector) matures(step int32) bool {
 	return false
 }
 
+// holding reports whether a delivery is held (a fired Delay not yet
+// matured).
+func (inj *Injector) holding() bool { return len(inj.delayed) > 0 }
+
 // DiscardDelayed drops all held deliveries. Called on epoch teardown: the
 // producers of held fluxes have completed, so after recovery their values
 // are read from the durable checkpoint instead.

@@ -5,10 +5,13 @@
 // marks, the per-processor acks, the interconnect (deadline-driven
 // envelopes, or one transmission per message) and the traffic accounting,
 // and has the one step body (Step: one loop over the step's positions of
-// the step table, where the live processors' rows lie side by side, the
-// cell balance inline) and the one hand-over of a flux (hand). Every
-// executor is this machine: the parallel transport solve
-// sweeps it (Sweep), a simulation being its dependency-only case
+// the step table, where the live processors' rows lie side by side), the
+// one hand-over of a flux (hand), and one per-task arithmetic (taskFlux:
+// the inputs read, the cell balance) that the body and the flat sweep
+// (sweepFlat) both compute a flux with. Every executor is this machine:
+// the parallel transport solve sweeps it (Sweep: stepped until a sweep
+// has counted the layout's traffic, flat after), a simulation being its
+// dependency-only case
 // (transport.DependencyOnly), the fault engine (internal/faults)
 // runs its epochs on it, and under internal/procrun its processors are
 // worker processes — each steps a machine whose one live processor is its
@@ -39,6 +42,13 @@
 //     only when a row stopped short, and OpenStep's flush visits only the
 //     open envelopes. The comm.* counters are posted once per sweep or
 //     epoch, not per barrier.
+//   - A sweep's traffic follows from the routes, their deadlines, the live
+//     processors and the interconnect. A flat sweep adds what the stepped
+//     sweep of the same ones added, and Build and Route, which change the
+//     routes and deadlines, drop that record; a sweep starts and ends with
+//     no envelope open, so none carries over. The flat loop decides
+//     nothing: an input it finds missing sends the sweep back to the
+//     stepped loop, whose error it returns.
 //
 // A Machine belongs to one step loop and is not safe for concurrent use.
 package machine
@@ -46,6 +56,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
@@ -83,6 +94,15 @@ type Stats struct {
 	// Rounds is Σ_step max_p(messages sent by p at that step) — the
 	// observed analogue of the paper's C2 metric.
 	Rounds int64
+}
+
+// plus and minus add and take away another account of traffic.
+func (s Stats) plus(d Stats) Stats {
+	return Stats{s.Messages + d.Messages, s.Batches + d.Batches, s.Bytes + d.Bytes, s.Rounds + d.Rounds}
+}
+
+func (s Stats) minus(d Stats) Stats {
+	return Stats{s.Messages - d.Messages, s.Batches - d.Batches, s.Bytes - d.Bytes, s.Rounds - d.Rounds}
 }
 
 // Ack is one modelled processor's account of the running step, written by
@@ -135,6 +155,7 @@ type Machine struct {
 	runs    []uint64 // per processor: the stamp of the Step its row runs in, 0 once stopped short
 	stamp   uint64   // the running Step's: one more per Step, never 0
 	due     []int32  // Route's scratch: per receive slot, its deadline
+	known   known    // the traffic of a sweep of the present layout, once a stepped one ran it
 }
 
 // tally is what the completions of the running step add up to, kept by
@@ -175,26 +196,29 @@ func (m *Machine) Observe(col *obs.Collector) { m.ctr = comm.NewCounters(col) }
 
 // post gives the counters what Comm gained since they were last given it.
 func (m *Machine) post() {
-	m.ctr.Logical(int(m.Comm.Messages - m.posted.Messages))
-	m.ctr.Transmitted(m.Comm.Batches-m.posted.Batches, m.Comm.Bytes-m.posted.Bytes)
+	d := m.Comm.minus(m.posted)
+	m.ctr.Logical(int(d.Messages))
+	m.ctr.Transmitted(d.Batches, d.Bytes)
 	m.posted = m.Comm
 }
 
 // Build resolves every flux route for the assignment, laid out in the
 // order of Steps (TaskID order without one), empties the receive slots,
-// the envelopes and the step's tally; it reuses the machine's storage. The
-// slots' deadlines are Route's to set, which a batched machine needs
-// before it steps.
+// the envelopes and the step's tally, and drops the traffic record (Sweep);
+// it reuses the machine's storage. The slots' deadlines are Route's to
+// set, which a batched machine needs before it steps.
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 	m.Recv.Build(inst, assign, m.Steps)
 	if len(m.Acks) != inst.M {
 		m.Acks, m.runs = make([]Ack, inst.M), make([]uint64, inst.M)
+		m.known.procs = make([]int32, 0, inst.M)
 	}
 	if m.outbox == nil { // the first Build
 		m.outbox = comm.NewOutbox(inst.M)
 	}
 	m.outbox.DiscardAll()
 	m.tally = tally{}
+	m.known.ok = false
 }
 
 // Route fixes, before the first step of a sweep or an epoch, what the
@@ -207,8 +231,10 @@ func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 // comm.NoDue when all of them are. (With a Drop on a sibling edge the
 // oracle's surviving delivery serves both; the envelope must be as early.)
 // One pass takes each slot's minimum over its out-entries, a second
-// writes it to them.
+// writes it to them. New deadlines send other envelopes, so Route drops
+// the traffic record (Sweep).
 func (m *Machine) Route(start []int32, durable []bool) {
+	m.known.ok = false
 	if slots := int(m.Recv.Slots()); cap(m.due) < slots {
 		m.due = make([]int32, slots)
 	} else {
@@ -266,15 +292,15 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 	return &RouteError{Task: t, To: to}
 }
 
-// Step is the only step body there is: one loop over the positions of
-// the step (Steps.Span), which hold every processor's row of it in
-// ascending processor order. A position whose processor is not live, or
+// Step is the only step body there is, the loop every stepped sweep,
+// epoch and worker runs between two barriers (a flat sweep has no
+// barriers): one loop over the positions of the step (Steps.Span), which
+// hold every processor's row of it in ascending processor order. A position whose processor is not live, or
 // whose row already stopped short, is skipped. Every route was resolved
-// by Build, in the order the loop runs: an upwind flux is read at the
-// producer's task id, which must be done, or in a receive slot, where it
-// must be visible; the task's flux is the cell balance of their average,
-// and a completed task is marked done and hands its cross-processor
-// fluxes over. Each live processor's ack is written once, reset before
+// by Build, in the order the loop runs: taskFlux reads an upwind flux at
+// the producer's task id, which must be done, or in a receive slot, where
+// it must be visible, and takes the cell balance of their average; a
+// completed task is marked done and hands its cross-processor fluxes over. Each live processor's ack is written once, reset before
 // the loop; what stops a row short (a local input not done, a flux not
 // received) ends that row, not the step, so an account is a prefix of
 // its row. A processor is live for one Step when its runs entry holds that
@@ -287,45 +313,61 @@ func (m *Machine) Step(step int32) {
 
 // step is Step over the step's positions [lo, hi).
 func (m *Machine) step(step, lo, hi int32) {
-	psi, done, q, denom, runs := m.Psi, m.Done, m.Q, m.Denom, m.runs
-	n := int32(len(q))
+	runs := m.runs
 	m.stamp++
 	stamp := m.stamp
 	for _, p := range m.Procs {
 		m.Acks[p] = Ack{StallTask: -1, StallMiss: -1}
 		runs[p] = stamp
 	}
-tasks:
 	for i := lo; i < hi; i++ {
 		t, p, in := m.Recv.At(i)
 		if runs[p] != stamp {
 			continue
 		}
 		a := &m.Acks[p]
-		inflow := 0.0
-		for _, x := range in {
+		val, x, ok := m.taskFlux(t, in, step)
+		if !ok {
 			if x >= 0 { // a local producer's task id
-				if !done[x] {
-					a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
-					runs[p], m.tally.stopped = 0, true
-					continue tasks
-				}
-				inflow += psi[x]
-				continue
-			}
-			val, have := m.Recv.Load(^x, step)
-			if !have {
+				a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
+			} else {
 				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
-				runs[p], m.tally.stopped = 0, true
-				continue tasks
 			}
-			inflow += val
+			runs[p], m.tally.stopped = 0, true
+			continue
 		}
-		if len(in) > 0 {
-			inflow /= float64(len(in))
-		}
-		m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
+		m.complete(a, i, t, step, val)
 	}
+}
+
+// taskFlux is the per-task arithmetic of both sweep loops, the stepped
+// (step) and the flat (sweepFlat), so that they compute one flux bit for
+// bit: task t's upwind fluxes, read where Build routed them (in, as At
+// gives it) — a local producer's at its task id, which must be done, a
+// remote one's in its receive slot, where it must be visible at step —
+// averaged in In order, and the cell balance of that average. At the first
+// input that is missing it returns ok false and that input's entry x.
+func (m *Machine) taskFlux(t sched.TaskID, in []int32, step int32) (val float64, x int32, ok bool) {
+	psi, done := m.Psi, m.Done
+	inflow := 0.0
+	for _, x := range in {
+		if x >= 0 {
+			if !done[x] {
+				return 0, x, false
+			}
+			inflow += psi[x]
+			continue
+		}
+		v, have := m.Recv.Load(^x, step)
+		if !have {
+			return 0, x, false
+		}
+		inflow += v
+	}
+	if len(in) > 0 {
+		inflow /= float64(len(in))
+	}
+	return (m.Q[int32(t)%int32(len(m.Q))] + inflow) / m.Denom, 0, true
 }
 
 // complete is what task t, at position i, having run at the step means to
@@ -501,21 +543,43 @@ func (m *Machine) Discard() {
 	m.post()
 }
 
-// Sweep runs every step of Steps once, from empty receive slots and
-// nothing done, with no fault to blame: per step it checks ctx, opens the
-// barrier, runs Step and closes the barrier, all on the caller's
-// goroutine — a modelled processor is a slice of Step's loop, not a
-// goroutine. A step with no positions is passed over after its ctx check:
-// every deadline is some consumer's start, so no envelope is due at it,
-// and nothing is sent in it, so a stretched schedule costs its tasks, not
-// its makespan times m. A missing flux (*StallError) ends the sweep like a
-// local input not done, and it returns ctx.Err() before the step that
-// follows a cancellation. It posts the sweep's traffic to the counters on
-// every return. A machine whose sweep failed is not reusable.
+// Sweep runs every step of Steps once, from empty receive slots, no
+// envelope open and nothing done, with no fault to blame, all on the
+// caller's goroutine — a modelled processor is a slice of a loop, not a
+// goroutine — and returns ctx.Err() before the step that follows a
+// cancellation. On every return it discards what is still open, as an
+// epoch's teardown does (an item due past the last step, or due at no
+// step, has no consumer in the sweep), and posts the sweep's traffic to
+// the counters. A machine whose sweep failed is not reusable.
+//
+// The first sweep of a layout (after Build or Route), and every sweep with
+// a Wire or Intercept, is stepped: per step it checks ctx, opens the
+// barrier, runs Step and closes the barrier. A step with no positions is
+// passed over after its ctx check: every deadline is some consumer's
+// start, so no envelope is due at it, and nothing is sent in it, so a
+// stretched schedule costs its tasks, not its makespan times m. A missing
+// flux (*StallError) ends the sweep like a local input not done. A stepped
+// sweep with neither that runs every position records what it added to
+// Comm, and the live processors and interconnect it ran with.
+//
+// A later sweep under the same ones sends exactly that again, so it runs
+// flat (sweepFlat) and adds the record. Build and Route drop the record:
+// they are the only calls that change the routes or the deadlines the
+// traffic follows from.
 func (m *Machine) Sweep(ctx context.Context) error {
-	defer m.post()
+	m.outbox.DiscardAll()
+	defer m.Discard()
+	quiet := m.Wire == nil && !m.Intercept
+	if quiet && m.known.holds(m) {
+		if ran, err := m.sweepFlat(ctx); ran {
+			return err
+		}
+		m.known.ok = false // an input was missing: the stepped sweep says which
+	}
+	before := m.Comm
 	m.Recv.Reset()
 	clear(m.Done)
+	ran := 0
 	for st := range m.Steps.Steps() {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -526,9 +590,65 @@ func (m *Machine) Sweep(ctx context.Context) error {
 		}
 		m.OpenStep(st)
 		m.step(st, lo, hi)
+		ran += int(m.tally.completed)
 		if err := m.CloseStep(st); err != nil {
 			return err
 		}
 	}
+	if quiet && ran == len(m.Steps.Order()) {
+		m.known.learn(m, before)
+	}
 	return nil
+}
+
+// known is what a stepped sweep of the present layout, run whole, added to
+// Comm, and what it ran with: the live processors and the interconnect.
+type known struct {
+	ok      bool
+	traffic Stats
+	noBatch bool
+	procs   []int32 // Build sizes it for every processor
+}
+
+// learn records the sweep that took Comm from before to what it is now.
+func (k *known) learn(m *Machine, before Stats) {
+	k.ok, k.noBatch, k.traffic = true, m.NoBatch, m.Comm.minus(before)
+	k.procs = append(k.procs[:0], m.Procs...)
+}
+
+// holds reports whether a sweep of m now would send what the record says.
+func (k *known) holds(m *Machine) bool {
+	return k.ok && k.noBatch == m.NoBatch && slices.Equal(k.procs, m.Procs)
+}
+
+// sweepFlat is a sweep whose traffic is known: one loop over the step
+// table's positions, a ctx check before every step, and per task what the
+// stepped loop does — its flux (taskFlux) into Psi, its done mark, and the
+// flux handed into its receive slots, visible from the next step — without
+// the acks, the tally and the envelopes, whose sum the record holds. It
+// adds the record to Comm when it ran every step, and reports ran false,
+// having added nothing, at the first input it finds missing.
+func (m *Machine) sweepFlat(ctx context.Context) (ran bool, err error) {
+	m.Recv.Reset()
+	clear(m.Done)
+	psi, done := m.Psi, m.Done
+	for st := range m.Steps.Steps() {
+		if err := ctx.Err(); err != nil {
+			return true, err
+		}
+		lo, hi := m.Steps.Span(st)
+		for i := lo; i < hi; i++ {
+			t, _, in := m.Recv.At(i)
+			val, _, ok := m.taskFlux(t, in, st)
+			if !ok {
+				return false, nil
+			}
+			psi[t], done[t] = val, true
+			for _, o := range m.Recv.Out(i) {
+				m.Recv.Deliver(o.Slot, val, st+1)
+			}
+		}
+	}
+	m.Comm = m.Comm.plus(m.known.traffic)
+	return true, nil
 }

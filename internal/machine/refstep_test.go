@@ -168,10 +168,10 @@ func TestStepMatchesPerRowReference(t *testing.T) {
 	}
 }
 
-// stepCases builds the seed's schedule and compares the step bodies on it
-// feasible and with each planted violation it has room for; it returns
-// how many cases ran.
-func stepCases(t *testing.T, ws *sched.Workspace, seed uint64) (cases int) {
+// stepSchedule is the seed's feasible schedule — a list or comm-delay
+// schedule of a random layered DAG on m ∈ {1, 8, 64} — and the seed's
+// stream, which its cases go on drawing from.
+func stepSchedule(t *testing.T, ws *sched.Workspace, seed uint64) (*sched.Schedule, *rng.Source) {
 	t.Helper()
 	r := rng.New(seed)
 	m := []int{1, 8, 64}[seed%3]
@@ -194,20 +194,47 @@ func stepCases(t *testing.T, ws *sched.Workspace, seed uint64) (cases int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"feasible", "local", "cross"} {
-		v := &sched.Schedule{Inst: inst, Assign: assign, Start: slices.Clone(s.Start), Makespan: s.Makespan}
-		if kind != "feasible" && !plant(v, kind, r) {
-			continue
-		}
-		procs := sched.AllProcs(m)
-		if seed%2 == 0 {
-			procs = procs[:0]
-			for p := range int32(m) {
-				if r.Intn(3) == 0 {
-					procs = append(procs, p)
-				}
+	return s, r
+}
+
+// variant is s, feasible, or with the planted violation of the given kind
+// (plant), drawing from r; nil when s has no room for it.
+func variant(s *sched.Schedule, kind string, r *rng.Source) *sched.Schedule {
+	v := &sched.Schedule{Inst: s.Inst, Assign: s.Assign, Start: slices.Clone(s.Start), Makespan: s.Makespan}
+	if kind != "feasible" && !plant(v, kind, r) {
+		return nil
+	}
+	return v
+}
+
+// liveSet is every processor of m, or, for an even seed, a sparse random
+// set of them.
+func liveSet(m int, seed uint64, r *rng.Source) []int32 {
+	procs := sched.AllProcs(m)
+	if seed%2 == 0 {
+		procs = procs[:0]
+		for p := range int32(m) {
+			if r.Intn(3) == 0 {
+				procs = append(procs, p)
 			}
 		}
+	}
+	return procs
+}
+
+// stepCases builds the seed's schedule and compares the step bodies on it
+// feasible and with each planted violation it has room for; it returns
+// how many cases ran.
+func stepCases(t *testing.T, ws *sched.Workspace, seed uint64) (cases int) {
+	t.Helper()
+	s, r := stepSchedule(t, ws, seed)
+	m := s.Inst.M
+	for _, kind := range []string{"feasible", "local", "cross"} {
+		v := variant(s, kind, r)
+		if v == nil {
+			continue
+		}
+		procs := liveSet(m, seed, r)
 		name := fmt.Sprintf("seed %d, m=%d, %s, %d live", seed, m, kind, len(procs))
 		failed := compareSteps(t, name, v, procs, seed%7 < 3, seed%5 < 2)
 		// With every processor live a planted fault fails a barrier

@@ -78,6 +78,7 @@ type decl struct {
 type use struct {
 	pkg, name string
 	call      bool // x.name(...)
+	set       bool // x.name = ... (or ++, --): written, not read
 }
 
 // source is every non-test declaration of the module and of bench/, and
@@ -217,9 +218,15 @@ func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 	// walk collects the references under n into d.
 	walk := func(d *decl, n ast.Node) {
 		selected := map[*ast.Ident]bool{} // the Sel of a selector: not a scope lookup
-		calls := map[ast.Expr]bool{}
+		calls, set := map[ast.Expr]bool{}, map[ast.Expr]bool{}
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					set[l] = true
+				}
+			case *ast.IncDecStmt:
+				set[n.X] = true
 			case *ast.StructType:
 				for _, f := range n.Fields.List {
 					for _, id := range f.Names {
@@ -230,7 +237,7 @@ func (s *source) index(fset *token.FileSet, rel string, f *ast.File) {
 				calls[n.Fun] = true
 			case *ast.SelectorExpr:
 				selected[n.Sel] = true
-				u := use{name: n.Sel.Name, call: calls[n]}
+				u := use{name: n.Sel.Name, call: calls[n], set: set[n]}
 				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
 					u.pkg = imports[x.Name]
 				}
@@ -400,7 +407,16 @@ func TestInternalReachability(t *testing.T) {
 // TestStructure refuses the duplication the executor and kernel refactors
 // removed, and a package main outside cmd/ and bench/, a program only
 // compiled, never run. The modelled machine (internal/machine) has the
-// only Step body, and no per-processor RunProc body exists anywhere;
+// only Step body, and no per-processor RunProc body exists anywhere. It
+// has two sweep loops: the stepped one (Step, between the barriers), which
+// keeps the acks, the tally and the envelopes that tell a stall, an error
+// or a fault from a clean run and count its traffic, and the flat one
+// (sweepFlat), which runs a layout whose traffic a stepped sweep already
+// counted and has nothing left to find out. Both compute a flux by one
+// helper, taskFlux, and nothing else calls it; nothing under internal/ but
+// taskFlux reads a cell balance's Denom, save the serial solve
+// (transport's sweepOnce), the reference every executor is held to bit for
+// bit — so a third loop, under any name, cannot compute a flux unseen.
 // transport.SolveOn is the only code that alternates a sweep with
 // UpdatePhi; faults.Engine is the only fault-epoch loop, and
 // internal/procrun, its wire side, may not route, reschedule or iterate on
@@ -411,7 +427,7 @@ func TestInternalReachability(t *testing.T) {
 // carried into the core's run state is a second input form.
 func TestStructure(t *testing.T) {
 	s := loadSource(t)
-	var bodies, loops []string
+	var bodies, loops, fluxCallers, balances []string
 	declared := map[string]int{}
 	for _, d := range s.decls {
 		at := fmt.Sprintf("%s:%d", d.file, d.line)
@@ -425,6 +441,12 @@ func TestStructure(t *testing.T) {
 			t.Errorf("%s: %s declared outside refimpl", at, d.name)
 		}
 		for _, u := range d.uses {
+			if u.name == "taskFlux" && !slices.Contains(fluxCallers, d.key) {
+				fluxCallers = append(fluxCallers, d.key)
+			}
+			if u.pkg == "" && u.name == "Denom" && !u.set && strings.HasPrefix(d.file, "internal/") && !slices.Contains(balances, d.key) {
+				balances = append(balances, d.key)
+			}
 			if !u.call || u.pkg != "" && !strings.HasPrefix(u.pkg, modulePath) {
 				continue // not a call, or a call into the standard library
 			}
@@ -444,6 +466,14 @@ func TestStructure(t *testing.T) {
 	}
 	if len(loops) != 1 {
 		t.Errorf("UpdatePhi is called from %v, want the one SolveOn loop", loops)
+	}
+	slices.Sort(fluxCallers)
+	if !slices.Equal(fluxCallers, []string{"machine.Machine.step", "machine.Machine.sweepFlat"}) {
+		t.Errorf("taskFlux is used in %v, want the two sweep loops, machine.Machine.step and sweepFlat", fluxCallers)
+	}
+	slices.Sort(balances)
+	if !slices.Equal(balances, []string{"machine.Machine.taskFlux", "transport.sweepOnce"}) {
+		t.Errorf("a cell balance's Denom is read in %v, want machine.Machine.taskFlux (the machine's one flux) and transport.sweepOnce (the serial reference) only", balances)
 	}
 	for _, name := range []string{"epochEnd", "endCrash"} {
 		if declared[name] != 1 {
