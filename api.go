@@ -730,22 +730,27 @@ func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportRe
 // SolveTransportParallel runs the same solve on the machine the schedule
 // was made for: its m processors are modelled — each owns its cells'
 // fluxes and sees another processor's only through the interconnect —
-// and stepped barrier-synchronously by one shared driver, a loop on the
-// caller's goroutine that runs a step's processors in ascending order
-// (no goroutine per processor; what is modelled is the machine's data
-// flow and traffic, not its speed). Fluxes cross through the batched
-// interconnect (deadline-driven per-destination envelopes; set
-// TransportConfig.NoBatch for one delivery per message), handed over at
-// the barrier between steps, where every per-processor count is also
-// folded in processor order — so the result is bitwise-identical to
-// SolveTransport, and TransportResult.Comm (the observed traffic) is the
-// same on either interconnect but for the transmissions.
+// and stepped barrier-synchronously by the fault engine with an empty
+// plan (SolveTransportFaultTolerant with a nil plan, its report dropped),
+// a loop on the caller's goroutine that runs a step's processors in
+// ascending order (no goroutine per processor; what is modelled is the
+// machine's data flow and traffic, not its speed). The first sweep steps
+// the machine and counts its traffic; every later one has nothing left to
+// decide and runs flat. Fluxes cross through the batched interconnect
+// (deadline-driven per-destination envelopes; set TransportConfig.NoBatch
+// for one delivery per message), handed over at the barrier between
+// steps, where every per-processor count is also folded in processor
+// order — so the result is bitwise-identical to SolveTransport, and
+// TransportResult.Comm (the observed traffic) is the same on either
+// interconnect but for the transmissions. An infeasible schedule is
+// refused with the engine's error.
 func (p *Problem) SolveTransportParallel(res *Result, cfg TransportConfig) (*TransportResult, error) {
 	s, err := p.scheduleOf(res)
 	if err != nil {
 		return nil, err
 	}
-	return transport.SolveParallelCtx(context.Background(), s, cfg)
+	tr, _, err := transport.SolveFaultTolerant(context.Background(), s, cfg, nil)
+	return tr, err
 }
 
 // MultigroupConfig couples several energy groups through downscatter; see
@@ -770,17 +775,17 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 }
 
 // Simulate executes a result's schedule on the modelled machine — the
-// same barrier-step machine as SolveTransportParallel, with one delivery
-// per message and every flux zero (transport.DependencyOnly): a task runs
-// only if every upwind flux was completed locally or delivered — and
-// returns its independent accounting (steps, total messages = C1,
-// communication rounds = C2).
+// same barrier-step machine as SolveTransportParallel, the fault engine
+// with an empty plan, with one delivery per message and every flux zero
+// (transport.DependencyOnly): a task runs only if every upwind flux was
+// completed locally or delivered — and returns its independent accounting
+// (steps, total messages = C1, communication rounds = C2).
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
 	s, err := p.scheduleOf(res)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := transport.SolveParallelCtx(context.Background(), s, transport.DependencyOnly)
+	tr, _, err := transport.SolveFaultTolerant(context.Background(), s, transport.DependencyOnly, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -70,14 +70,15 @@ go test -run '^$' -bench 'Benchmark(WeightedKernel|GreedySchedule)$' -benchmem -
 # The priority fillers on a family's first plan and on every later one,
 # and whole warm plans: bytes/op there is the Result and little else.
 go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm)/' -benchmem -benchtime 1x ./internal/heuristics .
-# The in-process executors — all the modelled machine — on the small box,
-# at the benchmark's sweep-goroutine shape and, fault-tolerant, at its
-# sweep-faulty shape under its fault plan (ns/step, ns/task, ns/message),
-# and the route table every solve builds once and every recovery once
-# more. BenchmarkSolveParallel steps each solve's first sweep and runs the
-# rest flat; BenchmarkSolveFaultTolerant steps its first epoch on each
-# layout (and every faulted one), then runs its clean epochs as one
-# Machine.Sweep, stepped once and flat after.
+# The in-process executors — all the fault engine on the modelled machine
+# — (ns/step, ns/task, ns/message), and the route table every solve builds
+# once and every recovery once more. BenchmarkSolveParallel is the engine
+# with no plan on the small box and at the benchmark's sweep-goroutine
+# shape: each solve steps its first sweep, which records the traffic, and
+# runs the rest as clean epochs, flat. BenchmarkSolveFaultTolerant/faulty
+# is the sweep-faulty shape under its fault plan: every epoch that can
+# fault steps, and so does the first whole one on each new layout; the
+# clean ones after it run flat.
 go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
 
 echo "== angleset smoke: aggregated pipeline end to end under -race, every run audited =="

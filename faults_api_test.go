@@ -39,8 +39,8 @@ func TestScheduleCtxCancelled(t *testing.T) {
 
 // TestSolveTransportCtxVariantsCancelled: a cancelled context stops every
 // cancellable solve of a Result's schedule, the way the daemon runs one:
-// transport.SolveCtx (SolveTransport's path), transport.SolveParallelCtx
-// (SolveTransportParallel's) and SolveParallelCtx with DependencyOnly
+// transport.SolveCtx (SolveTransport's path), transport.SolveFaultTolerant
+// with no plan (SolveTransportParallel's) and the same with DependencyOnly
 // (Simulate's).
 func TestSolveTransportCtxVariantsCancelled(t *testing.T) {
 	_, res := faultTestProblem(t)
@@ -50,11 +50,11 @@ func TestSolveTransportCtxVariantsCancelled(t *testing.T) {
 	if _, err := transport.SolveCtx(ctx, res.Schedule, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveCtx: got %v", err)
 	}
-	if _, err := transport.SolveParallelCtx(ctx, res.Schedule, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveParallelCtx: got %v", err)
+	if _, _, err := transport.SolveFaultTolerant(ctx, res.Schedule, cfg, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveFaultTolerant: got %v", err)
 	}
-	if _, err := transport.SolveParallelCtx(ctx, res.Schedule, transport.DependencyOnly); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveParallelCtx(DependencyOnly): got %v", err)
+	if _, _, err := transport.SolveFaultTolerant(ctx, res.Schedule, transport.DependencyOnly, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveFaultTolerant(DependencyOnly): got %v", err)
 	}
 }
 

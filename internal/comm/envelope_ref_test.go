@@ -219,8 +219,12 @@ func machineEnvelopeOps(t *testing.T, s *sched.Schedule, plan *faults.Plan) ([]e
 		t.Fatal(err)
 	}
 	var steps sched.StepTable
+	procs := make([]int32, inst.M)
+	for p := range procs {
+		procs[p] = int32(p)
+	}
 	mc := &machine.Machine{
-		Steps: &steps, Procs: sched.AllProcs(inst.M),
+		Steps: &steps, Procs: procs,
 		Balance: machine.Balance{Q: make([]float64, inst.N()), Denom: 1},
 		Psi:     make([]float64, inst.NTasks()), Done: make([]bool, inst.NTasks()),
 	}

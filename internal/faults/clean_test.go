@@ -16,14 +16,21 @@ import (
 )
 
 // countedRanks is the engine's own modelled Ranks, counting the steps it
-// runs: an epoch run clean steps none.
+// runs, in all and per epoch: an epoch run clean steps none.
 type countedRanks struct {
 	Ranks
-	steps int
+	steps  int
+	epochs []int // per epoch, the steps it ran
+}
+
+func (r *countedRanks) Epoch(n int, cur *sched.Schedule, assign sched.Assignment) error {
+	r.epochs = append(r.epochs, 0)
+	return r.Ranks.Epoch(n, cur, assign)
 }
 
 func (r *countedRanks) RunStep(ls, g int32, ckpt bool) ([]int32, error) {
 	r.steps++
+	r.epochs[len(r.epochs)-1]++
 	return r.Ranks.RunStep(ls, g, ckpt)
 }
 
@@ -33,7 +40,8 @@ type iterated struct {
 	report string
 	comm   machine.Stats
 	err    string
-	steps  int // the steps the ranks ran between barriers
+	steps  int   // the steps the ranks ran between barriers
+	epochs []int // of them, per epoch
 }
 
 // iterate runs sweeps sweeps of a source iteration on a fresh engine for
@@ -70,7 +78,7 @@ func iterate(t *testing.T, s *sched.Schedule, plan *Plan, noBatch, stepOnly bool
 			phi[v] = sum / float64(k)
 		}
 	}
-	out.phi, out.report, out.comm, out.steps = phi, eng.Report().String(), *eng.CommTraffic(), ranks.steps
+	out.phi, out.report, out.comm, out.steps, out.epochs = phi, eng.Report().String(), *eng.CommTraffic(), ranks.steps, ranks.epochs
 	return out
 }
 
@@ -125,9 +133,10 @@ func sameIteration(t *testing.T, name string, got, want iterated) {
 // iteration, on either interconnect, with clean epochs on and with every
 // epoch held to the step loop: the flux bits, the RecoveryReport bytes,
 // the traffic and the error must be the same. Some epochs run clean under
-// every plan but two: seed 3's, which kills every processor, and seed 4's,
-// two of whose message events can no longer fire (recovery moved their
-// cells), so one stays pending.
+// every plan but seed 3's, which kills every processor. (Under seed 4's,
+// some message events can no longer fire once recovery has moved their
+// cells; the engine retires them after the last crash, so the epochs after
+// it run clean.)
 func TestCleanEpochsMatchStepping(t *testing.T) {
 	box := fuzzBox(t)
 	type run struct {
@@ -142,7 +151,7 @@ func TestCleanEpochsMatchStepping(t *testing.T) {
 		crashes, drops, delays, dups uint8
 	}{{1, 1, 0, 0, 0}, {2, 0, 3, 2, 1}, {3, 4, 0, 0, 0}, {4, 2, 5, 5, 5}} {
 		spec := Spec{Crashes: int(c.crashes % 6), Drops: int(c.drops % 8), Delays: int(c.delays % 8), Duplicates: int(c.dups % 8)}
-		runs = append(runs, run{fmt.Sprintf("FuzzFaultPlan seed %d", c.seed), box, NewPlan(box, spec, c.seed), c.seed < 3})
+		runs = append(runs, run{fmt.Sprintf("FuzzFaultPlan seed %d", c.seed), box, NewPlan(box, spec, c.seed), c.seed != 3})
 	}
 	msh, err := mesh.Family("tetonly", 0.05, 1)
 	if err != nil {
@@ -165,7 +174,10 @@ func TestCleanEpochsMatchStepping(t *testing.T) {
 // TestCleanEpochsWaitForThePlannedCrash: a plan whose only crash falls in
 // the third sweep — its processor live until then, and no message event —
 // keeps stepping until the crash has fired, so the crash fires where it
-// does when every epoch steps, and the sweeps after it may run clean.
+// does when every epoch steps. After it exactly one epoch steps per new
+// layout: the residual epoch that ends the third sweep, and the fourth
+// sweep's on the rebuilt schedule, which records the traffic the fifth and
+// sixth then run clean with.
 func TestCleanEpochsWaitForThePlannedCrash(t *testing.T) {
 	s := fuzzBox(t)
 	mk := int32(s.Makespan) // the global steps of a fault-free sweep
@@ -174,11 +186,63 @@ func TestCleanEpochsWaitForThePlannedCrash(t *testing.T) {
 		name := fmt.Sprintf("crash at global step %d (noBatch=%v)", 2*mk+mk/2, noBatch)
 		got, want := iterate(t, s, plan, noBatch, false, 6), iterate(t, s, plan, noBatch, true, 6)
 		sameIteration(t, name, got, want)
-		if rep := got.report; got.err != "" || !strings.Contains(rep, "crash=1") || !strings.Contains(rep, "dead=[1]") {
-			t.Fatalf("%s: %s (%s), want the planned crash applied", name, rep, got.err)
+		if rep := got.report; got.err != "" || !strings.Contains(rep, "crash=1") || !strings.Contains(rep, "dead=[1]") || !strings.Contains(rep, "epochs=7") {
+			t.Fatalf("%s: %s (%s), want the planned crash applied and seven epochs", name, rep, got.err)
 		}
-		if got.steps >= want.steps {
-			t.Fatalf("%s: no epoch after the crash ran clean", name)
+		for i, n := range got.epochs {
+			if stepped := i < 5; (n > 0) != stepped {
+				t.Fatalf("%s: steps per epoch %v, want the first five stepped (three sweeps, the residual epoch, the rebuilt schedule's first) and the rest clean", name, got.epochs)
+			}
 		}
+	}
+}
+
+// TestEmptyPlanStepsOnlyItsFirstSweep: with no plan, eight sweeps of a
+// source iteration step their first, which records the layout's traffic,
+// and run the other seven clean — as many steps between barriers as one
+// stepped sweep — on either interconnect, agreeing bit for bit with every
+// epoch stepped.
+func TestEmptyPlanStepsOnlyItsFirstSweep(t *testing.T) {
+	s := fuzzBox(t)
+	for _, noBatch := range []bool{false, true} {
+		got, want := iterate(t, s, nil, noBatch, false, 8), iterate(t, s, nil, noBatch, true, 8)
+		sameIteration(t, fmt.Sprintf("no plan (noBatch=%v)", noBatch), got, want)
+		one := iterate(t, s, nil, noBatch, true, 1)
+		if got.steps != one.steps || len(got.epochs) != 8 {
+			t.Fatalf("noBatch=%v: eight sweeps ran %d steps between barriers in %d epochs (%v), one stepped sweep %d", noBatch, got.steps, len(got.epochs), got.epochs, one.steps)
+		}
+	}
+}
+
+// TestUnroutedEventsRetireOnceNoCrashIsLeft: a message event whose (task,
+// destination) has no route — task 0's flux into its own processor —
+// stays pending while a crash is still planned on a live processor, after
+// the first of two crashes too, since a crash moves cells; once the second
+// has fired and the routes are laid out again it is retired, and the
+// epochs after it run clean. It never fires, so it is not counted.
+func TestUnroutedEventsRetireOnceNoCrashIsLeft(t *testing.T) {
+	s := fuzzBox(t)
+	mk := int32(s.Makespan)
+	plan := &Plan{Seed: 1, Events: []Event{
+		{Kind: Crash, Proc: 1, Step: mk / 2},
+		{Kind: Crash, Proc: 2, Step: mk + mk/2},
+		{Kind: Drop, Task: 0, To: s.Assign[0]},
+	}}
+	eng, err := NewEngine(s, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psi := make([]float64, s.Inst.NTasks())
+	for sweep, pending := range []bool{true, false, false} {
+		if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
+			t.Fatal(err)
+		}
+		rep := eng.Report()
+		if eng.inj.Pending() != pending || rep.Crashes != min(sweep+1, 2) || rep.Drops != 0 {
+			t.Fatalf("after sweep %d (%s): an event pending is %v, want %v", sweep+1, rep, eng.inj.Pending(), pending)
+		}
+	}
+	if !eng.known {
+		t.Fatal("no traffic recorded after the last crash: the retired event still holds the epochs to stepping")
 	}
 }

@@ -175,10 +175,14 @@ type Engine struct {
 	// table: per recovery.
 	routed   *sched.StepTable
 	dueWhole bool // mc's deadlines are those of cur run whole: a fault-free sweep reuses them
-	// ranWhole: an epoch stepped the whole of cur to its end on mc's present
-	// routes and deadlines, so cur is feasible there and a clean epoch
-	// (runClean) cannot fail but by cancellation.
-	ranWhole bool
+	// traffic, once known, is what the first epoch that stepped the whole
+	// of cur on mc's present routes and deadlines added to mc.Comm, with no
+	// crash left on a live processor and no message event pending or held:
+	// cur is feasible there, and a clean epoch (runClean) cannot fail but by
+	// cancellation and sends exactly that again. It is dropped with the
+	// routes or the deadlines.
+	traffic machine.Stats
+	known   bool
 	// stepOnly holds every epoch to the step loop: the tests' reference for
 	// the clean ones.
 	stepOnly bool
@@ -388,20 +392,6 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 	e.liveProcs.Set(int64(e.rec.NLive()))
 	mc := &e.mc
 	mc.Steps, mc.Balance, mc.Psi = steps, bal, psi
-	if e.routed != steps {
-		mc.Build(e.inst, e.rec.Assign())
-		e.routed, e.dueWhole, e.ranWhole = steps, false, false
-	}
-	mc.Recv.Reset()
-	mc.Sent = mc.Sent[:0]
-	// A sweep's first epoch runs the whole of e.cur with nothing durable;
-	// e.cur is only rebuilt after a crash, which invalidates the routes as
-	// well.
-	whole := cur == e.cur && e.remaining == len(mc.Done)
-	if !whole || !e.dueWhole {
-		mc.Route(cur.Start, mc.Done)
-		e.dueWhole, e.ranWhole = whole, false
-	}
 	e.end, e.nextCrash, e.dying = endCompleted, math.MaxInt32, e.dying[:0]
 	mc.Procs = mc.Procs[:0]
 	for p := int32(0); p < int32(e.inst.M); p++ {
@@ -413,18 +403,41 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 			e.nextCrash = min(e.nextCrash, cs)
 		}
 	}
+	if e.routed != steps {
+		mc.Build(e.inst, e.rec.Assign())
+		e.routed, e.dueWhole, e.known = steps, false, false
+		if e.nextCrash == math.MaxInt32 {
+			// Only a crash moves a cell: a message with no route now is
+			// never sent again.
+			e.inj.retire(&mc.Recv)
+		}
+	}
+	mc.Recv.Reset()
+	mc.Sent = mc.Sent[:0]
+	// A sweep's first epoch runs the whole of e.cur with nothing durable;
+	// e.cur is only rebuilt after a crash, which invalidates the routes as
+	// well.
+	whole := cur == e.cur && e.remaining == len(mc.Done)
+	if !whole || !e.dueWhole {
+		mc.Route(cur.Start, mc.Done)
+		e.dueWhole, e.known = whole, false
+	}
+	// Nothing can fire in an epoch that starts quiet: crashes are planned
+	// up front, and message events only leave the injector.
+	quiet := e.nextCrash == math.MaxInt32 && !e.inj.Pending() && !e.inj.holding()
 	err := e.ranks.Epoch(e.report.Epochs, cur, e.rec.Assign())
-	clean := whole && e.ranWhole && !e.remote && !e.stepOnly &&
-		e.nextCrash == math.MaxInt32 && !e.inj.Pending() && !e.inj.holding()
-	if err == nil && clean {
+	if err == nil && whole && quiet && e.known && !e.remote && !e.stepOnly {
 		err = e.runClean(ctx)
 	} else {
+		before := mc.Comm
 		for ls := int32(0); err == nil && e.end == endCompleted && ls < steps.Steps(); ls++ {
 			if err = ctx.Err(); err == nil {
 				err = e.step(ls)
 			}
 		}
-		e.ranWhole = e.ranWhole || err == nil && whole && e.end == endCompleted
+		if err == nil && whole && quiet && e.end == endCompleted {
+			e.traffic, e.known = mc.Comm.Minus(before), true
+		}
 	}
 	// Whatever is still held or in an open envelope is moot — the next
 	// epoch reads completed producers' fluxes from the durable psi.
@@ -437,19 +450,18 @@ func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, steps *sched
 }
 
 // runClean runs a clean epoch — in process, the whole of e.cur with nothing
-// done, on routes an epoch already ran it whole on, no live processor with
-// a crash planned and no message event pending or held — as one
-// Machine.Sweep, which runs it flat once the routes' traffic is known.
-// Nothing can go wrong in it but cancellation, whose ctx.Err() it returns,
-// so no barrier has anything to decide, and none can later: no crash is
-// left to fire, so the completion log is not kept, and no message event to
-// rewrite. It accounts for the steps as stepping them would: the global
-// step, StepsExecuted and the periodic checkpoints advance over every step
-// of the table.
+// done, on routes whose traffic an epoch already stepped whole, no live
+// processor with a crash planned and no message event pending or held —
+// as one flat Machine.Sweep, which adds that traffic. Nothing can go wrong
+// in it but cancellation, whose ctx.Err() it returns, so no barrier has
+// anything to decide, and none can later: no crash is left to fire, so
+// the completion log is not kept, and no message event to rewrite. It
+// accounts for the steps as stepping them would: the global step,
+// StepsExecuted and the periodic checkpoints advance over every step of
+// the table.
 func (e *Engine) runClean(ctx context.Context) error {
 	mc := &e.mc
-	mc.Intercept = false
-	if err := mc.Sweep(ctx); err != nil {
+	if err := mc.Sweep(ctx, e.traffic); err != nil {
 		return err
 	}
 	for ls := range mc.Steps.Steps() {

@@ -16,13 +16,17 @@
 // the not-yet-done tasks (a sched.Rule with Done) and resumes. Where
 // the processors run between the barriers, and what a crash loses, is the
 // Ranks seam: modelled here, worker processes under internal/procrun. An
-// epoch with nothing left to decide is clean: in process, the whole
-// schedule from nothing done, on routes an epoch already ran it whole on,
-// no crash planned on a live processor, no message event pending or held.
-// It runs as one Machine.Sweep (flat once the machine knows its traffic)
-// and counts its steps, checkpoints and global step as stepping would. The
-// per-task arithmetic is unchanged by recovery, so a recovered transport
-// solve converges to flux bitwise-identical to the fault-free serial solve.
+// engine with an empty plan is the fault-free parallel executor: every
+// in-process solve and simulation runs here. An epoch with nothing left to
+// decide is clean: in process, the whole schedule from nothing done, no
+// crash planned on a live processor, no message event pending or held, on
+// routes whose traffic the first such epoch stepped and recorded (the
+// record is dropped wherever the routes or deadlines are laid out again).
+// It runs as one flat Machine.Sweep that adds the record, and counts its
+// steps, checkpoints and global step as stepping would; with no plan, a
+// solve steps its first sweep only. The per-task arithmetic is unchanged
+// by recovery, so a recovered transport solve converges to flux
+// bitwise-identical to the fault-free serial solve.
 //
 // Recovery reschedules under the communication delay the schedule was
 // built for (Schedule.CommDelay), so a plan made for delay c recovers into
@@ -46,7 +50,10 @@
 //     crashes and message events are finite. When every processor is dead
 //     the engine returns an *UnrecoverableError.
 //   - A message event fires once, on the first send of its (task,
-//     destination) message, batched or not. A crash loses what its victim
+//     destination) message, batched or not. Once no live processor has a
+//     crash left, an event whose message has no route is retired when the
+//     routes are laid out: only a crash moves a cell, so it could never
+//     fire. A retired event is not counted as applied. A crash loses what its victim
 //     completed since the last checkpoint (every CheckpointEvery steps),
 //     counted as TasksReplayed.
 //   - Engine.Sweep checks ctx before every step and returns ctx.Err(),

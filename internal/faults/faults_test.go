@@ -287,9 +287,8 @@ func (c *cancelAt) Err() error {
 }
 
 // TestEngineCancellation cancels a sweep halfway through: a fault-free
-// engine's first (stepped), its second (a clean epoch, stepped in the
-// machine) and its third (a clean epoch, flat). Each returns ctx.Err()
-// having asked no further.
+// engine's first (stepped), its second and its third (clean epochs, each
+// one flat Machine.Sweep). Each returns ctx.Err() having asked no further.
 func TestEngineCancellation(t *testing.T) {
 	s := testSchedule(t, 4, 7)
 	for warm, name := range []string{"stepped", "clean", "clean and flat"} {

@@ -152,6 +152,21 @@ func (inj *Injector) Rewrite(sends []Delivery, step int32) []Delivery {
 // handing them over in the bodies.
 func (inj *Injector) Pending() bool { return len(inj.msg) > 0 }
 
+// retire drops every message event still pending whose (task,
+// destination) message has no route in recv. The engine calls it when it
+// lays routes out while no live processor has a crash left to fire: only
+// a crash moves a cell, so such a message is never sent again and its
+// event could never fire. A retired event is not counted as applied.
+func (inj *Injector) retire(recv *sched.RecvTable) {
+	for key := range inj.msg {
+		routed := slices.ContainsFunc(recv.Out(recv.Pos(key.task)), func(o sched.OutEdge) bool { return o.To == key.to })
+		if !routed {
+			delete(inj.msg, key)
+			inj.pending[key.task]--
+		}
+	}
+}
+
 // Matured removes and returns every held delivery due at or before the
 // given global step, in deterministic (task, to) order.
 func (inj *Injector) Matured(step int32) []Delivery {

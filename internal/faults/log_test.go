@@ -177,11 +177,13 @@ func TestCompletionLogMatchesPerProcessorReference(t *testing.T) {
 	// Processor 2 not live: its rows are in every step's span, and nothing
 	// of them runs or is logged.
 	for _, noBatch := range []bool{false, true} {
-		mc, err := machine.New(s, noBatch, make([]float64, s.Inst.NTasks()))
-		if err != nil {
+		mc := &machine.Machine{NoBatch: noBatch, Steps: &sched.StepTable{}, Procs: []int32{0, 1, 3}, Balance: zeroBalance(s),
+			Psi: make([]float64, s.Inst.NTasks()), Done: make([]bool, s.Inst.NTasks())}
+		if err := mc.Steps.Build(s, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		mc.Balance, mc.Procs = zeroBalance(s), []int32{0, 1, 3}
+		mc.Build(s.Inst, s.Assign)
+		mc.Route(s.Start, nil)
 		mc.Recv.Reset()
 		lr := newLogRanks(t, fmt.Sprintf("processor 2 not live, noBatch=%v", noBatch), &modelled{mc: mc}, s.Inst.M)
 		for ls := range int32(s.Makespan) {

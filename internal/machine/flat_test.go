@@ -12,20 +12,40 @@ import (
 	"sweepsched/internal/sched"
 )
 
+// stepped sweeps m the stepped way (refSweep) and returns what that added
+// to Comm: the record a flat Sweep of the same layout is given, as the
+// fault engine keeps it.
+func stepped(ctx context.Context, m *Machine) (Stats, error) {
+	before := m.Comm
+	err := refSweep(ctx, m)
+	return m.Comm.Minus(before), err
+}
+
+// flat is a flat Sweep that adds rec, its traffic posted as an epoch's
+// teardown posts it.
+func flat(ctx context.Context, m *Machine, rec Stats) error {
+	err := m.Sweep(ctx, rec)
+	m.Discard()
+	return err
+}
+
 // FuzzFlatSweepMatchesStepped sweeps each of stepCases' schedules —
 // feasible and with each planted violation, every processor live or a
 // sparse set — several times on two machines, on either interconnect: one
-// left to run flat once its traffic is known, one held to the stepped loop
-// (its record dropped before every sweep). After every sweep the two must
-// agree on the error, the bits of Psi, Done, Comm and the comm.* counters
-// posted. The cell balance changes from sweep to sweep, so a flat sweep
-// that ran nothing shows. Between sweeps both may Build and Route again,
-// Route alone with other deadlines or with some tasks durable (either
-// changes what a batched sweep transmits), or swap their live sets. Where
-// the schedule is infeasible and every processor live, the flat machine is
-// given a record no sweep learned, as if one had outlived its layout: its
-// flat loop must find the missing input and end in the stepped loop's
-// error. Seeds 1–60 are its corpus.
+// kept as the fault engine keeps its machine, the other always stepped by
+// refSweep, the stepped sweep Sweep replaced. The first keeps a traffic
+// record: the first stepped sweep of a layout that runs every position
+// without an error records what it added to Comm, and while the record
+// holds, the machine sweeps flat (Sweep) and adds it. After every sweep
+// the two must agree on the error, the bits of Psi, Done, Comm and the
+// comm.* counters posted. The cell balance changes from sweep to sweep, so
+// a flat sweep that ran nothing shows. Between sweeps both may Build and
+// Route again, Route alone with other deadlines or with some tasks durable
+// (either changes what a batched sweep transmits), or swap their live
+// sets; each drops the record. Where the schedule is infeasible and every
+// processor live, the first machine is given a record no sweep learned, as
+// if one had outlived its layout: its flat sweep must end in an error
+// where the stepped one does. Seeds 1–60 are its corpus.
 func FuzzFlatSweepMatchesStepped(f *testing.F) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		f.Add(seed)
@@ -51,7 +71,7 @@ func TestFlatSweepMatchesStepped(t *testing.T) {
 
 // flatCases compares the two machines on the seed's schedule, feasible
 // and with each planted violation it has room for, on both
-// interconnects; it returns how many sweeps ran flat without falling back.
+// interconnects; it returns how many sweeps ran flat to the end.
 func flatCases(t *testing.T, ws *sched.Workspace, seed uint64) (flat int) {
 	t.Helper()
 	s, r := stepSchedule(t, ws, seed)
@@ -69,16 +89,16 @@ func flatCases(t *testing.T, ws *sched.Workspace, seed uint64) (flat int) {
 	return flat
 }
 
-// compareSweeps runs the sweeps on the flat and the stepped machine and
-// fails at the first difference; it returns how many of the flat
+// compareSweeps runs the sweeps on the recording and the stepped machine
+// and fails at the first difference; it returns how many of the recording
 // machine's sweeps ran flat to the end.
-func compareSweeps(t *testing.T, name string, s *sched.Schedule, procs []int32, noBatch, forge bool, r *rng.Source) (flat int) {
+func compareSweeps(t *testing.T, name string, s *sched.Schedule, procs []int32, noBatch, forge bool, r *rng.Source) (flats int) {
 	t.Helper()
 	inst := s.Inst
 	var got, want *Machine
 	var cols [2]*obs.Collector
 	for i, mp := range []**Machine{&got, &want} {
-		mc, err := New(s, noBatch, make([]float64, inst.NTasks()))
+		mc, err := newMachine(s, noBatch, make([]float64, inst.NTasks()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -86,7 +106,9 @@ func compareSweeps(t *testing.T, name string, s *sched.Schedule, procs []int32, 
 		mc.Observe(cols[i])
 		*mp = mc
 	}
-	all := sched.AllProcs(inst.M)
+	all := allProcs(inst.M)
+	var rec Stats // got's record, while known
+	known := false
 	for sweep := range 6 {
 		op := "none"
 		if sweep > 0 {
@@ -124,15 +146,31 @@ func compareSweeps(t *testing.T, name string, s *sched.Schedule, procs []int32, 
 				mc.Q[v] += float64(sweep) / 4
 			}
 		}
-		want.known.ok = false
-		if forge && len(got.Procs) == inst.M { // as a record learned here would be: every position ran
-			got.known.learn(got, got.Comm)
+		if op != "none" && (op != "live" || len(procs) != len(all)) {
+			known = false // the routes, the deadlines or the live set changed
 		}
-		willFlat := got.known.holds(got)
-		errGot, errWant := got.Sweep(context.Background()), want.Sweep(context.Background())
+		ctx := context.Background()
+		errWant := refSweep(ctx, want)
 		at := fmt.Sprintf("%s: sweep %d after %s", name, sweep, op)
+		if forge && len(got.Procs) == inst.M && !known { // as a record learned here would be: every position ran
+			if errGot := flat(ctx, got, Stats{}); errGot == nil || errWant == nil {
+				t.Fatalf("%s: on an infeasible schedule a flat sweep on a forged record returned %s, the stepped one %s", at, errText(errGot), errText(errWant))
+			}
+			return flats // a machine whose sweep failed is not reusable
+		}
+		var errGot error
+		ranFlat := known
+		if ranFlat {
+			errGot = flat(ctx, got, rec)
+		} else {
+			rec, errGot = stepped(ctx, got)
+			known = errGot == nil && !slices.Contains(got.Done, false)
+		}
 		if errText(errGot) != errText(errWant) {
-			t.Fatalf("%s: the flat machine returned %s, the stepped one %s", at, errText(errGot), errText(errWant))
+			t.Fatalf("%s: the recording machine returned %s, the stepped one %s", at, errText(errGot), errText(errWant))
+		}
+		if errWant != nil {
+			return flats
 		}
 		for c := range got.Psi {
 			if math.Float64bits(got.Psi[c]) != math.Float64bits(want.Psi[c]) {
@@ -148,11 +186,11 @@ func compareSweeps(t *testing.T, name string, s *sched.Schedule, procs []int32, 
 		if g, w := posted(cols[0]), posted(cols[1]); g != w {
 			t.Fatalf("%s: posted comm.* counters %+v, stepped %+v", at, g, w)
 		}
-		if willFlat && got.known.ok && errGot == nil {
-			flat++
+		if ranFlat {
+			flats++
 		}
 	}
-	return flat
+	return flats
 }
 
 // posted is what the comm.* counters of a collector say was sent.

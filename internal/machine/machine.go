@@ -8,14 +8,13 @@
 // the step table, where the live processors' rows lie side by side), the
 // one hand-over of a flux (hand), and one per-task arithmetic (taskFlux:
 // the inputs read, the cell balance) that the body and the flat sweep
-// (sweepFlat) both compute a flux with. Every executor is this machine:
-// the parallel transport solve sweeps it (Sweep: stepped until a sweep
-// has counted the layout's traffic, flat after), a simulation being its
-// dependency-only case
-// (transport.DependencyOnly), the fault engine (internal/faults)
-// runs its epochs on it, and under internal/procrun its processors are
-// worker processes — each steps a machine whose one live processor is its
-// own rank, the orchestrator replays their acks (Replay) through the same
+// (Sweep) both compute a flux with. Every executor is this machine: the
+// fault engine (internal/faults) steps it epoch by epoch — a fault-free
+// transport solve, and a simulation (transport.DependencyOnly), are the
+// engine with an empty plan — and runs an epoch with nothing left to
+// decide as one Sweep; under internal/procrun its processors are worker
+// processes — each steps a machine whose one live processor is its own
+// rank, the orchestrator replays their acks (Replay) through the same
 // hand-over, and a handed-over flux lands in a frame (Wire) instead of a
 // slot.
 //
@@ -31,24 +30,24 @@
 //     wrote except from a receive slot.
 //   - The body never interprets a missing flux. It reports (task, missing
 //     producer) in its ack and stops, the barrier passes it on as a
-//     *StallError, and the owner decides: an infeasible schedule for a
-//     fault-free sweep, a stall to recover from if the fault engine's
-//     injector explains it.
+//     *StallError, and the owner decides: a stall to recover from if the
+//     fault engine's injector explains it, an infeasible schedule if
+//     nothing does.
 //   - NoBatch is the oracle mode of the same machine: the same hand-over,
 //     the same flux values, their production order and
 //     Stats.{Messages,Rounds}; only the transmissions counted differ.
 //   - A barrier costs the step's positions, not its processors: the step's
 //     traffic is tallied as its tasks complete, CloseStep folds the acks
 //     only when a row stopped short, and OpenStep's flush visits only the
-//     open envelopes. The comm.* counters are posted once per sweep or
-//     epoch, not per barrier.
+//     open envelopes. The comm.* counters are posted once per epoch
+//     (Discard), not per barrier.
 //   - A sweep's traffic follows from the routes, their deadlines, the live
-//     processors and the interconnect. A flat sweep adds what the stepped
-//     sweep of the same ones added, and Build and Route, which change the
-//     routes and deadlines, drop that record; a sweep starts and ends with
-//     no envelope open, so none carries over. The flat loop decides
-//     nothing: an input it finds missing sends the sweep back to the
-//     stepped loop, whose error it returns.
+//     processors and the interconnect, so it is counted once per layout:
+//     Sweep, which has no barriers, adds the traffic its owner recorded
+//     when it stepped the same layout whole (the fault engine keeps that
+//     record and drops it wherever it calls Build or Route). The flat loop
+//     decides nothing: an input it finds missing ends the sweep in an
+//     error, never in a flux.
 //
 // A Machine belongs to one step loop and is not safe for concurrent use.
 package machine
@@ -56,7 +55,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
@@ -96,12 +94,12 @@ type Stats struct {
 	Rounds int64
 }
 
-// plus and minus add and take away another account of traffic.
+// plus and Minus add and take away another account of traffic.
 func (s Stats) plus(d Stats) Stats {
 	return Stats{s.Messages + d.Messages, s.Batches + d.Batches, s.Bytes + d.Bytes, s.Rounds + d.Rounds}
 }
 
-func (s Stats) minus(d Stats) Stats {
+func (s Stats) Minus(d Stats) Stats {
 	return Stats{s.Messages - d.Messages, s.Batches - d.Batches, s.Bytes - d.Bytes, s.Rounds - d.Rounds}
 }
 
@@ -119,9 +117,8 @@ type Ack struct {
 	Err       error // a same-processor input was not done: the schedule is infeasible
 }
 
-// Machine is the modelled machine. New makes one for fault-free sweeps; an
-// owner that runs epochs or a single rank starts from the zero value, sets
-// the fields of the first group and calls Build.
+// Machine is the modelled machine. Its owner starts from the zero value,
+// sets the fields of the first group and calls Build.
 type Machine struct {
 	NoBatch bool             // per-message interconnect (set before Build)
 	Steps   *sched.StepTable // the rows the bodies run
@@ -155,7 +152,6 @@ type Machine struct {
 	runs    []uint64 // per processor: the stamp of the Step its row runs in, 0 once stopped short
 	stamp   uint64   // the running Step's: one more per Step, never 0
 	due     []int32  // Route's scratch: per receive slot, its deadline
-	known   known    // the traffic of a sweep of the present layout, once a stepped one ran it
 }
 
 // tally is what the completions of the running step add up to, kept by
@@ -167,36 +163,13 @@ type tally struct {
 	stopped         bool  // a row stopped short: some ack holds a stall or an error
 }
 
-// New sets a machine up for fault-free sweeps (Sweep) of the schedule into
-// psi: every processor live, and a message due at its earliest consumer's
-// scheduled start. A schedule that does not cover its tasks is refused
-// with the step table's error. The owner fills Balance before each Sweep.
-func New(s *sched.Schedule, noBatch bool, psi []float64) (*Machine, error) {
-	x := &struct { // the machine and its step table, one allocation
-		Machine
-		steps sched.StepTable
-	}{}
-	if err := x.steps.Build(s, nil, nil); err != nil {
-		return nil, err
-	}
-	m := &x.Machine
-	m.NoBatch, m.Steps, m.Procs = noBatch, &x.steps, sched.AllProcs(s.Inst.M)
-	m.Psi, m.Done = psi, make([]bool, len(psi))
-	m.Build(s.Inst, s.Assign)
-	if !noBatch { // per message nothing waits for a deadline
-		m.Route(s.Start, nil)
-	}
-	return m, nil
-}
-
-// Observe attaches a stats collector for the comm.* series, posted when a
-// Sweep returns, on every path, and at every Discard (an epoch's
-// teardown). A nil collector detaches.
+// Observe attaches a stats collector for the comm.* series, posted at
+// every Discard (an epoch's teardown). A nil collector detaches.
 func (m *Machine) Observe(col *obs.Collector) { m.ctr = comm.NewCounters(col) }
 
 // post gives the counters what Comm gained since they were last given it.
 func (m *Machine) post() {
-	d := m.Comm.minus(m.posted)
+	d := m.Comm.Minus(m.posted)
 	m.ctr.Logical(int(d.Messages))
 	m.ctr.Transmitted(d.Batches, d.Bytes)
 	m.posted = m.Comm
@@ -204,21 +177,19 @@ func (m *Machine) post() {
 
 // Build resolves every flux route for the assignment, laid out in the
 // order of Steps (TaskID order without one), empties the receive slots,
-// the envelopes and the step's tally, and drops the traffic record (Sweep);
-// it reuses the machine's storage. The slots' deadlines are Route's to
-// set, which a batched machine needs before it steps.
+// the envelopes and the step's tally; it reuses the machine's storage.
+// The slots' deadlines are Route's to set, which a batched machine needs
+// before it steps.
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 	m.Recv.Build(inst, assign, m.Steps)
 	if len(m.Acks) != inst.M {
 		m.Acks, m.runs = make([]Ack, inst.M), make([]uint64, inst.M)
-		m.known.procs = make([]int32, 0, inst.M)
 	}
 	if m.outbox == nil { // the first Build
 		m.outbox = comm.NewOutbox(inst.M)
 	}
 	m.outbox.DiscardAll()
 	m.tally = tally{}
-	m.known.ok = false
 }
 
 // Route fixes, before the first step of a sweep or an epoch, what the
@@ -231,10 +202,8 @@ func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 // comm.NoDue when all of them are. (With a Drop on a sibling edge the
 // oracle's surviving delivery serves both; the envelope must be as early.)
 // One pass takes each slot's minimum over its out-entries, a second
-// writes it to them. New deadlines send other envelopes, so Route drops
-// the traffic record (Sweep).
+// writes it to them.
 func (m *Machine) Route(start []int32, durable []bool) {
-	m.known.ok = false
 	if slots := int(m.Recv.Slots()); cap(m.due) < slots {
 		m.due = make([]int32, slots)
 	} else {
@@ -292,20 +261,21 @@ func (m *Machine) DeliverNamed(t sched.TaskID, to int32, psi float64) error {
 	return &RouteError{Task: t, To: to}
 }
 
-// Step is the only step body there is, the loop every stepped sweep,
-// epoch and worker runs between two barriers (a flat sweep has no
-// barriers): one loop over the positions of the step (Steps.Span), which
-// hold every processor's row of it in ascending processor order. A position whose processor is not live, or
-// whose row already stopped short, is skipped. Every route was resolved
-// by Build, in the order the loop runs: taskFlux reads an upwind flux at
-// the producer's task id, which must be done, or in a receive slot, where
-// it must be visible, and takes the cell balance of their average; a
-// completed task is marked done and hands its cross-processor fluxes over. Each live processor's ack is written once, reset before
-// the loop; what stops a row short (a local input not done, a flux not
-// received) ends that row, not the step, so an account is a prefix of
-// its row. A processor is live for one Step when its runs entry holds that
-// Step's stamp, which the reset writes and a row that stops short clears:
-// one pass over Procs per step, none after the loop.
+// Step is the only step body there is, the loop every stepped epoch and
+// worker runs between two barriers (a flat sweep has no barriers): one
+// loop over the positions of the step (Steps.Span), which hold every
+// processor's row of it in ascending processor order. A position whose
+// processor is not live, or whose row already stopped short, is skipped.
+// Every route was resolved by Build, in the order the loop runs: taskFlux
+// reads an upwind flux at the producer's task id, which must be done, or
+// in a receive slot, where it must be visible, and takes the cell balance
+// of their average; a completed task is marked done and hands its
+// cross-processor fluxes over. Each live processor's ack is written once,
+// reset before the loop; what stops a row short (a local input not done, a
+// flux not received) ends that row, not the step, so an account is a
+// prefix of its row. A processor is live for one Step when its runs entry
+// holds that Step's stamp, which the reset writes and a row that stops
+// short clears: one pass over Procs per step, none after the loop.
 func (m *Machine) Step(step int32) {
 	lo, hi := m.Steps.Span(step)
 	m.step(step, lo, hi)
@@ -329,7 +299,7 @@ func (m *Machine) step(step, lo, hi int32) {
 		val, x, ok := m.taskFlux(t, in, step)
 		if !ok {
 			if x >= 0 { // a local producer's task id
-				a.Err = fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
+				a.Err = localMissing(p, t, step, x)
 			} else {
 				a.Stalled, a.StallTask, a.StallMiss = true, t, m.Recv.Producer(^x)
 			}
@@ -340,12 +310,12 @@ func (m *Machine) step(step, lo, hi int32) {
 	}
 }
 
-// taskFlux is the per-task arithmetic of both sweep loops, the stepped
-// (step) and the flat (sweepFlat), so that they compute one flux bit for
-// bit: task t's upwind fluxes, read where Build routed them (in, as At
-// gives it) — a local producer's at its task id, which must be done, a
-// remote one's in its receive slot, where it must be visible at step —
-// averaged in In order, and the cell balance of that average. At the first
+// taskFlux is the per-task arithmetic of both loops, the step body (step)
+// and the flat sweep (Sweep), so that they compute one flux bit for bit:
+// task t's upwind fluxes, read where Build routed them (in, as At gives
+// it) — a local producer's at its task id, which must be done, a remote
+// one's in its receive slot, where it must be visible at step — averaged
+// in In order, and the cell balance of that average. At the first
 // input that is missing it returns ok false and that input's entry x.
 func (m *Machine) taskFlux(t sched.TaskID, in []int32, step int32) (val float64, x int32, ok bool) {
 	psi, done := m.Psi, m.Done
@@ -368,6 +338,12 @@ func (m *Machine) taskFlux(t sched.TaskID, in []int32, step int32) (val float64,
 		inflow /= float64(len(in))
 	}
 	return (m.Q[int32(t)%int32(len(m.Q))] + inflow) / m.Denom, 0, true
+}
+
+// localMissing is the error of processor p's task t, whose local input x
+// is not done at step: the schedule is infeasible.
+func localMissing(p int32, t sched.TaskID, step, x int32) error {
+	return fmt.Errorf("machine: proc %d task %d at step %d: local input %d not done", p, t, step, x)
 }
 
 // complete is what task t, at position i, having run at the step means to
@@ -543,105 +519,36 @@ func (m *Machine) Discard() {
 	m.post()
 }
 
-// Sweep runs every step of Steps once, from empty receive slots, no
-// envelope open and nothing done, with no fault to blame, all on the
-// caller's goroutine — a modelled processor is a slice of a loop, not a
-// goroutine — and returns ctx.Err() before the step that follows a
-// cancellation. On every return it discards what is still open, as an
-// epoch's teardown does (an item due past the last step, or due at no
-// step, has no consumer in the sweep), and posts the sweep's traffic to
-// the counters. A machine whose sweep failed is not reusable.
-//
-// The first sweep of a layout (after Build or Route), and every sweep with
-// a Wire or Intercept, is stepped: per step it checks ctx, opens the
-// barrier, runs Step and closes the barrier. A step with no positions is
-// passed over after its ctx check: every deadline is some consumer's
-// start, so no envelope is due at it, and nothing is sent in it, so a
-// stretched schedule costs its tasks, not its makespan times m. A missing
-// flux (*StallError) ends the sweep like a local input not done. A stepped
-// sweep with neither that runs every position records what it added to
-// Comm, and the live processors and interconnect it ran with.
-//
-// A later sweep under the same ones sends exactly that again, so it runs
-// flat (sweepFlat) and adds the record. Build and Route drop the record:
-// they are the only calls that change the routes or the deadlines the
-// traffic follows from.
-func (m *Machine) Sweep(ctx context.Context) error {
-	m.outbox.DiscardAll()
-	defer m.Discard()
-	quiet := m.Wire == nil && !m.Intercept
-	if quiet && m.known.holds(m) {
-		if ran, err := m.sweepFlat(ctx); ran {
-			return err
-		}
-		m.known.ok = false // an input was missing: the stepped sweep says which
-	}
-	before := m.Comm
-	m.Recv.Reset()
-	clear(m.Done)
-	ran := 0
-	for st := range m.Steps.Steps() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lo, hi := m.Steps.Span(st)
-		if lo == hi {
-			continue
-		}
-		m.OpenStep(st)
-		m.step(st, lo, hi)
-		ran += int(m.tally.completed)
-		if err := m.CloseStep(st); err != nil {
-			return err
-		}
-	}
-	if quiet && ran == len(m.Steps.Order()) {
-		m.known.learn(m, before)
-	}
-	return nil
-}
-
-// known is what a stepped sweep of the present layout, run whole, added to
-// Comm, and what it ran with: the live processors and the interconnect.
-type known struct {
-	ok      bool
-	traffic Stats
-	noBatch bool
-	procs   []int32 // Build sizes it for every processor
-}
-
-// learn records the sweep that took Comm from before to what it is now.
-func (k *known) learn(m *Machine, before Stats) {
-	k.ok, k.noBatch, k.traffic = true, m.NoBatch, m.Comm.minus(before)
-	k.procs = append(k.procs[:0], m.Procs...)
-}
-
-// holds reports whether a sweep of m now would send what the record says.
-func (k *known) holds(m *Machine) bool {
-	return k.ok && k.noBatch == m.NoBatch && slices.Equal(k.procs, m.Procs)
-}
-
-// sweepFlat is a sweep whose traffic is known: one loop over the step
-// table's positions, a ctx check before every step, and per task what the
-// stepped loop does — its flux (taskFlux) into Psi, its done mark, and the
-// flux handed into its receive slots, visible from the next step — without
-// the acks, the tally and the envelopes, whose sum the record holds. It
-// adds the record to Comm when it ran every step, and reports ran false,
-// having added nothing, at the first input it finds missing.
-func (m *Machine) sweepFlat(ctx context.Context) (ran bool, err error) {
+// Sweep runs every step of Steps once, flat, from empty receive slots and
+// nothing done, all on the caller's goroutine, and adds traffic to Comm:
+// what a stepped run of the same routes, deadlines, live processors and
+// interconnect added, which its owner recorded (the fault engine's clean
+// epochs). It has no barriers, acks or envelopes and decides nothing —
+// per step it checks ctx, per position, in the step table's order, it
+// computes the task's flux (taskFlux) into Psi, marks it done and hands it
+// into its receive slots, visible from the next step. Every position runs,
+// whatever Procs holds. It returns ctx.Err() before the step that follows
+// a cancellation, having added nothing to Comm; an input it finds missing
+// ends it in an error — a local input not done as Step reports one, a
+// flux not received as a *StallError — never in a flux. A machine whose
+// sweep failed is not reusable.
+func (m *Machine) Sweep(ctx context.Context, traffic Stats) error {
 	m.Recv.Reset()
 	clear(m.Done)
 	psi, done := m.Psi, m.Done
 	for st := range m.Steps.Steps() {
 		if err := ctx.Err(); err != nil {
-			return true, err
+			return err
 		}
 		lo, hi := m.Steps.Span(st)
 		for i := lo; i < hi; i++ {
-			t, _, in := m.Recv.At(i)
-			val, _, ok := m.taskFlux(t, in, st)
+			t, p, in := m.Recv.At(i)
+			val, x, ok := m.taskFlux(t, in, st)
 			if !ok {
-				return false, nil
+				if x >= 0 {
+					return localMissing(p, t, st, x)
+				}
+				return &StallError{Proc: p, Step: st, Task: t, Producer: m.Recv.Producer(^x)}
 			}
 			psi[t], done[t] = val, true
 			for _, o := range m.Recv.Out(i) {
@@ -649,6 +556,6 @@ func (m *Machine) sweepFlat(ctx context.Context) (ran bool, err error) {
 			}
 		}
 	}
-	m.Comm = m.Comm.plus(m.known.traffic)
-	return true, nil
+	m.Comm = m.Comm.plus(traffic)
+	return nil
 }

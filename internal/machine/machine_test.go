@@ -64,7 +64,7 @@ func diamondFlux() []float64 {
 func newDiamond(t testing.TB, noBatch bool, start ...int32) *Machine {
 	t.Helper()
 	s := diamond(t, start...)
-	m, err := New(s, noBatch, make([]float64, s.Inst.NTasks()))
+	m, err := newMachine(s, noBatch, make([]float64, s.Inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,22 @@ func newDiamond(t testing.TB, noBatch bool, start ...int32) *Machine {
 // TestSweepOnEitherInterconnect: the same fluxes, Messages and Rounds per
 // message and batched — Rounds is Σ_step max_p sent (step 0: processor 0
 // sends two; step 1: processors 0 and 2 send one each), not the message
-// count — and the transmissions each mode's cost model says.
+// count — and the transmissions each mode's cost model says, stepped
+// (refSweep) and flat (Sweep, adding the stepped sweep's record).
 func TestSweepOnEitherInterconnect(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		m := newDiamond(t, noBatch)
 		col := obs.New()
 		m.Observe(col)
+		var rec Stats
 		for sweep := 1; sweep <= 2; sweep++ {
-			if err := m.Sweep(context.Background()); err != nil {
+			var err error
+			if sweep == 1 {
+				rec, err = stepped(context.Background(), m)
+			} else {
+				err = flat(context.Background(), m, rec)
+			}
+			if err != nil {
 				t.Fatalf("noBatch=%v sweep %d: %v", noBatch, sweep, err)
 			}
 			for tsk, want := range diamondFlux() {
@@ -112,8 +120,10 @@ func TestSweepOnEitherInterconnect(t *testing.T) {
 // its producer's own step. Processor 0 runs first and queues the flux, but
 // a send is visible from the next step on: processor 1's body stops at the
 // empty slot and says which (task, producer) — no error of its own. The
-// barrier passes the stall on as a *StallError for its owner to judge; the
-// fault-free sweep has nothing else to blame and returns it.
+// barrier passes the stall on as a *StallError for its owner to judge; a
+// stepped sweep (refSweep) has nothing else to blame and returns it, and a
+// flat Sweep, which runs the positions in the same order, stops at the same
+// empty slot and returns the same stall.
 func TestBodyReportsAMissingFluxAndDecidesNothing(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		m := newDiamond(t, noBatch, 0, 0, 1, 2, 1)
@@ -129,9 +139,13 @@ func TestBodyReportsAMissingFluxAndDecidesNothing(t *testing.T) {
 		if err := m.CloseStep(0); !errors.As(err, &stall) || *stall != (StallError{Proc: 1, Step: 0, Task: 1, Producer: 0}) {
 			t.Fatalf("noBatch=%v: barrier returned %v, want the stall of processor 1", noBatch, err)
 		}
-		err := newDiamond(t, noBatch, 0, 0, 1, 2, 1).Sweep(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "proc 1 task 1 at step 0: flux from task 0 not received") {
-			t.Fatalf("noBatch=%v: fault-free sweep returned %v", noBatch, err)
+		for _, err := range []error{
+			refSweep(context.Background(), newDiamond(t, noBatch, 0, 0, 1, 2, 1)),
+			newDiamond(t, noBatch, 0, 0, 1, 2, 1).Sweep(context.Background(), Stats{}),
+		} {
+			if !errors.As(err, &stall) || !strings.Contains(err.Error(), "proc 1 task 1 at step 0: flux from task 0 not received") {
+				t.Fatalf("noBatch=%v: sweep returned %v", noBatch, err)
+			}
 		}
 	}
 }
@@ -141,7 +155,7 @@ func TestBodyReportsAMissingFluxAndDecidesNothing(t *testing.T) {
 // than read the stale value.
 func TestFluxFromBeforeAResetIsNotSeen(t *testing.T) {
 	m := newDiamond(t, true)
-	if err := m.Sweep(context.Background()); err != nil {
+	if err := m.Sweep(context.Background(), Stats{}); err != nil {
 		t.Fatal(err)
 	}
 	m.Recv.Reset()
@@ -214,7 +228,7 @@ func TestRoutePlacesDurableFluxesAndSkipsTheirDeadlines(t *testing.T) {
 
 // TestRouteIsLinearInAProducersFanOut: a star whose centre, on processor
 // 0, feeds 32,768 consumers on processor 1 — one receive slot behind
-// 32,768 out-entries — goes through New and a Route with half of them
+// 32,768 out-entries — goes through Build, a Route and a Route with half of them
 // durable in well under a second, and the slot is due at its earliest
 // consumer that is not durable each time. A Route that rescans a
 // producer's entries for every entry takes seconds here.
@@ -241,7 +255,7 @@ func TestRouteIsLinearInAProducersFanOut(t *testing.T) {
 		durable[c] = true
 	}
 	begin := time.Now()
-	m, err := New(s, false, make([]float64, fan+1))
+	m, err := newMachine(s, false, make([]float64, fan+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +263,7 @@ func TestRouteIsLinearInAProducersFanOut(t *testing.T) {
 	m.Route(s.Start, durable)
 	dues = append(dues, m.Recv.Out(m.Recv.Pos(0))[0].Due)
 	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Fatalf("New and Route took %v for a fan-out of %d", elapsed, fan)
+		t.Fatalf("Build and Route took %v for a fan-out of %d", elapsed, fan)
 	}
 	if dues[0] != 1 || dues[1] != fan/2+1 {
 		t.Fatalf("the centre's slot due at %v, want [1 %d]", dues, fan/2+1)
@@ -276,19 +290,27 @@ func TestDeliverNamedRejectsWhatHasNoRoute(t *testing.T) {
 }
 
 // TestWarmSweepAllocatesNothing: tables, send list, acks and envelopes are
-// the machine's; a sweep after the first allocates nothing on either
+// the machine's; stepped (refSweep: OpenStep, Step and CloseStep per step)
+// or flat, a sweep after the first allocates nothing on either
 // interconnect.
 func TestWarmSweepAllocatesNothing(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		m := newDiamond(t, noBatch)
-		sweep := func() {
-			if err := m.Sweep(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+		rec, err := stepped(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sweep()
-		if n := testing.AllocsPerRun(20, sweep); n != 0 {
-			t.Fatalf("noBatch=%v: warm sweep allocates %v, want 0", noBatch, n)
+		for name, sweep := range map[string]func() error{
+			"stepped": func() error { return refSweep(context.Background(), m) },
+			"flat":    func() error { return flat(context.Background(), m, rec) },
+		} {
+			if n := testing.AllocsPerRun(20, func() {
+				if err := sweep(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("noBatch=%v: warm %s sweep allocates %v, want 0", noBatch, name, n)
+			}
 		}
 	}
 }
@@ -412,7 +434,7 @@ func fork(t *testing.T, noBatch bool, start ...int32) *Machine {
 	for _, st := range start {
 		s.Makespan = max(s.Makespan, int(st)+1)
 	}
-	m, err := New(s, noBatch, make([]float64, inst.NTasks()))
+	m, err := newMachine(s, noBatch, make([]float64, inst.NTasks()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,22 +445,29 @@ func fork(t *testing.T, noBatch bool, start ...int32) *Machine {
 // TestFluxIsVisibleFromTheStepAfterItsProducer pins step visibility at the
 // machine: processor 0's body runs first, and hands its flux over at once,
 // yet a consumer on processor 1 in the producer's own step stalls, with the
-// same *StallError on either interconnect; one step later it runs. A flux
+// same *StallError on either interconnect, stepped or flat; one step later
+// it runs. A flux
 // handed in at step ls (a delayed one that matured) is visible at ls, and
 // a consumer at ls-1 stalls on it.
 func TestFluxIsVisibleFromTheStepAfterItsProducer(t *testing.T) {
 	for _, noBatch := range []bool{false, true} {
 		var stall *StallError
-		err := fork(t, noBatch, 0, 0, 1).Sweep(context.Background())
-		if !errors.As(err, &stall) || *stall != (StallError{Proc: 1, Step: 0, Task: 1, Producer: 0}) {
-			t.Fatalf("noBatch=%v: consumer in its producer's step: %v, want processor 1's stall on task 0 at step 0", noBatch, err)
+		sweeps := map[string]func(*Machine) error{
+			"stepped": func(m *Machine) error { return refSweep(context.Background(), m) },
+			"flat":    func(m *Machine) error { return m.Sweep(context.Background(), Stats{}) },
 		}
-		m := fork(t, noBatch, 0, 1, 1)
-		if err := m.Sweep(context.Background()); err != nil {
-			t.Fatalf("noBatch=%v: consumers one step after their producer: %v", noBatch, err)
-		}
-		if want := 1 + 2.0; m.Psi[1] != want {
-			t.Fatalf("noBatch=%v: task 1's flux %v, want %v", noBatch, m.Psi[1], want)
+		for name, sweep := range sweeps {
+			err := sweep(fork(t, noBatch, 0, 0, 1))
+			if !errors.As(err, &stall) || *stall != (StallError{Proc: 1, Step: 0, Task: 1, Producer: 0}) {
+				t.Fatalf("noBatch=%v %s: consumer in its producer's step: %v, want processor 1's stall on task 0 at step 0", noBatch, name, err)
+			}
+			m := fork(t, noBatch, 0, 1, 1)
+			if err := sweep(m); err != nil {
+				t.Fatalf("noBatch=%v %s: consumers one step after their producer: %v", noBatch, name, err)
+			}
+			if want := 1 + 2.0; m.Psi[1] != want {
+				t.Fatalf("noBatch=%v %s: task 1's flux %v, want %v", noBatch, name, m.Psi[1], want)
+			}
 		}
 
 		// Step 0's sends withheld, as a Delay does, and handed in at step 2.

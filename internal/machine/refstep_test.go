@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -48,6 +49,58 @@ func refStep(m *Machine, step int32) {
 			m.complete(a, i, t, step, (q[int32(t)%n]+inflow)/denom)
 		}
 	}
+}
+
+// refSweep is the stepped sweep Machine.Sweep ran before its owner kept
+// the traffic record, kept as Sweep's oracle: from empty receive slots, no
+// envelope open and nothing done, per step the ctx check and — a step with
+// no positions passed over — OpenStep, Step and CloseStep, whose error
+// ends it. On every return it discards what is still open and posts the
+// traffic, as an epoch's teardown does.
+func refSweep(ctx context.Context, m *Machine) error {
+	m.outbox.DiscardAll()
+	defer m.Discard()
+	m.Recv.Reset()
+	clear(m.Done)
+	for st := range m.Steps.Steps() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if lo, hi := m.Steps.Span(st); lo == hi {
+			continue
+		}
+		m.OpenStep(st)
+		m.Step(st)
+		if err := m.CloseStep(st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newMachine sets a machine up as the fault engine's first epoch on a
+// schedule does: every processor live, the step table built from it, and
+// batched, a message due at its earliest consumer's scheduled start.
+func newMachine(s *sched.Schedule, noBatch bool, psi []float64) (*Machine, error) {
+	m := &Machine{NoBatch: noBatch, Steps: &sched.StepTable{}, Procs: allProcs(s.Inst.M), Psi: psi, Done: make([]bool, len(psi))}
+	if err := m.Steps.Build(s, nil, nil); err != nil {
+		return nil, err
+	}
+	m.Build(s.Inst, s.Assign)
+	if !noBatch { // per message nothing waits for a deadline
+		m.Route(s.Start, nil)
+	}
+	return m, nil
+}
+
+// allProcs is every processor of m, ascending: the live set when none has
+// crashed.
+func allProcs(m int) []int32 {
+	procs := make([]int32, m)
+	for p := range procs {
+		procs[p] = int32(p)
+	}
+	return procs
 }
 
 // refCloseStep is the barrier after a step as it was before the step kept
@@ -210,7 +263,7 @@ func variant(s *sched.Schedule, kind string, r *rng.Source) *sched.Schedule {
 // liveSet is every processor of m, or, for an even seed, a sparse random
 // set of them.
 func liveSet(m int, seed uint64, r *rng.Source) []int32 {
-	procs := sched.AllProcs(m)
+	procs := allProcs(m)
 	if seed%2 == 0 {
 		procs = procs[:0]
 		for p := range int32(m) {
@@ -256,7 +309,7 @@ func compareSteps(t *testing.T, name string, s *sched.Schedule, procs []int32, n
 	t.Helper()
 	var got, want, far *Machine
 	for _, mp := range []**Machine{&got, &want, &far} {
-		mc, err := New(s, noBatch, make([]float64, s.Inst.NTasks()))
+		mc, err := newMachine(s, noBatch, make([]float64, s.Inst.NTasks()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

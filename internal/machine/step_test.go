@@ -19,6 +19,24 @@ import (
 // are L envelopes flushed at the barrier opening the next step.
 func ring(t *testing.T, m int, procs []int32, steps int) *Machine {
 	t.Helper()
+	return ringOf(t, ringSchedule(t, m, procs, steps), procs)
+}
+
+// ringOf is a machine for ring's schedule, or one made from it, with the
+// given live set.
+func ringOf(t *testing.T, s *sched.Schedule, procs []int32) *Machine {
+	t.Helper()
+	mc, err := newMachine(s, false, make([]float64, s.Inst.NTasks()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.Balance, mc.Procs = plusID(s.Inst.N()), procs
+	return mc
+}
+
+// ringSchedule is ring's schedule.
+func ringSchedule(t *testing.T, m int, procs []int32, steps int) *sched.Schedule {
+	t.Helper()
 	L := len(procs)
 	var edges [][2]int32
 	for st := 0; st+1 < steps; st++ {
@@ -38,12 +56,7 @@ func ring(t *testing.T, m int, procs []int32, steps int) *Machine {
 	for c := range s.Start {
 		s.Assign[c], s.Start[c] = procs[c%L], int32(c/L)
 	}
-	mc, err := New(s, false, make([]float64, inst.NTasks()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc.Balance, mc.Procs = plusID(inst.N()), procs
-	return mc
+	return s
 }
 
 // barriers is a context that counts how often a sweep asks whether it is
@@ -74,17 +87,20 @@ func doneThrough(m *Machine, step int32) bool {
 	return true
 }
 
-// TestSweepStepOrder: per step the ctx check, OpenStep, every live
-// processor's body once in ascending order, then CloseStep — for one
-// processor, many, and a sparse live set. With the sends intercepted,
-// CloseStep hands them over in the order the bodies produced them, onto a
-// Wire that puts each in its slot; at that point the step's envelopes are
-// flushed, its tasks are done and its messages not yet folded.
+// TestSweepStepOrder: stepped (refSweep), per step the ctx check,
+// OpenStep, every live processor's body once in ascending order, then
+// CloseStep — for one processor, many, and a sparse live set. With the
+// sends intercepted, CloseStep hands them over in the order the bodies
+// produced them, onto a Wire that puts each in its slot; at that point the
+// step's envelopes are flushed, its tasks are done and its messages not
+// yet folded. Flat (Sweep), the same steps without the barriers: before
+// step st exactly the tasks of the earlier steps are done, and Comm moves
+// only when the sweep ends, by the record it was given.
 func TestSweepStepOrder(t *testing.T) {
 	for _, c := range []struct {
 		m     int
 		procs []int32
-	}{{1, sched.AllProcs(1)}, {64, sched.AllProcs(64)}, {13, []int32{1, 4, 5, 9, 12}}} {
+	}{{1, allProcs(1)}, {64, allProcs(64)}, {13, []int32{1, 4, 5, 9, 12}}} {
 		const steps = 60
 		m := ring(t, c.m, c.procs, steps)
 		L := int64(len(c.procs))
@@ -115,7 +131,7 @@ func TestSweepStepOrder(t *testing.T) {
 				fail("%v", err)
 			}
 		}
-		if err := m.Sweep(b); err != nil {
+		if err := refSweep(b, m); err != nil {
 			t.Fatalf("%d procs: %v", len(c.procs), err)
 		}
 		if bad != "" {
@@ -132,27 +148,48 @@ func TestSweepStepOrder(t *testing.T) {
 				t.Fatalf("%d procs: hand-over %d from processor %d, want %d (ascending per step)", len(c.procs), i, c.procs[j], c.procs[want])
 			}
 		}
+
+		rec := m.Comm // one stepped sweep's, from nothing
+		m.Wire, m.Intercept = nil, false
+		fb := &barriers{Context: context.Background()}
+		fb.at = func(step int32) {
+			if !doneThrough(m, step) || m.Comm != rec {
+				fail("flat, before step %d: done marks or traffic %+v of another step", step, m.Comm)
+			}
+		}
+		if err := m.Sweep(fb, rec); err != nil {
+			t.Fatalf("%d procs, flat: %v", len(c.procs), err)
+		}
+		if bad != "" {
+			t.Fatalf("%d procs: %s", len(c.procs), bad)
+		}
+		if fb.asked != steps || !doneThrough(m, steps) || m.Comm != rec.plus(rec) {
+			t.Fatalf("%d procs, flat: %d ctx checks for %d steps, traffic %+v after %+v", len(c.procs), fb.asked, steps, m.Comm, rec)
+		}
 	}
 }
 
 // TestSweepNothingToDo: a machine with no live processor runs its steps
 // and does nothing in them.
 func TestSweepNothingToDo(t *testing.T) {
-	m := ring(t, 4, sched.AllProcs(4), 5)
+	m := ring(t, 4, allProcs(4), 5)
 	m.Procs = nil
-	if err := m.Sweep(context.Background()); err != nil || !doneThrough(m, 0) || m.Comm != (Stats{}) {
+	if err := refSweep(context.Background(), m); err != nil || !doneThrough(m, 0) || m.Comm != (Stats{}) {
 		t.Fatalf("no processors: err %v, traffic %+v", err, m.Comm)
 	}
 }
 
 // TestSweepStopsAtTheFailingBarrier: a barrier that fails — here a flux
 // the Wire never delivers, so every consumer of the step stalls — ends the
-// sweep at exactly that step, at the first step a flux can be missing at,
-// mid-run and at the last step.
+// stepped sweep at exactly that step, at the first step a flux can be
+// missing at, mid-run and at the last step. A flat sweep stops at the
+// first input it finds missing: with the producers of step at-1 moved into
+// step at, processor 0's second task there, whose producer on the last
+// processor has not run, and the error is the stepped sweep's.
 func TestSweepStopsAtTheFailingBarrier(t *testing.T) {
 	const steps = 20
 	for _, at := range []int32{1, 7, steps - 1} {
-		m := ring(t, 8, sched.AllProcs(8), steps)
+		m := ring(t, 8, allProcs(8), steps)
 		m.Wire = func(to int32, tsk sched.TaskID, psi float64) {
 			if int32(tsk)/8 != at-1 {
 				if err := m.DeliverNamed(tsk, to, psi); err != nil {
@@ -162,63 +199,78 @@ func TestSweepStopsAtTheFailingBarrier(t *testing.T) {
 		}
 		b := &barriers{Context: context.Background()}
 		var stall *StallError
-		err := m.Sweep(b)
+		err := refSweep(b, m)
 		if !errors.As(err, &stall) || stall.Step != at || stall.Proc != 0 {
 			t.Fatalf("at=%d: got %v, want processor 0's stall at step %d", at, err, at)
 		}
 		if b.asked != at+1 || !doneThrough(m, at) {
 			t.Fatalf("at=%d: %d ctx checks, or done marks past step %d", at, b.asked, at)
 		}
+
+		s := ringSchedule(t, 8, allProcs(8), steps)
+		for c := (at - 1) * 8; c < at*8; c++ {
+			s.Start[c] = at
+		}
+		want := refSweep(context.Background(), ringOf(t, s, allProcs(8)))
+		fb := &barriers{Context: context.Background()}
+		m = ringOf(t, s, allProcs(8))
+		err = m.Sweep(fb, Stats{})
+		if errText(err) != errText(want) || !errors.As(err, &stall) || *stall != (StallError{Proc: 0, Step: at, Task: sched.TaskID(at * 8), Producer: sched.TaskID(at*8 - 1)}) {
+			t.Fatalf("at=%d flat: got %s, want the stepped sweep's %s", at, errText(err), errText(want))
+		}
+		if fb.asked != at+1 || m.Comm != (Stats{}) {
+			t.Fatalf("at=%d flat: %d ctx checks, traffic %+v", at, fb.asked, m.Comm)
+		}
 	}
 }
 
-// TestSweepCancellation cancels before the first step (where the sweep
-// resets its receive slots), from inside a body — the Wire is called from
-// the hand-over — and from inside the barrier after the step (an
-// intercepted send handed over there): the sweep returns ctx.Err() having
-// run no further step.
+// TestSweepCancellation cancels a flat sweep before its first step (where
+// it resets its receive slots) and at the check before a step mid-run: it
+// returns ctx.Err() having run no further step and added nothing to Comm.
+// (The stepped loop is the fault engine's; its cancellation tests are
+// there.)
 func TestSweepCancellation(t *testing.T) {
 	const steps, at = 50, 9
-	for _, where := range []string{"before", "body", "barrier"} {
-		m := ring(t, 6, sched.AllProcs(6), steps)
+	for _, where := range []string{"before", "mid"} {
+		m := ring(t, 6, allProcs(6), steps)
 		ctx, cancel := context.WithCancel(context.Background())
 		b := &barriers{Context: ctx}
-		m.Intercept = where == "barrier"
-		m.Wire = func(to int32, tsk sched.TaskID, psi float64) {
-			if tsk == at*6+3 {
+		b.at = func(step int32) {
+			if step == at+1 {
 				cancel()
-			}
-			if err := m.DeliverNamed(tsk, to, psi); err != nil {
-				t.Error(err)
 			}
 		}
 		if where == "before" {
 			cancel()
 		}
-		err := m.Sweep(b)
+		err := m.Sweep(b, Stats{Messages: 1})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel in %s: got %v", where, err)
+			t.Fatalf("cancel %s: got %v", where, err)
 		}
 		wantAsked, wantDone := int32(at+2), int32(at+1)
 		if where == "before" {
 			wantAsked, wantDone = 1, 0
 		}
-		if b.asked != wantAsked || !doneThrough(m, wantDone) {
-			t.Fatalf("cancel in %s: %d ctx checks (want %d), or done marks past step %d", where, b.asked, wantAsked, wantDone)
+		if b.asked != wantAsked || !doneThrough(m, wantDone) || m.Comm != (Stats{}) {
+			t.Fatalf("cancel %s: %d ctx checks (want %d), done marks past step %d, or traffic %+v", where, b.asked, wantAsked, wantDone, m.Comm)
 		}
 	}
 }
 
 // TestSweepAddsNothing pins what a modelled processor is not: a
-// goroutine. 64 processors run on the caller's goroutine, and a warm
+// goroutine. 64 processors run on the caller's goroutine, and a warm flat
 // sweep allocates nothing.
 func TestSweepAddsNothing(t *testing.T) {
-	m := ring(t, 64, sched.AllProcs(64), 50)
+	m := ring(t, 64, allProcs(64), 50)
+	rec, err := stepped(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before, most := runtime.NumGoroutine(), 0
 	b := &barriers{Context: context.Background(), at: func(int32) { most = max(most, runtime.NumGoroutine()-before) }}
 	sweep := func() {
-		if err := m.Sweep(b); err != nil {
+		if err := m.Sweep(b, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +304,7 @@ func TestStepErrorBeatsStallAndEveryAckIsWritten(t *testing.T) {
 	}
 	s := &sched.Schedule{Inst: inst, Assign: sched.Assignment{0, 1, 3, 3, 2, 4, 1, 3}, Start: []int32{0, 0, 0, 1, 0, 0, 0, 0}, Makespan: 2}
 	for _, noBatch := range []bool{false, true} {
-		m, err := New(s, noBatch, make([]float64, inst.NTasks()))
+		m, err := newMachine(s, noBatch, make([]float64, inst.NTasks()))
 		if err != nil {
 			t.Fatal(err)
 		}

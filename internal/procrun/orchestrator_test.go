@@ -88,7 +88,8 @@ func TestAckFoldRefusesWhatIsNotTheRanksRow(t *testing.T) {
 
 // TestRunRefusesWhatEverySolveRefuses: Run goes through the prelude of
 // every transport solve, so a configuration or (under Verify) a schedule
-// that SolveParallelCtx refuses is refused by Run with the same error — and
+// that the in-process parallel solve (SolveFaultTolerant with no plan)
+// refuses is refused by Run with the same error — and
 // before any worker process exists: the worker binary named here does not,
 // so a Run that got as far as spawning would fail differently.
 func TestRunRefusesWhatEverySolveRefuses(t *testing.T) {
@@ -130,7 +131,7 @@ func TestRunRefusesWhatEverySolveRefuses(t *testing.T) {
 		{"a negative source", s, with(func(c *transport.Config) { c.SourceField = ones(inst.N()); c.SourceField[0] = -1 })},
 		{"a schedule that fails the audit", &broken, with(func(c *transport.Config) { c.Verify = true })},
 	} {
-		_, want := transport.SolveParallelCtx(context.Background(), tc.s, tc.cfg)
+		_, _, want := transport.SolveFaultTolerant(context.Background(), tc.s, tc.cfg, nil)
 		if want == nil {
 			t.Fatalf("%s: SolveParallel accepted it", tc.name)
 		}

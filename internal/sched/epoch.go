@@ -398,16 +398,6 @@ func (r *RecvTable) Deliver(slot int32, psi float64, from int32) {
 	r.slot[slot] = recvSlot{psi: psi, from: r.base + uint32(from)}
 }
 
-// AllProcs returns the processors 0..m-1 in ascending order: the modelled
-// machine's live set when every processor is live.
-func AllProcs(m int) []int32 {
-	procs := make([]int32, m)
-	for p := range procs {
-		procs[p] = int32(p)
-	}
-	return procs
-}
-
 // Send is one logical cross-processor flux message, the one in-memory form
 // it has between the step body that produced it and the interconnect while
 // the machine's owner must see it first (internal/machine's Intercept):

@@ -25,13 +25,13 @@ func TestSolveParallelBatchedMatchesUnbatchedBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := SolveParallelCtx(context.Background(), s, testCfg)
+		batched, err := solveParallel(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		noBatchCfg := testCfg
 		noBatchCfg.NoBatch = true
-		plain, err := SolveParallelCtx(context.Background(), s, noBatchCfg)
+		plain, err := solveParallel(context.Background(), s, noBatchCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSolveParallelCommCountersMatchResult(t *testing.T) {
 		cfg := testCfg
 		cfg.NoBatch = noBatch
 		cfg.Collector = obs.New()
-		res, err := SolveParallelCtx(context.Background(), s, cfg)
+		res, err := solveParallel(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestSolveParallelAllocationsIndependentOfTraffic(t *testing.T) {
 		cfg.MaxIters = iters
 		cfg.Tol = 1e-300 // run exactly MaxIters sweeps
 		return testing.AllocsPerRun(2, func() {
-			if _, err := SolveParallelCtx(context.Background(), s, cfg); err != nil {
+			if _, err := solveParallel(context.Background(), s, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -191,7 +191,7 @@ func benchSolveParallelComm(b *testing.B, noBatch bool, name heuristics.Name) {
 	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
-		res, err := SolveParallelCtx(context.Background(), s, cfg)
+		res, err := solveParallel(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestCollectorSeesEveryExecutor(t *testing.T) {
 		solve func(context.Context, *sched.Schedule, Config) (*Result, error)
 	}{
 		{"Solve", false, SolveCtx},
-		{"SolveParallel", true, SolveParallelCtx},
+		{"SolveParallel", true, solveParallel},
 		{"SolveFaultTolerant", true, func(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
 			res, _, err := SolveFaultTolerant(ctx, s, cfg, nil)
 			return res, err

@@ -32,7 +32,7 @@ func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep, err := SolveParallelCtx(context.Background(), s, DependencyOnly)
+		dep, err := solveParallel(context.Background(), s, DependencyOnly)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -49,19 +49,14 @@ func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 		for _, noBatch := range []bool{false, true} {
 			cfg := loose
 			cfg.NoBatch = noBatch
-			par, err := SolveParallelCtx(context.Background(), s, cfg)
-			if err != nil {
-				t.Fatalf("m=%d nobatch=%v: %v", m, noBatch, err)
-			}
-			samePhi(t, fmt.Sprintf("m=%d nobatch=%v parallel", m, noBatch), par.Phi, want.Phi)
-			got := fmt.Sprintf("parallel msgs=%d rounds=%d iters=%d", par.Comm.Messages, par.Comm.Rounds, par.Iterations)
+			got := ""
 			for pi, plan := range plans {
 				ft, rep, err := SolveFaultTolerant(context.Background(), s, cfg, plan)
 				if err != nil {
 					t.Fatalf("m=%d nobatch=%v plan %d: %v (report %s)", m, noBatch, pi, err, rep)
 				}
 				samePhi(t, fmt.Sprintf("m=%d nobatch=%v plan %d", m, noBatch, pi), ft.Phi, want.Phi)
-				got += fmt.Sprintf("\nplan %d msgs=%d rounds=%d %s", pi, ft.Comm.Messages, ft.Comm.Rounds, rep)
+				got += fmt.Sprintf("\nplan %d msgs=%d rounds=%d iters=%d %s", pi, ft.Comm.Messages, ft.Comm.Rounds, ft.Iterations, rep)
 			}
 			if !noBatch {
 				batched = got
@@ -98,8 +93,7 @@ func TestNonFiniteInputIsRefusedNotConverged(t *testing.T) {
 		{"Tol", Config{SigmaT: 1, Source: 1, Tol: math.NaN()}},
 	} {
 		for name, solve := range map[string]func() (*Result, error){
-			"serial":   func() (*Result, error) { return SolveCtx(context.Background(), s, c.cfg) },
-			"parallel": func() (*Result, error) { return SolveParallelCtx(context.Background(), s, c.cfg) },
+			"serial": func() (*Result, error) { return SolveCtx(context.Background(), s, c.cfg) },
 			"faulty": func() (*Result, error) {
 				res, _, err := SolveFaultTolerant(context.Background(), s, c.cfg, nil)
 				return res, err
@@ -120,28 +114,39 @@ func TestNonFiniteInputIsRefusedNotConverged(t *testing.T) {
 	}
 }
 
-// TestSolveParallelAddsNoGoroutinePerProcessor: a sweep over 64 modelled
-// processors runs on the caller's goroutine — counted from inside the
-// hand-over, mid-step, by a Wire that puts each flux in its slot.
+// solveParallel is SolveTransportParallel's solve: the fault engine with
+// no plan, its report dropped.
+func solveParallel(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
+	res, _, err := SolveFaultTolerant(ctx, s, cfg, nil)
+	return res, err
+}
+
+// goroutinesAtSteps is a context that notes, each time a sweep asks it
+// whether it is done — before every step, stepped or flat — how many
+// goroutines run beyond a baseline.
+type goroutinesAtSteps struct {
+	context.Context
+	before, most, asked int
+}
+
+func (g *goroutinesAtSteps) Err() error {
+	g.asked++
+	g.most = max(g.most, runtime.NumGoroutine()-g.before)
+	return g.Context.Err()
+}
+
+// TestSolveParallelAddsNoGoroutinePerProcessor: a solve over 64 modelled
+// processors runs on the caller's goroutine — counted before every step of
+// every sweep, the first stepped and the rest flat.
 func TestSolveParallelAddsNoGoroutinePerProcessor(t *testing.T) {
 	s := testSchedule(t, 3, 8, 64, 5)
-	mc, err := machine.New(s, false, make([]float64, s.Inst.NTasks()))
+	ctx := &goroutinesAtSteps{Context: context.Background(), before: runtime.NumGoroutine()}
+	res, err := solveParallel(ctx, s, testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	CellBalance(&mc.Balance, testCfg, make([]float64, s.Inst.N()))
-	before, most := runtime.NumGoroutine(), 0
-	mc.Wire = func(to int32, tsk sched.TaskID, psi float64) {
-		most = max(most, runtime.NumGoroutine()-before)
-		if err := mc.DeliverNamed(tsk, to, psi); err != nil {
-			t.Error(err)
-		}
-	}
-	if err := mc.Sweep(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if mc.Comm.Messages == 0 || most > 0 {
-		t.Fatalf("a 64-processor sweep sent %d messages and added %d goroutines", mc.Comm.Messages, most)
+	if res.Comm.Messages == 0 || res.Iterations < 2 || ctx.asked < res.Iterations*s.Makespan || ctx.most > 0 {
+		t.Fatalf("a 64-processor solve sent %d messages in %d sweeps, asked ctx %d times and added %d goroutines", res.Comm.Messages, res.Iterations, ctx.asked, ctx.most)
 	}
 }
 
@@ -161,20 +166,27 @@ func (c *cancelOnFlux) Err() error {
 	return c.Context.Err()
 }
 
-// TestCancellationInsideAStep cancels a parallel and a fault-tolerant
-// sweep during a step — the first step of a sweep, one in the middle and
-// its last: the sweep returns ctx.Err() without running a task of a later
-// step (for the last step, any task of the next sweep).
+// TestCancellationInsideAStep cancels a fault-free engine's sweep during a
+// step — the first step of a sweep, one in the middle and its last — cold
+// (the first sweep, stepped) and warm (a later one, flat): the sweep
+// returns ctx.Err() without running a task of a later step (for the last
+// step, any task of the next sweep).
 func TestCancellationInsideAStep(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 6)
 	last := int32(s.Makespan - 1)
 	for _, at := range []int32{0, last / 2, last} {
 		probe := sched.TaskID(slices.Index(s.Start, at))
-		for _, faulty := range []bool{false, true} {
+		for _, warm := range []bool{false, true} {
 			psi := make([]float64, s.Inst.NTasks())
 			ctx, cancel := context.WithCancel(context.Background())
 			mid := &cancelOnFlux{Context: ctx, cancel: cancel, psi: psi, probe: probe}
-			sweep := executorSweep(t, s, faulty, psi)
+			sweep := executorSweep(t, s, psi)
+			if warm {
+				if err := sweep(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				clear(psi)
+			}
 			err := sweep(mid)
 			ran := func(tsk int) bool { return s.Start[tsk] <= at }
 			if err == nil && at == last {
@@ -186,33 +198,25 @@ func TestCancellationInsideAStep(t *testing.T) {
 			}
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("step %d faulty=%v: got %v, want context.Canceled", at, faulty, err)
+				t.Fatalf("step %d warm=%v: got %v, want context.Canceled", at, warm, err)
 			}
 			for tsk, v := range psi {
 				if ran(tsk) != (v > 0) {
-					t.Fatalf("step %d faulty=%v: task %d at step %d has flux %v", at, faulty, tsk, s.Start[tsk], v)
+					t.Fatalf("step %d warm=%v: task %d at step %d has flux %v", at, warm, tsk, s.Start[tsk], v)
 				}
 			}
 		}
 	}
 }
 
-// executorSweep returns the parallel or the fault-tolerant executor's
-// sweep function into psi, from a zero scalar flux.
-func executorSweep(t *testing.T, s *sched.Schedule, faulty bool, psi []float64) func(context.Context) error {
-	phi := make([]float64, s.Inst.N())
-	if !faulty {
-		sweep, _, err := machineSweeper(s, testCfg, phi, psi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sweep
-	}
+// executorSweep returns a fault-free engine's sweep function into psi,
+// from a zero scalar flux.
+func executorSweep(t *testing.T, s *sched.Schedule, psi []float64) func(context.Context) error {
 	eng, err := faults.NewEngine(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bal machine.Balance
-	CellBalance(&bal, testCfg, phi)
+	CellBalance(&bal, testCfg, make([]float64, s.Inst.N()))
 	return func(ctx context.Context) error { return eng.Sweep(ctx, bal, psi) }
 }

@@ -9,14 +9,27 @@ import (
 	"sweepsched/internal/sched"
 )
 
-// SolveFaultTolerant runs the source iteration (SolveOn) on the
-// fault-injected distributed executor (internal/faults): the modelled
-// machine's live processors stepped by the engine, its hand-over
-// wrapped by the plan's injector, and checkpointed recovery rescheduling
-// on crashes and lost fluxes. Message
-// fault events fire on the first sweep that sends the affected flux;
-// crashes are permanent, so later iterations keep running on the recovered
-// schedule.
+// SolveFaultTolerant runs the source iteration (SolveOn) on the machine the
+// schedule was made for, under the fault engine (internal/faults): m
+// modelled processors following the schedule step by step, a
+// cross-processor angular flux reaching its consumer only through the
+// interconnect, visible from the step after the one that sent it — the
+// schedule guarantees the ordering, and a schedule that does not is
+// refused with the engine's error. The engine checks ctx before every
+// step, so cancellation returns ctx.Err() within one barrier step.
+//
+// By default cross-processor fluxes ride deadline-driven per-destination
+// envelopes (internal/comm): a flux joins its destination's open envelope,
+// which is transmitted at the barrier before the earliest consumer's step
+// of anything it holds, so one transmission carries many messages.
+// Config.NoBatch selects one transmission per logical message instead, the
+// differential oracle; only Comm.Batches and Comm.Bytes differ.
+//
+// plan's injector wraps the hand-over, and crashes and lost fluxes are
+// recovered from by checkpointed rescheduling; a nil plan injects nothing,
+// which is the fault-free parallel solve. Message fault events fire on the
+// first sweep that sends the affected flux; crashes are permanent, so
+// later iterations keep running on the recovered schedule.
 //
 // Because recovery replays tasks with identical inputs and the per-task
 // cell-balance arithmetic is unchanged, the converged flux is

@@ -31,7 +31,7 @@ func TestValidateWeightsAndSourceFieldLengths(t *testing.T) {
 		if _, err := SolveCtx(context.Background(), s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Solve err = %v, want mention of %q", tc.name, err, tc.want)
 		}
-		if _, err := SolveParallelCtx(context.Background(), s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := solveParallel(context.Background(), s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: SolveParallel err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
@@ -132,7 +132,7 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		for name, cfg := range map[string]Config{"transport": testCfg, "DependencyOnly": DependencyOnly} {
-			if _, err := SolveParallelCtx(ctx, s, cfg); !errors.Is(err, context.Canceled) {
+			if _, err := solveParallel(ctx, s, cfg); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: got %v, want context.Canceled", name, err)
 			}
 		}
@@ -143,7 +143,7 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 		// Repeat until the deadline lands mid-solve or the solve finishes
 		// first; either way no goroutine may leak.
 		for {
-			_, err := SolveParallelCtx(ctx, s, testCfg)
+			_, err := solveParallel(ctx, s, testCfg)
 			if err != nil {
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("got %v, want context.DeadlineExceeded", err)

@@ -146,7 +146,7 @@ func TestSourceFieldParallelMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SolveParallelCtx(context.Background(), s, cfg)
+	par, err := solveParallel(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,21 @@
 // upwind neighbors in direction i, and nothing else, before it can be
 // solved.
 //
-// Three executors are provided, and they produce bitwise-identical
-// fluxes. All run one source iteration (SolveOn): the same prelude, the same
+// Two executors are provided, and they produce bitwise-identical fluxes.
+// Both run one source iteration (SolveOn): the same prelude, the same
 // audit, the same sweep/UpdatePhi loop; they differ only in what sweeps.
 //
 //   - SolveCtx: serial, walking tasks in schedule start order.
-//   - SolveParallelCtx: the modelled machine (internal/machine) — the m
+//   - SolveFaultTolerant: the modelled machine (internal/machine) — the m
 //     processors of the schedule's assignment, exchanging cross-processor
 //     angular fluxes only through the interconnect, in barrier-synchronous
-//     steps — a faithful miniature of the distributed sweep the schedule
-//     would drive on a real cluster. One call runs a whole step, its
-//     processors one after another on the caller's goroutine; what is
-//     modelled is the machine's data flow and traffic, not its speed.
-//   - SolveFaultTolerant: the same machine under the fault engine
-//     (internal/faults).
+//     steps — run by the fault engine (internal/faults), a faithful
+//     miniature of the distributed sweep the schedule would drive on a
+//     real cluster. With no plan it is the fault-free parallel solve: the
+//     first sweep steps the machine, and every later one, having nothing
+//     left to decide, runs flat and adds the traffic the first counted.
+//     Its processors run one after another on the caller's goroutine; what
+//     is modelled is the machine's data flow and traffic, not its speed.
 package transport
 
 import (
@@ -62,8 +63,8 @@ type Config struct {
 	// receives has it resolved.
 	Verify bool
 	// NoBatch disables the batched flux interconnect on every
-	// communicating executor (SolveParallelCtx, SolveFaultTolerant, and the
-	// multi-process runner), sending one transmission per logical
+	// communicating executor (SolveFaultTolerant, with or without a plan,
+	// and the multi-process runner), sending one transmission per logical
 	// cross-processor message instead of deadline-driven per-destination
 	// envelopes (internal/comm). The unbatched path is the differential
 	// oracle: both modes converge bitwise-identically; only the
@@ -71,10 +72,11 @@ type Config struct {
 	NoBatch bool
 	// Collector, when non-nil, receives every solve's counters
 	// (transport.iterations, the transport.solve.time span), the comm.*
-	// series of the communicating executors — posted once per sweep or
-	// fault epoch, on every return path, so a cancelled solve has
-	// reported what it sent — and, on the fault-tolerant path, the
-	// engine's epoch/recovery series.
+	// series of the communicating executors — posted once per fault
+	// epoch, on every return path, so a cancelled solve has reported what
+	// it sent — and the fault engine's faults.* series (epochs, live
+	// processors, recoveries), which a fault-free parallel solve posts
+	// too: it is the engine with an empty plan.
 	Collector *obs.Collector
 }
 
@@ -157,8 +159,8 @@ type Result struct {
 
 // CellBalance fills bal with the cell balance of the sweep that reads the
 // scalar flux phi, which every executor shares — the serial walk, and the
-// modelled machine under SolveParallelCtx, the fault engine and the worker
-// processes of internal/procrun:
+// modelled machine under the fault engine and the worker processes of
+// internal/procrun:
 //
 //	psi = (Q[v] + inflow) / Denom,  Q[v] = source(v) + SigmaS·φ[v],  Denom = 1 + SigmaT
 //
@@ -309,38 +311,4 @@ func serialSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(cont
 		CellBalance(&bal, cfg, phi)
 		return sweepOnce(s.Inst, steps.Order(), &bal, psi, done)
 	}, nil, nil
-}
-
-// SolveParallelCtx runs the same source iteration on the machine the
-// schedule was made for: m modelled processors following the schedule
-// step by step (machine.Sweep), which observes ctx before every step, so cancellation returns ctx.Err() within one
-// barrier step. A cross-processor angular flux reaches its consumer only
-// through the interconnect, delivered at the barrier between steps (a flux
-// sent during step t is visible from step t+1, so every upwind flux is
-// present when needed — the schedule guarantees the ordering, and a
-// schedule that does not is refused with the machine's error).
-//
-// By default cross-processor fluxes ride deadline-driven per-destination
-// envelopes (internal/comm): a sender's flux joins the destination's open
-// envelope, which is transmitted at the barrier before the earliest
-// consumer's step of anything it holds, so one transmission carries many
-// messages. Config.NoBatch selects the per-message interconnect instead —
-// one transmission per logical message, at the barrier closing the step
-// it was sent in — the differential oracle the batched path is tested
-// against. Both are bitwise-identical to SolveCtx; only Comm.Batches and
-// Comm.Bytes differ.
-func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	return SolveOn(ctx, s, cfg, machineSweeper)
-}
-
-func machineSweeper(s *sched.Schedule, cfg Config, phi, psi []float64) (func(context.Context) error, *CommStats, error) {
-	mc, err := machine.New(s, cfg.NoBatch, psi)
-	if err != nil {
-		return nil, nil, err
-	}
-	mc.Observe(cfg.Collector)
-	return func(ctx context.Context) error {
-		CellBalance(&mc.Balance, cfg, phi)
-		return mc.Sweep(ctx)
-	}, &mc.Comm, nil
 }

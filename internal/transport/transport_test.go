@@ -140,7 +140,7 @@ func TestSolveParallelMatchesSerialBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := SolveParallelCtx(context.Background(), s, testCfg)
+		par, err := solveParallel(context.Background(), s, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func starSchedule(t *testing.T, assign sched.Assignment) *sched.Schedule {
 // rounds a DependencyOnly run sends its messages in.
 func c2Everywhere(t *testing.T, s *sched.Schedule) [3]int64 {
 	t.Helper()
-	dep, err := SolveParallelCtx(context.Background(), s, DependencyOnly)
+	dep, err := solveParallel(context.Background(), s, DependencyOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestWeightedQuadratureFlux(t *testing.T) {
 		t.Fatal("weighted solve did not converge")
 	}
 	// Serial and parallel must still agree bitwise with weights.
-	par, err := SolveParallelCtx(context.Background(), s, cfg)
+	par, err := solveParallel(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestSolveRejectsStaleMakespanAndUnscheduled(t *testing.T) {
 			solve func() error
 		}{
 			{"Solve", func() error { _, err := SolveCtx(context.Background(), &s, testCfg); return err }},
-			{"SolveParallel", func() error { _, err := SolveParallelCtx(context.Background(), &s, testCfg); return err }},
+			{"SolveParallel", func() error { _, err := solveParallel(context.Background(), &s, testCfg); return err }},
 			{"SolveFaultTolerant", func() error {
 				_, _, err := SolveFaultTolerant(context.Background(), &s, testCfg, nil)
 				return err
@@ -481,14 +481,15 @@ func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sc
 	b.ReportMetric(perOp/float64(run.messages), "ns/message")
 }
 
-// BenchmarkSolveParallel is the goroutine executor on the box and the
-// sweep shape, and on the sweep shape's mesh with its tetrahedra
+// BenchmarkSolveParallel is the fault-free parallel solve
+// (SolveTransportParallel's: the fault engine with no plan) on the box and
+// the sweep shape, and on the sweep shape's mesh with its tetrahedra
 // renumbered at random ("shuffled"): the same solve on the numbering a
 // real mesher gives, where the executor's per-task state is no longer
 // laid out along the sweep.
 func BenchmarkSolveParallel(b *testing.B) {
 	solve := func(s *sched.Schedule, cfg Config) (executorRun, error) {
-		res, err := SolveParallelCtx(context.Background(), s, cfg)
+		res, err := solveParallel(context.Background(), s, cfg)
 		if err != nil {
 			return executorRun{}, err
 		}
@@ -519,24 +520,19 @@ func shuffledMesh(msh *mesh.Mesh, seed uint64) *mesh.Mesh {
 	return mesh.FromTets(msh.Name, msh.Verts, cells)
 }
 
-// BenchmarkSolveFaultTolerant is the fault engine's fault-free path — the
-// same solve as BenchmarkSolveParallel through faults.Engine, one epoch per
-// source iteration — and, at the sweep-faulty shape, its recoveries: a
-// crash, two drops, a delay and a duplicate, each regrouping the steps and
-// laying the routes out again.
+// BenchmarkSolveFaultTolerant is the fault engine at the sweep-faulty
+// shape under its plan: a crash, two drops, a delay and a duplicate, each
+// regrouping the steps and laying the routes out again. (With no plan it
+// is BenchmarkSolveParallel.)
 func BenchmarkSolveFaultTolerant(b *testing.B) {
-	solve := func(plan func(*sched.Schedule) *faults.Plan) func(*sched.Schedule, Config) (executorRun, error) {
-		return func(s *sched.Schedule, cfg Config) (executorRun, error) {
-			res, rep, err := SolveFaultTolerant(context.Background(), s, cfg, plan(s))
+	b.Run("faulty", func(b *testing.B) {
+		s, cfg := sweepShape(b, 8, 1e-6)
+		benchExecutorOn(b, s, cfg, func(s *sched.Schedule, cfg Config) (executorRun, error) {
+			res, rep, err := SolveFaultTolerant(context.Background(), s, cfg, faultyPlan(s))
 			if err != nil {
 				return executorRun{}, err
 			}
 			return executorRun{rep.StepsExecuted, res.Iterations*s.Inst.NTasks() + rep.TasksReplayed, res.Comm.Messages}, nil
-		}
-	}
-	benchExecutor(b, solve(func(*sched.Schedule) *faults.Plan { return nil }))
-	b.Run("faulty", func(b *testing.B) {
-		s, cfg := sweepShape(b, 8, 1e-6)
-		benchExecutorOn(b, s, cfg, solve(faultyPlan))
+		})
 	})
 }

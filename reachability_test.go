@@ -407,18 +407,20 @@ func TestInternalReachability(t *testing.T) {
 // TestStructure refuses the duplication the executor and kernel refactors
 // removed, and a package main outside cmd/ and bench/, a program only
 // compiled, never run. The modelled machine (internal/machine) has the
-// only Step body, and no per-processor RunProc body exists anywhere. It
-// has two sweep loops: the stepped one (Step, between the barriers), which
-// keeps the acks, the tally and the envelopes that tell a stall, an error
-// or a fault from a clean run and count its traffic, and the flat one
-// (sweepFlat), which runs a layout whose traffic a stepped sweep already
-// counted and has nothing left to find out. Both compute a flux by one
-// helper, taskFlux, and nothing else calls it; nothing under internal/ but
-// taskFlux reads a cell balance's Denom, save the serial solve
-// (transport's sweepOnce), the reference every executor is held to bit for
-// bit — so a third loop, under any name, cannot compute a flux unseen.
-// transport.SolveOn is the only code that alternates a sweep with
-// UpdatePhi; faults.Engine is the only fault-epoch loop, and
+// only Step body, and no per-processor RunProc body exists anywhere. The
+// body is stepped by two drivers only, each between its own barriers: the
+// fault engine's epoch loop (its modelled Ranks, RunStep), which every
+// in-process solve and simulation runs — a fault-free one is the engine
+// with an empty plan — and a procrun worker's step frame (onStep); the
+// machine's step is reached only through Step. The machine's one other
+// loop is the flat sweep (Sweep), which runs a layout whose traffic a
+// stepped epoch already counted and has nothing left to find out. Step and
+// Sweep compute a flux by one helper, taskFlux, and nothing else calls it;
+// nothing under internal/ but taskFlux reads a cell balance's Denom, save
+// the serial solve (transport's sweepOnce), the reference every executor
+// is held to bit for bit — so a third loop, under any name, cannot compute
+// a flux unseen. transport.SolveOn is the only code that alternates a
+// sweep with UpdatePhi; faults.Engine is the only fault-epoch loop, and
 // internal/procrun, its wire side, may not route, reschedule or iterate on
 // its own; every list engine pops from the rank bitmaps, so a task heap or
 // a separate indegree array outside refimpl is a second ready set. The
@@ -427,7 +429,7 @@ func TestInternalReachability(t *testing.T) {
 // carried into the core's run state is a second input form.
 func TestStructure(t *testing.T) {
 	s := loadSource(t)
-	var bodies, loops, fluxCallers, balances []string
+	var bodies, loops, fluxCallers, balances, drivers, stepCallers []string
 	declared := map[string]int{}
 	for _, d := range s.decls {
 		at := fmt.Sprintf("%s:%d", d.file, d.line)
@@ -443,6 +445,12 @@ func TestStructure(t *testing.T) {
 		for _, u := range d.uses {
 			if u.name == "taskFlux" && !slices.Contains(fluxCallers, d.key) {
 				fluxCallers = append(fluxCallers, d.key)
+			}
+			if u.call && u.pkg == "" && u.name == "Step" && !slices.Contains(drivers, d.key) {
+				drivers = append(drivers, d.key)
+			}
+			if u.call && u.pkg == "" && u.name == "step" && strings.HasPrefix(d.file, "internal/machine/") && !slices.Contains(stepCallers, d.key) {
+				stepCallers = append(stepCallers, d.key)
 			}
 			if u.pkg == "" && u.name == "Denom" && !u.set && strings.HasPrefix(d.file, "internal/") && !slices.Contains(balances, d.key) {
 				balances = append(balances, d.key)
@@ -468,8 +476,15 @@ func TestStructure(t *testing.T) {
 		t.Errorf("UpdatePhi is called from %v, want the one SolveOn loop", loops)
 	}
 	slices.Sort(fluxCallers)
-	if !slices.Equal(fluxCallers, []string{"machine.Machine.step", "machine.Machine.sweepFlat"}) {
-		t.Errorf("taskFlux is used in %v, want the two sweep loops, machine.Machine.step and sweepFlat", fluxCallers)
+	if !slices.Equal(fluxCallers, []string{"machine.Machine.Sweep", "machine.Machine.step"}) {
+		t.Errorf("taskFlux is used in %v, want the step body and the flat sweep, machine.Machine.step and Sweep", fluxCallers)
+	}
+	slices.Sort(drivers)
+	if !slices.Equal(drivers, []string{"faults.modelled.RunStep", "procrun.worker.onStep"}) {
+		t.Errorf("Machine.Step is called from %v, want the fault engine's modelled ranks (faults.modelled.RunStep) and a worker's step frame (procrun.worker.onStep) only", drivers)
+	}
+	if !slices.Equal(stepCallers, []string{"machine.Machine.Step"}) {
+		t.Errorf("the machine's step is called from %v, want Step only", stepCallers)
 	}
 	slices.Sort(balances)
 	if !slices.Equal(balances, []string{"machine.Machine.taskFlux", "transport.sweepOnce"}) {
