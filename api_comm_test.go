@@ -221,8 +221,9 @@ func TestStretchedScheduleSimulatesFaultyInBoundedTime(t *testing.T) {
 // the delay the schedule was built for. On the delay-65,536 schedule
 // above, run under the auditor, the planned crashes fire — a reschedule
 // under c = 0 finishes the sweep before either is due — and every
-// reschedule passes verify.Residual, which holds each cross-processor
-// edge of the residual to the delay it ran under.
+// reschedule passes verify.Schedule under its rule (verify.RuleOpts),
+// which holds each cross-processor edge between two not-done tasks to the
+// delay it ran under.
 func TestStretchedScheduleRecoversUnderItsDelay(t *testing.T) {
 	p, err := NewProblemFromFamily("tetonly", 0.02, 4, 64, 1)
 	if err != nil {

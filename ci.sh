@@ -109,8 +109,8 @@ echo "== batched-transport smoke: fault-injected solve under -race =="
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 \
     -faults -drop 2 -delay 1 -dup 1 -verify
 # A schedule built under a communication delay recovers under it: every
-# reschedule of this crash-and-drop run is audited (verify.Residual) with
-# the gap the schedule records.
+# reschedule of this crash-and-drop run is audited (verify.Schedule under
+# the residual rule) with the gap the schedule records.
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 -c 4 \
     -faults -crash 2 -drop 2 -verify
 go run -race ./cmd/sweepbench -exp comm -scale 0.02 -procs 2,8

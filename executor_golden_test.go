@@ -69,24 +69,34 @@ func executorGoldenRows(t *testing.T) []string {
 		return row
 	}
 	ctx := context.Background()
+	config := func(noBatch bool) TransportConfig {
+		return TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, NoBatch: noBatch}
+	}
+	// Simulate and SolveTransport take neither a plan nor an interconnect,
+	// SolveTransportParallel no plan: each runs once per row it fills.
+	simRes, simErr := p.Simulate(res)
+	simRow := sim(simRes, nil, simErr)
+	serial, serialErr := p.SolveTransport(res, config(false))
+	serialRow := solve(serial, nil, serialErr)
+	var parRows [2]string
+	for i, noBatch := range []bool{false, true} {
+		par, parErr := p.SolveTransportParallel(res, config(noBatch))
+		parRows[i] = solve(par, nil, parErr)
+	}
 	var rows []string
 	for _, pl := range plans {
-		for _, noBatch := range []bool{false, true} {
-			cfg := TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, NoBatch: noBatch}
+		for i, noBatch := range []bool{false, true} {
 			mode := "batched"
 			if noBatch {
 				mode = "nobatch"
 			}
-			simRes, simErr := p.Simulate(res)
 			faultyRes, faultyRep, faultyErr := p.SimulateFaulty(ctx, res, pl.plan)
-			serial, serialErr := p.SolveTransport(res, cfg)
-			par, parErr := p.SolveTransportParallel(res, cfg)
-			ft, ftRep, ftErr := p.SolveTransportFaultTolerant(ctx, res, cfg, pl.plan)
+			ft, ftRep, ftErr := p.SolveTransportFaultTolerant(ctx, res, config(noBatch), pl.plan)
 			for _, v := range []struct{ name, row string }{
-				{"Simulate", sim(simRes, nil, simErr)},
+				{"Simulate", simRow},
 				{"SimulateFaulty", sim(faultyRes, faultyRep, faultyErr)},
-				{"SolveTransport", solve(serial, nil, serialErr)},
-				{"SolveTransportParallel", solve(par, nil, parErr)},
+				{"SolveTransport", serialRow},
+				{"SolveTransportParallel", parRows[i]},
 				{"SolveTransportFaultTolerant", solve(ft, ftRep, ftErr)},
 			} {
 				rows = append(rows, fmt.Sprintf("%s %s plan=%s %s", v.name, mode, pl.name, v.row))

@@ -232,8 +232,9 @@ func (e *Engine) count(series string, n int) {
 	}
 }
 
-// SetVerify toggles auditing of every recovery reschedule with
-// verify.Residual (a failed audit aborts the sweep with its diagnostic).
+// SetVerify toggles auditing of every recovery reschedule and post-crash
+// rebuild with verify.Schedule under the residual rule, verify.RuleOpts
+// (a failed audit aborts the sweep with its diagnostic).
 // Defaults to off unless SWEEPSCHED_VERIFY forces it.
 func (e *Engine) SetVerify(on bool) { e.rec.SetVerify(on) }
 

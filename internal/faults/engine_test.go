@@ -7,6 +7,7 @@ import (
 
 	"sweepsched/internal/machine"
 	"sweepsched/internal/sched"
+	"sweepsched/internal/verify"
 )
 
 // spyRanks is the engine's own modelled Ranks, watched: which local steps'
@@ -177,5 +178,76 @@ func TestEngineEpochStopsAtExactlyThatStep(t *testing.T) {
 				fail("the sweep returned with %d tasks to go", eng.remaining)
 			}
 		}
+	}
+}
+
+// TestEmptyPlanBuildsNoRecovery: a fault-free engine never reschedules,
+// so eight sweeps leave the recovery core without its workspace, its rule
+// and its empty done set.
+func TestEmptyPlanBuildsNoRecovery(t *testing.T) {
+	s := fuzzBox(t)
+	eng, err := NewEngine(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psi := make([]float64, s.Inst.NTasks())
+	for range 8 {
+		if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := eng.rec; r.ws != nil || r.rule.Prio != nil || r.none != nil {
+		t.Fatalf("eight fault-free sweeps built the recovery state: workspace %v, %d priorities, %d-task done set", r.ws != nil, len(r.rule.Prio), len(r.none))
+	}
+}
+
+// TestRecoveryBuiltAtTheFirstFault: a plan crashing one processor in each
+// of the first two sweeps builds the recovery core's workspace, level rule
+// and empty done set at its first reschedule and reuses them for every one
+// after — the second crash's and the post-crash rebuilds. Under the
+// auditor every reschedule passes verify.Schedule under its rule, and the
+// rebuild the third sweep runs is a complete schedule under the original
+// delay.
+func TestRecoveryBuiltAtTheFirstFault(t *testing.T) {
+	s := fuzzBox(t)
+	mk := int32(s.Makespan)
+	plan := &Plan{Seed: 1, Events: []Event{
+		{Kind: Crash, Proc: 1, Step: mk / 2},
+		{Kind: Crash, Proc: 2, Step: mk + mk/2},
+	}}
+	eng, err := NewEngine(s, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetVerify(true)
+	r := eng.rec
+	if r.ws != nil {
+		t.Fatal("the recovery workspace was built before the first fault")
+	}
+	psi := make([]float64, s.Inst.NTasks())
+	var ws *sched.Workspace
+	var prio *int64
+	var none *bool
+	for sweep := range 3 {
+		if err := eng.Sweep(context.Background(), zeroBalance(s), psi); err != nil {
+			t.Fatal(err)
+		}
+		if sweep == 0 {
+			ws, prio, none = r.ws, &r.rule.Prio[0], &r.none[0]
+		}
+		if r.ws != ws || &r.rule.Prio[0] != prio || &r.none[0] != none {
+			t.Fatalf("sweep %d built the recovery state again", sweep+1)
+		}
+	}
+	if rep := eng.Report(); rep.Crashes != 2 || rep.Recoveries != 2 {
+		t.Fatalf("%s, want two crashes and two recoveries", rep)
+	}
+	for tt, l := range r.rule.Prio {
+		if v, i := s.Inst.Split(sched.TaskID(tt)); l != int64(s.Inst.DAGs[i].Level[v]) {
+			t.Fatalf("task %d ranks at %d, its level is %d", tt, l, s.Inst.DAGs[i].Level[v])
+		}
+	}
+	if err := verify.Schedule(s.Inst, eng.cur, verify.Opts{CommDelay: s.CommDelay}); err != nil || eng.cur == s {
+		t.Fatalf("the post-crash rebuild (a new schedule: %v) as a complete schedule: %v", eng.cur != s, err)
 	}
 }

@@ -13,7 +13,9 @@
 // pending, stalls — and on a
 // crash or a missing-flux stall ends the epoch, rolls the victims back to
 // what is durable, reassigns their cells onto the survivors, list-schedules
-// the not-yet-done tasks (a sched.Rule with Done) and resumes. Where
+// the not-yet-done tasks (the heuristics.Level recipe's sched.Rule with
+// Done, built at the first fault and, when auditing, held to
+// verify.Schedule under verify.RuleOpts like a plan) and resumes. Where
 // the processors run between the barriers, and what a crash loses, is the
 // Ranks seam: modelled here, worker processes under internal/procrun. An
 // engine with an empty plan is the fault-free parallel executor: every
@@ -32,10 +34,10 @@
 // built for (Schedule.CommDelay), so a plan made for delay c recovers into
 // the delay-c machine, not the c = 0 one. It drops the rest of the plan's
 // rule: the release floors and the priorities, the residual ranking tasks
-// by their DAG level. One leniency is known: at the cut a done
-// predecessor owes its successor no wait, cross-processor or not, so the
-// first residual steps can run a delay earlier than the plan would have,
-// and a recovered run under a delay can take fewer steps than the
+// by their DAG level (heuristics.Level). One leniency is known: at the cut
+// a done predecessor owes its successor no wait, cross-processor or not,
+// so the first residual steps can run a delay earlier than the plan would
+// have, and a recovered run under a delay can take fewer steps than the
 // fault-free one. A negative RecoveryReport.Penalty is therefore no bug.
 //
 // What callers may rely on:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/verify"
@@ -11,35 +12,33 @@ import (
 
 // Recovery is the engine's crash-recovery core: it tracks which processors
 // are alive, owns the (mutating) cell assignment, and rebuilds feasible
-// schedules over the outstanding tasks by residual list scheduling — the
-// same decisions for a simulated crash and a kill -9'd worker process,
-// since both are the engine's.
+// schedules over the outstanding tasks — the same decisions for a
+// simulated crash and a kill -9'd worker process, since both are the
+// engine's. Kill order, orphan reassignment (least loaded survivor, ties
+// to smallest id) and the reschedules are pure functions of the inputs.
 //
-// Recovery is deterministic: Kill order, orphan reassignment (least
-// loaded survivor, ties to smallest id) and list-scheduling priorities
-// (per-direction DAG levels) are pure functions of the inputs.
-//
-// Every reschedule runs under the original schedule's communication delay
+// A reschedule is a plan over the tasks not done: the level recipe
+// (heuristics.Level) under the original schedule's delay
 // (Schedule.CommDelay), so a schedule built for a delay recovers into the
-// same machine model. It does not keep the plan's priorities or release
-// floors: those served the plan's draw, and the residual ranks by level.
+// same machine model, without the plan's priorities and floors, which
+// served its draw.
 type Recovery struct {
 	inst   *sched.Instance
 	assign sched.Assignment
-	// rule is the residual run's: level priorities and the original
-	// delay; its Done is set per reschedule.
-	rule  sched.Rule
-	none  []bool // the empty done set of a full rebuild
-	live  []bool
-	nLive int
-	dead  []int32
+	live   []bool
+	nLive  int
+	dead   []int32
 
-	// ws and the two destination schedules make repeated residual
-	// rescheduling allocation-free: full backs the cross-sweep schedule
-	// after a post-crash rebuild, resid is the scratch for mid-sweep
-	// recoveries (transient: callers drop references before the next
-	// recovery overwrites it).
+	// Built at the first fault (prepare): ws, reporting to col (Observe's),
+	// the level rule — its CommDelay set from the start, its Done per
+	// reschedule — and none, a full rebuild's empty done set. full backs
+	// the cross-sweep schedule after a post-crash rebuild, resid is the
+	// scratch for mid-sweep recoveries (transient: callers drop references
+	// before the next recovery overwrites it).
 	ws    *sched.Workspace
+	rule  sched.Rule
+	none  []bool
+	col   *obs.Collector
 	full  sched.Schedule
 	resid sched.Schedule
 
@@ -47,9 +46,8 @@ type Recovery struct {
 }
 
 // NewRecovery prepares a recovery core for the schedule's instance and
-// assignment. It validates the assignment and precomputes the residual
-// list-scheduling priorities (per-direction DAG levels: cheap,
-// deterministic, and a good order on sweep DAGs).
+// assignment. It validates the assignment and copies it; the residual
+// rule waits for the first reschedule.
 func NewRecovery(s *sched.Schedule) (*Recovery, error) {
 	inst := s.Inst
 	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
@@ -61,24 +59,32 @@ func NewRecovery(s *sched.Schedule) (*Recovery, error) {
 	r := &Recovery{
 		inst:   inst,
 		assign: append(sched.Assignment(nil), s.Assign...),
-		none:   make([]bool, inst.NTasks()),
+		rule:   sched.Rule{CommDelay: s.CommDelay},
 		live:   make([]bool, inst.M),
 		nLive:  inst.M,
-		ws:     sched.NewWorkspace(),
 		audit:  verify.ForcedByEnv(),
 	}
 	for p := range r.live {
 		r.live[p] = true
 	}
-	n := int32(inst.N())
-	r.rule = sched.Rule{Prio: make(sched.Priorities, inst.NTasks()), CommDelay: s.CommDelay}
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			r.rule.Prio[base+v] = int64(d.Level[v])
-		}
-	}
 	return r, nil
+}
+
+// prepare builds the workspace, the level rule and the empty done set,
+// once: the levels do not change with the assignment.
+func (r *Recovery) prepare() error {
+	if r.ws != nil {
+		return nil
+	}
+	ws := sched.NewWorkspace()
+	ws.SetObserver(r.col)
+	rule, err := heuristics.Rule(ws, heuristics.Level, r.inst, r.assign, nil, nil, 1)
+	if err != nil {
+		return err
+	}
+	rule.CommDelay = r.rule.CommDelay
+	r.ws, r.rule, r.none = ws, rule, make([]bool, r.inst.NTasks())
+	return nil
 }
 
 // Assign returns the live cell assignment. Callers must treat it as
@@ -99,12 +105,17 @@ func (r *Recovery) Dead() []int32 {
 }
 
 // Observe attaches a stats collector to the rescheduling workspace (the
-// sched.* kernel series). A nil collector detaches.
-func (r *Recovery) Observe(col *obs.Collector) { r.ws.SetObserver(col) }
+// sched.* kernel series), now or once built. A nil collector detaches.
+func (r *Recovery) Observe(col *obs.Collector) {
+	r.col = col
+	if r.ws != nil {
+		r.ws.SetObserver(col)
+	}
+}
 
-// SetVerify toggles auditing of every reschedule with verify.Residual (a
-// failed audit aborts with its diagnostic). Defaults to off unless
-// SWEEPSCHED_VERIFY forces it.
+// SetVerify toggles auditing of every reschedule with verify.Schedule
+// under the residual rule (a failed audit aborts with its diagnostic).
+// Defaults to off unless SWEEPSCHED_VERIFY forces it.
 func (r *Recovery) SetVerify(on bool) { r.audit = on }
 
 // Kill marks the processors dead and moves every cell of a dead
@@ -133,7 +144,7 @@ func (r *Recovery) Kill(procs []int32, done []bool) {
 // returned schedule is owned by the Recovery and overwritten by the next
 // RebuildFull.
 func (r *Recovery) RebuildFull() (*sched.Schedule, error) {
-	if err := r.reschedule(&r.full, r.none, "post-crash rebuild"); err != nil {
+	if err := r.reschedule(&r.full, nil, "post-crash rebuild"); err != nil {
 		return nil, err
 	}
 	return &r.full, nil
@@ -151,15 +162,22 @@ func (r *Recovery) Reschedule(done []bool) (*sched.Schedule, error) {
 }
 
 // reschedule runs the residual rule for done into dst and, when auditing,
-// holds the result to verify.Residual: done is exact at a barrier, so the
-// residual schedule must cover precisely the survivors.
+// holds the result to verify.Schedule under that rule: done is exact at a
+// barrier, so the residual schedule must cover precisely the survivors.
+// done is nil for a full rebuild, which runs on the empty done set.
 func (r *Recovery) reschedule(dst *sched.Schedule, done []bool, what string) error {
+	if err := r.prepare(); err != nil {
+		return err
+	}
 	r.rule.Done = done
+	if done == nil {
+		r.rule.Done = r.none
+	}
 	if err := r.ws.Schedule(dst, r.inst, r.assign, r.rule); err != nil {
 		return err
 	}
 	if r.audit {
-		if err := verify.Residual(r.inst, dst, done); err != nil {
+		if err := verify.Schedule(r.inst, dst, verify.RuleOpts(r.rule)); err != nil {
 			return fmt.Errorf("faults: %s failed the audit: %w", what, err)
 		}
 	}
@@ -176,7 +194,7 @@ func (r *Recovery) reassignOrphans(done []bool) {
 	inst := r.inst
 	n := inst.N()
 	k := inst.K()
-	remainPerCell := make([]int, n)
+	remainPerCell := make([]int32, n) // n·k fits a TaskID
 	for i := 0; i < k; i++ {
 		base := i * n
 		for v := 0; v < n; v++ {
@@ -185,7 +203,7 @@ func (r *Recovery) reassignOrphans(done []bool) {
 			}
 		}
 	}
-	load := make([]int, inst.M)
+	load := make([]int32, inst.M)
 	for v := 0; v < n; v++ {
 		if p := r.assign[v]; r.live[p] {
 			load[p] += remainPerCell[v]

@@ -42,20 +42,32 @@ type segmentFill func(seg sched.Priorities, d *dag.DAG, assign sched.Assignment)
 // goroutines (<= 0 selects GOMAXPROCS; the result is identical for every
 // worker count): segment i from direction i's DAG or, with an angleset
 // partition, segment a from angleset a's representative DAG (its first
-// member direction's).
+// member direction's). One worker fills them in a loop, allocating
+// nothing.
 func fillSegments(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, workers int, fill segmentFill) {
-	n, segs := inst.N(), inst.K()
+	segs := inst.K()
 	if groups != nil {
 		segs = len(groups)
 	}
-	_ = par.ForEach(segs, workers, func(s int) error {
-		rep := s
-		if groups != nil {
-			rep = int(groups[s][0])
+	if par.Workers(workers) == 1 {
+		for s := range segs {
+			fillSegment(prio, inst, assign, groups, s, fill)
 		}
-		fill(prio[s*n:(s+1)*n], inst.DAGs[rep], assign)
+		return
+	}
+	_ = par.ForEach(segs, workers, func(s int) error {
+		fillSegment(prio, inst, assign, groups, s, fill)
 		return nil
 	})
+}
+
+// fillSegment fills segment s of prio, as fillSegments says.
+func fillSegment(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, s int, fill segmentFill) {
+	n, rep := inst.N(), s
+	if groups != nil {
+		rep = int(groups[s][0])
+	}
+	fill(prio[s*n:(s+1)*n], inst.DAGs[rep], assign)
 }
 
 // LevelPrioritiesInto fills a caller-provided priority slice (len =

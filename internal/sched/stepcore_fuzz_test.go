@@ -19,7 +19,7 @@ import (
 // on its edge walk must be sched.Measure's. The residual rule under the
 // drawn delay, recovery's, has no reference of its own: with nothing done
 // it must be the comm schedule bit for bit, and at the cut
-// verify.Residual must accept it under the delay it records. The fuzzer
+// verify.Schedule must accept it under the rule, verify.RuleOpts. The fuzzer
 // picks the family, m, the priorities' spread — narrow enough for the
 // counting pass, widened into the radix sort, or at the extremes of int64
 // for the comparison fallback — the floors, the delay and where the done
@@ -98,13 +98,14 @@ func FuzzStepCoreEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		check("residual comm, nothing done", want, false)
-		if err := ws.Schedule(got, inst, assign, sched.Rule{Prio: prio, CommDelay: cd, Done: done}); err != nil {
+		rule := sched.Rule{Prio: prio, CommDelay: cd, Done: done}
+		if err := ws.Schedule(got, inst, assign, rule); err != nil {
 			t.Fatal(err)
 		}
 		if got.CommDelay != cd {
 			t.Fatalf("residual comm: the schedule records delay %d, the rule ran %d", got.CommDelay, cd)
 		}
-		if err := verify.Residual(inst, got, done); err != nil {
+		if err := verify.Schedule(inst, got, verify.RuleOpts(rule)); err != nil {
 			t.Fatalf("residual comm (n=%d k=%d m=%d cd=%d cut=%d): %v", n, k, m, cd, cut, err)
 		}
 	})

@@ -58,7 +58,8 @@ type Config struct {
 	SourceField []float64
 	// Verify audits the schedule with internal/verify before the solve
 	// starts and, on the fault-tolerant path, audits every recovery
-	// reschedule and the final accounting. The SWEEPSCHED_VERIFY
+	// reschedule (verify.Schedule under its rule, done set included) and
+	// the final accounting. The SWEEPSCHED_VERIFY
 	// environment variable forces it on; the Config an executor's Sweeper
 	// receives has it resolved.
 	Verify bool

@@ -1,102 +1,6 @@
 package verify
 
-import (
-	"fmt"
-
-	"sweepsched/internal/sched"
-)
-
-// Residual audits a recovery reschedule, a step-core run under a
-// sched.Rule with Done: done tasks must keep Start = -1 (they are never
-// re-executed), every surviving task must be scheduled, precedence must
-// hold over the residual sub-DAG (edges between two not-done tasks) with
-// the gap of the CommDelay the schedule records on a cross-processor
-// edge, processors must run at most one task per step, and Makespan must
-// equal the number of residual steps. A done predecessor owes no wait. A
-// nil done set means nothing is done — the residual schedule is then a
-// complete schedule starting at step 0.
-func Residual(inst *sched.Instance, s *sched.Schedule, done []bool) error {
-	if s == nil {
-		return fmt.Errorf("verify: nil residual schedule")
-	}
-	if inst == nil {
-		inst = s.Inst
-	}
-	if inst == nil {
-		return fmt.Errorf("verify: residual schedule has no instance")
-	}
-	nt := inst.NTasks()
-	n := int32(inst.N())
-	if done != nil && len(done) != nt {
-		return fmt.Errorf("verify: done set covers %d of %d tasks", len(done), nt)
-	}
-	if len(s.Start) != nt {
-		return fmt.Errorf("verify: residual schedule covers %d of %d tasks", len(s.Start), nt)
-	}
-	if err := s.Assign.Validate(inst.N(), inst.M); err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
-	isDone := func(t int) bool { return done != nil && done[t] }
-
-	maxStart := int32(-1)
-	for t := 0; t < nt; t++ {
-		st := s.Start[t]
-		if isDone(t) {
-			if st != -1 {
-				return fmt.Errorf("verify: done task %d rescheduled at step %d", t, st)
-			}
-			continue
-		}
-		if st < 0 {
-			return fmt.Errorf("verify: surviving task %d unscheduled (start %d)", t, st)
-		}
-		if st > maxStart {
-			maxStart = st
-		}
-	}
-	if s.Makespan != int(maxStart)+1 {
-		return fmt.Errorf("verify: residual makespan %d inconsistent with max start %d", s.Makespan, maxStart)
-	}
-	if s.CommDelay < 0 {
-		return fmt.Errorf("verify: negative comm delay %d", s.CommDelay)
-	}
-	// Precedence over the residual sub-DAG, with the comm-delay gap on
-	// cross-processor edges.
-	cd := int64(s.CommDelay)
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for u := int32(0); u < n; u++ {
-			ut := int(base + u)
-			if isDone(ut) {
-				continue
-			}
-			for _, w := range d.Out(u) {
-				wt := int(base + w)
-				if isDone(wt) {
-					continue
-				}
-				gap := int64(1)
-				if s.Assign[u] != s.Assign[w] {
-					gap += cd
-				}
-				if int64(s.Start[wt]) < int64(s.Start[ut])+gap {
-					return fmt.Errorf("verify: residual precedence violated in dir %d: cell %d@%d -> cell %d@%d needs gap %d",
-						i, u, s.Start[ut], w, s.Start[wt], gap)
-				}
-			}
-		}
-	}
-	// Processor exclusivity among surviving tasks (done tasks carry
-	// start -1, which stepOrder leaves out).
-	proc := make([]int32, nt)
-	for t := range proc {
-		proc[t] = s.Assign[int32(t)%n]
-	}
-	if p, a, b, step, _, found := doubleBooked(inst.M, proc, s.Start, stepOrder(s.Start), nil); found {
-		return fmt.Errorf("verify: processor %d runs tasks %d and %d at residual step %d", p, a, b, step)
-	}
-	return nil
-}
+import "fmt"
 
 // RecoveryStats is the accounting a fault-tolerant run reports, flattened
 // into plain counters so the auditor stays decoupled from the faults

@@ -277,9 +277,10 @@ func TestAuditBoundedOnSparseSchedules(t *testing.T) {
 	}
 }
 
-// TestResidualRejectsDoubleBooking: the residual audit shares the
-// exclusivity scan with Tasks; done tasks (start -1) must not count as
-// sharing a slot, and a surviving pair in one slot must be named.
+// TestResidualRejectsDoubleBooking: the audit of a residual run, under its
+// rule's done set, walks the one exclusivity scan; done tasks (start -1)
+// must not count as sharing a slot, and a surviving pair in one slot must
+// be named.
 func TestResidualRejectsDoubleBooking(t *testing.T) {
 	inst := syntheticInstance(t, 40, 3, 4, 41)
 	assign := sched.RandomAssignment(inst.N(), inst.M, rng.New(6))
@@ -291,11 +292,12 @@ func TestResidualRejectsDoubleBooking(t *testing.T) {
 	for tt, st := range full.Start {
 		done[tt] = st < int32(full.Makespan)/2
 	}
-	resid, err := into(inst, assign, sched.Rule{Done: done})
+	rule := sched.Rule{Done: done}
+	resid, err := into(inst, assign, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verify.Residual(inst, resid, done); err != nil {
+	if err := verify.Schedule(inst, resid, verify.RuleOpts(rule)); err != nil {
 		t.Fatalf("valid residual schedule rejected: %v", err)
 	}
 	// Move the last surviving task with no successors left to wait for
@@ -310,8 +312,8 @@ func TestResidualRejectsDoubleBooking(t *testing.T) {
 				continue
 			}
 			resid.Start[b] = resid.Start[a]
-			want := fmt.Sprintf("verify: processor %d runs tasks %d and %d at residual step %d", proc[a], a, b, resid.Start[a])
-			if err := verify.Residual(inst, resid, done); err == nil || err.Error() != want {
+			want := fmt.Sprintf("verify: processor %d runs tasks %d and %d at step %d", proc[a], a, b, resid.Start[a])
+			if err := verify.Schedule(inst, resid, verify.RuleOpts(rule)); err == nil || err.Error() != want {
 				t.Fatalf("got %v, want %q", err, want)
 			}
 			return

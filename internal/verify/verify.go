@@ -62,17 +62,23 @@ type Opts struct {
 	// (a wrong-octant placement survives the inst.DAGs precedence check,
 	// because the corrupted family *is* inst.DAGs, but not this one).
 	Anglesets [][]int32
+	// Done, when non-nil, marks the tasks a residual run (a sched.Rule
+	// with Done) finished before step 0: each must keep start -1 and
+	// constrains nothing, every other task must be scheduled, and the
+	// makespan counts the survivors' steps.
+	Done []bool
 }
 
 // RuleOpts is the audit of a schedule the step core wrote under rule:
-// its floors, delay and angleset partition. A plan adds its Metrics.
+// its floors, delay, angleset partition and done set. A plan adds its
+// Metrics.
 func RuleOpts(rule sched.Rule) Opts {
-	return Opts{Release: rule.Release, CommDelay: rule.CommDelay, Anglesets: rule.Anglesets}
+	return Opts{Release: rule.Release, CommDelay: rule.CommDelay, Anglesets: rule.Anglesets, Done: rule.Done}
 }
 
-// Schedule audits a complete schedule against the §3 feasibility
-// constraints and, per opts, the release/comm-delay models and reported
-// metrics. inst may be nil (s.Inst is used); when both are given they
+// Schedule audits a complete schedule — or, with opts.Done, a residual
+// one — against the §3 feasibility constraints and, per opts, the
+// release/comm-delay models and reported metrics. inst may be nil (s.Inst is used); when both are given they
 // must be the same instance. A nil error means every audited invariant
 // holds.
 func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
@@ -130,10 +136,10 @@ func Schedule(inst *sched.Instance, s *sched.Schedule, opts Opts) error {
 // slices. This lower-level form can express states a sched.Schedule
 // structurally cannot — in particular copies of one cell split across
 // processors — which is what lets the corruption tests prove the
-// split-cell check fires. Checks: coverage (start >= 0), processor
-// range, all k copies of a cell on one processor, release feasibility,
-// per-direction DAG precedence with the comm-delay gap on cross-
-// processor edges, and <= 1 task per processor per step.
+// split-cell check fires. Checks: coverage (start >= 0, -1 for a done
+// task), processor range, all k copies of a cell on one processor,
+// release feasibility, per-direction DAG precedence with the comm-delay
+// gap on cross-processor edges, and <= 1 task per processor per step.
 func Tasks(inst *sched.Instance, proc []int32, start []int32, opts Opts) error {
 	_, err := audit(inst, proc, start, stepOrder(start), opts, nil)
 	return err
@@ -162,7 +168,17 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 	if opts.CommDelay < 0 {
 		return 0, fmt.Errorf("verify: negative comm delay %d", opts.CommDelay)
 	}
+	done := opts.Done
+	if done != nil && len(done) != nt {
+		return 0, fmt.Errorf("verify: done set covers %d of %d tasks", len(done), nt)
+	}
 	for t := 0; t < nt; t++ {
+		if isDone(done, int32(t)) {
+			if start[t] != -1 {
+				return 0, fmt.Errorf("verify: done task %d rescheduled at step %d", t, start[t])
+			}
+			continue
+		}
 		if start[t] < 0 {
 			return 0, fmt.Errorf("verify: task %d unscheduled (start %d)", t, start[t])
 		}
@@ -183,15 +199,21 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 		}
 	}
 	// Precedence within every direction DAG, with the comm-delay gap on
-	// cross-processor edges.
+	// cross-processor edges; an edge with a done end constrains nothing.
 	cd := int32(opts.CommDelay)
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for u := int32(0); u < n; u++ {
 			ut := base + u
+			if isDone(done, ut) {
+				continue
+			}
 			sends := int32(0)
 			for _, w := range d.Out(u) {
 				wt := base + w
+				if isDone(done, wt) {
+					continue
+				}
 				gap := int32(1)
 				if proc[ut] != proc[wt] {
 					sends++
@@ -219,6 +241,9 @@ func audit(inst *sched.Instance, proc, start, order []int32, opts Opts, cross []
 	}
 	return c2, nil
 }
+
+// isDone reports whether task t is in the done set (nil: none is).
+func isDone(done []bool, t int32) bool { return done != nil && done[t] }
 
 // stepOrder returns the tasks with a start >= 0 (a residual schedule's
 // done tasks have none) in (start, task) order. It is a stable
@@ -351,7 +376,7 @@ func anglesetAudit(inst *sched.Instance, proc, start []int32, opts Opts) error {
 			rel := opts.Release[dirGroup[i]]
 			base := int32(i) * n
 			for v := int32(0); v < n; v++ {
-				if start[base+v] < rel {
+				if !isDone(opts.Done, base+v) && start[base+v] < rel {
 					return fmt.Errorf("verify: task %d (dir %d) starts at %d before its angleset's release %d",
 						base+v, i, start[base+v], rel)
 				}
@@ -369,6 +394,9 @@ func anglesetAudit(inst *sched.Instance, proc, start []int32, opts Opts) error {
 			ut := base + u
 			for _, w := range d.Out(u) {
 				wt := base + w
+				if isDone(opts.Done, ut) || isDone(opts.Done, wt) {
+					continue
+				}
 				gap := int32(1)
 				if cd > 0 && proc[ut] != proc[wt] {
 					gap += cd

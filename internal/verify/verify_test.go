@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -288,8 +289,9 @@ func TestMetricRefsMatchProduction(t *testing.T) {
 	}
 }
 
-// TestResidualAudit checks the residual auditor on real residual
-// schedules and on seeded violations.
+// TestResidualAudit checks the audit of a residual run — verify.Schedule
+// under the rule's done set — on a real residual schedule and on seeded
+// violations.
 func TestResidualAudit(t *testing.T) {
 	inst := syntheticInstance(t, 40, 3, 4, 41)
 	r := rng.New(6)
@@ -305,40 +307,42 @@ func TestResidualAudit(t *testing.T) {
 			done[tt] = true
 		}
 	}
-	resid, err := into(inst, assign, sched.Rule{Done: done})
+	rule := sched.Rule{Done: done}
+	resid, err := into(inst, assign, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verify.Residual(inst, resid, done); err != nil {
+	if err := verify.Schedule(inst, resid, verify.RuleOpts(rule)); err != nil {
 		t.Fatalf("valid residual schedule rejected: %v", err)
 	}
 	// Done task rescheduled.
-	for tt := range done {
-		if done[tt] {
-			bad := &sched.Schedule{Inst: inst, Assign: assign,
-				Start: append([]int32(nil), resid.Start...), Makespan: resid.Makespan}
-			bad.Start[tt] = 0
-			if err := verify.Residual(inst, bad, done); err == nil {
-				t.Fatal("rescheduled done task not rejected")
-			}
-			break
-		}
+	tt := slices.Index(done, true)
+	bad := &sched.Schedule{Inst: inst, Assign: assign,
+		Start: append([]int32(nil), resid.Start...), Makespan: resid.Makespan}
+	bad.Start[tt] = 0
+	want := fmt.Sprintf("verify: done task %d rescheduled at step 0", tt)
+	if err := verify.Schedule(inst, bad, verify.RuleOpts(rule)); err == nil || err.Error() != want {
+		t.Fatalf("rescheduled done task: audit says %v, want %q", err, want)
 	}
 	// Makespan claim.
-	bad := &sched.Schedule{Inst: inst, Assign: assign,
-		Start: append([]int32(nil), resid.Start...), Makespan: resid.Makespan + 1}
-	if err := verify.Residual(inst, bad, done); err == nil {
+	bad.Start[tt], bad.Makespan = -1, resid.Makespan+1
+	if err := verify.Schedule(inst, bad, verify.RuleOpts(rule)); err == nil {
 		t.Fatal("wrong residual makespan not rejected")
+	}
+	// The same schedule audited as a complete one.
+	if err := verify.Schedule(inst, resid, verify.Opts{}); err == nil {
+		t.Fatal("a residual schedule passed as a complete one")
 	}
 }
 
 // TestResidualAuditChecksCommGap: a residual run under a delay records it,
-// and Residual holds every cross-processor edge between two not-done tasks
-// to it. On the chain 0 -> 1 -> 2 with cell 0 done, cells 0 and 2 on
-// processor 1 and cell 1 on processor 0, the rule runs task 1 at step 0 —
-// a done predecessor owes no wait, across processors too — and task 2 a
-// delay later, at 1+3. Moved into the gap, to step 2, task 2 still follows
-// task 1 and has its processor to itself: only the gap is broken.
+// and the audit under its rule holds every cross-processor edge between
+// two not-done tasks to it. On the chain 0 -> 1 -> 2 with cell 0 done,
+// cells 0 and 2 on processor 1 and cell 1 on processor 0, the rule runs
+// task 1 at step 0 — a done predecessor owes no wait, across processors
+// too — and task 2 a delay later, at 1+3. Moved into the gap, to step 2,
+// task 2 still follows task 1 and has its processor to itself: only the
+// gap is broken.
 func TestResidualAuditChecksCommGap(t *testing.T) {
 	d, err := dag.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
 	if err != nil {
@@ -349,19 +353,19 @@ func TestResidualAuditChecksCommGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := sched.Assignment{1, 0, 1}
-	done := []bool{true, false, false}
-	s, err := into(inst, assign, sched.Rule{CommDelay: 3, Done: done})
+	rule := sched.Rule{CommDelay: 3, Done: []bool{true, false, false}}
+	s, err := into(inst, assign, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int32{-1, 0, 4}; !slices.Equal(s.Start, want) || s.CommDelay != 3 {
 		t.Fatalf("residual run: starts %v under delay %d, want %v under 3", s.Start, s.CommDelay, want)
 	}
-	if err := verify.Residual(inst, s, done); err != nil {
+	if err := verify.Schedule(inst, s, verify.RuleOpts(rule)); err != nil {
 		t.Fatalf("the rule's own residual schedule rejected: %v", err)
 	}
 	s.Start[2], s.Makespan = 2, 3
-	if err := verify.Residual(inst, s, done); err == nil || !strings.Contains(err.Error(), "needs gap 4") {
+	if err := verify.Schedule(inst, s, verify.RuleOpts(rule)); err == nil || !strings.Contains(err.Error(), "needs gap 4") {
 		t.Fatalf("a successor started inside the communication gap: audit says %v, want the gap violation", err)
 	}
 }
