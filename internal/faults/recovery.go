@@ -194,7 +194,7 @@ func (r *Recovery) reassignOrphans(done []bool) {
 	inst := r.inst
 	n := inst.N()
 	k := inst.K()
-	remainPerCell := make([]int32, n) // n·k fits a TaskID
+	remainPerCell := make([]int, n)
 	for i := 0; i < k; i++ {
 		base := i * n
 		for v := 0; v < n; v++ {
@@ -203,7 +203,7 @@ func (r *Recovery) reassignOrphans(done []bool) {
 			}
 		}
 	}
-	load := make([]int32, inst.M)
+	load := make([]int, inst.M)
 	for v := 0; v < n; v++ {
 		if p := r.assign[v]; r.live[p] {
 			load[p] += remainPerCell[v]

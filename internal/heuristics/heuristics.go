@@ -42,8 +42,8 @@ type segmentFill func(seg sched.Priorities, d *dag.DAG, assign sched.Assignment)
 // goroutines (<= 0 selects GOMAXPROCS; the result is identical for every
 // worker count): segment i from direction i's DAG or, with an angleset
 // partition, segment a from angleset a's representative DAG (its first
-// member direction's). One worker fills them in a loop, allocating
-// nothing.
+// member direction's). One worker fills them in a plain loop, without
+// the closure par.ForEach takes, which is a heap allocation.
 func fillSegments(prio sched.Priorities, inst *sched.Instance, assign sched.Assignment, groups [][]int32, workers int, fill segmentFill) {
 	segs := inst.K()
 	if groups != nil {

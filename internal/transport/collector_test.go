@@ -26,11 +26,11 @@ func (c *cancelAfter) Err() error {
 
 // TestCollectorSeesEveryExecutor holds Config.Collector to what its comment
 // promises of any solve: transport.iterations counts the sweeps and the
-// transport.solve.time span is recorded on the serial executor and the
-// parallel one (the fault engine, with no plan) alike; the comm.* counters
-// equal Result.Comm on both interconnects; and they are posted when a
-// sweep or a fault epoch returns, on every path, so a solve cancelled
-// mid-sweep has reported the messages it sent.
+// transport.solve.time span is recorded on the serial, the parallel and the
+// fault-tolerant executor alike; the comm.* counters equal Result.Comm on
+// both interconnects; and they are posted when a sweep or a fault epoch
+// returns, on every path, so a solve cancelled mid-sweep has reported the
+// messages it sent.
 func TestCollectorSeesEveryExecutor(t *testing.T) {
 	s := testSchedule(t, 3, 8, 4, 11)
 	ctx := context.Background()
@@ -41,6 +41,10 @@ func TestCollectorSeesEveryExecutor(t *testing.T) {
 	}{
 		{"Solve", false, SolveCtx},
 		{"SolveParallel", true, solveParallel},
+		{"SolveFaultTolerant", true, func(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
+			res, _, err := SolveFaultTolerant(ctx, s, cfg, nil)
+			return res, err
+		}},
 	}
 	for _, ex := range executors {
 		for _, noBatch := range []bool{false, true} {
