@@ -305,12 +305,11 @@ type ScheduleOptions struct {
 	// priority computation, and the feasibility tail — Validate split by
 	// direction and by processor, with a sampled audit on a goroutine
 	// beside it — once the instance is large enough to pay for the
-	// hand-off (random_delays, which the step core does not run, also
-	// counts its C1/C2 on them). The result is bit-for-bit identical for
-	// every value: parallel stages write into slots indexed by direction
-	// or processor, all randomness is drawn from per-direction substreams
-	// before any fan-out, and the tail reports the error a serial run
-	// would (see DESIGN.md, "Determinism").
+	// hand-off. The result is bit-for-bit identical for every value:
+	// parallel stages write into slots indexed by direction or processor,
+	// all randomness is drawn from per-direction substreams before any
+	// fan-out, and the tail reports the error a serial run would (see
+	// DESIGN.md, "Determinism").
 	Workers int
 	// Verify runs the internal/verify auditor over the produced schedule —
 	// an independent recomputation of every feasibility constraint and of
@@ -342,9 +341,10 @@ type ScheduleOptions struct {
 	// kernel — precedence is always enforced with every direction's own
 	// DAG.
 	// Requires a problem built with an explicit direction set (geometric
-	// problems); the layer-synchronous RandomDelays and ImprovedDelays
-	// schedulers do not support aggregation. 0 disables aggregation (the
-	// per-direction pipeline); negative values are rejected.
+	// problems); RandomDelays (per-direction layers) and ImprovedDelays
+	// (Graham levels over all k directions) do not support aggregation. 0
+	// disables aggregation (the per-direction pipeline); negative values
+	// are rejected.
 	Anglesets int
 }
 
@@ -512,11 +512,6 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	var rule sched.Rule
 	span = col.Span("api.schedule.time")
 	err = func() (err error) {
-		if alg == RandomDelays && groups == nil {
-			// Layer-synchronous, no rule; the other models' entry points refuse it.
-			pl.schedule, err = heuristics.Run(alg, inst, assign, r, opts.Workers)
-			return err
-		}
 		if rule, err = heuristics.Rule(ws, alg, inst, assign, groups, r, opts.Workers); err != nil {
 			return err
 		}
@@ -541,11 +536,8 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 	span = col.Span("api.metrics.time")
 	if pl.weighted != nil {
 		pl.bounds = lb.ComputeWeighted(inst, mdl.weights, mdl.machine)
-	} else if met, ok := ws.Metrics(); ok {
-		pl.metrics = met // counted on the step core's own edge walk
 	} else {
-		// The layer-synchronous random_delays never runs the step core.
-		pl.metrics = sched.Measure(pl.schedule, opts.Workers)
+		pl.metrics, _ = ws.Metrics() // counted on the kernel's own edge walk
 	}
 	span.End()
 	if kernelFault != nil && pl.schedule != nil {

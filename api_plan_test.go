@@ -13,7 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"sweepsched/internal/core"
+	"sweepsched/internal/heuristics"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
@@ -153,6 +153,9 @@ var warmPlans = []warmPlan{
 	{"improved_delays", func(p *Problem, seed uint64) (*Result, error) {
 		return p.Schedule(ImprovedDelays, ScheduleOptions{Seed: seed})
 	}},
+	{"random_delays", func(p *Problem, seed uint64) (*Result, error) {
+		return p.Schedule(RandomDelays, ScheduleOptions{Seed: seed})
+	}},
 }
 
 // TestWarmPlanAllocatesItsResult: after one priming plan, a plan
@@ -256,7 +259,7 @@ func TestGreedyLevelsBuiltOnce(t *testing.T) {
 	if n := runs(); n != 1 {
 		t.Fatalf("two improved_delays plans ran the greedy schedule %d times, want 1", n)
 	}
-	level, err := p.inst.GreedyLevels(nil)
+	level, err := p.inst.GreedyLevels(sched.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +271,11 @@ func TestGreedyLevelsBuiltOnce(t *testing.T) {
 		t.Fatal("the instance's greedy levels are not a fresh greedy schedule's")
 	}
 	r := rng.New(5)
-	if _, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.N(), p.inst.M, r), r); err != nil {
+	assign := sched.RandomAssignment(p.N(), p.inst.M, r)
+	if _, err := heuristics.RunLayered(heuristics.ImprovedDelays, p.inst, assign, r, 1); err != nil {
 		t.Fatal(err)
 	}
-	if after, _ := p.inst.GreedyLevels(nil); &after[0] != &level[0] || !slices.Equal(level, fresh) {
+	if after, _ := p.inst.GreedyLevels(sched.NewWorkspace()); &after[0] != &level[0] || !slices.Equal(level, fresh) {
 		t.Fatal("the layered Algorithm 3 run rebuilt the shared levels or wrote its delays into them")
 	}
 	again, err := p.Schedule(ImprovedDelays, opts)
@@ -379,9 +383,9 @@ func BenchmarkPlanAudited(b *testing.B) {
 
 // TestPlanAuditChecksReleaseFloors: a kernel that starts a delayed task
 // before its release floor must fail the plan's own audit, on the
-// per-direction path (level_delays, a floor per task) and the aggregated
-// one (descendant_delays over 8 anglesets, a floor per angleset). The
-// fault moves one delayed source task to a step before its floor that no
+// per-direction path (level_delays, a floor per task), the aggregated
+// one (descendant_delays over 8 anglesets, a floor per angleset) and the
+// layered one (random_delays, a layer floor per task). The fault moves one delayed source task to a step before its floor that no
 // task of its processor uses, and not off the last step, so precedence,
 // exclusivity and the makespan still hold and only the release model
 // breaks; the metrics are recounted to match.
@@ -395,7 +399,7 @@ func TestPlanAuditChecksReleaseFloors(t *testing.T) {
 	for _, tc := range []struct {
 		alg       Scheduler
 		anglesets int
-	}{{LevelDelays, 0}, {DescendantDelays, 8}} {
+	}{{LevelDelays, 0}, {DescendantDelays, 8}, {RandomDelays, 0}} {
 		opts := ScheduleOptions{Seed: 3, Verify: true, Anglesets: tc.anglesets}
 		groups, err := p.anglesets(opts)
 		if err != nil {

@@ -88,7 +88,7 @@ echo "== angleset smoke: aggregated pipeline end to end under -race, every run a
 # schedule against per-direction true DAGs rebuilt from scratch
 # (-anglesets triggers the wrong-octant audit in internal/verify).
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 16 -m 8 \
-    -alg descendant_delays -anglesets 8 -verify -verify-every 1
+    -alg descendant_delays -anglesets 8 -verify
 
 echo "== weighted smoke: heterogeneous machine end to end under -race, every run audited =="
 # The weighted event-driven engine (log-normal cell costs, per-processor
@@ -96,7 +96,7 @@ echo "== weighted smoke: heterogeneous machine end to end under -race, every run
 # re-checking every produced schedule (precedence with delay gaps,
 # exclusivity, speed-scaled durations, recomputed makespan).
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 \
-    -weights 9 -speeds 1,2,4 -verify -verify-every 1
+    -weights 9 -speeds 1,2,4 -verify
 go run -race ./cmd/sweepbench -exp weighted -scale 0.02 -procs 2,8 \
     -speeds 1,2 -verify -verify-every 1
 

@@ -63,7 +63,6 @@ func run(args []string) (err error) {
 		workers    = flag.Int("workers", 0, "goroutines for per-direction pipeline stages (0 = GOMAXPROCS; output is identical for any value)")
 		anglesets  = flag.Int("anglesets", 0, "aggregate directions into about this many octant anglesets (priorities once per angleset on representative DAGs; omit for the per-direction pipeline)")
 		doVerify   = flag.Bool("verify", false, "audit the schedule with the internal/verify auditor (independent recomputation of every constraint and metric)")
-		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth scheduling run (1 = every run)")
 		doStats    = flag.Bool("stats", false, "print the run's counters and stage timings on exit")
 		doFaults   = flag.Bool("faults", false, "execute under an injected fault plan with checkpointed recovery")
 		nCrash     = flag.Int("crash", 1, "processor crashes to inject (with -faults)")
@@ -77,9 +76,6 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	if err := cliutil.ValidateVerifyEvery(*verifyN); err != nil {
-		return err
-	}
 	speeds, err := cliutil.ParseSpeeds(*speedsSpec)
 	if err != nil {
 		return err
@@ -126,7 +122,7 @@ func run(args []string) (err error) {
 	fmt.Printf("lower bounds: nk/m=%.1f k=%d D=%d (max %d)\n",
 		bounds.Load, bounds.PerCell, bounds.CriticalPath, bounds.Max())
 
-	opts := sweepsched.ScheduleOptions{BlockSize: *block, Seed: *seed, Workers: *workers, Verify: *doVerify, VerifyEvery: *verifyN, Anglesets: *anglesets}
+	opts := sweepsched.ScheduleOptions{BlockSize: *block, Seed: *seed, Workers: *workers, Verify: *doVerify, Anglesets: *anglesets}
 	var col *sweepsched.StatsCollector
 	if *doStats {
 		col = sweepsched.NewStatsCollector()

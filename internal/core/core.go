@@ -5,26 +5,20 @@
 //   - DelayPrioritiesInto and GreedyLevelPrioritiesInto, which turn levels,
 //     or Algorithm 3's Graham preprocessing levels L', into delayed
 //     priorities;
-//   - the two layer-synchronous executions: Algorithm 1, "Random Delay"
-//     (makespan O(OPT·log²n) with high probability, Theorem 1), and
-//     Algorithm 3, "Improved Random Delay", whose preprocessing bounds
-//     every layer's width by m (expected O(OPT·log m·logloglog m),
-//     Corollary 1);
 //   - Rho and Log2Sq, the approximation factors of Corollary 1 and
 //     Theorem 1, which the "guarantee" experiment prints.
 //
 // Algorithm 2, "Random Delays with Priorities" (Γ(v,i) = level_i(v) + X_i,
 // list-scheduled with no idling, Theorem 2), and the priority form of
 // Algorithm 3 are list schedules: heuristics.Run runs them as
-// random_delays_priority and improved_delays, and Algorithm 1 as
-// random_delays. Every entry point takes a cell-to-processor assignment;
-// the paper's uniformly random one is sched.RandomAssignment, drawn from
-// the same stream before the delays.
+// random_delays_priority and improved_delays, and Algorithm 1, "Random
+// Delay" (O(OPT·log²n) whp, Theorem 1), as random_delays: Algorithm 2's
+// rule run layer by layer. Every entry point takes a cell-to-processor
+// assignment; the paper's uniformly random one is sched.RandomAssignment,
+// drawn from the same stream before the delays.
 package core
 
 import (
-	"slices"
-
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 )
@@ -72,49 +66,4 @@ func GreedyLevelPrioritiesInto(ws *sched.Workspace, prio sched.Priorities, inst 
 		prio[t] = int64(l)
 	}
 	return nil
-}
-
-// combinedLayers returns the Algorithm 1 layer function on tasks:
-// task (v,i) lies in layer level_i(v) + X_i (1-based). Edges of every DAG
-// strictly increase the layer because levels do.
-func combinedLayers(inst *sched.Instance, delays []int32) []int32 {
-	n := int32(inst.N())
-	layer := make([]int32, inst.NTasks())
-	for i, d := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			layer[base+v] = d.Level[v] + delays[i]
-		}
-	}
-	return layer
-}
-
-// RandomDelayWithAssignment runs Algorithm 1 with the given assignment:
-// random delays, combined DAG, layer-synchronous execution.
-func RandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	layer := combinedLayers(inst, Delays(inst.K(), r))
-	return sched.LayeredSchedule(inst, assign, layer)
-}
-
-// ImprovedRandomDelayWithAssignment runs Algorithm 3 with the given
-// assignment. The preprocessing step runs Graham list scheduling on the
-// union DAG H (all task copies distinct) on m machines; the completion step
-// of each task defines the new levels L', which bound every layer's width
-// by m. The random delays and layer-synchronous execution then proceed as
-// in Algorithm 1, on a copy of the instance's shared levels.
-func ImprovedRandomDelayWithAssignment(inst *sched.Instance, assign sched.Assignment, r *rng.Source) (*sched.Schedule, error) {
-	level, err := inst.GreedyLevels(nil)
-	if err != nil {
-		return nil, err
-	}
-	layer := slices.Clone(level)
-	delays := Delays(inst.K(), r)
-	n := int32(inst.N())
-	for i := range inst.DAGs {
-		base := int32(i) * n
-		for v := int32(0); v < n; v++ {
-			layer[base+v] += delays[i]
-		}
-	}
-	return sched.LayeredSchedule(inst, assign, layer)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +31,7 @@ func testInstance(t testing.TB, nx, k, m int, seed uint64) *sched.Instance {
 // The paper's algorithms as it states them, each on a uniformly random
 // cell assignment drawn first from r: Algorithms 1 and 2 and the priority
 // form of Algorithm 3 run through the scheduler table, layered Algorithm
-// 3 directly.
+// 3 as improved_delays' rule run layer by layer (heuristics.RunLayered).
 var (
 	alg1  = onRandom(heuristics.RandomDelays)
 	alg2  = onRandom(heuristics.RandomDelaysPriority)
@@ -44,7 +45,7 @@ func onRandom(name heuristics.Name) func(*sched.Instance, *rng.Source) (*sched.S
 }
 
 func alg3(inst *sched.Instance, r *rng.Source) (*sched.Schedule, error) {
-	return core.ImprovedRandomDelayWithAssignment(inst, sched.RandomAssignment(inst.N(), inst.M, r), r)
+	return heuristics.RunLayered(heuristics.ImprovedDelays, inst, sched.RandomAssignment(inst.N(), inst.M, r), r, 1)
 }
 
 func TestDelaysRange(t *testing.T) {
@@ -141,7 +142,7 @@ func TestWithAssignmentRespectsAssignment(t *testing.T) {
 			return heuristics.Run(heuristics.RandomDelaysPriority, inst, assign, rng.New(1), 1)
 		},
 		"alg3": func() (*sched.Schedule, error) {
-			return core.ImprovedRandomDelayWithAssignment(inst, assign, rng.New(1))
+			return heuristics.RunLayered(heuristics.ImprovedDelays, inst, assign, rng.New(1), 1)
 		},
 		"alg3p": func() (*sched.Schedule, error) {
 			return heuristics.Run(heuristics.ImprovedDelays, inst, assign, rng.New(1), 1)
@@ -159,6 +160,12 @@ func TestWithAssignmentRespectsAssignment(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+	// random_delays is random_delays_priority's rule run layer by layer.
+	alg1, err1 := heuristics.Run(heuristics.RandomDelays, inst, assign, rng.New(2), 1)
+	alg2l, err2 := heuristics.RunLayered(heuristics.RandomDelaysPriority, inst, assign, rng.New(2), 1)
+	if err1 != nil || err2 != nil || !slices.Equal(alg1.Start, alg2l.Start) {
+		t.Fatalf("random_delays and random_delays_priority run layered differ (%v, %v)", err1, err2)
 	}
 }
 

@@ -170,28 +170,33 @@ func TestMakespanTracksLemma4Decomposition(t *testing.T) {
 	delays := Delays(k, r)
 	assign := sched.RandomAssignment(inst.N(), inst.M, r)
 
-	// Rebuild the combined layers exactly as RandomDelayWithAssignment does
-	// (same draw order: delays first, then assignment happened above).
-	layer := make([]int32, inst.NTasks())
+	// Algorithm 1's layers, level_i(v) + X_i with the delays drawn before
+	// the assignment as random_delays draws them, run on the layered kernel.
+	layer := make(sched.Priorities, inst.NTasks())
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for v := int32(0); v < n; v++ {
-			layer[base+v] = d.Level[v] + delays[i]
+			layer[base+v] = int64(d.Level[v] + delays[i])
 		}
 	}
-	s, err := sched.LayeredSchedule(inst, assign, layer)
-	if err != nil {
+	ws := sched.NewWorkspace()
+	floor := make([]int32, inst.NTasks())
+	if err := sched.LayerFloorsInto(ws, floor, inst, assign, layer); err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{}
+	if err := ws.Schedule(s, inst, assign, sched.Rule{Prio: layer, Release: floor, Layered: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Sum of per-layer max loads.
-	load := map[[2]int32]int32{}
-	maxPerLayer := map[int32]int32{}
+	load := map[[2]int64]int32{}
+	maxPerLayer := map[int64]int32{}
 	for tid, l := range layer {
 		v, _ := inst.Split(sched.TaskID(tid))
-		key := [2]int32{l, assign[v]}
+		key := [2]int64{l, int64(assign[v])}
 		load[key]++
 		if load[key] > maxPerLayer[l] {
 			maxPerLayer[l] = load[key]

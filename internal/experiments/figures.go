@@ -206,7 +206,7 @@ var figures = []figure{
 		seed: mixed(0x8a),
 		runs: []run{{alg: heuristics.RandomDelays}, {do: func(p *point, seed uint64) (*sample, error) {
 			r := rng.New(seed)
-			s, err := core.ImprovedRandomDelayWithAssignment(p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r)
+			s, err := heuristics.RunLayered(heuristics.ImprovedDelays, p.inst, sched.RandomAssignment(p.inst.N(), p.inst.M, r), r, 1)
 			return &sample{s: s}, err
 		}}},
 		cols: []col{{name: "mesh", cell: meshName}, {name: "m", cell: procs}, {name: "ms_alg1", metric: makespan},

@@ -156,7 +156,7 @@ func TestEngineFaultFreeMatchesAnalyticMetrics(t *testing.T) {
 	if want := sched.C1(s.Inst, s.Assign, 0); rep.MessagesSent != want {
 		t.Fatalf("sent %d messages, C1 = %d", rep.MessagesSent, want)
 	}
-	if want := sched.C2(s, 0); rep.CommRounds != want {
+	if want := sched.C2(s); rep.CommRounds != want {
 		t.Fatalf("comm rounds %d, C2 = %d", rep.CommRounds, want)
 	}
 }

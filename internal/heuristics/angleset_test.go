@@ -114,7 +114,7 @@ func TestRunAnglesetAllValid(t *testing.T) {
 	}
 }
 
-// TestRunAnglesetRejects: layer-synchronous schedulers, unknown names
+// TestRunAnglesetRejects: random_delays and improved_delays, unknown names
 // and malformed partitions are refused.
 func TestRunAnglesetRejects(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 1)

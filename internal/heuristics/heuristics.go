@@ -210,45 +210,47 @@ const (
 	delayRelease           // tasks of segment s are released at step X_s (§5.2)
 )
 
-// recipes is the scheduler lineup as data: every list-scheduling
-// algorithm is a base priority per task plus a use for the delays. A nil
-// fill stands for Algorithm 3's Graham preprocessing levels, which are
-// global to all k directions and so have no per-angleset form.
-// RandomDelays, the layer-synchronous Algorithm 1, is no list scheduler
-// and has no recipe.
+// recipes is the scheduler lineup as data: every algorithm is a base
+// priority per task plus a use for the delays. A nil fill stands for
+// Algorithm 3's Graham preprocessing levels, which are global to all k
+// directions and so have no per-angleset form. A layered recipe is
+// Algorithm 1: its priorities are the tasks' layers, and its rule carries
+// their floors and is sched.Rule.Layered, which the layered kernel runs.
 var recipes = map[Name]struct {
-	fill   segmentFill
-	delays delayUse
+	fill    segmentFill
+	delays  delayUse
+	layered bool
 }{
-	RandomDelaysPriority: {levelFill, delayPriority},
-	ImprovedDelays:       {nil, delayPriority},
-	Level:                {levelFill, noDelays},
-	LevelDelays:          {levelFill, delayRelease},
-	Descendant:           {descendantFill, noDelays},
-	DescendantDelays:     {descendantFill, delayRelease},
-	DFDS:                 {dfdsFill, noDelays},
-	DFDSDelays:           {dfdsFill, delayRelease},
+	RandomDelays:         {levelFill, delayPriority, true},
+	RandomDelaysPriority: {levelFill, delayPriority, false},
+	ImprovedDelays:       {nil, delayPriority, false},
+	Level:                {levelFill, noDelays, false},
+	LevelDelays:          {levelFill, delayRelease, false},
+	Descendant:           {descendantFill, noDelays, false},
+	DescendantDelays:     {descendantFill, delayRelease, false},
+	DFDS:                 {dfdsFill, noDelays, false},
+	DFDSDelays:           {dfdsFill, delayRelease, false},
 }
 
-// Rule is what the named scheduler feeds the step core, in the
-// workspace's scratch buffers (valid until its next run or Release): one
-// priority per task — or, with an angleset partition, one per (angleset,
-// cell), computed on each angleset's representative DAG — and, for the
-// *_delays schedulers, release floors, one per task (one per angleset
-// with the partition); nil for the rest. The delays are the only draw
-// from r, one core.Delays call over the segments, made after the
-// priorities are filled. Algorithm 3's Graham levels rank tasks across
-// all k directions at once and have no angleset form, and the
-// layer-synchronous RandomDelays has no rule at all; both are errors.
+// Rule is what the named scheduler feeds its kernel, in the workspace's
+// scratch buffers (valid until its next run or Release): one priority
+// per task — or, with an angleset partition, one per (angleset, cell),
+// computed on each angleset's representative DAG — and release floors,
+// one per task (one per angleset with the partition): the delays of the
+// *_delays schedulers, random_delays' layer floors, nil for the rest. The
+// delays are the only draw from r, one core.Delays call over the
+// segments, made after the priorities are filled. Algorithm 3's Graham
+// levels rank all k directions at once, and random_delays' layers climb
+// along each direction's own DAG, so neither has an angleset form.
 func Rule(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (sched.Rule, error) {
 	rec, ok := recipes[name]
 	switch {
-	case name == RandomDelays:
-		return sched.Rule{}, fmt.Errorf("heuristics: %s is layer-synchronous, not a list scheduler", name)
 	case !ok:
 		return sched.Rule{}, errUnknown(name)
 	case rec.fill == nil && groups != nil:
 		return sched.Rule{}, fmt.Errorf("heuristics: %s ranks tasks by one schedule of all directions and cannot run angleset-aggregated", name)
+	case rec.layered && groups != nil:
+		return sched.Rule{}, fmt.Errorf("heuristics: %s runs layer by layer on each direction's own levels and cannot run angleset-aggregated", name)
 	}
 	n, segs := inst.N(), inst.K()
 	if groups != nil {
@@ -272,6 +274,19 @@ func Rule(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Ass
 			rule.Release = expandDelays(ws.Int32Buf(inst.NTasks()), rule.Release, n)
 		}
 	}
+	if rec.layered {
+		return layerFloors(ws, rule, inst, assign)
+	}
+	return rule, nil
+}
+
+// layerFloors makes rule Layered: the floors of rule.Prio's layers go in
+// rule.Release.
+func layerFloors(ws *sched.Workspace, rule sched.Rule, inst *sched.Instance, assign sched.Assignment) (sched.Rule, error) {
+	rule.Release, rule.Layered = ws.Int32Buf(inst.NTasks()), true
+	if err := sched.LayerFloorsInto(ws, rule.Release, inst, assign, rule.Prio); err != nil {
+		return sched.Rule{}, err
+	}
 	return rule, nil
 }
 
@@ -293,12 +308,23 @@ func expandDelays(release, delays []int32, n int) []int32 {
 // identical across them (as in §5.2, which compares makespans only for
 // that reason).
 func Run(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (*sched.Schedule, error) {
-	if name == RandomDelays {
-		return core.RandomDelayWithAssignment(inst, assign, r)
-	}
+	return run(name, false, inst, assign, r, workers)
+}
+
+// RunLayered runs the named scheduler's priorities as layers: its rule
+// with each task's layer floor, on the layered kernel. Layered Algorithm 3
+// is improved_delays run so, as random_delays is random_delays_priority.
+func RunLayered(name Name, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (*sched.Schedule, error) {
+	return run(name, true, inst, assign, r, workers)
+}
+
+func run(name Name, layered bool, inst *sched.Instance, assign sched.Assignment, r *rng.Source, workers int) (*sched.Schedule, error) {
 	ws := sched.GetWorkspace(inst)
 	defer ws.Release()
 	rule, err := Rule(ws, name, inst, assign, nil, r, workers)
+	if err == nil && layered && !rule.Layered {
+		rule, err = layerFloors(ws, rule, inst, assign)
+	}
 	if err != nil {
 		return nil, err
 	}

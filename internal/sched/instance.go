@@ -26,12 +26,15 @@
 //	Anglesets  Prio per (angleset, cell) and Release  per-task Prio, Release
 //	           per angleset, expanded per task
 //	Done       tasks finished before step 0           every task runs
+//	Layered    Prio are layers, Release their floors;  the step core
+//	           the layered kernel writes the step
+//	           core's schedule without ready sets
 //
 // ListScheduleInto, CommScheduleInto and ListScheduleAnglesetInto are
 // one-line constructors of the rules the §3 and §5.2 schedulers use.
-// GreedyScheduleInto (Graham on the union DAG), LayeredSchedule
-// (Algorithm 1) and ListScheduleWeightedInto (event-driven, per-cell
-// costs) are other algorithms on the same ready set and task graph.
+// GreedyScheduleInto (Graham on the union DAG) and ListScheduleWeightedInto
+// (event-driven, per-cell costs) are other algorithms on the same ready set
+// and task graph.
 //
 // What callers may rely on:
 //
@@ -53,8 +56,8 @@
 //     one does.
 //   - An Instance's DAGs are immutable once it has planned: its task graph,
 //     laid out in sweep-plane order, is built from them once and shared.
-//   - A list-scheduled run counts C1 and C2 on its release walk
-//     (Workspace.Metrics); Measure is the independent recount.
+//   - A list-scheduled or layered run counts C1 and C2 on its own edge
+//     walk (Workspace.Metrics); Measure is the independent recount.
 package sched
 
 import (
@@ -200,17 +203,13 @@ type greedyLevels struct {
 
 // GreedyLevels returns the instance's L' levels: every task's completion
 // step in GreedyScheduleInto's Graham list schedule of the union DAG H on
-// M machines, with no priorities. The first call builds them on ws (nil
-// draws a pooled workspace), so that build's sched.greedy series goes to
-// ws's observer; later calls return the same slice. It is shared and
-// read-only: a caller that adds delays to it copies it first.
+// M machines, with no priorities. The first call builds them on ws, so
+// that build's sched.greedy series goes to ws's observer; later calls
+// return the same slice. It is shared and read-only: a caller that adds
+// delays to it copies it first.
 func (inst *Instance) GreedyLevels(ws *Workspace) ([]int32, error) {
 	g := &inst.greedy
 	g.once.Do(func() {
-		if ws == nil {
-			ws = GetWorkspace(inst)
-			defer ws.Release()
-		}
 		level := make([]int32, inst.NTasks())
 		if _, g.err = GreedyScheduleInto(ws, level, inst, nil); g.err == nil {
 			g.level = level

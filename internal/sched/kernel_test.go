@@ -319,6 +319,9 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 	wsObs := NewWorkspace()
 	wsObs.SetObserver(obs.New())
 	dstObs := &Schedule{}
+	layer := make(Priorities, inst.NTasks())
+	floor := make([]int32, inst.NTasks())
+	layerRuns := 0
 
 	cases := []struct {
 		name string
@@ -334,6 +337,20 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 		{"GreedyScheduleInto/observed", func() error {
 			_, err := GreedyScheduleInto(wsObs, wsObs.Int32Buf(inst.NTasks()), inst, prio)
 			return err
+		}},
+		{"ScheduleLayered/observed", func() error {
+			// Each run spreads its layers wider than the last: the kernel
+			// sizes its scratch from the instance, not from the draw.
+			layerRuns++
+			for i, d := range inst.DAGs {
+				for v, l := range d.Level {
+					layer[i*inst.N()+v] = int64(l) + int64(i*layerRuns)
+				}
+			}
+			if err := LayerFloorsInto(wsObs, floor, inst, assign, layer); err != nil {
+				return err
+			}
+			return wsObs.Schedule(dstObs, inst, assign, Rule{Prio: layer, Release: floor, Layered: true})
 		}},
 	}
 	for _, tc := range cases {

@@ -65,83 +65,3 @@ func GreedyScheduleInto(ws *Workspace, level []int32, inst *Instance, prio Prior
 	ws.col.Counter("sched.greedy.steps").Add(int64(makespan))
 	return makespan, nil
 }
-
-// LayeredSchedule implements the layer-synchronous execution of Algorithms
-// 1 and 3: tasks carry a layer index (≥ 1); layer r+1 starts only after all
-// of layer r finishes; within a layer each processor drains its tasks in
-// arbitrary (here: TaskID) order. Returns a complete Schedule.
-func LayeredSchedule(inst *Instance, assign Assignment, layer []int32) (*Schedule, error) {
-	if err := assign.Validate(inst.N(), inst.M); err != nil {
-		return nil, err
-	}
-	nt := inst.NTasks()
-	if len(layer) != nt {
-		return nil, fmt.Errorf("sched: %d layer indices for %d tasks", len(layer), nt)
-	}
-	maxLayer := int32(0)
-	for t, l := range layer {
-		if l < 1 {
-			return nil, fmt.Errorf("sched: task %d has layer %d < 1", t, l)
-		}
-		if l > maxLayer {
-			maxLayer = l
-		}
-	}
-	// The layer function must strictly increase along every DAG edge; this
-	// is what lets same-layer tasks run in arbitrary relative order.
-	n32 := int32(inst.N())
-	for i, d := range inst.DAGs {
-		base := int32(i) * n32
-		for u := int32(0); u < n32; u++ {
-			lu := layer[base+u]
-			for _, w := range d.Out(u) {
-				if layer[base+w] <= lu {
-					return nil, fmt.Errorf("sched: layer not monotone on edge (%d,%d)->(%d,%d): %d -> %d",
-						u, i, w, i, lu, layer[base+w])
-				}
-			}
-		}
-	}
-	// Bucket tasks by layer, preserving TaskID order.
-	counts := make([]int32, maxLayer+2)
-	for _, l := range layer {
-		counts[l+1]++
-	}
-	for i := int32(1); i < maxLayer+2; i++ {
-		counts[i] += counts[i-1]
-	}
-	bucket := make([]TaskID, nt)
-	cursor := make([]int32, maxLayer+2)
-	for t := 0; t < nt; t++ {
-		l := layer[t]
-		bucket[counts[l]+cursor[l]] = TaskID(t)
-		cursor[l]++
-	}
-
-	start := make([]int32, nt)
-	procClock := make([]int32, inst.M)
-	base := int32(0)
-	for l := int32(1); l <= maxLayer; l++ {
-		lo, hi := counts[l], counts[l+1]
-		if lo == hi {
-			continue
-		}
-		for p := range procClock {
-			procClock[p] = 0
-		}
-		layerTime := int32(0)
-		for _, t := range bucket[lo:hi] {
-			v, _ := inst.Split(t)
-			p := assign[v]
-			start[t] = base + procClock[p]
-			procClock[p]++
-			if procClock[p] > layerTime {
-				layerTime = procClock[p]
-			}
-		}
-		base += layerTime
-	}
-	s := &Schedule{Inst: inst, Assign: assign, Start: start}
-	s.computeMakespan()
-	return s, nil
-}

@@ -6,11 +6,9 @@ package sched
 // maximum number of off-processor messages any single processor must send
 // (the "Max Off-Proc-Outdegree" series in the paper's Figure 2(b)).
 //
-// Both metrics decompose into independent partial counts — C1 per
-// direction, C2 per schedule step — so they fan over a bounded worker pool
-// (internal/par) and reduce the partials in index order. Integer partial
-// sums reduced in a fixed order make the totals identical for every worker
-// count.
+// C1 decomposes into per-direction counts, which fan over a bounded worker
+// pool (internal/par) and are summed in direction order, so the total is
+// identical for every worker count.
 
 import (
 	"slices"
@@ -51,14 +49,10 @@ func C1(inst *Instance, assign Assignment, workers int) int64 {
 // the number of edges from tasks finishing at t to tasks on other
 // processors. The sum over steps is the schedule's total communication
 // time. Every task must be scheduled (Start >= 0); the steps are read
-// from Start alone, so a stale Makespan changes nothing.
-//
-// Steps are independent (the per-processor message counters reset between
-// steps), so the tasks, ordered by start step, are cut at step boundaries
-// into ranges of about equal task count that are charged on up to workers
-// goroutines, each with private scratch, and the per-range partial totals
-// are summed in range order.
-func C2(s *Schedule, workers int) int64 {
+// from Start alone, so a stale Makespan changes nothing. The kernels
+// count it on their own walks (Workspace.Metrics); this is the recount
+// from the finished schedule, one serial walk in start order.
+func C2(s *Schedule) int64 {
 	inst := s.Inst
 	nt := len(s.Start)
 	if nt == 0 {
@@ -70,60 +64,36 @@ func C2(s *Schedule, workers int) int64 {
 	for t, st := range s.Start {
 		ids[t], keys[t] = int32(t), uint64(st)
 	}
-	order, _ := sc.sortByKey(ids, keys, uint64(max(slices.Max(s.Start), 0)))
-
-	// A few chunks per worker smooths out ranges whose tasks carry uneven
-	// edge counts. cut[c] is where chunk c begins: its even share of the
-	// order, moved forward to the next step boundary.
-	chunks := min(par.Workers(workers)*4, nt)
-	cut := make([]int, chunks+1)
-	for c := 1; c < chunks; c++ {
-		i := max(c*nt/chunks, cut[c-1])
-		for i > 0 && i < nt && s.Start[order[i]] == s.Start[order[i-1]] {
-			i++
-		}
-		cut[c] = i
-	}
-	cut[chunks] = nt
-	partial := make([]int64, chunks)
-	_ = par.ForEach(chunks, workers, func(c int) error {
-		// perStep[p] counts messages processor p sends after the current step.
-		perStep := make([]int32, inst.M)
-		var total int64
-		var touched []int32
-		tasks := order[cut[c]:cut[c+1]]
-		for len(tasks) > 0 {
-			st := s.Start[tasks[0]]
-			maxMsgs := int32(0)
-			for len(tasks) > 0 && s.Start[tasks[0]] == st {
-				v, i := inst.Split(TaskID(tasks[0]))
-				tasks = tasks[1:]
-				p := s.Assign[v]
-				d := inst.DAGs[i]
-				for _, w := range d.Out(v) {
-					if s.Assign[w] != p {
-						if perStep[p] == 0 {
-							touched = append(touched, p)
-						}
-						perStep[p]++
-						if perStep[p] > maxMsgs {
-							maxMsgs = perStep[p]
-						}
+	tasks, _ := sc.sortByKey(ids, keys, uint64(max(slices.Max(s.Start), 0)))
+	// perStep[p] counts messages processor p sends after the current step.
+	perStep := make([]int32, inst.M)
+	var total int64
+	var touched []int32
+	for len(tasks) > 0 {
+		st := s.Start[tasks[0]]
+		maxMsgs := int32(0)
+		for len(tasks) > 0 && s.Start[tasks[0]] == st {
+			v, i := inst.Split(TaskID(tasks[0]))
+			tasks = tasks[1:]
+			p := s.Assign[v]
+			d := inst.DAGs[i]
+			for _, w := range d.Out(v) {
+				if s.Assign[w] != p {
+					if perStep[p] == 0 {
+						touched = append(touched, p)
+					}
+					perStep[p]++
+					if perStep[p] > maxMsgs {
+						maxMsgs = perStep[p]
 					}
 				}
 			}
-			total += int64(maxMsgs)
-			for _, p := range touched {
-				perStep[p] = 0
-			}
-			touched = touched[:0]
 		}
-		partial[c] = total
-		return nil
-	})
-	var total int64
-	for _, t := range partial {
-		total += t
+		total += int64(maxMsgs)
+		for _, p := range touched {
+			perStep[p] = 0
+		}
+		touched = touched[:0]
 	}
 	return total
 }
@@ -135,13 +105,13 @@ type Metrics struct {
 	C2       int64
 }
 
-// Measure computes all metrics of a schedule on up to workers goroutines
-// (<= 0 selects GOMAXPROCS). The result is identical for every worker
-// count.
+// Measure computes all metrics of a schedule, C1 on up to workers
+// goroutines (<= 0 selects GOMAXPROCS). The result is identical for every
+// worker count.
 func Measure(s *Schedule, workers int) Metrics {
 	return Metrics{
 		Makespan: s.Makespan,
 		C1:       C1(s.Inst, s.Assign, workers),
-		C2:       C2(s, workers),
+		C2:       C2(s),
 	}
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -228,24 +230,87 @@ func TestGreedyScheduleWidthOne(t *testing.T) {
 	}
 }
 
+// layeredRule is the layered rule on layer: the layers and their floors.
+func layeredRule(t *testing.T, ws *Workspace, inst *Instance, assign Assignment, layer Priorities) Rule {
+	t.Helper()
+	floor := make([]int32, inst.NTasks())
+	if err := LayerFloorsInto(ws, floor, inst, assign, layer); err != nil {
+		t.Fatal(err)
+	}
+	return Rule{Prio: layer, Release: floor, Layered: true}
+}
+
+// TestLayeredScheduleValid: the layered kernel's schedule of a layer
+// function that climbs along every edge validates, is the step core's
+// under the same rule, and counts Measure's metrics.
 func TestLayeredScheduleValid(t *testing.T) {
 	inst := testInstance(t, 3, 8, 4, 9)
 	// Use per-direction levels offset by direction index * D to get a valid
 	// global layer function (monotone along every DAG's edges).
 	n := int32(inst.N())
-	layer := make([]int32, inst.NTasks())
-	offset := int32(0)
+	layer := make(Priorities, inst.NTasks())
+	offset := int64(0)
 	for i, d := range inst.DAGs {
 		base := int32(i) * n
 		for v := int32(0); v < n; v++ {
-			layer[base+v] = offset + d.Level[v]
+			layer[base+v] = offset + int64(d.Level[v])
 		}
-		offset += int32(d.NumLevels)
+		offset += int64(d.NumLevels)
 	}
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(10))
-	s, err := LayeredSchedule(inst, assign, layer)
-	if err != nil {
+	ws := NewWorkspace()
+	rule := layeredRule(t, ws, inst, assign, layer)
+	s := &Schedule{}
+	if err := ws.Schedule(s, inst, assign, rule); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if met, ok := ws.Metrics(); !ok || met != Measure(s, 1) {
+		t.Fatalf("the layered kernel counted %+v (ok %v), Measure %+v", met, ok, Measure(s, 1))
+	}
+	core, stepCore := &Schedule{}, rule
+	stepCore.Layered = false
+	if err := ws.Schedule(core, inst, assign, stepCore); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(core.Start, s.Start) || core.Makespan != s.Makespan {
+		t.Fatal("the step core's schedule under the layered rule differs from the layered kernel's")
+	}
+	rule.Release[0]++
+	if err := ws.Schedule(s, inst, assign, rule); err == nil {
+		t.Fatal("a floor that is not its layer's accepted")
+	}
+}
+
+// TestLayeredScratchIsLinear: with far more processors than any layer
+// is wide, the layered kernel's scratch is one counter per processor plus
+// a few words per task, not a load per (layer, processor).
+func TestLayeredScratchIsLinear(t *testing.T) {
+	inst := testInstance(t, 3, 8, 1<<20, 9)
+	nt := inst.NTasks()
+	layer := make(Priorities, nt)
+	for i, d := range inst.DAGs {
+		for v, l := range d.Level {
+			layer[i*inst.N()+v] = int64(l) + int64(i)
+		}
+	}
+	assign := RandomAssignment(inst.N(), inst.M, rng.New(2))
+	floor := make([]int32, nt)
+	s := &Schedule{Start: make([]int32, nt)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ws := NewWorkspace()
+	if err := LayerFloorsInto(ws, floor, inst, assign, layer); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Schedule(s, inst, assign, Rule{Prio: layer, Release: floor, Layered: true}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(4*inst.M+64*nt); got > budget {
+		t.Fatalf("the layered kernel allocated %d B for %d tasks on %d processors, budget %d", got, nt, inst.M, budget)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -254,21 +319,27 @@ func TestLayeredScheduleValid(t *testing.T) {
 
 func TestLayeredScheduleRejectsNonMonotone(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 11)
-	layer := make([]int32, inst.NTasks())
+	layer := make(Priorities, inst.NTasks())
 	for i := range layer {
 		layer[i] = 1 // constant layer cannot be monotone if any edge exists
 	}
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	if _, err := LayeredSchedule(inst, assign, layer); err == nil {
+	ws := NewWorkspace()
+	if err := ws.Schedule(&Schedule{}, inst, assign, layeredRule(t, ws, inst, assign, layer)); err == nil {
 		t.Fatal("constant layer function accepted")
 	}
 }
 
 func TestLayeredScheduleRejectsBadLayer(t *testing.T) {
 	inst := testInstance(t, 2, 4, 2, 12)
-	layer := make([]int32, inst.NTasks())
+	layer := make(Priorities, inst.NTasks())
 	assign := RandomAssignment(inst.N(), inst.M, rng.New(1))
-	if _, err := LayeredSchedule(inst, assign, layer); err == nil {
+	ws := NewWorkspace()
+	floor := make([]int32, inst.NTasks())
+	if err := LayerFloorsInto(ws, floor, inst, assign, layer); err == nil {
+		t.Fatal("layer 0 accepted by the floors")
+	}
+	if err := ws.Schedule(&Schedule{}, inst, assign, Rule{Prio: layer, Release: floor, Layered: true}); err == nil {
 		t.Fatal("layer 0 accepted")
 	}
 }
@@ -298,12 +369,12 @@ func TestC2ChainAlternating(t *testing.T) {
 	}
 	// Serial chain: steps 0..3, each step sends exactly one message except
 	// the last: C2 = 3.
-	if got := C2(s, 0); got != 3 {
+	if got := C2(s); got != 3 {
 		t.Fatalf("C2 = %d, want 3", got)
 	}
 	// All on one processor: no messages.
 	s2, _ := into(inst, Assignment{0, 0, 0, 0}, Rule{})
-	if got := C2(s2, 0); got != 0 {
+	if got := C2(s2); got != 0 {
 		t.Fatalf("C2 = %d, want 0", got)
 	}
 }
@@ -319,7 +390,7 @@ func TestC2MaxPerStepNotSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := C2(s, 0); got != 1 {
+	if got := C2(s); got != 1 {
 		t.Fatalf("C2 = %d, want 1 (max per step)", got)
 	}
 }

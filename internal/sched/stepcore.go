@@ -55,6 +55,10 @@ type Rule struct {
 	// Done marks tasks finished before step 0: they are not scheduled
 	// (Start stays -1) and their successors owe them no wait.
 	Done []bool
+	// Layered says Prio are layers that climb along every edge and
+	// Release their floors (LayerFloorsInto), with no other field set: the
+	// layered kernel writes the step core's schedule under such a rule.
+	Layered bool
 }
 
 // series names the obs series a run under the rule reports to.
@@ -91,6 +95,9 @@ type stepRule struct {
 // Validate accepts. On a warm workspace and a recycled dst it performs
 // zero heap allocations.
 func (ws *Workspace) Schedule(dst *Schedule, inst *Instance, assign Assignment, rule Rule) error {
+	if rule.Layered {
+		return ws.scheduleLayered(dst, inst, assign, rule)
+	}
 	run := stepRule{series: rule.series(), prio: rule.Prio, taskFloor: rule.Release, commDelay: rule.CommDelay, done: rule.Done}
 	if rule.Anglesets != nil {
 		var err error

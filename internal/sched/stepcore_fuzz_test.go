@@ -19,7 +19,10 @@ import (
 // on its edge walk must be sched.Measure's. The residual rule under the
 // drawn delay, recovery's, has no reference of its own: with nothing done
 // it must be the comm schedule bit for bit, and at the cut
-// verify.Schedule must accept it under the rule, verify.RuleOpts. The fuzzer
+// verify.Schedule must accept it under the rule, verify.RuleOpts. The
+// layered kernel, under Algorithm 1's Layered rule (levels plus delays,
+// with the LayerFloorsInto floors), must write the reference's schedule
+// too, as must the step core under the same layers and floors. The fuzzer
 // picks the family, m, the priorities' spread — narrow enough for the
 // counting pass, widened into the radix sort, or at the extremes of int64
 // for the comparison fallback — the floors, the delay and where the done
@@ -108,6 +111,32 @@ func FuzzStepCoreEquivalence(f *testing.F) {
 		if err := verify.Schedule(inst, got, verify.RuleOpts(rule)); err != nil {
 			t.Fatalf("residual comm (n=%d k=%d m=%d cd=%d cut=%d): %v", n, k, m, cd, cut, err)
 		}
+
+		// Algorithm 1's layered rule: each task's level plus its
+		// direction's delay, and the floors LayerFloorsInto puts on them.
+		layer := make(sched.Priorities, nt)
+		for i, d := range inst.DAGs {
+			x := int64(r.Intn(k))
+			for v, l := range d.Level {
+				layer[i*n+v] = int64(l) + x
+			}
+		}
+		floor := make([]int32, nt)
+		if err := sched.LayerFloorsInto(ws, floor, inst, assign, layer); err != nil {
+			t.Fatal(err)
+		}
+		layered := sched.Rule{Prio: layer, Release: floor, Layered: true}
+		if want, err = refimpl.ListScheduleWithRelease(inst, assign, layer, floor); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Schedule(got, inst, assign, layered); err != nil {
+			t.Fatal(err)
+		}
+		check("layered", want, true)
+		if err := ws.Schedule(got, inst, assign, sched.Rule{Prio: layer, Release: floor}); err != nil {
+			t.Fatal(err)
+		}
+		check("layered rule on the step core", want, true)
 	})
 }
 

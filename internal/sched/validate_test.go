@@ -325,12 +325,12 @@ func TestValidateRejectsStaleMakespan(t *testing.T) {
 	}
 	// C2 reads the steps from Start, not from the claim (this input used
 	// to panic with "index out of range [2] with length 2").
-	stale := C2(unit, 1)
+	stale := C2(unit)
 	unit.computeMakespan()
 	if err := unit.Validate(); err != nil {
 		t.Fatalf("refreshed makespan: %v", err)
 	}
-	if want := C2(unit, 1); stale != want || want != 1 {
+	if want := C2(unit); stale != want || want != 1 {
 		t.Fatalf("C2 under a stale makespan = %d, under the true one %d, want 1", stale, want)
 	}
 	unit.Makespan++
@@ -415,7 +415,7 @@ func TestFeasibilityTailBoundedOnSparseSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := C2(stretched, 1)
+	dense := C2(stretched)
 	factor := int32(1_000_000*small.NTasks()/(stretched.Makespan-1) + 1)
 	for i := range stretched.Start {
 		stretched.Start[i] *= factor

@@ -23,12 +23,18 @@ import (
 type Workspace struct {
 	// readyAt and start are per slot of the task graph: the step core's
 	// release times, and the start steps (greedy levels) a run writes
-	// before they go back to the caller in TaskID order.
-	readyAt   []int32
-	start     []int32
-	rq        rankq
-	cal       calendar
-	completed []popped
+	// before they go back to the caller in TaskID order; start also holds
+	// the layered kernel's per-step maxima.
+	readyAt []int32
+	start   []int32
+	// The layered kernel's (layered.go): the tasks in (layer, TaskID)
+	// order, each beside its processor, a slot per layer (its place in
+	// that order, then its floor), and one counter per processor.
+	layerOrder         []uint64
+	layerAt, procCount []int32
+	rq                 rankq
+	cal                calendar
+	completed          []popped
 	// zeroPrio backs nil-priority runs. The kernel never writes
 	// priorities, so it stays all-zero across reuses.
 	zeroPrio Priorities
@@ -82,12 +88,12 @@ type Workspace struct {
 // workspaces never leak a collector to an unrelated caller.
 func (ws *Workspace) SetObserver(col *obs.Collector) { ws.col = col }
 
-// Metrics returns the makespan, C1 and C2 of the schedule the unit-step
-// core last wrote through this workspace, counted while it released
-// successors — what Measure would compute from the schedule, without the
-// second walk. ok is false when there is none to report: no step-core
-// run since the workspace was drawn, a run that failed, or a residual run
-// (a Rule with Done), which schedules only part of the graph.
+// Metrics returns the makespan, C1 and C2 of the schedule the step core
+// or the layered kernel last wrote through this workspace, counted on its
+// own edge walk — what Measure would compute, without a second walk. ok
+// is false when there is none to report: no such run since the workspace
+// was drawn, a run that failed, or a residual run (a Rule with Done),
+// which schedules only part of the graph.
 func (ws *Workspace) Metrics() (met Metrics, ok bool) { return ws.metrics, ws.hasMetrics }
 
 // NewWorkspace returns an empty workspace; it grows to fit the first

@@ -804,10 +804,11 @@ func TestScheduleAnglesets(t *testing.T) {
 	}
 
 	for name, bad := range map[string]map[string]any{
-		"negative":    {"anglesets": -1},
-		"synthetic":   {"mesh": map[string]any{"synthetic": "random_chains", "n": 50}, "anglesets": 4},
-		"layer-sync":  {"scheduler": "improved_delays", "anglesets": 8},
-		"over-k-ceil": {"anglesets": 100000},
+		"negative":      {"anglesets": -1},
+		"synthetic":     {"mesh": map[string]any{"synthetic": "random_chains", "n": 50}, "anglesets": 4},
+		"greedy-levels": {"scheduler": "improved_delays", "anglesets": 8},
+		"layered":       {"scheduler": "random_delays", "anglesets": 8},
+		"over-k-ceil":   {"anglesets": 100000},
 	} {
 		spec := baseSpec()
 		for k, v := range bad {

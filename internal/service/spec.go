@@ -327,8 +327,11 @@ func (req *ScheduleRequest) Validate() error {
 			return badRequest("angleset aggregation requires a geometric mesh; synthetic families are non-geometric (use anglesets = 0)")
 		}
 		switch req.Scheduler {
-		case string(sweepsched.RandomDelays), string(sweepsched.ImprovedDelays):
-			return badRequest("%s is layer-synchronous and cannot run angleset-aggregated; use %s",
+		case string(sweepsched.RandomDelays):
+			return badRequest("%s runs layer by layer on each direction's own levels and cannot run angleset-aggregated; use %s",
+				req.Scheduler, sweepsched.RandomDelaysPriority)
+		case string(sweepsched.ImprovedDelays):
+			return badRequest("%s ranks tasks by one Graham schedule of all directions and cannot run angleset-aggregated; use %s",
 				req.Scheduler, sweepsched.RandomDelaysPriority)
 		}
 	}

@@ -36,7 +36,7 @@ func TestExecutorsMatchSerialAtEveryMachineSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		c1, c2 := sched.C1(s.Inst, s.Assign, 0), sched.C2(s, 0)
+		c1, c2 := sched.C1(s.Inst, s.Assign, 0), sched.C2(s)
 		if dep.Comm.Messages != c1 || dep.Comm.Rounds != c2 || verify.C2Ref(s) != c2 || (m == 1 && c1 != 0) {
 			t.Fatalf("m=%d: a dependency-only run sent %d messages in %d rounds, C1 = %d, C2 = %d, C2Ref = %d",
 				m, dep.Comm.Messages, dep.Comm.Rounds, c1, c2, verify.C2Ref(s))

@@ -236,7 +236,7 @@ func starSchedule(t *testing.T, assign sched.Assignment) *sched.Schedule {
 }
 
 // c2Everywhere returns the three independent C2 accountings of s: the
-// chunked production counter, the auditor's serial recomputation, and the
+// sched package's recount, the auditor's serial recomputation, and the
 // rounds a DependencyOnly run sends its messages in.
 func c2Everywhere(t *testing.T, s *sched.Schedule) [3]int64 {
 	t.Helper()
@@ -244,7 +244,7 @@ func c2Everywhere(t *testing.T, s *sched.Schedule) [3]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [3]int64{sched.C2(s, 0), verify.C2Ref(s), dep.Comm.Rounds}
+	return [3]int64{sched.C2(s), verify.C2Ref(s), dep.Comm.Rounds}
 }
 
 // TestC2EdgeConventionStar pins the repository's C2 convention: a step's

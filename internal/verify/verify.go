@@ -436,7 +436,7 @@ func C1Ref(inst *sched.Instance, assign sched.Assignment) int64 {
 // maximum over processors. Steps at or beyond s.Makespan, and tasks with
 // a negative start, are not charged. Written as a per-step scan of the
 // tasks in step order with one counter per processor, sharing nothing
-// with the chunked parallel production counter (sched.C2).
+// with the sched package's recount (sched.C2).
 func C2Ref(s *sched.Schedule) int64 {
 	return c2Over(s, stepOrder(s.Start))
 }

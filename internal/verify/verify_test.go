@@ -266,9 +266,8 @@ func TestScheduleCommDelayFeasibility(t *testing.T) {
 }
 
 // TestMetricRefsMatchProduction pins the auditor's serial C1/C2
-// recomputations to the parallel production counters on random
-// schedules (both conventions must agree exactly, at every worker
-// count).
+// recomputations to the sched package's counters on random schedules
+// (both conventions must agree exactly, C1 at every worker count).
 func TestMetricRefsMatchProduction(t *testing.T) {
 	r := rng.New(31)
 	for round := 0; round < 5; round++ {
@@ -282,7 +281,7 @@ func TestMetricRefsMatchProduction(t *testing.T) {
 			if got, want := sched.C1(inst, assign, workers), verify.C1Ref(inst, assign); got != want {
 				t.Fatalf("round %d workers %d: C1 %d, reference %d", round, workers, got, want)
 			}
-			if got, want := sched.C2(s, workers), verify.C2Ref(s); got != want {
+			if got, want := sched.C2(s), verify.C2Ref(s); got != want {
 				t.Fatalf("round %d workers %d: C2 %d, reference %d", round, workers, got, want)
 			}
 		}
