@@ -340,11 +340,9 @@ type ScheduleOptions struct {
 	// kernel expands them to per-direction inputs for the per-direction
 	// kernel — precedence is always enforced with every direction's own
 	// DAG.
-	// Requires a problem built with an explicit direction set (geometric
-	// problems); RandomDelays (per-direction layers) and ImprovedDelays
-	// (Graham levels over all k directions) do not support aggregation. 0
-	// disables aggregation (the per-direction pipeline); negative values
-	// are rejected.
+	// Which schedulers and problems aggregate is heuristics.Check's to
+	// say. 0 disables aggregation (the per-direction pipeline); negative
+	// values are rejected.
 	Anglesets int
 }
 
@@ -356,9 +354,6 @@ func (p *Problem) anglesets(opts ScheduleOptions) ([][]int32, error) {
 	}
 	if opts.Anglesets < 0 {
 		return nil, fmt.Errorf("sweepsched: Anglesets must be >= 1, got %d", opts.Anglesets)
-	}
-	if len(p.inst.Dirs) != p.inst.K() {
-		return nil, fmt.Errorf("sweepsched: angleset aggregation requires a problem with a direction set; this problem is non-geometric")
 	}
 	return quadrature.AnglesetsFor(p.inst.Dirs, opts.Anglesets)
 }
@@ -411,11 +406,10 @@ func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleO
 // ScheduleComm runs the named scheduler under the uniform
 // communication-delay model of §3: an edge whose endpoints sit on
 // different processors delays the successor by commDelay extra steps.
-// Only the list-scheduling algorithms support this model; the layered
-// Algorithm 1 does not (its analysis assumes c = 0), so RandomDelays is
-// rejected here. The *_delays schedulers contribute their priorities
-// only: under this model no release delay is applied, so LevelDelays
-// schedules exactly as Level does (and likewise for the other two).
+// heuristics.Check says which schedulers run under this model. The
+// *_delays schedulers contribute their priorities only: under this model
+// no release delay is applied, so LevelDelays schedules exactly as Level
+// does (and likewise for the other two).
 //
 // The schedule records commDelay (Schedule.CommDelay): Validate holds its
 // edges to it, and a fault-injected run of it (SimulateFaulty,
@@ -424,10 +418,6 @@ func (p *Problem) ScheduleCtx(ctx context.Context, alg Scheduler, opts ScheduleO
 // scheduler's priorities. At the cut a done predecessor owes no wait, so
 // such a run can take fewer steps than the fault-free one.
 func (p *Problem) ScheduleComm(alg Scheduler, opts ScheduleOptions, commDelay int) (*Result, error) {
-	if alg == RandomDelays {
-		return nil, fmt.Errorf("sweepsched: %s is layer-synchronous and does not support comm delays; use %s",
-			RandomDelays, RandomDelaysPriority)
-	}
 	pl, err := p.plan(context.Background(), alg, opts, planModel{comm: true, commDelay: commDelay})
 	if err != nil {
 		return nil, err
@@ -464,29 +454,37 @@ func (pl *planned) result(p *Problem) *Result {
 // feasibility tail must catch.
 var kernelFault func(s *sched.Schedule, met *sched.Metrics, rule sched.Rule)
 
-// plan is the one pipeline behind every scheduling entry point: assign
-// cells to processors, derive the scheduler's priorities, run the
-// model's kernel, measure, then validate and (when sampled) audit. ctx
-// is observed between the stages, and each stage but validation reports
-// an api.* span to opts.Collector.
+// plan is the one pipeline behind every scheduling entry point: refuse a
+// scheduler the model does not run (heuristics.Check), assign cells to
+// processors, derive the scheduler's priorities, run the model's kernel,
+// measure, then validate and (when sampled) audit. ctx is observed
+// between the stages, and each stage but validation reports an api.*
+// span to opts.Collector.
 func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions, mdl planModel) (*planned, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	inst, col := p.inst, opts.Collector
+	err := heuristics.Check(alg, heuristics.Model{
+		Anglesets:    opts.Anglesets > 0,
+		CommDelay:    mdl.comm,
+		Weighted:     mdl.weights != nil,
+		Blocks:       opts.BlockSize > 1,
+		NonGeometric: inst.Mesh == nil,
+	})
+	if err != nil {
 		return nil, err
 	}
 	groups, err := p.anglesets(opts)
 	if err != nil {
 		return nil, err
 	}
-	inst, col := p.inst, opts.Collector
 	r := rng.New(opts.Seed)
 	span := col.Span("api.assign.time")
 	var assign sched.Assignment
 	if opts.BlockSize <= 1 {
 		assign = sched.RandomAssignment(inst.N(), inst.M, r)
 	} else {
-		if inst.Mesh == nil {
-			return nil, fmt.Errorf("sweepsched: block partitioning requires a mesh; this problem is non-geometric (use BlockSize <= 1)")
-		}
 		part, nBlocks, err := p.blocksFor(opts.BlockSize, opts.Seed, mdl.weights)
 		if err != nil {
 			return nil, err
@@ -633,16 +631,9 @@ type WeightedResult struct {
 // processing costs (the paper's model is the all-ones special case) on a
 // machine model: per-processor integer speeds (duration = ceil(w/speed))
 // and two-level hierarchical communication delays. A nil model is the
-// uniform machine. RandomDelays (the layer-synchronous Algorithm 1) is not
-// supported; use the priority form.
+// uniform machine. heuristics.Check says which schedulers have a weighted
+// form.
 func (p *Problem) ScheduleWeightedMachine(alg Scheduler, opts ScheduleOptions, weights CellWeights, model *MachineModel) (*WeightedResult, error) {
-	if alg == RandomDelays {
-		return nil, fmt.Errorf("sweepsched: %s is layer-synchronous and has no weighted form; use %s",
-			RandomDelays, RandomDelaysPriority)
-	}
-	if opts.Anglesets != 0 {
-		return nil, fmt.Errorf("sweepsched: the weighted scheduler has no angleset-aggregated form")
-	}
 	if err := weights.Validate(p.inst.N()); err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ import (
 
 	"sweepsched"
 	"sweepsched/internal/cliutil"
+	"sweepsched/internal/sched"
 )
 
 func main() {
@@ -141,15 +142,7 @@ func run(args []string) (err error) {
 			ws = *seed ^ 0x57
 		}
 		weights := sweepsched.LogNormalWeights(p.N(), 4, 0.75, ws)
-		var model *sweepsched.MachineModel
-		if len(speeds) > 0 {
-			cycled := make([]int32, p.M())
-			for i := range cycled {
-				cycled[i] = speeds[i%len(speeds)]
-			}
-			model = &sweepsched.MachineModel{Speeds: cycled}
-		}
-		wres, err := p.ScheduleWeightedMachine(sweepsched.Scheduler(*alg), opts, weights, model)
+		wres, err := p.ScheduleWeightedMachine(sweepsched.Scheduler(*alg), opts, weights, sched.CycledSpeeds(speeds, p.M()))
 		if err != nil {
 			return err
 		}

@@ -750,13 +750,7 @@ func weightedRows(g *group) ([]*point, error) {
 		if err != nil {
 			return nil, err
 		}
-		var model *sched.MachineModel
-		if len(g.cfg.Speeds) > 0 {
-			model = &sched.MachineModel{Speeds: make([]int32, m)}
-			for p := range model.Speeds {
-				model.Speeds[p] = g.cfg.Speeds[p%len(g.cfg.Speeds)]
-			}
-		}
+		model := sched.CycledSpeeds(g.cfg.Speeds, m)
 		bounds := lb.ComputeWeighted(inst, g.weights, model)
 		if bounds.Load < float64(bounds.CriticalPath) {
 			pts = append(pts, &point{g: g, cells: []any{m, fmt.Sprintf("skipped: crit %d > load %.4g", bounds.CriticalPath, bounds.Load),

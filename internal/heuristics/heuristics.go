@@ -25,6 +25,7 @@
 package heuristics
 
 import (
+	"errors"
 	"fmt"
 
 	"sweepsched/internal/core"
@@ -232,6 +233,52 @@ var recipes = map[Name]struct {
 	DFDSDelays:           {dfdsFill, delayRelease, false},
 }
 
+// Model is what a plan is asked to run under, as far as it is known
+// before anything is built. The zero Model is the paper's: unit tasks, no
+// communication delay, per-direction priorities, cells assigned one by
+// one, on a mesh.
+type Model struct {
+	Anglesets    bool // priorities once per angleset (ScheduleOptions.Anglesets > 0)
+	CommDelay    bool // the uniform communication-delay model of §3
+	Weighted     bool // heterogeneous cell costs on the weighted engine
+	Blocks       bool // cells assigned by block partition (BlockSize > 1)
+	NonGeometric bool // no mesh and no direction set (synthetic DAGs)
+}
+
+// Check refuses a scheduler under a model it cannot run under; it is the
+// one place that says which scheduler runs under which model, read off
+// the recipe columns. Algorithm 1 (a layered recipe) is layer-synchronous
+// and analysed at c = 0, so it has no comm-delay, weighted or angleset
+// form; Algorithm 3's Graham levels (a nil fill) rank all k directions at
+// once, so it has no angleset form; the weighted engine has its own
+// machine model and no angleset form; and blocks and anglesets need a
+// mesh and its directions. Check builds nothing, so a caller runs it
+// before any assignment, partition or priority.
+func Check(name Name, mdl Model) error {
+	rec, ok := recipes[name]
+	switch {
+	case !ok:
+		return errUnknown(name)
+	case mdl.Blocks && mdl.NonGeometric:
+		return errors.New("heuristics: block partitioning requires a mesh; this problem is non-geometric (use block size <= 1)")
+	case mdl.Anglesets && mdl.NonGeometric:
+		return errors.New("heuristics: angleset aggregation requires a direction set; this problem is non-geometric (use anglesets = 0)")
+	case mdl.Weighted && mdl.CommDelay:
+		return errors.New("heuristics: the weighted engine models communication through its machine, not a comm delay")
+	case mdl.Weighted && mdl.Anglesets:
+		return errors.New("heuristics: the weighted engine has no angleset-aggregated form (use anglesets = 0)")
+	case rec.layered && mdl.CommDelay:
+		return fmt.Errorf("heuristics: %s is layer-synchronous and does not support comm delays; use %s", name, RandomDelaysPriority)
+	case rec.layered && mdl.Weighted:
+		return fmt.Errorf("heuristics: %s is layer-synchronous and has no weighted form; use %s", name, RandomDelaysPriority)
+	case rec.layered && mdl.Anglesets:
+		return fmt.Errorf("heuristics: %s runs layer by layer on each direction's own levels and cannot run angleset-aggregated; use %s", name, RandomDelaysPriority)
+	case rec.fill == nil && mdl.Anglesets:
+		return fmt.Errorf("heuristics: %s ranks tasks by one Graham schedule of all directions and cannot run angleset-aggregated; use %s", name, RandomDelaysPriority)
+	}
+	return nil
+}
+
 // Rule is what the named scheduler feeds its kernel, in the workspace's
 // scratch buffers (valid until its next run or Release): one priority
 // per task — or, with an angleset partition, one per (angleset, cell),
@@ -239,19 +286,13 @@ var recipes = map[Name]struct {
 // one per task (one per angleset with the partition): the delays of the
 // *_delays schedulers, random_delays' layer floors, nil for the rest. The
 // delays are the only draw from r, one core.Delays call over the
-// segments, made after the priorities are filled. Algorithm 3's Graham
-// levels rank all k directions at once, and random_delays' layers climb
-// along each direction's own DAG, so neither has an angleset form.
+// segments, made after the priorities are filled. A scheduler Check
+// refuses angleset-aggregated gets no rule with groups.
 func Rule(ws *sched.Workspace, name Name, inst *sched.Instance, assign sched.Assignment, groups [][]int32, r *rng.Source, workers int) (sched.Rule, error) {
-	rec, ok := recipes[name]
-	switch {
-	case !ok:
-		return sched.Rule{}, errUnknown(name)
-	case rec.fill == nil && groups != nil:
-		return sched.Rule{}, fmt.Errorf("heuristics: %s ranks tasks by one schedule of all directions and cannot run angleset-aggregated", name)
-	case rec.layered && groups != nil:
-		return sched.Rule{}, fmt.Errorf("heuristics: %s runs layer by layer on each direction's own levels and cannot run angleset-aggregated", name)
+	if err := Check(name, Model{Anglesets: groups != nil}); err != nil {
+		return sched.Rule{}, err
 	}
+	rec := recipes[name]
 	n, segs := inst.N(), inst.K()
 	if groups != nil {
 		if err := sched.ValidateAnglesets(groups, segs); err != nil {
@@ -337,4 +378,6 @@ func run(name Name, layered bool, inst *sched.Instance, assign sched.Assignment,
 
 type errUnknown Name
 
-func (e errUnknown) Error() string { return "heuristics: unknown scheduler " + string(e) }
+func (e errUnknown) Error() string {
+	return fmt.Sprintf("heuristics: unknown scheduler %q (want one of %v)", string(e), AllNames())
+}

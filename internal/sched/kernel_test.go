@@ -322,12 +322,21 @@ func TestScheduleIntoZeroAllocs(t *testing.T) {
 	layer := make(Priorities, inst.NTasks())
 	floor := make([]int32, inst.NTasks())
 	layerRuns := 0
+	wide, wideR := make([]int32, inst.NTasks()), rng.New(5)
 
 	cases := []struct {
 		name string
 		run  func() error
 	}{
 		{"ListScheduleInto", func() error { return ListScheduleInto(ws, dst, inst, assign, prio, rel) }},
+		{"ListScheduleInto/wideFloors", func() error {
+			// Each run draws new floors spread over thousands of steps:
+			// the calendar's entries are sized by the tasks, not the draw.
+			for t := range wide {
+				wide[t] = int32(wideR.Intn(4096))
+			}
+			return ListScheduleInto(ws, dst, inst, assign, prio, wide)
+		}},
 		{"ListScheduleInto/nilPrioRelease", func() error { return ListScheduleInto(ws, dst, inst, assign, nil, nil) }},
 		{"CommScheduleInto", func() error { return CommScheduleInto(ws, dst, inst, assign, prio, 4) }},
 		{"ListScheduleResidualInto", func() error { return ListScheduleResidualInto(ws, dst, inst, assign, prio, nil) }},

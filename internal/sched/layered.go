@@ -5,12 +5,13 @@ import "fmt"
 // LayerFloorsInto fills floor (len = NTasks) with the floors of the
 // layers in layer (level_i(v) + X_i, or L′ + X_i): a layer's floor is the
 // sum over the earlier layers of each one's widest per-processor load.
+// The same pass ranks every task within its (layer, processor), which
+// the layered kernel keeps for a rule of these layers (rankLayers).
 func LayerFloorsInto(ws *Workspace, floor []int32, inst *Instance, assign Assignment, layer Priorities) error {
 	if len(floor) != inst.NTasks() {
 		return fmt.Errorf("sched: %d floor slots for %d tasks", len(floor), inst.NTasks())
 	}
-	ws.start = grow(ws.start, len(floor))
-	if _, err := ws.walkLayers(inst, assign, layer, ws.start); err != nil {
+	if err := ws.rankLayers(inst, assign, layer); err != nil {
 		return err
 	}
 	for t, l := range layer {
@@ -19,32 +20,68 @@ func LayerFloorsInto(ws *Workspace, floor []int32, inst *Instance, assign Assign
 	return nil
 }
 
-// walkLayers sorts the tasks by (layer, TaskID) with one counting pass,
+// layerWalk names what the workspace's layer ranks and floors were
+// counted for: the instance, a print of the layers and the assignment
+// (layerPrint), and the makespan, the sum of all layer widths. The zero
+// value names nothing.
+type layerWalk struct {
+	inst     *Instance
+	print    uint64
+	makespan int32
+}
+
+// layerPrint is a 64-bit print of each task's layer and processor: a
+// sum over the tasks of a mix of (TaskID, layer, processor), so a
+// change to any one task changes it.
+func layerPrint(layer Priorities, assign Assignment, n int) uint64 {
+	var h uint64
+	for base := 0; base < len(layer); base += n {
+		for v, l := range layer[base : base+n] {
+			h += layerMix(base+v, l, assign[v])
+		}
+	}
+	return h
+}
+
+func layerMix(t int, l int64, p int32) uint64 {
+	x := (uint64(l)<<32 | uint64(uint32(p))) ^ uint64(t)*0x9e3779b97f4a7c15
+	x *= 0xbf58476d1ce4e5b9
+	return x ^ x>>31
+}
+
+// rankLayers makes the workspace's layer ranks and floors layer's on
+// assign. Unless it has them already (ws.layers: this instance, the same
+// print), it sorts the tasks by (layer, TaskID) with one counting pass,
 // then walks the layers in that order with one counter per processor:
-// each task's rank within its (layer, processor) goes in rank, and layer
-// l's floor, the sum of the earlier layers' widths (largest rank + 1), in
-// ws.layerAt[l]. It returns the makespan, the sum of all widths. Its
-// scratch is O(NTasks + K + M), sized from the instance alone: a layer
-// lies in [1, NTasks + K), as a level or greedy completion step (≤
-// NTasks) plus a delay (< K) does.
-func (ws *Workspace) walkLayers(inst *Instance, assign Assignment, layer Priorities, rank []int32) (makespan int32, err error) {
+// each task's rank within its (layer, processor) goes in ws.layerRank
+// and layer l's floor, the sum of the earlier layers' widths (largest
+// rank + 1), in ws.layerAt[l]. Its scratch is O(NTasks + K + M), sized
+// from the instance alone: a layer lies in [1, NTasks + K), as a level or
+// greedy completion step (≤ NTasks) plus a delay (< K) does.
+func (ws *Workspace) rankLayers(inst *Instance, assign Assignment, layer Priorities) error {
 	nt, n, m := inst.NTasks(), inst.N(), inst.M
 	if err := assign.Validate(n, m); err != nil {
-		return 0, err
+		return err
 	}
 	if len(layer) != nt {
-		return 0, fmt.Errorf("sched: %d layers for %d tasks", len(layer), nt)
+		return fmt.Errorf("sched: %d layers for %d tasks", len(layer), nt)
 	}
+	print := layerPrint(layer, assign, n)
+	if ws.layers.inst == inst && ws.layers.print == print {
+		return nil
+	}
+	ws.layers = layerWalk{}
 	// at[l] counts layer l's tasks, then is where layer l begins in order
 	// until its tasks are placed, then where it ends, then its floor.
 	bound := nt + inst.K()
 	ws.layerOrder, ws.layerAt, ws.procCount = grow(ws.layerOrder, nt), grow(ws.layerAt, bound+1), grow(ws.procCount, m)
-	order, at, count := ws.layerOrder, ws.layerAt, ws.procCount // count is all zero between runs
+	ws.layerRank = grow(ws.layerRank, nt)
+	order, at, count, rank := ws.layerOrder, ws.layerAt, ws.procCount, ws.layerRank // count is all zero between runs
 	clear(at)
 	lo, hi := int64(bound), int64(0)
 	for _, l := range layer {
 		if l < 1 || l >= int64(bound) {
-			return 0, fmt.Errorf("sched: layer %d outside [1, %d)", l, bound)
+			return fmt.Errorf("sched: layer %d outside [1, %d)", l, bound)
 		}
 		lo, hi = min(lo, l), max(hi, l)
 		at[l+1]++
@@ -58,7 +95,7 @@ func (ws *Workspace) walkLayers(inst *Instance, assign Assignment, layer Priorit
 			at[l]++
 		}
 	}
-	begin := int32(0)
+	makespan, begin := int32(0), int32(0)
 	for l := lo; l <= hi; l++ {
 		tasks := order[begin:at[l]]
 		begin = at[l]
@@ -75,16 +112,18 @@ func (ws *Workspace) walkLayers(inst *Instance, assign Assignment, layer Priorit
 		at[l] = makespan
 		makespan += width
 	}
-	return makespan, nil
+	ws.layers = layerWalk{inst, print, makespan}
+	return nil
 }
 
 // scheduleLayered runs a Layered rule (Algorithms 1 and 3). At a layer's
 // floor every earlier layer has finished and no later one is released, so
 // each processor runs the layer's tasks in TaskID order: the step core's
-// schedule, written without ready sets. One walk in TaskID order after
-// walkLayers refuses a floor that is not its layer's, starts each task at
-// its floor plus its rank, checks that every edge climbs a layer, counts
-// C1 and charges the task's cross-processor out-edges to its step for C2.
+// schedule, written without ready sets. After rankLayers (which keeps
+// the floors pass's ranks for the same layers), one walk in TaskID order
+// refuses a floor that is not its layer's, starts each task at its floor
+// plus its rank, checks that every edge climbs a layer, counts C1 and
+// charges the task's cross-processor out-edges to its step for C2.
 func (ws *Workspace) scheduleLayered(dst *Schedule, inst *Instance, assign Assignment, rule Rule) error {
 	ws.hasMetrics = false
 	nt, n := inst.NTasks(), inst.N()
@@ -92,13 +131,12 @@ func (ws *Workspace) scheduleLayered(dst *Schedule, inst *Instance, assign Assig
 		return fmt.Errorf("sched: a layered rule is its layers (Prio) and their floors (Release, one per task) alone")
 	}
 	layer := rule.Prio
-	start := ensureStart(dst, nt)
-	makespan, err := ws.walkLayers(inst, assign, layer, start)
-	if err != nil {
+	if err := ws.rankLayers(inst, assign, layer); err != nil {
 		return err
 	}
+	makespan, start := ws.layers.makespan, ensureStart(dst, nt)
 	ws.start = grow(ws.start, nt)
-	stepMax, floor := ws.start[:makespan], ws.layerAt
+	stepMax, floor, rank := ws.start[:makespan], ws.layerAt, ws.layerRank
 	clear(stepMax)
 	var c1 int64
 	for i, d := range inst.DAGs {
@@ -116,7 +154,7 @@ func (ws *Workspace) scheduleLayered(dst *Schedule, inst *Instance, assign Assig
 				c += 1 - zeroBit(assign[w]^assign[u])
 			}
 			c1 += int64(c)
-			start[t] += floor[lu]
+			start[t] = rank[t] + floor[lu]
 			stepMax[start[t]] = max(stepMax[start[t]], c)
 		}
 	}

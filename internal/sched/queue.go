@@ -400,46 +400,57 @@ func (q *rankq) pop(p int32) int32 {
 // though: an accepted horizon can be 2³⁰ steps on a handful of tasks.
 // Past that cap due steps a whole lap apart share a bucket, so every
 // entry carries its due step and drain takes only the ones due now.
-// Bucket slices are reused across runs.
+//
+// A task is on file at most once at a time, so the entries live in the
+// tasks' own slots: each bucket is a list linked through next, in push
+// order. prepare sizes the slots and drain's result for the run's tasks,
+// so however the due steps spread, a warm calendar allocates nothing.
 type calendar struct {
-	buckets [][]calEntry
-	mask    int32
-	pending int
-	out     []int32 // drain's result, reused
+	head, tail []int32 // per bucket: its first and last task, -1 when empty
+	next, due  []int32 // per task on file: the task after it in its bucket, its due step
+	mask       int32
+	pending    int
+	out        []int32 // drain's result, reused
 }
 
-type calEntry struct {
-	s   int32
-	due int32
-}
-
-// prepare sizes the ring for tasks entries due at most horizon steps
-// ahead — the next power of two above min(horizon, tasks) — and clears
-// any stale contents. The ring only ever grows, so steady-state reuse
-// with a stable shape performs no allocation.
+// prepare sizes the ring for entries due at most horizon steps ahead —
+// the next power of two above min(horizon, tasks) — and the entries for
+// tasks 0..tasks-1, and empties it. Nothing shrinks, so steady-state
+// reuse with a stable shape performs no allocation.
 func (c *calendar) prepare(horizon int32, tasks int) {
 	need := min(int(horizon), tasks) + 1
-	size := max(len(c.buckets), 1)
+	size := max(len(c.head), 1)
 	for size < need {
 		size <<= 1
 	}
-	if size != len(c.buckets) {
-		nb := make([][]calEntry, size)
-		copy(nb, c.buckets)
-		c.buckets = nb
+	c.head, c.tail = grow(c.head, size), grow(c.tail, size)
+	for i := range c.head {
+		c.head[i] = -1
+	}
+	c.next, c.due = grow(c.next, tasks), grow(c.due, tasks)
+	if cap(c.out) < tasks {
+		c.out = make([]int32, 0, tasks)
 	}
 	c.mask = int32(size - 1)
-	for i := range c.buckets {
-		c.buckets[i] = c.buckets[i][:0]
-	}
 	c.pending = 0
 }
 
-// push files a task under its due step, which must lie after the step
-// last drained.
+// push files task s, not on file, under its due step, which must lie
+// after the step last drained. A task past the prepared ones grows the
+// entries.
 func (c *calendar) push(s, due int32) {
-	i := due & c.mask
-	c.buckets[i] = append(c.buckets[i], calEntry{s, due})
+	if n := int(s) + 1; n > len(c.next) {
+		c.next = append(c.next, make([]int32, n-len(c.next))...)
+		c.due = append(c.due, make([]int32, n-len(c.due))...)
+	}
+	c.next[s], c.due[s] = -1, due
+	b := due & c.mask
+	if c.head[b] < 0 {
+		c.head[b] = s
+	} else {
+		c.next[c.tail[b]] = s
+	}
+	c.tail[b] = s
 	c.pending++
 }
 
@@ -447,19 +458,24 @@ func (c *calendar) push(s, due int32) {
 // order; entries of a later lap of the ring stay in their bucket. The
 // result is valid until the next drain.
 func (c *calendar) drain(now int32) []int32 {
-	b := c.buckets[now&c.mask]
-	if len(b) == 0 {
-		return nil
-	}
-	out, keep := c.out[:0], b[:0]
-	for _, e := range b {
-		if e.due == now {
-			out = append(out, e.s)
+	b := now & c.mask
+	out, prev := c.out[:0], int32(-1)
+	for e := c.head[b]; e >= 0; e = c.next[e] {
+		if c.due[e] != now {
+			prev = e
+			continue
+		}
+		out = append(out, e)
+		if prev < 0 {
+			c.head[b] = c.next[e]
 		} else {
-			keep = append(keep, e)
+			c.next[prev] = c.next[e]
+		}
+		if c.tail[b] == e {
+			c.tail[b] = prev
 		}
 	}
-	c.buckets[now&c.mask], c.out = keep, out
+	c.out = out
 	c.pending -= len(out)
 	return out
 }
@@ -468,9 +484,9 @@ func (c *calendar) drain(now int32) []int32 {
 // be empty.
 func (c *calendar) earliest() int32 {
 	first := int32(math.MaxInt32)
-	for _, b := range c.buckets {
-		for _, e := range b {
-			first = min(first, e.due)
+	for _, e := range c.head {
+		for ; e >= 0; e = c.next[e] {
+			first = min(first, c.due[e])
 		}
 	}
 	return first

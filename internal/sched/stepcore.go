@@ -179,8 +179,12 @@ func (ws *Workspace) schedule(dst *Schedule, inst *Instance, assign Assignment, 
 		clear(readyAt)
 	}
 	// A task released at a step waits at most until max(floor, step+1+cd).
-	cal := &ws.cal
-	cal.prepare(max(maxFloor, cd+1), nt)
+	// Only a run that waits files tasks in the calendar.
+	cal, waits := &ws.cal, 0
+	if readyAt != nil {
+		waits = nt
+	}
+	cal.prepare(max(maxFloor, cd+1), waits)
 
 	rq := &ws.rq
 	remaining := rq.load(prelude{prio: prio, nt: nt, m: m, n: int32(inst.N()), assign: assign, dags: inst.DAGs, g: g, done: rule.done, floor: readyAt, cal: cal})

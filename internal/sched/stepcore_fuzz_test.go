@@ -22,7 +22,9 @@ import (
 // verify.Schedule must accept it under the rule, verify.RuleOpts. The
 // layered kernel, under Algorithm 1's Layered rule (levels plus delays,
 // with the LayerFloorsInto floors), must write the reference's schedule
-// too, as must the step core under the same layers and floors. The fuzzer
+// too, as must the step core under the same layers and floors, and so
+// must the layered kernel after another layer function's floors pass on
+// the same workspace, whichever buffers each rule sits in. The fuzzer
 // picks the family, m, the priorities' spread — narrow enough for the
 // counting pass, widened into the radix sort, or at the extremes of int64
 // for the comparison fallback — the floors, the delay and where the done
@@ -137,6 +139,37 @@ func FuzzStepCoreEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		check("layered rule on the step core", want, true)
+
+		// Another rule's floors pass leaves its ranks in the workspace: the
+		// first rule's run must not take them, and neither may a run of the
+		// other rule written over the first one's buffers, whose floors pass
+		// came last.
+		other := slices.Clone(layer)
+		for i := range k {
+			for v := range n {
+				other[i*n+v] += int64(i % 2)
+			}
+		}
+		otherFloor := make([]int32, nt)
+		if err := sched.LayerFloorsInto(ws, otherFloor, inst, assign, other); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Schedule(got, inst, assign, layered); err != nil {
+			t.Fatal(err)
+		}
+		check("layered after another rule's floors", want, true)
+		if want, err = refimpl.ListScheduleWithRelease(inst, assign, other, otherFloor); err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.LayerFloorsInto(ws, floor, inst, assign, layer); err != nil {
+			t.Fatal(err)
+		}
+		copy(layer, other)
+		copy(floor, otherFloor)
+		if err := ws.Schedule(got, inst, assign, layered); err != nil {
+			t.Fatal(err)
+		}
+		check("another rule in the first one's buffers", want, true)
 	})
 }
 

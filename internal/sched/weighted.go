@@ -89,6 +89,21 @@ func (mm *MachineModel) Validate(m int) error {
 	return nil
 }
 
+// CycledSpeeds is the machine whose m processors take the speeds of
+// pattern in turn: processor p runs at pattern[p % len(pattern)]. An
+// empty pattern is the uniform machine, nil. The caller checks the
+// pattern's range.
+func CycledSpeeds(pattern []int32, m int) *MachineModel {
+	if len(pattern) == 0 {
+		return nil
+	}
+	speeds := make([]int32, m)
+	for p := range speeds {
+		speeds[p] = pattern[p%len(pattern)]
+	}
+	return &MachineModel{Speeds: speeds}
+}
+
 // SpeedOf returns processor p's speed under the model (1 for the uniform
 // machine). Safe on a nil model.
 func (mm *MachineModel) SpeedOf(p int32) int32 {

@@ -29,12 +29,14 @@ type Workspace struct {
 	start   []int32
 	// The layered kernel's (layered.go): the tasks in (layer, TaskID)
 	// order, each beside its processor, a slot per layer (its place in
-	// that order, then its floor), and one counter per processor.
-	layerOrder         []uint64
-	layerAt, procCount []int32
-	rq                 rankq
-	cal                calendar
-	completed          []popped
+	// that order, then its floor), one counter per processor, each task's
+	// rank within its (layer, processor), and what they were counted for.
+	layerOrder                    []uint64
+	layerAt, procCount, layerRank []int32
+	layers                        layerWalk
+	rq                            rankq
+	cal                           calendar
+	completed                     []popped
 	// zeroPrio backs nil-priority runs. The kernel never writes
 	// priorities, so it stays all-zero across reuses.
 	zeroPrio Priorities
@@ -134,7 +136,7 @@ func GetWorkspace(inst *Instance) *Workspace {
 // not be used afterwards; schedules it produced remain valid (they never
 // alias workspace memory).
 func (ws *Workspace) Release() {
-	ws.col, ws.hasMetrics = nil, false
+	ws.col, ws.hasMetrics, ws.layers = nil, false, layerWalk{}
 	if ws.key == (wsKey{}) {
 		return // not pool-managed (NewWorkspace)
 	}
@@ -149,20 +151,14 @@ func (ws *Workspace) Release() {
 // overwrites every entry. The kernel only reads priorities, so the buffer
 // may be passed straight to the Into entry points.
 func (ws *Workspace) PrioBuf(nt int) Priorities {
-	if cap(ws.prioBuf) < nt {
-		ws.prioBuf = make(Priorities, nt)
-	}
-	ws.prioBuf = ws.prioBuf[:nt]
+	ws.prioBuf = grow(ws.prioBuf, nt)
 	return ws.prioBuf
 }
 
 // Int32Buf returns a length-n int32 scratch slice owned by the workspace,
 // for per-trial release times or layer indices. Contents are unspecified.
 func (ws *Workspace) Int32Buf(n int) []int32 {
-	if cap(ws.int32Buf) < n {
-		ws.int32Buf = make([]int32, n)
-	}
-	ws.int32Buf = ws.int32Buf[:n]
+	ws.int32Buf = grow(ws.int32Buf, n)
 	return ws.int32Buf
 }
 
@@ -173,14 +169,7 @@ func (ws *Workspace) ensure(inst *Instance) {
 	nt, m := inst.NTasks(), inst.M
 	ws.readyAt = grow(ws.readyAt, nt)
 	ws.start = grow(ws.start, nt)
-	if cap(ws.zeroPrio) < nt {
-		ws.zeroPrio = make(Priorities, nt)
-	}
-	ws.zeroPrio = ws.zeroPrio[:nt]
-	if cap(ws.zeroAssign) < inst.N() {
-		ws.zeroAssign = make(Assignment, inst.N())
-	}
-	ws.zeroAssign = ws.zeroAssign[:inst.N()]
+	ws.zeroPrio, ws.zeroAssign = grow(ws.zeroPrio, nt), grow(ws.zeroAssign, inst.N())
 	if cap(ws.completed) < m {
 		ws.completed = make([]popped, 0, m)
 	}
@@ -191,14 +180,7 @@ func (ws *Workspace) ensure(inst *Instance) {
 // ensure, it allocates nothing once warm for a shape.
 func (ws *Workspace) ensureWeighted(inst *Instance) {
 	nt, m := inst.NTasks(), inst.M
-	if cap(ws.busyBuf) < m {
-		ws.busyBuf = make([]bool, m)
-	}
-	ws.busyBuf = ws.busyBuf[:m]
-	if cap(ws.touchBuf) < m {
-		ws.touchBuf = make([]bool, m)
-	}
-	ws.touchBuf = ws.touchBuf[:m]
+	ws.busyBuf, ws.touchBuf = grow(ws.busyBuf, m), grow(ws.touchBuf, m)
 	if cap(ws.woken) < m {
 		ws.woken = make([]int32, 0, m)
 	}
@@ -229,10 +211,7 @@ func (ws *Workspace) checkListArgs(inst *Instance, assign Assignment, prio Prior
 // ensureStart sizes dst.Start for nt tasks, reusing its backing array
 // when the destination schedule is recycled across trials.
 func ensureStart(dst *Schedule, nt int) []int32 {
-	if cap(dst.Start) < nt {
-		dst.Start = make([]int32, nt)
-	}
-	dst.Start = dst.Start[:nt]
+	dst.Start = grow(dst.Start, nt)
 	return dst.Start
 }
 

@@ -74,9 +74,6 @@ func (a *admission) release(held time.Duration) {
 // inFlight reports the number of currently held slots.
 func (a *admission) inFlight() int { return len(a.slots) }
 
-// queued reports the number of requests currently waiting for a slot.
-func (a *admission) queued() int { return int(a.waiters.Load()) }
-
 // meanService is the observed mean admitted-section duration, falling
 // back to one second before any section has completed.
 func (a *admission) meanService() time.Duration {
@@ -91,7 +88,7 @@ func (a *admission) meanService() time.Duration {
 // time for the requests already queued ahead of it (plus itself) to
 // drain through the slots at the observed service rate.
 func (a *admission) retryAfterSeconds() int {
-	return retryAfterSeconds(a.queued(), cap(a.slots), a.meanService())
+	return retryAfterSeconds(int(a.waiters.Load()), cap(a.slots), a.meanService())
 }
 
 // retryAfterSeconds is the pure Retry-After mapping:
@@ -105,18 +102,7 @@ func (a *admission) retryAfterSeconds() int {
 // request from parking clients for minutes — past a minute the estimate
 // is noise, not signal.
 func retryAfterSeconds(queued, slots int, meanService time.Duration) int {
-	if slots < 1 {
-		slots = 1
-	}
-	if queued < 0 {
-		queued = 0
-	}
+	slots, queued = max(slots, 1), max(queued, 0)
 	secs := int(math.Ceil(float64(queued+1) * meanService.Seconds() / float64(slots)))
-	if secs < 1 {
-		return 1
-	}
-	if secs > 60 {
-		return 60
-	}
-	return secs
+	return min(max(secs, 1), 60)
 }

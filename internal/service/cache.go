@@ -243,11 +243,22 @@ type scheduleEntry struct {
 // own LRU budget and all builds are singleflighted, so N concurrent
 // identical cold requests perform one build.
 type cache struct {
-	skeletons *lru // meshKey -> *skeletonEntry
-	families  *lru // familyKey -> *familyEntry
-	schedules *lru // scheduleKey -> *scheduleEntry
+	skeletons *tier // meshKey -> *skeletonEntry
+	families  *tier // familyKey -> *familyEntry
+	schedules *tier // scheduleKey -> *scheduleEntry
 	flight    flightGroup
-	col       *obs.Collector
+}
+
+// tier is one level of the cache (Server.fetch resolves it): its LRU,
+// the name its flight keys start with, and its
+// service.cache.<name>.hit|miss counters.
+type tier struct {
+	*lru
+	name, hit, miss string
+}
+
+func newTier(name string, limit int64) *tier {
+	return &tier{lru: newLRU(limit), name: name, hit: "service.cache." + name + ".hit", miss: "service.cache." + name + ".miss"}
 }
 
 // Tier budget split of the total cache byte budget. Schedules are the
@@ -261,11 +272,10 @@ const (
 
 func newCache(totalBytes int64, col *obs.Collector) *cache {
 	return &cache{
-		skeletons: newLRU(totalBytes / skeletonShare),
-		families:  newLRU(totalBytes / familyShare),
-		schedules: newLRU(totalBytes / scheduleShare),
+		skeletons: newTier("skeleton", totalBytes/skeletonShare),
+		families:  newTier("family", totalBytes/familyShare),
+		schedules: newTier("schedule", totalBytes/scheduleShare),
 		flight:    flightGroup{col: col},
-		col:       col,
 	}
 }
 

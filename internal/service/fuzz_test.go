@@ -3,13 +3,16 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"sweepsched/internal/heuristics"
 )
 
 // FuzzScheduleRequest drives arbitrary bytes through the JSON spec
 // decoder and validator. The contract under fuzz: never panic, and
 // every rejection must classify as a client error (4xx) via StatusOf —
 // a decoder that returns 5xx-classified errors for malformed input
-// would page the operator for the client's typo.
+// would page the operator for the client's typo. A request it admits
+// passes heuristics.Check, so the plan behind it is not refused.
 func FuzzScheduleRequest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -56,7 +59,18 @@ func FuzzScheduleRequest(f *testing.F) {
 		if req.Scheduler == "" {
 			t.Fatalf("validator left scheduler empty\ninput: %q", body)
 		}
-		if _, err := req.Mesh.meshKey(); err != nil {
+		// The daemon plans it through the API, which runs the same check.
+		mdl := heuristics.Model{
+			Anglesets:    req.Anglesets > 0,
+			CommDelay:    req.CommDelay > 0,
+			Weighted:     req.Weighted,
+			Blocks:       req.BlockSize > 1,
+			NonGeometric: req.Mesh.Synthetic != "",
+		}
+		if err := heuristics.Check(heuristics.Name(req.Scheduler), mdl); err != nil {
+			t.Fatalf("validator admitted what the scheduler-by-model check refuses: %v\ninput: %q", err, body)
+		}
+		if _, _, err := req.Mesh.meshKey(); err != nil {
 			if st := StatusOf(err); st < 400 || st >= 500 {
 				t.Fatalf("meshKey error classified %d (want 4xx): %v\ninput: %q", st, err, body)
 			}

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -17,6 +17,7 @@ import (
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/quadrature"
+	"sweepsched/internal/sched"
 	"sweepsched/internal/transport"
 )
 
@@ -109,11 +110,11 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
-	s.mux.HandleFunc("POST /v1/transport", s.handleTransport)
+	s.mux.HandleFunc("POST /v1/schedule", handlePost(s, "schedule", DecodeScheduleRequest, s.schedule))
+	s.mux.HandleFunc("POST /v1/transport", handlePost(s, "transport", DecodeTransportRequest, s.transport))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /healthz", s.probe("healthz", "ok"))
+	s.mux.HandleFunc("GET /readyz", s.probe("readyz", "ready"))
 	return s
 }
 
@@ -261,38 +262,22 @@ func (s *Server) countStatus(status int) {
 	s.col.Counter(fmt.Sprintf("service.status.%d", status)).Inc()
 }
 
-// rejectDraining refuses new work with 503 once BeginDrain was called.
-func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
+// probe is the body of /healthz (liveness) and /readyz (readiness): both
+// answer 503 once draining, so a live server that is draining is taken
+// out of rotation without being restarted. New returns a server whose
+// caches and admission semaphore are already live, so there is no
+// initializing window to report.
+func (s *Server) probe(name, ok string) http.HandlerFunc {
+	requests := "service.requests." + name
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.col.Counter(requests).Inc()
+		if s.draining.Load() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, ok)
 	}
-	s.countStatus(http.StatusServiceUnavailable)
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining"})
-	return true
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.col.Counter("service.requests.healthz").Inc()
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness, distinct from /healthz liveness: a live
-// server that is draining should be taken out of rotation without being
-// restarted. New returns a server whose caches and admission semaphore
-// are already live, so there is no initializing window to report.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.col.Counter("service.requests.readyz").Inc()
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -311,68 +296,40 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	s.col.Counter("service.requests.schedule").Inc()
-	defer s.col.Span("service.request.schedule.time").End()
-	if s.rejectDraining(w) {
-		return
+// handlePost is the body of both POST endpoints: it counts the request
+// and times it (service.requests.<name>, service.request.<name>.time),
+// refuses it with 503 once draining, decodes and validates the body
+// (bounded by MaxBodyBytes), runs it and writes the response or the
+// classified error.
+func handlePost[Req, Resp any](s *Server, name string, decode func(io.Reader) (Req, error), run func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	requests, timer := "service.requests."+name, "service.request."+name+".time"
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.col.Counter(requests).Inc()
+		defer s.col.Span(timer).End()
+		if s.draining.Load() {
+			s.countStatus(http.StatusServiceUnavailable)
+			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining"})
+			return
+		}
+		req, err := decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		var resp Resp
+		if err == nil {
+			resp, err = run(r.Context(), req)
+		}
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		s.countStatus(http.StatusOK)
+		writeJSON(w, http.StatusOK, resp)
 	}
-	req, err := DecodeScheduleRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.schedule(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.countStatus(http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleTransport(w http.ResponseWriter, r *http.Request) {
-	s.col.Counter("service.requests.transport").Inc()
-	defer s.col.Span("service.request.transport.time").End()
-	if s.rejectDraining(w) {
-		return
-	}
-	req, err := DecodeTransportRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.transport(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.countStatus(http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// schedule answers a validated /v1/schedule request. A schedule-tier
-// hit is served without an admission slot (it is a map lookup plus the
-// JSON encode); everything else runs inside the admission section.
-func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (*ScheduleResponse, error) {
-	begin := time.Now()
-	reqCol := obs.New()
-
-	meshKey, err := req.Mesh.meshKey()
-	if err != nil {
-		return nil, err
-	}
-	famKey := req.familyKey(meshKey)
-	schedKey := req.scheduleKey(famKey)
-
-	if v, ok := s.cache.schedules.get(schedKey); ok {
-		s.col.Counter("service.cache.schedule.hit").Inc()
-		ent := v.(*scheduleEntry)
-		fam := s.familyPeek(famKey, ent)
-		return s.scheduleResponse(req, ent, fam, CacheTrace{Schedule: "hit"}, reqCol, begin), nil
-	}
-	s.col.Counter("service.cache.schedule.miss").Inc()
-
+// admit is the one admission gate of builds and solves: it waits for a
+// slot (service.admission.wait), counts the request admitted or, refused
+// with errBusy, rejected, runs the "admitted" test hook, and returns the
+// release that hands the slot back with its service time.
+func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	wait := s.col.Span("service.admission.wait")
 	err = s.adm.acquire(ctx)
 	wait.End()
@@ -383,328 +340,53 @@ func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (*ScheduleR
 		return nil, err
 	}
 	admitted := time.Now()
-	defer func() { s.adm.release(time.Since(admitted)) }()
 	s.col.Counter("service.admission.admitted").Inc()
 	if s.testHook != nil {
 		s.testHook("admitted", ctx)
 	}
+	return func() { s.adm.release(time.Since(admitted)) }, nil
+}
 
-	ent, fam, trace, err := s.scheduleEntryFor(ctx, req, meshKey, famKey, schedKey, reqCol)
+// job is one request's schedule spec on its way through the cache: its
+// key at each tier, the inline mesh its mesh key was taken of (nil for
+// family and synthetic meshes), the worker count its builds run with and
+// the collector its plan and solve report to.
+type job struct {
+	req                       *ScheduleRequest
+	mesh                      *mesh.Mesh
+	meshKey, famKey, schedKey string
+	workers                   int
+	col                       *obs.Collector
+}
+
+func (s *Server) newJob(req *ScheduleRequest) (*job, error) {
+	meshKey, m, err := req.Mesh.meshKey()
 	if err != nil {
 		return nil, err
 	}
-	// The build may outrun cancellation on tiny problems: if the
-	// client is already gone there is no one to deliver to, but the
-	// entry stays cached for the next caller.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	j := &job{req: req, mesh: m, meshKey: meshKey, workers: req.Workers, col: obs.New()}
+	j.famKey = req.familyKey(meshKey)
+	j.schedKey = req.scheduleKey(j.famKey)
+	if j.workers == 0 {
+		j.workers = s.cfg.Workers
 	}
-	return s.scheduleResponse(req, ent, fam, trace, reqCol, begin), nil
+	return j, nil
 }
 
-// familyPeek fetches the family entry backing a cached schedule for
-// bounds/shape reporting, refreshing its LRU position without counting a
-// family-tier lookup; if the family tier already evicted it, the
-// schedule entry's own pinned reference serves (the entry keeps its
-// producing family alive).
-func (s *Server) familyPeek(famKey string, ent *scheduleEntry) *familyEntry {
-	if v, ok := s.cache.families.peek(famKey); ok {
-		return v.(*familyEntry)
-	}
-	return ent.fam
-}
-
-// scheduleFlightResult carries a build's outcome through singleflight.
-type scheduleFlightResult struct {
-	ent   *scheduleEntry
-	fam   *familyEntry
-	trace CacheTrace
-}
-
-// scheduleEntryFor resolves the schedule-tier entry, building through
-// the family and skeleton tiers on miss. Concurrent identical requests
-// coalesce (flightGroup.do, which also retries a build its winner's
-// client abandoned).
-func (s *Server) scheduleEntryFor(ctx context.Context, req *ScheduleRequest, meshKey, famKey, schedKey string, reqCol *obs.Collector) (*scheduleEntry, *familyEntry, CacheTrace, error) {
-	v, err, shared := s.cache.flight.do(ctx, "sched|"+schedKey, func() (any, error) {
-		// A racer may have completed between our miss and this
-		// flight: serve its entry.
-		if v, ok := s.cache.schedules.peek(schedKey); ok {
-			ent := v.(*scheduleEntry)
-			return scheduleFlightResult{ent, s.familyPeek(famKey, ent), CacheTrace{Schedule: "hit"}}, nil
-		}
-		return s.buildSchedule(ctx, req, meshKey, famKey, schedKey, reqCol)
-	})
-	if err != nil {
-		return nil, nil, CacheTrace{}, err
-	}
-	res := v.(scheduleFlightResult)
-	if shared {
-		s.col.Counter("service.flight.coalesced").Inc()
-		res.trace.Coalesced = true
-	}
-	return res.ent, res.fam, res.trace, nil
-}
-
-// buildSchedule is the cold path: resolve the DAG family (itself
-// cached and coalesced), run the scheduler, and store the result.
-func (s *Server) buildSchedule(ctx context.Context, req *ScheduleRequest, meshKey, famKey, schedKey string, reqCol *obs.Collector) (any, error) {
-	fam, famTrace, skelTrace, err := s.familyFor(ctx, req, meshKey, famKey)
+// schedule answers a validated /v1/schedule request. A schedule-tier
+// hit is served without an admission slot (it is a map lookup plus the
+// JSON encode); a miss builds inside one.
+func (s *Server) schedule(ctx context.Context, req *ScheduleRequest) (*ScheduleResponse, error) {
+	begin := time.Now()
+	j, err := s.newJob(req)
 	if err != nil {
 		return nil, err
 	}
-
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	opts := sweepsched.ScheduleOptions{
-		BlockSize:   req.BlockSize,
-		Seed:        req.Seed,
-		Workers:     workers,
-		Verify:      s.cfg.Verify,
-		VerifyEvery: s.cfg.VerifyEvery,
-		Collector:   reqCol,
-		Anglesets:   req.Anglesets,
-	}
-	span := s.col.Span("service.build.schedule.time")
-	defer span.End()
-	var (
-		res  *sweepsched.Result
-		wres *sweepsched.WeightedResult
-	)
-	switch {
-	case req.Weighted:
-		// The weighted path has no Ctx variant; cancellation is
-		// observed before and after the kernel run.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		weights := sweepsched.LogNormalWeights(fam.prob.N(), 4, 0.75, req.WeightSeed)
-		var model *sweepsched.MachineModel
-		if len(req.Speeds) > 0 {
-			speeds := make([]int32, fam.prob.M())
-			for p := range speeds {
-				speeds[p] = req.Speeds[p%len(req.Speeds)]
-			}
-			model = &sweepsched.MachineModel{Speeds: speeds}
-		}
-		wres, err = fam.prob.ScheduleWeightedMachine(sweepsched.Scheduler(req.Scheduler), opts, weights, model)
-	case req.CommDelay > 0:
-		// The comm-delay path has no Ctx variant; cancellation is
-		// observed before and after the kernel run.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err = fam.prob.ScheduleComm(sweepsched.Scheduler(req.Scheduler), opts, req.CommDelay)
-	default:
-		res, err = fam.prob.ScheduleCtx(ctx, sweepsched.Scheduler(req.Scheduler), opts)
-	}
+	ent, fam, trace, err := s.scheduleFor(ctx, j, s.admit)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// Every client-classifiable rejection is caught at validation
-		// or family build; what reaches here (an invalid schedule, a
-		// failed audit) indicates a server-side bug and stays a 500.
 		return nil, err
 	}
-	s.col.Counter("service.build.schedule").Inc()
-	ent := &scheduleEntry{
-		res:      res,
-		wres:     wres,
-		verified: reqCol.Counter("api.verified").Value() > 0,
-		fam:      fam,
-	}
-	if ent.verified {
-		s.col.Counter("service.verify.audited").Inc()
-	} else if s.cfg.Verify {
-		s.col.Counter("service.verify.sampled_out").Inc()
-	}
-	s.cache.schedules.put(schedKey, ent, scheduleBytes(ent))
-	return scheduleFlightResult{ent, fam, CacheTrace{Schedule: "miss", Family: famTrace, Skeleton: skelTrace}}, nil
-}
-
-// familyFor resolves the DAG-family tier: a ready-to-schedule Problem
-// for (mesh content, direction set, m), built over the skeleton tier
-// on miss. Sampling state for VerifyEvery lives on the cached Problem,
-// so audits are sampled across all requests that share it.
-func (s *Server) familyFor(ctx context.Context, req *ScheduleRequest, meshKey, famKey string) (*familyEntry, string, string, error) {
-	if v, ok := s.cache.families.get(famKey); ok {
-		s.col.Counter("service.cache.family.hit").Inc()
-		return v.(*familyEntry), "hit", "", nil
-	}
-	s.col.Counter("service.cache.family.miss").Inc()
-
-	type famOut struct {
-		ent      *familyEntry
-		skelText string
-	}
-	v, err, _ := s.cache.flight.do(ctx, "fam|"+famKey, func() (any, error) {
-		if v, ok := s.cache.families.peek(famKey); ok {
-			return famOut{v.(*familyEntry), ""}, nil
-		}
-		span := s.col.Span("service.build.family.time")
-		defer span.End()
-
-		var (
-			prob     *sweepsched.Problem
-			skelText string
-			err      error
-		)
-		if syn := req.Mesh.Synthetic; syn != "" {
-			prob, err = sweepsched.NewProblemNonGeometric(
-				sweepsched.NonGeometricKind(syn), req.Mesh.N, req.Directions, req.Procs, req.Mesh.Seed)
-			if err != nil {
-				return nil, &RequestError{Msg: err.Error()}
-			}
-		} else {
-			skelEnt, st, serr := s.skeletonFor(ctx, &req.Mesh, meshKey)
-			if serr != nil {
-				return nil, serr
-			}
-			skelText = st
-			if tasks := int64(skelEnt.skel.NCells) * int64(req.Directions); tasks > MaxTasks {
-				return nil, badRequest("mesh has %d cells: n*k = %d tasks exceeds the %d-task ceiling",
-					skelEnt.skel.NCells, tasks, int64(MaxTasks))
-			}
-			workers := req.Workers
-			if workers == 0 {
-				workers = s.cfg.Workers
-			}
-			dirs, derr := quadrature.Octant(req.Directions)
-			if derr != nil {
-				return nil, &RequestError{Msg: derr.Error()}
-			}
-			dags := dag.BuildAllInto(make([]*dag.DAG, len(dirs)), skelEnt.skel, dirs, workers)
-			s.col.Counter("service.build.dag_family").Inc()
-			prob, err = sweepsched.NewProblemFromPrebuiltDAGs(skelEnt.mesh, dirs, dags, req.Procs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ent := &familyEntry{prob: prob, bounds: prob.Bounds()}
-		s.cache.families.put(famKey, ent, familyBytes(ent))
-		return famOut{ent, skelText}, nil
-	})
-	if err != nil {
-		return nil, "", "", err
-	}
-	out := v.(famOut)
-	return out.ent, "miss", out.skelText, nil
-}
-
-// skeletonFor resolves the skeleton tier: the realized mesh plus its
-// direction-independent interior-face skeleton, by mesh content key.
-func (s *Server) skeletonFor(ctx context.Context, spec *MeshSpec, meshKey string) (*skeletonEntry, string, error) {
-	if v, ok := s.cache.skeletons.get(meshKey); ok {
-		s.col.Counter("service.cache.skeleton.hit").Inc()
-		return v.(*skeletonEntry), "hit", nil
-	}
-	s.col.Counter("service.cache.skeleton.miss").Inc()
-
-	v, err, _ := s.cache.flight.do(ctx, "skel|"+meshKey, func() (any, error) {
-		if v, ok := s.cache.skeletons.peek(meshKey); ok {
-			return v.(*skeletonEntry), nil
-		}
-		if s.testHook != nil {
-			s.testHook("skeleton", ctx)
-		}
-		span := s.col.Span("service.build.skeleton.time")
-		defer span.End()
-		var (
-			m   *mesh.Mesh
-			err error
-		)
-		if spec.Family != "" {
-			m, err = mesh.Family(spec.Family, spec.Scale, spec.Seed)
-			if err != nil {
-				return nil, &RequestError{Msg: err.Error()}
-			}
-		} else {
-			m, err = mesh.Decode(strings.NewReader(spec.Encoded))
-			if err != nil {
-				return nil, badRequest("mesh: invalid encoded mesh: %v", err)
-			}
-			if err := m.Validate(); err != nil {
-				return nil, badRequest("mesh: invalid encoded mesh: %v", err)
-			}
-		}
-		ent := &skeletonEntry{mesh: m, skel: dag.NewSkeleton(m)}
-		s.col.Counter("service.build.skeleton").Inc()
-		s.cache.skeletons.put(meshKey, ent, skeletonBytes(ent))
-		return ent, nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return v.(*skeletonEntry), "miss", nil
-}
-
-// scheduleResponse shapes the response for one request from an
-// (immutable, possibly shared) schedule entry.
-func (s *Server) scheduleResponse(req *ScheduleRequest, ent *scheduleEntry, fam *familyEntry, trace CacheTrace, reqCol *obs.Collector, begin time.Time) *ScheduleResponse {
-	p := fam.prob
-	resp := &ScheduleResponse{
-		Mesh:      req.Mesh.describe(),
-		N:         p.N(),
-		K:         p.K(),
-		M:         p.M(),
-		Tasks:     p.Tasks(),
-		Scheduler: req.Scheduler,
-		Bounds: BoundsInfo{
-			Load:         fam.bounds.Load,
-			PerCell:      fam.bounds.PerCell,
-			CriticalPath: fam.bounds.CriticalPath,
-		},
-		Verified:     ent.verified,
-		Cache:        trace,
-		ElapsedNanos: int64(time.Since(begin)),
-	}
-	if w := ent.wres; w != nil {
-		resp.Weighted = true
-		resp.Makespan = int(w.Makespan)
-		resp.Ratio = w.Ratio
-		resp.StrongRatio = w.StrongRatio
-		resp.WeightedBounds = &WeightedBoundsInfo{
-			Load:         w.Bounds.Load,
-			PerCell:      w.Bounds.PerCell,
-			CriticalPath: w.Bounds.CriticalPath,
-		}
-	} else {
-		resp.Makespan = ent.res.Metrics.Makespan
-		resp.C1 = ent.res.Metrics.C1
-		resp.C2 = ent.res.Metrics.C2
-		resp.Ratio = ent.res.Ratio
-	}
-	if req.IncludeSchedule {
-		// Copy: the cached entry is shared and must stay immutable.
-		if w := ent.wres; w != nil {
-			resp.Assign = append([]int32(nil), w.Schedule.Assign...)
-			resp.Start64 = append([]int64(nil), w.Schedule.Start...)
-			resp.Finish64 = append([]int64(nil), w.Schedule.Finish...)
-		} else {
-			resp.Assign = append([]int32(nil), ent.res.Schedule.Assign...)
-			resp.Start = append([]int32(nil), ent.res.Schedule.Start...)
-		}
-	}
-	if req.IncludeStats {
-		snap := reqCol.Snapshot()
-		resp.Stats = &snap
-	}
-	return resp
-}
-
-// describe names the mesh for responses.
-func (ms *MeshSpec) describe() string {
-	switch {
-	case ms.Family != "":
-		return ms.Family
-	case ms.Synthetic != "":
-		return ms.Synthetic
-	default:
-		return "inline"
-	}
+	return s.scheduleResponse(j, ent, fam, trace, begin), nil
 }
 
 // transport answers a validated /v1/transport request: resolve the
@@ -715,47 +397,18 @@ func (ms *MeshSpec) describe() string {
 // is where the amortization lives.
 func (s *Server) transport(ctx context.Context, req *TransportRequest) (*TransportResponse, error) {
 	begin := time.Now()
-	reqCol := obs.New()
-
-	meshKey, err := req.Schedule.Mesh.meshKey()
+	j, err := s.newJob(&req.Schedule)
 	if err != nil {
 		return nil, err
 	}
-	famKey := req.Schedule.familyKey(meshKey)
-	schedKey := req.Schedule.scheduleKey(famKey)
-
 	// The solve is always heavy, so transport requests take an
 	// admission slot even when the schedule tier hits.
-	wait := s.col.Span("service.admission.wait")
-	err = s.adm.acquire(ctx)
-	wait.End()
+	release, err := s.admit(ctx)
 	if err != nil {
-		if errors.Is(err, errBusy) {
-			s.col.Counter("service.admission.rejected").Inc()
-		}
 		return nil, err
 	}
-	admitted := time.Now()
-	defer func() { s.adm.release(time.Since(admitted)) }()
-	s.col.Counter("service.admission.admitted").Inc()
-	if s.testHook != nil {
-		s.testHook("admitted", ctx)
-	}
-
-	var (
-		ent   *scheduleEntry
-		fam   *familyEntry
-		trace CacheTrace
-	)
-	if v, ok := s.cache.schedules.get(schedKey); ok {
-		s.col.Counter("service.cache.schedule.hit").Inc()
-		ent = v.(*scheduleEntry)
-		fam = s.familyPeek(famKey, ent)
-		trace = CacheTrace{Schedule: "hit"}
-	} else {
-		s.col.Counter("service.cache.schedule.miss").Inc()
-		ent, fam, trace, err = s.scheduleEntryFor(ctx, &req.Schedule, meshKey, famKey, schedKey, reqCol)
-	}
+	defer release()
+	ent, fam, trace, err := s.scheduleFor(ctx, j, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -766,7 +419,7 @@ func (s *Server) transport(ctx context.Context, req *TransportRequest) (*Transpo
 		Source:    req.Source,
 		Tol:       req.Tol,
 		MaxIters:  req.MaxIters,
-		Collector: reqCol,
+		Collector: j.col,
 	}
 	span := s.col.Span("service.solve.transport.time")
 	// The schedule carries its own instance. fam may be a family entry
@@ -787,7 +440,7 @@ func (s *Server) transport(ctx context.Context, req *TransportRequest) (*Transpo
 		sum += phi
 	}
 	resp := &TransportResponse{
-		Schedule:     *s.scheduleResponse(&req.Schedule, ent, fam, trace, reqCol, begin),
+		Schedule:     *s.scheduleResponse(j, ent, fam, trace, begin),
 		Iterations:   tres.Iterations,
 		Converged:    tres.Converged,
 		Residual:     tres.Residual,
@@ -798,4 +451,302 @@ func (s *Server) transport(ctx context.Context, req *TransportRequest) (*Transpo
 		resp.Flux = append([]float64(nil), tres.Phi...)
 	}
 	return resp, nil
+}
+
+// fetched is how a cache tier answered: its entry; hit when the
+// request's own counted lookup found it; built when a build made it —
+// this request's or the one it joined (shared) — with what that build
+// saw of the inner tiers in trace.
+type fetched struct {
+	val                any
+	hit, built, shared bool
+	trace              CacheTrace
+}
+
+// fetch resolves key on tier t; every tier resolves through it. The
+// lookup counts in the tier's stats and its service.cache.<tier>.hit|miss
+// series. A miss runs one build per key at a time (flightGroup.do, under
+// the tier's flight key, which also retries a build its winner's client
+// abandoned): it looks again, uncounted — a racer may have put the entry
+// since the miss — and otherwise runs build and puts the entry at the
+// size build gives. gate, when set, runs between the miss and the
+// flight: the admission slot a build needs and a hit does not, released
+// when fetch returns.
+func (s *Server) fetch(ctx context.Context, t *tier, key string, gate func(context.Context) (func(), error), build func() (any, int64, CacheTrace, error)) (fetched, error) {
+	if v, ok := t.get(key); ok {
+		s.col.Counter(t.hit).Inc()
+		return fetched{val: v, hit: true}, nil
+	}
+	s.col.Counter(t.miss).Inc()
+	if gate != nil {
+		release, err := gate(ctx)
+		if err != nil {
+			return fetched{}, err
+		}
+		defer release()
+	}
+	v, err, shared := s.cache.flight.do(ctx, t.name+"|"+key, func() (any, error) {
+		if v, ok := t.peek(key); ok {
+			return fetched{val: v}, nil
+		}
+		v, bytes, trace, err := build()
+		if err != nil {
+			return nil, err
+		}
+		t.put(key, v, bytes)
+		return fetched{val: v, built: true, trace: trace}, nil
+	})
+	if err != nil {
+		return fetched{}, err
+	}
+	got := v.(fetched)
+	got.shared = shared
+	return got, nil
+}
+
+// tierState is a tier's CacheTrace value.
+var tierState = map[bool]string{false: "miss", true: "hit"}
+
+// scheduleFor resolves the job's schedule-tier entry, building through
+// the family and skeleton tiers on a miss inside gate (when set), and
+// the family entry behind it for bounds and shape: the family tier's,
+// its LRU position refreshed without counting a lookup, or, once that
+// tier evicted it, the one the schedule entry pins. An entry a build did
+// not make for this request reads as a schedule hit. The build may
+// outrun cancellation on tiny problems: if the client is already gone
+// there is no one to deliver to, but the entry stays cached for the
+// next caller.
+func (s *Server) scheduleFor(ctx context.Context, j *job, gate func(context.Context) (func(), error)) (*scheduleEntry, *familyEntry, CacheTrace, error) {
+	got, err := s.fetch(ctx, s.cache.schedules, j.schedKey, gate, func() (any, int64, CacheTrace, error) {
+		return s.buildSchedule(ctx, j)
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, nil, CacheTrace{}, err
+	}
+	trace := CacheTrace{Schedule: "hit"}
+	if got.built {
+		trace = got.trace
+	}
+	if got.shared {
+		s.col.Counter("service.flight.coalesced").Inc()
+		trace.Coalesced = true
+	}
+	ent := got.val.(*scheduleEntry)
+	if v, ok := s.cache.families.peek(j.famKey); ok {
+		return ent, v.(*familyEntry), trace, nil
+	}
+	return ent, ent.fam, trace, nil
+}
+
+// buildSchedule is the schedule tier's build: resolve the DAG family
+// (itself cached and coalesced), run the scheduler through the API entry
+// point of the request's model, and size the entry.
+func (s *Server) buildSchedule(ctx context.Context, j *job) (any, int64, CacheTrace, error) {
+	fam, trace, err := s.familyFor(ctx, j)
+	if err != nil {
+		return nil, 0, trace, err
+	}
+	req := j.req
+	opts := sweepsched.ScheduleOptions{
+		BlockSize:   req.BlockSize,
+		Seed:        req.Seed,
+		Workers:     j.workers,
+		Verify:      s.cfg.Verify,
+		VerifyEvery: s.cfg.VerifyEvery,
+		Collector:   j.col,
+		Anglesets:   req.Anglesets,
+	}
+	span := s.col.Span("service.build.schedule.time")
+	defer span.End()
+	var (
+		res  *sweepsched.Result
+		wres *sweepsched.WeightedResult
+	)
+	if req.Weighted || req.CommDelay > 0 {
+		// These paths have no Ctx variant; cancellation is observed
+		// before and after the kernel run.
+		if err := ctx.Err(); err != nil {
+			return nil, 0, trace, err
+		}
+	}
+	switch {
+	case req.Weighted:
+		weights := sweepsched.LogNormalWeights(fam.prob.N(), 4, 0.75, req.WeightSeed)
+		model := sched.CycledSpeeds(req.Speeds, fam.prob.M())
+		wres, err = fam.prob.ScheduleWeightedMachine(sweepsched.Scheduler(req.Scheduler), opts, weights, model)
+	case req.CommDelay > 0:
+		res, err = fam.prob.ScheduleComm(sweepsched.Scheduler(req.Scheduler), opts, req.CommDelay)
+	default:
+		res, err = fam.prob.ScheduleCtx(ctx, sweepsched.Scheduler(req.Scheduler), opts)
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, 0, trace, ctx.Err()
+		}
+		// Every client-classifiable rejection is caught at validation
+		// or family build; what reaches here (an invalid schedule, a
+		// failed audit) indicates a server-side bug and stays a 500.
+		return nil, 0, trace, err
+	}
+	s.col.Counter("service.build.schedule").Inc()
+	ent := &scheduleEntry{
+		res:      res,
+		wres:     wres,
+		verified: j.col.Counter("api.verified").Value() > 0,
+		fam:      fam,
+	}
+	if ent.verified {
+		s.col.Counter("service.verify.audited").Inc()
+	} else if s.cfg.Verify {
+		s.col.Counter("service.verify.sampled_out").Inc()
+	}
+	trace.Schedule = "miss"
+	return ent, scheduleBytes(ent), trace, nil
+}
+
+// familyFor resolves the DAG-family tier: a ready-to-schedule Problem
+// for (mesh content, direction set, m), built over the skeleton tier
+// on miss. Sampling state for VerifyEvery lives on the cached Problem,
+// so audits are sampled across all requests that share it.
+func (s *Server) familyFor(ctx context.Context, j *job) (*familyEntry, CacheTrace, error) {
+	got, err := s.fetch(ctx, s.cache.families, j.famKey, nil, func() (any, int64, CacheTrace, error) {
+		span := s.col.Span("service.build.family.time")
+		defer span.End()
+		var (
+			prob  *sweepsched.Problem
+			trace CacheTrace
+			err   error
+		)
+		if req := j.req; req.Mesh.Synthetic != "" {
+			prob, err = sweepsched.NewProblemNonGeometric(
+				sweepsched.NonGeometricKind(req.Mesh.Synthetic), req.Mesh.N, req.Directions, req.Procs, req.Mesh.Seed)
+			if err != nil {
+				return nil, 0, trace, &RequestError{Msg: err.Error()}
+			}
+		} else {
+			skelEnt, hit, err := s.skeletonFor(ctx, j)
+			if err != nil {
+				return nil, 0, trace, err
+			}
+			trace.Skeleton = tierState[hit]
+			if tasks := int64(skelEnt.skel.NCells) * int64(req.Directions); tasks > MaxTasks {
+				return nil, 0, trace, badRequest("mesh has %d cells: n*k = %d tasks exceeds the %d-task ceiling",
+					skelEnt.skel.NCells, tasks, int64(MaxTasks))
+			}
+			dirs, err := quadrature.Octant(req.Directions)
+			if err != nil {
+				return nil, 0, trace, &RequestError{Msg: err.Error()}
+			}
+			dags := dag.BuildAllInto(make([]*dag.DAG, len(dirs)), skelEnt.skel, dirs, j.workers)
+			s.col.Counter("service.build.dag_family").Inc()
+			if prob, err = sweepsched.NewProblemFromPrebuiltDAGs(skelEnt.mesh, dirs, dags, req.Procs); err != nil {
+				return nil, 0, trace, err
+			}
+		}
+		ent := &familyEntry{prob: prob, bounds: prob.Bounds()}
+		return ent, familyBytes(ent), trace, nil
+	})
+	if err != nil {
+		return nil, CacheTrace{}, err
+	}
+	trace := got.trace
+	trace.Family = tierState[got.hit]
+	return got.val.(*familyEntry), trace, nil
+}
+
+// skeletonFor resolves the skeleton tier: the realized mesh plus its
+// direction-independent interior-face skeleton, by mesh content key. An
+// inline mesh is the one its key was taken of, validated here.
+func (s *Server) skeletonFor(ctx context.Context, j *job) (*skeletonEntry, bool, error) {
+	got, err := s.fetch(ctx, s.cache.skeletons, j.meshKey, nil, func() (any, int64, CacheTrace, error) {
+		if s.testHook != nil {
+			s.testHook("skeleton", ctx)
+		}
+		span := s.col.Span("service.build.skeleton.time")
+		defer span.End()
+		m := j.mesh
+		if spec := &j.req.Mesh; spec.Family != "" {
+			var err error
+			if m, err = mesh.Family(spec.Family, spec.Scale, spec.Seed); err != nil {
+				return nil, 0, CacheTrace{}, &RequestError{Msg: err.Error()}
+			}
+		} else if err := m.Validate(); err != nil {
+			return nil, 0, CacheTrace{}, badRequest("mesh: invalid encoded mesh: %v", err)
+		}
+		ent := &skeletonEntry{mesh: m, skel: dag.NewSkeleton(m)}
+		s.col.Counter("service.build.skeleton").Inc()
+		return ent, skeletonBytes(ent), CacheTrace{}, nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return got.val.(*skeletonEntry), got.hit, nil
+}
+
+// scheduleResponse shapes the response for one request from an
+// (immutable, possibly shared) schedule entry.
+func (s *Server) scheduleResponse(j *job, ent *scheduleEntry, fam *familyEntry, trace CacheTrace, begin time.Time) *ScheduleResponse {
+	req, p := j.req, fam.prob
+	resp := &ScheduleResponse{
+		Mesh:      req.Mesh.describe(),
+		N:         p.N(),
+		K:         p.K(),
+		M:         p.M(),
+		Tasks:     p.Tasks(),
+		Scheduler: req.Scheduler,
+		Bounds: BoundsInfo{
+			Load:         fam.bounds.Load,
+			PerCell:      fam.bounds.PerCell,
+			CriticalPath: fam.bounds.CriticalPath,
+		},
+		Verified:     ent.verified,
+		Cache:        trace,
+		ElapsedNanos: int64(time.Since(begin)),
+	}
+	// The schedule is copied: the cached entry is shared and immutable.
+	if w := ent.wres; w != nil {
+		resp.Weighted = true
+		resp.Makespan = int(w.Makespan)
+		resp.Ratio = w.Ratio
+		resp.StrongRatio = w.StrongRatio
+		resp.WeightedBounds = &WeightedBoundsInfo{
+			Load:         w.Bounds.Load,
+			PerCell:      w.Bounds.PerCell,
+			CriticalPath: w.Bounds.CriticalPath,
+		}
+		if req.IncludeSchedule {
+			resp.Assign = append([]int32(nil), w.Schedule.Assign...)
+			resp.Start64 = append([]int64(nil), w.Schedule.Start...)
+			resp.Finish64 = append([]int64(nil), w.Schedule.Finish...)
+		}
+	} else {
+		resp.Makespan = ent.res.Metrics.Makespan
+		resp.C1 = ent.res.Metrics.C1
+		resp.C2 = ent.res.Metrics.C2
+		resp.Ratio = ent.res.Ratio
+		if req.IncludeSchedule {
+			resp.Assign = append([]int32(nil), ent.res.Schedule.Assign...)
+			resp.Start = append([]int32(nil), ent.res.Schedule.Start...)
+		}
+	}
+	if req.IncludeStats {
+		snap := j.col.Snapshot()
+		resp.Stats = &snap
+	}
+	return resp
+}
+
+// describe names the mesh for responses.
+func (ms *MeshSpec) describe() string {
+	switch {
+	case ms.Family != "":
+		return ms.Family
+	case ms.Synthetic != "":
+		return ms.Synthetic
+	default:
+		return "inline"
+	}
 }

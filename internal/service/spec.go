@@ -6,10 +6,10 @@
 // Behind the handlers sits a content-addressed cache at three tiers —
 // mesh Skeleton, induced DAG family (as a ready-to-schedule Problem),
 // and finished Schedule — keyed by mesh content × direction set × m ×
-// scheduling options, with an LRU byte budget, singleflight coalescing
-// of concurrent identical builds, and a bounded admission semaphore
-// that converts overload into fast 429s instead of collapse. See
-// DESIGN.md §10.
+// scheduling options, each resolved by Server.fetch with an LRU byte
+// budget and singleflight coalescing of concurrent identical builds,
+// and one admission gate that converts overload into fast 429s instead
+// of collapse. See DESIGN.md §10.
 //
 // What clients may rely on:
 //
@@ -24,10 +24,11 @@
 //     one within the queue timeout is refused 429 with Retry-After =
 //     ceil((queued+1)·meanService/slots) seconds, clamped to [1, 60].
 //     Schedule-tier hits take no slot.
-//   - A malformed or out-of-range spec is a 400, a vanished client a 499,
-//     an expired deadline a 504, a draining server a 503. On SIGTERM
-//     /healthz and /readyz turn 503, new work is refused and in-flight
-//     requests finish.
+//   - A malformed or out-of-range spec, or a scheduler heuristics.Check
+//     refuses under the spec's model, is a 400 and builds nothing; a
+//     vanished client is a 499, an expired deadline a 504, a draining
+//     server a 503. On SIGTERM /healthz and /readyz turn 503, new work
+//     is refused and in-flight requests finish.
 //   - A cached schedule pins its family entry, so evicting a family never
 //     leaves a resident schedule without its bounds.
 package service
@@ -39,6 +40,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"sweepsched"
@@ -128,7 +130,8 @@ type ScheduleRequest struct {
 	Procs int `json:"procs"`
 
 	// Scheduler is one of sweepsched.Schedulers(); default
-	// random_delays_priority (the paper's Algorithm 2).
+	// random_delays_priority (the paper's Algorithm 2). Which run under
+	// the model the other fields pick is heuristics.Check's to say.
 	Scheduler string `json:"scheduler,omitempty"`
 	// BlockSize ≤ 1 assigns cells to processors independently at
 	// random; larger values use §5.1 block partitioning.
@@ -136,22 +139,18 @@ type ScheduleRequest struct {
 	// Seed drives delays and assignment; identical requests (same seed)
 	// return identical schedules, which is what makes them cacheable.
 	Seed uint64 `json:"seed,omitempty"`
-	// CommDelay > 0 schedules under the §3 uniform communication-delay
-	// model (rejected for random_delays, which is layer-synchronous).
+	// CommDelay > 0 schedules under the §3 uniform delay model.
 	CommDelay int `json:"comm_delay,omitempty"`
 	// Anglesets > 0 aggregates the per-direction pipeline into about
 	// this many octant anglesets (priorities once per angleset on
-	// representative DAGs; see ScheduleOptions.Anglesets). Requires a
-	// geometric mesh and an aggregation-capable scheduler; 0 keeps the
+	// representative DAGs; see ScheduleOptions.Anglesets); 0 keeps the
 	// per-direction pipeline. Aggregation changes tie-breaking, so the
 	// value is part of the schedule cache key.
 	Anglesets int `json:"anglesets,omitempty"`
 
 	// Weighted runs the heterogeneous-cost engine: per-cell integer
 	// weights drawn log-normal (median 4, σ 0.75) from WeightSeed, so
-	// identical requests stay cacheable. Incompatible with comm_delay
-	// (the weighted engine has its own machine model), anglesets and
-	// random_delays.
+	// identical requests stay cacheable.
 	Weighted   bool   `json:"weighted,omitempty"`
 	WeightSeed uint64 `json:"weight_seed,omitempty"`
 	// Speeds gives per-processor integer speeds for a weighted run
@@ -244,13 +243,7 @@ func (ms *MeshSpec) Validate() error {
 	}
 	switch {
 	case ms.Family != "":
-		ok := false
-		for _, f := range mesh.FamilyNames() {
-			if ms.Family == f {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(mesh.FamilyNames(), ms.Family) {
 			return badRequest("mesh: unknown family %q (want one of %v)", ms.Family, mesh.FamilyNames())
 		}
 		if ms.Scale <= 0 || ms.Scale > MaxScale || math.IsNaN(ms.Scale) {
@@ -294,27 +287,11 @@ func (req *ScheduleRequest) Validate() error {
 	if req.Scheduler == "" {
 		req.Scheduler = string(sweepsched.RandomDelaysPriority)
 	}
-	known := false
-	for _, s := range heuristics.AllNames() {
-		if req.Scheduler == string(s) {
-			known = true
-		}
-	}
-	if !known {
-		return badRequest("unknown scheduler %q (want one of %v)", req.Scheduler, heuristics.AllNames())
-	}
 	if req.BlockSize < 0 || req.BlockSize > MaxBlockSize {
 		return badRequest("block_size must be in [0, %d], got %d", MaxBlockSize, req.BlockSize)
 	}
-	if req.BlockSize > 1 && req.Mesh.Synthetic != "" {
-		return badRequest("block partitioning requires a mesh; synthetic families are non-geometric (use block_size <= 1)")
-	}
 	if req.CommDelay < 0 || req.CommDelay > MaxCommDelay {
 		return badRequest("comm_delay must be in [0, %d], got %d", MaxCommDelay, req.CommDelay)
-	}
-	if req.CommDelay > 0 && req.Scheduler == string(sweepsched.RandomDelays) {
-		return badRequest("%s is layer-synchronous and does not support comm delays; use %s",
-			sweepsched.RandomDelays, sweepsched.RandomDelaysPriority)
 	}
 	if req.Workers < 0 {
 		return badRequest("workers must be >= 0, got %d", req.Workers)
@@ -322,18 +299,8 @@ func (req *ScheduleRequest) Validate() error {
 	if req.Anglesets < 0 || req.Anglesets > MaxDirections {
 		return badRequest("anglesets must be in [0, %d], got %d", MaxDirections, req.Anglesets)
 	}
-	if req.Anglesets > 0 {
-		if req.Mesh.Synthetic != "" {
-			return badRequest("angleset aggregation requires a geometric mesh; synthetic families are non-geometric (use anglesets = 0)")
-		}
-		switch req.Scheduler {
-		case string(sweepsched.RandomDelays):
-			return badRequest("%s runs layer by layer on each direction's own levels and cannot run angleset-aggregated; use %s",
-				req.Scheduler, sweepsched.RandomDelaysPriority)
-		case string(sweepsched.ImprovedDelays):
-			return badRequest("%s ranks tasks by one Graham schedule of all directions and cannot run angleset-aggregated; use %s",
-				req.Scheduler, sweepsched.RandomDelaysPriority)
-		}
+	if err := heuristics.Check(sweepsched.Scheduler(req.Scheduler), req.model()); err != nil {
+		return &RequestError{Msg: err.Error()}
 	}
 	if !req.Weighted {
 		if req.WeightSeed != 0 {
@@ -343,16 +310,6 @@ func (req *ScheduleRequest) Validate() error {
 			return badRequest("speeds apply only to weighted runs (set weighted: true)")
 		}
 	} else {
-		if req.CommDelay > 0 {
-			return badRequest("weighted runs model communication through speeds/groups, not comm_delay")
-		}
-		if req.Anglesets > 0 {
-			return badRequest("the weighted engine has no angleset-aggregated form (use anglesets = 0)")
-		}
-		if req.Scheduler == string(sweepsched.RandomDelays) {
-			return badRequest("%s is layer-synchronous and has no weighted form; use %s",
-				sweepsched.RandomDelays, sweepsched.RandomDelaysPriority)
-		}
 		if len(req.Speeds) > MaxSpeedEntries {
 			return badRequest("speeds pattern must have at most %d entries, got %d", MaxSpeedEntries, len(req.Speeds))
 		}
@@ -370,6 +327,20 @@ func (req *ScheduleRequest) Validate() error {
 		}
 	}
 	return nil
+}
+
+// model is the request's heuristics.Model, known before anything is
+// built: the API entry point the daemon plans it through
+// (ScheduleWeightedMachine, ScheduleComm or ScheduleCtx) and whether the
+// problem it builds has a mesh.
+func (req *ScheduleRequest) model() heuristics.Model {
+	return heuristics.Model{
+		Anglesets:    req.Anglesets > 0,
+		CommDelay:    req.CommDelay > 0,
+		Weighted:     req.Weighted,
+		Blocks:       req.BlockSize > 1,
+		NonGeometric: req.Mesh.Synthetic != "",
+	}
 }
 
 // Validate checks the physics on top of the embedded schedule spec.
@@ -400,25 +371,26 @@ func (req *TransportRequest) Validate() error {
 
 // meshKey is the content address of the request's mesh. Family and
 // synthetic meshes are generated by deterministic functions of their
-// spec, so the spec is the content address; inline meshes are hashed
-// over their canonical re-encoding (two textually different encodings
-// of the same mesh share an address).
-func (ms *MeshSpec) meshKey() (string, error) {
+// spec, so the spec is the content address; inline meshes are decoded
+// and hashed over their canonical re-encoding (two textually different
+// encodings of the same mesh share an address), and the decoded mesh is
+// returned for the skeleton build.
+func (ms *MeshSpec) meshKey() (string, *mesh.Mesh, error) {
 	switch {
 	case ms.Family != "":
-		return fmt.Sprintf("fam:%s/%x/%d", ms.Family, math.Float64bits(ms.Scale), ms.Seed), nil
+		return fmt.Sprintf("fam:%s/%x/%d", ms.Family, math.Float64bits(ms.Scale), ms.Seed), nil, nil
 	case ms.Synthetic != "":
-		return fmt.Sprintf("syn:%s/%d/%d", ms.Synthetic, ms.N, ms.Seed), nil
+		return fmt.Sprintf("syn:%s/%d/%d", ms.Synthetic, ms.N, ms.Seed), nil, nil
 	default:
 		m, err := mesh.Decode(strings.NewReader(ms.Encoded))
 		if err != nil {
-			return "", badRequest("mesh: invalid encoded mesh: %v", err)
+			return "", nil, badRequest("mesh: invalid encoded mesh: %v", err)
 		}
 		h := fnv.New64a()
 		if err := mesh.Encode(h, m); err != nil {
-			return "", fmt.Errorf("service: canonical mesh re-encoding failed: %w", err)
+			return "", nil, fmt.Errorf("service: canonical mesh re-encoding failed: %w", err)
 		}
-		return fmt.Sprintf("enc:%016x", h.Sum64()), nil
+		return fmt.Sprintf("enc:%016x", h.Sum64()), m, nil
 	}
 }
 
