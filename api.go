@@ -36,7 +36,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"sweepsched/internal/dag"
 	"sweepsched/internal/geom"
@@ -100,11 +99,6 @@ type Problem struct {
 	// recipe is the deterministic construction spec for family-built
 	// problems (nil otherwise); the multi-process executor requires it.
 	recipe *procrun.ProblemSpec
-
-	// verifySeq numbers the audited-schedule runs on this problem for
-	// ScheduleOptions.VerifyEvery sampling. It never influences scheduling
-	// output, only which runs pay for the audit.
-	verifySeq atomic.Uint64
 
 	// cellGraph is the mesh's cell-adjacency graph with unit weights, what
 	// every BlockSize > 1 plan partitions; the first one builds it.
@@ -303,7 +297,7 @@ type ScheduleOptions struct {
 	// Workers bounds the goroutines used for the embarrassingly parallel
 	// stages of a run (0 = GOMAXPROCS, 1 = serial): the per-direction
 	// priority computation, and the feasibility tail — Validate split by
-	// direction and by processor, with a sampled audit on a goroutine
+	// direction and by processor, with the audit on a goroutine
 	// beside it — once the instance is large enough to pay for the
 	// hand-off. The result is bit-for-bit identical for every value:
 	// parallel stages write into slots indexed by direction or processor,
@@ -317,16 +311,6 @@ type ScheduleOptions struct {
 	// violated. Off by default (it costs O(tasks+edges) extra per run);
 	// the SWEEPSCHED_VERIFY environment variable forces it on everywhere.
 	Verify bool
-	// VerifyEvery samples the audit when verification is on: only every
-	// Nth scheduling run on this Problem is audited (the first run always
-	// is), so sustained run loops can keep the audit enabled at a
-	// fraction of its cost. 0 or 1 audits every run (the historical
-	// behavior). Skipped audits are counted in the Collector as
-	// "api.verify_skipped". Sampling never changes scheduling output.
-	// The sample is drawn before the schedule is validated, so a run
-	// whose schedule fails validation (a scheduler bug, reported as an
-	// error) has advanced the sequence too.
-	VerifyEvery int
 	// Collector, when non-nil, receives counters and stage timings from
 	// the run (assignment, scheduling, metrics, verification and the
 	// kernel-level sched.* series). A nil collector costs nothing on the
@@ -356,23 +340,6 @@ func (p *Problem) anglesets(opts ScheduleOptions) ([][]int32, error) {
 		return nil, fmt.Errorf("sweepsched: Anglesets must be >= 1, got %d", opts.Anglesets)
 	}
 	return quadrature.AnglesetsFor(p.inst.Dirs, opts.Anglesets)
-}
-
-// verifyOn reports whether this run has verification enabled at all.
-func (o ScheduleOptions) verifyOn() bool { return o.Verify || verify.ForcedByEnv() }
-
-// shouldVerify reports whether this particular run is audited,
-// advancing the problem's VerifyEvery sampling sequence. With
-// VerifyEvery ≤ 1 every verified run is audited and the sequence is
-// untouched.
-func (p *Problem) shouldVerify(o ScheduleOptions) bool {
-	if !o.verifyOn() {
-		return false
-	}
-	if o.VerifyEvery <= 1 {
-		return true
-	}
-	return (p.verifySeq.Add(1)-1)%uint64(o.VerifyEvery) == 0
 }
 
 // Result is a completed scheduling run.
@@ -457,7 +424,7 @@ var kernelFault func(s *sched.Schedule, met *sched.Metrics, rule sched.Rule)
 // plan is the one pipeline behind every scheduling entry point: refuse a
 // scheduler the model does not run (heuristics.Check), assign cells to
 // processors, derive the scheduler's priorities, run the model's kernel,
-// measure, then validate and (when sampled) audit. ctx is observed
+// measure, then validate and (under Verify) audit. ctx is observed
 // between the stages, and each stage but validation reports an api.*
 // span to opts.Collector.
 func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions, mdl planModel) (*planned, error) {
@@ -542,14 +509,12 @@ func (p *Problem) plan(ctx context.Context, alg Scheduler, opts ScheduleOptions,
 		kernelFault(pl.schedule, &pl.metrics, rule)
 	}
 
-	// The feasibility tail: Validate always, the audit when sampled. On an
-	// instance large enough to pay for the hand-off the audit runs on a
-	// goroutine of its own beside Validate; either way an invalid schedule
-	// outranks cancellation, which outranks a failed audit.
-	audited := p.shouldVerify(opts)
-	if !audited && opts.verifyOn() {
-		col.Counter("api.verify_skipped").Inc()
-	}
+	// The feasibility tail: Validate always, the audit when verification
+	// is on. On an instance large enough to pay for the hand-off the audit
+	// runs on a goroutine of its own beside Validate; either way an
+	// invalid schedule outranks cancellation, which outranks a failed
+	// audit.
+	audited := opts.Verify || verify.ForcedByEnv()
 	var auditErr error
 	audit := func() {
 		span := col.Span("api.verify.time")
@@ -762,17 +727,11 @@ func (p *Problem) SolveMultigroup(res *Result, cfg MultigroupConfig) (*Multigrou
 // with an empty plan, with one delivery per message and every flux zero
 // (transport.DependencyOnly): a task runs only if every upwind flux was
 // completed locally or delivered — and returns its independent accounting
-// (steps, total messages = C1, communication rounds = C2).
+// (steps executed, total messages = C1, communication rounds = C2). It is
+// SimulateFaulty with no fault plan.
 func (p *Problem) Simulate(res *Result) (*SimulationResult, error) {
-	s, err := p.scheduleOf(res)
-	if err != nil {
-		return nil, err
-	}
-	tr, _, err := transport.SolveFaultTolerant(context.Background(), s, transport.DependencyOnly, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &SimulationResult{Steps: s.Makespan, TotalMessages: tr.Comm.Messages, CommRounds: tr.Comm.Rounds}, nil
+	sim, _, err := p.SimulateFaulty(context.Background(), res, nil)
+	return sim, err
 }
 
 // SimulationResult reports a distributed execution.

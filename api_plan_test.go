@@ -22,8 +22,8 @@ import (
 
 // TestPlanPathStagesAndCancellation: the three scheduling entry points
 // run one plan path, so each records the same api.* stage series (two
-// runs at VerifyEvery 2: one audited, one skipped) and each returns
-// ctx.Err() on a context cancelled before the first stage.
+// runs with Verify, both audited) and each returns ctx.Err() on a
+// context cancelled before the first stage.
 func TestPlanPathStagesAndCancellation(t *testing.T) {
 	p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
 	if err != nil {
@@ -49,18 +49,13 @@ func TestPlanPathStagesAndCancellation(t *testing.T) {
 		}},
 	}
 	want := []string{
-		"api.assign.time", "api.metrics.time", "api.schedule.time", "api.verified", "api.verify.time", "api.verify_skipped",
+		"api.assign.time", "api.metrics.time", "api.schedule.time", "api.verified", "api.verify.time",
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range cases {
-		// A fresh problem per case restarts the VerifyEvery sequence.
-		p, err = NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		col := NewStatsCollector()
-		opts := ScheduleOptions{Seed: 3, BlockSize: 8, Verify: true, VerifyEvery: 2, Collector: col}
+		opts := ScheduleOptions{Seed: 3, BlockSize: 8, Verify: true, Collector: col}
 		for i := 0; i < 2; i++ {
 			if err := tc.run(opts); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -81,6 +76,9 @@ func TestPlanPathStagesAndCancellation(t *testing.T) {
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s recorded api series %v, want %v", tc.name, got, want)
+		}
+		if v := col.Counter("api.verified").Value(); v != 2 {
+			t.Errorf("%s: api.verified = %d after two runs with Verify, want 2", tc.name, v)
 		}
 		if _, err := p.plan(cancelled, LevelDelays, opts, tc.model); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: %v, want context.Canceled", tc.name, err)

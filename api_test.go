@@ -184,50 +184,3 @@ func TestCustomDirections(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestScheduleVerifyEverySampling checks the per-problem audit
-// sampling: with VerifyEvery=3 over 6 runs, exactly runs 0 and 3 are
-// audited and the rest counted as skipped; sampling never changes the
-// schedules themselves.
-func TestScheduleVerifyEverySampling(t *testing.T) {
-	p, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewStatsCollector()
-	opts := ScheduleOptions{Seed: 3, Verify: true, VerifyEvery: 3, Collector: col}
-	var sampled []*Result
-	for i := 0; i < 6; i++ {
-		res, err := p.Schedule(RandomDelaysPriority, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sampled = append(sampled, res)
-	}
-	verified := col.Counter("api.verified").Value()
-	skipped := col.Counter("api.verify_skipped").Value()
-	if verified != 2 || skipped != 4 {
-		t.Fatalf("every=3 over 6 runs: verified=%d skipped=%d, want 2 and 4", verified, skipped)
-	}
-
-	// A fresh problem with the default (audit every run) skips nothing,
-	// and the schedules match the sampled runs bit for bit.
-	p2, err := NewProblemFromFamily("tetonly", 0.01, 8, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col2 := NewStatsCollector()
-	for i := 0; i < 6; i++ {
-		res, err := p2.Schedule(RandomDelaysPriority, ScheduleOptions{Seed: 3, Verify: true, Collector: col2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Schedule.Makespan != sampled[i].Schedule.Makespan {
-			t.Fatalf("run %d: sampling changed the schedule (makespan %d vs %d)",
-				i, res.Schedule.Makespan, sampled[i].Schedule.Makespan)
-		}
-	}
-	if v, s := col2.Counter("api.verified").Value(), col2.Counter("api.verify_skipped").Value(); v != 6 || s != 0 {
-		t.Fatalf("default sampling: verified=%d skipped=%d, want 6 and 0", v, s)
-	}
-}

@@ -98,7 +98,7 @@ echo "== weighted smoke: heterogeneous machine end to end under -race, every run
 go run -race ./cmd/sweepsim -mesh tetonly -scale 0.02 -k 8 -m 8 \
     -weights 9 -speeds 1,2,4 -verify
 go run -race ./cmd/sweepbench -exp weighted -scale 0.02 -procs 2,8 \
-    -speeds 1,2 -verify -verify-every 1
+    -speeds 1,2 -verify
 
 echo "== batched-transport smoke: fault-injected solve under -race =="
 # The batched flux interconnect through the real CLI: the recovered flux

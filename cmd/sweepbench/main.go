@@ -41,16 +41,12 @@ func main() {
 		anglesets  = flag.Int("anglesets", 0, "run the fig3 harness with priorities aggregated into about this many octant anglesets (omit for the per-direction pipeline)")
 		speedsSpec = flag.String("speeds", "", "comma-separated per-processor speed pattern for the weighted experiment, cycled over each m, e.g. 1,2,4 (empty = uniform machine)")
 		doVerify   = flag.Bool("verify", false, "audit every produced schedule with the internal/verify auditor (fails fast on the first violation)")
-		verifyN    = flag.Int("verify-every", 1, "with -verify, audit only every Nth schedule of a row (1 = every one)")
 		doStats    = flag.Bool("stats", false, "print accumulated counters and stage timings after the experiments")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	if err := cliutil.ValidateVerifyEvery(*verifyN); err != nil {
-		fatal(err)
-	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "anglesets" {
 			if err := cliutil.ValidateAnglesets(*anglesets); err != nil {
@@ -100,17 +96,16 @@ func main() {
 		fatal(err)
 	}
 	cfg := experiments.Config{
-		Scale:       *scale,
-		Seed:        *seed,
-		Trials:      *trials,
-		Procs:       procList,
-		Out:         os.Stdout,
-		CSV:         *csv,
-		Workers:     *workers,
-		Verify:      *doVerify,
-		VerifyEvery: *verifyN,
-		Anglesets:   *anglesets,
-		Speeds:      speeds,
+		Scale:     *scale,
+		Seed:      *seed,
+		Trials:    *trials,
+		Procs:     procList,
+		Out:       os.Stdout,
+		CSV:       *csv,
+		Workers:   *workers,
+		Verify:    *doVerify,
+		Anglesets: *anglesets,
+		Speeds:    speeds,
 	}
 	if *doStats {
 		cfg.Collector = obs.New()

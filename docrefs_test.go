@@ -282,8 +282,9 @@ func TestDocReferences(t *testing.T) {
 }
 
 // quotedRun is the command line of a fenced block in EXPERIMENTS.md that
-// quotes the paper-scale run of one experiment.
-var quotedRun = regexp.MustCompile(`^\$ go run \./cmd/sweepbench -exp (\S+) -scale 1\.0 -trials 2\b`)
+// quotes the paper-scale run of one experiment, with the block's
+// indentation (a block inside a list item is indented).
+var quotedRun = regexp.MustCompile(`^([ \t]*)\$ go run \./cmd/sweepbench -exp (\S+) -scale 1\.0 -trials 2\b`)
 
 // checkQuotedRows reports every line EXPERIMENTS.md quotes under a
 // quotedRun command that is not a line of that experiment's section of
@@ -319,13 +320,15 @@ func checkQuotedRows(t *testing.T) {
 			if m == nil {
 				continue
 			}
-			if rows[m[1]] == nil {
-				t.Errorf("EXPERIMENTS.md:%d: results_full.txt has no section %s", first+i, m[1])
+			indent, id := m[1], m[2]
+			if rows[id] == nil {
+				t.Errorf("EXPERIMENTS.md:%d: results_full.txt has no section %s", first+i, id)
 			}
 			for j := i + 1; j < len(lines)-1 && quotedRun.FindString(lines[j]) == ""; j++ {
 				quoted++
-				if !rows[m[1]][lines[j]] {
-					t.Errorf("EXPERIMENTS.md:%d: %q is no line of %s in results_full.txt", first+j, lines[j], m[1])
+				line, ok := strings.CutPrefix(lines[j], indent)
+				if !ok || !rows[id][line] {
+					t.Errorf("EXPERIMENTS.md:%d: %q is no line of %s in results_full.txt", first+j, lines[j], id)
 				}
 			}
 		}

@@ -12,9 +12,9 @@ import (
 	"strings"
 )
 
-// ValidateVerifyEvery rejects negative -verify-every values. 0 and 1
-// both mean "audit every run" (the documented behavior); N > 1 samples
-// every Nth run.
+// ValidateVerifyEvery rejects negative sweepschedd -verify-every
+// values. 0 and 1 both mean "audit every run" (the documented
+// behavior); N > 1 samples every Nth run.
 func ValidateVerifyEvery(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-verify-every must be >= 0 (0 or 1 audits every run, N > 1 samples), got %d", n)

@@ -15,7 +15,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"sweepsched"
 	"sweepsched/internal/dag"
@@ -24,9 +23,7 @@ import (
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/par"
-	"sweepsched/internal/partition"
 	"sweepsched/internal/quadrature"
-	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/stats"
 	"sweepsched/internal/verify"
@@ -50,16 +47,12 @@ type Config struct {
 	// Workers bounds the parallelism of row evaluation and of each run's
 	// per-direction stages (0 = GOMAXPROCS). Output is identical regardless.
 	Workers int
-	// Verify audits schedules an experiment produces with
-	// internal/verify and fails the experiment on the first violation.
-	// The SWEEPSCHED_VERIFY environment variable forces it on.
+	// Verify audits every schedule an experiment produces with
+	// internal/verify and fails the experiment on the first violation: a
+	// planned run is audited by the API (counted as "api.verified"), a
+	// bespoke run here ("experiments.verified"). The SWEEPSCHED_VERIFY
+	// environment variable forces it on.
 	Verify bool
-	// VerifyEvery samples the audit (0 or 1: every schedule). A planned
-	// run is audited by the API, which samples every Nth plan on the
-	// row's Problem and counts "api.verified" and "api.verify_skipped";
-	// a bespoke run is audited here on trials 0, N, 2N, ..., counted as
-	// "experiments.verified" and "experiments.verify_skipped".
-	VerifyEvery int
 	// Collector, when non-nil, accumulates trial counters and stage
 	// timings across the experiment's runs, the API's plan series among
 	// them.
@@ -90,27 +83,13 @@ func (c Config) withDefaults() Config {
 	if verify.ForcedByEnv() {
 		c.Verify = true
 	}
-	if c.VerifyEvery <= 0 {
-		c.VerifyEvery = 1
-	}
 	return c
 }
 
-// auditTrial reports whether the given trial index is audited under the
-// configured verification sampling.
-func (c Config) auditTrial(trial int) bool {
-	return c.Verify && trial%c.VerifyEvery == 0
-}
-
 // audit checks one bespoke trial's schedule, unit-step or weighted, when
-// the sampling picks its trial index, and counts audited and skipped
-// trials.
-func (c Config) audit(s *sample, trial int) error {
-	switch {
-	case !c.Verify || s.s == nil && s.w == nil:
-		return nil
-	case !c.auditTrial(trial):
-		c.Collector.Counter("experiments.verify_skipped").Inc()
+// verification is on, and counts the audited trials.
+func (c Config) audit(s *sample) error {
+	if !c.Verify || s.s == nil && s.w == nil {
 		return nil
 	}
 	var err error
@@ -462,7 +441,7 @@ func (f *figure) row(p *point) ([]any, error) {
 			if rn.alg != "" {
 				s, err = rn.plan(p, seed)
 			} else if s, err = rn.do(p, seed); err == nil {
-				if err = cfg.audit(s, trial); err != nil {
+				if err = cfg.audit(s); err != nil {
 					err = fmt.Errorf("failed the schedule audit: %w", err)
 				}
 			}
@@ -522,8 +501,7 @@ func (rn *run) plan(p *point, seed uint64) (*sample, error) {
 // options completes a plan's options with its seed and the config's
 // workers, audit and collector.
 func (c Config) options(opts sweepsched.ScheduleOptions, seed uint64) sweepsched.ScheduleOptions {
-	opts.Seed, opts.Workers, opts.Collector = seed, c.Workers, c.Collector
-	opts.Verify, opts.VerifyEvery = c.Verify, c.VerifyEvery
+	opts.Seed, opts.Workers, opts.Verify, opts.Collector = seed, c.Workers, c.Verify, c.Collector
 	return opts
 }
 
@@ -536,16 +514,6 @@ type Workload struct {
 	Mesh *mesh.Mesh
 	Dirs []geom.Vec3
 	DAGs []*dag.DAG
-
-	mu sync.Mutex
-	// blocks caches partitions by (block size, seed): two seeds are two
-	// independent random partitions of the same size.
-	blocks map[[2]uint64]blockPartition
-}
-
-type blockPartition struct {
-	part    []int32
-	nBlocks int
 }
 
 // NewWorkload generates the named mesh family at the config's scale and
@@ -566,7 +534,6 @@ func NewWorkload(cfg Config, meshName string, k int) (*Workload, error) {
 		Mesh:     m,
 		Dirs:     dirs,
 		DAGs:     dag.BuildAllInto(make([]*dag.DAG, len(dirs)), dag.NewSkeleton(m), dirs, cfg.Workers),
-		blocks:   map[[2]uint64]blockPartition{},
 	}, nil
 }
 
@@ -586,37 +553,4 @@ func (w *Workload) Instance(m int) (*sched.Instance, error) {
 	inst.Mesh = w.Mesh
 	inst.Dirs = w.Dirs
 	return inst, nil
-}
-
-// BlockPartition returns (cached) the mesh partition into blocks of the
-// given size; size 1 is the identity (every cell its own block). It is
-// safe for concurrent use by parallel experiment rows.
-func (w *Workload) BlockPartition(blockSize int, seed uint64) ([]int32, int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	key := [2]uint64{uint64(blockSize), seed}
-	if bp, ok := w.blocks[key]; ok {
-		return bp.part, bp.nBlocks, nil
-	}
-	g := partition.FromMesh(w.Mesh)
-	part, nBlocks, err := partition.Blocks(g, blockSize, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	w.blocks[key] = blockPartition{part, nBlocks}
-	return part, nBlocks, nil
-}
-
-// Assignment draws a processor assignment: blockSize 1 assigns each cell
-// independently (the "regular assignment" of Figure 2); larger sizes assign
-// per block (§5.1 "Partitioning into Blocks").
-func (w *Workload) Assignment(blockSize, m int, r *rng.Source) (sched.Assignment, error) {
-	if blockSize <= 1 {
-		return sched.RandomAssignment(w.Mesh.NCells(), m, r), nil
-	}
-	part, nBlocks, err := w.BlockPartition(blockSize, 0x9e3779b9)
-	if err != nil {
-		return nil, err
-	}
-	return sched.BlockAssignment(part, nBlocks, m, r), nil
 }

@@ -13,6 +13,7 @@ import (
 	"sweepsched/internal/geom"
 	"sweepsched/internal/heuristics"
 	"sweepsched/internal/obs"
+	"sweepsched/internal/partition"
 	"sweepsched/internal/rng"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/sched/refimpl"
@@ -127,47 +128,6 @@ func TestPlannedRunsShareTheDraw(t *testing.T) {
 	}
 }
 
-// TestWorkloadCachesBlocks pins the (blockSize, seed) cache key: the
-// same pair is cached (identical backing slice, no recomputation) while
-// a different seed yields an independent random partition. The cache
-// used to key on size alone, silently handing every seed the first
-// seed's partition.
-func TestWorkloadCachesBlocks(t *testing.T) {
-	var out strings.Builder
-	w, err := NewWorkload(tinyConfig(&out), "tetonly", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, n1, err := w.BlockPartition(16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1again, n1again, err := w.BlockPartition(16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n1again || &p1[0] != &p1again[0] {
-		t.Fatal("same (size, seed) not served from the cache")
-	}
-	p2, _, err := w.BlockPartition(16, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &p1[0] == &p2[0] {
-		t.Fatal("different seed served the cached partition of another seed")
-	}
-	same := true
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 1 and 999 produced identical partitions; the seed is being ignored")
-	}
-}
-
 func TestWorkloadInstanceSharesDAGs(t *testing.T) {
 	var out strings.Builder
 	w, err := NewWorkload(tinyConfig(&out), "long", 4)
@@ -261,14 +221,12 @@ func TestBlockAssignmentReducesC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(3)
-	cellAssign, err := w.Assignment(1, m, r)
+	cellAssign := sched.RandomAssignment(w.Mesh.NCells(), m, r)
+	part, nBlocks, err := partition.Blocks(partition.FromMesh(w.Mesh), 64, 0x9e3779b9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockAssign, err := w.Assignment(64, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blockAssign := sched.BlockAssignment(part, nBlocks, m, r)
 	c1Cell := sched.C1(inst, cellAssign, 0)
 	c1Block := sched.C1(inst, blockAssign, 0)
 	if c1Block*2 >= c1Cell {
@@ -317,44 +275,23 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestVerifyEverySamplesAudits checks the audit sampling: VerifyEvery=2
-// over an even number of trials audits exactly half of the schedules
-// (the first always included), and the default audits every one with no
-// skips — both where the API audits a figure's plans (fig2a, counted as
-// api.*) and where the evaluator audits its bespoke runs (ablate_delay,
-// counted as experiments.*).
-func TestVerifyEverySamplesAudits(t *testing.T) {
+// TestVerifyAuditsEverySchedule: with Verify on, every trial's schedule
+// is audited, both where the API audits a figure's plans (fig2a,
+// counted as api.*) and where the evaluator audits its bespoke runs
+// (ablate_delay, counted as experiments.*).
+func TestVerifyAuditsEverySchedule(t *testing.T) {
 	for _, c := range []struct{ id, counters string }{{"fig2a", "api"}, {"ablate_delay", "experiments"}} {
 		var out strings.Builder
 		cfg := tinyConfig(&out)
-		cfg.Trials = 4
-		cfg.Verify = true
-		cfg.VerifyEvery = 2
-		cfg.Collector = obs.New()
-		if err := Run(c.id, cfg); err != nil {
-			t.Fatal(err)
-		}
-		verified := cfg.Collector.Counter(c.counters + ".verified").Value()
-		skipped := cfg.Collector.Counter(c.counters + ".verify_skipped").Value()
-		if verified == 0 || skipped == 0 {
-			t.Fatalf("%s: sampled audit: verified=%d skipped=%d, want both > 0", c.id, verified, skipped)
-		}
-		if verified != skipped {
-			t.Fatalf("%s: every=2 over %d trials: verified=%d skipped=%d, want equal", c.id, cfg.Trials, verified, skipped)
-		}
-
-		cfg = tinyConfig(&out)
 		cfg.Trials = 2
 		cfg.Verify = true
 		cfg.Collector = obs.New()
 		if err := Run(c.id, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if skipped := cfg.Collector.Counter(c.counters + ".verify_skipped").Value(); skipped != 0 {
-			t.Fatalf("%s: default sampling skipped %d audits", c.id, skipped)
-		}
-		if cfg.Collector.Counter(c.counters+".verified").Value() == 0 {
-			t.Fatalf("%s: default sampling audited nothing", c.id)
+		verified, trials := cfg.Collector.Counter(c.counters+".verified").Value(), cfg.Collector.Counter("experiments.trials").Value()
+		if verified == 0 || verified != trials {
+			t.Fatalf("%s: Verify audited %d of %d schedules", c.id, verified, trials)
 		}
 	}
 }

@@ -558,7 +558,7 @@ func policyName(p *point, _ []float64) any {
 
 // policyAssignment draws the row's policy's assignment.
 func policyAssignment(p *point, r *rng.Source) (sched.Assignment, error) {
-	n, m, w := p.inst.N(), p.m, p.g.w
+	n, m, msh := p.inst.N(), p.m, p.g.w.Mesh
 	a := make(sched.Assignment, n)
 	switch p.x {
 	case 0:
@@ -572,15 +572,19 @@ func policyAssignment(p *point, r *rng.Source) (sched.Assignment, error) {
 			a[v] = int32(v * m / n)
 		}
 	case 3:
-		return w.Assignment(policyBlock(p), m, r)
+		part, nBlocks, err := partition.Blocks(partition.FromMesh(msh), policyBlock(p), 0x9e3779b9)
+		if err != nil {
+			return nil, err
+		}
+		return sched.BlockAssignment(part, nBlocks, m, r), nil
 	case 4:
-		part, nBlocks, err := partition.MortonBlocks(w.Mesh.Centroids, policyBlock(p))
+		part, nBlocks, err := partition.MortonBlocks(msh.Centroids, policyBlock(p))
 		if err != nil {
 			return nil, err
 		}
 		return sched.BlockAssignment(part, nBlocks, m, r), nil
 	case 5:
-		part, nBlocks, err := w.BlockPartition((n+m-1)/m, 0x517)
+		part, nBlocks, err := partition.Blocks(partition.FromMesh(msh), (n+m-1)/m, 0x517)
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +634,7 @@ func realizedRounds(s *sched.Schedule, seed uint64) (greedyTotal, distribTotal i
 // and on the per-message oracle.
 func commTraffic(p *point, res *sweepsched.Result) (*sample, error) {
 	cfg := p.g.cfg
-	tcfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.auditTrial(0), Collector: cfg.Collector}
+	tcfg := sweepsched.TransportConfig{SigmaT: 1, SigmaS: 0.5, Source: 1, Verify: cfg.Verify, Collector: cfg.Collector}
 	b, err := p.prob.SolveTransportParallel(res, tcfg)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +250,15 @@ func TestBlocks(t *testing.T) {
 		t.Fatalf("nBlocks = %d, want 4", nBlocks)
 	}
 	checkBalance(t, g, part, nBlocks, 1.08)
+
+	// Another seed is another random partition of the same size.
+	part2, _, err := Blocks(g, 25, 999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(part, part2) {
+		t.Fatal("seeds 1 and 999 produced identical partitions; the seed is being ignored")
+	}
 
 	// Block size 1: identity.
 	part1, n1, err := Blocks(g, 1, 1)

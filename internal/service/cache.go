@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"sweepsched"
 	"sweepsched/internal/dag"
@@ -216,12 +217,14 @@ type skeletonEntry struct {
 }
 
 // familyEntry is a DAG-family-tier value: a ready-to-schedule Problem
-// (mesh + induced immutable DAG set + m) and its lower bounds. The
-// Problem also carries the VerifyEvery sampling sequence, so audit
-// sampling spans all requests that hit this entry.
+// (mesh + induced immutable DAG set + m) and its lower bounds. runs
+// numbers the schedules built on it for Config.VerifyEvery sampling, so
+// audit sampling spans all requests that hit this entry; it never
+// changes a schedule, only which runs pay for the audit.
 type familyEntry struct {
 	prob   *sweepsched.Problem
 	bounds sweepsched.Bounds
+	runs   atomic.Uint64
 }
 
 // scheduleEntry is a schedule-tier value: the finished run. res is
@@ -235,7 +238,7 @@ type scheduleEntry struct {
 	wres *sweepsched.WeightedResult
 	fam  *familyEntry
 	// verified records whether the producing run was audited by
-	// internal/verify (VerifyEvery sampling may have skipped it).
+	// internal/verify (Config.VerifyEvery sampling may have skipped it).
 	verified bool
 }
 

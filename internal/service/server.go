@@ -19,6 +19,7 @@ import (
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/transport"
+	"sweepsched/internal/verify"
 )
 
 // Config tunes a scheduling daemon.
@@ -35,13 +36,14 @@ type Config struct {
 	// tiers (split skeleton ¼ / DAG family ½ / schedule ¼). 0 selects
 	// 256 MiB; negative disables caching (every request builds).
 	CacheBytes int64
-	// Verify enables internal/verify audits of produced schedules,
-	// sampled per problem by VerifyEvery exactly as the CLIs' -verify
-	// / -verify-every flags do. An audit failure is a 500.
+	// Verify enables internal/verify audits of produced schedules, as
+	// the CLIs' -verify flag does; the SWEEPSCHED_VERIFY environment
+	// variable forces it on. An audit failure is a 500.
 	Verify bool
-	// VerifyEvery audits only every Nth run per cached problem (≤ 1:
-	// every run). Sampling state lives with the cached DAG family, so
-	// it spans requests.
+	// VerifyEvery audits only every Nth schedule built on one cached DAG
+	// family (≤ 1: every one). The daemon is the one place audits are
+	// sampled: the counter lives with the cached family, so it spans
+	// requests, and the API audits exactly the runs it is told to.
 	VerifyEvery int
 	// Workers is the per-request default for the per-direction pipeline
 	// stages (0 = GOMAXPROCS); a request's workers field overrides it.
@@ -168,9 +170,10 @@ type ScheduleResponse struct {
 	WeightedBounds *WeightedBoundsInfo `json:"weighted_bounds,omitempty"`
 	StrongRatio    float64             `json:"strong_ratio,omitempty"`
 
-	// Verified reports whether the run that produced this schedule was
-	// audited by internal/verify (sampling may skip runs; a cache hit
-	// reports the producing run's audit).
+	// Verified reports whether the daemon's audit sample (Config.Verify,
+	// Config.VerifyEvery) picked the run that produced this schedule; a
+	// cache hit reports the producing run's. SWEEPSCHED_VERIFY audits
+	// every in-process plan, sampled out or not, without setting it.
 	Verified bool       `json:"verified"`
 	Cache    CacheTrace `json:"cache"`
 
@@ -550,14 +553,17 @@ func (s *Server) buildSchedule(ctx context.Context, j *job) (any, int64, CacheTr
 		return nil, 0, trace, err
 	}
 	req := j.req
+	// The audit sample is drawn before the plan, so a run that fails has
+	// advanced the family's sequence too.
+	audit := (s.cfg.Verify || verify.ForcedByEnv()) &&
+		(s.cfg.VerifyEvery <= 1 || (fam.runs.Add(1)-1)%uint64(s.cfg.VerifyEvery) == 0)
 	opts := sweepsched.ScheduleOptions{
-		BlockSize:   req.BlockSize,
-		Seed:        req.Seed,
-		Workers:     j.workers,
-		Verify:      s.cfg.Verify,
-		VerifyEvery: s.cfg.VerifyEvery,
-		Collector:   j.col,
-		Anglesets:   req.Anglesets,
+		BlockSize: req.BlockSize,
+		Seed:      req.Seed,
+		Workers:   j.workers,
+		Verify:    audit,
+		Collector: j.col,
+		Anglesets: req.Anglesets,
 	}
 	span := s.col.Span("service.build.schedule.time")
 	defer span.End()
@@ -595,7 +601,7 @@ func (s *Server) buildSchedule(ctx context.Context, j *job) (any, int64, CacheTr
 	ent := &scheduleEntry{
 		res:      res,
 		wres:     wres,
-		verified: j.col.Counter("api.verified").Value() > 0,
+		verified: audit,
 		fam:      fam,
 	}
 	if ent.verified {
@@ -609,8 +615,8 @@ func (s *Server) buildSchedule(ctx context.Context, j *job) (any, int64, CacheTr
 
 // familyFor resolves the DAG-family tier: a ready-to-schedule Problem
 // for (mesh content, direction set, m), built over the skeleton tier
-// on miss. Sampling state for VerifyEvery lives on the cached Problem,
-// so audits are sampled across all requests that share it.
+// on miss. The entry carries the VerifyEvery sampling sequence, so audits
+// are sampled across all requests that share it.
 func (s *Server) familyFor(ctx context.Context, j *job) (*familyEntry, CacheTrace, error) {
 	got, err := s.fetch(ctx, s.cache.families, j.famKey, nil, func() (any, int64, CacheTrace, error) {
 		span := s.col.Span("service.build.family.time")

@@ -546,12 +546,15 @@ func TestHealthzAndStats(t *testing.T) {
 }
 
 // TestVerifySampling runs four schedules over one cached problem with
-// VerifyEvery=2: runs 1 and 3 are audited, 2 and 4 sampled out.
+// VerifyEvery=2: runs 1 and 3 are audited, 2 and 4 sampled out, and a
+// server auditing every run returns the same schedules.
 func TestVerifySampling(t *testing.T) {
 	cfg := testConfig()
 	cfg.Verify = true
 	cfg.VerifyEvery = 2
 	srv, ts := newTestServer(t, cfg)
+	cfg.VerifyEvery = 0
+	_, every := newTestServer(t, cfg)
 
 	want := []bool{true, false, true, false}
 	for i, w := range want {
@@ -560,6 +563,10 @@ func TestVerifySampling(t *testing.T) {
 		_, r, _ := postSchedule(t, ts, spec)
 		if r.Verified != w {
 			t.Fatalf("run %d verified = %v, want %v (sampling must span requests)", i, r.Verified, w)
+		}
+		_, e, _ := postSchedule(t, every, spec)
+		if !e.Verified || e.Makespan != r.Makespan || e.C1 != r.C1 || e.C2 != r.C2 || e.Ratio != r.Ratio || e.Bounds != r.Bounds {
+			t.Fatalf("run %d: sampling changed the schedule: %+v, every run audited %+v", i, r, e)
 		}
 	}
 	if a := counterValue(srv, "service.verify.audited"); a != 2 {
