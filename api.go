@@ -684,11 +684,14 @@ func (p *Problem) SolveTransport(res *Result, cfg TransportConfig) (*TransportRe
 // ascending order (no goroutine per processor; what is modelled is the
 // machine's data flow and traffic, not its speed). The first sweep steps
 // the machine and counts its traffic; every later one has nothing left to
-// decide and runs flat. Fluxes cross through the batched interconnect
-// (deadline-driven per-destination envelopes; set TransportConfig.NoBatch
-// for one delivery per message), handed over at the barrier between
-// steps, where every per-processor count is also folded in processor
-// order — so the result is bitwise-identical to SolveTransport, and
+// decide and runs flat, a large one with its directions split into
+// blocks that run side by side on up to GOMAXPROCS goroutines, since a
+// direction reads no other's fluxes. Fluxes cross through the batched
+// interconnect (deadline-driven per-destination envelopes; set
+// TransportConfig.NoBatch for one delivery per message), handed over at
+// the barrier between steps, where every per-processor count is also
+// folded in processor order — so the result is bitwise-identical to
+// SolveTransport, at every GOMAXPROCS, and
 // TransportResult.Comm (the observed traffic) is the same on either
 // interconnect but for the transmissions. An infeasible schedule is
 // refused with the engine's error.

@@ -75,11 +75,13 @@ go test -run '^$' -bench 'Benchmark(DescendantPriorities|DFDSPriorities|PlanWarm
 # once and every recovery once more. BenchmarkSolveParallel is the engine
 # with no plan on the small box and at the benchmark's sweep-goroutine
 # shape: each solve steps its first sweep, which records the traffic, and
-# runs the rest as clean epochs, flat. BenchmarkSolveFaultTolerant/faulty
-# is the sweep-faulty shape under its fault plan: every epoch that can
-# fault steps, and so does the first whole one on each new layout; the
-# clean ones after it run flat.
-go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x ./internal/transport ./internal/sched
+# runs the rest as clean epochs, flat; /flat is one warm clean sweep
+# alone. BenchmarkSolveFaultTolerant/faulty is the sweep-faulty shape
+# under its fault plan: every epoch that can fault steps, and so does the
+# first whole one on each new layout; the clean ones after it run flat.
+# At one CPU a flat sweep is one loop; at two, past the machine's sweep
+# crossover, its direction blocks run side by side, so both paths run.
+go test -run '^$' -bench 'Benchmark(SolveParallel|SolveFaultTolerant|RecvTableBuild)$' -benchmem -benchtime 1x -cpu 1,2 ./internal/transport ./internal/sched
 
 echo "== angleset smoke: aggregated pipeline end to end under -race, every run audited =="
 # The aggregated scheduling path (priorities once per octant angleset on

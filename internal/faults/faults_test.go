@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"sweepsched/internal/leakcheck"
@@ -214,6 +215,52 @@ func TestEngineFaultFreeSweepAllocatesNothing(t *testing.T) {
 			t.Fatalf("noBatch=%v: %s, want 13 epochs and no recovery", noBatch, rep)
 		}
 	}
+}
+
+// TestEngineSplitSweepAllocatesNothing extends that contract to an engine
+// past the machine's sweep crossover (16,464 tasks) at GOMAXPROCS 2,
+// whose clean sweeps run their direction blocks side by side: a warm one
+// allocates nothing, the context sees the other block's goroutine, and
+// none of those goroutines outlives its sweep.
+func TestEngineSplitSweepAllocatesNothing(t *testing.T) {
+	s := rdpSchedule(t, mesh.KuhnBox(mesh.BoxSpec{NX: 7, NY: 7, NZ: 7, Jitter: 0.15, Seed: 1}), 8, 8, 0x77)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	leakcheck.Check(t, func() {
+		eng, err := NewEngine(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		psi, zero := make([]float64, s.Inst.NTasks()), zeroBalance(s)
+		ctx := &sideBySide{Context: context.Background(), base: runtime.NumGoroutine()}
+		sweep := func() {
+			if err := eng.Sweep(ctx, zero, psi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep() // steps, and records the traffic
+		sweep() // flat: lays the direction blocks out
+		if n := testing.AllocsPerRun(10, sweep); n != 0 {
+			t.Fatalf("warm split sweep allocates %v, want 0", n)
+		}
+		if ctx.most == 0 {
+			t.Fatal("no sweep ran its direction blocks side by side")
+		}
+	})
+}
+
+// sideBySide is a context that keeps the most goroutines it saw, beyond
+// base, while sweeps on several goroutines ask it.
+type sideBySide struct {
+	context.Context
+	mu         sync.Mutex
+	base, most int
+}
+
+func (c *sideBySide) Err() error {
+	c.mu.Lock()
+	c.most = max(c.most, runtime.NumGoroutine()-c.base)
+	c.mu.Unlock()
+	return c.Context.Err()
 }
 
 // TestReportReproducible asserts the byte-for-byte report guarantee across

@@ -37,16 +37,13 @@ type Injector struct {
 }
 
 // NewInjector indexes a plan for execution. A nil plan injects nothing.
+// Only a plan with events makes the maps its events are kept in; a crash
+// the owner reports (NoteCrash) counts without one.
 func NewInjector(plan *Plan) *Injector {
-	inj := &Injector{
-		crashStep: map[int32]int32{},
-		severStep: map[int32]int32{},
-		msg:       map[msgKey]Event{},
-		consumed:  map[msgKey]Kind{},
-		delayed:   map[int32][]Delivery{},
-		applied:   map[Kind]int{},
-	}
-	if plan != nil {
+	inj := &Injector{applied: map[Kind]int{}}
+	if plan != nil && len(plan.Events) > 0 {
+		inj.crashStep, inj.severStep = map[int32]int32{}, map[int32]int32{}
+		inj.msg, inj.consumed, inj.delayed = map[msgKey]Event{}, map[msgKey]Kind{}, map[int32][]Delivery{}
 		for _, e := range plan.Events {
 			switch e.Kind {
 			case Crash:

@@ -48,6 +48,11 @@
 //     record and drops it wherever it calls Build or Route). The flat loop
 //     decides nothing: an input it finds missing ends the sweep in an
 //     error, never in a flux.
+//   - A task reads and writes only its own direction's state: a direction
+//     block's tasks are one TaskID range, and so are their fluxes, done
+//     marks and receive slots (numbered in producer order). A large flat
+//     sweep therefore runs its direction blocks side by side, each in step
+//     order, and computes every flux bit for bit as one loop would.
 //
 // A Machine belongs to one step loop and is not safe for concurrent use.
 package machine
@@ -55,6 +60,10 @@ package machine
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
@@ -152,6 +161,29 @@ type Machine struct {
 	runs    []uint64 // per processor: the stamp of the Step its row runs in, 0 once stopped short
 	stamp   uint64   // the running Step's: one more per Step, never 0
 	due     []int32  // Route's scratch: per receive slot, its deadline
+
+	cells, dirs int             // the instance's, which a task's direction follows from
+	split       int             // a flat sweep's direction blocks on this layout: 0 until its first
+	blocks      []block         // the first split of them are this layout's
+	lists       []int32         // their lists, block after block
+	flat        func()          // sweeps the next block not yet claimed; Sweep makes it once
+	claimed     atomic.Int32    // the blocks of the running split sweep claimed so far
+	flatCtx     context.Context // the running split sweep's
+	joined      sync.WaitGroup  // its blocks, the caller's included
+}
+
+// sweepCrossover is the step table size, in tasks, from which a flat sweep
+// splits its directions across goroutines: below it starting and joining
+// them costs more than the split saves (DESIGN.md §7 has the measurement).
+const sweepCrossover = 12_000
+
+// block is one direction block of a split flat sweep: the positions of its
+// directions' tasks in step order, those of each step led by ^step.
+type block struct {
+	list []int32
+	last int32 // the step whose marker layBlocks appended last
+	err  error // how its part of the last split sweep ended, at position at
+	at   int32
 }
 
 // tally is what the completions of the running step add up to, kept by
@@ -177,11 +209,13 @@ func (m *Machine) post() {
 
 // Build resolves every flux route for the assignment, laid out in the
 // order of Steps (TaskID order without one), empties the receive slots,
-// the envelopes and the step's tally; it reuses the machine's storage.
+// the envelopes and the step's tally, and leaves the direction blocks of a
+// split flat sweep to the layout's first; it reuses the machine's storage.
 // The slots' deadlines are Route's to set, which a batched machine needs
 // before it steps.
 func (m *Machine) Build(inst *sched.Instance, assign sched.Assignment) {
 	m.Recv.Build(inst, assign, m.Steps)
+	m.cells, m.dirs, m.split = inst.N(), inst.K(), 0
 	if len(m.Acks) != inst.M {
 		m.Acks, m.runs = make([]Ack, inst.M), make([]uint64, inst.M)
 	}
@@ -520,42 +554,173 @@ func (m *Machine) Discard() {
 }
 
 // Sweep runs every step of Steps once, flat, from empty receive slots and
-// nothing done, all on the caller's goroutine, and adds traffic to Comm:
-// what a stepped run of the same routes, deadlines, live processors and
-// interconnect added, which its owner recorded (the fault engine's clean
-// epochs). It has no barriers, acks or envelopes and decides nothing —
-// per step it checks ctx, per position, in the step table's order, it
-// computes the task's flux (taskFlux) into Psi, marks it done and hands it
-// into its receive slots, visible from the next step. Every position runs,
-// whatever Procs holds. It returns ctx.Err() before the step that follows
-// a cancellation, having added nothing to Comm; an input it finds missing
-// ends it in an error — a local input not done as Step reports one, a
-// flux not received as a *StallError — never in a flux. A machine whose
-// sweep failed is not reusable.
+// nothing done, and adds traffic to Comm: what a stepped run of the same
+// routes, deadlines, live processors and interconnect added, which its
+// owner recorded (the fault engine's clean epochs). It has no barriers,
+// acks or envelopes and decides nothing — per step it checks ctx, per
+// position, in the step table's order, it computes the task's flux
+// (taskFlux) into Psi, marks it done and hands it into its receive slots,
+// visible from the next step. Every position runs, whatever Procs holds.
+// It returns ctx.Err() before a step that follows a cancellation, having
+// added nothing to Comm; an input it finds missing ends it in an error — a
+// local input not done as Step reports one, a flux not received as a
+// *StallError — never in a flux. A machine whose sweep failed is not
+// reusable.
+//
+// A task reads nothing of another direction, so from sweepCrossover tasks
+// up the directions are split into min(GOMAXPROCS, k) contiguous blocks,
+// fixed at the layout's first flat sweep, and each block runs its own
+// positions in step order, checking ctx before each of its steps: the
+// caller's goroutine runs one, a goroutine each the others, all joined
+// before Sweep returns. Every flux is the one loop's, bit for bit,
+// and of the blocks that failed the error at the lowest position is
+// returned, which is the error one loop returns. Below the crossover, or
+// with one worker, Sweep is that loop on the caller's goroutine.
 func (m *Machine) Sweep(ctx context.Context, traffic Stats) error {
 	m.Recv.Reset()
 	clear(m.Done)
-	psi, done := m.Psi, m.Done
-	for st := range m.Steps.Steps() {
-		if err := ctx.Err(); err != nil {
+	if blocks := m.directionBlocks(); blocks != nil {
+		if m.flat == nil {
+			m.flat = func() {
+				defer m.joined.Done()
+				b := &m.blocks[m.claimed.Add(1)-1]
+				ctx, psi, done := m.flatCtx, m.Psi, m.Done
+				b.err = nil
+				st := int32(0)
+				for j, i := range b.list {
+					if i < 0 { // the next step's positions follow
+						if err := ctx.Err(); err != nil {
+							b.err, b.at = err, b.list[j+1]
+							return
+						}
+						st = ^i
+						continue
+					}
+					t, p, in := m.Recv.At(i)
+					val, x, ok := m.taskFlux(t, in, st)
+					if !ok {
+						b.err, b.at = m.missing(t, p, st, x), i
+						return
+					}
+					psi[t], done[t] = val, true
+					for _, o := range m.Recv.Out(i) {
+						m.Recv.Deliver(o.Slot, val, st+1)
+					}
+				}
+			}
+		}
+		if err := m.fan(ctx, blocks); err != nil {
 			return err
 		}
-		lo, hi := m.Steps.Span(st)
-		for i := lo; i < hi; i++ {
-			t, p, in := m.Recv.At(i)
-			val, x, ok := m.taskFlux(t, in, st)
-			if !ok {
-				if x >= 0 {
-					return localMissing(p, t, st, x)
-				}
-				return &StallError{Proc: p, Step: st, Task: t, Producer: m.Recv.Producer(^x)}
+	} else {
+		psi, done := m.Psi, m.Done
+		for st := range m.Steps.Steps() {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			psi[t], done[t] = val, true
-			for _, o := range m.Recv.Out(i) {
-				m.Recv.Deliver(o.Slot, val, st+1)
+			lo, hi := m.Steps.Span(st)
+			for i := lo; i < hi; i++ {
+				t, p, in := m.Recv.At(i)
+				val, x, ok := m.taskFlux(t, in, st)
+				if !ok {
+					return m.missing(t, p, st, x)
+				}
+				psi[t], done[t] = val, true
+				for _, o := range m.Recv.Out(i) {
+					m.Recv.Deliver(o.Slot, val, st+1)
+				}
 			}
 		}
 	}
 	m.Comm = m.Comm.plus(traffic)
 	return nil
+}
+
+// fan runs a split flat sweep's blocks, one on the caller's goroutine and
+// one goroutine each the others, and returns, once all have ended, the
+// error at the lowest position of those that failed.
+func (m *Machine) fan(ctx context.Context, blocks []block) error {
+	m.flatCtx = ctx
+	m.claimed.Store(0)
+	m.joined.Add(len(blocks))
+	for range len(blocks) - 1 {
+		go m.flat()
+	}
+	m.flat()
+	m.joined.Wait()
+	m.flatCtx = nil
+	var err error
+	at := int32(math.MaxInt32)
+	for _, b := range blocks {
+		if b.err != nil && b.at < at {
+			err, at = b.err, b.at
+		}
+	}
+	return err
+}
+
+// missing is a flat sweep's error for processor p's task t, whose input x
+// (an entry of At's) it found missing at step: a local input not done as
+// Step reports one, a flux not received as a *StallError.
+func (m *Machine) missing(t sched.TaskID, p, step, x int32) error {
+	if x >= 0 {
+		return localMissing(p, t, step, x)
+	}
+	return &StallError{Proc: p, Step: step, Task: t, Producer: m.Recv.Producer(^x)}
+}
+
+// directionBlocks returns the direction blocks a flat sweep on this layout
+// runs, or nil when it runs as one loop. The first flat sweep after Build
+// decides: min(GOMAXPROCS, k) blocks when the step table holds
+// sweepCrossover tasks or more, and lays their positions out in the
+// machine's storage.
+func (m *Machine) directionBlocks() []block {
+	if m.split == 0 {
+		m.split = 1
+		if len(m.Steps.Order()) >= sweepCrossover {
+			m.split = min(runtime.GOMAXPROCS(0), m.dirs)
+		}
+		if m.split > 1 {
+			m.layBlocks()
+		}
+	}
+	if m.split == 1 {
+		return nil
+	}
+	return m.blocks[:m.split]
+}
+
+// layBlocks splits the directions into m.split contiguous blocks —
+// direction d is block d·split/k's — and lists each block's positions in
+// step order. One array holds the lists, block after block, each as long
+// as it can get: a position per task of its directions and a marker per
+// step, no more steps than positions.
+func (m *Machine) layBlocks() {
+	w, k, cells := m.split, m.dirs, m.cells
+	if cap(m.blocks) < w {
+		m.blocks = make([]block, w)
+	}
+	blocks := m.blocks[:w]
+	steps := int(m.Steps.Steps())
+	if n := k*cells + min(w*steps, k*cells); cap(m.lists) < n {
+		m.lists = make([]int32, n)
+	}
+	lo, end := 0, 0
+	for j := range blocks {
+		hi := ((j+1)*k + w - 1) / w * cells // the first task of block j+1's first direction
+		n := hi - lo + min(steps, hi-lo)
+		blocks[j] = block{list: m.lists[end : end : end+n], last: -1}
+		lo, end = hi, end+n
+	}
+	for st := range m.Steps.Steps() {
+		lo, hi := m.Steps.Span(st)
+		for i := lo; i < hi; i++ {
+			t, _, _ := m.Recv.At(i)
+			b := &blocks[int(t)/cells*w/k]
+			if b.last != st {
+				b.list, b.last = append(b.list, ^st), st
+			}
+			b.list = append(b.list, i)
+		}
+	}
 }

@@ -24,8 +24,11 @@
 //     real cluster. With no plan it is the fault-free parallel solve: the
 //     first sweep steps the machine, and every later one, having nothing
 //     left to decide, runs flat and adds the traffic the first counted.
-//     Its processors run one after another on the caller's goroutine; what
-//     is modelled is the machine's data flow and traffic, not its speed.
+//     A stepped sweep runs its processors one after another on the
+//     caller's goroutine; a large flat one runs its direction blocks side
+//     by side, on up to GOMAXPROCS goroutines (internal/machine's Sweep).
+//     What is modelled is the machine's data flow and traffic, not its
+//     speed.
 package transport
 
 import (

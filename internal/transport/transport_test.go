@@ -10,6 +10,7 @@ import (
 	"sweepsched/internal/dag"
 	"sweepsched/internal/faults"
 	"sweepsched/internal/heuristics"
+	"sweepsched/internal/machine"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -483,10 +484,12 @@ func benchExecutorOn(b *testing.B, s *sched.Schedule, cfg Config, solve func(*sc
 
 // BenchmarkSolveParallel is the fault-free parallel solve
 // (SolveTransportParallel's: the fault engine with no plan) on the box and
-// the sweep shape, and on the sweep shape's mesh with its tetrahedra
-// renumbered at random ("shuffled"): the same solve on the numbering a
-// real mesher gives, where the executor's per-task state is no longer
-// laid out along the sweep.
+// the sweep shape, a warm clean sweep alone at the sweep shape ("flat":
+// one Machine.Sweep, its direction blocks side by side from two CPUs on),
+// and the solve on the sweep shape's mesh with its tetrahedra renumbered
+// at random ("shuffled"): the same solve on the numbering a real mesher
+// gives, where the executor's per-task state is no longer laid out along
+// the sweep.
 func BenchmarkSolveParallel(b *testing.B) {
 	solve := func(s *sched.Schedule, cfg Config) (executorRun, error) {
 		res, err := solveParallel(context.Background(), s, cfg)
@@ -496,6 +499,29 @@ func BenchmarkSolveParallel(b *testing.B) {
 		return executorRun{res.Iterations * s.Makespan, res.Iterations * s.Inst.NTasks(), res.Comm.Messages}, nil
 	}
 	benchExecutor(b, solve)
+	b.Run("flat", func(b *testing.B) {
+		s, cfg := sweepShape(b, 24, 1e-4)
+		eng, err := faults.NewEngine(s, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var bal machine.Balance
+		CellBalance(&bal, cfg, make([]float64, s.Inst.N()))
+		psi := make([]float64, s.Inst.NTasks())
+		sweep := func() {
+			if err := eng.Sweep(context.Background(), bal, psi); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sweep() // steps the schedule and records its traffic
+		sweep() // flat from here on
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			sweep()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Inst.NTasks()), "ns/task")
+	})
 	b.Run("shuffled", func(b *testing.B) {
 		msh, err := mesh.Family("tetonly", 0.05, 1)
 		if err != nil {
